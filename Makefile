@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet lint fuzz verify bench bench-shards bench-dataplane bench-city city-smoke blackout-smoke profile clean chaos cover span-alloc-gate
+.PHONY: all build test race vet lint fuzz verify bench-check bench bench-shards bench-dataplane bench-city city-smoke blackout-smoke profile clean chaos cover span-alloc-gate
 
 all: verify
 
@@ -66,11 +66,20 @@ verify:
 	$(GO) vet ./...
 	$(GO) run ./cmd/softcell-lint -escape -json results/lint.json ./...
 	$(GO) build ./...
+	$(MAKE) bench-check
 	$(GO) test -race ./...
 	$(MAKE) cover
 	$(MAKE) span-alloc-gate
 	$(MAKE) city-smoke
 	$(MAKE) blackout-smoke
+
+# bench-check compiles and tests the repository benchmark. bench/ is a
+# nested module (repro/bench, `replace repro => ../`), so `./...` from the
+# root never reaches it: without this step a change to an API the
+# benchmark calls breaks it silently.
+bench-check:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
 
 # span-alloc-gate pins the tracing tax on the unsampled hot path: the
 # not-sampled span branch must stay at 0 allocs/op (DESIGN.md §16), on
@@ -89,7 +98,7 @@ span-alloc-gate:
 # (sampled 1-in-64 so a short smoke still collects a real waterfall).
 city-smoke:
 	$(GO) run ./cmd/softcell-bench -mode city -stations 48 -ues 20000 -shards 2 \
-		-sim-seconds 30 -legacy-sample 20000 -trace-sample 64 -attr \
+		-sim-seconds 30 -trace-sample 64 -attr \
 		-attr-json results/ATTR_city_smoke.json -json results/BENCH_city_smoke.json
 
 # blackout-smoke is the agent-survivability gate (DESIGN.md §15): the
@@ -122,8 +131,8 @@ bench-dataplane:
 
 # bench-city regenerates the committed city-scale soak (§6.1 at full
 # width): 1536 base stations, 1M registered subscribers, a multi-minute
-# sustained arrival/handoff/bearer schedule, and the memory-compaction
-# report (live-heap bytes per UE vs the pre-compaction layout).
+# sustained arrival/handoff/bearer schedule, and the memory report
+# (live-heap bytes per UE).
 bench-city:
 	$(GO) run ./cmd/softcell-bench -mode city -soak 3m \
 		-json results/BENCH_city.json | tee results/bench_city.txt

@@ -164,15 +164,14 @@ func main() {
 		out      = flag.String("out", "", "with -mode shards: also write the sweep table to this file")
 		jsonOut  = flag.String("json", "", "with -mode controller or chaos: write the report as JSON to this file")
 
-		seed     = flag.Int64("seed", 1, "chaos, city: schedule/workload seed")
-		events   = flag.Int("events", 2000, "chaos: schedule length in events")
-		shards   = flag.Int("shards", 3, "chaos, city: control-plane shards (city default 4)")
-		ues      = flag.Int("ues", 16, "chaos, city: subscriber population (city default 1000000)")
+		seed   = flag.Int64("seed", 1, "chaos, city: schedule/workload seed")
+		events = flag.Int("events", 2000, "chaos: schedule length in events")
+		shards = flag.Int("shards", 3, "chaos, city: control-plane shards (city default 4)")
+		ues    = flag.Int("ues", 16, "chaos, city: subscriber population (city default 1000000)")
 
 		stations = flag.Int("stations", 1536, "city: base stations (must be C·K³/4; 48 for the smoke point)")
 		simSecs  = flag.Int("sim-seconds", 300, "city: minimum simulated workload seconds to soak")
 		soakWall = flag.Duration("soak", 0, "city: keep soaking until this much wall clock has elapsed")
-		legacyN  = flag.Int("legacy-sample", 100000, "city: UEs for the pre-compaction baseline emulation (negative skips)")
 		cluster  = flag.Int("cluster", 4, "chaos, blackout: base stations per pod cluster")
 		outage   = flag.Int("outage-ticks", 30000, "blackout: outage length in 1ms sim ticks")
 		wireRate = flag.Float64("wire-fault-rate", 0.25, "chaos: per-frame fault probability (negative disables)")
@@ -265,15 +264,16 @@ func main() {
 		}
 		table := cbench.FormatSweep(baseline, rows)
 		caveat := `
-Reading the numbers: the baseline is the in-process single controller —
-callers invoke the controller lock directly, with zero dispatch cost. The
-sharded rows pay a bounded-queue round trip (two channel handoffs) per
-request, which buys lock-free fan-out across shards. Speedup therefore
-tracks available cores: with N cores, N shards run their controller locks
-in parallel and the sweep crosses 1x and climbs; on a single-core host the
-shards time-slice one CPU and the queue overhead is all that is visible
-(speedup well below 1x, flat across widths). GOMAXPROCS above records
-which regime this file was produced in.
+Reading the numbers: the baseline is the in-process single controller,
+called directly. The sharded rows put the dispatcher in front of it, on
+the same goroutine: a ring lookup, the admission check, and a slot of the
+owning shard's semaphore per request. Every request in this sweep is a
+tag-cache hit, which takes no controller lock, so there is nothing for
+more shards to spread: the sweep shows the dispatcher's fixed cost per
+request (speedup below 1x, flat across widths). Width pays on traffic that
+writes — attaches, handoffs and path installs serialise on one
+controller's domain locks, and on N shards' in parallel given N cores.
+GOMAXPROCS above records which regime this file was produced in.
 `
 		fmt.Print(table)
 		fmt.Print(caveat)
@@ -479,11 +479,10 @@ which regime this file was produced in.
 		}
 	case "city":
 		opts := cbench.CityOptions{
-			Stations:     *stations,
-			SimSeconds:   *simSecs,
-			MinWall:      *soakWall,
-			Seed:         *seed,
-			LegacySample: *legacyN,
+			Stations:   *stations,
+			SimSeconds: *simSecs,
+			MinWall:    *soakWall,
+			Seed:       *seed,
 		}
 		if setFlags["shards"] {
 			opts.Shards = *shards
@@ -519,11 +518,6 @@ which regime this file was produced in.
 		tab.AddRow("handoff p99", fmt.Sprintf("%.0fµs", res.HandoffP99NS/1000))
 		tab.AddRow("rule table max/median", fmt.Sprintf("%d / %d", res.RuleTableMax, res.RuleTableMedian))
 		tab.AddRow("live heap (fleet)", fmt.Sprintf("%.1f MB (%.1f B/subscriber)", float64(res.LiveHeapBytes)/1e6, res.BytesPerUE))
-		if res.LegacyBytesPerUE > 0 {
-			tab.AddRow("pre-compaction fleet", fmt.Sprintf("%.1f B/subscriber (%d shards × %.1f)",
-				res.LegacyFleetPerUE, res.Shards, res.LegacyBytesPerUE))
-			tab.AddRow("compaction ratio", fmt.Sprintf("%.2fx smaller", res.CompactionRatio))
-		}
 		tab.AddRow("attr intern hit rate", fmt.Sprintf("%.4f (%d sets live)", res.Mem.AttrHitRate(), res.Mem.InternedAttrs))
 		tab.AddRow("GC", fmt.Sprintf("%d cycles, %.1fms total pause, %.2fms max", res.GCCount, res.GCPauseTotalMS, res.GCPauseMaxMS))
 		fmt.Print(tab)

@@ -2,9 +2,9 @@
 // drives a sharded control plane sized like the paper's measured network —
 // ~1500 base stations and a ~1M-subscriber population — for minutes of
 // sustained arrival/handoff/bearer churn, and the report answers the
-// memory-compaction question directly: live-heap bytes per subscriber under
-// the struct-of-arrays layout, next to an emulation of the pre-compaction
-// pointer-and-maps layout measured in the same process.
+// memory question directly: live-heap bytes per subscriber under the
+// struct-of-arrays layout (EXPERIMENTS.md records the 2.33x it saved over
+// the pointer-and-maps layout it replaced).
 package cbench
 
 import (
@@ -49,10 +49,6 @@ type CityOptions struct {
 	// ReleaseAfter delays each handoff's old-LocIP release by this many
 	// simulated seconds (default 2), modelling the §5.1 soft timeout.
 	ReleaseAfter int
-	// LegacySample is the UE count used to measure the pre-compaction
-	// layout emulation (default 100,000, capped at UEs). 0 keeps the
-	// default; negative skips the baseline measurement.
-	LegacySample int
 	// Obs instruments the stack under test; the final MemStats snapshot
 	// also refreshes each shard's core.mem.* gauges.
 	Obs *obs.Registry
@@ -77,12 +73,6 @@ func (o CityOptions) withDefaults() CityOptions {
 	if o.ReleaseAfter <= 0 {
 		o.ReleaseAfter = 2
 	}
-	if o.LegacySample == 0 {
-		o.LegacySample = 100_000
-	}
-	if o.LegacySample > o.UEs {
-		o.LegacySample = o.UEs
-	}
 	return o
 }
 
@@ -101,8 +91,8 @@ func (o CityOptions) workloadParams() workload.Params {
 }
 
 // cityStoreReplicas pins each shard's §5.2 store replication (primary plus
-// this many replicas) so the legacy-baseline emulation models the same
-// durability — its documents are charged once per store member.
+// this many replicas), so bytes per subscriber is measured at a stated
+// durability.
 const cityStoreReplicas = 2
 
 // cityPlan is the address/tag layout the city runs: the default carrier
@@ -206,14 +196,14 @@ type CityResult struct {
 	LoadOpsPerSec float64 `json:"load_ops_per_sec"`
 
 	// Soak phase: sustained churn, measured in wall time.
-	SoakWallMS    int64   `json:"soak_wall_ms"`
-	Arrivals      uint64  `json:"arrivals"`
-	Handoffs      uint64  `json:"handoffs"`
-	Departures    uint64  `json:"departures"`
-	Bearers       uint64  `json:"bearers"`
-	Releases      uint64  `json:"releases"`
-	OpErrors      uint64  `json:"op_errors"`
-	OpsPerSec     float64 `json:"ops_per_sec"`
+	SoakWallMS     int64   `json:"soak_wall_ms"`
+	Arrivals       uint64  `json:"arrivals"`
+	Handoffs       uint64  `json:"handoffs"`
+	Departures     uint64  `json:"departures"`
+	Bearers        uint64  `json:"bearers"`
+	Releases       uint64  `json:"releases"`
+	OpErrors       uint64  `json:"op_errors"`
+	OpsPerSec      float64 `json:"ops_per_sec"`
 	ArrivalsPerSec float64 `json:"arrivals_per_sec"`
 	HandoffsPerSec float64 `json:"handoffs_per_sec"`
 
@@ -228,25 +218,17 @@ type CityResult struct {
 	RuleTableTotal  int `json:"rule_table_total"`
 
 	// Memory: GC-settled live-heap growth across the load phase, divided
-	// by the registered population, next to the measured pre-compaction
-	// baseline emulation. AttachedBytesPerUE charges the whole delta to
-	// the concurrently-attached population instead (the paper's ~220K).
-	//
-	// The comparison is fleet-to-fleet: BytesPerUE covers all Shards
-	// controllers (each holds the full subscriber base — registrations
-	// broadcast by dispatcher design — plus its replicated store), so the
-	// baseline is the per-shard legacy emulation (one controller's maps,
-	// heap records, and per-replica store documents) times Shards.
+	// by the registered population. AttachedBytesPerUE charges the whole
+	// delta to the concurrently-attached population instead (the paper's
+	// ~220K). BytesPerUE covers all Shards controllers: each holds the
+	// full subscriber base (registrations broadcast by dispatcher design)
+	// plus its replicated store.
 	LiveHeapBytes      uint64  `json:"live_heap_bytes"`
 	BytesPerUE         float64 `json:"bytes_per_ue"`
 	AttachedBytesPerUE float64 `json:"bytes_per_attached_ue"`
-	LegacySample       int     `json:"legacy_sample"`
-	LegacyBytesPerUE   float64 `json:"legacy_bytes_per_ue"`       // one pre-compaction controller + its store copies
-	LegacyFleetPerUE   float64 `json:"legacy_fleet_bytes_per_ue"` // × Shards, the deployment BytesPerUE measures
-	CompactionRatio    float64 `json:"compaction_ratio"`          // legacy fleet ÷ compacted bytes/UE
 
 	// GC behaviour across the soak window.
-	GCCount       uint32  `json:"gc_count"`
+	GCCount        uint32  `json:"gc_count"`
 	GCPauseTotalMS float64 `json:"gc_pause_total_ms"`
 	GCPauseMaxMS   float64 `json:"gc_pause_max_ms"`
 
@@ -259,73 +241,6 @@ type CityResult struct {
 	// complete trace the segment self-times sum to the measured end-to-end
 	// latency. Absent when the soak ran uninstrumented.
 	Attribution *obs.Attribution `json:"attribution,omitempty"`
-}
-
-// legacyUE mirrors the pre-compaction per-UE controller state: one heap
-// record per UE holding its attributes inline, indexed by three Go maps,
-// with the replicated store keeping JSON-encoded copies. Building it for a
-// sample population and reading the GC-settled heap delta measures what
-// the struct-of-arrays layout replaced, in this process, on this
-// allocator.
-type legacyUE struct {
-	IMSI   string
-	Attr   policy.Attributes
-	PermIP packet.Addr
-	BS     packet.BSID
-	UEID   packet.UEID
-	LocIP  packet.Addr
-}
-
-// measureLegacyBaseline builds the legacy layout for n UEs and returns its
-// GC-settled bytes per UE; everything it builds is garbage afterwards.
-func measureLegacyBaseline(n, storeCopies int) float64 {
-	if n <= 0 {
-		return 0
-	}
-	if storeCopies < 1 {
-		storeCopies = 1
-	}
-	before := liveHeap()
-	byIMSI := make(map[string]*legacyUE, n)
-	byPerm := make(map[packet.Addr]*legacyUE, n)
-	byLoc := make(map[packet.Addr]*legacyUE, n)
-	stores := make([]map[string][]byte, storeCopies)
-	for c := range stores {
-		stores[c] = make(map[string][]byte, n)
-	}
-	for i := 0; i < n; i++ {
-		u := &legacyUE{
-			IMSI:   fmt.Sprintf("imsi-%07d", i),
-			Attr:   cityAttr(i),
-			PermIP: packet.Addr(0x64400000 + uint32(i)),
-			BS:     packet.BSID(i % 1536),
-			UEID:   packet.UEID(i % 4096),
-			LocIP:  packet.Addr(0x0A000000 + uint32(i)),
-		}
-		byIMSI[u.IMSI] = u
-		byPerm[u.PermIP] = u
-		byLoc[u.LocIP] = u
-		// The old store kept encoding/json documents, ~190 bytes of JSON
-		// per record (field names and quoted strings), and its replicas
-		// each applied their own defensive copy of every committed value —
-		// one document per store member, exactly as the pre-compaction
-		// store.Replica.apply did.
-		doc := fmt.Sprintf(
-			`{"imsi":%q,"attr":{"provider":%q,"plan":%q,"device_type":%q,"roaming":%v,"over_cap":%v,"parental":%v},"perm_ip":%q,"bs":%d,"ueid":%d,"loc_ip":%q}`,
-			u.IMSI, u.Attr.Provider, u.Attr.Plan, u.Attr.DeviceType,
-			u.Attr.Roaming, u.Attr.OverCap, u.Attr.Parental,
-			u.PermIP, u.BS, u.UEID, u.LocIP)
-		for c := 0; c < storeCopies; c++ {
-			stores[c]["ue/"+u.IMSI] = []byte(doc)
-		}
-	}
-	perUE := float64(liveHeap()-before) / float64(n)
-	// Keep every structure reachable until after the measurement.
-	runtime.KeepAlive(byIMSI)
-	runtime.KeepAlive(byPerm)
-	runtime.KeepAlive(byLoc)
-	runtime.KeepAlive(stores)
-	return perUE
 }
 
 // liveHeap returns the GC-settled live-heap size.
@@ -366,18 +281,7 @@ func BenchCity(opts CityOptions) (CityResult, error) {
 	if err := ValidateCity(opts); err != nil {
 		return CityResult{}, err
 	}
-	res := CityResult{
-		Stations: opts.Stations, Shards: opts.Shards, UEs: opts.UEs, Seed: opts.Seed,
-		LegacySample: opts.LegacySample,
-	}
-
-	// Measure the pre-compaction layout first, while the heap is small;
-	// it is garbage before the real control plane is built.
-	if opts.LegacySample > 0 {
-		res.LegacyBytesPerUE = measureLegacyBaseline(opts.LegacySample, 1+cityStoreReplicas)
-	} else {
-		res.LegacySample = 0
-	}
+	res := CityResult{Stations: opts.Stations, Shards: opts.Shards, UEs: opts.UEs, Seed: opts.Seed}
 
 	gp, err := cityTopoParams(opts.Stations)
 	if err != nil {
@@ -467,19 +371,12 @@ func BenchCity(opts CityOptions) (CityResult, error) {
 		res.LoadOpsPerSec = float64(opts.UEs+nextFresh) / (float64(res.LoadWallMS) / 1000)
 	}
 
-	// The compaction claim, measured: GC-settled heap growth across the
-	// load phase over the registered population.
+	// Memory, measured: GC-settled heap growth across the load phase over
+	// the registered population.
 	res.LiveHeapBytes = liveHeap() - heapBase
 	res.BytesPerUE = float64(res.LiveHeapBytes) / float64(opts.UEs)
 	if res.InitialAttach > 0 {
 		res.AttachedBytesPerUE = float64(res.LiveHeapBytes) / float64(res.InitialAttach)
-	}
-	if res.BytesPerUE > 0 && res.LegacyBytesPerUE > 0 {
-		// Fleet-to-fleet: every shard holds the full subscriber base
-		// (broadcast registration) under either layout, so the deployment
-		// BytesPerUE measures is Shards pre-compaction controllers' worth.
-		res.LegacyFleetPerUE = res.LegacyBytesPerUE * float64(opts.Shards)
-		res.CompactionRatio = res.LegacyFleetPerUE / res.BytesPerUE
 	}
 
 	// Soak. Single-threaded event application in workload order keeps the

@@ -54,7 +54,7 @@ func TestCitySoakSmokeDeterministic(t *testing.T) {
 		t.Helper()
 		res, err := BenchCity(CityOptions{
 			Stations: 48, Shards: 2, UEs: 2000,
-			SimSeconds: 3, Seed: 7, LegacySample: -1,
+			SimSeconds: 3, Seed: 7,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -197,9 +197,8 @@ func (e *blackoutEngine) setup() error {
 		MBTypes: map[string]topo.MBType{
 			policy.MBFirewall: 0, policy.MBTranscoder: 1, policy.MBEchoCancel: 2,
 		},
-		Shards:  e.cfg.Shards,
-		Workers: 1, // queue order is processing order: deterministic views
-		Obs:     e.cfg.Obs,
+		Shards: e.cfg.Shards,
+		Obs:    e.cfg.Obs,
 	})
 	if err != nil {
 		return err

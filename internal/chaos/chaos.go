@@ -271,9 +271,8 @@ func (e *engine) setup() error {
 		MBTypes: map[string]topo.MBType{
 			policy.MBFirewall: 0, policy.MBTranscoder: 1, policy.MBEchoCancel: 2,
 		},
-		Shards:  e.cfg.Shards,
-		Workers: 1, // single worker per shard: queue order is processing order
-		Obs:     e.cfg.Obs,
+		Shards: e.cfg.Shards,
+		Obs:    e.cfg.Obs,
 	})
 	if err != nil {
 		return err

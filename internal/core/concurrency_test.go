@@ -75,17 +75,6 @@ func TestConcurrentStressInvariants(t *testing.T) {
 			}
 		})
 	}
-	// Batched requesters share the fast path with the shard workers.
-	spawn(50, func(rng *rand.Rand) {
-		qs := make([]PathQuery, 8)
-		var out []PathAnswer
-		for i := 0; i < iters; i++ {
-			for j := range qs {
-				qs[j] = PathQuery{BS: packet.BSID(rng.Intn(4)), Clause: clauses[rng.Intn(len(clauses))]}
-			}
-			out = c.RequestPathBatch(qs, out)
-		}
-	})
 	// Mobility: handoffs between stations, detach/re-attach churn.
 	for g := 0; g < 2; g++ {
 		spawn(100+int64(g), func(rng *rand.Rand) {
@@ -186,18 +175,4 @@ func TestRequestPathFastPathZeroAllocs(t *testing.T) {
 		t.Fatalf("steady-state RequestPath allocates %.1f/op, want 0", allocs)
 	}
 
-	// The batched form is equally allocation-free when the caller recycles
-	// the answer slice, as the shard workers do.
-	qs := make([]PathQuery, 0, 4*len(clauses))
-	for bs := packet.BSID(0); bs < 4; bs++ {
-		for _, cl := range clauses {
-			qs = append(qs, PathQuery{BS: bs, Clause: cl})
-		}
-	}
-	out := make([]PathAnswer, len(qs))
-	if allocs := testing.AllocsPerRun(1000, func() {
-		out = c.RequestPathBatch(qs, out)
-	}); allocs != 0 {
-		t.Fatalf("steady-state RequestPathBatch allocates %.1f/op, want 0", allocs)
-	}
 }

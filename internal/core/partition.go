@@ -9,11 +9,11 @@ import (
 )
 
 // This file is the surface the sharded controller runtime (internal/shard)
-// builds on: base-station ownership, batched path resolution, and explicit
-// UE migration between controller instances. A restricted controller owns a
-// disjoint slice of the access network; because LocIPs embed the
-// base-station ID (§4.1), disjoint station sets imply disjoint LocIP
-// sub-pools with no further coordination.
+// builds on: base-station ownership and explicit UE migration between
+// controller instances. A restricted controller owns a disjoint slice of
+// the access network; because LocIPs embed the base-station ID (§4.1),
+// disjoint station sets imply disjoint LocIP sub-pools with no further
+// coordination.
 
 // ErrNotOwned marks a request naming a base station outside the
 // controller's restricted subset (ControllerConfig.Stations). The shard
@@ -45,82 +45,6 @@ func (c *Controller) Stations() []packet.BSID {
 	for bs := range c.owned {
 		out = append(out, bs)
 	}
-	return out
-}
-
-// PathQuery names one policy-path resolution.
-type PathQuery struct {
-	BS     packet.BSID
-	Clause int
-}
-
-// PathAnswer is the result of one PathQuery.
-type PathAnswer struct {
-	Tag packet.Tag
-	Err error
-}
-
-// RequestPathBatch resolves a batch of path requests. Shard workers
-// dequeue requests in batches and answer them through this call. The first
-// pass answers repeat requests from the tagCache snapshot with no lock and
-// no allocation; only the misses (marked by the tag-0 sentinel — a real
-// tag is never 0) pay for the ownership check and the rule-table lock, and
-// those locks are taken once per batch, not once per miss. out is reused
-// when it has capacity.
-//
-// hotpath: no alloc, no lock
-func (c *Controller) RequestPathBatch(qs []PathQuery, out []PathAnswer) []PathAnswer {
-	if cap(out) < len(qs) {
-		//lint:ignore hotpath first-call growth only; steady-state batches reuse the caller's slice
-		out = make([]PathAnswer, len(qs))
-	}
-	out = out[:len(qs)]
-	c.pathAsks.Add(uint64(len(qs)))
-	tags := *c.tagCache.Load()
-	misses := 0
-	for i, q := range qs {
-		out[i].Tag = tags[pathKey{q.BS, q.Clause}]
-		out[i].Err = nil
-		if out[i].Tag == 0 {
-			misses++
-		}
-	}
-	c.obs.cacheHit.Add(uint64(len(qs) - misses))
-	if misses == 0 {
-		return out
-	}
-	return c.requestPathBatchSlow(qs, out, misses)
-}
-
-// requestPathBatchSlow answers the cache misses of one batch: the
-// ownership check under the UE read lock, then resolution under the
-// rule-table lock, each taken once for the whole batch.
-//
-// hotpath: cold
-func (c *Controller) requestPathBatchSlow(qs []PathQuery, out []PathAnswer, misses int) []PathAnswer {
-	c.obs.cacheMiss.Add(uint64(misses))
-	c.ueMu.RLock()
-	for i := range out {
-		if out[i].Tag == 0 && !c.ownsLocked(qs[i].BS) {
-			out[i].Err = fmt.Errorf("core: path request from base station %d: %w", qs[i].BS, ErrNotOwned)
-		}
-	}
-	c.ueMu.RUnlock()
-	// Same sampled lock-wait probe as requestPathSlow: one batch counts as
-	// one slow-path entry.
-	if c.obs.ruleWait != nil && c.slowSeq.Add(1)%ruleWaitSampleEvery == 0 {
-		t0 := c.obs.reg.Now()
-		c.ruleMu.Lock()
-		c.obs.ruleWait.Observe(c.obs.reg.Now() - t0)
-	} else {
-		c.ruleMu.Lock()
-	}
-	for i := range out {
-		if out[i].Tag == 0 && out[i].Err == nil {
-			out[i].Tag, out[i].Err = c.resolvePathLocked(qs[i].BS, qs[i].Clause)
-		}
-	}
-	c.ruleMu.Unlock()
 	return out
 }
 

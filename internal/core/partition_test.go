@@ -64,37 +64,6 @@ func TestRestrictedControllerRejectsForeignStations(t *testing.T) {
 	}
 }
 
-func TestRequestPathBatchMatchesSingles(t *testing.T) {
-	c, _ := testController(t)
-	attr := policy.Attributes{Provider: "A"}
-	web, _ := c.Policy.Match(attr, policy.AppWeb)
-	video, _ := c.Policy.Match(attr, policy.AppVideo)
-	qs := []PathQuery{{0, web}, {1, web}, {0, video}, {2, web}, {0, web}}
-	ans := c.RequestPathBatch(qs, nil)
-	if len(ans) != len(qs) {
-		t.Fatalf("answers = %d, want %d", len(ans), len(qs))
-	}
-	for i, q := range qs {
-		if ans[i].Err != nil {
-			t.Fatalf("batch[%d] %v: %v", i, q, ans[i].Err)
-		}
-		single, err := c.RequestPath(q.BS, q.Clause)
-		if err != nil || single != ans[i].Tag {
-			t.Fatalf("batch[%d] tag %d != single %d (err %v)", i, ans[i].Tag, single, err)
-		}
-	}
-	// The answer slice is reused when it has capacity.
-	again := c.RequestPathBatch(qs[:2], ans[:0])
-	if &again[0] != &ans[0] {
-		t.Fatal("batch did not reuse the provided slice")
-	}
-	// Errors are per-query, not batch-fatal.
-	mixed := c.RequestPathBatch([]PathQuery{{0, web}, {0, 9999}}, nil)
-	if mixed[0].Err != nil || mixed[1].Err == nil {
-		t.Fatalf("mixed batch: %+v", mixed)
-	}
-}
-
 func TestExtractAdoptMigratesUE(t *testing.T) {
 	// Two shards over their own copies of the network: A owns {0,1},
 	// B owns {2,3}; tag partition 0/2 and 1/2.

@@ -37,26 +37,6 @@ func BenchmarkRequestPath(b *testing.B) {
 	})
 }
 
-// BenchmarkRequestPathBatch measures the shard workers' batched form with a
-// recycled answer slice.
-func BenchmarkRequestPathBatch(b *testing.B) {
-	c, _ := testController(b)
-	clauses := allowClauses(c.Policy)
-	var qs []PathQuery
-	for bs := packet.BSID(0); bs < 4; bs++ {
-		for _, cl := range clauses {
-			qs = append(qs, PathQuery{BS: bs, Clause: cl})
-		}
-	}
-	out := make([]PathAnswer, len(qs))
-	out = c.RequestPathBatch(qs, out) // warm
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out = c.RequestPathBatch(qs, out)
-	}
-}
-
 // BenchmarkInstallPath measures Algorithm 1 itself: candidate evaluation,
 // aggregation, and rule installation for pre-planned routes. The installer
 // is recycled periodically so the rule tables stay at a realistic size

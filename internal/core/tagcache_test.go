@@ -200,31 +200,36 @@ func TestTagCacheDropsMigratedStation(t *testing.T) {
 	}
 }
 
-// TestRequestPathBatchColdEqualsSingles drives two identical controllers —
-// one through the batched entry point from cold, one path at a time — and
-// requires identical answers: batching is an optimisation, never a
-// semantic change.
-func TestRequestPathBatchColdEqualsSingles(t *testing.T) {
-	batched, _ := testController(t)
-	singles, _ := testController(t)
-	clauses := allowClauses(batched.Policy)
-	var qs []PathQuery
+// TestRequestPathHitEqualsMiss drives two identical controllers from cold:
+// one is asked every path twice, so the second answer comes from the memo;
+// the other is asked once and only ever resolves through the rule table.
+// All three answers must be the installed path's tag: the memo is an
+// optimisation, never a semantic change.
+func TestRequestPathHitEqualsMiss(t *testing.T) {
+	cached, _ := testController(t)
+	plain, _ := testController(t)
 	for bs := packet.BSID(0); bs < 4; bs++ {
-		for _, cl := range clauses {
-			qs = append(qs, PathQuery{BS: bs, Clause: cl})
+		for _, cl := range allowClauses(cached.Policy) {
+			miss, err := cached.RequestPath(bs, cl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hit, err := cached.RequestPath(bs, cl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := plain.RequestPath(bs, cl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if miss != want || hit != want || want != plain.paths[pathKey{bs, cl}].AccessTag() {
+				t.Fatalf("(bs %d, clause %d): miss %d, hit %d, uncached controller %d, installed path %d",
+					bs, cl, miss, hit, want, plain.paths[pathKey{bs, cl}].AccessTag())
+			}
 		}
 	}
-	// Repeat every query so the second half hits the memo.
-	qs = append(qs, qs...)
-	ans := batched.RequestPathBatch(qs, nil)
-	for i, q := range qs {
-		want, err := singles.RequestPath(q.BS, q.Clause)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ans[i].Err != nil || ans[i].Tag != want {
-			t.Fatalf("batch[%d] (bs %d, clause %d) = (%d, %v), singles say %d",
-				i, q.BS, q.Clause, ans[i].Tag, ans[i].Err, want)
-		}
+	st := cached.Stats()
+	if st.PathAsks != 2*st.PathMiss {
+		t.Fatalf("every path asked twice: %d asks but %d installs", st.PathAsks, st.PathMiss)
 	}
 }

@@ -10,8 +10,8 @@ import (
 	"repro/internal/packet"
 )
 
-// ErrOverload marks a request shed by class under queue pressure: the
-// shard's queue occupancy crossed the class's threshold, so lower-value
+// ErrOverload marks a request shed by class under pressure: the shard's
+// slot occupancy crossed the class's threshold, so lower-value
 // work is refused before it can crowd out handoffs.
 var ErrOverload = errors.New("shard: overloaded, request shed")
 
@@ -48,7 +48,7 @@ func (c Class) String() string {
 	return "unknown"
 }
 
-// classOf maps a queued op kind to its shedding class.
+// classOf maps an op kind to its shedding class.
 func classOf(k opKind) Class {
 	switch k {
 	case opAttach:
@@ -75,8 +75,9 @@ func protectedOp(k opKind) bool {
 // Admission parameterises a shard's overload protection. The zero value
 // disables every mechanism, so existing callers see no behaviour change.
 type Admission struct {
-	// Shed thresholds are queue-occupancy fractions in (0,1]; a class is
-	// refused with ErrOverload once len(queue) >= threshold*cap(queue).
+	// Shed thresholds are occupancy fractions in (0,1]; a class is refused
+	// with ErrOverload once the operations inside the shard number at
+	// least threshold*Config.QueueLen.
 	// Zero disables shedding for that class. Sensible configs order them
 	// ShedBearer < ShedAttach < ShedHandoff.
 	ShedBearer  float64
@@ -156,8 +157,8 @@ func (a *admission) shedThreshold(c Class) float64 {
 }
 
 // admit runs the full admission pipeline for one unprotected request:
-// breaker, class shedding against current queue occupancy, then the
-// station's token bucket. A nil error admits the request to the queue.
+// breaker, class shedding against current slot occupancy, then the
+// station's token bucket. A nil error admits the request to the shard.
 func (a *admission) admit(k opKind, bs packet.BSID, depth, capacity int) error {
 	if protectedOp(k) {
 		return nil
@@ -168,7 +169,7 @@ func (a *admission) admit(k opKind, bs packet.BSID, depth, capacity int) error {
 	c := classOf(k)
 	if th := a.shedThreshold(c); th > 0 && float64(depth) >= th*float64(capacity) {
 		a.obs.shed[c].Inc()
-		return fmt.Errorf("shard: %s queue at %d/%d: %w", c, depth, capacity, ErrOverload)
+		return fmt.Errorf("shard: %s shed at occupancy %d/%d: %w", c, depth, capacity, ErrOverload)
 	}
 	if bs != 0 && a.cfg.AgentRate > 0 {
 		if !a.takeToken(bs) {

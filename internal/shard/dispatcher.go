@@ -25,15 +25,10 @@ type Config struct {
 	Shards int
 	// VNodes is the ring's virtual-node count per shard (default 128).
 	VNodes int
-	// QueueLen bounds each shard's work queue (default 1024): a full queue
-	// applies backpressure to callers instead of growing without bound.
+	// QueueLen bounds the operations inside each shard at once (default
+	// 1024): admission sheds against this occupancy, and at the bound a
+	// caller blocks until another finishes instead of piling on.
 	QueueLen int
-	// Workers is the number of worker goroutines per shard (default 2).
-	Workers int
-	// Batch bounds how many queued requests one worker dequeues at a time
-	// (default 64); path requests inside a batch share one tag-cache
-	// snapshot, and only cache misses take the controller's rule-table lock.
-	Batch int
 
 	// Plan defaults to packet.DefaultPlan. PermPool (default
 	// 100.64.0.0/10) is carved into one disjoint sub-block per shard.
@@ -52,7 +47,7 @@ type Config struct {
 	Admission Admission
 
 	// Obs, when non-nil, registers dispatcher-wide telemetry (cross-shard
-	// handoff latency, failover events) plus per-shard queue metrics and
+	// handoff latency, failover events) plus per-shard occupancy metrics and
 	// controller instrumentation under "shard.<id>" sub-views. nil runs
 	// uninstrumented.
 	Obs *obs.Registry
@@ -67,12 +62,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueLen <= 0 {
 		c.QueueLen = 1024
-	}
-	if c.Workers <= 0 {
-		c.Workers = 2
-	}
-	if c.Batch <= 0 {
-		c.Batch = 64
 	}
 	if c.PermPool == (packet.Prefix{}) {
 		c.PermPool = packet.NewPrefix(packet.AddrFrom4(100, 64, 0, 0), 10)
@@ -109,8 +98,16 @@ type ueEntry struct {
 // Dispatcher fronts a set of controller shards: it routes base-station-
 // keyed requests through the consistent-hash ring and UE-keyed requests
 // through its UE directory, and owns the cross-shard handoff and failover
-// protocols. The hot path (RequestPath) touches no dispatcher-wide lock —
-// only an atomic ring snapshot and the owning shard's queue.
+// protocols. Every operation runs on the caller's goroutine, from here
+// through the owning Shard into its core.Controller. The hot path
+// (RequestPath) touches no dispatcher-wide lock — only an atomic ring
+// snapshot and the owning shard's slot semaphore.
+//
+// lock ordering: failMu, mu — and, because one goroutine carries an
+// operation all the way down, across types: ueEntry.mu is held over
+// Dispatcher.mu (setPerm) and over the owning controller's
+// ueMu → allocMu → ruleMu; failMu is held over all of them. Nothing below
+// ever reaches back up for a dispatcher lock.
 type Dispatcher struct {
 	cfg    Config
 	shards []*Shard     // indexed by shard id; entries outlive failure
@@ -125,8 +122,8 @@ type Dispatcher struct {
 	obs dispObs
 }
 
-// New builds the ring, partitions the topology's stations, and starts one
-// restricted controller (plus its queue and workers) per shard.
+// New builds the ring, partitions the topology's stations, and builds one
+// restricted controller per shard.
 func New(cfg Config) (*Dispatcher, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Topology == nil {
@@ -186,7 +183,7 @@ func New(cfg Config) (*Dispatcher, error) {
 			return nil, err
 		}
 		adm := newAdmission(cfg.Admission, newAdmObs(cfg.Obs, id))
-		d.shards[id] = newShard(id, ctrl, owned, cfg.QueueLen, cfg.Workers, cfg.Batch, newShardObs(cfg.Obs, id), adm)
+		d.shards[id] = newShard(id, ctrl, owned, cfg.QueueLen, newShardObs(cfg.Obs, id), adm)
 	}
 	return d, nil
 }
@@ -251,11 +248,13 @@ func (d *Dispatcher) RegisterSubscriber(imsi string, attr policy.Attributes) err
 	return nil
 }
 
-// RequestPath resolves a policy path through the owning shard's queue —
-// the sharded hot path. As an in-process entry point it makes the trace
-// root-sampling decision (one request in every Registry.SpanSampling);
-// wire-originated requests come through RequestPathCtx instead and join
-// their frame's trace.
+// RequestPath resolves a policy path on the owning shard, in the caller's
+// goroutine — the sharded hot path: ring lookup, admission, a slot, then
+// core.Controller.RequestPathCtx (a lock-free tag-cache read when the
+// path is already installed). As an in-process entry point it makes the
+// trace root-sampling decision (one request in every
+// Registry.SpanSampling); wire-originated requests come through
+// RequestPathCtx instead and join their frame's trace.
 func (d *Dispatcher) RequestPath(bs packet.BSID, clause int) (packet.Tag, error) {
 	sp := d.obs.spPath.Root()
 	tag, err := d.requestPath(sp.Context(), bs, clause)
@@ -282,12 +281,7 @@ func (d *Dispatcher) requestPath(sc obs.SpanContext, bs packet.BSID, clause int)
 		if err != nil {
 			return 0, err
 		}
-		w := getWork(opPath)
-		w.bs, w.clause = bs, clause
-		w.sc = sc
-		s.do(w)
-		tag, err := w.tag, w.err
-		putWork(w)
+		tag, err := s.requestPath(sc, bs, clause)
 		if attempt == 0 && (errors.Is(err, ErrShardDown) || errors.Is(err, ErrCircuitOpen)) {
 			continue
 		}
@@ -296,21 +290,17 @@ func (d *Dispatcher) requestPath(sc obs.SpanContext, bs packet.BSID, clause int)
 }
 
 // AgentView exports the owning shard's snapshot of one base station's
-// agent state (core.Controller.AgentView) through the shard queue, so the
-// export is serialised with the mutations it snapshots. It is the source
-// of the versioned LKG snapshots pushed to agents; as protocol-internal
-// work it bypasses admission control.
+// agent state (core.Controller.AgentView, which takes the controller's
+// locks, so the export is consistent with the mutations it snapshots). It
+// is the source of the versioned LKG snapshots pushed to agents; as
+// protocol-internal work it bypasses admission control.
 func (d *Dispatcher) AgentView(bs packet.BSID) (core.AgentView, error) {
 	for attempt := 0; ; attempt++ {
 		s, err := d.ShardOf(bs)
 		if err != nil {
 			return core.AgentView{}, err
 		}
-		w := getWork(opView)
-		w.bs = bs
-		s.do(w)
-		view, err := w.view, w.err
-		putWork(w)
+		view, err := s.agentView(bs)
 		if attempt == 0 && errors.Is(err, ErrShardDown) {
 			continue
 		}
@@ -377,7 +367,7 @@ func (d *Dispatcher) attach(sc obs.SpanContext, imsi string, bs packet.BSID) (co
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.shard != nil && e.shard != target && !e.shard.Down() {
-		mig, err := d.extract(sc, e.shard, imsi)
+		mig, err := e.shard.extract(sc, imsi)
 		if err != nil {
 			return core.UE{}, nil, err
 		}
@@ -388,12 +378,7 @@ func (d *Dispatcher) attach(sc obs.SpanContext, imsi string, bs packet.BSID) (co
 		e.shard = target
 		return ue, cls, nil
 	}
-	w := getWork(opAttach)
-	w.imsi, w.bs = imsi, bs
-	w.sc = sc
-	target.do(w)
-	ue, cls, err := w.ue, w.cls, w.err
-	putWork(w)
+	ue, cls, err := target.attach(sc, imsi, bs)
 	if err != nil {
 		return core.UE{}, nil, err
 	}
@@ -414,12 +399,7 @@ func (d *Dispatcher) Detach(imsi string) error {
 	if e.shard == nil {
 		return fmt.Errorf("shard: UE %q has no shard", imsi)
 	}
-	w := getWork(opDetach)
-	w.imsi = imsi
-	e.shard.do(w)
-	err := w.err
-	putWork(w)
-	return err
+	return e.shard.detach(imsi)
 }
 
 // LookupUE resolves a UE's record from whichever shard holds it.
@@ -455,12 +435,7 @@ func (d *Dispatcher) ResolveLocIP(perm packet.Addr) (packet.Addr, error) {
 	if s == nil {
 		return 0, fmt.Errorf("shard: UE %q has no shard", imsi)
 	}
-	w := getWork(opResolve)
-	w.perm = perm
-	s.do(w)
-	addr, err := w.addr, w.err
-	putWork(w)
-	return addr, err
+	return s.resolveLocIP(perm)
 }
 
 // RecoverLocations rebuilds UE-location state across the shards from live
@@ -475,12 +450,7 @@ func (d *Dispatcher) RecoverLocations(reports []core.AgentLocationReport) error 
 		byShard[s] = append(byShard[s], rep)
 	}
 	for s, reps := range byShard {
-		w := getWork(opRecover)
-		w.reports = reps
-		s.do(w)
-		err := w.err
-		putWork(w)
-		if err != nil {
+		if err := s.recoverLocations(reps); err != nil {
 			return err
 		}
 		for _, rep := range reps {
@@ -496,36 +466,18 @@ func (d *Dispatcher) RecoverLocations(reports []core.AgentLocationReport) error 
 	return nil
 }
 
-// extract runs phase one of a migration on the source shard. The span
-// context times the source queue wait under the migration's trace (the
-// controller-side extract itself is untraced — it is rare, protocol-
-// internal work).
-func (d *Dispatcher) extract(sc obs.SpanContext, s *Shard, imsi string) (core.MigratedUE, error) {
-	w := getWork(opExtract)
-	w.imsi = imsi
-	w.sc = sc
-	s.do(w)
-	mig, err := w.mig, w.err
-	putWork(w)
-	return mig, err
-}
-
-// adopt runs phase two of a migration on the target shard.
+// adopt runs phase two of a migration on the target shard and indexes the
+// UE's permanent address.
 func (d *Dispatcher) adopt(sc obs.SpanContext, s *Shard, mig core.MigratedUE, bs packet.BSID) (core.UE, []core.Classifier, error) {
-	w := getWork(opAdopt)
-	w.mig, w.bs = mig, bs
-	w.sc = sc
-	s.do(w)
-	ue, cls, err := w.ue, w.cls, w.err
-	putWork(w)
+	ue, cls, err := s.adopt(sc, mig, bs)
 	if err == nil {
 		d.setPerm(ue.PermIP, mig.IMSI)
 	}
 	return ue, cls, err
 }
 
-// Close drains and stops every shard. Callers must have stopped issuing
-// requests first.
+// Close stops every shard: it waits for the operations still inside and
+// refuses later ones with ErrShardDown.
 func (d *Dispatcher) Close() {
 	for _, s := range d.shards {
 		s.close()

@@ -2,6 +2,8 @@ package shard
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/packet"
@@ -12,6 +14,14 @@ import (
 // newTestDispatcher builds a dispatcher over a small generated network
 // (K=2, ClusterSize=10 → 20 base stations) running the Table 1 policy.
 func newTestDispatcher(t testing.TB, shards int) (*Dispatcher, *topo.Generated) {
+	t.Helper()
+	return newBoundedDispatcher(t, shards, 0)
+}
+
+// newBoundedDispatcher is newTestDispatcher with each shard's bound set
+// (0 keeps the default), so a handful of goroutines is enough to make
+// callers wait at it.
+func newBoundedDispatcher(t testing.TB, shards, queueLen int) (*Dispatcher, *topo.Generated) {
 	t.Helper()
 	g, err := topo.Generate(topo.GenParams{K: 2, ClusterSize: 10, MBTypes: 3, Seed: 1})
 	if err != nil {
@@ -24,7 +34,8 @@ func newTestDispatcher(t testing.TB, shards int) (*Dispatcher, *topo.Generated) 
 		MBTypes: map[string]topo.MBType{
 			policy.MBFirewall: 0, policy.MBTranscoder: 1, policy.MBEchoCancel: 2,
 		},
-		Shards: shards,
+		Shards:   shards,
+		QueueLen: queueLen,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -200,6 +211,77 @@ func TestDispatcherSingleShardMatchesUnsharded(t *testing.T) {
 	}
 	if _, _, err := d.Attach("solo", g.Stations[0].ID); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestManyCallersOneShard runs attach, path request, handoff and detach
+// from 16 goroutines against the stations of a single shard, whose bound
+// (4) is well below the caller count: every operation executes on its
+// caller's goroutine inside the one controller, callers beyond the bound
+// wait rather than fail, and afterwards the control plane is consistent
+// and the shard has served exactly the operations that were issued.
+func TestManyCallersOneShard(t *testing.T) {
+	d, g := newBoundedDispatcher(t, 2, 4)
+	part, err := d.Ring().Partition(stationIDs(g.Stations))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := d.Shard(0)
+	owned := part[0]
+	if len(owned) < 2 {
+		t.Skip("shard 0 owns fewer than two stations under this ring")
+	}
+	clauses := allowClauses(t, d)
+	const callers, rounds = 16, 25
+	for i := 0; i < callers; i++ {
+		if err := d.RegisterSubscriber(fmt.Sprintf("ue-%d", i), policy.Attributes{Provider: "A"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, other := s.Served(), d.Shard(1).Served()
+
+	var ops atomic.Uint64
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			imsi := fmt.Sprintf("ue-%d", i)
+			for n := 0; n < rounds; n++ {
+				home, away := owned[(i+n)%len(owned)], owned[(i+n+1)%len(owned)]
+				_, _, err := d.Attach(imsi, home)
+				if err == nil {
+					_, err = d.RequestPath(home, clauses[(i+n)%len(clauses)])
+				}
+				if err == nil {
+					_, err = d.Handoff(imsi, away)
+				}
+				if err == nil {
+					_, err = d.RequestPath(away, clauses[n%len(clauses)])
+				}
+				if err == nil {
+					err = d.Detach(imsi)
+				}
+				if err != nil {
+					t.Errorf("caller %d round %d: %v", i, n, err)
+					return
+				}
+				ops.Add(5)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if _, err := d.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Served() - before; got != ops.Load() {
+		t.Fatalf("shard 0 served %d operations, callers completed %d", got, ops.Load())
+	}
+	if got := d.Shard(1).Served(); got != other {
+		t.Fatalf("shard 1 served %d operations for shard 0's stations", got-other)
 	}
 }
 

@@ -79,8 +79,8 @@ func (d *Dispatcher) FailShard(id int, reports []core.AgentLocationReport) (Fail
 		return FailoverReport{}, fmt.Errorf("shard: cannot fail the last shard")
 	}
 	// Publish the new ring first so no new request routes to the victim,
-	// then declare it dead so queued requests drain with ErrShardDown, and
-	// trip its breaker so stragglers fail fast instead of probing a corpse.
+	// then declare it dead so callers waiting at its bound leave with
+	// ErrShardDown, and trip its breaker so stragglers fail fast instead of probing a corpse.
 	d.ring.Store(newRing)
 	victim.dead.Store(true)
 	victim.adm.trip()
@@ -140,12 +140,7 @@ func (d *Dispatcher) FailShard(id int, reports []core.AgentLocationReport) (Fail
 		}
 		s := d.shards[owner]
 		ues := byBS[bs] // may be empty — ownership still transfers
-		w := getWork(opAbsorb)
-		w.bs, w.ues = bs, ues
-		s.do(w)
-		err := w.err
-		putWork(w)
-		if err != nil {
+		if err := s.absorb(bs, ues); err != nil {
 			return rep, err
 		}
 		for _, u := range ues {

@@ -3,9 +3,11 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/policy"
 	"repro/internal/topo"
@@ -158,15 +160,79 @@ func TestRequestPathRetriesAcrossFailover(t *testing.T) {
 	}
 	// The dead shard answers ErrShardDown directly; the dispatcher's retry
 	// hides it from the caller.
-	w := getWork(opPath)
-	w.bs, w.clause = bs, clauses[0]
-	d.Shard(victim).do(w)
-	if !errors.Is(w.err, ErrShardDown) {
-		t.Fatalf("dead shard answered %v, want ErrShardDown", w.err)
+	if _, err := d.Shard(victim).requestPath(obs.SpanContext{}, bs, clauses[0]); !errors.Is(err, ErrShardDown) {
+		t.Fatalf("dead shard answered %v, want ErrShardDown", err)
 	}
-	putWork(w)
 	if tag, err := d.RequestPath(bs, clauses[0]); err != nil || tag == 0 {
 		t.Fatalf("RequestPath through failover = %d, %v", tag, err)
+	}
+}
+
+// TestFailShardWithCallersInFlight fails a shard while 16 goroutines are
+// inside it or waiting at its bound (2): every call made on the victim
+// returns a tag or ErrShardDown, every call made through the dispatcher
+// rides its one retry to a survivor, and nobody is left waiting.
+func TestFailShardWithCallersInFlight(t *testing.T) {
+	d, g := newBoundedDispatcher(t, 2, 2)
+	clauses := allowClauses(t, d)
+	part, err := d.Ring().Partition(stationIDs(g.Stations))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const victim = 0
+	if len(part[victim]) == 0 {
+		t.Skip("degenerate partition")
+	}
+	bs := part[victim][0]
+
+	const callers = 16
+	var wg, started sync.WaitGroup
+	stop := make(chan struct{})
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		started.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for n := 0; ; n++ {
+				cl := clauses[(i+n)%len(clauses)]
+				var err error
+				if i%2 == 0 {
+					// Straight at the victim: no ring, no retry.
+					_, err = d.Shard(victim).requestPath(obs.SpanContext{}, bs, cl)
+				} else if _, err = d.RequestPath(bs, cl); errors.Is(err, core.ErrNotOwned) {
+					// The retry reached the new owner before FailShard had
+					// it absorb the station; the window closes with FailShard.
+					err = nil
+				}
+				if err != nil && !errors.Is(err, ErrShardDown) {
+					t.Errorf("caller %d: %v", i, err)
+				}
+				if n == 0 {
+					started.Done()
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}(i)
+	}
+	started.Wait()
+	if _, err := d.FailShard(victim, nil); err != nil {
+		t.Error(err)
+	}
+	close(stop)
+	wg.Wait()
+
+	if _, err := d.Shard(victim).requestPath(obs.SpanContext{}, bs, clauses[0]); !errors.Is(err, ErrShardDown) {
+		t.Fatalf("dead shard answered %v, want ErrShardDown", err)
+	}
+	if tag, err := d.RequestPath(bs, clauses[0]); err != nil || tag == 0 {
+		t.Fatalf("RequestPath after failover = %d, %v", tag, err)
+	}
+	if _, err := d.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

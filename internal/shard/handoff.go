@@ -57,12 +57,7 @@ func (d *Dispatcher) handoff(sc obs.SpanContext, imsi string, newBS packet.BSID)
 		return core.HandoffResult{}, fmt.Errorf("shard: UE %q is not attached", imsi)
 	}
 	if src == target {
-		w := getWork(opHandoff)
-		w.imsi, w.bs = imsi, newBS
-		w.sc = sc
-		src.do(w)
-		hr, err := w.hr, w.err
-		putWork(w)
+		hr, err := src.handoff(sc, imsi, newBS)
 		if err == nil {
 			d.obs.localDone.Inc()
 		}
@@ -71,7 +66,7 @@ func (d *Dispatcher) handoff(sc obs.SpanContext, imsi string, newBS packet.BSID)
 
 	// Cross-shard: freeze on the source...
 	start := d.obs.reg.Now()
-	mig, err := d.extract(sc, src, imsi)
+	mig, err := src.extract(sc, imsi)
 	if err != nil {
 		return core.HandoffResult{}, err
 	}
@@ -80,7 +75,7 @@ func (d *Dispatcher) handoff(sc obs.SpanContext, imsi string, newBS packet.BSID)
 		// re-attach and report the usual error.
 		if _, _, aerr := d.adopt(obs.SpanContext{}, src, mig, mig.OldBS); aerr == nil {
 			//lint:ignore errdrop best-effort rollback; the attach error below is the one reported
-			_ = d.detachOn(src, imsi)
+			_ = src.detach(imsi)
 		}
 		return core.HandoffResult{}, fmt.Errorf("shard: UE %q is not attached", imsi)
 	}
@@ -107,15 +102,4 @@ func (d *Dispatcher) handoff(sc obs.SpanContext, imsi string, newBS packet.BSID)
 		// cross-shard FIB writes, which shards by design never do).
 		Classifiers: cls,
 	}, nil
-}
-
-// detachOn releases a UE's location state on a specific shard (rollback
-// helper; the caller holds the UE's entry lock).
-func (d *Dispatcher) detachOn(s *Shard, imsi string) error {
-	w := getWork(opDetach)
-	w.imsi = imsi
-	s.do(w)
-	err := w.err
-	putWork(w)
-	return err
 }

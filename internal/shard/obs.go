@@ -8,7 +8,7 @@ import (
 
 // dispObs bundles the dispatcher's observability handles (nil-safe
 // no-ops when Config.Obs is unset). Dispatcher-wide metrics register on
-// the root registry; per-shard queue metrics register through a
+// the root registry; per-shard occupancy metrics register through a
 // "shard.<id>" Sub view, and each shard's controller instruments itself
 // under the same view — so one registry carries, e.g.,
 // shard.0.queue.depth next to shard.0.core.tagcache.hit.
@@ -48,35 +48,29 @@ func newDispObs(reg *obs.Registry) dispObs {
 	}
 }
 
-// shardObs holds one shard's queue telemetry, registered on the
-// dispatcher registry's "shard.<id>" view. The two span names register
-// on the root registry instead: every shard's queue wait lands in one
+// shardObs holds one shard's occupancy telemetry, registered on the
+// dispatcher registry's "shard.<id>" view. The span name registers on
+// the root registry instead: every shard's admission lands in one
 // waterfall segment, not a per-shard sliver.
 type shardObs struct {
-	depth     *obs.Gauge
-	batchSize *obs.Histogram
+	depth *obs.Gauge // operations inside the shard or waiting at its bound
 
-	spQueueWait *obs.SpanName // shard.queue.wait — enqueue to dequeue
-	spAdmit     *obs.SpanName // shard.admission — the admission pipeline
+	spAdmit *obs.SpanName // shard.admission — the admission pipeline
 }
 
 func newShardObs(reg *obs.Registry, id int) shardObs {
 	if reg == nil {
 		return shardObs{}
 	}
-	sub := reg.Sub("shard." + strconv.Itoa(id))
 	return shardObs{
-		depth:     sub.Gauge("queue.depth"),
-		batchSize: sub.Histogram("batch.size", 1, 2, 4, 8, 16, 32, 64, 128),
-
-		spQueueWait: reg.SpanName("shard.queue.wait"),
-		spAdmit:     reg.SpanName("shard.admission"),
+		depth:   reg.Sub("shard." + strconv.Itoa(id)).Gauge("queue.depth"),
+		spAdmit: reg.SpanName("shard.admission"),
 	}
 }
 
 // admObs holds one shard's admission-control telemetry: shed counts by
 // request class, token-bucket refusals, and the circuit breaker's state
-// machine, all under the same "shard.<id>" view as the queue metrics.
+// machine, all under the same "shard.<id>" view as the occupancy gauge.
 // Handles are nil-safe no-ops when the dispatcher runs uninstrumented.
 type admObs struct {
 	shed            [numClasses]*obs.Counter

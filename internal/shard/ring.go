@@ -3,9 +3,10 @@
 // shard; each Shard wraps a core.Controller restricted to its stations
 // (which, because LocIPs embed the base-station ID, also gives it a
 // disjoint LocIP sub-pool), a disjoint permanent-address sub-block, and a
-// disjoint tag-space residue class. A Dispatcher fronts the shards with
-// per-shard bounded work queues drained in batches by worker goroutines,
-// so N shards serve requests with no shared lock on the hot path.
+// disjoint tag-space residue class. A Dispatcher fronts the shards and runs
+// every operation on its caller's goroutine, behind per-shard admission
+// control and a per-shard bound on concurrent operations, so N shards
+// serve requests with no shared lock on the hot path.
 //
 // Cross-shard concerns are explicit: handoff.go migrates a UE between
 // shards in two phases (freeze-on-source, install-on-target) behind a

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"errors"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -15,7 +14,8 @@ import (
 // callers only see this during the failover window itself.
 var ErrShardDown = errors.New("shard: controller shard is down")
 
-// opKind discriminates the work items a shard worker serves.
+// opKind names the operation a caller brings to a shard; admission control
+// classifies by it (classOf, protectedOp).
 type opKind uint8
 
 const (
@@ -31,61 +31,16 @@ const (
 	opView
 )
 
-// work is one queued request plus its result slots. Items are pooled; the
-// done channel is allocated once per item and reused across requests.
-type work struct {
-	kind    opKind
-	bs      packet.BSID
-	clause  int
-	imsi    string
-	perm    packet.Addr
-	mig     core.MigratedUE
-	ues     []core.UE
-	reports []core.AgentLocationReport
-
-	// sc is the request's span context (zero for the unsampled majority);
-	// qspan times enqueue-to-dequeue, started by do and ended by the
-	// dequeuing worker (the channel send orders the handoff).
-	sc    obs.SpanContext
-	qspan obs.Span
-
-	tag  packet.Tag
-	ue   core.UE
-	cls  []core.Classifier
-	hr   core.HandoffResult
-	addr packet.Addr
-	view core.AgentView
-	err  error
-
-	done chan struct{}
-}
-
-var workPool = sync.Pool{New: func() any { return &work{done: make(chan struct{}, 1)} }}
-
-func getWork(kind opKind) *work {
-	w := workPool.Get().(*work)
-	w.kind = kind
-	return w
-}
-
-func putWork(w *work) {
-	w.imsi = ""
-	w.ues, w.reports, w.cls = nil, nil, nil
-	w.mig = core.MigratedUE{}
-	w.hr = core.HandoffResult{}
-	w.view = core.AgentView{}
-	w.err = nil
-	w.sc, w.qspan = obs.SpanContext{}, obs.Span{}
-	workPool.Put(w)
-}
-
 // Shard is one partition of the control plane: a restricted controller
-// owning a disjoint set of base stations, fed by a bounded work queue that
-// its workers drain in batches. The controller synchronises internally
-// with fine-grained domain locks (UE state, allocation, rule table) and a
-// lock-free tag cache on the path-request fast path; per-shard queues mean
-// even those narrow locks are only ever contended by this shard's few
-// workers — never across shards.
+// owning a disjoint set of base stations. Every operation runs on the
+// calling goroutine, straight into the controller, which synchronises
+// internally with fine-grained domain locks (UE state, allocation, rule
+// table) and a lock-free tag cache on the path-request fast path. What
+// stands in front of the controller is the safety the shard owes its
+// callers (enter): the dead-shard check, the admission pipeline, and a
+// bound on the operations inside the shard at once. Partitioning means
+// even the controller's narrow locks are only ever contended by callers of
+// this shard's stations — never across shards.
 type Shard struct {
 	ID   int
 	Ctrl *core.Controller
@@ -93,163 +48,162 @@ type Shard struct {
 	// construction (failover may extend the live set; see Ctrl.Stations).
 	Stations []packet.BSID
 
-	queue  chan *work
-	batch  int
+	// slots is a counting semaphore: one token per operation inside the
+	// shard, capacity Config.QueueLen. Its occupancy is what admission
+	// sheds against, and a caller arriving at the bound blocks in enter
+	// until another leaves.
+	slots  chan struct{}
 	dead   atomic.Bool
 	served atomic.Uint64
-	wg     sync.WaitGroup
 	obs    shardObs
 	adm    *admission
 }
 
-// newShard wires the queue and workers around a restricted controller.
-func newShard(id int, ctrl *core.Controller, stations []packet.BSID, queueLen, workers, batch int, so shardObs, adm *admission) *Shard {
-	s := &Shard{
+func newShard(id int, ctrl *core.Controller, stations []packet.BSID, queueLen int, so shardObs, adm *admission) *Shard {
+	return &Shard{
 		ID:       id,
 		Ctrl:     ctrl,
 		Stations: stations,
-		queue:    make(chan *work, queueLen),
-		batch:    batch,
+		slots:    make(chan struct{}, queueLen),
 		obs:      so,
 		adm:      adm,
 	}
-	for i := 0; i < workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
-	return s
 }
 
 // Served reports the number of requests this shard has completed.
 func (s *Shard) Served() uint64 { return s.served.Load() }
 
-// Down reports whether the shard has been declared failed.
+// Down reports whether the shard has been declared failed (or closed).
 func (s *Shard) Down() bool { return s.dead.Load() }
 
-// do runs one work item through the shard's queue and waits for it. The
-// admission pipeline (circuit breaker, class shedding against queue
-// occupancy, per-station token bucket) runs before the item is enqueued;
-// protected protocol-internal kinds bypass it. Every outcome — including a
-// dead-shard refusal — feeds the breaker.
-func (s *Shard) do(w *work) {
-	isProtected := protectedOp(w.kind)
+// enter brings one operation into the shard: the dead-shard check, the
+// admission pipeline (circuit breaker, class shedding against slot
+// occupancy, per-station token bucket; protected protocol-internal kinds
+// bypass it), then a slot, blocking while the shard is at its bound. A
+// shard that failed while the caller waited refuses it all the same. On a
+// nil error the caller owns a slot and must leave with the operation's
+// result; a dead-shard refusal feeds the breaker here.
+func (s *Shard) enter(sc obs.SpanContext, k opKind, bs packet.BSID) error {
 	if s.dead.Load() {
-		w.err = ErrShardDown
-		s.adm.result(ErrShardDown, isProtected)
-		return
+		s.adm.result(ErrShardDown, protectedOp(k))
+		return ErrShardDown
 	}
-	asp := s.obs.spAdmit.Start(w.sc)
-	err := s.adm.admit(w.kind, w.bs, len(s.queue), cap(s.queue))
+	asp := s.obs.spAdmit.Start(sc)
+	err := s.adm.admit(k, bs, len(s.slots), cap(s.slots))
 	asp.End()
 	if err != nil {
-		w.err = err
-		return
+		return err
 	}
 	s.obs.depth.Add(1)
-	w.qspan = s.obs.spQueueWait.Start(w.sc)
-	s.queue <- w
-	<-w.done
-	s.adm.result(w.err, isProtected)
-}
-
-// worker drains the queue in batches: one blocking receive, then as many
-// non-blocking receives as the batch bound allows. Consecutive path
-// requests inside a batch resolve through one core.RequestPathBatch call:
-// cached tags come from a single tag-cache snapshot and only the misses
-// pay a rule-table lock acquisition.
-func (s *Shard) worker() {
-	defer s.wg.Done()
-	var (
-		batch = make([]*work, 0, s.batch)
-		qs    = make([]core.PathQuery, 0, s.batch)
-		idx   = make([]int, 0, s.batch)
-		ans   = make([]core.PathAnswer, 0, s.batch)
-	)
-	for {
-		w, ok := <-s.queue
-		if !ok {
-			return
-		}
-		batch = append(batch[:0], w)
-	drain:
-		for len(batch) < s.batch {
-			select {
-			case w2, ok := <-s.queue:
-				if !ok {
-					break drain
-				}
-				batch = append(batch, w2)
-			default:
-				break drain
-			}
-		}
-		s.serve(batch, &qs, &idx, &ans)
-	}
-}
-
-// serve answers one dequeued batch.
-func (s *Shard) serve(batch []*work, qs *[]core.PathQuery, idx *[]int, ans *[]core.PathAnswer) {
-	s.obs.depth.Add(-int64(len(batch)))
-	s.obs.batchSize.Observe(int64(len(batch)))
-	for _, w := range batch {
-		w.qspan.End() // queue wait is over, whatever happens next
-	}
+	s.slots <- struct{}{}
 	if s.dead.Load() {
-		for _, w := range batch {
-			w.err = ErrShardDown
-			w.done <- struct{}{}
-		}
-		return
+		<-s.slots
+		s.obs.depth.Add(-1)
+		s.adm.result(ErrShardDown, protectedOp(k))
+		return ErrShardDown
 	}
-	*qs, *idx = (*qs)[:0], (*idx)[:0]
-	for i, w := range batch {
-		// Sampled path requests resolve individually below so their
-		// controller sections attach to the right trace; only the unsampled
-		// majority joins the shared-snapshot batch.
-		if w.kind == opPath && !w.sc.Sampled() {
-			*qs = append(*qs, core.PathQuery{BS: w.bs, Clause: w.clause})
-			*idx = append(*idx, i)
-		}
-	}
-	if len(*qs) > 0 {
-		*ans = s.Ctrl.RequestPathBatch(*qs, (*ans)[:0])
-		for j, i := range *idx {
-			batch[i].tag, batch[i].err = (*ans)[j].Tag, (*ans)[j].Err
-		}
-	}
-	for _, w := range batch {
-		switch w.kind {
-		case opPath:
-			if w.sc.Sampled() {
-				w.tag, w.err = s.Ctrl.RequestPathCtx(w.sc, w.bs, w.clause)
-			}
-			// unsampled: answered by the batch above
-		case opAttach:
-			w.ue, w.cls, w.err = s.Ctrl.AttachCtx(w.sc, w.imsi, w.bs)
-		case opHandoff:
-			w.hr, w.err = s.Ctrl.HandoffCtx(w.sc, w.imsi, w.bs)
-		case opDetach:
-			w.err = s.Ctrl.Detach(w.imsi)
-		case opResolve:
-			w.addr, w.err = s.Ctrl.ResolveLocIP(w.perm)
-		case opExtract:
-			w.mig, w.err = s.Ctrl.ExtractUE(w.imsi)
-		case opAdopt:
-			w.ue, w.cls, w.err = s.Ctrl.AdoptUE(w.mig, w.bs)
-		case opAbsorb:
-			w.err = s.Ctrl.AbsorbStation(w.bs, w.ues)
-		case opRecover:
-			w.err = s.Ctrl.RecoverLocations(w.reports)
-		case opView:
-			w.view, w.err = s.Ctrl.AgentView(w.bs)
-		}
-		w.done <- struct{}{}
-	}
-	s.served.Add(uint64(len(batch)))
+	return nil
 }
 
-// close shuts the queue down and waits for the workers to drain it.
+// leave ends an operation enter admitted: it frees the slot, counts the
+// operation served, feeds its outcome to the breaker, and returns err.
+func (s *Shard) leave(k opKind, err error) error {
+	<-s.slots
+	s.obs.depth.Add(-1)
+	s.served.Add(1)
+	s.adm.result(err, protectedOp(k))
+	return err
+}
+
+// The operations below are the controller's own, each bracketed by
+// enter/leave. sc parents the admission span and the controller's
+// sections under the caller's trace; the untraced ones are rare or
+// protocol-internal work.
+
+func (s *Shard) requestPath(sc obs.SpanContext, bs packet.BSID, clause int) (packet.Tag, error) {
+	if err := s.enter(sc, opPath, bs); err != nil {
+		return 0, err
+	}
+	tag, err := s.Ctrl.RequestPathCtx(sc, bs, clause)
+	return tag, s.leave(opPath, err)
+}
+
+func (s *Shard) attach(sc obs.SpanContext, imsi string, bs packet.BSID) (core.UE, []core.Classifier, error) {
+	if err := s.enter(sc, opAttach, bs); err != nil {
+		return core.UE{}, nil, err
+	}
+	ue, cls, err := s.Ctrl.AttachCtx(sc, imsi, bs)
+	return ue, cls, s.leave(opAttach, err)
+}
+
+func (s *Shard) handoff(sc obs.SpanContext, imsi string, bs packet.BSID) (core.HandoffResult, error) {
+	if err := s.enter(sc, opHandoff, bs); err != nil {
+		return core.HandoffResult{}, err
+	}
+	hr, err := s.Ctrl.HandoffCtx(sc, imsi, bs)
+	return hr, s.leave(opHandoff, err)
+}
+
+func (s *Shard) detach(imsi string) error {
+	if err := s.enter(obs.SpanContext{}, opDetach, 0); err != nil {
+		return err
+	}
+	return s.leave(opDetach, s.Ctrl.Detach(imsi))
+}
+
+func (s *Shard) resolveLocIP(perm packet.Addr) (packet.Addr, error) {
+	if err := s.enter(obs.SpanContext{}, opResolve, 0); err != nil {
+		return 0, err
+	}
+	addr, err := s.Ctrl.ResolveLocIP(perm)
+	return addr, s.leave(opResolve, err)
+}
+
+// extract runs phase one of a migration on this (source) shard.
+func (s *Shard) extract(sc obs.SpanContext, imsi string) (core.MigratedUE, error) {
+	if err := s.enter(sc, opExtract, 0); err != nil {
+		return core.MigratedUE{}, err
+	}
+	mig, err := s.Ctrl.ExtractUE(imsi)
+	return mig, s.leave(opExtract, err)
+}
+
+// adopt runs phase two of a migration on this (target) shard.
+func (s *Shard) adopt(sc obs.SpanContext, mig core.MigratedUE, bs packet.BSID) (core.UE, []core.Classifier, error) {
+	if err := s.enter(sc, opAdopt, bs); err != nil {
+		return core.UE{}, nil, err
+	}
+	ue, cls, err := s.Ctrl.AdoptUE(mig, bs)
+	return ue, cls, s.leave(opAdopt, err)
+}
+
+func (s *Shard) absorb(bs packet.BSID, ues []core.UE) error {
+	if err := s.enter(obs.SpanContext{}, opAbsorb, bs); err != nil {
+		return err
+	}
+	return s.leave(opAbsorb, s.Ctrl.AbsorbStation(bs, ues))
+}
+
+func (s *Shard) recoverLocations(reports []core.AgentLocationReport) error {
+	if err := s.enter(obs.SpanContext{}, opRecover, 0); err != nil {
+		return err
+	}
+	return s.leave(opRecover, s.Ctrl.RecoverLocations(reports))
+}
+
+func (s *Shard) agentView(bs packet.BSID) (core.AgentView, error) {
+	if err := s.enter(obs.SpanContext{}, opView, bs); err != nil {
+		return core.AgentView{}, err
+	}
+	view, err := s.Ctrl.AgentView(bs)
+	return view, s.leave(opView, err)
+}
+
+// close stops the shard: later callers are refused with ErrShardDown, and
+// taking every slot waits out the operations still inside.
 func (s *Shard) close() {
-	close(s.queue)
-	s.wg.Wait()
+	s.dead.Store(true)
+	for i := 0; i < cap(s.slots); i++ {
+		s.slots <- struct{}{}
+	}
 }

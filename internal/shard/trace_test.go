@@ -99,10 +99,9 @@ func TestSpanTreeEndToEnd(t *testing.T) {
 	for _, seg := range a.Segments {
 		segments[seg.Name] = true
 	}
-	// Dispatcher roots plus the shared per-shard queue segments.
+	// Dispatcher roots plus the shared per-shard admission segment.
 	for _, want := range []string{
-		"shard.attach", "shard.path", "shard.handoff",
-		"shard.admission", "shard.queue.wait",
+		"shard.attach", "shard.path", "shard.handoff", "shard.admission",
 	} {
 		if !segments[want] {
 			t.Errorf("segment %q missing from attribution:\n%s", want, a.Waterfall())
@@ -136,39 +135,5 @@ func TestSpanDumpDeterministic(t *testing.T) {
 	second := tracedOps(t).SpanJSON()
 	if !bytes.Equal(first, second) {
 		t.Fatalf("same-seed span dumps differ:\nrun 1:\n%srun 2:\n%s", first, second)
-	}
-}
-
-// TestQueueWaitSpanParent pins the cross-goroutine span handoff: the
-// queue-wait child is started by the enqueuing caller and ended by the
-// dequeuing worker, and must still parent correctly under the request
-// root rather than floating loose.
-func TestQueueWaitSpanParent(t *testing.T) {
-	reg := tracedOps(t)
-	recs := reg.SpanRecords()
-	byID := make(map[obs.SpanID]obs.SpanRecord, len(recs))
-	for _, rec := range recs {
-		byID[rec.Span] = rec
-	}
-	waits := 0
-	for _, rec := range recs {
-		if rec.Name != "shard.queue.wait" {
-			continue
-		}
-		waits++
-		parent, ok := byID[rec.Parent]
-		if !ok {
-			t.Fatalf("queue-wait span %d has unrecorded parent %d", rec.Span, rec.Parent)
-		}
-		if !strings.HasPrefix(parent.Name, "shard.") {
-			t.Fatalf("queue-wait span %d parented under %q, want a shard root", rec.Span, parent.Name)
-		}
-		if rec.Start < parent.Start || rec.End > parent.End {
-			t.Fatalf("queue-wait span [%d,%d] escapes parent %q [%d,%d]",
-				rec.Start, rec.End, parent.Name, parent.Start, parent.End)
-		}
-	}
-	if waits == 0 {
-		t.Fatal("no shard.queue.wait spans recorded")
 	}
 }
