@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet lint fuzz verify bench-check bench bench-shards bench-dataplane bench-city city-smoke blackout-smoke profile clean chaos cover span-alloc-gate
+.PHONY: all build test race vet lint fuzz verify bench-check bench bench-dataplane bench-city city-smoke blackout-smoke profile clean chaos cover span-alloc-gate
 
 all: verify
 
@@ -117,10 +117,6 @@ bench:
 	$(GO) run ./cmd/softcell-bench -mode controller -agents 16 -duration 1s \
 		-json results/BENCH_controller.json | tee results/bench_controller.txt
 	$(MAKE) bench-dataplane
-
-# bench-shards regenerates the committed shard-scaling sweep.
-bench-shards:
-	$(GO) run ./cmd/softcell-bench -mode shards -duration 500ms -out results/bench_shards.txt
 
 # bench-dataplane regenerates the committed forwarding-plane pps sweep
 # (DESIGN.md §13): single-packet walk vs burst fast path across burst

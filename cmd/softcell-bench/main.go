@@ -6,7 +6,6 @@
 //
 //	softcell-bench -mode controller        # throughput vs worker count
 //	softcell-bench -mode agent             # Table 2
-//	softcell-bench -mode shards            # sharded-dispatcher scaling sweep
 //	softcell-bench -mode chaos             # seeded fault-injection soak
 //	softcell-bench -mode blackout          # control-plane blackout continuity soak
 //	softcell-bench -mode dataplane         # forwarding-plane packets/s sweep
@@ -154,14 +153,13 @@ func emitAttr(a obs.Attribution, show bool, path string) {
 
 func main() {
 	var (
-		mode     = flag.String("mode", "controller", "controller | agent | shards | chaos | blackout | dataplane | city")
+		mode     = flag.String("mode", "controller", "controller | agent | chaos | blackout | dataplane | city")
 		flows    = flag.Int("flows", 64, "dataplane: warmed flows the generators cycle through")
 		reps     = flag.Int("reps", 2, "dataplane: measurements per point (best is reported)")
 		agents   = flag.Int("agents", 16, "emulated agent connections")
 		duration = flag.Duration("duration", time.Second, "per-point measurement window")
 		wire     = flag.Bool("wire", true, "drive the binary control protocol (false: in-process calls)")
 		rtt      = flag.Duration("rtt", 500*time.Microsecond, "simulated controller RTT for agent cache misses")
-		out      = flag.String("out", "", "with -mode shards: also write the sweep table to this file")
 		jsonOut  = flag.String("json", "", "with -mode controller or chaos: write the report as JSON to this file")
 
 		seed   = flag.Int64("seed", 1, "chaos, city: schedule/workload seed")
@@ -252,40 +250,6 @@ func main() {
 		fmt.Print(tab)
 		fmt.Println("\npaper Table 2: throughput falls monotonically with the hit ratio; the")
 		fmt.Println("worst case (0%: every flow asks the controller) still sustains ~1.8K/s.")
-	case "shards":
-		fmt.Printf("sharded-controller scaling: %d emulated agents, %v per point, GOMAXPROCS=%d\n",
-			*agents, *duration, runtime.GOMAXPROCS(0))
-		baseline, rows, err := cbench.ShardSweep(cbench.ControllerOptions{
-			Agents: *agents, Duration: *duration,
-		}, []int{1, 2, 4, 8})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-		table := cbench.FormatSweep(baseline, rows)
-		caveat := `
-Reading the numbers: the baseline is the in-process single controller,
-called directly. The sharded rows put the dispatcher in front of it, on
-the same goroutine: a ring lookup, the admission check, and a slot of the
-owning shard's semaphore per request. Every request in this sweep is a
-tag-cache hit, which takes no controller lock, so there is nothing for
-more shards to spread: the sweep shows the dispatcher's fixed cost per
-request (speedup below 1x, flat across widths). Width pays on traffic that
-writes — attaches, handoffs and path installs serialise on one
-controller's domain locks, and on N shards' in parallel given N cores.
-GOMAXPROCS above records which regime this file was produced in.
-`
-		fmt.Print(table)
-		fmt.Print(caveat)
-		if *out != "" {
-			report := fmt.Sprintf("sharded-controller scaling sweep\nagents=%d duration=%v GOMAXPROCS=%d\n\n%s%s",
-				*agents, *duration, runtime.GOMAXPROCS(0), table, caveat)
-			if err := os.WriteFile(*out, []byte(report), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "error:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("\nwrote %s\n", *out)
-		}
 	case "dataplane":
 		fmt.Printf("forwarding-plane throughput: %d warmed flows, %v per point, GOMAXPROCS=%d\n",
 			*flows, *duration, runtime.GOMAXPROCS(0))

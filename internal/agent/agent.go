@@ -551,16 +551,3 @@ func (a *Agent) Restart() {
 func (a *Agent) NumUEs() int {
 	return len(a.lkg().ues)
 }
-
-// FlowWireForm reports the tracked rewritten (wire) key for a UE's original
-// flow key — diagnostics for migration tests.
-func (a *Agent) FlowWireForm(permIP packet.Addr, orig packet.FlowKey) (packet.FlowKey, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	uf, ok := a.flows[permIP]
-	if !ok {
-		return packet.FlowKey{}, false
-	}
-	f, ok := uf.flows[orig]
-	return f.rewritten, ok
-}

@@ -71,15 +71,8 @@ type Result struct {
 	// the in-process number isolates the controller fast path.
 	AllocsPerOp float64
 
-	// PerShard holds per-shard completed-request counts when the sharded
-	// benchmark produced the result (empty for single-controller runs).
-	PerShard []uint64
-	// Speedup is throughput relative to the single-controller baseline
-	// measured in the same sweep (0 when no baseline was taken).
-	Speedup float64
-
-	// Mem is the controller's (or, sharded, the aggregated fleet's)
-	// end-of-run memory accounting; every BENCH_*.json embeds it.
+	// Mem is the controller's end-of-run memory accounting; every
+	// BENCH_*.json embeds it.
 	Mem core.MemStats
 }
 
@@ -92,21 +85,7 @@ func (r Result) PerSecond() float64 {
 }
 
 func (r Result) String() string {
-	s := fmt.Sprintf("%d requests in %v (%.0f/s)", r.Requests, r.Elapsed.Round(time.Millisecond), r.PerSecond())
-	if len(r.PerShard) > 0 {
-		s += " per-shard ["
-		for i, n := range r.PerShard {
-			if i > 0 {
-				s += " "
-			}
-			s += fmt.Sprintf("%d", n)
-		}
-		s += "]"
-	}
-	if r.Speedup > 0 {
-		s += fmt.Sprintf(" speedup %.2fx", r.Speedup)
-	}
-	return s
+	return fmt.Sprintf("%d requests in %v (%.0f/s)", r.Requests, r.Elapsed.Round(time.Millisecond), r.PerSecond())
 }
 
 // testbed is the shared fixture: a k=4 generated network with a controller

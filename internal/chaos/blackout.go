@@ -205,7 +205,6 @@ func (e *blackoutEngine) setup() error {
 	}
 	e.d = d
 	e.srv = ctrlproto.NewServer(d)
-	e.srv.Workers = 1
 	e.srv.Instrument(e.cfg.Obs)
 
 	for _, bs := range e.stations {

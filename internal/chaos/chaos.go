@@ -279,7 +279,6 @@ func (e *engine) setup() error {
 	}
 	e.d = d
 	e.srv = ctrlproto.NewServer(d)
-	e.srv.Workers = 1 // in-order frame handling makes the barrier a full drain
 	e.srv.Instrument(e.cfg.Obs)
 	e.connect()
 

@@ -430,13 +430,6 @@ func (f *FIB) LocReliant(dir Direction, tag packet.Tag) bool {
 	return ok
 }
 
-// HasTagState reports whether any Type 1/2 state exists for (dir, tag) in
-// the main context.
-func (f *FIB) HasTagState(dir Direction, tag packet.Tag) bool {
-	st := f.state(dir, tag, false)
-	return st != nil && (st.hasDef || (st.prefix != nil && st.prefix.count > 0))
-}
-
 // GetNextHopFromMB answers the same question for traffic returning from a
 // locally attached middlebox. Absent a middlebox-context rule, the switch
 // would fall through to the main-context rule (which typically points back
@@ -505,23 +498,6 @@ func (f *FIB) GetNextHopVia(dir Direction, from topo.NodeID, tag packet.Tag, p p
 		}
 	}
 	return f.GetNextHop(dir, tag, p)
-}
-
-// ExactMain reports the main context's exact (tag, prefix) entry, if any —
-// the installer uses it to detect same-prefix divergence that must be
-// resolved with an in-port-qualified rule instead.
-func (f *FIB) ExactMain(dir Direction, tag packet.Tag, p packet.Prefix) (NextHop, bool) {
-	st := f.state(dir, tag, false)
-	if st == nil || st.prefix == nil {
-		return NextHop{Node: topo.None, MB: NoMB}, false
-	}
-	return st.prefix.Exact(p)
-}
-
-// InsertPortPrefix installs an in-port-qualified (tag, prefix) rule for
-// traffic arriving from neighbor 'from'.
-func (f *FIB) InsertPortPrefix(dir Direction, from topo.NodeID, tag packet.Tag, p packet.Prefix, nh NextHop) int {
-	return f.portState(dir, from, tag, true).trie().Insert(p, nh)
 }
 
 // SetDefault installs the tag-only (Type 2) rule. It returns the rule-count

@@ -58,17 +58,12 @@ func Dial(network, addr string) (*Client, error) {
 func (cl *Client) Close() error { return cl.c.Close() }
 
 // request issues one correlated request under the client's retry policy.
-func (cl *Client) request(typ MsgType, payload []byte) (frame, error) {
-	return cl.c.requestRetry(typ, payload, cl.Timeout, cl.Attempts)
+// The frame ships sc's trace ids (the zero context for untraced callers).
+func (cl *Client) request(sc obs.SpanContext, typ MsgType, payload []byte) (frame, error) {
+	return cl.c.request(sc, typ, payload, cl.Timeout, cl.Attempts)
 }
 
-// requestCtx is request carrying span context: the frame ships the
-// trace ids and the round trip is timed under a wire.rtt child span.
-func (cl *Client) requestCtx(sc obs.SpanContext, typ MsgType, payload []byte) (frame, error) {
-	return cl.c.requestCtx(sc, typ, payload, cl.Timeout, cl.Attempts)
-}
-
-// handle serves controller-initiated requests.
+// handle serves controller-initiated requests and pushes on the read loop.
 func (cl *Client) handle(f frame) {
 	switch f.typ {
 	case MsgLocationQuery:
@@ -76,7 +71,7 @@ func (cl *Client) handle(f frame) {
 		if cl.Reporter != nil {
 			rep = cl.Reporter()
 		}
-		_ = cl.c.respond(f.reqID, MsgLocationQuery, marshalJSON(rep))
+		_ = cl.c.reply(f, MsgLocationQuery, marshalJSON(rep))
 	case MsgSnapshot:
 		// A notification, not a request: no response frame. A stale or
 		// invalid snapshot is the receiver's local decision (the agent
@@ -90,7 +85,7 @@ func (cl *Client) handle(f frame) {
 			_ = cl.OnSnapshot(n)
 		}
 	default:
-		_ = cl.c.respondError(f.reqID, errUnexpected(f.typ))
+		_ = cl.c.replyError(f, errUnexpected(f.typ))
 	}
 }
 
@@ -104,13 +99,13 @@ func errUnexpected(t MsgType) error { return unexpectedError{t} }
 func (cl *Client) Hello(bs packet.BSID) error {
 	b := make([]byte, 4)
 	binary.BigEndian.PutUint32(b, uint32(bs))
-	_, err := cl.request(MsgHello, b)
+	_, err := cl.request(obs.SpanContext{}, MsgHello, b)
 	return err
 }
 
 // Echo round-trips a payload (latency probes).
 func (cl *Client) Echo(payload []byte) ([]byte, error) {
-	f, err := cl.request(MsgEcho, payload)
+	f, err := cl.request(obs.SpanContext{}, MsgEcho, payload)
 	if err != nil {
 		return nil, err
 	}
@@ -122,7 +117,7 @@ func (cl *Client) Echo(payload []byte) ([]byte, error) {
 func (cl *Client) ResolveLocIP(perm packet.Addr) (packet.Addr, error) {
 	b := make([]byte, 4)
 	binary.BigEndian.PutUint32(b, uint32(perm))
-	f, err := cl.request(MsgResolve, b)
+	f, err := cl.request(obs.SpanContext{}, MsgResolve, b)
 	if err != nil {
 		return 0, err
 	}
@@ -140,7 +135,7 @@ func (cl *Client) RequestPath(bs packet.BSID, clause int) (packet.Tag, error) {
 // RequestPathCtx is RequestPath with span context propagated on the
 // frame, continuing the caller's trace on the far side of the wire.
 func (cl *Client) RequestPathCtx(sc obs.SpanContext, bs packet.BSID, clause int) (packet.Tag, error) {
-	f, err := cl.requestCtx(sc, MsgPathRequest, PathRequest{BS: bs, Clause: uint32(clause)}.marshal())
+	f, err := cl.request(sc, MsgPathRequest, PathRequest{BS: bs, Clause: uint32(clause)}.marshal())
 	if err != nil {
 		return 0, err
 	}
@@ -158,7 +153,7 @@ func (cl *Client) Attach(imsi string, bs packet.BSID) (core.UE, []core.Classifie
 
 // AttachCtx is Attach with span context propagated on the frame.
 func (cl *Client) AttachCtx(sc obs.SpanContext, imsi string, bs packet.BSID) (core.UE, []core.Classifier, error) {
-	f, err := cl.requestCtx(sc, MsgAttach, marshalJSON(AttachRequest{IMSI: imsi, BS: bs}))
+	f, err := cl.request(sc, MsgAttach, marshalJSON(AttachRequest{IMSI: imsi, BS: bs}))
 	if err != nil {
 		return core.UE{}, nil, err
 	}
@@ -176,7 +171,7 @@ func (cl *Client) Handoff(imsi string, newBS packet.BSID) (core.HandoffResult, e
 
 // HandoffCtx is Handoff with span context propagated on the frame.
 func (cl *Client) HandoffCtx(sc obs.SpanContext, imsi string, newBS packet.BSID) (core.HandoffResult, error) {
-	f, err := cl.requestCtx(sc, MsgHandoff, marshalJSON(HandoffRequest{IMSI: imsi, NewBS: newBS}))
+	f, err := cl.request(sc, MsgHandoff, marshalJSON(HandoffRequest{IMSI: imsi, NewBS: newBS}))
 	if err != nil {
 		return core.HandoffResult{}, err
 	}

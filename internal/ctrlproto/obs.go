@@ -4,16 +4,15 @@ import (
 	"repro/internal/obs"
 )
 
-// Instrument registers the server's wire telemetry on reg: frames read,
-// path requests served, in-flight request depth, and group-commit flush
-// sizes. Call before Serve/ServeConn. The wire layer deliberately emits
-// no trace events — its worker-pool and retransmission timing are
-// scheduler-dependent, and trace dumps must stay deterministic in
-// same-seed harness runs; counters and histograms are exempt from that
-// guarantee. Spans are sampled and causally anchored (a frame's span
-// context decides what gets recorded, not the scheduler), so the wire
-// does carry wire.serve handler sections and wire.flush write sections
-// for traced requests.
+// Instrument registers the server's wire telemetry on reg: request frames
+// served, path requests served, and group-commit flush sizes. Call before
+// Serve/ServeConn. The wire layer deliberately emits no trace events —
+// its flush batching and retransmission timing are scheduler-dependent,
+// and trace dumps must stay deterministic in same-seed harness runs;
+// counters and histograms are exempt from that guarantee. Spans are
+// sampled and causally anchored (a frame's span context decides what gets
+// recorded, not the scheduler), so the wire does carry wire.serve handler
+// sections and wire.flush write sections for traced requests.
 func (s *Server) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -21,7 +20,6 @@ func (s *Server) Instrument(reg *obs.Registry) {
 	s.obsFrames = reg.Counter("wire.frames.in")
 	reg.Doc("wire.frames.in", "Control-channel frames read, all connections")
 	s.obsRequests = reg.Counter("wire.requests.path")
-	s.obsInflight = reg.Gauge("wire.inflight")
 	s.obsFlush = reg.Histogram("wire.flush.frames", 1, 2, 4, 8, 16, 32, 64)
 	reg.Doc("wire.flush.frames", "Frames carried per group-commit flush write")
 	s.obsServe = reg.SpanName("wire.serve")

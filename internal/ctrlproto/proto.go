@@ -314,9 +314,10 @@ func newConn(raw net.Conn) *conn {
 	}
 }
 
-// buffer enqueues one frame for a later flush. Responders use it to
-// accumulate a batch of replies that a single flush then moves with one
-// Write; request senders go through send, which flushes immediately.
+// buffer enqueues one frame for a later flush. The read loop's handlers
+// use it (through reply) to accumulate a batch of replies that a single
+// flush then moves with one Write; request and push senders go through
+// send, which flushes immediately.
 func (c *conn) buffer(f frame) error {
 	c.bufMu.Lock()
 	defer c.bufMu.Unlock()
@@ -377,45 +378,30 @@ func (c *conn) send(f frame) error {
 // response arriving.
 var ErrTimeout = errors.New("ctrlproto: request timed out")
 
-// request issues a request and blocks for its response (forever, if the
-// connection stays up but silent — the pre-fault-injection behaviour).
-func (c *conn) request(typ MsgType, payload []byte) (frame, error) {
-	return c.requestCtx(obs.SpanContext{}, typ, payload, 0, 1)
-}
-
-// requestRetry is requestCtx without span context (untraced callers).
-func (c *conn) requestRetry(typ MsgType, payload []byte, timeout time.Duration, attempts int) (frame, error) {
-	return c.requestCtx(obs.SpanContext{}, typ, payload, timeout, attempts)
-}
-
-// requestCtx issues a request carrying span context on its frame and
-// times the round trip under a wire.rtt child span, so attribution can
+// request issues a request carrying span context on its frame and blocks
+// for its response, retransmitting with the SAME request id after each
+// timeout until a response arrives or attempts sends have gone unanswered.
+// timeout <= 0 disables the timer (a single send that blocks until the
+// connection dies).
+//
+// The round trip is timed under a wire.rtt child span, so attribution can
 // split end-to-end latency into on-the-wire and remote-serve segments.
 // The frame ships the rtt span's context (not the caller's) so the
 // server's serve span and both sides' flush spans nest *inside* the
 // round trip — they happen within it, and attribution's sum invariant
 // needs the tree to say so.
-func (c *conn) requestCtx(sc obs.SpanContext, typ MsgType, payload []byte, timeout time.Duration, attempts int) (frame, error) {
-	sp := c.rttSpan.Start(sc)
-	if sp.Context().Sampled() {
-		sc = sp.Context()
-	}
-	f, err := c.requestRaw(sc, typ, payload, timeout, attempts)
-	sp.End()
-	return f, err
-}
-
-// requestRaw issues a request and blocks for its response, retransmitting
-// with the SAME request id after each timeout until a response arrives or
-// attempts sends have gone unanswered. timeout <= 0 disables the timer (a
-// single send that blocks until the connection dies).
 //
 // Retransmission is idempotent at this layer: the pending entry stays
 // registered across resends, the first response delivers it, and the read
 // loop silently discards any later duplicates (their reqID no longer has a
 // waiter). Callers are responsible for only retrying operations the remote
 // side can absorb twice.
-func (c *conn) requestRaw(sc obs.SpanContext, typ MsgType, payload []byte, timeout time.Duration, attempts int) (frame, error) {
+func (c *conn) request(sc obs.SpanContext, typ MsgType, payload []byte, timeout time.Duration, attempts int) (frame, error) {
+	sp := c.rttSpan.Start(sc)
+	defer sp.End()
+	if sp.Context().Sampled() {
+		sc = sp.Context()
+	}
 	if attempts <= 0 {
 		attempts = 1
 	}
@@ -492,18 +478,9 @@ func (c *conn) finish(f frame, ok bool) (frame, error) {
 	return f, nil
 }
 
-// respond sends a response frame for reqID and flushes it immediately.
-func (c *conn) respond(reqID uint32, typ MsgType, payload []byte) error {
-	return c.send(frame{typ: typ, resp: true, reqID: reqID, payload: payload})
-}
-
-func (c *conn) respondError(reqID uint32, err error) error {
-	return c.respond(reqID, MsgError, []byte(err.Error()))
-}
-
-// reply enqueues a response frame without flushing. The server answers
-// pipelined requests with reply and flushes once the connection goes
-// idle, so a burst of n requests costs one response write, not n.
+// reply enqueues a response frame without flushing: the read loop that
+// called the handler flushes once it has served every frame it already
+// holds, so a burst of n requests costs one response write, not n.
 // Responses echo the request frame's span context, so a traced
 // request's response flush is attributed to its trace.
 func (c *conn) reply(req frame, typ MsgType, payload []byte) error {
@@ -515,14 +492,52 @@ func (c *conn) replyError(req frame, err error) error {
 	return c.reply(req, MsgError, []byte(err.Error()))
 }
 
-// readLoop dispatches incoming frames: responses to waiters, requests to
-// handle. It runs until the connection dies. The loop locks the dispatch
-// mutex per response and blocks in transport reads, so the annotation is
-// deliberately just "no alloc": the per-frame cost to watch is heap churn.
+// frameBuffered reports whether br already holds a complete, well-formed
+// frame, i.e. whether the next readFrameBuf returns without touching the
+// transport.
+func frameBuffered(br *bufio.Reader) bool {
+	have := br.Buffered()
+	if have < 4 {
+		return false
+	}
+	hdr, err := br.Peek(4) // does not read: the bytes are buffered
+	if err != nil {
+		return false
+	}
+	n := binary.BigEndian.Uint32(hdr)
+	return n >= 6 && n <= MaxFrame && uint32(have-4) >= n
+}
+
+// readLoop is the one place a connection's incoming frames are served, on
+// both ends of the wire: responses go to their waiters, requests and
+// pushes to handle, inline and in arrival order, so a frame is fully
+// handled before any later frame on the connection. Handlers answer with
+// reply, which only buffers; the loop flushes the batch whenever the next
+// read could block in the transport (no complete frame left in br). One
+// transport read that delivers n pipelined requests is therefore answered
+// with one write, and the loop never waits for the peer with replies
+// unsent. It runs until the connection dies.
+//
+// A loop that is writing is not reading, so the transport has to buffer:
+// over TCP a reply lands in the socket buffer and the loop moves on, but
+// on a synchronous pipe (net.Pipe) a flush returns only once the peer's
+// loop reads it, and two peers that each answer a request of the other
+// at the same moment would wait on each other. net.Pipe is therefore only
+// for traffic where one side asks at a time (tests, in-process benches).
+//
+// The loop locks the dispatch mutex per response and blocks in transport
+// reads, so the annotation is deliberately just "no alloc": the per-frame
+// cost to watch is heap churn.
 //
 // hotpath: no alloc
 func (c *conn) readLoop(handle func(frame)) {
+	unflushed := false // handle has run since the last flush
 	for {
+		if unflushed && !frameBuffered(c.br) {
+			// A write error also fails the read below or the peer's.
+			_ = c.flush()
+			unflushed = false
+		}
 		f, err := readFrameBuf(c.br)
 		if err != nil {
 			//lint:ignore lockcheck the dispatch lock below is released before the next loop iteration; fail never runs under it
@@ -542,6 +557,7 @@ func (c *conn) readLoop(handle func(frame)) {
 			continue
 		}
 		handle(f)
+		unflushed = true
 	}
 }
 

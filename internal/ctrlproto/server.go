@@ -35,18 +35,16 @@ type TracedControlPlane interface {
 	RequestPathCtx(sc obs.SpanContext, bs packet.BSID, clause int) (packet.Tag, error)
 }
 
-// Server exposes a ControlPlane over the control channel. One goroutine
-// pool per connection bounds concurrent request handling, mirroring the
-// worker-thread dimension of the paper's Cbench experiment.
+// Server exposes a ControlPlane over the control channel. Each connection
+// is served by one goroutine, its read loop: requests are handled inline,
+// in arrival order. Parallelism comes from the number of connections (one
+// per base station's agent, as with the thousand emulated switches of the
+// paper's Cbench experiment), not from concurrency inside one.
 type Server struct {
 	Ctrl ControlPlane
-	// Workers bounds concurrently handled requests per connection
-	// (default 8).
-	Workers int
 
 	mu    sync.Mutex
 	conns map[*conn]packet.BSID // hello-declared base station
-	ln    net.Listener
 	wg    sync.WaitGroup
 
 	// Requests counts path requests served (all connections).
@@ -55,7 +53,6 @@ type Server struct {
 	// Wire telemetry handles (nil-safe no-ops); set by Instrument.
 	obsFrames    *obs.Counter
 	obsRequests  *obs.Counter
-	obsInflight  *obs.Gauge
 	obsFlush     *obs.Histogram
 	obsServe     *obs.SpanName
 	obsFlushSpan *obs.SpanName
@@ -63,14 +60,12 @@ type Server struct {
 
 // NewServer wraps a control plane (a controller or a shard dispatcher).
 func NewServer(ctrl ControlPlane) *Server {
-	return &Server{Ctrl: ctrl, Workers: 8, conns: make(map[*conn]packet.BSID)}
+	return &Server{Ctrl: ctrl, conns: make(map[*conn]packet.BSID)}
 }
 
-// Serve accepts connections until the listener closes.
+// Serve accepts connections until the listener closes, then waits for the
+// connections it accepted to finish.
 func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	s.ln = ln
-	s.mu.Unlock()
 	for {
 		raw, err := ln.Accept()
 		if err != nil {
@@ -80,74 +75,42 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			//lint:ignore lockcheck Serve's registration lock is released before the accept loop; serveConn runs on its own goroutine
-			s.serveConn(raw)
+			s.ServeConn(raw)
 		}()
 	}
 }
 
-// ServeConn handles a single pre-established connection (tests and
-// in-process benches use net.Pipe).
+// ServeConn serves a single established connection on the caller's
+// goroutine until it dies (Serve runs it per accepted connection; tests
+// and in-process benches hand it one end of a net.Pipe).
 func (s *Server) ServeConn(raw net.Conn) {
-	s.serveConn(raw)
-}
-
-func (s *Server) serveConn(raw net.Conn) {
 	c := newConn(raw)
 	c.flushFrames = s.obsFlush
 	c.flushSpan = s.obsFlushSpan
-	s.mu.Lock()
-	s.conns[c] = 0
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, c)
-		s.mu.Unlock()
-		_ = c.Close()
-	}()
-
-	workers := s.Workers
-	if workers <= 0 {
-		workers = 8
-	}
-	// A fixed pool of workers drains a buffered per-connection frame queue.
-	// Compared to spawning a goroutine per frame, the pool costs nothing to
-	// keep warm, and the queue lets pipelined clients run ahead of the
-	// handlers — each scheduler pass moves a batch of frames instead of one.
-	//
-	// Replies are buffered, not written: inflight tracks frames read but not
-	// yet handled, and whichever worker drives it to zero flushes the whole
-	// accumulated batch in one Write. A client pipelining n requests pays one
-	// response rendezvous per burst instead of n — that amortisation is what
-	// makes deeper pipelines faster, not merely no slower.
-	var inflight atomic.Int64
-	frames := make(chan frame, 16*workers)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go func() {
-			defer wg.Done()
-			for f := range frames {
-				//lint:ignore lockcheck the registration lock is released before the workers start; handle locks on its own goroutine
-				s.handle(c, f)
-				s.obsInflight.Add(-1)
-				if inflight.Add(-1) == 0 {
-					_ = c.flush()
-				}
-			}
-		}()
-	}
-	c.readLoop(func(f frame) {
-		s.obsFrames.Inc()
-		s.obsInflight.Add(1)
-		inflight.Add(1)
-		frames <- f
-	})
-	close(frames)
-	wg.Wait()
+	s.setStation(c, 0)
+	c.readLoop(func(f frame) { s.handle(c, f) })
+	s.forget(c)
+	_ = c.Close()
 }
 
+// setStation records the base station a connection speaks for (0 until
+// its Hello), which also registers the connection for pushes and queries.
+func (s *Server) setStation(c *conn, bs packet.BSID) {
+	s.mu.Lock()
+	s.conns[c] = bs
+	s.mu.Unlock()
+}
+
+func (s *Server) forget(c *conn) {
+	s.mu.Lock()
+	delete(s.conns, c)
+	s.mu.Unlock()
+}
+
+// handle serves one request frame; the reply is buffered for the read
+// loop's next flush.
 func (s *Server) handle(c *conn, f frame) {
+	s.obsFrames.Inc()
 	// Continue the frame's trace: handler work nests under a wire.serve
 	// span, and replies echo the context so the response flush is
 	// attributed too. A frame from an untraced client makes the server
@@ -171,9 +134,7 @@ func (s *Server) handle(c *conn, f frame) {
 		if len(f.payload) == 4 {
 			bs := packet.BSID(uint32(f.payload[0])<<24 | uint32(f.payload[1])<<16 |
 				uint32(f.payload[2])<<8 | uint32(f.payload[3]))
-			s.mu.Lock()
-			s.conns[c] = bs
-			s.mu.Unlock()
+			s.setStation(c, bs)
 		}
 		_ = c.reply(f, MsgHello, nil)
 	case MsgEcho:
@@ -302,7 +263,7 @@ func (s *Server) QueryLocations() (int, error) {
 	var reports []core.AgentLocationReport
 	answered := 0
 	for _, c := range conns {
-		f, err := c.request(MsgLocationQuery, nil)
+		f, err := c.request(obs.SpanContext{}, MsgLocationQuery, nil, 0, 1)
 		if err != nil {
 			continue // dead agents are skipped; their UEs re-attach later
 		}

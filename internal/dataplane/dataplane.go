@@ -122,9 +122,6 @@ func New(ctrl *core.Controller, cfg Config) (*Network, error) {
 	return n, nil
 }
 
-// MBPort returns the attachment port of a middlebox instance.
-func (n *Network) MBPort(id topo.MBInstanceID) int { return n.mbPort[id] }
-
 // Sync re-materialises every switch's TCAM from the controller's FIBs.
 // Call it after control-plane changes (path installs, handoffs). Microflow
 // tables and public-IP bindings are preserved.

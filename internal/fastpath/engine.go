@@ -335,11 +335,6 @@ func (e *Engine) Workers() int { return len(e.qs) }
 // Net returns the engine's compiled topology view.
 func (e *Engine) Net() *Net { return e.net }
 
-// SubmitTo enqueues a job on worker w's queue, blocking when it is full.
-func (e *Engine) SubmitTo(w int, j *Job) {
-	e.qs[w] <- j
-}
-
 // Submit enqueues a job round-robin across the worker queues.
 func (e *Engine) Submit(j *Job) {
 	w := int(e.rr.Add(1)-1) % len(e.qs)

@@ -167,14 +167,6 @@ func (r *Registry) SetSpanSampling(n int) {
 	r.st.spans.every.Store(int64(n))
 }
 
-// SpanSampling reports the current sampling period.
-func (r *Registry) SpanSampling() int {
-	if r == nil {
-		return 0
-	}
-	return int(r.st.spans.every.Load())
-}
-
 // Root makes the sampling decision for a new request. One call in every
 // SetSpanSampling(n) returns a live root span (the first attempt is
 // always sampled, so short deterministic runs trace from op zero); the

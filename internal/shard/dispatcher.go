@@ -253,7 +253,7 @@ func (d *Dispatcher) RegisterSubscriber(imsi string, attr policy.Attributes) err
 // core.Controller.RequestPathCtx (a lock-free tag-cache read when the
 // path is already installed). As an in-process entry point it makes the
 // trace root-sampling decision (one request in every
-// Registry.SpanSampling); wire-originated requests come through
+// Registry.SetSpanSampling period); wire-originated requests come through
 // RequestPathCtx instead and join their frame's trace.
 func (d *Dispatcher) RequestPath(bs packet.BSID, clause int) (packet.Tag, error) {
 	sp := d.obs.spPath.Root()
