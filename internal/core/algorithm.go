@@ -9,20 +9,18 @@ import (
 	"repro/internal/topo"
 )
 
-// step is one forwarding decision a policy path demands: at switch SW, for
-// traffic in context FromMB (NoMB = arrived on a network port; otherwise
-// returning from that locally attached middlebox), send to Next. InFrom is
-// the neighbor switch whose port the traffic arrived on (topo.None at the
-// path's entry: the Internet side of the gateway or the UE side of the
-// access switch); it is what lets loops entering via different links share
-// one tag (§3.2). Pos records which path position emitted the step, which
-// is what loop segmentation cuts on.
+// step is one forwarding decision a policy path demands: at switch sw, for
+// traffic that arrived through in — returning from a locally attached
+// middlebox, or on the port facing a neighbor switch (anyPort at the path's
+// entry: the Internet side of the gateway or the UE side of the access
+// switch) — send to next. The neighbor is what lets loops entering via
+// different links share one tag (§3.2). pos records which path position
+// emitted the step, which is what loop segmentation cuts on.
 type step struct {
-	sw     topo.NodeID
-	fromMB topo.MBInstanceID
-	inFrom topo.NodeID
-	next   NextHop
-	pos    int
+	sw   topo.NodeID
+	in   ingress
+	next NextHop
+	pos  int
 }
 
 // expandSteps turns a routed path into its forwarding steps for one
@@ -33,44 +31,41 @@ type step struct {
 func expandSteps(p *routing.Path, dir Direction, buf []step) []step {
 	steps := buf
 	n := p.Len()
-	ctx := NoMB
-	inFrom := topo.None // entry: Internet side / UE side
+	in := anyPort // entry: Internet side / UE side
 	if dir == Down {
 		for i := 0; i < n; i++ {
 			if p.MBAt[i] != routing.NoMB {
-				steps = append(steps, step{p.Switches[i], ctx, inFrom, ToMB(p.MBAt[i]), i})
-				ctx = p.MBAt[i]
+				steps = append(steps, step{p.Switches[i], in, ToMB(p.MBAt[i]), i})
+				in = fromMB(p.MBAt[i])
 			}
 			if i < n-1 {
 				if p.Switches[i+1] == p.Switches[i] {
 					continue // same switch again: next middlebox chains in place
 				}
-				steps = append(steps, step{p.Switches[i], ctx, inFrom, ToNode(p.Switches[i+1]), i})
-				ctx = NoMB
-				inFrom = p.Switches[i]
+				steps = append(steps, step{p.Switches[i], in, ToNode(p.Switches[i+1]), i})
+				in = fromPort(p.Switches[i])
 			}
 		}
 		return steps
 	}
 	for i := n - 1; i >= 0; i-- {
 		if p.MBAt[i] != routing.NoMB {
-			steps = append(steps, step{p.Switches[i], ctx, inFrom, ToMB(p.MBAt[i]), i})
-			ctx = p.MBAt[i]
+			steps = append(steps, step{p.Switches[i], in, ToMB(p.MBAt[i]), i})
+			in = fromMB(p.MBAt[i])
 		}
 		if i > 0 {
 			if p.Switches[i-1] == p.Switches[i] {
 				continue
 			}
-			steps = append(steps, step{p.Switches[i], ctx, inFrom, ToNode(p.Switches[i-1]), i})
-			ctx = NoMB
-			inFrom = p.Switches[i]
+			steps = append(steps, step{p.Switches[i], in, ToNode(p.Switches[i-1]), i})
+			in = fromPort(p.Switches[i])
 		}
 	}
 	// The explicit exit demand: upstream traffic reaching the gateway end
 	// leaves through the Internet port. Making it a step (rather than an
 	// implicit table-miss) lets the installer detect and override shadowing
 	// rules when the path transits the gateway mid-route.
-	steps = append(steps, step{p.Switches[0], ctx, inFrom, Exit(), 0})
+	steps = append(steps, step{p.Switches[0], in, Exit(), 0})
 	return steps
 }
 
@@ -330,14 +325,14 @@ func (in *Installer) bootstrapLocation(root topo.NodeID, parent []topo.NodeID) {
 			continue
 		}
 		if n == root {
-			rules += in.fibs[i].InsertLocation(Up, carrier, Exit())
+			rules += in.fibs[i].InsertLocation(Up, anyPort, carrier, Exit())
 			continue
 		}
 		if parent[n] == topo.None {
 			continue // unreachable island
 		}
-		rules += in.fibs[i].InsertLocation(Up, carrier, ToNode(parent[n]))
-		rules += in.fibs[i].InsertLocation(Down, carrier, ToNode(parent[n]))
+		rules += in.fibs[i].InsertLocation(Up, anyPort, carrier, ToNode(parent[n]))
+		rules += in.fibs[i].InsertLocation(Down, anyPort, carrier, ToNode(parent[n]))
 	}
 	for _, st := range in.T.Stations {
 		prefix, err := in.plan.BSPrefix(st.ID)
@@ -350,13 +345,13 @@ func (in *Installer) bootstrapLocation(root topo.NodeID, parent []topo.NodeID) {
 		}
 		if !in.Opts.SkipAccessSwitchRules {
 			// The leaf delivers its own block instead of climbing.
-			rules += in.fibs[st.Access].InsertLocation(Down, prefix, Deliver())
+			rules += in.fibs[st.Access].InsertLocation(Down, anyPort, prefix, Deliver())
 		}
 		for i := 1; i < len(chain); i++ {
 			if in.Opts.SkipAccessSwitchRules && in.T.Nodes[chain[i]].Kind == topo.Access {
 				continue
 			}
-			rules += in.fibs[chain[i]].InsertLocation(Down, prefix, ToNode(chain[i-1]))
+			rules += in.fibs[chain[i]].InsertLocation(Down, anyPort, prefix, ToNode(chain[i-1]))
 		}
 		// Adjacency-jump entries: every off-chain switch adjacent to a
 		// chain node dispatches this block straight to its lowest-index
@@ -381,7 +376,7 @@ func (in *Installer) bootstrapLocation(root topo.NodeID, parent []topo.NodeID) {
 			if in.Opts.SkipAccessSwitchRules && in.T.Nodes[u].Kind == topo.Access {
 				continue
 			}
-			rules += in.fibs[u].InsertLocation(Down, prefix, ToNode(chain[i]))
+			rules += in.fibs[u].InsertLocation(Down, anyPort, prefix, ToNode(chain[i]))
 		}
 	}
 	in.stats.Rules += rules
@@ -510,15 +505,14 @@ func (in *Installer) originAdd(origin packet.BSID, tag packet.Tag) {
 	in.originTags[origin] = ts
 }
 
-// demandKey identifies// demandKey identifies one forwarding decision slot. Network-port steps are
-// additionally keyed by their in-port neighbor: two visits entering through
-// different links coexist under one tag via in-port-qualified rules, so
-// only same-link revisits force a segmentation cut (§3.2).
+// demandKey identifies one forwarding decision slot. The ingress is part of
+// it: two visits entering through different links coexist under one tag via
+// in-port-qualified rules, so only same-link revisits force a segmentation
+// cut (§3.2).
 type demandKey struct {
-	dir  Direction
-	sw   topo.NodeID
-	mb   topo.MBInstanceID
-	from topo.NodeID
+	dir Direction
+	sw  topo.NodeID
+	in  ingress
 }
 
 // demand is one recorded forwarding decision during loop detection.
@@ -544,11 +538,7 @@ func (in *Installer) findCuts(down, up []step, pathLen int) []int {
 		conflictAt := -1
 		for dirIdx, steps := range [2][]step{down, up} {
 			for _, st := range steps {
-				from := topo.None
-				if st.fromMB == NoMB {
-					from = st.inFrom
-				}
-				k := demandKey{Direction(dirIdx), st.sw, st.fromMB, from}
+				k := demandKey{Direction(dirIdx), st.sw, st.in}
 				prev, ok := demands[k]
 				if ok && inSegment(prev.pos) == inSegment(st.pos) && prev.next != st.next {
 					// Cut between the two conflicting positions.
@@ -643,82 +633,48 @@ func (in *Installer) candidateTags(p *routing.Path, chainKey string, seg int, ta
 	return out
 }
 
-// lookupStep answers what (dir, tag, prefix) traffic in the step's context
-// would currently do at the step's switch.
-func (in *Installer) lookupStep(dir Direction, st step, tag packet.Tag, prefix packet.Prefix) (NextHop, bool) {
-	f := in.fibs[st.sw]
-	if st.fromMB != NoMB {
-		return f.GetNextHopFromMB(dir, st.fromMB, tag, prefix)
-	}
-	return f.GetNextHopVia(dir, st.inFrom, tag, prefix)
-}
-
 // costForTag implements lines 1-6 of Algorithm 1: the number of new rules
 // required to realise the segment under candidate tag t, in both
 // directions. It mirrors installSteps' placement policy exactly, including
 // which rules land in the in-port-qualified context.
 func (in *Installer) costForTag(down, up []step, t packet.Tag, prefix packet.Prefix, canon canonCtx) int {
 	cost := 0
+	merge := !in.Opts.NoPrefixAggregation
 	mainUse := in.scratch.costUse
 	for dirIdx, steps := range [2][]step{down, up} {
 		dir := Direction(dirIdx)
 		clear(mainUse)
 		for _, st := range steps {
 			f := in.fibs[st.sw]
-			if st.fromMB != NoMB {
-				cur, ok := f.GetNextHopFromMB(dir, st.fromMB, t, prefix)
+			if st.in.mb != NoMB {
+				cur, ok := f.GetNextHop(dir, st.in, t, prefix)
 				if ok && cur == st.next {
 					continue
 				}
-				if !f.hasMBTagState(dir, st.fromMB, t) {
-					if nh, locOK := f.LookupMBLocation(dir, st.fromMB, prefix); locOK && nh == st.next {
-						continue
-					}
-					if in.canonicalStep(dir, st, canon) {
-						cost++ // one shared mb-location entry (often merges free)
-						continue
-					}
-				}
-				if ok && !in.Opts.NoPrefixAggregation {
-					if s := f.mbState(dir, st.fromMB, t, false); s != nil &&
-						s.prefix != nil && s.prefix.CanAggregate(prefix, st.next) {
-						continue
-					}
+				if ok && merge && f.state(dir, st.in, t, false).canAggregate(prefix, st.next) {
+					continue
 				}
 				cost++
 				continue
 			}
-			// Network-port step: port-qualified rules outrank main.
-			if ps := f.portState(dir, st.inFrom, t, false); ps != nil {
-				if nh, ok := ps.prefixLookup(prefix); ok {
+			// Network-port step: port-qualified rules outrank main (the
+			// path's entry, anyPort, has no qualified context of its own).
+			if st.in != anyPort {
+				if nh, _, ok := f.resolve(dir, st.in, t, prefix); ok {
 					if nh != st.next {
 						cost++ // cross-path port-rule divergence
 					}
 					continue
 				}
 			}
-			var cur NextHop
-			var fromTag, ok bool
-			if stTag := f.state(dir, t, false); stTag != nil {
-				if nh, hit := stTag.prefixLookup(prefix); hit {
-					cur, fromTag, ok = nh, true, true
-				} else if stTag.hasDef {
-					cur, fromTag, ok = stTag.def, true, true
-				}
-			}
-			if !ok {
-				cur, ok = f.LookupLocation(dir, prefix)
-			}
+			cur, fromTag, ok := f.resolve(dir, anyPort, t, prefix)
 			if ok && cur == st.next {
 				mainUse[st.sw] = cur
 				continue
 			}
 			if prev, used := mainUse[st.sw]; used && prev != st.next {
-				if !in.Opts.NoPrefixAggregation {
-					if ps := f.portState(dir, st.inFrom, t, false); ps != nil &&
-						ps.prefix != nil && ps.prefix.CanAggregate(prefix, st.next) {
-						continue
-					}
+				if merge && f.state(dir, st.in, t, false).canAggregate(prefix, st.next) {
+					continue
 				}
 				cost++
 				continue
@@ -728,12 +684,9 @@ func (in *Installer) costForTag(down, up []step, t packet.Tag, prefix packet.Pre
 				mainUse[st.sw] = st.next
 				continue
 			}
-			if !in.Opts.NoPrefixAggregation {
-				if ms := f.state(dir, t, false); ms != nil && ms.prefix != nil &&
-					ms.prefix.CanAggregate(prefix, st.next) {
-					mainUse[st.sw] = st.next
-					continue
-				}
+			if merge && f.state(dir, anyPort, t, false).canAggregate(prefix, st.next) {
+				mainUse[st.sw] = st.next
+				continue
 			}
 			cost++
 			mainUse[st.sw] = st.next
@@ -751,117 +704,90 @@ func (in *Installer) costForTag(down, up []step, t packet.Tag, prefix packet.Pre
 // (tag, prefix) at one switch — the different-link loop of §3.2.
 func (in *Installer) installSteps(dir Direction, steps []step, t packet.Tag, prefix packet.Prefix, canon canonCtx) int {
 	delta := 0
+	merge := !in.Opts.NoPrefixAggregation
 	mainUse := in.scratch.installUse
 	clear(mainUse)
-	doInsert := func(tr *prefixTrie, nh NextHop) {
-		if in.Opts.NoPrefixAggregation {
-			delta += insertNoAgg(tr, prefix, nh)
-		} else {
-			delta += tr.Insert(prefix, nh)
-		}
-	}
 	for _, st := range steps {
 		f := in.fibs[st.sw]
-		if st.fromMB != NoMB {
+		// override installs the Type 1 rule for this step in context ctx.
+		override := func(ctx ingress) {
+			delta += f.InsertPrefix(dir, ctx, t, prefix, st.next, merge)
+		}
+		if st.in.mb != NoMB {
 			// Provenance-aware ladder: mb tag state, then mb location,
 			// then the fall-through to the main context.
-			if stMB := f.mbState(dir, st.fromMB, t, false); stMB != nil {
-				if nh, ok := stMB.prefixLookup(prefix); ok {
-					if nh != st.next {
-						doInsert(stMB.trie(), st.next)
-					}
-					continue
+			if nh, fromTag, ok := f.resolve(dir, st.in, t, prefix); ok {
+				if nh != st.next {
+					// Prefix-precise override outranking the rule that hit.
+					override(st.in)
+				} else if !fromTag {
+					f.MarkLocReliant(dir, st.in, t)
 				}
-				if stMB.hasDef {
-					if stMB.def != st.next {
-						doInsert(stMB.trie(), st.next)
-					}
-					continue
-				}
-			}
-			if nh, ok := f.LookupMBLocation(dir, st.fromMB, prefix); ok {
-				if nh == st.next {
-					f.MarkMBLocReliant(dir, st.fromMB, t)
-					continue
-				}
-				// Prefix-precise override outranking the location rule.
-				doInsert(f.mbState(dir, st.fromMB, t, true).trie(), st.next)
 				continue
 			}
 			if in.canonicalStep(dir, st, canon) {
 				// Tag-independent dispatch from the chain's last middlebox
 				// into the canonical fan-out.
-				delta += f.InsertMBLocation(dir, st.fromMB, prefix, st.next)
-				f.MarkMBLocReliant(dir, st.fromMB, t)
+				delta += f.InsertLocation(dir, st.in, prefix, st.next)
+				f.MarkLocReliant(dir, st.in, t)
 				continue
 			}
-			if cur, ok := f.GetNextHop(dir, t, prefix); ok && cur == st.next {
+			if cur, ok := f.GetNextHop(dir, anyPort, t, prefix); ok && cur == st.next {
 				// Satisfied by the main-context fall-through; protect it
 				// from future mb-context defaults and main clobbering.
-				f.MarkMBLocReliant(dir, st.fromMB, t)
+				f.MarkLocReliant(dir, st.in, t)
 				mainUse[st.sw] = cur
 				continue
 			}
-			if !in.Opts.NoTagDefault && !f.MBLocReliant(dir, st.fromMB, t) {
-				delta += f.SetMBDefault(dir, st.fromMB, t, st.next)
+			if !in.Opts.NoTagDefault && !f.LocReliant(dir, st.in, t) {
+				delta += f.SetDefault(dir, st.in, t, st.next)
 				continue
 			}
-			doInsert(f.mbState(dir, st.fromMB, t, true).trie(), st.next)
+			override(st.in)
 			continue
 		}
-		if ps := f.portState(dir, st.inFrom, t, false); ps != nil {
-			if nh, ok := ps.prefixLookup(prefix); ok {
+		if st.in != anyPort {
+			if nh, _, ok := f.resolve(dir, st.in, t, prefix); ok {
 				if nh != st.next {
-					doInsert(ps.trie(), st.next)
+					override(st.in)
 				}
 				continue
 			}
 		}
 		// Provenance-aware resolution: tag state (Type 1/2) over the shared
 		// location table (Type 3).
-		var cur NextHop
-		var fromTag, ok bool
-		if stTag := f.state(dir, t, false); stTag != nil {
-			if nh, hit := stTag.prefixLookup(prefix); hit {
-				cur, fromTag, ok = nh, true, true
-			} else if stTag.hasDef {
-				cur, fromTag, ok = stTag.def, true, true
-			}
-		}
-		if !ok {
-			cur, ok = f.LookupLocation(dir, prefix)
-		}
+		cur, fromTag, ok := f.resolve(dir, anyPort, t, prefix)
 		if ok && cur == st.next {
 			if !fromTag {
 				// Satisfied by the location table: remember so no later
 				// install shadows it with a Type 2 default for this tag.
-				f.MarkLocReliant(dir, t)
+				f.MarkLocReliant(dir, anyPort, t)
 			}
 			mainUse[st.sw] = cur
 			continue
 		}
 		if prev, used := mainUse[st.sw]; used && prev != st.next {
-			doInsert(f.portState(dir, st.inFrom, t, true).trie(), st.next)
+			override(st.in)
 			continue
 		}
 		if !fromTag {
 			if !ok && in.canonicalStep(dir, st, canon) {
 				// Shared Type 3 location rule (Fig. 3(a)): one prefix-only
 				// entry serves every clause whose tail crosses this switch.
-				delta += f.InsertLocation(dir, prefix, st.next)
-				f.MarkLocReliant(dir, t)
+				delta += f.InsertLocation(dir, anyPort, prefix, st.next)
+				f.MarkLocReliant(dir, anyPort, t)
 				mainUse[st.sw] = st.next
 				continue
 			}
-			if !in.Opts.NoTagDefault && !f.LocReliant(dir, t) {
+			if !in.Opts.NoTagDefault && !f.LocReliant(dir, anyPort, t) {
 				// First tag state here: a tag-only Type 2 rule covers every
 				// prefix on the shared segment (Fig. 3(c) CS1).
-				delta += f.SetDefault(dir, t, st.next)
+				delta += f.SetDefault(dir, anyPort, t, st.next)
 				mainUse[st.sw] = st.next
 				continue
 			}
 		}
-		doInsert(f.state(dir, t, true).trie(), st.next)
+		override(anyPort)
 		mainUse[st.sw] = st.next
 	}
 	return delta
@@ -886,19 +812,6 @@ func (in *Installer) dropAccessSteps(steps []step) []step {
 		}
 	}
 	return out
-}
-
-// insertNoAgg installs an entry without sibling merging (ablation).
-func insertNoAgg(tr *prefixTrie, p packet.Prefix, nh NextHop) int {
-	n := tr.node(p, true)
-	delta := 0
-	if !n.set {
-		n.set = true
-		tr.count++
-		delta = 1
-	}
-	n.nh = nh
-	return delta
 }
 
 // setCrossingSwap rewrites the last step of a segment to also swap the

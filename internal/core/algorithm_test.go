@@ -502,8 +502,8 @@ func TestTraceLoopBudget(t *testing.T) {
 	b := tp.AddNode(topo.Core, "b")
 	_ = tp.Connect(a, b)
 	in := mustInstaller(t, tp, InstallerOptions{})
-	in.FIB(a).SetDefault(Down, 1, ToNode(b))
-	in.FIB(b).SetDefault(Down, 1, ToNode(a))
+	in.FIB(a).SetDefault(Down, anyPort, 1, ToNode(b))
+	in.FIB(b).SetDefault(Down, anyPort, 1, ToNode(a))
 	if _, _, err := in.Trace(Down, a, 1, packet.AddrFrom4(10, 0, 16, 1)); err == nil {
 		t.Fatal("forwarding loop should be detected")
 	}

@@ -226,6 +226,111 @@ func TestHandoffMovesUE(t *testing.T) {
 	}
 }
 
+// fibShape is what churn must not grow: per switch, the context-map sizes,
+// the allocated trie nodes and the rule count.
+type fibShape struct{ rules, loc, mob, rely, nodes, numRules int }
+
+func fibShapes(in *Installer) []fibShape {
+	out := make([]fibShape, len(in.fibs))
+	for i, f := range in.fibs {
+		sh := fibShape{rules: len(f.rules), loc: len(f.loc), mob: len(f.mob),
+			rely: len(f.locRely), numRules: f.NumRules()}
+		for _, st := range f.rules {
+			if st.prefix != nil {
+				sh.nodes += st.prefix.nodes()
+			}
+		}
+		for _, tr := range f.loc {
+			sh.nodes += tr.nodes()
+		}
+		out[i] = sh
+	}
+	return out
+}
+
+// ROADMAP item 1(d): mobility /32s that come and go used to leave their trie
+// branches behind, so every FIB grew with churn.
+func TestHandoffReleaseCyclesLeaveFIBsAtBaseline(t *testing.T) {
+	c, _ := testController(t)
+	imsis := []string{"a", "b", "c"}
+	for i, imsi := range imsis {
+		_ = c.RegisterSubscriber(imsi, policy.Attributes{Provider: "A", Plan: "silver"})
+		ue, _, err := c.Attach(imsi, packet.BSID(i%2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Cache paths at every station the UEs will visit, so the cycles
+		// below install nothing but shortcuts.
+		for _, app := range []policy.AppType{policy.AppVideo, policy.AppWeb} {
+			clause, _ := c.Policy.Match(ue.Attr, app)
+			for bs := packet.BSID(0); bs < 4; bs++ {
+				if _, err := c.RequestPath(bs, clause); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	same := func(when string, want []fibShape, wantRules int) {
+		t.Helper()
+		for i, got := range fibShapes(c.Installer) {
+			if got != want[i] {
+				t.Errorf("%s: switch %d has FIB shape %+v, want %+v", when, i, got, want[i])
+			}
+		}
+		if r := c.Installer.Stats().Rules; r != wantRules {
+			t.Errorf("%s: installer counts %d rules, want %d", when, r, wantRules)
+		}
+	}
+	empty, emptyRules := fibShapes(c.Installer), c.Installer.Stats().Rules
+
+	// "a" moves away and keeps its old LocIP reserved throughout, so the
+	// overrides that come and go below share rule contexts with live ones.
+	held, err := c.Handoff("a", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, baseRules := fibShapes(c.Installer), c.Installer.Stats().Rules
+
+	at := map[string]packet.BSID{"b": 1, "c": 0}
+	late := map[string]packet.Addr{} // old LocIPs whose release waits for the next handoff
+	for cycle := 0; cycle < 40; cycle++ {
+		for _, imsi := range []string{"b", "c"} {
+			next := (at[imsi] + 1 + packet.BSID(cycle%3)) % 4
+			if next == at[imsi] {
+				next = (next + 1) % 4
+			}
+			res, err := c.Handoff(imsi, next)
+			if err != nil {
+				t.Fatalf("cycle %d: %v", cycle, err)
+			}
+			if len(res.Shortcuts) == 0 {
+				t.Fatalf("cycle %d: handoff installed no shortcut", cycle)
+			}
+			at[imsi] = next
+			// A reservation held across this handoff was just retargeted:
+			// its overrides were removed and re-installed along new routes.
+			if old, waiting := late[imsi]; waiting {
+				c.ReleaseOldLocIP(old, nil)
+				delete(late, imsi)
+			}
+			if cycle%2 == 0 {
+				c.ReleaseOldLocIP(res.OldLocIP, res.Shortcuts)
+			} else {
+				late[imsi] = res.OldLocIP
+			}
+		}
+	}
+	for _, old := range late {
+		c.ReleaseOldLocIP(old, nil)
+	}
+	same("after the cycles", base, baseRules)
+	if _, err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	c.ReleaseOldLocIP(held.OldLocIP, held.Shortcuts)
+	same("after the last release", empty, emptyRules)
+}
+
 func mustStation(t *testing.T, tp *topo.Topology, bs packet.BSID) topo.BaseStation {
 	t.Helper()
 	st, ok := tp.Station(bs)

@@ -188,6 +188,19 @@ func (t *prefixTrie) Insert(p packet.Prefix, nh NextHop) int {
 	return t.count - before
 }
 
+// insertNoAgg installs (p -> nh) without sibling merging (ablation).
+func (t *prefixTrie) insertNoAgg(p packet.Prefix, nh NextHop) int {
+	n := t.node(p, true)
+	delta := 0
+	if !n.set {
+		n.set = true
+		t.count++
+		delta = 1
+	}
+	n.nh = nh
+	return delta
+}
+
 // Count reports live entries.
 func (t *prefixTrie) Count() int { return t.count }
 
@@ -226,22 +239,14 @@ func (d Direction) String() string {
 	return "up"
 }
 
-// tagState is the per-(direction, tag) forwarding state at one switch.
-// The prefix trie is allocated lazily: most shared-segment switches only
-// ever hold the tag-only default, and large simulations create millions of
-// these states.
+// tagState is the Type 1/2 forwarding state of one (direction, ingress,
+// tag) context at one switch. The prefix trie is allocated lazily: most
+// shared-segment switches only ever hold the tag-only default, and large
+// simulations create millions of these states.
 type tagState struct {
 	def    NextHop // tag-only default (Type 2 rule); Zero when absent
 	hasDef bool
 	prefix *prefixTrie // tag+prefix overrides (Type 1 rules); nil until used
-}
-
-// trie returns the state's prefix trie, allocating on first use.
-func (st *tagState) trie() *prefixTrie {
-	if st.prefix == nil {
-		st.prefix = newPrefixTrie()
-	}
-	return st.prefix
 }
 
 // prefixLookup is a nil-safe trie lookup.
@@ -252,74 +257,75 @@ func (st *tagState) prefixLookup(p packet.Prefix) (NextHop, bool) {
 	return st.prefix.Lookup(p)
 }
 
-// mbCtx keys the middlebox-return context: rules matching the in-port from
-// one locally attached middlebox (paper footnote 1).
-type mbCtx struct {
-	dir Direction
-	mb  topo.MBInstanceID
+// canAggregate is a nil-safe prefixTrie.CanAggregate.
+func (st *tagState) canAggregate(p packet.Prefix, nh NextHop) bool {
+	return st != nil && st.prefix != nil && st.prefix.CanAggregate(p, nh)
+}
+
+// ingress is the in-port qualifier of a rule: any port, the return port of
+// one locally attached middlebox (paper footnote 1), or the port facing one
+// neighbor switch — "a loop that enters the same switch twice but through
+// different links can easily be differentiated based on the input ports"
+// (§3.2). At most one of the two fields is set.
+type ingress struct {
+	mb   topo.MBInstanceID
+	node topo.NodeID
+}
+
+// anyPort is the unqualified ingress: rules that match whatever port the
+// packet arrived on.
+var anyPort = ingress{mb: NoMB, node: topo.None}
+
+// fromMB qualifies a rule by the return port of middlebox mb.
+func fromMB(mb topo.MBInstanceID) ingress { return ingress{mb: mb, node: topo.None} }
+
+// fromPort qualifies a rule by the port facing neighbor n. A path's entry
+// (the Internet side of the gateway, the UE side of the access switch) has
+// no neighbor behind it: fromPort(topo.None) is anyPort.
+func fromPort(n topo.NodeID) ingress { return ingress{mb: NoMB, node: n} }
+
+// ctxKey names one rule context of a switch: (direction, ingress, tag).
+// Location tables are tag-independent and use tag 0, which no path carries.
+// The direction comes last so the fields pack without interior padding.
+type ctxKey struct {
+	in  ingress
 	tag packet.Tag
-}
-
-// mbLocKey keys tag-independent location rules in a middlebox-return
-// context.
-type mbLocKey struct {
 	dir Direction
-	mb  topo.MBInstanceID
 }
 
-// portCtx keys in-port-qualified rules: "a loop that enters the same switch
-// twice but through different links can easily be differentiated based on
-// the input ports" (§3.2). The in-port is identified by the neighbor switch
-// behind it.
-type portCtx struct {
-	dir  Direction
-	from topo.NodeID
-	tag  packet.Tag
-}
-
-type tagKey struct {
-	dir Direction
-	tag packet.Tag
+// mobKey names one mobility override: a full LocIP in one rule context.
+type mobKey struct {
+	ctx ctxKey
+	loc packet.Addr
 }
 
 // FIB is the abstract forwarding table of one switch as the controller
-// tracks it: Type 1/2 rules in the main context plus per-middlebox-in-port
-// contexts. Rule counts correspond one-to-one to TCAM entries.
+// tracks it. A rule matches (in-port, LocIP prefix, tag), so every table is
+// keyed by one ctxKey and the unqualified context is just ingress anyPort.
+// Rule counts correspond one-to-one to TCAM entries.
 type FIB struct {
 	Node topo.NodeID
 
-	main map[tagKey]*tagState
-	mb   map[mbCtx]*tagState
-	port map[portCtx]*tagState
-
+	// rules holds the Type 1 (tag+prefix) and Type 2 (tag-only) rules.
+	rules map[ctxKey]*tagState
 	// loc holds the Type 3 location rules: prefix-only, tag-independent,
-	// lowest priority (§3.1 "Aggregation by location", §7). Downstream they
-	// route the fan-out below the last middlebox; upstream a single
-	// entry per switch climbs toward the gateway / Internet port.
-	loc map[Direction]*prefixTrie
-
-	// mobility rules: full-LocIP (/32) overrides, qualified by (direction,
-	// tag) — a moved UE's old flows are identified by old LocIP plus the
-	// policy tag they carry, and the entries rewrite to the delivery
-	// (access-side) tag. mobMB holds the middlebox-return-qualified variant
-	// used at a shortcut's branch switch.
-	mob   map[tagKey]*prefixTrie
-	mobMB map[mbCtx]*prefixTrie
-
-	// mbLoc holds location rules in middlebox-return contexts: traffic
-	// coming back from instance MB, destined to a prefix, forwarded
-	// tag-independently along the canonical descend (the common case for
-	// the chain's last middlebox dispatching into the fan-out).
-	mbLoc map[mbLocKey]*prefixTrie
-	// mbLocRely marks middlebox-context (dir, mb, tag) triples relying on
-	// mbLoc rules here; a tag-only mb default would shadow them.
-	mbLocRely map[mbCtx]struct{}
-
-	// locRely marks (direction, tag) pairs whose traffic relies on the
-	// Type 3 location table at this switch. Installing a Type 2 tag-only
-	// default for such a pair would shadow the location rules (priority:
-	// Type 2 > Type 3), so the installer must use Type 1 overrides instead.
-	locRely map[tagKey]struct{}
+	// below the tag rules of their context (§3.1 "Aggregation by location",
+	// §7). Downstream they route the fan-out below the last middlebox —
+	// from its return port when the box sits on this switch; upstream a
+	// single entry per switch climbs toward the gateway / Internet port.
+	loc map[ctxKey]*prefixTrie
+	// mob holds the mobility rules: full-LocIP (/32) overrides. A moved
+	// UE's old flows are identified by old LocIP plus the policy tag they
+	// carry, and the entries rewrite to the delivery (access-side) tag.
+	// They are only ever installed, matched and removed whole, at handoff
+	// rate, so they sit in an exact-match table that shrinks as they go.
+	mob map[mobKey]NextHop
+	// locRely marks contexts whose traffic relies on a rule below their own
+	// Type 2 slot — the location table, or for a qualified context the
+	// unqualified fall-through. A tag-only default there would shadow it
+	// (priority: Type 2 > Type 3), so the installer must use Type 1
+	// overrides instead.
+	locRely map[ctxKey]struct{}
 
 	// recentTags is an insertion-ordered list of tags that ever gained
 	// state here, used to seed Algorithm 1's candidate set cheaply.
@@ -330,180 +336,90 @@ type FIB struct {
 // NewFIB returns an empty FIB for a switch.
 func NewFIB(n topo.NodeID) *FIB {
 	return &FIB{
-		Node:      n,
-		main:      make(map[tagKey]*tagState),
-		mb:        make(map[mbCtx]*tagState),
-		port:      make(map[portCtx]*tagState),
-		loc:       make(map[Direction]*prefixTrie),
-		mob:       make(map[tagKey]*prefixTrie),
-		mbLoc:     make(map[mbLocKey]*prefixTrie),
-		mobMB:     make(map[mbCtx]*prefixTrie),
-		mbLocRely: make(map[mbCtx]struct{}),
-		locRely:   make(map[tagKey]struct{}),
-		seen:      make(map[packet.Tag]bool),
+		Node:    n,
+		rules:   make(map[ctxKey]*tagState),
+		loc:     make(map[ctxKey]*prefixTrie),
+		mob:     make(map[mobKey]NextHop),
+		locRely: make(map[ctxKey]struct{}),
+		seen:    make(map[packet.Tag]bool),
 	}
 }
 
-func (f *FIB) state(dir Direction, tag packet.Tag, create bool) *tagState {
-	k := tagKey{dir, tag}
-	st, ok := f.main[k]
+// state returns the Type 1/2 state of one context, nil when absent and not
+// created.
+func (f *FIB) state(dir Direction, in ingress, tag packet.Tag, create bool) *tagState {
+	k := ctxKey{in, tag, dir}
+	st, ok := f.rules[k]
 	if !ok && create {
 		st = &tagState{}
-		f.main[k] = st
-		f.noteTag(tag)
+		f.rules[k] = st
+		if !f.seen[tag] {
+			f.seen[tag] = true
+			f.recentTags = append(f.recentTags, tag)
+		}
 	}
 	return st
 }
 
-func (f *FIB) mbState(dir Direction, mb topo.MBInstanceID, tag packet.Tag, create bool) *tagState {
-	k := mbCtx{dir, mb, tag}
-	st, ok := f.mb[k]
-	if !ok && create {
-		st = &tagState{}
-		f.mb[k] = st
-		f.noteTag(tag)
-	}
-	return st
-}
-
-func (f *FIB) noteTag(tag packet.Tag) {
-	if !f.seen[tag] {
-		f.seen[tag] = true
-		f.recentTags = append(f.recentTags, tag)
-	}
-}
-
-func (f *FIB) portState(dir Direction, from topo.NodeID, tag packet.Tag, create bool) *tagState {
-	k := portCtx{dir, from, tag}
-	st, ok := f.port[k]
-	if !ok && create {
-		st = &tagState{}
-		f.port[k] = st
-		f.noteTag(tag)
-	}
-	return st
-}
-
-// GetNextHop answers "where would (dir, tag, prefix) traffic arriving from a
-// network port go?" — the getNextHop of Algorithm 1. Priority follows §7:
-// Type 1 (tag+prefix) over Type 2 (tag-only) over Type 3 (location).
-func (f *FIB) GetNextHop(dir Direction, tag packet.Tag, p packet.Prefix) (NextHop, bool) {
-	if st := f.state(dir, tag, false); st != nil {
-		if nh, ok := st.prefixLookup(p); ok {
-			return nh, true
+// resolve answers (dir, tag, prefix) from exactly one context, in the
+// priority order of §7: Type 1 (tag+prefix) over Type 2 (tag-only) — fromTag
+// is true for both — over Type 3 (location).
+func (f *FIB) resolve(dir Direction, in ingress, tag packet.Tag, p packet.Prefix) (nh NextHop, fromTag, ok bool) {
+	if st := f.state(dir, in, tag, false); st != nil {
+		if hit, found := st.prefixLookup(p); found {
+			return hit, true, true
 		}
 		if st.hasDef {
-			return st.def, true
+			return st.def, true, true
 		}
 	}
-	return f.LookupLocation(dir, p)
+	if t := f.loc[ctxKey{in, 0, dir}]; t != nil {
+		nh, ok = t.Lookup(p)
+		return nh, false, ok
+	}
+	return NextHop{Node: topo.None, MB: NoMB}, false, false
 }
 
-// LookupLocation consults only the Type 3 location table.
-func (f *FIB) LookupLocation(dir Direction, p packet.Prefix) (NextHop, bool) {
-	if t := f.loc[dir]; t != nil {
-		return t.Lookup(p)
+// GetNextHop answers "where would (dir, tag, prefix) traffic arriving
+// through 'in' go?" — the getNextHop of Algorithm 1. A qualified context
+// that holds no answer falls through to the unqualified one; for a
+// middlebox return that typically points back at the middlebox, the reason
+// in-port rules exist at all.
+func (f *FIB) GetNextHop(dir Direction, in ingress, tag packet.Tag, p packet.Prefix) (NextHop, bool) {
+	nh, _, ok := f.resolve(dir, in, tag, p)
+	if !ok && in != anyPort {
+		nh, _, ok = f.resolve(dir, anyPort, tag, p)
 	}
-	return NextHop{Node: topo.None, MB: NoMB}, false
+	return nh, ok
 }
 
 // InsertLocation installs a Type 3 prefix-only rule, aggregating siblings.
-func (f *FIB) InsertLocation(dir Direction, p packet.Prefix, nh NextHop) int {
-	t := f.loc[dir]
+func (f *FIB) InsertLocation(dir Direction, in ingress, p packet.Prefix, nh NextHop) int {
+	k := ctxKey{in, 0, dir}
+	t := f.loc[k]
 	if t == nil {
 		t = newPrefixTrie()
-		f.loc[dir] = t
+		f.loc[k] = t
 	}
 	return t.Insert(p, nh)
 }
 
-// MarkLocReliant records that (dir, tag) traffic depends on the location
-// table here.
-func (f *FIB) MarkLocReliant(dir Direction, tag packet.Tag) {
-	f.locRely[tagKey{dir, tag}] = struct{}{}
+// MarkLocReliant records that (dir, in, tag) traffic depends on a rule
+// below the context's tag-only slot.
+func (f *FIB) MarkLocReliant(dir Direction, in ingress, tag packet.Tag) {
+	f.locRely[ctxKey{in, tag, dir}] = struct{}{}
 }
 
-// LocReliant reports whether (dir, tag) traffic depends on the location
-// table here.
-func (f *FIB) LocReliant(dir Direction, tag packet.Tag) bool {
-	_, ok := f.locRely[tagKey{dir, tag}]
+// LocReliant reports whether MarkLocReliant was called for the context.
+func (f *FIB) LocReliant(dir Direction, in ingress, tag packet.Tag) bool {
+	_, ok := f.locRely[ctxKey{in, tag, dir}]
 	return ok
-}
-
-// GetNextHopFromMB answers the same question for traffic returning from a
-// locally attached middlebox. Absent a middlebox-context rule, the switch
-// would fall through to the main-context rule (which typically points back
-// at the middlebox — the reason the in-port rules exist at all).
-func (f *FIB) GetNextHopFromMB(dir Direction, mb topo.MBInstanceID, tag packet.Tag, p packet.Prefix) (NextHop, bool) {
-	if st := f.mbState(dir, mb, tag, false); st != nil {
-		if nh, ok := st.prefixLookup(p); ok {
-			return nh, true
-		}
-		if st.hasDef {
-			return st.def, true
-		}
-	}
-	if t := f.mbLoc[mbLocKey{dir, mb}]; t != nil {
-		if nh, ok := t.Lookup(p); ok {
-			return nh, true
-		}
-	}
-	return f.GetNextHop(dir, tag, p)
-}
-
-// LookupMBLocation consults only the middlebox-context location rules.
-func (f *FIB) LookupMBLocation(dir Direction, mb topo.MBInstanceID, p packet.Prefix) (NextHop, bool) {
-	if t := f.mbLoc[mbLocKey{dir, mb}]; t != nil {
-		return t.Lookup(p)
-	}
-	return NextHop{Node: topo.None, MB: NoMB}, false
-}
-
-// InsertMBLocation installs a tag-independent location rule in a
-// middlebox-return context.
-func (f *FIB) InsertMBLocation(dir Direction, mb topo.MBInstanceID, p packet.Prefix, nh NextHop) int {
-	t := f.mbLoc[mbLocKey{dir, mb}]
-	if t == nil {
-		t = newPrefixTrie()
-		f.mbLoc[mbLocKey{dir, mb}] = t
-	}
-	return t.Insert(p, nh)
-}
-
-// MarkMBLocReliant / MBLocReliant mirror the main-context reliance marks
-// for middlebox-return contexts.
-func (f *FIB) MarkMBLocReliant(dir Direction, mb topo.MBInstanceID, tag packet.Tag) {
-	f.mbLocRely[mbCtx{dir, mb, tag}] = struct{}{}
-}
-
-// MBLocReliant reports whether (dir, mb, tag) relies on mbLoc rules here.
-func (f *FIB) MBLocReliant(dir Direction, mb topo.MBInstanceID, tag packet.Tag) bool {
-	_, ok := f.mbLocRely[mbCtx{dir, mb, tag}]
-	return ok
-}
-
-// hasMBTagState reports Type 1/2 state for (dir, mb, tag).
-func (f *FIB) hasMBTagState(dir Direction, mb topo.MBInstanceID, tag packet.Tag) bool {
-	st := f.mbState(dir, mb, tag, false)
-	return st != nil && (st.hasDef || (st.prefix != nil && st.prefix.count > 0))
-}
-
-// GetNextHopVia answers GetNextHop for traffic arriving from the port
-// facing neighbor 'from': in-port-qualified rules outrank the port-wildcard
-// main context.
-func (f *FIB) GetNextHopVia(dir Direction, from topo.NodeID, tag packet.Tag, p packet.Prefix) (NextHop, bool) {
-	if st := f.portState(dir, from, tag, false); st != nil {
-		if nh, ok := st.prefixLookup(p); ok {
-			return nh, true
-		}
-	}
-	return f.GetNextHop(dir, tag, p)
 }
 
 // SetDefault installs the tag-only (Type 2) rule. It returns the rule-count
 // delta (1 when new, 0 when overwriting).
-func (f *FIB) SetDefault(dir Direction, tag packet.Tag, nh NextHop) int {
-	st := f.state(dir, tag, true)
+func (f *FIB) SetDefault(dir Direction, in ingress, tag packet.Tag, nh NextHop) int {
+	st := f.state(dir, in, tag, true)
 	delta := 0
 	if !st.hasDef {
 		delta = 1
@@ -513,141 +429,70 @@ func (f *FIB) SetDefault(dir Direction, tag packet.Tag, nh NextHop) int {
 	return delta
 }
 
-// InsertPrefix installs a (tag, prefix) Type 1 rule, aggregating siblings.
-func (f *FIB) InsertPrefix(dir Direction, tag packet.Tag, p packet.Prefix, nh NextHop) int {
-	return f.state(dir, tag, true).trie().Insert(p, nh)
-}
-
-// SetMBDefault installs the tag-only rule in a middlebox-return context.
-func (f *FIB) SetMBDefault(dir Direction, mb topo.MBInstanceID, tag packet.Tag, nh NextHop) int {
-	st := f.mbState(dir, mb, tag, true)
-	delta := 0
-	if !st.hasDef {
-		delta = 1
+// InsertPrefix installs a (tag, prefix) Type 1 rule; merge selects
+// contiguous-sibling aggregation (off only for the ablation).
+func (f *FIB) InsertPrefix(dir Direction, in ingress, tag packet.Tag, p packet.Prefix, nh NextHop, merge bool) int {
+	st := f.state(dir, in, tag, true)
+	if st.prefix == nil {
+		st.prefix = newPrefixTrie()
 	}
-	st.hasDef = true
-	st.def = nh
-	return delta
-}
-
-// InsertMBPrefix installs a (tag, prefix) rule in a middlebox-return context.
-func (f *FIB) InsertMBPrefix(dir Direction, mb topo.MBInstanceID, tag packet.Tag, p packet.Prefix, nh NextHop) int {
-	return f.mbState(dir, mb, tag, true).trie().Insert(p, nh)
+	if merge {
+		return st.prefix.Insert(p, nh)
+	}
+	return st.prefix.insertNoAgg(p, nh)
 }
 
 // InsertMobility installs a full-LocIP override for one tag (Fig. 3(b)).
-func (f *FIB) InsertMobility(dir Direction, tag packet.Tag, loc packet.Addr, nh NextHop) int {
-	k := tagKey{dir, tag}
-	t := f.mob[k]
-	if t == nil {
-		t = newPrefixTrie()
-		f.mob[k] = t
+// It returns the rule-count delta (1 when new, 0 when overwriting).
+func (f *FIB) InsertMobility(dir Direction, in ingress, tag packet.Tag, loc packet.Addr, nh NextHop) int {
+	k := mobKey{ctxKey{in, tag, dir}, loc}
+	_, had := f.mob[k]
+	f.mob[k] = nh
+	if had {
+		return 0
 	}
-	return t.Insert(packet.Prefix{Addr: loc, Len: 32}, nh)
+	return 1
 }
 
-// LookupMobilityFromMB checks the branch-switch mobility overrides for
-// traffic returning from a specific middlebox with the given tag.
-func (f *FIB) LookupMobilityFromMB(dir Direction, mb topo.MBInstanceID, tag packet.Tag, loc packet.Addr) (NextHop, bool) {
-	t := f.mobMB[mbCtx{dir, mb, tag}]
-	if t == nil {
-		return NextHop{Node: topo.None, MB: NoMB}, false
-	}
-	return t.Lookup(packet.Prefix{Addr: loc, Len: 32})
+// RemoveMobility deletes a mobility override and reports whether it existed.
+func (f *FIB) RemoveMobility(dir Direction, in ingress, tag packet.Tag, loc packet.Addr) bool {
+	k := mobKey{ctxKey{in, tag, dir}, loc}
+	_, had := f.mob[k]
+	delete(f.mob, k)
+	return had
 }
 
-// LookupMobility checks the mobility overrides for an exact (tag, LocIP).
-func (f *FIB) LookupMobility(dir Direction, tag packet.Tag, loc packet.Addr) (NextHop, bool) {
-	t := f.mob[tagKey{dir, tag}]
-	if t == nil {
-		return NextHop{Node: topo.None, MB: NoMB}, false
+// LookupMobility checks the mobility overrides of exactly the (dir, in,
+// tag) context for loc; it does not fall through to the unqualified one.
+func (f *FIB) LookupMobility(dir Direction, in ingress, tag packet.Tag, loc packet.Addr) (NextHop, bool) {
+	if nh, ok := f.mob[mobKey{ctxKey{in, tag, dir}, loc}]; ok {
+		return nh, true
 	}
-	return t.Lookup(packet.Prefix{Addr: loc, Len: 32})
-}
-
-// NumRules counts installed TCAM entries across all contexts and bands.
-func (f *FIB) NumRules() int {
-	n := 0
-	for _, st := range f.main {
-		if st.prefix != nil {
-			n += st.prefix.Count()
-		}
-		if st.hasDef {
-			n++
-		}
-	}
-	for _, st := range f.mb {
-		if st.prefix != nil {
-			n += st.prefix.Count()
-		}
-		if st.hasDef {
-			n++
-		}
-	}
-	for _, st := range f.port {
-		if st.prefix != nil {
-			n += st.prefix.Count()
-		}
-		if st.hasDef {
-			n++
-		}
-	}
-	for _, t := range f.loc {
-		n += t.Count()
-	}
-	for _, t := range f.mbLoc {
-		n += t.Count()
-	}
-	for _, t := range f.mob {
-		n += t.Count()
-	}
-	for _, t := range f.mobMB {
-		n += t.Count()
-	}
-	return n
+	return NextHop{Node: topo.None, MB: NoMB}, false
 }
 
 // RuleBreakdown reports entries by SoftCell rule type: Type 1 (tag+prefix,
 // including in-port-qualified and middlebox-return rules), Type 2
 // (tag-only), Type 3 (location), and mobility overrides.
 func (f *FIB) RuleBreakdown() (tagPrefix, tagOnly, location, mobility int) {
-	for _, st := range f.main {
+	for _, st := range f.rules {
 		if st.prefix != nil {
-			tagPrefix += st.prefix.Count()
-		}
-		if st.hasDef {
-			tagOnly++
-		}
-	}
-	for _, st := range f.mb {
-		if st.prefix != nil {
-			tagPrefix += st.prefix.Count()
-		}
-		if st.hasDef {
-			tagOnly++
-		}
-	}
-	for _, st := range f.port {
-		if st.prefix != nil {
-			tagPrefix += st.prefix.Count()
+			tagPrefix += st.prefix.count
 		}
 		if st.hasDef {
 			tagOnly++
 		}
 	}
 	for _, t := range f.loc {
-		location += t.Count()
+		location += t.count
 	}
-	for _, t := range f.mbLoc {
-		location += t.Count()
-	}
-	for _, t := range f.mob {
-		mobility += t.Count()
-	}
-	for _, t := range f.mobMB {
-		mobility += t.Count()
-	}
-	return
+	return tagPrefix, tagOnly, location, len(f.mob)
+}
+
+// NumRules counts installed TCAM entries across all contexts and bands.
+func (f *FIB) NumRules() int {
+	a, b, c, d := f.RuleBreakdown()
+	return a + b + c + d
 }
 
 // RecentTags returns up to max of the most recently introduced tags here.
@@ -658,50 +503,12 @@ func (f *FIB) RecentTags(max int) []packet.Tag {
 	return f.recentTags[len(f.recentTags)-max:]
 }
 
-// DebugComposition reports rule counts by context for diagnostics: main
-// trie entries, tag defaults, middlebox-context entries, port-context
-// entries, location entries, and how many distinct tags hold state here.
-func (f *FIB) DebugComposition() (mainTrie, defs, mbRules, portRules, locRules, tags int) {
-	for _, st := range f.main {
-		if st.prefix != nil {
-			mainTrie += st.prefix.Count()
-		}
-		if st.hasDef {
-			defs++
-		}
-	}
-	for _, st := range f.mb {
-		if st.prefix != nil {
-			mbRules += st.prefix.Count()
-		}
-		if st.hasDef {
-			mbRules++
-		}
-	}
-	for _, st := range f.port {
-		if st.prefix != nil {
-			portRules += st.prefix.Count()
-		}
-		if st.hasDef {
-			portRules++
-		}
-	}
-	for _, t := range f.loc {
-		locRules += t.Count()
-	}
-	for _, t := range f.mbLoc {
-		locRules += t.Count()
-	}
-	tags = len(f.seen)
-	return
-}
-
 // ExportedRule is one abstract FIB entry flattened for materialisation into
 // a concrete switch table (internal/dataplane).
 type ExportedRule struct {
 	Dir    Direction
 	Band   RuleBand
-	Tag    packet.Tag        // 0 for location/mobility bands
+	Tag    packet.Tag        // 0 for the location bands
 	Prefix packet.Prefix     // zero value (len 0) for tag-only defaults
 	FromMB topo.MBInstanceID // NoMB unless a middlebox-return rule
 	From   topo.NodeID       // topo.None unless an in-port-qualified rule
@@ -716,79 +523,47 @@ const (
 	BandLocation  RuleBand = iota // Type 3
 	BandTagOnly                   // Type 2
 	BandTagPrefix                 // Type 1
-	BandPort                      // in-port-qualified Type 1
+	BandPort                      // in-port-qualified rules
 	BandMBLoc                     // middlebox-return location
 	BandMBTag                     // middlebox-return tag rules
 	BandMobility                  // /32 overrides
 )
 
+// bandOf places a rule of the unqualified band 'kind' (BandLocation,
+// BandTagOnly, BandTagPrefix or BandMobility) that sits in context 'in':
+// every qualified context outranks the unqualified one it falls through to,
+// and mobility overrides outrank everything.
+func bandOf(kind RuleBand, in ingress) RuleBand {
+	switch {
+	case kind == BandMobility || in == anyPort:
+		return kind
+	case in.mb == NoMB:
+		return BandPort
+	case kind == BandLocation:
+		return BandMBLoc
+	default:
+		return BandMBTag
+	}
+}
+
 // Export visits every installed rule of this FIB.
 func (f *FIB) Export(visit func(ExportedRule)) {
-	for k, st := range f.main {
+	emit := func(kind RuleBand, k ctxKey, p packet.Prefix, nh NextHop) {
+		visit(ExportedRule{Dir: k.dir, Band: bandOf(kind, k.in), Tag: k.tag,
+			Prefix: p, FromMB: k.in.mb, From: k.in.node, NH: nh})
+	}
+	for k, st := range f.rules {
 		if st.hasDef {
-			visit(ExportedRule{Dir: k.dir, Band: BandTagOnly, Tag: k.tag,
-				FromMB: NoMB, From: topo.None, NH: st.def})
+			emit(BandTagOnly, k, packet.Prefix{}, st.def)
 		}
 		if st.prefix != nil {
-			dir, tag := k.dir, k.tag
-			st.prefix.Walk(func(p packet.Prefix, nh NextHop) {
-				visit(ExportedRule{Dir: dir, Band: BandTagPrefix, Tag: tag,
-					Prefix: p, FromMB: NoMB, From: topo.None, NH: nh})
-			})
+			st.prefix.Walk(func(p packet.Prefix, nh NextHop) { emit(BandTagPrefix, k, p, nh) })
 		}
 	}
-	for k, st := range f.port {
-		if st.hasDef {
-			visit(ExportedRule{Dir: k.dir, Band: BandPort, Tag: k.tag,
-				FromMB: NoMB, From: k.from, NH: st.def})
-		}
-		if st.prefix != nil {
-			dir, tag, from := k.dir, k.tag, k.from
-			st.prefix.Walk(func(p packet.Prefix, nh NextHop) {
-				visit(ExportedRule{Dir: dir, Band: BandPort, Tag: tag,
-					Prefix: p, FromMB: NoMB, From: from, NH: nh})
-			})
-		}
+	for k, tr := range f.loc {
+		tr.Walk(func(p packet.Prefix, nh NextHop) { emit(BandLocation, k, p, nh) })
 	}
-	for k, st := range f.mb {
-		if st.hasDef {
-			visit(ExportedRule{Dir: k.dir, Band: BandMBTag, Tag: k.tag,
-				FromMB: k.mb, From: topo.None, NH: st.def})
-		}
-		if st.prefix != nil {
-			dir, tag, mb := k.dir, k.tag, k.mb
-			st.prefix.Walk(func(p packet.Prefix, nh NextHop) {
-				visit(ExportedRule{Dir: dir, Band: BandMBTag, Tag: tag,
-					Prefix: p, FromMB: mb, From: topo.None, NH: nh})
-			})
-		}
-	}
-	for k, tr := range f.mbLoc {
-		dir, mb := k.dir, k.mb
-		tr.Walk(func(p packet.Prefix, nh NextHop) {
-			visit(ExportedRule{Dir: dir, Band: BandMBLoc, Prefix: p,
-				FromMB: mb, From: topo.None, NH: nh})
-		})
-	}
-	for dir, tr := range f.loc {
-		d := dir
-		tr.Walk(func(p packet.Prefix, nh NextHop) {
-			visit(ExportedRule{Dir: d, Band: BandLocation, Prefix: p,
-				FromMB: NoMB, From: topo.None, NH: nh})
-		})
-	}
-	for k, tr := range f.mob {
-		d, tag := k.dir, k.tag
-		tr.Walk(func(p packet.Prefix, nh NextHop) {
-			visit(ExportedRule{Dir: d, Band: BandMobility, Tag: tag, Prefix: p,
-				FromMB: NoMB, From: topo.None, NH: nh})
-		})
-	}
-	for k, tr := range f.mobMB {
-		d, mb, tag := k.dir, k.mb, k.tag
-		tr.Walk(func(p packet.Prefix, nh NextHop) {
-			visit(ExportedRule{Dir: d, Band: BandMobility, Tag: tag, Prefix: p,
-				FromMB: mb, From: topo.None, NH: nh})
-		})
+	for k, nh := range f.mob {
+		emit(BandMobility, k.ctx, packet.Prefix{Addr: k.loc, Len: 32}, nh)
 	}
 }

@@ -146,30 +146,30 @@ func TestFIBDefaultsAndOverrides(t *testing.T) {
 	f := NewFIB(0)
 	p1 := pfx(packet.AddrFrom4(10, 0, 16, 0), 20)
 	p2 := pfx(packet.AddrFrom4(10, 0, 32, 0), 20)
-	if _, ok := f.GetNextHop(Down, 5, p1); ok {
+	if _, ok := f.GetNextHop(Down, anyPort, 5, p1); ok {
 		t.Fatal("empty FIB should miss")
 	}
-	if d := f.SetDefault(Down, 5, ToNode(1)); d != 1 {
+	if d := f.SetDefault(Down, anyPort, 5, ToNode(1)); d != 1 {
 		t.Fatalf("default delta = %d", d)
 	}
-	if d := f.SetDefault(Down, 5, ToNode(1)); d != 0 {
+	if d := f.SetDefault(Down, anyPort, 5, ToNode(1)); d != 0 {
 		t.Fatalf("re-set default delta = %d", d)
 	}
-	if nh, ok := f.GetNextHop(Down, 5, p1); !ok || nh.Node != 1 {
+	if nh, ok := f.GetNextHop(Down, anyPort, 5, p1); !ok || nh.Node != 1 {
 		t.Fatalf("default lookup = %v %v", nh, ok)
 	}
-	f.InsertPrefix(Down, 5, p2, ToNode(2))
-	if nh, _ := f.GetNextHop(Down, 5, p2); nh.Node != 2 {
+	f.InsertPrefix(Down, anyPort, 5, p2, ToNode(2), true)
+	if nh, _ := f.GetNextHop(Down, anyPort, 5, p2); nh.Node != 2 {
 		t.Fatal("prefix override should win")
 	}
-	if nh, _ := f.GetNextHop(Down, 5, p1); nh.Node != 1 {
+	if nh, _ := f.GetNextHop(Down, anyPort, 5, p1); nh.Node != 1 {
 		t.Fatal("other prefixes keep the default")
 	}
 	// Direction and tag isolation.
-	if _, ok := f.GetNextHop(Up, 5, p1); ok {
+	if _, ok := f.GetNextHop(Up, anyPort, 5, p1); ok {
 		t.Fatal("directions must be isolated")
 	}
-	if _, ok := f.GetNextHop(Down, 6, p1); ok {
+	if _, ok := f.GetNextHop(Down, anyPort, 6, p1); ok {
 		t.Fatal("tags must be isolated")
 	}
 	if f.NumRules() != 2 {
@@ -180,22 +180,22 @@ func TestFIBDefaultsAndOverrides(t *testing.T) {
 func TestFIBMBContextFallback(t *testing.T) {
 	f := NewFIB(0)
 	p := pfx(packet.AddrFrom4(10, 0, 16, 0), 20)
-	f.SetDefault(Down, 3, ToMB(9))
+	f.SetDefault(Down, anyPort, 3, ToMB(9))
 	// Without an in-port rule, traffic returning from mb 9 falls through to
 	// the main rule — which sends it back into the box.
-	if nh, ok := f.GetNextHopFromMB(Down, 9, 3, p); !ok || nh.MB != 9 {
+	if nh, ok := f.GetNextHop(Down, fromMB(9), 3, p); !ok || nh.MB != 9 {
 		t.Fatalf("fallback = %v %v", nh, ok)
 	}
-	f.SetMBDefault(Down, 9, 3, ToNode(4))
-	if nh, _ := f.GetNextHopFromMB(Down, 9, 3, p); nh.Node != 4 {
+	f.SetDefault(Down, fromMB(9), 3, ToNode(4))
+	if nh, _ := f.GetNextHop(Down, fromMB(9), 3, p); nh.Node != 4 {
 		t.Fatal("in-port rule should win")
 	}
 	// Main context unaffected.
-	if nh, _ := f.GetNextHop(Down, 3, p); nh.MB != 9 {
+	if nh, _ := f.GetNextHop(Down, anyPort, 3, p); nh.MB != 9 {
 		t.Fatal("main context changed")
 	}
-	f.InsertMBPrefix(Down, 9, 3, p, ToNode(5))
-	if nh, _ := f.GetNextHopFromMB(Down, 9, 3, p); nh.Node != 5 {
+	f.InsertPrefix(Down, fromMB(9), 3, p, ToNode(5), true)
+	if nh, _ := f.GetNextHop(Down, fromMB(9), 3, p); nh.Node != 5 {
 		t.Fatal("in-port prefix rule should win over in-port default")
 	}
 	if f.NumRules() != 3 {
@@ -206,17 +206,17 @@ func TestFIBMBContextFallback(t *testing.T) {
 func TestFIBMobility(t *testing.T) {
 	f := NewFIB(0)
 	loc := packet.AddrFrom4(10, 0, 16, 10)
-	if _, ok := f.LookupMobility(Down, 3, loc); ok {
+	if _, ok := f.LookupMobility(Down, anyPort, 3, loc); ok {
 		t.Fatal("no mobility rule yet")
 	}
-	f.InsertMobility(Down, 3, loc, ToNode(8))
-	if nh, ok := f.LookupMobility(Down, 3, loc); !ok || nh.Node != 8 {
+	f.InsertMobility(Down, anyPort, 3, loc, ToNode(8))
+	if nh, ok := f.LookupMobility(Down, anyPort, 3, loc); !ok || nh.Node != 8 {
 		t.Fatalf("mobility lookup = %v %v", nh, ok)
 	}
-	if _, ok := f.LookupMobility(Down, 3, loc+1); ok {
+	if _, ok := f.LookupMobility(Down, anyPort, 3, loc+1); ok {
 		t.Fatal("mobility rules are exact /32")
 	}
-	if _, ok := f.LookupMobility(Down, 4, loc); ok {
+	if _, ok := f.LookupMobility(Down, anyPort, 4, loc); ok {
 		t.Fatal("mobility rules are tag-qualified")
 	}
 	_, _, _, mob := f.RuleBreakdown()
@@ -228,10 +228,10 @@ func TestFIBMobility(t *testing.T) {
 func TestFIBRuleBreakdown(t *testing.T) {
 	f := NewFIB(0)
 	p := pfx(packet.AddrFrom4(10, 0, 16, 0), 20)
-	f.SetDefault(Down, 1, ToNode(1))
-	f.InsertPrefix(Down, 1, p, ToNode(2))
-	f.SetMBDefault(Up, 3, 1, ToNode(4))
-	f.InsertMobility(Up, 9, packet.AddrFrom4(10, 0, 16, 9), ToNode(5))
+	f.SetDefault(Down, anyPort, 1, ToNode(1))
+	f.InsertPrefix(Down, anyPort, 1, p, ToNode(2), true)
+	f.SetDefault(Up, fromMB(3), 1, ToNode(4))
+	f.InsertMobility(Up, anyPort, 9, packet.AddrFrom4(10, 0, 16, 9), ToNode(5))
 	tp, to, loc, mob := f.RuleBreakdown()
 	if tp != 1 || to != 2 || loc != 0 || mob != 1 {
 		t.Fatalf("breakdown = %d %d %d %d", tp, to, loc, mob)
@@ -244,7 +244,7 @@ func TestFIBRuleBreakdown(t *testing.T) {
 func TestFIBRecentTags(t *testing.T) {
 	f := NewFIB(0)
 	for tag := packet.Tag(1); tag <= 5; tag++ {
-		f.SetDefault(Down, tag, ToNode(1))
+		f.SetDefault(Down, anyPort, tag, ToNode(1))
 	}
 	all := f.RecentTags(0)
 	if len(all) != 5 {
@@ -255,7 +255,7 @@ func TestFIBRecentTags(t *testing.T) {
 		t.Fatalf("last 2 = %v", last2)
 	}
 	// Duplicate introduction does not duplicate the tag list.
-	f.InsertPrefix(Down, 5, pfx(0, 20), ToNode(2))
+	f.InsertPrefix(Down, anyPort, 5, pfx(0, 20), ToNode(2), true)
 	if len(f.RecentTags(0)) != 5 {
 		t.Fatal("tag list should not duplicate")
 	}
@@ -273,5 +273,166 @@ func TestNextHopHelpers(t *testing.T) {
 	}
 	if Down.String() != "down" || Up.String() != "up" {
 		t.Fatal("direction strings")
+	}
+}
+
+// nodes counts the trie's allocated nodes, root included.
+func (t *prefixTrie) nodes() int {
+	var rec func(n *trieNode) int
+	rec = func(n *trieNode) int {
+		if n == nil {
+			return 0
+		}
+		return 1 + rec(n.child[0]) + rec(n.child[1])
+	}
+	return rec(t.root)
+}
+
+// TestFIBPrecedence walks the one lookup ladder over every cell of
+// {any, from-MB, from-port} x {tag+prefix, tag-only, location, mobility}:
+// which cell answers, what it falls through to once removed, that qualified
+// contexts are invisible to every other ingress, and the band each cell
+// exports in (dataplane.bandPriority turns bands into TCAM priorities).
+func TestFIBPrecedence(t *testing.T) {
+	const tag = packet.Tag(5)
+	p := pfx(packet.AddrFrom4(10, 0, 16, 0), 20)
+	loc := packet.AddrFrom4(10, 0, 16, 10)
+	ingresses := []ingress{anyPort, fromMB(9), fromPort(7)}
+	type cell struct {
+		in   int // index into ingresses
+		kind RuleBand
+	}
+	// Each cell forwards to its own neighbor so the answer names the cell.
+	hop := func(c cell) NextHop { return ToNode(topo.NodeID(100 + 10*c.in + int(c.kind))) }
+	install := func(f *FIB, c cell) {
+		in := ingresses[c.in]
+		switch c.kind {
+		case BandTagPrefix:
+			f.InsertPrefix(Down, in, tag, p, hop(c), true)
+		case BandTagOnly:
+			f.SetDefault(Down, in, tag, hop(c))
+		case BandLocation:
+			f.InsertLocation(Down, in, p, hop(c))
+		case BandMobility:
+			f.InsertMobility(Down, in, tag, loc, hop(c))
+		}
+	}
+	ladder := []RuleBand{BandTagPrefix, BandTagOnly, BandLocation}
+
+	for i, in := range ingresses {
+		// The rungs a lookup through 'in' may be answered by, best first:
+		// its own context, then the unqualified one.
+		rungs := []cell{}
+		for _, k := range ladder {
+			rungs = append(rungs, cell{i, k})
+		}
+		if in != anyPort {
+			for _, k := range ladder {
+				rungs = append(rungs, cell{0, k})
+			}
+		}
+		// Peel the rungs off one at a time; the other qualified contexts
+		// stay fully populated throughout and must never answer.
+		for skip := 0; skip <= len(rungs); skip++ {
+			f := NewFIB(0)
+			for j := range ingresses {
+				if j != i && j != 0 {
+					for _, k := range ladder {
+						install(f, cell{j, k})
+					}
+				}
+			}
+			for _, c := range rungs[skip:] {
+				install(f, c)
+			}
+			nh, ok := f.GetNextHop(Down, in, tag, p)
+			if skip == len(rungs) {
+				if ok {
+					t.Errorf("ingress %v, nothing of its own or unqualified installed: got %v, want a miss", in, nh)
+				}
+				continue
+			}
+			if want := hop(rungs[skip]); !ok || nh != want {
+				t.Errorf("ingress %v, top rung %+v: got %v %v, want %v", in, rungs[skip], nh, ok, want)
+			}
+			// The other direction sees none of it; another tag sees only
+			// the tag-independent location rungs.
+			if nh, ok := f.GetNextHop(Up, in, tag, p); ok {
+				t.Errorf("ingress %v: upstream lookup answered %v", in, nh)
+			}
+			wantOther, wantOK := NextHop{}, false
+			for _, c := range rungs[skip:] {
+				if c.kind == BandLocation {
+					wantOther, wantOK = hop(c), true
+					break
+				}
+			}
+			if nh, ok := f.GetNextHop(Down, in, tag+1, p); ok != wantOK || (ok && nh != wantOther) {
+				t.Errorf("ingress %v, top rung %+v, other tag: got %v %v, want %v %v", in, rungs[skip], nh, ok, wantOther, wantOK)
+			}
+		}
+	}
+
+	// Mobility overrides are exact on ingress and outside GetNextHop.
+	for i, in := range ingresses {
+		f := NewFIB(0)
+		install(f, cell{i, BandMobility})
+		if _, ok := f.GetNextHop(Down, in, tag, pfx(loc, 32)); ok {
+			t.Errorf("ingress %v: GetNextHop consulted the mobility table", in)
+		}
+		for j, other := range ingresses {
+			nh, ok := f.LookupMobility(Down, other, tag, loc)
+			if ok != (i == j) || (ok && nh != hop(cell{i, BandMobility})) {
+				t.Errorf("override installed at %v, looked up through %v: %v %v", in, other, nh, ok)
+			}
+		}
+		if !f.RemoveMobility(Down, in, tag, loc) || f.RemoveMobility(Down, in, tag, loc) {
+			t.Errorf("ingress %v: RemoveMobility must succeed exactly once", in)
+		}
+		if len(f.mob) != 0 || f.NumRules() != 0 {
+			t.Errorf("ingress %v: removal left %d tries, %d rules", in, len(f.mob), f.NumRules())
+		}
+	}
+
+	// Every cell at once: counts and export bands.
+	f := NewFIB(0)
+	wantBand := map[cell]RuleBand{
+		{0, BandTagPrefix}: BandTagPrefix, {0, BandTagOnly}: BandTagOnly, {0, BandLocation}: BandLocation,
+		{1, BandTagPrefix}: BandMBTag, {1, BandTagOnly}: BandMBTag, {1, BandLocation}: BandMBLoc,
+		{2, BandTagPrefix}: BandPort, {2, BandTagOnly}: BandPort, {2, BandLocation}: BandPort,
+		{0, BandMobility}: BandMobility, {1, BandMobility}: BandMobility, {2, BandMobility}: BandMobility,
+	}
+	byHop := map[NextHop]cell{}
+	for c := range wantBand {
+		install(f, c)
+		byHop[hop(c)] = c
+	}
+	if tp, to, lc, mob := f.RuleBreakdown(); tp != 3 || to != 3 || lc != 3 || mob != 3 || f.NumRules() != 12 {
+		t.Fatalf("breakdown = %d %d %d %d, NumRules = %d", tp, to, lc, mob, f.NumRules())
+	}
+	seen := 0
+	f.Export(func(r ExportedRule) {
+		seen++
+		c, known := byHop[r.NH]
+		if !known {
+			t.Fatalf("exported an unknown rule %+v", r)
+		}
+		in := ingresses[c.in]
+		wantTag, wantPfx := tag, p
+		switch c.kind {
+		case BandLocation:
+			wantTag = 0
+		case BandTagOnly:
+			wantPfx = packet.Prefix{}
+		case BandMobility:
+			wantPfx = pfx(loc, 32)
+		}
+		if r.Band != wantBand[c] || r.FromMB != in.mb || r.From != in.node ||
+			r.Dir != Down || r.Tag != wantTag || r.Prefix != wantPfx {
+			t.Errorf("cell %+v exported as %+v, want band %d", c, r, wantBand[c])
+		}
+	})
+	if seen != 12 {
+		t.Fatalf("exported %d rules, want 12", seen)
 	}
 }

@@ -8,61 +8,6 @@ import (
 	"repro/internal/topo"
 )
 
-// Remove deletes the exact entry for p, if present. Entries merged into
-// shorter blocks cannot be removed individually; mobility rules are
-// installed unmerged for exactly this reason.
-func (t *prefixTrie) Remove(p packet.Prefix) bool {
-	n := t.node(p, false)
-	if n == nil || !n.set {
-		return false
-	}
-	n.set = false
-	t.count--
-	return true
-}
-
-// RemoveMobility deletes a /32 mobility override for one tag.
-func (f *FIB) RemoveMobility(dir Direction, tag packet.Tag, loc packet.Addr) bool {
-	t := f.mob[tagKey{dir, tag}]
-	if t == nil {
-		return false
-	}
-	return t.Remove(packet.Prefix{Addr: loc, Len: 32})
-}
-
-// insertMobilityNoAgg installs an unmerged /32 override (so a later removal
-// is exact).
-func (f *FIB) insertMobilityNoAgg(dir Direction, tag packet.Tag, loc packet.Addr, nh NextHop) int {
-	k := tagKey{dir, tag}
-	t := f.mob[k]
-	if t == nil {
-		t = newPrefixTrie()
-		f.mob[k] = t
-	}
-	return insertNoAgg(t, packet.Prefix{Addr: loc, Len: 32}, nh)
-}
-
-// insertMobilityFromMB installs a branch-switch override that applies only
-// to traffic returning from the given middlebox with the given tag.
-func (f *FIB) insertMobilityFromMB(dir Direction, mb topo.MBInstanceID, tag packet.Tag, loc packet.Addr, nh NextHop) int {
-	k := mbCtx{dir, mb, tag}
-	t := f.mobMB[k]
-	if t == nil {
-		t = newPrefixTrie()
-		f.mobMB[k] = t
-	}
-	return insertNoAgg(t, packet.Prefix{Addr: loc, Len: 32}, nh)
-}
-
-// removeMobilityFromMB deletes a branch-switch override.
-func (f *FIB) removeMobilityFromMB(dir Direction, mb topo.MBInstanceID, tag packet.Tag, loc packet.Addr) bool {
-	t := f.mobMB[mbCtx{dir, mb, tag}]
-	if t == nil {
-		return false
-	}
-	return t.Remove(packet.Prefix{Addr: loc, Len: 32})
-}
-
 // Shortcut records the temporary mobility overrides installed for one moved
 // UE along one old policy path (§5.1: "the controller can establish
 // temporary shortcut paths ... removed when a soft timeout expires").
@@ -90,7 +35,8 @@ type Shortcut struct {
 // shortcuts bypass the old path's remaining switches, including any
 // tag-swap rules, so the rewrite must happen here. When the branch switch
 // hosts the path's last middlebox, the entries are qualified by its return
-// port so traffic still enters the box before taking the shortcut. Only the
+// port (fromMB(NoMB) is anyPort, the middlebox-free path's gateway branch)
+// so traffic still enters the box before taking the shortcut. Only the
 // DOWNSTREAM direction gets shortcut state (§5.1: shortcuts direct
 // "incoming packets"); upstream old flows triangle-route through the
 // inter-station tunnel to their origin station, where the old path's rules
@@ -106,14 +52,10 @@ func (in *Installer) InstallShortcut(loc packet.Addr, route []topo.NodeID, branc
 	rules := 0
 	first := NextHop{Node: route[1], MB: NoMB, NewTag: delivery}
 	for _, t := range pathTags {
-		if branchMB != NoMB {
-			rules += in.fibs[route[0]].insertMobilityFromMB(Down, branchMB, t, loc, first)
-		} else {
-			rules += in.fibs[route[0]].insertMobilityNoAgg(Down, t, loc, first)
-		}
+		rules += in.fibs[route[0]].InsertMobility(Down, fromMB(branchMB), t, loc, first)
 	}
 	for i := 1; i < len(route)-1; i++ {
-		rules += in.fibs[route[i]].insertMobilityNoAgg(Down, delivery, loc, ToNode(route[i+1]))
+		rules += in.fibs[route[i]].InsertMobility(Down, anyPort, delivery, loc, ToNode(route[i+1]))
 	}
 	in.stats.Rules += rules
 	h, canon := in.seqs.acquire(route)
@@ -131,16 +73,12 @@ func (in *Installer) InstallShortcut(loc packet.Addr, route []topo.NodeID, branc
 func (in *Installer) RemoveShortcut(sc *Shortcut) int {
 	removed := 0
 	for _, t := range sc.PathTags {
-		if sc.BranchMB != NoMB {
-			if in.fibs[sc.Route[0]].removeMobilityFromMB(Down, sc.BranchMB, t, sc.Loc) {
-				removed++
-			}
-		} else if in.fibs[sc.Route[0]].RemoveMobility(Down, t, sc.Loc) {
+		if in.fibs[sc.Route[0]].RemoveMobility(Down, fromMB(sc.BranchMB), t, sc.Loc) {
 			removed++
 		}
 	}
 	for i := 1; i < len(sc.Route)-1; i++ {
-		if in.fibs[sc.Route[i]].RemoveMobility(Down, sc.Delivery, sc.Loc) {
+		if in.fibs[sc.Route[i]].RemoveMobility(Down, anyPort, sc.Delivery, sc.Loc) {
 			removed++
 		}
 	}

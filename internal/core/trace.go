@@ -48,37 +48,27 @@ func (in *Installer) TraceDeliver(dir Direction, from topo.NodeID, tag packet.Ta
 		}
 	}
 	cur := from
-	ctx := NoMB
-	inFrom := topo.None // arrival port: Internet/UE side at the entry switch
+	arrived := anyPort // Internet/UE side at the entry switch
 	var events []TraceEvent
 	events = append(events, TraceEvent{Switch: cur, MB: NoMB})
 	for hops := 0; hops < 4*len(in.T.Nodes)+16; hops++ {
-		if dir == Down && ctx == NoMB && (cur == deliverAt || (also != topo.None && cur == also)) {
+		if dir == Down && arrived.mb == NoMB && (cur == deliverAt || (also != topo.None && cur == also)) {
 			return events, cur, nil
 		}
 		f := in.fibs[cur]
-		var nh NextHop
-		var ok bool
 		// Mobility overrides outrank policy rules (priority band, §3.1
-		// "UE mobility"); at a shortcut's branch switch the override is
-		// qualified by the middlebox return port.
-		if ctx == NoMB {
-			nh, ok = f.LookupMobility(dir, tag, loc)
-		} else {
-			nh, ok = f.LookupMobilityFromMB(dir, ctx, tag, loc)
-		}
+		// "UE mobility"). None is qualified by a neighbor port: a shortcut's
+		// branch switch matches the middlebox return port, its route
+		// switches any port (fromMB(NoMB) is anyPort).
+		nh, ok := f.LookupMobility(dir, fromMB(arrived.mb), tag, loc)
 		if !ok {
-			if ctx != NoMB {
-				nh, ok = f.GetNextHopFromMB(dir, ctx, tag, bsPfx)
-			} else {
-				nh, ok = f.GetNextHopVia(dir, inFrom, tag, bsPfx)
-			}
+			nh, ok = f.GetNextHop(dir, arrived, tag, bsPfx)
 		}
 		if !ok {
 			return events, cur, nil
 		}
 		if nh.MB != NoMB {
-			if nh.MB == ctx {
+			if nh.MB == arrived.mb {
 				// Returning traffic would re-enter the same box: the main
 				// rule matched because no onward rule exists. This is the
 				// delivery point (access switches deliver via microflows
@@ -89,7 +79,7 @@ func (in *Installer) TraceDeliver(dir Direction, from topo.NodeID, tag packet.Ta
 				tag = nh.NewTag
 			}
 			events = append(events, TraceEvent{Switch: cur, MB: nh.MB})
-			ctx = nh.MB
+			arrived = fromMB(nh.MB)
 			continue
 		}
 		if nh.IsExit() || nh.IsDeliver() {
@@ -100,9 +90,8 @@ func (in *Installer) TraceDeliver(dir Direction, from topo.NodeID, tag packet.Ta
 		if nh.NewTag != 0 {
 			tag = nh.NewTag
 		}
-		inFrom = cur
+		arrived = fromPort(cur)
 		cur = nh.Node
-		ctx = NoMB
 		events = append(events, TraceEvent{Switch: cur, MB: NoMB})
 	}
 	return events, cur, fmt.Errorf("core: trace exceeded hop budget (forwarding loop?)")

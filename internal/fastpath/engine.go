@@ -37,9 +37,6 @@ type NetConfig struct {
 	// SlowExit forces PortExit verdicts to the slow path (the dataplane
 	// sets it when a gateway NAT must translate exiting packets).
 	SlowExit bool
-	// MaxHops bounds a packet's walk; 0 means the dataplane's budget,
-	// 4*len(Switches)+32.
-	MaxHops int
 	// Obs, when non-nil, registers fast-path telemetry. nil runs
 	// uninstrumented at zero cost.
 	Obs *obs.Registry
@@ -65,12 +62,8 @@ func NewNet(cfg NetConfig) *Net {
 		links:    cfg.Links,
 		tunnels:  cfg.Tunnels,
 		slowExit: cfg.SlowExit,
+		maxHops:  int32(4*len(cfg.Switches) + 32), // the dataplane's walk budget
 		o:        newFPObs(cfg.Obs),
-	}
-	if cfg.MaxHops > 0 {
-		n.maxHops = int32(cfg.MaxHops)
-	} else {
-		n.maxHops = int32(4*len(cfg.Switches) + 32)
 	}
 	n.fibs = make([]*FIB, len(cfg.Switches))
 	for i, sw := range cfg.Switches {

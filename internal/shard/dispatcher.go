@@ -23,8 +23,6 @@ type Config struct {
 
 	// Shards is the partition width (default 1).
 	Shards int
-	// VNodes is the ring's virtual-node count per shard (default 128).
-	VNodes int
 	// QueueLen bounds the operations inside each shard at once (default
 	// 1024): admission sheds against this occupancy, and at the bound a
 	// caller blocks until another finishes instead of piling on.
@@ -56,9 +54,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = 1
-	}
-	if c.VNodes <= 0 {
-		c.VNodes = DefaultVNodes
 	}
 	if c.QueueLen <= 0 {
 		c.QueueLen = 1024
@@ -136,7 +131,7 @@ func New(cfg Config) (*Dispatcher, error) {
 	for i := range ids {
 		ids[i] = i
 	}
-	ring := NewRing(cfg.VNodes, ids...)
+	ring := NewRing(DefaultVNodes, ids...)
 	stations := make([]packet.BSID, 0, len(cfg.Topology.Stations))
 	for _, st := range cfg.Topology.Stations {
 		stations = append(stations, st.ID)

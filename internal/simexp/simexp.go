@@ -8,7 +8,6 @@ package simexp
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -51,9 +50,6 @@ type Params struct {
 	// CountAccessSwitches includes software access switches in the reported
 	// summary (off by default: Fig. 7 is about hardware TCAMs).
 	CountAccessSwitches bool
-
-	// Debug prints the five fullest switches.
-	Debug bool
 
 	// Now, when set, supplies the timestamps behind Result.Elapsed (callers
 	// that want wall-clock timing pass time.Now). The simulation itself is a
@@ -223,20 +219,6 @@ func Run(p Params) (Result, error) {
 	summary := hw
 	if p.CountAccessSwitches {
 		summary.Merge(sw)
-	}
-	if p.Debug {
-		type nr struct{ n, r int }
-		var all []nr
-		for i := range g.Nodes {
-			all = append(all, nr{i, inst.FIB(topo.NodeID(i)).NumRules()})
-		}
-		sort.Slice(all, func(a, b int) bool { return all[a].r > all[b].r })
-		for i := 0; i < 5 && i < len(all); i++ {
-			nd := g.Nodes[all[i].n]
-			mt, df, mb, pt, lc, tg := inst.FIB(topo.NodeID(all[i].n)).DebugComposition()
-			fmt.Printf("  top%d: %s (%s) rules=%d mainTrie=%d defs=%d mb=%d port=%d loc=%d tags=%d\n",
-				i, nd.Name, nd.Kind, all[i].r, mt, df, mb, pt, lc, tg)
-		}
 	}
 	tp, to, loc, _ := inst.RuleTypeTotals()
 	st := inst.Stats()

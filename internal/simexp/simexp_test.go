@@ -1,6 +1,7 @@
 package simexp
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -179,3 +180,39 @@ func TestSweepDriversScaleDown(t *testing.T) {
 }
 
 func newTestRng() *rand.Rand { return rand.New(rand.NewSource(9)) }
+
+// TestGoldenRuleCounts pins Algorithm 1's output on one fixed point, recorded
+// at commit 3aeb1fa. TestRunDeterministic only compares a run with itself;
+// this catches a change of representation that changes what gets installed.
+func TestGoldenRuleCounts(t *testing.T) {
+	type golden struct {
+		stations, max, median int
+		paths, tags, loops    uint64
+		mean                  string
+		tagPrefix, tagOnly    int
+		location              int
+	}
+	for _, tc := range []struct {
+		name string
+		p    Params
+		want golden
+	}{
+		{"downstream", Params{K: 4, N: 200, M: 4, Seed: 1},
+			golden{stations: 160, max: 1629, median: 494, paths: 32000, tags: 278, loops: 7280,
+				mean: "498.21", tagPrefix: 13094, tagOnly: 2453, location: 894}},
+		{"both directions, access switches counted",
+			Params{K: 4, N: 200, M: 4, Seed: 1, BothDirections: true, CountAccessSwitches: true},
+			golden{stations: 160, max: 3590, median: 4, paths: 32000, tags: 342, loops: 7280,
+				mean: "181.66", tagPrefix: 26942, tagOnly: 6473, location: 942}},
+	} {
+		r, err := Run(tc.p)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got := golden{r.BaseStations, r.Max, r.Median, r.PathsInstalled, r.TagsAllocated, r.LoopsSplit,
+			fmt.Sprintf("%.2f", r.Mean), r.TagPrefixRules, r.TagOnlyRules, r.LocationRules}
+		if got != tc.want {
+			t.Errorf("%s:\n got %+v\nwant %+v", tc.name, got, tc.want)
+		}
+	}
+}

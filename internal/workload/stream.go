@@ -2,12 +2,11 @@ package workload
 
 import "math/rand"
 
-// This file exposes the §6.1 generator as an *event stream* instead of an
-// aggregate simulation: the same seeded model (diurnal curve, station
-// popularity weights, Poisson arrival/handoff/departure/bearer processes),
-// but emitting the concrete per-second events so a live control plane can
-// be driven by them. Generate and Stream share every model constant; a
-// Stream with the same Params draws the same processes.
+// Stream is the §6.1 model itself: the seeded diurnal curve, station
+// popularity weights and Poisson arrival/handoff/departure/bearer
+// processes, emitted as concrete per-second events so a live control plane
+// can be driven by them. Generate is one consumer: it tallies the same
+// events into the Fig. 6 distributions.
 
 // SecondEvents is one simulated second of workload, with stations named by
 // dense index (the city benchmark maps index i to base-station ID i).
@@ -19,8 +18,11 @@ type SecondEvents struct {
 	// Arrivals holds the station index of each UE arrival this second.
 	Arrivals []int
 	// Handoffs holds [src, dst] station-index pairs; the model moves one
-	// active UE from src to its ring neighbour dst.
-	Handoffs [][2]int
+	// active UE from src to its ring neighbour dst. HandoffsDrawn is the
+	// Poisson draw behind them — Fig. 6(a)'s handoff rate — which also
+	// counts draws that found their source station empty and moved nobody.
+	Handoffs      [][2]int
+	HandoffsDrawn int
 	// Departures holds the station index of each session end this second.
 	Departures []int
 	// Bearers[bs] is the number of radio-bearer arrivals at station bs
@@ -38,8 +40,8 @@ type Stream struct {
 	ev     SecondEvents
 }
 
-// NewStream builds a stream with the same defaults and seeded processes as
-// Generate. The model's station populations start empty; call
+// NewStream builds a stream over the default-filled parameters, seeded by
+// p.Seed. The model's station populations start empty; call
 // InitialPopulation to pre-populate to the diurnal steady state (and attach
 // the same UEs in the system under test).
 func NewStream(p Params) *Stream {
@@ -89,8 +91,8 @@ func (s *Stream) Next() *SecondEvents {
 		ev.Arrivals = append(ev.Arrivals, bs)
 	}
 
-	nHO := poisson(s.rng, s.p.PeakHandoffsPerSec*load)
-	for i := 0; i < nHO; i++ {
+	ev.HandoffsDrawn = poisson(s.rng, s.p.PeakHandoffsPerSec*load)
+	for i := 0; i < ev.HandoffsDrawn; i++ {
 		src := s.smp.draw(s.rng)
 		if s.active[src] == 0 {
 			continue

@@ -181,72 +181,29 @@ func (s *sampler) draw(rng *rand.Rand) int {
 	return lo
 }
 
-// Generate runs the simulation and returns the Fig. 6 distributions.
+// Generate runs the model for p.Seconds and returns the Fig. 6
+// distributions. It is a Stream consumer: the stream draws the events, this
+// loop only tallies them.
 func Generate(p Params) *Result {
-	p = p.withDefaults()
-	rng := rand.New(rand.NewSource(p.Seed))
+	s := NewStream(p)
+	p = s.Params()
 	res := &Result{Params: p}
-
-	weights := stationWeights(p.Stations, p.SkewSigma, rng)
-	smp := newSampler(weights)
-	active := make([]int, p.Stations)
-	pDep := 1 / p.MeanSessionSeconds
-
-	// Warm-up: pre-populate to the diurnal steady state at t=0 so the
-	// active-UE distribution does not start empty.
-	meanActive := p.PeakArrivalsPerSec * diurnal(p.StartSecond) * p.MeanSessionSeconds
-	for i := 0; i < int(meanActive); i++ {
-		active[smp.draw(rng)]++
-	}
-
+	s.InitialPopulation()
 	for sec := 0; sec < p.Seconds; sec++ {
-		load := diurnal(p.StartSecond + sec)
-
-		// Network-wide arrivals (Fig. 6(a)).
-		nArr := poisson(rng, p.PeakArrivalsPerSec*load)
-		for i := 0; i < nArr; i++ {
-			active[smp.draw(rng)]++
-		}
-		res.ArrivalsPerSec.Add(float64(nArr))
-		res.TotalArrivals += uint64(nArr)
-
-		// Handoffs move a UE from a busy station to a neighbour.
-		nHO := poisson(rng, p.PeakHandoffsPerSec*load)
-		for i := 0; i < nHO; i++ {
-			src := smp.draw(rng)
-			if active[src] == 0 {
-				continue
-			}
-			dst := (src + 1) % p.Stations
-			active[src]--
-			active[dst]++
-		}
-		res.HandoffsPerSec.Add(float64(nHO))
-		res.TotalHandoffs += uint64(nHO)
-
-		// Departures and bearer arrivals per station.
-		for bs := 0; bs < p.Stations; bs++ {
-			a := active[bs]
-			if a > 0 {
-				// Binomial departures approximated by Poisson thinning.
-				dep := poisson(rng, float64(a)*pDep)
-				if dep > a {
-					dep = a
-				}
-				active[bs] = a - dep
-			}
-			nb := poisson(rng, float64(active[bs])*p.BearersPerUESec*load)
+		ev := s.Next()
+		res.ArrivalsPerSec.Add(float64(len(ev.Arrivals)))
+		res.TotalArrivals += uint64(len(ev.Arrivals))
+		res.HandoffsPerSec.Add(float64(ev.HandoffsDrawn))
+		res.TotalHandoffs += uint64(ev.HandoffsDrawn)
+		for bs, nb := range ev.Bearers {
 			res.BearersPerBSSec.Add(float64(nb))
 			res.TotalBearers += uint64(nb)
-			if active[bs] > res.PeakActive {
-				res.PeakActive = active[bs]
+			if a := s.Active(bs); a > res.PeakActive {
+				res.PeakActive = a
 			}
-		}
-
-		// Sample the per-station population once a simulated minute.
-		if sec%60 == 0 {
-			for bs := 0; bs < p.Stations; bs++ {
-				res.ActiveUEsPerBS.Add(float64(active[bs]))
+			// Sample the per-station population once a simulated minute.
+			if sec%60 == 0 {
+				res.ActiveUEsPerBS.Add(float64(s.Active(bs)))
 			}
 		}
 	}
