@@ -44,11 +44,11 @@ chaos:
 		-json results/BENCH_chaos.json
 
 # cover enforces the checked-in statement-coverage floor for the packages
-# whose invariants the chaos harness leans on. Raise the baseline in
+# whose invariants the chaos harness and the data plane's sync lean on. Raise the baseline in
 # results/coverage_baseline.txt when coverage grows; verify fails if a
 # change drops below it.
 cover:
-	@for pkg in internal/core internal/fastpath internal/obs internal/shard; do \
+	@for pkg in internal/core internal/dataplane internal/fastpath internal/obs internal/shard internal/switchsim; do \
 		pct=$$($(GO) test -cover ./$$pkg | awk '{for (i=1;i<=NF;i++) if ($$i == "coverage:") {sub(/%/,"",$$(i+1)); print $$(i+1)}}'); \
 		base=$$(awk -v p="repro/$$pkg" '$$1 == p {print $$2}' results/coverage_baseline.txt); \
 		if [ -z "$$pct" ] || [ -z "$$base" ]; then echo "cover: no coverage or baseline for $$pkg"; exit 1; fi; \

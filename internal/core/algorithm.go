@@ -998,8 +998,9 @@ func (in *Installer) Rebuild(keep func(*InstalledPath) bool) error {
 	}
 	sort.Slice(retained, func(i, j int) bool { return retained[i].ID < retained[j].ID })
 
-	for i := range in.fibs {
+	for i, old := range in.fibs {
 		in.fibs[i] = NewFIB(topo.NodeID(i))
+		in.fibs[i].succeed(old)
 	}
 	in.chainTags = make(map[chainSegKey][]packet.Tag)
 	in.originTags = make(map[packet.BSID][]packet.Tag)

@@ -113,6 +113,9 @@ func (c *Controller) recomputeLocked(rep FailureReport) (FailureReport, error) {
 	// reservations) keep routeH handles into it, and RemoveShortcut after
 	// the rebuild must release against the same pool.
 	inst.seqs = c.Installer.seqs
+	for i, f := range inst.fibs {
+		f.succeed(c.Installer.fibs[i])
+	}
 	inst.EnableLocationRouting(c.gateway)
 	newPaths := make(map[pathKey]*InstalledPath, len(keep))
 	for _, r := range keep {

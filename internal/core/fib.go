@@ -152,11 +152,13 @@ func (t *prefixTrie) CanAggregate(p packet.Prefix, nh NextHop) bool {
 
 // Insert installs (p -> nh), merging contiguous siblings upward. It returns
 // the net change in rule count (can be <= 0 when aggregation collapses
-// entries). Inserting an exact duplicate with a different next hop replaces
-// it (the caller guarantees this never breaks an installed path).
-func (t *prefixTrie) Insert(p packet.Prefix, nh NextHop) int {
+// entries) and whether any entry changed at all — a replaced next hop or an
+// insert that merges away leaves the count where it was. Inserting an exact
+// duplicate with a different next hop replaces it (the caller guarantees
+// this never breaks an installed path).
+func (t *prefixTrie) Insert(p packet.Prefix, nh NextHop) (delta int, changed bool) {
 	if cur, ok := t.Lookup(p); ok && cur == nh {
-		return 0 // already routed identically (possibly by a merged block)
+		return 0, false // already routed identically (possibly by a merged block)
 	}
 	before := t.count
 	n := t.node(p, true)
@@ -185,20 +187,20 @@ func (t *prefixTrie) Insert(p packet.Prefix, nh NextHop) int {
 		pn.nh = nh
 		p = parent
 	}
-	return t.count - before
+	return t.count - before, true
 }
 
 // insertNoAgg installs (p -> nh) without sibling merging (ablation).
-func (t *prefixTrie) insertNoAgg(p packet.Prefix, nh NextHop) int {
+func (t *prefixTrie) insertNoAgg(p packet.Prefix, nh NextHop) (delta int, changed bool) {
 	n := t.node(p, true)
-	delta := 0
+	changed = !n.set || n.nh != nh
 	if !n.set {
 		n.set = true
 		t.count++
 		delta = 1
 	}
 	n.nh = nh
-	return delta
+	return delta, changed
 }
 
 // Count reports live entries.
@@ -306,6 +308,10 @@ type mobKey struct {
 type FIB struct {
 	Node topo.NodeID
 
+	// version counts the mutations that changed what Export visits; see
+	// Version.
+	version uint64
+
 	// rules holds the Type 1 (tag+prefix) and Type 2 (tag-only) rules.
 	rules map[ctxKey]*tagState
 	// loc holds the Type 3 location rules: prefix-only, tag-independent,
@@ -345,8 +351,23 @@ func NewFIB(n topo.NodeID) *FIB {
 	}
 }
 
+// Version identifies the FIB's exported contents: it moves whenever a
+// mutator changes a rule Export would visit, and never otherwise (a
+// re-insert of an identical rule, a fresh empty context, a removal that
+// finds nothing leave it alone). A FIB that replaces another (see succeed)
+// continues its count, so for one switch equal versions mean equal tables —
+// the data plane (dataplane.Network.Sync) skips a switch whose version it
+// has already materialised.
+func (f *FIB) Version() uint64 { return f.version }
+
+// succeed makes f the replacement of old, the same switch's FIB before a
+// rebuild: f's versions start one past old's, so even a rebuild that leaves
+// f empty reads as a change, and no later version of f repeats one of old's.
+func (f *FIB) succeed(old *FIB) { f.version += old.version + 1 }
+
 // state returns the Type 1/2 state of one context, nil when absent and not
-// created.
+// created. A created state holds no rule yet, so creating one is not a
+// version change.
 func (f *FIB) state(dir Direction, in ingress, tag packet.Tag, create bool) *tagState {
 	k := ctxKey{in, tag, dir}
 	st, ok := f.rules[k]
@@ -401,7 +422,16 @@ func (f *FIB) InsertLocation(dir Direction, in ingress, p packet.Prefix, nh Next
 		t = newPrefixTrie()
 		f.loc[k] = t
 	}
-	return t.Insert(p, nh)
+	return f.inserted(t.Insert(p, nh))
+}
+
+// inserted bumps the version when a trie insert changed an entry and passes
+// the rule-count delta through.
+func (f *FIB) inserted(delta int, changed bool) int {
+	if changed {
+		f.version++
+	}
+	return delta
 }
 
 // MarkLocReliant records that (dir, in, tag) traffic depends on a rule
@@ -424,6 +454,9 @@ func (f *FIB) SetDefault(dir Direction, in ingress, tag packet.Tag, nh NextHop) 
 	if !st.hasDef {
 		delta = 1
 	}
+	if !st.hasDef || st.def != nh {
+		f.version++
+	}
 	st.hasDef = true
 	st.def = nh
 	return delta
@@ -437,16 +470,19 @@ func (f *FIB) InsertPrefix(dir Direction, in ingress, tag packet.Tag, p packet.P
 		st.prefix = newPrefixTrie()
 	}
 	if merge {
-		return st.prefix.Insert(p, nh)
+		return f.inserted(st.prefix.Insert(p, nh))
 	}
-	return st.prefix.insertNoAgg(p, nh)
+	return f.inserted(st.prefix.insertNoAgg(p, nh))
 }
 
 // InsertMobility installs a full-LocIP override for one tag (Fig. 3(b)).
 // It returns the rule-count delta (1 when new, 0 when overwriting).
 func (f *FIB) InsertMobility(dir Direction, in ingress, tag packet.Tag, loc packet.Addr, nh NextHop) int {
 	k := mobKey{ctxKey{in, tag, dir}, loc}
-	_, had := f.mob[k]
+	old, had := f.mob[k]
+	if !had || old != nh {
+		f.version++
+	}
 	f.mob[k] = nh
 	if had {
 		return 0
@@ -458,6 +494,9 @@ func (f *FIB) InsertMobility(dir Direction, in ingress, tag packet.Tag, loc pack
 func (f *FIB) RemoveMobility(dir Direction, in ingress, tag packet.Tag, loc packet.Addr) bool {
 	k := mobKey{ctxKey{in, tag, dir}, loc}
 	_, had := f.mob[k]
+	if had {
+		f.version++
+	}
 	delete(f.mob, k)
 	return had
 }

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -434,5 +437,71 @@ func TestFIBPrecedence(t *testing.T) {
 	})
 	if seen != 12 {
 		t.Fatalf("exported %d rules, want 12", seen)
+	}
+}
+
+// exportBag renders what Export visits as a sorted list.
+func exportBag(f *FIB) []string {
+	var bag []string
+	f.Export(func(r ExportedRule) { bag = append(bag, fmt.Sprintf("%+v", r)) })
+	sort.Strings(bag)
+	return bag
+}
+
+// TestFIBVersionTracksExport: over random mutator calls the version moves
+// exactly when the exported rule set does — the data plane skips a switch
+// on an unmoved version, so a missed bump would leave a stale TCAM and a
+// spurious one would rebuild a clean switch.
+func TestFIBVersionTracksExport(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	f := NewFIB(0)
+	ins := []ingress{anyPort, fromMB(2), fromPort(5)}
+	nhs := []NextHop{ToNode(1), ToNode(2), ToMB(2), {Node: 3, MB: NoMB, NewTag: 9}}
+	prefix := func() packet.Prefix { return pfx(packet.Addr(rng.Intn(8))<<12, 20) }
+	bumps := 0
+	for i := 0; i < 1500; i++ {
+		dir := Direction(rng.Intn(2))
+		in := ins[rng.Intn(len(ins))]
+		tag := packet.Tag(1 + rng.Intn(3))
+		nh := nhs[rng.Intn(len(nhs))]
+		loc := packet.Addr(rng.Intn(4))
+		before, v := exportBag(f), f.Version()
+		var op string
+		switch rng.Intn(7) {
+		case 0:
+			op = "state(create)"
+			f.state(dir, in, tag, true)
+		case 1:
+			op = "SetDefault"
+			f.SetDefault(dir, in, tag, nh)
+		case 2:
+			op = "InsertPrefix"
+			f.InsertPrefix(dir, in, tag, prefix(), nh, true)
+		case 3:
+			op = "InsertPrefix(no merge)"
+			f.InsertPrefix(dir, in, tag, prefix(), nh, false)
+		case 4:
+			op = "InsertLocation"
+			f.InsertLocation(dir, in, prefix(), nh)
+		case 5:
+			op = "InsertMobility"
+			f.InsertMobility(dir, in, tag, loc, nh)
+		case 6:
+			op = "RemoveMobility"
+			f.RemoveMobility(dir, in, tag, loc)
+		}
+		changed := !reflect.DeepEqual(before, exportBag(f))
+		if moved := f.Version() != v; moved != changed {
+			t.Fatalf("op %d %s: export changed=%v, version %d -> %d", i, op, changed, v, f.Version())
+		}
+		if f.Version() < v {
+			t.Fatalf("op %d %s: version went back %d -> %d", i, op, v, f.Version())
+		}
+		if changed {
+			bumps++
+		}
+	}
+	if bumps == 0 || bumps == 1500 {
+		t.Fatalf("%d of 1500 ops changed the table; the pools need both outcomes", bumps)
 	}
 }

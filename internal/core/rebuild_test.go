@@ -121,3 +121,44 @@ func TestControllerRemovePolicyPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFIBVersionsSurviveRebuilds: a rebuild replaces every FIB (path removal
+// keeps the Installer, failure recomputation builds a new one); either way
+// each switch's version moves forward past every value it has had, so a data
+// plane that remembers the old version sees a change even where the new FIB
+// came out equal to, or emptier than, the old one.
+func TestFIBVersionsSurviveRebuilds(t *testing.T) {
+	c, n := testController(t)
+	warmAll(t, c, []packet.BSID{0, 1, 2, 3})
+	versions := func() []uint64 {
+		vs := make([]uint64, len(c.T.Nodes))
+		for i := range vs {
+			vs[i] = c.Installer.FIB(topo.NodeID(i)).Version()
+		}
+		return vs
+	}
+	mustAdvance := func(what string, before []uint64) []uint64 {
+		t.Helper()
+		after := versions()
+		for i := range after {
+			if after[i] <= before[i] {
+				t.Fatalf("%s: switch %d version %d -> %d", what, i, before[i], after[i])
+			}
+		}
+		return after
+	}
+	v := versions()
+	web, _ := c.Policy.Match(policy.Attributes{Provider: "A"}, policy.AppWeb)
+	if err := c.RemovePolicyPaths(web); err != nil {
+		t.Fatal(err)
+	}
+	v = mustAdvance("path removal", v)
+	if _, err := c.FailSwitch(n.cs3); err != nil {
+		t.Fatal(err)
+	}
+	v = mustAdvance("switch failure", v)
+	if _, err := c.RecoverSwitch(n.cs3); err != nil {
+		t.Fatal(err)
+	}
+	mustAdvance("switch recovery", v)
+}

@@ -77,7 +77,10 @@ type BurstOutcome struct {
 // fast path (established flows, no middleboxes or NAT on the path);
 // packets that punt or hit stateful elements replay through the
 // Network's single-threaded slow path, so bursts carrying them must not
-// run concurrently with other injection.
+// run concurrently with other injection. Control ops and Sync on another
+// goroutine do not disturb fast-path senders: Sync swaps a changed
+// switch's table in whole, so a burst walks the table from before the op
+// or the one after it.
 type BurstSender struct {
 	n    *Network
 	w    *fastpath.Walker

@@ -15,12 +15,15 @@ import (
 // newPlainNet builds a middlebox-free line network (gateway - core - two
 // access switches) under a pure-allow policy, so established flows stay
 // entirely on the fast path.
-func newPlainNet(t *testing.T) *Network {
+func newPlainNet(t *testing.T) *Network { return newPlainNetN(t, 2) }
+
+// newPlainNetN is newPlainNet with the given number of access switches.
+func newPlainNetN(t testing.TB, stations int) *Network {
 	t.Helper()
 	tp := topo.New()
 	gw := tp.AddNode(topo.Gateway, "gw")
 	cs := tp.AddNode(topo.Core, "cs")
-	for i := 0; i < 2; i++ {
+	for i := 0; i < stations; i++ {
 		as := tp.AddNode(topo.Access, "as")
 		if err := tp.AddBaseStation(packet.BSID(i), as); err != nil {
 			t.Fatal(err)

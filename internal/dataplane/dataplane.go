@@ -47,8 +47,10 @@ type Network struct {
 
 	plan     packet.Plan
 	mbPort   map[topo.MBInstanceID]int
+	mbAt     [][]topo.MBInstanceID // per node: instance on each middlebox port, first one at index 0
 	agentAt  map[topo.NodeID]*agent.Agent
-	bindings []publicBinding // §7 public-IP classifiers, re-applied on Sync
+	bindings []publicBinding // §7 public-IP classifiers, part of the gateway's table
+	synced   []uint64        // per node: the FIB version its TCAM holds; see Sync
 
 	fast *fastpath.Engine // burst fast path; see EnableFastPath (burst.go)
 	obs  *dpObs           // burst telemetry; see Instrument (obs.go)
@@ -89,16 +91,16 @@ func New(ctrl *core.Controller, cfg Config) (*Network, error) {
 		Boxes:    make(map[topo.MBInstanceID]mbox.Middlebox),
 		plan:     ctrl.Plan(),
 		mbPort:   make(map[topo.MBInstanceID]int),
+		mbAt:     make([][]topo.MBInstanceID, len(t.Nodes)),
+		synced:   make([]uint64, len(t.Nodes)),
 	}
 	for i := range t.Nodes {
 		n.Switches[i] = switchsim.NewSwitch(t.Nodes[i].Name)
 	}
 	// Middlebox ports follow the link ports on the attachment switch.
-	seen := make(map[topo.NodeID]int)
 	for _, inst := range t.MBoxes {
-		port := len(t.Nodes[inst.Attached].Neighbors) + seen[inst.Attached]
-		seen[inst.Attached]++
-		n.mbPort[inst.ID] = port
+		n.mbPort[inst.ID] = len(t.Nodes[inst.Attached].Neighbors) + len(n.mbAt[inst.Attached])
+		n.mbAt[inst.Attached] = append(n.mbAt[inst.Attached], inst.ID)
 		fn, ok := cfg.MBFuncs[inst.Type]
 		if !ok {
 			return nil, fmt.Errorf("dataplane: no function mapped for middlebox type %d", inst.Type)
@@ -122,17 +124,38 @@ func New(ctrl *core.Controller, cfg Config) (*Network, error) {
 	return n, nil
 }
 
-// Sync re-materialises every switch's TCAM from the controller's FIBs.
-// Call it after control-plane changes (path installs, handoffs). Microflow
-// tables and public-IP bindings are preserved.
+// unsynced is a synced entry no FIB version equals: the next Sync rebuilds
+// the switch whatever its FIB says.
+const unsynced = ^uint64(0)
+
+// Sync brings the switches' TCAMs up to date with the controller's FIBs.
+// Call it after control-plane changes (path installs, handoffs, releases,
+// failure recomputation). It costs what changed: a switch whose FIB version
+// (core.FIB.Version) is the one already materialised is skipped, and a
+// Sync that finds nothing changed allocates nothing and moves no switch
+// generation. A changed switch gets its whole table — FIB rules plus, on
+// the gateway, the §7 public-IP bindings — in one switchsim.ReplaceTCAM, so
+// concurrent Process calls and fast-path compiles see the old table or the
+// new one and never a partial one; the fast path then recompiles exactly
+// the snapshots whose generation moved.
+//
+// Microflow tables are never touched. Rule traffic counters (Packets,
+// Bytes) keep counting on skipped switches and restart from zero on a
+// rebuilt one, whose rules are new rules. On error the failing switch keeps
+// the table it had.
 func (n *Network) Sync() error {
-	for i := range n.Switches {
-		if err := n.syncSwitch(topo.NodeID(i)); err != nil {
+	for i, sw := range n.Switches {
+		fib := n.Ctrl.Installer.FIB(topo.NodeID(i))
+		v := fib.Version()
+		if v == n.synced[i] {
+			continue
+		}
+		rules, err := n.materialise(fib)
+		if err != nil {
 			return err
 		}
-	}
-	for _, b := range n.bindings {
-		n.installBinding(b)
+		sw.ReplaceTCAM(rules)
+		n.synced[i] = v
 	}
 	if n.fast != nil {
 		// Recompile stale fast-path snapshots now, so the control-plane
@@ -149,38 +172,53 @@ type publicBinding struct {
 	tag    packet.Tag
 }
 
-func (n *Network) installBinding(b publicBinding) {
+func (n *Network) bindingRule(b publicBinding) switchsim.Rule {
 	loc, tag := b.loc, b.tag
-	n.Switches[n.Ctrl.Gateway()].Install(switchsim.PrioBinding, switchsim.Match{
-		InPort: switchsim.AnyPort,
-		Dst:    packet.Prefix{Addr: b.public, Len: 32},
-	}, switchsim.Action{
-		Resubmit:   true,
-		Output:     -1,
-		SetDst:     &loc,
-		SetDstTag:  &tag,
-		TagEphBits: n.plan.EphemeralBits(),
-	})
+	return switchsim.Rule{
+		Priority: switchsim.PrioBinding,
+		Match: switchsim.Match{
+			InPort: switchsim.AnyPort,
+			Dst:    packet.Prefix{Addr: b.public, Len: 32},
+		},
+		Action: switchsim.Action{
+			Resubmit:   true,
+			Output:     -1,
+			SetDst:     &loc,
+			SetDstTag:  &tag,
+			TagEphBits: n.plan.EphemeralBits(),
+		},
+	}
 }
 
-// syncSwitch rebuilds one switch's TCAM.
-func (n *Network) syncSwitch(node topo.NodeID) error {
-	sw := n.Switches[node]
-	sw.ClearTCAM()
+// materialise translates one switch's FIB into its complete TCAM contents.
+func (n *Network) materialise(fib *core.FIB) ([]switchsim.Rule, error) {
+	var bindings []publicBinding
+	if fib.Node == n.Ctrl.Gateway() {
+		bindings = n.bindings
+	}
+	rules := make([]switchsim.Rule, 0, fib.NumRules()+len(bindings))
+	// Newest binding first: among rules equal in priority and match the
+	// first wins, and a re-bound public address means its latest binding.
+	for i := len(bindings) - 1; i >= 0; i-- {
+		rules = append(rules, n.bindingRule(bindings[i]))
+	}
 	var exportErr error
-	n.Ctrl.Installer.FIB(node).Export(func(r core.ExportedRule) {
+	fib.Export(func(r core.ExportedRule) {
 		if exportErr != nil {
 			return
 		}
-		if err := n.installExported(sw, node, r); err != nil {
+		rule, err := n.exportedRule(fib.Node, r)
+		if err != nil {
 			exportErr = err
+			return
 		}
+		rules = append(rules, rule)
 	})
-	return exportErr
+	return rules, exportErr
 }
 
-// installExported translates one abstract rule into a concrete TCAM entry.
-func (n *Network) installExported(sw *switchsim.Switch, node topo.NodeID, r core.ExportedRule) error {
+// exportedRule translates one abstract rule into a concrete TCAM entry.
+func (n *Network) exportedRule(node topo.NodeID, r core.ExportedRule) (switchsim.Rule, error) {
 	m := switchsim.Match{InPort: switchsim.AnyPort}
 	prefix := r.Prefix
 	// Clamp catch-alls (like the gateway exit route) to the carrier block
@@ -195,11 +233,11 @@ func (n *Network) installExported(sw *switchsim.Switch, node topo.NodeID, r core
 	}
 	if r.Tag != 0 {
 		if r.Tag > n.plan.MaxTag() {
-			return fmt.Errorf("dataplane: tag %d exceeds the plan's %d-bit field (use a wider plan for dataplane networks)", r.Tag, n.plan.TagBits)
+			return switchsim.Rule{}, fmt.Errorf("dataplane: tag %d exceeds the plan's %d-bit field (use a wider plan for dataplane networks)", r.Tag, n.plan.TagBits)
 		}
 		lo, hi, err := n.plan.TagPortRange(r.Tag)
 		if err != nil {
-			return err
+			return switchsim.Rule{}, err
 		}
 		if r.Dir == core.Down {
 			m.DstPortLo, m.DstPortHi = lo, hi
@@ -213,7 +251,7 @@ func (n *Network) installExported(sw *switchsim.Switch, node topo.NodeID, r core
 	case r.From != topo.None:
 		p := n.T.Nodes[node].PortTo(r.From)
 		if p < 0 {
-			return fmt.Errorf("dataplane: switch %d has no port to %d", node, r.From)
+			return switchsim.Rule{}, fmt.Errorf("dataplane: switch %d has no port to %d", node, r.From)
 		}
 		m.InPort = p
 	}
@@ -232,13 +270,13 @@ func (n *Network) installExported(sw *switchsim.Switch, node topo.NodeID, r core
 	default:
 		p := n.T.Nodes[node].PortTo(r.NH.Node)
 		if p < 0 {
-			return fmt.Errorf("dataplane: switch %d has no port to next hop %d", node, r.NH.Node)
+			return switchsim.Rule{}, fmt.Errorf("dataplane: switch %d has no port to next hop %d", node, r.NH.Node)
 		}
 		act.Output = p
 	}
 	if r.NH.NewTag != 0 {
 		if r.NH.NewTag > n.plan.MaxTag() {
-			return fmt.Errorf("dataplane: swap tag %d exceeds the plan's tag field", r.NH.NewTag)
+			return switchsim.Rule{}, fmt.Errorf("dataplane: swap tag %d exceeds the plan's tag field", r.NH.NewTag)
 		}
 		tag := r.NH.NewTag
 		act.TagEphBits = n.plan.EphemeralBits()
@@ -248,8 +286,7 @@ func (n *Network) installExported(sw *switchsim.Switch, node topo.NodeID, r core
 			act.SetSrcTag = &tag
 		}
 	}
-	sw.Install(bandPriority[r.Band]+r.Prefix.Len, m, act)
-	return nil
+	return switchsim.Rule{Priority: bandPriority[r.Band] + r.Prefix.Len, Match: m, Action: act}, nil
 }
 
 // Hop is one event of a packet walk.
@@ -385,13 +422,14 @@ func (n *Network) walk(node topo.NodeID, inPort int, p *packet.Packet) (WalkResu
 	return res, fmt.Errorf("dataplane: packet exceeded hop budget (forwarding loop?)")
 }
 
+// mbAtPort names the middlebox behind one of node's attachment ports, which
+// follow its link ports.
 func (n *Network) mbAtPort(node topo.NodeID, port int) (topo.MBInstanceID, bool) {
-	for id, p := range n.mbPort {
-		if p == port && n.T.Instance(id).Attached == node {
-			return id, true
-		}
+	i := port - len(n.T.Nodes[node].Neighbors)
+	if i < 0 || i >= len(n.mbAt[node]) {
+		return 0, false
 	}
-	return 0, false
+	return n.mbAt[node][i], true
 }
 
 // SendUpstream injects a packet a UE sends at its base station. First
@@ -490,8 +528,8 @@ func (n *Network) BindPublicIP(imsi string, public packet.Addr, clause int) erro
 	if err != nil {
 		return err
 	}
-	b := publicBinding{public: public, loc: ue.LocIP, tag: tag}
-	n.bindings = append(n.bindings, b)
+	n.bindings = append(n.bindings, publicBinding{public: public, loc: ue.LocIP, tag: tag})
+	n.synced[n.Ctrl.Gateway()] = unsynced // the binding is the gateway's alone
 	n.Agents[ue.BS].AllowInbound(ue.LocIP, tag)
 	return n.Sync()
 }

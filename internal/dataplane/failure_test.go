@@ -13,7 +13,7 @@ import (
 // genNet assembles a full network over the §6.3 generated topology (k=4),
 // which has the path redundancy a failure test needs (ring double uplinks,
 // pod and core meshes, multiple middlebox instances per type).
-func genNet(t *testing.T) *Network {
+func genNet(t testing.TB) *Network {
 	t.Helper()
 	g, err := topo.Generate(topo.GenParams{K: 4, ClusterSize: 10, MBTypes: 3, Seed: 5})
 	if err != nil {

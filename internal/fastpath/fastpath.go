@@ -279,7 +279,7 @@ func (t *tally) account(slot int32, payload int) {
 type Snapshot struct {
 	// Gen is the switch generation the snapshot was compiled at. A FIB
 	// serves the snapshot only while the switch still reports the same
-	// generation; any Apply/ClearTCAM/Install/Remove since makes it
+	// generation; any Apply/ReplaceTCAM/Install/Remove since makes it
 	// stale, detected rather than silently served.
 	Gen uint64
 

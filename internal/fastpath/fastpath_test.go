@@ -254,7 +254,7 @@ func TestSnapshotGeneration(t *testing.T) {
 		func() {
 			sw.Apply([]switchsim.Mod{{Install: true, Priority: 5, Match: switchsim.MatchAll(), Action: switchsim.DropAction()}})
 		},
-		func() { sw.ClearTCAM() },
+		func() { sw.ReplaceTCAM(nil) },
 	}
 	for i, mut := range mutations {
 		before := fib.Acquire()

@@ -7,6 +7,7 @@
 package switchsim
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -80,6 +81,23 @@ func (m Match) Covers(p *packet.Packet, inPort int) bool {
 		return false
 	}
 	return true
+}
+
+// compare orders matches field by field — an arbitrary but total order,
+// which is what a reproducible table layout needs.
+func (m Match) compare(o Match) int {
+	return cmp.Or(
+		cmp.Compare(m.InPort, o.InPort),
+		cmp.Compare(m.Src.Addr, o.Src.Addr),
+		cmp.Compare(m.Src.Len, o.Src.Len),
+		cmp.Compare(m.Dst.Addr, o.Dst.Addr),
+		cmp.Compare(m.Dst.Len, o.Dst.Len),
+		cmp.Compare(m.SrcPortLo, o.SrcPortLo),
+		cmp.Compare(m.SrcPortHi, o.SrcPortHi),
+		cmp.Compare(m.DstPortLo, o.DstPortLo),
+		cmp.Compare(m.DstPortHi, o.DstPortHi),
+		cmp.Compare(m.Proto, o.Proto),
+	)
 }
 
 func (m Match) String() string {

@@ -1,7 +1,9 @@
 package switchsim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -94,14 +96,13 @@ type Switch struct {
 	Name string
 
 	mu      sync.RWMutex
-	rules   map[RuleID]*Rule         // guarded by mu
 	ordered []*Rule                  // guarded by mu; sorted by (priority desc, seq desc)
 	micro   map[packet.FlowKey]*Rule // guarded by mu
 	nextID  RuleID                   // guarded by mu
 	nextSeq uint64                   // guarded by mu
 
 	// gen counts table mutations: every Install/Remove (TCAM or
-	// microflow), Apply and ClearTCAM bumps it. Writes happen under mu;
+	// microflow), Apply and ReplaceTCAM bumps it. Writes happen under mu;
 	// reads go through Generation's atomic load, so fast-path snapshot
 	// caches detect staleness without touching the lock.
 	gen uint64
@@ -124,7 +125,7 @@ type Switch struct {
 
 // Generation reports the table-mutation counter. A compiled snapshot taken
 // at generation g is exactly the current tables iff Generation() == g; a
-// mismatch means Apply/ClearTCAM/Install/Remove ran since and the snapshot
+// mismatch means Apply/ReplaceTCAM/Install/Remove ran since and the snapshot
 // must be recompiled rather than silently served.
 func (s *Switch) Generation() uint64 {
 	return atomic.LoadUint64(&s.gen)
@@ -197,7 +198,6 @@ func (s *Switch) View() TableView {
 func NewSwitch(name string) *Switch {
 	return &Switch{
 		Name:      name,
-		rules:     make(map[RuleID]*Rule),
 		micro:     make(map[packet.FlowKey]*Rule),
 		TableMiss: Action{Output: -1, Drop: true},
 	}
@@ -218,7 +218,6 @@ func (s *Switch) installLocked(prio int, m Match, a Action) RuleID {
 	s.nextID++
 	s.nextSeq++
 	r := &Rule{ID: s.nextID, Priority: prio, Match: m.normalised(), Action: a, seq: s.nextSeq}
-	s.rules[r.ID] = r
 	i := sort.Search(len(s.ordered), func(i int) bool {
 		o := s.ordered[i]
 		if o.Priority != r.Priority {
@@ -243,19 +242,23 @@ func (s *Switch) Remove(id RuleID) bool {
 //
 // caller holds mu
 func (s *Switch) removeLocked(id RuleID) bool {
-	r, ok := s.rules[id]
-	if !ok {
+	i := s.indexLocked(id)
+	if i < 0 {
 		return false
 	}
 	s.bumpGen()
-	delete(s.rules, id)
-	for i, o := range s.ordered {
-		if o == r {
-			s.ordered = append(s.ordered[:i], s.ordered[i+1:]...)
-			break
-		}
-	}
+	s.ordered = append(s.ordered[:i], s.ordered[i+1:]...)
 	return true
+}
+
+// indexLocked finds a rule's position in the TCAM, -1 when absent. Rules
+// are addressed by ID only from tests and probes, so a scan of the table
+// serves where a second index would have to be rebuilt on every
+// ReplaceTCAM.
+//
+// caller holds mu
+func (s *Switch) indexLocked(id RuleID) int {
+	return slices.IndexFunc(s.ordered, func(r *Rule) bool { return r.ID == id })
 }
 
 // InstallMicroflow adds (or replaces) an exact-match microflow entry.
@@ -399,7 +402,7 @@ func (s *Switch) execute(r *Rule, p *packet.Packet) Verdict {
 func (s *Switch) NumRules() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.rules)
+	return len(s.ordered)
 }
 
 // NumMicroflows reports exact-match entries.
@@ -424,20 +427,50 @@ func (s *Switch) Rules() []Rule {
 func (s *Switch) Rule(id RuleID) (Rule, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	r, ok := s.rules[id]
-	if !ok {
+	i := s.indexLocked(id)
+	if i < 0 {
 		return Rule{}, false
 	}
-	return r.snapshot(), true
+	return s.ordered[i].snapshot(), true
 }
 
-// ClearTCAM removes every TCAM rule but keeps the microflow table — the
-// dataplane uses it to re-materialise controller state without disturbing
-// agent-installed flows.
-func (s *Switch) ClearTCAM() {
+// ReplaceTCAM makes rules the switch's whole TCAM in one step: Process,
+// View and fast-path compiles see either the old table or the new one,
+// never an empty or half-filled table in between, and the generation moves
+// once. The microflow table is untouched — the dataplane uses this to
+// re-materialise controller state without disturbing agent-installed flows.
+//
+// Only Priority, Match and Action of each element are read; IDs are
+// assigned and counters start at zero. The match order is (priority desc,
+// then the match fields), so it depends on the set of rules alone and not
+// on the order they were collected in; rules equal in both keep their slice
+// order, first wins. The switch keeps the slice as the rules' storage: the
+// caller must not touch it afterwards.
+func (s *Switch) ReplaceTCAM(rules []Rule) {
+	ordered := make([]*Rule, len(rules))
+	for i := range rules {
+		r := &rules[i]
+		r.Match = r.Match.normalised()
+		atomic.StoreUint64(&r.Packets, 0)
+		atomic.StoreUint64(&r.Bytes, 0)
+		ordered[i] = r
+	}
+	slices.SortStableFunc(ordered, func(a, b *Rule) int {
+		if a.Priority != b.Priority {
+			return cmp.Compare(b.Priority, a.Priority)
+		}
+		return a.Match.compare(b.Match)
+	})
+
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.bumpGen()
-	s.rules = make(map[RuleID]*Rule)
-	s.ordered = nil
+	n := uint64(len(ordered))
+	for i, r := range ordered {
+		r.ID = s.nextID + RuleID(i) + 1
+		r.seq = s.nextSeq + n - uint64(i) // descending, as ordered requires
+	}
+	s.nextID += RuleID(n)
+	s.nextSeq += n
+	s.ordered = ordered
 }
