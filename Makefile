@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet lint fuzz verify bench-check bench bench-dataplane bench-city city-smoke blackout-smoke profile clean chaos cover span-alloc-gate
+.PHONY: all build test race vet lint fuzz verify bench-check bench-smoke bench bench-city city-smoke blackout-smoke profile clean chaos cover span-alloc-gate loc
 
 all: verify
 
@@ -44,11 +44,12 @@ chaos:
 		-json results/BENCH_chaos.json
 
 # cover enforces the checked-in statement-coverage floor for the packages
-# whose invariants the chaos harness and the data plane's sync lean on. Raise the baseline in
+# whose invariants the chaos harness and the data plane's sync lean on, and
+# for the plant builder every harness stands on. Raise the baseline in
 # results/coverage_baseline.txt when coverage grows; verify fails if a
 # change drops below it.
 cover:
-	@for pkg in internal/core internal/dataplane internal/fastpath internal/obs internal/shard internal/switchsim; do \
+	@for pkg in internal/core internal/dataplane internal/fastpath internal/obs internal/plant internal/shard internal/switchsim; do \
 		pct=$$($(GO) test -cover ./$$pkg | awk '{for (i=1;i<=NF;i++) if ($$i == "coverage:") {sub(/%/,"",$$(i+1)); print $$(i+1)}}'); \
 		base=$$(awk -v p="repro/$$pkg" '$$1 == p {print $$2}' results/coverage_baseline.txt); \
 		if [ -z "$$pct" ] || [ -z "$$base" ]; then echo "cover: no coverage or baseline for $$pkg"; exit 1; fi; \
@@ -70,6 +71,7 @@ verify:
 	$(GO) test -race ./...
 	$(MAKE) cover
 	$(MAKE) span-alloc-gate
+	$(MAKE) bench-smoke
 	$(MAKE) city-smoke
 	$(MAKE) blackout-smoke
 
@@ -80,6 +82,12 @@ verify:
 bench-check:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
+
+# bench-smoke runs every Go benchmark for 500 iterations, so one that
+# cannot get that far (a fixture that exhausts a tag space, say) fails the
+# gate instead of rotting until someone next wants its number.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 500x ./internal/...
 
 # span-alloc-gate pins the tracing tax on the unsampled hot path: the
 # not-sampled span branch must stay at 0 allocs/op (DESIGN.md §16), on
@@ -116,14 +124,6 @@ blackout-smoke:
 bench:
 	$(GO) run ./cmd/softcell-bench -mode controller -agents 16 -duration 1s \
 		-json results/BENCH_controller.json | tee results/bench_controller.txt
-	$(MAKE) bench-dataplane
-
-# bench-dataplane regenerates the committed forwarding-plane pps sweep
-# (DESIGN.md §13): single-packet walk vs burst fast path across burst
-# sizes and worker counts.
-bench-dataplane:
-	$(GO) run ./cmd/softcell-bench -mode dataplane -duration 1s \
-		-json results/BENCH_dataplane.json | tee results/bench_dataplane.txt
 
 # bench-city regenerates the committed city-scale soak (§6.1 at full
 # width): 1536 base stations, 1M registered subscribers, a multi-minute
@@ -141,6 +141,15 @@ profile:
 		-o results/core.test ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkObsOverhead' -benchmem \
 		-o results/obs.test ./internal/obs | tee results/bench_obs.txt
+
+# loc prints the non-test Go line count per top-level directory and in
+# total, leaving out the benchmark module and the lint fixtures: the number
+# a simplification quotes before and after.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' \
+		! -path './internal/lint/testdata/*' -print0 | xargs -0 wc -l | \
+		awk '$$2 != "total" { n = split($$2, p, "/"); by[n > 2 ? p[2] : "(root)"] += $$1; t += $$1 } \
+			END { for (d in by) printf "%7d  %s\n", by[d], d; printf "%7d  total\n", t }' | sort -k2
 
 clean:
 	$(GO) clean ./...

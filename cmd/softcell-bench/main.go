@@ -8,8 +8,10 @@
 //	softcell-bench -mode agent             # Table 2
 //	softcell-bench -mode chaos             # seeded fault-injection soak
 //	softcell-bench -mode blackout          # control-plane blackout continuity soak
-//	softcell-bench -mode dataplane         # forwarding-plane packets/s sweep
 //	softcell-bench -mode city              # city-scale 1M-UE memory/churn soak
+//
+// Forwarding-plane numbers are not measured here: they come from the
+// repository benchmark (`bash bench/run.sh --workload forward_plain`).
 package main
 
 import (
@@ -54,30 +56,6 @@ type benchReport struct {
 	// Attribution is the span critical-path waterfall over the sweep's
 	// sampled traces (bench.op roots with wire and controller children).
 	Attribution obs.Attribution `json:"attribution"`
-}
-
-// dpPoint is one row of the forwarding-plane sweep.
-type dpPoint struct {
-	Path          string  `json:"path"` // "single" | "burst"
-	Workers       int     `json:"workers"`
-	Burst         int     `json:"burst"`
-	Packets       uint64  `json:"packets"`
-	PacketsPerSec float64 `json:"packets_per_sec"`
-	// SpeedupVsSingle is throughput relative to the 1-worker
-	// single-packet baseline measured in the same sweep.
-	SpeedupVsSingle float64 `json:"speedup_vs_single"`
-	AllocsPerPacket float64 `json:"allocs_per_packet"`
-}
-
-// dpReport is the BENCH_dataplane.json schema.
-type dpReport struct {
-	Mode       string        `json:"mode"`
-	Flows      int           `json:"flows"`
-	DurationMS int64         `json:"duration_ms"`
-	GOMAXPROCS int           `json:"gomaxprocs"`
-	Points     []dpPoint     `json:"points"`
-	Mem        core.MemStats `json:"mem"` // testbed controller, last point
-	Obs        obs.Snapshot  `json:"obs"`
 }
 
 // chaosReport is the BENCH_chaos.json schema: the run's configuration,
@@ -153,9 +131,7 @@ func emitAttr(a obs.Attribution, show bool, path string) {
 
 func main() {
 	var (
-		mode     = flag.String("mode", "controller", "controller | agent | chaos | blackout | dataplane | city")
-		flows    = flag.Int("flows", 64, "dataplane: warmed flows the generators cycle through")
-		reps     = flag.Int("reps", 2, "dataplane: measurements per point (best is reported)")
+		mode     = flag.String("mode", "controller", "controller | agent | chaos | blackout | city")
 		agents   = flag.Int("agents", 16, "emulated agent connections")
 		duration = flag.Duration("duration", time.Second, "per-point measurement window")
 		wire     = flag.Bool("wire", true, "drive the binary control protocol (false: in-process calls)")
@@ -250,66 +226,6 @@ func main() {
 		fmt.Print(tab)
 		fmt.Println("\npaper Table 2: throughput falls monotonically with the hit ratio; the")
 		fmt.Println("worst case (0%: every flow asks the controller) still sustains ~1.8K/s.")
-	case "dataplane":
-		fmt.Printf("forwarding-plane throughput: %d warmed flows, %v per point, GOMAXPROCS=%d\n",
-			*flows, *duration, runtime.GOMAXPROCS(0))
-		tab := metrics.NewTable("path", "workers", "burst", "packets", "packets/s", "vs single", "allocs/pkt")
-		reg := obs.New()
-		reg.SetClock(func() int64 { return time.Now().UnixNano() })
-		report := dpReport{
-			Mode: "dataplane", Flows: *flows,
-			DurationMS: duration.Milliseconds(), GOMAXPROCS: runtime.GOMAXPROCS(0),
-		}
-		run := func(path string, workers, burst int) {
-			// Best of -reps: throughput points on a shared host are
-			// noise-prone downward (GC, neighbours), never upward.
-			var res cbench.DataplaneResult
-			for r := 0; r < *reps || r == 0; r++ {
-				one, err := cbench.BenchDataplane(cbench.DataplaneOptions{
-					Flows: *flows, Burst: burst, Workers: workers, Duration: *duration, Obs: reg,
-				})
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "error:", err)
-					os.Exit(1)
-				}
-				if one.PerSecond() > res.PerSecond() {
-					res = one
-				}
-			}
-			pt := dpPoint{
-				Path: path, Workers: workers, Burst: burst,
-				Packets: res.Packets, PacketsPerSec: res.PerSecond(),
-				AllocsPerPacket: res.AllocsPerPacket,
-			}
-			if len(report.Points) > 0 && report.Points[0].PacketsPerSec > 0 {
-				pt.SpeedupVsSingle = pt.PacketsPerSec / report.Points[0].PacketsPerSec
-			}
-			report.Points = append(report.Points, pt)
-			report.Mem = res.Mem
-			vs := ""
-			if pt.SpeedupVsSingle > 0 {
-				vs = fmt.Sprintf("%.2fx", pt.SpeedupVsSingle)
-			}
-			tab.AddRow(path, workers, burst, res.Packets,
-				fmt.Sprintf("%.0f", res.PerSecond()), vs, fmt.Sprintf("%.2f", res.AllocsPerPacket))
-		}
-		// The 1-worker single-packet walk is the baseline every other
-		// point is normalised against.
-		run("single", 1, 0)
-		for _, burst := range []int{1, 8, 32, 128} {
-			run("burst", 1, burst)
-		}
-		for _, workers := range []int{2, 4} {
-			run("burst", workers, 32)
-		}
-		fmt.Print(tab)
-		if *jsonOut != "" {
-			report.Obs = reg.Snapshot()
-			writeJSON(*jsonOut, report)
-		}
-		fmt.Println("\nthe claim is the shape: burst amortisation alone (1 worker) should")
-		fmt.Println("clear 3x the per-packet walk at burst 32, and workers scale it further")
-		fmt.Println("until the core count saturates — steady-state forwarding shares no locks.")
 	case "chaos":
 		var trace io.Writer
 		if *traceOut != "" {

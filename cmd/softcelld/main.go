@@ -24,8 +24,8 @@ import (
 	"repro/internal/ctrlproto"
 	"repro/internal/obs"
 	"repro/internal/packet"
+	"repro/internal/plant"
 	"repro/internal/policy"
-	"repro/internal/shard"
 	"repro/internal/topo"
 )
 
@@ -67,38 +67,27 @@ func main() {
 		reg.SetSpanSampling(*sample)
 	}
 
-	g, err := softcell.GenerateTopology(*k, 10, 3, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	if *shards > 0 {
 		// Sharded mode serves the control plane only: the in-process data
 		// plane assumes one controller owning every switch, so agents talk
 		// to the dispatcher over the wire exactly as they would in a real
 		// deployment.
-		d, err := shard.New(shard.Config{
-			Topology: g.Topology,
-			Gateway:  g.GatewayID,
-			Policy:   policy.ExampleCarrierPolicy(),
-			MBTypes: map[string]topo.MBType{
-				policy.MBFirewall: 0, policy.MBTranscoder: 1, policy.MBEchoCancel: 2,
-			},
+		p, err := plant.New(plant.Spec{
+			Topo:   topo.GenParams{K: *k, ClusterSize: 10, MBTypes: 3, Seed: 1},
 			Shards: *shards,
 			Obs:    reg,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer d.Close()
-		srv := ctrlproto.NewServer(d)
-		srv.Instrument(reg)
+		defer p.Disp.Close()
+		srv := p.Server()
 		serveDebug(*debug, reg)
 		ln, err := net.Listen("tcp", *listen)
 		if err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("softcelld: %d base stations across %d controller shards", len(g.Stations), *shards)
+		log.Printf("softcelld: %d base stations across %d controller shards", len(p.Stations), *shards)
 		log.Printf("softcelld: control channel on %s", ln.Addr())
 		go func() {
 			if err := srv.Serve(ln); err != nil {
@@ -112,6 +101,10 @@ func main() {
 		return
 	}
 
+	g, err := softcell.GenerateTopology(*k, 10, 3, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
 	nw, err := softcell.New(softcell.Options{
 		Topology: g.Topology,
 		Gateway:  g.GatewayID,

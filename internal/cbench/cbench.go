@@ -8,7 +8,6 @@ package cbench
 import (
 	"fmt"
 	"math/rand"
-	"net"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -19,6 +18,7 @@ import (
 	"repro/internal/ctrlproto"
 	"repro/internal/obs"
 	"repro/internal/packet"
+	"repro/internal/plant"
 	"repro/internal/policy"
 	"repro/internal/switchsim"
 	"repro/internal/topo"
@@ -88,49 +88,19 @@ func (r Result) String() string {
 	return fmt.Sprintf("%d requests in %v (%.0f/s)", r.Requests, r.Elapsed.Round(time.Millisecond), r.PerSecond())
 }
 
-// testbed is the shared fixture: a k=4 generated network with a controller
-// running the Table 1 policy and all policy paths pre-installed, so the
-// benchmark measures steady-state request handling (like Cbench's packet-in
-// storm against a warmed controller).
-type testbed struct {
-	ctrl    *core.Controller
-	clauses []int
-	nBS     int
-}
-
-func newTestbed(reg *obs.Registry) (*testbed, error) {
-	g, err := topo.Generate(topo.GenParams{K: 4, ClusterSize: 10, MBTypes: 3, Seed: 1})
-	if err != nil {
-		return nil, err
-	}
-	pol := policy.ExampleCarrierPolicy()
-	ctrl, err := core.NewController(g.Topology, core.ControllerConfig{
-		Gateway: g.GatewayID,
-		Policy:  pol,
-		Obs:     reg,
-		MBTypes: map[string]topo.MBType{
-			policy.MBFirewall: 0, policy.MBTranscoder: 1, policy.MBEchoCancel: 2,
-		},
+// newTestbed is the shared fixture: a k=4 generated network with one
+// controller running the Table 1 policy and all policy paths pre-installed,
+// so the benchmark measures steady-state request handling (like Cbench's
+// packet-in storm against a warmed controller).
+func newTestbed(reg *obs.Registry) (*plant.Plant, error) {
+	tb, err := plant.New(plant.Spec{
+		Topo: topo.GenParams{K: 4, ClusterSize: 10, MBTypes: 3, Seed: 1},
+		Obs:  reg,
 	})
 	if err != nil {
 		return nil, err
 	}
-	tb := &testbed{ctrl: ctrl, nBS: len(g.Stations)}
-	for id := 0; id < pol.Len(); id++ {
-		cl, _ := pol.Clause(id)
-		if cl.Action.Allow {
-			tb.clauses = append(tb.clauses, id)
-		}
-	}
-	// Warm every (station, clause) path once.
-	for bs := 0; bs < tb.nBS; bs++ {
-		for _, c := range tb.clauses {
-			if _, err := ctrl.RequestPath(packet.BSID(bs), c); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return tb, nil
+	return tb, tb.WarmPaths()
 }
 
 // BenchController runs the §6.2 central-controller micro-benchmark.
@@ -155,8 +125,8 @@ func BenchController(opts ControllerOptions) (Result, error) {
 		rng := rand.New(rand.NewSource(int64(id)))
 		var n uint64
 		for !stop.Load() {
-			bs := packet.BSID(rng.Intn(tb.nBS))
-			clause := tb.clauses[rng.Intn(len(tb.clauses))]
+			bs := tb.Stations[rng.Intn(len(tb.Stations))]
+			clause := tb.Clauses[rng.Intn(len(tb.Clauses))]
 			sp := rootSp.Root()
 			_, err := ask(sp.Context(), bs, clause)
 			sp.End()
@@ -169,14 +139,9 @@ func BenchController(opts ControllerOptions) (Result, error) {
 	}
 
 	if opts.OverWire {
-		srv := ctrlproto.NewServer(tb.ctrl)
-		srv.Instrument(opts.Obs)
 		clients := make([]*ctrlproto.Client, opts.Agents)
 		for i := range clients {
-			a, b := net.Pipe()
-			go srv.ServeConn(a)
-			clients[i] = ctrlproto.NewClient(b)
-			clients[i].Instrument(opts.Obs)
+			clients[i] = tb.Dial(nil)
 		}
 		defer func() {
 			for _, c := range clients {
@@ -192,7 +157,7 @@ func BenchController(opts ControllerOptions) (Result, error) {
 	} else {
 		for i := 0; i < opts.Agents*opts.Workers; i++ {
 			wg.Add(1)
-			go runLoop(i, tb.ctrl.RequestPathCtx)
+			go runLoop(i, tb.Ctrl.RequestPathCtx)
 		}
 	}
 
@@ -204,7 +169,7 @@ func BenchController(opts ControllerOptions) (Result, error) {
 	elapsed := time.Since(start)
 	var m1 runtime.MemStats
 	runtime.ReadMemStats(&m1)
-	res := Result{Requests: total, Elapsed: elapsed, Mem: tb.ctrl.MemStats()}
+	res := Result{Requests: total, Elapsed: elapsed, Mem: tb.Ctrl.MemStats()}
 	if total > 0 {
 		res.AllocsPerOp = float64(m1.Mallocs-m0.Mallocs) / float64(total)
 	}

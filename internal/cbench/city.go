@@ -16,6 +16,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/packet"
+	"repro/internal/plant"
 	"repro/internal/policy"
 	"repro/internal/shard"
 	"repro/internal/topo"
@@ -90,20 +91,6 @@ func (o CityOptions) workloadParams() workload.Params {
 	}
 }
 
-// cityStoreReplicas pins each shard's §5.2 store replication (primary plus
-// this many replicas), so bytes per subscriber is measured at a stated
-// durability.
-const cityStoreReplicas = 2
-
-// cityPlan is the address/tag layout the city runs: the default carrier
-// block and 12/12 BS/UE split, with the tag field widened to the full 12
-// bits so the per-shard residue classes stay comfortable at any width.
-func cityPlan() packet.Plan {
-	pl := packet.DefaultPlan
-	pl.TagBits = 12
-	return pl
-}
-
 // cityTopoParams maps a station count onto generator parameters: the
 // largest K in {8, 4, 2} whose K³/4 divides the count. 1536 → K=8 C=12;
 // the smoke point 48 → K=4 C=3.
@@ -124,28 +111,11 @@ func cityTopoParams(stations int) (topo.GenParams, error) {
 // error naming the flag to change.
 func ValidateCity(o CityOptions) error {
 	o = o.withDefaults()
-	pl := cityPlan()
 	if _, err := cityTopoParams(o.Stations); err != nil {
 		return err
 	}
-
-	// Per-shard tag sub-space: shard i allocates tags ≡ i (mod Shards), so
-	// its capacity is the size of that residue class within [1, MaxTag].
-	// Every allow clause needs at least one tag per shard, and route-shape
-	// diversity (distinct middlebox chains per clause) multiplies that, so
-	// demand 8× headroom.
-	clauses := 0
-	pol := policy.ExampleCarrierPolicy()
-	for id := 0; id < pol.Len(); id++ {
-		if cl, ok := pol.Clause(id); ok && cl.Action.Allow {
-			clauses++
-		}
-	}
-	tagCap := int(pl.MaxTag()) / o.Shards
-	if need := clauses * 8; tagCap < need {
-		return fmt.Errorf(
-			"cbench: -shards %d leaves each shard %d policy tags of the plan's %d (residue class, stride %d), below the %d (= %d allow clauses × 8 headroom) the soak needs; lower -shards",
-			o.Shards, tagCap, pl.MaxTag(), o.Shards, need, clauses)
+	if err := plant.CheckTagCapacity(o.Shards); err != nil {
+		return fmt.Errorf("cbench: -shards %d: %w", o.Shards, err)
 	}
 
 	// Per-station UE-ID sub-space: the workload's attached population
@@ -156,7 +126,7 @@ func ValidateCity(o CityOptions) error {
 	if concurrent > o.UEs {
 		concurrent = o.UEs
 	}
-	ueCap := 1<<pl.UEBits - 1
+	ueCap := 1<<plant.PlanFor(o.Shards).UEBits - 1
 	if need := 4 * (concurrent/o.Stations + 1); ueCap < need {
 		return fmt.Errorf(
 			"cbench: -ues %d across %d stations peaks near %d attached per popular station, but the plan encodes only %d UE IDs per station; lower -ues or raise -stations",
@@ -287,33 +257,12 @@ func BenchCity(opts CityOptions) (CityResult, error) {
 	if err != nil {
 		return res, err
 	}
-	g, err := topo.Generate(gp)
+	p, err := plant.New(plant.Spec{Topo: gp, Shards: opts.Shards, Obs: opts.Obs})
 	if err != nil {
 		return res, err
 	}
-	pol := policy.ExampleCarrierPolicy()
-	d, err := shard.New(shard.Config{
-		Topology: g.Topology,
-		Gateway:  g.GatewayID,
-		Policy:   pol,
-		MBTypes: map[string]topo.MBType{
-			policy.MBFirewall: 0, policy.MBTranscoder: 1, policy.MBEchoCancel: 2,
-		},
-		Shards:   opts.Shards,
-		Replicas: cityStoreReplicas,
-		Plan:     cityPlan(),
-		Obs:      opts.Obs,
-	})
-	if err != nil {
-		return res, err
-	}
+	d, clauses := p.Disp, p.Clauses
 	defer d.Close()
-	var clauses []int
-	for id := 0; id < pol.Len(); id++ {
-		if cl, ok := pol.Clause(id); ok && cl.Action.Allow {
-			clauses = append(clauses, id)
-		}
-	}
 
 	heapBase := liveHeap()
 	loadStart := time.Now()
@@ -332,12 +281,8 @@ func BenchCity(opts CityOptions) (CityResult, error) {
 	// Pre-warm every (station, clause) path so the soak measures
 	// steady-state request handling, then attach the diurnal steady-state
 	// population at the stations the workload model chose for it.
-	for bs := 0; bs < opts.Stations; bs++ {
-		for _, c := range clauses {
-			if _, err := d.RequestPath(packet.BSID(bs), c); err != nil {
-				return res, fmt.Errorf("cbench: warm bs %d clause %d: %w", bs, c, err)
-			}
-		}
+	if err := p.WarmPaths(); err != nil {
+		return res, fmt.Errorf("cbench: %w", err)
 	}
 	stream := workload.NewStream(opts.workloadParams())
 	initial := stream.InitialPopulation()

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"sync"
 
 	"repro/internal/agent"
@@ -13,8 +12,8 @@ import (
 	"repro/internal/ctrlproto"
 	"repro/internal/obs"
 	"repro/internal/packet"
+	"repro/internal/plant"
 	"repro/internal/policy"
-	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/switchsim"
 	"repro/internal/topo"
@@ -106,12 +105,7 @@ type blackoutEngine struct {
 	k   *sim.Kernel
 	rng *rand.Rand
 
-	g        *topo.Generated
-	d        *shard.Dispatcher
-	srv      *ctrlproto.Server
-	plan     packet.Plan
-	stations []packet.BSID
-	clauses  []int
+	*plant.Plant // the system under test: topology, policy, dispatcher, wire
 
 	agents map[packet.BSID]*agent.Agent
 	conns  map[packet.BSID]*ctrlproto.Client
@@ -153,7 +147,7 @@ func RunBlackout(cfg BlackoutConfig) (BlackoutResult, error) {
 	if err := e.setup(); err != nil {
 		return e.res, err
 	}
-	defer e.d.Close()
+	defer e.Disp.Close()
 	defer e.closeConns()
 
 	e.warm()
@@ -169,64 +163,34 @@ func RunBlackout(cfg BlackoutConfig) (BlackoutResult, error) {
 }
 
 func (e *blackoutEngine) setup() error {
-	g, err := topo.Generate(topo.GenParams{
-		K: genK, ClusterSize: e.cfg.ClusterSize, MBTypes: 3, Seed: e.cfg.Seed,
-	})
-	if err != nil {
-		return err
-	}
-	e.g = g
-	for _, st := range g.Stations {
-		e.stations = append(e.stations, st.ID)
-	}
-	pol := policy.ExampleCarrierPolicy()
-	for id := 0; id < pol.Len(); id++ {
-		if cl, ok := pol.Clause(id); ok && cl.Action.Allow {
-			e.clauses = append(e.clauses, id)
-		}
-	}
-	// Same widened tag field as the chaos engine: every churn round
-	// allocates fresh tags, and stale ones must miss, never alias.
-	e.plan = packet.DefaultPlan
-	e.plan.TagBits = 12
-	d, err := shard.New(shard.Config{
-		Topology: g.Topology,
-		Gateway:  g.GatewayID,
-		Policy:   pol,
-		Plan:     e.plan,
-		MBTypes: map[string]topo.MBType{
-			policy.MBFirewall: 0, policy.MBTranscoder: 1, policy.MBEchoCancel: 2,
-		},
+	p, err := plant.New(plant.Spec{
+		Topo:   topo.GenParams{K: genK, ClusterSize: e.cfg.ClusterSize, MBTypes: 3, Seed: e.cfg.Seed},
 		Shards: e.cfg.Shards,
 		Obs:    e.cfg.Obs,
 	})
 	if err != nil {
 		return err
 	}
-	e.d = d
-	e.srv = ctrlproto.NewServer(d)
-	e.srv.Instrument(e.cfg.Obs)
+	e.Plant = p
 
-	for _, bs := range e.stations {
+	for _, bs := range e.Stations {
 		sw := switchsim.NewSwitch(fmt.Sprintf("as-%d", bs))
-		ag := agent.New(bs, sw, e.plan, nil) // nil controller: pushed-snapshot mode
+		ag := agent.New(bs, sw, e.Plan, nil) // nil controller: pushed-snapshot mode
 		if e.cfg.Obs != nil {
 			ag.Instrument(e.cfg.Obs.Sub(fmt.Sprintf("bs.%d", bs)))
 		}
 		e.agents[bs] = ag
 	}
-	e.res.Stations = len(e.stations)
+	e.res.Stations = len(e.Stations)
 	e.connectAll()
 	return e.err
 }
 
 // connectAll (re)builds one control channel per station and announces it.
 func (e *blackoutEngine) connectAll() {
-	for _, bs := range e.stations {
+	for _, bs := range e.Stations {
 		ag := e.agents[bs]
-		a, b := net.Pipe()
-		go e.srv.ServeConn(a)
-		cl := ctrlproto.NewClient(b)
+		cl := e.Dial(nil)
 		cl.OnSnapshot = func(n ctrlproto.SnapshotNotify) error {
 			rep, err := ag.Publish(agent.NewSnapshot(n.Version, n.View))
 			e.pubMu.Lock()
@@ -243,7 +207,7 @@ func (e *blackoutEngine) connectAll() {
 }
 
 func (e *blackoutEngine) closeConns() {
-	for _, bs := range e.stations {
+	for _, bs := range e.Stations {
 		if cl := e.conns[bs]; cl != nil {
 			_ = cl.Close()
 			delete(e.conns, bs)
@@ -255,11 +219,11 @@ func (e *blackoutEngine) closeConns() {
 // version over the station's control channel, and barriers with an Echo so
 // the publish (or its refusal) is complete when push returns.
 func (e *blackoutEngine) push(bs packet.BSID, version uint64) (agent.ReconcileReport, error) {
-	view, err := e.d.AgentView(bs)
+	view, err := e.Disp.AgentView(bs)
 	if err != nil {
 		return agent.ReconcileReport{}, err
 	}
-	n, err := e.srv.PushSnapshot(ctrlproto.SnapshotNotify{Version: version, View: view})
+	n, err := e.Server().PushSnapshot(ctrlproto.SnapshotNotify{Version: version, View: view})
 	if err != nil {
 		return agent.ReconcileReport{}, err
 	}
@@ -287,12 +251,12 @@ func probePacket(ue core.UE, sport uint16) *packet.Packet {
 func (e *blackoutEngine) warm() {
 	for i := 0; i < e.cfg.UEs; i++ {
 		imsi := fmt.Sprintf("imsi-%03d", i)
-		if err := e.d.RegisterSubscriber(imsi, policy.Attributes{Provider: "A"}); err != nil {
+		if err := e.Disp.RegisterSubscriber(imsi, policy.Attributes{Provider: "A"}); err != nil {
 			e.fail(err)
 			return
 		}
-		bs := e.stations[e.rng.Intn(len(e.stations))]
-		ue, _, err := e.d.Attach(imsi, bs)
+		bs := e.Stations[e.rng.Intn(len(e.Stations))]
+		ue, _, err := e.Disp.Attach(imsi, bs)
 		if err != nil {
 			e.fail(fmt.Errorf("blackout: seeding attach %s at bs%d: %w", imsi, bs, err))
 			return
@@ -300,15 +264,11 @@ func (e *blackoutEngine) warm() {
 		e.ues = append(e.ues, ue)
 		e.trace("seed attach %s bs=%d loc=%s", imsi, bs, ue.LocIP)
 	}
-	for _, bs := range e.stations {
-		for _, clause := range e.clauses {
-			if _, err := e.d.RequestPath(bs, clause); err != nil {
-				e.fail(fmt.Errorf("blackout: warm path bs%d clause %d: %w", bs, clause, err))
-				return
-			}
-		}
+	if err := e.WarmPaths(); err != nil {
+		e.fail(fmt.Errorf("blackout: %w", err))
+		return
 	}
-	for _, bs := range e.stations {
+	for _, bs := range e.Stations {
 		ag := e.agents[bs]
 		if _, err := e.push(bs, ag.Version()+1); err != nil {
 			e.fail(fmt.Errorf("blackout: warm push bs%d: %w", bs, err))
@@ -409,8 +369,8 @@ func (e *blackoutEngine) probe(tickNo int) {
 // tags. Agents keep forwarding on their (now stale) LKG tags — exactly the
 // divergence reconciliation must repair on reconnect.
 func (e *blackoutEngine) churn() {
-	clause := e.clauses[e.rng.Intn(len(e.clauses))]
-	for _, s := range e.d.Shards() {
+	clause := e.Clauses[e.rng.Intn(len(e.Clauses))]
+	for _, s := range e.Disp.Shards() {
 		if s.Down() {
 			continue
 		}
@@ -418,8 +378,8 @@ func (e *blackoutEngine) churn() {
 			e.trace("churn clause=%d shard=%d err=%v", clause, s.ID, err)
 		}
 	}
-	for _, bs := range e.stations {
-		if _, err := e.d.RequestPath(bs, clause); err != nil {
+	for _, bs := range e.Stations {
+		if _, err := e.Disp.RequestPath(bs, clause); err != nil {
 			e.fail(fmt.Errorf("blackout: churn repath bs%d clause %d: %w", bs, clause, err))
 			return
 		}
@@ -438,7 +398,7 @@ func (e *blackoutEngine) reconnectAndReconcile() {
 	if e.err != nil {
 		return
 	}
-	for _, bs := range e.stations {
+	for _, bs := range e.Stations {
 		ag := e.agents[bs]
 		staleVer := ag.Version() // current LKG: anything <= this must be refused later
 		rep, err := e.push(bs, staleVer+1)
@@ -469,7 +429,7 @@ func (e *blackoutEngine) reconnectAndReconcile() {
 	// UE classifies to the controller's current tag for its clause.
 	for _, ue := range e.ues {
 		ag := e.agents[ue.BS]
-		view, err := e.d.AgentView(ue.BS)
+		view, err := e.Disp.AgentView(ue.BS)
 		if err != nil {
 			e.fail(err)
 			return
@@ -484,7 +444,7 @@ func (e *blackoutEngine) reconnectAndReconcile() {
 		}
 		// The verdict the live agent gives must equal the verdict a fresh
 		// snapshot of controller state gives: reconciliation converged.
-		tmp := agent.New(ue.BS, switchsim.NewSwitch("conv"), e.plan, nil)
+		tmp := agent.New(ue.BS, switchsim.NewSwitch("conv"), e.Plan, nil)
 		if _, err := tmp.Publish(agent.NewSnapshot(1, view)); err != nil {
 			e.fail(err)
 			return

@@ -34,6 +34,7 @@ import (
 	"repro/internal/ctrlproto"
 	"repro/internal/obs"
 	"repro/internal/packet"
+	"repro/internal/plant"
 	"repro/internal/policy"
 	"repro/internal/shard"
 	"repro/internal/sim"
@@ -153,17 +154,13 @@ type engine struct {
 	k   *sim.Kernel
 	rng *rand.Rand // schedule decisions
 
-	g   *topo.Generated
-	d   *shard.Dispatcher
-	srv *ctrlproto.Server
-	cl  *ctrlproto.Client
+	*plant.Plant // the system under test: topology, policy, dispatcher, wire
+	cl           *ctrlproto.Client
 
-	stations []packet.BSID
-	clauses  []int // allow-clause ids with installable paths
-	imsis    []string
-	perms    map[string]packet.Addr
-	swPool   []topo.NodeID // fail candidates: aggregation + core switches
-	downSw   []topo.NodeID
+	imsis  []string
+	perms  map[string]packet.Addr
+	swPool []topo.NodeID // fail candidates: aggregation + core switches
+	downSw []topo.NodeID
 
 	res Result
 	obs chaosObs
@@ -200,7 +197,7 @@ func Run(cfg Config) (Result, error) {
 	if err := e.setup(); err != nil {
 		return e.res, err
 	}
-	defer e.d.Close()
+	defer e.Disp.Close()
 	defer func() { _ = e.cl.Close() }()
 
 	_, err := e.k.Every(tick, func() bool {
@@ -220,76 +217,35 @@ func Run(cfg Config) (Result, error) {
 	}
 	e.finish()
 	if e.err == nil {
-		e.res.Mem = e.d.MemStats()
+		e.res.Mem = e.Disp.MemStats()
 	}
 	return e.res, e.err
 }
 
 func (e *engine) setup() error {
-	g, err := topo.Generate(topo.GenParams{
-		K: genK, ClusterSize: e.cfg.ClusterSize, MBTypes: 3, Seed: e.cfg.Seed,
-	})
-	if err != nil {
-		return err
-	}
-	e.g = g
-	for _, st := range g.Stations {
-		e.stations = append(e.stations, st.ID)
-	}
-	for _, pod := range g.PodSwitch {
-		e.swPool = append(e.swPool, pod...)
-	}
-	e.swPool = append(e.swPool, g.CoreSwitch...)
-
-	pol := policy.ExampleCarrierPolicy()
-	for id := 0; id < pol.Len(); id++ {
-		if cl, ok := pol.Clause(id); ok && cl.Action.Allow {
-			e.clauses = append(e.clauses, id)
-		}
-	}
-	// Policy churn and switch fail/recover allocate a fresh tag for every
-	// rebuilt path (stale tags must miss, never alias onto new paths), so a
-	// long chaos schedule consumes far more tag space than a steady-state
-	// dataplane. Widen the tag field: exhausting it mid-run would only
-	// exercise the allocator's fail-fast error, not the recovery logic
-	// under test.
-	plan := packet.DefaultPlan
-	plan.TagBits = 12
-	// Fail fast on a shard count the tag partition cannot feed — better
-	// an explicit configuration error here than an allocator error deep
-	// into the schedule.
-	if tagCap := int(plan.MaxTag()) / e.cfg.Shards; tagCap < 16 {
-		return fmt.Errorf(
-			"chaos: %d shards leave each shard only %d policy tags of the plan's %d; a churning schedule needs at least 16 per shard — lower -shards",
-			e.cfg.Shards, tagCap, plan.MaxTag())
-	}
-	d, err := shard.New(shard.Config{
-		Topology: g.Topology,
-		Gateway:  g.GatewayID,
-		Policy:   pol,
-		Plan:     plan,
-		MBTypes: map[string]topo.MBType{
-			policy.MBFirewall: 0, policy.MBTranscoder: 1, policy.MBEchoCancel: 2,
-		},
+	p, err := plant.New(plant.Spec{
+		Topo:   topo.GenParams{K: genK, ClusterSize: e.cfg.ClusterSize, MBTypes: 3, Seed: e.cfg.Seed},
 		Shards: e.cfg.Shards,
 		Obs:    e.cfg.Obs,
 	})
 	if err != nil {
 		return err
 	}
-	e.d = d
-	e.srv = ctrlproto.NewServer(d)
-	e.srv.Instrument(e.cfg.Obs)
+	e.Plant = p
+	for _, pod := range p.Topo.PodSwitch {
+		e.swPool = append(e.swPool, pod...)
+	}
+	e.swPool = append(e.swPool, p.Topo.CoreSwitch...)
 	e.connect()
 
 	for i := 0; i < e.cfg.UEs; i++ {
 		imsi := fmt.Sprintf("imsi-%03d", i)
 		e.imsis = append(e.imsis, imsi)
-		if err := d.RegisterSubscriber(imsi, policy.Attributes{Provider: "A"}); err != nil {
+		if err := e.Disp.RegisterSubscriber(imsi, policy.Attributes{Provider: "A"}); err != nil {
 			return err
 		}
-		bs := e.stations[e.rng.Intn(len(e.stations))]
-		ue, _, err := d.Attach(imsi, bs)
+		bs := e.Stations[e.rng.Intn(len(e.Stations))]
+		ue, _, err := e.Disp.Attach(imsi, bs)
 		if err != nil {
 			return fmt.Errorf("chaos: seeding attach %s at bs %d: %w", imsi, bs, err)
 		}
@@ -300,18 +256,15 @@ func (e *engine) setup() error {
 	return e.err
 }
 
-// connect (re)builds the faulty control channel: a fresh net.Pipe served by
-// the shared server, with the client side wrapped in the fault injector.
+// connect (re)builds the faulty control channel: a fresh connection to the
+// plant's server, with the client side wrapped in the fault injector.
 func (e *engine) connect() {
-	a, b := net.Pipe()
-	go e.srv.ServeConn(a)
 	e.wireMu.Lock()
 	e.seen = make(map[uint32]bool) // request ids restart with the connection
 	e.wireMu.Unlock()
-	e.cl = ctrlproto.NewClient(ctrlproto.NewFaultyConn(b, e.decide))
+	e.cl = e.Dial(func(c net.Conn) net.Conn { return ctrlproto.NewFaultyConn(c, e.decide) })
 	e.cl.Timeout = e.cfg.RetryTimeout
 	e.cl.Attempts = retryAttempts
-	e.cl.Instrument(e.cfg.Obs)
 }
 
 // decide is the wire fault schedule. It runs on the connection's writer
@@ -380,7 +333,7 @@ func (e *engine) fail(err error) {
 // check runs the cross-layer invariant checker and aborts the run on the
 // first violation.
 func (e *engine) check(label string) {
-	rep, err := e.d.CheckInvariants()
+	rep, err := e.Disp.CheckInvariants()
 	e.res.Checks++
 	e.res.Final = rep
 	if err != nil {
@@ -447,7 +400,7 @@ func (e *engine) pickUE(wantAttached bool) (string, core.UE, bool) {
 	start := e.rng.Intn(len(e.imsis))
 	for i := 0; i < len(e.imsis); i++ {
 		imsi := e.imsis[(start+i)%len(e.imsis)]
-		ue, ok := e.d.LookupUE(imsi)
+		ue, ok := e.Disp.LookupUE(imsi)
 		if (ok && ue.LocIP != 0) == wantAttached {
 			return imsi, ue, true
 		}
@@ -457,15 +410,15 @@ func (e *engine) pickUE(wantAttached bool) (string, core.UE, bool) {
 
 func (e *engine) attachToggle() {
 	imsi := e.imsis[e.rng.Intn(len(e.imsis))]
-	ue, ok := e.d.LookupUE(imsi)
+	ue, ok := e.Disp.LookupUE(imsi)
 	if ok && ue.LocIP != 0 {
-		err := e.d.Detach(imsi)
+		err := e.Disp.Detach(imsi)
 		e.countErr(err)
 		e.trace("detach %s err=%v", imsi, err)
 		return
 	}
-	bs := e.stations[e.rng.Intn(len(e.stations))]
-	got, _, err := e.d.Attach(imsi, bs)
+	bs := e.Stations[e.rng.Intn(len(e.Stations))]
+	got, _, err := e.Disp.Attach(imsi, bs)
 	e.countErr(err)
 	if err == nil {
 		e.perms[imsi] = got.PermIP
@@ -488,19 +441,19 @@ func (e *engine) handoff(detach bool) {
 		e.trace("handoff skip: nothing attached")
 		return
 	}
-	newBS := e.stations[e.rng.Intn(len(e.stations))]
+	newBS := e.Stations[e.rng.Intn(len(e.Stations))]
 	if newBS == ue.BS {
-		newBS = e.stations[(int(newBS)+1)%len(e.stations)]
+		newBS = e.Stations[(int(newBS)+1)%len(e.Stations)]
 	}
-	ring := e.d.Ring()
+	ring := e.Disp.Ring()
 	oldOwner, _ := ring.Owner(ue.BS)
 	newOwner, _ := ring.Owner(newBS)
-	res, err := e.d.Handoff(imsi, newBS)
+	res, err := e.Disp.Handoff(imsi, newBS)
 	e.countErr(err)
 	e.trace("handoff %s bs %d->%d sameShard=%v oldLoc=%s err=%v",
 		imsi, ue.BS, newBS, oldOwner == newOwner, res.OldLocIP, err)
 	if err == nil && oldOwner == newOwner && res.OldLocIP != 0 {
-		s := e.d.Shard(newOwner)
+		s := e.Disp.Shard(newOwner)
 		oldLoc, shortcuts := res.OldLocIP, res.Shortcuts
 		delay := sim.Time(e.rng.Int63n(int64(40*tick))) + 1
 		e.k.After(delay, func() {
@@ -514,7 +467,7 @@ func (e *engine) handoff(detach bool) {
 		})
 	}
 	if detach {
-		derr := e.d.Detach(imsi)
+		derr := e.Disp.Detach(imsi)
 		e.countErr(derr)
 		e.trace("detach-mid-handoff %s err=%v", imsi, derr)
 		e.check("detach-mid-handoff")
@@ -522,8 +475,8 @@ func (e *engine) handoff(detach bool) {
 }
 
 func (e *engine) wirePath() {
-	bs := e.stations[e.rng.Intn(len(e.stations))]
-	clause := e.clauses[e.rng.Intn(len(e.clauses))]
+	bs := e.Stations[e.rng.Intn(len(e.Stations))]
+	clause := e.Clauses[e.rng.Intn(len(e.Clauses))]
 	tag, err := e.cl.RequestPath(bs, clause)
 	e.drainWire()
 	e.countErr(err)
@@ -531,7 +484,7 @@ func (e *engine) wirePath() {
 	if err != nil {
 		return
 	}
-	if owner, ok := e.d.Ring().Owner(bs); ok && int(tag)%e.cfg.Shards != owner {
+	if owner, ok := e.Disp.Ring().Owner(bs); ok && int(tag)%e.cfg.Shards != owner {
 		e.fail(fmt.Errorf("chaos: station %d tag %d outside shard %d's residue class", bs, tag, owner))
 	}
 }
@@ -539,7 +492,7 @@ func (e *engine) wirePath() {
 func (e *engine) wireResolve() {
 	imsi := e.imsis[e.rng.Intn(len(e.imsis))]
 	perm := e.perms[imsi]
-	want, ok := e.d.LookupUE(imsi)
+	want, ok := e.Disp.LookupUE(imsi)
 	loc, err := e.cl.ResolveLocIP(perm)
 	e.drainWire()
 	e.countErr(err)
@@ -561,13 +514,13 @@ func (e *engine) wireEcho() {
 }
 
 func (e *engine) directPath() {
-	bs := e.stations[e.rng.Intn(len(e.stations))]
-	clause := e.clauses[e.rng.Intn(len(e.clauses))]
-	tag, err := e.d.RequestPath(bs, clause)
+	bs := e.Stations[e.rng.Intn(len(e.Stations))]
+	clause := e.Clauses[e.rng.Intn(len(e.Clauses))]
+	tag, err := e.Disp.RequestPath(bs, clause)
 	e.countErr(err)
 	e.trace("path bs=%d clause=%d tag=%d err=%v", bs, clause, tag, err)
 	if err == nil {
-		if owner, ok := e.d.Ring().Owner(bs); ok && int(tag)%e.cfg.Shards != owner {
+		if owner, ok := e.Disp.Ring().Owner(bs); ok && int(tag)%e.cfg.Shards != owner {
 			e.fail(fmt.Errorf("chaos: station %d tag %d outside shard %d's residue class", bs, tag, owner))
 		}
 	}
@@ -588,7 +541,7 @@ func (e *engine) switchFault() {
 	}
 	candidates := make([]topo.NodeID, 0, len(e.swPool))
 	for _, n := range e.swPool {
-		if !e.g.Down(n) {
+		if !e.Topo.Down(n) {
 			candidates = append(candidates, n)
 		}
 	}
@@ -600,7 +553,7 @@ func (e *engine) switchFault() {
 	e.downSw = append(e.downSw, n)
 	e.res.Faults.SwitchFail++
 	e.obs.fault(kindSwitchFail, int64(n))
-	for _, s := range e.d.Shards() {
+	for _, s := range e.Disp.Shards() {
 		if s.Down() {
 			continue
 		}
@@ -617,7 +570,7 @@ func (e *engine) switchFault() {
 func (e *engine) recoverSwitch(n topo.NodeID) {
 	e.res.Faults.SwitchRecover++
 	e.obs.fault(kindSwitchRecover, int64(n))
-	for _, s := range e.d.Shards() {
+	for _, s := range e.Disp.Shards() {
 		if s.Down() {
 			continue
 		}
@@ -631,7 +584,7 @@ func (e *engine) recoverSwitch(n topo.NodeID) {
 // the remainder, exercising both §5.2 recovery sources.
 func (e *engine) shardKill() {
 	var live []*shard.Shard
-	for _, s := range e.d.Shards() {
+	for _, s := range e.Disp.Shards() {
 		if !s.Down() {
 			live = append(live, s)
 		}
@@ -657,7 +610,7 @@ func (e *engine) shardKill() {
 	for _, bs := range stations {
 		reports = append(reports, core.AgentLocationReport{BS: packet.BSID(bs), UEs: byBS[packet.BSID(bs)]})
 	}
-	rep, err := e.d.FailShard(victim.ID, reports)
+	rep, err := e.Disp.FailShard(victim.ID, reports)
 	if err != nil {
 		e.fail(fmt.Errorf("chaos: failing shard %d: %w", victim.ID, err))
 		return
@@ -673,7 +626,7 @@ func (e *engine) shardKill() {
 func (e *engine) agentRestart() {
 	_ = e.cl.Close()
 	e.connect()
-	bs := e.stations[e.rng.Intn(len(e.stations))]
+	bs := e.Stations[e.rng.Intn(len(e.Stations))]
 	e.setBarrier(true)
 	err := e.cl.Hello(bs)
 	e.setBarrier(false)
@@ -690,8 +643,8 @@ func (e *engine) agentRestart() {
 // policyChurn withdraws one allow clause's paths on every live shard; later
 // path requests reinstall them.
 func (e *engine) policyChurn() {
-	clause := e.clauses[e.rng.Intn(len(e.clauses))]
-	for _, s := range e.d.Shards() {
+	clause := e.Clauses[e.rng.Intn(len(e.Clauses))]
+	for _, s := range e.Disp.Shards() {
 		if s.Down() {
 			continue
 		}
@@ -720,14 +673,14 @@ func (e *engine) finish() {
 		e.fail(fmt.Errorf("chaos: %d reservations survived quiescence", e.res.Final.Reservations))
 		return
 	}
-	for _, bs := range e.stations {
-		for _, clause := range e.clauses {
-			tag, err := e.d.RequestPath(bs, clause)
+	for _, bs := range e.Stations {
+		for _, clause := range e.Clauses {
+			tag, err := e.Disp.RequestPath(bs, clause)
 			if err != nil {
 				e.fail(fmt.Errorf("chaos: final sweep bs=%d clause=%d: %w", bs, clause, err))
 				return
 			}
-			if owner, ok := e.d.Ring().Owner(bs); ok && int(tag)%e.cfg.Shards != owner {
+			if owner, ok := e.Disp.Ring().Owner(bs); ok && int(tag)%e.cfg.Shards != owner {
 				e.fail(fmt.Errorf("chaos: final sweep bs=%d tag %d outside shard %d's residue class", bs, tag, owner))
 				return
 			}

@@ -39,8 +39,11 @@ func BenchmarkRequestPath(b *testing.B) {
 
 // BenchmarkInstallPath measures Algorithm 1 itself: candidate evaluation,
 // aggregation, and rule installation for pre-planned routes. The installer
-// is recycled periodically so the rule tables stay at a realistic size
-// instead of growing with b.N.
+// is recycled every 128 installs: that keeps the rule tables at a realistic
+// size instead of growing with b.N, and stays well inside the default
+// plan's 63 tags (re-installing these twelve routes takes a fresh tag
+// about every fourth install), so the bench times installs, not the
+// allocator's refusal.
 func BenchmarkInstallPath(b *testing.B) {
 	n := newFig3Net(b)
 	pl := routing.NewPlanner(n.Topology)
@@ -58,7 +61,7 @@ func BenchmarkInstallPath(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if i%1024 == 0 && i > 0 {
+		if i%128 == 0 && i > 0 {
 			b.StopTimer()
 			in = mustInstaller(b, n.Topology, InstallerOptions{})
 			b.StartTimer()

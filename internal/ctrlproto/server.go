@@ -101,6 +101,19 @@ func (s *Server) setStation(c *conn, bs packet.BSID) {
 	s.mu.Unlock()
 }
 
+// stationConns snapshots the connections registered for bs.
+func (s *Server) stationConns(bs packet.BSID) []*conn {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	conns := make([]*conn, 0, 1)
+	for c, at := range s.conns {
+		if at == bs {
+			conns = append(conns, c)
+		}
+	}
+	return conns
+}
+
 func (s *Server) forget(c *conn) {
 	s.mu.Lock()
 	delete(s.conns, c)
@@ -226,20 +239,24 @@ func (s *Server) handle(c *conn, f frame) {
 // error means no agent for that station is connected — the push is simply
 // dropped, and the agent keeps serving its last-known-good state until it
 // reconnects and a fresh snapshot reaches it.
+//
+// A connection whose peer just went away stays registered until its read
+// loop notices, so a push right after an agent reconnects can also reach
+// the dead connection. A failed write means that connection is gone, not
+// that the push failed: it is torn down, forgotten and not counted, and an
+// error is returned only when no connection took the frame and at least
+// one refused it.
 func (s *Server) PushSnapshot(n SnapshotNotify) (int, error) {
-	s.mu.Lock()
-	conns := make([]*conn, 0, 1)
-	for c, bs := range s.conns {
-		if bs == n.View.BS {
-			conns = append(conns, c)
-		}
-	}
-	s.mu.Unlock()
-	payload := marshalJSON(n)
+	f := frame{typ: MsgSnapshot, payload: marshalJSON(n)}
 	pushed := 0
 	var firstErr error
-	for _, c := range conns {
-		if err := c.send(frame{typ: MsgSnapshot, payload: payload}); err != nil {
+	for _, c := range s.stationConns(n.View.BS) {
+		if err := c.buffer(f); err != nil {
+			return pushed, err // unencodable for every connection alike
+		}
+		if err := c.flush(); err != nil {
+			c.fail(err)
+			s.forget(c)
 			if firstErr == nil {
 				firstErr = err
 			}
@@ -247,7 +264,10 @@ func (s *Server) PushSnapshot(n SnapshotNotify) (int, error) {
 		}
 		pushed++
 	}
-	return pushed, firstErr
+	if pushed > 0 {
+		return pushed, nil
+	}
+	return 0, firstErr
 }
 
 // QueryLocations asks every connected agent for its location report and

@@ -16,14 +16,8 @@ import (
 // hold) a receiver's mutex must not call another method of that same
 // receiver which acquires the same mutex again.
 //
-// Structs that split their state across several mutexes may document the
-// acquisition order with a "lock ordering: mu1, mu2, mu3" line in the
-// struct's doc comment. The analyzer then checks every method of that
-// struct: walking the body in source order (deferred unlocks hold to
-// return, explicit unlocks release), acquiring a mutex while a later-ranked
-// one is still held is reported. A "caller holds <mu>" annotation seeds the
-// held set, so a helper documented to run under an inner lock cannot
-// acquire an outer one.
+// Acquisition order — the "lock ordering: mu1, mu2" struct comments — is
+// lockorder's job, not this analyzer's.
 //
 // The check is a heuristic, deliberately flow-insensitive: a Lock anywhere
 // in the function body (including one inside a closure) counts as held.
@@ -31,14 +25,13 @@ import (
 // matters — a field access with no lock acquisition in sight.
 var LockCheck = &Analyzer{
 	Name: "lockcheck",
-	Doc:  "guarded-field accesses must hold the annotated mutex; locked methods must not re-lock; documented lock orderings must hold",
+	Doc:  "guarded-field accesses must hold the annotated mutex; locked methods must not re-lock",
 	Run:  runLockCheck,
 }
 
 var (
 	guardedRe     = regexp.MustCompile(`guarded by ([A-Za-z_][A-Za-z0-9_]*)`)
 	callerHoldsRe = regexp.MustCompile(`caller holds ([A-Za-z_][A-Za-z0-9_]*)`)
-	lockOrderRe   = regexp.MustCompile(`lock ordering: ([A-Za-z_][A-Za-z0-9_]*(?:,\s*[A-Za-z_][A-Za-z0-9_]*)+)`)
 )
 
 // guardInfo records one annotated field.
@@ -53,8 +46,6 @@ func runLockCheck(prog *Program, rules *Rules, report Reporter) {
 	// mutex field name. Filled in a first sweep so the self-deadlock pass
 	// can resolve callees across files.
 	lockingMethods := make(map[*types.Func]string)
-	// orderings: per struct type, the documented mutex acquisition order.
-	orderings := make(map[*types.TypeName][]string)
 
 	// Pass 1: collect annotations (and validate them) in the lock packages.
 	for _, pkg := range prog.Pkgs {
@@ -62,7 +53,6 @@ func runLockCheck(prog *Program, rules *Rules, report Reporter) {
 			continue
 		}
 		collectGuards(pkg, guarded, report)
-		collectOrderings(pkg, orderings, report)
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
 				fn, ok := decl.(*ast.FuncDecl)
@@ -83,7 +73,7 @@ func runLockCheck(prog *Program, rules *Rules, report Reporter) {
 			}
 		}
 	}
-	if len(guarded) == 0 && len(orderings) == 0 {
+	if len(guarded) == 0 {
 		return
 	}
 
@@ -97,144 +87,9 @@ func runLockCheck(prog *Program, rules *Rules, report Reporter) {
 					continue
 				}
 				checkFunc(pkg, fn, guarded, lockingMethods, report)
-				checkLockOrder(pkg, fn, orderings, report)
 			}
 		}
 	}
-}
-
-// collectOrderings records every "lock ordering: a, b, c" struct-doc
-// annotation of a package, validating that each name is a mutex field of
-// the struct. The doc may sit on the type spec or on its enclosing decl.
-func collectOrderings(pkg *Package, orderings map[*types.TypeName][]string, report Reporter) {
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
-					continue
-				}
-				doc := ""
-				if ts.Doc != nil {
-					doc = ts.Doc.Text()
-				} else if gd.Doc != nil {
-					doc = gd.Doc.Text()
-				}
-				m := lockOrderRe.FindStringSubmatch(doc)
-				if m == nil {
-					continue
-				}
-				var order []string
-				bad := false
-				for _, name := range strings.Split(m[1], ",") {
-					name = strings.TrimSpace(name)
-					if !structHasMutex(pkg, st, name) {
-						report(ts.Pos(), "lock ordering names %s but %s.%s is not a sync mutex",
-							name, ts.Name.Name, name)
-						bad = true
-						continue
-					}
-					order = append(order, name)
-				}
-				if bad || len(order) < 2 {
-					continue
-				}
-				if tn, ok := pkg.Info.Defs[ts.Name].(*types.TypeName); ok {
-					orderings[tn] = order
-				}
-			}
-		}
-	}
-}
-
-// checkLockOrder walks a method body in source order, tracking which of
-// the receiver type's ordered mutexes are held: Lock/RLock adds (after
-// checking no later-ranked mutex is held), Unlock/RUnlock releases, and
-// deferred unlocks are ignored (they hold to return). "caller holds"
-// annotations seed the held set.
-func checkLockOrder(pkg *Package, fn *ast.FuncDecl, orderings map[*types.TypeName][]string, report Reporter) {
-	if fn.Recv == nil || len(orderings) == 0 {
-		return
-	}
-	obj, ok := pkg.Info.Defs[fn.Name].(*types.Func)
-	if !ok {
-		return
-	}
-	sig, ok := obj.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return
-	}
-	rt := sig.Recv().Type()
-	if p, okp := rt.(*types.Pointer); okp {
-		rt = p.Elem()
-	}
-	named, ok := rt.(*types.Named)
-	if !ok {
-		return
-	}
-	order := orderings[named.Obj()]
-	if order == nil {
-		return
-	}
-	rank := make(map[string]int, len(order))
-	for i, mu := range order {
-		rank[mu] = i
-	}
-	recv := receiverName(fn)
-	if recv == "" {
-		return
-	}
-	held := make(map[string]bool)
-	for mu := range callerHolds(fn) {
-		if _, ok := rank[mu]; ok {
-			held[mu] = true
-		}
-	}
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		if _, isDefer := n.(*ast.DeferStmt); isDefer {
-			// Deferred unlocks run at return; they never release mid-body.
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		muSel, ok := sel.X.(*ast.SelectorExpr)
-		if !ok || exprString(muSel.X) != recv {
-			return true
-		}
-		mu := muSel.Sel.Name
-		r, ordered := rank[mu]
-		if !ordered {
-			return true
-		}
-		switch sel.Sel.Name {
-		case "Lock", "RLock":
-			for h := range held {
-				if rank[h] > r {
-					report(call.Pos(),
-						"acquires %s.%s while holding %s.%s: documented lock ordering is %s",
-						recv, mu, recv, h, strings.Join(order, ", "))
-				}
-			}
-			held[mu] = true
-		case "Unlock", "RUnlock":
-			delete(held, mu)
-		}
-		return true
-	})
 }
 
 // collectGuards records every "// guarded by mu" field annotation of a

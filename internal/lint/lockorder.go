@@ -4,25 +4,27 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"regexp"
 	"sort"
 	"strings"
 )
 
-// LockOrder generalises lockcheck's per-struct "lock ordering:" comments
-// into a whole-module lock-acquisition graph. Mutexes are identified at
-// the type level — the field (core.Controller.ueMu) or package-level
-// variable, not the instance — and an edge a→b means "b was acquired while
-// a was held", either directly in one body or through a call chain: each
-// function gets a transitive may-acquire summary (computed to a fixpoint),
-// and a call made while holding a contributes edges to everything the
-// callee may acquire. Documented "lock ordering: a, b, c" struct comments
-// contribute their pairwise edges as the declared direction. Any cycle in
-// the combined graph is a potential deadlock; every discovered (i.e. not
-// merely declared) edge participating in a cycle is reported at the
-// acquisition or call site that created it.
+// LockOrder checks acquisition order over a whole-module lock-acquisition
+// graph. Mutexes are identified at the type level — the field
+// (core.Controller.ueMu) or package-level variable, not the instance — and
+// an edge a→b means "b was acquired while a was held", either directly in
+// one body or through a call chain: each function gets a transitive
+// may-acquire summary (computed to a fixpoint), and a call made while
+// holding a contributes edges to everything the callee may acquire.
+// Documented "lock ordering: a, b, c" struct comments contribute their
+// pairwise edges as the declared direction (every name must be a mutex
+// field of the struct), and a "caller holds <mu>" annotation seeds the
+// held set. Any cycle in the combined graph is a potential deadlock —
+// acquiring against a documented ordering closes one — and every
+// discovered (i.e. not merely declared) edge participating in a cycle is
+// reported at the acquisition or call site that created it.
 //
-// Heuristics, deliberately matching lockcheck: the walk is source-order
-// and flow-insensitive, deferred unlocks hold to return, and defer/go
+// Heuristics: the walk is source-order and flow-insensitive, deferred unlocks hold to return, and defer/go
 // statements, closures, and dynamic (interface) calls are not followed.
 // Self-edges (the same type-level mutex on both sides, e.g. locking two
 // shards in sequence during a migration) are skipped: instance identity is
@@ -93,7 +95,7 @@ func runLockOrder(prog *Program, rules *Rules, report Reporter) {
 				p.facts[obj] = p.scanFunc(pkg, fn)
 			}
 		}
-		p.declaredEdges(pkg)
+		p.declaredEdges(pkg, report)
 	}
 	if len(p.facts) == 0 {
 		return
@@ -241,22 +243,32 @@ func (p *lockOrderPass) receiverMutexField(pkg *Package, fn *ast.FuncDecl, name 
 	if !ok {
 		return nil
 	}
+	f := structMutex(st, name)
+	if f == nil {
+		return nil
+	}
+	if _, ok := p.names[f]; !ok {
+		p.names[f] = named.Obj().Pkg().Name() + "." + named.Obj().Name() + "." + f.Name()
+	}
+	return f
+}
+
+// structMutex returns st's sync-mutex field of the given name, nil if none.
+func structMutex(st *types.Struct, name string) *types.Var {
 	for i := 0; i < st.NumFields(); i++ {
-		f := st.Field(i)
-		if f.Name() == name && isSyncMutex(f.Type()) {
-			if _, ok := p.names[f]; !ok {
-				p.names[f] = named.Obj().Pkg().Name() + "." + named.Obj().Name() + "." + f.Name()
-			}
+		if f := st.Field(i); f.Name() == name && isSyncMutex(f.Type()) {
 			return f
 		}
 	}
 	return nil
 }
 
+var lockOrderRe = regexp.MustCompile(`lock ordering: ([A-Za-z_][A-Za-z0-9_]*(?:,\s*[A-Za-z_][A-Za-z0-9_]*)+)`)
+
 // declaredEdges turns "lock ordering: a, b, c" struct docs into declared
-// pairwise edges. Name validation is lockcheck's job; unknown names are
-// silently skipped here.
-func (p *lockOrderPass) declaredEdges(pkg *Package) {
+// pairwise edges, reporting any name that is not a mutex field of the
+// struct.
+func (p *lockOrderPass) declaredEdges(pkg *Package, report Reporter) {
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
 			gd, ok := decl.(*ast.GenDecl)
@@ -293,16 +305,16 @@ func (p *lockOrderPass) declaredEdges(pkg *Package) {
 				var vars []*types.Var
 				for _, name := range strings.Split(m[1], ",") {
 					name = strings.TrimSpace(name)
-					for i := 0; i < st.NumFields(); i++ {
-						fld := st.Field(i)
-						if fld.Name() == name && isSyncMutex(fld.Type()) {
-							if _, ok := p.names[fld]; !ok {
-								p.names[fld] = pkg.Types.Name() + "." + tn.Name() + "." + fld.Name()
-							}
-							vars = append(vars, fld)
-							break
-						}
+					fld := structMutex(st, name)
+					if fld == nil {
+						report(ts.Pos(), "lock ordering names %s but %s.%s is not a sync mutex",
+							name, tn.Name(), name)
+						continue
 					}
+					if _, ok := p.names[fld]; !ok {
+						p.names[fld] = pkg.Types.Name() + "." + tn.Name() + "." + fld.Name()
+					}
+					vars = append(vars, fld)
 				}
 				for i := 0; i < len(vars); i++ {
 					for j := i + 1; j < len(vars); j++ {

@@ -68,9 +68,7 @@ type Sloppy struct {
 }
 
 // Registry splits its state across three mutexes, each guarding its own
-// fields, with a documented acquisition order.
-//
-// lock ordering: idxMu, allocMu, tabMu
+// fields.
 type Registry struct {
 	idxMu   sync.RWMutex
 	allocMu sync.Mutex
@@ -88,8 +86,7 @@ func (r *Registry) Lookup(s string) int {
 	return r.names[s]
 }
 
-// Register nests the allocator and table locks inside the index lock, in
-// the documented order.
+// Register nests the allocator and table locks inside the index lock.
 func (r *Registry) Register(s string) int {
 	r.idxMu.Lock()
 	defer r.idxMu.Unlock()
@@ -111,17 +108,7 @@ func (r *Registry) CrossGuard() int {
 	return r.next // want "Registry.next is guarded by allocMu"
 }
 
-// Reversed acquires the index lock while still holding the table lock.
-func (r *Registry) Reversed() {
-	r.tabMu.Lock()
-	defer r.tabMu.Unlock()
-	r.idxMu.Lock() // want "documented lock ordering is idxMu, allocMu, tabMu"
-	r.names["x"] = 0
-	r.idxMu.Unlock()
-}
-
-// Sequenced releases the table lock before taking the allocator lock:
-// out-of-order acquisitions are fine when nothing later-ranked is held.
+// Sequenced takes each lock for the field it guards, one after the other.
 func (r *Registry) Sequenced() {
 	r.tabMu.Lock()
 	r.table = nil
@@ -129,23 +116,4 @@ func (r *Registry) Sequenced() {
 	r.allocMu.Lock()
 	r.next = 0
 	r.allocMu.Unlock()
-}
-
-// innerHeld is documented to run under the table lock, so it must not
-// reach outward for an earlier-ranked mutex.
-//
-// caller holds tabMu
-func (r *Registry) innerHeld() {
-	r.allocMu.Lock() // want "acquires r.allocMu while holding r.tabMu"
-	r.next++
-	r.allocMu.Unlock()
-	r.table = append(r.table, 0)
-}
-
-// Misordered documents an ordering naming a non-mutex field.
-//
-// lock ordering: mu, gate
-type Misordered struct { // want "lock ordering names gate"
-	mu   sync.Mutex
-	gate int
 }

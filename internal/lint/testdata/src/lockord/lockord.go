@@ -1,7 +1,8 @@
 // Package lockord exercises the cross-function lock-order analyzer: a
 // two-mutex cycle closed through a helper call, a declared ordering
-// violated interprocedurally, caller-holds seeding, release handling, and
-// the type-level self-edge exemption.
+// violated interprocedurally and directly, caller-holds seeding, release
+// handling, the type-level self-edge exemption, and validation of the
+// names a declared ordering lists.
 package lockord
 
 import "sync"
@@ -113,4 +114,32 @@ func (h *Hold) underB() {
 	h.hmA.Lock() // want `acquiring lockord\.Hold\.hmA while holding lockord\.Hold\.hmB creates a lock-order cycle`
 	h.n++
 	h.hmA.Unlock()
+}
+
+// Registry documents a three-mutex acquisition order.
+//
+// lock ordering: idxMu, allocMu, tabMu
+type Registry struct {
+	idxMu   sync.RWMutex
+	allocMu sync.Mutex
+	tabMu   sync.Mutex
+	n       int
+}
+
+// Reversed acquires the index lock while still holding the table lock,
+// in one body, against the documented order.
+func (r *Registry) Reversed() {
+	r.tabMu.Lock()
+	defer r.tabMu.Unlock()
+	r.idxMu.Lock() // want `acquiring lockord\.Registry\.idxMu while holding lockord\.Registry\.tabMu creates a lock-order cycle`
+	r.n = 0
+	r.idxMu.Unlock()
+}
+
+// Misordered documents an ordering naming a non-mutex field.
+//
+// lock ordering: mu, gate
+type Misordered struct { // want "lock ordering names gate but Misordered.gate is not a sync mutex"
+	mu   sync.Mutex
+	gate int
 }

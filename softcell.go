@@ -8,6 +8,7 @@ import (
 	"repro/internal/mbox"
 	"repro/internal/obs"
 	"repro/internal/packet"
+	"repro/internal/plant"
 	"repro/internal/policy"
 	"repro/internal/topo"
 )
@@ -79,16 +80,9 @@ type Options struct {
 	Obs *obs.Registry
 }
 
-// StandardMBTypes is the default function-name-to-type mapping.
-func StandardMBTypes() map[string]topo.MBType {
-	return map[string]topo.MBType{
-		policy.MBFirewall:   0,
-		policy.MBTranscoder: 1,
-		policy.MBEchoCancel: 2,
-		policy.MBIDS:        3,
-		policy.MBNAT:        4,
-	}
-}
+// StandardMBTypes is the default function-name-to-type mapping (the table
+// every internal/plant control plant runs on too).
+func StandardMBTypes() map[string]topo.MBType { return plant.MBTypes() }
 
 // StandardMBFuncs is the inverse of StandardMBTypes.
 func StandardMBFuncs() map[topo.MBType]string {
