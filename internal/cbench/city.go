@@ -190,9 +190,9 @@ type CityResult struct {
 	// Memory: GC-settled live-heap growth across the load phase, divided
 	// by the registered population. AttachedBytesPerUE charges the whole
 	// delta to the concurrently-attached population instead (the paper's
-	// ~220K). BytesPerUE covers all Shards controllers: each holds the
-	// full subscriber base (registrations broadcast by dispatcher design)
-	// plus its replicated store.
+	// ~220K). BytesPerUE covers the whole fleet: the one shared
+	// subscriber table with its replicated store, plus every shard's own
+	// UE records and store.
 	LiveHeapBytes      uint64  `json:"live_heap_bytes"`
 	BytesPerUE         float64 `json:"bytes_per_ue"`
 	AttachedBytesPerUE float64 `json:"bytes_per_attached_ue"`

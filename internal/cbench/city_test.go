@@ -71,9 +71,8 @@ func TestCitySoakSmokeDeterministic(t *testing.T) {
 	if a.InitialAttach == 0 || a.Arrivals == 0 || a.Handoffs == 0 {
 		t.Fatalf("soak did not exercise the workload: %+v", a)
 	}
-	// Subscriber records broadcast to every shard by design.
-	if a.Mem.Subscribers != 2000*2 {
-		t.Fatalf("fleet holds %d subscriber records, want %d", a.Mem.Subscribers, 2000*2)
+	if a.Mem.Subscribers != 2000 {
+		t.Fatalf("fleet holds %d subscriber records, want 2000", a.Mem.Subscribers)
 	}
 	if a.Mem.Attached == 0 || a.LiveHeapBytes == 0 {
 		t.Fatalf("memory accounting empty: %+v", a.Mem)

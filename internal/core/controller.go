@@ -71,15 +71,18 @@ type ControllerConfig struct {
 	// Installer options (ablations, candidate bounds, tag-space partition)
 	// pass through.
 	Install InstallerOptions
+	// Subscribers is the table Attach admits from: nil builds one over the
+	// controller's own store; shard.New passes every shard the same one.
+	Subscribers *Subscribers
 	// Obs, when non-nil, registers runtime telemetry (tag-cache hit/miss,
 	// rules added/saved by aggregation, sampled lock waits) and trace
 	// events on the registry. nil runs uninstrumented at zero cost.
 	Obs *obs.Registry
 }
 
-// Controller is the SoftCell central controller: it owns the subscriber
-// database, UE state, policy-path installation and the replicated control
-// store. It is safe for concurrent use.
+// Controller is the SoftCell central controller: it owns UE state,
+// policy-path installation and the replicated control store, and admits
+// UEs from a subscriber table it may share. It is safe for concurrent use.
 //
 // State is split into three lock domains so readers and independent writers
 // do not contend (the throughput benchmarks measure exactly this):
@@ -94,8 +97,9 @@ type ControllerConfig struct {
 //     trace dumps) happens in single-threaded contexts by design.
 //
 // lock ordering: ueMu, allocMu, ruleMu — a later mutex may be acquired
-// while holding an earlier one, never the reverse. The fastest path of all,
-// a repeat RequestPath, takes no lock: it reads the tagCache snapshot.
+// while holding an earlier one, never the reverse; Subscribers.mu is a leaf
+// below all three (Attach reads the table under ueMu). The fastest path of
+// all, a repeat RequestPath, takes no lock: it reads the tagCache snapshot.
 type Controller struct {
 	ueMu    sync.RWMutex // UE/location state
 	allocMu sync.Mutex   // address/ID allocation
@@ -114,12 +118,12 @@ type Controller struct {
 	permNext uint32               // guarded by allocMu
 	owned    map[packet.BSID]bool // guarded by ueMu; nil = unrestricted
 
-	// ues is the struct-of-arrays UE directory (DESIGN.md §14): subscriber
-	// registration, attachment and location state live together in one
-	// fixed-size slab record per IMSI, reached through open-addressed
-	// IMSI/LocIP/permanent-IP indices. attrs interns the subscriber
-	// attribute sets (and their compiled classifier templates) the records
-	// reference by handle.
+	subs *Subscribers // where registrations live; locks itself
+	// ues is the struct-of-arrays UE directory (DESIGN.md §14): attachment
+	// and location state in one fixed-size slab record per UE, reached
+	// through open-addressed IMSI/LocIP/permanent-IP indices. attrs interns
+	// the attribute sets (and their compiled classifier templates) the
+	// records reference by handle.
 	ues   ueTable  // guarded by ueMu
 	attrs attrPool // guarded by ueMu
 	// encBuf is the store-record encoding scratch buffer (store.Put copies
@@ -222,11 +226,13 @@ func NewController(t *topo.Topology, cfg ControllerConfig) (*Controller, error) 
 		mbTypes:      cfg.MBTypes,
 		permPool:     cfg.PermPool,
 		owned:        owned,
-		ues:          newUETable(),
 		attrs:        newAttrPool(),
 		reservations: make(map[packet.Addr]*reservation),
 		paths:        make(map[pathKey]*InstalledPath),
 		obs:          newCoreObs(cfg.Obs),
+	}
+	if c.subs = cfg.Subscribers; c.subs == nil {
+		c.subs = NewSubscribers(c.Store)
 	}
 	empty := make(tagMap)
 	c.tagCache.Store(&empty)
@@ -251,24 +257,10 @@ func (c *Controller) ueViewLocked(r *ueRecord) UE {
 }
 
 // RegisterSubscriber loads one subscriber record (the HSS equivalent).
-// Re-registering replaces the subscriber's attributes; an already attached
-// UE keeps the attributes it was admitted under.
+// Re-registering replaces the subscriber's attributes; a UE that has
+// attached keeps the attributes it was first admitted under.
 func (c *Controller) RegisterSubscriber(imsi string, attr policy.Attributes) error {
-	c.ueMu.Lock()
-	defer c.ueMu.Unlock()
-	r, _, ok := c.ues.get(imsi)
-	if !ok {
-		r, _ = c.ues.alloc(imsi)
-	}
-	// Acquire before release so re-registering identical attributes never
-	// drops the pool entry just to re-create (and re-compile) it.
-	h := c.attrs.acquire(attr, c.Policy)
-	c.attrs.release(r.subAttr)
-	r.subAttr = h
-	r.flags |= ueRegistered
-	c.encBuf = AppendSubscriberRecord(c.encBuf[:0], attr)
-	_, err := c.Store.Put("sub/"+imsi, c.encBuf)
-	return err
+	return c.subs.Register(imsi, attr)
 }
 
 // ensureBSLocked grows the per-station allocator arrays to cover bs.
@@ -338,9 +330,13 @@ func (c *Controller) AttachCtx(sc obs.SpanContext, imsi string, bs packet.BSID) 
 func (c *Controller) Attach(imsi string, bs packet.BSID) (UE, []Classifier, error) {
 	c.ueMu.Lock()
 	defer c.ueMu.Unlock()
-	r, slot, ok := c.ues.get(imsi)
-	if !ok || r.flags&ueRegistered == 0 {
-		return UE{}, nil, fmt.Errorf("core: unknown subscriber %q", imsi)
+	r, slot, known := c.ues.get(imsi)
+	var attr policy.Attributes
+	if !known {
+		var ok bool
+		if attr, ok = c.subs.Lookup(imsi); !ok {
+			return UE{}, nil, fmt.Errorf("core: unknown subscriber %q", imsi)
+		}
 	}
 	if _, ok := c.T.Station(bs); !ok {
 		return UE{}, nil, fmt.Errorf("core: unknown base station %d", bs)
@@ -350,18 +346,14 @@ func (c *Controller) Attach(imsi string, bs packet.BSID) (UE, []Classifier, erro
 	}
 	c.allocMu.Lock()
 	defer c.allocMu.Unlock()
-	if r.flags&ueHasRecord == 0 {
+	if !known {
 		hostBits := 32 - c.permPool.Len
 		if c.permNext >= 1<<hostBits-1 {
 			return UE{}, nil, fmt.Errorf("core: permanent pool exhausted")
 		}
 		c.permNext++
-		r.flags |= ueHasRecord
-		// First attach fixes the UE's attributes to the subscriber record's
-		// current ones: one more reference to the same interned entry.
-		r.attr = c.attrs.acquire(c.attrs.attrOf(r.subAttr), c.Policy)
-		r.permIP = c.permPool.Addr | packet.Addr(c.permNext)
-		c.ues.permIdx.insert(r.permIP, slot)
+		// First attach fixes the UE's attributes; re-registering never changes them.
+		r, slot = c.ues.alloc(imsi, c.attrs.acquire(attr, c.Policy), c.permPool.Addr|packet.Addr(c.permNext))
 	} else if r.bs == bs && r.locIP != 0 {
 		// Re-attach at the same station keeps the allocation.
 		return c.ueViewLocked(r), c.classifiersLocked(r), nil
@@ -616,7 +608,7 @@ func (c *Controller) LookupUE(imsi string) (UE, bool) {
 	c.ueMu.RLock()
 	defer c.ueMu.RUnlock()
 	r, _, ok := c.ues.get(imsi)
-	if !ok || r.flags&ueHasRecord == 0 {
+	if !ok {
 		return UE{}, false
 	}
 	return c.ueViewLocked(r), true
@@ -665,7 +657,7 @@ func (c *Controller) Detach(imsi string) error {
 	c.ueMu.Lock()
 	defer c.ueMu.Unlock()
 	r, _, ok := c.ues.get(imsi)
-	if !ok || r.flags&ueHasRecord == 0 {
+	if !ok {
 		return fmt.Errorf("core: unknown UE %q", imsi)
 	}
 	if r.locIP != 0 {
@@ -723,29 +715,30 @@ func (c *Controller) RecoverLocations(reports []AgentLocationReport) error {
 			continue // another shard's station; its owner rebuilds it
 		}
 		for _, u := range rep.UEs {
-			r, slot, ok := c.ues.get(u.IMSI)
-			if !ok {
-				r, slot = c.ues.alloc(u.IMSI)
-			}
-			if r.flags&ueHasRecord == 0 {
-				r.flags |= ueHasRecord
-				c.attrs.release(r.attr)
-				r.attr = c.attrs.acquire(u.Attr, c.Policy)
-				r.permIP = u.PermIP
-				c.ues.permIdx.insert(u.PermIP, slot)
-			}
-			r.bs, r.ueid, r.locIP = rep.BS, u.UEID, u.LocIP
-			c.ues.locIdx.insert(u.LocIP, slot)
-			c.ensureBSLocked(rep.BS)
-			if u.UEID > c.nextUEID[rep.BS] {
-				c.nextUEID[rep.BS] = u.UEID
-			}
-			if err := c.persistUELocked(r); err != nil {
+			if err := c.importUELocked(rep.BS, u); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+// importUELocked installs one reported UE at bs verbatim, keeping its
+// UEID, LocIP and (for a UE new to this controller) permanent IP.
+//
+// caller holds ueMu; caller holds allocMu
+func (c *Controller) importUELocked(bs packet.BSID, u UE) error {
+	r, slot, ok := c.ues.get(u.IMSI)
+	if !ok {
+		r, slot = c.ues.alloc(u.IMSI, c.attrs.acquire(u.Attr, c.Policy), u.PermIP)
+	}
+	r.bs, r.ueid, r.locIP = bs, u.UEID, u.LocIP
+	c.ues.locIdx.insert(u.LocIP, slot)
+	c.ensureBSLocked(bs)
+	if u.UEID > c.nextUEID[bs] {
+		c.nextUEID[bs] = u.UEID
+	}
+	return c.persistUELocked(r)
 }
 
 // RemovePolicyPaths withdraws every installed path of one policy clause

@@ -107,27 +107,9 @@ func (c *Controller) CheckInvariants() (InvariantReport, error) {
 	records := 0
 	c.ues.forEach(func(slot uint32, r *ueRecord) bool {
 		records++
-		if r.flags&ueRegistered != 0 {
-			if r.subAttr == 0 {
-				invErr = fmt.Errorf("core: subscriber %q has no interned attributes", r.imsi)
-				return false
-			}
-			attrRefs[r.subAttr]++
-		}
+		attrRefs[r.attr]++
 		if _, gotSlot, ok := c.ues.get(r.imsi); !ok || gotSlot != slot {
 			invErr = fmt.Errorf("core: record %q at slot %d not reachable through the IMSI index", r.imsi, slot)
-			return false
-		}
-		if r.flags&ueHasRecord == 0 {
-			return true // registered-only subscriber: no UE state to check
-		}
-		if r.attr == 0 {
-			invErr = fmt.Errorf("core: UE %q has no interned attributes", r.imsi)
-			return false
-		}
-		attrRefs[r.attr]++
-		if r.flags&ueRegistered == 0 {
-			invErr = fmt.Errorf("core: UE %q has no subscriber record", r.imsi)
 			return false
 		}
 		if got, ok := c.ues.permIdx.lookup(r.permIP); !ok || got != slot {
@@ -174,7 +156,7 @@ func (c *Controller) CheckInvariants() (InvariantReport, error) {
 	// own its address.
 	c.ues.locIdx.forEach(func(loc packet.Addr, slot uint32) bool {
 		r := c.ues.rec(slot)
-		if r.flags&ueHasRecord == 0 {
+		if r.attr == 0 {
 			invErr = fmt.Errorf("core: location index %s names slot %d with no UE record", loc, slot)
 			return false
 		}
@@ -192,7 +174,7 @@ func (c *Controller) CheckInvariants() (InvariantReport, error) {
 	}
 	c.ues.permIdx.forEach(func(perm packet.Addr, slot uint32) bool {
 		r := c.ues.rec(slot)
-		if r.flags&ueHasRecord == 0 || r.permIP != perm {
+		if r.permIP != perm {
 			invErr = fmt.Errorf("core: permanent index %s -> slot %d whose record does not hold it", perm, slot)
 			return false
 		}
@@ -393,9 +375,7 @@ func (c *Controller) UEs() []UE {
 	defer c.ueMu.RUnlock()
 	out := make([]UE, 0, c.ues.live)
 	c.ues.forEach(func(_ uint32, r *ueRecord) bool {
-		if r.flags&ueHasRecord != 0 {
-			out = append(out, c.ueViewLocked(r))
-		}
+		out = append(out, c.ueViewLocked(r))
 		return true
 	})
 	sort.Slice(out, func(i, j int) bool { return out[i].IMSI < out[j].IMSI })

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/packet"
 	"repro/internal/policy"
@@ -25,7 +26,7 @@ import (
 func TestQuickUETableSlotAliasing(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tbl := newUETable()
+		var tbl ueTable
 		live := map[string]uint32{}      // imsi -> slot the table returned
 		loc := map[packet.Addr]string{}  // locIP -> imsi
 		perm := map[packet.Addr]string{} // permIP -> imsi
@@ -42,20 +43,16 @@ func TestQuickUETableSlotAliasing(t *testing.T) {
 				// does, then free the slot.
 				r := tbl.rec(slot)
 				tbl.locIdx.delete(r.locIP)
-				tbl.permIdx.delete(r.permIP)
 				delete(loc, r.locIP)
 				delete(perm, r.permIP)
 				tbl.freeRec(slot)
 				delete(live, imsi)
 				continue
 			}
-			r, slot := tbl.alloc(imsi)
-			r.flags = ueRegistered | ueHasRecord
+			r, slot := tbl.alloc(imsi, 1, nextAddr+1)
 			r.locIP = nextAddr
-			r.permIP = nextAddr + 1
 			nextAddr += 2
 			tbl.locIdx.insert(r.locIP, slot)
-			tbl.permIdx.insert(r.permIP, slot)
 			live[imsi] = slot
 			loc[r.locIP] = imsi
 			perm[r.permIP] = imsi
@@ -396,15 +393,25 @@ func TestMemCompactionChurnRace(t *testing.T) {
 	}
 }
 
+// TestRecSizeMatchesRecord pins slabBytes' literal record size to the
+// struct: mem.slab_bytes and every per-subscriber figure derived from it
+// would otherwise drift silently when a field is added or removed.
+func TestRecSizeMatchesRecord(t *testing.T) {
+	var tbl ueTable
+	tbl.alloc("imsi", 1, 1)
+	if got, want := tbl.slabBytes(), uint64(ueSlabSize)*uint64(unsafe.Sizeof(ueRecord{})); got != want {
+		t.Fatalf("slabBytes charges one slab at %d bytes, its records occupy %d", got, want)
+	}
+}
+
 // TestInternPoolSteadyStateZeroAllocs pins the compaction fast paths to
 // literal zero heap allocations: a warmed UE-table lookup, an intern hit
 // in the attribute pool, and an intern hit in the route pool.
 func TestInternPoolSteadyStateZeroAllocs(t *testing.T) {
 	// UE table: a hit on a warmed table allocates nothing.
-	tbl := newUETable()
+	var tbl ueTable
 	for i := 0; i < 100; i++ {
-		r, slot := tbl.alloc(fmt.Sprintf("imsi-%03d", i))
-		r.flags = ueHasRecord
+		r, slot := tbl.alloc(fmt.Sprintf("imsi-%03d", i), 1, packet.Addr(1000+i))
 		r.locIP = packet.Addr(1 + i)
 		tbl.locIdx.insert(r.locIP, slot)
 	}

@@ -11,16 +11,16 @@ package core
 // memory accounting.
 type MemStats struct {
 	// UE table.
-	Subscribers    int    `json:"subscribers"`      // records with a subscriber half
-	UERecords      int    `json:"ue_records"`       // records with a UE half
-	Attached       int    `json:"attached"`         // UE records with live location state
-	SlotsAllocated int    `json:"slots_allocated"`  // slab high-water mark
-	FreeSlots      int    `json:"free_slots"`       // slab free-list depth
-	SlabBytes      uint64 `json:"slab_bytes"`       // record-slab footprint
-	IndexBytes     uint64 `json:"index_bytes"`      // IMSI/LocIP/perm-IP open-addressed indices
-	IMSIBytes      uint64 `json:"imsi_bytes"`       // retained IMSI string bytes
-	FreeUEIDs      int    `json:"free_ueids"`       // per-station UE ID free-list depth (all stations)
-	Reservations   int    `json:"reservations"`     // still-reserved old LocIPs
+	Subscribers    int    `json:"subscribers"`     // registrations in the subscriber table
+	UERecords      int    `json:"ue_records"`      // UEs in the table (attached, or detached keeping their permanent IP)
+	Attached       int    `json:"attached"`        // UE records with live location state
+	SlotsAllocated int    `json:"slots_allocated"` // slab high-water mark
+	FreeSlots      int    `json:"free_slots"`      // slab free-list depth
+	SlabBytes      uint64 `json:"slab_bytes"`      // record-slab footprint
+	IndexBytes     uint64 `json:"index_bytes"`     // IMSI/LocIP/perm-IP open-addressed indices
+	IMSIBytes      uint64 `json:"imsi_bytes"`      // retained IMSI string bytes
+	FreeUEIDs      int    `json:"free_ueids"`      // per-station UE ID free-list depth (all stations)
+	Reservations   int    `json:"reservations"`    // still-reserved old LocIPs
 	// Attribute intern pool.
 	InternedAttrs int    `json:"interned_attrs"` // distinct attribute sets
 	AttrRefs      uint64 `json:"attr_refs"`      // live references from records
@@ -91,6 +91,7 @@ func (c *Controller) MemStats() MemStats {
 		SlabBytes:      c.ues.slabBytes(),
 		IndexBytes:     c.ues.indexBytes(),
 		IMSIBytes:      c.ues.imsiBytes,
+		UERecords:      c.ues.live,
 		Reservations:   len(c.reservations),
 		InternedAttrs:  c.attrs.liveEntries(),
 		AttrRefs:       c.attrs.totalRefs(),
@@ -103,17 +104,15 @@ func (c *Controller) MemStats() MemStats {
 		PathFreeSlots:  c.Installer.arena.freeSlots(),
 	}
 	c.ues.forEach(func(_ uint32, r *ueRecord) bool {
-		if r.flags&ueRegistered != 0 {
-			ms.Subscribers++
-		}
-		if r.flags&ueHasRecord != 0 {
-			ms.UERecords++
-			if r.locIP != 0 {
-				ms.Attached++
-			}
+		if r.locIP != 0 {
+			ms.Attached++
 		}
 		return true
 	})
+	// A table shared between shards is the dispatcher's to add, once.
+	if c.subs.Store == c.Store {
+		ms.Add(c.subs.MemStats())
+	}
 	for _, free := range c.freeUEIDs {
 		ms.FreeUEIDs += len(free)
 	}

@@ -178,7 +178,7 @@ func (c *Controller) HandoffCtx(sc obs.SpanContext, imsi string, newBS packet.BS
 	c.ueMu.Lock()
 	defer c.ueMu.Unlock()
 	r, slot, ok := c.ues.get(imsi)
-	if !ok || r.flags&ueHasRecord == 0 || r.locIP == 0 {
+	if !ok || r.locIP == 0 {
 		return HandoffResult{}, fmt.Errorf("core: UE %q is not attached", imsi)
 	}
 	newStation, ok := c.T.Station(newBS)

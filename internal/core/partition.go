@@ -74,7 +74,7 @@ func (c *Controller) ExtractUE(imsi string) (MigratedUE, error) {
 	c.ruleMu.Lock()
 	defer c.ruleMu.Unlock()
 	r, slot, ok := c.ues.get(imsi)
-	if !ok || r.flags&ueHasRecord == 0 {
+	if !ok {
 		return MigratedUE{}, fmt.Errorf("core: unknown UE %q", imsi)
 	}
 	m := MigratedUE{IMSI: imsi, Attr: c.attrs.attrOf(r.attr), PermIP: r.permIP, OldBS: r.bs, OldLocIP: r.locIP}
@@ -98,17 +98,8 @@ func (c *Controller) ExtractUE(imsi string) (MigratedUE, error) {
 			c.freeUEIDLocked(bs, id)
 		}
 	}
-	c.ues.permIdx.delete(r.permIP)
-	// Clear the UE half of the record; the subscriber half (if registered)
-	// stays, exactly as the old layout kept the subscriber map entry. A
-	// record playing no role at all returns its slot to the free list.
 	c.attrs.release(r.attr)
-	r.attr = 0
-	r.permIP, r.locIP, r.bs, r.ueid = 0, 0, 0, 0
-	r.flags &^= ueHasRecord
-	if r.flags == 0 {
-		c.ues.freeRec(slot)
-	}
+	c.ues.freeRec(slot)
 	c.invalidateStationLocked(m.OldBS)
 	if _, err := c.Store.Delete("ue/" + imsi); err != nil {
 		return MigratedUE{}, err
@@ -130,16 +121,8 @@ func (c *Controller) AdoptUE(m MigratedUE, bs packet.BSID) (UE, []Classifier, er
 	if !c.ownsLocked(bs) {
 		return UE{}, nil, fmt.Errorf("core: adopt at base station %d: %w", bs, ErrNotOwned)
 	}
-	r, slot, ok := c.ues.get(m.IMSI)
-	if ok && r.flags&ueHasRecord != 0 {
+	if _, _, ok := c.ues.get(m.IMSI); ok {
 		return UE{}, nil, fmt.Errorf("core: UE %q already present", m.IMSI)
-	}
-	if !ok {
-		r, slot = c.ues.alloc(m.IMSI)
-	}
-	if r.flags&ueRegistered == 0 {
-		r.subAttr = c.attrs.acquire(m.Attr, c.Policy)
-		r.flags |= ueRegistered
 	}
 	c.allocMu.Lock()
 	id, loc, err := c.allocLocIP(bs)
@@ -148,12 +131,9 @@ func (c *Controller) AdoptUE(m MigratedUE, bs packet.BSID) (UE, []Classifier, er
 		return UE{}, nil, err
 	}
 	// The migrated record's attributes travel with it, even when they differ
-	// from a pre-existing local subscriber record.
-	r.flags |= ueHasRecord
-	r.attr = c.attrs.acquire(m.Attr, c.Policy)
-	r.permIP = m.PermIP
+	// from the subscriber's current registration.
+	r, slot := c.ues.alloc(m.IMSI, c.attrs.acquire(m.Attr, c.Policy), m.PermIP)
 	r.bs, r.ueid, r.locIP = bs, id, loc
-	c.ues.permIdx.insert(m.PermIP, slot)
 	c.ues.locIdx.insert(loc, slot)
 	c.handoffs.Add(1)
 	if err := c.persistUELocked(r); err != nil {
@@ -183,32 +163,11 @@ func (c *Controller) AbsorbStation(bs packet.BSID, ues []UE) error {
 	c.ruleMu.Unlock()
 	c.allocMu.Lock()
 	defer c.allocMu.Unlock()
-	c.ensureBSLocked(bs)
 	for _, u := range ues {
 		if u.LocIP == 0 || u.UEID == 0 {
 			continue // detached record: nothing to rebuild
 		}
-		r, slot, ok := c.ues.get(u.IMSI)
-		if !ok {
-			r, slot = c.ues.alloc(u.IMSI)
-		}
-		if r.flags&ueHasRecord == 0 {
-			r.flags |= ueHasRecord
-			c.attrs.release(r.attr)
-			r.attr = c.attrs.acquire(u.Attr, c.Policy)
-			r.permIP = u.PermIP
-		}
-		if r.flags&ueRegistered == 0 {
-			r.flags |= ueRegistered
-			r.subAttr = c.attrs.acquire(u.Attr, c.Policy)
-		}
-		r.bs, r.ueid, r.locIP = bs, u.UEID, u.LocIP
-		c.ues.locIdx.insert(u.LocIP, slot)
-		c.ues.permIdx.insert(r.permIP, slot)
-		if u.UEID > c.nextUEID[bs] {
-			c.nextUEID[bs] = u.UEID
-		}
-		if err := c.persistUELocked(r); err != nil {
+		if err := c.importUELocked(bs, u); err != nil {
 			return err
 		}
 	}

@@ -2,17 +2,21 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/packet"
 	"repro/internal/policy"
 	"repro/internal/routing"
+	"repro/internal/store"
 	"repro/internal/topo"
 )
 
 // shardedController builds a controller restricted to the given stations
-// with the tag partition (offset, stride) over a fresh Fig. 3 network.
-func shardedController(t *testing.T, stations []packet.BSID, offset, stride int) *Controller {
+// with the tag partition (offset, stride) and its own permanent-address
+// block over a fresh Fig. 3 network, admitting from subs (nil = a table of
+// its own).
+func shardedController(t *testing.T, subs *Subscribers, stations []packet.BSID, offset, stride int) *Controller {
 	t.Helper()
 	n := newFig3Net(t)
 	if _, err := n.AttachMiddlebox(2, n.cs1); err != nil {
@@ -26,8 +30,10 @@ func shardedController(t *testing.T, stations []packet.BSID, offset, stride int)
 			policy.MBTranscoder: 1,
 			policy.MBEchoCancel: 2,
 		},
-		Stations: stations,
-		Install:  InstallerOptions{TagOffset: offset, TagStride: stride},
+		PermPool:    packet.NewPrefix(packet.AddrFrom4(100, 64+byte(offset), 0, 0), 16),
+		Stations:    stations,
+		Install:     InstallerOptions{TagOffset: offset, TagStride: stride},
+		Subscribers: subs,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +42,7 @@ func shardedController(t *testing.T, stations []packet.BSID, offset, stride int)
 }
 
 func TestRestrictedControllerRejectsForeignStations(t *testing.T) {
-	c := shardedController(t, []packet.BSID{0, 1}, 0, 2)
+	c := shardedController(t, nil, []packet.BSID{0, 1}, 0, 2)
 	if err := c.RegisterSubscriber("a", policy.Attributes{Provider: "A"}); err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +72,19 @@ func TestRestrictedControllerRejectsForeignStations(t *testing.T) {
 
 func TestExtractAdoptMigratesUE(t *testing.T) {
 	// Two shards over their own copies of the network: A owns {0,1},
-	// B owns {2,3}; tag partition 0/2 and 1/2.
-	a := shardedController(t, []packet.BSID{0, 1}, 0, 2)
-	b := shardedController(t, []packet.BSID{2, 3}, 1, 2)
+	// B owns {2,3}; tag partition 0/2 and 1/2. Both admit from one
+	// subscriber table, the way shard.New wires its shards.
+	subs := NewSubscribers(store.New(1))
+	a := shardedController(t, subs, []packet.BSID{0, 1}, 0, 2)
+	b := shardedController(t, subs, []packet.BSID{2, 3}, 1, 2)
 	if err := a.RegisterSubscriber("mover", policy.Attributes{Provider: "A"}); err != nil {
 		t.Fatal(err)
+	}
+	if _, ok := subs.Lookup("mover"); !ok || subs.Len() != 1 || subs.Store.Primary().Count("sub/") != 1 {
+		t.Fatal("registration through a controller did not land in the shared table, once")
+	}
+	if a.Store.Primary().Count("sub/") != 0 || b.Store.Primary().Count("sub/") != 0 {
+		t.Fatal("a controller's own store holds a copy of the registration")
 	}
 	ue, _, err := a.Attach("mover", 0)
 	if err != nil {
@@ -90,6 +104,12 @@ func TestExtractAdoptMigratesUE(t *testing.T) {
 	}
 	if _, err := a.ResolveLocIP(perm); err == nil {
 		t.Fatal("source still resolves the moved UE's permanent IP")
+	}
+	// The record played one role, so extraction frees its slot; the shared
+	// table is not this controller's to count.
+	if ms := a.MemStats(); ms.UERecords != 0 || ms.FreeSlots != 1 || ms.Subscribers != 0 {
+		t.Fatalf("source after extract: %d records, %d free slots, %d subscribers; want 0, 1, 0",
+			ms.UERecords, ms.FreeSlots, ms.Subscribers)
 	}
 
 	got, cls, err := b.AdoptUE(m, 2)
@@ -123,6 +143,61 @@ func TestExtractAdoptMigratesUE(t *testing.T) {
 	}
 	if _, _, err := a.AdoptUE(MigratedUE{IMSI: "x", PermIP: 1}, 2); !errors.Is(err, ErrNotOwned) {
 		t.Fatalf("adopt at foreign station: %v", err)
+	}
+	// Registered once, admitted anywhere: B first-attaches a subscriber it
+	// never heard of directly.
+	if err := a.RegisterSubscriber("fresh", policy.Attributes{Provider: "B"}); err != nil {
+		t.Fatal(err)
+	}
+	if fresh, _, err := b.Attach("fresh", 3); err != nil || fresh.Attr.Provider != "B" {
+		t.Fatalf("attach on the other controller of a shared table: %+v, %v", fresh, err)
+	}
+	for _, c := range []*Controller{a, b} {
+		if _, err := c.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestAdoptedUEOutsideSubscriberTable pins the one edge that differs for
+// controllers that do not share a table: a migrated-in UE whose IMSI the
+// receiver never registered is served while its record exists — the record
+// carries its attributes — and is an unknown subscriber once it is gone.
+func TestAdoptedUEOutsideSubscriberTable(t *testing.T) {
+	a := shardedController(t, nil, []packet.BSID{0, 1}, 0, 2)
+	b := shardedController(t, nil, []packet.BSID{2, 3}, 1, 2)
+	if err := a.RegisterSubscriber("mover", policy.Attributes{Provider: "A", Plan: "silver"}); err != nil {
+		t.Fatal(err)
+	}
+	first, _, err := a.Attach("mover", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := a.ExtractUE("mover")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := b.AdoptUE(m, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Detach("mover"); err != nil {
+		t.Fatal(err)
+	}
+	again, _, err := b.Attach("mover", 3)
+	if err != nil {
+		t.Fatalf("re-attach of an adopted UE while its record exists: %v", err)
+	}
+	if again.PermIP != first.PermIP || again.Attr != first.Attr {
+		t.Fatalf("re-attach changed the UE: %+v, first admitted as %+v", again, first)
+	}
+	if _, err := b.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.ExtractUE("mover"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := b.Attach("mover", 3); err == nil || !strings.Contains(err.Error(), "unknown subscriber") {
+		t.Fatalf("attach after the record left: err = %v, want unknown subscriber", err)
 	}
 }
 
@@ -160,8 +235,9 @@ func TestTagPartitionsAreDisjoint(t *testing.T) {
 }
 
 func TestAbsorbStationRebuildsState(t *testing.T) {
-	a := shardedController(t, []packet.BSID{0, 1}, 0, 2)
-	b := shardedController(t, []packet.BSID{2, 3}, 1, 2)
+	subs := NewSubscribers(store.New(1))
+	a := shardedController(t, subs, []packet.BSID{0, 1}, 0, 2)
+	b := shardedController(t, subs, []packet.BSID{2, 3}, 1, 2)
 	_ = a.RegisterSubscriber("u1", policy.Attributes{Provider: "A"})
 	_ = a.RegisterSubscriber("u2", policy.Attributes{Provider: "A", Plan: "silver"})
 	u1, _, err := a.Attach("u1", 1)

@@ -132,7 +132,7 @@ func TestTagCacheFollowsFailureRecompute(t *testing.T) {
 
 func TestTagCacheDropsMigratedStation(t *testing.T) {
 	// Shard A owns stations {0,1} with the even tag partition.
-	a := shardedController(t, []packet.BSID{0, 1}, 0, 2)
+	a := shardedController(t, nil, []packet.BSID{0, 1}, 0, 2)
 	if err := a.RegisterSubscriber("u", policy.Attributes{Provider: "A"}); err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestTagCacheDropsMigratedStation(t *testing.T) {
 
 	// Shard B re-absorbing a station it already serves (ring churn round
 	// trip) must still drop its memoised tags for it.
-	b := shardedController(t, []packet.BSID{2, 3}, 1, 2)
+	b := shardedController(t, nil, []packet.BSID{2, 3}, 1, 2)
 	warmAll(t, b, []packet.BSID{2, 3})
 	if _, ok := tagSnapshot(b)[pathKey{2, web}]; !ok {
 		t.Fatal("precondition: station 2 warmed on B")

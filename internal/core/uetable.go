@@ -4,14 +4,12 @@ import (
 	"repro/internal/packet"
 )
 
-// This file is the struct-of-arrays UE table (DESIGN.md §14): a dense slab
-// of fixed-size UE records plus three small open-addressed indices. The old
-// layout — map[string]*UE, map[Addr]string byLoc/byPerm, and a separate
-// subscriber map — cost five heap objects and three string copies of the
-// IMSI per attached UE; at the paper's 1M-UE scale that dominates the
-// controller's footprint. Here one 48-byte record in a chunked slab carries
-// subscriber registration, attachment, and location state together, keyed
-// by a 32-bit slot number:
+// This file is the struct-of-arrays UE table (DESIGN.md §14): one 40-byte
+// record per UE in a chunked slab, keyed by a 32-bit slot number, plus three
+// small open-addressed indices — instead of heap objects and IMSI copies
+// per UE across three maps, which at the paper's 1M-UE scale dominated the
+// controller's footprint. An IMSI is in the table from its first attach on
+// (detached, it keeps its permanent IP); registrations live in Subscribers.
 //
 //	slabs:   [][]ueRecord — chunked, so records never move (pointers into a
 //	         slab are stable for the record's lifetime) and growth never
@@ -23,42 +21,23 @@ import (
 //	         in-flight handoffs alias extra keys onto their UE's slot.
 //	permIdx: open-addressed permanent IP -> slot.
 //	free:    slot free list — Detach keeps the record (the permanent IP
-//	         stays bound), but a record dropped entirely (migration of an
-//	         unregistered UE) returns its slot for reuse.
+//	         stays bound); ExtractUE returns its slot for reuse.
 //
-// The table is not internally synchronised; the Controller guards it with
-// ueMu exactly as it guarded the maps it replaces.
-
-// ueFlags records which roles a slot currently plays.
-type ueFlags uint32
-
-const (
-	// ueRegistered: a subscriber record exists (RegisterSubscriber).
-	ueRegistered ueFlags = 1 << iota
-	// ueHasRecord: a UE record exists (attached now or detached with its
-	// permanent IP retained) — the old c.ues membership.
-	ueHasRecord
-)
+// The table is not internally synchronised; the Controller guards it with ueMu.
 
 // ueRecord is one fixed-size slot. Attributes live in the attrPool; the
-// record stores only 32-bit handles. Two handles, because the subscriber
-// database and a live UE can legitimately diverge: re-registering a
-// subscriber with new attributes must not change the attributes an already
-// attached UE was admitted under (they apply from its next first attach).
-// The two nearly always name the same pool entry, so the second handle
-// costs 4 bytes, not a copy.
+// record stores a 32-bit handle, fixed at first attach. A live record
+// always holds one (attr != 0); a free slot is zeroed.
 type ueRecord struct {
-	imsi    string
-	subAttr attrHandle // subscriber half (ueRegistered)
-	attr    attrHandle // UE half (ueHasRecord)
-	flags   ueFlags
-	permIP  packet.Addr
-	locIP   packet.Addr
-	bs      packet.BSID
-	ueid    packet.UEID
+	imsi   string
+	attr   attrHandle
+	permIP packet.Addr
+	locIP  packet.Addr
+	bs     packet.BSID
+	ueid   packet.UEID
 }
 
-// ueSlabShift sizes one slab at 8192 records (~384 KiB): big enough that a
+// ueSlabShift sizes one slab at 8192 records (320 KiB): big enough that a
 // 1M-UE table is ~128 slab allocations, small enough that tests with ten
 // UEs do not pay megabytes.
 const ueSlabShift = 13
@@ -231,12 +210,12 @@ func hashIMSI(s string) uint32 {
 	return h
 }
 
-// ueTable is the struct-of-arrays UE directory.
+// ueTable is the struct-of-arrays UE directory; the zero value is empty.
 type ueTable struct {
 	slabs [][]ueRecord
 	free  []uint32
 	next  uint32 // high-water slot count
-	live  int    // slots in use (flags != 0)
+	live  int    // slots in use
 
 	imsiIdx strIdx
 	locIdx  addrIdx
@@ -244,8 +223,6 @@ type ueTable struct {
 
 	imsiBytes uint64 // retained IMSI string bytes, maintained incrementally
 }
-
-func newUETable() ueTable { return ueTable{} }
 
 // rec returns the record at slot. The pointer is stable for the record's
 // lifetime: slabs are chunked and never reallocated.
@@ -273,9 +250,9 @@ func (t *ueTable) get(imsi string) (*ueRecord, uint32, bool) {
 	}
 }
 
-// alloc takes a slot (free list first), indexes imsi, and returns the
-// zeroed record. The caller sets flags before any other table operation.
-func (t *ueTable) alloc(imsi string) (*ueRecord, uint32) {
+// alloc takes a slot (free list first) for a UE admitted under attr with
+// permanent address perm, and indexes it by IMSI and by perm.
+func (t *ueTable) alloc(imsi string, attr attrHandle, perm packet.Addr) (*ueRecord, uint32) {
 	var slot uint32
 	if n := len(t.free); n > 0 {
 		slot = t.free[n-1]
@@ -288,18 +265,20 @@ func (t *ueTable) alloc(imsi string) (*ueRecord, uint32) {
 		}
 	}
 	r := t.rec(slot)
-	*r = ueRecord{imsi: imsi}
+	*r = ueRecord{imsi: imsi, attr: attr, permIP: perm}
 	t.imsiInsert(imsi, slot)
+	t.permIdx.insert(perm, slot)
 	t.imsiBytes += uint64(len(imsi))
 	t.live++
 	return r, slot
 }
 
-// freeRec removes the record's IMSI index entry and returns the slot to
-// the free list. The caller has already removed any loc/perm entries.
+// freeRec unindexes the record's IMSI and permanent IP and returns the slot
+// to the free list. The caller has already removed any loc entries.
 func (t *ueTable) freeRec(slot uint32) {
 	r := t.rec(slot)
 	t.imsiDelete(r.imsi)
+	t.permIdx.delete(r.permIP)
 	t.imsiBytes -= uint64(len(r.imsi))
 	*r = ueRecord{}
 	t.free = append(t.free, slot)
@@ -396,7 +375,7 @@ func (t *ueTable) imsiGrow() {
 func (t *ueTable) forEach(fn func(slot uint32, r *ueRecord) bool) {
 	for slot := uint32(0); slot < t.next; slot++ {
 		r := t.rec(slot)
-		if r.flags == 0 {
+		if r.attr == 0 {
 			continue
 		}
 		if !fn(slot, r) {
@@ -407,7 +386,7 @@ func (t *ueTable) forEach(fn func(slot uint32, r *ueRecord) bool) {
 
 // slabBytes reports the record-slab footprint.
 func (t *ueTable) slabBytes() uint64 {
-	const recSize = 48 // unsafe.Sizeof(ueRecord{}) on 64-bit, kept literal for portability
+	const recSize = 40 // unsafe.Sizeof(ueRecord{}) on 64-bit (TestRecSizeMatchesRecord)
 	return uint64(len(t.slabs)) * ueSlabSize * recSize
 }
 

@@ -11,6 +11,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/policy"
+	"repro/internal/store"
 	"repro/internal/topo"
 )
 
@@ -32,8 +33,8 @@ type Config struct {
 	// 100.64.0.0/10) is carved into one disjoint sub-block per shard.
 	Plan     packet.Plan
 	PermPool packet.Prefix
-	// Replicas per shard store (default 2, so a replica survives the
-	// shard process and failover can rebuild from it).
+	// Replicas per store, shard or subscriber table (default 2, so a
+	// replica survives the shard process and failover can rebuild from it).
 	Replicas int
 	// Install passes installer options through; each shard's TagOffset and
 	// TagStride are overwritten with its partition coordinates.
@@ -93,20 +94,23 @@ type ueEntry struct {
 // Dispatcher fronts a set of controller shards: it routes base-station-
 // keyed requests through the consistent-hash ring and UE-keyed requests
 // through its UE directory, and owns the cross-shard handoff and failover
-// protocols. Every operation runs on the caller's goroutine, from here
-// through the owning Shard into its core.Controller. The hot path
-// (RequestPath) touches no dispatcher-wide lock — only an atomic ring
-// snapshot and the owning shard's slot semaphore.
+// protocols. Every shard admits from its one subscriber table, which
+// outlives any shard: failover has no subscribers to salvage. Every
+// operation runs on the caller's goroutine, from here through the owning
+// Shard into its core.Controller. The hot path (RequestPath) touches no
+// dispatcher-wide lock — only an atomic ring snapshot and the owning
+// shard's slot semaphore.
 //
 // lock ordering: failMu, mu — and, because one goroutine carries an
 // operation all the way down, across types: ueEntry.mu is held over
 // Dispatcher.mu (setPerm) and over the owning controller's
-// ueMu → allocMu → ruleMu; failMu is held over all of them. Nothing below
-// ever reaches back up for a dispatcher lock.
+// ueMu → allocMu → ruleMu → core.Subscribers.mu; failMu is held over all
+// of them. Nothing below ever reaches back up for a dispatcher lock.
 type Dispatcher struct {
 	cfg    Config
-	shards []*Shard     // indexed by shard id; entries outlive failure
-	ring   atomic.Value // *Ring
+	shards []*Shard          // indexed by shard id; entries outlive failure
+	subs   *core.Subscribers // the one subscriber table, shared by every shard
+	ring   atomic.Value      // *Ring
 
 	mu     sync.RWMutex
 	ues    map[string]*ueEntry    // guarded by mu
@@ -143,6 +147,7 @@ func New(cfg Config) (*Dispatcher, error) {
 	d := &Dispatcher{
 		cfg:    cfg,
 		shards: make([]*Shard, cfg.Shards),
+		subs:   core.NewSubscribers(store.New(cfg.Replicas)),
 		ues:    make(map[string]*ueEntry),
 		byPerm: make(map[packet.Addr]string),
 		obs:    newDispObs(cfg.Obs),
@@ -164,15 +169,16 @@ func New(cfg Config) (*Dispatcher, error) {
 			sub = cfg.Obs.Sub("shard." + strconv.Itoa(id))
 		}
 		ctrl, err := core.NewController(cfg.Topology, core.ControllerConfig{
-			Plan:     cfg.Plan,
-			Gateway:  cfg.Gateway,
-			Policy:   cfg.Policy,
-			MBTypes:  cfg.MBTypes,
-			Replicas: cfg.Replicas,
-			PermPool: pool,
-			Stations: owned,
-			Install:  install,
-			Obs:      sub,
+			Plan:        cfg.Plan,
+			Gateway:     cfg.Gateway,
+			Policy:      cfg.Policy,
+			MBTypes:     cfg.MBTypes,
+			Replicas:    cfg.Replicas,
+			PermPool:    pool,
+			Stations:    owned,
+			Install:     install,
+			Subscribers: d.subs,
+			Obs:         sub,
 		})
 		if err != nil {
 			return nil, err
@@ -202,13 +208,13 @@ func (d *Dispatcher) ShardOf(bs packet.BSID) (*Shard, error) {
 	return d.shards[id], nil
 }
 
-// MemStats aggregates every live shard's controller memory accounting
-// into one fleet-wide snapshot (core.MemStats.Add). Down shards are
-// skipped: their slabs are unreachable and awaiting collection, not part
-// of the serving footprint. Each per-shard snapshot also refreshes that
-// shard's core.mem.* gauges as a side effect.
+// MemStats aggregates the subscriber table's and every live shard's
+// controller memory accounting into one fleet-wide snapshot
+// (core.MemStats.Add). Down shards are skipped: their slabs are
+// unreachable and awaiting collection, not part of the serving footprint.
+// Each per-shard snapshot also refreshes that shard's core.mem.* gauges.
 func (d *Dispatcher) MemStats() core.MemStats {
-	var ms core.MemStats
+	ms := d.subs.MemStats()
 	for _, s := range d.shards {
 		if s.Down() {
 			continue
@@ -227,20 +233,9 @@ func (d *Dispatcher) Served() []uint64 {
 	return out
 }
 
-// RegisterSubscriber loads one subscriber record into every live shard:
-// the subscriber database is slow-changing shared state (the paper keeps
-// it in the replicated store), so broadcasting keeps any shard able to
-// admit the UE wherever it first attaches.
+// RegisterSubscriber loads one subscriber record into the shared table.
 func (d *Dispatcher) RegisterSubscriber(imsi string, attr policy.Attributes) error {
-	for _, s := range d.shards {
-		if s.Down() {
-			continue
-		}
-		if err := s.Ctrl.RegisterSubscriber(imsi, attr); err != nil {
-			return err
-		}
-	}
-	return nil
+	return d.subs.Register(imsi, attr)
 }
 
 // RequestPath resolves a policy path on the owning shard, in the caller's
@@ -397,7 +392,8 @@ func (d *Dispatcher) Detach(imsi string) error {
 	return e.shard.detach(imsi)
 }
 
-// LookupUE resolves a UE's record from whichever shard holds it.
+// LookupUE resolves a UE's record from whichever live shard holds it (a
+// detached record stranded on a failed shard is gone, not stale).
 func (d *Dispatcher) LookupUE(imsi string) (core.UE, bool) {
 	e, ok := d.lookupEntry(imsi)
 	if !ok {
@@ -406,7 +402,7 @@ func (d *Dispatcher) LookupUE(imsi string) (core.UE, bool) {
 	e.mu.Lock()
 	s := e.shard
 	e.mu.Unlock()
-	if s == nil {
+	if s == nil || s.Down() {
 		return core.UE{}, false
 	}
 	return s.Ctrl.LookupUE(imsi)

@@ -243,3 +243,40 @@ func stationIDs(stations []topo.BaseStation) []packet.BSID {
 	}
 	return out
 }
+
+// TestLookupUEMissesRecordStrandedOnDeadShard: failover salvages only
+// records with a LocIP, so a detached UE's record dies with its shard.
+// LookupUE must not answer from the dead controller — the permanent IP it
+// would report is one the UE will not keep.
+func TestLookupUEMissesRecordStrandedOnDeadShard(t *testing.T) {
+	d, g := newTestDispatcher(t, 3)
+	bs := g.Stations[0].ID
+	victim, _ := d.ShardOf(bs)
+	if err := d.RegisterSubscriber("idle", policy.Attributes{Provider: "A"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := d.Attach("idle", bs); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Detach("idle"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.FailShard(victim.ID, nil); err != nil {
+		t.Fatal(err)
+	}
+	if stale, ok := d.LookupUE("idle"); ok {
+		t.Fatalf("LookupUE answered from the dead shard: %+v", stale)
+	}
+	// The registration outlived the shard: the UE re-attaches from the
+	// shared table, and the new record is the one LookupUE returns.
+	ue, _, err := d.Attach("idle", bs)
+	if err != nil {
+		t.Fatalf("re-attach after the holding shard died: %v", err)
+	}
+	if got, ok := d.LookupUE("idle"); !ok || got != ue {
+		t.Fatalf("LookupUE after re-attach = %+v, %v; want %+v", got, ok, ue)
+	}
+	if _, err := d.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -28,7 +28,9 @@ type InvariantReport struct {
 //     routed to that shard by the current ring;
 //   - directory coherence: every UE-directory entry routed to a live shard
 //     finds the record there (no orphaned forwarding stubs after two-phase
-//     handoff), and every live record is reachable through the directory.
+//     handoff), and every live record is reachable through the directory;
+//   - one copy of each registration: one "sub/" key per subscriber in the
+//     shared store, none in any live shard's own.
 //
 // Per-shard checks are internally synchronised; the cross-shard comparison
 // reads shard snapshots one at a time, so callers that want an exact global
@@ -65,6 +67,9 @@ func (d *Dispatcher) CheckInvariants() (InvariantReport, error) {
 			}
 			tags[t] = s.ID
 		}
+		if n := s.Ctrl.Store.Primary().Count("sub/"); n != 0 {
+			return rep, fmt.Errorf("shard %d: own store holds %d subscriber records; registrations belong to the shared table only", s.ID, n)
+		}
 		for _, bs := range s.Ctrl.Stations() {
 			owner, ok := ring.Owner(bs)
 			if !ok || owner != s.ID {
@@ -89,6 +94,10 @@ func (d *Dispatcher) CheckInvariants() (InvariantReport, error) {
 				locs[ue.LocIP] = holder{s.ID, ue.IMSI}
 			}
 		}
+	}
+
+	if keys, n := d.subs.Store.Primary().Count("sub/"), d.subs.Len(); keys != n {
+		return rep, fmt.Errorf("shard: shared store holds %d subscriber records, the table %d", keys, n)
 	}
 
 	// UE directory: snapshot under the dispatcher lock, then resolve each

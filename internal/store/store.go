@@ -9,6 +9,7 @@ package store
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -57,12 +58,25 @@ func (r *Replica) Keys(prefix string) []string {
 	defer r.mu.RUnlock()
 	var out []string
 	for k := range r.data {
-		if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
+		if strings.HasPrefix(k, prefix) {
 			out = append(out, k)
 		}
 	}
 	sort.Strings(out)
 	return out
+}
+
+// Count is len(Keys(prefix)) without building the list.
+func (r *Replica) Count(prefix string) int {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	n := 0
+	for k := range r.data {
+		if strings.HasPrefix(k, prefix) {
+			n++
+		}
+	}
+	return n
 }
 
 // apply installs one committed write. The value is owned by the commit:
