@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet lint fuzz verify bench-check bench-smoke bench bench-city city-smoke blackout-smoke profile clean chaos cover span-alloc-gate loc
+.PHONY: all build test race vet fmt lint fuzz verify bench-check bench-smoke bench bench-city city-smoke blackout-smoke profile clean chaos cover span-alloc-gate loc
 
 all: verify
 
@@ -16,6 +16,12 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails when any Go file in the tree is not gofmt-clean (the lint
+# fixtures are left out: some are malformed on purpose).
+fmt:
+	@out=$$(gofmt -l . | grep -v '^internal/lint/testdata/'); \
+	if [ -n "$$out" ]; then echo "gofmt -l names:"; echo "$$out"; exit 1; fi
 
 # lint runs the softcell-lint invariant checkers (DESIGN.md §9): lock
 # discipline and ordering, hot-path alloc/lock freedom (cross-checked
@@ -64,6 +70,7 @@ cover:
 # workload generator, shard fan-out, and memory accounting as bench-city
 # and fails on op errors or invariant violations.
 verify:
+	$(MAKE) fmt
 	$(GO) vet ./...
 	$(GO) run ./cmd/softcell-lint -escape -json results/lint.json ./...
 	$(GO) build ./...

@@ -135,11 +135,9 @@ type InstallerOptions struct {
 type PathID uint64
 
 // InstalledPath records everything needed to trace, rebuild or re-anchor a
-// policy path. Retained records live in the installer's arena (DESIGN.md
-// §14): Chain is interned per chain signature, and a loop-free path's
-// single tag is stored inline, so a steady-state record owns no private
-// heap allocations. Because Tags may alias the inline array, records are
-// never copied by value — Rebuild adopts payloads through copyPayloadFrom.
+// policy path. Tags and Chain are written once, at install, and never
+// rewritten in place afterwards: Rebuild replaces a record's slices with
+// fresh ones, so a Shortcut may alias Tags for as long as it lives.
 type InstalledPath struct {
 	ID     PathID
 	Origin packet.BSID
@@ -148,29 +146,6 @@ type InstalledPath struct {
 	Tags  []packet.Tag
 	Chain []topo.MBInstanceID
 	Route *routing.Path
-
-	tag1 [1]packet.Tag // inline storage backing Tags for loop-free paths
-	slot uint32        // arena slot + 1; 0 = plain heap record
-}
-
-// setTags stores the tag sequence, inline for the single-tag case.
-func (ip *InstalledPath) setTags(tags []packet.Tag) {
-	if len(tags) == 1 {
-		ip.tag1[0] = tags[0]
-		ip.Tags = ip.tag1[:1:1]
-		return
-	}
-	ip.Tags = append([]packet.Tag(nil), tags...)
-}
-
-// copyPayloadFrom adopts src's payload while keeping ip's identity (ID and
-// arena slot). Tags are re-anchored to ip's own inline array, so src can be
-// released back to the arena immediately after.
-func (ip *InstalledPath) copyPayloadFrom(src *InstalledPath) {
-	ip.Origin = src.Origin
-	ip.Chain = src.Chain
-	ip.Route = src.Route
-	ip.setTags(src.Tags)
 }
 
 // GatewayTag is the tag return traffic carries when it enters the gateway.
@@ -213,16 +188,6 @@ type Installer struct {
 
 	paths map[PathID]*InstalledPath
 	stats InstallStats
-
-	// arena backs the retained InstalledPath records (DESIGN.md §14); a
-	// withdrawn path's slot is reused by the next install. chains interns
-	// one middlebox-instance chain copy per chain signature — retained for
-	// the installer's lifetime, bounded by distinct (gateway, chain) pairs,
-	// which is why it carries no refcount. seqs interns shortcut switch
-	// sequences (refcounted: shortcuts churn with handoffs).
-	arena  pathArena
-	chains map[string][]topo.MBInstanceID
-	seqs   seqPool
 
 	// treeParent holds the canonical shortest-path tree per gateway root,
 	// built lazily; location rules are only placed for steps that follow it.
@@ -273,8 +238,6 @@ func NewInstaller(t *topo.Topology, opts InstallerOptions) (*Installer, error) {
 		chainTags:  make(map[chainSegKey][]packet.Tag),
 		originTags: make(map[packet.BSID][]packet.Tag),
 		paths:      make(map[PathID]*InstalledPath),
-		chains:     make(map[string][]topo.MBInstanceID),
-		seqs:       newSeqPool(),
 		treeParent: make(map[topo.NodeID][]topo.NodeID),
 	}
 	in.scratch.demands = make(map[demandKey]demand)
@@ -945,37 +908,17 @@ func (in *Installer) InstallPath(p *routing.Path) (*InstalledPath, error) {
 	}
 
 	in.nextID++
-	var rec *InstalledPath
-	if in.Opts.DiscardPathRecords {
-		// Transient record: the sweep drops it after reading; interning its
-		// chain would retain one entry per signature across tens of millions
-		// of installs for nothing.
-		rec = &InstalledPath{Chain: append([]topo.MBInstanceID(nil), p.Chain...)}
-	} else {
-		rec = in.arena.alloc()
-		rec.Chain = in.internChain(chainKey, p.Chain)
+	rec := &InstalledPath{
+		ID:     in.nextID,
+		Origin: p.Origin,
+		Tags:   tags,
+		Chain:  append([]topo.MBInstanceID(nil), p.Chain...),
+		Route:  p,
 	}
-	rec.ID = in.nextID
-	rec.Origin = p.Origin
-	rec.Route = p
-	rec.setTags(tags)
 	if !in.Opts.DiscardPathRecords {
 		in.paths[rec.ID] = rec
 	}
 	return rec, nil
-}
-
-// internChain returns the canonical chain slice for one chain signature,
-// copying on first sight. Entries live for the installer's lifetime: the
-// population is bounded by distinct (gateway, instance-chain) signatures,
-// not by installs.
-func (in *Installer) internChain(key string, chain []topo.MBInstanceID) []topo.MBInstanceID {
-	if c, ok := in.chains[key]; ok {
-		return c
-	}
-	cp := append([]topo.MBInstanceID(nil), chain...)
-	in.chains[key] = cp
-	return cp
 }
 
 // Rebuild reinstalls every retained path from scratch — the paper's offline
@@ -988,12 +931,9 @@ func (in *Installer) internChain(key string, chain []topo.MBInstanceID) []topo.M
 // re-optimisation pass).
 func (in *Installer) Rebuild(keep func(*InstalledPath) bool) error {
 	retained := make([]*InstalledPath, 0, len(in.paths))
-	dropped := make([]*InstalledPath, 0)
 	for _, p := range in.paths {
 		if keep == nil || keep(p) {
 			retained = append(retained, p)
-		} else {
-			dropped = append(dropped, p)
 		}
 	}
 	sort.Slice(retained, func(i, j int) bool { return retained[i].ID < retained[j].ID })
@@ -1014,24 +954,16 @@ func (in *Installer) Rebuild(keep func(*InstalledPath) bool) error {
 		in.EnableLocationRouting(root)
 	}
 
-	// Withdrawn records go back to the arena only now, after the maps no
-	// longer reference them (their slots may be handed out by the
-	// re-installs below).
-	for _, p := range dropped {
-		in.arena.release(p)
-	}
-
 	for _, old := range retained {
 		rec, err := in.InstallPath(old.Route)
 		if err != nil {
 			return fmt.Errorf("core: rebuild of path %d failed: %w", old.ID, err)
 		}
 		// Preserve identity so controller caches stay valid: the original
-		// record adopts the fresh payload (re-anchoring inline tags to its
-		// own storage) and the fresh record's slot is recycled.
+		// record adopts the fresh one's contents under its own ID.
 		delete(in.paths, rec.ID)
-		old.copyPayloadFrom(rec)
-		in.arena.release(rec)
+		rec.ID = old.ID
+		*old = *rec
 		in.paths[old.ID] = old
 	}
 	return nil

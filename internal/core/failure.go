@@ -109,10 +109,6 @@ func (c *Controller) recomputeLocked(rep FailureReport) (FailureReport, error) {
 	// agent caches must miss (and re-resolve), never alias onto new paths.
 	inst.nextTag = c.Installer.nextTag
 	inst.stats.TagsAllocated = c.Installer.stats.TagsAllocated
-	// Carry the shortcut-route intern pool: live Shortcuts (held by
-	// reservations) keep routeH handles into it, and RemoveShortcut after
-	// the rebuild must release against the same pool.
-	inst.seqs = c.Installer.seqs
 	for i, f := range inst.fibs {
 		f.succeed(c.Installer.fibs[i])
 	}

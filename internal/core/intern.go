@@ -1,18 +1,14 @@
 package core
 
-import (
-	"repro/internal/policy"
-	"repro/internal/topo"
-)
+import "repro/internal/policy"
 
-// This file holds the controller's intern pools (DESIGN.md §14). At city
-// scale thousands of UEs share a handful of distinct subscriber-attribute
-// sets, and every attribute set compiles to the same classifier list; the
-// same goes for shortcut switch sequences, which are drawn from the small
-// set of (branch point, access switch) descend routes. Records therefore
-// store a 32-bit handle into a deduplicated, refcounted pool instead of a
-// private copy: one entry per distinct value, reference-counted so an entry
-// is reclaimed exactly when the last holder releases it.
+// This file holds the controller's attribute intern pool (DESIGN.md §14).
+// At city scale thousands of UEs share a handful of distinct
+// subscriber-attribute sets, and every attribute set compiles to the same
+// classifier list. UE records therefore store a 32-bit handle into a
+// deduplicated, refcounted pool instead of a private copy: one entry per
+// distinct set, reference-counted so an entry is reclaimed exactly when
+// the last holder releases it.
 
 // attrHandle names one interned attribute set; 0 means "none".
 type attrHandle uint32
@@ -111,130 +107,6 @@ func (p *attrPool) refs(h attrHandle) uint32 {
 
 // totalRefs sums the live reference counts.
 func (p *attrPool) totalRefs() uint64 {
-	var n uint64
-	for i := range p.entries {
-		n += uint64(p.entries[i].refs)
-	}
-	return n
-}
-
-// seqHandle names one interned switch sequence; 0 means "none".
-type seqHandle uint32
-
-// seqEntry is one distinct switch sequence.
-type seqEntry struct {
-	seq  []topo.NodeID
-	hash uint64
-	refs uint32
-}
-
-// seqPool interns switch sequences (shortcut routes). Lookup is an
-// open-addressed probe over a hash bucket map with a full-slice compare on
-// hash agreement — a hit allocates nothing. The pool is not internally
-// synchronised: the Installer owns one, and the Installer is serialised
-// under the controller's ruleMu.
-type seqPool struct {
-	buckets map[uint64][]seqHandle
-	entries []seqEntry // entries[h-1] backs handle h
-	free    []seqHandle
-	hits    uint64
-	misses  uint64
-}
-
-func newSeqPool() seqPool {
-	return seqPool{buckets: make(map[uint64][]seqHandle)}
-}
-
-// hashSeq is FNV-1a over the node IDs.
-func hashSeq(seq []topo.NodeID) uint64 {
-	h := uint64(14695981039346656037)
-	for _, n := range seq {
-		h ^= uint64(uint32(n))
-		h *= 1099511628211
-	}
-	return h
-}
-
-func seqEqual(a, b []topo.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// acquire interns seq and takes one reference, returning the handle and
-// the canonical (shared, immutable) slice. The canonical slice remains
-// valid for holders even after release: reclamation reuses the entry slot,
-// never the backing array.
-func (p *seqPool) acquire(seq []topo.NodeID) (seqHandle, []topo.NodeID) {
-	hash := hashSeq(seq)
-	for _, h := range p.buckets[hash] {
-		if e := &p.entries[h-1]; seqEqual(e.seq, seq) {
-			p.hits++
-			e.refs++
-			return h, e.seq
-		}
-	}
-	p.misses++
-	var h seqHandle
-	if n := len(p.free); n > 0 {
-		h = p.free[n-1]
-		p.free = p.free[:n-1]
-	} else {
-		p.entries = append(p.entries, seqEntry{})
-		h = seqHandle(len(p.entries))
-	}
-	e := &p.entries[h-1]
-	e.seq = append([]topo.NodeID(nil), seq...)
-	e.hash = hash
-	e.refs = 1
-	p.buckets[hash] = append(p.buckets[hash], h)
-	return h, e.seq
-}
-
-// release drops one reference and reclaims the entry at zero.
-func (p *seqPool) release(h seqHandle) {
-	if h == 0 {
-		return
-	}
-	e := &p.entries[h-1]
-	e.refs--
-	if e.refs > 0 {
-		return
-	}
-	bucket := p.buckets[e.hash]
-	for i, bh := range bucket {
-		if bh == h {
-			bucket[i] = bucket[len(bucket)-1]
-			bucket = bucket[:len(bucket)-1]
-			break
-		}
-	}
-	if len(bucket) == 0 {
-		delete(p.buckets, e.hash)
-	} else {
-		p.buckets[e.hash] = bucket
-	}
-	*e = seqEntry{}
-	p.free = append(p.free, h)
-}
-
-// liveEntries counts distinct interned sequences.
-func (p *seqPool) liveEntries() int {
-	n := 0
-	for _, b := range p.buckets {
-		n += len(b)
-	}
-	return n
-}
-
-// totalRefs sums the live reference counts.
-func (p *seqPool) totalRefs() uint64 {
 	var n uint64
 	for i := range p.entries {
 		n += uint64(p.entries[i].refs)

@@ -101,7 +101,7 @@ func (c *Controller) CheckInvariants() (InvariantReport, error) {
 	// UE directory coherence, plus the struct-of-arrays layout's own
 	// integrity: every record reachable through its IMSI index entry, every
 	// address index entry pointing at the slot that owns the address, and
-	// the intern-pool reference counts exactly matching a full scan.
+	// the attribute-pool reference counts exactly matching a full scan.
 	var invErr error
 	attrRefs := make(map[attrHandle]uint32)
 	records := 0
@@ -184,8 +184,8 @@ func (c *Controller) CheckInvariants() (InvariantReport, error) {
 		return rep, invErr
 	}
 
-	// Intern-pool refcounts: the scan above counted every handle reference
-	// the records hold; the pools must agree exactly — an entry reclaimed
+	// Attribute-pool refcounts: the scan above counted every handle reference
+	// the records hold; the pool must agree exactly — an entry reclaimed
 	// too early or leaked shows up here.
 	var scanRefs uint64
 	for h, n := range attrRefs {
@@ -199,23 +199,6 @@ func (c *Controller) CheckInvariants() (InvariantReport, error) {
 	}
 	if got := c.attrs.liveEntries(); got != len(attrRefs) {
 		return rep, fmt.Errorf("core: attribute pool has %d live entries, records reference %d", got, len(attrRefs))
-	}
-	seqRefs := uint64(0)
-	seqHandles := make(map[seqHandle]bool)
-	for _, rsv := range c.reservations {
-		for _, sc := range rsv.shortcuts {
-			if sc.routeH == 0 {
-				return rep, fmt.Errorf("core: live shortcut for %s holds no route reference", sc.Loc)
-			}
-			seqRefs++
-			seqHandles[sc.routeH] = true
-		}
-	}
-	if got := c.Installer.seqs.totalRefs(); got != seqRefs {
-		return rep, fmt.Errorf("core: route pool holds %d refs, live shortcuts hold %d", got, seqRefs)
-	}
-	if got := c.Installer.seqs.liveEntries(); got != len(seqHandles) {
-		return rep, fmt.Errorf("core: route pool has %d live entries, shortcuts reference %d", got, len(seqHandles))
 	}
 
 	// Allocator safety: free lists hold no duplicates, nothing live, and
@@ -234,16 +217,6 @@ func (c *Controller) CheckInvariants() (InvariantReport, error) {
 			if loc, live := liveIDs[stationID{bs, id}]; live {
 				return rep, fmt.Errorf("core: UE ID %d at station %d is both free and live (%s)", id, bs, loc)
 			}
-		}
-	}
-
-	// Path-record arena accounting: live records plus free slots cover the
-	// arena exactly.
-	if !c.Installer.Opts.DiscardPathRecords {
-		a := &c.Installer.arena
-		if len(c.Installer.paths)+len(a.free) != int(a.next) {
-			return rep, fmt.Errorf("core: path arena leak: %d live + %d free != %d allocated",
-				len(c.Installer.paths), len(a.free), a.next)
 		}
 	}
 

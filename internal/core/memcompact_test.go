@@ -10,12 +10,11 @@ import (
 
 	"repro/internal/packet"
 	"repro/internal/policy"
-	"repro/internal/topo"
 )
 
 // These tests pin the compacted state layer (DESIGN.md §14): the
 // struct-of-arrays UE table, the open-addressed indices, the refcounted
-// intern pools, and the allocation behaviour of the steady-state
+// attribute pool, and the allocation behaviour of the steady-state
 // attach -> handoff -> detach cycle.
 
 // TestQuickUETableSlotAliasing drives random register/drop churn through
@@ -233,69 +232,11 @@ func TestQuickAttrPoolRefcountZero(t *testing.T) {
 	}
 }
 
-// TestQuickSeqPoolCanonicalSlices checks the route pool's two contracts:
-// refcount-zero reclamation (like the attribute pool), and canonical-slice
-// stability — the slice acquire returns keeps its contents for as long as
-// any holder references it, even after the entry itself is reclaimed and
-// its slot reused, because reclamation recycles the slot, never the
-// backing array.
-func TestQuickSeqPoolCanonicalSlices(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		pool := newSeqPool()
-		type holder struct {
-			want []topo.NodeID // private copy of the expected contents
-			got  []topo.NodeID // canonical slice the pool returned
-			h    seqHandle
-		}
-		var held, released []holder
-		for op := 0; op < 400; op++ {
-			if len(held) > 0 && rng.Intn(2) == 0 {
-				i := rng.Intn(len(held))
-				hd := held[i]
-				held[i] = held[len(held)-1]
-				held = held[:len(held)-1]
-				pool.release(hd.h)
-				released = append(released, hd)
-				continue
-			}
-			seq := make([]topo.NodeID, 1+rng.Intn(4))
-			for j := range seq {
-				seq[j] = topo.NodeID(rng.Intn(8))
-			}
-			h, canon := pool.acquire(seq)
-			held = append(held, holder{want: append([]topo.NodeID(nil), seq...), got: canon, h: h})
-			// Mutating the caller's slice must not disturb the pool.
-			seq[0] = topo.NodeID(99)
-		}
-		// Every canonical slice — held or already released — still carries
-		// the contents it was acquired with.
-		for _, hd := range append(held, released...) {
-			if !seqEqual(hd.got, hd.want) {
-				t.Fatalf("seed %d: canonical slice mutated: got %v, want %v", seed, hd.got, hd.want)
-			}
-		}
-		// Refcount bookkeeping drains to zero.
-		for _, hd := range held {
-			pool.release(hd.h)
-		}
-		if pool.liveEntries() != 0 || pool.totalRefs() != 0 {
-			t.Fatalf("seed %d: pool not drained: %d entries, %d refs",
-				seed, pool.liveEntries(), pool.totalRefs())
-		}
-		return true
-	}
-	cfg := &quick.Config{MaxCount: 20, Rand: rand.New(rand.NewSource(4))}
-	if err := quick.Check(prop, cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestMemCompactionChurnRace runs disjoint attach -> handoff -> detach
 // churn from several goroutines while readers hammer the lookup paths and
 // MemStats scans the slabs, then audits the invariants. Under -race (make
-// verify) this covers every pairing of the table, pools, and arena with
-// the controller's three lock domains.
+// verify) this covers every pairing of the table and the attribute pool
+// with the controller's three lock domains.
 func TestMemCompactionChurnRace(t *testing.T) {
 	c, _ := testController(t)
 	const workers, perWorker = 3, 4
@@ -405,8 +346,8 @@ func TestRecSizeMatchesRecord(t *testing.T) {
 }
 
 // TestInternPoolSteadyStateZeroAllocs pins the compaction fast paths to
-// literal zero heap allocations: a warmed UE-table lookup, an intern hit
-// in the attribute pool, and an intern hit in the route pool.
+// literal zero heap allocations: a warmed UE-table lookup and an intern hit
+// in the attribute pool.
 func TestInternPoolSteadyStateZeroAllocs(t *testing.T) {
 	// UE table: a hit on a warmed table allocates nothing.
 	var tbl ueTable
@@ -439,22 +380,6 @@ func TestInternPoolSteadyStateZeroAllocs(t *testing.T) {
 		t.Fatalf("attrPool intern hit allocates %.1f/op, want 0", allocs)
 	}
 	pool.release(base)
-
-	// Route pool: an intern hit returns the canonical slice without
-	// copying.
-	seqs := newSeqPool()
-	route := []topo.NodeID{3, 7, 1}
-	baseH, _ := seqs.acquire(route)
-	if allocs := testing.AllocsPerRun(1000, func() {
-		h, canon := seqs.acquire(route)
-		if len(canon) != 3 {
-			t.Fatal("canonical slice truncated")
-		}
-		seqs.release(h)
-	}); allocs != 0 {
-		t.Fatalf("seqPool intern hit allocates %.1f/op, want 0", allocs)
-	}
-	seqs.release(baseH)
 }
 
 // TestChurnCycleAllocBudget pins the whole steady-state
@@ -481,7 +406,7 @@ func TestChurnCycleAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Warm the slab, indices, intern pools, paths, and UEID free lists.
+	// Warm the slab, indices, attribute pool, paths, and UEID free lists.
 	for i := 0; i < 50; i++ {
 		cycle()
 	}

@@ -1,8 +1,8 @@
 package core
 
 // This file surfaces the compacted memory layout (DESIGN.md §14) as a
-// first-class measured quantity: MemStats walks the UE table, intern pools
-// and path arena under the usual lock order and reports counts and byte
+// first-class measured quantity: MemStats walks the UE table and the
+// attribute pool under the usual lock order and reports counts and byte
 // footprints. The bench CLI embeds a MemStats snapshot in every BENCH_*.json
 // report; with an obs registry configured, each snapshot also updates the
 // core.mem.* gauges so live introspection sees the same numbers.
@@ -26,13 +26,8 @@ type MemStats struct {
 	AttrRefs      uint64 `json:"attr_refs"`      // live references from records
 	AttrHits      uint64 `json:"attr_hits"`      // acquire() intern hits
 	AttrMisses    uint64 `json:"attr_misses"`    // acquire() compiles (distinct sets seen)
-	// Route intern pool (shortcut switch sequences).
-	InternedRoutes int    `json:"interned_routes"`
-	RouteRefs      uint64 `json:"route_refs"`
-	// Path-record arena.
-	Paths          int    `json:"paths"`            // retained installed paths
-	PathArenaBytes uint64 `json:"path_arena_bytes"` // arena slab footprint
-	PathFreeSlots  int    `json:"path_free_slots"`  // arena free-list depth
+	// Installer.
+	Paths int `json:"paths"` // retained installed paths
 }
 
 // Add accumulates another snapshot into m (used by the shard dispatcher
@@ -52,15 +47,11 @@ func (m *MemStats) Add(o MemStats) {
 	m.AttrRefs += o.AttrRefs
 	m.AttrHits += o.AttrHits
 	m.AttrMisses += o.AttrMisses
-	m.InternedRoutes += o.InternedRoutes
-	m.RouteRefs += o.RouteRefs
 	m.Paths += o.Paths
-	m.PathArenaBytes += o.PathArenaBytes
-	m.PathFreeSlots += o.PathFreeSlots
 }
 
 // TableBytes is the UE-state footprint: slabs plus indices plus retained
-// IMSI strings (excludes the path arena).
+// IMSI strings.
 func (m MemStats) TableBytes() uint64 {
 	return m.SlabBytes + m.IndexBytes + m.IMSIBytes
 }
@@ -97,11 +88,7 @@ func (c *Controller) MemStats() MemStats {
 		AttrRefs:       c.attrs.totalRefs(),
 		AttrHits:       c.attrs.hits,
 		AttrMisses:     c.attrs.misses,
-		InternedRoutes: c.Installer.seqs.liveEntries(),
-		RouteRefs:      c.Installer.seqs.totalRefs(),
 		Paths:          len(c.Installer.paths),
-		PathArenaBytes: c.Installer.arena.bytes(),
-		PathFreeSlots:  c.Installer.arena.freeSlots(),
 	}
 	c.ues.forEach(func(_ uint32, r *ueRecord) bool {
 		if r.locIP != 0 {
@@ -132,5 +119,4 @@ func (o *coreObs) publishMem(ms MemStats) {
 	o.memFreeSlots.Set(int64(ms.FreeSlots))
 	o.memAttrs.Set(int64(ms.InternedAttrs))
 	o.memAttrHitPct.Set(int64(ms.AttrHitRate() * 100))
-	o.memPathBytes.Set(int64(ms.PathArenaBytes))
 }

@@ -17,15 +17,6 @@ type Shortcut struct {
 	BranchMB topo.MBInstanceID // last middlebox at Route[0]; NoMB when none
 	PathTags []packet.Tag      // the path's segment tags matched at the branch
 	Delivery packet.Tag        // the access-side tag rewritten onto the flow
-
-	// routeH is the installer's intern-pool reference for Route (DESIGN.md
-	// §14): shortcut routes are drawn from the small set of descend routes,
-	// so Route aliases the pool's canonical slice instead of a private copy.
-	// Zeroed when RemoveShortcut drops the reference (making a second remove
-	// of the same shortcut object safe, as the release paths require).
-	routeH seqHandle
-	// tag1 backs PathTags inline for the single-tag (loop-free path) case.
-	tag1 [1]packet.Tag
 }
 
 // InstallShortcut installs downstream /32 overrides for loc along route,
@@ -41,7 +32,9 @@ type Shortcut struct {
 // "incoming packets"); upstream old flows triangle-route through the
 // inter-station tunnel to their origin station, where the old path's rules
 // exist.
-// It returns the shortcut handle and the number of rules added.
+// The shortcut keeps route and pathTags as given: the caller hands route
+// over, and pathTags is an installed path's Tags, which are never rewritten
+// in place. It returns the shortcut handle and the number of rules added.
 func (in *Installer) InstallShortcut(loc packet.Addr, route []topo.NodeID, branchMB topo.MBInstanceID, pathTags []packet.Tag, delivery packet.Tag) (*Shortcut, int, error) {
 	if len(route) < 2 {
 		return nil, 0, fmt.Errorf("core: shortcut route needs at least two switches")
@@ -58,15 +51,7 @@ func (in *Installer) InstallShortcut(loc packet.Addr, route []topo.NodeID, branc
 		rules += in.fibs[route[i]].InsertMobility(Down, anyPort, delivery, loc, ToNode(route[i+1]))
 	}
 	in.stats.Rules += rules
-	h, canon := in.seqs.acquire(route)
-	sc := &Shortcut{Loc: loc, Route: canon, BranchMB: branchMB, Delivery: delivery, routeH: h}
-	if len(pathTags) == 1 {
-		sc.tag1[0] = pathTags[0]
-		sc.PathTags = sc.tag1[:1:1]
-	} else {
-		sc.PathTags = append([]packet.Tag(nil), pathTags...)
-	}
-	return sc, rules, nil
+	return &Shortcut{Loc: loc, Route: route, BranchMB: branchMB, PathTags: pathTags, Delivery: delivery}, rules, nil
 }
 
 // RemoveShortcut tears a shortcut down (the soft-timeout expiry).
@@ -83,13 +68,6 @@ func (in *Installer) RemoveShortcut(sc *Shortcut) int {
 		}
 	}
 	in.stats.Rules -= removed
-	// Drop the route's intern reference exactly once; the canonical Route
-	// slice stays readable (the pool never reuses backing arrays), so a
-	// caller holding the shortcut after removal sees stable data.
-	if sc.routeH != 0 {
-		in.seqs.release(sc.routeH)
-		sc.routeH = 0
-	}
 	return removed
 }
 

@@ -33,7 +33,6 @@ type coreObs struct {
 	memFreeSlots  *obs.Gauge
 	memAttrs      *obs.Gauge
 	memAttrHitPct *obs.Gauge
-	memPathBytes  *obs.Gauge
 
 	// Trace events: path install, tag publish/evict, handoff phases.
 	evInstall  *obs.EventType
@@ -94,12 +93,11 @@ func newCoreObs(reg *obs.Registry) coreObs {
 		memFreeSlots:  reg.Gauge("core.mem.free_slots"),
 		memAttrs:      reg.Gauge("core.mem.interned_attrs"),
 		memAttrHitPct: reg.Gauge("core.mem.attr_hit_pct"),
-		memPathBytes:  reg.Gauge("core.mem.path_arena_bytes"),
-		evInstall:  reg.EventType("core.path.install", "bs", "clause", "tag", "rules"),
-		evTagPub:   reg.EventType("core.tag.publish", "bs", "clause", "tag"),
-		evTagEvict: reg.EventType("core.tag.evict", "bs", "dropped"),
-		evHandoff:  reg.EventType("core.handoff.move", "old_bs", "new_bs", "shortcuts"),
-		evRelease:  reg.EventType("core.handoff.release", "loc", "reserved"),
+		evInstall:     reg.EventType("core.path.install", "bs", "clause", "tag", "rules"),
+		evTagPub:      reg.EventType("core.tag.publish", "bs", "clause", "tag"),
+		evTagEvict:    reg.EventType("core.tag.evict", "bs", "dropped"),
+		evHandoff:     reg.EventType("core.handoff.move", "old_bs", "new_bs", "shortcuts"),
+		evRelease:     reg.EventType("core.handoff.release", "loc", "reserved"),
 
 		spPath:         reg.SpanName("core.path"),
 		spPathRule:     reg.SpanName("core.lock.rule"),

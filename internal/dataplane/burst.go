@@ -172,14 +172,3 @@ func (s *BurstSender) Send(bs packet.BSID, pkts []*packet.Packet, out []BurstOut
 	}
 	return out, nil
 }
-
-// SendUpstreamBurst is the allocation-per-call convenience over a
-// one-shot BurstSender; benchmarks and concurrent callers should hold a
-// BurstSender instead.
-func (n *Network) SendUpstreamBurst(bs packet.BSID, pkts []*packet.Packet) ([]BurstOutcome, error) {
-	s, err := n.NewBurstSender()
-	if err != nil {
-		return nil, err
-	}
-	return s.Send(bs, pkts, nil)
-}

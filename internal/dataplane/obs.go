@@ -8,7 +8,7 @@ import (
 // network entry points plus slow-path fallbacks. A nil *dpObs is a no-op;
 // every hot-path update is an atomic add or a fixed-bucket observe.
 type dpObs struct {
-	bursts  *obs.Counter   // bursts injected via SendUpstreamBurst
+	bursts  *obs.Counter   // bursts injected via BurstSender.Send
 	burstSz *obs.Histogram // injected burst sizes in packets
 	pkts    *obs.Counter   // packets injected through burst sends
 	slow    *obs.Counter   // packets replayed on the stateful slow path

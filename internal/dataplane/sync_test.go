@@ -413,17 +413,18 @@ func TestBurstSenderErrors(t *testing.T) {
 	if _, err := net.NewBurstSender(); err == nil {
 		t.Fatal("a sender without a fast path")
 	}
-	if _, err := net.SendUpstreamBurst(0, nil); err == nil {
-		t.Fatal("a burst without a fast path")
-	}
 	if net.EnableFastPath(1) != net.FastEngine() {
 		t.Fatal("FastEngine is not the enabled engine")
 	}
 	defer net.DisableFastPath()
-	if _, err := net.SendUpstreamBurst(99, nil); err == nil {
+	s, err := net.NewBurstSender()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Send(99, nil, nil); err == nil {
 		t.Fatal("a burst at an unknown station")
 	}
-	if out, err := net.SendUpstreamBurst(0, nil); err != nil || len(out) != 0 {
+	if out, err := s.Send(0, nil, nil); err != nil || len(out) != 0 {
 		t.Fatalf("empty burst: %v %v", out, err)
 	}
 }

@@ -251,9 +251,7 @@ func TestSnapshotGeneration(t *testing.T) {
 		func() { sw.Remove(id) },
 		func() { sw.InstallMicroflow(packet.FlowKey{Src: 1}, switchsim.Forward(2)) },
 		func() { sw.RemoveMicroflow(packet.FlowKey{Src: 1}) },
-		func() {
-			sw.Apply([]switchsim.Mod{{Install: true, Priority: 5, Match: switchsim.MatchAll(), Action: switchsim.DropAction()}})
-		},
+		func() { sw.Install(5, switchsim.MatchAll(), switchsim.DropAction()) },
 		func() { sw.ReplaceTCAM(nil) },
 	}
 	for i, mut := range mutations {
@@ -323,7 +321,7 @@ func TestSnapshotSwapRace(t *testing.T) {
 			case 2:
 				sw.InstallMicroflow(genPacket(r).Flow(), genAction(r))
 			case 3:
-				sw.Apply([]switchsim.Mod{{Install: true, Priority: r.Intn(900), Match: genMatch(r), Action: genAction(r)}})
+				sw.Install(r.Intn(900), genMatch(r), genAction(r))
 			}
 		}
 		stop.Store(true)

@@ -1,10 +1,12 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/packet"
 	"repro/internal/policy"
@@ -303,4 +305,25 @@ func ExampleRing_Owner() {
 	owner, _ := r.Owner(7)
 	fmt.Println(owner >= 0 && owner <= 1)
 	// Output: true
+}
+
+// TestCloseTwiceReturns pins Close as repeatable: plant users defer it and
+// may also call it on their way out, and the second call must not try to
+// fill the slots the first already took.
+func TestCloseTwiceReturns(t *testing.T) {
+	d, _ := newTestDispatcher(t, 2)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		d.Close()
+		d.Close()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("second Close did not return")
+	}
+	if _, err := d.RequestPath(0, allowClauses(t, d)[0]); !errors.Is(err, ErrShardDown) {
+		t.Fatalf("request after Close: %v, want ErrShardDown", err)
+	}
 }

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"errors"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -54,6 +55,7 @@ type Shard struct {
 	// until another leaves.
 	slots  chan struct{}
 	dead   atomic.Bool
+	closed sync.Once
 	served atomic.Uint64
 	obs    shardObs
 	adm    *admission
@@ -200,10 +202,14 @@ func (s *Shard) agentView(bs packet.BSID) (core.AgentView, error) {
 }
 
 // close stops the shard: later callers are refused with ErrShardDown, and
-// taking every slot waits out the operations still inside.
+// taking every slot waits out the operations still inside. Only the first
+// call does anything: the slots it took stay taken, so a second fill would
+// block forever.
 func (s *Shard) close() {
-	s.dead.Store(true)
-	for i := 0; i < cap(s.slots); i++ {
-		s.slots <- struct{}{}
-	}
+	s.closed.Do(func() {
+		s.dead.Store(true)
+		for i := 0; i < cap(s.slots); i++ {
+			s.slots <- struct{}{}
+		}
+	})
 }

@@ -102,7 +102,7 @@ type Switch struct {
 	nextSeq uint64                   // guarded by mu
 
 	// gen counts table mutations: every Install/Remove (TCAM or
-	// microflow), Apply and ReplaceTCAM bumps it. Writes happen under mu;
+	// microflow) and ReplaceTCAM bumps it. Writes happen under mu;
 	// reads go through Generation's atomic load, so fast-path snapshot
 	// caches detect staleness without touching the lock.
 	gen uint64
@@ -125,7 +125,7 @@ type Switch struct {
 
 // Generation reports the table-mutation counter. A compiled snapshot taken
 // at generation g is exactly the current tables iff Generation() == g; a
-// mismatch means Apply/ReplaceTCAM/Install/Remove ran since and the snapshot
+// mismatch means ReplaceTCAM/Install/Remove ran since and the snapshot
 // must be recompiled rather than silently served.
 func (s *Switch) Generation() uint64 {
 	return atomic.LoadUint64(&s.gen)
@@ -207,13 +207,6 @@ func NewSwitch(name string) *Switch {
 func (s *Switch) Install(prio int, m Match, a Action) RuleID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.installLocked(prio, m, a)
-}
-
-// installLocked is Install's body, shared with the batched Apply.
-//
-// caller holds mu
-func (s *Switch) installLocked(prio int, m Match, a Action) RuleID {
 	s.bumpGen()
 	s.nextID++
 	s.nextSeq++
@@ -235,13 +228,6 @@ func (s *Switch) installLocked(prio int, m Match, a Action) RuleID {
 func (s *Switch) Remove(id RuleID) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.removeLocked(id)
-}
-
-// removeLocked is Remove's body, shared with the batched Apply.
-//
-// caller holds mu
-func (s *Switch) removeLocked(id RuleID) bool {
 	i := s.indexLocked(id)
 	if i < 0 {
 		return false
@@ -290,33 +276,6 @@ func (s *Switch) Microflow(key packet.FlowKey) (*Rule, bool) {
 	defer s.mu.RUnlock()
 	r, ok := s.micro[key]
 	return r, ok
-}
-
-// Mod is one element of an atomic batch update.
-type Mod struct {
-	Remove   RuleID // when non-zero, remove this rule
-	Install  bool   // when true, install Priority/Match/Action
-	Priority int
-	Match    Match
-	Action   Action
-}
-
-// Apply performs a batch of modifications atomically with respect to
-// Process: no packet observes a partially applied batch. Installed rule IDs
-// are returned in batch order (zero for removals).
-func (s *Switch) Apply(mods []Mod) []RuleID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ids := make([]RuleID, len(mods))
-	for i, m := range mods {
-		if m.Remove != 0 {
-			s.removeLocked(m.Remove)
-		}
-		if m.Install {
-			ids[i] = s.installLocked(m.Priority, m.Match, m.Action)
-		}
-	}
-	return ids
 }
 
 // Process runs one packet through the pipeline: microflow exact match

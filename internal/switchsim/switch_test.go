@@ -163,24 +163,6 @@ func TestNewerRuleWinsAtSamePriority(t *testing.T) {
 	}
 }
 
-func TestApplyAtomicBatch(t *testing.T) {
-	s := NewSwitch("s")
-	old := s.Install(PrioTag, MatchAll(), Forward(1))
-	ids := s.Apply([]Mod{
-		{Remove: old},
-		{Install: true, Priority: PrioTag, Match: MatchAll(), Action: Forward(2)},
-	})
-	if ids[1] == 0 {
-		t.Fatal("install id missing")
-	}
-	if v := s.Process(pkt(1, 2, 3, 4), 0); v.Output != 2 {
-		t.Fatalf("batch result wrong: %+v", v)
-	}
-	if s.NumRules() != 1 {
-		t.Fatalf("NumRules = %d", s.NumRules())
-	}
-}
-
 func TestCounters(t *testing.T) {
 	s := NewSwitch("s")
 	id := s.Install(PrioTag, MatchAll(), Forward(1))
@@ -212,6 +194,45 @@ func TestRulesSnapshotOrdered(t *testing.T) {
 	}
 	if rules[0].Priority != PrioMobility || rules[2].Priority != PrioPrefix {
 		t.Fatalf("order wrong: %d %d %d", rules[0].Priority, rules[1].Priority, rules[2].Priority)
+	}
+}
+
+// TestViewIsTheFastPathsContract covers what a fast-path compiler takes from
+// a switch and gives back: a view is the tables at one generation (later
+// mutations leave it alone and move the generation on), its rule pointers
+// are the live rules, and traffic accounted through them or through
+// AccountBurst lands in the counters Process would have moved.
+func TestViewIsTheFastPathsContract(t *testing.T) {
+	s := NewSwitch("s")
+	s.TableMiss = Punt()
+	low := s.Install(PrioPrefix, MatchAll(), Forward(1))
+	high := s.Install(PrioMobility, MatchAll(), Forward(2))
+	key := pkt(5, 6, 7, 8).Flow()
+	s.InstallMicroflow(key, Forward(9))
+
+	v := s.View()
+	if v.Gen != s.Generation() || !v.Miss.ToController {
+		t.Fatalf("view at generation %d with miss %v, switch at %d punting", v.Gen, v.Miss, s.Generation())
+	}
+	if len(v.Ordered) != 2 || v.Ordered[0].ID != high || v.Ordered[1].ID != low {
+		t.Fatalf("view rules out of match order: %+v", v.Ordered)
+	}
+	if live, ok := s.Microflow(key); !ok || v.Micro[key] != live || len(v.Micro) != 1 {
+		t.Fatalf("view microflows %v, switch holds %v", v.Micro, live)
+	}
+	s.Install(PrioTag, MatchAll(), Forward(3))
+	s.RemoveMicroflow(key)
+	if len(v.Ordered) != 2 || len(v.Micro) != 1 || v.Gen == s.Generation() {
+		t.Fatalf("a later mutation reached the view (%d rules, %d microflows) or left the generation at %d", len(v.Ordered), len(v.Micro), v.Gen)
+	}
+
+	v.Ordered[0].AccountN(3, 100)
+	if r, _ := s.Rule(high); r.Packets != 3 || r.Bytes != 100 {
+		t.Fatalf("rule counters %d packets %d bytes after AccountN(3, 100)", r.Packets, r.Bytes)
+	}
+	s.AccountBurst(BurstStats{Packets: 5, Miss: 2})
+	if s.Processed != 5 || s.Misses != 2 {
+		t.Fatalf("switch counters %d processed %d misses after a burst of 5 with 2 misses", s.Processed, s.Misses)
 	}
 }
 
