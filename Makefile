@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet fmt lint fuzz verify bench-check bench-smoke bench bench-city city-smoke blackout-smoke profile clean chaos cover span-alloc-gate loc
+.PHONY: all build test race vet fmt lint fuzz verify bench-check policy-gate bench-smoke bench bench-city city-smoke blackout-smoke profile clean chaos cover span-alloc-gate loc
 
 all: verify
 
@@ -75,6 +75,7 @@ verify:
 	$(GO) run ./cmd/softcell-lint -escape -json results/lint.json ./...
 	$(GO) build ./...
 	$(MAKE) bench-check
+	$(MAKE) policy-gate
 	$(GO) test -race ./...
 	$(MAKE) cover
 	$(MAKE) span-alloc-gate
@@ -89,6 +90,19 @@ verify:
 bench-check:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
+
+# policy-gate is §5.1 checked end to end by the repository benchmark as it
+# stands: the mobility workload for 3 s, traced so the per-layer counters
+# print. It fails unless every op succeeded, the run's own correctness check
+# held, and no old flow reached its UE past a middlebox its opening crossed
+# (mbox.old_flow_bypasses; 447 in 10 s while route-switch overrides matched
+# any port).
+policy-gate:
+	@out=$$(bash bench/run.sh --workload e2e_mobility --seed 1 --seconds 3 --trace 1 | tail -n 1); \
+	for want in '"correct":true,' '"failed":0,' '"mbox.old_flow_bypasses":{"value":0,'; do \
+		case "$$out" in *"$$want"*) ;; *) echo "FAIL: policy-gate: the result line lacks $$want"; echo "$$out"; exit 1;; esac; \
+	done; \
+	echo "policy-gate: e2e_mobility failed=0 correct=true mbox.old_flow_bypasses=0"
 
 # bench-smoke runs every Go benchmark for 500 iterations, so one that
 # cannot get that far (a fixture that exhausts a tag space, say) fails the

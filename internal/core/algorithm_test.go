@@ -504,7 +504,7 @@ func TestTraceLoopBudget(t *testing.T) {
 	in := mustInstaller(t, tp, InstallerOptions{})
 	in.FIB(a).SetDefault(Down, anyPort, 1, ToNode(b))
 	in.FIB(b).SetDefault(Down, anyPort, 1, ToNode(a))
-	if _, _, err := in.Trace(Down, a, 1, packet.AddrFrom4(10, 0, 16, 1)); err == nil {
+	if _, err := in.Walk(Down, a, 1, packet.AddrFrom4(10, 0, 16, 1)); err == nil {
 		t.Fatal("forwarding loop should be detected")
 	}
 }

@@ -226,6 +226,73 @@ func TestHandoffMovesUE(t *testing.T) {
 	}
 }
 
+// TestShortcutThatRecrossesItsPathIsSkipped: a shortcut route that crosses a
+// link the old path takes, in the same direction, before its last middlebox
+// would capture the path's own packets there; such a shortcut is left out
+// and the old flows triangle-route through the origin station instead.
+func TestShortcutThatRecrossesItsPathIsSkipped(t *testing.T) {
+	// gw - a, then a - c - m and a - b - d - m; station 0 (x) under m,
+	// station 1 (y) under b; the firewall on b, the transcoder on m. The
+	// video path is gw a b[fw] d m[tc] x, and the way down from m to
+	// station 1 is m c a b y — over a -> b again.
+	tp := topo.New()
+	gw := tp.AddNode(topo.Gateway, "gw")
+	a, cc, b := tp.AddNode(topo.Core, "a"), tp.AddNode(topo.Core, "c"), tp.AddNode(topo.Core, "b")
+	d, m := tp.AddNode(topo.Core, "d"), tp.AddNode(topo.Core, "m")
+	x, y := tp.AddNode(topo.Access, "x"), tp.AddNode(topo.Access, "y")
+	for _, l := range [][2]topo.NodeID{{gw, a}, {a, cc}, {a, b}, {cc, m}, {b, d}, {d, m}, {m, x}, {b, y}} {
+		if err := tp.Connect(l[0], l[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for bs, sw := range []topo.NodeID{x, y} {
+		if err := tp.AddBaseStation(packet.BSID(bs), sw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for typ, sw := range []topo.NodeID{b, m} {
+		if _, err := tp.AttachMiddlebox(topo.MBType(typ), sw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := NewController(tp, ControllerConfig{
+		Gateway: gw,
+		Policy:  policy.ExampleCarrierPolicy(),
+		MBTypes: map[string]topo.MBType{policy.MBFirewall: 0, policy.MBTranscoder: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = c.RegisterSubscriber("v", policy.Attributes{Provider: "A", Plan: "silver"})
+	ue, _, err := c.Attach("v", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clause, _ := c.Policy.Match(ue.Attr, policy.AppVideo)
+	if _, err := c.RequestPath(0, clause); err != nil {
+		t.Fatal(err)
+	}
+	rec := c.Installer.Paths()[0]
+	pos, _ := branchPoint(rec)
+	route, err := c.descendRoute(m, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !recrosses(route, rec.Route.Switches[:pos+1]) {
+		t.Fatalf("the plant no longer makes the case: path %s, way down %v", rec.Route, route)
+	}
+	res, err := c.Handoff("v", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Shortcuts) != 0 {
+		t.Fatalf("installed a shortcut over %v that captures path %s", res.Shortcuts[0].Route, rec.Route)
+	}
+	if _, err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // fibShape is what churn must not grow: per switch, the context-map sizes,
 // the allocated trie nodes and the rule count.
 type fibShape struct{ rules, loc, mob, rely, nodes, numRules int }

@@ -510,6 +510,28 @@ func (f *FIB) LookupMobility(dir Direction, in ingress, tag packet.Tag, loc pack
 	return NextHop{Node: topo.None, MB: NoMB}, false
 }
 
+// Step is the written statement of this switch's match order: the decision
+// for a packet addressed loc, carrying tag, that arrived through in. A
+// mobility /32 of the arrival context wins, then an unqualified one; below
+// them Type 1 over Type 2 over Type 3 in the arrival context, then the same
+// in the unqualified one. That is the order bandOf hands the TCAM (the
+// installer never puts a qualified and an unqualified override for one
+// (tag, /32) on one switch, so the mobility band holds no tie to break).
+// Everything that asks what a switch does with a packet — the walk, and
+// through it the checker — asks here; Algorithm 1 alone reads GetNextHop
+// directly, for a prefix rather than a packet.
+func (f *FIB) Step(dir Direction, in ingress, tag packet.Tag, loc packet.Addr) (NextHop, bool) {
+	if nh, ok := f.LookupMobility(dir, in, tag, loc); ok {
+		return nh, true
+	}
+	if in != anyPort {
+		if nh, ok := f.LookupMobility(dir, anyPort, tag, loc); ok {
+			return nh, true
+		}
+	}
+	return f.GetNextHop(dir, in, tag, packet.Prefix{Addr: loc, Len: 32})
+}
+
 // RuleBreakdown reports entries by SoftCell rule type: Type 1 (tag+prefix,
 // including in-port-qualified and middlebox-return rules), Type 2
 // (tag-only), Type 3 (location), and mobility overrides.

@@ -291,8 +291,8 @@ func (t *prefixTrie) nodes() int {
 	return rec(t.root)
 }
 
-// TestFIBPrecedence walks the one lookup ladder over every cell of
-// {any, from-MB, from-port} x {tag+prefix, tag-only, location, mobility}:
+// TestFIBPrecedence walks the one lookup ladder (FIB.Step) over every cell of
+// {any, from-MB, from-port} x {mobility, tag+prefix, tag-only, location}:
 // which cell answers, what it falls through to once removed, that qualified
 // contexts are invisible to every other ingress, and the band each cell
 // exports in (dataplane.bandPriority turns bands into TCAM priorities).
@@ -323,9 +323,13 @@ func TestFIBPrecedence(t *testing.T) {
 	ladder := []RuleBand{BandTagPrefix, BandTagOnly, BandLocation}
 
 	for i, in := range ingresses {
-		// The rungs a lookup through 'in' may be answered by, best first:
-		// its own context, then the unqualified one.
-		rungs := []cell{}
+		// The rungs a packet arriving through 'in' may be answered by, best
+		// first: the overrides of its own context and of the unqualified
+		// one, then the rules of its own context, then the unqualified ones.
+		rungs := []cell{{i, BandMobility}}
+		if in != anyPort {
+			rungs = append(rungs, cell{0, BandMobility})
+		}
 		for _, k := range ladder {
 			rungs = append(rungs, cell{i, k})
 		}
@@ -340,6 +344,7 @@ func TestFIBPrecedence(t *testing.T) {
 			f := NewFIB(0)
 			for j := range ingresses {
 				if j != i && j != 0 {
+					install(f, cell{j, BandMobility})
 					for _, k := range ladder {
 						install(f, cell{j, k})
 					}
@@ -348,7 +353,7 @@ func TestFIBPrecedence(t *testing.T) {
 			for _, c := range rungs[skip:] {
 				install(f, c)
 			}
-			nh, ok := f.GetNextHop(Down, in, tag, p)
+			nh, ok := f.Step(Down, in, tag, loc)
 			if skip == len(rungs) {
 				if ok {
 					t.Errorf("ingress %v, nothing of its own or unqualified installed: got %v, want a miss", in, nh)
@@ -358,9 +363,16 @@ func TestFIBPrecedence(t *testing.T) {
 			if want := hop(rungs[skip]); !ok || nh != want {
 				t.Errorf("ingress %v, top rung %+v: got %v %v, want %v", in, rungs[skip], nh, ok, want)
 			}
+			// Algorithm 1 reads the same tables for a prefix, below the
+			// overrides.
+			if rungs[skip].kind != BandMobility {
+				if got, ok := f.GetNextHop(Down, in, tag, p); !ok || got != nh {
+					t.Errorf("ingress %v, top rung %+v: GetNextHop %v %v, Step %v", in, rungs[skip], got, ok, nh)
+				}
+			}
 			// The other direction sees none of it; another tag sees only
 			// the tag-independent location rungs.
-			if nh, ok := f.GetNextHop(Up, in, tag, p); ok {
+			if nh, ok := f.Step(Up, in, tag, loc); ok {
 				t.Errorf("ingress %v: upstream lookup answered %v", in, nh)
 			}
 			wantOther, wantOK := NextHop{}, false
@@ -370,7 +382,7 @@ func TestFIBPrecedence(t *testing.T) {
 					break
 				}
 			}
-			if nh, ok := f.GetNextHop(Down, in, tag+1, p); ok != wantOK || (ok && nh != wantOther) {
+			if nh, ok := f.Step(Down, in, tag+1, loc); ok != wantOK || (ok && nh != wantOther) {
 				t.Errorf("ingress %v, top rung %+v, other tag: got %v %v, want %v %v", in, rungs[skip], nh, ok, wantOther, wantOK)
 			}
 		}

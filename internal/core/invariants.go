@@ -44,13 +44,14 @@ type InvariantReport struct {
 //     after a station migration, never the reverse).
 //   - Tag discipline: segment tags respect the shard's residue class, and
 //     no tag serves two paths of one origin (paper footnote 2).
-//   - FIB verification: for every installed path whose origin station has
-//     no in-flight handoff, walking the rule tables reproduces the
-//     requested switch/middlebox sequence in both directions.
+//   - FIB verification: for every installed path, walking the rule tables
+//     (Installer.Walk) reproduces the requested switch/middlebox sequence
+//     in both directions.
 //   - §5 policy consistency: for every reserved old LocIP, downstream
-//     traffic still traverses the full middlebox chain of every policy
-//     path at its origin station, and is delivered at either the UE's new
-//     access switch (via shortcut) or the origin's (triangle routing).
+//     traffic still traverses the full middlebox chain, in order, of every
+//     policy path at its origin station, and is delivered at either the
+//     UE's new access switch (via shortcut) or the origin's (triangle
+//     routing) — nowhere earlier.
 //
 // It takes all three lock domains in the documented order, so it can run
 // concurrently with live traffic; invariants hold at every quiescent point,
@@ -69,11 +70,8 @@ func (c *Controller) CheckInvariants() (InvariantReport, error) {
 	}
 
 	// Reservations: each names a live UE and a parseable address at an owned
-	// station. reservedBS marks stations with in-flight handoffs (their
-	// paths carry mobility overrides, so plain path verification is replaced
-	// by the §5 trace below); liveIDs marks (station, id) pairs that must
-	// not appear in the free lists.
-	reservedBS := make(map[packet.BSID]bool)
+	// station. liveIDs marks (station, id) pairs that must not appear in
+	// the free lists.
 	type stationID struct {
 		bs packet.BSID
 		id packet.UEID
@@ -94,7 +92,6 @@ func (c *Controller) CheckInvariants() (InvariantReport, error) {
 		if slot, held := c.ues.locIdx.lookup(loc); !held || slot != ueSlot {
 			return rep, fmt.Errorf("core: reserved address %s not indexed to its UE %q", loc, rsv.imsi)
 		}
-		reservedBS[bs] = true
 		liveIDs[stationID{bs, id}] = loc
 	}
 
@@ -266,9 +263,6 @@ func (c *Controller) CheckInvariants() (InvariantReport, error) {
 			}
 			used[tag] = rec.ID
 		}
-		if reservedBS[key.bs] {
-			continue // mobility overrides rewrite this station's traces; checked below
-		}
 		if err := c.Installer.VerifyPath(rec); err != nil {
 			return rep, fmt.Errorf("core: path %d (bs %d, clause %d): %w", rec.ID, key.bs, key.clause, err)
 		}
@@ -278,61 +272,22 @@ func (c *Controller) CheckInvariants() (InvariantReport, error) {
 	// §5 policy consistency for in-flight handoffs: downstream traffic to a
 	// reserved old LocIP must still traverse the complete middlebox chain of
 	// every policy path at its origin station, and end at the UE's current
-	// access switch (shortcut) or the origin's (triangle via the tunnels).
+	// access switch (shortcut) or the origin's (triangle via the tunnels). A
+	// detached UE has microflows nowhere, so its old-flow traffic must drain
+	// at the origin (its shortcuts came down with Detach).
 	for loc, rsv := range c.reservations {
 		originBS, _, _ := c.plan.Split(loc)
 		ue, _, _ := c.ues.get(rsv.imsi)
-		allowed := map[topo.NodeID]bool{}
-		if st, ok := c.T.Station(originBS); ok {
-			allowed[st.Access] = true
-		}
-		// A still-attached UE's microflows claim the packet at its current
-		// access switch; a detached UE delivers nowhere, so its old-flow
-		// traffic must drain at the origin (its shortcuts came down with
-		// Detach).
 		curAccess := topo.None
-		if ue.locIP != 0 {
-			if st, ok := c.T.Station(ue.bs); ok {
-				curAccess = st.Access
-				allowed[st.Access] = true
-			}
+		if st, ok := c.T.Station(ue.bs); ok && ue.locIP != 0 {
+			curAccess = st.Access
 		}
 		for key, rec := range c.paths {
 			if key.bs != originBS {
 				continue
 			}
-			events, last, err := c.Installer.TraceDeliver(Down, rec.Route.Gateway(), rec.GatewayTag(), loc, curAccess)
-			if err != nil {
-				return rep, fmt.Errorf("core: reserved %s on path %d: %w", loc, rec.ID, err)
-			}
-			var mbs []topo.MBInstanceID
-			for _, e := range events {
-				if e.MB != NoMB {
-					mbs = append(mbs, e.MB)
-				}
-			}
-			want := rec.Chain
-			if curAccess != topo.None && last == curAccess && len(mbs) < len(rec.Chain) {
-				// The path's route transits the UE's current access switch
-				// before the chain completes; the exact-match microflows
-				// there outrank every TCAM rule and claim the packet on
-				// arrival. Early delivery is what the dataplane does, so
-				// require only that the chain traversed so far is a prefix
-				// of the policy sequence (nothing skipped *and* reordered).
-				want = rec.Chain[:len(mbs)]
-			}
-			if len(mbs) != len(want) {
-				return rep, fmt.Errorf("core: reserved %s on path %d traversed middleboxes %v, want %v (policy sequence broken by handoff)",
-					loc, rec.ID, mbs, rec.Chain)
-			}
-			for i := range mbs {
-				if mbs[i] != want[i] {
-					return rep, fmt.Errorf("core: reserved %s on path %d traversed middleboxes %v, want %v (policy sequence broken by handoff)",
-						loc, rec.ID, mbs, rec.Chain)
-				}
-			}
-			if !allowed[last] {
-				return rep, fmt.Errorf("core: reserved %s on path %d delivered at switch %d, want the UE's current or origin access switch", loc, rec.ID, last)
+			if err := c.Installer.verify(rec, Down, loc, false, rec.Route.Access(), curAccess); err != nil {
+				return rep, fmt.Errorf("core: reserved %s (policy sequence broken by handoff): %w", loc, err)
 			}
 		}
 	}

@@ -27,11 +27,14 @@ type Shortcut struct {
 // tag-swap rules, so the rewrite must happen here. When the branch switch
 // hosts the path's last middlebox, the entries are qualified by its return
 // port (fromMB(NoMB) is anyPort, the middlebox-free path's gateway branch)
-// so traffic still enters the box before taking the shortcut. Only the
-// DOWNSTREAM direction gets shortcut state (§5.1: shortcuts direct
-// "incoming packets"); upstream old flows triangle-route through the
-// inter-station tunnel to their origin station, where the old path's rules
-// exist.
+// so traffic still enters the box before taking the shortcut. Every later
+// switch of the route matches only what arrives from the one before it: the
+// route may re-cross a switch the old path visits on its way to the branch
+// point, and an override for any port there would take the packet before
+// its middleboxes. Only the DOWNSTREAM direction gets shortcut state (§5.1:
+// shortcuts direct "incoming packets"); upstream old flows triangle-route
+// through the inter-station tunnel to their origin station, where the old
+// path's rules exist.
 // The shortcut keeps route and pathTags as given: the caller hands route
 // over, and pathTags is an installed path's Tags, which are never rewritten
 // in place. It returns the shortcut handle and the number of rules added.
@@ -48,7 +51,7 @@ func (in *Installer) InstallShortcut(loc packet.Addr, route []topo.NodeID, branc
 		rules += in.fibs[route[0]].InsertMobility(Down, fromMB(branchMB), t, loc, first)
 	}
 	for i := 1; i < len(route)-1; i++ {
-		rules += in.fibs[route[i]].InsertMobility(Down, anyPort, delivery, loc, ToNode(route[i+1]))
+		rules += in.fibs[route[i]].InsertMobility(Down, fromPort(route[i-1]), delivery, loc, ToNode(route[i+1]))
 	}
 	in.stats.Rules += rules
 	return &Shortcut{Loc: loc, Route: route, BranchMB: branchMB, PathTags: pathTags, Delivery: delivery}, rules, nil
@@ -63,7 +66,7 @@ func (in *Installer) RemoveShortcut(sc *Shortcut) int {
 		}
 	}
 	for i := 1; i < len(sc.Route)-1; i++ {
-		if in.fibs[sc.Route[i]].RemoveMobility(Down, anyPort, sc.Delivery, sc.Loc) {
+		if in.fibs[sc.Route[i]].RemoveMobility(Down, fromPort(sc.Route[i-1]), sc.Delivery, sc.Loc) {
 			removed++
 		}
 	}
@@ -102,9 +105,9 @@ func (c *Controller) retargetReservationsLocked(imsi string, newAccess topo.Node
 			if key.bs != originBS {
 				continue
 			}
-			branch, branchMB := branchPoint(rec)
-			route, err := c.descendRoute(branch, newAccess)
-			if err != nil || len(route) < 2 {
+			pos, branchMB := branchPoint(rec)
+			route, err := c.descendRoute(rec.Route.Switches[pos], newAccess)
+			if err != nil || len(route) < 2 || recrosses(route, rec.Route.Switches[:pos+1]) {
 				continue // triangle routing via the tunnels still covers it
 			}
 			sc, _, err := c.Installer.InstallShortcut(loc, route, branchMB, rec.Tags, rec.AccessTag())
@@ -207,16 +210,31 @@ func (c *Controller) HandoffCtx(sc obs.SpanContext, imsi string, newBS packet.BS
 	return res, nil
 }
 
-// branchPoint is the switch where a path's tail begins — the switch of its
-// last middlebox (also returned), or the gateway for middlebox-free paths.
-func branchPoint(rec *InstalledPath) (topo.NodeID, topo.MBInstanceID) {
+// branchPoint is the route position where a path's tail begins — that of its
+// last middlebox (also returned), or the gateway's for middlebox-free paths.
+func branchPoint(rec *InstalledPath) (int, topo.MBInstanceID) {
 	r := rec.Route
 	for i := r.Len() - 1; i >= 0; i-- {
 		if r.MBAt[i] != NoMB {
-			return r.Switches[i], r.MBAt[i]
+			return i, r.MBAt[i]
 		}
 	}
-	return r.Gateway(), NoMB
+	return 0, NoMB
+}
+
+// recrosses reports whether a shortcut route's overrides would capture the
+// old path's own traffic: an override matches what arrives at route[i] from
+// route[i-1], and head — the old path from the gateway to its branch point
+// — crosses that same link in that direction before its last middlebox.
+func recrosses(route, head []topo.NodeID) bool {
+	for i := 1; i < len(route)-1; i++ {
+		for j := 1; j < len(head); j++ {
+			if head[j-1] == route[i-1] && head[j] == route[i] {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // descendRoute computes the canonical descend route from a switch to an

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/metrics"
 	"repro/internal/packet"
@@ -9,173 +10,101 @@ import (
 	"repro/internal/topo"
 )
 
-// TraceEvent is one element of a rule-table walk: a switch visited, and
-// optionally the middlebox traversed there.
-type TraceEvent struct {
+// Hop is one element of a rule-table walk: a switch visited, and optionally
+// the middlebox traversed there.
+type Hop struct {
 	Switch topo.NodeID
-	MB     topo.MBInstanceID // NoMB when the event is plain forwarding
+	MB     topo.MBInstanceID // NoMB when the hop is plain forwarding
 }
 
-// Trace walks the installed rule tables exactly as a packet would, starting
-// at 'from' carrying 'tag', addressed by the LocIP 'loc' (its base-station
-// prefix selects the Type 1 rules; the full /32 selects mobility
-// overrides). It returns the sequence of (switch, middlebox) events and the
-// final switch reached when no rule matches any more.
-//
-// Trace is the verification primitive behind DESIGN.md §6's "walking the
-// rule tables reproduces the requested switch/middlebox sequence".
-func (in *Installer) Trace(dir Direction, from topo.NodeID, tag packet.Tag, loc packet.Addr) ([]TraceEvent, topo.NodeID, error) {
-	return in.TraceDeliver(dir, from, tag, loc, topo.None)
-}
-
-// TraceDeliver is Trace with one extra downstream delivery point: a handed-
-// off UE's microflows live at its *current* access switch, not the one its
-// reserved old LocIP embeds, so a walk for such an address must also stop
-// where those microflows would claim the packet (they outrank every TCAM
-// rule). The invariant checker passes the UE's current access here when
-// verifying §5's old-flow policy consistency.
-func (in *Installer) TraceDeliver(dir Direction, from topo.NodeID, tag packet.Tag, loc packet.Addr, also topo.NodeID) ([]TraceEvent, topo.NodeID, error) {
-	bsPfx := packet.NewPrefix(loc, in.plan.Carrier.Len+in.plan.BSBits)
-	// Downstream delivery happens at the destination's access switch via
-	// exact-match microflows that outrank every TCAM rule, so the walk must
-	// stop there rather than follow a shared tag-only rule onward.
-	deliverAt := topo.None
-	if dir == Down {
-		if bsID, _, ok := in.plan.Split(loc); ok {
-			if st, ok := in.T.Station(bsID); ok {
-				deliverAt = st.Access
-			}
+// Walk follows the installed rule tables as a packet would: it enters
+// switch from on the Internet/UE side carrying tag, addressed by the LocIP
+// loc, and at every switch FIB.Step decides — under the port the packet
+// really arrived on — where it goes next. The walk ends where the rule
+// tables let go of the packet: out the gateway's Internet port, at a local
+// delivery rule, where nothing matches, or, downstream, on arrival at one
+// of the access switches in claim, whose exact-match microflows outrank
+// every TCAM rule and take it (the station loc embeds; for a handed-off
+// UE's reserved address also the station it is at now).
+func (in *Installer) Walk(dir Direction, from topo.NodeID, tag packet.Tag, loc packet.Addr, claim ...topo.NodeID) ([]Hop, error) {
+	cur, arrived := from, anyPort
+	hops := []Hop{{cur, NoMB}}
+	for budget := 4*len(in.T.Nodes) + 16; budget > 0; budget-- {
+		if arrived.mb == NoMB && slices.Contains(claim, cur) {
+			return hops, nil
 		}
-	}
-	cur := from
-	arrived := anyPort // Internet/UE side at the entry switch
-	var events []TraceEvent
-	events = append(events, TraceEvent{Switch: cur, MB: NoMB})
-	for hops := 0; hops < 4*len(in.T.Nodes)+16; hops++ {
-		if dir == Down && arrived.mb == NoMB && (cur == deliverAt || (also != topo.None && cur == also)) {
-			return events, cur, nil
-		}
-		f := in.fibs[cur]
-		// Mobility overrides outrank policy rules (priority band, §3.1
-		// "UE mobility"). None is qualified by a neighbor port: a shortcut's
-		// branch switch matches the middlebox return port, its route
-		// switches any port (fromMB(NoMB) is anyPort).
-		nh, ok := f.LookupMobility(dir, fromMB(arrived.mb), tag, loc)
-		if !ok {
-			nh, ok = f.GetNextHop(dir, arrived, tag, bsPfx)
-		}
-		if !ok {
-			return events, cur, nil
-		}
-		if nh.MB != NoMB {
-			if nh.MB == arrived.mb {
-				// Returning traffic would re-enter the same box: the main
-				// rule matched because no onward rule exists. This is the
-				// delivery point (access switches deliver via microflows
-				// that outrank these rules).
-				return events, cur, nil
-			}
-			if nh.NewTag != 0 {
-				tag = nh.NewTag
-			}
-			events = append(events, TraceEvent{Switch: cur, MB: nh.MB})
-			arrived = fromMB(nh.MB)
-			continue
-		}
-		if nh.IsExit() || nh.IsDeliver() {
-			// Out the gateway's Internet port, or handed to the local
-			// delivery microflows: the walk is complete.
-			return events, cur, nil
+		nh, ok := in.fibs[cur].Step(dir, arrived, tag, loc)
+		if !ok || nh.IsExit() || nh.IsDeliver() {
+			return hops, nil
 		}
 		if nh.NewTag != 0 {
 			tag = nh.NewTag
 		}
-		arrived = fromPort(cur)
-		cur = nh.Node
-		events = append(events, TraceEvent{Switch: cur, MB: NoMB})
+		if nh.MB != NoMB {
+			hops = append(hops, Hop{cur, nh.MB})
+			arrived = fromMB(nh.MB)
+			continue
+		}
+		arrived, cur = fromPort(cur), nh.Node
+		hops = append(hops, Hop{cur, NoMB})
 	}
-	return events, cur, fmt.Errorf("core: trace exceeded hop budget (forwarding loop?)")
+	return hops, fmt.Errorf("core: walk exceeded hop budget (forwarding loop?)")
 }
 
-// VerifyPath checks that an installed path's rule-table walk reproduces its
-// requested route in both directions: the downstream trace from the gateway
-// must visit the route's switches and middleboxes in order and terminate at
-// the access switch; the upstream trace the reverse.
+// verify is the one comparison of installed state with intent: traffic
+// addressed loc that enters rec's route in direction dir must cross rec's
+// middlebox instances in order and end at the route's far end — downstream
+// at one of the access switches in claim. With exact set, loc has no
+// mobility state of its own and the walk must visit the route's switches in
+// order too.
+func (in *Installer) verify(rec *InstalledPath, dir Direction, loc packet.Addr, exact bool, claim ...topo.NodeID) error {
+	wantSw, wantMB := slices.Compact(slices.Clone(rec.Route.Switches)), rec.Chain
+	from, tag, ends := rec.Route.Gateway(), rec.GatewayTag(), claim
+	if dir == Up {
+		wantMB = slices.Clone(wantMB)
+		slices.Reverse(wantSw)
+		slices.Reverse(wantMB)
+		from, tag, ends = rec.Route.Access(), rec.AccessTag(), []topo.NodeID{rec.Route.Gateway()}
+	}
+	hops, err := in.Walk(dir, from, tag, loc, claim...)
+	if err != nil {
+		return fmt.Errorf("core: %s walk of %s on path %d: %w (hops %v)", dir, loc, rec.ID, err, hops)
+	}
+	var sw []topo.NodeID
+	var mbs []topo.MBInstanceID
+	for _, h := range hops {
+		if h.MB != NoMB {
+			mbs = append(mbs, h.MB)
+		} else {
+			sw = append(sw, h.Switch)
+		}
+	}
+	switch last := sw[len(sw)-1]; {
+	case !slices.Equal(mbs, wantMB):
+		return fmt.Errorf("core: %s walk of %s on path %d traversed middleboxes %v, want %v (hops %v)", dir, loc, rec.ID, mbs, wantMB, hops)
+	case !slices.Contains(ends, last):
+		return fmt.Errorf("core: %s walk of %s on path %d ended at switch %d, want one of %v (hops %v)", dir, loc, rec.ID, last, ends, hops)
+	case exact && !slices.Equal(sw, wantSw):
+		return fmt.Errorf("core: %s walk of %s on path %d visited %v, want %v", dir, loc, rec.ID, sw, wantSw)
+	}
+	return nil
+}
+
+// VerifyPath checks that walking the rule tables reproduces an installed
+// path's requested route in both directions: downstream from the gateway
+// the route's switches and middleboxes in order, ending at the access
+// switch; upstream the reverse. The probe address is the origin station's
+// UE ID 0, which is never allocated (packet.Plan.MaxUE) and so never holds
+// a reservation whose overrides would answer for it.
 func (in *Installer) VerifyPath(rec *InstalledPath) error {
-	loc, err := in.plan.LocIP(rec.Origin, 1)
+	bs, err := in.plan.BSPrefix(rec.Origin)
 	if err != nil {
 		return err
 	}
-	bs, _ := in.T.Station(rec.Origin)
-
-	check := func(dir Direction, from, to topo.NodeID, entry packet.Tag, wantSw []topo.NodeID, wantMB []topo.MBInstanceID) error {
-		events, last, err := in.Trace(dir, from, entry, loc)
-		if err != nil {
-			return err
-		}
-		if last != to {
-			return fmt.Errorf("core: %s trace for path %d ended at switch %d, want %d (events %v)",
-				dir, rec.ID, last, to, events)
-		}
-		var sw []topo.NodeID
-		var mbs []topo.MBInstanceID
-		for _, e := range events {
-			if e.MB != NoMB {
-				mbs = append(mbs, e.MB)
-			} else {
-				if len(sw) == 0 || sw[len(sw)-1] != e.Switch {
-					sw = append(sw, e.Switch)
-				}
-			}
-		}
-		if len(mbs) != len(wantMB) {
-			return fmt.Errorf("core: %s trace for path %d traversed middleboxes %v, want %v", dir, rec.ID, mbs, wantMB)
-		}
-		for i := range mbs {
-			if mbs[i] != wantMB[i] {
-				return fmt.Errorf("core: %s trace for path %d traversed middleboxes %v, want %v", dir, rec.ID, mbs, wantMB)
-			}
-		}
-		if len(sw) != len(wantSw) {
-			return fmt.Errorf("core: %s trace for path %d visited %v, want %v", dir, rec.ID, sw, wantSw)
-		}
-		for i := range sw {
-			if sw[i] != wantSw[i] {
-				return fmt.Errorf("core: %s trace for path %d visited %v, want %v", dir, rec.ID, sw, wantSw)
-			}
-		}
-		return nil
-	}
-
-	route := rec.Route
-	downSw := dedupeConsecutive(route.Switches)
-	upSw := reverseNodes(downSw)
-	revMB := make([]topo.MBInstanceID, len(rec.Chain))
-	for i, m := range rec.Chain {
-		revMB[len(rec.Chain)-1-i] = m
-	}
-	if err := check(Down, route.Gateway(), bs.Access, rec.GatewayTag(), downSw, rec.Chain); err != nil {
+	if err := in.verify(rec, Down, bs.Addr, true, rec.Route.Access()); err != nil {
 		return err
 	}
-	return check(Up, bs.Access, route.Gateway(), rec.AccessTag(), upSw, revMB)
-}
-
-func dedupeConsecutive(in []topo.NodeID) []topo.NodeID {
-	var out []topo.NodeID
-	for _, n := range in {
-		if len(out) == 0 || out[len(out)-1] != n {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-func reverseNodes(in []topo.NodeID) []topo.NodeID {
-	out := make([]topo.NodeID, len(in))
-	for i, n := range in {
-		out[len(in)-1-i] = n
-	}
-	return out
+	return in.verify(rec, Up, bs.Addr, true)
 }
 
 // TableSizes summarises the per-switch TCAM occupancy, split the way the

@@ -333,6 +333,18 @@ type WalkResult struct {
 	Latency time.Duration
 }
 
+// Middleboxes lists the middlebox instances the walk entered, in order: the
+// sequence §5.1 promises a connection keeps across handoffs.
+func (r WalkResult) Middleboxes() []topo.MBInstanceID {
+	var out []topo.MBInstanceID
+	for _, h := range r.Hops {
+		if h.MB != core.NoMB {
+			out = append(out, h.MB)
+		}
+	}
+	return out
+}
+
 // Latency model constants.
 const (
 	hopPropagation = 50 * time.Microsecond

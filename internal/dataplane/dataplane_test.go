@@ -55,8 +55,15 @@ func newFig3(t *testing.T) *fig3 {
 func newNet(t *testing.T, natPool packet.Prefix) (*Network, *fig3) {
 	t.Helper()
 	n := newFig3(t)
-	ctrl, err := core.NewController(n.Topology, core.ControllerConfig{
-		Gateway: n.gw,
+	return netOn(t, n.Topology, n.gw, natPool), n
+}
+
+// netOn assembles a network over tp under the example carrier policy, with
+// one middlebox function per topology middlebox type.
+func netOn(t testing.TB, tp *topo.Topology, gw topo.NodeID, natPool packet.Prefix) *Network {
+	t.Helper()
+	ctrl, err := core.NewController(tp, core.ControllerConfig{
+		Gateway: gw,
 		Policy:  policy.ExampleCarrierPolicy(),
 		MBTypes: map[string]topo.MBType{
 			policy.MBFirewall:   0,
@@ -78,7 +85,7 @@ func newNet(t *testing.T, natPool packet.Prefix) (*Network, *fig3) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return net, n
+	return net
 }
 
 func webPacket(ue core.UE, sport uint16) *packet.Packet {

@@ -3,8 +3,6 @@ package dataplane
 import (
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/mbox"
 	"repro/internal/packet"
 	"repro/internal/policy"
 	"repro/internal/topo"
@@ -19,25 +17,7 @@ func genNet(t testing.TB) *Network {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl, err := core.NewController(g.Topology, core.ControllerConfig{
-		Gateway: g.GatewayID,
-		Policy:  policy.ExampleCarrierPolicy(),
-		MBTypes: map[string]topo.MBType{
-			policy.MBFirewall: 0, policy.MBTranscoder: 1, policy.MBEchoCancel: 2,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := mbox.NewRegistry(ctrl.Plan(), packet.NewPrefix(packet.AddrFrom4(198, 51, 100, 0), 24))
-	net, err := New(ctrl, Config{
-		Registry: reg,
-		MBFuncs:  map[topo.MBType]string{0: "firewall", 1: "transcoder", 2: "echo-cancel"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return net
+	return netOn(t, g.Topology, g.GatewayID, packet.Prefix{})
 }
 
 func TestSwitchFailureRecomputation(t *testing.T) {

@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fastpath"
 	"repro/internal/packet"
 	"repro/internal/policy"
 	"repro/internal/switchsim"
@@ -231,20 +233,183 @@ func (c *churn) run(steps int, check func(op string)) {
 	}
 }
 
+// walked is one class of traffic the controller's checker verifies: an
+// installed path and an address it carries — the origin's never-allocated
+// UE ID 0 for the path itself, or a handed-off UE's reserved old LocIP —
+// with the access switches whose microflows end its downstream walk.
+type walked struct {
+	rec   *core.InstalledPath
+	loc   packet.Addr
+	claim []topo.NodeID
+}
+
+// classes lists every installed path and every reservation of the churn's
+// current state.
+func (c *churn) classes() []walked {
+	n := c.net
+	paths := n.Ctrl.Installer.Paths()
+	var out []walked
+	for _, rec := range paths {
+		bs, err := n.plan.BSPrefix(rec.Origin)
+		if err != nil {
+			c.t.Fatal(err)
+		}
+		out = append(out, walked{rec, bs.Addr, []topo.NodeID{rec.Route.Access()}})
+	}
+	for _, hr := range c.pending {
+		ue, ok := n.Ctrl.LookupByLocIP(hr.OldLocIP)
+		if !ok || ue.LocIP == hr.OldLocIP {
+			continue // released since (by a detach-and-reuse of the address, say)
+		}
+		for _, rec := range paths {
+			if rec.Origin != hr.OldBS {
+				continue
+			}
+			claim := []topo.NodeID{rec.Route.Access()}
+			if st, ok := n.T.Station(ue.BS); ok && ue.LocIP != 0 {
+				claim = append(claim, st.Access)
+			}
+			out = append(out, walked{rec, hr.OldLocIP, claim})
+		}
+	}
+	return out
+}
+
+// fastWalk drives p through the burst walker from (node, inPort). The fast
+// path declines at a middlebox port, so the walk resumes on the return port
+// of each of boxes in turn (none of the plant's middleboxes rewrites a
+// header). It returns the final result and the switch traversals summed
+// over the segments.
+func fastWalk(t testing.TB, n *Network, w *fastpath.Walker, node topo.NodeID, inPort int, p *packet.Packet, boxes []topo.MBInstanceID) (fastpath.Result, int) {
+	t.Helper()
+	res := make([]fastpath.Result, 1)
+	hops := 0
+	for {
+		r := w.Walk(int(node), inPort, []*packet.Packet{p}, res)[0]
+		hops += int(r.Hops)
+		if r.Disp != fastpath.DispSlow || len(boxes) == 0 {
+			return r, hops
+		}
+		mb := boxes[0]
+		boxes = boxes[1:]
+		if at := n.T.MBoxes[mb].Attached; at != topo.NodeID(r.Last) {
+			t.Fatalf("the burst walk left the fast path at switch %d; the next middlebox, %d, hangs off %d", r.Last, mb, at)
+		}
+		node, inPort = topo.NodeID(r.Last), n.mbPort[mb]
+	}
+}
+
+// checkWalkers is the differential test of the walkers against core's
+// written match order (FIB.Step, through Installer.Walk): for every class
+// of traffic the controller's checker verifies, in both directions, the
+// data plane's single-packet walk must take the controller walk's (switch,
+// middlebox) sequence hop for hop and end as it does — downstream at a
+// delivering microflow the probe gets, for the length of its walk, on the
+// access switch where the controller says one claims it — and the burst
+// walk must agree with the single-packet walk on traversals, end,
+// disposition and final header. It returns how many path classes and how
+// many reserved addresses it walked.
+func (c *churn) checkWalkers(w *fastpath.Walker, when string) (paths, reserved int) {
+	t, n := c.t, c.net
+	t.Helper()
+	in := n.Ctrl.Installer
+	for _, k := range c.classes() {
+		if _, id, _ := n.plan.Split(k.loc); id == 0 {
+			paths++
+		} else {
+			reserved++
+		}
+		sport, err := n.plan.EmbedPort(k.rec.AccessTag(), 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Upstream first, as a connection opens: the firewalls drop a reply
+		// to a flow they never saw leave.
+		pkt := &packet.Packet{Src: k.loc, Dst: packet.AddrFrom4(198, 18, 0, 1),
+			SrcPort: sport, DstPort: 80, Proto: packet.ProtoTCP, TTL: 64}
+		arrives := pkt.Flow().Reverse() // the reply, as the access layer's microflows key it
+		for _, dir := range []core.Direction{core.Up, core.Down} {
+			from, tag, port := k.rec.Route.Access(), k.rec.AccessTag(), switchsim.PortUE
+			var claim []topo.NodeID
+			if dir == core.Down {
+				pkt = reply(pkt, 8)
+				from, tag, port, claim = n.Ctrl.Gateway(), k.rec.GatewayTag(), switchsim.PortExit, k.claim
+			}
+			what := fmt.Sprintf("%s: %s %s on path %d (%s)", when, dir, k.loc, k.rec.ID, k.rec.Route)
+			want, err := in.Walk(dir, from, tag, k.loc, claim...)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			end, fastEnd := ExitedNet, fastpath.DispExited
+			var holder *switchsim.Switch
+			if dir == core.Down {
+				end, fastEnd = Delivered, fastpath.DispDelivered
+				holder = n.Switches[want[len(want)-1].Switch]
+				holder.InstallMicroflow(arrives, switchsim.Action{Output: switchsim.PortUE})
+			}
+			fp := *pkt
+			got, err := n.walk(from, port, pkt)
+			if err != nil {
+				t.Fatalf("%s: %v (first hops %v)", what, err, got.Hops[:min(24, len(got.Hops))])
+			}
+			// The data plane records a switch again when a packet comes back
+			// from its middlebox; the controller walk does not.
+			var hops []core.Hop
+			traversals := 0
+			for i, h := range got.Hops {
+				if h.MB == core.NoMB {
+					traversals++
+					if i > 0 && got.Hops[i-1].MB != core.NoMB {
+						continue
+					}
+				}
+				hops = append(hops, core.Hop{Switch: h.Node, MB: h.MB})
+			}
+			if got.Disposition != end || !slices.Equal(hops, want) {
+				t.Fatalf("%s: the data plane walked %v (%s), the controller %v", what, hops, got.Disposition, want)
+			}
+			r, fastHops := fastWalk(t, n, w, from, port, &fp, got.Middleboxes())
+			if r.Disp != fastEnd || topo.NodeID(r.Last) != got.Last || fastHops != traversals ||
+				fp.Flow() != pkt.Flow() || fp.DSCP != pkt.DSCP {
+				t.Fatalf("%s: the burst walk ended %s at %d after %d traversals as %s; the single-packet walk %s at %d after %d as %s",
+					what, r.Disp, r.Last, fastHops, fp.Flow(), got.Disposition, got.Last, traversals, pkt.Flow())
+			}
+			if holder != nil {
+				holder.RemoveMicroflow(arrives)
+			}
+		}
+	}
+	return paths, reserved
+}
+
 // TestSyncMatchesFullRebuild is the differential test for version-gated
 // Sync: whatever the control plane did, after a Sync every switch's TCAM is
-// the multiset of rules a from-scratch export of its FIB yields.
+// the multiset of rules a from-scratch export of its FIB yields — and the
+// three walkers (controller, single-packet, burst) agree on what those
+// tables do with every class of traffic the controller's checker verifies.
 func TestSyncMatchesFullRebuild(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			c := newChurn(t, seed)
-			step := 0
+			w := c.net.EnableFastPath(1).Net().NewWalker()
+			defer c.net.DisableFastPath()
+			step, paths, reserved := 0, 0, 0
 			c.run(80, func(op string) {
 				step++
-				checkTCAMs(t, c.net, fmt.Sprintf("step %d (%s)", step, op))
+				when := fmt.Sprintf("step %d (%s)", step, op)
+				checkTCAMs(t, c.net, when)
+				if _, err := c.net.Ctrl.CheckInvariants(); err != nil {
+					t.Fatalf("%s: %v", when, err)
+				}
+				p, r := c.checkWalkers(w, when)
+				paths, reserved = paths+p, reserved+r
 			})
 			if c.exited == 0 {
 				t.Fatal("no flow of the schedule left the network; the ops exercised nothing")
+			}
+			t.Logf("walked %d path classes and %d reserved addresses, both directions each", paths, reserved)
+			if paths == 0 || reserved == 0 {
+				t.Fatal("the schedule left the walkers a kind of traffic to be compared on nothing")
 			}
 		})
 	}

@@ -12,12 +12,14 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/dataplane"
 	"repro/internal/packet"
 	"repro/internal/policy"
 	"repro/internal/sim"
+	"repro/internal/topo"
 )
 
 // Params shape the schedule.
@@ -83,9 +85,10 @@ type Stats struct {
 
 // conn tracks one live connection for probing.
 type conn struct {
-	imsi string
-	up   packet.Packet // upstream template (pre-rewrite form)
-	wire packet.Packet // post-rewrite header as the Internet saw it
+	imsi  string
+	up    packet.Packet       // upstream template (pre-rewrite form)
+	wire  packet.Packet       // post-rewrite header as the Internet saw it
+	boxes []topo.MBInstanceID // middlebox instances the opening crossed, in order
 }
 
 // Runner executes a schedule over a network.
@@ -242,7 +245,7 @@ func (r *Runner) flowTick() {
 	switch res.Disposition {
 	case dataplane.ExitedNet:
 		r.stats.FlowsOpen++
-		r.conns = append(r.conns, conn{imsi: imsi, up: p, wire: sent})
+		r.conns = append(r.conns, conn{imsi: imsi, up: p, wire: sent, boxes: res.Middleboxes()})
 		r.trace("flow %s %s wire=%s", imsi, p.Flow(), sent.Flow())
 	case dataplane.DroppedAt:
 		r.stats.Denied++
@@ -340,6 +343,14 @@ func (r *Runner) probeTick() {
 		r.fail(fmt.Errorf("probe downstream for %s: %s at node %d", c.imsi, dres.Disposition, dres.Last))
 		return
 	}
+	// A middlebox that never sees the packet raises no violation: compare
+	// the instances crossed with the opening's, which §5.1 says are kept.
+	back := slices.Clone(c.boxes)
+	slices.Reverse(back)
+	if got := dres.Middleboxes(); !slices.Equal(got, back) {
+		r.fail(fmt.Errorf("probe downstream for %s wire=%s crossed middleboxes %v, the opening %v reversed (hops %v...)", c.imsi, c.wire.Flow(), got, c.boxes, trimHops(dres.Hops)))
+		return
+	}
 
 	// Upstream from wherever the UE is now.
 	up := c.up
@@ -350,6 +361,10 @@ func (r *Runner) probeTick() {
 	}
 	if ures.Disposition != dataplane.ExitedNet {
 		r.fail(fmt.Errorf("probe upstream for %s: %s at node %d", c.imsi, ures.Disposition, ures.Last))
+		return
+	}
+	if got := ures.Middleboxes(); !slices.Equal(got, c.boxes) {
+		r.fail(fmt.Errorf("probe upstream for %s from bs%d orig=%s crossed middleboxes %v, the opening %v (hops %v...)", c.imsi, bs, c.up.Flow(), got, c.boxes, trimHops(ures.Hops)))
 		return
 	}
 	r.trace("probe %s wire=%s bs=%d", c.imsi, c.wire.Flow(), bs)
