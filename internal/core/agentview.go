@@ -17,8 +17,8 @@ import (
 type AgentView struct {
 	BS packet.BSID
 	// Epoch is the controller's tag-plan epoch at export time: it advances
-	// on every tag publication, wholesale rebuild, or station invalidation,
-	// so two views with equal epochs were cut from the same plan.
+	// on every tag publication and wholesale rebuild, so two views with
+	// equal epochs were cut from the same plan.
 	Epoch uint64
 	UEs   []AgentViewUE
 	Tags  []TagGrant
@@ -64,13 +64,11 @@ func (c *Controller) AgentView(bs packet.BSID) (AgentView, error) {
 	sort.Slice(view.UEs, func(i, j int) bool {
 		return view.UEs[i].UE.IMSI < view.UEs[j].UE.IMSI
 	})
-	for k, tag := range *c.tagCache.Load() {
-		if k.bs == bs {
-			view.Tags = append(view.Tags, TagGrant{Clause: k.clause, Tag: tag})
+	tags := *c.tagCache.Load()
+	for clause := 0; clause < c.Policy.Len(); clause++ {
+		if tag, ok := tags[pathKey{bs, clause}]; ok {
+			view.Tags = append(view.Tags, TagGrant{Clause: clause, Tag: tag})
 		}
 	}
-	sort.Slice(view.Tags, func(i, j int) bool {
-		return view.Tags[i].Clause < view.Tags[j].Clause
-	})
 	return view, nil
 }

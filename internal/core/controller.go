@@ -141,12 +141,13 @@ type Controller struct {
 
 	// tagCache is the copy-on-write (bs, clause) -> tag memo. Readers Load
 	// and index it with no lock; writers (all holding ruleMu) publish a
-	// fresh map. Invalidated wholesale on RemovePolicyPaths and failure
-	// recomputation, per station on shard migration.
+	// fresh map: one entry more on install, rebuilt from c.paths on
+	// RemovePolicyPaths and failure recomputation. It is always exactly the
+	// projection of c.paths onto access tags (CheckInvariants).
 	tagCache atomic.Pointer[tagMap]
-	// epoch counts tag-plan mutations (publish, rebuild, station
-	// invalidation). AgentView stamps exports with it so agents can tell
-	// two snapshots cut from the same plan apart from a real change.
+	// epoch counts tag-plan mutations (publish, rebuild). AgentView stamps
+	// exports with it so agents can tell two snapshots cut from the same
+	// plan apart from a real change.
 	epoch atomic.Uint64
 
 	// Stats counters; snapshot through Stats().
@@ -486,13 +487,7 @@ func (c *Controller) requestPathSlow(sc obs.SpanContext, bs packet.BSID, clause 
 // caller holds ruleMu
 func (c *Controller) resolvePathLocked(bs packet.BSID, clause int) (packet.Tag, error) {
 	if rec, ok := c.paths[pathKey{bs, clause}]; ok {
-		// The path survived but its memo entry may have been dropped by a
-		// station-level invalidation (shard migration): republish so later
-		// requests go back to hitting the lock-free fast path.
-		if (*c.tagCache.Load())[pathKey{bs, clause}] != rec.AccessTag() {
-			c.publishTagLocked(pathKey{bs, clause}, rec.AccessTag())
-		}
-		return rec.AccessTag(), nil
+		return rec.AccessTag(), nil // another goroutine raced the install
 	}
 	cl, ok := c.Policy.Clause(clause)
 	if !ok {
@@ -569,8 +564,8 @@ func (c *Controller) rebuildTagCacheLocked() {
 	}
 	c.tagCache.Store(&next)
 	c.epoch.Add(1)
-	// Wholesale invalidation: report how many memo entries did not carry
-	// over (bs -1 = all stations).
+	// Report how many memo entries did not carry over (bs -1 = all
+	// stations).
 	dropped := 0
 	for k, v := range old {
 		if next[k] != v {
@@ -579,27 +574,6 @@ func (c *Controller) rebuildTagCacheLocked() {
 	}
 	if dropped > 0 {
 		c.obs.evTagEvict.Emit(-1, int64(dropped))
-	}
-}
-
-// invalidateStationLocked drops every cached tag of one base station, so
-// requests for it re-derive through the rule table. Used when a station
-// migrates between shards (AbsorbStation / ExtractUE): a memoised tag must
-// never outlive the handoff.
-//
-// caller holds ruleMu
-func (c *Controller) invalidateStationLocked(bs packet.BSID) {
-	old := *c.tagCache.Load()
-	next := make(tagMap, len(old))
-	for k, v := range old {
-		if k.bs != bs {
-			next[k] = v
-		}
-	}
-	c.tagCache.Store(&next)
-	c.epoch.Add(1)
-	if dropped := len(old) - len(next); dropped > 0 {
-		c.obs.evTagEvict.Emit(int64(bs), int64(dropped))
 	}
 }
 

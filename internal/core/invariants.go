@@ -39,9 +39,8 @@ type InvariantReport struct {
 //     that breaks first if an address is ever double-freed.
 //   - Rule accounting: per-switch table sizes sum to the installer's net
 //     rule counter.
-//   - Tag memo agreement: every cached (station, clause) tag is the access
-//     tag of a currently installed path (the cache may lag the path map
-//     after a station migration, never the reverse).
+//   - Tag memo agreement: the cached (station, clause) tags are exactly the
+//     access tags of the currently installed paths, key for key.
 //   - Tag discipline: segment tags respect the shard's residue class, and
 //     no tag serves two paths of one origin (paper footnote 2).
 //   - FIB verification: for every installed path, walking the rule tables
@@ -224,14 +223,16 @@ func (c *Controller) CheckInvariants() (InvariantReport, error) {
 		return rep, fmt.Errorf("core: per-switch rules %d+%d != installer counter %d", hw.Total(), sw.Total(), rep.Rules)
 	}
 
-	// Tag memo: every cached entry must be the access tag of a live path.
-	for key, tag := range *c.tagCache.Load() {
-		rec, ok := c.paths[key]
-		if !ok {
+	// Tag memo: exactly the installed paths' access tags, key for key.
+	tags := *c.tagCache.Load()
+	for key, tag := range tags {
+		if _, ok := c.paths[key]; !ok {
 			return rep, fmt.Errorf("core: tag cache serves (bs %d, clause %d) = %d for a withdrawn path", key.bs, key.clause, tag)
 		}
-		if rec.AccessTag() != tag {
-			return rep, fmt.Errorf("core: tag cache serves (bs %d, clause %d) = %d, installed path has %d", key.bs, key.clause, tag, rec.AccessTag())
+	}
+	for key, rec := range c.paths {
+		if tags[key] != rec.AccessTag() {
+			return rep, fmt.Errorf("core: tag cache serves (bs %d, clause %d) = %d, installed path has %d", key.bs, key.clause, tags[key], rec.AccessTag())
 		}
 	}
 
@@ -282,13 +283,12 @@ func (c *Controller) CheckInvariants() (InvariantReport, error) {
 		if st, ok := c.T.Station(ue.bs); ok && ue.locIP != 0 {
 			curAccess = st.Access
 		}
-		for key, rec := range c.paths {
-			if key.bs != originBS {
-				continue
-			}
-			if err := c.Installer.verify(rec, Down, loc, false, rec.Route.Access(), curAccess); err != nil {
-				return rep, fmt.Errorf("core: reserved %s (policy sequence broken by handoff): %w", loc, err)
-			}
+		c.stationPathsLocked(originBS, func(rec *InstalledPath) bool {
+			invErr = c.Installer.verify(rec, Down, loc, false, rec.Route.Access(), curAccess)
+			return invErr == nil
+		})
+		if invErr != nil {
+			return rep, fmt.Errorf("core: reserved %s (policy sequence broken by handoff): %w", loc, invErr)
 		}
 	}
 

@@ -80,11 +80,25 @@ type reservation struct {
 	shortcuts []*Shortcut
 }
 
+// stationPathsLocked calls fn for every installed path originating at bs, in
+// ascending clause order, until fn returns false. A station has at most one
+// path per policy clause, so this is Policy.Len() lookups however many paths
+// the controller holds.
+//
+// caller holds ruleMu
+func (c *Controller) stationPathsLocked(bs packet.BSID, fn func(*InstalledPath) bool) {
+	for clause := 0; clause < c.Policy.Len(); clause++ {
+		if rec, ok := c.paths[pathKey{bs, clause}]; ok && !fn(rec) {
+			return
+		}
+	}
+}
+
 // retargetReservationsLocked points every reserved LocIP of a UE at its
 // newest station: old shortcuts come down, fresh ones (from each cached
-// path's branch point at the LocIP's origin station) go in. It touches
-// both the reservation table and the rule tables, so it runs under both
-// locks (acquired in order by Handoff).
+// path's branch point at the LocIP's origin station, in clause order) go in.
+// It touches both the reservation table and the rule tables, so it runs
+// under both locks (acquired in order by Handoff).
 //
 // caller holds ueMu; caller holds ruleMu
 func (c *Controller) retargetReservationsLocked(imsi string, newAccess topo.NodeID) []*Shortcut {
@@ -101,21 +115,19 @@ func (c *Controller) retargetReservationsLocked(imsi string, newAccess topo.Node
 		if !ok {
 			continue
 		}
-		for key, rec := range c.paths {
-			if key.bs != originBS {
-				continue
-			}
+		c.stationPathsLocked(originBS, func(rec *InstalledPath) bool {
 			pos, branchMB := branchPoint(rec)
 			route, err := c.descendRoute(rec.Route.Switches[pos], newAccess)
 			if err != nil || len(route) < 2 || recrosses(route, rec.Route.Switches[:pos+1]) {
-				continue // triangle routing via the tunnels still covers it
+				return true // triangle routing via the tunnels still covers it
 			}
 			sc, _, err := c.Installer.InstallShortcut(loc, route, branchMB, rec.Tags, rec.AccessTag())
 			if err == nil {
 				rsv.shortcuts = append(rsv.shortcuts, sc)
 				all = append(all, sc)
 			}
-		}
+			return true
+		})
 	}
 	return all
 }

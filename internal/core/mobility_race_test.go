@@ -190,3 +190,37 @@ func TestReleaseAfterExtractDoesNotDoubleFree(t *testing.T) {
 		t.Fatalf("invariants after re-attach: %v", err)
 	}
 }
+
+// TestShortcutsComeBackInClauseOrder pins the order retargeting installs
+// and reports a handoff's shortcuts in: the origin station's paths by
+// ascending clause — the same on every controller, where ranging over the
+// path map gave each run its own.
+func TestShortcutsComeBackInClauseOrder(t *testing.T) {
+	for run := 0; run < 20; run++ {
+		c, _ := testController(t)
+		if err := c.RegisterSubscriber("imsi-ord", policy.Attributes{Provider: "A"}); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := c.Attach("imsi-ord", 0); err != nil {
+			t.Fatal(err)
+		}
+		// Two paths of one origin never share a tag, so the delivery tag
+		// names the clause.
+		clauseOf := make(map[packet.Tag]int)
+		for _, cl := range warmAll(t, c, []packet.BSID{0, 1, 2, 3}) {
+			clauseOf[c.paths[pathKey{0, cl}].AccessTag()] = cl
+		}
+		res, err := c.Handoff("imsi-ord", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Shortcuts) < 3 {
+			t.Fatalf("handoff cut %d shortcuts; the order needs at least 3 to show", len(res.Shortcuts))
+		}
+		for i := 1; i < len(res.Shortcuts); i++ {
+			if prev, cur := clauseOf[res.Shortcuts[i-1].Delivery], clauseOf[res.Shortcuts[i].Delivery]; prev >= cur {
+				t.Fatalf("run %d: shortcut %d serves clause %d, shortcut %d clause %d; want ascending", run, i-1, prev, i, cur)
+			}
+		}
+	}
+}

@@ -34,7 +34,9 @@ type coreObs struct {
 	memAttrs      *obs.Gauge
 	memAttrHitPct *obs.Gauge
 
-	// Trace events: path install, tag publish/evict, handoff phases.
+	// Trace events: path install, tag publish/evict, handoff phases. An
+	// evict reports the memo entries a rebuild from c.paths did not carry
+	// over (RemovePolicyPaths, failure recomputation); its bs is always -1.
 	evInstall  *obs.EventType
 	evTagPub   *obs.EventType
 	evTagEvict *obs.EventType

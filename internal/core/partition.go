@@ -64,8 +64,8 @@ type MigratedUE struct {
 // released — old-LocIP reservations and their shortcuts come down, since
 // the shortcut state lives in this controller's switches only — and the
 // record is deleted from the replicated store; the target controller
-// persists it again under its own state. The departure station's memoised
-// tags are dropped so nothing cached spans the migration.
+// persists it again under its own state. No path or tag changes: the
+// departure station keeps serving its other UEs from the same memo.
 func (c *Controller) ExtractUE(imsi string) (MigratedUE, error) {
 	c.ueMu.Lock()
 	defer c.ueMu.Unlock()
@@ -100,7 +100,6 @@ func (c *Controller) ExtractUE(imsi string) (MigratedUE, error) {
 	}
 	c.attrs.release(r.attr)
 	c.ues.freeRec(slot)
-	c.invalidateStationLocked(m.OldBS)
 	if _, err := c.Store.Delete("ue/" + imsi); err != nil {
 		return MigratedUE{}, err
 	}
@@ -146,9 +145,9 @@ func (c *Controller) AdoptUE(m MigratedUE, bs packet.BSID) (UE, []Classifier, er
 // given UE records verbatim (preserving each UE's reported UEID and LocIP,
 // exactly as RecoverLocations does) — the shard-failover path: a dead
 // shard's stations rehash to survivors, which rebuild the location state
-// from the replicated store and live agents' reports. Any memoised tags
-// for the absorbed station are dropped: the first path request after the
-// move re-derives against this controller's own rule table.
+// from the replicated store and live agents' reports. A newly absorbed
+// station has no paths here yet, so its first path requests install against
+// this controller's own rule table and tag sub-space.
 func (c *Controller) AbsorbStation(bs packet.BSID, ues []UE) error {
 	c.ueMu.Lock()
 	defer c.ueMu.Unlock()
@@ -158,9 +157,6 @@ func (c *Controller) AbsorbStation(bs packet.BSID, ues []UE) error {
 	if c.owned != nil {
 		c.owned[bs] = true
 	}
-	c.ruleMu.Lock()
-	c.invalidateStationLocked(bs)
-	c.ruleMu.Unlock()
 	c.allocMu.Lock()
 	defer c.allocMu.Unlock()
 	for _, u := range ues {

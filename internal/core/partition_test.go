@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/policy"
 	"repro/internal/routing"
@@ -34,6 +35,7 @@ func shardedController(t *testing.T, subs *Subscribers, stations []packet.BSID, 
 		Stations:    stations,
 		Install:     InstallerOptions{TagOffset: offset, TagStride: stride},
 		Subscribers: subs,
+		Obs:         obs.New(),
 	})
 	if err != nil {
 		t.Fatal(err)

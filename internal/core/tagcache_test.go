@@ -130,61 +130,77 @@ func TestTagCacheFollowsFailureRecompute(t *testing.T) {
 	assertCacheMatchesPaths(t, c)
 }
 
-func TestTagCacheDropsMigratedStation(t *testing.T) {
+// assertStationServedFromMemo states what a UE leaving (or a no-op
+// re-absorb) must leave untouched at bs: the memo still equals the path map,
+// the station's pushed view lists every installed clause, a UE attaching
+// there gets resolved tags, and the next path request is a memo hit — no
+// install, no memo miss, no new tag-plan epoch.
+func assertStationServedFromMemo(t *testing.T, c *Controller, bs packet.BSID, imsi string, clauses []int) {
+	t.Helper()
+	assertCacheMatchesPaths(t, c)
+	view, err := c.AgentView(bs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(view.Tags) != len(clauses) {
+		t.Fatalf("station %d view carries %d grants, %d paths installed", bs, len(view.Tags), len(clauses))
+	}
+	_, cls, err := c.Attach(imsi, bs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cl := range cls {
+		if _, installed := c.paths[pathKey{bs, cl.Clause}]; cl.Allow && installed && cl.Tag == 0 {
+			t.Fatalf("attach at station %d: clause %d unresolved although its path is installed", bs, cl.Clause)
+		}
+	}
+	miss, memoMiss, epoch := c.Stats().PathMiss, c.obs.cacheMiss.Value(), c.Epoch()
+	tag, err := c.RequestPath(bs, clauses[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := c.paths[pathKey{bs, clauses[0]}].AccessTag(); tag != want {
+		t.Fatalf("station %d served tag %d, installed path says %d", bs, tag, want)
+	}
+	if c.Stats().PathMiss != miss || c.obs.cacheMiss.Value() != memoMiss || c.Epoch() != epoch {
+		t.Fatalf("station %d request after migration: PathMiss %d->%d, memo misses %d->%d, epoch %d->%d; want all unchanged",
+			bs, miss, c.Stats().PathMiss, memoMiss, c.obs.cacheMiss.Value(), epoch, c.Epoch())
+	}
+}
+
+func TestTagCacheSurvivesUEMigration(t *testing.T) {
 	// Shard A owns stations {0,1} with the even tag partition.
 	a := shardedController(t, nil, []packet.BSID{0, 1}, 0, 2)
-	if err := a.RegisterSubscriber("u", policy.Attributes{Provider: "A"}); err != nil {
-		t.Fatal(err)
+	for _, imsi := range []string{"u", "v"} {
+		if err := a.RegisterSubscriber(imsi, policy.Attributes{Provider: "A"}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	ue, _, err := a.Attach("u", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmAll(t, a, []packet.BSID{0, 1})
-	web := allowClauses(a.Policy)[0]
+	clauses := warmAll(t, a, []packet.BSID{0, 1})
+	web := clauses[0]
 
-	// ExtractUE is phase one of a cross-shard handoff: the departure
-	// station's memoised tags must not survive it.
+	// ExtractUE is phase one of a cross-shard handoff. A UE leaving changes
+	// no path and no tag: station 1 keeps answering from the memo.
 	if _, err := a.ExtractUE("u"); err != nil {
 		t.Fatal(err)
 	}
-	for key := range tagSnapshot(a) {
-		if key.bs == 1 {
-			t.Fatalf("station 1 tag (clause %d) survived ExtractUE", key.clause)
-		}
-	}
-	if _, ok := tagSnapshot(a)[pathKey{0, web}]; !ok {
-		t.Fatal("station 0 tags should survive a station-1 extraction")
-	}
-	// A still owns station 1 and its path rules are still installed, so the
-	// next request re-derives through the rule table (not the memo) and
-	// republishes the entry for later fast-path hits.
-	tag1, err := a.RequestPath(1, web)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := a.paths[pathKey{1, web}].AccessTag(); tag1 != want {
-		t.Fatalf("re-derived tag %d, installed path says %d", tag1, want)
-	}
-	if got := tagSnapshot(a)[pathKey{1, web}]; got != tag1 {
-		t.Fatalf("memo not republished after re-derivation: %d, want %d", got, tag1)
-	}
+	assertStationServedFromMemo(t, a, 1, "v", clauses)
 
 	// Shard B re-absorbing a station it already serves (ring churn round
-	// trip) must still drop its memoised tags for it.
+	// trip) is the same non-event.
 	b := shardedController(t, nil, []packet.BSID{2, 3}, 1, 2)
-	warmAll(t, b, []packet.BSID{2, 3})
-	if _, ok := tagSnapshot(b)[pathKey{2, web}]; !ok {
-		t.Fatal("precondition: station 2 warmed on B")
+	if err := b.RegisterSubscriber("w", policy.Attributes{Provider: "A"}); err != nil {
+		t.Fatal(err)
 	}
+	warmAll(t, b, []packet.BSID{2, 3})
 	if err := b.AbsorbStation(2, nil); err != nil {
 		t.Fatal(err)
 	}
-	for key := range tagSnapshot(b) {
-		if key.bs == 2 {
-			t.Fatalf("station 2 tag (clause %d) survived AbsorbStation", key.clause)
-		}
-	}
+	assertStationServedFromMemo(t, b, 2, "w", clauses)
 
 	// And absorbing a genuinely new station: the first path request answers
 	// from B's own rule table — its tag carries B's partition parity.
