@@ -133,18 +133,10 @@ func ValidateCity(o CityOptions) error {
 			o.UEs, o.Stations, need, ueCap)
 	}
 
-	// Per-shard permanent-IP sub-pool: permanent addresses are carved into
-	// disjoint per-shard blocks and allocated on first attach; demand 2×
-	// the mean per-shard share to absorb placement skew.
-	permBits := 0
-	for 1<<permBits < o.Shards {
-		permBits++
-	}
-	permCap := 1 << (32 - 10 - permBits) // 100.64.0.0/10 pool
-	if need := 2 * (o.UEs/o.Shards + 1); permCap < need {
-		return fmt.Errorf(
-			"cbench: -ues %d over %d shards needs ~%d permanent IPs per shard, but each shard's slice of 100.64.0.0/10 holds %d; lower -ues or -shards",
-			o.UEs, o.Shards, need, permCap)
+	// Permanent addresses: one per subscriber that ever attaches, all from
+	// the subscriber table's one pool, whatever the shard count.
+	if permCap := 1<<(32-10) - 1; permCap < o.UEs { // 100.64.0.0/10
+		return fmt.Errorf("cbench: -ues %d needs as many permanent IPs, but 100.64.0.0/10 holds %d; lower -ues", o.UEs, permCap)
 	}
 	return nil
 }

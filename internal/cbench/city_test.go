@@ -20,7 +20,7 @@ func TestValidateCityFailsFast(t *testing.T) {
 		{"smoke scale", CityOptions{Stations: 48, Shards: 2, UEs: 20000}, ""},
 		{"too many shards for the tag space", CityOptions{Shards: 1024}, "policy tags"},
 		{"stations not generator-shaped", CityOptions{Stations: 49}, "stations"},
-		{"population overflows per-shard perm pool", CityOptions{UEs: 4_000_000}, "permanent IPs"},
+		{"population overflows the permanent pool", CityOptions{UEs: 5_000_000}, "permanent IPs"},
 	}
 	for _, tc := range cases {
 		err := ValidateCity(tc.opts)

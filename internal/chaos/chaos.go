@@ -249,7 +249,7 @@ func (e *engine) setup() error {
 		if err != nil {
 			return fmt.Errorf("chaos: seeding attach %s at bs %d: %w", imsi, bs, err)
 		}
-		e.perms[imsi] = ue.PermIP
+		e.sawPerm(imsi, ue.PermIP)
 		e.trace("seed attach %s bs=%d loc=%s", imsi, bs, ue.LocIP)
 	}
 	e.check("setup")
@@ -330,12 +330,46 @@ func (e *engine) fail(err error) {
 	e.trace("FATAL %v", err)
 }
 
-// check runs the cross-layer invariant checker and aborts the run on the
-// first violation.
+// sawPerm holds a subscriber to the permanent address it was first seen
+// under: no detach, re-attach, migration or shard failure may change it.
+func (e *engine) sawPerm(imsi string, perm packet.Addr) {
+	if first, seen := e.perms[imsi]; seen && first != perm {
+		e.fail(fmt.Errorf("chaos: %s was first seen under permanent address %s and is now under %s", imsi, first, perm))
+		return
+	}
+	e.perms[imsi] = perm
+}
+
+// recordsAreAttached is the engine's own statement that a detached UE has
+// no record anywhere: every record a live shard holds has a location.
+func (e *engine) recordsAreAttached() error {
+	for _, s := range e.Disp.Shards() {
+		if s.Down() {
+			continue
+		}
+		ues := s.Ctrl.UEs()
+		attached := 0
+		for _, ue := range ues {
+			if ue.LocIP != 0 {
+				attached++
+			}
+		}
+		if attached != len(ues) {
+			return fmt.Errorf("shard %d holds %d UE records for %d attached UEs", s.ID, len(ues), attached)
+		}
+	}
+	return nil
+}
+
+// check runs the cross-layer invariant checker, then recordsAreAttached, and
+// aborts the run on the first violation.
 func (e *engine) check(label string) {
 	rep, err := e.Disp.CheckInvariants()
 	e.res.Checks++
 	e.res.Final = rep
+	if err == nil {
+		err = e.recordsAreAttached()
+	}
 	if err != nil {
 		e.fail(fmt.Errorf("chaos: invariants after %s: %w", label, err))
 		return
@@ -421,7 +455,7 @@ func (e *engine) attachToggle() {
 	got, _, err := e.Disp.Attach(imsi, bs)
 	e.countErr(err)
 	if err == nil {
-		e.perms[imsi] = got.PermIP
+		e.sawPerm(imsi, got.PermIP)
 	}
 	e.trace("attach %s bs=%d loc=%s err=%v", imsi, bs, got.LocIP, err)
 }
@@ -450,6 +484,9 @@ func (e *engine) handoff(detach bool) {
 	newOwner, _ := ring.Owner(newBS)
 	res, err := e.Disp.Handoff(imsi, newBS)
 	e.countErr(err)
+	if err == nil {
+		e.sawPerm(imsi, res.UE.PermIP)
+	}
 	e.trace("handoff %s bs %d->%d sameShard=%v oldLoc=%s err=%v",
 		imsi, ue.BS, newBS, oldOwner == newOwner, res.OldLocIP, err)
 	if err == nil && oldOwner == newOwner && res.OldLocIP != 0 {

@@ -52,7 +52,7 @@ func (c *Controller) AgentView(bs packet.BSID) (AgentView, error) {
 	}
 	view := AgentView{BS: bs, Epoch: c.epoch.Load()}
 	c.ues.forEach(func(_ uint32, r *ueRecord) bool {
-		if r.locIP == 0 || r.bs != bs {
+		if r.bs != bs {
 			return true
 		}
 		view.UEs = append(view.UEs, AgentViewUE{

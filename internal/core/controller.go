@@ -18,7 +18,7 @@ import (
 type UE struct {
 	IMSI   string
 	Attr   policy.Attributes
-	PermIP packet.Addr // permanent address (DHCP at first attach, never changes)
+	PermIP packet.Addr // permanent address (bound at first attach, never changes)
 	BS     packet.BSID // current base station
 	UEID   packet.UEID // local ID at the current base station
 	LocIP  packet.Addr // location-dependent address (changes on handoff)
@@ -56,10 +56,10 @@ type ControllerConfig struct {
 	Policy   *policy.Policy
 	MBTypes  map[string]topo.MBType // middlebox function name -> topology type
 	Replicas int                    // control-store replicas (§5.2); default 1
-	// PermPool is the block permanent UE addresses are drawn from; it must
-	// not overlap the carrier's LocIP block. Zero value = 100.64.0.0/10.
-	// Parallel controller shards pass disjoint sub-blocks so their
-	// allocations never collide.
+	// PermPool is the block the controller's own subscriber table draws
+	// permanent UE addresses from; it must not overlap the carrier's LocIP
+	// block. Zero value = 100.64.0.0/10. A table passed in Subscribers
+	// brings its own pool.
 	PermPool packet.Prefix
 	// Stations restricts the controller to a subset of base stations: any
 	// Attach/Handoff/RequestPath naming a station outside the subset fails
@@ -98,8 +98,9 @@ type ControllerConfig struct {
 //
 // lock ordering: ueMu, allocMu, ruleMu — a later mutex may be acquired
 // while holding an earlier one, never the reverse; Subscribers.mu is a leaf
-// below all three (Attach reads the table under ueMu). The fastest path of
-// all, a repeat RequestPath, takes no lock: it reads the tagCache snapshot.
+// below all three (a record is created and removed together with its holder
+// mark in the table, under ueMu). The fastest path of all, a repeat
+// RequestPath, takes no lock: it reads the tagCache snapshot.
 type Controller struct {
 	ueMu    sync.RWMutex // UE/location state
 	allocMu sync.Mutex   // address/ID allocation
@@ -111,19 +112,20 @@ type Controller struct {
 	Policy    *policy.Policy
 	Store     *store.Store
 
-	plan     packet.Plan
-	gateway  topo.NodeID
-	mbTypes  map[string]topo.MBType
-	permPool packet.Prefix
-	permNext uint32               // guarded by allocMu
-	owned    map[packet.BSID]bool // guarded by ueMu; nil = unrestricted
+	plan    packet.Plan
+	gateway topo.NodeID
+	mbTypes map[string]topo.MBType
+	owned   map[packet.BSID]bool // guarded by ueMu; nil = unrestricted
 
-	subs *Subscribers // where registrations live; locks itself
-	// ues is the struct-of-arrays UE directory (DESIGN.md §14): attachment
-	// and location state in one fixed-size slab record per UE, reached
-	// through open-addressed IMSI/LocIP/permanent-IP indices. attrs interns
-	// the attribute sets (and their compiled classifier templates) the
-	// records reference by handle.
+	// subs is where registrations and permanent addresses live (it locks
+	// itself); inst is this controller's number among those admitting from
+	// it, the holder mark of every record in ues.
+	subs *Subscribers
+	inst uint16
+	// ues is the struct-of-arrays UE directory (DESIGN.md §14): one
+	// fixed-size slab record per attached UE, reached through open-addressed
+	// IMSI and LocIP indices. attrs interns the attribute sets (and their
+	// compiled classifier templates) the records reference by handle.
 	ues   ueTable  // guarded by ueMu
 	attrs attrPool // guarded by ueMu
 	// encBuf is the store-record encoding scratch buffer (store.Put copies
@@ -188,14 +190,16 @@ func NewController(t *topo.Topology, cfg ControllerConfig) (*Controller, error) 
 	if cfg.Policy == nil {
 		return nil, fmt.Errorf("core: controller needs a service policy")
 	}
-	if cfg.PermPool == (packet.Prefix{}) {
-		cfg.PermPool = packet.NewPrefix(packet.AddrFrom4(100, 64, 0, 0), 10)
-	}
-	if cfg.PermPool.Overlaps(cfg.Plan.Carrier) {
-		return nil, fmt.Errorf("core: permanent pool %s overlaps carrier block %s", cfg.PermPool, cfg.Plan.Carrier)
-	}
 	if cfg.Replicas <= 0 {
 		cfg.Replicas = 1
+	}
+	st := store.New(cfg.Replicas)
+	subs := cfg.Subscribers
+	if subs == nil {
+		subs = NewSubscribers(st, cfg.PermPool)
+	}
+	if subs.Pool.Overlaps(cfg.Plan.Carrier) {
+		return nil, fmt.Errorf("core: permanent pool %s overlaps carrier block %s", subs.Pool, cfg.Plan.Carrier)
 	}
 	opts := cfg.Install
 	opts.Plan = cfg.Plan
@@ -221,19 +225,17 @@ func NewController(t *topo.Topology, cfg ControllerConfig) (*Controller, error) 
 		Planner:      routing.NewPlanner(t),
 		Installer:    inst,
 		Policy:       cfg.Policy,
-		Store:        store.New(cfg.Replicas),
+		Store:        st,
 		plan:         cfg.Plan,
 		gateway:      cfg.Gateway,
 		mbTypes:      cfg.MBTypes,
-		permPool:     cfg.PermPool,
 		owned:        owned,
+		subs:         subs,
+		inst:         subs.join(),
 		attrs:        newAttrPool(),
 		reservations: make(map[packet.Addr]*reservation),
 		paths:        make(map[pathKey]*InstalledPath),
 		obs:          newCoreObs(cfg.Obs),
-	}
-	if c.subs = cfg.Subscribers; c.subs == nil {
-		c.subs = NewSubscribers(c.Store)
 	}
 	empty := make(tagMap)
 	c.tagCache.Store(&empty)
@@ -247,7 +249,11 @@ func (c *Controller) Plan() packet.Plan { return c.plan }
 func (c *Controller) Gateway() topo.NodeID { return c.gateway }
 
 // PermPool exposes the permanent-address block.
-func (c *Controller) PermPool() packet.Prefix { return c.permPool }
+func (c *Controller) PermPool() packet.Prefix { return c.subs.Pool }
+
+// Instance is the controller's number (from 1) among those admitting from
+// its subscriber table: Subscribers.Holder of the UEs whose records it holds.
+func (c *Controller) Instance() int { return int(c.inst) }
 
 // ueViewLocked materialises the public UE view of one slab record.
 //
@@ -258,8 +264,8 @@ func (c *Controller) ueViewLocked(r *ueRecord) UE {
 }
 
 // RegisterSubscriber loads one subscriber record (the HSS equivalent).
-// Re-registering replaces the subscriber's attributes; a UE that has
-// attached keeps the attributes it was first admitted under.
+// Re-registering replaces the subscriber's attributes; an attached UE keeps
+// the ones it was admitted under until it next attaches from detached.
 func (c *Controller) RegisterSubscriber(imsi string, attr policy.Attributes) error {
 	return c.subs.Register(imsi, attr)
 }
@@ -325,55 +331,65 @@ func (c *Controller) AttachCtx(sc obs.SpanContext, imsi string, bs packet.BSID) 
 	return ue, cls, err
 }
 
-// Attach admits a UE at a base station: it allocates a permanent IP on
-// first attach, a location-dependent address, and compiles the per-UE
-// packet classifiers for the local agent.
+// Attach admits a UE at a base station: the subscriber table binds a
+// permanent IP on first attach, the controller allocates a
+// location-dependent address and compiles the per-UE packet classifiers for
+// the local agent.
 func (c *Controller) Attach(imsi string, bs packet.BSID) (UE, []Classifier, error) {
 	c.ueMu.Lock()
 	defer c.ueMu.Unlock()
-	r, slot, known := c.ues.get(imsi)
-	var attr policy.Attributes
-	if !known {
-		var ok bool
-		if attr, ok = c.subs.Lookup(imsi); !ok {
-			return UE{}, nil, fmt.Errorf("core: unknown subscriber %q", imsi)
-		}
-	}
 	if _, ok := c.T.Station(bs); !ok {
 		return UE{}, nil, fmt.Errorf("core: unknown base station %d", bs)
 	}
 	if !c.ownsLocked(bs) {
 		return UE{}, nil, fmt.Errorf("core: attach at base station %d: %w", bs, ErrNotOwned)
 	}
-	c.allocMu.Lock()
-	defer c.allocMu.Unlock()
-	if !known {
-		hostBits := 32 - c.permPool.Len
-		if c.permNext >= 1<<hostBits-1 {
-			return UE{}, nil, fmt.Errorf("core: permanent pool exhausted")
-		}
-		c.permNext++
-		// First attach fixes the UE's attributes; re-registering never changes them.
-		r, slot = c.ues.alloc(imsi, c.attrs.acquire(attr, c.Policy), c.permPool.Addr|packet.Addr(c.permNext))
-	} else if r.bs == bs && r.locIP != 0 {
+	r, slot, known := c.ues.get(imsi)
+	if known && r.bs == bs {
 		// Re-attach at the same station keeps the allocation.
 		return c.ueViewLocked(r), c.classifiersLocked(r), nil
 	}
-	id, loc, err := c.allocLocIP(bs)
-	if err != nil {
-		return UE{}, nil, err
-	}
-	if r.locIP != 0 {
+	c.allocMu.Lock()
+	defer c.allocMu.Unlock()
+	if known {
+		id, loc, err := c.allocLocIP(bs)
+		if err != nil {
+			return UE{}, nil, err
+		}
 		c.ues.locIdx.delete(r.locIP)
 		c.freeUEIDLocked(r.bs, r.ueid)
+		r.bs, r.ueid, r.locIP = bs, id, loc
+		c.ues.locIdx.insert(loc, slot)
+	} else {
+		attr, perm, err := c.subs.admit(imsi, c.inst)
+		if err != nil {
+			return UE{}, nil, err
+		}
+		if r, err = c.newRecordLocked(imsi, attr, perm, bs); err != nil {
+			c.subs.release(imsi, c.inst)
+			return UE{}, nil, err
+		}
 	}
-	r.bs, r.ueid, r.locIP = bs, id, loc
-	c.ues.locIdx.insert(loc, slot)
 	c.attaches.Add(1)
 	if err := c.persistUELocked(r); err != nil {
 		return UE{}, nil, err
 	}
 	return c.ueViewLocked(r), c.classifiersLocked(r), nil
+}
+
+// newRecordLocked allocates a LocIP at bs and, once that succeeded, the
+// record of a UE whose holder mark the caller has already set.
+//
+// caller holds ueMu; caller holds allocMu
+func (c *Controller) newRecordLocked(imsi string, attr policy.Attributes, perm packet.Addr, bs packet.BSID) (*ueRecord, error) {
+	id, loc, err := c.allocLocIP(bs)
+	if err != nil {
+		return nil, err
+	}
+	r, slot := c.ues.alloc(imsi, c.attrs.acquire(attr, c.Policy), perm)
+	r.bs, r.ueid, r.locIP = bs, id, loc
+	c.ues.locIdx.insert(loc, slot)
+	return r, nil
 }
 
 // persistUELocked writes a UE record to the replicated store through the
@@ -595,13 +611,13 @@ func (c *Controller) LookupUE(imsi string) (UE, bool) {
 func (c *Controller) ResolveLocIP(perm packet.Addr) (packet.Addr, error) {
 	c.ueMu.RLock()
 	defer c.ueMu.RUnlock()
-	slot, ok := c.ues.permIdx.lookup(perm)
+	imsi, ok := c.subs.ByPerm(perm)
 	if !ok {
 		return 0, fmt.Errorf("core: no UE with permanent address %s", perm)
 	}
-	r := c.ues.rec(slot)
-	if r.locIP == 0 {
-		return 0, fmt.Errorf("core: UE %q is detached", r.imsi)
+	r, _, ok := c.ues.get(imsi)
+	if !ok {
+		return 0, fmt.Errorf("core: UE %q is detached", imsi)
 	}
 	return r.locIP, nil
 }
@@ -619,43 +635,71 @@ func (c *Controller) LookupByLocIP(loc packet.Addr) (UE, bool) {
 	return c.ueViewLocked(c.ues.rec(slot)), true
 }
 
-// Detach releases a UE's location state (its permanent IP remains bound to
-// the IMSI, as in real cores). Reserved old LocIPs from unfinished handoffs
-// stay reserved until their soft timeout (ReleaseOldLocIP), but their
-// shortcuts come down now: the shortcuts exist to steer the UE's old flows
-// to its current station, and a detached UE has neither flows nor delivery
-// microflows anywhere — a shortcut pointing into a station with no
-// microflows can combine with location rules into a forwarding loop for
-// the dead address.
+// Detach removes a UE's location record; its permanent IP stays bound to
+// the IMSI in the subscriber table, as in real cores. Reserved old LocIPs
+// from unfinished handoffs stay out of the allocator until their soft
+// timeout (ReleaseOldLocIP), but their shortcuts come down now: the
+// shortcuts exist to steer the UE's old flows to its current station, and a
+// detached UE has neither flows nor delivery microflows anywhere — a
+// shortcut pointing into a station with no microflows can combine with
+// location rules into a forwarding loop for the dead address.
 func (c *Controller) Detach(imsi string) error {
+	_, err := c.removeUE(imsi, true)
+	return err
+}
+
+// removeUE is the one way a UE's record leaves the controller (Detach, and
+// ExtractUE for a migration); it returns the frozen record.
+func (c *Controller) removeUE(imsi string, park bool) (MigratedUE, error) {
 	c.ueMu.Lock()
 	defer c.ueMu.Unlock()
-	r, _, ok := c.ues.get(imsi)
-	if !ok {
-		return fmt.Errorf("core: unknown UE %q", imsi)
-	}
-	if r.locIP != 0 {
-		c.ues.locIdx.delete(r.locIP)
-		c.allocMu.Lock()
-		c.freeUEIDLocked(r.bs, r.ueid)
-		c.allocMu.Unlock()
-		r.locIP, r.ueid = 0, 0
-	}
+	c.allocMu.Lock()
+	defer c.allocMu.Unlock()
 	c.ruleMu.Lock()
-	for _, rsv := range c.reservations {
-		if rsv.imsi != imsi {
+	defer c.ruleMu.Unlock()
+	r, slot, ok := c.ues.get(imsi)
+	if !ok {
+		return MigratedUE{}, fmt.Errorf("core: unknown UE %q", imsi)
+	}
+	return c.removeUELocked(r, slot, park)
+}
+
+// removeUELocked frees a record: its LocIP and UE ID return to the
+// allocator, its slot to the free list, its holder mark, attribute reference
+// and "ue/" document go, and the shortcuts of its reserved old LocIPs come
+// down. With park the reserved addresses wait, owned by no UE, for their
+// ReleaseOldLocIP; without, they are freed here and a later release finds
+// nothing.
+//
+// caller holds ueMu; caller holds allocMu; caller holds ruleMu
+func (c *Controller) removeUELocked(r *ueRecord, slot uint32, park bool) (MigratedUE, error) {
+	m := MigratedUE{IMSI: r.imsi, Attr: c.attrs.attrOf(r.attr), PermIP: r.permIP, OldBS: r.bs, OldLocIP: r.locIP}
+	c.ues.locIdx.delete(r.locIP)
+	c.freeUEIDLocked(r.bs, r.ueid)
+	for loc, rsv := range c.reservations {
+		if rsv.imsi != m.IMSI {
 			continue
 		}
 		for _, sc := range rsv.shortcuts {
 			c.Installer.RemoveShortcut(sc)
 		}
-		rsv.shortcuts = nil
+		// Handoff left the reserved address indexed to this UE's slot; the
+		// entry would dangle once the record below is cleared.
+		c.ues.locIdx.delete(loc)
+		if park {
+			rsv.imsi, rsv.shortcuts = "", nil
+			continue
+		}
+		delete(c.reservations, loc)
+		if bs, id, ok := c.plan.Split(loc); ok {
+			c.freeUEIDLocked(bs, id)
+		}
 	}
-	c.ruleMu.Unlock()
-	if _, err := c.Store.Delete("ue/" + imsi); err != nil {
-		return err
-	}
-	return nil
+	c.subs.release(m.IMSI, c.inst)
+	c.attrs.release(r.attr)
+	c.ues.freeRec(slot)
+	_, err := c.Store.Delete("ue/" + m.IMSI)
+	return m, err
 }
 
 // AgentLocationReport is what a local agent answers during failover
@@ -673,17 +717,23 @@ func (c *Controller) RecoverLocations(reports []AgentLocationReport) error {
 	defer c.ueMu.Unlock()
 	c.allocMu.Lock()
 	defer c.allocMu.Unlock()
-	c.ues.locIdx.reset()
+	c.ruleMu.Lock()
+	var err error
+	c.ues.forEach(func(slot uint32, r *ueRecord) bool {
+		_, err = c.removeUELocked(r, slot, false)
+		return err == nil
+	})
+	clear(c.reservations) // what is left was parked: no shortcuts, no index entries
+	c.ruleMu.Unlock()
+	if err != nil {
+		return err
+	}
 	for i := range c.nextUEID {
 		c.nextUEID[i] = 0
 	}
 	for i := range c.freeUEIDs {
 		c.freeUEIDs[i] = c.freeUEIDs[i][:0]
 	}
-	c.ues.forEach(func(_ uint32, r *ueRecord) bool {
-		r.locIP, r.ueid, r.bs = 0, 0, 0
-		return true
-	})
 	for _, rep := range reports {
 		if !c.ownsLocked(rep.BS) {
 			continue // another shard's station; its owner rebuilds it
@@ -697,11 +747,14 @@ func (c *Controller) RecoverLocations(reports []AgentLocationReport) error {
 	return nil
 }
 
-// importUELocked installs one reported UE at bs verbatim, keeping its
-// UEID, LocIP and (for a UE new to this controller) permanent IP.
+// importUELocked installs one reported UE at bs verbatim, keeping its UEID,
+// LocIP and permanent IP (which the subscriber table binds, or confirms).
 //
 // caller holds ueMu; caller holds allocMu
 func (c *Controller) importUELocked(bs packet.BSID, u UE) error {
+	if err := c.subs.bind(u.IMSI, u.PermIP, c.inst); err != nil {
+		return err
+	}
 	r, slot, ok := c.ues.get(u.IMSI)
 	if !ok {
 		r, slot = c.ues.alloc(u.IMSI, c.attrs.acquire(u.Attr, c.Policy), u.PermIP)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -534,5 +535,60 @@ func TestStorePersistsControlState(t *testing.T) {
 		if _, ok := r.Get("ue/a"); !ok {
 			t.Errorf("replica %s missing UE", r.Name())
 		}
+	}
+}
+
+// TestPermPoolExhaustionRefusesCleanly: a /30 pool binds three addresses.
+// The attach that finds it empty fails with ErrPermPoolExhausted before it
+// takes anything — no UE ID, no record, no "ue/" document — and subscribers
+// that already hold an address keep attaching.
+func TestPermPoolExhaustionRefusesCleanly(t *testing.T) {
+	n := newFig3Net(t)
+	c, err := NewController(n.Topology, ControllerConfig{
+		Gateway:  n.gw,
+		Policy:   policy.ExampleCarrierPolicy(),
+		PermPool: packet.NewPrefix(packet.AddrFrom4(100, 64, 0, 0), 30),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ues []UE
+	for _, imsi := range []string{"a", "b", "c", "late"} {
+		if err := c.RegisterSubscriber(imsi, policy.Attributes{Provider: "A"}); err != nil {
+			t.Fatal(err)
+		}
+		if imsi == "late" {
+			break
+		}
+		ue, _, err := c.Attach(imsi, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ues = append(ues, ue)
+	}
+	// "c" leaves, so the station's allocator has UE ID 3 on its free list:
+	// an attach that took an ID before failing would take that one.
+	if err := c.Detach("c"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.Attach("late", 0); !errors.Is(err, ErrPermPoolExhausted) {
+		t.Fatalf("attach with the pool empty: err = %v, want ErrPermPoolExhausted", err)
+	}
+	if _, ok := c.LookupUE("late"); ok {
+		t.Fatal("the refused attach left a UE record")
+	}
+	if ms := c.MemStats(); ms.Attached != 2 || ms.FreeUEIDs != 1 || c.Store.Primary().Count("ue/") != 2 {
+		t.Fatalf("after the refused attach: %d attached, %d free UE IDs, %d ue/ keys; want 2, 1, 2",
+			ms.Attached, ms.FreeUEIDs, c.Store.Primary().Count("ue/"))
+	}
+	if _, err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	back, _, err := c.Attach("c", 0)
+	if err != nil {
+		t.Fatalf("re-attach of a subscriber that holds an address: %v", err)
+	}
+	if back.PermIP != ues[2].PermIP || back.UEID != ues[2].UEID {
+		t.Fatalf("re-attached as %+v, first attached as %+v", back, ues[2])
 	}
 }

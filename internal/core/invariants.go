@@ -31,9 +31,12 @@ type InvariantReport struct {
 // CheckInvariants verifies the controller's cross-cutting consistency
 // properties and returns a report of what it covered. The checks:
 //
-//   - UE directory coherence: ues/byLoc/byPerm agree, every LocIP splits to
-//     its UE's (station, UE ID), every attached station is owned, every UE
-//     has a subscriber record.
+//   - UE directory coherence: records and the LocIP index agree, every
+//     record is attached, every LocIP splits to its UE's (station, UE ID),
+//     every attached station is owned.
+//   - Subscriber table agreement: the table names this controller the holder
+//     of exactly the UEs it has records for, each record carries the address
+//     the table binds to its IMSI, and the table's reverse index agrees.
 //   - Allocator safety: no UE ID is simultaneously free and live (attached
 //     or reserved), and the free lists hold no duplicates — the invariant
 //     that breaks first if an address is ever double-freed.
@@ -68,19 +71,16 @@ func (c *Controller) CheckInvariants() (InvariantReport, error) {
 		Reservations: len(c.reservations),
 	}
 
-	// Reservations: each names a live UE and a parseable address at an owned
-	// station. liveIDs marks (station, id) pairs that must not appear in
-	// the free lists.
+	// Reservations: each is a parseable address at an owned station, indexed
+	// to its UE's record — or, parked by that UE's Detach, owned by no UE,
+	// with no index entry and no shortcuts. liveIDs marks (station, id) pairs
+	// that must not appear in the free lists.
 	type stationID struct {
 		bs packet.BSID
 		id packet.UEID
 	}
 	liveIDs := make(map[stationID]packet.Addr)
 	for loc, rsv := range c.reservations {
-		_, ueSlot, ok := c.ues.get(rsv.imsi)
-		if !ok {
-			return rep, fmt.Errorf("core: reservation %s names unknown UE %q", loc, rsv.imsi)
-		}
 		bs, id, ok := c.plan.Split(loc)
 		if !ok {
 			return rep, fmt.Errorf("core: reserved address %s is not a LocIP", loc)
@@ -88,34 +88,45 @@ func (c *Controller) CheckInvariants() (InvariantReport, error) {
 		if !c.ownsLocked(bs) {
 			return rep, fmt.Errorf("core: reservation %s at unowned station %d", loc, bs)
 		}
-		if slot, held := c.ues.locIdx.lookup(loc); !held || slot != ueSlot {
+		slot, held := c.ues.locIdx.lookup(loc)
+		if rsv.imsi == "" {
+			if held || len(rsv.shortcuts) != 0 {
+				return rep, fmt.Errorf("core: parked reservation %s still has an index entry or %d shortcuts", loc, len(rsv.shortcuts))
+			}
+		} else if _, ueSlot, ok := c.ues.get(rsv.imsi); !ok {
+			return rep, fmt.Errorf("core: reservation %s names unknown UE %q", loc, rsv.imsi)
+		} else if !held || slot != ueSlot {
 			return rep, fmt.Errorf("core: reserved address %s not indexed to its UE %q", loc, rsv.imsi)
 		}
 		liveIDs[stationID{bs, id}] = loc
 	}
 
 	// UE directory coherence, plus the struct-of-arrays layout's own
-	// integrity: every record reachable through its IMSI index entry, every
-	// address index entry pointing at the slot that owns the address, and
-	// the attribute-pool reference counts exactly matching a full scan.
-	var invErr error
+	// integrity: every record reachable through its IMSI index entry, held
+	// here according to the subscriber table, every address index entry
+	// pointing at the slot that owns the address, and the attribute-pool
+	// reference counts exactly matching a full scan.
+	heldHere, invErr := c.subs.audit(c.inst)
+	if invErr != nil {
+		return rep, invErr
+	}
 	attrRefs := make(map[attrHandle]uint32)
-	records := 0
 	c.ues.forEach(func(slot uint32, r *ueRecord) bool {
-		records++
+		rep.Attached++
 		attrRefs[r.attr]++
 		if _, gotSlot, ok := c.ues.get(r.imsi); !ok || gotSlot != slot {
 			invErr = fmt.Errorf("core: record %q at slot %d not reachable through the IMSI index", r.imsi, slot)
 			return false
 		}
-		if got, ok := c.ues.permIdx.lookup(r.permIP); !ok || got != slot {
-			invErr = fmt.Errorf("core: UE %q permanent address %s not indexed back to it", r.imsi, r.permIP)
+		if perm, ok := heldHere[r.imsi]; !ok || perm != r.permIP {
+			invErr = fmt.Errorf("core: UE %q has a record with permanent address %s; the subscriber table says %s, held here = %v", r.imsi, r.permIP, perm, ok)
 			return false
 		}
+		delete(heldHere, r.imsi)
 		if r.locIP == 0 {
-			return true
+			invErr = fmt.Errorf("core: UE %q has a record but no location", r.imsi)
+			return false
 		}
-		rep.Attached++
 		if got, ok := c.ues.locIdx.lookup(r.locIP); !ok || got != slot {
 			invErr = fmt.Errorf("core: UE %q location %s not indexed back to it", r.imsi, r.locIP)
 			return false
@@ -140,9 +151,13 @@ func (c *Controller) CheckInvariants() (InvariantReport, error) {
 		return rep, invErr
 	}
 
+	for imsi := range heldHere {
+		return rep, fmt.Errorf("core: the subscriber table names this controller (instance %d) holder of UE %q, which has no record here", c.inst, imsi)
+	}
+
 	// Slot accounting: every allocated slot is live or free, never both.
-	if records != c.ues.live {
-		return rep, fmt.Errorf("core: %d live records scanned, table counter says %d", records, c.ues.live)
+	if rep.Attached != c.ues.live {
+		return rep, fmt.Errorf("core: %d live records scanned, table counter says %d", rep.Attached, c.ues.live)
 	}
 	if c.ues.live+len(c.ues.free) != int(c.ues.next) {
 		return rep, fmt.Errorf("core: slot leak: %d live + %d free != %d allocated", c.ues.live, len(c.ues.free), c.ues.next)
@@ -162,17 +177,6 @@ func (c *Controller) CheckInvariants() (InvariantReport, error) {
 				invErr = fmt.Errorf("core: location index %s -> %q is neither current nor reserved", loc, r.imsi)
 				return false
 			}
-		}
-		return true
-	})
-	if invErr != nil {
-		return rep, invErr
-	}
-	c.ues.permIdx.forEach(func(perm packet.Addr, slot uint32) bool {
-		r := c.ues.rec(slot)
-		if r.permIP != perm {
-			invErr = fmt.Errorf("core: permanent index %s -> slot %d whose record does not hold it", perm, slot)
-			return false
 		}
 		return true
 	})
@@ -278,10 +282,11 @@ func (c *Controller) CheckInvariants() (InvariantReport, error) {
 	// at the origin (its shortcuts came down with Detach).
 	for loc, rsv := range c.reservations {
 		originBS, _, _ := c.plan.Split(loc)
-		ue, _, _ := c.ues.get(rsv.imsi)
 		curAccess := topo.None
-		if st, ok := c.T.Station(ue.bs); ok && ue.locIP != 0 {
-			curAccess = st.Access
+		if ue, _, ok := c.ues.get(rsv.imsi); ok {
+			if st, ok := c.T.Station(ue.bs); ok {
+				curAccess = st.Access
+			}
 		}
 		c.stationPathsLocked(originBS, func(rec *InstalledPath) bool {
 			invErr = c.Installer.verify(rec, Down, loc, false, rec.Route.Access(), curAccess)
@@ -295,7 +300,7 @@ func (c *Controller) CheckInvariants() (InvariantReport, error) {
 	return rep, nil
 }
 
-// UEs snapshots every UE record (attached or not), sorted by IMSI. The
+// UEs snapshots every UE record, sorted by IMSI. The
 // shard runtime's cross-shard invariant checks enumerate controllers
 // through it.
 func (c *Controller) UEs() []UE {

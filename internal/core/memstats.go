@@ -12,12 +12,11 @@ package core
 type MemStats struct {
 	// UE table.
 	Subscribers    int    `json:"subscribers"`     // registrations in the subscriber table
-	UERecords      int    `json:"ue_records"`      // UEs in the table (attached, or detached keeping their permanent IP)
-	Attached       int    `json:"attached"`        // UE records with live location state
+	Attached       int    `json:"attached"`        // UE records (a record exists while its UE is attached)
 	SlotsAllocated int    `json:"slots_allocated"` // slab high-water mark
 	FreeSlots      int    `json:"free_slots"`      // slab free-list depth
 	SlabBytes      uint64 `json:"slab_bytes"`      // record-slab footprint
-	IndexBytes     uint64 `json:"index_bytes"`     // IMSI/LocIP/perm-IP open-addressed indices
+	IndexBytes     uint64 `json:"index_bytes"`     // IMSI/LocIP open-addressed indices, subscriber-table maps
 	IMSIBytes      uint64 `json:"imsi_bytes"`      // retained IMSI string bytes
 	FreeUEIDs      int    `json:"free_ueids"`      // per-station UE ID free-list depth (all stations)
 	Reservations   int    `json:"reservations"`    // still-reserved old LocIPs
@@ -34,7 +33,6 @@ type MemStats struct {
 // to aggregate per-shard controllers into one fleet-wide view).
 func (m *MemStats) Add(o MemStats) {
 	m.Subscribers += o.Subscribers
-	m.UERecords += o.UERecords
 	m.Attached += o.Attached
 	m.SlotsAllocated += o.SlotsAllocated
 	m.FreeSlots += o.FreeSlots
@@ -65,9 +63,9 @@ func (m MemStats) AttrHitRate() float64 {
 }
 
 // MemStats snapshots the controller's memory accounting. It takes all
-// three lock domains in the documented order, so it is safe (if not free —
-// it scans the UE slabs) to call concurrently with live traffic. With an
-// obs registry configured, the snapshot also updates the core.mem.* gauges.
+// three lock domains in the documented order, so it is safe to call
+// concurrently with live traffic. With an obs registry configured, the
+// snapshot also updates the core.mem.* gauges.
 func (c *Controller) MemStats() MemStats {
 	c.ueMu.RLock()
 	defer c.ueMu.RUnlock()
@@ -82,7 +80,7 @@ func (c *Controller) MemStats() MemStats {
 		SlabBytes:      c.ues.slabBytes(),
 		IndexBytes:     c.ues.indexBytes(),
 		IMSIBytes:      c.ues.imsiBytes,
-		UERecords:      c.ues.live,
+		Attached:       c.ues.live,
 		Reservations:   len(c.reservations),
 		InternedAttrs:  c.attrs.liveEntries(),
 		AttrRefs:       c.attrs.totalRefs(),
@@ -90,12 +88,6 @@ func (c *Controller) MemStats() MemStats {
 		AttrMisses:     c.attrs.misses,
 		Paths:          len(c.Installer.paths),
 	}
-	c.ues.forEach(func(_ uint32, r *ueRecord) bool {
-		if r.locIP != 0 {
-			ms.Attached++
-		}
-		return true
-	})
 	// A table shared between shards is the dispatcher's to add, once.
 	if c.subs.Store == c.Store {
 		ms.Add(c.subs.MemStats())
@@ -110,10 +102,9 @@ func (c *Controller) MemStats() MemStats {
 // publishMem mirrors a MemStats snapshot onto the core.mem.* gauges
 // (no-op without a registry).
 func (o *coreObs) publishMem(ms MemStats) {
-	if o.memUEs == nil {
+	if o.memAttached == nil {
 		return
 	}
-	o.memUEs.Set(int64(ms.UERecords))
 	o.memAttached.Set(int64(ms.Attached))
 	o.memSlabBytes.Set(int64(ms.SlabBytes + ms.IndexBytes + ms.IMSIBytes))
 	o.memFreeSlots.Set(int64(ms.FreeSlots))

@@ -76,7 +76,7 @@ func (in *Installer) RemoveShortcut(sc *Shortcut) int {
 
 // reservation tracks one reserved old LocIP and its current shortcuts.
 type reservation struct {
-	imsi      string
+	imsi      string // the UE whose record reserved it; "" once that UE detached
 	shortcuts []*Shortcut
 }
 
@@ -171,7 +171,7 @@ func (c *Controller) HandoffCtx(sc obs.SpanContext, imsi string, newBS packet.BS
 	c.ueMu.Lock()
 	defer c.ueMu.Unlock()
 	r, slot, ok := c.ues.get(imsi)
-	if !ok || r.locIP == 0 {
+	if !ok {
 		return HandoffResult{}, fmt.Errorf("core: UE %q is not attached", imsi)
 	}
 	newStation, ok := c.T.Station(newBS)

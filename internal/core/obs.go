@@ -27,7 +27,6 @@ type coreObs struct {
 
 	// Memory-layout gauges (DESIGN.md §14), refreshed by each
 	// Controller.MemStats call.
-	memUEs        *obs.Gauge
 	memAttached   *obs.Gauge
 	memSlabBytes  *obs.Gauge
 	memFreeSlots  *obs.Gauge
@@ -89,7 +88,6 @@ func newCoreObs(reg *obs.Registry) coreObs {
 		rulesSaved: reg.Counter("core.rules.saved"),
 		ruleWait: reg.Histogram("core.lock.rule_wait_ns",
 			1000, 10000, 100000, 1000000, 10000000),
-		memUEs:        reg.Gauge("core.mem.ue_records"),
 		memAttached:   reg.Gauge("core.mem.attached"),
 		memSlabBytes:  reg.Gauge("core.mem.table_bytes"),
 		memFreeSlots:  reg.Gauge("core.mem.free_slots"),

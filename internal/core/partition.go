@@ -49,8 +49,8 @@ func (c *Controller) Stations() []packet.BSID {
 }
 
 // MigratedUE is the frozen record handed between controllers when a UE
-// crosses a shard boundary: everything location-independent about the
-// device, plus where it came from so the new owner can report the move.
+// crosses a shard boundary: what the record said about the device, plus
+// where it came from so the new owner can report the move.
 type MigratedUE struct {
 	IMSI     string
 	Attr     policy.Attributes
@@ -60,57 +60,22 @@ type MigratedUE struct {
 }
 
 // ExtractUE freezes and removes a UE's record for migration to another
-// controller (phase one of a cross-shard handoff). Its location state is
-// released — old-LocIP reservations and their shortcuts come down, since
-// the shortcut state lives in this controller's switches only — and the
-// record is deleted from the replicated store; the target controller
-// persists it again under its own state. No path or tag changes: the
+// controller (phase one of a cross-shard handoff): Detach's removal, except
+// that old-LocIP reservations are freed with the record rather than parked —
+// their shortcut state lives in this controller's switches only, and the
+// UE's old flows re-resolve on the target. No path or tag changes: the
 // departure station keeps serving its other UEs from the same memo.
 func (c *Controller) ExtractUE(imsi string) (MigratedUE, error) {
-	c.ueMu.Lock()
-	defer c.ueMu.Unlock()
-	c.allocMu.Lock()
-	defer c.allocMu.Unlock()
-	c.ruleMu.Lock()
-	defer c.ruleMu.Unlock()
-	r, slot, ok := c.ues.get(imsi)
-	if !ok {
-		return MigratedUE{}, fmt.Errorf("core: unknown UE %q", imsi)
-	}
-	m := MigratedUE{IMSI: imsi, Attr: c.attrs.attrOf(r.attr), PermIP: r.permIP, OldBS: r.bs, OldLocIP: r.locIP}
-	if r.locIP != 0 {
-		c.ues.locIdx.delete(r.locIP)
-		c.freeUEIDLocked(r.bs, r.ueid)
-	}
-	for loc, rsv := range c.reservations {
-		if rsv.imsi != imsi {
-			continue
-		}
-		for _, sc := range rsv.shortcuts {
-			c.Installer.RemoveShortcut(sc)
-		}
-		delete(c.reservations, loc)
-		// The reserved address is still indexed to this UE's slot (Handoff
-		// keeps it there for in-flight downstream flows); drop the entry or
-		// it would dangle after the record below is cleared.
-		c.ues.locIdx.delete(loc)
-		if bs, id, ok := c.plan.Split(loc); ok {
-			c.freeUEIDLocked(bs, id)
-		}
-	}
-	c.attrs.release(r.attr)
-	c.ues.freeRec(slot)
-	if _, err := c.Store.Delete("ue/" + imsi); err != nil {
-		return MigratedUE{}, err
-	}
-	return m, nil
+	return c.removeUE(imsi, false)
 }
 
 // AdoptUE installs a migrated UE at a base station this controller owns
-// (phase two of a cross-shard handoff): the permanent IP travels with the
-// record, a fresh LocIP is allocated from this controller's sub-pool, and
-// classifiers are compiled against this controller's path table — so the
-// UE's policy paths keep resolving, now through its new shard.
+// (phase two of a cross-shard handoff): the permanent IP and attributes
+// travel with the record (the subscriber table confirms the address, or
+// binds it for an IMSI it never registered), a fresh LocIP is allocated from
+// this controller's sub-pool, and classifiers are compiled against this
+// controller's path table — so the UE's policy paths keep resolving, now
+// through its new shard.
 func (c *Controller) AdoptUE(m MigratedUE, bs packet.BSID) (UE, []Classifier, error) {
 	c.ueMu.Lock()
 	defer c.ueMu.Unlock()
@@ -123,17 +88,16 @@ func (c *Controller) AdoptUE(m MigratedUE, bs packet.BSID) (UE, []Classifier, er
 	if _, _, ok := c.ues.get(m.IMSI); ok {
 		return UE{}, nil, fmt.Errorf("core: UE %q already present", m.IMSI)
 	}
-	c.allocMu.Lock()
-	id, loc, err := c.allocLocIP(bs)
-	c.allocMu.Unlock()
-	if err != nil {
+	if err := c.subs.bind(m.IMSI, m.PermIP, c.inst); err != nil {
 		return UE{}, nil, err
 	}
-	// The migrated record's attributes travel with it, even when they differ
-	// from the subscriber's current registration.
-	r, slot := c.ues.alloc(m.IMSI, c.attrs.acquire(m.Attr, c.Policy), m.PermIP)
-	r.bs, r.ueid, r.locIP = bs, id, loc
-	c.ues.locIdx.insert(loc, slot)
+	c.allocMu.Lock()
+	r, err := c.newRecordLocked(m.IMSI, m.Attr, m.PermIP, bs)
+	c.allocMu.Unlock()
+	if err != nil {
+		c.subs.release(m.IMSI, c.inst)
+		return UE{}, nil, err
+	}
 	c.handoffs.Add(1)
 	if err := c.persistUELocked(r); err != nil {
 		return UE{}, nil, err
@@ -160,9 +124,6 @@ func (c *Controller) AbsorbStation(bs packet.BSID, ues []UE) error {
 	c.allocMu.Lock()
 	defer c.allocMu.Unlock()
 	for _, u := range ues {
-		if u.LocIP == 0 || u.UEID == 0 {
-			continue // detached record: nothing to rebuild
-		}
 		if err := c.importUELocked(bs, u); err != nil {
 			return err
 		}

@@ -76,13 +76,13 @@ func TestExtractAdoptMigratesUE(t *testing.T) {
 	// Two shards over their own copies of the network: A owns {0,1},
 	// B owns {2,3}; tag partition 0/2 and 1/2. Both admit from one
 	// subscriber table, the way shard.New wires its shards.
-	subs := NewSubscribers(store.New(1))
+	subs := NewSubscribers(store.New(1), packet.Prefix{})
 	a := shardedController(t, subs, []packet.BSID{0, 1}, 0, 2)
 	b := shardedController(t, subs, []packet.BSID{2, 3}, 1, 2)
 	if err := a.RegisterSubscriber("mover", policy.Attributes{Provider: "A"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := subs.Lookup("mover"); !ok || subs.Len() != 1 || subs.Store.Primary().Count("sub/") != 1 {
+	if subs.Len() != 1 || subs.Store.Primary().Count("sub/") != 1 {
 		t.Fatal("registration through a controller did not land in the shared table, once")
 	}
 	if a.Store.Primary().Count("sub/") != 0 || b.Store.Primary().Count("sub/") != 0 {
@@ -109,9 +109,9 @@ func TestExtractAdoptMigratesUE(t *testing.T) {
 	}
 	// The record played one role, so extraction frees its slot; the shared
 	// table is not this controller's to count.
-	if ms := a.MemStats(); ms.UERecords != 0 || ms.FreeSlots != 1 || ms.Subscribers != 0 {
+	if ms := a.MemStats(); ms.Attached != 0 || ms.FreeSlots != 1 || ms.Subscribers != 0 {
 		t.Fatalf("source after extract: %d records, %d free slots, %d subscribers; want 0, 1, 0",
-			ms.UERecords, ms.FreeSlots, ms.Subscribers)
+			ms.Attached, ms.FreeSlots, ms.Subscribers)
 	}
 
 	got, cls, err := b.AdoptUE(m, 2)
@@ -182,9 +182,6 @@ func TestAdoptedUEOutsideSubscriberTable(t *testing.T) {
 	if _, _, err := b.AdoptUE(m, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Detach("mover"); err != nil {
-		t.Fatal(err)
-	}
 	again, _, err := b.Attach("mover", 3)
 	if err != nil {
 		t.Fatalf("re-attach of an adopted UE while its record exists: %v", err)
@@ -195,7 +192,9 @@ func TestAdoptedUEOutsideSubscriberTable(t *testing.T) {
 	if _, err := b.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.ExtractUE("mover"); err != nil {
+	// Detaching removes the record, and with it everything b knew about the
+	// UE except the address its table keeps bound to the IMSI.
+	if err := b.Detach("mover"); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := b.Attach("mover", 3); err == nil || !strings.Contains(err.Error(), "unknown subscriber") {
@@ -237,7 +236,7 @@ func TestTagPartitionsAreDisjoint(t *testing.T) {
 }
 
 func TestAbsorbStationRebuildsState(t *testing.T) {
-	subs := NewSubscribers(store.New(1))
+	subs := NewSubscribers(store.New(1), packet.Prefix{})
 	a := shardedController(t, subs, []packet.BSID{0, 1}, 0, 2)
 	b := shardedController(t, subs, []packet.BSID{2, 3}, 1, 2)
 	_ = a.RegisterSubscriber("u1", policy.Attributes{Provider: "A"})
@@ -277,5 +276,36 @@ func TestAbsorbStationRebuildsState(t *testing.T) {
 	}
 	if nu.UEID == u1.UEID || nu.UEID == u2.UEID {
 		t.Fatalf("fresh UEID %d collides with an absorbed one", nu.UEID)
+	}
+}
+
+// TestCheckInvariantsCatchesHolderDisagreement plants both ways the
+// subscriber table's holder mark and a controller's records can part.
+func TestCheckInvariantsCatchesHolderDisagreement(t *testing.T) {
+	c := shardedController(t, nil, []packet.BSID{0, 1}, 0, 2)
+	for _, imsi := range []string{"here", "idle"} {
+		if err := c.RegisterSubscriber(imsi, policy.Attributes{Provider: "A"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := c.Attach("here", 0); err != nil {
+		t.Fatal(err)
+	}
+	c.subs.release("here", c.inst)
+	if _, err := c.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "held here = false") {
+		t.Fatalf("record whose holder mark is gone: err = %v", err)
+	}
+	if _, _, err := c.subs.admit("here", c.inst); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.subs.admit("idle", c.inst); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.CheckInvariants(); err == nil || !strings.Contains(err.Error(), `holder of UE "idle", which has no record here`) {
+		t.Fatalf("holder mark with no record: err = %v", err)
+	}
+	c.subs.release("idle", c.inst)
+	if _, err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

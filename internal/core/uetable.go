@@ -5,11 +5,12 @@ import (
 )
 
 // This file is the struct-of-arrays UE table (DESIGN.md §14): one 40-byte
-// record per UE in a chunked slab, keyed by a 32-bit slot number, plus three
-// small open-addressed indices — instead of heap objects and IMSI copies
-// per UE across three maps, which at the paper's 1M-UE scale dominated the
-// controller's footprint. An IMSI is in the table from its first attach on
-// (detached, it keeps its permanent IP); registrations live in Subscribers.
+// record per attached UE in a chunked slab, keyed by a 32-bit slot number,
+// plus two small open-addressed indices — instead of heap objects and IMSI
+// copies per UE across three maps, which at the paper's 1M-UE scale
+// dominated the controller's footprint. An IMSI is in the table while it is
+// attached here; what outlives the attachment — registration, permanent
+// address — lives in Subscribers.
 //
 //	slabs:   [][]ueRecord — chunked, so records never move (pointers into a
 //	         slab are stable for the record's lifetime) and growth never
@@ -19,15 +20,15 @@ import (
 //	locIdx:  open-addressed LocIP -> slot. LocIPs embed (station, UE ID),
 //	         so this is the UEID->slot index; reserved old LocIPs of
 //	         in-flight handoffs alias extra keys onto their UE's slot.
-//	permIdx: open-addressed permanent IP -> slot.
-//	free:    slot free list — Detach keeps the record (the permanent IP
-//	         stays bound); ExtractUE returns its slot for reuse.
+//	free:    slot free list — a UE leaving (Detach, ExtractUE) returns its
+//	         slot for reuse.
 //
 // The table is not internally synchronised; the Controller guards it with ueMu.
 
 // ueRecord is one fixed-size slot. Attributes live in the attrPool; the
-// record stores a 32-bit handle, fixed at first attach. A live record
-// always holds one (attr != 0); a free slot is zeroed.
+// record stores a 32-bit handle, and permIP is the record's copy of the
+// address Subscribers binds to the IMSI. A live record always holds a
+// handle and a location (attr != 0, locIP != 0); a free slot is zeroed.
 type ueRecord struct {
 	imsi   string
 	attr   attrHandle
@@ -51,8 +52,8 @@ const (
 )
 
 // addrIdx is an open-addressed Addr -> slot index (linear probing, power-
-// of-two capacity). Address 0 is never a valid LocIP or permanent IP, so
-// the zero key needs no special casing beyond rejecting it on insert.
+// of-two capacity). Address 0 is never a valid LocIP, so the zero key needs
+// no special casing beyond rejecting it on insert.
 type addrIdx struct {
 	keys  []packet.Addr
 	slots []uint32 // slot+1; idxEmpty / idxTombstone
@@ -181,15 +182,6 @@ func (x *addrIdx) bytes() uint64 {
 	return uint64(len(x.keys))*4 + uint64(len(x.slots))*4
 }
 
-// reset drops every entry, keeping capacity.
-func (x *addrIdx) reset() {
-	for i := range x.slots {
-		x.slots[i] = idxEmpty
-		x.keys[i] = 0
-	}
-	x.live, x.tombs = 0, 0
-}
-
 // strIdx is the open-addressed IMSI -> slot index. Keys are not stored:
 // the slab record at the indexed slot holds the authoritative string, so
 // the index costs 8 bytes per entry regardless of IMSI length. The cached
@@ -219,7 +211,6 @@ type ueTable struct {
 
 	imsiIdx strIdx
 	locIdx  addrIdx
-	permIdx addrIdx
 
 	imsiBytes uint64 // retained IMSI string bytes, maintained incrementally
 }
@@ -251,7 +242,7 @@ func (t *ueTable) get(imsi string) (*ueRecord, uint32, bool) {
 }
 
 // alloc takes a slot (free list first) for a UE admitted under attr with
-// permanent address perm, and indexes it by IMSI and by perm.
+// permanent address perm, and indexes it by IMSI.
 func (t *ueTable) alloc(imsi string, attr attrHandle, perm packet.Addr) (*ueRecord, uint32) {
 	var slot uint32
 	if n := len(t.free); n > 0 {
@@ -267,18 +258,16 @@ func (t *ueTable) alloc(imsi string, attr attrHandle, perm packet.Addr) (*ueReco
 	r := t.rec(slot)
 	*r = ueRecord{imsi: imsi, attr: attr, permIP: perm}
 	t.imsiInsert(imsi, slot)
-	t.permIdx.insert(perm, slot)
 	t.imsiBytes += uint64(len(imsi))
 	t.live++
 	return r, slot
 }
 
-// freeRec unindexes the record's IMSI and permanent IP and returns the slot
-// to the free list. The caller has already removed any loc entries.
+// freeRec unindexes the record's IMSI and returns the slot to the free list.
+// The caller has already removed any loc entries.
 func (t *ueTable) freeRec(slot uint32) {
 	r := t.rec(slot)
 	t.imsiDelete(r.imsi)
-	t.permIdx.delete(r.permIP)
 	t.imsiBytes -= uint64(len(r.imsi))
 	*r = ueRecord{}
 	t.free = append(t.free, slot)
@@ -390,8 +379,8 @@ func (t *ueTable) slabBytes() uint64 {
 	return uint64(len(t.slabs)) * ueSlabSize * recSize
 }
 
-// indexBytes reports the three open-addressed indices' footprint.
+// indexBytes reports the two open-addressed indices' footprint.
 func (t *ueTable) indexBytes() uint64 {
 	return uint64(len(t.imsiIdx.hashes))*4 + uint64(len(t.imsiIdx.slots))*4 +
-		t.locIdx.bytes() + t.permIdx.bytes() + uint64(len(t.free))*4
+		t.locIdx.bytes() + uint64(len(t.free))*4
 }

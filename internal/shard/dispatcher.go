@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -30,7 +31,8 @@ type Config struct {
 	QueueLen int
 
 	// Plan defaults to packet.DefaultPlan. PermPool (default
-	// 100.64.0.0/10) is carved into one disjoint sub-block per shard.
+	// 100.64.0.0/10) is the one block the subscriber table binds permanent
+	// addresses from, whichever shard serves the attach.
 	Plan     packet.Plan
 	PermPool packet.Prefix
 	// Replicas per store, shard or subscriber table (default 2, so a
@@ -59,64 +61,51 @@ func (c Config) withDefaults() Config {
 	if c.QueueLen <= 0 {
 		c.QueueLen = 1024
 	}
-	if c.PermPool == (packet.Prefix{}) {
-		c.PermPool = packet.NewPrefix(packet.AddrFrom4(100, 64, 0, 0), 10)
-	}
 	if c.Replicas <= 0 {
 		c.Replicas = 2
 	}
 	return c
 }
 
-// subPool carves the i-th of n disjoint sub-blocks out of pool.
-func subPool(pool packet.Prefix, i, n int) (packet.Prefix, error) {
-	bits := 0
-	for 1<<bits < n {
-		bits++
-	}
-	if pool.Len+bits > 30 {
-		return packet.Prefix{}, fmt.Errorf("shard: permanent pool %s too small for %d shards", pool, n)
-	}
-	addr := pool.Addr | packet.Addr(uint32(i)<<(32-pool.Len-bits))
-	return packet.NewPrefix(addr, pool.Len+bits), nil
+// ueStripes is how many locks serialise UE-keyed operations; an IMSI always
+// hashes to the same one.
+const ueStripes = 1024
+
+// ueStripe is one of them. Holding it serialises every UE-keyed operation
+// (attach, handoff, detach) on the IMSIs that hash to it, and makes it the
+// forwarding stub during a cross-shard migration: a request arriving
+// mid-migration blocks on the stripe until the move commits, then reads the
+// subscriber table's updated holder and goes to the target shard.
+type ueStripe struct {
+	mu sync.Mutex
 }
 
-// ueEntry tracks which shard currently holds one UE's record. Its mutex
-// serialises every UE-keyed operation (attach, handoff, detach), and
-// doubles as the forwarding stub during a cross-shard migration: a request
-// arriving mid-migration blocks on the entry until the move commits, then
-// follows the updated pointer to the target shard.
-type ueEntry struct {
-	mu    sync.Mutex
-	shard *Shard // guarded by mu
-}
+var stripeSeed = maphash.MakeSeed()
 
 // Dispatcher fronts a set of controller shards: it routes base-station-
-// keyed requests through the consistent-hash ring and UE-keyed requests
-// through its UE directory, and owns the cross-shard handoff and failover
-// protocols. Every shard admits from its one subscriber table, which
-// outlives any shard: failover has no subscribers to salvage. Every
-// operation runs on the caller's goroutine, from here through the owning
-// Shard into its core.Controller. The hot path (RequestPath) touches no
-// dispatcher-wide lock — only an atomic ring snapshot and the owning
-// shard's slot semaphore.
+// keyed requests through the consistent-hash ring and UE-keyed requests to
+// the holder the subscriber table names, and owns the cross-shard handoff
+// and failover protocols. Every shard admits from its one subscriber table,
+// which outlives any shard: failover has no subscribers to salvage, and a
+// permanent address outlives the shard that served it. Every operation runs
+// on the caller's goroutine, from here through the owning Shard into its
+// core.Controller. The hot path (RequestPath) touches no dispatcher-wide
+// lock — only an atomic ring snapshot and the owning shard's slot semaphore.
 //
-// lock ordering: failMu, mu — and, because one goroutine carries an
-// operation all the way down, across types: ueEntry.mu is held over
-// Dispatcher.mu (setPerm) and over the owning controller's
-// ueMu → allocMu → ruleMu → core.Subscribers.mu; failMu is held over all
-// of them. Nothing below ever reaches back up for a dispatcher lock.
+// Lock order, across types because one goroutine carries an operation all
+// the way down: a UE-keyed operation holds its ueStripe.mu over the owning
+// controller's ueMu → allocMu → ruleMu → core.Subscribers.mu; a failover
+// holds failMu over the same controller chain. A stripe and failMu are never
+// held together, no operation holds two stripes, and nothing below ever
+// reaches back up for a dispatcher lock.
 type Dispatcher struct {
 	cfg    Config
 	shards []*Shard          // indexed by shard id; entries outlive failure
 	subs   *core.Subscribers // the one subscriber table, shared by every shard
 	ring   atomic.Value      // *Ring
 
-	mu     sync.RWMutex
-	ues    map[string]*ueEntry    // guarded by mu
-	byPerm map[packet.Addr]string // guarded by mu
-
-	failMu sync.Mutex // serialises failovers
+	stripes [ueStripes]ueStripe
+	failMu  sync.Mutex // serialises failovers
 
 	obs dispObs
 }
@@ -147,17 +136,11 @@ func New(cfg Config) (*Dispatcher, error) {
 	d := &Dispatcher{
 		cfg:    cfg,
 		shards: make([]*Shard, cfg.Shards),
-		subs:   core.NewSubscribers(store.New(cfg.Replicas)),
-		ues:    make(map[string]*ueEntry),
-		byPerm: make(map[packet.Addr]string),
+		subs:   core.NewSubscribers(store.New(cfg.Replicas), cfg.PermPool),
 		obs:    newDispObs(cfg.Obs),
 	}
 	d.ring.Store(ring)
 	for _, id := range ids {
-		pool, err := subPool(cfg.PermPool, id, cfg.Shards)
-		if err != nil {
-			return nil, err
-		}
 		install := cfg.Install
 		install.TagOffset, install.TagStride = id, cfg.Shards
 		owned := part[id]
@@ -174,7 +157,6 @@ func New(cfg Config) (*Dispatcher, error) {
 			Policy:      cfg.Policy,
 			MBTypes:     cfg.MBTypes,
 			Replicas:    cfg.Replicas,
-			PermPool:    pool,
 			Stations:    owned,
 			Install:     install,
 			Subscribers: d.subs,
@@ -182,6 +164,9 @@ func New(cfg Config) (*Dispatcher, error) {
 		})
 		if err != nil {
 			return nil, err
+		}
+		if ctrl.Instance() != id+1 {
+			return nil, fmt.Errorf("shard: shard %d's controller joined the subscriber table as instance %d", id, ctrl.Instance())
 		}
 		adm := newAdmission(cfg.Admission, newAdmObs(cfg.Obs, id))
 		d.shards[id] = newShard(id, ctrl, owned, cfg.QueueLen, newShardObs(cfg.Obs, id), adm)
@@ -298,39 +283,27 @@ func (d *Dispatcher) AgentView(bs packet.BSID) (core.AgentView, error) {
 	}
 }
 
-// entry returns (creating if needed) the directory entry for a UE.
-func (d *Dispatcher) entry(imsi string) *ueEntry {
-	d.mu.RLock()
-	e := d.ues[imsi]
-	d.mu.RUnlock()
-	if e != nil {
-		return e
+// stripe returns the lock that serialises UE-keyed operations on imsi.
+func (d *Dispatcher) stripe(imsi string) *ueStripe {
+	return &d.stripes[maphash.String(stripeSeed, imsi)%ueStripes]
+}
+
+// holder resolves the live shard holding a UE's location record, from the
+// subscriber table's holder mark (shard id + 1, the order New built the
+// controllers in); nil when the UE is detached, or its holder died and the
+// record was not rebuilt. A caller about to act on the answer holds the
+// UE's stripe.
+func (d *Dispatcher) holder(imsi string) *Shard {
+	if h := d.subs.Holder(imsi); h != 0 && !d.shards[h-1].Down() {
+		return d.shards[h-1]
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if e = d.ues[imsi]; e == nil {
-		e = &ueEntry{}
-		d.ues[imsi] = e
-	}
-	return e
+	return nil
 }
 
-func (d *Dispatcher) lookupEntry(imsi string) (*ueEntry, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	e, ok := d.ues[imsi]
-	return e, ok
-}
-
-func (d *Dispatcher) setPerm(perm packet.Addr, imsi string) {
-	d.mu.Lock()
-	d.byPerm[perm] = imsi
-	d.mu.Unlock()
-}
-
-// Attach admits a UE at a base station, routing to the station's owner.
-// When the UE's record lives on a different shard (a previous attach or a
-// detached record), it is migrated first so the permanent IP survives.
+// Attach admits a UE at a base station, routing to the station's owner. A
+// UE still attached through a different shard is migrated from it; a
+// detached one has no record anywhere and attaches like a new one, under
+// the permanent IP the subscriber table keeps for it.
 // Like RequestPath, the in-process entry point makes the root-sampling
 // decision; AttachCtx joins an existing trace.
 func (d *Dispatcher) Attach(imsi string, bs packet.BSID) (core.UE, []core.Classifier, error) {
@@ -353,56 +326,45 @@ func (d *Dispatcher) attach(sc obs.SpanContext, imsi string, bs packet.BSID) (co
 	if err != nil {
 		return core.UE{}, nil, err
 	}
-	e := d.entry(imsi)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.shard != nil && e.shard != target && !e.shard.Down() {
-		mig, err := e.shard.extract(sc, imsi)
+	st := d.stripe(imsi)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if src := d.holder(imsi); src != nil && src != target {
+		mig, err := src.extract(sc, imsi)
 		if err != nil {
 			return core.UE{}, nil, err
 		}
-		ue, cls, err := d.adopt(sc, target, mig, bs)
-		if err != nil {
-			return core.UE{}, nil, err
-		}
-		e.shard = target
-		return ue, cls, nil
+		return target.adopt(sc, mig, bs)
 	}
-	ue, cls, err := target.attach(sc, imsi, bs)
-	if err != nil {
-		return core.UE{}, nil, err
-	}
-	e.shard = target
-	d.setPerm(ue.PermIP, imsi)
-	return ue, cls, nil
+	return target.attach(sc, imsi, bs)
 }
 
-// Detach releases a UE's location state on its current shard (the record
-// and its permanent IP stay there, as in the single-controller core).
+// Detach removes a UE's location record from the shard holding it; its
+// permanent IP stays bound in the subscriber table.
 func (d *Dispatcher) Detach(imsi string) error {
-	e, ok := d.lookupEntry(imsi)
-	if !ok {
-		return fmt.Errorf("shard: unknown UE %q", imsi)
+	st := d.stripe(imsi)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	s := d.holder(imsi)
+	if s == nil {
+		return fmt.Errorf("shard: UE %q is not attached", imsi)
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.shard == nil {
-		return fmt.Errorf("shard: UE %q has no shard", imsi)
-	}
-	return e.shard.detach(imsi)
+	return s.detach(imsi)
 }
 
-// LookupUE resolves a UE's record from whichever live shard holds it (a
-// detached record stranded on a failed shard is gone, not stale).
+// committedHolder reads a UE's holder once any migration of it in flight
+// has committed.
+func (d *Dispatcher) committedHolder(imsi string) *Shard {
+	st := d.stripe(imsi)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return d.holder(imsi)
+}
+
+// LookupUE resolves an attached UE's record from the live shard holding it.
 func (d *Dispatcher) LookupUE(imsi string) (core.UE, bool) {
-	e, ok := d.lookupEntry(imsi)
-	if !ok {
-		return core.UE{}, false
-	}
-	e.mu.Lock()
-	s := e.shard
-	e.mu.Unlock()
-	if s == nil || s.Down() {
+	s := d.committedHolder(imsi)
+	if s == nil {
 		return core.UE{}, false
 	}
 	return s.Ctrl.LookupUE(imsi)
@@ -410,21 +372,13 @@ func (d *Dispatcher) LookupUE(imsi string) (core.UE, bool) {
 
 // ResolveLocIP translates a permanent address to the UE's current LocIP.
 func (d *Dispatcher) ResolveLocIP(perm packet.Addr) (packet.Addr, error) {
-	d.mu.RLock()
-	imsi, ok := d.byPerm[perm]
-	var e *ueEntry
-	if ok {
-		e = d.ues[imsi]
-	}
-	d.mu.RUnlock()
-	if !ok || e == nil {
+	imsi, ok := d.subs.ByPerm(perm)
+	if !ok {
 		return 0, fmt.Errorf("shard: no UE with permanent address %s", perm)
 	}
-	e.mu.Lock()
-	s := e.shard
-	e.mu.Unlock()
+	s := d.committedHolder(imsi)
 	if s == nil {
-		return 0, fmt.Errorf("shard: UE %q has no shard", imsi)
+		return 0, fmt.Errorf("shard: UE %q is detached", imsi)
 	}
 	return s.resolveLocIP(perm)
 }
@@ -444,27 +398,8 @@ func (d *Dispatcher) RecoverLocations(reports []core.AgentLocationReport) error 
 		if err := s.recoverLocations(reps); err != nil {
 			return err
 		}
-		for _, rep := range reps {
-			for _, u := range rep.UEs {
-				e := d.entry(u.IMSI)
-				e.mu.Lock()
-				e.shard = s
-				e.mu.Unlock()
-				d.setPerm(u.PermIP, u.IMSI)
-			}
-		}
 	}
 	return nil
-}
-
-// adopt runs phase two of a migration on the target shard and indexes the
-// UE's permanent address.
-func (d *Dispatcher) adopt(sc obs.SpanContext, s *Shard, mig core.MigratedUE, bs packet.BSID) (core.UE, []core.Classifier, error) {
-	ue, cls, err := s.adopt(sc, mig, bs)
-	if err == nil {
-		d.setPerm(ue.PermIP, mig.IMSI)
-	}
-	return ue, cls, err
 }
 
 // Close stops every shard: it waits for the operations still inside and

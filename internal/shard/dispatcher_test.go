@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/packet"
 	"repro/internal/policy"
 	"repro/internal/topo"
@@ -75,35 +76,6 @@ func twoShardStations(t testing.TB, d *Dispatcher, g *topo.Generated) (a, b pack
 	}
 	t.Skip("ring placed every station on one shard")
 	return 0, 0
-}
-
-func TestSubPoolCarvesDisjointBlocks(t *testing.T) {
-	pool := packet.NewPrefix(packet.AddrFrom4(100, 64, 0, 0), 10)
-	const n = 4
-	var pools []packet.Prefix
-	for i := 0; i < n; i++ {
-		p, err := subPool(pool, i, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.Len != pool.Len+2 {
-			t.Fatalf("sub-pool %d length = /%d, want /%d", i, p.Len, pool.Len+2)
-		}
-		if !pool.Contains(p.Addr) {
-			t.Fatalf("sub-pool %d (%s) escapes parent %s", i, p, pool)
-		}
-		for j, q := range pools {
-			if p.Contains(q.Addr) || q.Contains(p.Addr) {
-				t.Fatalf("sub-pools %d (%s) and %d (%s) overlap", i, p, j, q)
-			}
-		}
-		pools = append(pools, p)
-	}
-	// A pool with no room left must be refused, not silently shared.
-	tiny := packet.NewPrefix(packet.AddrFrom4(10, 0, 0, 0), 30)
-	if _, err := subPool(tiny, 0, 4); err == nil {
-		t.Fatal("subPool accepted a /30 for 4 shards")
-	}
 }
 
 func TestDispatcherServesPathsWithPartitionedTags(t *testing.T) {
@@ -195,6 +167,64 @@ func TestAttachOnAnotherShardMigratesRecord(t *testing.T) {
 	}
 	if loc, err := d.ResolveLocIP(first.PermIP); err != nil || loc != second.LocIP {
 		t.Fatalf("ResolveLocIP after migration = %s, %v; want %s", loc, err, second.LocIP)
+	}
+}
+
+// TestPermPoolIsOneAcrossShards: the /30 a per-shard carving used to refuse
+// serves a two-shard dispatcher its three addresses, whichever shard takes
+// the attach; the fourth subscriber is refused with the typed error on both
+// shards, and the refusal leaves nothing behind on either.
+func TestPermPoolIsOneAcrossShards(t *testing.T) {
+	g, err := topo.Generate(topo.GenParams{K: 2, ClusterSize: 10, MBTypes: 3, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := New(Config{
+		Topology: g.Topology, Gateway: g.GatewayID, Policy: policy.ExampleCarrierPolicy(),
+		Shards: 2, PermPool: packet.NewPrefix(packet.AddrFrom4(100, 64, 0, 0), 30),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	bsA, bsB := twoShardStations(t, d, g)
+	seen := map[packet.Addr]bool{}
+	for i, bs := range []packet.BSID{bsA, bsB, bsA} {
+		imsi := fmt.Sprintf("ue-%d", i)
+		if err := d.RegisterSubscriber(imsi, policy.Attributes{Provider: "A"}); err != nil {
+			t.Fatal(err)
+		}
+		ue, _, err := d.Attach(imsi, bs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seen[ue.PermIP] || !d.cfg.PermPool.Contains(ue.PermIP) {
+			t.Fatalf("%s bound to %s: outside the pool, or bound twice", imsi, ue.PermIP)
+		}
+		seen[ue.PermIP] = true
+	}
+	if err := d.RegisterSubscriber("late", policy.Attributes{Provider: "A"}); err != nil {
+		t.Fatal(err)
+	}
+	before := d.MemStats()
+	for _, bs := range []packet.BSID{bsA, bsB} {
+		if _, _, err := d.Attach("late", bs); !errors.Is(err, core.ErrPermPoolExhausted) {
+			t.Fatalf("attach at station %d with the pool empty: err = %v, want ErrPermPoolExhausted", bs, err)
+		}
+	}
+	if _, ok := d.LookupUE("late"); ok {
+		t.Fatal("the refused attach left a UE record")
+	}
+	after, docs := d.MemStats(), 0
+	for _, s := range d.Shards() {
+		docs += s.Ctrl.Store.Primary().Count("ue/")
+	}
+	if after.Attached != 3 || after.SlotsAllocated != before.SlotsAllocated || after.FreeUEIDs != before.FreeUEIDs || docs != 3 {
+		t.Fatalf("after the refused attaches: %d attached, slots %d -> %d, free UE IDs %d -> %d, %d ue/ keys; want 3 attached, nothing moved, 3 keys",
+			after.Attached, before.SlotsAllocated, after.SlotsAllocated, before.FreeUEIDs, after.FreeUEIDs, docs)
+	}
+	if _, err := d.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -79,10 +79,12 @@ func (d *Dispatcher) FailShard(id int, reports []core.AgentLocationReport) (Fail
 		return FailoverReport{}, fmt.Errorf("shard: cannot fail the last shard")
 	}
 	// Publish the new ring first so no new request routes to the victim,
-	// then declare it dead so callers waiting at its bound leave with
-	// ErrShardDown, and trip its breaker so stragglers fail fast instead of probing a corpse.
+	// then declare it dead — callers waiting at its bound leave with
+	// ErrShardDown, and the operations already inside are waited out, so
+	// whatever they commit is in the store before it is read — and trip its
+	// breaker so stragglers fail fast instead of probing a corpse.
 	d.ring.Store(newRing)
-	victim.dead.Store(true)
+	victim.close()
 	victim.adm.trip()
 
 	rep := FailoverReport{Shard: id}
@@ -122,7 +124,7 @@ func (d *Dispatcher) FailShard(id int, reports []core.AgentLocationReport) (Fail
 		}
 	}
 	for imsi, u := range salvaged {
-		if seen[imsi] || u.LocIP == 0 {
+		if seen[imsi] {
 			continue
 		}
 		if !ownedByVictim(u.BS) {
@@ -142,13 +144,6 @@ func (d *Dispatcher) FailShard(id int, reports []core.AgentLocationReport) (Fail
 		ues := byBS[bs] // may be empty — ownership still transfers
 		if err := s.absorb(bs, ues); err != nil {
 			return rep, err
-		}
-		for _, u := range ues {
-			e := d.entry(u.IMSI)
-			e.mu.Lock()
-			e.shard = s
-			e.mu.Unlock()
-			d.setPerm(u.PermIP, u.IMSI)
 		}
 	}
 	d.obs.evFailover.Emit(int64(rep.Shard), int64(rep.Stations),

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -171,7 +172,11 @@ func TestRequestPathRetriesAcrossFailover(t *testing.T) {
 // TestFailShardWithCallersInFlight fails a shard while 16 goroutines are
 // inside it or waiting at its bound (2): every call made on the victim
 // returns a tag or ErrShardDown, every call made through the dispatcher
-// rides its one retry to a survivor, and nobody is left waiting.
+// rides its one retry to a survivor, and nobody is left waiting. Half of the
+// dispatcher's callers attach fresh subscribers at the victim's station:
+// FailShard waits out the operations inside the victim before it reads the
+// victim's store, so every attach that reported success — however late it
+// committed — is rebuilt on a survivor.
 func TestFailShardWithCallersInFlight(t *testing.T) {
 	d, g := newBoundedDispatcher(t, 2, 2)
 	clauses := allowClauses(t, d)
@@ -188,6 +193,8 @@ func TestFailShardWithCallersInFlight(t *testing.T) {
 	const callers = 16
 	var wg, started sync.WaitGroup
 	stop := make(chan struct{})
+	var attachedMu sync.Mutex
+	var attached []string
 	for i := 0; i < callers; i++ {
 		wg.Add(1)
 		started.Add(1)
@@ -199,6 +206,18 @@ func TestFailShardWithCallersInFlight(t *testing.T) {
 				if i%2 == 0 {
 					// Straight at the victim: no ring, no retry.
 					_, err = d.Shard(victim).requestPath(obs.SpanContext{}, bs, cl)
+				} else if i%4 == 1 {
+					imsi := fmt.Sprintf("inflight-%d-%d", i, n)
+					if err = d.RegisterSubscriber(imsi, policy.Attributes{Provider: "A"}); err == nil {
+						_, _, err = d.Attach(imsi, bs)
+					}
+					if err == nil {
+						attachedMu.Lock()
+						attached = append(attached, imsi)
+						attachedMu.Unlock()
+					} else if errors.Is(err, core.ErrNotOwned) {
+						err = nil // the same window as the path requests below
+					}
 				} else if _, err = d.RequestPath(bs, cl); errors.Is(err, core.ErrNotOwned) {
 					// The retry reached the new owner before FailShard had
 					// it absorb the station; the window closes with FailShard.
@@ -222,8 +241,24 @@ func TestFailShardWithCallersInFlight(t *testing.T) {
 	if _, err := d.FailShard(victim, nil); err != nil {
 		t.Error(err)
 	}
+	// What had attached by now attached through the victim or, after the
+	// ring moved, through a survivor; either way a survivor serves it.
+	attachedMu.Lock()
+	for _, imsi := range attached {
+		if ue, ok := d.LookupUE(imsi); !ok || ue.BS != bs {
+			t.Errorf("UE %q attached before FailShard returned, LookupUE after = %+v, %v", imsi, ue, ok)
+		}
+	}
+	t.Logf("%d attaches had succeeded when FailShard returned", len(attached))
+	attachedMu.Unlock()
 	close(stop)
-	wg.Wait()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("callers still in flight 30 s after the failover")
+	}
 
 	if _, err := d.Shard(victim).requestPath(obs.SpanContext{}, bs, clauses[0]); !errors.Is(err, ErrShardDown) {
 		t.Fatalf("dead shard answered %v, want ErrShardDown", err)
@@ -244,18 +279,20 @@ func stationIDs(stations []topo.BaseStation) []packet.BSID {
 	return out
 }
 
-// TestLookupUEMissesRecordStrandedOnDeadShard: failover salvages only
-// records with a LocIP, so a detached UE's record dies with its shard.
-// LookupUE must not answer from the dead controller — the permanent IP it
-// would report is one the UE will not keep.
-func TestLookupUEMissesRecordStrandedOnDeadShard(t *testing.T) {
+// TestPermanentAddressSurvivesItsShard: a permanent address is the
+// subscriber table's fact, not the serving shard's. A UE that attached and
+// detached through a shard that then died has no record anywhere, and its
+// next attach — on a survivor — is under the address it always had, which
+// resolves to its new location.
+func TestPermanentAddressSurvivesItsShard(t *testing.T) {
 	d, g := newTestDispatcher(t, 3)
 	bs := g.Stations[0].ID
 	victim, _ := d.ShardOf(bs)
 	if err := d.RegisterSubscriber("idle", policy.Attributes{Provider: "A"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := d.Attach("idle", bs); err != nil {
+	first, _, err := d.Attach("idle", bs)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Detach("idle"); err != nil {
@@ -265,16 +302,20 @@ func TestLookupUEMissesRecordStrandedOnDeadShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	if stale, ok := d.LookupUE("idle"); ok {
-		t.Fatalf("LookupUE answered from the dead shard: %+v", stale)
+		t.Fatalf("LookupUE found a record of a detached UE: %+v", stale)
 	}
-	// The registration outlived the shard: the UE re-attaches from the
-	// shared table, and the new record is the one LookupUE returns.
 	ue, _, err := d.Attach("idle", bs)
 	if err != nil {
-		t.Fatalf("re-attach after the holding shard died: %v", err)
+		t.Fatalf("re-attach after the serving shard died: %v", err)
+	}
+	if ue.PermIP != first.PermIP {
+		t.Fatalf("permanent address changed with the shard: %s -> %s", first.PermIP, ue.PermIP)
 	}
 	if got, ok := d.LookupUE("idle"); !ok || got != ue {
 		t.Fatalf("LookupUE after re-attach = %+v, %v; want %+v", got, ok, ue)
+	}
+	if loc, err := d.ResolveLocIP(first.PermIP); err != nil || loc != ue.LocIP {
+		t.Fatalf("ResolveLocIP(%s) = %s, %v; want the new location %s", first.PermIP, loc, err, ue.LocIP)
 	}
 	if _, err := d.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -20,11 +20,11 @@ import (
 //     own path table — the UE's policy paths resolve again immediately,
 //     now with tags from the target's partition.
 //
-// For the whole migration the UE's directory entry is held locked: it is
-// the forwarding stub. In-flight UE-keyed requests that arrive mid-move
-// block on the entry and, once the move commits, follow the updated
-// pointer to the target shard; concurrent handoffs of the same UE
-// serialise the same way, so exactly one ordering wins.
+// For the whole migration the UE's stripe is held locked: it is the
+// forwarding stub. In-flight UE-keyed requests that arrive mid-move block
+// on the stripe and, once the move commits, read the subscriber table's
+// updated holder and go to the target shard; concurrent handoffs of the
+// same UE serialise the same way, so exactly one ordering wins.
 func (d *Dispatcher) Handoff(imsi string, newBS packet.BSID) (core.HandoffResult, error) {
 	sp := d.obs.spHandoff.Root()
 	hr, err := d.handoff(sp.Context(), imsi, newBS)
@@ -46,13 +46,10 @@ func (d *Dispatcher) handoff(sc obs.SpanContext, imsi string, newBS packet.BSID)
 	if err != nil {
 		return core.HandoffResult{}, err
 	}
-	e, ok := d.lookupEntry(imsi)
-	if !ok {
-		return core.HandoffResult{}, fmt.Errorf("shard: UE %q is not attached", imsi)
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	src := e.shard
+	st := d.stripe(imsi)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	src := d.holder(imsi)
 	if src == nil {
 		return core.HandoffResult{}, fmt.Errorf("shard: UE %q is not attached", imsi)
 	}
@@ -70,25 +67,15 @@ func (d *Dispatcher) handoff(sc obs.SpanContext, imsi string, newBS packet.BSID)
 	if err != nil {
 		return core.HandoffResult{}, err
 	}
-	if mig.OldLocIP == 0 {
-		// The record existed but was detached; put it back where it can
-		// re-attach and report the usual error.
-		if _, _, aerr := d.adopt(obs.SpanContext{}, src, mig, mig.OldBS); aerr == nil {
-			//lint:ignore errdrop best-effort rollback; the attach error below is the one reported
-			_ = src.detach(imsi)
-		}
-		return core.HandoffResult{}, fmt.Errorf("shard: UE %q is not attached", imsi)
-	}
 	// ...install on the target.
-	ue, cls, err := d.adopt(sc, target, mig, newBS)
+	ue, cls, err := target.adopt(sc, mig, newBS)
 	if err != nil {
 		// Roll the record back onto the source so the UE is not lost.
-		if _, _, rerr := d.adopt(obs.SpanContext{}, src, mig, mig.OldBS); rerr != nil {
+		if _, _, rerr := src.adopt(obs.SpanContext{}, mig, mig.OldBS); rerr != nil {
 			return core.HandoffResult{}, fmt.Errorf("shard: cross-shard handoff failed (%v) and rollback failed: %w", err, rerr)
 		}
 		return core.HandoffResult{}, err
 	}
-	e.shard = target
 	d.obs.crossDone.Inc()
 	d.obs.crossLat.Observe(d.obs.reg.Now() - start)
 	return core.HandoffResult{

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/packet"
 )
@@ -26,9 +25,11 @@ type InvariantReport struct {
 //   - record uniqueness: no UE's record is held by two live shards;
 //   - station routing agreement: every station a live controller owns is
 //     routed to that shard by the current ring;
-//   - directory coherence: every UE-directory entry routed to a live shard
-//     finds the record there (no orphaned forwarding stubs after two-phase
-//     handoff), and every live record is reachable through the directory;
+//   - holder agreement: UE-keyed requests are routed by the subscriber
+//     table's holder mark, so every record on a live shard must be marked as
+//     held by that shard (checked here), and every mark naming a live shard
+//     must find the record there (each controller's own pass checks the
+//     marks that name it — no orphaned stubs after a two-phase handoff);
 //   - one copy of each registration: one "sub/" key per subscriber in the
 //     shared store, none in any live shard's own.
 //
@@ -81,18 +82,19 @@ func (d *Dispatcher) CheckInvariants() (InvariantReport, error) {
 				return rep, fmt.Errorf("shard: UE %q held by shards %d and %d", ue.IMSI, prev, s.ID)
 			}
 			records[ue.IMSI] = s.ID
+			if h := d.holder(ue.IMSI); h != s {
+				return rep, fmt.Errorf("shard: UE %q's record is on shard %d but the subscriber table marks holder %d (shard id + 1; 0 = none)", ue.IMSI, s.ID, d.subs.Holder(ue.IMSI))
+			}
 			if prev, dup := perms[ue.PermIP]; dup {
 				return rep, fmt.Errorf("shard: permanent address %s serves UE %q (shard %d) and UE %q (shard %d)",
 					ue.PermIP, prev.imsi, prev.shard, ue.IMSI, s.ID)
 			}
 			perms[ue.PermIP] = holder{s.ID, ue.IMSI}
-			if ue.LocIP != 0 {
-				if prev, dup := locs[ue.LocIP]; dup {
-					return rep, fmt.Errorf("shard: location address %s serves UE %q (shard %d) and UE %q (shard %d)",
-						ue.LocIP, prev.imsi, prev.shard, ue.IMSI, s.ID)
-				}
-				locs[ue.LocIP] = holder{s.ID, ue.IMSI}
+			if prev, dup := locs[ue.LocIP]; dup {
+				return rep, fmt.Errorf("shard: location address %s serves UE %q (shard %d) and UE %q (shard %d)",
+					ue.LocIP, prev.imsi, prev.shard, ue.IMSI, s.ID)
 			}
+			locs[ue.LocIP] = holder{s.ID, ue.IMSI}
 		}
 	}
 
@@ -100,69 +102,5 @@ func (d *Dispatcher) CheckInvariants() (InvariantReport, error) {
 		return rep, fmt.Errorf("shard: shared store holds %d subscriber records, the table %d", keys, n)
 	}
 
-	// UE directory: snapshot under the dispatcher lock, then resolve each
-	// entry through its own stub lock (the documented order).
-	imsis, byPerm := d.directorySnapshot()
-	unclaimed := make(map[string]int, len(records))
-	for imsi, sid := range records {
-		unclaimed[imsi] = sid
-	}
-	for _, imsi := range imsis {
-		e, ok := d.lookupEntry(imsi)
-		if !ok {
-			continue
-		}
-		e.mu.Lock()
-		s := e.shard
-		e.mu.Unlock()
-		if s == nil || s.Down() {
-			// Never attached, or stranded on a dead shard (a detached record
-			// failover had nothing to salvage; it re-attaches from scratch).
-			continue
-		}
-		held, dup := records[imsi]
-		if !dup {
-			return rep, fmt.Errorf("shard: directory routes UE %q to shard %d, which has no record of it (orphaned stub)", imsi, s.ID)
-		}
-		if held != s.ID {
-			return rep, fmt.Errorf("shard: directory routes UE %q to shard %d but its record is on shard %d", imsi, s.ID, held)
-		}
-		delete(unclaimed, imsi)
-	}
-	if len(unclaimed) > 0 {
-		leftover := make([]string, 0, len(unclaimed))
-		for imsi := range unclaimed {
-			leftover = append(leftover, imsi)
-		}
-		sort.Strings(leftover)
-		return rep, fmt.Errorf("shard: UE %q held by shard %d but unreachable through the directory", leftover[0], unclaimed[leftover[0]])
-	}
-	for perm, imsi := range byPerm {
-		h, live := perms[perm]
-		if !live {
-			continue // record on a dead shard; the stale pointer resolves to nothing
-		}
-		if h.imsi != imsi {
-			return rep, fmt.Errorf("shard: dispatcher maps permanent address %s to UE %q but shard %d holds it for %q", perm, imsi, h.shard, h.imsi)
-		}
-	}
-
 	return rep, nil
-}
-
-// directorySnapshot copies the UE directory's key sets under the dispatcher
-// lock, so the caller can resolve entries afterwards without holding it.
-func (d *Dispatcher) directorySnapshot() ([]string, map[packet.Addr]string) {
-	d.mu.RLock()
-	imsis := make([]string, 0, len(d.ues))
-	for imsi := range d.ues {
-		imsis = append(imsis, imsi)
-	}
-	byPerm := make(map[packet.Addr]string, len(d.byPerm))
-	for p, imsi := range d.byPerm {
-		byPerm[p] = imsi
-	}
-	d.mu.RUnlock()
-	sort.Strings(imsis)
-	return imsis, byPerm
 }

@@ -279,3 +279,86 @@ func BenchmarkHandoffCrossShard(b *testing.B) {
 	p, _ := warmPlant(b)
 	benchmarkHandoff(b, p, stationOn(b, p, 0, 0), stationOn(b, p, 1, 0))
 }
+
+// TestReattachAcrossShardsIsOneOperation: a detached subscriber has no
+// record anywhere, so attaching it at a station of the other shard is one
+// operation, on that shard only — not an extract on the shard it last used
+// plus an adopt on the target.
+func TestReattachAcrossShardsIsOneOperation(t *testing.T) {
+	p, _ := warmPlant(t)
+	d := p.Disp
+	imsi := register(t, d, 1)[0]
+	first, _, err := d.Attach(imsi, stationOn(t, p, 0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Detach(imsi); err != nil {
+		t.Fatal(err)
+	}
+	before := d.Served()
+	again, _, err := d.Attach(imsi, stationOn(t, p, 1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := d.Served(); after[0] != before[0] || after[1] != before[1]+1 {
+		t.Fatalf("served counters moved %v -> %v; want shard 1 up by exactly one, shard 0 untouched", before, after)
+	}
+	if again.PermIP != first.PermIP {
+		t.Fatalf("permanent address changed on re-attach: %s -> %s", first.PermIP, again.PermIP)
+	}
+}
+
+// TestUETableScalesWithAttachedUEs: subscribers that attach and leave give
+// their slots back, so the slabs grow to the peak attached population, not
+// to the number of subscribers that ever attached.
+func TestUETableScalesWithAttachedUEs(t *testing.T) {
+	p, _ := warmPlant(t)
+	d := p.Disp
+	const n, peak = 4000, 8
+	imsis := register(t, d, n)
+	for wave := 0; wave < n; wave += peak {
+		// The same stations every wave, so each shard's own peak is its share
+		// of this one.
+		for i, imsi := range imsis[wave : wave+peak] {
+			if _, _, err := d.Attach(imsi, p.Stations[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, imsi := range imsis[wave : wave+peak] {
+			if err := d.Detach(imsi); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if ms := d.MemStats(); ms.SlotsAllocated > peak || ms.Attached != 0 {
+		t.Fatalf("%d subscribers came and went, %d attached at once: %d slots allocated (want <= %d), %d attached (want 0)",
+			n, peak, ms.SlotsAllocated, peak, ms.Attached)
+	}
+	if _, err := d.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkReattachCrossShard cycles one subscriber between the shards by
+// detach and re-attach: one iteration is the detach plus the attach at a
+// station of the shard the subscriber did not last use.
+func BenchmarkReattachCrossShard(b *testing.B) {
+	p, _ := warmPlant(b)
+	d := p.Disp
+	imsi := register(b, d, 1)[0]
+	a, z := stationOn(b, p, 0, 0), stationOn(b, p, 1, 0)
+	if _, _, err := d.Attach(imsi, a); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := d.Detach(imsi); err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := d.Attach(imsi, z); err != nil {
+			b.Fatal(err)
+		}
+		a, z = z, a
+	}
+}

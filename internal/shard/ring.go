@@ -2,15 +2,17 @@
 // controller shards. A consistent-hash Ring maps every base station to one
 // shard; each Shard wraps a core.Controller restricted to its stations
 // (which, because LocIPs embed the base-station ID, also gives it a
-// disjoint LocIP sub-pool), a disjoint permanent-address sub-block, and a
-// disjoint tag-space residue class. A Dispatcher fronts the shards and runs
-// every operation on its caller's goroutine, behind per-shard admission
-// control and a per-shard bound on concurrent operations, so N shards
-// serve requests with no shared lock on the hot path.
+// disjoint LocIP sub-pool) and a disjoint tag-space residue class; what is
+// a subscriber's rather than a location's — registration, permanent
+// address — sits in the one core.Subscribers table every shard admits from.
+// A Dispatcher fronts the shards and runs every operation on its caller's
+// goroutine, behind per-shard admission control and a per-shard bound on
+// concurrent operations, so N shards serve requests with no shared lock on
+// the hot path.
 //
 // Cross-shard concerns are explicit: handoff.go migrates a UE between
-// shards in two phases (freeze-on-source, install-on-target) behind a
-// per-UE forwarding stub, and failover.go rebuilds a dead shard's UE state
+// shards in two phases (freeze-on-source, install-on-target) behind the
+// UE's lock stripe, and failover.go rebuilds a dead shard's UE state
 // on the survivors from its replicated store plus live agents' location
 // reports, rehashing its stations across the ring.
 package shard

@@ -54,15 +54,15 @@ func TestSubscriberRecordedOnceAtAnyWidth(t *testing.T) {
 					owned++
 				}
 			}
-			if sm.UERecords != owned || sm.SlotsAllocated-sm.FreeSlots != owned {
+			if sm.Attached != owned || sm.SlotsAllocated-sm.FreeSlots != owned {
 				t.Fatalf("%d shards: shard %d holds %d records in %d slots, owns %d UEs",
-					width, s.ID, sm.UERecords, sm.SlotsAllocated-sm.FreeSlots, owned)
+					width, s.ID, sm.Attached, sm.SlotsAllocated-sm.FreeSlots, owned)
 			}
-			records += sm.UERecords
+			records += sm.Attached
 			slabs += sm.SlabBytes
 		}
-		if records != attached || ms.UERecords != attached {
-			t.Fatalf("%d shards: %d UE records (fleet snapshot %d), want %d", width, records, ms.UERecords, attached)
+		if records != attached || ms.Attached != attached {
+			t.Fatalf("%d shards: %d UE records (fleet snapshot %d), want %d", width, records, ms.Attached, attached)
 		}
 		// A live shard's slab grows 8192 records at a time, so at this
 		// population the raw footprint carries one mostly-empty slab per
