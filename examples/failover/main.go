@@ -77,15 +77,17 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("replica %q promoted; slow state (policy, subscribers, paths) intact:\n", newPrimary.Name())
-	fmt.Printf("  store keys: %d subscriber, %d ue, %d path\n",
-		len(nw.Ctrl.Store.Keys("sub/")), len(nw.Ctrl.Store.Keys("ue/")), len(nw.Ctrl.Store.Keys("path/")))
+	fmt.Printf("  store keys: %d subscriber, %d path (no UE location is stored)\n",
+		len(nw.Ctrl.Store.Keys("sub/")), len(nw.Ctrl.Store.Keys("path/")))
 
-	// UE locations are the fast state: rebuild them from the live agents.
+	// UE locations are the fast state: rebuild them from the live agents,
+	// the only place they are kept.
 	answered, err := srv.QueryLocations()
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("location recovery: %d agents answered the location query\n", answered)
+	fmt.Printf("location recovery used agent reports alone: %d agents answered, %d UEs rebuilt\n",
+		answered, len(nw.Ctrl.UEs()))
 	after, ok := nw.Ctrl.LookupUE("ue-3")
 	if !ok || after.LocIP != before.LocIP {
 		log.Fatalf("recovery mismatch: %+v vs %+v", after, before)

@@ -184,7 +184,7 @@ type CityResult struct {
 	// delta to the concurrently-attached population instead (the paper's
 	// ~220K). BytesPerUE covers the whole fleet: the one shared
 	// subscriber table with its replicated store, plus every shard's own
-	// UE records and store.
+	// UE records and the policy-path documents of its store.
 	LiveHeapBytes      uint64  `json:"live_heap_bytes"`
 	BytesPerUE         float64 `json:"bytes_per_ue"`
 	AttachedBytesPerUE float64 `json:"bytes_per_attached_ue"`

@@ -616,9 +616,11 @@ func (e *engine) recoverSwitch(n topo.NodeID) {
 	}
 }
 
-// shardKill picks a victim shard and fails it over. Agent reports cover a
-// seeded ~70% of the victim's attached UEs; the replicated store supplies
-// the remainder, exercising both §5.2 recovery sources.
+// shardKill picks a victim shard and fails it over. Agent reports, the one
+// §5.2 recovery source, cover a seeded ~70% of the victim's attached UEs;
+// the rest model agents that did not answer, and must come back lost —
+// detached, found nowhere, their addresses kept for the next attach (which
+// sawPerm checks).
 func (e *engine) shardKill() {
 	var live []*shard.Shard
 	for _, s := range e.Disp.Shards() {
@@ -633,9 +635,12 @@ func (e *engine) shardKill() {
 	}
 	victim := live[e.rng.Intn(len(live))]
 	byBS := make(map[packet.BSID][]core.UE)
+	var silent []string
 	for _, ue := range victim.Ctrl.UEs() { // sorted by IMSI: stable RNG use
-		if ue.LocIP != 0 && e.rng.Float64() < 0.7 {
+		if e.rng.Float64() < 0.7 {
 			byBS[ue.BS] = append(byBS[ue.BS], ue)
+		} else {
+			silent = append(silent, ue.IMSI)
 		}
 	}
 	stations := make([]int, 0, len(byBS))
@@ -655,6 +660,16 @@ func (e *engine) shardKill() {
 	e.res.Faults.ShardKill++
 	e.obs.fault(kindShardKill, int64(victim.ID))
 	e.trace("shard-kill id=%d reports=%d %s", victim.ID, len(reports), rep)
+	if rep.Lost != len(silent) {
+		e.fail(fmt.Errorf("chaos: shard %d's failover lost %d UEs; %d went unreported", victim.ID, rep.Lost, len(silent)))
+		return
+	}
+	for _, imsi := range silent {
+		if ue, ok := e.Disp.LookupUE(imsi); ok {
+			e.fail(fmt.Errorf("chaos: %s went unreported when shard %d failed, yet is found at station %d", imsi, victim.ID, ue.BS))
+			return
+		}
+	}
 	e.check("shard-kill")
 }
 

@@ -4,64 +4,21 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"repro/internal/packet"
 	"repro/internal/policy"
 )
 
-// This file is the binary codec for the controller's replicated-store
-// records. The JSON blobs it replaces cost one marshal allocation tree per
-// Attach/Handoff persist; at city rates that is the store's dominant
-// allocation source. The binary form appends into a caller-owned scratch
-// buffer (store.Put copies per replica, so the buffer is immediately
-// reusable) and is versioned so a mixed-version store stays readable.
+// This file is the binary codec for the subscriber records the table writes
+// through to the replicated store. It appends into a caller-owned scratch
+// buffer (store.Put copies the value once per commit, so the buffer is
+// immediately reusable) and is versioned so a mixed-version store stays
+// readable.
 
-// ueRecordVersion tags the encoding; bump on any layout change.
-const ueRecordVersion = 1
-
-func appendUvarint(dst []byte, v uint64) []byte {
-	return binary.AppendUvarint(dst, v)
-}
+// recordVersion tags the encoding; bump on any layout change.
+const recordVersion = 1
 
 func appendString(dst []byte, s string) []byte {
-	dst = appendUvarint(dst, uint64(len(s)))
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
-}
-
-func appendU32(dst []byte, v uint32) []byte {
-	return binary.BigEndian.AppendUint32(dst, v)
-}
-
-// AppendUERecord encodes one UE record (the "ue/<imsi>" store value),
-// appending to dst and returning the extended slice.
-func AppendUERecord(dst []byte, ue *UE) []byte {
-	dst = append(dst, ueRecordVersion)
-	dst = appendString(dst, ue.IMSI)
-	dst = appendAttributes(dst, ue.Attr)
-	dst = appendU32(dst, uint32(ue.PermIP))
-	dst = appendU32(dst, uint32(ue.BS))
-	dst = appendU32(dst, uint32(ue.UEID))
-	dst = appendU32(dst, uint32(ue.LocIP))
-	return dst
-}
-
-// DecodeUERecord decodes a "ue/<imsi>" store value. The shard failover
-// path reads salvaged records through this.
-func DecodeUERecord(blob []byte) (UE, error) {
-	d := decoder{buf: blob}
-	if v := d.byte(); v != ueRecordVersion {
-		return UE{}, fmt.Errorf("core: UE record version %d, want %d", v, ueRecordVersion)
-	}
-	var ue UE
-	ue.IMSI = d.string()
-	ue.Attr = d.attributes()
-	ue.PermIP = packet.Addr(d.u32())
-	ue.BS = packet.BSID(d.u32())
-	ue.UEID = packet.UEID(d.u32())
-	ue.LocIP = packet.Addr(d.u32())
-	if d.err != nil {
-		return UE{}, fmt.Errorf("core: corrupt UE record: %w", d.err)
-	}
-	return ue, nil
 }
 
 // attrFlag bits pack the boolean attributes.
@@ -93,15 +50,15 @@ func appendAttributes(dst []byte, a policy.Attributes) []byte {
 // AppendSubscriberRecord encodes one subscriber-attribute record (the
 // "sub/<imsi>" store value).
 func AppendSubscriberRecord(dst []byte, a policy.Attributes) []byte {
-	dst = append(dst, ueRecordVersion)
+	dst = append(dst, recordVersion)
 	return appendAttributes(dst, a)
 }
 
 // DecodeSubscriberRecord decodes a "sub/<imsi>" store value.
 func DecodeSubscriberRecord(blob []byte) (policy.Attributes, error) {
 	d := decoder{buf: blob}
-	if v := d.byte(); v != ueRecordVersion {
-		return policy.Attributes{}, fmt.Errorf("core: subscriber record version %d, want %d", v, ueRecordVersion)
+	if v := d.byte(); v != recordVersion {
+		return policy.Attributes{}, fmt.Errorf("core: subscriber record version %d, want %d", v, recordVersion)
 	}
 	a := d.attributes()
 	if d.err != nil {
@@ -130,16 +87,6 @@ func (d *decoder) byte() byte {
 	b := d.buf[0]
 	d.buf = d.buf[1:]
 	return b
-}
-
-func (d *decoder) u32() uint32 {
-	if d.err != nil || len(d.buf) < 4 {
-		d.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint32(d.buf)
-	d.buf = d.buf[4:]
-	return v
 }
 
 func (d *decoder) string() string {

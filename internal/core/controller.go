@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -23,6 +24,12 @@ type UE struct {
 	UEID   packet.UEID // local ID at the current base station
 	LocIP  packet.Addr // location-dependent address (changes on handoff)
 }
+
+// ErrNotAttached marks an operation on a UE that has no location record: it
+// detached, never attached, or was lost with a failed shard whose agents did
+// not report it. Its permanent address stays bound; the next Attach restores
+// a record.
+var ErrNotAttached = errors.New("not attached")
 
 // Classifier is one per-UE packet classifier the controller ships to a local
 // agent (§4.2): flows of App get Tag; Tag 0 means no policy path exists yet
@@ -84,11 +91,11 @@ type ControllerConfig struct {
 // policy-path installation and the replicated control store, and admits
 // UEs from a subscriber table it may share. It is safe for concurrent use.
 //
-// State is split into three lock domains so readers and independent writers
+// State is split into two lock domains so readers and independent writers
 // do not contend (the throughput benchmarks measure exactly this):
 //
-//   - ueMu guards the UE/location tables; lookups take only the read lock.
-//   - allocMu guards the address/ID allocators (free lists, counters).
+//   - ueMu guards the UE/location tables and the UE ID allocators; lookups
+//     take only the read lock.
 //   - ruleMu guards the rule tables: Planner, Installer, the installed-path
 //     map, and topology up/down flags — everything Algorithm 1 and prefix
 //     aggregation touch. The Installer itself is not safe for concurrent
@@ -96,15 +103,14 @@ type ControllerConfig struct {
 //     ruleMu. External read-only access (dataplane assembly, examples,
 //     trace dumps) happens in single-threaded contexts by design.
 //
-// lock ordering: ueMu, allocMu, ruleMu — a later mutex may be acquired
-// while holding an earlier one, never the reverse; Subscribers.mu is a leaf
-// below all three (a record is created and removed together with its holder
-// mark in the table, under ueMu). The fastest path of all, a repeat
-// RequestPath, takes no lock: it reads the tagCache snapshot.
+// lock ordering: ueMu, ruleMu — ruleMu may be acquired while holding ueMu,
+// never the reverse; Subscribers.mu is a leaf below both (a record is
+// created and removed together with its holder mark in the table, under
+// ueMu). The fastest path of all, a repeat RequestPath, takes no lock: it
+// reads the tagCache snapshot.
 type Controller struct {
-	ueMu    sync.RWMutex // UE/location state
-	allocMu sync.Mutex   // address/ID allocation
-	ruleMu  sync.Mutex   // rule tables: Planner, Installer, paths
+	ueMu   sync.RWMutex // UE/location state and UE ID allocation
+	ruleMu sync.Mutex   // rule tables: Planner, Installer, paths
 
 	T         *topo.Topology
 	Planner   *routing.Planner
@@ -128,17 +134,14 @@ type Controller struct {
 	// compiled classifier templates) the records reference by handle.
 	ues   ueTable  // guarded by ueMu
 	attrs attrPool // guarded by ueMu
-	// encBuf is the store-record encoding scratch buffer (store.Put copies
-	// per replica, so it is reusable immediately).
-	encBuf []byte // guarded by ueMu
 	// reservations holds, per still-reserved old LocIP, the live shortcut
 	// state for in-flight flows of a moved UE (§5.1); retargeted on every
 	// subsequent handoff, removed by ReleaseOldLocIP's soft timeout.
 	reservations map[packet.Addr]*reservation // guarded by ueMu
 	// Per-station UE ID allocators, indexed by BSID and grown on demand
 	// (ensureBSLocked) — dense arrays, not maps: station IDs are small.
-	nextUEID  []packet.UEID              // guarded by allocMu
-	freeUEIDs [][]packet.UEID            // guarded by allocMu
+	nextUEID  []packet.UEID              // guarded by ueMu
+	freeUEIDs [][]packet.UEID            // guarded by ueMu
 	paths     map[pathKey]*InstalledPath // guarded by ruleMu
 
 	// tagCache is the copy-on-write (bs, clause) -> tag memo. Readers Load
@@ -272,7 +275,7 @@ func (c *Controller) RegisterSubscriber(imsi string, attr policy.Attributes) err
 
 // ensureBSLocked grows the per-station allocator arrays to cover bs.
 //
-// caller holds allocMu
+// caller holds ueMu
 func (c *Controller) ensureBSLocked(bs packet.BSID) {
 	if int(bs) < len(c.nextUEID) {
 		return
@@ -291,7 +294,7 @@ func (c *Controller) ensureBSLocked(bs packet.BSID) {
 
 // freeUEIDLocked returns one (station, UE ID) to the free list.
 //
-// caller holds allocMu
+// caller holds ueMu
 func (c *Controller) freeUEIDLocked(bs packet.BSID, id packet.UEID) {
 	c.ensureBSLocked(bs)
 	c.freeUEIDs[bs] = append(c.freeUEIDs[bs], id)
@@ -299,7 +302,7 @@ func (c *Controller) freeUEIDLocked(bs packet.BSID, id packet.UEID) {
 
 // allocLocIP assigns a fresh (UEID, LocIP) at a base station.
 //
-// caller holds allocMu
+// caller holds ueMu
 func (c *Controller) allocLocIP(bs packet.BSID) (packet.UEID, packet.Addr, error) {
 	c.ensureBSLocked(bs)
 	var id packet.UEID
@@ -349,8 +352,6 @@ func (c *Controller) Attach(imsi string, bs packet.BSID) (UE, []Classifier, erro
 		// Re-attach at the same station keeps the allocation.
 		return c.ueViewLocked(r), c.classifiersLocked(r), nil
 	}
-	c.allocMu.Lock()
-	defer c.allocMu.Unlock()
 	if known {
 		id, loc, err := c.allocLocIP(bs)
 		if err != nil {
@@ -371,16 +372,13 @@ func (c *Controller) Attach(imsi string, bs packet.BSID) (UE, []Classifier, erro
 		}
 	}
 	c.attaches.Add(1)
-	if err := c.persistUELocked(r); err != nil {
-		return UE{}, nil, err
-	}
 	return c.ueViewLocked(r), c.classifiersLocked(r), nil
 }
 
 // newRecordLocked allocates a LocIP at bs and, once that succeeded, the
 // record of a UE whose holder mark the caller has already set.
 //
-// caller holds ueMu; caller holds allocMu
+// caller holds ueMu
 func (c *Controller) newRecordLocked(imsi string, attr policy.Attributes, perm packet.Addr, bs packet.BSID) (*ueRecord, error) {
 	id, loc, err := c.allocLocIP(bs)
 	if err != nil {
@@ -390,19 +388,6 @@ func (c *Controller) newRecordLocked(imsi string, attr policy.Attributes, perm p
 	r.bs, r.ueid, r.locIP = bs, id, loc
 	c.ues.locIdx.insert(loc, slot)
 	return r, nil
-}
-
-// persistUELocked writes a UE record to the replicated store through the
-// binary codec and the controller's scratch buffer (the store copies per
-// replica, so the buffer is immediately reusable — no per-persist
-// allocation).
-//
-// caller holds ueMu
-func (c *Controller) persistUELocked(r *ueRecord) error {
-	ue := c.ueViewLocked(r)
-	c.encBuf = AppendUERecord(c.encBuf[:0], &ue)
-	_, err := c.Store.Put("ue/"+r.imsi, c.encBuf)
-	return err
 }
 
 // classifiersLocked assembles the service policy for one UE from its
@@ -617,7 +602,7 @@ func (c *Controller) ResolveLocIP(perm packet.Addr) (packet.Addr, error) {
 	}
 	r, _, ok := c.ues.get(imsi)
 	if !ok {
-		return 0, fmt.Errorf("core: UE %q is detached", imsi)
+		return 0, fmt.Errorf("core: UE %q is %w", imsi, ErrNotAttached)
 	}
 	return r.locIP, nil
 }
@@ -653,26 +638,24 @@ func (c *Controller) Detach(imsi string) error {
 func (c *Controller) removeUE(imsi string, park bool) (MigratedUE, error) {
 	c.ueMu.Lock()
 	defer c.ueMu.Unlock()
-	c.allocMu.Lock()
-	defer c.allocMu.Unlock()
 	c.ruleMu.Lock()
 	defer c.ruleMu.Unlock()
 	r, slot, ok := c.ues.get(imsi)
 	if !ok {
-		return MigratedUE{}, fmt.Errorf("core: unknown UE %q", imsi)
+		return MigratedUE{}, fmt.Errorf("core: UE %q is %w", imsi, ErrNotAttached)
 	}
-	return c.removeUELocked(r, slot, park)
+	return c.removeUELocked(r, slot, park), nil
 }
 
 // removeUELocked frees a record: its LocIP and UE ID return to the
-// allocator, its slot to the free list, its holder mark, attribute reference
-// and "ue/" document go, and the shortcuts of its reserved old LocIPs come
-// down. With park the reserved addresses wait, owned by no UE, for their
+// allocator, its slot to the free list, its holder mark and attribute
+// reference go, and the shortcuts of its reserved old LocIPs come down. With
+// park the reserved addresses wait, owned by no UE, for their
 // ReleaseOldLocIP; without, they are freed here and a later release finds
 // nothing.
 //
-// caller holds ueMu; caller holds allocMu; caller holds ruleMu
-func (c *Controller) removeUELocked(r *ueRecord, slot uint32, park bool) (MigratedUE, error) {
+// caller holds ueMu; caller holds ruleMu
+func (c *Controller) removeUELocked(r *ueRecord, slot uint32, park bool) MigratedUE {
 	m := MigratedUE{IMSI: r.imsi, Attr: c.attrs.attrOf(r.attr), PermIP: r.permIP, OldBS: r.bs, OldLocIP: r.locIP}
 	c.ues.locIdx.delete(r.locIP)
 	c.freeUEIDLocked(r.bs, r.ueid)
@@ -698,8 +681,7 @@ func (c *Controller) removeUELocked(r *ueRecord, slot uint32, park bool) (Migrat
 	c.subs.release(m.IMSI, c.inst)
 	c.attrs.release(r.attr)
 	c.ues.freeRec(slot)
-	_, err := c.Store.Delete("ue/" + m.IMSI)
-	return m, err
+	return m
 }
 
 // AgentLocationReport is what a local agent answers during failover
@@ -715,19 +697,13 @@ type AgentLocationReport struct {
 func (c *Controller) RecoverLocations(reports []AgentLocationReport) error {
 	c.ueMu.Lock()
 	defer c.ueMu.Unlock()
-	c.allocMu.Lock()
-	defer c.allocMu.Unlock()
 	c.ruleMu.Lock()
-	var err error
 	c.ues.forEach(func(slot uint32, r *ueRecord) bool {
-		_, err = c.removeUELocked(r, slot, false)
-		return err == nil
+		c.removeUELocked(r, slot, false)
+		return true
 	})
 	clear(c.reservations) // what is left was parked: no shortcuts, no index entries
 	c.ruleMu.Unlock()
-	if err != nil {
-		return err
-	}
 	for i := range c.nextUEID {
 		c.nextUEID[i] = 0
 	}
@@ -750,7 +726,7 @@ func (c *Controller) RecoverLocations(reports []AgentLocationReport) error {
 // importUELocked installs one reported UE at bs verbatim, keeping its UEID,
 // LocIP and permanent IP (which the subscriber table binds, or confirms).
 //
-// caller holds ueMu; caller holds allocMu
+// caller holds ueMu
 func (c *Controller) importUELocked(bs packet.BSID, u UE) error {
 	if err := c.subs.bind(u.IMSI, u.PermIP, c.inst); err != nil {
 		return err
@@ -765,7 +741,7 @@ func (c *Controller) importUELocked(bs packet.BSID, u UE) error {
 	if u.UEID > c.nextUEID[bs] {
 		c.nextUEID[bs] = u.UEID
 	}
-	return c.persistUELocked(r)
+	return nil
 }
 
 // RemovePolicyPaths withdraws every installed path of one policy clause

@@ -433,8 +433,15 @@ func TestDetachFreesLocIP(t *testing.T) {
 	if _, ok := c.LookupByLocIP(ue.LocIP); ok {
 		t.Fatal("detached LocIP should not resolve")
 	}
-	if err := c.Detach("ghost"); err == nil {
-		t.Fatal("unknown UE should fail")
+	// Every UE-keyed operation on a UE without a record says so in one
+	// typed error, whether the UE detached or never existed.
+	_, resolveErr := c.ResolveLocIP(ue.PermIP)
+	_, handoffErr := c.Handoff("a", 1)
+	_, extractErr := c.ExtractUE("a")
+	for i, err := range []error{c.Detach("a"), c.Detach("ghost"), resolveErr, handoffErr, extractErr} {
+		if !errors.Is(err, ErrNotAttached) {
+			t.Errorf("operation %d (Detach a, Detach ghost, ResolveLocIP, Handoff, ExtractUE) = %v, want ErrNotAttached", i, err)
+		}
 	}
 	// The freed UEID is reused.
 	_ = c.RegisterSubscriber("b", policy.Attributes{Provider: "A"})
@@ -513,35 +520,34 @@ func TestControllerConfigValidation(t *testing.T) {
 	}
 }
 
+// TestStorePersistsControlState: the store holds the slow-changing state of
+// §5.2 — registrations and policy paths, on every replica — and no UE
+// location, which only the agents know.
 func TestStorePersistsControlState(t *testing.T) {
 	c, _ := testController(t)
 	_ = c.RegisterSubscriber("a", policy.Attributes{Provider: "A"})
 	ue, _, _ := c.Attach("a", 0)
-	if _, ok := c.Store.Get("sub/a"); !ok {
-		t.Error("subscriber not in store")
-	}
-	if _, ok := c.Store.Get("ue/a"); !ok {
-		t.Error("UE not in store")
-	}
 	clause, _ := c.Policy.Match(ue.Attr, policy.AppWeb)
 	if _, err := c.RequestPath(0, clause); err != nil {
 		t.Fatal(err)
 	}
-	if keys := c.Store.Keys("path/"); len(keys) != 1 {
-		t.Errorf("path keys = %v", keys)
-	}
-	// Replicas carry the same state.
-	for _, r := range c.Store.Replicas() {
-		if _, ok := r.Get("ue/a"); !ok {
-			t.Errorf("replica %s missing UE", r.Name())
+	for _, r := range append(c.Store.Replicas(), c.Store.Primary()) {
+		if _, ok := r.Get("sub/a"); !ok {
+			t.Errorf("%s: subscriber missing", r.Name())
+		}
+		if keys := r.Keys("path/"); len(keys) != 1 {
+			t.Errorf("%s: path keys = %v", r.Name(), keys)
+		}
+		if keys := r.Keys(""); len(keys) != 2 {
+			t.Errorf("%s: keys = %v, want the subscriber and the path only", r.Name(), keys)
 		}
 	}
 }
 
 // TestPermPoolExhaustionRefusesCleanly: a /30 pool binds three addresses.
 // The attach that finds it empty fails with ErrPermPoolExhausted before it
-// takes anything — no UE ID, no record, no "ue/" document — and subscribers
-// that already hold an address keep attaching.
+// takes anything — no UE ID, no record — and subscribers that already hold
+// an address keep attaching.
 func TestPermPoolExhaustionRefusesCleanly(t *testing.T) {
 	n := newFig3Net(t)
 	c, err := NewController(n.Topology, ControllerConfig{
@@ -577,9 +583,8 @@ func TestPermPoolExhaustionRefusesCleanly(t *testing.T) {
 	if _, ok := c.LookupUE("late"); ok {
 		t.Fatal("the refused attach left a UE record")
 	}
-	if ms := c.MemStats(); ms.Attached != 2 || ms.FreeUEIDs != 1 || c.Store.Primary().Count("ue/") != 2 {
-		t.Fatalf("after the refused attach: %d attached, %d free UE IDs, %d ue/ keys; want 2, 1, 2",
-			ms.Attached, ms.FreeUEIDs, c.Store.Primary().Count("ue/"))
+	if ms := c.MemStats(); ms.Attached != 2 || ms.FreeUEIDs != 1 {
+		t.Fatalf("after the refused attach: %d attached, %d free UE IDs; want 2, 1", ms.Attached, ms.FreeUEIDs)
 	}
 	if _, err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)

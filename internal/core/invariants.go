@@ -55,14 +55,12 @@ type InvariantReport struct {
 //     UE's new access switch (via shortcut) or the origin's (triangle
 //     routing) — nowhere earlier.
 //
-// It takes all three lock domains in the documented order, so it can run
+// It takes both lock domains in the documented order, so it can run
 // concurrently with live traffic; invariants hold at every quiescent point,
 // not only at shutdown.
 func (c *Controller) CheckInvariants() (InvariantReport, error) {
 	c.ueMu.RLock()
 	defer c.ueMu.RUnlock()
-	c.allocMu.Lock()
-	defer c.allocMu.Unlock()
 	c.ruleMu.Lock()
 	defer c.ruleMu.Unlock()
 

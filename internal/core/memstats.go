@@ -62,15 +62,13 @@ func (m MemStats) AttrHitRate() float64 {
 	return float64(m.AttrHits) / float64(m.AttrHits+m.AttrMisses)
 }
 
-// MemStats snapshots the controller's memory accounting. It takes all
-// three lock domains in the documented order, so it is safe to call
-// concurrently with live traffic. With an obs registry configured, the
-// snapshot also updates the core.mem.* gauges.
+// MemStats snapshots the controller's memory accounting. It takes both lock
+// domains in the documented order, so it is safe to call concurrently with
+// live traffic. With an obs registry configured, the snapshot also updates
+// the core.mem.* gauges.
 func (c *Controller) MemStats() MemStats {
 	c.ueMu.RLock()
 	defer c.ueMu.RUnlock()
-	c.allocMu.Lock()
-	defer c.allocMu.Unlock()
 	c.ruleMu.Lock()
 	defer c.ruleMu.Unlock()
 

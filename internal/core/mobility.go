@@ -162,9 +162,9 @@ func (c *Controller) Handoff(imsi string, newBS packet.BSID) (HandoffResult, err
 }
 
 // HandoffCtx is Handoff carrying span context. A sampled trace records the
-// ueMu-held move as a core.handoff section with one child per nested lock
-// domain — core.handoff.alloc (allocMu) and core.handoff.rule (ruleMu) —
-// so the waterfall shows which lock the move actually spent its time in.
+// ueMu-held move as a core.handoff section with a core.handoff.rule child
+// for the nested ruleMu domain, so the waterfall shows which lock the move
+// actually spent its time in.
 func (c *Controller) HandoffCtx(sc obs.SpanContext, imsi string, newBS packet.BSID) (HandoffResult, error) {
 	sp := c.obs.spHandoff.Start(sc)
 	defer sp.End()
@@ -172,7 +172,7 @@ func (c *Controller) HandoffCtx(sc obs.SpanContext, imsi string, newBS packet.BS
 	defer c.ueMu.Unlock()
 	r, slot, ok := c.ues.get(imsi)
 	if !ok {
-		return HandoffResult{}, fmt.Errorf("core: UE %q is not attached", imsi)
+		return HandoffResult{}, fmt.Errorf("core: UE %q is %w", imsi, ErrNotAttached)
 	}
 	newStation, ok := c.T.Station(newBS)
 	if !ok {
@@ -186,11 +186,7 @@ func (c *Controller) HandoffCtx(sc obs.SpanContext, imsi string, newBS packet.BS
 	}
 	oldBS, oldLoc := r.bs, r.locIP
 
-	spa := c.obs.spHandoffAlloc.Start(sp.Context())
-	c.allocMu.Lock()
 	id, loc, err := c.allocLocIP(newBS)
-	c.allocMu.Unlock()
-	spa.End()
 	if err != nil {
 		return HandoffResult{}, err
 	}
@@ -199,9 +195,6 @@ func (c *Controller) HandoffCtx(sc obs.SpanContext, imsi string, newBS packet.BS
 	r.bs, r.ueid, r.locIP = newBS, id, loc
 	c.ues.locIdx.insert(loc, slot)
 	c.handoffs.Add(1)
-	if err := c.persistUELocked(r); err != nil {
-		return HandoffResult{}, err
-	}
 
 	res := HandoffResult{UE: c.ueViewLocked(r), OldBS: oldBS, OldLocIP: oldLoc,
 		Classifiers: c.classifiersLocked(r)}
@@ -313,9 +306,7 @@ func (c *Controller) ReleaseOldLocIP(oldLoc packet.Addr, shortcuts []*Shortcut) 
 	if bs, id, ok := c.plan.Split(oldLoc); ok {
 		slot, held := c.ues.locIdx.lookup(oldLoc)
 		if !held || c.ues.rec(slot).locIP != oldLoc {
-			c.allocMu.Lock()
 			c.freeUEIDLocked(bs, id)
-			c.allocMu.Unlock()
 			c.ues.locIdx.delete(oldLoc)
 		}
 	}

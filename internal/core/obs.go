@@ -46,12 +46,11 @@ type coreObs struct {
 	// incoming context is sampled, one child per lock domain so the
 	// critical-path waterfall attributes wait + hold time to the lock that
 	// caused it.
-	spPath         *obs.SpanName // whole RequestPathCtx resolution
-	spPathRule     *obs.SpanName // ruleMu wait + hold on the install path
-	spAttach       *obs.SpanName // ueMu-held admission
-	spHandoff      *obs.SpanName // ueMu-held move
-	spHandoffAlloc *obs.SpanName // allocMu section of a handoff
-	spHandoffRule  *obs.SpanName // ruleMu retarget section of a handoff
+	spPath        *obs.SpanName // whole RequestPathCtx resolution
+	spPathRule    *obs.SpanName // ruleMu wait + hold on the install path
+	spAttach      *obs.SpanName // ueMu-held admission
+	spHandoff     *obs.SpanName // ueMu-held move
+	spHandoffRule *obs.SpanName // ruleMu retarget section of a handoff
 }
 
 // boolInt renders a bool as a trace-event argument.
@@ -99,11 +98,10 @@ func newCoreObs(reg *obs.Registry) coreObs {
 		evHandoff:     reg.EventType("core.handoff.move", "old_bs", "new_bs", "shortcuts"),
 		evRelease:     reg.EventType("core.handoff.release", "loc", "reserved"),
 
-		spPath:         reg.SpanName("core.path"),
-		spPathRule:     reg.SpanName("core.lock.rule"),
-		spAttach:       reg.SpanName("core.attach"),
-		spHandoff:      reg.SpanName("core.handoff"),
-		spHandoffAlloc: reg.SpanName("core.handoff.alloc"),
-		spHandoffRule:  reg.SpanName("core.handoff.rule"),
+		spPath:        reg.SpanName("core.path"),
+		spPathRule:    reg.SpanName("core.lock.rule"),
+		spAttach:      reg.SpanName("core.attach"),
+		spHandoff:     reg.SpanName("core.handoff"),
+		spHandoffRule: reg.SpanName("core.handoff.rule"),
 	}
 }

@@ -91,17 +91,12 @@ func (c *Controller) AdoptUE(m MigratedUE, bs packet.BSID) (UE, []Classifier, er
 	if err := c.subs.bind(m.IMSI, m.PermIP, c.inst); err != nil {
 		return UE{}, nil, err
 	}
-	c.allocMu.Lock()
 	r, err := c.newRecordLocked(m.IMSI, m.Attr, m.PermIP, bs)
-	c.allocMu.Unlock()
 	if err != nil {
 		c.subs.release(m.IMSI, c.inst)
 		return UE{}, nil, err
 	}
 	c.handoffs.Add(1)
-	if err := c.persistUELocked(r); err != nil {
-		return UE{}, nil, err
-	}
 	return c.ueViewLocked(r), c.classifiersLocked(r), nil
 }
 
@@ -109,9 +104,9 @@ func (c *Controller) AdoptUE(m MigratedUE, bs packet.BSID) (UE, []Classifier, er
 // given UE records verbatim (preserving each UE's reported UEID and LocIP,
 // exactly as RecoverLocations does) — the shard-failover path: a dead
 // shard's stations rehash to survivors, which rebuild the location state
-// from the replicated store and live agents' reports. A newly absorbed
-// station has no paths here yet, so its first path requests install against
-// this controller's own rule table and tag sub-space.
+// from live agents' reports. A newly absorbed station has no paths here
+// yet, so its first path requests install against this controller's own
+// rule table and tag sub-space.
 func (c *Controller) AbsorbStation(bs packet.BSID, ues []UE) error {
 	c.ueMu.Lock()
 	defer c.ueMu.Unlock()
@@ -121,8 +116,6 @@ func (c *Controller) AbsorbStation(bs packet.BSID, ues []UE) error {
 	if c.owned != nil {
 		c.owned[bs] = true
 	}
-	c.allocMu.Lock()
-	defer c.allocMu.Unlock()
 	for _, u := range ues {
 		if err := c.importUELocked(bs, u); err != nil {
 			return err

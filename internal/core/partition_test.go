@@ -277,6 +277,55 @@ func TestAbsorbStationRebuildsState(t *testing.T) {
 	if nu.UEID == u1.UEID || nu.UEID == u2.UEID {
 		t.Fatalf("fresh UEID %d collides with an absorbed one", nu.UEID)
 	}
+	if n := subs.HeldBy(b.Instance()); n != 3 {
+		t.Fatalf("table marks %d UEs held by B, want 3", n)
+	}
+}
+
+// TestReleaseAllDetachesUnreportedUEs: when a dead instance's station is
+// absorbed without a report for one of its UEs, that UE's mark is the only
+// one still naming the dead instance. ReleaseAll clears it, the UE is
+// detached with its address bound, and it re-attaches under that address.
+func TestReleaseAllDetachesUnreportedUEs(t *testing.T) {
+	subs := NewSubscribers(store.New(1), packet.Prefix{})
+	a := shardedController(t, subs, []packet.BSID{0, 1}, 0, 2)
+	b := shardedController(t, subs, []packet.BSID{2, 3}, 1, 2)
+	var ues []UE
+	for _, imsi := range []string{"reported", "silent"} {
+		if err := a.RegisterSubscriber(imsi, policy.Attributes{Provider: "A"}); err != nil {
+			t.Fatal(err)
+		}
+		ue, _, err := a.Attach(imsi, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ues = append(ues, ue)
+	}
+	if err := b.AbsorbStation(1, ues[:1]); err != nil {
+		t.Fatal(err)
+	}
+	if held := subs.HeldBy(a.Instance()); held != 1 {
+		t.Fatalf("after the absorb %d marks name the dead instance, want 1", held)
+	}
+	if lost := subs.ReleaseAll(a.Instance()); lost != 1 || subs.HeldBy(a.Instance()) != 0 {
+		t.Fatalf("ReleaseAll cleared %d marks, %d left; want 1 and 0", lost, subs.HeldBy(a.Instance()))
+	}
+	if h := subs.Holder("silent"); h != 0 {
+		t.Fatalf("silent UE still marked held by %d", h)
+	}
+	if h := subs.Holder("reported"); h != b.Instance() {
+		t.Fatalf("reported UE marked held by %d, want B (%d)", h, b.Instance())
+	}
+	if imsi, ok := subs.ByPerm(ues[1].PermIP); !ok || imsi != "silent" {
+		t.Fatalf("silent UE's address %s resolves to %q, %v", ues[1].PermIP, imsi, ok)
+	}
+	back, _, err := b.Attach("silent", 1)
+	if err != nil || back.PermIP != ues[1].PermIP {
+		t.Fatalf("re-attach of the silent UE = %+v, %v; want permanent address %s", back, err, ues[1].PermIP)
+	}
+	if _, err := b.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestCheckInvariantsCatchesHolderDisagreement plants both ways the

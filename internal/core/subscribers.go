@@ -30,8 +30,8 @@ type subRec struct {
 // of the instance that served it — and, in memory only, which instance holds
 // its location record. A single controller builds its own over its store, the
 // shard dispatcher one for all its shards; each registration is written
-// through once as "sub/<imsi>", while an address rides the "ue/<imsi>"
-// document of the attached UE. Its lock is a leaf above the store's.
+// through once as "sub/<imsi>", while address bindings and holder marks are
+// kept in memory only. Its lock is a leaf above the store's.
 type Subscribers struct {
 	Store *store.Store  // where registrations are written through to
 	Pool  packet.Prefix // the block permanent addresses are drawn from; fixed at construction
@@ -95,6 +95,38 @@ func (s *Subscribers) Holder(imsi string) int {
 	return int(s.byIMSI[imsi].holder)
 }
 
+// HeldBy counts the subscribers whose location record the table marks as
+// held by controller instance inst.
+func (s *Subscribers) HeldBy(inst int) int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	n := 0
+	for _, rec := range s.byIMSI {
+		if int(rec.holder) == inst {
+			n++
+		}
+	}
+	return n
+}
+
+// ReleaseAll clears every holder mark naming controller instance inst, in one
+// scan, and returns how many it cleared: the records of a failed instance
+// that nothing rebuilt are gone with it, so their subscribers are detached.
+// Their addresses stay bound.
+func (s *Subscribers) ReleaseAll(inst int) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for imsi, rec := range s.byIMSI {
+		if int(rec.holder) == inst {
+			rec.holder = 0
+			s.byIMSI[imsi] = rec
+			n++
+		}
+	}
+	return n
+}
+
 // ByPerm resolves a permanent address to the subscriber it is bound to.
 func (s *Subscribers) ByPerm(perm packet.Addr) (string, bool) {
 	s.mu.RLock()
@@ -148,9 +180,9 @@ func (s *Subscribers) admit(imsi string, inst uint16) (policy.Attributes, packet
 }
 
 // bind makes inst the holder of a UE imported with its address (a migrated
-// record, an agent's report, a salvaged store document), registered here or
-// not. An address the table already bound wins over a differing import, and
-// the pool never draws an imported address again.
+// record or an agent's report), registered here or not. An address the
+// table already bound wins over a differing import, and the pool never
+// draws an imported address again.
 func (s *Subscribers) bind(imsi string, perm packet.Addr, inst uint16) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -35,8 +35,7 @@ type Config struct {
 	// addresses from, whichever shard serves the attach.
 	Plan     packet.Plan
 	PermPool packet.Prefix
-	// Replicas per store, shard or subscriber table (default 2, so a
-	// replica survives the shard process and failover can rebuild from it).
+	// Replicas per store, shard or subscriber table (default 2).
 	Replicas int
 	// Install passes installer options through; each shard's TagOffset and
 	// TagStride are overwritten with its partition coordinates.
@@ -86,15 +85,16 @@ var stripeSeed = maphash.MakeSeed()
 // keyed requests through the consistent-hash ring and UE-keyed requests to
 // the holder the subscriber table names, and owns the cross-shard handoff
 // and failover protocols. Every shard admits from its one subscriber table,
-// which outlives any shard: failover has no subscribers to salvage, and a
-// permanent address outlives the shard that served it. Every operation runs
+// which outlives any shard: failover rebuilds locations from agents and has
+// no subscribers to salvage, and a permanent address outlives the shard that
+// served it. Every operation runs
 // on the caller's goroutine, from here through the owning Shard into its
 // core.Controller. The hot path (RequestPath) touches no dispatcher-wide
 // lock — only an atomic ring snapshot and the owning shard's slot semaphore.
 //
 // Lock order, across types because one goroutine carries an operation all
 // the way down: a UE-keyed operation holds its ueStripe.mu over the owning
-// controller's ueMu → allocMu → ruleMu → core.Subscribers.mu; a failover
+// controller's ueMu → ruleMu → core.Subscribers.mu; a failover
 // holds failMu over the same controller chain. A stripe and failMu are never
 // held together, no operation holds two stripes, and nothing below ever
 // reaches back up for a dispatcher lock.
@@ -288,13 +288,13 @@ func (d *Dispatcher) stripe(imsi string) *ueStripe {
 	return &d.stripes[maphash.String(stripeSeed, imsi)%ueStripes]
 }
 
-// holder resolves the live shard holding a UE's location record, from the
+// holder resolves the shard holding a UE's location record, from the
 // subscriber table's holder mark (shard id + 1, the order New built the
-// controllers in); nil when the UE is detached, or its holder died and the
-// record was not rebuilt. A caller about to act on the answer holds the
-// UE's stripe.
+// controllers in); nil when the UE is detached. Only a failover in progress
+// leaves a mark naming a dead shard, whose operations refuse with
+// ErrShardDown. A caller about to act on the answer holds the UE's stripe.
 func (d *Dispatcher) holder(imsi string) *Shard {
-	if h := d.subs.Holder(imsi); h != 0 && !d.shards[h-1].Down() {
+	if h := d.subs.Holder(imsi); h != 0 {
 		return d.shards[h-1]
 	}
 	return nil
@@ -347,7 +347,7 @@ func (d *Dispatcher) Detach(imsi string) error {
 	defer st.mu.Unlock()
 	s := d.holder(imsi)
 	if s == nil {
-		return fmt.Errorf("shard: UE %q is not attached", imsi)
+		return fmt.Errorf("shard: UE %q is %w", imsi, core.ErrNotAttached)
 	}
 	return s.detach(imsi)
 }
@@ -361,10 +361,11 @@ func (d *Dispatcher) committedHolder(imsi string) *Shard {
 	return d.holder(imsi)
 }
 
-// LookupUE resolves an attached UE's record from the live shard holding it.
+// LookupUE resolves an attached UE's record from the live shard holding it
+// (a dead holder's record is being rebuilt elsewhere or lost).
 func (d *Dispatcher) LookupUE(imsi string) (core.UE, bool) {
 	s := d.committedHolder(imsi)
-	if s == nil {
+	if s == nil || s.Down() {
 		return core.UE{}, false
 	}
 	return s.Ctrl.LookupUE(imsi)
@@ -378,7 +379,7 @@ func (d *Dispatcher) ResolveLocIP(perm packet.Addr) (packet.Addr, error) {
 	}
 	s := d.committedHolder(imsi)
 	if s == nil {
-		return 0, fmt.Errorf("shard: UE %q is detached", imsi)
+		return 0, fmt.Errorf("shard: UE %q is %w", imsi, core.ErrNotAttached)
 	}
 	return s.resolveLocIP(perm)
 }

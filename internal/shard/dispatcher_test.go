@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -139,8 +140,11 @@ func TestDispatcherAttachResolveDetach(t *testing.T) {
 	if err := d.Detach("imsi-1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.ResolveLocIP(ue.PermIP); err == nil {
-		t.Fatal("resolved a detached UE")
+	if _, err := d.ResolveLocIP(ue.PermIP); !errors.Is(err, core.ErrNotAttached) {
+		t.Fatalf("resolving a detached UE: err = %v, want ErrNotAttached", err)
+	}
+	if err := d.Detach("imsi-1"); !errors.Is(err, core.ErrNotAttached) {
+		t.Fatalf("second detach: err = %v, want ErrNotAttached", err)
 	}
 }
 
@@ -215,16 +219,66 @@ func TestPermPoolIsOneAcrossShards(t *testing.T) {
 	if _, ok := d.LookupUE("late"); ok {
 		t.Fatal("the refused attach left a UE record")
 	}
-	after, docs := d.MemStats(), 0
-	for _, s := range d.Shards() {
-		docs += s.Ctrl.Store.Primary().Count("ue/")
-	}
-	if after.Attached != 3 || after.SlotsAllocated != before.SlotsAllocated || after.FreeUEIDs != before.FreeUEIDs || docs != 3 {
-		t.Fatalf("after the refused attaches: %d attached, slots %d -> %d, free UE IDs %d -> %d, %d ue/ keys; want 3 attached, nothing moved, 3 keys",
-			after.Attached, before.SlotsAllocated, after.SlotsAllocated, before.FreeUEIDs, after.FreeUEIDs, docs)
+	after := d.MemStats()
+	if after.Attached != 3 || after.SlotsAllocated != before.SlotsAllocated || after.FreeUEIDs != before.FreeUEIDs {
+		t.Fatalf("after the refused attaches: %d attached, slots %d -> %d, free UE IDs %d -> %d; want 3 attached, nothing moved",
+			after.Attached, before.SlotsAllocated, after.SlotsAllocated, before.FreeUEIDs, after.FreeUEIDs)
 	}
 	if _, err := d.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLocationChangesCommitNothing: a UE's location is the agents' state
+// (§5.2), not the replicated store's. Attach, same-shard and cross-shard
+// handoff, adoption by a re-attach on the other shard, and detach commit
+// nothing to any shard's store or to the subscriber table's.
+func TestLocationChangesCommitNothing(t *testing.T) {
+	d, g := newTestDispatcher(t, 2)
+	a, b := twoShardStations(t, d, g)
+	home, _ := d.ShardOf(a)
+	near, found := a, false // a second station of a's shard
+	for _, st := range g.Stations {
+		if s, _ := d.ShardOf(st.ID); s == home && st.ID != a {
+			near, found = st.ID, true
+			break
+		}
+	}
+	if !found {
+		t.Skip("a's shard owns one station")
+	}
+	for _, imsi := range []string{"walker", "sitter"} {
+		if err := d.RegisterSubscriber(imsi, policy.Attributes{Provider: "A"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commits := func() []uint64 {
+		out := []uint64{d.subs.Store.Primary().Applied()}
+		for _, s := range d.Shards() {
+			out = append(out, s.Ctrl.Store.Primary().Applied())
+		}
+		return out
+	}
+	before := commits()
+	ops := []struct {
+		name string
+		run  func() error
+	}{
+		{"attach", func() error { _, _, err := d.Attach("walker", a); return err }},
+		{"same-shard handoff", func() error { _, err := d.Handoff("walker", near); return err }},
+		{"cross-shard handoff", func() error { _, err := d.Handoff("walker", b); return err }},
+		{"attach sitter", func() error { _, _, err := d.Attach("sitter", b); return err }},
+		{"re-attach on the other shard (adopt)", func() error { _, _, err := d.Attach("sitter", a); return err }},
+		{"detach", func() error { return d.Detach("walker") }},
+		{"detach sitter", func() error { return d.Detach("sitter") }},
+	}
+	for _, op := range ops {
+		if err := op.run(); err != nil {
+			t.Fatalf("%s: %v", op.name, err)
+		}
+		if after := commits(); !slices.Equal(after, before) {
+			t.Fatalf("%s moved the commit sequences (subscriber store, then each shard's) %v -> %v", op.name, before, after)
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/packet"
-	"repro/internal/store"
 )
 
 // FailoverReport summarises a shard failover.
@@ -13,39 +12,13 @@ type FailoverReport struct {
 	Shard       int // the failed shard
 	Stations    int // base stations rehashed to survivors
 	FromReports int // UEs rebuilt from live agents' location reports
-	FromStore   int // UEs rebuilt from the replicated store alone
-	Dropped     int // report/store records at stations the dead shard did not own
+	Lost        int // UEs the dead shard held that no agent reported: now detached
+	Dropped     int // reported UEs at stations the dead shard did not own
 }
 
 func (r FailoverReport) String() string {
-	return fmt.Sprintf("shard %d failed: %d stations rehashed, %d UEs from agent reports, %d from store, %d dropped",
-		r.Shard, r.Stations, r.FromReports, r.FromStore, r.Dropped)
-}
-
-// salvageUEs reads the dead shard's UE records out of a surviving store
-// replica. The shard process is gone, but the §5.2 replicated store is
-// exactly the state designed to outlive it; with no replica configured the
-// primary's in-memory copy stands in (a modelling convenience).
-func salvageUEs(st *store.Store) (map[string]core.UE, error) {
-	var rep *store.Replica
-	if replicas := st.Replicas(); len(replicas) > 0 {
-		rep = replicas[0]
-	} else {
-		rep = st.Primary()
-	}
-	out := make(map[string]core.UE)
-	for _, key := range rep.Keys("ue/") {
-		entry, ok := rep.Get(key)
-		if !ok {
-			continue
-		}
-		ue, err := core.DecodeUERecord(entry.Value)
-		if err != nil {
-			return nil, fmt.Errorf("shard: corrupt store record %q: %w", key, err)
-		}
-		out[ue.IMSI] = ue
-	}
-	return out, nil
+	return fmt.Sprintf("shard %d failed: %d stations rehashed, %d UEs from agent reports, %d lost, %d dropped",
+		r.Shard, r.Stations, r.FromReports, r.Lost, r.Dropped)
 }
 
 // FailShard declares a shard dead and rebuilds its slice of the control
@@ -55,14 +28,17 @@ func salvageUEs(st *store.Store) (map[string]core.UE, error) {
 //     surviving shards (consistent hashing moves only the dead shard's
 //     stations — every other station keeps its owner);
 //   - its UE-location state is reassembled from live agents' location
-//     reports (authoritative, per §5.2's recovery argument) merged with
-//     the UE records salvaged from its replicated store (covering agents
-//     that did not answer);
-//   - each reassembled station is absorbed by its new owner, which
-//     extends its ownership and imports the records verbatim.
+//     reports alone (§5.2: location state is rebuilt by querying the local
+//     agents); each reassembled station is absorbed by its new owner, which
+//     extends its ownership and imports the reported records verbatim;
+//   - a UE the dead shard held that no agent reported is lost: its holder
+//     mark is cleared, so it is detached — its permanent address stays
+//     bound, UE-keyed operations on it fail with core.ErrNotAttached, and
+//     its next Attach, on any shard, restores it under the same address.
 //
 // Requests racing the failover see ErrShardDown once and retry against
-// the fresh ring (see Dispatcher.RequestPath).
+// the fresh ring (see Dispatcher.RequestPath); a UE-keyed request for a UE
+// the dead shard held sees ErrShardDown until FailShard returns.
 func (d *Dispatcher) FailShard(id int, reports []core.AgentLocationReport) (FailoverReport, error) {
 	d.failMu.Lock()
 	defer d.failMu.Unlock()
@@ -80,18 +56,14 @@ func (d *Dispatcher) FailShard(id int, reports []core.AgentLocationReport) (Fail
 	}
 	// Publish the new ring first so no new request routes to the victim,
 	// then declare it dead — callers waiting at its bound leave with
-	// ErrShardDown, and the operations already inside are waited out, so
-	// whatever they commit is in the store before it is read — and trip its
-	// breaker so stragglers fail fast instead of probing a corpse.
+	// ErrShardDown, and the operations already inside are waited out, so no
+	// holder mark naming it changes after this — and trip its breaker so
+	// stragglers fail fast instead of probing a corpse.
 	d.ring.Store(newRing)
 	victim.close()
 	victim.adm.trip()
 
 	rep := FailoverReport{Shard: id}
-	salvaged, err := salvageUEs(victim.Ctrl.Store)
-	if err != nil {
-		return rep, err
-	}
 
 	// The victim's live owned set (its construction-time stations plus any
 	// it absorbed in earlier failovers) is what must be rehashed — every
@@ -104,35 +76,19 @@ func (d *Dispatcher) FailShard(id int, reports []core.AgentLocationReport) (Fail
 	}
 	rep.Stations = len(victimStations)
 
-	// Merge: agent reports are authoritative for location; store records
-	// fill in UEs whose agents did not answer. Only stations the dead
-	// shard owned are rebuilt — anything else is another shard's live
-	// state and must not be overwritten.
-	ownedByVictim := func(bs packet.BSID) bool { return victimOwned[bs] }
+	// Only stations the dead shard owned are rebuilt — a report for any
+	// other is another shard's live state and must not overwrite it.
 	byBS := make(map[packet.BSID][]core.UE)
-	seen := make(map[string]bool)
 	for _, r := range reports {
-		if !ownedByVictim(r.BS) {
+		if !victimOwned[r.BS] {
 			rep.Dropped += len(r.UEs)
 			continue
 		}
 		for _, u := range r.UEs {
 			u.BS = r.BS
 			byBS[r.BS] = append(byBS[r.BS], u)
-			seen[u.IMSI] = true
 			rep.FromReports++
 		}
-	}
-	for imsi, u := range salvaged {
-		if seen[imsi] {
-			continue
-		}
-		if !ownedByVictim(u.BS) {
-			rep.Dropped++
-			continue
-		}
-		byBS[u.BS] = append(byBS[u.BS], u)
-		rep.FromStore++
 	}
 
 	for _, bs := range victimStations {
@@ -146,7 +102,10 @@ func (d *Dispatcher) FailShard(id int, reports []core.AgentLocationReport) (Fail
 			return rep, err
 		}
 	}
+	// Absorbing re-marked every reported UE with its new holder; what still
+	// names the victim had no report.
+	rep.Lost = d.subs.ReleaseAll(victim.Ctrl.Instance())
 	d.obs.evFailover.Emit(int64(rep.Shard), int64(rep.Stations),
-		int64(rep.FromReports+rep.FromStore), int64(rep.Dropped))
+		int64(rep.FromReports), int64(rep.Lost))
 	return rep, nil
 }

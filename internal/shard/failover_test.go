@@ -14,16 +14,16 @@ import (
 	"repro/internal/topo"
 )
 
-// TestFailShardRebuildsFromStoreAndReports kills a shard and checks its UE
-// state is reassembled on the survivors from the two recovery sources: live
-// agents' location reports, and — for a UE whose agent stays silent — the
-// dead shard's replicated store alone.
-func TestFailShardRebuildsFromStoreAndReports(t *testing.T) {
+// TestFailShardRebuildsFromReportsAlone kills a shard and checks its UE
+// state is reassembled on the survivors from the one recovery source, live
+// agents' location reports (§5.2). A UE whose agent stays silent is lost:
+// detached, with its permanent address kept for its next attach.
+func TestFailShardRebuildsFromReportsAlone(t *testing.T) {
 	d, g := newTestDispatcher(t, 3)
 	ring := d.Ring()
 
 	// Pick a victim shard owning at least two stations, so one UE can be
-	// covered by an agent report and another left to the store.
+	// covered by an agent report and another left unreported.
 	part, err := ring.Partition(stationIDs(g.Stations))
 	if err != nil {
 		t.Fatal(err)
@@ -58,8 +58,8 @@ func TestFailShardRebuildsFromStoreAndReports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.FromReports != 1 || rep.FromStore != 1 {
-		t.Fatalf("recovery sources: %+v, want 1 from reports and 1 from store", rep)
+	if rep.FromReports != 1 || rep.Lost != 1 || rep.Dropped != 0 {
+		t.Fatalf("recovery: %+v, want 1 from reports, 1 lost, 0 dropped", rep)
 	}
 	if rep.Stations != len(part[victim]) {
 		t.Fatalf("rehashed %d stations, want %d", rep.Stations, len(part[victim]))
@@ -71,25 +71,48 @@ func TestFailShardRebuildsFromStoreAndReports(t *testing.T) {
 		t.Fatal("failed shard not marked down")
 	}
 
-	// Both UEs survive with their addresses intact on surviving shards.
-	for _, want := range []core.UE{reportedUE, silentUE} {
-		got, ok := d.LookupUE(want.IMSI)
-		if !ok {
-			t.Fatalf("UE %q lost in failover", want.IMSI)
-		}
-		if got.BS != want.BS || got.LocIP != want.LocIP || got.PermIP != want.PermIP {
-			t.Fatalf("UE %q rebuilt as %+v, want %+v", want.IMSI, got, want)
-		}
-		owner, _ := d.Ring().Owner(got.BS)
-		if owner == victim {
-			t.Fatalf("UE %q still maps to the dead shard", want.IMSI)
-		}
-		if _, ok := d.Shard(owner).Ctrl.LookupUE(want.IMSI); !ok {
-			t.Fatalf("new owner shard %d does not hold UE %q", owner, want.IMSI)
-		}
-		if loc, err := d.ResolveLocIP(want.PermIP); err != nil || loc != want.LocIP {
-			t.Fatalf("ResolveLocIP(%s) = %s, %v after failover", want.PermIP, loc, err)
-		}
+	// The reported UE survives with its addresses intact on a survivor.
+	got, ok := d.LookupUE(reportedUE.IMSI)
+	if !ok || got.BS != reportedUE.BS || got.LocIP != reportedUE.LocIP || got.PermIP != reportedUE.PermIP {
+		t.Fatalf("reported UE rebuilt as %+v, %v; want %+v", got, ok, reportedUE)
+	}
+	owner, _ := d.Ring().Owner(got.BS)
+	if owner == victim {
+		t.Fatal("reported UE still maps to the dead shard")
+	}
+	if _, ok := d.Shard(owner).Ctrl.LookupUE(reportedUE.IMSI); !ok {
+		t.Fatalf("new owner shard %d does not hold the reported UE", owner)
+	}
+	if loc, err := d.ResolveLocIP(reportedUE.PermIP); err != nil || loc != reportedUE.LocIP {
+		t.Fatalf("ResolveLocIP(%s) = %s, %v after failover", reportedUE.PermIP, loc, err)
+	}
+
+	// The silent UE is detached, and says so.
+	if stale, ok := d.LookupUE(silentUE.IMSI); ok {
+		t.Fatalf("unreported UE still found: %+v", stale)
+	}
+	if h := d.subs.Holder(silentUE.IMSI); h != 0 {
+		t.Fatalf("unreported UE still marked held by instance %d", h)
+	}
+	if _, err := d.Handoff(silentUE.IMSI, reportedUE.BS); !errors.Is(err, core.ErrNotAttached) {
+		t.Fatalf("handoff of the lost UE: err = %v, want ErrNotAttached", err)
+	}
+	if _, err := d.ResolveLocIP(silentUE.PermIP); !errors.Is(err, core.ErrNotAttached) {
+		t.Fatalf("resolving the lost UE: err = %v, want ErrNotAttached", err)
+	}
+	// Re-attaching restores it under the address it always had.
+	back, _, err := d.Attach(silentUE.IMSI, silentUE.BS)
+	if err != nil {
+		t.Fatalf("re-attach of the lost UE: %v", err)
+	}
+	if back.PermIP != silentUE.PermIP {
+		t.Fatalf("lost UE re-attached under %s, had %s", back.PermIP, silentUE.PermIP)
+	}
+	if loc, err := d.ResolveLocIP(silentUE.PermIP); err != nil || loc != back.LocIP {
+		t.Fatalf("ResolveLocIP(%s) = %s, %v; want the new location %s", silentUE.PermIP, loc, err, back.LocIP)
+	}
+	if _, err := d.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 
 	// Every rehashed station serves path requests again — including ones
@@ -173,10 +196,11 @@ func TestRequestPathRetriesAcrossFailover(t *testing.T) {
 // inside it or waiting at its bound (2): every call made on the victim
 // returns a tag or ErrShardDown, every call made through the dispatcher
 // rides its one retry to a survivor, and nobody is left waiting. Half of the
-// dispatcher's callers attach fresh subscribers at the victim's station:
-// FailShard waits out the operations inside the victim before it reads the
-// victim's store, so every attach that reported success — however late it
-// committed — is rebuilt on a survivor.
+// dispatcher's callers attach fresh subscribers at the victim's station, and
+// no agent reports: every attach that reported success is either held by a
+// survivor (it ran after the ring moved) or counted lost (it ran inside the
+// victim — FailShard waits those out, however late they commit, before it
+// releases the victim's holder marks), and no mark names the victim after.
 func TestFailShardWithCallersInFlight(t *testing.T) {
 	d, g := newBoundedDispatcher(t, 2, 2)
 	clauses := allowClauses(t, d)
@@ -238,19 +262,10 @@ func TestFailShardWithCallersInFlight(t *testing.T) {
 		}(i)
 	}
 	started.Wait()
-	if _, err := d.FailShard(victim, nil); err != nil {
+	rep, err := d.FailShard(victim, nil)
+	if err != nil {
 		t.Error(err)
 	}
-	// What had attached by now attached through the victim or, after the
-	// ring moved, through a survivor; either way a survivor serves it.
-	attachedMu.Lock()
-	for _, imsi := range attached {
-		if ue, ok := d.LookupUE(imsi); !ok || ue.BS != bs {
-			t.Errorf("UE %q attached before FailShard returned, LookupUE after = %+v, %v", imsi, ue, ok)
-		}
-	}
-	t.Logf("%d attaches had succeeded when FailShard returned", len(attached))
-	attachedMu.Unlock()
 	close(stop)
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
@@ -258,6 +273,24 @@ func TestFailShardWithCallersInFlight(t *testing.T) {
 	case <-done:
 	case <-time.After(30 * time.Second):
 		t.Fatal("callers still in flight 30 s after the failover")
+	}
+	// Every attach that succeeded ran through the victim before it died, or
+	// through a survivor after the ring moved; only the latter is found.
+	found := 0
+	for _, imsi := range attached {
+		if ue, ok := d.LookupUE(imsi); ok {
+			found++
+			if ue.BS != bs {
+				t.Errorf("UE %q found at station %d, attached at %d", imsi, ue.BS, bs)
+			}
+		}
+	}
+	t.Logf("%d attaches succeeded: %d on a survivor, %d lost with the victim", len(attached), found, rep.Lost)
+	if found+rep.Lost != len(attached) {
+		t.Errorf("%d found + %d lost != %d attaches that succeeded", found, rep.Lost, len(attached))
+	}
+	if n := d.subs.HeldBy(d.Shard(victim).Ctrl.Instance()); n != 0 {
+		t.Errorf("%d holder marks still name the dead shard", n)
 	}
 
 	if _, err := d.Shard(victim).requestPath(obs.SpanContext{}, bs, clauses[0]); !errors.Is(err, ErrShardDown) {

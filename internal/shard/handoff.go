@@ -51,7 +51,7 @@ func (d *Dispatcher) handoff(sc obs.SpanContext, imsi string, newBS packet.BSID)
 	defer st.mu.Unlock()
 	src := d.holder(imsi)
 	if src == nil {
-		return core.HandoffResult{}, fmt.Errorf("shard: UE %q is not attached", imsi)
+		return core.HandoffResult{}, fmt.Errorf("shard: UE %q is %w", imsi, core.ErrNotAttached)
 	}
 	if src == target {
 		hr, err := src.handoff(sc, imsi, newBS)

@@ -1,10 +1,11 @@
 package shard
 
 import (
-	"strings"
+	"errors"
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/policy"
 )
 
@@ -72,7 +73,7 @@ func TestCrossShardHandoffPreservesPolicyPath(t *testing.T) {
 func TestHandoffOfUnknownUE(t *testing.T) {
 	d, g := newTestDispatcher(t, 2)
 	_, err := d.Handoff("ghost", g.Stations[0].ID)
-	if err == nil || !strings.Contains(err.Error(), "not attached") {
+	if !errors.Is(err, core.ErrNotAttached) {
 		t.Fatalf("Handoff(ghost) = %v", err)
 	}
 }

@@ -29,7 +29,8 @@ type InvariantReport struct {
 //     table's holder mark, so every record on a live shard must be marked as
 //     held by that shard (checked here), and every mark naming a live shard
 //     must find the record there (each controller's own pass checks the
-//     marks that name it — no orphaned stubs after a two-phase handoff);
+//     marks that name it — no orphaned stubs after a two-phase handoff),
+//     and no mark names a dead shard (failover rebuilt or released each);
 //   - one copy of each registration: one "sub/" key per subscriber in the
 //     shared store, none in any live shard's own.
 //
@@ -51,6 +52,9 @@ func (d *Dispatcher) CheckInvariants() (InvariantReport, error) {
 
 	for _, s := range d.shards {
 		if s.Down() {
+			if n := d.subs.HeldBy(s.Ctrl.Instance()); n != 0 {
+				return rep, fmt.Errorf("shard: the subscriber table marks %d UEs held by dead shard %d", n, s.ID)
+			}
 			continue
 		}
 		rep.Shards++

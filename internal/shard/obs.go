@@ -40,7 +40,7 @@ func newDispObs(reg *obs.Registry) dispObs {
 			10000, 100000, 1000000, 10000000, 100000000),
 		crossDone:  reg.Counter("shard.handoff.cross"),
 		localDone:  reg.Counter("shard.handoff.local"),
-		evFailover: reg.EventType("shard.failover", "shard", "stations", "ues", "dropped"),
+		evFailover: reg.EventType("shard.failover", "shard", "stations", "reported", "lost"),
 
 		spPath:    reg.SpanName("shard.path"),
 		spAttach:  reg.SpanName("shard.attach"),

@@ -144,6 +144,27 @@ func TestRegisterOnceAttachAnywhere(t *testing.T) {
 	}
 }
 
+// TestCheckInvariantsCatchesMarkOnDeadShard stops a failover halfway — the
+// shard is dead and off the ring, but nothing rebuilt or released its UE —
+// and checks the sweep names the holder mark left pointing at it.
+func TestCheckInvariantsCatchesMarkOnDeadShard(t *testing.T) {
+	d, g := newTestDispatcher(t, 2)
+	bs := g.Stations[0].ID
+	if err := d.RegisterSubscriber("orphan", policy.Attributes{Provider: "A"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := d.Attach("orphan", bs); err != nil {
+		t.Fatal(err)
+	}
+	victim, _ := d.ShardOf(bs)
+	d.ring.Store(d.Ring().Without(victim.ID))
+	victim.close()
+	want := fmt.Sprintf("marks 1 UEs held by dead shard %d", victim.ID)
+	if _, err := d.CheckInvariants(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("mark on a dead shard: err = %v, want %q", err, want)
+	}
+}
+
 // TestCheckInvariantsCatchesSecondSubscriberCopy plants the duplicates the
 // shared table removed and checks the sweep names each.
 func TestCheckInvariantsCatchesSecondSubscriberCopy(t *testing.T) {

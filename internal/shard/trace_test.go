@@ -110,8 +110,7 @@ func TestSpanTreeEndToEnd(t *testing.T) {
 	// Controller children live under the per-shard Sub prefix; match by
 	// suffix so the assertion holds for any shard id.
 	for _, want := range []string{
-		"core.attach", "core.path", "core.handoff",
-		"core.handoff.alloc", "core.handoff.rule",
+		"core.attach", "core.path", "core.handoff", "core.handoff.rule",
 	} {
 		found := false
 		for name := range segments {

@@ -1,9 +1,7 @@
 // Package store implements SoftCell's replicated control state (§5.2): a
 // versioned key-value store kept strongly consistent across a primary and
 // its replicas. The slow-changing controller state (service policy,
-// subscriber attributes, policy paths) is written through the store; UE
-// locations are stored too but can always be rebuilt by querying local
-// agents after a failover, which the controller layer exercises.
+// subscriber attributes, policy paths) is written through the store.
 package store
 
 import (
