@@ -39,6 +39,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/packet
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeDecode$$' -fuzztime $(FUZZTIME) ./internal/ctrlproto
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./internal/ctrlproto
+	$(GO) test -run '^$$' -fuzz '^FuzzWireCodec$$' -fuzztime $(FUZZTIME) ./internal/ctrlproto
 	$(GO) test -run '^$$' -fuzz '^FuzzMatch$$' -fuzztime $(FUZZTIME) ./internal/switchsim
 	$(GO) test -run '^$$' -fuzz '^FuzzBurstEquivalence$$' -fuzztime $(FUZZTIME) ./internal/fastpath
 
@@ -50,12 +51,12 @@ chaos:
 		-json results/BENCH_chaos.json
 
 # cover enforces the checked-in statement-coverage floor for the packages
-# whose invariants the chaos harness and the data plane's sync lean on, and
-# for the plant builder every harness stands on. Raise the baseline in
-# results/coverage_baseline.txt when coverage grows; verify fails if a
-# change drops below it.
+# whose invariants the chaos harness and the data plane's sync lean on, for
+# the plant builder every harness stands on, and for the control channel.
+# Raise the baseline in results/coverage_baseline.txt when coverage grows;
+# verify fails if a change drops below it.
 cover:
-	@for pkg in internal/core internal/dataplane internal/fastpath internal/obs internal/plant internal/shard internal/switchsim; do \
+	@for pkg in internal/core internal/ctrlproto internal/dataplane internal/fastpath internal/obs internal/plant internal/shard internal/switchsim; do \
 		pct=$$($(GO) test -cover ./$$pkg | awk '{for (i=1;i<=NF;i++) if ($$i == "coverage:") {sub(/%/,"",$$(i+1)); print $$(i+1)}}'); \
 		base=$$(awk -v p="repro/$$pkg" '$$1 == p {print $$2}' results/coverage_baseline.txt); \
 		if [ -z "$$pct" ] || [ -z "$$base" ]; then echo "cover: no coverage or baseline for $$pkg"; exit 1; fi; \

@@ -3,7 +3,6 @@ package ctrlproto
 import (
 	"encoding/binary"
 	"encoding/json"
-	"fmt"
 	"net"
 	"time"
 
@@ -59,7 +58,8 @@ func (cl *Client) Close() error { return cl.c.Close() }
 
 // request issues one correlated request under the client's retry policy.
 // The frame ships sc's trace ids (the zero context for untraced callers).
-func (cl *Client) request(sc obs.SpanContext, typ MsgType, payload []byte) (frame, error) {
+// The reply payload is the returned call's buf, valid until release.
+func (cl *Client) request(sc obs.SpanContext, typ MsgType, payload []byte) (*call, error) {
 	return cl.c.request(sc, typ, payload, cl.Timeout, cl.Attempts)
 }
 
@@ -71,7 +71,8 @@ func (cl *Client) handle(f frame) {
 		if cl.Reporter != nil {
 			rep = cl.Reporter()
 		}
-		_ = cl.c.reply(f, MsgLocationQuery, marshalJSON(rep))
+		cl.c.out = appendLocationReport(cl.c.out[:0], rep)
+		_ = cl.c.reply(f, MsgLocationQuery, cl.c.out)
 	case MsgSnapshot:
 		// A notification, not a request: no response frame. A stale or
 		// invalid snapshot is the receiver's local decision (the agent
@@ -97,34 +98,41 @@ func errUnexpected(t MsgType) error { return unexpectedError{t} }
 
 // Hello announces the agent's base station.
 func (cl *Client) Hello(bs packet.BSID) error {
-	b := make([]byte, 4)
-	binary.BigEndian.PutUint32(b, uint32(bs))
-	_, err := cl.request(obs.SpanContext{}, MsgHello, b)
-	return err
+	var b [4]byte
+	binary.BigEndian.PutUint32(b[:], uint32(bs))
+	r, err := cl.request(obs.SpanContext{}, MsgHello, b[:])
+	if err != nil {
+		return err
+	}
+	cl.c.release(r)
+	return nil
 }
 
-// Echo round-trips a payload (latency probes).
+// Echo round-trips a payload (latency probes). The result is the caller's.
 func (cl *Client) Echo(payload []byte) ([]byte, error) {
-	f, err := cl.request(obs.SpanContext{}, MsgEcho, payload)
+	r, err := cl.request(obs.SpanContext{}, MsgEcho, payload)
 	if err != nil {
 		return nil, err
 	}
-	return f.payload, nil
+	out := append([]byte(nil), r.buf...)
+	cl.c.release(r)
+	return out, nil
 }
 
 // ResolveLocIP implements agent.LocResolver over the wire, enabling §7
 // mobile-to-mobile paths for remote agents.
 func (cl *Client) ResolveLocIP(perm packet.Addr) (packet.Addr, error) {
-	b := make([]byte, 4)
-	binary.BigEndian.PutUint32(b, uint32(perm))
-	f, err := cl.request(obs.SpanContext{}, MsgResolve, b)
+	var b [4]byte
+	binary.BigEndian.PutUint32(b[:], uint32(perm))
+	r, err := cl.request(obs.SpanContext{}, MsgResolve, b[:])
 	if err != nil {
 		return 0, err
 	}
-	if len(f.payload) != 4 {
-		return 0, fmt.Errorf("ctrlproto: resolve reply %d bytes", len(f.payload))
+	defer cl.c.release(r)
+	if len(r.buf) != 4 {
+		return 0, errSize("resolve reply payload", len(r.buf))
 	}
-	return packet.Addr(binary.BigEndian.Uint32(f.payload)), nil
+	return packet.Addr(binary.BigEndian.Uint32(r.buf)), nil
 }
 
 // RequestPath implements agent.ControllerClient over the wire.
@@ -134,16 +142,17 @@ func (cl *Client) RequestPath(bs packet.BSID, clause int) (packet.Tag, error) {
 
 // RequestPathCtx is RequestPath with span context propagated on the
 // frame, continuing the caller's trace on the far side of the wire.
+//
+// hotpath: no alloc
 func (cl *Client) RequestPathCtx(sc obs.SpanContext, bs packet.BSID, clause int) (packet.Tag, error) {
-	f, err := cl.request(sc, MsgPathRequest, PathRequest{BS: bs, Clause: uint32(clause)}.marshal())
+	var b [8]byte
+	r, err := cl.request(sc, MsgPathRequest, PathRequest{BS: bs, Clause: uint32(clause)}.appendTo(b[:0]))
 	if err != nil {
 		return 0, err
 	}
-	rep, err := parsePathReply(f.payload)
-	if err != nil {
-		return 0, err
-	}
-	return rep.Tag, nil
+	rep, err := parsePathReply(r.buf)
+	cl.c.release(r)
+	return rep.Tag, err
 }
 
 // Attach admits a UE through the controller.
@@ -153,12 +162,14 @@ func (cl *Client) Attach(imsi string, bs packet.BSID) (core.UE, []core.Classifie
 
 // AttachCtx is Attach with span context propagated on the frame.
 func (cl *Client) AttachCtx(sc obs.SpanContext, imsi string, bs packet.BSID) (core.UE, []core.Classifier, error) {
-	f, err := cl.request(sc, MsgAttach, marshalJSON(AttachRequest{IMSI: imsi, BS: bs}))
+	var b [64]byte
+	r, err := cl.request(sc, MsgAttach, AttachRequest{IMSI: imsi, BS: bs}.appendTo(b[:0]))
 	if err != nil {
 		return core.UE{}, nil, err
 	}
-	var rep AttachReply
-	if err := json.Unmarshal(f.payload, &rep); err != nil {
+	rep, err := parseAttachReply(r.buf)
+	cl.c.release(r)
+	if err != nil {
 		return core.UE{}, nil, err
 	}
 	return rep.UE, rep.Classifiers, nil
@@ -171,12 +182,14 @@ func (cl *Client) Handoff(imsi string, newBS packet.BSID) (core.HandoffResult, e
 
 // HandoffCtx is Handoff with span context propagated on the frame.
 func (cl *Client) HandoffCtx(sc obs.SpanContext, imsi string, newBS packet.BSID) (core.HandoffResult, error) {
-	f, err := cl.request(sc, MsgHandoff, marshalJSON(HandoffRequest{IMSI: imsi, NewBS: newBS}))
+	var b [64]byte
+	r, err := cl.request(sc, MsgHandoff, HandoffRequest{IMSI: imsi, NewBS: newBS}.appendTo(b[:0]))
 	if err != nil {
 		return core.HandoffResult{}, err
 	}
-	var res core.HandoffResult
-	if err := json.Unmarshal(f.payload, &res); err != nil {
+	res, err := parseHandoffResult(r.buf)
+	cl.c.release(r)
+	if err != nil {
 		return core.HandoffResult{}, err
 	}
 	return res, nil

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"net"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -163,7 +162,7 @@ func TestFaultyDuplicateIsCorrelatedAway(t *testing.T) {
 		t.Fatalf("path over duplicating link = %d %v", tag, err)
 	}
 	// Both copies reached the handler; memoisation makes them agree.
-	waitFor(t, func() bool { return atomic.LoadUint64(&srv.Requests) == 2 })
+	waitFor(t, func() bool { return srv.Requests.Load() == 2 })
 	// The connection is still usable: the duplicate reply did not desync it.
 	if _, err := cl.Echo([]byte("after")); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,7 @@
 // Package ctrlproto is SoftCell's control channel: the framed binary
-// protocol local agents use to talk to the central controller (packet
-// classifier fetches, policy-path requests, location queries during
-// failover recovery). It plays the role OpenFlow+Floodlight play in the
+// protocol local agents use to talk to the central controller (policy-path
+// requests, attach and handoff, location queries during failover recovery,
+// pushed agent snapshots). It plays the role OpenFlow+Floodlight play in the
 // paper's prototype, reduced to the message set SoftCell actually needs.
 //
 // Framing: every message is
@@ -17,6 +17,12 @@
 // across the wire, so a sampled request's causal tree spans both sides
 // of the channel. Untraced frames — the 1023-in-1024 steady state —
 // pay nothing: the header is absent and the flag bit is zero.
+//
+// Payloads are hand-packed binary (codec.go), except MsgSnapshot's, which
+// is JSON: snapshots are cold and large. A warmed path request allocates
+// nothing on either end of the wire: the caller's rendezvous with its
+// reply is a pooled call, each connection reads every frame into one
+// reused buffer, and the write buffer is double-buffered.
 //
 // The channel is symmetric: the controller can query agents (location
 // recovery, §5.2) over the same connection agents use for requests.
@@ -36,7 +42,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/packet"
 )
 
 // MsgType identifies a message.
@@ -87,6 +92,11 @@ const (
 	traceBytes   = 16 // trace id(8) + span id(8), present iff flagTraced
 	// MaxFrame bounds a frame so a corrupt peer cannot OOM us.
 	MaxFrame = 1 << 20
+	// maxRetained bounds each buffer a connection keeps between frames
+	// (its read buffer, its write buffers, a pooled call's reply): the
+	// size of the bufio reader. Larger frames (snapshot pushes) get
+	// one-off buffers.
+	maxRetained = 32 << 10
 )
 
 // frame is one decoded message. trace/span carry the optional span
@@ -103,7 +113,7 @@ type frame struct {
 // appendFrame serialises one frame onto buf.
 func appendFrame(buf []byte, f frame) ([]byte, error) {
 	if len(f.payload) > MaxFrame-headerBytes-traceBytes+4 {
-		return buf, fmt.Errorf("ctrlproto: payload %d bytes exceeds frame limit", len(f.payload))
+		return buf, errSize("payload exceeds the frame limit", len(f.payload))
 	}
 	n := 6 + len(f.payload)
 	if f.trace != 0 {
@@ -139,40 +149,26 @@ func writeFrame(w io.Writer, f frame) error {
 	return err
 }
 
-// readFrame reads one frame from an arbitrary reader (tests, fuzzing).
-// The read loop uses readFrameBuf instead: reading the header through an
-// io.Reader forces the 4-byte scratch to the heap on every frame.
+// readFrame reads one frame from an arbitrary reader into a fresh body
+// (tests, fuzzing). The read loop uses conn.readFrame instead.
 func readFrame(r io.Reader) (frame, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 		return frame{}, err
 	}
-	return readFrameBody(r, binary.BigEndian.Uint32(lenBuf[:]))
+	return readBody(r, binary.BigEndian.Uint32(lenBuf[:]), nil)
 }
 
-// readFrameBuf reads one frame from the connection's buffered reader. The
-// length header is peeked straight out of the bufio buffer, so the hot
-// read loop allocates nothing for it.
-func readFrameBuf(br *bufio.Reader) (frame, error) {
-	hdr, err := br.Peek(4)
-	if err != nil {
-		return frame{}, err
-	}
-	n := binary.BigEndian.Uint32(hdr)
-	if _, err := br.Discard(4); err != nil {
-		return frame{}, err
-	}
-	return readFrameBody(br, n)
-}
-
-// readFrameBody reads and parses the n-byte frame body.
-func readFrameBody(r io.Reader, n uint32) (frame, error) {
+// readBody reads the n-byte frame body into buf — or into a fresh array
+// when buf is too small — and parses it. The payload aliases that array.
+func readBody(r io.Reader, n uint32, buf []byte) (frame, error) {
 	if n < 6 || n > MaxFrame {
-		//lint:ignore hotpath malformed frame tears the connection down; never the steady state
-		return frame{}, fmt.Errorf("ctrlproto: bad frame length %d", n)
+		return frame{}, errSize("bad frame length", int(n))
 	}
-	//lint:ignore hotpath per-frame body buffer: it becomes the payload's backing array and outlives the read
-	body := make([]byte, n)
+	if int(n) > cap(buf) {
+		buf = newBuf(int(n))
+	}
+	body := buf[:n]
 	if _, err := io.ReadFull(r, body); err != nil {
 		return frame{}, err
 	}
@@ -184,8 +180,7 @@ func readFrameBody(r io.Reader, n uint32) (frame, error) {
 	rest := body[6:]
 	if body[1]&flagTraced != 0 {
 		if len(rest) < traceBytes {
-			//lint:ignore hotpath malformed frame tears the connection down; never the steady state
-			return frame{}, fmt.Errorf("ctrlproto: traced frame length %d too short", n)
+			return frame{}, errSize("traced frame too short", int(n))
 		}
 		f.trace = binary.BigEndian.Uint64(rest[0:8])
 		if f.trace != 0 {
@@ -199,73 +194,58 @@ func readFrameBody(r io.Reader, n uint32) (frame, error) {
 	return f, nil
 }
 
-// PathRequest is the hot-path message: 8 bytes, hand-packed.
-type PathRequest struct {
-	BS     packet.BSID
-	Clause uint32
-}
-
-func (p PathRequest) marshal() []byte {
-	b := make([]byte, 8)
-	binary.BigEndian.PutUint32(b[0:4], uint32(p.BS))
-	binary.BigEndian.PutUint32(b[4:8], p.Clause)
-	return b
-}
-
-func parsePathRequest(b []byte) (PathRequest, error) {
-	if len(b) != 8 {
-		return PathRequest{}, fmt.Errorf("ctrlproto: path request payload %d bytes", len(b))
-	}
-	return PathRequest{
-		BS:     packet.BSID(binary.BigEndian.Uint32(b[0:4])),
-		Clause: binary.BigEndian.Uint32(b[4:8]),
-	}, nil
-}
-
-// PathReply carries the tag, 4 bytes.
-type PathReply struct{ Tag packet.Tag }
-
-func (p PathReply) marshal() []byte {
-	b := make([]byte, 4)
-	binary.BigEndian.PutUint32(b, uint32(p.Tag))
-	return b
-}
-
-func parsePathReply(b []byte) (PathReply, error) {
-	if len(b) != 4 {
-		return PathReply{}, fmt.Errorf("ctrlproto: path reply payload %d bytes", len(b))
-	}
-	return PathReply{Tag: packet.Tag(binary.BigEndian.Uint32(b))}, nil
-}
-
-// AttachRequest admits a UE (JSON payload: cold path).
-type AttachRequest struct {
-	IMSI string      `json:"imsi"`
-	BS   packet.BSID `json:"bs"`
-}
-
-// AttachReply returns the UE record and its classifiers.
-type AttachReply struct {
-	UE          core.UE           `json:"ue"`
-	Classifiers []core.Classifier `json:"classifiers"`
-}
-
-// HandoffRequest moves a UE.
-type HandoffRequest struct {
-	IMSI  string      `json:"imsi"`
-	NewBS packet.BSID `json:"newBS"`
-}
+// newBuf allocates a buffer the connection's retained ones cannot serve.
+//
+// hotpath: cold
+//
+//go:noinline
+func newBuf(n int) []byte { return make([]byte, n) }
 
 // SnapshotNotify is the controller-initiated push of one station's
-// versioned agent view (JSON payload: snapshots are cold-path, the point
-// is that packet-ins never wait for them). It is a notification, not a
-// request: the agent swaps the snapshot in (or refuses a stale version)
+// versioned agent view (JSON payload: snapshots are cold and large, and the
+// point is that packet-ins never wait for them). It is a notification, not
+// a request: the agent swaps the snapshot in (or refuses a stale version)
 // locally and never replies — a pusher wanting a publish barrier follows
 // the push with an Echo on the same connection, which the receiving read
 // loop processes strictly after the snapshot frame.
 type SnapshotNotify struct {
 	Version uint64         `json:"version"`
 	View    core.AgentView `json:"view"`
+}
+
+// call is one request's rendezvous with its reply. Whoever unregisters it
+// from conn.pending — the read loop with the reply, fail with the
+// connection's error — fills it in and signals done exactly once; the
+// requester reads it after the signal. A call goes back on the free list
+// only once its requester has received that signal and read the reply, and
+// never after a timeout or a connection failure.
+type call struct {
+	done chan struct{} // capacity 1: the one signal per use
+	typ  MsgType       // reply type
+	buf  []byte        // reply payload, copied in by the read loop
+	err  error         // connection failure instead of a reply
+}
+
+// newCall is the free list's miss path.
+//
+// hotpath: cold
+//
+//go:noinline
+func newCall() *call { return &call{done: make(chan struct{}, 1)} }
+
+// wait blocks up to timeout for the call's signal, reporting whether it
+// came.
+//
+// hotpath: cold
+func (r *call) wait(timeout time.Duration) bool {
+	t := time.NewTimer(timeout)
+	defer t.Stop()
+	select {
+	case <-r.done:
+		return true
+	case <-t.C:
+		return false
+	}
 }
 
 // conn is the symmetric framed connection with request correlation.
@@ -279,11 +259,19 @@ type conn struct {
 	// br buffers the read side so one transport read can deliver a whole
 	// batch of frames; only readLoop touches it.
 	br *bufio.Reader
+	// body is the read loop's frame buffer: every frame up to maxRetained
+	// is read into it, so a payload is valid only until the next frame is
+	// read — handlers copy what they keep. out is the read loop's reply
+	// scratch: handlers encode a reply payload there and reply copies it
+	// into the write buffer.
+	body []byte
+	out  []byte
 
 	writeMu sync.Mutex // serialises flushes of wbuf to raw
 	bufMu   sync.Mutex
 	wbuf    []byte // guarded by bufMu; frames awaiting the next flush
 	nbuf    int    // guarded by bufMu; frame count in wbuf
+	spare   []byte // guarded by writeMu; the last flush's buffer, wbuf's next
 	nextID  uint32
 
 	// Optional wire telemetry (nil-safe): flush batch sizes, observed by
@@ -301,16 +289,17 @@ type conn struct {
 	wspan  uint64 // guarded by bufMu
 
 	mu      sync.Mutex
-	pending map[uint32]chan frame
-	closed  bool
-	err     error
+	pending map[uint32]*call // guarded by mu
+	free    []*call          // guarded by mu; delivered calls for reuse
+	closed  bool             // guarded by mu
+	err     error            // guarded by mu; why the connection failed
 }
 
 func newConn(raw net.Conn) *conn {
 	return &conn{
 		raw:     raw,
-		br:      bufio.NewReaderSize(raw, 32<<10),
-		pending: make(map[uint32]chan frame),
+		br:      bufio.NewReaderSize(raw, maxRetained),
+		pending: make(map[uint32]*call),
 	}
 }
 
@@ -342,15 +331,23 @@ func (c *conn) buffer(f frame) error {
 // wrote) this sender's frame; a write error on a carried batch surfaces to
 // that flusher, and to everyone else when the dead connection fails their
 // next read or write.
+//
+// The buffer is doubled: the batch in flight is the spare, and senders
+// append to the other one meanwhile, so neither is ever reallocated once
+// both have grown to the connection's batch size.
 func (c *conn) flush() error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
 	c.bufMu.Lock()
 	out, n := c.wbuf, c.nbuf
 	tr, spn := c.wtrace, c.wspan
-	c.wbuf, c.nbuf = nil, 0
+	c.wbuf, c.nbuf = c.spare[:0], 0
 	c.wtrace, c.wspan = 0, 0
 	c.bufMu.Unlock()
+	c.spare = nil
+	if cap(out) <= maxRetained {
+		c.spare = out
+	}
 	if len(out) == 0 {
 		return nil
 	}
@@ -358,11 +355,6 @@ func (c *conn) flush() error {
 	sp := c.flushSpan.Start(obs.SpanContext{Trace: obs.TraceID(tr), Span: obs.SpanID(spn)})
 	_, err := c.raw.Write(out)
 	sp.End()
-	c.bufMu.Lock()
-	if c.wbuf == nil {
-		c.wbuf = out[:0] // recycle the batch buffer while the line is idle
-	}
-	c.bufMu.Unlock()
 	return err
 }
 
@@ -378,11 +370,15 @@ func (c *conn) send(f frame) error {
 // response arriving.
 var ErrTimeout = errors.New("ctrlproto: request timed out")
 
+// errClosed is the failure of a connection closed locally.
+var errClosed = errors.New("ctrlproto: connection closed")
+
 // request issues a request carrying span context on its frame and blocks
 // for its response, retransmitting with the SAME request id after each
 // timeout until a response arrives or attempts sends have gone unanswered.
 // timeout <= 0 disables the timer (a single send that blocks until the
-// connection dies).
+// connection dies). The reply payload is the returned call's buf; the
+// caller reads it and hands the call back with release.
 //
 // The round trip is timed under a wire.rtt child span, so attribution can
 // split end-to-end latency into on-the-wire and remote-serve segments.
@@ -396,7 +392,7 @@ var ErrTimeout = errors.New("ctrlproto: request timed out")
 // loop silently discards any later duplicates (their reqID no longer has a
 // waiter). Callers are responsible for only retrying operations the remote
 // side can absorb twice.
-func (c *conn) request(sc obs.SpanContext, typ MsgType, payload []byte, timeout time.Duration, attempts int) (frame, error) {
+func (c *conn) request(sc obs.SpanContext, typ MsgType, payload []byte, timeout time.Duration, attempts int) (*call, error) {
 	sp := c.rttSpan.Start(sc)
 	defer sp.End()
 	if sp.Context().Sampled() {
@@ -406,76 +402,108 @@ func (c *conn) request(sc obs.SpanContext, typ MsgType, payload []byte, timeout 
 		attempts = 1
 	}
 	id := atomic.AddUint32(&c.nextID, 1)
-	ch := make(chan frame, 1)
-	c.mu.Lock()
-	if c.closed {
-		err := c.err
-		c.mu.Unlock()
-		if err == nil {
-			err = errors.New("ctrlproto: connection closed")
-		}
-		return frame{}, err
+	r, err := c.register(id)
+	if err != nil {
+		return nil, err
 	}
-	c.pending[id] = ch
-	c.mu.Unlock()
-	unregister := func() {
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-	}
-	for try := 0; try < attempts; try++ {
-		if try > 0 {
+	f := frame{typ: typ, reqID: id, trace: uint64(sc.Trace), span: uint64(sc.Span), payload: payload}
+	for try := 1; ; try++ {
+		if try > 1 {
 			c.retrans.Inc()
 		}
-		if err := c.send(frame{typ: typ, reqID: id, trace: uint64(sc.Trace), span: uint64(sc.Span), payload: payload}); err != nil {
-			unregister()
-			return frame{}, err
+		if err := c.send(f); err != nil {
+			if c.take(id) != nil {
+				return nil, err
+			}
+			break // a reply or the connection's failure got there first
 		}
 		if timeout <= 0 {
-			return c.await(ch)
+			break
 		}
-		timer := time.NewTimer(timeout)
-		select {
-		case f, ok := <-ch:
-			timer.Stop()
-			//lint:ignore lockcheck mu was released after registering the pending channel; finish re-locks on a cold path
-			return c.finish(f, ok)
-		case <-timer.C:
+		if r.wait(timeout) {
+			return c.finish(r)
+		}
+		if try == attempts {
+			return c.timedOut(id, r, attempts)
 		}
 	}
-	unregister()
-	// A response racing the last timeout may already sit in the buffered
-	// channel; prefer it over the timeout error.
-	select {
-	case f, ok := <-ch:
-		//lint:ignore lockcheck mu was released after registering the pending channel; finish re-locks on a cold path
-		return c.finish(f, ok)
-	default:
-	}
-	return frame{}, fmt.Errorf("%w after %d attempts", ErrTimeout, attempts)
+	<-r.done
+	return c.finish(r)
 }
 
-// await blocks for the response (or connection death) on a pending channel.
-func (c *conn) await(ch chan frame) (frame, error) {
-	f, ok := <-ch
-	return c.finish(f, ok)
+// register files a call under request id, reusing a released one when the
+// free list has it.
+func (c *conn) register(id uint32) (*call, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return nil, c.err
+	}
+	var r *call
+	if n := len(c.free); n > 0 {
+		r, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		r = newCall()
+	}
+	c.pending[id] = r
+	return r, nil
 }
 
-// finish translates a pending-channel delivery into the caller's result.
-func (c *conn) finish(f frame, ok bool) (frame, error) {
-	if !ok {
-		c.mu.Lock()
-		err := c.err
-		c.mu.Unlock()
-		if err == nil {
-			err = errors.New("ctrlproto: connection closed")
-		}
-		return frame{}, err
+// take unregisters the call pending under id and returns it, or nil when
+// there is none (answered, failed or given up on). Taking a call is the
+// right to signal it.
+func (c *conn) take(id uint32) *call {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	r := c.pending[id]
+	delete(c.pending, id)
+	return r
+}
+
+// release puts a delivered call on the free list once its requester is
+// done with the reply; a reply buffer grown past maxRetained is dropped.
+func (c *conn) release(r *call) {
+	if cap(r.buf) > maxRetained {
+		r.buf = nil
 	}
-	if f.typ == MsgError {
-		return frame{}, fmt.Errorf("ctrlproto: remote error: %s", f.payload)
+	c.mu.Lock()
+	c.free = append(c.free, r)
+	c.mu.Unlock()
+}
+
+// finish turns a signalled call into the requester's result.
+func (c *conn) finish(r *call) (*call, error) {
+	if r.err != nil {
+		return nil, r.err
 	}
-	return f, nil
+	if r.typ == MsgError {
+		err := remoteError(r.buf)
+		c.release(r)
+		return nil, err
+	}
+	return r, nil
+}
+
+// timedOut ends a request whose last attempt went unanswered. A reply
+// racing the final timeout wins; otherwise the call is unregistered, so no
+// late reply can land in it, and it is left to the collector.
+//
+// hotpath: cold
+func (c *conn) timedOut(id uint32, r *call, attempts int) (*call, error) {
+	if c.take(id) == nil {
+		<-r.done
+		return c.finish(r)
+	}
+	return nil, fmt.Errorf("%w after %d attempts", ErrTimeout, attempts)
+}
+
+// remoteError is the requester's view of a MsgError reply.
+//
+// hotpath: cold
+//
+//go:noinline
+func remoteError(msg []byte) error {
+	return fmt.Errorf("ctrlproto: remote error: %s", msg)
 }
 
 // reply enqueues a response frame without flushing: the read loop that
@@ -488,12 +516,15 @@ func (c *conn) reply(req frame, typ MsgType, payload []byte) error {
 		trace: req.trace, span: req.span, payload: payload})
 }
 
+// replyError answers req with the error's text.
+//
+// hotpath: cold
 func (c *conn) replyError(req frame, err error) error {
 	return c.reply(req, MsgError, []byte(err.Error()))
 }
 
 // frameBuffered reports whether br already holds a complete, well-formed
-// frame, i.e. whether the next readFrameBuf returns without touching the
+// frame, i.e. whether the next readFrame returns without touching the
 // transport.
 func frameBuffered(br *bufio.Reader) bool {
 	have := br.Buffered()
@@ -506,6 +537,25 @@ func frameBuffered(br *bufio.Reader) bool {
 	}
 	n := binary.BigEndian.Uint32(hdr)
 	return n >= 6 && n <= MaxFrame && uint32(have-4) >= n
+}
+
+// readFrame reads the connection's next frame into its body buffer. The
+// length header is peeked straight out of the bufio buffer, and the body
+// buffer grows (up to maxRetained) only when a frame outgrows it, so the
+// read loop allocates nothing per frame.
+func (c *conn) readFrame() (frame, error) {
+	hdr, err := c.br.Peek(4)
+	if err != nil {
+		return frame{}, err
+	}
+	n := binary.BigEndian.Uint32(hdr)
+	if _, err := c.br.Discard(4); err != nil {
+		return frame{}, err
+	}
+	if int(n) > cap(c.body) && n <= maxRetained {
+		c.body = newBuf(min(max(int(n), 2*cap(c.body), 512), maxRetained))
+	}
+	return readBody(c.br, n, c.body)
 }
 
 // readLoop is the one place a connection's incoming frames are served, on
@@ -538,21 +588,16 @@ func (c *conn) readLoop(handle func(frame)) {
 			_ = c.flush()
 			unflushed = false
 		}
-		f, err := readFrameBuf(c.br)
+		f, err := c.readFrame()
 		if err != nil {
-			//lint:ignore lockcheck the dispatch lock below is released before the next loop iteration; fail never runs under it
 			c.fail(err)
 			return
 		}
 		if f.resp {
-			c.mu.Lock()
-			ch, ok := c.pending[f.reqID]
-			if ok {
-				delete(c.pending, f.reqID)
-			}
-			c.mu.Unlock()
-			if ok {
-				ch <- f
+			if r := c.take(f.reqID); r != nil {
+				r.typ = f.typ
+				r.buf = append(r.buf[:0], f.payload...)
+				r.done <- struct{}{}
 			}
 			continue
 		}
@@ -561,7 +606,8 @@ func (c *conn) readLoop(handle func(frame)) {
 	}
 }
 
-// fail tears the connection down once: error paths only.
+// fail tears the connection down once and fails every pending request with
+// err: error paths only.
 //
 // hotpath: cold
 func (c *conn) fail(err error) {
@@ -572,15 +618,16 @@ func (c *conn) fail(err error) {
 	}
 	c.closed = true
 	c.err = err
-	for id, ch := range c.pending {
-		close(ch)
+	for id, r := range c.pending {
 		delete(c.pending, id)
+		r.err = err
+		r.done <- struct{}{} // cannot block: a pending call has not been signalled
 	}
 	_ = c.raw.Close()
 }
 
 func (c *conn) Close() error {
-	c.fail(errors.New("ctrlproto: closed"))
+	c.fail(errClosed)
 	return nil
 }
 

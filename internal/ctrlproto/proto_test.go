@@ -56,12 +56,12 @@ func TestFrameRejectsBadLength(t *testing.T) {
 
 func TestPathMessagesRoundTrip(t *testing.T) {
 	req := PathRequest{BS: 77, Clause: 5}
-	got, err := parsePathRequest(req.marshal())
+	got, err := parsePathRequest(req.appendTo(nil))
 	if err != nil || got != req {
 		t.Fatalf("request: %+v %v", got, err)
 	}
 	rep := PathReply{Tag: 1234}
-	gotR, err := parsePathReply(rep.marshal())
+	gotR, err := parsePathReply(rep.appendTo(nil))
 	if err != nil || gotR != rep {
 		t.Fatalf("reply: %+v %v", gotR, err)
 	}
@@ -137,8 +137,8 @@ func TestClientServerPathRequest(t *testing.T) {
 	if err != nil || tag2 != tag {
 		t.Fatalf("repeat request: %d %v", tag2, err)
 	}
-	if srv.Requests != 2 {
-		t.Fatalf("server requests = %d", srv.Requests)
+	if n := srv.Requests.Load(); n != 2 {
+		t.Fatalf("server requests = %d", n)
 	}
 }
 
@@ -253,8 +253,8 @@ func TestConcurrentClients(t *testing.T) {
 		}(cl)
 	}
 	wg.Wait()
-	if srv.Requests != 200 {
-		t.Fatalf("requests = %d, want 200", srv.Requests)
+	if n := srv.Requests.Load(); n != 200 {
+		t.Fatalf("requests = %d, want 200", n)
 	}
 }
 

@@ -88,7 +88,7 @@ func TestPipelinedBurstServedInOrder(t *testing.T) {
 	for i := 0; i < n; i++ {
 		var err error
 		burst, err = appendFrame(burst, frame{typ: MsgPathRequest, reqID: uint32(100 + i),
-			payload: PathRequest{BS: 7, Clause: uint32(i)}.marshal()})
+			payload: PathRequest{BS: 7, Clause: uint32(i)}.appendTo(nil)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,7 @@
 package ctrlproto
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -48,7 +48,7 @@ type Server struct {
 	wg    sync.WaitGroup
 
 	// Requests counts path requests served (all connections).
-	Requests uint64
+	Requests atomic.Uint64
 
 	// Wire telemetry handles (nil-safe no-ops); set by Instrument.
 	obsFrames    *obs.Counter
@@ -121,7 +121,8 @@ func (s *Server) forget(c *conn) {
 }
 
 // handle serves one request frame; the reply is buffered for the read
-// loop's next flush.
+// loop's next flush. f.payload lives in the connection's read buffer, so
+// everything a handler keeps is decoded out of it first.
 func (s *Server) handle(c *conn, f frame) {
 	s.obsFrames.Inc()
 	// Continue the frame's trace: handler work nests under a wire.serve
@@ -145,57 +146,35 @@ func (s *Server) handle(c *conn, f frame) {
 	switch f.typ {
 	case MsgHello:
 		if len(f.payload) == 4 {
-			bs := packet.BSID(uint32(f.payload[0])<<24 | uint32(f.payload[1])<<16 |
-				uint32(f.payload[2])<<8 | uint32(f.payload[3]))
-			s.setStation(c, bs)
+			s.setStation(c, packet.BSID(binary.BigEndian.Uint32(f.payload)))
 		}
 		_ = c.reply(f, MsgHello, nil)
 	case MsgEcho:
 		_ = c.reply(f, MsgEcho, f.payload)
 	case MsgResolve:
 		if len(f.payload) != 4 {
-			_ = c.replyError(f, fmt.Errorf("resolve payload %d bytes", len(f.payload)))
+			_ = c.replyError(f, errSize("resolve payload", len(f.payload)))
 			return
 		}
-		perm := packet.Addr(uint32(f.payload[0])<<24 | uint32(f.payload[1])<<16 |
-			uint32(f.payload[2])<<8 | uint32(f.payload[3]))
-		loc, err := s.Ctrl.ResolveLocIP(perm)
+		loc, err := s.Ctrl.ResolveLocIP(packet.Addr(binary.BigEndian.Uint32(f.payload)))
 		if err != nil {
 			_ = c.replyError(f, err)
 			return
 		}
-		b := make([]byte, 4)
-		b[0], b[1], b[2], b[3] = byte(loc>>24), byte(loc>>16), byte(loc>>8), byte(loc)
-		_ = c.reply(f, MsgResolve, b)
+		var b [4]byte
+		binary.BigEndian.PutUint32(b[:], uint32(loc))
+		_ = c.reply(f, MsgResolve, b[:])
 	case MsgPathRequest:
-		req, err := parsePathRequest(f.payload)
-		if err != nil {
-			_ = c.replyError(f, err)
-			return
-		}
-		var tag packet.Tag
-		if t, ok := s.Ctrl.(TracedControlPlane); ok {
-			tag, err = t.RequestPathCtx(sc, req.BS, int(req.Clause))
-		} else {
-			tag, err = s.Ctrl.RequestPath(req.BS, int(req.Clause))
-		}
-		if err != nil {
-			_ = c.replyError(f, err)
-			return
-		}
-		atomic.AddUint64(&s.Requests, 1)
-		s.obsRequests.Inc()
-		_ = c.reply(f, MsgPathRequest, PathReply{Tag: tag}.marshal())
+		s.servePath(c, f, sc)
 	case MsgAttach:
-		var req AttachRequest
-		if err := json.Unmarshal(f.payload, &req); err != nil {
+		req, err := parseAttachRequest(f.payload)
+		if err != nil {
 			_ = c.replyError(f, err)
 			return
 		}
 		var (
 			ue  core.UE
 			cls []core.Classifier
-			err error
 		)
 		if t, ok := s.Ctrl.(TracedControlPlane); ok {
 			ue, cls, err = t.AttachCtx(sc, req.IMSI, req.BS)
@@ -206,17 +185,15 @@ func (s *Server) handle(c *conn, f frame) {
 			_ = c.replyError(f, err)
 			return
 		}
-		_ = c.reply(f, MsgAttach, marshalJSON(AttachReply{UE: ue, Classifiers: cls}))
+		c.out = AttachReply{UE: ue, Classifiers: cls}.appendTo(c.out[:0])
+		_ = c.reply(f, MsgAttach, c.out)
 	case MsgHandoff:
-		var req HandoffRequest
-		if err := json.Unmarshal(f.payload, &req); err != nil {
+		req, err := parseHandoffRequest(f.payload)
+		if err != nil {
 			_ = c.replyError(f, err)
 			return
 		}
-		var (
-			res core.HandoffResult
-			err error
-		)
+		var res core.HandoffResult
 		if t, ok := s.Ctrl.(TracedControlPlane); ok {
 			res, err = t.HandoffCtx(sc, req.IMSI, req.NewBS)
 		} else {
@@ -226,10 +203,37 @@ func (s *Server) handle(c *conn, f frame) {
 			_ = c.replyError(f, err)
 			return
 		}
-		_ = c.reply(f, MsgHandoff, marshalJSON(res))
+		c.out = appendHandoffResult(c.out[:0], res)
+		_ = c.reply(f, MsgHandoff, c.out)
 	default:
 		_ = c.replyError(f, fmt.Errorf("unknown message type %s", f.typ))
 	}
+}
+
+// servePath answers one path request: the steady state of §6.2's
+// controller benchmark, so it allocates nothing on a tag-cache hit.
+//
+// hotpath: no alloc
+func (s *Server) servePath(c *conn, f frame, sc obs.SpanContext) {
+	req, err := parsePathRequest(f.payload)
+	if err != nil {
+		_ = c.replyError(f, err)
+		return
+	}
+	var tag packet.Tag
+	if t, ok := s.Ctrl.(TracedControlPlane); ok {
+		tag, err = t.RequestPathCtx(sc, req.BS, int(req.Clause))
+	} else {
+		tag, err = s.Ctrl.RequestPath(req.BS, int(req.Clause))
+	}
+	if err != nil {
+		_ = c.replyError(f, err)
+		return
+	}
+	s.Requests.Add(1)
+	s.obsRequests.Inc()
+	var b [4]byte
+	_ = c.reply(f, MsgPathRequest, PathReply{Tag: tag}.appendTo(b[:0]))
 }
 
 // PushSnapshot sends one station's versioned snapshot to every connected
@@ -283,12 +287,13 @@ func (s *Server) QueryLocations() (int, error) {
 	var reports []core.AgentLocationReport
 	answered := 0
 	for _, c := range conns {
-		f, err := c.request(obs.SpanContext{}, MsgLocationQuery, nil, 0, 1)
+		r, err := c.request(obs.SpanContext{}, MsgLocationQuery, nil, 0, 1)
 		if err != nil {
 			continue // dead agents are skipped; their UEs re-attach later
 		}
-		var rep core.AgentLocationReport
-		if err := json.Unmarshal(f.payload, &rep); err != nil {
+		rep, err := parseLocationReport(r.buf)
+		c.release(r)
+		if err != nil {
 			continue
 		}
 		reports = append(reports, rep)
