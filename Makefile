@@ -52,11 +52,12 @@ chaos:
 
 # cover enforces the checked-in statement-coverage floor for the packages
 # whose invariants the chaos harness and the data plane's sync lean on, for
-# the plant builder every harness stands on, and for the control channel.
+# the plant builder every harness stands on, for the control channel and
+# for the §5.2 store.
 # Raise the baseline in results/coverage_baseline.txt when coverage grows;
 # verify fails if a change drops below it.
 cover:
-	@for pkg in internal/core internal/ctrlproto internal/dataplane internal/fastpath internal/obs internal/plant internal/shard internal/switchsim; do \
+	@for pkg in internal/core internal/ctrlproto internal/dataplane internal/fastpath internal/obs internal/plant internal/shard internal/store internal/switchsim; do \
 		pct=$$($(GO) test -cover ./$$pkg | awk '{for (i=1;i<=NF;i++) if ($$i == "coverage:") {sub(/%/,"",$$(i+1)); print $$(i+1)}}'); \
 		base=$$(awk -v p="repro/$$pkg" '$$1 == p {print $$2}' results/coverage_baseline.txt); \
 		if [ -z "$$pct" ] || [ -z "$$base" ]; then echo "cover: no coverage or baseline for $$pkg"; exit 1; fi; \
@@ -164,13 +165,15 @@ profile:
 	$(GO) test -run '^$$' -bench 'BenchmarkObsOverhead' -benchmem \
 		-o results/obs.test ./internal/obs | tee results/bench_obs.txt
 
-# loc prints the non-test Go line count per top-level directory and in
-# total, leaving out the benchmark module and the lint fixtures: the number
-# a simplification quotes before and after.
+# loc prints the non-test Go line count per top-level directory (per
+# package under internal/) and in total, leaving out the benchmark module
+# and the lint fixtures: the numbers a simplification quotes before and
+# after.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' \
 		! -path './internal/lint/testdata/*' -print0 | xargs -0 wc -l | \
-		awk '$$2 != "total" { n = split($$2, p, "/"); by[n > 2 ? p[2] : "(root)"] += $$1; t += $$1 } \
+		awk '$$2 != "total" { n = split($$2, p, "/"); \
+			d = n > 3 && p[2] == "internal" ? p[2] "/" p[3] : n > 2 ? p[2] : "(root)"; by[d] += $$1; t += $$1 } \
 			END { for (d in by) printf "%7d  %s\n", by[d], d; printf "%7d  total\n", t }' | sort -k2
 
 clean:

@@ -13,7 +13,6 @@ import (
 	"net"
 
 	softcell "repro"
-	"repro/internal/core"
 	"repro/internal/ctrlproto"
 	"repro/internal/packet"
 	"repro/internal/policy"
@@ -131,5 +130,4 @@ func main() {
 	}
 	fmt.Printf("controller re-pushed state for %d UE(s); addresses unchanged\n", restored)
 	fmt.Println("\nfailures handled: the impact was local and no data-plane state was lost")
-	_ = core.AgentLocationReport{}
 }

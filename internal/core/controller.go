@@ -527,13 +527,20 @@ func (c *Controller) resolvePathLocked(bs packet.BSID, clause int) (packet.Tag, 
 	c.publishTagLocked(pathKey{bs, clause}, rec.AccessTag())
 	c.obs.evInstall.Emit(int64(bs), int64(clause), int64(rec.AccessTag()), int64(added))
 	c.pathMiss.Add(1)
-	key := fmt.Sprintf("path/%d/%d", bs, clause)
-	blob := make([]byte, 8)
-	binary.BigEndian.PutUint64(blob, uint64(rec.ID))
-	if _, err := c.Store.Put(key, blob); err != nil {
+	if err := c.putPathDoc(pathKey{bs, clause}, rec.ID); err != nil {
 		return 0, err
 	}
 	return rec.AccessTag(), nil
+}
+
+// pathDoc is the store key of an installed path's document, whose value is
+// the path's PathID as 8 big-endian bytes.
+func pathDoc(key pathKey) string { return fmt.Sprintf("path/%d/%d", key.bs, key.clause) }
+
+// putPathDoc writes the document of the path installed under key.
+func (c *Controller) putPathDoc(key pathKey, id PathID) error {
+	_, err := c.Store.Put(pathDoc(key), binary.BigEndian.AppendUint64(nil, uint64(id)))
+	return err
 }
 
 // publishTagLocked adds one entry to the tagCache snapshot (copy-on-write:
@@ -759,7 +766,7 @@ func (c *Controller) RemovePolicyPaths(clause int) error {
 		if key.clause == clause {
 			drop[rec.ID] = true
 			delete(c.paths, key)
-			if _, err := c.Store.Delete(fmt.Sprintf("path/%d/%d", key.bs, clause)); err != nil {
+			if _, err := c.Store.Delete(pathDoc(key)); err != nil {
 				return err
 			}
 		}

@@ -72,7 +72,6 @@ func (c *Controller) recomputeLocked(rep FailureReport) (FailureReport, error) {
 	}
 	var keep []replanned
 	for _, key := range keys {
-		rec := c.paths[key]
 		cl, ok := c.Policy.Clause(key.clause)
 		if !ok || !cl.Action.Allow {
 			rep.Unreachable++
@@ -98,7 +97,6 @@ func (c *Controller) recomputeLocked(rep FailureReport) (FailureReport, error) {
 			continue
 		}
 		keep = append(keep, replanned{key: key, route: route})
-		_ = rec
 	}
 
 	inst, err := NewInstaller(c.T, c.Installer.Opts)
@@ -123,9 +121,25 @@ func (c *Controller) recomputeLocked(rep FailureReport) (FailureReport, error) {
 		newPaths[r.key] = rec
 		rep.Recomputed++
 	}
+	old := c.paths
 	c.Installer = inst
 	c.paths = newPaths
 	c.rebuildTagCacheLocked()
+	// The store's path/ documents follow: a withdrawn path's goes, and a
+	// reinstalled one's names its new ID (the fresh installer numbers paths
+	// from 1 again).
+	for _, key := range keys {
+		rec, ok := newPaths[key]
+		var err error
+		if !ok {
+			_, err = c.Store.Delete(pathDoc(key))
+		} else if rec.ID != old[key].ID {
+			err = c.putPathDoc(key, rec.ID)
+		}
+		if err != nil {
+			return rep, err
+		}
+	}
 	if rep.Recomputed+rep.Unreachable == 0 {
 		return rep, nil
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -44,6 +45,8 @@ type InvariantReport struct {
 //     rule counter.
 //   - Tag memo agreement: the cached (station, clause) tags are exactly the
 //     access tags of the currently installed paths, key for key.
+//   - Store agreement: the path/ documents are exactly the installed paths,
+//     each holding its path's 8-byte ID.
 //   - Tag discipline: segment tags respect the shard's residue class, and
 //     no tag serves two paths of one origin (paper footnote 2).
 //   - FIB verification: for every installed path, walking the rule tables
@@ -225,16 +228,23 @@ func (c *Controller) CheckInvariants() (InvariantReport, error) {
 		return rep, fmt.Errorf("core: per-switch rules %d+%d != installer counter %d", hw.Total(), sw.Total(), rep.Rules)
 	}
 
-	// Tag memo: exactly the installed paths' access tags, key for key.
+	// Tag memo and store documents: exactly the installed paths' access tags
+	// and IDs, key for key.
 	tags := *c.tagCache.Load()
 	for key, tag := range tags {
 		if _, ok := c.paths[key]; !ok {
 			return rep, fmt.Errorf("core: tag cache serves (bs %d, clause %d) = %d for a withdrawn path", key.bs, key.clause, tag)
 		}
 	}
+	if n := c.Store.Primary().Count("path/"); n != len(c.paths) {
+		return rep, fmt.Errorf("core: store holds %d path/ documents for %d installed paths", n, len(c.paths))
+	}
 	for key, rec := range c.paths {
 		if tags[key] != rec.AccessTag() {
 			return rep, fmt.Errorf("core: tag cache serves (bs %d, clause %d) = %d, installed path has %d", key.bs, key.clause, tags[key], rec.AccessTag())
+		}
+		if e, ok := c.Store.Get(pathDoc(key)); !ok || len(e.Value) != 8 || PathID(binary.BigEndian.Uint64(e.Value)) != rec.ID {
+			return rep, fmt.Errorf("core: path %d (bs %d, clause %d) has store document %x", rec.ID, key.bs, key.clause, e.Value)
 		}
 	}
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"repro/internal/packet"
@@ -128,6 +130,40 @@ func TestTagCacheFollowsFailureRecompute(t *testing.T) {
 		t.Fatalf("PathMiss = %d after recovery request, want %d", got, before+1)
 	}
 	assertCacheMatchesPaths(t, c)
+}
+
+// TestPathDocumentsFollowFailureRecompute: the store's path/ documents are
+// the installed paths, each naming its PathID, after a failure withdraws
+// some paths and renumbers the rest, and again after recovery.
+func TestPathDocumentsFollowFailureRecompute(t *testing.T) {
+	c, n := testController(t)
+	warmAll(t, c, []packet.BSID{0, 1, 2, 3})
+	assertDocsMatchPaths := func(when string) {
+		t.Helper()
+		keys := c.Store.Keys("path/")
+		if len(keys) != len(c.paths) {
+			t.Fatalf("%s: %d path/ documents for %d installed paths", when, len(keys), len(c.paths))
+		}
+		for key, rec := range c.paths {
+			e, ok := c.Store.Get(fmt.Sprintf("path/%d/%d", key.bs, key.clause))
+			if !ok || len(e.Value) != 8 || PathID(binary.BigEndian.Uint64(e.Value)) != rec.ID {
+				t.Fatalf("%s: (bs %d, clause %d) document %x, installed path %d", when, key.bs, key.clause, e.Value, rec.ID)
+			}
+		}
+		if _, err := c.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+	}
+	assertDocsMatchPaths("warm")
+	if _, err := c.FailSwitch(n.cs3); err != nil {
+		t.Fatal(err)
+	}
+	assertDocsMatchPaths("after FailSwitch")
+	if _, err := c.RecoverSwitch(n.cs3); err != nil {
+		t.Fatal(err)
+	}
+	warmAll(t, c, []packet.BSID{0, 1, 2, 3})
+	assertDocsMatchPaths("after RecoverSwitch")
 }
 
 // assertStationServedFromMemo states what a UE leaving (or a no-op

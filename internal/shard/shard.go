@@ -202,14 +202,17 @@ func (s *Shard) agentView(bs packet.BSID) (core.AgentView, error) {
 }
 
 // close stops the shard: later callers are refused with ErrShardDown, and
-// taking every slot waits out the operations still inside. Only the first
-// call does anything: the slots it took stay taken, so a second fill would
-// block forever.
+// taking every slot waits out the operations still inside. Handing them back
+// lets a caller blocked at the bound take one, see the shard dead and leave
+// with ErrShardDown instead of waiting forever. Only the first call acts.
 func (s *Shard) close() {
 	s.closed.Do(func() {
 		s.dead.Store(true)
 		for i := 0; i < cap(s.slots); i++ {
 			s.slots <- struct{}{}
+		}
+		for i := 0; i < cap(s.slots); i++ {
+			<-s.slots
 		}
 	})
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -214,5 +215,39 @@ func TestFailoverEquivalenceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// retainedPerPut is the live heap, after two GCs, that a store with the
+// given replica count keeps per sub/-shaped Put.
+func retainedPerPut(t *testing.T, replicas, n int) float64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s := New(replicas)
+	val := []byte("\x01\x02A\x06silver\x00\x00")
+	for i := range n {
+		if _, err := s.Put(fmt.Sprintf("sub/imsi-%09d", i), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(s)
+	return float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(n)
+}
+
+// TestStoreKeepsOneCopy: replicas cost a cursor each, not a copy of the
+// committed state, so two replicas retain what the primary alone does.
+func TestStoreKeepsOneCopy(t *testing.T) {
+	const n = 50000
+	alone := retainedPerPut(t, 0, n)
+	replicated := retainedPerPut(t, 2, n)
+	t.Logf("retained per Put: New(0) %.1f B, New(2) %.1f B", alone, replicated)
+	if replicated > alone*1.05 || replicated < alone*0.95 {
+		t.Fatalf("New(2) retains %.1f B per Put, New(0) %.1f B: want within 5%%", replicated, alone)
 	}
 }
