@@ -52,12 +52,13 @@ chaos:
 
 # cover enforces the checked-in statement-coverage floor for the packages
 # whose invariants the chaos harness and the data plane's sync lean on, for
-# the plant builder every harness stands on, for the control channel and
-# for the §5.2 store.
+# the plant builder every harness stands on, for the control channel, for
+# the §5.2 store, and for the topology and planner whose canonical descend
+# every location rule and shortcut route follows.
 # Raise the baseline in results/coverage_baseline.txt when coverage grows;
 # verify fails if a change drops below it.
 cover:
-	@for pkg in internal/core internal/ctrlproto internal/dataplane internal/fastpath internal/obs internal/plant internal/shard internal/store internal/switchsim; do \
+	@for pkg in internal/core internal/ctrlproto internal/dataplane internal/fastpath internal/obs internal/plant internal/routing internal/shard internal/store internal/switchsim internal/topo; do \
 		pct=$$($(GO) test -cover ./$$pkg | awk '{for (i=1;i<=NF;i++) if ($$i == "coverage:") {sub(/%/,"",$$(i+1)); print $$(i+1)}}'); \
 		base=$$(awk -v p="repro/$$pkg" '$$1 == p {print $$2}' results/coverage_baseline.txt); \
 		if [ -z "$$pct" ] || [ -z "$$base" ]; then echo "cover: no coverage or baseline for $$pkg"; exit 1; fi; \

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/packet"
@@ -205,7 +206,7 @@ type Installer struct {
 		installUse map[topo.NodeID]NextHop
 		candSeen   map[packet.Tag]bool
 		cands      []packet.Tag
-		chainIdx   map[topo.NodeID]int
+		chain      []topo.NodeID
 		downSegs   [][]step
 		upSegs     [][]step
 	}
@@ -244,7 +245,6 @@ func NewInstaller(t *topo.Topology, opts InstallerOptions) (*Installer, error) {
 	in.scratch.costUse = make(map[topo.NodeID]NextHop)
 	in.scratch.installUse = make(map[topo.NodeID]NextHop)
 	in.scratch.candSeen = make(map[packet.Tag]bool)
-	in.scratch.chainIdx = make(map[topo.NodeID]int)
 	return in, nil
 }
 
@@ -297,12 +297,13 @@ func (in *Installer) bootstrapLocation(root topo.NodeID, parent []topo.NodeID) {
 		rules += in.fibs[i].InsertLocation(Up, anyPort, carrier, ToNode(parent[n]))
 		rules += in.fibs[i].InsertLocation(Down, anyPort, carrier, ToNode(parent[n]))
 	}
+	var chain []topo.NodeID
 	for _, st := range in.T.Stations {
 		prefix, err := in.plan.BSPrefix(st.ID)
 		if err != nil {
 			continue
 		}
-		chain := in.T.AncestorChain(st.Access, parent)
+		chain = in.T.AppendAncestorChain(chain[:0], st.Access, parent)
 		if chain == nil || chain[len(chain)-1] != root {
 			continue
 		}
@@ -319,27 +320,17 @@ func (in *Installer) bootstrapLocation(root topo.NodeID, parent []topo.NodeID) {
 		// Adjacency-jump entries: every off-chain switch adjacent to a
 		// chain node dispatches this block straight to its lowest-index
 		// adjacent chain node, mirroring CanonicalDescend (full-mesh layers
-		// cut across instead of climbing through the root).
-		minIdx := make(map[topo.NodeID]int)
-		onChain := make(map[topo.NodeID]bool, len(chain))
-		for _, n := range chain {
-			onChain[n] = true
-		}
+		// cut across instead of climbing through the root): u's entry is
+		// placed from the first chain node it neighbours.
 		for i, v := range chain {
 			for _, u := range in.T.Nodes[v].Neighbors {
-				if onChain[u] {
+				if slices.Contains(chain, u) || in.Opts.SkipAccessSwitchRules && in.T.Nodes[u].Kind == topo.Access {
 					continue
 				}
-				if j, ok := minIdx[u]; !ok || i < j {
-					minIdx[u] = i
+				if slices.IndexFunc(chain, func(w topo.NodeID) bool { return in.T.Nodes[u].PortTo(w) >= 0 }) == i {
+					rules += in.fibs[u].InsertLocation(Down, anyPort, prefix, ToNode(v))
 				}
 			}
-		}
-		for u, i := range minIdx {
-			if in.Opts.SkipAccessSwitchRules && in.T.Nodes[u].Kind == topo.Access {
-				continue
-			}
-			rules += in.fibs[u].InsertLocation(Down, anyPort, prefix, ToNode(chain[i]))
 		}
 	}
 	in.stats.Rules += rules
@@ -349,10 +340,9 @@ func (in *Installer) bootstrapLocation(root topo.NodeID, parent []topo.NodeID) {
 // the destination access switch's ancestor chain, against which steps are
 // tested with topo.CanonicalDescend.
 type canonCtx struct {
-	enabled  bool
-	parent   []topo.NodeID
-	chain    []topo.NodeID
-	chainIdx map[topo.NodeID]int
+	enabled bool
+	parent  []topo.NodeID
+	chain   []topo.NodeID
 }
 
 func (in *Installer) canonFor(p *routing.Path, access topo.NodeID) canonCtx {
@@ -360,17 +350,13 @@ func (in *Installer) canonFor(p *routing.Path, access topo.NodeID) canonCtx {
 		return canonCtx{}
 	}
 	parent := in.tree(p.Gateway())
-	chain := in.T.AncestorChain(access, parent)
+	// The chain is scratch state: it lives only for this path's install.
+	chain := in.T.AppendAncestorChain(in.scratch.chain[:0], access, parent)
+	in.scratch.chain = chain
 	if chain == nil || chain[len(chain)-1] != p.Gateway() {
 		return canonCtx{}
 	}
-	// The index map is scratch state: it lives only for this path's install.
-	idx := in.scratch.chainIdx
-	clear(idx)
-	for i, n := range chain {
-		idx[n] = i
-	}
-	return canonCtx{enabled: true, parent: parent, chain: chain, chainIdx: idx}
+	return canonCtx{enabled: true, parent: parent, chain: chain}
 }
 
 // canonicalDown reports whether "at switch u forward to next" is the
@@ -379,7 +365,7 @@ func (in *Installer) canonicalDown(c canonCtx, u topo.NodeID, next NextHop) bool
 	if !c.enabled || next.MB != NoMB || next.NewTag != 0 || next.Node < 0 {
 		return false
 	}
-	want, done := in.T.CanonicalDescend(u, c.chain, c.chainIdx, c.parent)
+	want, done := in.T.CanonicalDescend(u, c.chain, c.parent)
 	return !done && want == next.Node
 }
 

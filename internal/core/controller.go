@@ -165,6 +165,11 @@ type Controller struct {
 	// the slow-path sequence used to sample ruleMu waits.
 	obs     coreObs
 	slowSeq atomic.Uint64
+
+	// hs holds the buffers a handoff reuses. It sits last so the fields
+	// every RequestPath touches keep their cache lines: tagCache, read by
+	// each request, stays off the line of pathAsks, written by each.
+	hs handoffScratch // guarded by ruleMu
 }
 
 // ControllerStats is a point-in-time snapshot of the controller's counters.
@@ -658,20 +663,18 @@ func (c *Controller) removeUE(imsi string, park bool) (MigratedUE, error) {
 // allocator, its slot to the free list, its holder mark and attribute
 // reference go, and the shortcuts of its reserved old LocIPs come down. With
 // park the reserved addresses wait, owned by no UE, for their
-// ReleaseOldLocIP; without, they are freed here and a later release finds
-// nothing.
+// ReleaseOldLocIP; without, they are freed here, in ascending order, and a
+// later release finds nothing.
 //
 // caller holds ueMu; caller holds ruleMu
 func (c *Controller) removeUELocked(r *ueRecord, slot uint32, park bool) MigratedUE {
 	m := MigratedUE{IMSI: r.imsi, Attr: c.attrs.attrOf(r.attr), PermIP: r.permIP, OldBS: r.bs, OldLocIP: r.locIP}
 	c.ues.locIdx.delete(r.locIP)
 	c.freeUEIDLocked(r.bs, r.ueid)
-	for loc, rsv := range c.reservations {
-		if rsv.imsi != m.IMSI {
-			continue
-		}
-		for _, sc := range rsv.shortcuts {
-			c.Installer.RemoveShortcut(sc)
+	for _, loc := range c.reservedLocked(m.IMSI) {
+		rsv := c.reservations[loc]
+		for i := range rsv.shortcuts {
+			c.Installer.RemoveShortcut(&rsv.shortcuts[i])
 		}
 		// Handoff left the reserved address indexed to this UE's slot; the
 		// entry would dangle once the record below is cleared.

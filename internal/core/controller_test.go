@@ -275,7 +275,8 @@ func TestShortcutThatRecrossesItsPathIsSkipped(t *testing.T) {
 	}
 	rec := c.Installer.Paths()[0]
 	pos, _ := branchPoint(rec)
-	route, err := c.descendRoute(m, y)
+	parent := c.Installer.tree(gw)
+	route, err := c.descendRoute(nil, m, c.T.AncestorChain(y, parent), parent)
 	if err != nil {
 		t.Fatal(err)
 	}

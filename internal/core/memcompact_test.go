@@ -374,11 +374,15 @@ func TestInternPoolSteadyStateZeroAllocs(t *testing.T) {
 }
 
 // TestChurnCycleAllocBudget pins the whole steady-state
-// attach -> handoff -> detach cycle to a small constant allocation budget.
-// Literal zero is out of reach — the replicated store (Put copies its
-// document) and the per-handoff Shortcut records allocate by design — but
-// the budget catches any regression to per-UE map/string churn, which cost
-// dozens of allocations per cycle in the pre-compaction layout.
+// attach -> handoff -> detach cycle to its measured allocation count (7)
+// plus two. Literal zero is out of reach — the two classifier slices the
+// cycle hands back, the reservation record the handoff keeps, and the
+// classifier template each attach recompiles (the detach released its only
+// holder) allocate by design — but the budget catches any regression to
+// per-UE map/string churn, which cost dozens of allocations per cycle in
+// the pre-compaction layout. No path is cached at the home station, so the
+// handoff cuts no shortcuts; TestHandoffLocalAllocBudget in internal/shard
+// prices those.
 func TestChurnCycleAllocBudget(t *testing.T) {
 	c, _ := testController(t)
 	if err := c.RegisterSubscriber("imsi-cycle", policy.Attributes{Provider: "A", Plan: "silver"}); err != nil {
@@ -401,7 +405,7 @@ func TestChurnCycleAllocBudget(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		cycle()
 	}
-	const budget = 64
+	const budget = 9
 	if allocs := testing.AllocsPerRun(200, cycle); allocs > budget {
 		t.Fatalf("steady-state attach/handoff/detach cycle allocates %.1f/op, budget %d", allocs, budget)
 	}

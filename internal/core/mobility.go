@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/packet"
@@ -35,26 +36,26 @@ type Shortcut struct {
 // shortcuts direct "incoming packets"); upstream old flows triangle-route
 // through the inter-station tunnel to their origin station, where the old
 // path's rules exist.
-// The shortcut keeps route and pathTags as given: the caller hands route
-// over, and pathTags is an installed path's Tags, which are never rewritten
-// in place. It returns the shortcut handle and the number of rules added.
-func (in *Installer) InstallShortcut(loc packet.Addr, route []topo.NodeID, branchMB topo.MBInstanceID, pathTags []packet.Tag, delivery packet.Tag) (*Shortcut, int, error) {
+// The rules are those sc describes; sc itself is neither kept nor changed.
+// It returns the number of rules added.
+func (in *Installer) InstallShortcut(sc *Shortcut) (int, error) {
+	route := sc.Route
 	if len(route) < 2 {
-		return nil, 0, fmt.Errorf("core: shortcut route needs at least two switches")
+		return 0, fmt.Errorf("core: shortcut route needs at least two switches")
 	}
-	if len(pathTags) == 0 || delivery == 0 {
-		return nil, 0, fmt.Errorf("core: shortcut needs the path's tags")
+	if len(sc.PathTags) == 0 || sc.Delivery == 0 {
+		return 0, fmt.Errorf("core: shortcut needs the path's tags")
 	}
 	rules := 0
-	first := NextHop{Node: route[1], MB: NoMB, NewTag: delivery}
-	for _, t := range pathTags {
-		rules += in.fibs[route[0]].InsertMobility(Down, fromMB(branchMB), t, loc, first)
+	first := NextHop{Node: route[1], MB: NoMB, NewTag: sc.Delivery}
+	for _, t := range sc.PathTags {
+		rules += in.fibs[route[0]].InsertMobility(Down, fromMB(sc.BranchMB), t, sc.Loc, first)
 	}
 	for i := 1; i < len(route)-1; i++ {
-		rules += in.fibs[route[i]].InsertMobility(Down, fromPort(route[i-1]), delivery, loc, ToNode(route[i+1]))
+		rules += in.fibs[route[i]].InsertMobility(Down, fromPort(route[i-1]), sc.Delivery, sc.Loc, ToNode(route[i+1]))
 	}
 	in.stats.Rules += rules
-	return &Shortcut{Loc: loc, Route: route, BranchMB: branchMB, PathTags: pathTags, Delivery: delivery}, rules, nil
+	return rules, nil
 }
 
 // RemoveShortcut tears a shortcut down (the soft-timeout expiry).
@@ -74,10 +75,48 @@ func (in *Installer) RemoveShortcut(sc *Shortcut) int {
 	return removed
 }
 
-// reservation tracks one reserved old LocIP and its current shortcuts.
+// reservation tracks one reserved old LocIP and its current shortcuts. The
+// shortcuts are one slab, and their routes one array, allocated by the
+// retarget that installed them; a later retarget replaces both rather than
+// writing into them, so handles a HandoffResult gave out never change.
 type reservation struct {
 	imsi      string // the UE whose record reserved it; "" once that UE detached
-	shortcuts []*Shortcut
+	shortcuts []Shortcut
+}
+
+// handoffScratch holds buffers one retarget reuses from the last, so
+// building shortcuts allocates only what the reservation keeps. Nothing in
+// here escapes.
+type handoffScratch struct {
+	chain  []topo.NodeID // the new access switch's ancestor chain
+	routes []topo.NodeID // one reservation's shortcut routes, back to back
+	cuts   []shortcutCut // where each of those routes sits in routes
+	locs   []packet.Addr // one UE's reserved LocIPs, ascending
+}
+
+// shortcutCut is one shortcut a retarget will install: the path it bypasses
+// and its route's bounds in handoffScratch.routes.
+type shortcutCut struct {
+	rec        *InstalledPath
+	branchMB   topo.MBInstanceID
+	start, end int
+}
+
+// reservedLocked lists the reserved LocIPs of a UE in ascending order, so
+// the shortcuts a handoff returns and the UE IDs a removal frees come out in
+// one order. The slice is scratch, valid until the next call.
+//
+// caller holds ueMu; caller holds ruleMu
+func (c *Controller) reservedLocked(imsi string) []packet.Addr {
+	locs := c.hs.locs[:0]
+	for loc, rsv := range c.reservations {
+		if rsv.imsi == imsi {
+			locs = append(locs, loc)
+		}
+	}
+	slices.Sort(locs)
+	c.hs.locs = locs
+	return locs
 }
 
 // stationPathsLocked calls fn for every installed path originating at bs, in
@@ -95,39 +134,67 @@ func (c *Controller) stationPathsLocked(bs packet.BSID, fn func(*InstalledPath) 
 }
 
 // retargetReservationsLocked points every reserved LocIP of a UE at its
-// newest station: old shortcuts come down, fresh ones (from each cached
-// path's branch point at the LocIP's origin station, in clause order) go in.
-// It touches both the reservation table and the rule tables, so it runs
-// under both locks (acquired in order by Handoff).
+// newest station, in ascending LocIP order: old shortcuts come down, fresh
+// ones (from each cached path's branch point at the LocIP's origin station,
+// in clause order) go in. The new access switch's chain is built once; each
+// reservation then allocates one shortcut slab and one route array. It
+// touches both the reservation table and the rule tables, so it runs under
+// both locks (acquired in order by Handoff).
 //
 // caller holds ueMu; caller holds ruleMu
 func (c *Controller) retargetReservationsLocked(imsi string, newAccess topo.NodeID) []*Shortcut {
-	var all []*Shortcut
-	for loc, rsv := range c.reservations {
-		if rsv.imsi != imsi {
-			continue
-		}
-		for _, sc := range rsv.shortcuts {
-			c.Installer.RemoveShortcut(sc)
+	hs := &c.hs
+	parent := c.Installer.tree(c.gateway)
+	hs.chain = c.T.AppendAncestorChain(hs.chain[:0], newAccess, parent)
+	locs := c.reservedLocked(imsi)
+	n := 0
+	for _, loc := range locs {
+		rsv := c.reservations[loc]
+		for i := range rsv.shortcuts {
+			c.Installer.RemoveShortcut(&rsv.shortcuts[i])
 		}
 		rsv.shortcuts = nil
 		originBS, _, ok := c.plan.Split(loc)
-		if !ok {
+		if !ok || hs.chain == nil {
 			continue
 		}
+		hs.routes, hs.cuts = hs.routes[:0], hs.cuts[:0]
 		c.stationPathsLocked(originBS, func(rec *InstalledPath) bool {
 			pos, branchMB := branchPoint(rec)
-			route, err := c.descendRoute(rec.Route.Switches[pos], newAccess)
-			if err != nil || len(route) < 2 || recrosses(route, rec.Route.Switches[:pos+1]) {
+			start := len(hs.routes)
+			route, err := c.descendRoute(hs.routes, rec.Route.Switches[pos], hs.chain, parent)
+			if err != nil || len(route)-start < 2 || recrosses(route[start:], rec.Route.Switches[:pos+1]) {
+				hs.routes = route[:start]
 				return true // triangle routing via the tunnels still covers it
 			}
-			sc, _, err := c.Installer.InstallShortcut(loc, route, branchMB, rec.Tags, rec.AccessTag())
-			if err == nil {
-				rsv.shortcuts = append(rsv.shortcuts, sc)
-				all = append(all, sc)
-			}
+			hs.routes = route
+			hs.cuts = append(hs.cuts, shortcutCut{rec: rec, branchMB: branchMB, start: start, end: len(route)})
 			return true
 		})
+		if len(hs.cuts) == 0 {
+			continue
+		}
+		routes := slices.Clone(hs.routes)
+		slab := make([]Shortcut, 0, len(hs.cuts))
+		for _, cut := range hs.cuts {
+			sc := Shortcut{Loc: loc, Route: routes[cut.start:cut.end:cut.end], BranchMB: cut.branchMB,
+				PathTags: cut.rec.Tags, Delivery: cut.rec.AccessTag()}
+			if _, err := c.Installer.InstallShortcut(&sc); err == nil {
+				slab = append(slab, sc)
+			}
+		}
+		rsv.shortcuts = slab
+		n += len(slab)
+	}
+	if n == 0 {
+		return nil
+	}
+	all := make([]*Shortcut, 0, n)
+	for _, loc := range locs {
+		rsv := c.reservations[loc]
+		for i := range rsv.shortcuts {
+			all = append(all, &rsv.shortcuts[i])
+		}
 	}
 	return all
 }
@@ -242,33 +309,24 @@ func recrosses(route, head []topo.NodeID) bool {
 	return false
 }
 
-// descendRoute computes the canonical descend route from a switch to an
-// access switch (the same function location rules follow). It reads the
-// Installer's spanning tree.
-//
-// caller holds ruleMu
-func (c *Controller) descendRoute(from, access topo.NodeID) ([]topo.NodeID, error) {
-	parent := c.Installer.tree(c.gateway)
-	chain := c.T.AncestorChain(access, parent)
-	if chain == nil {
-		return nil, fmt.Errorf("core: no tree chain for access switch %d", access)
-	}
-	idx := make(map[topo.NodeID]int, len(chain))
-	for i, n := range chain {
-		idx[n] = i
-	}
-	route := []topo.NodeID{from}
+// descendRoute appends to dst the canonical descend route from a switch to
+// the access switch chain[0] (the same function location rules follow),
+// both ends included. chain is that switch's ancestor chain in the tree
+// parent describes. On an error it returns dst as it was given.
+func (c *Controller) descendRoute(dst []topo.NodeID, from topo.NodeID, chain, parent []topo.NodeID) ([]topo.NodeID, error) {
+	start := len(dst)
+	route := append(dst, from)
 	u := from
 	for steps := 0; ; steps++ {
 		if steps > 2*len(c.T.Nodes) {
-			return nil, fmt.Errorf("core: descend route did not converge")
+			return dst[:start], fmt.Errorf("core: descend route did not converge")
 		}
-		next, done := c.T.CanonicalDescend(u, chain, idx, parent)
+		next, done := c.T.CanonicalDescend(u, chain, parent)
 		if done {
 			return route, nil
 		}
 		if next == topo.None {
-			return nil, fmt.Errorf("core: no descend route from %d to %d", from, access)
+			return dst[:start], fmt.Errorf("core: no descend route from %d to %d", from, chain[0])
 		}
 		route = append(route, next)
 		u = next
@@ -286,8 +344,8 @@ func (c *Controller) ReleaseOldLocIP(oldLoc packet.Addr, shortcuts []*Shortcut) 
 	c.ruleMu.Lock()
 	rsv, reserved := c.reservations[oldLoc]
 	if reserved {
-		for _, sc := range rsv.shortcuts {
-			c.Installer.RemoveShortcut(sc)
+		for i := range rsv.shortcuts {
+			c.Installer.RemoveShortcut(&rsv.shortcuts[i])
 		}
 		delete(c.reservations, oldLoc)
 	} else {

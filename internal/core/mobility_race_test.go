@@ -3,11 +3,13 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/packet"
 	"repro/internal/policy"
+	"repro/internal/topo"
 )
 
 // TestHandoffDuringSwitchFailureReconverges races UE handoffs against
@@ -222,5 +224,168 @@ func TestShortcutsComeBackInClauseOrder(t *testing.T) {
 				t.Fatalf("run %d: shortcut %d serves clause %d, shortcut %d clause %d; want ascending", run, i-1, prev, i, cur)
 			}
 		}
+	}
+}
+
+// shortcutSig is everything a held shortcut says, copied out.
+type shortcutSig struct {
+	loc      packet.Addr
+	route    []topo.NodeID
+	branchMB topo.MBInstanceID
+	pathTags []packet.Tag
+	delivery packet.Tag
+}
+
+func sigOf(sc *Shortcut) shortcutSig {
+	return shortcutSig{sc.Loc, slices.Clone(sc.Route), sc.BranchMB, slices.Clone(sc.PathTags), sc.Delivery}
+}
+
+func sigsOf(scs []*Shortcut) []shortcutSig {
+	out := make([]shortcutSig, len(scs))
+	for i, sc := range scs {
+		out[i] = sigOf(sc)
+	}
+	return out
+}
+
+func (s shortcutSig) equal(o shortcutSig) bool {
+	return s.loc == o.loc && slices.Equal(s.route, o.route) && s.branchMB == o.branchMB &&
+		slices.Equal(s.pathTags, o.pathTags) && s.delivery == o.delivery
+}
+
+// twoReservations builds a fig3 controller with every allow path at
+// stations 0-2 and moves one UE 0 -> 1 -> 2 without releasing, so its
+// second handoff retargets two reservations. It returns both results.
+func twoReservations(t *testing.T, imsi string) (*Controller, HandoffResult, HandoffResult) {
+	t.Helper()
+	c, _ := testController(t)
+	if err := c.RegisterSubscriber(imsi, policy.Attributes{Provider: "A"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.Attach(imsi, 0); err != nil {
+		t.Fatal(err)
+	}
+	warmAll(t, c, []packet.BSID{0, 1, 2})
+	first, err := c.Handoff(imsi, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := c.Handoff(imsi, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, first, second
+}
+
+// TestReservationsRetargetInAddressOrder: a UE's reservations are visited
+// in ascending old-LocIP order, so a handoff that retargets several returns
+// its shortcuts in one order on every controller — where ranging over the
+// reservation map gave two orders over 30 runs.
+func TestReservationsRetargetInAddressOrder(t *testing.T) {
+	var want []shortcutSig
+	for run := 0; run < 30; run++ {
+		_, _, hr := twoReservations(t, "imsi-two")
+		got := sigsOf(hr.Shortcuts)
+		for i := 1; i < len(got); i++ {
+			if got[i-1].loc > got[i].loc {
+				t.Fatalf("run %d: shortcut %d serves %s after %s; want ascending old LocIPs", run, i, got[i].loc, got[i-1].loc)
+			}
+		}
+		if run == 0 {
+			if len(got) == 0 || got[0].loc == got[len(got)-1].loc {
+				t.Fatalf("second handoff cut %d shortcuts over one reservation; the order needs two", len(got))
+			}
+			want = got
+			continue
+		}
+		if !slices.EqualFunc(got, want, shortcutSig.equal) {
+			t.Fatalf("run %d returned shortcuts %+v; run 0 returned %+v", run, got, want)
+		}
+	}
+}
+
+// sharesBacking reports whether two slices have an element in common.
+func sharesBacking[E any](a, b []E) bool {
+	for i := range a {
+		for j := range b {
+			if &a[i] == &b[j] {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestHeldShortcutsAreImmutable: the shortcuts a HandoffResult hands out
+// point into a slab no later retarget or release writes; the next handoff
+// cuts a fresh slab and a fresh route array.
+func TestHeldShortcutsAreImmutable(t *testing.T) {
+	c, first, second := twoReservations(t, "imsi-held")
+	if len(first.Shortcuts) == 0 {
+		t.Fatal("first handoff cut no shortcuts")
+	}
+	held := sigsOf(first.Shortcuts)
+	c.ReleaseOldLocIP(first.OldLocIP, first.Shortcuts)
+	for i, sc := range first.Shortcuts {
+		if got := sigOf(sc); !got.equal(held[i]) {
+			t.Fatalf("held shortcut %d changed: %+v, was %+v", i, got, held[i])
+		}
+		for _, nsc := range second.Shortcuts {
+			if sc == nsc || sharesBacking(sc.Route, nsc.Route) {
+				t.Fatalf("held shortcut %d shares memory with the next handoff's shortcut over %v", i, nsc.Route)
+			}
+		}
+	}
+	if _, err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHeldShortcutsRaceNoWriter is the concurrent half: readers walk a
+// handoff's shortcuts while the UE keeps moving and releasing. Under -race
+// any write into a handed-out slab or route array is reported.
+func TestHeldShortcutsRaceNoWriter(t *testing.T) {
+	c, first, prev := twoReservations(t, "imsi-race")
+	held := sigsOf(first.Shortcuts)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for i, sc := range first.Shortcuts {
+					if got := sigOf(sc); !got.equal(held[i]) {
+						t.Errorf("held shortcut %d changed under a reader: %+v, was %+v", i, got, held[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	// The UE moves round stations 2 -> 0 -> 1 -> 2; each move retargets the
+	// first handoff's reservation and releases the one before it, until the
+	// first's own release halfway through.
+	for i := 0; i < 200; i++ {
+		hr, err := c.Handoff("imsi-race", packet.BSID(i%3))
+		if err != nil {
+			t.Error(err)
+			break
+		}
+		c.ReleaseOldLocIP(prev.OldLocIP, prev.Shortcuts)
+		prev = hr
+		if i == 100 {
+			c.ReleaseOldLocIP(first.OldLocIP, first.Shortcuts)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if _, err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -280,33 +280,41 @@ func (pl *Planner) appendTail(p *Path, cur *topo.NodeID, access, gateway topo.No
 	if pl.LegacyTails {
 		return pl.appendWalk(p, cur, access)
 	}
+	sw, err := pl.AppendTail(p.Switches, *cur, access, gateway)
+	if err != nil {
+		return err
+	}
+	for len(p.MBAt) < len(sw) {
+		p.MBAt = append(p.MBAt, NoMB)
+	}
+	p.Switches, *cur = sw, access
+	return nil
+}
+
+// AppendTail appends to dst the switches after from on the canonical
+// descend route to access under the gateway's tree, access included — the
+// tail every policy path ends with when it leaves from.
+func (pl *Planner) AppendTail(dst []topo.NodeID, from, access, gateway topo.NodeID) ([]topo.NodeID, error) {
 	parent := pl.Tree(gateway)
 	chain := pl.T.AncestorChain(access, parent)
 	if chain == nil || chain[len(chain)-1] != gateway {
-		return fmt.Errorf("routing: access switch %d not under gateway %d", access, gateway)
+		return dst, fmt.Errorf("routing: access switch %d not under gateway %d", access, gateway)
 	}
-	chainIdx := make(map[topo.NodeID]int, len(chain))
-	for i, n := range chain {
-		chainIdx[n] = i
-	}
-	u := *cur
+	u := from
 	for steps := 0; ; steps++ {
 		if steps > 2*len(pl.T.Nodes) {
-			return fmt.Errorf("routing: canonical descend did not converge from %d to %d", *cur, access)
+			return dst, fmt.Errorf("routing: canonical descend did not converge from %d to %d", from, access)
 		}
-		next, done := pl.T.CanonicalDescend(u, chain, chainIdx, parent)
+		next, done := pl.T.CanonicalDescend(u, chain, parent)
 		if done {
-			break
+			return dst, nil
 		}
 		if next == topo.None {
-			return fmt.Errorf("routing: no tree path from %d to %d", *cur, access)
+			return dst, fmt.Errorf("routing: no tree path from %d to %d", from, access)
 		}
-		p.Switches = append(p.Switches, next)
-		p.MBAt = append(p.MBAt, NoMB)
+		dst = append(dst, next)
 		u = next
 	}
-	*cur = access
-	return nil
 }
 
 // PlanInstances computes the downstream path through an explicit instance

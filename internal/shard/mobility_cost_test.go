@@ -270,6 +270,37 @@ func benchmarkHandoff(b *testing.B, p *plant.Plant, a, z packet.BSID) {
 	}
 }
 
+// TestHandoffLocalAllocBudget pins what a same-shard handoff and the release
+// of its reserved address allocate on the warmed plant: the classifiers
+// handed back, the reservation record, and per retargeted reservation one
+// shortcut slab and one route array, plus the caller's handle slice — five
+// (46 while every shortcut route built its own chain index).
+func TestHandoffLocalAllocBudget(t *testing.T) {
+	p, _ := warmPlant(t)
+	d := p.Disp
+	a, z := stationOn(t, p, 0, 0), stationOn(t, p, 0, 1)
+	imsi := register(t, d, 1)[0]
+	if _, _, err := d.Attach(imsi, a); err != nil {
+		t.Fatal(err)
+	}
+	s, _ := d.ShardOf(a)
+	move := func() {
+		hr, err := d.Handoff(imsi, z)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(hr.Shortcuts) == 0 {
+			t.Fatalf("handoff %d -> %d cut no shortcuts; the budget needs them", a, z)
+		}
+		s.Ctrl.ReleaseOldLocIP(hr.OldLocIP, nil)
+		a, z = z, a
+	}
+	const budget = 5
+	if allocs := testing.AllocsPerRun(200, move); allocs > budget {
+		t.Fatalf("same-shard handoff + release allocates %.1f/op, budget %d", allocs, budget)
+	}
+}
+
 func BenchmarkHandoffLocal(b *testing.B) {
 	p, _ := warmPlant(b)
 	benchmarkHandoff(b, p, stationOn(b, p, 0, 0), stationOn(b, p, 0, 1))

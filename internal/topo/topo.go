@@ -6,6 +6,7 @@ package topo
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/packet"
 )
@@ -316,20 +317,28 @@ func (t *Topology) SPTree(root NodeID) []NodeID {
 // given SPTree parent array: chain[0] = leaf, chain[len-1] = root. It
 // returns nil when the leaf has no path to the root.
 func (t *Topology) AncestorChain(leaf NodeID, parent []NodeID) []NodeID {
-	var chain []NodeID
+	return t.AppendAncestorChain(nil, leaf, parent)
+}
+
+// AppendAncestorChain is AncestorChain appending to dst, so a caller that
+// keeps a buffer builds the chain without allocating. It returns nil (and
+// drops dst) when the leaf has no path to the root.
+func (t *Topology) AppendAncestorChain(dst []NodeID, leaf NodeID, parent []NodeID) []NodeID {
+	start := len(dst)
 	for n := leaf; n != None; n = parent[n] {
-		chain = append(chain, n)
-		if len(chain) > len(t.Nodes) {
+		dst = append(dst, n)
+		if len(dst)-start > len(t.Nodes) {
 			return nil // cycle: malformed parent array
 		}
 	}
-	return chain
+	return dst
 }
 
 // CanonicalDescend is SoftCell's shared location-routing function: the
 // canonical next hop at switch u for traffic toward chain[0] (the
 // destination's access switch), where chain is the destination's
-// AncestorChain and chainIdx its node->index map.
+// AncestorChain. The chain is only as long as the tree is deep, so it is
+// scanned rather than indexed.
 //
 // The rule, in precedence order: on the destination's ancestor chain, step
 // down the chain; off-chain but adjacent to chain nodes, jump to the
@@ -340,16 +349,16 @@ func (t *Topology) AncestorChain(leaf NodeID, parent []NodeID) []NodeID {
 // so every clause's tail resolves identically at every switch.
 //
 // done=true means u is the destination access switch itself.
-func (t *Topology) CanonicalDescend(u NodeID, chain []NodeID, chainIdx map[NodeID]int, parent []NodeID) (next NodeID, done bool) {
+func (t *Topology) CanonicalDescend(u NodeID, chain []NodeID, parent []NodeID) (next NodeID, done bool) {
 	if u == chain[0] {
 		return None, true
 	}
-	if i, ok := chainIdx[u]; ok {
+	if i := slices.Index(chain, u); i > 0 {
 		return chain[i-1], false
 	}
 	best := -1
 	for _, v := range t.Nodes[u].Neighbors {
-		if j, ok := chainIdx[v]; ok && (best < 0 || j < best) {
+		if j := slices.Index(chain, v); j >= 0 && (best < 0 || j < best) {
 			best = j
 		}
 	}

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/packet"
@@ -309,6 +310,45 @@ func TestSPTree(t *testing.T) {
 	}
 	if par[4] != None {
 		t.Errorf("island parent = %d", par[4])
+	}
+}
+
+// TestCanonicalDescend states the location-routing rule on a small tree
+// with one mesh link: step down the chain, jump to the lowest-index chain
+// neighbour, else climb.
+func TestCanonicalDescend(t *testing.T) {
+	tp := New()
+	for i := 0; i < 6; i++ {
+		tp.AddNode(Core, "")
+	}
+	for _, l := range [][2]NodeID{{0, 1}, {0, 2}, {1, 2}, {1, 3}, {2, 4}, {4, 5}} {
+		if err := tp.Connect(l[0], l[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parent := []NodeID{None, 0, 0, 1, 2, 4}
+	chain := tp.AppendAncestorChain([]NodeID{9}, 3, parent)
+	if want := []NodeID{9, 3, 1, 0}; !slices.Equal(chain, want) {
+		t.Fatalf("AppendAncestorChain onto [9] = %v, want %v", chain, want)
+	}
+	chain = chain[1:]
+	for _, c := range []struct {
+		u, next NodeID
+		done    bool
+	}{
+		{3, None, true}, // the destination itself
+		{1, 3, false},   // on the chain: step down
+		{0, 1, false},   // the root is on every chain
+		{2, 1, false},   // off-chain, neighbours 0 and 1: the lower index wins
+		{4, 2, false},   // no chain neighbour: climb
+		{5, 4, false},
+	} {
+		if next, done := tp.CanonicalDescend(c.u, chain, parent); next != c.next || done != c.done {
+			t.Errorf("CanonicalDescend(%d) = (%d, %v), want (%d, %v)", c.u, next, done, c.next, c.done)
+		}
+	}
+	if got := tp.AncestorChain(3, []NodeID{1, 0, 0, 1, 2, 4}); got != nil {
+		t.Errorf("AncestorChain over a cyclic parent array = %v, want nil", got)
 	}
 }
 
