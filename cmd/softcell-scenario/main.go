@@ -15,10 +15,10 @@ import (
 	"log"
 	"time"
 
-	softcell "repro"
-	"repro/internal/policy"
+	"repro/internal/plant"
 	"repro/internal/scenario"
 	"repro/internal/sim"
+	"repro/internal/topo"
 )
 
 func main() {
@@ -30,26 +30,18 @@ func main() {
 	)
 	flag.Parse()
 
-	g, err := softcell.GenerateTopology(*k, 10, 3, *seed)
+	p, err := plant.New(plant.Spec{Topo: topo.GenParams{K: *k, ClusterSize: 10, MBTypes: 3, Seed: *seed}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	net, err := softcell.New(softcell.Options{
-		Topology: g.Topology,
-		Gateway:  g.GatewayID,
-		Policy:   policy.ExampleCarrierPolicy(),
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	r, err := scenario.New(net, scenario.Params{
+	r, err := scenario.New(p.Net, scenario.Params{
 		Seed: *seed, Duration: sim.Time(*duration), UEs: *ues,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("running %v of simulated churn over %d stations, %d subscribers...\n",
-		*duration, len(g.Stations), *ues)
+		*duration, len(p.Stations), *ues)
 	stats, err := r.Run()
 	if err != nil {
 		log.Fatalf("FAIL: %v", err)

@@ -16,14 +16,16 @@
 //
 // The package itself is the facade: build a Network over any topology, load
 // a service policy, attach UEs and send traffic; everything underneath lives
-// in internal/ packages keyed by subsystem. See DESIGN.md for the system
-// inventory and EXPERIMENTS.md for paper-vs-measured results.
+// in internal/ packages keyed by subsystem. Options is internal/plant's
+// Spec, the one description of a system under test that every harness and
+// binary builds from too. See DESIGN.md for the system inventory and
+// EXPERIMENTS.md for paper-vs-measured results.
 //
 // Quick start:
 //
 //	net, _ := softcell.New(softcell.Options{
-//	        Topology: g.Topology, Gateway: g.GatewayID,
-//	        Policy:   policy.ExampleCarrierPolicy(), ...})
+//	        Topology: t, Gateway: gw,
+//	        Policy:   policy.ExampleCarrierPolicy()}) // or softcell.Example()
 //	net.Ctrl.RegisterSubscriber("alice", policy.Attributes{Provider: "A"})
 //	ue, _ := net.Attach("alice", 0)
 //	res, _ := net.SendUpstream(0, pkt)

@@ -174,8 +174,7 @@ func (e *blackoutEngine) setup() error {
 	e.Plant = p
 
 	for _, bs := range e.Stations {
-		sw := switchsim.NewSwitch(fmt.Sprintf("as-%d", bs))
-		ag := agent.New(bs, sw, e.Plan, nil) // nil controller: pushed-snapshot mode
+		ag := p.PushedAgent(bs)
 		if e.cfg.Obs != nil {
 			ag.Instrument(e.cfg.Obs.Sub(fmt.Sprintf("bs.%d", bs)))
 		}
@@ -444,7 +443,7 @@ func (e *blackoutEngine) reconnectAndReconcile() {
 		}
 		// The verdict the live agent gives must equal the verdict a fresh
 		// snapshot of controller state gives: reconciliation converged.
-		tmp := agent.New(ue.BS, switchsim.NewSwitch("conv"), e.Plan, nil)
+		tmp := e.PushedAgent(ue.BS)
 		if _, err := tmp.Publish(agent.NewSnapshot(1, view)); err != nil {
 			e.fail(err)
 			return

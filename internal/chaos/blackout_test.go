@@ -28,7 +28,8 @@ func runBlackout(t *testing.T, cfg BlackoutConfig) (BlackoutResult, string, stri
 // sim-second control-plane blackout, every admitted UE keeps its verdict and
 // its forwarding microflows, new flows are admitted purely from LKG state,
 // and post-reconnect reconciliation converges with every stale re-delivery
-// refused. Two same-seed runs must agree byte-for-byte.
+// refused. Two same-seed runs must agree byte-for-byte, and with the digests
+// results/determinism.txt pins.
 func TestBlackoutContinuity(t *testing.T) {
 	res, trace, events := runBlackout(t, blackoutSmoke)
 
@@ -56,6 +57,9 @@ func TestBlackoutContinuity(t *testing.T) {
 	if res.StaleRejected != res.Stations {
 		t.Errorf("stale snapshots rejected at %d of %d stations", res.StaleRejected, res.Stations)
 	}
+
+	checkDigest(t, "blackout.trace", []byte(trace))
+	checkDigest(t, "blackout.obs", []byte(events))
 
 	res2, trace2, events2 := runBlackout(t, blackoutSmoke)
 	if res != res2 {

@@ -21,7 +21,8 @@ func smokeConfig() Config {
 // carry a full obs registry, so the gate also proves instrumentation does
 // not perturb the schedule and that the registry's own event trace is
 // byte-identical across same-seed runs (counters are exempt: wire
-// retransmissions depend on wall-clock retry timing).
+// retransmissions depend on wall-clock retry timing). Both outputs must
+// also hash to the digests results/determinism.txt pins.
 func TestChaosSmokeDeterministic(t *testing.T) {
 	var t1, t2 bytes.Buffer
 	reg1, reg2 := obs.New(), obs.New()
@@ -50,6 +51,8 @@ func TestChaosSmokeDeterministic(t *testing.T) {
 	if !bytes.Equal(d1, d2) {
 		t.Fatalf("same-seed obs trace dumps differ: %s", firstDiff(string(d1), string(d2)))
 	}
+	checkDigest(t, "chaos.trace", t1.Bytes())
+	checkDigest(t, "chaos.obs", d1)
 	if reg1.TraceLen() == 0 {
 		t.Error("obs registry recorded no trace events")
 	}

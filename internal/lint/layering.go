@@ -9,9 +9,9 @@ import (
 // Layering enforces the DESIGN.md dependency order from an explicit rules
 // table: every package under LayerScope must appear in the table and may
 // only import the module-local packages its entry lists. It also enforces
-// construction restrictions (e.g. only the facade, the shard runtime and
-// the benchmarks may build a core.Controller directly, because they own
-// the disjoint sub-space partitioning).
+// construction restrictions (e.g. only the plant builder and the shard
+// runtime may build a core.Controller directly, because they own the
+// disjoint sub-space partitioning).
 var Layering = &Analyzer{
 	Name: "layering",
 	Doc:  "module-local imports must follow the DESIGN.md dependency table",

@@ -151,9 +151,11 @@ func DefaultRules() *Rules {
 				"repro/internal/routing", "repro/internal/topo",
 			},
 			"repro/internal/plant": {
-				"repro/internal/core", "repro/internal/ctrlproto",
-				"repro/internal/obs", "repro/internal/packet",
-				"repro/internal/policy", "repro/internal/shard",
+				"repro/internal/agent", "repro/internal/core",
+				"repro/internal/ctrlproto", "repro/internal/dataplane",
+				"repro/internal/mbox", "repro/internal/obs",
+				"repro/internal/packet", "repro/internal/policy",
+				"repro/internal/shard", "repro/internal/switchsim",
 				"repro/internal/topo",
 			},
 			"repro/internal/chaos": {
@@ -173,20 +175,27 @@ func DefaultRules() *Rules {
 				"repro/internal/topo", "repro/internal/workload",
 			},
 		},
-		// The system under test has one definition: control plants come
-		// from internal/plant, network plants from the softcell facade
-		// (shard builds its own per-shard controllers, with the disjoint
-		// sub-space partitioning that entails). repro/bench is a nested
-		// module whose files change only in a benchmark PR; its plant.go
-		// moves onto internal/plant in one, and the entry goes with it.
+		// The system under test has one definition: every controller,
+		// dispatcher and agent fleet comes from internal/plant (shard builds
+		// its own per-shard controllers, with the disjoint sub-space
+		// partitioning that entails; dataplane builds one pull agent per
+		// station; cbench's Table 2 fixture is the one agent on a fake-RTT
+		// controller). repro/bench is a nested module whose files change only
+		// in a benchmark PR; its plant.go and probe agents move onto
+		// internal/plant in one, and its entries go with them.
 		Construct: []ConstructRule{
 			{
 				Func:    "repro/internal/core.NewController",
-				Allowed: []string{"repro", "repro/internal/plant", "repro/internal/shard"},
+				Allowed: []string{"repro/internal/plant", "repro/internal/shard"},
 			},
 			{
 				Func:    "repro/internal/shard.New",
-				Allowed: []string{"repro", "repro/bench", "repro/internal/plant"},
+				Allowed: []string{"repro/bench", "repro/internal/plant"},
+			},
+			{
+				Func: "repro/internal/agent.New",
+				Allowed: []string{"repro/bench", "repro/internal/cbench",
+					"repro/internal/dataplane", "repro/internal/plant"},
 			},
 		},
 		ObsPkg:           "repro/internal/obs",

@@ -1,9 +1,10 @@
-// Package plant builds the system under test: the Table 1 carrier policy
-// on a generated §6.3 topology, run by one controller or a sharded
-// dispatcher, with an in-process control channel on request. Every harness
-// and binary gets its control plant here, so "the system" has one
-// definition; network plants (switches, middleboxes, agents) come from
-// softcell.New.
+// Package plant builds the system under test: one controller or a sharded
+// dispatcher over a generated §6.3 topology or a given one, running the
+// Table 1 carrier policy unless the Spec names another, with an in-process
+// control channel on request. A single controller also gets its full data
+// plane: programmed switches, middleboxes and one local agent per station.
+// Every harness, binary and the softcell facade builds here, so "the
+// system" has one definition.
 package plant
 
 import (
@@ -11,32 +12,53 @@ import (
 	"net"
 	"sync"
 
+	"repro/internal/agent"
 	"repro/internal/core"
 	"repro/internal/ctrlproto"
+	"repro/internal/dataplane"
+	"repro/internal/mbox"
 	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/policy"
 	"repro/internal/shard"
+	"repro/internal/switchsim"
 	"repro/internal/topo"
 )
 
-// Spec sizes a plant.
+// Spec describes a system under test. Only a topology is required: Topology
+// with its Gateway, or, when Topology is nil, the generator parameters Topo.
 type Spec struct {
-	Topo   topo.GenParams
-	Shards int           // 0: one core.Controller; n > 0: a shard.Dispatcher of n
+	Topology *topo.Topology
+	Gateway  topo.NodeID
+	Topo     topo.GenParams
+
+	// Policy defaults to the Table 1 carrier policy.
+	Policy *policy.Policy
+
+	// MBTypes maps policy function names to topology middlebox types and
+	// defaults to MBTypes(); MBFuncs is the inverse for instantiation and
+	// defaults to inverting MBTypes.
+	MBTypes map[string]topo.MBType
+	MBFuncs map[topo.MBType]string
+
+	// Plan defaults to PlanFor(Shards).
+	Plan packet.Plan
+
+	Shards int           // 0: one core.Controller and its data plane; n > 0: a shard.Dispatcher of n
 	Obs    *obs.Registry // instruments control plane and wire; nil: neither
 }
 
-// Plant is an assembled control plant. Exactly one of Ctrl and Disp is set.
+// Plant is an assembled system. Exactly one of Ctrl and Disp is set.
 type Plant struct {
-	Topo     *topo.Generated
+	Topo     *topo.Generated // for a given Spec.Topology only Topology and GatewayID are set
 	Policy   *policy.Policy
 	Plan     packet.Plan
-	Stations []packet.BSID // generator order
+	Stations []packet.BSID // topology order
 	Clauses  []int         // the policy's allow clauses, id order
 
-	Ctrl *core.Controller  // Spec.Shards == 0
-	Disp *shard.Dispatcher // Spec.Shards > 0; the caller closes it
+	Ctrl *core.Controller   // Spec.Shards == 0
+	Net  *dataplane.Network // Spec.Shards == 0: Ctrl's switches, middleboxes and agents
+	Disp *shard.Dispatcher  // Spec.Shards > 0; the caller closes it
 
 	cp      ctrlproto.ControlPlane // whichever of Ctrl and Disp is set
 	obs     *obs.Registry
@@ -45,7 +67,7 @@ type Plant struct {
 }
 
 // MBTypes maps the policy's middlebox function names to topology middlebox
-// types: the one table behind every plant and softcell.StandardMBTypes.
+// types: the default table of every Spec.
 func MBTypes() map[string]topo.MBType {
 	return map[string]topo.MBType{
 		policy.MBFirewall:   0,
@@ -98,37 +120,70 @@ func CheckTagCapacity(shards int) error {
 	return nil
 }
 
-// New generates the topology and builds the control plane over it.
+// New builds the system a Spec describes, generating its topology first
+// when the Spec gives none.
 func New(spec Spec) (*Plant, error) {
 	if err := CheckTagCapacity(spec.Shards); err != nil {
 		return nil, err
 	}
-	g, err := topo.Generate(spec.Topo)
-	if err != nil {
-		return nil, err
+	g := &topo.Generated{Topology: spec.Topology, GatewayID: spec.Gateway}
+	if spec.Topology == nil {
+		var err error
+		if g, err = topo.Generate(spec.Topo); err != nil {
+			return nil, err
+		}
 	}
-	p := &Plant{Topo: g, Policy: policy.ExampleCarrierPolicy(), Plan: PlanFor(spec.Shards), obs: spec.Obs}
-	p.Clauses = allowClauses(p.Policy)
+	if spec.Policy == nil {
+		spec.Policy = policy.ExampleCarrierPolicy()
+	}
+	if spec.MBTypes == nil {
+		spec.MBTypes = MBTypes()
+	}
+	if spec.MBFuncs == nil {
+		spec.MBFuncs = make(map[topo.MBType]string, len(spec.MBTypes))
+		for fn, typ := range spec.MBTypes {
+			spec.MBFuncs[typ] = fn
+		}
+	}
+	if spec.Plan == (packet.Plan{}) {
+		spec.Plan = PlanFor(spec.Shards)
+	}
+	p := &Plant{Topo: g, Policy: spec.Policy, Plan: spec.Plan, Clauses: allowClauses(spec.Policy), obs: spec.Obs}
 	for _, st := range g.Stations {
 		p.Stations = append(p.Stations, st.ID)
 	}
+	var err error
 	if spec.Shards > 0 {
-		p.Disp, err = shard.New(shard.Config{
-			Topology: g.Topology, Gateway: g.GatewayID, Policy: p.Policy, MBTypes: MBTypes(),
+		if p.Disp, err = shard.New(shard.Config{
+			Topology: g.Topology, Gateway: g.GatewayID, Policy: p.Policy, MBTypes: spec.MBTypes,
 			Plan: p.Plan, Shards: spec.Shards, Obs: spec.Obs,
-		})
+		}); err != nil {
+			return nil, err
+		}
 		p.cp = p.Disp
-	} else {
-		p.Ctrl, err = core.NewController(g.Topology, core.ControllerConfig{
-			Gateway: g.GatewayID, Policy: p.Policy, MBTypes: MBTypes(),
-			Plan: p.Plan, Obs: spec.Obs,
-		})
-		p.cp = p.Ctrl
+		return p, nil
 	}
-	if err != nil {
+	if p.Ctrl, err = core.NewController(g.Topology, core.ControllerConfig{
+		Gateway: g.GatewayID, Policy: p.Policy, MBTypes: spec.MBTypes,
+		Plan: p.Plan, Obs: spec.Obs,
+	}); err != nil {
+		return nil, err
+	}
+	p.cp = p.Ctrl
+	if p.Net, err = dataplane.New(p.Ctrl, dataplane.Config{
+		Registry: mbox.NewRegistry(p.Plan, packet.NewPrefix(packet.AddrFrom4(198, 51, 100, 0), 24)),
+		MBFuncs:  spec.MBFuncs,
+	}); err != nil {
 		return nil, err
 	}
 	return p, nil
+}
+
+// PushedAgent builds a local agent for station bs on a fresh access switch,
+// in pushed-snapshot mode: it has no controller client and classifies only
+// from the snapshots published to it.
+func (p *Plant) PushedAgent(bs packet.BSID) *agent.Agent {
+	return agent.New(bs, switchsim.NewSwitch(fmt.Sprintf("as-%d", bs)), p.Plan, nil)
 }
 
 // WarmPaths requests every (station, allow clause) path once, so what runs

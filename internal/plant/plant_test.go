@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"repro/internal/ctrlproto"
+	"repro/internal/packet"
+	"repro/internal/policy"
 	"repro/internal/topo"
 )
 
@@ -124,5 +126,75 @@ func TestDialWrapFaultyConnCorrelatesRetries(t *testing.T) {
 	}
 	if dropped.Load() == 0 || resent.Load() == 0 {
 		t.Fatalf("dropped request id %d, %d retransmissions under the same id", dropped.Load(), resent.Load())
+	}
+}
+
+// TestSingleControllerSpecBuildsItsNetwork: Shards == 0 yields the full
+// network over the plant's own controller, one agent per station on the
+// controller's permanent pool; a sharded Spec yields no data plane.
+func TestSingleControllerSpecBuildsItsNetwork(t *testing.T) {
+	p := mustPlant(t, Spec{Topo: smallTopo})
+	if p.Net == nil || p.Net.Ctrl != p.Ctrl {
+		t.Fatal("no network over the plant's controller")
+	}
+	if len(p.Net.Agents) != len(p.Stations) {
+		t.Fatalf("%d agents for %d stations", len(p.Net.Agents), len(p.Stations))
+	}
+	for _, bs := range p.Stations {
+		ag := p.Net.Agents[bs]
+		if ag == nil || ag.PermPool != p.Ctrl.PermPool() {
+			t.Fatalf("station %d: agent %v, want one on pool %s", bs, ag, p.Ctrl.PermPool())
+		}
+	}
+	if sharded := mustPlant(t, Spec{Topo: smallTopo, Shards: 2}); sharded.Net != nil || sharded.Ctrl != nil {
+		t.Fatal("a sharded spec built a single controller or a data plane")
+	}
+}
+
+// TestDefaultMBFuncsInvertMBTypes: with MBFuncs unset, every middlebox
+// instance runs the function its topology type maps from, for the default
+// table and for a permuted one.
+func TestDefaultMBFuncsInvertMBTypes(t *testing.T) {
+	permuted := map[string]topo.MBType{
+		policy.MBFirewall: 2, policy.MBTranscoder: 0, policy.MBEchoCancel: 1,
+		policy.MBIDS: 4, policy.MBNAT: 3,
+	}
+	allTypes := topo.GenParams{K: 2, ClusterSize: 4, MBTypes: 5, Seed: 5}
+	for _, types := range []map[string]topo.MBType{nil, permuted} {
+		p := mustPlant(t, Spec{Topo: allTypes, MBTypes: types})
+		if types == nil {
+			types = MBTypes()
+		}
+		seen := map[string]bool{}
+		for id, box := range p.Net.Boxes {
+			if want := types[box.Func()]; p.Topo.Instance(id).Type != want {
+				t.Fatalf("instance %d of type %d runs %s (type %d)", id, p.Topo.Instance(id).Type, box.Func(), want)
+			}
+			seen[box.Func()] = true
+		}
+		if len(seen) != len(types) {
+			t.Fatalf("%d of %d functions instantiated: %v", len(seen), len(types), seen)
+		}
+	}
+}
+
+// TestSpecRefusals: a Spec the builder cannot honour is refused with its
+// reason, in both shapes: no topology to generate, a plan the controllers
+// reject, a middlebox type no function is mapped to.
+func TestSpecRefusals(t *testing.T) {
+	badPlan := packet.DefaultPlan
+	badPlan.TagBits = 13
+	for name, c := range map[string]struct {
+		spec Spec
+		want string
+	}{
+		"no topology":             {Spec{}, "K=0"},
+		"bad plan":                {Spec{Topo: smallTopo, Plan: badPlan}, "TagBits=13"},
+		"bad plan, sharded":       {Spec{Topo: smallTopo, Plan: badPlan, Shards: 2}, "TagBits=13"},
+		"unmapped middlebox type": {Spec{Topo: smallTopo, MBFuncs: map[topo.MBType]string{0: policy.MBFirewall}}, "no function mapped"},
+	} {
+		if _, err := New(c.spec); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: New error %v, want one mentioning %q", name, err, c.want)
+		}
 	}
 }

@@ -5,8 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataplane"
-	"repro/internal/mbox"
-	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/plant"
 	"repro/internal/policy"
@@ -37,8 +35,12 @@ type (
 	Attributes = policy.Attributes
 	// Topology is the core network graph.
 	Topology = topo.Topology
-	// Generated is a synthetic §6.3 topology.
-	Generated = topo.Generated
+	// Options configure New: the one description of a system under test.
+	// New requires Topology, Gateway and Policy and refuses Shards; the
+	// middlebox maps default to the standard function set (firewall,
+	// transcoder, echo-cancel, ids, nat as types 0..4) and Plan to
+	// DefaultPlan.
+	Options = plant.Spec
 )
 
 // Walk dispositions, re-exported.
@@ -51,94 +53,23 @@ const (
 // DefaultPlan is the library's default address layout.
 var DefaultPlan = packet.DefaultPlan
 
-// Options configure New. Topology, Gateway and Policy are required; the
-// middlebox maps default to the standard function set when the topology's
-// middlebox types are 0..4 (firewall, transcoder, echo-cancel, ids, nat).
-type Options struct {
-	Topology *topo.Topology
-	Gateway  topo.NodeID
-	Policy   *policy.Policy
-
-	// MBTypes maps policy function names to topology middlebox types;
-	// MBFuncs is the inverse for instantiation. Both default to the
-	// standard mapping below.
-	MBTypes map[string]topo.MBType
-	MBFuncs map[topo.MBType]string
-
-	// Plan defaults to DefaultPlan; Replicas to 1.
-	Plan     packet.Plan
-	Replicas int
-
-	// NATPool enables the gateway NAT (§4.1) when non-zero.
-	NATPool packet.Prefix
-
-	// Install passes Algorithm 1 options through (ablations, bounds).
-	Install core.InstallerOptions
-
-	// Obs instruments the controller's hot paths on this registry (nil:
-	// no telemetry).
-	Obs *obs.Registry
-}
-
-// StandardMBTypes is the default function-name-to-type mapping (the table
-// every internal/plant control plant runs on too).
-func StandardMBTypes() map[string]topo.MBType { return plant.MBTypes() }
-
-// StandardMBFuncs is the inverse of StandardMBTypes.
-func StandardMBFuncs() map[topo.MBType]string {
-	out := make(map[topo.MBType]string)
-	for fn, typ := range StandardMBTypes() {
-		out[typ] = fn
-	}
-	return out
-}
-
 // New assembles a complete SoftCell network: central controller (with its
-// replicated store), Algorithm 1 installer, one programmed switch per node,
+// control store), Algorithm 1 installer, one programmed switch per node,
 // live middlebox instances, and a local agent per base station.
 func New(opts Options) (*Network, error) {
-	if opts.Topology == nil {
+	switch {
+	case opts.Topology == nil:
 		return nil, fmt.Errorf("softcell: Options.Topology is required")
-	}
-	if opts.Policy == nil {
+	case opts.Policy == nil:
 		return nil, fmt.Errorf("softcell: Options.Policy is required")
+	case opts.Shards != 0:
+		return nil, fmt.Errorf("softcell: Options.Shards must be 0: a sharded control plane has no in-process data plane")
 	}
-	if opts.MBTypes == nil {
-		opts.MBTypes = StandardMBTypes()
-	}
-	if opts.MBFuncs == nil {
-		opts.MBFuncs = StandardMBFuncs()
-	}
-	ctrl, err := core.NewController(opts.Topology, core.ControllerConfig{
-		Plan:     opts.Plan,
-		Gateway:  opts.Gateway,
-		Policy:   opts.Policy,
-		MBTypes:  opts.MBTypes,
-		Replicas: opts.Replicas,
-		Install:  opts.Install,
-		Obs:      opts.Obs,
-	})
+	p, err := plant.New(opts)
 	if err != nil {
 		return nil, err
 	}
-	natPool := opts.NATPool
-	registryPool := natPool
-	if registryPool == (packet.Prefix{}) {
-		registryPool = packet.NewPrefix(packet.AddrFrom4(198, 51, 100, 0), 24)
-	}
-	reg := mbox.NewRegistry(ctrl.Plan(), registryPool)
-	return dataplane.New(ctrl, dataplane.Config{
-		Registry: reg,
-		MBFuncs:  opts.MBFuncs,
-		NATPool:  natPool,
-	})
-}
-
-// GenerateTopology builds the paper's §6.3 three-layer synthetic topology
-// (k pods, rings of clusterSize stations, k middlebox types, 10k³/4 base
-// stations for clusterSize=10).
-func GenerateTopology(k, clusterSize, mbTypes int, seed int64) (*Generated, error) {
-	return topo.Generate(topo.GenParams{K: k, ClusterSize: clusterSize, MBTypes: mbTypes, Seed: seed})
+	return p.Net, nil
 }
 
 // Example builds a small ready-to-use deployment: the Fig. 2/3-style

@@ -6,6 +6,7 @@ import (
 	softcell "repro"
 	"repro/internal/packet"
 	"repro/internal/policy"
+	"repro/internal/topo"
 )
 
 func TestExampleNetworkEndToEnd(t *testing.T) {
@@ -48,17 +49,21 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := softcell.New(softcell.Options{}); err == nil {
 		t.Fatal("missing topology should fail")
 	}
-	g, err := softcell.GenerateTopology(4, 10, 3, 1)
+	g, err := topo.Generate(topo.GenParams{K: 4, ClusterSize: 10, MBTypes: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := softcell.New(softcell.Options{Topology: g.Topology, Gateway: g.GatewayID}); err == nil {
 		t.Fatal("missing policy should fail")
 	}
+	if _, err := softcell.New(softcell.Options{Topology: g.Topology, Gateway: g.GatewayID,
+		Policy: policy.ExampleCarrierPolicy(), Shards: 2}); err == nil {
+		t.Fatal("a sharded spec has no data plane and should fail")
+	}
 }
 
 func TestGeneratedTopologyNetwork(t *testing.T) {
-	g, err := softcell.GenerateTopology(4, 10, 3, 1)
+	g, err := topo.Generate(topo.GenParams{K: 4, ClusterSize: 10, MBTypes: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,18 +88,5 @@ func TestGeneratedTopologyNetwork(t *testing.T) {
 	}
 	if res.Disposition != softcell.ExitedNet {
 		t.Fatalf("disposition = %s at node %d", res.Disposition, res.Last)
-	}
-}
-
-func TestStandardMappingsInverse(t *testing.T) {
-	types := softcell.StandardMBTypes()
-	funcs := softcell.StandardMBFuncs()
-	if len(types) != len(funcs) {
-		t.Fatal("mapping sizes differ")
-	}
-	for fn, typ := range types {
-		if funcs[typ] != fn {
-			t.Fatalf("mapping not inverse at %s", fn)
-		}
 	}
 }
