@@ -18,22 +18,32 @@ import (
 func newPlainNet(t *testing.T) *Network { return newPlainNetN(t, 2) }
 
 // newPlainNetN is newPlainNet with the given number of access switches.
-func newPlainNetN(t testing.TB, stations int) *Network {
+func newPlainNetN(t testing.TB, stations int) *Network { return newPlainLine(t, stations, 1) }
+
+// newPlainLine is newPlainNetN with a line of cores core switches between
+// the gateway and the access switches, so a packet crosses cores+2
+// switches each way.
+func newPlainLine(t testing.TB, stations, cores int) *Network {
 	t.Helper()
 	tp := topo.New()
 	gw := tp.AddNode(topo.Gateway, "gw")
-	cs := tp.AddNode(topo.Core, "cs")
+	line := []topo.NodeID{gw}
+	for i := 0; i < cores; i++ {
+		line = append(line, tp.AddNode(topo.Core, "cs"))
+	}
 	for i := 0; i < stations; i++ {
 		as := tp.AddNode(topo.Access, "as")
 		if err := tp.AddBaseStation(packet.BSID(i), as); err != nil {
 			t.Fatal(err)
 		}
-		if err := tp.Connect(cs, as); err != nil {
+		if err := tp.Connect(line[cores], as); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := tp.Connect(gw, cs); err != nil {
-		t.Fatal(err)
+	for i := 0; i < cores; i++ {
+		if err := tp.Connect(line[i], line[i+1]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	pol := &policy.Policy{}
 	pol.Add(policy.Clause{Priority: 10, Name: "allow-A",

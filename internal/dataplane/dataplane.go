@@ -4,6 +4,10 @@
 // agents on the access switches, inter-station mobility tunnels, and an
 // optional gateway NAT (§4.1). It walks packets hop by hop exactly as the
 // hardware would, which is what the integration and mobility tests observe.
+// Once EnableFastPath has run, every hop of a single-packet walk steps the
+// switch's compiled fastpath snapshot (fastpath.FIB.Step); before that, it
+// runs switchsim.Process, the reference pipeline the snapshots are tested
+// against. Both give the same verdicts, rewrites and counters.
 package dataplane
 
 import (
@@ -371,13 +375,31 @@ func (n *Network) direction(p *packet.Packet) mbox.Direction {
 	return mbox.Upstream
 }
 
+// walkHops is the capacity a walk's Hops starts with (64 B), so a
+// middlebox-free walk allocates it once: on the benchmark's 81-switch
+// plant those walks cross at most 7 switches. A middlebox adds two events
+// (the box, then its switch again); those walks, up to 15 events there,
+// grow it once.
+const walkHops = 8
+
+// process runs p through node's switch. With the fast path on it steps
+// the switch's compiled snapshot (recompiled first if stale); otherwise
+// it interprets the switch's tables under their lock.
+func (n *Network) process(node topo.NodeID, inPort int, p *packet.Packet) fastpath.Verdict {
+	if n.fast != nil {
+		return n.fast.Net().FIB(int(node)).Step(p, inPort)
+	}
+	v := n.Switches[node].Process(p, inPort)
+	return fastpath.Verdict{Output: v.Output, Drop: v.Drop, ToController: v.ToController}
+}
+
 // walk processes a packet starting at node with the given ingress port.
 func (n *Network) walk(node topo.NodeID, inPort int, p *packet.Packet) (WalkResult, error) {
-	res := WalkResult{Packet: p}
+	res := WalkResult{Packet: p, Hops: make([]Hop, 0, walkHops)}
 	cur := node
-	for hops := 0; hops < 4*len(n.T.Nodes)+32; hops++ {
+	for hops := 0; hops < fastpath.HopBudget(len(n.T.Nodes)); hops++ {
 		res.Hops = append(res.Hops, Hop{Node: cur, MB: core.NoMB})
-		v := n.Switches[cur].Process(p, inPort)
+		v := n.process(cur, inPort, p)
 		switch {
 		case v.ToController:
 			res.Disposition, res.Last = PuntedAgent, cur

@@ -55,6 +55,12 @@ type Net struct {
 	o        *fpObs
 }
 
+// HopBudget is the most switch traversals a packet may make on a
+// topology of nodes switches before its walk is declared a forwarding
+// loop. The burst walk here and the data plane's single-packet walk share
+// it, so both give up on the same packets.
+func HopBudget(nodes int) int { return 4*nodes + 32 }
+
 // NewNet compiles the topology view. Snapshots are compiled lazily on
 // first acquisition, so construction is cheap.
 func NewNet(cfg NetConfig) *Net {
@@ -62,7 +68,7 @@ func NewNet(cfg NetConfig) *Net {
 		links:    cfg.Links,
 		tunnels:  cfg.Tunnels,
 		slowExit: cfg.SlowExit,
-		maxHops:  int32(4*len(cfg.Switches) + 32), // the dataplane's walk budget
+		maxHops:  int32(HopBudget(len(cfg.Switches))),
 		o:        newFPObs(cfg.Obs),
 	}
 	n.fibs = make([]*FIB, len(cfg.Switches))

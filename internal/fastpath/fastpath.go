@@ -3,7 +3,8 @@
 // match, prioritised TCAM, table-miss default) published behind an
 // atomic.Pointer and swapped whenever the switch's rule tables mutate,
 // plus a multi-worker engine that drives packet bursts through a whole
-// topology with zero shared locks in steady state.
+// topology with zero shared locks in steady state, and a single-packet
+// step (FIB.Step) over the same snapshots for walks that cannot batch.
 //
 // The design follows production burst-oriented routers (per-worker
 // pipelines over immutable per-worker FIB views) and the control/data
@@ -246,10 +247,14 @@ type ruleAcc struct {
 // flushed once per burst to the source switch (AccountBurst plus one
 // atomic counter update per touched rule) and the fastpath telemetry.
 // Batching here is what keeps the hot path free of per-packet atomics.
+// A direct tally (FIB.Step's, one packet) has no per-rule accumulator: a
+// hit goes straight to the live rule's counters, and only stats remain to
+// flush.
 type tally struct {
 	stats   switchsim.BurstStats
 	acc     []ruleAcc // indexed by crule slot; entries zero unless touched
 	touched []int32
+	direct  bool
 }
 
 // ensure sizes the per-rule accumulator for a snapshot with n slots.
@@ -262,8 +267,13 @@ func (t *tally) ensure(n int) {
 	t.acc = t.acc[:n]
 }
 
-// account attributes one packet of payload bytes to a rule slot.
-func (t *tally) account(slot int32, payload int) {
+// account attributes one packet of payload bytes to a compiled rule.
+func (t *tally) account(r *crule, payload int) {
+	if t.direct {
+		r.live.Account(payload)
+		return
+	}
+	slot := r.slot
 	a := &t.acc[slot]
 	if a.pkts == 0 {
 		t.touched = append(t.touched, slot)
@@ -383,10 +393,10 @@ func (s *Snapshot) NumRules() int { return len(s.tcam) }
 func (s *Snapshot) NumMicroflows() int { return len(s.mrul) }
 
 // exec applies one compiled rule to the packet and builds its verdict,
-// attributing traffic to the burst tally (flushed to the live rules'
-// atomic counters once per burst).
+// attributing traffic to the tally (flushed to the live rules' atomic
+// counters once per burst, or at once for a direct tally).
 func (s *Snapshot) exec(r *crule, p *packet.Packet, t *tally) Verdict {
-	t.account(r.slot, len(p.Payload))
+	t.account(r, len(p.Payload))
 	r.act.apply(p)
 	return Verdict{
 		Rule:         r.id,
@@ -397,11 +407,13 @@ func (s *Snapshot) exec(r *crule, p *packet.Packet, t *tally) Verdict {
 	}
 }
 
-// Lookup runs one packet through the compiled pipeline, mirroring
+// lookup runs one packet through the compiled pipeline, mirroring
 // switchsim.Process step for step: microflow exact match first, then the
 // TCAM in priority order with at most four resubmits, then the table-miss
-// action. Rewrites are applied to p in place. The burst tallies accrue in
-// t; callers flush them to the switch once per burst.
+// action. Rewrites are applied to p in place. The tallies accrue in t;
+// bursts flush them to the switch once per burst, FIB.Step once per
+// packet. It is the one compiled match loop: bursts, engine walks and
+// single steps all run it.
 func (s *Snapshot) lookup(p *packet.Packet, inPort int, t *tally) Verdict {
 	t.stats.Packets++
 

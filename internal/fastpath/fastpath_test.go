@@ -133,8 +133,9 @@ func headerEq(a, b *packet.Packet) bool {
 }
 
 // checkEquivalence builds a random switch and burst from rng and fails t
-// if any burst verdict or resulting header differs from the sequential
-// Process path over an identical switch.
+// if any verdict or resulting header differs from the sequential Process
+// path over an identical switch, for the burst and for the same packets
+// stepped one by one through FIB.Step on a third identical switch.
 func checkEquivalence(t *testing.T, rng *rand.Rand) {
 	t.Helper()
 	specs := genSpecs(rng, 1+rng.Intn(24))
@@ -146,60 +147,87 @@ func checkEquivalence(t *testing.T, rng *rand.Rand) {
 	}
 	miss := misses[rng.Intn(len(misses))]
 	fast := buildSwitch(specs, miss)
+	step := buildSwitch(specs, miss)
 	ref := buildSwitch(specs, miss)
 
 	burst := make([]*packet.Packet, 1+rng.Intn(64))
+	single := make([]*packet.Packet, len(burst))
 	seq := make([]*packet.Packet, len(burst))
 	for i := range burst {
 		burst[i] = genPacket(rng)
-		c := *burst[i]
-		seq[i] = &c
+		c, d := *burst[i], *burst[i]
+		single[i], seq[i] = &c, &d
 	}
-	// Microflows for a few of the burst's flows, on both switches.
+	// Microflows for a few of the burst's flows, on every switch.
+	var flows []packet.FlowKey
 	for i := 0; i < len(burst); i += 3 {
 		a := genAction(rng)
-		fast.InstallMicroflow(burst[i].Flow(), a)
-		ref.InstallMicroflow(burst[i].Flow(), a)
+		flows = append(flows, burst[i].Flow())
+		for _, sw := range []*switchsim.Switch{fast, step, ref} {
+			sw.InstallMicroflow(burst[i].Flow(), a)
+		}
 	}
 	inPort := rng.Intn(4)
 
 	got := NewFIB(fast).NewProc().ProcessBurst(burst, inPort)
+	stepFIB := NewFIB(step)
 	for i := range burst {
 		want := ref.Process(seq[i], inPort)
 		var wantID switchsim.RuleID
 		if want.Rule != nil {
 			wantID = want.Rule.ID
 		}
-		g := got[i]
-		if g.Rule != wantID || g.Output != want.Output || g.Drop != want.Drop || g.ToController != want.ToController {
-			t.Fatalf("packet %d: burst verdict (rule=%d out=%d drop=%v punt=%v) != Process (rule=%d out=%d drop=%v punt=%v)",
-				i, g.Rule, g.Output, g.Drop, g.ToController, wantID, want.Output, want.Drop, want.ToController)
-		}
-		if !headerEq(burst[i], seq[i]) {
-			t.Fatalf("packet %d: burst header %v != Process header %v", i, burst[i], seq[i])
+		for _, c := range []struct {
+			name string
+			v    Verdict
+			p    *packet.Packet
+		}{{"burst", got[i], burst[i]}, {"step", stepFIB.Step(single[i], inPort), single[i]}} {
+			g := c.v
+			if g.Rule != wantID || g.Output != want.Output || g.Drop != want.Drop || g.ToController != want.ToController {
+				t.Fatalf("packet %d: %s verdict (rule=%d out=%d drop=%v punt=%v) != Process (rule=%d out=%d drop=%v punt=%v)",
+					i, c.name, g.Rule, g.Output, g.Drop, g.ToController, wantID, want.Output, want.Drop, want.ToController)
+			}
+			if !headerEq(c.p, seq[i]) {
+				t.Fatalf("packet %d: %s header %v != Process header %v", i, c.name, c.p, seq[i])
+			}
 		}
 	}
 
 	// The pipelines must account identically too: switch totals and
 	// per-rule traffic counters.
-	if fp, rp := atomic.LoadUint64(&fast.Processed), atomic.LoadUint64(&ref.Processed); fp != rp {
-		t.Fatalf("Processed: burst %d != sequential %d", fp, rp)
-	}
-	if fm, rm := atomic.LoadUint64(&fast.Misses), atomic.LoadUint64(&ref.Misses); fm != rm {
-		t.Fatalf("Misses: burst %d != sequential %d", fm, rm)
-	}
-	fr, rr := fast.Rules(), ref.Rules()
-	for i := range fr {
-		if fr[i].Packets != rr[i].Packets || fr[i].Bytes != rr[i].Bytes {
-			t.Fatalf("rule %d counters: burst %d/%dB != sequential %d/%dB",
-				fr[i].ID, fr[i].Packets, fr[i].Bytes, rr[i].Packets, rr[i].Bytes)
+	for _, c := range []struct {
+		name string
+		sw   *switchsim.Switch
+	}{{"burst", fast}, {"step", step}} {
+		if fp, rp := atomic.LoadUint64(&c.sw.Processed), atomic.LoadUint64(&ref.Processed); fp != rp {
+			t.Fatalf("Processed: %s %d != sequential %d", c.name, fp, rp)
+		}
+		if fm, rm := atomic.LoadUint64(&c.sw.Misses), atomic.LoadUint64(&ref.Misses); fm != rm {
+			t.Fatalf("Misses: %s %d != sequential %d", c.name, fm, rm)
+		}
+		fr, rr := c.sw.Rules(), ref.Rules()
+		for i := range fr {
+			if fr[i].Packets != rr[i].Packets || fr[i].Bytes != rr[i].Bytes {
+				t.Fatalf("rule %d counters: %s %d/%dB != sequential %d/%dB",
+					fr[i].ID, c.name, fr[i].Packets, fr[i].Bytes, rr[i].Packets, rr[i].Bytes)
+			}
+		}
+		for _, k := range flows {
+			fm, _ := c.sw.Microflow(k)
+			rm, _ := ref.Microflow(k)
+			if fp, rp := atomic.LoadUint64(&fm.Packets), atomic.LoadUint64(&rm.Packets); fp != rp {
+				t.Fatalf("microflow %v packets: %s %d != sequential %d", k, c.name, fp, rp)
+			}
+			if fb, rb := atomic.LoadUint64(&fm.Bytes), atomic.LoadUint64(&rm.Bytes); fb != rb {
+				t.Fatalf("microflow %v bytes: %s %d != sequential %d", k, c.name, fb, rb)
+			}
 		}
 	}
 }
 
 // TestBurstEquivalenceQuick is the property test: for arbitrary tables
-// and bursts, ProcessBurst ≡ sequential Process — verdicts, header
-// rewrites, and traffic accounting.
+// and bursts, ProcessBurst ≡ packet-by-packet FIB.Step ≡ sequential
+// Process — verdicts, header rewrites, and traffic accounting.
 func TestBurstEquivalenceQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		checkEquivalence(t, rand.New(rand.NewSource(seed)))
@@ -273,6 +301,35 @@ func TestSnapshotGeneration(t *testing.T) {
 	}
 	if fib.Acquire() != before {
 		t.Fatal("failed removals must not invalidate the snapshot")
+	}
+}
+
+// TestStepServesTheCurrentTable: a single step after a table mutation
+// sees the new table (the snapshot is recompiled, never served stale), and
+// a step on a current snapshot allocates nothing.
+func TestStepServesTheCurrentTable(t *testing.T) {
+	reg := obs.New()
+	sw := switchsim.NewSwitch("step")
+	sw.Install(10, switchsim.MatchAll(), switchsim.Forward(1))
+	n := NewNet(NetConfig{Switches: []*switchsim.Switch{sw}, Links: [][]Link{nil}, Obs: reg})
+	fib := n.FIB(0)
+	p := &packet.Packet{Src: 1, Dst: 2, SrcPort: 3, DstPort: 4, Proto: packet.ProtoTCP}
+	if v := fib.Step(p, 0); v.Output != 1 {
+		t.Fatalf("step output %d, want 1", v.Output)
+	}
+	sw.InstallMicroflow(p.Flow(), switchsim.Forward(2))
+	if v := fib.Step(p, 0); v.Output != 2 {
+		t.Fatalf("step after InstallMicroflow output %d, want the new microflow's 2", v.Output)
+	}
+	if c := reg.Counter("fastpath.snapshot.compile").Value(); c != 2 {
+		t.Fatalf("fastpath.snapshot.compile = %d, want 2 (one per generation)", c)
+	}
+	if a := testing.AllocsPerRun(100, func() { fib.Step(p, 0) }); a != 0 {
+		t.Fatalf("Step allocates %.1f objects per packet, want 0", a)
+	}
+	// Two steps above, plus AllocsPerRun's warm-up call and its 100 runs.
+	if got := atomic.LoadUint64(&sw.Processed); got != 103 {
+		t.Fatalf("Processed = %d, want 103", got)
 	}
 }
 

@@ -59,6 +59,22 @@ func (f *FIB) Acquire() *Snapshot {
 	}
 }
 
+// Step runs one packet arriving on inPort through the switch's current
+// snapshot: the single-packet form of ProcessBurst, with the same verdict
+// and header rewrites as switchsim.Process. It needs no handle: a hit is
+// accounted straight to the live rule and the pipeline stats to the
+// switch, so nothing is left to flush. A stale snapshot is recompiled
+// first, exactly as for a burst.
+//
+// hotpath: no alloc, no lock
+func (f *FIB) Step(p *packet.Packet, inPort int) Verdict {
+	snap := f.Acquire()
+	t := tally{direct: true}
+	v := snap.lookup(p, inPort, &t)
+	snap.src.AccountBurst(t.stats)
+	return v
+}
+
 // Proc is one worker's processing handle on a FIB: it owns the reusable
 // verdict scratch and the burst tally, so steady-state burst processing
 // allocates nothing and shares no mutable state with other workers.

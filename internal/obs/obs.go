@@ -121,11 +121,12 @@ func (c *Counter) Inc() {
 	}
 }
 
-// Add adds n.
+// Add adds n. Adding zero is not an atomic operation at all, so a batch
+// flush may hand over its empty tallies for free.
 //
 // hotpath: no alloc, no lock
 func (c *Counter) Add(n uint64) {
-	if c != nil {
+	if c != nil && n != 0 {
 		c.v.Add(n)
 	}
 }

@@ -153,10 +153,13 @@ type BurstStats struct {
 // AccountBurst adds a burst's tallies to the switch counters and telemetry.
 // The switch's Processed/Misses counts and obs series therefore read the
 // same whether packets took the locked Process path or a compiled
-// fast-path burst.
+// fast-path burst. Zero tallies cost nothing (no atomic add), so a
+// one-packet flush pays only for the outcomes that packet had.
 func (s *Switch) AccountBurst(b BurstStats) {
 	atomic.AddUint64(&s.Processed, b.Packets)
-	atomic.AddUint64(&s.Misses, b.Miss)
+	if b.Miss != 0 {
+		atomic.AddUint64(&s.Misses, b.Miss)
+	}
 	s.obs.packets.Add(b.Packets)
 	s.obs.microHit.Add(b.MicroHit)
 	s.obs.microMiss.Add(b.MicroMiss)
