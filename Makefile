@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet fmt lint fuzz verify bench-check policy-gate bench-smoke bench bench-city city-smoke blackout-smoke profile clean chaos cover span-alloc-gate loc
+.PHONY: all build test race vet fmt lint fuzz verify bench-check policy-gate bench-smoke bench city-gate blackout-smoke profile clean chaos cover span-alloc-gate loc
 
 all: verify
 
@@ -68,10 +68,7 @@ cover:
 		fi; \
 	done
 
-# verify is the gate every change must pass. The city smoke at the end is
-# the scaled-down §6.1 soak (48 stations, 20k UEs): it exercises the same
-# workload generator, shard fan-out, and memory accounting as bench-city
-# and fails on op errors or invariant violations.
+# verify is the gate every change must pass.
 verify:
 	$(MAKE) fmt
 	$(GO) vet ./...
@@ -83,7 +80,7 @@ verify:
 	$(MAKE) cover
 	$(MAKE) span-alloc-gate
 	$(MAKE) bench-smoke
-	$(MAKE) city-smoke
+	$(MAKE) city-gate
 	$(MAKE) blackout-smoke
 
 # bench-check compiles and tests the repository benchmark. bench/ is a
@@ -107,6 +104,17 @@ policy-gate:
 	done; \
 	echo "policy-gate: e2e_mobility failed=0 correct=true mbox.old_flow_bypasses=0"
 
+# city-gate is §6.1 checked end to end by the repository benchmark: the
+# city_churn workload (the §6.1 event stream on a sharded plant) for 3 s.
+# It fails unless every op succeeded and the run's own correctness check
+# held, which sweeps the cross-shard invariants (Dispatcher.CheckInvariants).
+city-gate:
+	@out=$$(bash bench/run.sh --workload city_churn --seed 1 --seconds 3 --trace 0 | tail -n 1); \
+	for want in '"correct":true,' '"failed":0,'; do \
+		case "$$out" in *"$$want"*) ;; *) echo "FAIL: city-gate: the result line lacks $$want"; echo "$$out"; exit 1;; esac; \
+	done; \
+	echo "city-gate: city_churn failed=0 correct=true"
+
 # bench-smoke runs every Go benchmark for 500 iterations, so one that
 # cannot get that far (a fixture that exhausts a tag space, say) fails the
 # gate instead of rotting until someone next wants its number.
@@ -124,15 +132,6 @@ span-alloc-gate:
 	if [ "$$allocs" != "0" ]; then echo "FAIL: not-sampled span path allocates ($$allocs allocs/op, want 0)"; exit 1; fi; \
 	echo "span-alloc-gate: not-sampled span path is allocation free"
 
-# city-smoke is bench-city shrunk to CI scale: same code path end to end,
-# seconds instead of minutes. The report lands next to the full soak's so
-# CI can archive it, along with the span critical-path attribution
-# (sampled 1-in-64 so a short smoke still collects a real waterfall).
-city-smoke:
-	$(GO) run ./cmd/softcell-bench -mode city -stations 48 -ues 20000 -shards 2 \
-		-sim-seconds 30 -trace-sample 64 -attr \
-		-attr-json results/ATTR_city_smoke.json -json results/BENCH_city_smoke.json
-
 # blackout-smoke is the agent-survivability gate (DESIGN.md §15): the
 # control plane goes dark for 30 sim-seconds under live traffic, and the
 # run fails on any verdict flip, dropped microflow, accepted stale
@@ -148,14 +147,6 @@ blackout-smoke:
 bench:
 	$(GO) run ./cmd/softcell-bench -mode controller -agents 16 -duration 1s \
 		-json results/BENCH_controller.json | tee results/bench_controller.txt
-
-# bench-city regenerates the committed city-scale soak (§6.1 at full
-# width): 1536 base stations, 1M registered subscribers, a multi-minute
-# sustained arrival/handoff/bearer schedule, and the memory report
-# (live-heap bytes per UE).
-bench-city:
-	$(GO) run ./cmd/softcell-bench -mode city -soak 3m \
-		-json results/BENCH_city.json | tee results/bench_city.txt
 
 # profile captures CPU and heap profiles of the controller hot path via the
 # Go benchmarks (DESIGN.md §10). Inspect with `go tool pprof results/cpu.pprof`.

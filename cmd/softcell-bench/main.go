@@ -8,10 +8,10 @@
 //	softcell-bench -mode agent             # Table 2
 //	softcell-bench -mode chaos             # seeded fault-injection soak
 //	softcell-bench -mode blackout          # control-plane blackout continuity soak
-//	softcell-bench -mode city              # city-scale 1M-UE memory/churn soak
 //
-// Forwarding-plane numbers are not measured here: they come from the
-// repository benchmark (`bash bench/run.sh --workload forward_plain`).
+// Forwarding-plane and city-scale churn numbers are not measured here: they
+// come from the repository benchmark (`bash bench/run.sh --workload
+// forward_plain`, `--workload city_churn`).
 package main
 
 import (
@@ -89,14 +89,6 @@ type blackoutReport struct {
 	Attribution obs.Attribution `json:"attribution"`
 }
 
-// cityReport is the BENCH_city.json schema: the soak result plus the host
-// shape and the telemetry snapshot.
-type cityReport struct {
-	cbench.CityResult
-	GOMAXPROCS int          `json:"gomaxprocs"`
-	Obs        obs.Snapshot `json:"obs"`
-}
-
 // writeJSON renders v indented and writes it to path.
 func writeJSON(path string, v any) {
 	b, err := json.MarshalIndent(v, "", "  ")
@@ -112,8 +104,7 @@ func writeJSON(path string, v any) {
 }
 
 // emitAttr renders the span attribution a run collected: the critical-path
-// waterfall to stdout when asked, and the raw attribution JSON to a file
-// (the CI artifact make city-smoke uploads).
+// waterfall to stdout when asked, and the raw attribution JSON to a file.
 func emitAttr(a obs.Attribution, show bool, path string) {
 	if show {
 		fmt.Println()
@@ -131,21 +122,18 @@ func emitAttr(a obs.Attribution, show bool, path string) {
 
 func main() {
 	var (
-		mode     = flag.String("mode", "controller", "controller | agent | chaos | blackout | city")
+		mode     = flag.String("mode", "controller", "controller | agent | chaos | blackout")
 		agents   = flag.Int("agents", 16, "emulated agent connections")
 		duration = flag.Duration("duration", time.Second, "per-point measurement window")
 		wire     = flag.Bool("wire", true, "drive the binary control protocol (false: in-process calls)")
 		rtt      = flag.Duration("rtt", 500*time.Microsecond, "simulated controller RTT for agent cache misses")
-		jsonOut  = flag.String("json", "", "with -mode controller or chaos: write the report as JSON to this file")
+		jsonOut  = flag.String("json", "", "with -mode controller, chaos or blackout: write the report as JSON to this file")
 
-		seed   = flag.Int64("seed", 1, "chaos, city: schedule/workload seed")
+		seed   = flag.Int64("seed", 1, "chaos, blackout: schedule seed")
 		events = flag.Int("events", 2000, "chaos: schedule length in events")
-		shards = flag.Int("shards", 3, "chaos, city: control-plane shards (city default 4)")
-		ues    = flag.Int("ues", 16, "chaos, city: subscriber population (city default 1000000)")
+		shards = flag.Int("shards", 3, "chaos, blackout: control-plane shards (blackout uses 2 unless set)")
+		ues    = flag.Int("ues", 16, "chaos, blackout: subscriber population")
 
-		stations = flag.Int("stations", 1536, "city: base stations (must be C·K³/4; 48 for the smoke point)")
-		simSecs  = flag.Int("sim-seconds", 300, "city: minimum simulated workload seconds to soak")
-		soakWall = flag.Duration("soak", 0, "city: keep soaking until this much wall clock has elapsed")
 		cluster  = flag.Int("cluster", 4, "chaos, blackout: base stations per pod cluster")
 		outage   = flag.Int("outage-ticks", 30000, "blackout: outage length in 1ms sim ticks")
 		wireRate = flag.Float64("wire-fault-rate", 0.25, "chaos: per-frame fault probability (negative disables)")
@@ -155,15 +143,15 @@ func main() {
 		mixAgent = flag.Int("mix-agent-restart", 0, "chaos: agent-restart weight (0 = default)")
 		mixDet   = flag.Int("mix-detach", 0, "chaos: detach-mid-handoff weight (0 = default)")
 		mixPol   = flag.Int("mix-policy", 0, "chaos: policy-churn weight (0 = default)")
-		traceOut = flag.String("trace", "", "chaos: write the deterministic event trace to this file")
+		traceOut = flag.String("trace", "", "chaos, blackout: write the deterministic event trace to this file")
 
 		traceSample = flag.Int("trace-sample", 0, "span tracing: sample one request in N (0 keeps the default, 1024)")
-		attrShow    = flag.Bool("attr", false, "controller, blackout, city: print the span critical-path waterfall")
-		attrJSON    = flag.String("attr-json", "", "controller, blackout, city: also write the span attribution as JSON to this file")
+		attrShow    = flag.Bool("attr", false, "controller, blackout: print the span critical-path waterfall")
+		attrJSON    = flag.String("attr-json", "", "controller, blackout: also write the span attribution as JSON to this file")
 	)
 	flag.Parse()
-	// The chaos-calibrated -shards/-ues defaults are far too small for a
-	// city soak; only explicit values override the city defaults.
+	// -shards defaults to the chaos soak's width; only explicit values
+	// override the blackout soak's own defaults.
 	setFlags := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
 
@@ -356,59 +344,6 @@ func main() {
 				rep.OutageNewFlowsPerSec = float64(res.OutageNewFlows) / wall.Seconds()
 			}
 			writeJSON(*jsonOut, rep)
-		}
-	case "city":
-		opts := cbench.CityOptions{
-			Stations:   *stations,
-			SimSeconds: *simSecs,
-			MinWall:    *soakWall,
-			Seed:       *seed,
-		}
-		if setFlags["shards"] {
-			opts.Shards = *shards
-		}
-		if setFlags["ues"] {
-			opts.UEs = *ues
-		}
-		if err := cbench.ValidateCity(opts); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-		reg := obs.New()
-		reg.SetClock(func() int64 { return time.Now().UnixNano() })
-		if *traceSample > 0 {
-			reg.SetSpanSampling(*traceSample)
-		}
-		opts.Obs = reg
-		fmt.Printf("city soak: stations=%d sim-seconds>=%d soak>=%v GOMAXPROCS=%d\n",
-			opts.Stations, opts.SimSeconds, *soakWall, runtime.GOMAXPROCS(0))
-		res, err := cbench.BenchCity(opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-		tab := metrics.NewTable("quantity", "value")
-		tab.AddRow("subscribers registered", res.Registered)
-		tab.AddRow("initially attached", res.InitialAttach)
-		tab.AddRow("load phase", fmt.Sprintf("%.1fs (%.0f ops/s)", float64(res.LoadWallMS)/1000, res.LoadOpsPerSec))
-		tab.AddRow("soak", fmt.Sprintf("%d sim-seconds in %.1fs wall", res.SimSeconds, float64(res.SoakWallMS)/1000))
-		tab.AddRow("ops/s sustained", fmt.Sprintf("%.0f", res.OpsPerSec))
-		tab.AddRow("arrivals/s", fmt.Sprintf("%.0f (paper 99.999-pct: 214)", res.ArrivalsPerSec))
-		tab.AddRow("handoffs/s", fmt.Sprintf("%.0f (paper 99.999-pct: 280)", res.HandoffsPerSec))
-		tab.AddRow("handoff p99", fmt.Sprintf("%.0fµs", res.HandoffP99NS/1000))
-		tab.AddRow("rule table max/median", fmt.Sprintf("%d / %d", res.RuleTableMax, res.RuleTableMedian))
-		tab.AddRow("live heap (fleet)", fmt.Sprintf("%.1f MB (%.1f B/subscriber)", float64(res.LiveHeapBytes)/1e6, res.BytesPerUE))
-		tab.AddRow("attr intern hit rate", fmt.Sprintf("%.4f (%d sets live)", res.Mem.AttrHitRate(), res.Mem.InternedAttrs))
-		tab.AddRow("GC", fmt.Sprintf("%d cycles, %.1fms total pause, %.2fms max", res.GCCount, res.GCPauseTotalMS, res.GCPauseMaxMS))
-		fmt.Print(tab)
-		fmt.Printf("\n%d op errors; post-soak cross-shard invariants held\n", res.OpErrors)
-		if res.Attribution != nil {
-			emitAttr(*res.Attribution, *attrShow, *attrJSON)
-		}
-		if *jsonOut != "" {
-			writeJSON(*jsonOut, cityReport{
-				CityResult: res, GOMAXPROCS: runtime.GOMAXPROCS(0), Obs: reg.Snapshot(),
-			})
 		}
 	default:
 		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)

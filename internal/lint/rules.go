@@ -168,11 +168,10 @@ func DefaultRules() *Rules {
 			},
 			"repro/internal/cbench": {
 				"repro/internal/agent", "repro/internal/core",
-				"repro/internal/ctrlproto", "repro/internal/metrics",
-				"repro/internal/obs", "repro/internal/packet",
-				"repro/internal/plant", "repro/internal/policy",
-				"repro/internal/shard", "repro/internal/switchsim",
-				"repro/internal/topo", "repro/internal/workload",
+				"repro/internal/ctrlproto", "repro/internal/obs",
+				"repro/internal/packet", "repro/internal/plant",
+				"repro/internal/policy", "repro/internal/switchsim",
+				"repro/internal/topo",
 			},
 		},
 		// The system under test has one definition: every controller,

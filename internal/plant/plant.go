@@ -101,14 +101,13 @@ func allowClauses(pol *policy.Policy) []int {
 	return out
 }
 
-// CheckTagCapacity refuses a shard count whose per-shard tag sub-space
+// checkTagCapacity refuses a shard count whose per-shard tag sub-space
 // (shard i allocates tags ≡ i mod shards within [1, MaxTag]) cannot feed
 // the policy: every allow clause needs a tag per shard, and route-shape
 // diversity (distinct middlebox chains per clause) multiplies that, so
 // demand 8 per clause. New applies it before building anything — a
-// configuration error up front, not an allocator failure deep into a run —
-// and callers validating flags call it directly.
-func CheckTagCapacity(shards int) error {
+// configuration error up front, not an allocator failure deep into a run.
+func checkTagCapacity(shards int) error {
 	const headroom = 8
 	pl, stride := PlanFor(shards), max(shards, 1)
 	clauses := len(allowClauses(policy.ExampleCarrierPolicy()))
@@ -123,7 +122,7 @@ func CheckTagCapacity(shards int) error {
 // New builds the system a Spec describes, generating its topology first
 // when the Spec gives none.
 func New(spec Spec) (*Plant, error) {
-	if err := CheckTagCapacity(spec.Shards); err != nil {
+	if err := checkTagCapacity(spec.Shards); err != nil {
 		return nil, err
 	}
 	g := &topo.Generated{Topology: spec.Topology, GatewayID: spec.Gateway}

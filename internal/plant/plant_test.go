@@ -84,7 +84,7 @@ func TestWarmedPathOverDial(t *testing.T) {
 // hold 8 tags per allow clause is refused before anything is built, and
 // the message carries the shard count, the capacity and the need.
 func TestShardCountBeyondTagSpaceRefused(t *testing.T) {
-	if err := CheckTagCapacity(102); err != nil {
+	if err := checkTagCapacity(102); err != nil {
 		t.Fatalf("102 shards (40 tags each) refused: %v", err)
 	}
 	_, err := New(Spec{Topo: smallTopo, Shards: 103})

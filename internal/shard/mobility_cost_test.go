@@ -20,8 +20,8 @@ import (
 	"repro/internal/workload"
 )
 
-// warmPlant builds the 48-station, 2-shard plant of make city-smoke with
-// every (station, allow clause) path installed.
+// warmPlant builds a 48-station (K=4, three stations per cluster), 2-shard
+// plant with every (station, allow clause) path installed.
 func warmPlant(tb testing.TB) (*plant.Plant, *obs.Registry) {
 	tb.Helper()
 	reg := obs.New()
@@ -236,6 +236,38 @@ func TestChurnNeverLeavesTheMemo(t *testing.T) {
 	// Runs every shard's own CheckInvariants, then the cross-shard checks.
 	if _, err := p.Disp.CheckInvariants(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestChurnReplaysDeterministically: the seed decides every event of the
+// §6.1 stream, so two plants churned with one seed make the same operations
+// and end in the same state — attached UEs, subscriber records, installed
+// paths and the fullest switch table.
+func TestChurnReplaysDeterministically(t *testing.T) {
+	type outcome struct {
+		events, local, cross         int
+		attached, subscribers, paths int
+		ruleMax                      int
+	}
+	run := func() outcome {
+		p, _ := warmPlant(t)
+		var o outcome
+		o.events, o.local, o.cross = churn(t, p, 7, 30)
+		ms := p.Disp.MemStats()
+		o.attached, o.subscribers, o.paths = ms.Attached, ms.Subscribers, ms.Paths
+		for _, s := range p.Disp.Shards() {
+			hw, _ := s.Ctrl.Installer.TableSizes()
+			o.ruleMax = max(o.ruleMax, hw.Max())
+		}
+		return o
+	}
+	a, b := run(), run()
+	if a.local == 0 || a.cross == 0 || a.attached == 0 || a.ruleMax == 0 {
+		t.Fatalf("stream too thin to compare: %+v", a)
+	}
+	t.Logf("%+v", a)
+	if a != b {
+		t.Fatalf("same-seed churn diverged:\n  a: %+v\n  b: %+v", a, b)
 	}
 }
 
