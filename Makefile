@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet fmt lint fuzz verify bench-check policy-gate bench-smoke bench city-gate blackout-smoke profile clean chaos cover span-alloc-gate loc
+.PHONY: all build test race vet fmt lint fuzz verify bench-check policy-gate bench-smoke bench city-gate blackout-smoke profile clean chaos cover span-alloc-gate sync-alloc-gate loc
 
 all: verify
 
@@ -42,6 +42,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWireCodec$$' -fuzztime $(FUZZTIME) ./internal/ctrlproto
 	$(GO) test -run '^$$' -fuzz '^FuzzMatch$$' -fuzztime $(FUZZTIME) ./internal/switchsim
 	$(GO) test -run '^$$' -fuzz '^FuzzBurstEquivalence$$' -fuzztime $(FUZZTIME) ./internal/fastpath
+	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotReuse$$' -fuzztime $(FUZZTIME) ./internal/fastpath
 
 # chaos runs a long seeded fault-injection soak (DESIGN.md §11). The
 # fixed-seed smoke run is part of tier-1 (`go test -race ./internal/chaos`
@@ -79,6 +80,7 @@ verify:
 	$(GO) test -race ./...
 	$(MAKE) cover
 	$(MAKE) span-alloc-gate
+	$(MAKE) sync-alloc-gate
 	$(MAKE) bench-smoke
 	$(MAKE) city-gate
 	$(MAKE) blackout-smoke
@@ -131,6 +133,19 @@ span-alloc-gate:
 	if [ -z "$$allocs" ]; then echo "span-alloc-gate: benchmark produced no allocs/op figure"; exit 1; fi; \
 	if [ "$$allocs" != "0" ]; then echo "FAIL: not-sampled span path allocates ($$allocs allocs/op, want 0)"; exit 1; fi; \
 	echo "span-alloc-gate: not-sampled span path is allocation free"
+
+# sync-alloc-gate pins what the Sync after a handoff allocates: it splices
+# the shortcuts into the switches they touch and recompiles only their
+# snapshots' TCAMs, reusing each compiled rule that stayed, so
+# BenchmarkSyncAfterHandoff must stay at or under 40 000 B/op (74.5 kB
+# while every changed switch was rebuilt and recompiled whole).
+sync-alloc-gate:
+	@out=$$($(GO) test -run '^$$' -bench '^BenchmarkSyncAfterHandoff$$' -benchmem ./internal/dataplane); \
+	echo "$$out"; \
+	bytes=$$(echo "$$out" | awk '/BenchmarkSyncAfterHandoff/ {for (i=1;i<=NF;i++) if ($$i == "B/op") print $$(i-1)}'); \
+	if [ -z "$$bytes" ]; then echo "sync-alloc-gate: benchmark produced no B/op figure"; exit 1; fi; \
+	if [ "$$bytes" -gt 40000 ]; then echo "FAIL: the Sync after a handoff allocates $$bytes B/op (limit 40000)"; exit 1; fi; \
+	echo "sync-alloc-gate: the Sync after a handoff allocates $$bytes B/op (limit 40000)"
 
 # blackout-smoke is the agent-survivability gate (DESIGN.md §15): the
 # control plane goes dark for 30 sim-seconds under live traffic, and the

@@ -311,6 +311,9 @@ type FIB struct {
 	// version counts the mutations that changed what Export visits; see
 	// Version.
 	version uint64
+	// log lists what Export gained and lost; see ChangesSince. It is nil,
+	// and nothing is listed, until ChangesSince is first called.
+	log *changeLog
 
 	// rules holds the Type 1 (tag+prefix) and Type 2 (tag-only) rules.
 	rules map[ctxKey]*tagState
@@ -363,7 +366,82 @@ func (f *FIB) Version() uint64 { return f.version }
 // succeed makes f the replacement of old, the same switch's FIB before a
 // rebuild: f's versions start one past old's, so even a rebuild that leaves
 // f empty reads as a change, and no later version of f repeats one of old's.
-func (f *FIB) succeed(old *FIB) { f.version += old.version + 1 }
+func (f *FIB) succeed(old *FIB) {
+	f.version += old.version + 1
+	if old.log != nil {
+		f.log = &changeLog{from: f.version}
+	}
+}
+
+// MaxFIBChanges bounds a FIB's change list. A reader more than about this
+// many listed changes behind (see ChangesSince) gets no list and rebuilds.
+const MaxFIBChanges = 64
+
+// FIBChange is one exported rule a FIB gained, or with Removed set lost, at
+// Version.
+type FIBChange struct {
+	Version uint64
+	Removed bool
+	Rule    ExportedRule
+}
+
+// changeLog is a FIB's change list: the mobility rules Export gained and
+// lost over the versions (from, the FIB's version], oldest first. Any other
+// version move empties it and moves from up.
+type changeLog struct {
+	from    uint64
+	changes []FIBChange
+}
+
+// ChangesSince lists, oldest first, the exported rules the FIB gained and
+// lost after version v; applied in order to the rules Export visited at v,
+// they give the rules it visits now. ok is false when the list does not
+// reach back to v: a mutation other than a mobility insert or remove came
+// since (their effect on Export is not local), older changes were dropped
+// at the MaxFIBChanges bound, or v is not a version of this FIB. The first
+// call starts the list and reports false. The slice is the FIB's own, valid
+// until its next mutation.
+func (f *FIB) ChangesSince(v uint64) (changes []FIBChange, ok bool) {
+	l := f.log
+	if l == nil {
+		f.log = &changeLog{from: f.version}
+		return nil, false
+	}
+	if v < l.from || v > f.version {
+		return nil, false
+	}
+	i := len(l.changes)
+	for i > 0 && l.changes[i-1].Version > v {
+		i--
+	}
+	return l.changes[i:], true
+}
+
+// moved steps the version for a mutation that made exactly the listed
+// changes to Export's rules; without any (the mutation is not a mobility
+// insert or remove) the change list empties and starts at the new version.
+// A list at its bound drops its older half.
+func (f *FIB) moved(cs ...FIBChange) {
+	f.version++
+	l := f.log
+	switch {
+	case l == nil:
+	case len(cs) == 0:
+		l.from, l.changes = f.version, l.changes[:0]
+	default:
+		if len(l.changes)+len(cs) > MaxFIBChanges {
+			// A replacement the cut splits leaves its add at from, where
+			// ChangesSince never looks.
+			i := len(l.changes) / 2
+			l.from = l.changes[i-1].Version
+			l.changes = append(l.changes[:0], l.changes[i:]...)
+		}
+		for i := range cs {
+			cs[i].Version = f.version
+		}
+		l.changes = append(l.changes, cs...)
+	}
+}
 
 // state returns the Type 1/2 state of one context, nil when absent and not
 // created. A created state holds no rule yet, so creating one is not a
@@ -429,7 +507,7 @@ func (f *FIB) InsertLocation(dir Direction, in ingress, p packet.Prefix, nh Next
 // the rule-count delta through.
 func (f *FIB) inserted(delta int, changed bool) int {
 	if changed {
-		f.version++
+		f.moved()
 	}
 	return delta
 }
@@ -455,7 +533,7 @@ func (f *FIB) SetDefault(dir Direction, in ingress, tag packet.Tag, nh NextHop) 
 		delta = 1
 	}
 	if !st.hasDef || st.def != nh {
-		f.version++
+		f.moved()
 	}
 	st.hasDef = true
 	st.def = nh
@@ -480,8 +558,13 @@ func (f *FIB) InsertPrefix(dir Direction, in ingress, tag packet.Tag, p packet.P
 func (f *FIB) InsertMobility(dir Direction, in ingress, tag packet.Tag, loc packet.Addr, nh NextHop) int {
 	k := mobKey{ctxKey{in, tag, dir}, loc}
 	old, had := f.mob[k]
-	if !had || old != nh {
-		f.version++
+	switch {
+	case !had:
+		f.moved(FIBChange{Rule: k.exported(nh)})
+	case old != nh:
+		f.moved(FIBChange{Removed: true, Rule: k.exported(old)}, FIBChange{Rule: k.exported(nh)})
+	default:
+		return 0
 	}
 	f.mob[k] = nh
 	if had {
@@ -493,11 +576,11 @@ func (f *FIB) InsertMobility(dir Direction, in ingress, tag packet.Tag, loc pack
 // RemoveMobility deletes a mobility override and reports whether it existed.
 func (f *FIB) RemoveMobility(dir Direction, in ingress, tag packet.Tag, loc packet.Addr) bool {
 	k := mobKey{ctxKey{in, tag, dir}, loc}
-	_, had := f.mob[k]
+	nh, had := f.mob[k]
 	if had {
-		f.version++
+		f.moved(FIBChange{Removed: true, Rule: k.exported(nh)})
+		delete(f.mob, k)
 	}
-	delete(f.mob, k)
 	return had
 }
 
@@ -607,11 +690,21 @@ func bandOf(kind RuleBand, in ingress) RuleBand {
 	}
 }
 
+// exported flattens one rule of band kind in context k.
+func (k ctxKey) exported(kind RuleBand, p packet.Prefix, nh NextHop) ExportedRule {
+	return ExportedRule{Dir: k.dir, Band: bandOf(kind, k.in), Tag: k.tag,
+		Prefix: p, FromMB: k.in.mb, From: k.in.node, NH: nh}
+}
+
+// exported flattens the mobility rule (k -> nh).
+func (k mobKey) exported(nh NextHop) ExportedRule {
+	return k.ctx.exported(BandMobility, packet.Prefix{Addr: k.loc, Len: 32}, nh)
+}
+
 // Export visits every installed rule of this FIB.
 func (f *FIB) Export(visit func(ExportedRule)) {
 	emit := func(kind RuleBand, k ctxKey, p packet.Prefix, nh NextHop) {
-		visit(ExportedRule{Dir: k.dir, Band: bandOf(kind, k.in), Tag: k.tag,
-			Prefix: p, FromMB: k.in.mb, From: k.in.node, NH: nh})
+		visit(k.exported(kind, p, nh))
 	}
 	for k, st := range f.rules {
 		if st.hasDef {
@@ -625,6 +718,6 @@ func (f *FIB) Export(visit func(ExportedRule)) {
 		tr.Walk(func(p packet.Prefix, nh NextHop) { emit(BandLocation, k, p, nh) })
 	}
 	for k, nh := range f.mob {
-		emit(BandMobility, k.ctx, packet.Prefix{Addr: k.loc, Len: 32}, nh)
+		visit(k.exported(nh))
 	}
 }

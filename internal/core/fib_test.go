@@ -517,3 +517,100 @@ func TestFIBVersionTracksExport(t *testing.T) {
 		t.Fatalf("%d of 1500 ops changed the table; the pools need both outcomes", bumps)
 	}
 }
+
+// TestFIBChangesReplayExport: over random mutator calls, whenever
+// ChangesSince(v) lists changes, replaying them on what Export visited at v
+// gives what it visits now; a mobility insert or remove is always listed,
+// a replacement as a remove and an add at one version; any other version
+// move, and changes dropped at the bound, make older versions unlisted.
+func TestFIBChangesReplayExport(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	f := NewFIB(0)
+	if _, ok := f.ChangesSince(f.Version()); ok {
+		t.Fatal("the first ChangesSince listed changes it had not been recording")
+	}
+	ins := []ingress{anyPort, fromMB(2), fromPort(5)}
+	nhs := []NextHop{ToNode(1), ToNode(2), {Node: 3, MB: NoMB, NewTag: 9}}
+	exports := map[uint64][]string{f.Version(): exportBag(f)}
+	replaced, deep := 0, 0
+	for i := 0; i < 1000; i++ {
+		in := ins[rng.Intn(len(ins))]
+		tag := packet.Tag(1 + rng.Intn(3))
+		loc := packet.Addr(rng.Intn(12))
+		nh := nhs[rng.Intn(len(nhs))]
+		v := f.Version()
+		mobility := true
+		switch r := rng.Intn(40); {
+		case r == 0:
+			mobility = false
+			f.SetDefault(Down, in, tag, nh)
+		case r < 22:
+			if old, had := f.LookupMobility(Down, in, tag, loc); had && old != nh {
+				replaced++
+			}
+			f.InsertMobility(Down, in, tag, loc, nh)
+		default:
+			f.RemoveMobility(Down, in, tag, loc)
+		}
+		if f.Version() == v {
+			continue
+		}
+		now := exportBag(f)
+		exports[f.Version()] = now
+		if _, ok := f.ChangesSince(v); ok != mobility {
+			t.Fatalf("op %d: the version move from %d is listed=%v; it was a mobility change=%v", i, v, ok, mobility)
+		}
+		for since, then := range exports {
+			changes, ok := f.ChangesSince(since)
+			if !ok {
+				continue
+			}
+			if f.Version()-since > MaxFIBChanges/4 {
+				deep++
+			}
+			bag := map[string]int{}
+			for _, r := range then {
+				bag[r]++
+			}
+			for _, c := range changes {
+				r := fmt.Sprintf("%+v", c.Rule)
+				if c.Version <= since || c.Version > f.Version() {
+					t.Fatalf("op %d: a change since %d is listed at version %d (now %d)", i, since, c.Version, f.Version())
+				}
+				if c.Removed != (bag[r] == 1) {
+					t.Fatalf("op %d: since %d, removed=%v of %s, which was present %d times", i, since, c.Removed, r, bag[r])
+				}
+				if c.Removed {
+					delete(bag, r)
+				} else {
+					bag[r] = 1
+				}
+			}
+			var replay []string
+			for r := range bag {
+				replay = append(replay, r)
+			}
+			sort.Strings(replay)
+			if !reflect.DeepEqual(replay, now) {
+				t.Fatalf("op %d: the changes since %d replay to\n%v\nExport visits\n%v", i, since, replay, now)
+			}
+		}
+		for since := range exports {
+			if since+MaxFIBChanges < f.Version() {
+				delete(exports, since) // past the bound: never listed again
+			}
+		}
+	}
+	if replaced == 0 || deep == 0 {
+		t.Fatalf("%d replacements and %d replays of more than %d versions; the schedule needs both", replaced, deep, MaxFIBChanges/4)
+	}
+
+	next := NewFIB(0)
+	next.succeed(f)
+	if _, ok := next.ChangesSince(next.Version()); !ok {
+		t.Fatal("a successor of a recorded FIB does not record")
+	}
+	if _, ok := next.ChangesSince(f.Version()); ok {
+		t.Fatal("a successor listed the changes from its predecessor's table")
+	}
+}

@@ -53,8 +53,9 @@ type Network struct {
 	mbPort   map[topo.MBInstanceID]int
 	mbAt     [][]topo.MBInstanceID // per node: instance on each middlebox port, first one at index 0
 	agentAt  map[topo.NodeID]*agent.Agent
-	bindings []publicBinding // §7 public-IP classifiers, part of the gateway's table
-	synced   []uint64        // per node: the FIB version its TCAM holds; see Sync
+	bindings []publicBinding  // §7 public-IP classifiers, part of the gateway's table
+	synced   []uint64         // per node: the FIB version its TCAM holds; see Sync
+	edits    []switchsim.Edit // Sync's splice scratch
 
 	fast *fastpath.Engine // burst fast path; see EnableFastPath (burst.go)
 	obs  *dpObs           // burst telemetry; see Instrument (obs.go)
@@ -137,16 +138,20 @@ const unsynced = ^uint64(0)
 // failure recomputation). It costs what changed: a switch whose FIB version
 // (core.FIB.Version) is the one already materialised is skipped, and a
 // Sync that finds nothing changed allocates nothing and moves no switch
-// generation. A changed switch gets its whole table — FIB rules plus, on
-// the gateway, the §7 public-IP bindings — in one switchsim.ReplaceTCAM, so
-// concurrent Process calls and fast-path compiles see the old table or the
-// new one and never a partial one; the fast path then recompiles exactly
-// the snapshots whose generation moved.
+// generation. A switch whose FIB can list the rules it gained and lost
+// since (core.FIB.ChangesSince: a handoff's shortcuts, a release) gets just
+// those in one switchsim.Splice; any other changed switch gets its whole
+// table — FIB rules plus, on the gateway, the §7 public-IP bindings — in
+// one switchsim.ReplaceTCAM. Either way concurrent Process calls and
+// fast-path compiles see the old table or the new one and never a partial
+// one; the fast path then recompiles exactly the snapshots whose generation
+// moved, reusing what they compiled of the rules that stayed.
 //
-// Microflow tables are never touched. Rule traffic counters (Packets,
-// Bytes) keep counting on skipped switches and restart from zero on a
-// rebuilt one, whose rules are new rules. On error the failing switch keeps
-// the table it had.
+// Microflow tables are never touched. A rule's traffic counters (Packets,
+// Bytes) keep counting for as long as the rule stays installed: on skipped
+// switches, and on spliced ones for every rule the splice did not remove.
+// A rebuilt switch's rules are new rules, counting from zero. On error the
+// failing switch keeps the table it had.
 func (n *Network) Sync() error {
 	for i, sw := range n.Switches {
 		fib := n.Ctrl.Installer.FIB(topo.NodeID(i))
@@ -154,11 +159,20 @@ func (n *Network) Sync() error {
 		if v == n.synced[i] {
 			continue
 		}
-		rules, err := n.materialise(fib)
+		spliced, err := n.splice(sw, fib, n.synced[i])
 		if err != nil {
 			return err
 		}
-		sw.ReplaceTCAM(rules)
+		if spliced {
+			n.obs.synced(true)
+		} else {
+			rules, err := n.materialise(fib)
+			if err != nil {
+				return err
+			}
+			sw.ReplaceTCAM(rules)
+			n.obs.synced(false)
+		}
 		n.synced[i] = v
 	}
 	if n.fast != nil {
@@ -167,6 +181,25 @@ func (n *Network) Sync() error {
 		n.fast.Net().Warm()
 	}
 	return nil
+}
+
+// splice applies to sw the rules fib gained and lost since version from,
+// and reports false, having changed nothing, when fib cannot list them or
+// sw cannot take them as a splice.
+func (n *Network) splice(sw *switchsim.Switch, fib *core.FIB, from uint64) (bool, error) {
+	changes, ok := fib.ChangesSince(from)
+	if !ok {
+		return false, nil
+	}
+	n.edits = n.edits[:0]
+	for _, c := range changes {
+		rule, err := n.exportedRule(fib.Node, c.Rule)
+		if err != nil {
+			return false, err
+		}
+		n.edits = append(n.edits, switchsim.Edit{Remove: c.Removed, Rule: rule})
+	}
+	return sw.Splice(n.edits), nil
 }
 
 // publicBinding is one §7 gateway classifier.
@@ -572,6 +605,15 @@ func (n *Network) BindPublicIP(imsi string, public packet.Addr, clause int) erro
 // new-agent admission, microflow migration with tunnelling, and TCAM
 // resync. It returns the controller's result (for later ReleaseOldLocIP).
 func (n *Network) Handoff(imsi string, newBS packet.BSID) (core.HandoffResult, error) {
+	res, err := n.move(imsi, newBS)
+	if err != nil {
+		return res, err
+	}
+	return res, n.Sync()
+}
+
+// move is Handoff without the resync.
+func (n *Network) move(imsi string, newBS packet.BSID) (core.HandoffResult, error) {
 	ue, ok := n.Ctrl.LookupUE(imsi)
 	if !ok {
 		return core.HandoffResult{}, fmt.Errorf("dataplane: unknown UE %q", imsi)
@@ -585,10 +627,7 @@ func (n *Network) Handoff(imsi string, newBS packet.BSID) (core.HandoffResult, e
 	if err := newAgent.AdmitUE(res.UE, res.Classifiers); err != nil {
 		return res, err
 	}
-	if err := oldAgent.MigrateFlows(newAgent, res.UE, res.OldLocIP); err != nil {
-		return res, err
-	}
-	return res, n.Sync()
+	return res, oldAgent.MigrateFlows(newAgent, res.UE, res.OldLocIP)
 }
 
 // Attach runs the attach choreography: controller admission plus agent

@@ -251,7 +251,8 @@ func TestRandomHandoffScheduleConsistency(t *testing.T) {
 // are left to claim a packet). The flow opens at home, the UE hands off, and
 // the connection's next packet in each direction must cross the opening's
 // middlebox instances and reach the UE at away, with the controller's own
-// checker clean after the handoff.
+// checker clean after the handoff and every switch whose FIB the handoff
+// changed holding, in order, its full rebuild.
 func TestEveryHandoffKeepsItsMiddleboxes(t *testing.T) {
 	g, err := topo.Generate(topo.GenParams{K: 4, ClusterSize: 3, MBTypes: 3, Seed: 1})
 	if err != nil {
@@ -267,6 +268,7 @@ func TestEveryHandoffKeepsItsMiddleboxes(t *testing.T) {
 		{"silver web", policy.Attributes{Provider: "A", Plan: "silver"}, 80},
 	}
 	errInvariant := errors.New("CheckInvariants")
+	errTable := errors.New("spliced table")
 	triple := func(home, away packet.BSID, kind int) error {
 		net := netOn(t, g.Topology, g.GatewayID, packet.Prefix{})
 		if err := net.Ctrl.RegisterSubscriber("m", kinds[kind].attr); err != nil {
@@ -285,8 +287,20 @@ func TestEveryHandoffKeepsItsMiddleboxes(t *testing.T) {
 		if len(c.boxes) == 0 {
 			return fmt.Errorf("the opening crossed no middlebox")
 		}
+		versions := make([]uint64, len(net.Switches))
+		for i := range versions {
+			versions[i] = net.Ctrl.Installer.FIB(topo.NodeID(i)).Version()
+		}
 		if _, err := net.Handoff("m", away); err != nil {
 			return err
+		}
+		for i, v := range versions {
+			if net.Ctrl.Installer.FIB(topo.NodeID(i)).Version() == v {
+				continue
+			}
+			if err := tableDiff(t, net, topo.NodeID(i)); err != nil {
+				return fmt.Errorf("%w: %v", errTable, err)
+			}
 		}
 		if _, err := net.Ctrl.CheckInvariants(); err != nil {
 			return fmt.Errorf("%w: %v", errInvariant, err)
@@ -305,7 +319,7 @@ func TestEveryHandoffKeepsItsMiddleboxes(t *testing.T) {
 	})
 
 	stations := len(g.Stations)
-	triples, bypasses, misdelivered, unchecked, other := 0, 0, 0, 0, 0
+	triples, bypasses, misdelivered, unchecked, tables, other := 0, 0, 0, 0, 0, 0
 	var first error
 	for home := 0; home < stations; home++ {
 		for away := 0; away < stations; away++ {
@@ -324,6 +338,8 @@ func TestEveryHandoffKeepsItsMiddleboxes(t *testing.T) {
 					misdelivered++
 				case errors.Is(err, errInvariant):
 					unchecked++
+				case errors.Is(err, errTable):
+					tables++
 				default:
 					other++
 				}
@@ -333,9 +349,9 @@ func TestEveryHandoffKeepsItsMiddleboxes(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d triples: %d bypasses, %d wrong deliveries, %d CheckInvariants errors, %d other errors",
-		triples, bypasses, misdelivered, unchecked, other)
+	t.Logf("%d triples: %d bypasses, %d wrong deliveries, %d CheckInvariants errors, %d tables unlike their rebuild, %d other errors",
+		triples, bypasses, misdelivered, unchecked, tables, other)
 	if first != nil {
-		t.Fatalf("%d of %d triples broke §5.1; first: %v", bypasses+misdelivered+unchecked+other, triples, first)
+		t.Fatalf("%d of %d triples broke §5.1; first: %v", bypasses+misdelivered+unchecked+tables+other, triples, first)
 	}
 }

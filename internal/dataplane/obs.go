@@ -4,14 +4,16 @@ import (
 	"repro/internal/obs"
 )
 
-// dpObs is the data plane's burst-injection telemetry: burst shape at the
-// network entry points plus slow-path fallbacks. A nil *dpObs is a no-op;
+// dpObs is the data plane's telemetry: burst shape at the network entry
+// points, slow-path fallbacks, and how Sync updated each changed switch. A nil *dpObs is a no-op;
 // every hot-path update is an atomic add or a fixed-bucket observe.
 type dpObs struct {
 	bursts  *obs.Counter   // bursts injected via BurstSender.Send
 	burstSz *obs.Histogram // injected burst sizes in packets
 	pkts    *obs.Counter   // packets injected through burst sends
 	slow    *obs.Counter   // packets replayed on the stateful slow path
+	delta   *obs.Counter   // switches Sync updated by a splice
+	rebuild *obs.Counter   // switches Sync rebuilt whole
 }
 
 // newDPObs registers the data plane's series on reg; nil reg returns nil.
@@ -24,6 +26,8 @@ func newDPObs(reg *obs.Registry) *dpObs {
 		burstSz: reg.Histogram("dataplane.burst.size", 1, 2, 4, 8, 16, 32, 64, 128, 256),
 		pkts:    reg.Counter("dataplane.burst.packets"),
 		slow:    reg.Counter("dataplane.slowpath"),
+		delta:   reg.Counter("dataplane.sync.delta"),
+		rebuild: reg.Counter("dataplane.sync.rebuild"),
 	}
 }
 
@@ -38,6 +42,17 @@ func (o *dpObs) burst(n int) {
 func (o *dpObs) slowPath() {
 	if o != nil {
 		o.slow.Inc()
+	}
+}
+
+// synced counts one switch Sync updated, by a splice or a whole rebuild.
+func (o *dpObs) synced(spliced bool) {
+	switch {
+	case o == nil:
+	case spliced:
+		o.delta.Inc()
+	default:
+		o.rebuild.Inc()
 	}
 }
 

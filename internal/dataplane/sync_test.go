@@ -5,23 +5,23 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/fastpath"
+	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/policy"
 	"repro/internal/switchsim"
 	"repro/internal/topo"
 )
 
-// referenceTCAM is the full rebuild Sync used to perform on every switch,
-// kept as the statement of what a switch's TCAM must hold: every rule the
-// node's FIB exports, plus the public-IP bindings on the gateway, translated
-// from scratch.
+// referenceTCAM is the full rebuild Sync falls back to, kept as the
+// statement of what a switch's TCAM must hold: every rule the node's FIB
+// exports, plus the public-IP bindings on the gateway (newest first),
+// translated from scratch and laid out by ReplaceTCAM.
 func referenceTCAM(t testing.TB, n *Network, node topo.NodeID) []switchsim.Rule {
 	t.Helper()
 	var rules []switchsim.Rule
@@ -33,32 +33,44 @@ func referenceTCAM(t testing.TB, n *Network, node topo.NodeID) []switchsim.Rule 
 		rules = append(rules, rule)
 	})
 	if node == n.Ctrl.Gateway() {
-		for _, b := range n.bindings {
-			rules = append(rules, n.bindingRule(b))
+		for i := len(n.bindings) - 1; i >= 0; i-- {
+			rules = append(rules, n.bindingRule(n.bindings[i]))
 		}
 	}
-	return rules
+	ref := switchsim.NewSwitch("reference")
+	ref.ReplaceTCAM(rules)
+	return ref.Rules()
 }
 
-// ruleBag renders a table as a sorted multiset of (priority, match, action).
-func ruleBag(rules []switchsim.Rule) []string {
-	bag := make([]string, len(rules))
+// ruleList renders a table in match order as (priority, match, action).
+func ruleList(rules []switchsim.Rule) []string {
+	out := make([]string, len(rules))
 	for i, r := range rules {
-		bag[i] = fmt.Sprintf("prio=%d %s -> %s eph=%d", r.Priority, r.Match, r.Action, r.Action.TagEphBits)
+		out[i] = fmt.Sprintf("prio=%d %s -> %s eph=%d", r.Priority, r.Match, r.Action, r.Action.TagEphBits)
 	}
-	sort.Strings(bag)
-	return bag
+	return out
 }
 
-// checkTCAMs asserts every switch holds exactly its FIB's rules.
+// tableDiff reports how switch node's TCAM differs from its full rebuild,
+// rule by rule in match order; nil when they agree.
+func tableDiff(t testing.TB, n *Network, node topo.NodeID) error {
+	t.Helper()
+	got, want := n.Switches[node].Rules(), referenceTCAM(t, n, node)
+	if slices.EqualFunc(got, want, func(a, b switchsim.Rule) bool {
+		return a.Priority == b.Priority && a.Match == b.Match && reflect.DeepEqual(a.Action, b.Action)
+	}) {
+		return nil
+	}
+	return fmt.Errorf("switch %d holds %d rules, its full rebuild %d:\n got %v\nwant %v",
+		node, len(got), len(want), ruleList(got), ruleList(want))
+}
+
+// checkTCAMs asserts every switch holds exactly its full rebuild.
 func checkTCAMs(t testing.TB, n *Network, when string) {
 	t.Helper()
-	for i, sw := range n.Switches {
-		got := ruleBag(sw.Rules())
-		want := ruleBag(referenceTCAM(t, n, topo.NodeID(i)))
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: switch %d holds %d rules, its FIB exports %d:\n got %v\nwant %v",
-				when, i, len(got), len(want), got, want)
+	for i := range n.Switches {
+		if err := tableDiff(t, n, topo.NodeID(i)); err != nil {
+			t.Fatalf("%s: %v", when, err)
 		}
 	}
 }
@@ -123,7 +135,7 @@ func (c *churn) step() (op string, ok bool) {
 			t.Fatalf("%s: %v\nops so far: %v", op, err, c.log)
 		}
 	}
-	switch c.rng.Intn(10) {
+	switch c.rng.Intn(12) {
 	case 0: // attach
 		imsi := c.imsis[c.rng.Intn(len(c.imsis))]
 		if ue, found := n.Ctrl.LookupUE(imsi); found && ue.LocIP != 0 {
@@ -211,9 +223,60 @@ func (c *churn) step() (op string, ok bool) {
 		c.public++
 		op = fmt.Sprintf("bind %s to 192.0.2.%d", ue.IMSI, c.public)
 		must(n.BindPublicIP(ue.IMSI, packet.AddrFrom4(192, 0, 2, c.public), c.exposed))
+	case 10: // two moves before one Sync: a handoff, then another or its release
+		ue, found := c.attached()
+		if !found {
+			return "", false
+		}
+		a, b := c.station(), c.station()
+		if a == ue.BS || b == a {
+			return "", false
+		}
+		release := c.rng.Intn(2) == 0
+		if release {
+			op = fmt.Sprintf("handoff %s %d->%d and release, one sync", ue.IMSI, ue.BS, a)
+		} else {
+			op = fmt.Sprintf("handoff %s %d->%d->%d, one sync", ue.IMSI, ue.BS, a, b)
+		}
+		hr, err := n.move(ue.IMSI, a)
+		must(err)
+		if release {
+			n.Ctrl.ReleaseOldLocIP(hr.OldLocIP, hr.Shortcuts)
+			break
+		}
+		c.pending = append(c.pending, hr)
+		hr, err = n.move(ue.IMSI, b)
+		must(err)
+		c.pending = append(c.pending, hr)
+	case 11: // more changes than a FIB lists, before one Sync
+		ue, found := c.attached()
+		if !found {
+			return "", false
+		}
+		other := c.station()
+		if other == ue.BS {
+			return "", false
+		}
+		op = fmt.Sprintf("bounce %s between %d and %d, one sync", ue.IMSI, ue.BS, other)
+		must(bounce(n, ue.IMSI, ue.BS, other))
 	}
 	c.log = append(c.log, op)
 	return op, true
+}
+
+// bounce hands imsi from home to away and back, releasing each handoff at
+// once, until the switches its shortcuts touch have gained and lost more
+// rules than a FIB lists (core.MaxFIBChanges), with no Sync in between.
+func bounce(n *Network, imsi string, home, away packet.BSID) error {
+	for i := 0; i < core.MaxFIBChanges; i++ {
+		hr, err := n.move(imsi, away)
+		if err != nil {
+			return err
+		}
+		n.Ctrl.ReleaseOldLocIP(hr.OldLocIP, hr.Shortcuts)
+		home, away = away, home
+	}
+	return nil
 }
 
 // run performs steps ops, syncing after each; check runs after every Sync.
@@ -383,14 +446,17 @@ func (c *churn) checkWalkers(w *fastpath.Walker, when string) (paths, reserved i
 }
 
 // TestSyncMatchesFullRebuild is the differential test for version-gated
-// Sync: whatever the control plane did, after a Sync every switch's TCAM is
-// the multiset of rules a from-scratch export of its FIB yields — and the
-// three walkers (controller, single-packet, burst) agree on what those
-// tables do with every class of traffic the controller's checker verifies.
+// Sync: whatever the control plane did, after a Sync every switch's TCAM is,
+// rule for rule and in order, the table a from-scratch export of its FIB
+// yields — whether Sync spliced the switch or rebuilt it — and the three
+// walkers (controller, single-packet, burst) agree on what those tables do
+// with every class of traffic the controller's checker verifies.
 func TestSyncMatchesFullRebuild(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			c := newChurn(t, seed)
+			reg := obs.New()
+			c.net.Instrument(reg)
 			w := c.net.EnableFastPath(1).Net().NewWalker()
 			defer c.net.DisableFastPath()
 			step, paths, reserved := 0, 0, 0
@@ -407,9 +473,14 @@ func TestSyncMatchesFullRebuild(t *testing.T) {
 			if c.exited == 0 {
 				t.Fatal("no flow of the schedule left the network; the ops exercised nothing")
 			}
-			t.Logf("walked %d path classes and %d reserved addresses, both directions each", paths, reserved)
+			spliced, rebuilt := reg.Counter("dataplane.sync.delta").Value(), reg.Counter("dataplane.sync.rebuild").Value()
+			t.Logf("walked %d path classes and %d reserved addresses, both directions each; %d switch updates spliced, %d rebuilt",
+				paths, reserved, spliced, rebuilt)
 			if paths == 0 || reserved == 0 {
 				t.Fatal("the schedule left the walkers a kind of traffic to be compared on nothing")
+			}
+			if spliced == 0 || rebuilt == 0 {
+				t.Fatal("the schedule left one of Sync's two ways to update a switch unchecked")
 			}
 		})
 	}
@@ -463,9 +534,12 @@ func TestSyncNoChangeIsFree(t *testing.T) {
 
 // TestSyncKeepsCountersOfUntouchedSwitches: a control op rebuilds only the
 // switches whose FIB it changed; everywhere else the rules — and the
-// traffic they have counted — stay as they are.
+// traffic they have counted — stay as they are. A handoff's splice keeps
+// them even on the switches it changes.
 func TestSyncKeepsCountersOfUntouchedSwitches(t *testing.T) {
 	net := genNet(t)
+	reg := obs.New()
+	net.Instrument(reg)
 	for _, imsi := range []string{"a", "b"} {
 		_ = net.Ctrl.RegisterSubscriber(imsi, policy.Attributes{Provider: "A"})
 	}
@@ -521,6 +595,160 @@ func TestSyncKeepsCountersOfUntouchedSwitches(t *testing.T) {
 		t.Fatal("no untouched rule had counted traffic; the test observed nothing")
 	}
 	checkTCAMs(t, net, "after flow b")
+
+	// A handoff splices the switches its shortcuts land on: it only adds
+	// rules, and every rule a switch held before keeps its ID and counters.
+	for i, sw := range net.Switches {
+		versions[i] = net.Ctrl.Installer.FIB(topo.NodeID(i)).Version()
+		tables[i] = sw.Rules()
+	}
+	if _, err := net.Handoff("a", far); err != nil {
+		t.Fatal(err)
+	}
+	spliced, counted := 0, 0
+	for i, sw := range net.Switches {
+		if net.Ctrl.Installer.FIB(topo.NodeID(i)).Version() == versions[i] {
+			continue
+		}
+		spliced++
+		now := make(map[switchsim.RuleID]switchsim.Rule)
+		for _, r := range sw.Rules() {
+			now[r.ID] = r
+		}
+		for _, was := range tables[i] {
+			got, ok := now[was.ID]
+			if !ok || got.Priority != was.Priority || got.Match != was.Match || got.Packets != was.Packets || got.Bytes != was.Bytes {
+				t.Fatalf("switch %d: rule %+v became %+v (present %v) across the handoff's splice", i, was, got, ok)
+			}
+			if was.Packets > 0 {
+				counted++
+			}
+		}
+	}
+	if n := reg.Counter("dataplane.sync.delta").Value(); spliced == 0 || n != uint64(spliced) {
+		t.Fatalf("the handoff changed %d switches' FIBs and Sync spliced %d", spliced, n)
+	}
+	if counted == 0 {
+		t.Fatal("no rule on a spliced switch had counted traffic; the test observed nothing")
+	}
+	checkTCAMs(t, net, "after the handoff")
+}
+
+// TestHandoffSyncIsADelta: on a warmed plant, the Sync after a handoff or a
+// release splices every switch whose FIB moved and rebuilds none; what a
+// FIB cannot list — more changes than it keeps, a failure's or a recovery's
+// recomputation, a public-IP binding — is rebuilt whole.
+func TestHandoffSyncIsADelta(t *testing.T) {
+	c := newChurn(t, 1)
+	net := c.net
+	reg := obs.New()
+	net.Instrument(reg)
+	net.EnableFastPath(1)
+	defer net.DisableFastPath()
+	for i, imsi := range c.imsis {
+		ue, err := net.Attach(imsi, packet.BSID(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err := net.SendUpstream(ue.BS, webPacket(ue, 40000)); err != nil || res.Disposition != ExitedNet {
+			t.Fatalf("flow %s: %v %v", imsi, res.Disposition, err)
+		}
+	}
+	delta, rebuild := reg.Counter("dataplane.sync.delta"), reg.Counter("dataplane.sync.rebuild")
+	// step runs op, Syncs, checks every table, and reports how many
+	// switches' FIBs op changed and how Sync updated switches meanwhile.
+	step := func(what string, op func() error) (touched, spliced, rebuilt int) {
+		t.Helper()
+		before := make([]uint64, len(net.Switches))
+		for i := range before {
+			before[i] = net.Ctrl.Installer.FIB(topo.NodeID(i)).Version()
+		}
+		d, r := delta.Value(), rebuild.Value()
+		if err := op(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if err := net.Sync(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		checkTCAMs(t, net, what)
+		for i, v := range before {
+			if net.Ctrl.Installer.FIB(topo.NodeID(i)).Version() != v {
+				touched++
+			}
+		}
+		return touched, int(delta.Value() - d), int(rebuild.Value() - r)
+	}
+	isDelta := func(what string, op func() error) {
+		t.Helper()
+		if touched, spliced, rebuilt := step(what, op); touched == 0 || spliced != touched || rebuilt != 0 {
+			t.Fatalf("%s changed %d switches' FIBs: %d spliced, %d rebuilt; want all spliced", what, touched, spliced, rebuilt)
+		}
+	}
+	isRebuild := func(what string, op func() error) {
+		t.Helper()
+		if touched, spliced, rebuilt := step(what, op); touched == 0 || spliced != 0 || rebuilt != touched {
+			t.Fatalf("%s changed %d switches' FIBs: %d spliced, %d rebuilt; want all rebuilt", what, touched, spliced, rebuilt)
+		}
+	}
+
+	far := packet.BSID(len(net.T.Stations) - 1)
+	var hr core.HandoffResult
+	// A handoff installs shortcuts for the paths cached at the station it
+	// leaves; each UE's flow cached one at its own.
+	handoff := func(imsi string) func() error {
+		return func() (err error) { hr, err = net.move(imsi, far); return err }
+	}
+	release := func() error { net.Ctrl.ReleaseOldLocIP(hr.OldLocIP, hr.Shortcuts); return nil }
+	isDelta("handoff", handoff("ue0"))
+	isDelta("release", release)
+	// Moving on before the release retargets the first handoff's shortcuts:
+	// each is a rule removed and its replacement added.
+	var first core.HandoffResult
+	isDelta("two handoffs", func() (err error) {
+		if first, err = net.move("ue5", far); err != nil {
+			return err
+		}
+		hr, err = net.move("ue5", 1)
+		return err
+	})
+	isDelta("two releases", func() error {
+		net.Ctrl.ReleaseOldLocIP(first.OldLocIP, first.Shortcuts)
+		return release()
+	})
+
+	if touched, _, rebuilt := step("bounce", func() error { return bounce(net, "ue1", 1, far) }); touched == 0 || rebuilt == 0 {
+		t.Fatalf("%d switches' FIBs each changed more than %d times, and none was rebuilt", touched, core.MaxFIBChanges)
+	}
+	isDelta("handoff after the bounce", handoff("ue2"))
+	isDelta("release after the bounce", release)
+
+	var failed topo.NodeID
+	for i, nd := range net.T.Nodes {
+		if nd.Kind == topo.Core {
+			failed = topo.NodeID(i)
+			break
+		}
+	}
+	isRebuild("fail", func() error { _, err := net.Ctrl.FailSwitch(failed); return err })
+	isDelta("handoff after the failure", handoff("ue3"))
+	isDelta("release after the failure", release)
+	isRebuild("recover", func() error { _, err := net.Ctrl.RecoverSwitch(failed); return err })
+
+	gw := net.Ctrl.Gateway()
+	ue, _ := net.Ctrl.LookupUE("ue5")
+	if _, err := net.Ctrl.RequestPath(ue.BS, c.exposed); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if _, spliced, rebuilt := step("bind", func() error {
+		return net.BindPublicIP("ue5", packet.AddrFrom4(192, 0, 2, 1), c.exposed)
+	}); spliced != 0 || rebuilt != 1 {
+		t.Fatalf("a binding spliced %d switches and rebuilt %d; want the gateway (%d) rebuilt alone", spliced, rebuilt, gw)
+	}
+	isDelta("handoff after the binding", handoff("ue4"))
+	isDelta("release after the binding", release)
 }
 
 // TestSyncErrorKeepsOldTable: a switch whose FIB cannot be translated keeps

@@ -227,15 +227,15 @@ func (t *flowTable) find(hi, lo uint64) (int32, bool) {
 	}
 }
 
-// crule is one compiled rule: match, action, the live switchsim rule it
-// was compiled from (for traffic-counter attribution), and its slot in
-// the snapshot's flat rule numbering (microflows first, then TCAM).
+// crule is one compiled rule: match, action, and the live switchsim rule
+// it was compiled from (for traffic-counter attribution). It does not know
+// its slot in the snapshot's flat rule numbering (TCAM first, then
+// microflows), so a later snapshot can share it wherever it lands there.
 type crule struct {
 	id   switchsim.RuleID
 	m    cmatch
 	act  caction
 	live *switchsim.Rule
-	slot int32
 }
 
 // ruleAcc accumulates one burst's traffic against one compiled rule.
@@ -267,13 +267,13 @@ func (t *tally) ensure(n int) {
 	t.acc = t.acc[:n]
 }
 
-// account attributes one packet of payload bytes to a compiled rule.
-func (t *tally) account(r *crule, payload int) {
+// account attributes one packet of payload bytes to a compiled rule in
+// the given flat slot.
+func (t *tally) account(r *crule, slot int32, payload int) {
 	if t.direct {
 		r.live.Account(payload)
 		return
 	}
-	slot := r.slot
 	a := &t.acc[slot]
 	if a.pkts == 0 {
 		t.touched = append(t.touched, slot)
@@ -289,9 +289,14 @@ func (t *tally) account(r *crule, payload int) {
 type Snapshot struct {
 	// Gen is the switch generation the snapshot was compiled at. A FIB
 	// serves the snapshot only while the switch still reports the same
-	// generation; any Apply/ReplaceTCAM/Install/Remove since makes it
-	// stale, detected rather than silently served.
+	// generation; any table mutation since makes it stale, detected rather
+	// than silently served.
 	Gen uint64
+	// microGen and tcamGen are the switch generations at each table's
+	// latest change (switchsim.TableView); lastID is the largest TCAM rule
+	// ID compiled. A recompile reads them to reuse what did not change.
+	microGen, tcamGen uint64
+	lastID            switchsim.RuleID
 
 	micro flowTable // flow five-tuple -> index into mrul
 	mrul  []crule   // compiled microflow entries
@@ -306,37 +311,72 @@ type Snapshot struct {
 // Compile flattens the switch's current tables into an immutable snapshot.
 //
 // hotpath: cold
-func Compile(sw *switchsim.Switch) *Snapshot {
-	v := sw.View()
+func Compile(sw *switchsim.Switch) *Snapshot { return compile(sw, nil) }
+
+// compile is Compile reusing prev, an earlier snapshot of the same switch
+// (or nil): a table that has not changed since prev is shared with it, and
+// a TCAM rule prev compiled is copied rather than compiled again. Its live
+// rule pointer identifies it; a rule installed since has an ID above
+// prev.lastID, and the rules still installed keep their order.
+//
+// hotpath: cold
+func compile(sw *switchsim.Switch, prev *Snapshot) *Snapshot {
+	if prev == nil {
+		prev = &Snapshot{microGen: ^uint64(0), tcamGen: ^uint64(0)}
+	}
+	v := sw.ViewChanged(prev.microGen, prev.tcamGen)
 	s := &Snapshot{
 		Gen:      v.Gen,
-		mrul:     make([]crule, 0, len(v.Micro)),
-		tcam:     make([]crule, 0, len(v.Ordered)),
+		microGen: v.MicroGen,
+		tcamGen:  v.TCAMGen,
+		lastID:   prev.lastID,
+		micro:    prev.micro,
+		mrul:     prev.mrul,
+		tcam:     prev.tcam,
 		miss:     compileAction(v.Miss),
 		missDrop: v.Miss.Drop || (!v.Miss.ToController && v.Miss.Output < 0),
 		src:      sw,
 	}
-	s.micro.init(len(v.Micro))
-	for key, r := range v.Micro {
-		hi, lo := flowKeyWords(key)
-		s.micro.insert(hi, lo, int32(len(s.mrul)))
-		s.mrul = append(s.mrul, compileRule(r, int32(len(s.mrul))))
+	if v.MicroGen != prev.microGen {
+		s.mrul = make([]crule, 0, len(v.Micro))
+		s.micro = flowTable{}
+		s.micro.init(len(v.Micro))
+		for key, r := range v.Micro {
+			hi, lo := flowKeyWords(key)
+			s.micro.insert(hi, lo, int32(len(s.mrul)))
+			s.mrul = append(s.mrul, compileRule(r))
+		}
 	}
-	for i, r := range v.Ordered {
-		s.tcam = append(s.tcam, compileRule(r, int32(len(s.mrul)+i)))
+	if v.TCAMGen != prev.tcamGen {
+		s.tcam = make([]crule, 0, len(v.Ordered))
+		old := prev.tcam
+		for _, r := range v.Ordered {
+			if r.ID <= prev.lastID {
+				for len(old) > 0 && old[0].live != r {
+					old = old[1:] // removed since prev
+				}
+			}
+			if len(old) > 0 && old[0].live == r {
+				s.tcam = append(s.tcam, old[0])
+				old = old[1:]
+				continue
+			}
+			s.tcam = append(s.tcam, compileRule(r))
+			s.lastID = max(s.lastID, r.ID)
+		}
 	}
 	return s
 }
 
-// slots reports the snapshot's flat rule count (microflows plus TCAM).
-func (s *Snapshot) slots() int { return len(s.mrul) + len(s.tcam) }
+// slots reports the snapshot's flat rule count (TCAM plus microflows).
+func (s *Snapshot) slots() int { return len(s.tcam) + len(s.mrul) }
 
 // ruleAt returns the compiled rule in a flat slot.
 func (s *Snapshot) ruleAt(slot int32) *crule {
-	if int(slot) < len(s.mrul) {
-		return &s.mrul[slot]
+	if int(slot) < len(s.tcam) {
+		return &s.tcam[slot]
 	}
-	return &s.tcam[int(slot)-len(s.mrul)]
+	return &s.mrul[int(slot)-len(s.tcam)]
 }
 
 // flush drains a burst's tallies: per-rule traffic to the live rules'
@@ -354,11 +394,10 @@ func (s *Snapshot) flush(t *tally) {
 
 // compileRule flattens one live rule. The rule's match was normalised at
 // install time, so the compiled port bounds are the effective ones.
-func compileRule(r *switchsim.Rule, slot int32) crule {
+func compileRule(r *switchsim.Rule) crule {
 	m := r.Match
 	return crule{
-		id:   r.ID,
-		slot: slot,
+		id: r.ID,
 		m: cmatch{
 			inPort: m.InPort,
 			srcVal: uint32(m.Src.Addr), srcMask: prefixMask(m.Src.Len),
@@ -392,11 +431,12 @@ func (s *Snapshot) NumRules() int { return len(s.tcam) }
 // NumMicroflows reports compiled exact-match entries.
 func (s *Snapshot) NumMicroflows() int { return len(s.mrul) }
 
-// exec applies one compiled rule to the packet and builds its verdict,
-// attributing traffic to the tally (flushed to the live rules' atomic
-// counters once per burst, or at once for a direct tally).
-func (s *Snapshot) exec(r *crule, p *packet.Packet, t *tally) Verdict {
-	t.account(r, len(p.Payload))
+// exec applies one compiled rule, in flat slot slot, to the packet and
+// builds its verdict, attributing traffic to the tally (flushed to the
+// live rules' atomic counters once per burst, or at once for a direct
+// tally).
+func (s *Snapshot) exec(r *crule, slot int32, p *packet.Packet, t *tally) Verdict {
+	t.account(r, slot, len(p.Payload))
 	r.act.apply(p)
 	return Verdict{
 		Rule:         r.id,
@@ -425,7 +465,7 @@ func (s *Snapshot) lookup(p *packet.Packet, inPort int, t *tally) Verdict {
 		t.stats.MicroMiss++
 	} else if i, ok := s.micro.find(flowWords(p)); ok {
 		t.stats.MicroHit++
-		v = s.exec(&s.mrul[i], p, t)
+		v = s.exec(&s.mrul[i], int32(len(s.tcam))+i, p, t)
 		matched = true
 	} else {
 		t.stats.MicroMiss++
@@ -438,7 +478,7 @@ func (s *Snapshot) lookup(p *packet.Packet, inPort int, t *tally) Verdict {
 		for i := range s.tcam {
 			if s.tcam[i].m.covers(p, inPort) {
 				t.stats.TCAMHit++
-				v = s.exec(&s.tcam[i], p, t)
+				v = s.exec(&s.tcam[i], int32(i), p, t)
 				matched = true
 				break
 			}

@@ -45,7 +45,7 @@ func (f *FIB) Acquire() *Snapshot {
 	if cur != nil {
 		f.o.stale()
 	}
-	ns := Compile(f.sw)
+	ns := compile(f.sw, cur)
 	f.o.compiled()
 	for {
 		cur = f.snap.Load()

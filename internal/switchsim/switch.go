@@ -15,9 +15,10 @@ import (
 type RuleID uint64
 
 // Rule is one installed TCAM entry: a prioritised match with an action and
-// traffic counters. Higher Priority wins; ties break toward the more
-// recently installed rule (like OpenFlow's overlapping-rule behaviour with
-// distinct priorities, which SoftCell's controller always uses anyway).
+// traffic counters. Higher Priority wins; among rules Install put in, ties
+// break toward the more recently installed one (like OpenFlow's
+// overlapping-rule behaviour with distinct priorities, which SoftCell's
+// controller always uses anyway).
 type Rule struct {
 	ID       RuleID
 	Priority int
@@ -29,7 +30,6 @@ type Rule struct {
 	// fast-path snapshots can attribute traffic to the same live rule.
 	Packets uint64
 	Bytes   uint64
-	seq     uint64
 }
 
 // Account attributes one packet of payloadBytes payload to the rule's
@@ -55,7 +55,6 @@ func (r *Rule) snapshot() Rule {
 		ID: r.ID, Priority: r.Priority, Match: r.Match, Action: r.Action,
 		Packets: atomic.LoadUint64(&r.Packets),
 		Bytes:   atomic.LoadUint64(&r.Bytes),
-		seq:     r.seq,
 	}
 }
 
@@ -96,16 +95,22 @@ type Switch struct {
 	Name string
 
 	mu      sync.RWMutex
-	ordered []*Rule                  // guarded by mu; sorted by (priority desc, seq desc)
+	ordered []*Rule                  // guarded by mu; priority desc, see Install and ReplaceTCAM
 	micro   map[packet.FlowKey]*Rule // guarded by mu
 	nextID  RuleID                   // guarded by mu
-	nextSeq uint64                   // guarded by mu
+	// inOrder is true while ordered is what ReplaceTCAM and Splice made
+	// it, in their order; Install and Remove clear it. guarded by mu
+	inOrder bool
 
 	// gen counts table mutations: every Install/Remove (TCAM or
-	// microflow) and ReplaceTCAM bumps it. Writes happen under mu;
+	// microflow), ReplaceTCAM and Splice bumps it. Writes happen under mu;
 	// reads go through Generation's atomic load, so fast-path snapshot
-	// caches detect staleness without touching the lock.
-	gen uint64
+	// caches detect staleness without touching the lock. microGen and
+	// tcamGen are the generations of each table's latest change, so a
+	// recompile can tell which table moved (see ViewChanged).
+	gen      uint64
+	microGen uint64 // guarded by mu
+	tcamGen  uint64 // guarded by mu
 
 	// TableMiss is the verdict for packets no rule covers. The default
 	// zero value drops; gateway/core switches usually leave it, access
@@ -125,17 +130,24 @@ type Switch struct {
 
 // Generation reports the table-mutation counter. A compiled snapshot taken
 // at generation g is exactly the current tables iff Generation() == g; a
-// mismatch means ReplaceTCAM/Install/Remove ran since and the snapshot
+// mismatch means a TCAM or microflow mutation ran since and the snapshot
 // must be recompiled rather than silently served.
 func (s *Switch) Generation() uint64 {
 	return atomic.LoadUint64(&s.gen)
 }
 
-// bumpGen records one table mutation.
+// tcamChanged records one TCAM mutation.
 //
 // caller holds mu
-func (s *Switch) bumpGen() {
-	atomic.AddUint64(&s.gen, 1)
+func (s *Switch) tcamChanged() {
+	s.tcamGen = atomic.AddUint64(&s.gen, 1)
+}
+
+// microChanged records one microflow-table mutation.
+//
+// caller holds mu
+func (s *Switch) microChanged() {
+	s.microGen = atomic.AddUint64(&s.gen, 1)
 }
 
 // BurstStats aggregates one burst's pipeline tallies so compiled fast
@@ -170,31 +182,42 @@ func (s *Switch) AccountBurst(b BurstStats) {
 }
 
 // TableView is a consistent export of the switch's tables for fast-path
-// compilers: the generation it was taken at, the microflow entries, the
-// TCAM rules in match order, and the table-miss action. The rule pointers
-// are the live rules — treat them as read-only except for the atomic
-// traffic counters behind Rule.Account.
+// compilers: the generation it was taken at, the generations of each
+// table's latest change, the microflow entries, the TCAM rules in match
+// order, and the table-miss action. The rule pointers are the live rules —
+// treat them as read-only except for the atomic traffic counters behind
+// Rule.Account. A rule keeps its pointer for as long as it is installed, so
+// equal pointers in two views are the same rule, unchanged.
 type TableView struct {
-	Gen     uint64
-	Micro   map[packet.FlowKey]*Rule
-	Ordered []*Rule
-	Miss    Action
+	Gen      uint64
+	MicroGen uint64
+	TCAMGen  uint64
+	Micro    map[packet.FlowKey]*Rule // left out (nil) by ViewChanged at MicroGen
+	Ordered  []*Rule                  // left out (nil) by ViewChanged at TCAMGen
+	Miss     Action
 }
 
 // View snapshots the tables under one read lock.
-func (s *Switch) View() TableView {
+func (s *Switch) View() TableView { return s.ViewChanged(^uint64(0), ^uint64(0)) }
+
+// ViewChanged is View for a caller that already holds the microflow table
+// as of generation microGen and the TCAM as of tcamGen: a table whose
+// latest change is that generation is left out. Compare the view's
+// generations, not its fields, to tell: a copied empty table is nil too.
+func (s *Switch) ViewChanged(microGen, tcamGen uint64) TableView {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	micro := make(map[packet.FlowKey]*Rule, len(s.micro))
-	for k, r := range s.micro {
-		micro[k] = r
+	v := TableView{Gen: s.Generation(), MicroGen: s.microGen, TCAMGen: s.tcamGen, Miss: s.TableMiss}
+	if s.microGen != microGen {
+		v.Micro = make(map[packet.FlowKey]*Rule, len(s.micro))
+		for k, r := range s.micro {
+			v.Micro[k] = r
+		}
 	}
-	return TableView{
-		Gen:     s.Generation(),
-		Micro:   micro,
-		Ordered: append([]*Rule(nil), s.ordered...),
-		Miss:    s.TableMiss,
+	if s.tcamGen != tcamGen {
+		v.Ordered = append([]*Rule(nil), s.ordered...)
 	}
+	return v
 }
 
 // NewSwitch returns an empty switch.
@@ -206,24 +229,17 @@ func NewSwitch(name string) *Switch {
 	}
 }
 
-// Install adds a TCAM rule and returns its ID.
+// Install adds a TCAM rule and returns its ID. It goes first among the
+// rules of its priority.
 func (s *Switch) Install(prio int, m Match, a Action) RuleID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.bumpGen()
+	s.tcamChanged()
+	s.inOrder = false
 	s.nextID++
-	s.nextSeq++
-	r := &Rule{ID: s.nextID, Priority: prio, Match: m.normalised(), Action: a, seq: s.nextSeq}
-	i := sort.Search(len(s.ordered), func(i int) bool {
-		o := s.ordered[i]
-		if o.Priority != r.Priority {
-			return o.Priority < r.Priority
-		}
-		return o.seq < r.seq
-	})
-	s.ordered = append(s.ordered, nil)
-	copy(s.ordered[i+1:], s.ordered[i:])
-	s.ordered[i] = r
+	r := &Rule{ID: s.nextID, Priority: prio, Match: m.normalised(), Action: a}
+	i := sort.Search(len(s.ordered), func(i int) bool { return s.ordered[i].Priority <= prio })
+	s.ordered = slices.Insert(s.ordered, i, r)
 	return r.ID
 }
 
@@ -235,8 +251,9 @@ func (s *Switch) Remove(id RuleID) bool {
 	if i < 0 {
 		return false
 	}
-	s.bumpGen()
-	s.ordered = append(s.ordered[:i], s.ordered[i+1:]...)
+	s.tcamChanged()
+	s.inOrder = false
+	s.ordered = slices.Delete(s.ordered, i, i+1)
 	return true
 }
 
@@ -256,7 +273,7 @@ func (s *Switch) indexLocked(id RuleID) int {
 func (s *Switch) InstallMicroflow(key packet.FlowKey, a Action) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.bumpGen()
+	s.microChanged()
 	s.nextID++
 	s.micro[key] = &Rule{ID: s.nextID, Priority: PrioMicroflow, Action: a}
 }
@@ -268,7 +285,7 @@ func (s *Switch) RemoveMicroflow(key packet.FlowKey) bool {
 	if _, ok := s.micro[key]; !ok {
 		return false
 	}
-	s.bumpGen()
+	s.microChanged()
 	delete(s.micro, key)
 	return true
 }
@@ -417,22 +434,84 @@ func (s *Switch) ReplaceTCAM(rules []Rule) {
 		atomic.StoreUint64(&r.Bytes, 0)
 		ordered[i] = r
 	}
-	slices.SortStableFunc(ordered, func(a, b *Rule) int {
-		if a.Priority != b.Priority {
-			return cmp.Compare(b.Priority, a.Priority)
-		}
-		return a.Match.compare(b.Match)
-	})
+	slices.SortStableFunc(ordered, matchOrder)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.bumpGen()
-	n := uint64(len(ordered))
+	s.tcamChanged()
 	for i, r := range ordered {
 		r.ID = s.nextID + RuleID(i) + 1
-		r.seq = s.nextSeq + n - uint64(i) // descending, as ordered requires
 	}
-	s.nextID += RuleID(n)
-	s.nextSeq += n
+	s.nextID += RuleID(len(ordered))
 	s.ordered = ordered
+	s.inOrder = true
+}
+
+// matchOrder is ReplaceTCAM's order: priority descending, then the match.
+func matchOrder(a, b *Rule) int {
+	if a.Priority != b.Priority {
+		return cmp.Compare(b.Priority, a.Priority)
+	}
+	return a.Match.compare(b.Match)
+}
+
+// Edit is one step of a Splice: Rule goes into the TCAM, or with Remove
+// set, the rule of the same priority and match comes out of it.
+type Edit struct {
+	Remove bool
+	Rule   Rule
+}
+
+// Splice applies edits, in order, to a TCAM that ReplaceTCAM built: each
+// inserted rule lands where ReplaceTCAM's order puts it, so the table is
+// the one ReplaceTCAM would build from the edited rule set, while the rules
+// no edit names keep their IDs and counters. As for ReplaceTCAM, readers
+// see the table before or after all the edits and the generation moves
+// once. Only the Priority, Match and Action of each edit's rule are read
+// (its Match is normalised in place); inserted rules get new IDs and zero
+// counters.
+//
+// Splice changes nothing and reports false when it cannot give that table:
+// Install or Remove edited the TCAM since ReplaceTCAM, a removed rule is
+// absent, or an inserted rule's priority and match are already present.
+func (s *Switch) Splice(edits []Edit) bool {
+	inserts := 0
+	for i := range edits {
+		edits[i].Rule.Match = edits[i].Rule.Match.normalised()
+		if !edits[i].Remove {
+			inserts++
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.inOrder {
+		return false
+	}
+	for i := range edits {
+		e := &edits[i]
+		_, present := slices.BinarySearchFunc(s.ordered, &e.Rule, matchOrder)
+		for j := range edits[:i] { // the latest earlier edit of the same rule decides
+			if matchOrder(&edits[j].Rule, &e.Rule) == 0 {
+				present = !edits[j].Remove
+			}
+		}
+		if present != e.Remove {
+			return false
+		}
+	}
+
+	s.tcamChanged()
+	added := make([]Rule, 0, inserts)
+	for i := range edits {
+		e := &edits[i]
+		at, _ := slices.BinarySearchFunc(s.ordered, &e.Rule, matchOrder)
+		if e.Remove {
+			s.ordered = slices.Delete(s.ordered, at, at+1)
+			continue
+		}
+		s.nextID++
+		added = append(added, Rule{ID: s.nextID, Priority: e.Rule.Priority, Match: e.Rule.Match, Action: e.Rule.Action})
+		s.ordered = slices.Insert(s.ordered, at, &added[len(added)-1])
+	}
+	return true
 }
