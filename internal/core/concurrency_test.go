@@ -122,7 +122,7 @@ func TestConcurrentStressInvariants(t *testing.T) {
 
 	// Invariant 1: every installed path still verifies against the FIBs.
 	in := c.Installer
-	for key, rec := range c.paths {
+	for key, rec := range installedPaths(c) {
 		if err := in.VerifyPath(rec); err != nil {
 			t.Fatalf("path (bs %d, clause %d) broken after stress: %v", key.bs, key.clause, err)
 		}
@@ -135,10 +135,10 @@ func TestConcurrentStressInvariants(t *testing.T) {
 	}
 	// Invariant 3: the tag memo agrees exactly with the installed paths.
 	tags := *c.tagCache.Load()
-	if len(tags) != len(c.paths) {
-		t.Fatalf("tag cache has %d entries, installed paths %d", len(tags), len(c.paths))
+	if len(tags) != c.paths.len() {
+		t.Fatalf("tag cache has %d entries, installed paths %d", len(tags), c.paths.len())
 	}
-	for key, rec := range c.paths {
+	for key, rec := range installedPaths(c) {
 		if tags[key] != rec.AccessTag() {
 			t.Fatalf("cached tag %d for (bs %d, clause %d), path says %d",
 				tags[key], key.bs, key.clause, rec.AccessTag())

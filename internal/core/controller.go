@@ -42,7 +42,7 @@ type Classifier struct {
 	QoS    policy.QoS
 }
 
-// pathKey caches policy paths per (origin, clause).
+// pathKey names a policy path by (origin, clause).
 type pathKey struct {
 	bs     packet.BSID
 	clause int
@@ -140,9 +140,11 @@ type Controller struct {
 	reservations map[packet.Addr]*reservation // guarded by ueMu
 	// Per-station UE ID allocators, indexed by BSID and grown on demand
 	// (ensureBSLocked) — dense arrays, not maps: station IDs are small.
-	nextUEID  []packet.UEID              // guarded by ueMu
-	freeUEIDs [][]packet.UEID            // guarded by ueMu
-	paths     map[pathKey]*InstalledPath // guarded by ruleMu
+	nextUEID  []packet.UEID   // guarded by ueMu
+	freeUEIDs [][]packet.UEID // guarded by ueMu
+	// rsvFree recycles reservation records a release or removal retired.
+	rsvFree []*reservation // guarded by ueMu
+	paths   pathTable      // guarded by ruleMu
 
 	// tagCache is the copy-on-write (bs, clause) -> tag memo. Readers Load
 	// and index it with no lock; writers (all holding ruleMu) publish a
@@ -242,7 +244,6 @@ func NewController(t *topo.Topology, cfg ControllerConfig) (*Controller, error) 
 		inst:         subs.join(),
 		attrs:        newAttrPool(),
 		reservations: make(map[packet.Addr]*reservation),
-		paths:        make(map[pathKey]*InstalledPath),
 		obs:          newCoreObs(cfg.Obs),
 	}
 	empty := make(tagMap)
@@ -492,7 +493,7 @@ func (c *Controller) requestPathSlow(sc obs.SpanContext, bs packet.BSID, clause 
 //
 // caller holds ruleMu
 func (c *Controller) resolvePathLocked(bs packet.BSID, clause int) (packet.Tag, error) {
-	if rec, ok := c.paths[pathKey{bs, clause}]; ok {
+	if rec := c.paths.get(pathKey{bs, clause}); rec != nil {
 		return rec.AccessTag(), nil // another goroutine raced the install
 	}
 	cl, ok := c.Policy.Clause(clause)
@@ -528,7 +529,7 @@ func (c *Controller) resolvePathLocked(bs packet.BSID, clause int) (packet.Tag, 
 	if saved := 2*route.Len() - added; saved > 0 {
 		c.obs.rulesSaved.Add(uint64(saved))
 	}
-	c.paths[pathKey{bs, clause}] = rec
+	c.paths.put(pathKey{bs, clause}, rec)
 	c.publishTagLocked(pathKey{bs, clause}, rec.AccessTag())
 	c.obs.evInstall.Emit(int64(bs), int64(clause), int64(rec.AccessTag()), int64(added))
 	c.pathMiss.Add(1)
@@ -571,9 +572,9 @@ func (c *Controller) publishTagLocked(key pathKey, tag packet.Tag) {
 // caller holds ruleMu
 func (c *Controller) rebuildTagCacheLocked() {
 	old := *c.tagCache.Load()
-	next := make(tagMap, len(c.paths))
-	for k, rec := range c.paths {
-		next[k] = rec.AccessTag()
+	next := make(tagMap, c.paths.len())
+	for _, e := range c.paths.all() {
+		next[e.key] = e.rec.AccessTag()
 	}
 	c.tagCache.Store(&next)
 	c.epoch.Add(1)
@@ -671,8 +672,9 @@ func (c *Controller) removeUELocked(r *ueRecord, slot uint32, park bool) Migrate
 	m := MigratedUE{IMSI: r.imsi, Attr: c.attrs.attrOf(r.attr), PermIP: r.permIP, OldBS: r.bs, OldLocIP: r.locIP}
 	c.ues.locIdx.delete(r.locIP)
 	c.freeUEIDLocked(r.bs, r.ueid)
-	for _, loc := range c.reservedLocked(m.IMSI) {
+	for loc := r.rsv; loc != 0; {
 		rsv := c.reservations[loc]
+		next := rsv.next
 		for i := range rsv.shortcuts {
 			c.Installer.RemoveShortcut(&rsv.shortcuts[i])
 		}
@@ -680,13 +682,14 @@ func (c *Controller) removeUELocked(r *ueRecord, slot uint32, park bool) Migrate
 		// entry would dangle once the record below is cleared.
 		c.ues.locIdx.delete(loc)
 		if park {
-			rsv.imsi, rsv.shortcuts = "", nil
-			continue
+			rsv.imsi, rsv.shortcuts, rsv.next = "", nil, 0
+		} else {
+			c.retireLocked(loc, rsv)
+			if bs, id, ok := c.plan.Split(loc); ok {
+				c.freeUEIDLocked(bs, id)
+			}
 		}
-		delete(c.reservations, loc)
-		if bs, id, ok := c.plan.Split(loc); ok {
-			c.freeUEIDLocked(bs, id)
-		}
+		loc = next
 	}
 	c.subs.release(m.IMSI, c.inst)
 	c.attrs.release(r.attr)
@@ -765,11 +768,11 @@ func (c *Controller) RemovePolicyPaths(clause int) error {
 	c.ruleMu.Lock()
 	defer c.ruleMu.Unlock()
 	drop := make(map[PathID]bool)
-	for key, rec := range c.paths {
-		if key.clause == clause {
-			drop[rec.ID] = true
-			delete(c.paths, key)
-			if _, err := c.Store.Delete(pathDoc(key)); err != nil {
+	for _, e := range c.paths.all() {
+		if e.key.clause == clause {
+			drop[e.rec.ID] = true
+			c.paths.del(e.key)
+			if _, err := c.Store.Delete(pathDoc(e.key)); err != nil {
 				return err
 			}
 		}

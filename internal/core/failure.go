@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/routing"
 	"repro/internal/topo"
@@ -52,19 +51,13 @@ func (c *Controller) recomputeLocked(rep FailureReport) (FailureReport, error) {
 	// Fresh planner: its distance fields and trees reference the old graph.
 	c.Planner = routing.NewPlanner(c.T)
 
-	// Deterministic replan order: install order drives tag assignment and
-	// prefix aggregation, so iterating the path map directly would make the
-	// rebuilt FIBs (and every tag handed out afterwards) run-dependent.
-	keys := make([]pathKey, 0, len(c.paths))
-	for key := range c.paths {
-		keys = append(keys, key)
+	// Replan in the table's ascending (station, clause) order: install
+	// order drives tag assignment and prefix aggregation, so the rebuilt
+	// FIBs (and every tag handed out afterwards) follow from the paths alone.
+	keys := make([]pathKey, 0, c.paths.len())
+	for _, e := range c.paths.all() {
+		keys = append(keys, e.key)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].bs != keys[j].bs {
-			return keys[i].bs < keys[j].bs
-		}
-		return keys[i].clause < keys[j].clause
-	})
 
 	type replanned struct {
 		key   pathKey
@@ -111,14 +104,14 @@ func (c *Controller) recomputeLocked(rep FailureReport) (FailureReport, error) {
 		f.succeed(c.Installer.fibs[i])
 	}
 	inst.EnableLocationRouting(c.gateway)
-	newPaths := make(map[pathKey]*InstalledPath, len(keep))
+	var newPaths pathTable
 	for _, r := range keep {
 		rec, err := inst.InstallPath(r.route)
 		if err != nil {
 			rep.Unreachable++
 			continue
 		}
-		newPaths[r.key] = rec
+		newPaths.put(r.key, rec)
 		rep.Recomputed++
 	}
 	old := c.paths
@@ -129,11 +122,11 @@ func (c *Controller) recomputeLocked(rep FailureReport) (FailureReport, error) {
 	// reinstalled one's names its new ID (the fresh installer numbers paths
 	// from 1 again).
 	for _, key := range keys {
-		rec, ok := newPaths[key]
+		rec := newPaths.get(key)
 		var err error
-		if !ok {
+		if rec == nil {
 			_, err = c.Store.Delete(pathDoc(key))
-		} else if rec.ID != old[key].ID {
+		} else if rec.ID != old.get(key).ID {
 			err = c.putPathDoc(key, rec.ID)
 		}
 		if err != nil {

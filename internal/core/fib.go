@@ -295,10 +295,57 @@ type ctxKey struct {
 	dir Direction
 }
 
-// mobKey names one mobility override: a full LocIP in one rule context.
-type mobKey struct {
-	ctx ctxKey
-	loc packet.Addr
+// mobKey names one mobility override — a full LocIP in one rule context —
+// packed into one word, so the exact-match table hashes a uint64 rather
+// than a padded struct:
+//
+//	bits  0–31  LocIP
+//	bits 32–43  tag (packet.Plan caps tags at 12 bits)
+//	bit     44  direction
+//	bits 45–46  ingress kind: any port, a middlebox's return port, a
+//	            neighbour's port
+//	bits 47–63  that middlebox's or neighbour's ID
+type mobKey uint64
+
+// Field widths of a mobKey above its LocIP.
+const (
+	mobTagBits = 12
+	mobIDBits  = 17
+)
+
+// Ingress kinds of a mobKey.
+const (
+	mobAnyPort = iota
+	mobFromMB
+	mobFromPort
+)
+
+// packMob packs one mobility override's context and LocIP; ok is false when
+// the tag or the ingress ID does not fit its field.
+func packMob(dir Direction, in ingress, tag packet.Tag, loc packet.Addr) (k mobKey, ok bool) {
+	kind, id := uint64(mobAnyPort), uint64(0)
+	switch {
+	case in.mb != NoMB:
+		kind, id = mobFromMB, uint64(in.mb)
+	case in.node != topo.None:
+		kind, id = mobFromPort, uint64(in.node)
+	}
+	if uint64(tag) >= 1<<mobTagBits || id >= 1<<mobIDBits {
+		return 0, false
+	}
+	return mobKey(uint64(loc) | uint64(tag)<<32 | uint64(dir&1)<<44 | kind<<45 | id<<47), true
+}
+
+// ctx unpacks the rule context of k.
+func (k mobKey) ctx() ctxKey {
+	in, id := anyPort, int32(k>>47)
+	switch k >> 45 & 3 {
+	case mobFromMB:
+		in = fromMB(topo.MBInstanceID(id))
+	case mobFromPort:
+		in = fromPort(topo.NodeID(id))
+	}
+	return ctxKey{in, packet.Tag(k >> 32 & (1<<mobTagBits - 1)), Direction(k >> 44 & 1)}
 }
 
 // FIB is the abstract forwarding table of one switch as the controller
@@ -554,9 +601,14 @@ func (f *FIB) InsertPrefix(dir Direction, in ingress, tag packet.Tag, p packet.P
 }
 
 // InsertMobility installs a full-LocIP override for one tag (Fig. 3(b)).
-// It returns the rule-count delta (1 when new, 0 when overwriting).
+// It returns the rule-count delta (1 when new, 0 when overwriting). The
+// context must fit a mobility key (packMob); InstallShortcut checks, so one
+// that does not is a caller's bug.
 func (f *FIB) InsertMobility(dir Direction, in ingress, tag packet.Tag, loc packet.Addr, nh NextHop) int {
-	k := mobKey{ctxKey{in, tag, dir}, loc}
+	k, ok := packMob(dir, in, tag, loc)
+	if !ok {
+		panic(fmt.Sprintf("core: mobility override (tag %d, ingress %+v) does not fit a mobility key", tag, in))
+	}
 	old, had := f.mob[k]
 	switch {
 	case !had:
@@ -575,7 +627,10 @@ func (f *FIB) InsertMobility(dir Direction, in ingress, tag packet.Tag, loc pack
 
 // RemoveMobility deletes a mobility override and reports whether it existed.
 func (f *FIB) RemoveMobility(dir Direction, in ingress, tag packet.Tag, loc packet.Addr) bool {
-	k := mobKey{ctxKey{in, tag, dir}, loc}
+	k, ok := packMob(dir, in, tag, loc)
+	if !ok {
+		return false // nothing that does not fit was ever inserted
+	}
 	nh, had := f.mob[k]
 	if had {
 		f.moved(FIBChange{Removed: true, Rule: k.exported(nh)})
@@ -587,8 +642,10 @@ func (f *FIB) RemoveMobility(dir Direction, in ingress, tag packet.Tag, loc pack
 // LookupMobility checks the mobility overrides of exactly the (dir, in,
 // tag) context for loc; it does not fall through to the unqualified one.
 func (f *FIB) LookupMobility(dir Direction, in ingress, tag packet.Tag, loc packet.Addr) (NextHop, bool) {
-	if nh, ok := f.mob[mobKey{ctxKey{in, tag, dir}, loc}]; ok {
-		return nh, true
+	if k, ok := packMob(dir, in, tag, loc); ok {
+		if nh, ok := f.mob[k]; ok {
+			return nh, true
+		}
 	}
 	return NextHop{Node: topo.None, MB: NoMB}, false
 }
@@ -698,7 +755,7 @@ func (k ctxKey) exported(kind RuleBand, p packet.Prefix, nh NextHop) ExportedRul
 
 // exported flattens the mobility rule (k -> nh).
 func (k mobKey) exported(nh NextHop) ExportedRule {
-	return k.ctx.exported(BandMobility, packet.Prefix{Addr: k.loc, Len: 32}, nh)
+	return k.ctx().exported(BandMobility, packet.Prefix{Addr: packet.Addr(k), Len: 32}, nh)
 }
 
 // Export visits every installed rule of this FIB.

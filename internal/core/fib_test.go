@@ -614,3 +614,68 @@ func TestFIBChangesReplayExport(t *testing.T) {
 		t.Fatal("a successor listed the changes from its predecessor's table")
 	}
 }
+
+// TestMobKeyRoundTrip: a packed mobility key gives back the context and
+// LocIP it was packed from, for every ingress kind and both directions, and
+// a tag or ingress ID too wide for its field does not pack.
+func TestMobKeyRoundTrip(t *testing.T) {
+	prop := func(down bool, kind uint8, id uint32, tag uint16, loc uint32) bool {
+		dir := Up
+		if down {
+			dir = Down
+		}
+		in := anyPort
+		switch kind % 3 {
+		case 1:
+			in = fromMB(topo.MBInstanceID(id % (1 << mobIDBits)))
+		case 2:
+			in = fromPort(topo.NodeID(id % (1 << mobIDBits)))
+		}
+		tg := packet.Tag(tag % (1 << mobTagBits))
+		k, ok := packMob(dir, in, tg, packet.Addr(loc))
+		return ok && k.ctx() == (ctxKey{in, tg, dir}) && packet.Addr(k) == packet.Addr(loc)
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		in  ingress
+		tag packet.Tag
+	}{
+		{anyPort, 1 << mobTagBits},
+		{fromMB(1 << mobIDBits), 1},
+		{fromPort(1 << mobIDBits), 1},
+	} {
+		if _, ok := packMob(Down, c.in, c.tag, 7); ok {
+			t.Fatalf("ingress %+v, tag %d packed past its field", c.in, c.tag)
+		}
+	}
+}
+
+// TestShortcutThatDoesNotFitIsRefused: a shortcut whose tag or route does
+// not fit a mobility key is refused before any rule goes in, so a partial
+// shortcut never steers old flows.
+func TestShortcutThatDoesNotFitIsRefused(t *testing.T) {
+	c, _ := testController(t)
+	in := c.Installer
+	route := []topo.NodeID{0, 1, 2}
+	versions := func() []uint64 {
+		var out []uint64
+		for _, n := range route {
+			out = append(out, in.FIB(n).Version())
+		}
+		return out
+	}
+	before, rules := versions(), in.Stats().Rules
+	for _, sc := range []Shortcut{
+		{Loc: packet.AddrFrom4(10, 0, 0, 9), Route: route, BranchMB: NoMB, PathTags: []packet.Tag{3, 1 << mobTagBits}, Delivery: 3},
+		{Loc: packet.AddrFrom4(10, 0, 0, 9), Route: route, BranchMB: NoMB, PathTags: []packet.Tag{3}, Delivery: 1 << mobTagBits},
+	} {
+		if n, err := in.InstallShortcut(&sc); err == nil || n != 0 {
+			t.Fatalf("shortcut %+v installed %d rules, err %v; want a refusal", sc, n, err)
+		}
+	}
+	if got := versions(); !reflect.DeepEqual(got, before) || in.Stats().Rules != rules {
+		t.Fatalf("a refused shortcut moved FIB versions %v -> %v or rules %d -> %d", before, got, rules, in.Stats().Rules)
+	}
+}

@@ -68,7 +68,7 @@ func (c *Controller) CheckInvariants() (InvariantReport, error) {
 	defer c.ruleMu.Unlock()
 
 	rep := InvariantReport{
-		Paths:        len(c.paths),
+		Paths:        c.paths.len(),
 		Reservations: len(c.reservations),
 	}
 
@@ -81,6 +81,7 @@ func (c *Controller) CheckInvariants() (InvariantReport, error) {
 		id packet.UEID
 	}
 	liveIDs := make(map[stationID]packet.Addr)
+	listed := 0 // reservations that name a UE, each of which its list must hold
 	for loc, rsv := range c.reservations {
 		bs, id, ok := c.plan.Split(loc)
 		if !ok {
@@ -98,6 +99,8 @@ func (c *Controller) CheckInvariants() (InvariantReport, error) {
 			return rep, fmt.Errorf("core: reservation %s names unknown UE %q", loc, rsv.imsi)
 		} else if !held || slot != ueSlot {
 			return rep, fmt.Errorf("core: reserved address %s not indexed to its UE %q", loc, rsv.imsi)
+		} else {
+			listed++
 		}
 		liveIDs[stationID{bs, id}] = loc
 	}
@@ -146,10 +149,27 @@ func (c *Controller) CheckInvariants() (InvariantReport, error) {
 			return false
 		}
 		liveIDs[stationID{bs, id}] = r.locIP
+		// The UE's reservation list: ascending, and every entry a
+		// reservation naming this UE. With the count below, the lists hold
+		// exactly the reservations that name a UE.
+		for loc, prev := r.rsv, packet.Addr(0); loc != 0; prev, loc = loc, c.reservations[loc].next {
+			if rsv, ok := c.reservations[loc]; !ok || rsv.imsi != r.imsi {
+				invErr = fmt.Errorf("core: UE %q lists reservation %s, which is not one of its own", r.imsi, loc)
+				return false
+			}
+			if loc <= prev {
+				invErr = fmt.Errorf("core: UE %q lists reservation %s after %s, out of ascending order", r.imsi, loc, prev)
+				return false
+			}
+			listed--
+		}
 		return true
 	})
 	if invErr != nil {
 		return rep, invErr
+	}
+	if listed != 0 {
+		return rep, fmt.Errorf("core: %d reservations name a UE whose list does not hold them", listed)
 	}
 
 	for imsi := range heldHere {
@@ -232,14 +252,15 @@ func (c *Controller) CheckInvariants() (InvariantReport, error) {
 	// and IDs, key for key.
 	tags := *c.tagCache.Load()
 	for key, tag := range tags {
-		if _, ok := c.paths[key]; !ok {
+		if c.paths.get(key) == nil {
 			return rep, fmt.Errorf("core: tag cache serves (bs %d, clause %d) = %d for a withdrawn path", key.bs, key.clause, tag)
 		}
 	}
-	if n := c.Store.Primary().Count("path/"); n != len(c.paths) {
-		return rep, fmt.Errorf("core: store holds %d path/ documents for %d installed paths", n, len(c.paths))
+	if n := c.Store.Primary().Count("path/"); n != c.paths.len() {
+		return rep, fmt.Errorf("core: store holds %d path/ documents for %d installed paths", n, c.paths.len())
 	}
-	for key, rec := range c.paths {
+	for _, path := range c.paths.all() {
+		key, rec := path.key, path.rec
 		if tags[key] != rec.AccessTag() {
 			return rep, fmt.Errorf("core: tag cache serves (bs %d, clause %d) = %d, installed path has %d", key.bs, key.clause, tags[key], rec.AccessTag())
 		}
@@ -251,7 +272,8 @@ func (c *Controller) CheckInvariants() (InvariantReport, error) {
 	// Path records, tag discipline, and FIB verification.
 	stride, offset := c.Installer.Opts.TagStride, c.Installer.Opts.TagOffset
 	originTags := make(map[packet.BSID]map[packet.Tag]PathID)
-	for key, rec := range c.paths {
+	for _, path := range c.paths.all() {
+		key, rec := path.key, path.rec
 		if rec.Origin != key.bs {
 			return rep, fmt.Errorf("core: path %d filed under station %d but originates at %d", rec.ID, key.bs, rec.Origin)
 		}
@@ -296,12 +318,13 @@ func (c *Controller) CheckInvariants() (InvariantReport, error) {
 				curAccess = st.Access
 			}
 		}
-		c.stationPathsLocked(originBS, func(rec *InstalledPath) bool {
-			invErr = c.Installer.verify(rec, Down, loc, false, rec.Route.Access(), curAccess)
-			return invErr == nil
-		})
-		if invErr != nil {
-			return rep, fmt.Errorf("core: reserved %s (policy sequence broken by handoff): %w", loc, invErr)
+		for _, rec := range c.paths.station(originBS) {
+			if rec == nil {
+				continue
+			}
+			if err := c.Installer.verify(rec, Down, loc, false, rec.Route.Access(), curAccess); err != nil {
+				return rep, fmt.Errorf("core: reserved %s (policy sequence broken by handoff): %w", loc, err)
+			}
 		}
 	}
 

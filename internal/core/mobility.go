@@ -46,6 +46,18 @@ func (in *Installer) InstallShortcut(sc *Shortcut) (int, error) {
 	if len(sc.PathTags) == 0 || sc.Delivery == 0 {
 		return 0, fmt.Errorf("core: shortcut needs the path's tags")
 	}
+	// Refuse a shortcut whose rules cannot all be keyed before any goes in:
+	// a partial one would steer old flows off their path.
+	for _, t := range sc.PathTags {
+		if _, ok := packMob(Down, fromMB(sc.BranchMB), t, sc.Loc); !ok {
+			return 0, fmt.Errorf("core: shortcut at tag %d, middlebox %d does not fit a mobility key", t, sc.BranchMB)
+		}
+	}
+	for i := 1; i < len(route)-1; i++ {
+		if _, ok := packMob(Down, fromPort(route[i-1]), sc.Delivery, sc.Loc); !ok {
+			return 0, fmt.Errorf("core: shortcut at tag %d from switch %d does not fit a mobility key", sc.Delivery, route[i-1])
+		}
+	}
 	rules := 0
 	first := NextHop{Node: route[1], MB: NoMB, NewTag: sc.Delivery}
 	for _, t := range sc.PathTags {
@@ -75,128 +87,179 @@ func (in *Installer) RemoveShortcut(sc *Shortcut) int {
 	return removed
 }
 
-// reservation tracks one reserved old LocIP and its current shortcuts. The
-// shortcuts are one slab, and their routes one array, allocated by the
-// retarget that installed them; a later retarget replaces both rather than
-// writing into them, so handles a HandoffResult gave out never change.
+// reservation tracks one reserved old LocIP and its current shortcuts. A
+// UE's reservations form a list in ascending LocIP order, headed by its
+// record's rsv field and linked through next; a parked one is on no list.
+// The shortcuts point into the block the retarget that installed them cut;
+// a later retarget cuts a fresh block rather than writing into it, so
+// handles a HandoffResult gave out never change. Retired records are
+// recycled (Controller.rsvFree).
 type reservation struct {
 	imsi      string // the UE whose record reserved it; "" once that UE detached
 	shortcuts []Shortcut
+	next      packet.Addr // the UE's next reserved LocIP; 0 ends the list
 }
 
 // handoffScratch holds buffers one retarget reuses from the last, so
-// building shortcuts allocates only what the reservation keeps. Nothing in
+// building shortcuts allocates only what the reservations keep. Nothing in
 // here escapes.
 type handoffScratch struct {
 	chain  []topo.NodeID // the new access switch's ancestor chain
-	routes []topo.NodeID // one reservation's shortcut routes, back to back
+	routes []topo.NodeID // every shortcut route of one retarget, back to back
 	cuts   []shortcutCut // where each of those routes sits in routes
-	locs   []packet.Addr // one UE's reserved LocIPs, ascending
 }
 
-// shortcutCut is one shortcut a retarget will install: the path it bypasses
-// and its route's bounds in handoffScratch.routes.
+// shortcutCut is one shortcut a retarget will install: the reservation it
+// serves, the path it bypasses and its route's bounds in
+// handoffScratch.routes.
 type shortcutCut struct {
+	loc        packet.Addr
+	rsv        *reservation
 	rec        *InstalledPath
 	branchMB   topo.MBInstanceID
 	start, end int
 }
 
-// reservedLocked lists the reserved LocIPs of a UE in ascending order, so
-// the shortcuts a handoff returns and the UE IDs a removal frees come out in
-// one order. The slice is scratch, valid until the next call.
-//
-// caller holds ueMu; caller holds ruleMu
-func (c *Controller) reservedLocked(imsi string) []packet.Addr {
-	locs := c.hs.locs[:0]
-	for loc, rsv := range c.reservations {
-		if rsv.imsi == imsi {
-			locs = append(locs, loc)
-		}
-	}
-	slices.Sort(locs)
-	c.hs.locs = locs
-	return locs
+// Sizes of the block one retarget cuts its shortcuts from: a reservation
+// gets one shortcut per path at its origin (five on the generated plants),
+// each route a handful of hops. A retarget needing more shortcuts or route
+// hops makes separate arrays instead.
+const (
+	blockShortcuts = 8
+	blockHops      = 8 * blockShortcuts
+)
+
+// shortcutBlock is one allocation carrying everything a retarget hands
+// back: the handles, the shortcuts they point at, and the shortcuts' routes.
+type shortcutBlock struct {
+	handles [blockShortcuts]*Shortcut
+	slab    [blockShortcuts]Shortcut
+	routes  [blockHops]topo.NodeID
 }
 
-// stationPathsLocked calls fn for every installed path originating at bs, in
-// ascending clause order, until fn returns false. A station has at most one
-// path per policy clause, so this is Policy.Len() lookups however many paths
-// the controller holds.
+// reserveLocked files oldLoc as a reservation of r's UE, in its place on
+// the UE's ascending list, reusing a retired record when there is one.
 //
-// caller holds ruleMu
-func (c *Controller) stationPathsLocked(bs packet.BSID, fn func(*InstalledPath) bool) {
-	for clause := 0; clause < c.Policy.Len(); clause++ {
-		if rec, ok := c.paths[pathKey{bs, clause}]; ok && !fn(rec) {
+// caller holds ueMu
+func (c *Controller) reserveLocked(r *ueRecord, oldLoc packet.Addr) {
+	var rsv *reservation
+	if n := len(c.rsvFree); n > 0 {
+		rsv = c.rsvFree[n-1]
+		c.rsvFree = c.rsvFree[:n-1]
+	} else {
+		rsv = new(reservation)
+	}
+	rsv.imsi = r.imsi
+	link := &r.rsv
+	for *link != 0 && *link < oldLoc {
+		link = &c.reservations[*link].next
+	}
+	rsv.next, *link = *link, oldLoc
+	c.reservations[oldLoc] = rsv
+}
+
+// unreserveLocked takes loc off r's list.
+//
+// caller holds ueMu
+func (c *Controller) unreserveLocked(r *ueRecord, loc packet.Addr) {
+	for link := &r.rsv; *link != 0; link = &c.reservations[*link].next {
+		if *link == loc {
+			*link = c.reservations[loc].next
 			return
 		}
 	}
 }
 
+// retireLocked forgets the reservation of loc and recycles its record.
+//
+// caller holds ueMu
+func (c *Controller) retireLocked(loc packet.Addr, rsv *reservation) {
+	delete(c.reservations, loc)
+	*rsv = reservation{}
+	c.rsvFree = append(c.rsvFree, rsv)
+}
+
 // retargetReservationsLocked points every reserved LocIP of a UE at its
 // newest station, in ascending LocIP order: old shortcuts come down, fresh
 // ones (from each cached path's branch point at the LocIP's origin station,
-// in clause order) go in. The new access switch's chain is built once; each
-// reservation then allocates one shortcut slab and one route array. It
-// touches both the reservation table and the rule tables, so it runs under
-// both locks (acquired in order by Handoff).
+// in clause order) go in. The new access switch's chain is built once, and
+// the shortcuts of every reservation, their routes and the handles returned
+// are cut from one block. It touches both the reservation table and the
+// rule tables, so it runs under both locks (acquired in order by Handoff).
 //
 // caller holds ueMu; caller holds ruleMu
-func (c *Controller) retargetReservationsLocked(imsi string, newAccess topo.NodeID) []*Shortcut {
+func (c *Controller) retargetReservationsLocked(r *ueRecord, newAccess topo.NodeID) []*Shortcut {
 	hs := &c.hs
 	parent := c.Installer.tree(c.gateway)
 	hs.chain = c.T.AppendAncestorChain(hs.chain[:0], newAccess, parent)
-	locs := c.reservedLocked(imsi)
-	n := 0
-	for _, loc := range locs {
+	hs.routes, hs.cuts = hs.routes[:0], hs.cuts[:0]
+	for loc := r.rsv; loc != 0; {
 		rsv := c.reservations[loc]
 		for i := range rsv.shortcuts {
 			c.Installer.RemoveShortcut(&rsv.shortcuts[i])
 		}
 		rsv.shortcuts = nil
 		originBS, _, ok := c.plan.Split(loc)
-		if !ok || hs.chain == nil {
-			continue
-		}
-		hs.routes, hs.cuts = hs.routes[:0], hs.cuts[:0]
-		c.stationPathsLocked(originBS, func(rec *InstalledPath) bool {
-			pos, branchMB := branchPoint(rec)
-			start := len(hs.routes)
-			route, err := c.descendRoute(hs.routes, rec.Route.Switches[pos], hs.chain, parent)
-			if err != nil || len(route)-start < 2 || recrosses(route[start:], rec.Route.Switches[:pos+1]) {
-				hs.routes = route[:start]
-				return true // triangle routing via the tunnels still covers it
-			}
-			hs.routes = route
-			hs.cuts = append(hs.cuts, shortcutCut{rec: rec, branchMB: branchMB, start: start, end: len(route)})
-			return true
-		})
-		if len(hs.cuts) == 0 {
-			continue
-		}
-		routes := slices.Clone(hs.routes)
-		slab := make([]Shortcut, 0, len(hs.cuts))
-		for _, cut := range hs.cuts {
-			sc := Shortcut{Loc: loc, Route: routes[cut.start:cut.end:cut.end], BranchMB: cut.branchMB,
-				PathTags: cut.rec.Tags, Delivery: cut.rec.AccessTag()}
-			if _, err := c.Installer.InstallShortcut(&sc); err == nil {
-				slab = append(slab, sc)
+		if ok && hs.chain != nil {
+			for _, rec := range c.paths.station(originBS) {
+				if rec != nil {
+					c.cutShortcutLocked(loc, rsv, rec, parent)
+				}
 			}
 		}
-		rsv.shortcuts = slab
-		n += len(slab)
+		loc = rsv.next
 	}
+	n := len(hs.cuts)
 	if n == 0 {
 		return nil
 	}
-	all := make([]*Shortcut, 0, n)
-	for _, loc := range locs {
-		rsv := c.reservations[loc]
-		for i := range rsv.shortcuts {
-			all = append(all, &rsv.shortcuts[i])
-		}
+	var handles []*Shortcut
+	var slab []Shortcut
+	var routes []topo.NodeID
+	if n <= blockShortcuts && len(hs.routes) <= blockHops {
+		b := new(shortcutBlock)
+		handles, slab, routes = b.handles[:0:n], b.slab[:0:n], b.routes[:len(hs.routes):len(hs.routes)]
+		copy(routes, hs.routes)
+	} else {
+		handles, slab, routes = make([]*Shortcut, 0, n), make([]Shortcut, 0, n), slices.Clone(hs.routes)
 	}
-	return all
+	for i := 0; i < n; {
+		rsv, start := hs.cuts[i].rsv, len(slab)
+		for ; i < n && hs.cuts[i].rsv == rsv; i++ {
+			cut := &hs.cuts[i]
+			sc := Shortcut{Loc: cut.loc, Route: routes[cut.start:cut.end:cut.end], BranchMB: cut.branchMB,
+				PathTags: cut.rec.Tags, Delivery: cut.rec.AccessTag()}
+			if _, err := c.Installer.InstallShortcut(&sc); err == nil {
+				slab = append(slab, sc)
+				handles = append(handles, &slab[len(slab)-1])
+			}
+		}
+		rsv.shortcuts = slab[start:len(slab):len(slab)]
+	}
+	if len(handles) == 0 {
+		return nil
+	}
+	return handles
+}
+
+// cutShortcutLocked plans the shortcut that takes loc's downstream traffic
+// on rec from its branch point to the access switch at the head of the
+// scratch chain, appending its route to the scratch routes. A path with no
+// usable descend route gets no shortcut: triangle routing via the tunnels
+// still covers it.
+//
+// caller holds ruleMu
+func (c *Controller) cutShortcutLocked(loc packet.Addr, rsv *reservation, rec *InstalledPath, parent []topo.NodeID) {
+	hs := &c.hs
+	pos, branchMB := branchPoint(rec)
+	start := len(hs.routes)
+	route, err := c.descendRoute(hs.routes, rec.Route.Switches[pos], hs.chain, parent)
+	if err != nil || len(route)-start < 2 || recrosses(route[start:], rec.Route.Switches[:pos+1]) {
+		hs.routes = route[:start]
+		return
+	}
+	hs.routes = route
+	hs.cuts = append(hs.cuts, shortcutCut{loc: loc, rsv: rsv, rec: rec, branchMB: branchMB, start: start, end: len(route)})
 }
 
 // HandoffResult is everything the rest of the system needs to complete a
@@ -272,10 +335,10 @@ func (c *Controller) HandoffCtx(sc obs.SpanContext, imsi string, newBS packet.BS
 	// station the UE has already left. Retargeting rewires switch rules, so
 	// it nests the rule-table lock inside the UE lock (the documented
 	// order).
-	c.reservations[oldLoc] = &reservation{imsi: r.imsi}
+	c.reserveLocked(r, oldLoc)
 	spr := c.obs.spHandoffRule.Start(sp.Context())
 	c.ruleMu.Lock()
-	res.Shortcuts = c.retargetReservationsLocked(imsi, newStation.Access)
+	res.Shortcuts = c.retargetReservationsLocked(r, newStation.Access)
 	c.ruleMu.Unlock()
 	spr.End()
 	c.obs.evHandoff.Emit(int64(oldBS), int64(newBS), int64(len(res.Shortcuts)))
@@ -347,7 +410,6 @@ func (c *Controller) ReleaseOldLocIP(oldLoc packet.Addr, shortcuts []*Shortcut) 
 		for i := range rsv.shortcuts {
 			c.Installer.RemoveShortcut(&rsv.shortcuts[i])
 		}
-		delete(c.reservations, oldLoc)
 	} else {
 		for _, sc := range shortcuts {
 			c.Installer.RemoveShortcut(sc)
@@ -361,8 +423,14 @@ func (c *Controller) ReleaseOldLocIP(oldLoc packet.Addr, shortcuts []*Shortcut) 
 		// the same (station, UE ID) — the same LocIP — to two devices.
 		return
 	}
+	// A reservation that is not parked is indexed to its UE's slot, whose
+	// list it is on.
+	slot, held := c.ues.locIdx.lookup(oldLoc)
+	if held {
+		c.unreserveLocked(c.ues.rec(slot), oldLoc)
+	}
+	c.retireLocked(oldLoc, rsv)
 	if bs, id, ok := c.plan.Split(oldLoc); ok {
-		slot, held := c.ues.locIdx.lookup(oldLoc)
 		if !held || c.ues.rec(slot).locIP != oldLoc {
 			c.freeUEIDLocked(bs, id)
 			c.ues.locIdx.delete(oldLoc)

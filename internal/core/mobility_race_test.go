@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -210,7 +211,7 @@ func TestShortcutsComeBackInClauseOrder(t *testing.T) {
 		// names the clause.
 		clauseOf := make(map[packet.Tag]int)
 		for _, cl := range warmAll(t, c, []packet.BSID{0, 1, 2, 3}) {
-			clauseOf[c.paths[pathKey{0, cl}].AccessTag()] = cl
+			clauseOf[c.paths.get(pathKey{0, cl}).AccessTag()] = cl
 		}
 		res, err := c.Handoff("imsi-ord", 1)
 		if err != nil {
@@ -388,4 +389,67 @@ func TestHeldShortcutsRaceNoWriter(t *testing.T) {
 	if _, err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestReservationListsMatchTheMap: each UE's reservation list must hold
+// exactly the reservations naming that UE, in ascending order, and no
+// parked one. CheckInvariants reports a stray link, a missing link and a
+// list out of order, and passes again once each is undone.
+func TestReservationListsMatchTheMap(t *testing.T) {
+	c, _, _ := twoReservations(t, "imsi-listed")
+	if err := c.RegisterSubscriber("imsi-parked", policy.Attributes{Provider: "A"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.Attach("imsi-parked", 0); err != nil {
+		t.Fatal(err)
+	}
+	hr, err := c.Handoff("imsi-parked", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Detach("imsi-parked"); err != nil {
+		t.Fatal(err)
+	}
+	parked := hr.OldLocIP
+	if rsv := c.reservations[parked]; rsv == nil || rsv.imsi != "" {
+		t.Fatalf("detach left reservation %s as %+v; want it parked", parked, rsv)
+	}
+	r, _, _ := c.ues.get("imsi-listed")
+	head, second := r.rsv, c.reservations[r.rsv].next
+	if head == 0 || second == 0 || c.reservations[second].next != 0 {
+		t.Fatalf("imsi-listed lists %s, %s; want two reservations", head, second)
+	}
+	check := func(when, want string) {
+		t.Helper()
+		_, err := c.CheckInvariants()
+		switch {
+		case want == "" && err != nil:
+			t.Fatalf("%s: %v", when, err)
+		case want != "" && (err == nil || !strings.Contains(err.Error(), want)):
+			t.Fatalf("%s: CheckInvariants = %v; want an error containing %q", when, err, want)
+		}
+	}
+	check("as built", "")
+
+	// A stray link: the parked reservation spliced into the list in order.
+	link := &r.rsv
+	for *link != 0 && *link < parked {
+		link = &c.reservations[*link].next
+	}
+	c.reservations[parked].next, *link = *link, parked
+	check("parked reservation on a list", "not one of its own")
+	*link, c.reservations[parked].next = c.reservations[parked].next, 0
+	check("stray link undone", "")
+
+	// A missing link: the list loses its head.
+	r.rsv = second
+	check("head unlinked", "whose list does not hold them")
+	r.rsv = head
+	check("missing link undone", "")
+
+	// Out of order: the two entries swapped.
+	r.rsv, c.reservations[second].next, c.reservations[head].next = second, head, 0
+	check("list out of order", "out of ascending order")
+	r.rsv, c.reservations[head].next, c.reservations[second].next = head, second, 0
+	check("order restored", "")
 }

@@ -96,7 +96,7 @@ func TestControllerRemovePolicyPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	webRec := c.paths[pathKey{0, webClause}]
+	webRec := c.paths.get(pathKey{0, webClause})
 	webID := webRec.ID
 	if err := c.RemovePolicyPaths(videoClause); err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestControllerRemovePolicyPaths(t *testing.T) {
 	// the installer already hold (Rebuild adopts the re-installed record's
 	// contents by value), and re-resolves; the video path is re-installed
 	// fresh on demand.
-	if got := c.paths[pathKey{0, webClause}]; got != webRec || got.ID != webID {
+	if got := c.paths.get(pathKey{0, webClause}); got != webRec || got.ID != webID {
 		t.Fatalf("surviving path is record %p id %d, was %p id %d", got, got.ID, webRec, webID)
 	}
 	if got := c.Installer.paths[webID]; got != webRec || len(c.Installer.paths) != 1 {
@@ -216,11 +216,11 @@ func TestShortcutOutlivesPathRebuild(t *testing.T) {
 				want = append(want, fields{slices.Clone(sc.Route), slices.Clone(sc.PathTags)})
 			}
 		}
-		oldTag := c.paths[pathKey{0, video}].AccessTag()
+		oldTag := c.paths.get(pathKey{0, video}).AccessTag()
 		if err := c.RemovePolicyPaths(web); err != nil {
 			t.Fatal(err)
 		}
-		if c.paths[pathKey{0, video}].AccessTag() == oldTag {
+		if c.paths.get(pathKey{0, video}).AccessTag() == oldTag {
 			t.Fatal("the rebuild did not re-tag the surviving path; the test needs it to")
 		}
 		oldInstaller := c.Installer

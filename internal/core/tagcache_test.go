@@ -13,6 +13,16 @@ import (
 // readers index it directly on the fast path).
 func tagSnapshot(c *Controller) tagMap { return *c.tagCache.Load() }
 
+// installedPaths copies the installed-path table into a map keyed like the
+// tag memo, for comparing the two.
+func installedPaths(c *Controller) map[pathKey]*InstalledPath {
+	out := make(map[pathKey]*InstalledPath, c.paths.len())
+	for _, e := range c.paths.all() {
+		out[e.key] = e.rec
+	}
+	return out
+}
+
 // warmAll requests every (station, allow-clause) path once so the memo is
 // fully populated.
 func warmAll(t *testing.T, c *Controller, stations []packet.BSID) []int {
@@ -34,10 +44,10 @@ func warmAll(t *testing.T, c *Controller, stations []packet.BSID) []int {
 func assertCacheMatchesPaths(t *testing.T, c *Controller) {
 	t.Helper()
 	tags := tagSnapshot(c)
-	if len(tags) != len(c.paths) {
-		t.Fatalf("tag cache has %d entries, installed paths %d", len(tags), len(c.paths))
+	if len(tags) != c.paths.len() {
+		t.Fatalf("tag cache has %d entries, installed paths %d", len(tags), c.paths.len())
 	}
-	for key, rec := range c.paths {
+	for key, rec := range installedPaths(c) {
 		if tags[key] != rec.AccessTag() {
 			t.Fatalf("cached tag %d for (bs %d, clause %d), path says %d",
 				tags[key], key.bs, key.clause, rec.AccessTag())
@@ -141,10 +151,10 @@ func TestPathDocumentsFollowFailureRecompute(t *testing.T) {
 	assertDocsMatchPaths := func(when string) {
 		t.Helper()
 		keys := c.Store.Keys("path/")
-		if len(keys) != len(c.paths) {
-			t.Fatalf("%s: %d path/ documents for %d installed paths", when, len(keys), len(c.paths))
+		if len(keys) != c.paths.len() {
+			t.Fatalf("%s: %d path/ documents for %d installed paths", when, len(keys), c.paths.len())
 		}
-		for key, rec := range c.paths {
+		for key, rec := range installedPaths(c) {
 			e, ok := c.Store.Get(fmt.Sprintf("path/%d/%d", key.bs, key.clause))
 			if !ok || len(e.Value) != 8 || PathID(binary.BigEndian.Uint64(e.Value)) != rec.ID {
 				t.Fatalf("%s: (bs %d, clause %d) document %x, installed path %d", when, key.bs, key.clause, e.Value, rec.ID)
@@ -186,7 +196,7 @@ func assertStationServedFromMemo(t *testing.T, c *Controller, bs packet.BSID, im
 		t.Fatal(err)
 	}
 	for _, cl := range cls {
-		if _, installed := c.paths[pathKey{bs, cl.Clause}]; cl.Allow && installed && cl.Tag == 0 {
+		if installed := c.paths.get(pathKey{bs, cl.Clause}) != nil; cl.Allow && installed && cl.Tag == 0 {
 			t.Fatalf("attach at station %d: clause %d unresolved although its path is installed", bs, cl.Clause)
 		}
 	}
@@ -195,7 +205,7 @@ func assertStationServedFromMemo(t *testing.T, c *Controller, bs packet.BSID, im
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := c.paths[pathKey{bs, clauses[0]}].AccessTag(); tag != want {
+	if want := c.paths.get(pathKey{bs, clauses[0]}).AccessTag(); tag != want {
 		t.Fatalf("station %d served tag %d, installed path says %d", bs, tag, want)
 	}
 	if c.Stats().PathMiss != miss || c.obs.cacheMiss.Value() != memoMiss || c.Epoch() != epoch {
@@ -274,9 +284,9 @@ func TestRequestPathHitEqualsMiss(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if miss != want || hit != want || want != plain.paths[pathKey{bs, cl}].AccessTag() {
+			if miss != want || hit != want || want != plain.paths.get(pathKey{bs, cl}).AccessTag() {
 				t.Fatalf("(bs %d, clause %d): miss %d, hit %d, uncached controller %d, installed path %d",
-					bs, cl, miss, hit, want, plain.paths[pathKey{bs, cl}].AccessTag())
+					bs, cl, miss, hit, want, plain.paths.get(pathKey{bs, cl}).AccessTag())
 			}
 		}
 	}

@@ -27,8 +27,10 @@ import (
 
 // ueRecord is one fixed-size slot. Attributes live in the attrPool; the
 // record stores a 32-bit handle, and permIP is the record's copy of the
-// address Subscribers binds to the IMSI. A live record always holds a
-// handle and a location (attr != 0, locIP != 0); a free slot is zeroed.
+// address Subscribers binds to the IMSI. rsv heads the UE's list of
+// reserved old LocIPs (0 when it has none; see reservation). A live record
+// always holds a handle and a location (attr != 0, locIP != 0); a free slot
+// is zeroed.
 type ueRecord struct {
 	imsi   string
 	attr   attrHandle
@@ -36,6 +38,7 @@ type ueRecord struct {
 	locIP  packet.Addr
 	bs     packet.BSID
 	ueid   packet.UEID
+	rsv    packet.Addr
 }
 
 // ueSlabShift sizes one slab at 8192 records (320 KiB): big enough that a

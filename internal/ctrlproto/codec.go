@@ -261,15 +261,42 @@ func appendShortcuts(dst []byte, scs []*core.Shortcut) []byte {
 	return dst
 }
 
+// Sizes of the block one message's shortcuts decode into; a message with
+// more shortcuts, route hops or path tags decodes into separate arrays.
+const (
+	blockShortcuts = 8
+	blockHops      = 8 * blockShortcuts
+	blockTags      = 2 * blockShortcuts
+)
+
+// shortcutBlock is one allocation holding a decoded message's shortcut
+// handles, the shortcuts, and every route hop and path tag they carry.
+type shortcutBlock struct {
+	out  [blockShortcuts]*core.Shortcut
+	scs  [blockShortcuts]core.Shortcut
+	hops [blockHops]topo.NodeID
+	tags [blockTags]packet.Tag
+}
+
 func decodeShortcuts(d *core.Decoder) []*core.Shortcut {
 	n := d.Count(shortcutMinBytes)
 	if n == 0 {
 		return nil
 	}
-	hops := make([]topo.NodeID, d.Count(4))
-	tags := make([]packet.Tag, d.Count(4))
-	scs := make([]core.Shortcut, n)
-	out := make([]*core.Shortcut, n)
+	nh := d.Count(4)
+	nt := d.Count(4)
+	var (
+		out  []*core.Shortcut
+		scs  []core.Shortcut
+		hops []topo.NodeID
+		tags []packet.Tag
+	)
+	if n <= blockShortcuts && nh <= blockHops && nt <= blockTags {
+		b := new(shortcutBlock)
+		out, scs, hops, tags = b.out[:n:n], b.scs[:n:n], b.hops[:nh:nh], b.tags[:nt:nt]
+	} else {
+		out, scs, hops, tags = make([]*core.Shortcut, n), make([]core.Shortcut, n), make([]topo.NodeID, nh), make([]packet.Tag, nt)
+	}
 	for i := range scs {
 		s := &scs[i]
 		s.Loc = packet.Addr(d.Uint32())

@@ -129,8 +129,16 @@ var wireCodecs = []wireCodec{
 // every message it accepts must round-trip: re-encoding and re-decoding it
 // yields the same value and the same bytes. The corpus under
 // testdata/fuzz/FuzzWireCodec holds one valid encoding of each message and
-// a few malformed ones.
+// a few malformed ones; the seed added here is a handoff result with more
+// shortcuts than decodeShortcuts' block holds, so the fallback is covered.
 func FuzzWireCodec(f *testing.F) {
+	for i, c := range wireCodecs {
+		if c.name == "handoff result" {
+			res := newConstPlane().res
+			res.Shortcuts = shortcutsOf(blockShortcuts + 1)
+			f.Add(append([]byte{byte(i)}, appendHandoffResult(nil, res)...))
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

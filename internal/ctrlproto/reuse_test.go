@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -77,10 +78,11 @@ func tcpPair(t *testing.T, srv *Server) *Client {
 }
 
 // Ceilings on the allocations of one wire attach and one wire handoff,
-// both ends included, against constPlane (two shortcuts).
+// both ends included, against constPlane (two shortcuts, which the client
+// decodes into one block).
 const (
 	maxAttachAllocs  = 3
-	maxHandoffAllocs = 7
+	maxHandoffAllocs = 4
 )
 
 // TestWireRequestPathZeroAllocs pins the §6.2 steady state: a path request
@@ -132,6 +134,54 @@ func TestWireRequestPathZeroAllocs(t *testing.T) {
 	}
 	if handoff > maxHandoffAllocs {
 		t.Errorf("a wire handoff allocates %.0f times, ceiling %d", handoff, maxHandoffAllocs)
+	}
+}
+
+// shortcutsOf builds n shortcuts shaped like the generated plants': a
+// five-hop route and one path tag each.
+func shortcutsOf(n int) []*core.Shortcut {
+	out := make([]*core.Shortcut, n)
+	for i := range out {
+		out[i] = &core.Shortcut{Loc: packet.AddrFrom4(10, 0, 2, 5), Route: []topo.NodeID{40, 3, 12, 55, 56},
+			BranchMB: core.NoMB, PathTags: []packet.Tag{packet.Tag(17 + 2*i)}, Delivery: packet.Tag(17 + 2*i)}
+	}
+	return out
+}
+
+// TestHandoffResultShortcutsDecodeIntoOneBlock pins what a decoded
+// HandoffResult's shortcuts cost the client: one allocation for up to
+// blockShortcuts of them — handles, shortcuts, routes and tags together —
+// and the four separate arrays past that.
+func TestHandoffResultShortcutsDecodeIntoOneBlock(t *testing.T) {
+	base := newConstPlane().res
+	base.Shortcuts = nil
+	bare := appendHandoffResult(nil, base)
+	without := testing.AllocsPerRun(200, func() {
+		if _, err := parseHandoffResult(bare); err != nil {
+			t.Fatal(err)
+		}
+	})
+	for _, n := range []int{1, 5, blockShortcuts, blockShortcuts + 1} {
+		res := base
+		res.Shortcuts = shortcutsOf(n)
+		payload := appendHandoffResult(nil, res)
+		got, err := parseHandoffResult(payload)
+		if err != nil || !reflect.DeepEqual(got, res) {
+			t.Fatalf("%d shortcuts: decoded %+v, %v; want %+v", n, got, err, res)
+		}
+		with := testing.AllocsPerRun(200, func() {
+			if _, err := parseHandoffResult(payload); err != nil {
+				t.Fatal(err)
+			}
+		})
+		want := 1.0
+		if n > blockShortcuts {
+			want = 4
+		}
+		t.Logf("%d shortcuts: %.0f allocations for the shortcuts", n, with-without)
+		if with-without != want {
+			t.Errorf("decoding %d shortcuts costs %.0f allocations, want %.0f", n, with-without, want)
+		}
 	}
 }
 

@@ -82,9 +82,9 @@ type ueStripe struct {
 var stripeSeed = maphash.MakeSeed()
 
 // Dispatcher fronts a set of controller shards: it routes base-station-
-// keyed requests through the consistent-hash ring and UE-keyed requests to
-// the holder the subscriber table names, and owns the cross-shard handoff
-// and failover protocols. Every shard admits from its one subscriber table,
+// keyed requests through the consistent-hash ring of station blocks and
+// UE-keyed requests to the holder the subscriber table names, and owns the
+// cross-shard handoff and failover protocols. Every shard admits from its one subscriber table,
 // which outlives any shard: failover rebuilds locations from agents and has
 // no subscribers to salvage, and a permanent address outlives the shard that
 // served it. Every operation runs
@@ -110,13 +110,18 @@ type Dispatcher struct {
 	obs dispObs
 }
 
-// New builds the ring, partitions the topology's stations, and builds one
-// restricted controller per shard.
+// New builds the ring over the topology's station blocks, partitions the
+// stations, and builds one restricted controller per shard.
 func New(cfg Config) (*Dispatcher, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Topology == nil {
 		return nil, fmt.Errorf("shard: Config.Topology is required")
 	}
+	return newOverBlocks(cfg, stationBlocks(cfg.Topology, cfg.Gateway))
+}
+
+// newOverBlocks is New placing the given blocks (see NewRing) on the ring.
+func newOverBlocks(cfg Config, blocks []packet.BSID) (*Dispatcher, error) {
+	cfg = cfg.withDefaults()
 	if cfg.Policy == nil {
 		return nil, fmt.Errorf("shard: Config.Policy is required")
 	}
@@ -124,7 +129,7 @@ func New(cfg Config) (*Dispatcher, error) {
 	for i := range ids {
 		ids[i] = i
 	}
-	ring := NewRing(DefaultVNodes, ids...)
+	ring := NewRing(DefaultVNodes, blocks, ids...)
 	stations := make([]packet.BSID, 0, len(cfg.Topology.Stations))
 	for _, st := range cfg.Topology.Stations {
 		stations = append(stations, st.ID)

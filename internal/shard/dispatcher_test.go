@@ -385,7 +385,7 @@ func TestDispatcherRejectsBadConfig(t *testing.T) {
 }
 
 func ExampleRing_Owner() {
-	r := NewRing(DefaultVNodes, 0, 1)
+	r := NewRing(DefaultVNodes, nil, 0, 1)
 	owner, _ := r.Owner(7)
 	fmt.Println(owner >= 0 && owner <= 1)
 	// Output: true

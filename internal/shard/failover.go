@@ -24,9 +24,9 @@ func (r FailoverReport) String() string {
 // FailShard declares a shard dead and rebuilds its slice of the control
 // plane on the survivors:
 //
-//   - the shard leaves the ring, so its base stations rehash to the
+//   - the shard leaves the ring, so its station blocks rehash to the
 //     surviving shards (consistent hashing moves only the dead shard's
-//     stations — every other station keeps its owner);
+//     blocks — every other station keeps its owner);
 //   - its UE-location state is reassembled from live agents' location
 //     reports alone (§5.2: location state is rebuilt by querying the local
 //     agents); each reassembled station is absorbed by its new owner, which

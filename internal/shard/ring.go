@@ -1,10 +1,13 @@
 // Package shard partitions the SoftCell control plane into parallel
-// controller shards. A consistent-hash Ring maps every base station to one
-// shard; each Shard wraps a core.Controller restricted to its stations
-// (which, because LocIPs embed the base-station ID, also gives it a
-// disjoint LocIP sub-pool) and a disjoint tag-space residue class; what is
-// a subscriber's rather than a location's — registration, permanent
-// address — sits in the one core.Subscribers table every shard admits from.
+// controller shards. A consistent-hash Ring maps every block of base
+// stations — the stations under one aggregation switch — to one shard, so a
+// shard's stations share location prefixes and its rule tables aggregate
+// the way one controller's do. Each Shard wraps a core.Controller
+// restricted to its stations (which, because LocIPs embed the base-station
+// ID, also gives it a disjoint LocIP sub-pool) and a disjoint tag-space
+// residue class; what is a subscriber's rather than a location's —
+// registration, permanent address — sits in the one core.Subscribers table
+// every shard admits from.
 // A Dispatcher fronts the shards and runs every operation on its caller's
 // goroutine, behind per-shard admission control and a per-shard bound on
 // concurrent operations, so N shards serve requests with no shared lock on
@@ -14,7 +17,7 @@
 // shards in two phases (freeze-on-source, install-on-target) behind the
 // UE's lock stripe, and failover.go rebuilds a dead shard's UE state
 // on the survivors from its replicated store plus live agents' location
-// reports, rehashing its stations across the ring.
+// reports, rehashing its blocks across the ring.
 package shard
 
 import (
@@ -22,17 +25,22 @@ import (
 	"sort"
 
 	"repro/internal/packet"
+	"repro/internal/topo"
 )
 
 // Ring is an immutable consistent-hash ring with virtual nodes: each shard
-// contributes vnodes points, and a base station is owned by the shard whose
-// point follows the station's hash clockwise. With/Without derive new
-// rings, so a ring value can be shared lock-free (the dispatcher publishes
-// snapshots through an atomic pointer).
+// contributes vnodes points, and a block of base stations is owned by the
+// shard whose point follows the block's hash clockwise. With/Without derive
+// new rings over the same blocks, so a ring value can be shared lock-free
+// (the dispatcher publishes snapshots through an atomic pointer) and a
+// shard leaving or joining moves whole blocks.
 type Ring struct {
 	vnodes int
 	shards []int   // live shard ids, sorted
 	points []point // sorted by hash
+	// blocks[bs] is the key of bs's block, its lowest station ID (see
+	// stationBlocks); a station past the end is a block of its own.
+	blocks []packet.BSID
 }
 
 type point struct {
@@ -63,13 +71,48 @@ func bsHash(bs packet.BSID) uint64 {
 	return mix64(uint64(bs) + 0x5c17c0de) // salted so BSIDs don't collide with vnode inputs
 }
 
-// NewRing builds a ring over the given shard ids. vnodes <= 0 selects
-// DefaultVNodes.
-func NewRing(vnodes int, shards ...int) *Ring {
+// stationBlocks derives the ring's blocks from a topology: a station's block
+// is the set of stations whose first non-access ancestor, on their chain up
+// the shortest-path tree rooted at gateway, is the same switch — on a
+// generated plant, one aggregation switch's clusters. The result, indexed by
+// station ID, holds each station's block key: the lowest station ID in its
+// block. A station with no such ancestor is a block of its own.
+func stationBlocks(t *topo.Topology, gateway topo.NodeID) []packet.BSID {
+	parent := t.SPTree(gateway)
+	top := make([]topo.NodeID, len(t.Stations)) // each station's first non-access ancestor
+	key := make(map[topo.NodeID]packet.BSID)
+	var maxID packet.BSID
+	for i, st := range t.Stations {
+		n := st.Access
+		for n != topo.None && t.Nodes[n].Kind == topo.Access {
+			n = parent[n]
+		}
+		top[i] = n
+		if k, ok := key[n]; n != topo.None && (!ok || st.ID < k) {
+			key[n] = st.ID
+		}
+		maxID = max(maxID, st.ID)
+	}
+	blocks := make([]packet.BSID, int(maxID)+1)
+	for i := range blocks {
+		blocks[i] = packet.BSID(i)
+	}
+	for i, st := range t.Stations {
+		if top[i] != topo.None {
+			blocks[st.ID] = key[top[i]]
+		}
+	}
+	return blocks
+}
+
+// NewRing builds a ring over the given shard ids that places the blocks
+// stationBlocks describes; nil blocks make every station a block of its
+// own. vnodes <= 0 selects DefaultVNodes.
+func NewRing(vnodes int, blocks []packet.BSID, shards ...int) *Ring {
 	if vnodes <= 0 {
 		vnodes = DefaultVNodes
 	}
-	r := &Ring{vnodes: vnodes}
+	r := &Ring{vnodes: vnodes, blocks: blocks}
 	for _, s := range shards {
 		r.shards = append(r.shards, s)
 	}
@@ -103,13 +146,21 @@ func (r *Ring) Has(id int) bool {
 	return i < len(r.shards) && r.shards[i] == id
 }
 
-// Owner maps a base station to its owning shard. ok is false only on an
-// empty ring.
+// block returns the key of bs's block: the lowest station ID in it.
+func (r *Ring) block(bs packet.BSID) packet.BSID {
+	if int(bs) < len(r.blocks) {
+		return r.blocks[bs]
+	}
+	return bs
+}
+
+// Owner maps a base station to the shard owning its block. ok is false
+// only on an empty ring.
 func (r *Ring) Owner(bs packet.BSID) (int, bool) {
 	if len(r.points) == 0 {
 		return 0, false
 	}
-	h := bsHash(bs)
+	h := bsHash(r.block(bs))
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0 // wrap around
@@ -122,7 +173,7 @@ func (r *Ring) With(id int) *Ring {
 	if r.Has(id) {
 		return r
 	}
-	return NewRing(r.vnodes, append(r.Shards(), id)...)
+	return NewRing(r.vnodes, r.blocks, append(r.Shards(), id)...)
 }
 
 // Without returns a new ring with shard id removed.
@@ -136,7 +187,7 @@ func (r *Ring) Without(id int) *Ring {
 			keep = append(keep, s)
 		}
 	}
-	return NewRing(r.vnodes, keep...)
+	return NewRing(r.vnodes, r.blocks, keep...)
 }
 
 // Partition groups the given stations by owning shard.
