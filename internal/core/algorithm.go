@@ -102,10 +102,6 @@ type InstallerOptions struct {
 	// NoLocationRouting disables Type 3 location rules (ablation): the
 	// fan-out below the last middlebox is tag-routed instead.
 	NoLocationRouting bool
-	// DiscardPathRecords stops the installer from retaining an
-	// InstalledPath entry per install. Rule-counting sweeps over tens of
-	// millions of paths set this; InstallPath still returns the record.
-	DiscardPathRecords bool
 	// SkipAccessSwitchRules drops steps at access-layer switches entirely.
 	// Use only for rule-COUNTING simulations over hardware switches (Fig.
 	// 7): it saves gigabytes on 20000-station networks, but traces across
@@ -136,9 +132,9 @@ type InstallerOptions struct {
 type PathID uint64
 
 // InstalledPath records everything needed to trace, rebuild or re-anchor a
-// policy path. Tags and Chain are written once, at install, and never
-// rewritten in place afterwards: Rebuild replaces a record's slices with
-// fresh ones, so a Shortcut may alias Tags for as long as it lives.
+// policy path. A record is immutable after publish: InstallPath builds it,
+// and a rebuild files a fresh record rather than rewriting an old one, so a
+// Shortcut may alias Tags for as long as it lives.
 type InstalledPath struct {
 	ID     PathID
 	Origin packet.BSID
@@ -187,7 +183,6 @@ type Installer struct {
 	// Stored as sorted slices: sweeps create tens of millions of entries.
 	originTags map[packet.BSID][]packet.Tag
 
-	paths map[PathID]*InstalledPath
 	stats InstallStats
 
 	// treeParent holds the canonical shortest-path tree per gateway root,
@@ -238,7 +233,6 @@ func NewInstaller(t *topo.Topology, opts InstallerOptions) (*Installer, error) {
 		nextTag:    packet.Tag(opts.TagOffset),
 		chainTags:  make(map[chainSegKey][]packet.Tag),
 		originTags: make(map[packet.BSID][]packet.Tag),
-		paths:      make(map[PathID]*InstalledPath),
 		treeParent: make(map[topo.NodeID][]topo.NodeID),
 	}
 	in.scratch.demands = make(map[demandKey]demand)
@@ -389,21 +383,6 @@ func (in *Installer) FIB(n topo.NodeID) *FIB { return in.fibs[n] }
 
 // Stats returns a copy of the installer counters.
 func (in *Installer) Stats() InstallStats { return in.stats }
-
-// Path returns an installed path record.
-func (in *Installer) Path(id PathID) (*InstalledPath, bool) {
-	p, ok := in.paths[id]
-	return p, ok
-}
-
-// Paths returns all installed paths (unordered).
-func (in *Installer) Paths() []*InstalledPath {
-	out := make([]*InstalledPath, 0, len(in.paths))
-	for _, p := range in.paths {
-		out = append(out, p)
-	}
-	return out
-}
 
 // freshTag allocates the next tag of this installer's residue class,
 // failing cleanly when the class is exhausted — the encodable tag space is
@@ -894,63 +873,11 @@ func (in *Installer) InstallPath(p *routing.Path) (*InstalledPath, error) {
 	}
 
 	in.nextID++
-	rec := &InstalledPath{
+	return &InstalledPath{
 		ID:     in.nextID,
 		Origin: p.Origin,
 		Tags:   tags,
 		Chain:  append([]topo.MBInstanceID(nil), p.Chain...),
 		Route:  p,
-	}
-	if !in.Opts.DiscardPathRecords {
-		in.paths[rec.ID] = rec
-	}
-	return rec, nil
-}
-
-// Rebuild reinstalls every retained path from scratch — the paper's offline
-// counterpart to the online algorithm ("couple the online algorithm with an
-// offline algorithm that would regularly recompute the optimal forwarding
-// entries"). It is also how path REMOVAL works: aggregated rules are shared
-// between paths, so deleting one path's rules in place could strand or
-// break others; recomputing from the surviving set is always correct.
-// keep selects the paths to retain (nil keeps everything — a pure
-// re-optimisation pass).
-func (in *Installer) Rebuild(keep func(*InstalledPath) bool) error {
-	retained := make([]*InstalledPath, 0, len(in.paths))
-	for _, p := range in.paths {
-		if keep == nil || keep(p) {
-			retained = append(retained, p)
-		}
-	}
-	sort.Slice(retained, func(i, j int) bool { return retained[i].ID < retained[j].ID })
-
-	for i, old := range in.fibs {
-		in.fibs[i] = NewFIB(topo.NodeID(i))
-		in.fibs[i].succeed(old)
-	}
-	in.chainTags = make(map[chainSegKey][]packet.Tag)
-	in.originTags = make(map[packet.BSID][]packet.Tag)
-	in.paths = make(map[PathID]*InstalledPath)
-	// nextTag is NOT reset: tags already embedded in access-switch
-	// microflows and agent caches must never alias onto new paths.
-	roots := in.treeParent
-	in.treeParent = make(map[topo.NodeID][]topo.NodeID)
-	in.stats = InstallStats{}
-	for root := range roots {
-		in.EnableLocationRouting(root)
-	}
-
-	for _, old := range retained {
-		rec, err := in.InstallPath(old.Route)
-		if err != nil {
-			return fmt.Errorf("core: rebuild of path %d failed: %w", old.ID, err)
-		}
-		// Preserve identity so controller caches stay valid: the original
-		// record adopts the fresh one's contents under its own ID.
-		delete(in.paths, rec.ID)
-		rec.ID = old.ID
-		*old = *rec
-		in.paths[old.ID] = old
-	}
-	return nil
+	}, nil
 }

@@ -424,8 +424,19 @@ func TestAblationsCostMoreRules(t *testing.T) {
 	run := func(opts InstallerOptions) int {
 		in := mustInstaller(t, g.Topology, opts)
 		pl := routing.NewPlanner(g.Topology)
-		if _, err := in.InstallForStations(pl, stations, chains, g.GatewayID, false); err != nil {
-			t.Fatal(err)
+		for _, bs := range stations {
+			for _, chain := range chains {
+				route, err := pl.Plan(bs, chain, g.GatewayID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := in.InstallPath(route); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if got, want := in.Stats().Paths, uint64(len(stations)*len(chains)); got != want {
+			t.Fatalf("stats count %d installs, want %d", got, want)
 		}
 		hw, _ := in.TableSizes()
 		return hw.Total()
@@ -445,34 +456,6 @@ func TestAblationsCostMoreRules(t *testing.T) {
 	}
 	if noDef <= full {
 		t.Errorf("no-default ablation should cost more: full=%d noDef=%d", full, noDef)
-	}
-}
-
-func TestInstallForStationsKeepsRecordsOnDemand(t *testing.T) {
-	g, err := topo.Generate(topo.GenParams{K: 2, ClusterSize: 4, MBTypes: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := mustInstaller(t, g.Topology, InstallerOptions{})
-	pl := routing.NewPlanner(g.Topology)
-	stations := []packet.BSID{0, 1}
-	chains := [][]topo.MBType{{0}}
-	recs, err := in.InstallForStations(pl, stations, chains, g.GatewayID, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 || len(in.Paths()) != 2 {
-		t.Fatalf("records = %d, paths = %d", len(recs), len(in.Paths()))
-	}
-	in2 := mustInstaller(t, g.Topology, InstallerOptions{})
-	if _, err := in2.InstallForStations(routing.NewPlanner(g.Topology), stations, chains, g.GatewayID, false); err != nil {
-		t.Fatal(err)
-	}
-	if len(in2.Paths()) != 0 {
-		t.Fatal("records should be dropped when not kept")
-	}
-	if in2.Stats().Paths != 2 {
-		t.Fatal("stats should still count installs")
 	}
 }
 

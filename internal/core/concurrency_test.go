@@ -26,8 +26,8 @@ func allowClauses(p *policy.Policy) []int {
 // goroutines at once — path requests, handoffs, detach/re-attach cycles,
 // and switch failure/recovery — and then checks the rule-table invariants:
 // every surviving path verifies against the FIBs, the rule accounting
-// matches the tables, and the tag memo agrees exactly with the installed
-// paths. `make verify` runs it under -race, which is where it earns its
+// matches the tables, and every request is served the tag of the path the
+// table files. `make verify` runs it under -race, which is where it earns its
 // keep: the race detector sees every pairing of the three lock domains and
 // the lock-free fast path.
 func TestConcurrentStressInvariants(t *testing.T) {
@@ -133,30 +133,20 @@ func TestConcurrentStressInvariants(t *testing.T) {
 		t.Fatalf("rule accounting mismatch after stress: tables=%d stats=%d",
 			hw.Total()+sw.Total(), in.Stats().Rules)
 	}
-	// Invariant 3: the tag memo agrees exactly with the installed paths.
-	tags := *c.tagCache.Load()
-	if len(tags) != c.paths.len() {
-		t.Fatalf("tag cache has %d entries, installed paths %d", len(tags), c.paths.len())
-	}
-	for key, rec := range installedPaths(c) {
-		if tags[key] != rec.AccessTag() {
-			t.Fatalf("cached tag %d for (bs %d, clause %d), path says %d",
-				tags[key], key.bs, key.clause, rec.AccessTag())
-		}
-	}
-	// And with the dust settled the controller answers every combination.
+	// And with the dust settled the controller answers every combination
+	// with the tag of the path it files.
 	for bs := packet.BSID(0); bs < 4; bs++ {
 		for _, cl := range clauses {
 			tag, err := c.RequestPath(bs, cl)
-			if err != nil || tag == 0 {
+			if err != nil || tag == 0 || tag != c.paths.get(pathKey{bs, cl}).AccessTag() {
 				t.Fatalf("RequestPath(%d, %d) after stress: tag %d, %v", bs, cl, tag, err)
 			}
 		}
 	}
 }
 
-// TestRequestPathFastPathZeroAllocs pins the headline property of the tag
-// memo: a steady-state path request allocates nothing.
+// TestRequestPathFastPathZeroAllocs pins the headline property of the
+// lock-free table read: a steady-state path request allocates nothing.
 func TestRequestPathFastPathZeroAllocs(t *testing.T) {
 	c, _ := testController(t)
 	clauses := allowClauses(c.Policy)

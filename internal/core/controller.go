@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -48,14 +50,6 @@ type pathKey struct {
 	clause int
 }
 
-// tagMap is the read-mostly memo published to RequestPath's lock-free fast
-// path: (bs, clause) -> access-side tag of the installed policy path. A
-// valid tag is never 0 (Installer tags start at offset+stride), so a zero
-// lookup result always means "miss". Snapshots are copy-on-write and
-// immutable after publish: publishers build a fresh map and swap the
-// pointer, never mutate the published one.
-type tagMap map[pathKey]packet.Tag
-
 // ControllerConfig parameterises NewController.
 type ControllerConfig struct {
 	Plan     packet.Plan // zero value = packet.DefaultPlan
@@ -96,18 +90,19 @@ type ControllerConfig struct {
 //
 //   - ueMu guards the UE/location tables and the UE ID allocators; lookups
 //     take only the read lock.
-//   - ruleMu guards the rule tables: Planner, Installer, the installed-path
-//     map, and topology up/down flags — everything Algorithm 1 and prefix
-//     aggregation touch. The Installer itself is not safe for concurrent
-//     use; every controller code path that mutates or reads it holds
-//     ruleMu. External read-only access (dataplane assembly, examples,
-//     trace dumps) happens in single-threaded contexts by design.
+//   - ruleMu guards the rule tables: Planner, Installer, writes to the
+//     installed-path table, and topology up/down flags — everything
+//     Algorithm 1 and prefix aggregation touch. The Installer itself is
+//     not safe for concurrent use; every controller code path that mutates
+//     or reads it holds ruleMu. External read-only access (dataplane
+//     assembly, examples, trace dumps) happens in single-threaded contexts
+//     by design.
 //
 // lock ordering: ueMu, ruleMu — ruleMu may be acquired while holding ueMu,
 // never the reverse; Subscribers.mu is a leaf below both (a record is
 // created and removed together with its holder mark in the table, under
 // ueMu). The fastest path of all, a repeat RequestPath, takes no lock: it
-// reads the tagCache snapshot.
+// reads the station's row of the path table.
 type Controller struct {
 	ueMu   sync.RWMutex // UE/location state and UE ID allocation
 	ruleMu sync.Mutex   // rule tables: Planner, Installer, paths
@@ -144,17 +139,13 @@ type Controller struct {
 	freeUEIDs [][]packet.UEID // guarded by ueMu
 	// rsvFree recycles reservation records a release or removal retired.
 	rsvFree []*reservation // guarded by ueMu
-	paths   pathTable      // guarded by ruleMu
+	// paths is the one record of the installed policy paths: writers hold
+	// ruleMu, readers of one station's row need no lock (pathtable.go).
+	paths pathTable
 
-	// tagCache is the copy-on-write (bs, clause) -> tag memo. Readers Load
-	// and index it with no lock; writers (all holding ruleMu) publish a
-	// fresh map: one entry more on install, rebuilt from c.paths on
-	// RemovePolicyPaths and failure recomputation. It is always exactly the
-	// projection of c.paths onto access tags (CheckInvariants).
-	tagCache atomic.Pointer[tagMap]
-	// epoch counts tag-plan mutations (publish, rebuild). AgentView stamps
-	// exports with it so agents can tell two snapshots cut from the same
-	// plan apart from a real change.
+	// epoch counts tag-plan mutations (an install, a rebuild). AgentView
+	// stamps exports with it so agents can tell two snapshots cut from the
+	// same plan apart from a real change.
 	epoch atomic.Uint64
 
 	// Stats counters; snapshot through Stats().
@@ -169,8 +160,8 @@ type Controller struct {
 	slowSeq atomic.Uint64
 
 	// hs holds the buffers a handoff reuses. It sits last so the fields
-	// every RequestPath touches keep their cache lines: tagCache, read by
-	// each request, stays off the line of pathAsks, written by each.
+	// every RequestPath touches keep their cache lines: the path table,
+	// read by each request, stays off the line of pathAsks, written by each.
 	hs handoffScratch // guarded by ruleMu
 }
 
@@ -244,10 +235,9 @@ func NewController(t *topo.Topology, cfg ControllerConfig) (*Controller, error) 
 		inst:         subs.join(),
 		attrs:        newAttrPool(),
 		reservations: make(map[packet.Addr]*reservation),
+		paths:        newPathTable(t),
 		obs:          newCoreObs(cfg.Obs),
 	}
-	empty := make(tagMap)
-	c.tagCache.Store(&empty)
 	return c, nil
 }
 
@@ -399,20 +389,20 @@ func (c *Controller) newRecordLocked(imsi string, attr policy.Attributes, perm p
 // classifiersLocked assembles the service policy for one UE from its
 // interned classifier template (compiled once per distinct attribute set,
 // not once per attach), resolving tags for clauses whose policy paths
-// already exist at the UE's base station (read from the tagCache snapshot —
-// no rule-table lock needed).
+// already exist at the UE's base station (read from the station's row of
+// the path table — no rule-table lock needed).
 //
 // caller holds ueMu
 func (c *Controller) classifiersLocked(r *ueRecord) []Classifier {
 	entries := c.attrs.compiled(r.attr)
-	tags := *c.tagCache.Load()
+	row := c.paths.station(r.bs)
 	out := make([]Classifier, 0, len(entries))
 	for _, e := range entries {
 		cl := Classifier{App: e.App, Clause: e.Clause, Allow: e.Action.Allow, QoS: e.Action.QoS}
-		if e.Action.Allow {
-			cl.Tag = tags[pathKey{r.bs, e.Clause}]
-			// Tag 0 = "send to controller": the agent asks for the path on
-			// first use (§4.2's second classifier example).
+		// Tag 0 = "send to controller": the agent asks for the path on
+		// first use (§4.2's second classifier example).
+		if rec := row.at(e.Clause); e.Action.Allow && rec != nil {
+			cl.Tag = rec.AccessTag()
 		}
 		out = append(out, cl)
 	}
@@ -422,15 +412,15 @@ func (c *Controller) classifiersLocked(r *ueRecord) []Classifier {
 // RequestPath resolves (installing if needed) the policy path for a clause
 // from a base station, returning the access-side tag the agent embeds.
 // This is the controller's hot path: the micro-benchmarks drive it. The
-// steady state — the path already installed — reads the tagCache snapshot
-// with no lock and no allocation.
+// steady state — the path already installed — reads the station's row of
+// the path table with no lock and no allocation.
 //
 // hotpath: no alloc, no lock
 func (c *Controller) RequestPath(bs packet.BSID, clause int) (packet.Tag, error) {
 	c.pathAsks.Add(1)
-	if tag, ok := (*c.tagCache.Load())[pathKey{bs, clause}]; ok {
+	if rec := c.paths.get(pathKey{bs, clause}); rec != nil {
 		c.obs.cacheHit.Inc()
-		return tag, nil
+		return rec.AccessTag(), nil
 	}
 	c.obs.cacheMiss.Inc()
 	return c.requestPathSlow(obs.SpanContext{}, bs, clause)
@@ -446,10 +436,10 @@ func (c *Controller) RequestPath(bs packet.BSID, clause int) (packet.Tag, error)
 func (c *Controller) RequestPathCtx(sc obs.SpanContext, bs packet.BSID, clause int) (packet.Tag, error) {
 	sp := c.obs.spPath.Start(sc)
 	c.pathAsks.Add(1)
-	if tag, ok := (*c.tagCache.Load())[pathKey{bs, clause}]; ok {
+	if rec := c.paths.get(pathKey{bs, clause}); rec != nil {
 		c.obs.cacheHit.Inc()
 		sp.End()
-		return tag, nil
+		return rec.AccessTag(), nil
 	}
 	c.obs.cacheMiss.Inc()
 	tag, err := c.requestPathSlow(sp.Context(), bs, clause)
@@ -488,30 +478,16 @@ func (c *Controller) requestPathSlow(sc obs.SpanContext, bs packet.BSID, clause 
 }
 
 // resolvePathLocked returns the installed path's tag for (bs, clause),
-// running plan + Algorithm 1 and publishing the tag to the cache when the
-// path does not exist yet. Ownership of bs has already been checked.
+// running plan + Algorithm 1 and filing the path in the table when it does
+// not exist yet. Ownership of bs has already been checked.
 //
 // caller holds ruleMu
 func (c *Controller) resolvePathLocked(bs packet.BSID, clause int) (packet.Tag, error) {
-	if rec := c.paths.get(pathKey{bs, clause}); rec != nil {
+	key := pathKey{bs, clause}
+	if rec := c.paths.get(key); rec != nil {
 		return rec.AccessTag(), nil // another goroutine raced the install
 	}
-	cl, ok := c.Policy.Clause(clause)
-	if !ok {
-		return 0, fmt.Errorf("core: unknown policy clause %d", clause)
-	}
-	if !cl.Action.Allow {
-		return 0, fmt.Errorf("core: clause %d denies traffic", clause)
-	}
-	chain := make([]topo.MBType, 0, len(cl.Action.Chain))
-	for _, fn := range cl.Action.Chain {
-		typ, ok := c.mbTypes[fn]
-		if !ok {
-			return 0, fmt.Errorf("core: no middlebox type mapped for function %q", fn)
-		}
-		chain = append(chain, typ)
-	}
-	route, err := c.Planner.Plan(bs, chain, c.gateway)
+	route, err := c.planLocked(key)
 	if err != nil {
 		return 0, err
 	}
@@ -529,14 +505,42 @@ func (c *Controller) resolvePathLocked(bs packet.BSID, clause int) (packet.Tag, 
 	if saved := 2*route.Len() - added; saved > 0 {
 		c.obs.rulesSaved.Add(uint64(saved))
 	}
-	c.paths.put(pathKey{bs, clause}, rec)
-	c.publishTagLocked(pathKey{bs, clause}, rec.AccessTag())
+	c.paths.put(key, rec)
+	c.epoch.Add(1)
+	c.obs.evTagPub.Emit(int64(bs), int64(clause), int64(rec.AccessTag()))
 	c.obs.evInstall.Emit(int64(bs), int64(clause), int64(rec.AccessTag()), int64(added))
 	c.pathMiss.Add(1)
-	if err := c.putPathDoc(pathKey{bs, clause}, rec.ID); err != nil {
+	if err := c.putPathDoc(key, rec.ID); err != nil {
 		return 0, err
 	}
 	return rec.AccessTag(), nil
+}
+
+// planLocked plans the route of the path filed under key over the current
+// topology: the clause must allow traffic and name only mapped middlebox
+// functions.
+//
+// caller holds ruleMu
+func (c *Controller) planLocked(key pathKey) (*routing.Path, error) {
+	if !c.paths.covers(key.bs) {
+		return nil, fmt.Errorf("core: base station %d joined the topology after the controller", key.bs)
+	}
+	cl, ok := c.Policy.Clause(key.clause)
+	if !ok {
+		return nil, fmt.Errorf("core: unknown policy clause %d", key.clause)
+	}
+	if !cl.Action.Allow {
+		return nil, fmt.Errorf("core: clause %d denies traffic", key.clause)
+	}
+	chain := make([]topo.MBType, 0, len(cl.Action.Chain))
+	for _, fn := range cl.Action.Chain {
+		typ, ok := c.mbTypes[fn]
+		if !ok {
+			return nil, fmt.Errorf("core: no middlebox type mapped for function %q", fn)
+		}
+		chain = append(chain, typ)
+	}
+	return c.Planner.Plan(key.bs, chain, c.gateway)
 }
 
 // pathDoc is the store key of an installed path's document, whose value is
@@ -547,48 +551,6 @@ func pathDoc(key pathKey) string { return fmt.Sprintf("path/%d/%d", key.bs, key.
 func (c *Controller) putPathDoc(key pathKey, id PathID) error {
 	_, err := c.Store.Put(pathDoc(key), binary.BigEndian.AppendUint64(nil, uint64(id)))
 	return err
-}
-
-// publishTagLocked adds one entry to the tagCache snapshot (copy-on-write:
-// installs are rare and bounded by stations x clauses).
-//
-// caller holds ruleMu
-func (c *Controller) publishTagLocked(key pathKey, tag packet.Tag) {
-	old := *c.tagCache.Load()
-	next := make(tagMap, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[key] = tag
-	c.tagCache.Store(&next)
-	c.epoch.Add(1)
-	c.obs.evTagPub.Emit(int64(key.bs), int64(key.clause), int64(tag))
-}
-
-// rebuildTagCacheLocked republishes the snapshot from the installed-path
-// map — the wholesale invalidation used by policy-path removal and failure
-// recomputation.
-//
-// caller holds ruleMu
-func (c *Controller) rebuildTagCacheLocked() {
-	old := *c.tagCache.Load()
-	next := make(tagMap, c.paths.len())
-	for _, e := range c.paths.all() {
-		next[e.key] = e.rec.AccessTag()
-	}
-	c.tagCache.Store(&next)
-	c.epoch.Add(1)
-	// Report how many memo entries did not carry over (bs -1 = all
-	// stations).
-	dropped := 0
-	for k, v := range old {
-		if next[k] != v {
-			dropped++
-		}
-	}
-	if dropped > 0 {
-		c.obs.evTagEvict.Emit(-1, int64(dropped))
-	}
 }
 
 // LookupUE resolves a UE by IMSI.
@@ -759,30 +721,26 @@ func (c *Controller) importUELocked(bs packet.BSID, u UE) error {
 
 // RemovePolicyPaths withdraws every installed path of one policy clause
 // (policy change or middlebox rebalancing) and rebuilds the forwarding
-// state from the remaining paths — removal by recomputation, per the
-// paper's offline-algorithm discussion. Classifier caches at agents go
-// stale by design: their next flow for the clause asks the controller
-// again (tag 0 semantics). The tag memo is rebuilt from the surviving
-// paths, so no removed tag can be served again.
+// state from the remaining paths, reinstalled in the order they were first
+// installed — removal by recomputation, per the paper's offline-algorithm
+// discussion. Classifier caches at agents go stale by design: their next
+// flow for the clause asks the controller again (tag 0 semantics), and no
+// removed tag can be served again.
 func (c *Controller) RemovePolicyPaths(clause int) error {
 	c.ruleMu.Lock()
 	defer c.ruleMu.Unlock()
-	drop := make(map[PathID]bool)
-	for _, e := range c.paths.all() {
-		if e.key.clause == clause {
-			drop[e.rec.ID] = true
-			c.paths.del(e.key)
-			if _, err := c.Store.Delete(pathDoc(e.key)); err != nil {
-				return err
-			}
-		}
-	}
-	if len(drop) == 0 {
+	keep := slices.DeleteFunc(c.paths.all(), func(e pathEntry) bool { return e.key.clause == clause })
+	if len(keep) == c.paths.len() {
 		return nil
 	}
-	err := c.Installer.Rebuild(func(p *InstalledPath) bool { return !drop[p.ID] })
-	// After the rebuild: it re-tags the surviving records in place, and the
-	// memo must reflect the tags agents will actually be served.
-	c.rebuildTagCacheLocked()
+	slices.SortFunc(keep, func(a, b pathEntry) int { return cmp.Compare(a.rec.ID, b.rec.ID) })
+	routes := make([]plannedPath, len(keep))
+	for i, e := range keep {
+		routes[i] = plannedPath{e.key, e.rec.Route}
+	}
+	failed, err := c.reinstallLocked(routes)
+	if err == nil && failed > 0 {
+		err = fmt.Errorf("core: %d surviving paths could not be reinstalled and were withdrawn", failed)
+	}
 	return err
 }

@@ -160,21 +160,6 @@ func TestRequestPathCachesAndTags(t *testing.T) {
 	}
 }
 
-func TestRequestPathErrors(t *testing.T) {
-	c, _ := testController(t)
-	if _, err := c.RequestPath(0, 999); err == nil {
-		t.Error("unknown clause should fail")
-	}
-	// Clause 1 of the example policy is the foreign deny.
-	denyID, ok := c.Policy.Match(policy.Attributes{Provider: "C"}, policy.AppWeb)
-	if !ok {
-		t.Fatal("deny clause not found")
-	}
-	if _, err := c.RequestPath(0, denyID); err == nil {
-		t.Error("deny clause should not install a path")
-	}
-}
-
 func TestHandoffMovesUE(t *testing.T) {
 	c, _ := testController(t)
 	_ = c.RegisterSubscriber("a", policy.Attributes{Provider: "A", Plan: "silver"})
@@ -273,7 +258,7 @@ func TestShortcutThatRecrossesItsPathIsSkipped(t *testing.T) {
 	if _, err := c.RequestPath(0, clause); err != nil {
 		t.Fatal(err)
 	}
-	rec := c.Installer.Paths()[0]
+	rec := c.Paths()[0]
 	pos, _ := branchPoint(rec)
 	parent := c.Installer.tree(gw)
 	route, err := c.descendRoute(nil, m, c.T.AncestorChain(y, parent), parent)

@@ -41,103 +41,98 @@ func (c *Controller) RecoverSwitch(n topo.NodeID) (FailureReport, error) {
 	return c.recomputeLocked(FailureReport{Failed: n})
 }
 
-// recomputeLocked re-plans every cached path over the current topology and
-// rebuilds the installer from scratch. The tag memo is republished from
-// the surviving paths, so a tag whose path the failure changed or dropped
-// can never be served from cache.
+// recomputeLocked re-plans every installed path over the current topology,
+// in the table's ascending (station, clause) order, and rebuilds the rule
+// tables from the routes that still exist. Install order drives tag
+// assignment and prefix aggregation, so the rebuilt FIBs (and every tag
+// handed out afterwards) follow from the paths alone.
 //
 // caller holds ruleMu
 func (c *Controller) recomputeLocked(rep FailureReport) (FailureReport, error) {
 	// Fresh planner: its distance fields and trees reference the old graph.
 	c.Planner = routing.NewPlanner(c.T)
-
-	// Replan in the table's ascending (station, clause) order: install
-	// order drives tag assignment and prefix aggregation, so the rebuilt
-	// FIBs (and every tag handed out afterwards) follow from the paths alone.
-	keys := make([]pathKey, 0, c.paths.len())
+	var routes []plannedPath
 	for _, e := range c.paths.all() {
-		keys = append(keys, e.key)
-	}
-
-	type replanned struct {
-		key   pathKey
-		route *routing.Path
-	}
-	var keep []replanned
-	for _, key := range keys {
-		cl, ok := c.Policy.Clause(key.clause)
-		if !ok || !cl.Action.Allow {
-			rep.Unreachable++
-			continue
-		}
-		chain := make([]topo.MBType, 0, len(cl.Action.Chain))
-		bad := false
-		for _, fn := range cl.Action.Chain {
-			typ, ok := c.mbTypes[fn]
-			if !ok {
-				bad = true
-				break
-			}
-			chain = append(chain, typ)
-		}
-		if bad {
-			rep.Unreachable++
-			continue
-		}
-		route, err := c.Planner.Plan(key.bs, chain, c.gateway)
+		route, err := c.planLocked(e.key)
 		if err != nil {
 			rep.Unreachable++
 			continue
 		}
-		keep = append(keep, replanned{key: key, route: route})
+		routes = append(routes, plannedPath{e.key, route})
 	}
+	failed, err := c.reinstallLocked(routes)
+	rep.Recomputed, rep.Unreachable = len(routes)-failed, rep.Unreachable+failed
+	if err == nil && failed > 0 && failed == len(routes) {
+		err = fmt.Errorf("core: recomputation installed no paths")
+	}
+	return rep, err
+}
 
+// plannedPath is a route to install and the key to file its path under.
+type plannedPath struct {
+	key   pathKey
+	route *routing.Path
+}
+
+// reinstallLocked is the one rebuild of the rule tables (path removal and
+// failure recomputation): a fresh Installer gets exactly routes, installed
+// in the order given, and replaces the current one. Aggregated rules are
+// shared between paths, so deleting one path's rules in place could strand
+// others; recomputing from the surviving set is always correct. The fresh
+// Installer continues the tag sequence — a stale tag embedded in a
+// microflow or an agent cache must miss, never alias onto a new path — and
+// every FIB's version, so a data plane sees every switch change. The path
+// table, the tag-plan epoch and the store's path/ documents follow: a path
+// not reinstalled is withdrawn, and a reinstalled one's document names its
+// new ID. It returns how many routes failed to install; their paths are
+// withdrawn too.
+//
+// caller holds ruleMu
+func (c *Controller) reinstallLocked(routes []plannedPath) (failed int, err error) {
 	inst, err := NewInstaller(c.T, c.Installer.Opts)
 	if err != nil {
-		return rep, err
+		return 0, err
 	}
-	// Continue the tag sequence: stale tags embedded in microflows and
-	// agent caches must miss (and re-resolve), never alias onto new paths.
 	inst.nextTag = c.Installer.nextTag
 	inst.stats.TagsAllocated = c.Installer.stats.TagsAllocated
 	for i, f := range inst.fibs {
 		f.succeed(c.Installer.fibs[i])
 	}
 	inst.EnableLocationRouting(c.gateway)
-	var newPaths pathTable
-	for _, r := range keep {
+	installed := make([]pathEntry, 0, len(routes))
+	for _, r := range routes {
 		rec, err := inst.InstallPath(r.route)
 		if err != nil {
-			rep.Unreachable++
+			failed++
 			continue
 		}
-		newPaths.put(r.key, rec)
-		rep.Recomputed++
+		installed = append(installed, pathEntry{r.key, rec})
 	}
-	old := c.paths
+	old := c.paths.all()
 	c.Installer = inst
-	c.paths = newPaths
-	c.rebuildTagCacheLocked()
-	// The store's path/ documents follow: a withdrawn path's goes, and a
-	// reinstalled one's names its new ID (the fresh installer numbers paths
-	// from 1 again).
-	for _, key := range keys {
-		rec := newPaths.get(key)
+	c.paths.reset(installed)
+	c.epoch.Add(1)
+	// Report how many served tags did not carry over (bs -1 = all
+	// stations).
+	dropped := 0
+	for _, e := range old {
+		if rec := c.paths.get(e.key); rec == nil || rec.AccessTag() != e.rec.AccessTag() {
+			dropped++
+		}
+	}
+	if dropped > 0 {
+		c.obs.evTagEvict.Emit(-1, int64(dropped))
+	}
+	for _, e := range old {
 		var err error
-		if rec == nil {
-			_, err = c.Store.Delete(pathDoc(key))
-		} else if rec.ID != old.get(key).ID {
-			err = c.putPathDoc(key, rec.ID)
+		if rec := c.paths.get(e.key); rec == nil {
+			_, err = c.Store.Delete(pathDoc(e.key))
+		} else if rec.ID != e.rec.ID {
+			err = c.putPathDoc(e.key, rec.ID)
 		}
 		if err != nil {
-			return rep, err
+			return failed, err
 		}
 	}
-	if rep.Recomputed+rep.Unreachable == 0 {
-		return rep, nil
-	}
-	if rep.Recomputed == 0 && rep.Unreachable > 0 && len(keep) > 0 {
-		return rep, fmt.Errorf("core: recomputation installed no paths")
-	}
-	return rep, nil
+	return failed, nil
 }

@@ -12,10 +12,10 @@ import (
 // This file is the controller half of the chaos harness's global invariant
 // checker (DESIGN.md §11): one call that cross-checks every piece of
 // controller state against every other — rule tables against installed
-// paths, the tag memo against the path map, the UE directory against the
-// address allocators, and §5's policy-consistency property for every
-// still-reserved old LocIP. internal/chaos runs it after every injected
-// fault; the -race stress tests run it at quiescence.
+// paths, the store's documents against the path table, the UE directory
+// against the address allocators, and §5's policy-consistency property
+// for every still-reserved old LocIP. internal/chaos runs it after every
+// injected fault; the -race stress tests run it at quiescence.
 
 // InvariantReport summarises what a CheckInvariants pass covered.
 type InvariantReport struct {
@@ -43,8 +43,6 @@ type InvariantReport struct {
 //     that breaks first if an address is ever double-freed.
 //   - Rule accounting: per-switch table sizes sum to the installer's net
 //     rule counter.
-//   - Tag memo agreement: the cached (station, clause) tags are exactly the
-//     access tags of the currently installed paths, key for key.
 //   - Store agreement: the path/ documents are exactly the installed paths,
 //     each holding its path's 8-byte ID.
 //   - Tag discipline: segment tags respect the shard's residue class, and
@@ -248,22 +246,12 @@ func (c *Controller) CheckInvariants() (InvariantReport, error) {
 		return rep, fmt.Errorf("core: per-switch rules %d+%d != installer counter %d", hw.Total(), sw.Total(), rep.Rules)
 	}
 
-	// Tag memo and store documents: exactly the installed paths' access tags
-	// and IDs, key for key.
-	tags := *c.tagCache.Load()
-	for key, tag := range tags {
-		if c.paths.get(key) == nil {
-			return rep, fmt.Errorf("core: tag cache serves (bs %d, clause %d) = %d for a withdrawn path", key.bs, key.clause, tag)
-		}
-	}
+	// Store documents: exactly the installed paths' IDs, key for key.
 	if n := c.Store.Primary().Count("path/"); n != c.paths.len() {
 		return rep, fmt.Errorf("core: store holds %d path/ documents for %d installed paths", n, c.paths.len())
 	}
 	for _, path := range c.paths.all() {
 		key, rec := path.key, path.rec
-		if tags[key] != rec.AccessTag() {
-			return rep, fmt.Errorf("core: tag cache serves (bs %d, clause %d) = %d, installed path has %d", key.bs, key.clause, tags[key], rec.AccessTag())
-		}
 		if e, ok := c.Store.Get(pathDoc(key)); !ok || len(e.Value) != 8 || PathID(binary.BigEndian.Uint64(e.Value)) != rec.ID {
 			return rep, fmt.Errorf("core: path %d (bs %d, clause %d) has store document %x", rec.ID, key.bs, key.clause, e.Value)
 		}
@@ -329,6 +317,18 @@ func (c *Controller) CheckInvariants() (InvariantReport, error) {
 	}
 
 	return rep, nil
+}
+
+// Paths lists the installed policy paths in ascending (station, clause)
+// order. Records never change once filed, so callers may keep them.
+func (c *Controller) Paths() []*InstalledPath {
+	c.ruleMu.Lock()
+	defer c.ruleMu.Unlock()
+	out := make([]*InstalledPath, 0, c.paths.len())
+	for _, e := range c.paths.all() {
+		out = append(out, e.rec)
+	}
+	return out
 }
 
 // UEs snapshots every UE record, sorted by IMSI. The

@@ -25,8 +25,8 @@ type MemStats struct {
 	AttrRefs      uint64 `json:"attr_refs"`      // live references from records
 	AttrHits      uint64 `json:"attr_hits"`      // acquire() intern hits
 	AttrMisses    uint64 `json:"attr_misses"`    // acquire() compiles (distinct sets seen)
-	// Installer.
-	Paths int `json:"paths"` // retained installed paths
+	// Path table.
+	Paths int `json:"paths"` // installed policy paths
 }
 
 // Add accumulates another snapshot into m (used by the shard dispatcher
@@ -84,7 +84,7 @@ func (c *Controller) MemStats() MemStats {
 		AttrRefs:       c.attrs.totalRefs(),
 		AttrHits:       c.attrs.hits,
 		AttrMisses:     c.attrs.misses,
-		Paths:          len(c.Installer.paths),
+		Paths:          c.paths.len(),
 	}
 	// A table shared between shards is the dispatcher's to add, once.
 	if c.subs.Store == c.Store {

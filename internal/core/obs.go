@@ -34,8 +34,8 @@ type coreObs struct {
 	memAttrHitPct *obs.Gauge
 
 	// Trace events: path install, tag publish/evict, handoff phases. An
-	// evict reports the memo entries a rebuild from c.paths did not carry
-	// over (RemovePolicyPaths, failure recomputation); its bs is always -1.
+	// evict reports the served tags a rebuild did not carry over
+	// (RemovePolicyPaths, failure recomputation); its bs is always -1.
 	evInstall  *obs.EventType
 	evTagPub   *obs.EventType
 	evTagEvict *obs.EventType

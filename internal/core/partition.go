@@ -64,7 +64,7 @@ type MigratedUE struct {
 // that old-LocIP reservations are freed with the record rather than parked —
 // their shortcut state lives in this controller's switches only, and the
 // UE's old flows re-resolve on the target. No path or tag changes: the
-// departure station keeps serving its other UEs from the same memo.
+// departure station keeps serving its other UEs from the same path table.
 func (c *Controller) ExtractUE(imsi string) (MigratedUE, error) {
 	return c.removeUE(imsi, false)
 }

@@ -9,12 +9,7 @@ import (
 	"repro/internal/policy"
 )
 
-// tagSnapshot reads the current tag-memo snapshot (tests only; production
-// readers index it directly on the fast path).
-func tagSnapshot(c *Controller) tagMap { return *c.tagCache.Load() }
-
-// installedPaths copies the installed-path table into a map keyed like the
-// tag memo, for comparing the two.
+// installedPaths copies the installed-path table into a map.
 func installedPaths(c *Controller) map[pathKey]*InstalledPath {
 	out := make(map[pathKey]*InstalledPath, c.paths.len())
 	for _, e := range c.paths.all() {
@@ -23,7 +18,7 @@ func installedPaths(c *Controller) map[pathKey]*InstalledPath {
 	return out
 }
 
-// warmAll requests every (station, allow-clause) path once so the memo is
+// warmAll requests every (station, allow-clause) path once so the table is
 // fully populated.
 func warmAll(t *testing.T, c *Controller, stations []packet.BSID) []int {
 	t.Helper()
@@ -38,20 +33,11 @@ func warmAll(t *testing.T, c *Controller, stations []packet.BSID) []int {
 	return clauses
 }
 
-// assertCacheMatchesPaths checks the memo and the installed-path map agree
-// key for key — the core consistency property every invalidation must
-// restore.
-func assertCacheMatchesPaths(t *testing.T, c *Controller) {
+// mustCheck runs the controller's invariant checker.
+func mustCheck(t *testing.T, c *Controller) {
 	t.Helper()
-	tags := tagSnapshot(c)
-	if len(tags) != c.paths.len() {
-		t.Fatalf("tag cache has %d entries, installed paths %d", len(tags), c.paths.len())
-	}
-	for key, rec := range installedPaths(c) {
-		if tags[key] != rec.AccessTag() {
-			t.Fatalf("cached tag %d for (bs %d, clause %d), path says %d",
-				tags[key], key.bs, key.clause, rec.AccessTag())
-		}
+	if _, err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -67,26 +53,25 @@ func TestTagCacheDropsRemovedClause(t *testing.T) {
 			}
 		}
 	}
-	if _, ok := tagSnapshot(c)[pathKey{0, web}]; !ok {
-		t.Fatal("warmed tag not memoised")
+	if c.paths.get(pathKey{0, web}) == nil {
+		t.Fatal("warmed path not filed")
 	}
 
 	if err := c.RemovePolicyPaths(web); err != nil {
 		t.Fatal(err)
 	}
-	snap := tagSnapshot(c)
-	for key := range snap {
+	for key := range installedPaths(c) {
 		if key.clause == web {
-			t.Fatalf("removed clause %d still cached for station %d", web, key.bs)
+			t.Fatalf("removed clause %d still served at station %d", web, key.bs)
 		}
 	}
-	if _, ok := snap[pathKey{0, video}]; !ok {
-		t.Fatal("unrelated clause evicted by removal")
+	if c.paths.get(pathKey{0, video}) == nil {
+		t.Fatal("unrelated clause withdrawn by removal")
 	}
-	assertCacheMatchesPaths(t, c)
+	mustCheck(t, c)
 
 	// The next request must re-derive through Algorithm 1, not serve a
-	// removed tag: PathMiss advances and the fresh tag lands in the memo.
+	// removed tag: PathMiss advances and the fresh path lands in the table.
 	before := c.Stats().PathMiss
 	tag, err := c.RequestPath(0, web)
 	if err != nil || tag == 0 {
@@ -95,8 +80,8 @@ func TestTagCacheDropsRemovedClause(t *testing.T) {
 	if got := c.Stats().PathMiss; got != before+1 {
 		t.Fatalf("PathMiss = %d after re-request, want %d (a fresh install)", got, before+1)
 	}
-	if got := tagSnapshot(c)[pathKey{0, web}]; got != tag {
-		t.Fatalf("memo has %d after re-install, request returned %d", got, tag)
+	if got := c.paths.get(pathKey{0, web}).AccessTag(); got != tag {
+		t.Fatalf("table has %d after re-install, request returned %d", got, tag)
 	}
 }
 
@@ -115,10 +100,10 @@ func TestTagCacheFollowsFailureRecompute(t *testing.T) {
 	if rep.Unreachable == 0 {
 		t.Fatal("failing cs3 should strand the paths of stations 2 and 3")
 	}
-	assertCacheMatchesPaths(t, c)
-	for key := range tagSnapshot(c) {
+	mustCheck(t, c)
+	for key := range installedPaths(c) {
 		if key.bs == 2 || key.bs == 3 {
-			t.Fatalf("cut-off station %d still has a cached tag", key.bs)
+			t.Fatalf("cut-off station %d still has a path", key.bs)
 		}
 	}
 	// A request for a cut-off station must fail — never serve the old tag.
@@ -129,7 +114,7 @@ func TestTagCacheFollowsFailureRecompute(t *testing.T) {
 	if _, err := c.RecoverSwitch(n.cs3); err != nil {
 		t.Fatal(err)
 	}
-	assertCacheMatchesPaths(t, c)
+	mustCheck(t, c)
 	// Recovery re-opens the stations; the first request re-installs.
 	before := c.Stats().PathMiss
 	tag, err := c.RequestPath(2, web)
@@ -139,7 +124,7 @@ func TestTagCacheFollowsFailureRecompute(t *testing.T) {
 	if got := c.Stats().PathMiss; got != before+1 {
 		t.Fatalf("PathMiss = %d after recovery request, want %d", got, before+1)
 	}
-	assertCacheMatchesPaths(t, c)
+	mustCheck(t, c)
 }
 
 // TestPathDocumentsFollowFailureRecompute: the store's path/ documents are
@@ -176,14 +161,14 @@ func TestPathDocumentsFollowFailureRecompute(t *testing.T) {
 	assertDocsMatchPaths("after RecoverSwitch")
 }
 
-// assertStationServedFromMemo states what a UE leaving (or a no-op
-// re-absorb) must leave untouched at bs: the memo still equals the path map,
+// assertStationServedFromTable states what a UE leaving (or a no-op
+// re-absorb) must leave untouched at bs: the controller still checks out,
 // the station's pushed view lists every installed clause, a UE attaching
-// there gets resolved tags, and the next path request is a memo hit — no
-// install, no memo miss, no new tag-plan epoch.
-func assertStationServedFromMemo(t *testing.T, c *Controller, bs packet.BSID, imsi string, clauses []int) {
+// there gets resolved tags, and the next path request is a table hit — no
+// install, no cache miss, no new tag-plan epoch.
+func assertStationServedFromTable(t *testing.T, c *Controller, bs packet.BSID, imsi string, clauses []int) {
 	t.Helper()
-	assertCacheMatchesPaths(t, c)
+	mustCheck(t, c)
 	view, err := c.AgentView(bs)
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +185,7 @@ func assertStationServedFromMemo(t *testing.T, c *Controller, bs packet.BSID, im
 			t.Fatalf("attach at station %d: clause %d unresolved although its path is installed", bs, cl.Clause)
 		}
 	}
-	miss, memoMiss, epoch := c.Stats().PathMiss, c.obs.cacheMiss.Value(), c.Epoch()
+	miss, cacheMiss, epoch := c.Stats().PathMiss, c.obs.cacheMiss.Value(), c.Epoch()
 	tag, err := c.RequestPath(bs, clauses[0])
 	if err != nil {
 		t.Fatal(err)
@@ -208,9 +193,9 @@ func assertStationServedFromMemo(t *testing.T, c *Controller, bs packet.BSID, im
 	if want := c.paths.get(pathKey{bs, clauses[0]}).AccessTag(); tag != want {
 		t.Fatalf("station %d served tag %d, installed path says %d", bs, tag, want)
 	}
-	if c.Stats().PathMiss != miss || c.obs.cacheMiss.Value() != memoMiss || c.Epoch() != epoch {
-		t.Fatalf("station %d request after migration: PathMiss %d->%d, memo misses %d->%d, epoch %d->%d; want all unchanged",
-			bs, miss, c.Stats().PathMiss, memoMiss, c.obs.cacheMiss.Value(), epoch, c.Epoch())
+	if c.Stats().PathMiss != miss || c.obs.cacheMiss.Value() != cacheMiss || c.Epoch() != epoch {
+		t.Fatalf("station %d request after migration: PathMiss %d->%d, cache misses %d->%d, epoch %d->%d; want all unchanged",
+			bs, miss, c.Stats().PathMiss, cacheMiss, c.obs.cacheMiss.Value(), epoch, c.Epoch())
 	}
 }
 
@@ -230,11 +215,11 @@ func TestTagCacheSurvivesUEMigration(t *testing.T) {
 	web := clauses[0]
 
 	// ExtractUE is phase one of a cross-shard handoff. A UE leaving changes
-	// no path and no tag: station 1 keeps answering from the memo.
+	// no path and no tag: station 1 keeps answering from the table.
 	if _, err := a.ExtractUE("u"); err != nil {
 		t.Fatal(err)
 	}
-	assertStationServedFromMemo(t, a, 1, "v", clauses)
+	assertStationServedFromTable(t, a, 1, "v", clauses)
 
 	// Shard B re-absorbing a station it already serves (ring churn round
 	// trip) is the same non-event.
@@ -246,7 +231,7 @@ func TestTagCacheSurvivesUEMigration(t *testing.T) {
 	if err := b.AbsorbStation(2, nil); err != nil {
 		t.Fatal(err)
 	}
-	assertStationServedFromMemo(t, b, 2, "w", clauses)
+	assertStationServedFromTable(t, b, 2, "w", clauses)
 
 	// And absorbing a genuinely new station: the first path request answers
 	// from B's own rule table — its tag carries B's partition parity.
@@ -263,9 +248,9 @@ func TestTagCacheSurvivesUEMigration(t *testing.T) {
 }
 
 // TestRequestPathHitEqualsMiss drives two identical controllers from cold:
-// one is asked every path twice, so the second answer comes from the memo;
-// the other is asked once and only ever resolves through the rule table.
-// All three answers must be the installed path's tag: the memo is an
+// one is asked every path twice, so the second answer is the lock-free
+// read; the other is asked once and only ever resolves under ruleMu. All
+// three answers must be the installed path's tag: the lock-free read is an
 // optimisation, never a semantic change.
 func TestRequestPathHitEqualsMiss(t *testing.T) {
 	cached, _ := testController(t)

@@ -9,7 +9,7 @@ import (
 )
 
 // BenchmarkRequestPath measures the steady-state hot path: every requested
-// path is already installed, so each call is one tag-memo lookup. `make
+// path is already installed, so each call is one path-table row read. `make
 // profile` drives this benchmark for its CPU/heap profiles; ReportAllocs
 // pins the 0 allocs/op property in `go test -bench` output. The fixture
 // runs with obs instrumentation enabled (testController wires a live

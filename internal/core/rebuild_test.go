@@ -1,86 +1,113 @@
 package core
 
 import (
+	"fmt"
+	"maps"
 	"slices"
 	"testing"
 
 	"repro/internal/packet"
 	"repro/internal/policy"
-	"repro/internal/routing"
 	"repro/internal/topo"
 )
 
-func TestRebuildPreservesPaths(t *testing.T) {
-	n := newFig3Net(t)
-	in := mustInstaller(t, n.Topology, InstallerOptions{})
-	pl := routing.NewPlanner(n.Topology)
-	var recs []*InstalledPath
-	for bs := packet.BSID(0); bs < 4; bs++ {
-		route, err := pl.Plan(bs, []topo.MBType{0, 1}, n.gw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec, err := in.InstallPath(route)
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs = append(recs, rec)
+// routesOf records every installed path's switches and middleboxes by key.
+func routesOf(c *Controller) map[pathKey]string {
+	out := make(map[pathKey]string)
+	for key, rec := range installedPaths(c) {
+		out[key] = fmt.Sprint(rec.Route.Switches, rec.Chain)
 	}
-	rulesBefore := in.Stats().Rules
-	if err := in.Rebuild(nil); err != nil {
+	return out
+}
+
+// TestRebuildPreservesPaths: a recomputation over an unchanged topology (a
+// recovery of a switch that never failed) is a pure re-optimisation pass.
+// Every path comes back under its key on the same route, verifies, and
+// needs no more rules than before.
+func TestRebuildPreservesPaths(t *testing.T) {
+	c, n := testController(t)
+	warmAll(t, c, []packet.BSID{0, 1, 2, 3})
+	before, rules := routesOf(c), c.Installer.Stats().Rules
+	rep, err := c.RecoverSwitch(n.cs1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Same path population, still verifiable, comparable rule count.
-	if len(in.Paths()) != len(recs) {
-		t.Fatalf("paths after rebuild = %d", len(in.Paths()))
+	if rep.Recomputed != len(before) || rep.Unreachable != 0 {
+		t.Fatalf("recomputed %d, unreachable %d; want %d and 0", rep.Recomputed, rep.Unreachable, len(before))
 	}
-	for _, rec := range recs {
-		if err := in.VerifyPath(rec); err != nil {
-			t.Fatalf("path %d broken after rebuild: %v", rec.ID, err)
-		}
+	if after := routesOf(c); !maps.Equal(after, before) {
+		t.Fatalf("paths after the rebuild %v, before %v", after, before)
 	}
-	if after := in.Stats().Rules; after > rulesBefore {
-		t.Fatalf("offline recomputation should not need more rules: %d > %d", after, rulesBefore)
+	if got := c.Installer.Stats().Paths; got != uint64(len(before)) {
+		t.Fatalf("installer counts %d paths, the table files %d", got, len(before))
+	}
+	mustCheck(t, c)
+	if after := c.Installer.Stats().Rules; after > rules {
+		t.Fatalf("offline recomputation should not need more rules: %d > %d", after, rules)
 	}
 }
 
+// TestRebuildRemovesPaths: withdrawing the two-box clauses leaves exactly
+// the one-box paths, on their old routes, in smaller tables that still
+// carry every survivor.
 func TestRebuildRemovesPaths(t *testing.T) {
-	n := newFig3Net(t)
-	in := mustInstaller(t, n.Topology, InstallerOptions{})
-	pl := routing.NewPlanner(n.Topology)
-	var recs []*InstalledPath
-	for bs := packet.BSID(0); bs < 4; bs++ {
-		for _, chain := range [][]topo.MBType{{0}, {0, 1}} {
-			route, err := pl.Plan(bs, chain, n.gw)
-			if err != nil {
+	c, _ := testController(t)
+	warmAll(t, c, []packet.BSID{0, 1, 2, 3})
+	before, full := routesOf(c), c.Installer.Stats().Rules
+	for key, rec := range installedPaths(c) {
+		if len(rec.Chain) == 2 {
+			if err := c.RemovePolicyPaths(key.clause); err != nil {
 				t.Fatal(err)
 			}
-			rec, err := in.InstallPath(route)
-			if err != nil {
-				t.Fatal(err)
-			}
-			recs = append(recs, rec)
 		}
 	}
-	full := in.Stats().Rules
-	// Drop every two-box path.
-	if err := in.Rebuild(func(p *InstalledPath) bool { return len(p.Chain) == 1 }); err != nil {
+	after := routesOf(c)
+	if len(after) != 12 || c.Installer.Stats().Paths != 12 {
+		t.Fatalf("%d paths filed, installer counts %d; want 12 one-box paths", len(after), c.Installer.Stats().Paths)
+	}
+	for key, route := range after {
+		if route != before[key] {
+			t.Fatalf("surviving path (bs %d, clause %d) moved from %s to %s", key.bs, key.clause, before[key], route)
+		}
+		if rec := c.paths.get(key); len(rec.Chain) != 1 {
+			t.Fatalf("path (bs %d, clause %d) crosses %d middleboxes", key.bs, key.clause, len(rec.Chain))
+		}
+	}
+	if c.Installer.Stats().Rules >= full {
+		t.Fatalf("removal should shrink the tables: %d >= %d", c.Installer.Stats().Rules, full)
+	}
+	mustCheck(t, c)
+}
+
+// TestTagsAllocatedCountsEveryTag: the installer's TagsAllocated is the
+// number of tags handed out over the controller's life. Rebuilds continue
+// the tag sequence, so they continue the count too. The fixture allocates
+// from offset 0 with stride 1: the last tag handed out is the count.
+func TestTagsAllocatedCountsEveryTag(t *testing.T) {
+	c, n := testController(t)
+	check := func(when string) {
+		t.Helper()
+		if got, want := c.Installer.Stats().TagsAllocated, uint64(c.Installer.nextTag); got != want {
+			t.Fatalf("%s: TagsAllocated = %d, %d tags handed out", when, got, want)
+		}
+	}
+	stations := []packet.BSID{0, 1, 2, 3}
+	clauses := warmAll(t, c, stations)
+	check("warm")
+	if err := c.RemovePolicyPaths(clauses[0]); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(in.Paths()); got != 4 {
-		t.Fatalf("paths after removal = %d, want 4", got)
+	check("after RemovePolicyPaths")
+	if _, err := c.FailSwitch(n.cs3); err != nil {
+		t.Fatal(err)
 	}
-	if in.Stats().Rules >= full {
-		t.Fatalf("removal should shrink the tables: %d >= %d", in.Stats().Rules, full)
+	check("after FailSwitch")
+	if _, err := c.RecoverSwitch(n.cs3); err != nil {
+		t.Fatal(err)
 	}
-	for _, rec := range recs {
-		if len(rec.Chain) != 1 {
-			continue
-		}
-		if err := in.VerifyPath(rec); err != nil {
-			t.Fatalf("surviving path %d broken: %v", rec.ID, err)
-		}
-	}
+	check("after RecoverSwitch")
+	warmAll(t, c, stations)
+	check("rewarmed")
 }
 
 func TestControllerRemovePolicyPaths(t *testing.T) {
@@ -92,53 +119,50 @@ func TestControllerRemovePolicyPaths(t *testing.T) {
 	if _, err := c.RequestPath(0, webClause); err != nil {
 		t.Fatal(err)
 	}
-	tagVideo, err := c.RequestPath(0, videoClause)
-	if err != nil {
+	if _, err := c.RequestPath(0, videoClause); err != nil {
 		t.Fatal(err)
 	}
 	webRec := c.paths.get(pathKey{0, webClause})
-	webID := webRec.ID
 	if err := c.RemovePolicyPaths(videoClause); err != nil {
 		t.Fatal(err)
 	}
-	// The web path survives under the record and the ID the controller and
-	// the installer already hold (Rebuild adopts the re-installed record's
-	// contents by value), and re-resolves; the video path is re-installed
-	// fresh on demand.
-	if got := c.paths.get(pathKey{0, webClause}); got != webRec || got.ID != webID {
-		t.Fatalf("surviving path is record %p id %d, was %p id %d", got, got.ID, webRec, webID)
+	// The web path survives as a fresh record on the same route, the only
+	// path the fresh installer holds, and re-resolves to its new tag; the
+	// old record is left as it was.
+	got := c.paths.get(pathKey{0, webClause})
+	if got == nil || got == webRec || !slices.Equal(got.Route.Switches, webRec.Route.Switches) {
+		t.Fatalf("surviving path is %+v, was %+v", got, webRec)
 	}
-	if got := c.Installer.paths[webID]; got != webRec || len(c.Installer.paths) != 1 {
-		t.Fatalf("installer files %d paths, id %d -> %p, want the one record %p", len(c.Installer.paths), webID, got, webRec)
+	if n := c.Installer.Stats().Paths; n != 1 || c.paths.len() != 1 {
+		t.Fatalf("installer counts %d paths, the table files %d; want 1", n, c.paths.len())
 	}
-	if err := c.Installer.VerifyPath(webRec); err != nil {
+	if err := c.Installer.VerifyPath(got); err != nil {
 		t.Fatal(err)
 	}
-	if tag, err := c.RequestPath(0, webClause); err != nil || tag != webRec.AccessTag() {
-		t.Fatalf("web path re-resolves to %d (%v), its record says %d", tag, err, webRec.AccessTag())
+	if tag, err := c.RequestPath(0, webClause); err != nil || tag != got.AccessTag() {
+		t.Fatalf("web path re-resolves to %d (%v), its record says %d", tag, err, got.AccessTag())
 	}
 	misses := c.Stats().PathMiss
-	tag2, err := c.RequestPath(0, videoClause)
-	if err != nil {
+	if _, err := c.RequestPath(0, videoClause); err != nil {
 		t.Fatal(err)
 	}
 	if c.Stats().PathMiss != misses+1 {
 		t.Fatal("video path should have been re-installed")
 	}
-	_ = tagVideo
-	_ = tag2
 	if len(c.Store.Keys("path/")) != 2 {
 		t.Fatalf("store path keys = %v", c.Store.Keys("path/"))
 	}
+	mustCheck(t, c)
 	// Removing a clause with no paths is a no-op.
-	if err := c.RemovePolicyPaths(9999); err != nil {
-		t.Fatal(err)
+	epoch := c.Epoch()
+	if err := c.RemovePolicyPaths(9999); err != nil || c.Epoch() != epoch {
+		t.Fatalf("no-op removal: %v, epoch %d -> %d", err, epoch, c.Epoch())
 	}
 }
 
-// TestFIBVersionsSurviveRebuilds: a rebuild replaces every FIB (path removal
-// keeps the Installer, failure recomputation builds a new one); either way
-// each switch's version moves forward past every value it has had, so a data
+// TestFIBVersionsSurviveRebuilds: a rebuild (path removal, failure
+// recomputation) replaces the Installer and every FIB in it; each switch's
+// version moves forward past every value it has had, so a data
 // plane that remembers the old version sees a change even where the new FIB
 // came out equal to, or emptier than, the old one.
 func TestFIBVersionsSurviveRebuilds(t *testing.T) {
@@ -179,9 +203,8 @@ func TestFIBVersionsSurviveRebuilds(t *testing.T) {
 
 // TestShortcutOutlivesPathRebuild: a Shortcut aliases the Tags of the path
 // it was cut from and keeps the route it was handed, with no pool behind
-// either. Both must read the same after the path records are re-tagged (a
-// Rebuild that withdraws another clause) and after the Installer itself is
-// replaced (a failure recomputation), the release must still find and end
+// either. Both must read the same after the path is re-tagged (a rebuild
+// that withdraws another clause) and after a failure recomputation, the release must still find and end
 // the reservation, and the tables must end where those of a controller
 // that never handed the UE off end.
 func TestShortcutOutlivesPathRebuild(t *testing.T) {
@@ -223,12 +246,8 @@ func TestShortcutOutlivesPathRebuild(t *testing.T) {
 		if c.paths.get(pathKey{0, video}).AccessTag() == oldTag {
 			t.Fatal("the rebuild did not re-tag the surviving path; the test needs it to")
 		}
-		oldInstaller := c.Installer
 		if _, err := c.FailSwitch(n.cs3); err != nil {
 			t.Fatal(err)
-		}
-		if c.Installer == oldInstaller {
-			t.Fatal("the recomputation kept the installer; the test needs a fresh one")
 		}
 		for i, sc := range res.Shortcuts {
 			if !slices.Equal(sc.Route, want[i].route) || !slices.Equal(sc.PathTags, want[i].tags) {

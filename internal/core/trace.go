@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/packet"
-	"repro/internal/routing"
 	"repro/internal/topo"
 )
 
@@ -138,31 +137,4 @@ func (in *Installer) RuleTypeTotals() (tagPrefix, tagOnly, location, mobility in
 		mobility += d
 	}
 	return
-}
-
-// InstallForStations is the batch driver the large-scale simulation uses:
-// it plans and installs one path per (station, chain) pair, iterating
-// station-major to maximise planner cache locality. It returns the installed
-// records only if keepRecords is set (20M paths would otherwise hold
-// gigabytes alive).
-func (in *Installer) InstallForStations(pl *routing.Planner, stations []packet.BSID, chains [][]topo.MBType, gateway topo.NodeID, keepRecords bool) ([]*InstalledPath, error) {
-	var recs []*InstalledPath
-	for _, bs := range stations {
-		for _, chain := range chains {
-			route, err := pl.Plan(bs, chain, gateway)
-			if err != nil {
-				return recs, fmt.Errorf("core: planning bs%d: %w", bs, err)
-			}
-			rec, err := in.InstallPath(route)
-			if err != nil {
-				return recs, fmt.Errorf("core: installing bs%d: %w", bs, err)
-			}
-			if keepRecords {
-				recs = append(recs, rec)
-			} else {
-				delete(in.paths, rec.ID)
-			}
-		}
-	}
-	return recs, nil
 }

@@ -310,7 +310,7 @@ type walked struct {
 // current state.
 func (c *churn) classes() []walked {
 	n := c.net
-	paths := n.Ctrl.Installer.Paths()
+	paths := n.Ctrl.Paths()
 	var out []walked
 	for _, rec := range paths {
 		bs, err := n.plan.BSPrefix(rec.Origin)

@@ -18,8 +18,10 @@ import (
 //     are of course exempt.
 //
 //  2. Immutable after publish: a type whose doc comment contains the
-//     phrase "immutable after publish" (FIB snapshots, copy-on-write tag
-//     caches) must have no field or element writes outside construction.
+//     phrase "immutable after publish" (fast-path snapshots, the path
+//     table's station rows and the path records filed in them) must have
+//     no field or element writes, and no whole-value writes through a
+//     pointer (*p = v), outside construction.
 //     A write is accepted when (a) the enclosing function returns the
 //     marked type (a constructor), (b) the function's doc says
 //     "constructs <TypeName>" (a builder helper), or (c) the written
@@ -266,14 +268,20 @@ func namedTypeName(t types.Type) *types.TypeName {
 }
 
 // governingMarkedType walks a write target down its base chain and returns
-// the marked type the write mutates, if any: a field of a marked struct, or
-// an element of a marked map/slice type reached along the way.
+// the marked type the write mutates, if any: a field of a marked struct, an
+// element of a marked map/slice type, or a marked value stored whole
+// through a pointer, reached along the way.
 func governingMarkedType(pkg *Package, e ast.Expr, marked map[*types.TypeName]bool) *types.TypeName {
 	for {
 		switch x := e.(type) {
 		case *ast.ParenExpr:
 			e = x.X
 		case *ast.StarExpr:
+			if tv, ok := pkg.Info.Types[x]; ok {
+				if named, ok := tv.Type.(*types.Named); ok && marked[named.Obj()] {
+					return named.Obj()
+				}
+			}
 			e = x.X
 		case *ast.SelectorExpr:
 			if sel, ok := pkg.Info.Selections[x]; ok && sel.Kind() == types.FieldVal {

@@ -65,6 +65,18 @@ func Mutate(s *Snap) {
 	s.rows[0] = 9 // want `write to Snap outside construction`
 }
 
+// Overwrite replaces a published snapshot whole through its pointer: the
+// same violation as Mutate, in one statement.
+func Overwrite(s, from *Snap) {
+	*s = *from // want `write to Snap outside construction`
+}
+
+// Repoint stores a pointer, not a snapshot: the published value is
+// untouched.
+func Repoint(dst **Snap, s *Snap) {
+	*dst = s
+}
+
 // Table is an immutable-after-publish map type.
 //
 // Table is immutable after publish.

@@ -183,7 +183,6 @@ func Run(p Params) (Result, error) {
 		NoLocationRouting:     p.NoLocationRouting,
 		DownstreamOnly:        !p.BothDirections,
 		SkipAccessSwitchRules: !p.CountAccessSwitches,
-		DiscardPathRecords:    true,
 		// Rule-counting methodology: table sizes are the measured quantity,
 		// so tag allocation is not bounded by the plan's encodable space
 		// (the fresh-tag-per-path ablation alone exceeds any TagBits).
