@@ -110,9 +110,9 @@ policy-gate:
 # city_churn workload (the §6.1 event stream on a sharded plant) for 3 s.
 # It fails unless every op succeeded and the run's own correctness check
 # held, which sweeps the cross-shard invariants (Dispatcher.CheckInvariants),
-# and unless the fullest hardware switch (rule_table_max) holds at most 400
-# rules: shards own whole station blocks, so their location prefixes
-# aggregate (1 359 rules while stations were hashed one by one).
+# and unless the fullest hardware switch (rule_table_max) holds at most 240
+# rules: each shard owns one contiguous run of station blocks, so its
+# location prefixes aggregate (219 expected).
 city-gate:
 	@out=$$(bash bench/run.sh --workload city_churn --seed 1 --seconds 3 --trace 0 | tail -n 1); \
 	for want in '"correct":true,' '"failed":0,'; do \
@@ -120,10 +120,10 @@ city-gate:
 	done; \
 	rules=$$(printf '%s\n' "$$out" | sed -n 's/.*"rule_table_max":{"value":\([0-9.e+]*\).*/\1/p'); \
 	if [ -z "$$rules" ]; then echo "FAIL: city-gate: the result line has no rule_table_max"; echo "$$out"; exit 1; fi; \
-	if ! awk -v r="$$rules" 'BEGIN { exit !(r <= 400) }'; then \
-		echo "FAIL: city-gate: rule_table_max $$rules exceeds 400"; exit 1; \
+	if ! awk -v r="$$rules" 'BEGIN { exit !(r <= 240) }'; then \
+		echo "FAIL: city-gate: rule_table_max $$rules exceeds 240"; exit 1; \
 	fi; \
-	echo "city-gate: city_churn failed=0 correct=true rule_table_max=$$rules (<= 400)"
+	echo "city-gate: city_churn failed=0 correct=true rule_table_max=$$rules (<= 240)"
 
 # bench-smoke runs every Go benchmark for 500 iterations, so one that
 # cannot get that far (a fixture that exhausts a tag space, say) fails the

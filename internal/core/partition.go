@@ -103,8 +103,8 @@ func (c *Controller) AdoptUE(m MigratedUE, bs packet.BSID) (UE, []Classifier, er
 // AbsorbStation extends the controller's ownership to bs and imports the
 // given UE records verbatim (preserving each UE's reported UEID and LocIP,
 // exactly as RecoverLocations does) — the shard-failover path: a dead
-// shard's stations rehash to survivors, which rebuild the location state
-// from live agents' reports. A newly absorbed station has no paths here
+// shard's stations move to its neighbours, which rebuild the location
+// state from live agents' reports. A newly absorbed station has no paths here
 // yet, so its first path requests install against this controller's own
 // rule table and tag sub-space.
 func (c *Controller) AbsorbStation(bs packet.BSID, ues []UE) error {

@@ -276,7 +276,7 @@ func TestFloodThroughTrippedBreaker(t *testing.T) {
 		}
 	}
 	// The survivors still run the full two-phase cross-shard machinery:
-	// a fresh attach at the rehashed station and a handoff back complete.
+	// a fresh attach at the moved station and a handoff back complete.
 	if err := d.RegisterSubscriber("imsi-final", policy.Attributes{Provider: "p", DeviceType: "phone"}); err != nil {
 		t.Fatal(err)
 	}

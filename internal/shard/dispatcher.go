@@ -82,7 +82,7 @@ type ueStripe struct {
 var stripeSeed = maphash.MakeSeed()
 
 // Dispatcher fronts a set of controller shards: it routes base-station-
-// keyed requests through the consistent-hash ring of station blocks and
+// keyed requests through the ring's runs of station blocks and
 // UE-keyed requests to the holder the subscriber table names, and owns the
 // cross-shard handoff and failover protocols. Every shard admits from its one subscriber table,
 // which outlives any shard: failover rebuilds locations from agents and has
@@ -110,17 +110,12 @@ type Dispatcher struct {
 	obs dispObs
 }
 
-// New builds the ring over the topology's station blocks, partitions the
+// New places the topology's station blocks on the ring, partitions the
 // stations, and builds one restricted controller per shard.
 func New(cfg Config) (*Dispatcher, error) {
 	if cfg.Topology == nil {
 		return nil, fmt.Errorf("shard: Config.Topology is required")
 	}
-	return newOverBlocks(cfg, stationBlocks(cfg.Topology, cfg.Gateway))
-}
-
-// newOverBlocks is New placing the given blocks (see NewRing) on the ring.
-func newOverBlocks(cfg Config, blocks []packet.BSID) (*Dispatcher, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Policy == nil {
 		return nil, fmt.Errorf("shard: Config.Policy is required")
@@ -129,7 +124,7 @@ func newOverBlocks(cfg Config, blocks []packet.BSID) (*Dispatcher, error) {
 	for i := range ids {
 		ids[i] = i
 	}
-	ring := NewRing(DefaultVNodes, blocks, ids...)
+	ring := NewRing(stationBlocks(cfg.Topology, cfg.Gateway), ids...)
 	stations := make([]packet.BSID, 0, len(cfg.Topology.Stations))
 	for _, st := range cfg.Topology.Stations {
 		stations = append(stations, st.ID)
@@ -189,11 +184,13 @@ func (d *Dispatcher) Shards() []*Shard { return d.shards }
 // Shard returns the shard with the given id.
 func (d *Dispatcher) Shard(id int) *Shard { return d.shards[id] }
 
-// ShardOf resolves the shard currently owning a base station.
+// ShardOf resolves the shard currently owning a base station. A station
+// outside the topology has no owner: the error names it and wraps
+// core.ErrNotOwned.
 func (d *Dispatcher) ShardOf(bs packet.BSID) (*Shard, error) {
 	id, ok := d.Ring().Owner(bs)
 	if !ok {
-		return nil, fmt.Errorf("shard: no live shards")
+		return nil, fmt.Errorf("shard: base station %d is outside the topology: %w", bs, core.ErrNotOwned)
 	}
 	return d.shards[id], nil
 }

@@ -385,10 +385,27 @@ func TestDispatcherRejectsBadConfig(t *testing.T) {
 }
 
 func ExampleRing_Owner() {
-	r := NewRing(DefaultVNodes, nil, 0, 1)
-	owner, _ := r.Owner(7)
-	fmt.Println(owner >= 0 && owner <= 1)
-	// Output: true
+	// Twelve stations in four blocks of three, keyed by their lowest
+	// station, placed on three shards.
+	blocks := []packet.BSID{0, 0, 0, 3, 3, 3, 6, 6, 6, 9, 9, 9}
+	r := NewRing(blocks, 0, 1, 2)
+	owners := func(r *Ring) []int {
+		var out []int
+		for _, bs := range []packet.BSID{0, 3, 6, 9} {
+			owner, _ := r.Owner(bs)
+			out = append(out, owner)
+		}
+		return out
+	}
+	fmt.Println(owners(r))
+	// Shard 1 fails: its lower block goes to shard 0, its upper to shard 2.
+	fmt.Println(owners(r.Without(1)))
+	_, ok := r.Owner(12)
+	fmt.Println(ok)
+	// Output:
+	// [0 1 1 2]
+	// [0 0 2 2]
+	// false
 }
 
 // TestCloseTwiceReturns pins Close as repeatable: plant users defer it and

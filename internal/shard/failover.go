@@ -10,23 +10,23 @@ import (
 // FailoverReport summarises a shard failover.
 type FailoverReport struct {
 	Shard       int // the failed shard
-	Stations    int // base stations rehashed to survivors
+	Stations    int // base stations moved to the dead shard's neighbours
 	FromReports int // UEs rebuilt from live agents' location reports
 	Lost        int // UEs the dead shard held that no agent reported: now detached
 	Dropped     int // reported UEs at stations the dead shard did not own
 }
 
 func (r FailoverReport) String() string {
-	return fmt.Sprintf("shard %d failed: %d stations rehashed, %d UEs from agent reports, %d lost, %d dropped",
+	return fmt.Sprintf("shard %d failed: %d stations moved, %d UEs from agent reports, %d lost, %d dropped",
 		r.Shard, r.Stations, r.FromReports, r.Lost, r.Dropped)
 }
 
 // FailShard declares a shard dead and rebuilds its slice of the control
 // plane on the survivors:
 //
-//   - the shard leaves the ring, so its station blocks rehash to the
-//     surviving shards (consistent hashing moves only the dead shard's
-//     blocks — every other station keeps its owner);
+//   - the shard leaves the ring, and its run of station blocks is split
+//     between the nearest live shards before and after it (Ring.Without:
+//     every other station keeps its owner);
 //   - its UE-location state is reassembled from live agents' location
 //     reports alone (§5.2: location state is rebuilt by querying the local
 //     agents); each reassembled station is absorbed by its new owner, which
@@ -66,9 +66,9 @@ func (d *Dispatcher) FailShard(id int, reports []core.AgentLocationReport) (Fail
 	rep := FailoverReport{Shard: id}
 
 	// The victim's live owned set (its construction-time stations plus any
-	// it absorbed in earlier failovers) is what must be rehashed — every
-	// one of them, populated or not, so path requests at empty stations
-	// keep working.
+	// it absorbed in earlier failovers) is what must move — every one of
+	// them, populated or not, so path requests at empty stations keep
+	// working.
 	victimStations := victim.Ctrl.Stations()
 	victimOwned := make(map[packet.BSID]bool, len(victimStations))
 	for _, bs := range victimStations {

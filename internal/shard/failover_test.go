@@ -62,7 +62,7 @@ func TestFailShardRebuildsFromReportsAlone(t *testing.T) {
 		t.Fatalf("recovery: %+v, want 1 from reports, 1 lost, 0 dropped", rep)
 	}
 	if rep.Stations != len(part[victim]) {
-		t.Fatalf("rehashed %d stations, want %d", rep.Stations, len(part[victim]))
+		t.Fatalf("moved %d stations, want %d", rep.Stations, len(part[victim]))
 	}
 	if d.Ring().Has(victim) {
 		t.Fatal("failed shard still on the ring")
@@ -115,7 +115,7 @@ func TestFailShardRebuildsFromReportsAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Every rehashed station serves path requests again — including ones
+	// Every moved station serves path requests again — including ones
 	// that held no UEs — and new tags come from the survivor's partition.
 	clauses := allowClauses(t, d)
 	for _, bs := range part[victim] {

@@ -1,6 +1,6 @@
 // Package shard partitions the SoftCell control plane into parallel
-// controller shards. A consistent-hash Ring maps every block of base
-// stations — the stations under one aggregation switch — to one shard, so a
+// controller shards. A Ring gives every shard one contiguous run of station
+// blocks — a block is the stations under one aggregation switch — so a
 // shard's stations share location prefixes and its rule tables aggregate
 // the way one controller's do. Each Shard wraps a core.Controller
 // restricted to its stations (which, because LocIPs embed the base-station
@@ -17,58 +17,32 @@
 // shards in two phases (freeze-on-source, install-on-target) behind the
 // UE's lock stripe, and failover.go rebuilds a dead shard's UE state
 // on the survivors from its replicated store plus live agents' location
-// reports, rehashing its blocks across the ring.
+// reports, splitting its run of blocks between its neighbours.
 package shard
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/packet"
 	"repro/internal/topo"
 )
 
-// Ring is an immutable consistent-hash ring with virtual nodes: each shard
-// contributes vnodes points, and a block of base stations is owned by the
-// shard whose point follows the block's hash clockwise. With/Without derive
-// new rings over the same blocks, so a ring value can be shared lock-free
-// (the dispatcher publishes snapshots through an atomic pointer) and a
-// shard leaving or joining moves whole blocks.
+// Ring is an immutable placement of station blocks on shards: number the
+// stations block by block in ascending key order, cut that numbering into
+// n equal slices, and live shard i of n, in ascending id order, owns the
+// blocks whose middle station falls in slice i — one contiguous run, as
+// even as whole blocks allow, and empty when there are more shards than
+// blocks. Without derives a new ring over the same blocks, so a ring value
+// can be shared lock-free (the dispatcher publishes snapshots through an
+// atomic pointer) and a shard leaving moves only its own blocks.
 type Ring struct {
-	vnodes int
-	shards []int   // live shard ids, sorted
-	points []point // sorted by hash
-	// blocks[bs] is the key of bs's block, its lowest station ID (see
-	// stationBlocks); a station past the end is a block of its own.
-	blocks []packet.BSID
-}
-
-type point struct {
-	hash  uint64
-	shard int
-}
-
-// DefaultVNodes balances ownership well for hundreds-to-thousands of
-// stations without making ring construction noticeable.
-const DefaultVNodes = 128
-
-// mix64 is fmix64 from MurmurHash3 — the same finaliser packet.FlowKey
-// uses; it is a strong enough point spreader for ring placement.
-func mix64(h uint64) uint64 {
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
-}
-
-func vnodeHash(shard, vnode int) uint64 {
-	return mix64(uint64(shard+1)*0x9e3779b97f4a7c15 + uint64(vnode))
-}
-
-func bsHash(bs packet.BSID) uint64 {
-	return mix64(uint64(bs) + 0x5c17c0de) // salted so BSIDs don't collide with vnode inputs
+	shards []int // live shard ids, sorted
+	// mid[bs] is twice the position of the middle of bs's block in that
+	// numbering (twice, so it is whole); derived rings share it.
+	mid   []int
+	owner []int // owner[bs]: the shard owning station bs
 }
 
 // stationBlocks derives the ring's blocks from a topology: a station's block
@@ -106,29 +80,32 @@ func stationBlocks(t *topo.Topology, gateway topo.NodeID) []packet.BSID {
 }
 
 // NewRing builds a ring over the given shard ids that places the blocks
-// stationBlocks describes; nil blocks make every station a block of its
-// own. vnodes <= 0 selects DefaultVNodes.
-func NewRing(vnodes int, blocks []packet.BSID, shards ...int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
+// stationBlocks describes: blocks[bs] is the key of station bs's block, and
+// the ring knows stations 0 to len(blocks)-1 only.
+func NewRing(blocks []packet.BSID, shards ...int) *Ring {
+	size := make([]int, len(blocks)) // stations per block, at its key
+	for _, key := range blocks {
+		size[key]++
 	}
-	r := &Ring{vnodes: vnodes, blocks: blocks}
-	for _, s := range shards {
-		r.shards = append(r.shards, s)
-	}
+	r := &Ring{shards: slices.Clone(shards), mid: make([]int, len(blocks))}
 	sort.Ints(r.shards)
-	r.points = make([]point, 0, vnodes*len(r.shards))
-	for _, s := range r.shards {
-		for v := 0; v < vnodes; v++ {
-			r.points = append(r.points, point{vnodeHash(s, v), s})
+	next := 0 // the position of the next block's first station
+	for bs, key := range blocks {
+		// A key is its block's lowest station, so keys come in ascending
+		// order and each is numbered before the rest of its block.
+		if int(key) == bs {
+			r.mid[bs] = 2*next + size[bs]
+			next += size[bs]
+		} else {
+			r.mid[bs] = r.mid[key]
 		}
 	}
-	sort.Slice(r.points, func(i, j int) bool {
-		if r.points[i].hash != r.points[j].hash {
-			return r.points[i].hash < r.points[j].hash
+	if len(r.shards) > 0 {
+		r.owner = make([]int, len(blocks))
+		for bs, m := range r.mid {
+			r.owner[bs] = r.shards[m*len(r.shards)/(2*len(blocks))]
 		}
-		return r.points[i].shard < r.points[j].shard // deterministic tie-break
-	})
+	}
 	return r
 }
 
@@ -146,48 +123,47 @@ func (r *Ring) Has(id int) bool {
 	return i < len(r.shards) && r.shards[i] == id
 }
 
-// block returns the key of bs's block: the lowest station ID in it.
-func (r *Ring) block(bs packet.BSID) packet.BSID {
-	if int(bs) < len(r.blocks) {
-		return r.blocks[bs]
-	}
-	return bs
-}
-
-// Owner maps a base station to the shard owning its block. ok is false
-// only on an empty ring.
+// Owner maps a base station to the shard owning its block. ok is false on
+// an empty ring and for a station the ring's blocks do not cover.
+//
+// hotpath: no alloc, no lock
 func (r *Ring) Owner(bs packet.BSID) (int, bool) {
-	if len(r.points) == 0 {
+	if uint(bs) >= uint(len(r.owner)) {
 		return 0, false
 	}
-	h := bsHash(r.block(bs))
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	if i == len(r.points) {
-		i = 0 // wrap around
-	}
-	return r.points[i].shard, true
+	return r.owner[bs], true
 }
 
-// With returns a new ring that additionally contains shard id.
-func (r *Ring) With(id int) *Ring {
-	if r.Has(id) {
-		return r
-	}
-	return NewRing(r.vnodes, r.blocks, append(r.Shards(), id)...)
-}
-
-// Without returns a new ring with shard id removed.
+// Without returns a new ring with shard id removed. Its run is split at
+// its middle station: the blocks below it go to the live shard before it,
+// the rest to the live shard after it, and at either end the one neighbour
+// takes the whole run. No other block moves.
 func (r *Ring) Without(id int) *Ring {
 	if !r.Has(id) {
 		return r
 	}
-	keep := make([]int, 0, len(r.shards)-1)
-	for _, s := range r.shards {
-		if s != id {
-			keep = append(keep, s)
+	i := sort.SearchInts(r.shards, id)
+	out := &Ring{shards: slices.Delete(slices.Clone(r.shards), i, i+1), mid: r.mid}
+	if len(out.shards) == 0 {
+		return out
+	}
+	sum, n := 0, 0 // twice the run's middle station is sum/n
+	for bs, o := range r.owner {
+		if o == id {
+			sum, n = sum+r.mid[bs], n+1
 		}
 	}
-	return NewRing(r.vnodes, r.blocks, keep...)
+	out.owner = slices.Clone(r.owner)
+	for bs, o := range r.owner {
+		switch {
+		case o != id: // not the victim's: it stays
+		case i > 0 && (i == len(r.shards)-1 || r.mid[bs]*n < sum):
+			out.owner[bs] = r.shards[i-1]
+		default:
+			out.owner[bs] = r.shards[i+1]
+		}
+	}
+	return out
 }
 
 // Partition groups the given stations by owning shard.
@@ -196,7 +172,7 @@ func (r *Ring) Partition(stations []packet.BSID) (map[int][]packet.BSID, error) 
 	for _, bs := range stations {
 		owner, ok := r.Owner(bs)
 		if !ok {
-			return nil, fmt.Errorf("shard: empty ring cannot own station %d", bs)
+			return nil, fmt.Errorf("shard: no live shard owns station %d", bs)
 		}
 		out[owner] = append(out[owner], bs)
 	}

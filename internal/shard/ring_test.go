@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -9,33 +11,179 @@ import (
 	"repro/internal/topo"
 )
 
-// TestRingRemovalMovesOnlyVictimsStations checks the defining consistent-
-// hashing invariant with testing/quick: removing a shard relocates exactly
-// the stations it owned — every other station keeps its owner.
-func TestRingRemovalMovesOnlyVictimsStations(t *testing.T) {
-	prop := func(nShards uint8, victimPick uint8, seed uint16) bool {
-		n := int(nShards%7) + 2 // 2..8 shards
-		ids := make([]int, n)
-		for i := range ids {
-			ids[i] = i
+// layouts are the block sets the placement properties run on: the city
+// plant's blocks (32 of twelve stations), the same 384 stations one to a
+// block, the K=2 plant's two blocks of ten (the dispatcher tests' and
+// chaos's plant: with more shards than blocks some runs are empty), and
+// nil blocks, which place no station at all.
+func layouts(t testing.TB) map[string][]packet.BSID {
+	t.Helper()
+	_, city := cityBlocks(t)
+	perStation := make([]packet.BSID, len(city))
+	for bs := range perStation {
+		perStation[bs] = packet.BSID(bs)
+	}
+	g, err := topo.Generate(topo.GenParams{K: 2, ClusterSize: 10, MBTypes: 3, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string][]packet.BSID{"city": city, "per-station": perStation,
+		"two blocks": stationBlocks(g.Topology, g.GatewayID), "nil": nil}
+}
+
+// shardIDs returns 0 to n-1.
+func shardIDs(n int) []int {
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	return ids
+}
+
+// checkRuns verifies a ring over blocks against the placement's defining
+// properties: the ring owns exactly the stations the blocks cover, every
+// block lies on one shard, and walking the blocks in ascending key order
+// visits the live shards' runs in ascending shard order, each once.
+func checkRuns(r *Ring, blocks []packet.BSID) error {
+	if _, ok := r.Owner(packet.BSID(len(blocks))); ok {
+		return fmt.Errorf("station %d, past the blocks, has an owner", len(blocks))
+	}
+	pos := -1 // position in r.Shards() of the last block's owner
+	for bs, key := range blocks {
+		own, ok := r.Owner(packet.BSID(bs))
+		if ok != (r.Len() > 0) || ok && !r.Has(own) {
+			return fmt.Errorf("station %d: owner %d, %v on a ring of %v", bs, own, ok, r.Shards())
 		}
-		r := NewRing(64, nil, ids...)
-		victim := int(victimPick) % n
-		r2 := r.Without(victim)
-		if r2.Has(victim) || r2.Len() != n-1 {
-			return false
+		if blockOwner, _ := r.Owner(key); own != blockOwner {
+			return fmt.Errorf("station %d on shard %d, its block %d on shard %d", bs, own, key, blockOwner)
 		}
-		for bs := packet.BSID(seed); bs < packet.BSID(seed)+512; bs++ {
-			before, _ := r.Owner(bs)
-			after, _ := r2.Owner(bs)
-			if before == victim {
-				if after == victim {
-					return false // the victim must actually lose its stations
-				}
-				continue
+		if int(key) != bs || !ok {
+			continue // not a block's first station
+		}
+		p := 0
+		for r.Shards()[p] != own {
+			p++
+		}
+		if p < pos {
+			return fmt.Errorf("block %d on shard %d comes after shard %d's run", key, own, r.Shards()[pos])
+		}
+		pos = p
+	}
+	return nil
+}
+
+// stationsBy counts each shard's stations, zero for an empty run.
+func stationsBy(r *Ring, blocks []packet.BSID) map[int]int {
+	n := make(map[int]int)
+	for _, id := range r.Shards() {
+		n[id] = 0
+	}
+	for bs := range blocks {
+		own, _ := r.Owner(packet.BSID(bs))
+		n[own]++
+	}
+	return n
+}
+
+// TestRingBalance: on every layout and at 1–8 shards, the initial runs are
+// contiguous and differ in station count by at most the largest block.
+func TestRingBalance(t *testing.T) {
+	for name, blocks := range layouts(t) {
+		size := make(map[packet.BSID]int)
+		block := 0
+		for _, key := range blocks {
+			size[key]++
+			block = max(block, size[key])
+		}
+		for n := 1; n <= 8; n++ {
+			r := NewRing(blocks, shardIDs(n)...)
+			if err := checkRuns(r, blocks); err != nil {
+				t.Fatalf("%s, %d shards: %v", name, n, err)
 			}
-			if after != before {
-				return false // a surviving shard's station moved — not consistent
+			lo, hi := len(blocks), 0
+			for _, c := range stationsBy(r, blocks) {
+				lo, hi = min(lo, c), max(hi, c)
+			}
+			if hi-lo > block {
+				t.Fatalf("%s, %d shards: runs hold %v stations, more than a block apart", name, n, stationsBy(r, blocks))
+			}
+		}
+	}
+}
+
+// TestRingRemovalMovesOnlyVictimsStations checks failover placement with
+// testing/quick: from 1–8 shards, remove shards in a random order down to
+// one. Each Without moves only the victim's stations, each to the nearest
+// live shard before or after it — all of them to the one neighbour at
+// either end — and leaves every live shard one contiguous run in shard
+// order.
+func TestRingRemovalMovesOnlyVictimsStations(t *testing.T) {
+	for name, blocks := range layouts(t) {
+		prop := func(nShards uint8, seed int64) bool {
+			r := NewRing(blocks, shardIDs(int(nShards%8)+1)...)
+			for _, victim := range rand.New(rand.NewSource(seed)).Perm(r.Len())[1:] {
+				if err := removeOne(r, victim, blocks); err != nil {
+					t.Logf("%s: %v", name, err)
+					return false
+				}
+				r = r.Without(victim)
+			}
+			return r.Len() == 1
+		}
+		if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}
+
+// removeOne checks r.Without(victim) against r.
+func removeOne(r *Ring, victim int, blocks []packet.BSID) error {
+	after := r.Without(victim)
+	if after.Has(victim) || after.Len() != r.Len()-1 {
+		return fmt.Errorf("without %d: shards %v", victim, after.Shards())
+	}
+	if err := checkRuns(after, blocks); err != nil {
+		return fmt.Errorf("without %d: %v", victim, err)
+	}
+	ids := r.Shards()
+	prev, next := -1, -1 // the victim's live neighbours in shard order
+	for i, id := range ids {
+		if id == victim {
+			if i > 0 {
+				prev = ids[i-1]
+			}
+			if i+1 < len(ids) {
+				next = ids[i+1]
+			}
+		}
+	}
+	for bs := range blocks {
+		was, _ := r.Owner(packet.BSID(bs))
+		now, _ := after.Owner(packet.BSID(bs))
+		switch {
+		case was != victim && now != was:
+			return fmt.Errorf("without %d: station %d moved from live shard %d to %d", victim, bs, was, now)
+		case was == victim && now != prev && now != next:
+			return fmt.Errorf("without %d: station %d went to %d, not neighbour %d or %d", victim, bs, now, prev, next)
+		}
+	}
+	return nil
+}
+
+// TestRingBlocksLieOnOneShard checks with testing/quick that every block
+// of the city plant lies wholly on one shard, however many shards start
+// and whichever ones fail.
+func TestRingBlocksLieOnOneShard(t *testing.T) {
+	_, blocks := cityBlocks(t)
+	prop := func(nShards uint8, kills uint8, seed int64) bool {
+		r := NewRing(blocks, shardIDs(int(nShards%8)+1)...)
+		for _, victim := range rand.New(rand.NewSource(seed)).Perm(r.Len())[:int(kills)%r.Len()] {
+			r = r.Without(victim)
+		}
+		for bs, key := range blocks {
+			own, _ := r.Owner(packet.BSID(bs))
+			if blockOwner, _ := r.Owner(key); own != blockOwner {
+				return false
 			}
 		}
 		return true
@@ -45,63 +193,35 @@ func TestRingRemovalMovesOnlyVictimsStations(t *testing.T) {
 	}
 }
 
-// TestRingAdditionMovesStationsOnlyToNewcomer checks the dual invariant:
-// growing the ring moves stations only onto the new shard.
-func TestRingAdditionMovesStationsOnlyToNewcomer(t *testing.T) {
-	prop := func(nShards uint8, seed uint16) bool {
-		n := int(nShards%7) + 1 // 1..7 existing shards
-		ids := make([]int, n)
-		for i := range ids {
-			ids[i] = i
+// TestRingBlockRemovalMovesOnlyVictimsBlocks: on the city plant, removing
+// a middle shard splits its run at the middle block — the lower half to
+// the shard before it, the upper half to the one after — and removing an
+// end shard hands its whole run to its one neighbour.
+func TestRingBlockRemovalMovesOnlyVictimsBlocks(t *testing.T) {
+	_, blocks := cityBlocks(t)
+	r := NewRing(blocks, 0, 1, 2, 3) // eight blocks, 96 stations each
+	for _, tc := range []struct {
+		victim int
+		want   map[int]int // stations per live shard after
+	}{
+		{0, map[int]int{1: 192, 2: 96, 3: 96}},
+		{1, map[int]int{0: 144, 2: 144, 3: 96}},
+		{2, map[int]int{0: 96, 1: 144, 3: 144}},
+		{3, map[int]int{0: 96, 1: 96, 2: 192}},
+	} {
+		if err := removeOne(r, tc.victim, blocks); err != nil {
+			t.Fatal(err)
 		}
-		r := NewRing(64, nil, ids...)
-		newcomer := n
-		r2 := r.With(newcomer)
-		if !r2.Has(newcomer) || r2.Len() != n+1 {
-			return false
-		}
-		moved := 0
-		for bs := packet.BSID(seed); bs < packet.BSID(seed)+512; bs++ {
-			before, _ := r.Owner(bs)
-			after, _ := r2.Owner(bs)
-			if after != before {
-				if after != newcomer {
-					return false // stations may only move to the new shard
-				}
-				moved++
-			}
-		}
-		// With vnodes the newcomer takes ~1/(n+1) of stations; allow a wide
-		// margin but insist it is nowhere near a full reshuffle.
-		return moved <= 512*2/(n+1)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRingBalance(t *testing.T) {
-	const nShards, nBS = 4, 4096
-	r := NewRing(DefaultVNodes, nil, 0, 1, 2, 3)
-	counts := make(map[int]int)
-	for bs := packet.BSID(0); bs < nBS; bs++ {
-		owner, ok := r.Owner(bs)
-		if !ok {
-			t.Fatal("empty ring")
-		}
-		counts[owner]++
-	}
-	for id := 0; id < nShards; id++ {
-		frac := float64(counts[id]) / nBS
-		if frac < 0.10 || frac > 0.45 {
-			t.Fatalf("shard %d owns %.0f%% of stations (counts %v) — ring badly unbalanced", id, frac*100, counts)
+		if got := stationsBy(r.Without(tc.victim), blocks); fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Fatalf("without %d: stations per shard %v, want %v", tc.victim, got, tc.want)
 		}
 	}
 }
 
 func TestRingPartitionCoversAllStations(t *testing.T) {
-	r := NewRing(0, nil, 0, 1, 2)
-	stations := make([]packet.BSID, 160)
+	_, blocks := cityBlocks(t)
+	r := NewRing(blocks, 0, 1, 2)
+	stations := make([]packet.BSID, len(blocks))
 	for i := range stations {
 		stations[i] = packet.BSID(i)
 	}
@@ -124,25 +244,45 @@ func TestRingPartitionCoversAllStations(t *testing.T) {
 	if total != len(stations) {
 		t.Fatalf("partition covers %d of %d stations", total, len(stations))
 	}
+	if _, err := r.Partition([]packet.BSID{packet.BSID(len(blocks))}); err == nil {
+		t.Fatal("partitioned a station past the blocks")
+	}
 }
 
 func TestRingEdgeCases(t *testing.T) {
-	empty := NewRing(8, nil)
+	blocks := []packet.BSID{0, 0, 2, 2}
+	empty := NewRing(blocks)
 	if _, ok := empty.Owner(0); ok {
 		t.Fatal("empty ring claimed an owner")
 	}
 	if _, err := empty.Partition([]packet.BSID{0}); err == nil {
 		t.Fatal("empty ring partitioned stations")
 	}
-	r := NewRing(8, nil, 5)
-	if r.With(5) != r {
-		t.Fatal("With(existing) should return the same ring")
-	}
+	r := NewRing(blocks, 5)
 	if r.Without(9) != r {
 		t.Fatal("Without(absent) should return the same ring")
 	}
-	if owner, ok := r.Owner(1234); !ok || owner != 5 {
+	if owner, ok := r.Owner(3); !ok || owner != 5 {
 		t.Fatalf("single-shard ring: owner = %d, %v", owner, ok)
+	}
+	for _, bs := range []packet.BSID{4, 1<<32 - 1} {
+		if _, ok := r.Owner(bs); ok {
+			t.Fatalf("station %d, outside the blocks, has an owner", bs)
+		}
+	}
+	if last := r.Without(5); last.Len() != 0 {
+		t.Fatalf("removing the last shard left %v", last.Shards())
+	} else if _, ok := last.Owner(0); ok {
+		t.Fatal("a ring with no shards left claimed an owner")
+	}
+	// More shards than blocks: the middle run is empty, and removing its
+	// shard moves nothing.
+	r = NewRing(blocks, 0, 1, 2)
+	if got := fmt.Sprint(stationsBy(r, blocks)); got != "map[0:2 1:0 2:2]" {
+		t.Fatalf("two blocks on three shards: %s", got)
+	}
+	if err := removeOne(r, 1, blocks); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -179,106 +319,27 @@ func TestStationBlocksAreAggregationSwitches(t *testing.T) {
 	}
 }
 
-// TestRingBlocksLieOnOneShard checks with testing/quick that every block
-// of the city plant lies wholly on one shard, whatever the ring.
-func TestRingBlocksLieOnOneShard(t *testing.T) {
-	g, blocks := cityBlocks(t)
-	prop := func(nShards, vnodes uint8) bool {
-		ids := make([]int, int(nShards%8)+1)
-		for i := range ids {
-			ids[i] = i
-		}
-		r := NewRing(int(vnodes%64)+1, blocks, ids...)
-		for _, st := range g.Stations {
-			own, _ := r.Owner(st.ID)
-			if blockOwner, _ := r.Owner(r.block(st.ID)); own != blockOwner {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRingBlockRemovalMovesOnlyVictimsBlocks: Without(id) moves exactly
-// id's blocks, and With(id) moves blocks only onto id.
-func TestRingBlockRemovalMovesOnlyVictimsBlocks(t *testing.T) {
-	g, blocks := cityBlocks(t)
-	prop := func(nShards, pick uint8) bool {
-		n := int(nShards%7) + 2 // 2..8 shards
-		ids := make([]int, n)
-		for i := range ids {
-			ids[i] = i
-		}
-		r := NewRing(DefaultVNodes, blocks, ids...)
-		id := int(pick) % n
-		without := r.Without(id)
-		again := without.With(id)
-		for _, st := range g.Stations {
-			before, _ := r.Owner(st.ID)
-			after, _ := without.Owner(st.ID)
-			if (before == id) == (after == before) {
-				return false // a victim's block stayed, or a survivor's moved
-			}
-			if back, _ := again.Owner(st.ID); back != before {
-				return false // re-adding id must move exactly its blocks back
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRingBlockAdditionMovesBlocksOnlyToNewcomer is the dual: growing the
-// ring moves blocks only onto the new shard.
-func TestRingBlockAdditionMovesBlocksOnlyToNewcomer(t *testing.T) {
-	g, blocks := cityBlocks(t)
-	prop := func(nShards uint8) bool {
-		n := int(nShards%7) + 1 // 1..7 existing shards
-		ids := make([]int, n)
-		for i := range ids {
-			ids[i] = i
-		}
-		r := NewRing(DefaultVNodes, blocks, ids...)
-		with := r.With(n)
-		for _, st := range g.Stations {
-			before, _ := r.Owner(st.ID)
-			if after, _ := with.Owner(st.ID); after != before && after != n {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestBlocksKeepTheGatewayTableSmall is the measured table behind placing
-// blocks rather than stations (DESIGN.md §8): the city plant at 1, 2 and 4
+// contiguous runs of blocks (DESIGN.md §8): the city plant at 1, 2 and 4
 // shards with every (station, allow clause) path installed, reporting the
-// fullest hardware switch and the station imbalance (fullest shard over the
-// mean) under each layout. Per-station hashing gives every shard stations
-// everywhere, so no shard's location prefixes aggregate; blocks keep a
-// shard's stations under shared prefixes.
+// fullest hardware switch and the station imbalance (fullest shard over
+// the mean). A shard whose stations sit under a few shared location
+// prefixes needs few per-prefix rules; the runs keep them there.
 func TestBlocksKeepTheGatewayTableSmall(t *testing.T) {
-	g, blocks := cityBlocks(t)
+	g, _ := cityBlocks(t)
 	plan := packet.DefaultPlan
 	plan.TagBits = 12
 	pol := policy.ExampleCarrierPolicy()
-	fullest := func(shards int, blocks []packet.BSID) (rules int, imbalance float64) {
-		d, err := newOverBlocks(Config{
+	want := map[int]int{1: 162, 2: 219, 4: 333}
+	t.Logf("%-6s  %-14s  %s", "shards", "fullest switch", "station imbalance")
+	for _, shards := range []int{1, 2, 4} {
+		d, err := New(Config{
 			Topology: g.Topology, Gateway: g.GatewayID, Policy: pol, Plan: plan, Shards: shards,
 			MBTypes: map[string]topo.MBType{policy.MBFirewall: 0, policy.MBTranscoder: 1, policy.MBEchoCancel: 2},
-		}, blocks)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer d.Close()
 		for _, st := range g.Stations {
 			for _, cl := range allowClauses(t, d) {
 				if _, err := d.RequestPath(st.ID, cl); err != nil {
@@ -286,9 +347,9 @@ func TestBlocksKeepTheGatewayTableSmall(t *testing.T) {
 				}
 			}
 		}
-		most := 0
+		most, rules := 0, 0
 		for _, s := range d.Shards() {
-			most = max(most, len(s.Stations))
+			most = max(most, len(s.Ctrl.Stations()))
 		}
 		for n := range g.Nodes {
 			if g.Nodes[n].Kind == topo.Access {
@@ -300,21 +361,17 @@ func TestBlocksKeepTheGatewayTableSmall(t *testing.T) {
 			}
 			rules = max(rules, sum)
 		}
-		return rules, float64(most) * float64(shards) / float64(len(g.Stations))
-	}
-	t.Logf("%-6s  %-26s  %s", "shards", "fullest switch: stations", "blocks (station imbalance)")
-	for _, shards := range []int{1, 2, 4} {
-		byStation, _ := fullest(shards, nil)
-		byBlock, imb := fullest(shards, blocks)
-		t.Logf("%-6d  %-26d  %d (%.3f)", shards, byStation, byBlock, imb)
-		if shards == 1 && byBlock != byStation {
-			t.Fatalf("one shard: %d rules with blocks, %d without; the layout must not matter", byBlock, byStation)
+		d.Close()
+		imbalance := float64(most) * float64(shards) / float64(len(g.Stations))
+		t.Logf("%-6d  %-14d  %.3f", shards, rules, imbalance)
+		if shards == 1 && rules != want[1] {
+			t.Fatalf("one shard: fullest switch holds %d rules, want %d", rules, want[1])
 		}
-		if shards > 1 && byBlock >= byStation {
-			t.Fatalf("%d shards: fullest switch holds %d rules with blocks, %d with stations", shards, byBlock, byStation)
+		if diff := float64(rules-want[shards]) / float64(want[shards]); diff > 0.05 || diff < -0.05 {
+			t.Fatalf("%d shards: fullest switch holds %d rules, want %d within 5%%", shards, rules, want[shards])
 		}
-		if shards == 2 && byBlock > 400 {
-			t.Fatalf("two shards: fullest switch holds %d rules with blocks, more than 400", byBlock)
+		if imbalance > 1.1 {
+			t.Fatalf("%d shards: station imbalance %.3f, above 1.1", shards, imbalance)
 		}
 	}
 }

@@ -134,7 +134,7 @@ func TestRegisterOnceAttachAnywhere(t *testing.T) {
 	}
 	ue, _, err := d.Attach("sleeper", bsB)
 	if err != nil {
-		t.Fatalf("first attach at a rehashed station: %v", err)
+		t.Fatalf("first attach at a moved station: %v", err)
 	}
 	if owner, _ := d.Ring().Owner(bsB); owner == shardB.ID || ue.BS != bsB {
 		t.Fatalf("sleeper attached as %+v with station %d still routed to the dead shard %d", ue, bsB, owner)
