@@ -723,9 +723,10 @@ func (c *Controller) importUELocked(bs packet.BSID, u UE) error {
 // (policy change or middlebox rebalancing) and rebuilds the forwarding
 // state from the remaining paths, reinstalled in the order they were first
 // installed — removal by recomputation, per the paper's offline-algorithm
-// discussion. Classifier caches at agents go stale by design: their next
-// flow for the clause asks the controller again (tag 0 semantics), and no
-// removed tag can be served again.
+// discussion. Classifier caches at agents go stale: a removed tag is never
+// issued again, so it cannot alias a new path, but packets still carrying
+// it are not dropped yet — rules that ignore the tag carry them on, past
+// their middleboxes (ROADMAP item 1).
 func (c *Controller) RemovePolicyPaths(clause int) error {
 	c.ruleMu.Lock()
 	defer c.ruleMu.Unlock()

@@ -79,9 +79,11 @@ type plannedPath struct {
 // in the order given, and replaces the current one. Aggregated rules are
 // shared between paths, so deleting one path's rules in place could strand
 // others; recomputing from the surviving set is always correct. The fresh
-// Installer continues the tag sequence — a stale tag embedded in a
-// microflow or an agent cache must miss, never alias onto a new path — and
-// every FIB's version, so a data plane sees every switch change. The path
+// Installer continues the tag sequence, so a retired tag is never issued
+// again and one still embedded in a microflow or an agent cache cannot
+// alias a new path (its packets are not dropped yet: rules that ignore the
+// tag carry them on, past their middleboxes — ROADMAP item 1) — and every
+// FIB's version, so a data plane sees every switch change. The path
 // table, the tag-plan epoch and the store's path/ documents follow: a path
 // not reinstalled is withdrawn, and a reinstalled one's document names its
 // new ID. It returns how many routes failed to install; their paths are

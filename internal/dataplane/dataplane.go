@@ -642,8 +642,11 @@ func (n *Network) Attach(imsi string, bs packet.BSID) (core.UE, error) {
 
 // RefreshClassifiers re-pushes every attached UE's compiled classifiers to
 // its agent — used after policy changes or failure recomputation, when
-// cached tags have gone stale (stale tags miss and re-resolve; they never
-// alias, because the controller's tag sequence survives rebuilds).
+// cached tags have gone stale. A retired tag is never issued again (the
+// controller's tag sequence survives rebuilds), so it cannot alias a new
+// path; but packets still carrying one are not dropped yet: the rules
+// that ignore the tag carry them on, past their middleboxes (ROADMAP
+// item 1).
 func (n *Network) RefreshClassifiers() error {
 	for bs, ag := range n.Agents {
 		rep := ag.LocationReport()

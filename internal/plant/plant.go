@@ -81,8 +81,10 @@ func MBTypes() map[string]topo.MBType {
 // PlanFor is the address/tag layout a plant of the given width runs. A
 // sharded plant gives each shard one residue class of the tag space, and
 // churn (policy withdrawal, switch failure) takes a fresh tag for every
-// rebuilt path — stale tags must miss, never alias — so it widens the tag
-// field to the full 12 bits; a single controller keeps the default.
+// rebuilt path — a retired tag is never issued again, so it cannot alias
+// a new one (packets still carrying it are not dropped yet; ROADMAP item
+// 1) — so it widens the tag field to the full 12 bits; a single controller
+// keeps the default.
 func PlanFor(shards int) packet.Plan {
 	pl := packet.DefaultPlan
 	if shards > 0 {

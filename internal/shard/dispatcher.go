@@ -26,8 +26,8 @@ type Config struct {
 	// Shards is the partition width (default 1).
 	Shards int
 	// QueueLen bounds the operations inside each shard at once (default
-	// 1024): admission sheds against this occupancy, and at the bound a
-	// caller blocks until another finishes instead of piling on.
+	// 1024): at the bound a caller blocks until another finishes instead
+	// of piling on.
 	QueueLen int
 
 	// Plan defaults to packet.DefaultPlan. PermPool (default
@@ -40,11 +40,6 @@ type Config struct {
 	// Install passes installer options through; each shard's TagOffset and
 	// TagStride are overwritten with its partition coordinates.
 	Install core.InstallerOptions
-
-	// Admission configures per-shard overload protection (class-based load
-	// shedding, per-station token buckets, circuit breakers). The zero
-	// value disables all of it.
-	Admission Admission
 
 	// Obs, when non-nil, registers dispatcher-wide telemetry (cross-shard
 	// handoff latency, failover events) plus per-shard occupancy metrics and
@@ -168,8 +163,7 @@ func New(cfg Config) (*Dispatcher, error) {
 		if ctrl.Instance() != id+1 {
 			return nil, fmt.Errorf("shard: shard %d's controller joined the subscriber table as instance %d", id, ctrl.Instance())
 		}
-		adm := newAdmission(cfg.Admission, newAdmObs(cfg.Obs, id))
-		d.shards[id] = newShard(id, ctrl, owned, cfg.QueueLen, newShardObs(cfg.Obs, id), adm)
+		d.shards[id] = newShard(id, ctrl, owned, cfg.QueueLen, newShardObs(cfg.Obs, id))
 	}
 	return d, nil
 }
@@ -226,7 +220,7 @@ func (d *Dispatcher) RegisterSubscriber(imsi string, attr policy.Attributes) err
 }
 
 // RequestPath resolves a policy path on the owning shard, in the caller's
-// goroutine — the sharded hot path: ring lookup, admission, a slot, then
+// goroutine — the sharded hot path: ring lookup, a slot, then
 // core.Controller.RequestPathCtx (a lock-free tag-cache read when the
 // path is already installed). As an in-process entry point it makes the
 // trace root-sampling decision (one request in every
@@ -249,9 +243,8 @@ func (d *Dispatcher) RequestPathCtx(sc obs.SpanContext, bs packet.BSID, clause i
 	return tag, err
 }
 
-// requestPath routes one path request, retrying once when it was caught
-// by a concurrent failover (a dead shard, or its tripped breaker failing
-// fast) against the fresh ring.
+// requestPath routes one path request, retrying once against the fresh
+// ring when a concurrent failover declared its shard dead.
 func (d *Dispatcher) requestPath(sc obs.SpanContext, bs packet.BSID, clause int) (packet.Tag, error) {
 	for attempt := 0; ; attempt++ {
 		s, err := d.ShardOf(bs)
@@ -259,7 +252,7 @@ func (d *Dispatcher) requestPath(sc obs.SpanContext, bs packet.BSID, clause int)
 			return 0, err
 		}
 		tag, err := s.requestPath(sc, bs, clause)
-		if attempt == 0 && (errors.Is(err, ErrShardDown) || errors.Is(err, ErrCircuitOpen)) {
+		if attempt == 0 && errors.Is(err, ErrShardDown) {
 			continue
 		}
 		return tag, err
@@ -269,8 +262,7 @@ func (d *Dispatcher) requestPath(sc obs.SpanContext, bs packet.BSID, clause int)
 // AgentView exports the owning shard's snapshot of one base station's
 // agent state (core.Controller.AgentView, which takes the controller's
 // locks, so the export is consistent with the mutations it snapshots). It
-// is the source of the versioned LKG snapshots pushed to agents; as
-// protocol-internal work it bypasses admission control.
+// is the source of the versioned LKG snapshots pushed to agents.
 func (d *Dispatcher) AgentView(bs packet.BSID) (core.AgentView, error) {
 	for attempt := 0; ; attempt++ {
 		s, err := d.ShardOf(bs)
@@ -332,11 +324,8 @@ func (d *Dispatcher) attach(sc obs.SpanContext, imsi string, bs packet.BSID) (co
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if src := d.holder(imsi); src != nil && src != target {
-		mig, err := src.extract(sc, imsi)
-		if err != nil {
-			return core.UE{}, nil, err
-		}
-		return target.adopt(sc, mig, bs)
+		_, ue, cls, err := migrate(src, target, imsi, bs)
+		return ue, cls, err
 	}
 	return target.attach(sc, imsi, bs)
 }
@@ -387,18 +376,24 @@ func (d *Dispatcher) ResolveLocIP(perm packet.Addr) (packet.Addr, error) {
 }
 
 // RecoverLocations rebuilds UE-location state across the shards from live
-// agents' reports (§5.2), routing each station's report to its owner.
+// agents' reports (§5.2), as one controller given the same reports would:
+// every live shard, in id order, rebuilds from the reports for the
+// stations the ring routes to it — none, if no agent of its reported — so
+// a UE no report names is detached wherever it was.
 func (d *Dispatcher) RecoverLocations(reports []core.AgentLocationReport) error {
-	byShard := make(map[*Shard][]core.AgentLocationReport)
+	byShard := make([][]core.AgentLocationReport, len(d.shards))
 	for _, rep := range reports {
 		s, err := d.ShardOf(rep.BS)
 		if err != nil {
 			return err
 		}
-		byShard[s] = append(byShard[s], rep)
+		byShard[s.ID] = append(byShard[s.ID], rep)
 	}
-	for s, reps := range byShard {
-		if err := s.recoverLocations(reps); err != nil {
+	for _, s := range d.shards {
+		if s.Down() {
+			continue
+		}
+		if err := s.recoverLocations(byShard[s.ID]); err != nil {
 			return err
 		}
 	}

@@ -55,13 +55,11 @@ func (d *Dispatcher) FailShard(id int, reports []core.AgentLocationReport) (Fail
 		return FailoverReport{}, fmt.Errorf("shard: cannot fail the last shard")
 	}
 	// Publish the new ring first so no new request routes to the victim,
-	// then declare it dead — callers waiting at its bound leave with
+	// then declare it dead: callers waiting at its bound leave with
 	// ErrShardDown, and the operations already inside are waited out, so no
-	// holder mark naming it changes after this — and trip its breaker so
-	// stragglers fail fast instead of probing a corpse.
+	// holder mark naming it changes after this.
 	d.ring.Store(newRing)
 	victim.close()
-	victim.adm.trip()
 
 	rep := FailoverReport{Shard: id}
 

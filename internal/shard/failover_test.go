@@ -3,7 +3,10 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -355,5 +358,199 @@ func TestPermanentAddressSurvivesItsShard(t *testing.T) {
 	}
 	if _, err := d.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFloodThroughAFailover is the -race flood: eight callers mix path
+// requests, handoffs and attaches over two shards bounded at 8 operations
+// each, and one of them fails a shard mid-flood with no agent reports.
+// Every error is a policy answer (a handoff to the station the UE is at,
+// or to a UE the failover lost) or, while the failover is in progress,
+// the dead-shard window (ErrShardDown, or core.ErrNotOwned from a new
+// owner yet to absorb the station). Afterwards the control plane is
+// consistent, and a fresh attach at the moved station and a cross-shard
+// handoff back both complete.
+func TestFloodThroughAFailover(t *testing.T) {
+	d, g := newBoundedDispatcher(t, 2, 8)
+	bsA, bsB := twoShardStations(t, d, g)
+	clauses := allowClauses(t, d)
+
+	const workers = 8
+	for i := 0; i < workers; i++ {
+		imsi := fmt.Sprintf("imsi-%d", i)
+		if err := d.RegisterSubscriber(imsi, policy.Attributes{Provider: "p", DeviceType: "phone"}); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := d.Attach(imsi, bsA); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	victim, err := d.ShardOf(bsB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var failedOver atomic.Bool
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			imsi := fmt.Sprintf("imsi-%d", i)
+			for n := 0; n < 200; n++ {
+				bs := bsA
+				if n%2 == 1 {
+					bs = bsB
+				}
+				after := failedOver.Load()
+				var err error
+				switch n % 3 {
+				case 0:
+					_, err = d.RequestPath(bs, clauses[n%len(clauses)])
+				case 1:
+					_, err = d.Handoff(imsi, bs)
+				default:
+					_, _, err = d.Attach(imsi, bs)
+				}
+				switch {
+				case err == nil, errors.Is(err, core.ErrNotAttached),
+					strings.Contains(err.Error(), "already at base station"):
+				case !after && (errors.Is(err, ErrShardDown) || errors.Is(err, core.ErrNotOwned)):
+				default:
+					t.Errorf("caller %d, op %d (failed over: %v): %v", i, n, after, err)
+				}
+				if n == 50 && i == 0 {
+					if _, ferr := d.FailShard(victim.ID, nil); ferr != nil {
+						t.Errorf("failover: %v", ferr)
+					}
+					failedOver.Store(true)
+				}
+			}
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+
+	if !victim.Down() {
+		t.Fatal("the failed shard is not down")
+	}
+	if _, err := d.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.RegisterSubscriber("imsi-final", policy.Attributes{Provider: "p", DeviceType: "phone"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := d.Attach("imsi-final", bsB); err != nil {
+		t.Fatalf("post-failover attach: %v", err)
+	}
+	if _, err := d.Handoff("imsi-final", bsA); err != nil {
+		t.Fatalf("post-failover handoff: %v", err)
+	}
+	if ue, ok := d.LookupUE("imsi-final"); !ok || ue.BS != bsA {
+		t.Fatalf("handoff lost the UE: %+v ok=%v", ue, ok)
+	}
+}
+
+// TestRecoverLocationsMatchesOneController gives one controller and 1-, 2-
+// and 3-shard dispatchers the same UEs and then the same agent reports: a
+// UE no report names is detached, whichever shard held it, so every system
+// ends with the same attached UEs at the same stations.
+func TestRecoverLocationsMatchesOneController(t *testing.T) {
+	g, err := topo.Generate(topo.GenParams{K: 2, ClusterSize: 10, MBTypes: 3, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol := policy.ExampleCarrierPolicy()
+	mbTypes := map[string]topo.MBType{policy.MBFirewall: 0, policy.MBTranscoder: 1, policy.MBEchoCancel: 2}
+	// Two UEs at every fourth station: five stations, spread over every shard.
+	var imsis []string
+	at := make(map[string]packet.BSID)
+	for s := 0; s < len(g.Stations); s += 4 {
+		for k := 0; k < 2; k++ {
+			imsi := fmt.Sprintf("ue-%d-%d", s, k)
+			imsis = append(imsis, imsi)
+			at[imsi] = g.Stations[s].ID
+		}
+	}
+	type system interface {
+		RegisterSubscriber(string, policy.Attributes) error
+		LookupUE(string) (core.UE, bool)
+		RecoverLocations([]core.AgentLocationReport) error
+	}
+	populate := func(sys system, attach func(string, packet.BSID) error) {
+		t.Helper()
+		for _, imsi := range imsis {
+			if err := sys.RegisterSubscriber(imsi, policy.Attributes{Provider: "A"}); err != nil {
+				t.Fatal(err)
+			}
+			if err := attach(imsi, at[imsi]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	attached := func(sys system) map[string]packet.BSID {
+		out := make(map[string]packet.BSID)
+		for _, imsi := range imsis {
+			if ue, ok := sys.LookupUE(imsi); ok {
+				out[imsi] = ue.BS
+			}
+		}
+		return out
+	}
+
+	first, last := g.Stations[0].ID, g.Stations[len(g.Stations)-4].ID
+	for name, reported := range map[string][]packet.BSID{
+		"none":           nil,
+		"first":          {first},
+		"first and last": {first, last},
+	} {
+		t.Run(name, func(t *testing.T) {
+			ctrl, err := core.NewController(g.Topology, core.ControllerConfig{
+				Gateway: g.GatewayID, Policy: pol, MBTypes: mbTypes,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			populate(ctrl, func(imsi string, bs packet.BSID) error {
+				_, _, err := ctrl.Attach(imsi, bs)
+				return err
+			})
+			var reports []core.AgentLocationReport
+			for _, bs := range reported {
+				rep := core.AgentLocationReport{BS: bs}
+				for _, imsi := range imsis {
+					if ue, ok := ctrl.LookupUE(imsi); ok && ue.BS == bs {
+						rep.UEs = append(rep.UEs, ue)
+					}
+				}
+				reports = append(reports, rep)
+			}
+			if err := ctrl.RecoverLocations(reports); err != nil {
+				t.Fatal(err)
+			}
+			want := attached(ctrl)
+			if len(want) != 2*len(reported) {
+				t.Fatalf("one controller kept %d UEs, want %d", len(want), 2*len(reported))
+			}
+
+			for _, shards := range []int{1, 2, 3} {
+				d, _ := newTestDispatcher(t, shards)
+				populate(d, func(imsi string, bs packet.BSID) error {
+					_, _, err := d.Attach(imsi, bs)
+					return err
+				})
+				if err := d.RecoverLocations(reports); err != nil {
+					t.Fatalf("%d shards: %v", shards, err)
+				}
+				if got := attached(d); !maps.Equal(got, want) {
+					t.Errorf("%d shards: attached %v, one controller %v", shards, got, want)
+				}
+				if _, err := d.CheckInvariants(); err != nil {
+					t.Errorf("%d shards: %v", shards, err)
+				}
+			}
+		})
 	}
 }

@@ -61,19 +61,9 @@ func (d *Dispatcher) handoff(sc obs.SpanContext, imsi string, newBS packet.BSID)
 		return hr, err
 	}
 
-	// Cross-shard: freeze on the source...
 	start := d.obs.reg.Now()
-	mig, err := src.extract(sc, imsi)
+	mig, ue, cls, err := migrate(src, target, imsi, newBS)
 	if err != nil {
-		return core.HandoffResult{}, err
-	}
-	// ...install on the target.
-	ue, cls, err := target.adopt(sc, mig, newBS)
-	if err != nil {
-		// Roll the record back onto the source so the UE is not lost.
-		if _, _, rerr := src.adopt(obs.SpanContext{}, mig, mig.OldBS); rerr != nil {
-			return core.HandoffResult{}, fmt.Errorf("shard: cross-shard handoff failed (%v) and rollback failed: %w", err, rerr)
-		}
 		return core.HandoffResult{}, err
 	}
 	d.obs.crossDone.Inc()
@@ -89,4 +79,23 @@ func (d *Dispatcher) handoff(sc obs.SpanContext, imsi string, newBS packet.BSID)
 		// cross-shard FIB writes, which shards by design never do).
 		Classifiers: cls,
 	}, nil
+}
+
+// migrate moves a UE's record between shards in two phases: src extracts
+// it, then target adopts it at bs. When target refuses, the record goes
+// back onto src at the station it left, so a failed move loses no UE. The
+// caller holds the UE's stripe.
+func migrate(src, target *Shard, imsi string, bs packet.BSID) (core.MigratedUE, core.UE, []core.Classifier, error) {
+	mig, err := src.extract(imsi)
+	if err != nil {
+		return mig, core.UE{}, nil, err
+	}
+	ue, cls, err := target.adopt(mig, bs)
+	if err != nil {
+		if _, _, rerr := src.adopt(mig, mig.OldBS); rerr != nil {
+			return mig, core.UE{}, nil, fmt.Errorf("shard: moving UE %q across shards failed (%v) and rollback failed: %w", imsi, err, rerr)
+		}
+		return mig, core.UE{}, nil, err
+	}
+	return mig, ue, cls, nil
 }

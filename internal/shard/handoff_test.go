@@ -2,11 +2,14 @@ package shard
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/packet"
 	"repro/internal/policy"
+	"repro/internal/topo"
 )
 
 func TestCrossShardHandoffPreservesPolicyPath(t *testing.T) {
@@ -143,5 +146,78 @@ func TestConcurrentCrossShardHandoffs(t *testing.T) {
 	}
 	if loc, err := d.ResolveLocIP(ue.PermIP); err != nil || loc != got.LocIP {
 		t.Fatalf("directory out of sync: ResolveLocIP = %s, %v; UE.LocIP = %s", loc, err, got.LocIP)
+	}
+}
+
+// TestFailedMoveKeepsTheUE moves a UE from station A to a station B with
+// no UE ID left (a 2-bit UE field holds three), by Attach and by Handoff,
+// with A and B on one shard and on two. Every move is refused, and the UE
+// is still attached at A: a cross-shard move the target refuses goes back
+// onto the source.
+func TestFailedMoveKeepsTheUE(t *testing.T) {
+	g, err := topo.Generate(topo.GenParams{K: 2, ClusterSize: 10, MBTypes: 3, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	moves := map[string]func(d *Dispatcher, imsi string, bs packet.BSID) error{
+		"Attach": func(d *Dispatcher, imsi string, bs packet.BSID) error {
+			_, _, err := d.Attach(imsi, bs)
+			return err
+		},
+		"Handoff": func(d *Dispatcher, imsi string, bs packet.BSID) error {
+			_, err := d.Handoff(imsi, bs)
+			return err
+		},
+	}
+	for name, move := range moves {
+		for _, shards := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/%d-shard", name, shards), func(t *testing.T) {
+				d, err := New(Config{
+					Topology: g.Topology,
+					Gateway:  g.GatewayID,
+					Policy:   policy.ExampleCarrierPolicy(),
+					MBTypes: map[string]topo.MBType{
+						policy.MBFirewall: 0, policy.MBTranscoder: 1, policy.MBEchoCancel: 2,
+					},
+					Shards: shards,
+					Plan: packet.Plan{
+						Carrier: packet.DefaultPlan.Carrier, UEBits: 2, BSBits: 22, TagBits: 12,
+					},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(d.Close)
+				bsA, bsB := g.Stations[0].ID, g.Stations[1].ID
+				if shards > 1 {
+					bsA, bsB = twoShardStations(t, d, g)
+				}
+				attach := func(imsi string, bs packet.BSID) core.UE {
+					t.Helper()
+					if err := d.RegisterSubscriber(imsi, policy.Attributes{Provider: "A"}); err != nil {
+						t.Fatal(err)
+					}
+					ue, _, err := d.Attach(imsi, bs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return ue
+				}
+				x := attach("x", bsA)
+				for i := 0; i < 3; i++ {
+					attach(fmt.Sprintf("fill-%d", i), bsB)
+				}
+				if err := move(d, "x", bsB); err == nil {
+					t.Fatal("moved a UE to a station with no UE ID left")
+				}
+				ue, ok := d.LookupUE("x")
+				if !ok || ue.BS != bsA || ue.PermIP != x.PermIP {
+					t.Fatalf("after the refused move: %+v attached=%v, want at station %d", ue, ok, bsA)
+				}
+				if _, err := d.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
 	}
 }

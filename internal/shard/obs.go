@@ -49,51 +49,14 @@ func newDispObs(reg *obs.Registry) dispObs {
 }
 
 // shardObs holds one shard's occupancy telemetry, registered on the
-// dispatcher registry's "shard.<id>" view. The span name registers on
-// the root registry instead: every shard's admission lands in one
-// waterfall segment, not a per-shard sliver.
+// dispatcher registry's "shard.<id>" view.
 type shardObs struct {
 	depth *obs.Gauge // operations inside the shard or waiting at its bound
-
-	spAdmit *obs.SpanName // shard.admission — the admission pipeline
 }
 
 func newShardObs(reg *obs.Registry, id int) shardObs {
 	if reg == nil {
 		return shardObs{}
 	}
-	return shardObs{
-		depth:   reg.Sub("shard." + strconv.Itoa(id)).Gauge("queue.depth"),
-		spAdmit: reg.SpanName("shard.admission"),
-	}
-}
-
-// admObs holds one shard's admission-control telemetry: shed counts by
-// request class, token-bucket refusals, and the circuit breaker's state
-// machine, all under the same "shard.<id>" view as the occupancy gauge.
-// Handles are nil-safe no-ops when the dispatcher runs uninstrumented.
-type admObs struct {
-	shed            [numClasses]*obs.Counter
-	throttled       *obs.Counter
-	breakerState    *obs.Gauge // 0 closed, 1 open, 2 half-open
-	breakerTrips    *obs.Counter
-	breakerFastFail *obs.Counter
-}
-
-func newAdmObs(reg *obs.Registry, id int) admObs {
-	if reg == nil {
-		return admObs{}
-	}
-	sub := reg.Sub("shard." + strconv.Itoa(id))
-	return admObs{
-		shed: [numClasses]*obs.Counter{
-			ClassBearer:  sub.Counter("admission.shed.bearer"),
-			ClassAttach:  sub.Counter("admission.shed.attach"),
-			ClassHandoff: sub.Counter("admission.shed.handoff"),
-		},
-		throttled:       sub.Counter("admission.throttled"),
-		breakerState:    sub.Gauge("breaker.state"),
-		breakerTrips:    sub.Counter("breaker.trips"),
-		breakerFastFail: sub.Counter("breaker.fastfail"),
-	}
+	return shardObs{depth: reg.Sub("shard." + strconv.Itoa(id)).Gauge("queue.depth")}
 }

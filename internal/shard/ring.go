@@ -9,9 +9,9 @@
 // registration, permanent address — sits in the one core.Subscribers table
 // every shard admits from.
 // A Dispatcher fronts the shards and runs every operation on its caller's
-// goroutine, behind per-shard admission control and a per-shard bound on
-// concurrent operations, so N shards serve requests with no shared lock on
-// the hot path.
+// goroutine, behind a per-shard dead-shard check and bound on concurrent
+// operations, so N shards serve requests with no shared lock on the hot
+// path.
 //
 // Cross-shard concerns are explicit: handoff.go migrates a UE between
 // shards in two phases (freeze-on-source, install-on-target) behind the

@@ -99,10 +99,8 @@ func TestSpanTreeEndToEnd(t *testing.T) {
 	for _, seg := range a.Segments {
 		segments[seg.Name] = true
 	}
-	// Dispatcher roots plus the shared per-shard admission segment.
-	for _, want := range []string{
-		"shard.attach", "shard.path", "shard.handoff", "shard.admission",
-	} {
+	// The dispatcher's roots.
+	for _, want := range []string{"shard.attach", "shard.path", "shard.handoff"} {
 		if !segments[want] {
 			t.Errorf("segment %q missing from attribution:\n%s", want, a.Waterfall())
 		}
