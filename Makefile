@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet fmt lint fuzz verify bench-check policy-gate bench-smoke bench city-gate blackout-smoke profile clean chaos cover span-alloc-gate sync-alloc-gate loc
+.PHONY: all build test race vet fmt lint fuzz verify bench-check policy-gate bench-smoke bench city-gate blackout-smoke profile clean chaos cover span-alloc-gate sync-alloc-gate flowsetup-alloc-gate loc
 
 all: verify
 
@@ -81,6 +81,7 @@ verify:
 	$(MAKE) cover
 	$(MAKE) span-alloc-gate
 	$(MAKE) sync-alloc-gate
+	$(MAKE) flowsetup-alloc-gate
 	$(MAKE) bench-smoke
 	$(MAKE) city-gate
 	$(MAKE) blackout-smoke
@@ -154,6 +155,20 @@ sync-alloc-gate:
 	if [ -z "$$bytes" ]; then echo "sync-alloc-gate: benchmark produced no B/op figure"; exit 1; fi; \
 	if [ "$$bytes" -gt 40000 ]; then echo "FAIL: the Sync after a handoff allocates $$bytes B/op (limit 40000)"; exit 1; fi; \
 	echo "sync-alloc-gate: the Sync after a handoff allocates $$bytes B/op (limit 40000)"
+
+# flowsetup-alloc-gate pins that a flow set-up's cost does not grow with
+# the flows already resident: the Sync after the agent installs a new
+# flow's two microflows patches the access switch's compiled microflow
+# index instead of recompiling the whole table, so BenchmarkFlowSetup at
+# 512 resident microflows must stay at or under 16 000 B/op (135 kB while
+# every set-up recompiled the whole index).
+flowsetup-alloc-gate:
+	@out=$$($(GO) test -run '^$$' -bench '^BenchmarkFlowSetup$$' -benchmem ./internal/dataplane); \
+	echo "$$out"; \
+	bytes=$$(echo "$$out" | awk '/BenchmarkFlowSetup\/microflows=512/ {for (i=1;i<=NF;i++) if ($$i == "B/op") print $$(i-1)}'); \
+	if [ -z "$$bytes" ]; then echo "flowsetup-alloc-gate: benchmark produced no B/op figure at 512 microflows"; exit 1; fi; \
+	if [ "$$bytes" -gt 16000 ]; then echo "FAIL: a flow set-up at 512 resident microflows allocates $$bytes B/op (limit 16000)"; exit 1; fi; \
+	echo "flowsetup-alloc-gate: a flow set-up at 512 resident microflows allocates $$bytes B/op (limit 16000)"
 
 # blackout-smoke is the agent-survivability gate (DESIGN.md §15): the
 # control plane goes dark for 30 sim-seconds under live traffic, and the

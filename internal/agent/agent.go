@@ -53,8 +53,51 @@ type flowState struct {
 // (unlike classifiers, which live in the immutable snapshot) and dropped on
 // Restart — the microflows themselves survive in the switch.
 type ueFlows struct {
-	flows   map[packet.FlowKey]flowState // keyed by orig
+	flows map[packet.FlowKey]flowState // keyed by orig
+	// wire counts the book's flows per rewritten five-tuple, for
+	// ephemeralPort. It is built once a value ephemeralPort picks could be
+	// held: when nextEph wraps, or when a handoff brings in flows another
+	// book numbered. Until then every value it picks is new to the book.
+	// Kept from a book's first flow instead, the map cost 3 % more
+	// bytes_per_subscriber on forward_plain and 2.5 % on e2e_mobility
+	// (EXPERIMENTS.md, "Microflow ledger").
+	wire    map[packet.FlowKey]int
 	nextEph uint16
+}
+
+// put files f, replacing the book's flow with the same original key.
+func (uf *ueFlows) put(f flowState) {
+	if old, ok := uf.flows[f.orig]; ok {
+		uf.drop(old)
+	}
+	uf.flows[f.orig] = f
+	if uf.wire != nil {
+		uf.wire[f.rewritten]++
+	}
+}
+
+// drop removes f from the book.
+func (uf *ueFlows) drop(f flowState) {
+	delete(uf.flows, f.orig)
+	if uf.wire == nil {
+		return
+	}
+	if n := uf.wire[f.rewritten]; n > 1 {
+		uf.wire[f.rewritten] = n - 1
+	} else {
+		delete(uf.wire, f.rewritten)
+	}
+}
+
+// indexWire builds the wire counts, if they are not kept yet.
+func (uf *ueFlows) indexWire() {
+	if uf.wire != nil {
+		return
+	}
+	uf.wire = make(map[packet.FlowKey]int, len(uf.flows))
+	for _, f := range uf.flows {
+		uf.wire[f.rewritten]++
+	}
 }
 
 // Stats count the agent's control-plane activity; Table 2's benchmark
@@ -72,6 +115,9 @@ type Stats struct {
 	Rejected   uint64 // snapshots refused by validation
 	Replayed   uint64 // flows reinstalled under a changed tag at reconcile
 	TornDown   uint64 // flows removed at reconcile (path or UE withdrawn)
+	// PortsExhausted counts flows refused because every ephemeral value
+	// toward their destination was held (ErrPortsExhausted).
+	PortsExhausted uint64
 }
 
 // counters is the lock-free backing store for Stats.
@@ -86,6 +132,8 @@ type counters struct {
 	rejected   atomic.Uint64
 	replayed   atomic.Uint64
 	tornDown   atomic.Uint64
+
+	portsExhausted atomic.Uint64
 }
 
 // Agent is one base station's local controller.
@@ -160,6 +208,8 @@ func (a *Agent) Stats() Stats {
 		Rejected:   a.stats.rejected.Load(),
 		Replayed:   a.stats.replayed.Load(),
 		TornDown:   a.stats.tornDown.Load(),
+
+		PortsExhausted: a.stats.portsExhausted.Load(),
 	}
 }
 
@@ -255,7 +305,10 @@ func (a *Agent) HandlePacketIn(p *packet.Packet) (allowed bool, err error) {
 		// restarts) hit it without another round trip.
 		a.derive(func(d *snapshotDraft) { d.tags[cl.Clause] = t })
 	}
-	return true, a.installFlow(su, p.Flow(), tag, cl.Clause, cl.QoS)
+	if err := a.installFlow(su, p.Flow(), tag, cl.Clause, cl.QoS); err != nil {
+		return false, err
+	}
+	return true, nil
 }
 
 // installFlow takes the agent lock and installs one admitted flow.
@@ -303,7 +356,7 @@ func (a *Agent) handleM2M(su *snapUE, p *packet.Packet) (bool, error) {
 	down := switchsim.Action{Output: switchsim.PortUE, SetDst: &perm}
 	a.Access.InstallMicroflow(rewritten.Reverse(), down)
 	a.mu.Lock()
-	a.flowsFor(perm).flows[orig] = flowState{orig: orig, rewritten: rewritten}
+	a.flowsFor(perm).put(flowState{orig: orig, rewritten: rewritten})
 	a.mu.Unlock()
 	a.stats.microflows.Add(2)
 	a.obs.microflows.Add(2)
@@ -400,12 +453,15 @@ func (a *Agent) installMicroflows(su *snapUE, uf *ueFlows, orig packet.FlowKey, 
 	if tag > a.plan.MaxTag() {
 		return fmt.Errorf("agent: tag %d does not fit the %d-bit tag field", tag, a.plan.TagBits)
 	}
-	uf.nextEph++
-	if int(uf.nextEph) >= 1<<a.plan.EphemeralBits() {
-		uf.nextEph = 1 // wrap: ephemeral reuse, like real port allocation
+	old, booked := uf.flows[orig]
+	if booked {
+		uf.drop(old) // a re-installed flow gives up its old wire tuple
 	}
-	sport, err := a.plan.EmbedPort(tag, uf.nextEph)
+	sport, err := a.ephemeralPort(uf, su.ue.LocIP, orig, tag)
 	if err != nil {
+		if booked {
+			uf.put(old) // refused: the flow keeps the microflows it has
+		}
 		return err
 	}
 	loc := su.ue.LocIP
@@ -427,10 +483,40 @@ func (a *Agent) installMicroflows(su *snapUE, uf *ueFlows, orig packet.FlowKey, 
 	down := switchsim.Action{Output: switchsim.PortUE, SetDst: &perm, SetDstPort: &origPort}
 	a.Access.InstallMicroflow(rewritten.Reverse(), down)
 
-	uf.flows[orig] = flowState{orig: orig, rewritten: rewritten, clause: clause, tag: tag, qos: qos}
+	uf.put(flowState{orig: orig, rewritten: rewritten, clause: clause, tag: tag, qos: qos})
 	a.stats.microflows.Add(2)
 	a.obs.microflows.Add(2)
 	return nil
+}
+
+// ephemeralPort picks a new flow's wire source port: its tag and the next
+// ephemeral value, wrapping like real port allocation, that leaves the
+// rewritten five-tuple (loc, port to orig's destination) to no live flow
+// in the UE's book. Switch entries the book no longer lists do not hold a
+// value. With every value held the flow is refused with ErrPortsExhausted
+// and counted.
+//
+// caller holds mu
+func (a *Agent) ephemeralPort(uf *ueFlows, loc packet.Addr, orig packet.FlowKey, tag packet.Tag) (uint16, error) {
+	values := 1<<a.plan.EphemeralBits() - 1 // 1..values; 0 is never used
+	for range values {
+		if int(uf.nextEph) >= values {
+			uf.nextEph = 0
+			uf.indexWire() // the values come round again
+		}
+		uf.nextEph++
+		sport, err := a.plan.EmbedPort(tag, uf.nextEph)
+		if err != nil {
+			return 0, err
+		}
+		w := packet.FlowKey{Src: loc, Dst: orig.Dst, SrcPort: sport, DstPort: orig.DstPort, Proto: orig.Proto}
+		if uf.wire[w] == 0 {
+			return sport, nil
+		}
+	}
+	a.stats.portsExhausted.Add(1)
+	a.obs.portsExhausted.Inc()
+	return 0, fmt.Errorf("agent: flow %s at bs%d: %w", orig, a.BS, ErrPortsExhausted)
 }
 
 // ActiveFlows lists a UE's live upstream flow keys (original form).
@@ -498,6 +584,9 @@ func (a *Agent) MigrateFlows(newAgent *Agent, newUE core.UE, oldLocIP packet.Add
 	newAgent.mu.Lock()
 	defer newAgent.mu.Unlock()
 	nuf := newAgent.flowsFor(newUE.PermIP)
+	if len(flows) > 0 {
+		nuf.indexWire() // the flows carry values another book picked
+	}
 	for _, f := range flows {
 		loc := f.rewritten.Src
 		sport := f.rewritten.SrcPort
@@ -515,7 +604,7 @@ func (a *Agent) MigrateFlows(newAgent *Agent, newUE core.UE, oldLocIP packet.Add
 		origPort := f.orig.SrcPort
 		down := switchsim.Action{Output: switchsim.PortUE, SetDst: &perm, SetDstPort: &origPort}
 		newAgent.Access.InstallMicroflow(f.rewritten.Reverse(), down)
-		nuf.flows[f.orig] = f
+		nuf.put(f)
 		newAgent.stats.microflows.Add(2)
 		newAgent.obs.microflows.Add(2)
 	}

@@ -3,6 +3,7 @@ package agent
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -296,5 +297,113 @@ func TestTagTooWideRejected(t *testing.T) {
 		Tag: plan.MaxTag() + 1, Allow: true}})
 	if _, err := ag.HandlePacketIn(upPkt(ue, 40000)); err == nil {
 		t.Fatal("oversized tag should be rejected")
+	}
+}
+
+// TestEphemeralValuesRunOut fills every ephemeral value a 12-bit tag plan
+// leaves (4 bits: 15) with live flows from one UE to one server. The next
+// flow there is refused with ErrPortsExhausted, counted, and installs
+// nothing; one to another server is admitted. After a Restart drops the
+// flow books, the switch entries left behind hold no value, so the same
+// flow is admitted.
+func TestEphemeralValuesRunOut(t *testing.T) {
+	wide := plan
+	wide.TagBits = 12
+	ag := New(1, switchsim.NewSwitch("as-test"), wide, newFakeController())
+	ue := testUE(t, 1, 1)
+	if err := ag.AdmitUE(ue, webClassifiers(7)); err != nil {
+		t.Fatal(err)
+	}
+	values := 1<<wide.EphemeralBits() - 1
+	for i := 0; i < values; i++ {
+		if ok, err := ag.HandlePacketIn(upPkt(ue, uint16(42000+i))); !ok || err != nil {
+			t.Fatalf("flow %d: allowed=%v err=%v", i, ok, err)
+		}
+	}
+	before := ag.Access.NumMicroflows()
+	extra := upPkt(ue, uint16(42000+values))
+	if ok, err := ag.HandlePacketIn(extra); ok || !errors.Is(err, ErrPortsExhausted) {
+		t.Fatalf("flow %d of %d values: allowed=%v err=%v, want ErrPortsExhausted", values+1, values, ok, err)
+	}
+	if n := ag.Stats().PortsExhausted; n != 1 || ag.Access.NumMicroflows() != before {
+		t.Fatalf("%d refusals counted and %d microflows installed, want 1 and none", n, ag.Access.NumMicroflows()-before)
+	}
+	other := upPkt(ue, uint16(42000+values))
+	other.Dst = packet.AddrFrom4(1, 1, 1, 2)
+	if ok, err := ag.HandlePacketIn(other); !ok || err != nil {
+		t.Fatalf("a flow to another server: allowed=%v err=%v", ok, err)
+	}
+	ag.Restart()
+	if ok, err := ag.HandlePacketIn(upPkt(ue, uint16(42000+values))); !ok || err != nil {
+		t.Fatalf("after a restart: allowed=%v err=%v", ok, err)
+	}
+
+	// A booked flow punted again when no value is left keeps its book
+	// entry and its microflows. It came in by a handoff, so its wire tuple
+	// carries the old station's address and frees no value here.
+	home := New(2, switchsim.NewSwitch("as-home"), wide, newFakeController())
+	away, moved := testUE(t, 2, 2), testUE(t, 1, 2)
+	if err := home.AdmitUE(away, webClassifiers(7)); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := home.HandlePacketIn(upPkt(away, 41999)); !ok || err != nil {
+		t.Fatalf("the handed-over flow: allowed=%v err=%v", ok, err)
+	}
+	if err := ag.AdmitUE(moved, webClassifiers(7)); err != nil {
+		t.Fatal(err)
+	}
+	if err := home.MigrateFlows(ag, moved, away.LocIP); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < values; i++ {
+		if ok, err := ag.HandlePacketIn(upPkt(moved, uint16(43000+i))); !ok || err != nil {
+			t.Fatalf("flow %d after the handoff: allowed=%v err=%v", i, ok, err)
+		}
+	}
+	before = ag.Access.NumMicroflows()
+	booked := upPkt(moved, 41999)
+	if ok, err := ag.HandlePacketIn(booked); ok || !errors.Is(err, ErrPortsExhausted) {
+		t.Fatalf("a booked flow punted again with every value held: allowed=%v err=%v, want ErrPortsExhausted", ok, err)
+	}
+	if !slices.Contains(ag.ActiveFlows(moved.PermIP), booked.Flow()) || ag.Access.NumMicroflows() != before {
+		t.Fatalf("the refused flow left the book (%d flows listed) or changed the switch (%d microflows, %d before)",
+			len(ag.ActiveFlows(moved.PermIP)), ag.Access.NumMicroflows(), before)
+	}
+}
+
+// TestInheritedFlowsHoldTheirValues hands a UE away and back to the same
+// station under the same LocIP. The flow it opened there before comes back
+// in the flow book with the ephemeral value it was given, and a new flow to
+// the same server must not pick that value again.
+func TestInheritedFlowsHoldTheirValues(t *testing.T) {
+	home := New(1, switchsim.NewSwitch("as-home"), plan, newFakeController())
+	away := New(2, switchsim.NewSwitch("as-away"), plan, newFakeController())
+	ue, moved := testUE(t, 1, 1), testUE(t, 2, 1)
+	if err := home.AdmitUE(ue, webClassifiers(7)); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := home.HandlePacketIn(upPkt(ue, 42000)); !ok || err != nil {
+		t.Fatalf("first flow: allowed=%v err=%v", ok, err)
+	}
+	if err := away.AdmitUE(moved, webClassifiers(7)); err != nil {
+		t.Fatal(err)
+	}
+	if err := home.MigrateFlows(away, moved, ue.LocIP); err != nil {
+		t.Fatal(err)
+	}
+	if err := home.AdmitUE(ue, webClassifiers(7)); err != nil {
+		t.Fatal(err)
+	}
+	if err := away.MigrateFlows(home, ue, moved.LocIP); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := home.HandlePacketIn(upPkt(ue, 42001)); !ok || err != nil {
+		t.Fatalf("second flow: allowed=%v err=%v", ok, err)
+	}
+	first, second := upPkt(ue, 42000), upPkt(ue, 42001)
+	home.Access.Process(first, switchsim.PortUE)
+	home.Access.Process(second, switchsim.PortUE)
+	if first.Flow() == second.Flow() {
+		t.Fatalf("the inherited flow and the new one both go on the wire as %s", first.Flow())
 	}
 }

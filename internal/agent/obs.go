@@ -21,6 +21,8 @@ type agentObs struct {
 	tornDown   *obs.Counter
 	version    *obs.Gauge
 
+	portsExhausted *obs.Counter
+
 	// spPublish times validate+swap+reconcile of one snapshot publication.
 	// Publications are controller-pushed, not request-scoped, so each one
 	// roots its own trace under the sampling knob.
@@ -48,6 +50,8 @@ func (a *Agent) Instrument(reg *obs.Registry) {
 		replayed:   reg.Counter("agent.reconcile.replayed"),
 		tornDown:   reg.Counter("agent.reconcile.torndown"),
 		version:    reg.Gauge("agent.snapshot.version"),
+
+		portsExhausted: reg.Counter("agent.flows.ports_exhausted"),
 
 		spPublish: reg.SpanName("agent.publish"),
 	}

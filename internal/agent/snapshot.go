@@ -20,6 +20,11 @@ var ErrStaleSnapshot = errors.New("agent: stale snapshot version")
 // instead of a blocking RPC.
 var ErrNoPath = errors.New("agent: no admitted policy path in snapshot")
 
+// ErrPortsExhausted refuses a new flow when every ephemeral value of the
+// UE's tagged source port is held by a live flow to the same destination:
+// one more would put two flows on one wire five-tuple.
+var ErrPortsExhausted = errors.New("agent: every ephemeral port toward the destination is in use")
+
 // Snapshot is the agent's versioned classifier state: per-UE classifiers,
 // the station's admitted (clause -> tag) grants, and the controller's
 // tag-plan epoch. It is immutable after publish — readers pick it up
@@ -348,12 +353,12 @@ func (a *Agent) reconcile() ReconcileReport {
 			case !ok:
 				a.Access.RemoveMicroflow(f.orig)
 				a.Access.RemoveMicroflow(f.rewritten.Reverse())
-				delete(uf.flows, orig)
+				uf.drop(f)
 				rep.TornDown++
 			case tag != f.tag:
 				a.Access.RemoveMicroflow(f.orig)
 				a.Access.RemoveMicroflow(f.rewritten.Reverse())
-				delete(uf.flows, orig)
+				uf.drop(f)
 				if err := a.installMicroflows(su, uf, orig, tag, f.clause, qos); err != nil {
 					rep.TornDown++ // unembeddable replacement tag: counted, not hidden
 				} else {

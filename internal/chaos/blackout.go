@@ -353,8 +353,12 @@ func (e *blackoutEngine) probe(tickNo int) {
 	// the snapshot: the controller is unreachable, and it must not matter.
 	ue := e.ues[(tickNo/e.cfg.ProbeEvery)%len(e.ues)]
 	ag := e.agents[ue.BS]
+	// Each sport gets its own server: a UE can hold only
+	// 2^EphemeralBits-1 live flows to one (agent.ErrPortsExhausted).
 	sport := uint16(42000 + tickNo%1024)
-	allowed, err := ag.HandlePacketIn(probePacket(ue, sport))
+	p := probePacket(ue, sport)
+	p.Dst = packet.AddrFrom4(1, 1, byte(sport>>8), byte(sport))
+	allowed, err := ag.HandlePacketIn(p)
 	if err != nil || !allowed {
 		e.fail(fmt.Errorf("blackout: t=%d new flow for %s during outage: allowed=%v err=%v",
 			tickNo, ue.IMSI, allowed, err))

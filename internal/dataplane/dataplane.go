@@ -145,13 +145,15 @@ const unsynced = ^uint64(0)
 // one switchsim.ReplaceTCAM. Either way concurrent Process calls and
 // fast-path compiles see the old table or the new one and never a partial
 // one; the fast path then recompiles exactly the snapshots whose generation
-// moved, reusing what they compiled of the rules that stayed.
+// moved, reusing what they compiled of the rules that stayed. That includes
+// the access switches whose agents installed or removed microflows since:
+// their compiled microflow index is patched with just those changes.
 //
-// Microflow tables are never touched. A rule's traffic counters (Packets,
-// Bytes) keep counting for as long as the rule stays installed: on skipped
-// switches, and on spliced ones for every rule the splice did not remove.
-// A rebuilt switch's rules are new rules, counting from zero. On error the
-// failing switch keeps the table it had.
+// Sync itself never touches a microflow table. A rule's traffic counters
+// (Packets, Bytes) keep counting for as long as the rule stays installed:
+// on skipped switches, and on spliced ones for every rule the splice did
+// not remove. A rebuilt switch's rules are new rules, counting from zero.
+// On error the failing switch keeps the table it had.
 func (n *Network) Sync() error {
 	for i, sw := range n.Switches {
 		fib := n.Ctrl.Installer.FIB(topo.NodeID(i))

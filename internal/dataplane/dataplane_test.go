@@ -62,8 +62,16 @@ func newNet(t *testing.T, natPool packet.Prefix) (*Network, *fig3) {
 // one middlebox function per topology middlebox type.
 func netOn(t testing.TB, tp *topo.Topology, gw topo.NodeID, natPool packet.Prefix) *Network {
 	t.Helper()
+	return netOnPlan(t, tp, gw, natPool, packet.Plan{})
+}
+
+// netOnPlan is netOn with the controller on the given address plan (the
+// zero plan is packet.DefaultPlan).
+func netOnPlan(t testing.TB, tp *topo.Topology, gw topo.NodeID, natPool packet.Prefix, plan packet.Plan) *Network {
+	t.Helper()
 	ctrl, err := core.NewController(tp, core.ControllerConfig{
 		Gateway: gw,
+		Plan:    plan,
 		Policy:  policy.ExampleCarrierPolicy(),
 		MBTypes: map[string]topo.MBType{
 			policy.MBFirewall:   0,

@@ -18,6 +18,8 @@
 package fastpath
 
 import (
+	"slices"
+
 	"repro/internal/packet"
 	"repro/internal/switchsim"
 )
@@ -142,100 +144,268 @@ func (c *caction) apply(p *packet.Packet) {
 	}
 }
 
-// flowEntry is one probe slot of the microflow index.
-type flowEntry struct {
-	hi, lo uint64
-	slot   int32 // index into mrul; -1 marks an empty probe slot
+// The microflow index's slots live in pages of pageSize.
+const (
+	pageBits = 4
+	pageSize = 1 << pageBits
+	pageMask = pageSize - 1
+)
+
+// flowKey is a five-tuple packed into the index's two key words. The
+// packing never sets lo's top bit; keyUsed sets it, so the zero flowKey
+// marks an empty slot.
+type flowKey struct{ hi, lo uint64 }
+
+const keyUsed = 1 << 63
+
+// flowPage is a fixed-size run of slots, the unit a patch copies. It keeps
+// the slots' keys apart from their compiled microflows, so a probe reads
+// only keys.
+type flowPage struct {
+	keys  [pageSize]flowKey
+	rules [pageSize]rule
 }
 
-// flowTable is an immutable open-addressed microflow index specialised
-// for the five-tuple. The generic map's hashing was the single largest
-// line in the burst profile; packing the key into two words and probing a
-// flat power-of-two table with one multiply-mix hash is severalfold
-// cheaper per lookup. The table is built once at compile time and only
-// read afterwards — it is immutable after publish — so it needs no
-// tombstones and no resizing.
+// flowTable is an open-addressed microflow index specialised for the
+// five-tuple. The generic map's hashing was the single largest line in the
+// burst profile; packing the key into two words and linearly probing a
+// power-of-two table with one multiply-mix hash is severalfold cheaper per
+// lookup. Each slot holds its compiled microflow. The slots live in pages
+// behind a slice of page pointers, and a table is immutable after publish:
+// a recompile patches a copy (flowPatch) that copies the page pointers and
+// only the pages it writes, sharing every other page with the table it
+// replaces. Removal shifts the rest of the probe chain back, so the index
+// has no tombstones, and an insert that would take the load factor past
+// half rebuilds it from its own entries at double size. Once patches have
+// replaced more than a quarter of its pages, the table is laid out again
+// in one block (patched).
 type flowTable struct {
-	ent  []flowEntry
-	mask uint32
-	n    int
+	pages []*flowPage
+	mask  uint32
+	n     int
+	// block holds the pages as the table was last laid out, in one
+	// allocation; loose counts the pages patches have replaced since by
+	// copies of their own.
+	block []flowPage
+	loose int
 }
 
-// flowWords packs a packet's five-tuple into the index's two key words.
-func flowWords(p *packet.Packet) (uint64, uint64) {
-	return uint64(p.Src)<<32 | uint64(p.Dst),
-		uint64(p.SrcPort)<<24 | uint64(p.DstPort)<<8 | uint64(p.Proto)
+// key returns slot i's key.
+func (t *flowTable) key(i uint32) *flowKey {
+	return &t.pages[i>>pageBits].keys[i&pageMask]
+}
+
+// rule returns slot i's compiled microflow.
+func (t *flowTable) rule(i uint32) *rule {
+	return &t.pages[i>>pageBits].rules[i&pageMask]
+}
+
+// flowWords packs a packet's five-tuple into the index's key.
+func flowWords(p *packet.Packet) flowKey {
+	return flowKey{uint64(p.Src)<<32 | uint64(p.Dst),
+		uint64(p.SrcPort)<<24 | uint64(p.DstPort)<<8 | uint64(p.Proto) | keyUsed}
 }
 
 // flowKeyWords packs a switchsim flow key the same way.
-func flowKeyWords(k packet.FlowKey) (uint64, uint64) {
-	return uint64(k.Src)<<32 | uint64(k.Dst),
-		uint64(k.SrcPort)<<24 | uint64(k.DstPort)<<8 | uint64(k.Proto)
+func flowKeyWords(k packet.FlowKey) flowKey {
+	return flowKey{uint64(k.Src)<<32 | uint64(k.Dst),
+		uint64(k.SrcPort)<<24 | uint64(k.DstPort)<<8 | uint64(k.Proto) | keyUsed}
 }
 
-// flowHash mixes the two key words into a probe start.
-func flowHash(hi, lo uint64) uint32 {
-	x := hi ^ lo*0x9e3779b97f4a7c15
+// flowHash mixes a key into a probe start.
+func flowHash(k flowKey) uint32 {
+	x := k.hi ^ k.lo*0x9e3779b97f4a7c15
 	x ^= x >> 32
 	x *= 0xd6e8feb86659fd93
 	x ^= x >> 32
 	return uint32(x)
 }
 
-// init sizes the table for n flows at a <=50% load factor; init
-// constructs flowTable state before the enclosing snapshot publishes.
-func (t *flowTable) init(n int) {
-	size := 8
+// find probes for a key and returns its slot, or with ok false the empty
+// slot that ends its probe chain; the probe terminates because the load
+// factor leaves empty slots. The table must have pages (n > 0).
+func (t *flowTable) find(k flowKey) (i uint32, ok bool) {
+	for i = flowHash(k) & t.mask; ; i = (i + 1) & t.mask {
+		if e := t.pages[i>>pageBits].keys[i&pageMask]; e == k || e.lo == 0 {
+			return i, e.lo != 0
+		}
+	}
+}
+
+// newFlowTable returns an empty table sized for n flows at a load factor
+// of at most half.
+func newFlowTable(n int) flowTable {
+	size := pageSize
 	for size < 2*n {
 		size <<= 1
 	}
-	t.ent = make([]flowEntry, size)
-	t.mask = uint32(size - 1)
-	for i := range t.ent {
-		t.ent[i].slot = -1
-	}
+	return inBlock(make([]flowPage, size/pageSize), 0)
 }
 
-// insert adds a key during compilation (duplicates overwrite); insert
-// constructs flowTable state before the enclosing snapshot publishes.
-func (t *flowTable) insert(hi, lo uint64, slot int32) {
-	i := flowHash(hi, lo) & t.mask
-	for t.ent[i].slot >= 0 {
-		if t.ent[i].hi == hi && t.ent[i].lo == lo {
-			t.ent[i].slot = slot
+// inBlock returns a table of n entries laid out in block.
+func inBlock(block []flowPage, n int) flowTable {
+	pages := make([]*flowPage, len(block))
+	for i := range block {
+		pages[i] = &block[i]
+	}
+	return flowTable{pages: pages, mask: uint32(len(block)*pageSize - 1), n: n, block: block}
+}
+
+// microIndex compiles a whole microflow table; it also reports the rules
+// it compiled. An empty table (core and gateway switches hold no
+// microflows) allocates nothing.
+func microIndex(micro map[packet.FlowKey]*switchsim.Rule) (flowTable, int) {
+	if len(micro) == 0 {
+		return flowTable{}, 0
+	}
+	p := flowPatch{t: newFlowTable(len(micro))}
+	for key, r := range micro {
+		p.add(flowKeyWords(key), compileRule(r))
+	}
+	return p.t, len(micro)
+}
+
+// patched returns the table with changes applied in order, sharing every
+// page no change writes; it also reports the rules it compiled. Once more
+// than a quarter of its pages are loose, it is laid out again in one
+// block: pages strewn over the heap slowed forwarding by a tenth
+// (EXPERIMENTS.md, "Microflow ledger"). A relayout copies the table once
+// per at least a quarter as many page copies, so a change's amortised
+// cost stays proportional to its edits.
+func (t flowTable) patched(changes []switchsim.MicroChange) (flowTable, int) {
+	p := flowPatch{t: t, base: t.pages}
+	p.t.pages = slices.Clone(t.pages)
+	compiled := 0
+	for _, c := range changes {
+		if c.Rule == nil {
+			p.del(flowKeyWords(c.Key))
+			continue
+		}
+		p.put(flowKeyWords(c.Key), compileRule(c.Rule))
+		compiled++
+	}
+	if 4*p.t.loose > len(p.t.pages) {
+		block := make([]flowPage, len(p.t.pages))
+		for i, pg := range p.t.pages {
+			block[i] = *pg
+		}
+		p.t = inBlock(block, p.t.n)
+	}
+	return p.t, compiled
+}
+
+// flowPatch edits t, a copy of a published table whose page pointers are
+// t's own but whose pages are still base's where they are equal: such a
+// page is copied before its first write.
+type flowPatch struct {
+	t    flowTable
+	base []*flowPage
+}
+
+// page returns the page holding slot i ready for writing, copying it out
+// of base first if it is still shared; page constructs flowTable state
+// before the enclosing snapshot publishes.
+func (p *flowPatch) page(i uint32) *flowPage {
+	pg := i >> pageBits
+	if int(pg) < len(p.base) && p.t.pages[pg] == p.base[pg] {
+		if p.t.pages[pg] == &p.t.block[pg] {
+			p.t.loose++
+		}
+		cp := *p.t.pages[pg]
+		p.t.pages[pg] = &cp
+	}
+	return p.t.pages[pg]
+}
+
+// put makes r the entry for k. A new key that would take the table past
+// half full first rebuilds it from its own entries at double size (one
+// page when empty). put constructs flowTable state before the enclosing
+// snapshot publishes.
+func (p *flowPatch) put(k flowKey, r rule) {
+	if p.t.n > 0 {
+		if i, ok := p.t.find(k); ok {
+			p.page(i).rules[i&pageMask] = r
 			return
 		}
-		i = (i + 1) & t.mask
 	}
-	t.ent[i] = flowEntry{hi: hi, lo: lo, slot: slot}
-	t.n++
+	if 2*(p.t.n+1) > len(p.t.pages)*pageSize {
+		old := p.t
+		p.t, p.base = newFlowTable(len(old.pages)*pageSize), nil
+		for _, pg := range old.pages {
+			for j, k := range pg.keys {
+				if k.lo != 0 {
+					p.add(k, pg.rules[j])
+				}
+			}
+		}
+	}
+	p.add(k, r)
 }
 
-// find probes for a key; linear probing, guaranteed to terminate because
-// the load factor leaves empty slots.
-func (t *flowTable) find(hi, lo uint64) (int32, bool) {
-	i := flowHash(hi, lo) & t.mask
-	for {
-		e := &t.ent[i]
-		if e.slot < 0 {
-			return 0, false
-		}
-		if e.hi == hi && e.lo == lo {
-			return e.slot, true
-		}
-		i = (i + 1) & t.mask
+// add puts a key the table does not hold in the first empty slot of its
+// probe chain. add constructs flowTable state before the enclosing
+// snapshot publishes.
+func (p *flowPatch) add(k flowKey, r rule) {
+	i := flowHash(k) & p.t.mask
+	for p.t.key(i).lo != 0 {
+		i = (i + 1) & p.t.mask
 	}
+	p.move(i, k, r)
+	p.t.n++
 }
 
-// crule is one compiled rule: match, action, and the live switchsim rule
-// it was compiled from (for traffic-counter attribution). It does not know
-// its slot in the snapshot's flat rule numbering (TCAM first, then
-// microflows), so a later snapshot can share it wherever it lands there.
-type crule struct {
+// move writes slot i. move constructs flowTable state before the
+// enclosing snapshot publishes.
+func (p *flowPatch) move(i uint32, k flowKey, r rule) {
+	pg := p.page(i)
+	pg.keys[i&pageMask], pg.rules[i&pageMask] = k, r
+}
+
+// del removes k's entry, if any, by backward-shift deletion: each later
+// entry of the probe chain whose home slot does not lie cyclically after
+// the hole moves into it, so every remaining key stays reachable from its
+// home slot with no tombstone left behind.
+// del constructs flowTable state before the enclosing snapshot publishes.
+func (p *flowPatch) del(k flowKey) {
+	if p.t.n == 0 {
+		return
+	}
+	hole, ok := p.t.find(k)
+	if !ok {
+		return
+	}
+	for j := (hole + 1) & p.t.mask; ; j = (j + 1) & p.t.mask {
+		e := *p.t.key(j)
+		if e.lo == 0 {
+			break
+		}
+		home := flowHash(e) & p.t.mask
+		// e may fill the hole unless its home is in (hole, j], cyclically.
+		if (j-home)&p.t.mask >= (j-hole)&p.t.mask {
+			p.move(hole, e, *p.t.rule(j))
+			hole = j
+		}
+	}
+	p.move(hole, flowKey{}, rule{})
+	p.t.n--
+}
+
+// rule is what executing a compiled rule takes: its ID, its action, and
+// the live switchsim rule it was compiled from (for traffic-counter
+// attribution). It does not know its slot in the snapshot's flat rule
+// numbering (TCAM first, then the microflow index's slots), so a later
+// snapshot can share it wherever it lands there.
+type rule struct {
 	id   switchsim.RuleID
-	m    cmatch
 	act  caction
 	live *switchsim.Rule
+}
+
+// crule is one compiled TCAM rule: a rule and its match. A microflow needs
+// no compiled match; its key is its match.
+type crule struct {
+	m cmatch
+	rule
 }
 
 // ruleAcc accumulates one burst's traffic against one compiled rule.
@@ -252,7 +422,7 @@ type ruleAcc struct {
 // flush.
 type tally struct {
 	stats   switchsim.BurstStats
-	acc     []ruleAcc // indexed by crule slot; entries zero unless touched
+	acc     []ruleAcc // indexed by flat rule slot; entries zero unless touched
 	touched []int32
 	direct  bool
 }
@@ -269,7 +439,7 @@ func (t *tally) ensure(n int) {
 
 // account attributes one packet of payload bytes to a compiled rule in
 // the given flat slot.
-func (t *tally) account(r *crule, slot int32, payload int) {
+func (t *tally) account(r *rule, slot int32, payload int) {
 	if t.direct {
 		r.live.Account(payload)
 		return
@@ -298,8 +468,7 @@ type Snapshot struct {
 	microGen, tcamGen uint64
 	lastID            switchsim.RuleID
 
-	micro flowTable // flow five-tuple -> index into mrul
-	mrul  []crule   // compiled microflow entries
+	micro flowTable // flow five-tuple -> compiled microflow
 	tcam  []crule   // priority-sorted (same order as the switch)
 	miss  caction
 	// missDrop is the table-miss verdict's drop bit; the miss formula
@@ -311,16 +480,22 @@ type Snapshot struct {
 // Compile flattens the switch's current tables into an immutable snapshot.
 //
 // hotpath: cold
-func Compile(sw *switchsim.Switch) *Snapshot { return compile(sw, nil) }
+func Compile(sw *switchsim.Switch) *Snapshot {
+	s, _ := compile(sw, nil)
+	return s
+}
 
 // compile is Compile reusing prev, an earlier snapshot of the same switch
-// (or nil): a table that has not changed since prev is shared with it, and
-// a TCAM rule prev compiled is copied rather than compiled again. Its live
-// rule pointer identifies it; a rule installed since has an ID above
-// prev.lastID, and the rules still installed keep their order.
+// (or nil); it also reports how many rules it compiled. A table that has
+// not changed since prev is shared with it. A moved microflow table the
+// switch hands over as its changes since prev patches prev's index, and
+// one it hands over whole is indexed afresh. A TCAM rule prev compiled is
+// copied rather than compiled again: its live rule pointer identifies it,
+// a rule installed since has an ID above prev.lastID, and the rules still
+// installed keep their order.
 //
 // hotpath: cold
-func compile(sw *switchsim.Switch, prev *Snapshot) *Snapshot {
+func compile(sw *switchsim.Switch, prev *Snapshot) (*Snapshot, int) {
 	if prev == nil {
 		prev = &Snapshot{microGen: ^uint64(0), tcamGen: ^uint64(0)}
 	}
@@ -331,21 +506,18 @@ func compile(sw *switchsim.Switch, prev *Snapshot) *Snapshot {
 		tcamGen:  v.TCAMGen,
 		lastID:   prev.lastID,
 		micro:    prev.micro,
-		mrul:     prev.mrul,
 		tcam:     prev.tcam,
 		miss:     compileAction(v.Miss),
 		missDrop: v.Miss.Drop || (!v.Miss.ToController && v.Miss.Output < 0),
 		src:      sw,
 	}
-	if v.MicroGen != prev.microGen {
-		s.mrul = make([]crule, 0, len(v.Micro))
-		s.micro = flowTable{}
-		s.micro.init(len(v.Micro))
-		for key, r := range v.Micro {
-			hi, lo := flowKeyWords(key)
-			s.micro.insert(hi, lo, int32(len(s.mrul)))
-			s.mrul = append(s.mrul, compileRule(r))
-		}
+	compiled := 0
+	switch {
+	case v.MicroGen == prev.microGen:
+	case len(v.MicroChanges) > 0:
+		s.micro, compiled = prev.micro.patched(v.MicroChanges)
+	default:
+		s.micro, compiled = microIndex(v.Micro)
 	}
 	if v.TCAMGen != prev.tcamGen {
 		s.tcam = make([]crule, 0, len(v.Ordered))
@@ -361,22 +533,24 @@ func compile(sw *switchsim.Switch, prev *Snapshot) *Snapshot {
 				old = old[1:]
 				continue
 			}
-			s.tcam = append(s.tcam, compileRule(r))
+			s.tcam = append(s.tcam, crule{m: compileMatch(r.Match), rule: compileRule(r)})
+			compiled++
 			s.lastID = max(s.lastID, r.ID)
 		}
 	}
-	return s
+	return s, compiled
 }
 
-// slots reports the snapshot's flat rule count (TCAM plus microflows).
-func (s *Snapshot) slots() int { return len(s.tcam) + len(s.mrul) }
+// slots reports the snapshot's flat rule-slot count: the TCAM's rules,
+// then the microflow index's slots.
+func (s *Snapshot) slots() int { return len(s.tcam) + len(s.micro.pages)*pageSize }
 
 // ruleAt returns the compiled rule in a flat slot.
-func (s *Snapshot) ruleAt(slot int32) *crule {
+func (s *Snapshot) ruleAt(slot int32) *rule {
 	if int(slot) < len(s.tcam) {
-		return &s.tcam[slot]
+		return &s.tcam[slot].rule
 	}
-	return &s.mrul[int(slot)-len(s.tcam)]
+	return s.micro.rule(uint32(int(slot) - len(s.tcam)))
 }
 
 // flush drains a burst's tallies: per-rule traffic to the live rules'
@@ -392,22 +566,21 @@ func (s *Snapshot) flush(t *tally) {
 	t.stats = switchsim.BurstStats{}
 }
 
-// compileRule flattens one live rule. The rule's match was normalised at
+// compileRule flattens one live rule's action.
+func compileRule(r *switchsim.Rule) rule {
+	return rule{id: r.ID, act: compileAction(r.Action), live: r}
+}
+
+// compileMatch flattens a TCAM rule's match. The match was normalised at
 // install time, so the compiled port bounds are the effective ones.
-func compileRule(r *switchsim.Rule) crule {
-	m := r.Match
-	return crule{
-		id: r.ID,
-		m: cmatch{
-			inPort: m.InPort,
-			srcVal: uint32(m.Src.Addr), srcMask: prefixMask(m.Src.Len),
-			dstVal: uint32(m.Dst.Addr), dstMask: prefixMask(m.Dst.Len),
-			sLo: m.SrcPortLo, sHi: m.SrcPortHi,
-			dLo: m.DstPortLo, dHi: m.DstPortHi,
-			proto: m.Proto,
-		},
-		act:  compileAction(r.Action),
-		live: r,
+func compileMatch(m switchsim.Match) cmatch {
+	return cmatch{
+		inPort: m.InPort,
+		srcVal: uint32(m.Src.Addr), srcMask: prefixMask(m.Src.Len),
+		dstVal: uint32(m.Dst.Addr), dstMask: prefixMask(m.Dst.Len),
+		sLo: m.SrcPortLo, sHi: m.SrcPortHi,
+		dLo: m.DstPortLo, dHi: m.DstPortHi,
+		proto: m.Proto,
 	}
 }
 
@@ -429,13 +602,13 @@ func (s *Snapshot) Switch() *switchsim.Switch { return s.src }
 func (s *Snapshot) NumRules() int { return len(s.tcam) }
 
 // NumMicroflows reports compiled exact-match entries.
-func (s *Snapshot) NumMicroflows() int { return len(s.mrul) }
+func (s *Snapshot) NumMicroflows() int { return s.micro.n }
 
 // exec applies one compiled rule, in flat slot slot, to the packet and
 // builds its verdict, attributing traffic to the tally (flushed to the
 // live rules' atomic counters once per burst, or at once for a direct
 // tally).
-func (s *Snapshot) exec(r *crule, slot int32, p *packet.Packet, t *tally) Verdict {
+func (s *Snapshot) exec(r *rule, slot int32, p *packet.Packet, t *tally) Verdict {
 	t.account(r, slot, len(p.Payload))
 	r.act.apply(p)
 	return Verdict{
@@ -465,7 +638,7 @@ func (s *Snapshot) lookup(p *packet.Packet, inPort int, t *tally) Verdict {
 		t.stats.MicroMiss++
 	} else if i, ok := s.micro.find(flowWords(p)); ok {
 		t.stats.MicroHit++
-		v = s.exec(&s.mrul[i], int32(len(s.tcam))+i, p, t)
+		v = s.exec(s.micro.rule(i), int32(len(s.tcam))+int32(i), p, t)
 		matched = true
 	} else {
 		t.stats.MicroMiss++
@@ -478,7 +651,7 @@ func (s *Snapshot) lookup(p *packet.Packet, inPort int, t *tally) Verdict {
 		for i := range s.tcam {
 			if s.tcam[i].m.covers(p, inPort) {
 				t.stats.TCAMHit++
-				v = s.exec(&s.tcam[i], int32(i), p, t)
+				v = s.exec(&s.tcam[i].rule, int32(i), p, t)
 				matched = true
 				break
 			}

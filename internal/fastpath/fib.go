@@ -45,8 +45,8 @@ func (f *FIB) Acquire() *Snapshot {
 	if cur != nil {
 		f.o.stale()
 	}
-	ns := compile(f.sw, cur)
-	f.o.compiled()
+	ns, rules := compile(f.sw, cur)
+	f.o.compiled(rules)
 	for {
 		cur = f.snap.Load()
 		if cur != nil && cur.Gen >= ns.Gen {

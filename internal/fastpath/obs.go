@@ -10,6 +10,7 @@ import (
 // is an atomic add or a fixed-bucket histogram observe — 0 allocs.
 type fpObs struct {
 	compile  *obs.Counter   // snapshots compiled
+	rules    *obs.Counter   // rules compiled (compileRule calls)
 	staleHit *obs.Counter   // stale snapshots detected (generation moved)
 	bursts   *obs.Counter   // bursts processed (per-switch acquisitions)
 	burstSz  *obs.Histogram // burst sizes in packets
@@ -25,6 +26,7 @@ func newFPObs(reg *obs.Registry) *fpObs {
 	}
 	return &fpObs{
 		compile:  reg.Counter("fastpath.snapshot.compile"),
+		rules:    reg.Counter("fastpath.rules.compiled"),
 		staleHit: reg.Counter("fastpath.snapshot.stale"),
 		bursts:   reg.Counter("fastpath.bursts"),
 		burstSz:  reg.Histogram("fastpath.burst.size", 1, 2, 4, 8, 16, 32, 64, 128, 256),
@@ -34,9 +36,11 @@ func newFPObs(reg *obs.Registry) *fpObs {
 	}
 }
 
-func (o *fpObs) compiled() {
+// compiled counts one snapshot compile that compiled rules rules.
+func (o *fpObs) compiled(rules int) {
 	if o != nil {
 		o.compile.Inc()
+		o.rules.Add(uint64(rules))
 	}
 }
 

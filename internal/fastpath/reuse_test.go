@@ -2,6 +2,9 @@ package fastpath
 
 import (
 	"math/rand"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -52,93 +55,405 @@ func attribution(s *Snapshot, t *tally) map[*switchsim.Rule]ruleAcc {
 	return out
 }
 
+// reuseCounts tallies what checkReuse's recompiles reused.
+type reuseCounts struct {
+	sharedTCAM  int // shared the previous snapshot's compiled TCAM
+	sharedMicro int // shared its whole microflow index
+	// patchedMicro counts recompiles that patched the previous index:
+	// their own page pointers, some of the pages still the previous ones.
+	patchedMicro int
+}
+
+// reuseCheck is one checkReuse run: the switch, the packets every
+// snapshot is checked on, and the microflow keys the mutations draw from.
+type reuseCheck struct {
+	t      *testing.T
+	rng    *rand.Rand
+	sw     *switchsim.Switch
+	fib    *FIB
+	pkts   []*packet.Packet
+	flows  []packet.FlowKey
+	prev   *Snapshot
+	older  []*Snapshot  // every snapshot the FIB published, oldest first
+	seen   [][]slotCopy // each older snapshot's microflow index when published
+	counts reuseCounts
+}
+
 // checkReuse drives a random switch through random interleavings of
 // microflow and TCAM mutations. After each round the FIB's snapshot —
 // recompiled from the one before it, reusing what did not change — must
 // agree with a fresh Compile on every packet: verdict, header rewrites,
-// pipeline tallies and the live rule each packet is charged to. It reports
-// how many rounds shared the previous snapshot's compiled TCAM and its
-// microflow index.
-func checkReuse(t *testing.T, rng *rand.Rand) (sharedTCAM, sharedMicro int) {
+// pipeline tallies and the live rule each packet is charged to. So must a
+// second consumer that compiles from an older snapshot, one the switch's
+// change log may no longer reach. The large mode grows the microflow index
+// past 200 flows, past a page and through several doublings, removes
+// flows whose probe chains wrap the end of the index, and makes more
+// changes than the log holds between two compiles.
+func checkReuse(t *testing.T, rng *rand.Rand, large bool) reuseCounts {
 	t.Helper()
-	sw := buildSwitch(genSpecs(rng, rng.Intn(16)), genAction(rng))
-	pkts := make([]*packet.Packet, 32)
-	var flows []packet.FlowKey
-	for i := range pkts {
-		pkts[i] = genPacket(rng)
+	c := &reuseCheck{t: t, rng: rng, sw: buildSwitch(genSpecs(rng, rng.Intn(16)), genAction(rng))}
+	c.pkts = make([]*packet.Packet, 32)
+	for i := range c.pkts {
+		c.pkts[i] = genPacket(rng)
 		if i%4 == 0 {
-			flows = append(flows, pkts[i].Flow())
+			c.flows = append(c.flows, c.pkts[i].Flow())
 		}
 	}
-	fib := NewFIB(sw)
-	prev := fib.Acquire()
-	for round := 0; round < 24; round++ {
-		for k := rng.Intn(3); k >= 0; k-- {
-			mutate(rng, sw, flows)
-		}
-		reused, fresh := fib.Acquire(), Compile(sw)
-		if reused.Gen != fresh.Gen || reused.NumRules() != fresh.NumRules() || reused.NumMicroflows() != fresh.NumMicroflows() {
-			t.Fatalf("round %d: reused snapshot gen %d, %d rules, %d microflows; fresh gen %d, %d, %d", round,
-				reused.Gen, reused.NumRules(), reused.NumMicroflows(), fresh.Gen, fresh.NumRules(), fresh.NumMicroflows())
-		}
-		if len(prev.tcam) > 0 && len(reused.tcam) > 0 && &prev.tcam[0] == &reused.tcam[0] {
-			sharedTCAM++
-		}
-		if len(prev.mrul) > 0 && len(reused.mrul) > 0 && &prev.mrul[0] == &reused.mrul[0] {
-			sharedMicro++
-		}
-		var tr, tf tally
-		tr.ensure(reused.slots())
-		tf.ensure(fresh.slots())
-		for i, p := range pkts {
-			inPort := rng.Intn(4)
-			a, b := *p, *p
-			vr, vf := reused.lookup(&a, inPort, &tr), fresh.lookup(&b, inPort, &tf)
-			if vr != vf || !headerEq(&a, &b) {
-				t.Fatalf("round %d packet %d: reused snapshot %+v %v, fresh %+v %v", round, i, vr, &a, vf, &b)
+	c.fib = NewFIB(c.sw)
+	c.prev = c.fib.Acquire()
+	c.older, c.seen = []*Snapshot{c.prev}, [][]slotCopy{slotsOf(c.prev)}
+	if !large {
+		for round := 0; round < 24; round++ {
+			for k := rng.Intn(3); k >= 0; k-- {
+				mutate(rng, c.sw, c.flows)
 			}
+			c.round(round)
 		}
-		if tr.stats != tf.stats {
-			t.Fatalf("round %d: reused snapshot tallied %+v, fresh %+v", round, tr.stats, tf.stats)
-		}
-		ar, af := attribution(reused, &tr), attribution(fresh, &tf)
-		if len(ar) != len(af) {
-			t.Fatalf("round %d: reused snapshot charged %d rules, fresh %d", round, len(ar), len(af))
-		}
-		for live, acc := range af {
-			if ar[live] != acc {
-				t.Fatalf("round %d: rule %v charged %+v by the reused snapshot, %+v by a fresh one", round, live, ar[live], acc)
-			}
-		}
-		prev = reused
+		c.unchanged()
+		return c.counts
 	}
-	return sharedTCAM, sharedMicro
+
+	for len(c.flows) < 256 {
+		p := genPacket(rng)
+		c.pkts = append(c.pkts, p)
+		c.flows = append(c.flows, p.Flow())
+	}
+	installed := 0
+	for round := 0; installed < 220; round++ {
+		for k := 1 + rng.Intn(40); k > 0 && installed < len(c.flows); k-- {
+			c.sw.InstallMicroflow(c.flows[installed], genAction(rng))
+			installed++
+		}
+		for k := rng.Intn(4); k > 0; k-- {
+			mutate(rng, c.sw, c.flows[:installed])
+		}
+		c.wantDelta(round)
+		c.round(round)
+	}
+	if c.prev.micro.mask < 255 {
+		t.Fatalf("%d microflows in a %d-slot index; the table never grew to 256 slots", c.prev.NumMicroflows(), c.prev.micro.mask+1)
+	}
+
+	// More changes than the log holds: the next compile starts over. A
+	// removal of an absent flow changes nothing, so it does not count.
+	for changes := 0; changes <= switchsim.MaxMicroChanges; {
+		if f := c.flows[rng.Intn(installed)]; rng.Intn(3) != 0 {
+			c.sw.InstallMicroflow(f, genAction(rng))
+			changes++
+		} else if c.sw.RemoveMicroflow(f) {
+			changes++
+		}
+	}
+	if v := c.sw.ViewChanged(c.prev.microGen, c.prev.tcamGen); len(v.MicroChanges) != 0 || v.Micro == nil {
+		t.Fatalf("%d changes past a %d-entry log were listed (%d) instead of the whole table", switchsim.MaxMicroChanges+1, switchsim.MaxMicroChanges, len(v.MicroChanges))
+	}
+	c.round(-1)
+
+	c.wrapAndRemove()
+	c.unchanged()
+	return c.counts
+}
+
+// slotCopy is one microflow index slot, copied out.
+type slotCopy struct {
+	k flowKey
+	r rule
+}
+
+// slotsOf copies out a snapshot's microflow index, slot by slot.
+func slotsOf(s *Snapshot) []slotCopy {
+	out := make([]slotCopy, 0, len(s.micro.pages)*pageSize)
+	for i := uint32(0); i < uint32(len(s.micro.pages)*pageSize); i++ {
+		out = append(out, slotCopy{*s.micro.key(i), *s.micro.rule(i)})
+	}
+	return out
+}
+
+// unchanged fails the test if a later recompile wrote to a published
+// snapshot's microflow index: patches must copy a shared page first.
+func (c *reuseCheck) unchanged() {
+	for i, s := range c.older {
+		if !slices.Equal(slotsOf(s), c.seen[i]) {
+			c.t.Fatalf("snapshot %d of %d changed after it was published", i, len(c.older))
+		}
+	}
+}
+
+// wantDelta asserts that the switch lists the microflow changes since the
+// FIB's snapshot instead of copying the table.
+func (c *reuseCheck) wantDelta(round int) {
+	v := c.sw.ViewChanged(c.prev.microGen, c.prev.tcamGen)
+	if v.MicroGen != c.prev.microGen && (v.Micro != nil || len(v.MicroChanges) == 0) {
+		c.t.Fatalf("round %d: microflow changes since the last compile came as a copy (%d entries), not as edits", round, len(v.Micro))
+	}
+}
+
+// wrapAndRemove installs keys whose home is the index's last slot, so
+// their probe chain wraps to its start, then removes them one by one: each
+// removal shifts the wrapped rest of the chain back across the end.
+func (c *reuseCheck) wrapAndRemove() {
+	t := c.t
+	for attempt := 0; ; attempt++ {
+		if attempt == 4 {
+			t.Fatal("no wrapped probe chain after 4 attempts")
+		}
+		mask := c.prev.micro.mask
+		var keys []packet.FlowKey
+		for len(keys) < 3 {
+			k := genPacket(c.rng).Flow()
+			if w := flowKeyWords(k); flowHash(w)&mask == mask && c.prev.micro.n > 0 {
+				if _, held := c.prev.micro.find(w); !held {
+					keys = append(keys, k)
+				}
+			}
+		}
+		for _, k := range keys {
+			c.sw.InstallMicroflow(k, genAction(c.rng))
+		}
+		c.pkts = append(c.pkts, &packet.Packet{Src: keys[0].Src, Dst: keys[0].Dst, SrcPort: keys[0].SrcPort, DstPort: keys[0].DstPort, Proto: keys[0].Proto, TTL: 64})
+		c.round(-2)
+		if c.prev.micro.mask != mask {
+			for _, k := range keys { // the install doubled the index: again at the new size
+				c.sw.RemoveMicroflow(k)
+			}
+			c.round(-2)
+			continue
+		}
+		wrapped := 0
+		for _, k := range keys {
+			if i, _ := c.prev.micro.find(flowKeyWords(k)); i < mask {
+				wrapped++
+			}
+		}
+		if wrapped < 2 {
+			t.Fatalf("%d of 3 keys homed at slot %d sit past the end of the index", wrapped, mask)
+		}
+		for _, k := range keys {
+			c.sw.RemoveMicroflow(k)
+			c.round(-3)
+		}
+		return
+	}
+}
+
+// round publishes the FIB's next snapshot and checks it, and a compile
+// from a randomly chosen older snapshot, against a fresh Compile.
+func (c *reuseCheck) round(round int) {
+	t := c.t
+	older := c.older[c.rng.Intn(len(c.older))]
+	var second *Snapshot
+	first := c.rng.Intn(2) == 0 // the second consumer compiles before the FIB does
+	if first {
+		second, _ = compile(c.sw, older)
+	}
+	reused := c.fib.Acquire()
+	if !first {
+		second, _ = compile(c.sw, older)
+	}
+	fresh := Compile(c.sw)
+	c.agree(round, "reused", reused, fresh)
+	c.agree(round, "from an older snapshot", second, fresh)
+	checkIndex(t, round, reused)
+
+	prev := c.prev
+	if len(prev.tcam) > 0 && len(reused.tcam) > 0 && &prev.tcam[0] == &reused.tcam[0] {
+		c.counts.sharedTCAM++
+	}
+	if len(prev.micro.pages) > 0 && len(reused.micro.pages) > 0 {
+		switch {
+		case &prev.micro.pages[0] == &reused.micro.pages[0]:
+			c.counts.sharedMicro++
+		case len(prev.micro.pages) == len(reused.micro.pages):
+			for i := range prev.micro.pages {
+				if prev.micro.pages[i] == reused.micro.pages[i] {
+					c.counts.patchedMicro++
+					break
+				}
+			}
+		}
+	}
+	c.prev = reused
+	c.older, c.seen = append(c.older, reused), append(c.seen, slotsOf(reused))
+}
+
+// agree fails the test unless snapshot s gives what a fresh Compile does
+// on every packet, each arriving on a freshly drawn in-port: verdict,
+// header rewrites, pipeline tallies and the live rule each packet is
+// charged to.
+func (c *reuseCheck) agree(round int, name string, s, fresh *Snapshot) {
+	t := c.t
+	if s.Gen != fresh.Gen || s.NumRules() != fresh.NumRules() || s.NumMicroflows() != fresh.NumMicroflows() {
+		t.Fatalf("round %d: %s snapshot gen %d, %d rules, %d microflows; fresh gen %d, %d, %d", round, name,
+			s.Gen, s.NumRules(), s.NumMicroflows(), fresh.Gen, fresh.NumRules(), fresh.NumMicroflows())
+	}
+	var tr, tf tally
+	tr.ensure(s.slots())
+	tf.ensure(fresh.slots())
+	for i, p := range c.pkts {
+		inPort := c.rng.Intn(4)
+		a, b := *p, *p
+		vr, vf := s.lookup(&a, inPort, &tr), fresh.lookup(&b, inPort, &tf)
+		if vr != vf || !headerEq(&a, &b) {
+			t.Fatalf("round %d packet %d: %s snapshot %+v %v, fresh %+v %v", round, i, name, vr, &a, vf, &b)
+		}
+	}
+	if tr.stats != tf.stats {
+		t.Fatalf("round %d: %s snapshot tallied %+v, fresh %+v", round, name, tr.stats, tf.stats)
+	}
+	ar, af := attribution(s, &tr), attribution(fresh, &tf)
+	if len(ar) != len(af) {
+		t.Fatalf("round %d: %s snapshot charged %d rules, fresh %d", round, name, len(ar), len(af))
+	}
+	for live, acc := range af {
+		if ar[live] != acc {
+			t.Fatalf("round %d: rule %v charged %+v by the %s snapshot, %+v by a fresh one", round, live, ar[live], name, acc)
+		}
+	}
+}
+
+// checkIndex checks a microflow index's shape: whole pages, a power-of-two
+// size at most half full, at most a quarter of its pages outside its block
+// and loose counting them, n the entries it holds, and every entry
+// reachable from its home slot with no empty slot on the way.
+func checkIndex(t *testing.T, round int, s *Snapshot) {
+	t.Helper()
+	tb := &s.micro
+	size := uint32(len(tb.pages)) * pageSize
+	if size == 0 {
+		if tb.n != 0 {
+			t.Fatalf("round %d: an index with no pages holds %d entries", round, tb.n)
+		}
+		return
+	}
+	if tb.mask != size-1 || size&(size-1) != 0 || 2*tb.n > int(size) {
+		t.Fatalf("round %d: %d entries in %d slots with mask %#x", round, tb.n, size, tb.mask)
+	}
+	if len(tb.block) != len(tb.pages) {
+		t.Fatalf("round %d: %d pages laid out in a block of %d", round, len(tb.pages), len(tb.block))
+	}
+	loose := 0
+	for i, pg := range tb.pages {
+		if pg != &tb.block[i] {
+			loose++
+		}
+	}
+	if loose != tb.loose || 4*loose > len(tb.pages) {
+		t.Fatalf("round %d: %d of %d pages are loose and %d counted; past a quarter the index is laid out again", round, loose, len(tb.pages), tb.loose)
+	}
+	n := 0
+	for i := uint32(0); i < size; i++ {
+		e := *tb.key(i)
+		if e.lo == 0 {
+			continue
+		}
+		n++
+		if tb.rule(i).live == nil {
+			t.Fatalf("round %d: slot %d holds a key and no rule", round, i)
+		}
+		for j := flowHash(e) & tb.mask; j != i; j = (j + 1) & tb.mask {
+			if tb.key(j).lo == 0 {
+				t.Fatalf("round %d: the entry in slot %d is cut off from its home by the empty slot %d", round, i, j)
+			}
+		}
+	}
+	if n != tb.n {
+		t.Fatalf("round %d: the index holds %d entries and counts %d", round, n, tb.n)
+	}
 }
 
 // TestSnapshotReuseQuick is the property test of the reusing recompile:
 // for arbitrary tables and mutation sequences it is indistinguishable from
-// a fresh Compile, and the runs do share both tables.
+// a fresh Compile, and the runs do share both tables and patch the
+// microflow index.
 func TestSnapshotReuseQuick(t *testing.T) {
-	tcam, micro := 0, 0
+	var sum reuseCounts
 	f := func(seed int64) bool {
-		st, sm := checkReuse(t, rand.New(rand.NewSource(seed)))
-		tcam, micro = tcam+st, micro+sm
+		c := checkReuse(t, rand.New(rand.NewSource(seed)), seed%4 == 0)
+		sum.sharedTCAM += c.sharedTCAM
+		sum.sharedMicro += c.sharedMicro
+		sum.patchedMicro += c.patchedMicro
 		return !t.Failed()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
-	if tcam == 0 || micro == 0 {
-		t.Fatalf("%d recompiles shared the compiled TCAM and %d the microflow index; the test exercised no reuse", tcam, micro)
+	if sum.sharedTCAM == 0 || sum.sharedMicro == 0 || sum.patchedMicro == 0 {
+		t.Fatalf("%d recompiles shared the compiled TCAM, %d the microflow index and %d patched it; the test exercised too little reuse",
+			sum.sharedTCAM, sum.sharedMicro, sum.patchedMicro)
 	}
 }
 
-// FuzzSnapshotReuse drives the same check from fuzzed seeds.
+// FuzzSnapshotReuse drives the same check from fuzzed seeds; a seed that
+// is a multiple of 4 runs the large mode, as in TestSnapshotReuseQuick.
 func FuzzSnapshotReuse(f *testing.F) {
 	f.Add(int64(1))
 	f.Add(int64(37))
 	f.Add(int64(-424242))
+	f.Add(int64(4))
+	f.Add(int64(-96))
 	f.Fuzz(func(t *testing.T, seed int64) {
-		checkReuse(t, rand.New(rand.NewSource(seed)))
+		checkReuse(t, rand.New(rand.NewSource(seed)), seed%4 == 0)
 	})
+}
+
+// TestMicroflowChurnUnderBursts walks bursts through a switch from four
+// workers while another goroutine installs and removes microflows, so the
+// index is patched, grown and shrunk while acquirers race to recompile,
+// often from the same snapshot; run it under -race. After the churn the
+// snapshot gives Process's verdict and rewrites on every packet.
+func TestMicroflowChurnUnderBursts(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	sw := buildSwitch(genSpecs(rng, 8), switchsim.Action{Output: -1})
+	fib := NewFIB(sw)
+	pkts := make([]*packet.Packet, 256)
+	for i := range pkts {
+		pkts[i] = genPacket(rng)
+	}
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(seed))
+			proc := fib.NewProc()
+			backing := make([]packet.Packet, 32)
+			burst := make([]*packet.Packet, len(backing))
+			for !stop.Load() {
+				for i := range burst {
+					backing[i] = *pkts[r.Intn(len(pkts))]
+					burst[i] = &backing[i]
+				}
+				proc.ProcessBurst(burst, r.Intn(4))
+			}
+		}(int64(w))
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		r := rand.New(rand.NewSource(99))
+		for i := 0; i < 3000; i++ {
+			if k := pkts[r.Intn(len(pkts))].Flow(); r.Intn(3) == 0 {
+				sw.RemoveMicroflow(k)
+			} else {
+				sw.InstallMicroflow(k, genAction(r))
+			}
+		}
+		stop.Store(true)
+	}()
+	wg.Wait()
+
+	snap := fib.Acquire()
+	if snap.Gen != sw.Generation() || snap.NumMicroflows() != sw.NumMicroflows() {
+		t.Fatalf("post-churn snapshot gen %d with %d microflows, switch gen %d with %d", snap.Gen, snap.NumMicroflows(), sw.Generation(), sw.NumMicroflows())
+	}
+	checkIndex(t, 0, snap)
+	for i, p := range pkts {
+		a, b := *p, *p
+		v, want := fib.Step(&a, i%4), sw.Process(&b, i%4)
+		if v.Output != want.Output || v.Drop != want.Drop || v.ToController != want.ToController || !headerEq(&a, &b) {
+			t.Fatalf("packet %d after the churn: snapshot %+v %v, Process out=%d drop=%v punt=%v %v", i, v, &a, want.Output, want.Drop, want.ToController, &b)
+		}
+	}
 }

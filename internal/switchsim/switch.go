@@ -112,6 +112,17 @@ type Switch struct {
 	microGen uint64 // guarded by mu
 	tcamGen  uint64 // guarded by mu
 
+	// microLog lists the microflow changes after generation logFrom,
+	// oldest first, so a compile holding the table as of a generation in
+	// [logFrom, microGen] is handed its edits, not a copy (see
+	// ViewChanged). Recording starts at the first ViewChanged (logging),
+	// so plant set-up before any compile keeps no log. The log grows only
+	// at its end and drops consumed entries only from its front, so a
+	// slice of it already handed out stays valid. guarded by mu
+	microLog []MicroChange
+	logFrom  uint64 // guarded by mu
+	logging  bool   // guarded by mu
+
 	// TableMiss is the verdict for packets no rule covers. The default
 	// zero value drops; gateway/core switches usually leave it, access
 	// switches punt to the local agent. Set it before traffic starts; it is
@@ -143,11 +154,33 @@ func (s *Switch) tcamChanged() {
 	s.tcamGen = atomic.AddUint64(&s.gen, 1)
 }
 
-// microChanged records one microflow-table mutation.
+// MaxMicroChanges bounds a switch's microflow change log. A change past
+// the bound empties the log, and a compile then behind it copies the whole
+// table (see ViewChanged).
+const MaxMicroChanges = 128
+
+// MicroChange is one microflow-table change: at generation Gen the entry
+// for Key became Rule, or with Rule nil was removed.
+type MicroChange struct {
+	Gen  uint64
+	Key  packet.FlowKey
+	Rule *Rule
+}
+
+// microChanged records one microflow-table mutation: key's entry became r,
+// or with r nil was removed.
 //
 // caller holds mu
-func (s *Switch) microChanged() {
+func (s *Switch) microChanged(key packet.FlowKey, r *Rule) {
 	s.microGen = atomic.AddUint64(&s.gen, 1)
+	if !s.logging {
+		return
+	}
+	if len(s.microLog) == MaxMicroChanges {
+		s.microLog, s.logFrom = nil, s.microGen
+		return
+	}
+	s.microLog = append(s.microLog, MicroChange{Gen: s.microGen, Key: key, Rule: r})
 }
 
 // BurstStats aggregates one burst's pipeline tallies so compiled fast
@@ -183,36 +216,60 @@ func (s *Switch) AccountBurst(b BurstStats) {
 
 // TableView is a consistent export of the switch's tables for fast-path
 // compilers: the generation it was taken at, the generations of each
-// table's latest change, the microflow entries, the TCAM rules in match
-// order, and the table-miss action. The rule pointers are the live rules —
-// treat them as read-only except for the atomic traffic counters behind
-// Rule.Account. A rule keeps its pointer for as long as it is installed, so
-// equal pointers in two views are the same rule, unchanged.
+// table's latest change, the microflow entries (whole, or as the edits
+// since the caller's copy), the TCAM rules in match order, and the
+// table-miss action. The rule pointers are the live rules — treat them as
+// read-only except for the atomic traffic counters behind Rule.Account. A
+// rule keeps its pointer for as long as it is installed, so equal pointers
+// in two views are the same rule, unchanged.
 type TableView struct {
 	Gen      uint64
 	MicroGen uint64
 	TCAMGen  uint64
-	Micro    map[packet.FlowKey]*Rule // left out (nil) by ViewChanged at MicroGen
-	Ordered  []*Rule                  // left out (nil) by ViewChanged at TCAMGen
-	Miss     Action
+	// Micro is the whole microflow table. It is left out (nil) when the
+	// caller's copy is current, and when MicroChanges carries the edits.
+	Micro map[packet.FlowKey]*Rule
+	// MicroChanges, when non-empty, lists oldest first the microflow
+	// changes after the caller's generation: applied in order to the
+	// caller's copy they give the table at MicroGen. The slice is the
+	// switch's own log; read it, never write it.
+	MicroChanges []MicroChange
+	Ordered      []*Rule // left out (nil) by ViewChanged at TCAMGen
+	Miss         Action
 }
 
-// View snapshots the tables under one read lock.
+// View snapshots the tables under one lock.
 func (s *Switch) View() TableView { return s.ViewChanged(^uint64(0), ^uint64(0)) }
 
 // ViewChanged is View for a caller that already holds the microflow table
 // as of generation microGen and the TCAM as of tcamGen: a table whose
-// latest change is that generation is left out. Compare the view's
-// generations, not its fields, to tell: a copied empty table is nil too.
+// latest change is that generation is left out. A moved microflow table
+// comes as the changes since microGen when the switch's log still holds
+// them all (MicroChanges), and as a whole copy when it does not: the first
+// call, a microGen older than the log or not of this switch, or a log
+// that passed MaxMicroChanges since. Log entries up to microGen are taken
+// as consumed and dropped, so at steady state the log holds only the
+// changes since the last compile. Compare the view's generations, not its
+// fields, to tell a left-out table: a copied empty table is empty too.
 func (s *Switch) ViewChanged(microGen, tcamGen uint64) TableView {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	v := TableView{Gen: s.Generation(), MicroGen: s.microGen, TCAMGen: s.tcamGen, Miss: s.TableMiss}
-	if s.microGen != microGen {
+	if s.logging && s.logFrom <= microGen && microGen <= s.microGen {
+		i := 0
+		for i < len(s.microLog) && s.microLog[i].Gen <= microGen {
+			i++
+		}
+		s.microLog, s.logFrom = s.microLog[i:], microGen
+		v.MicroChanges = s.microLog
+	} else if s.microGen != microGen {
 		v.Micro = make(map[packet.FlowKey]*Rule, len(s.micro))
 		for k, r := range s.micro {
 			v.Micro[k] = r
 		}
+	}
+	if !s.logging {
+		s.logging, s.logFrom = true, s.microGen
 	}
 	if s.tcamGen != tcamGen {
 		v.Ordered = append([]*Rule(nil), s.ordered...)
@@ -273,9 +330,10 @@ func (s *Switch) indexLocked(id RuleID) int {
 func (s *Switch) InstallMicroflow(key packet.FlowKey, a Action) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.microChanged()
 	s.nextID++
-	s.micro[key] = &Rule{ID: s.nextID, Priority: PrioMicroflow, Action: a}
+	r := &Rule{ID: s.nextID, Priority: PrioMicroflow, Action: a}
+	s.micro[key] = r
+	s.microChanged(key, r)
 }
 
 // RemoveMicroflow deletes an exact-match entry.
@@ -285,8 +343,8 @@ func (s *Switch) RemoveMicroflow(key packet.FlowKey) bool {
 	if _, ok := s.micro[key]; !ok {
 		return false
 	}
-	s.microChanged()
 	delete(s.micro, key)
+	s.microChanged(key, nil)
 	return true
 }
 

@@ -236,6 +236,57 @@ func TestViewIsTheFastPathsContract(t *testing.T) {
 	}
 }
 
+// TestViewChangedListsMicroflowEdits covers the microflow change log: no
+// log before the first view, the edits since a caller's generation in
+// order once there is one, consumed edits dropped, and a whole copy for a
+// caller the log does not reach — older than it, or behind more than
+// MaxMicroChanges edits.
+func TestViewChangedListsMicroflowEdits(t *testing.T) {
+	s := NewSwitch("s")
+	k1, k2 := pkt(1, 2, 3, 4).Flow(), pkt(5, 6, 7, 8).Flow()
+	s.InstallMicroflow(k1, Forward(1))
+	set := s.Generation()
+	s.InstallMicroflow(k2, Forward(2))
+	if v := s.ViewChanged(set, 0); v.Micro == nil || len(v.MicroChanges) != 0 {
+		t.Fatalf("the first view listed %d edits of a set-up that kept no log", len(v.MicroChanges))
+	}
+
+	v0 := s.View()
+	s.InstallMicroflow(k1, Forward(3))
+	s.Install(PrioTag, MatchAll(), Forward(4)) // a TCAM change is not a microflow edit
+	s.RemoveMicroflow(k2)
+	v1 := s.ViewChanged(v0.MicroGen, v0.TCAMGen)
+	live, _ := s.Microflow(k1)
+	if v1.Micro != nil || len(v1.MicroChanges) != 2 || v1.Ordered == nil {
+		t.Fatalf("two microflow edits since the caller's view came as %d entries and %d edits", len(v1.Micro), len(v1.MicroChanges))
+	}
+	if c := v1.MicroChanges; c[0].Key != k1 || c[0].Rule != live || c[1].Key != k2 || c[1].Rule != nil ||
+		c[0].Gen <= v0.MicroGen || c[1].Gen != v1.MicroGen {
+		t.Fatalf("edits %+v, want k1 re-installed as %p then k2 removed at %d", c, live, v1.MicroGen)
+	}
+	if v := s.ViewChanged(v1.MicroGen, v1.TCAMGen); v.Micro != nil || len(v.MicroChanges) != 0 || v.Ordered != nil {
+		t.Fatal("a current caller was handed a table")
+	}
+	if v := s.ViewChanged(v0.MicroGen, v0.TCAMGen); v.Micro == nil || len(v.Micro) != 1 || len(v.MicroChanges) != 0 {
+		t.Fatalf("a caller behind consumed edits got %d edits, not the whole table", len(v.MicroChanges))
+	}
+
+	for i := 0; i < MaxMicroChanges; i++ {
+		s.InstallMicroflow(k2, Forward(i))
+	}
+	if v := s.ViewChanged(v1.MicroGen, v1.TCAMGen); len(v.MicroChanges) != MaxMicroChanges {
+		t.Fatalf("%d edits at the bound came as %d edits", MaxMicroChanges, len(v.MicroChanges))
+	}
+	last := s.View()
+	for i := 0; i <= MaxMicroChanges; i++ {
+		s.RemoveMicroflow(k1)
+		s.InstallMicroflow(k1, Forward(i))
+	}
+	if v := s.ViewChanged(last.MicroGen, last.TCAMGen); v.Micro == nil || len(v.MicroChanges) != 0 {
+		t.Fatalf("%d edits past the bound came as %d edits, not the whole table", 2*(MaxMicroChanges+1), len(v.MicroChanges))
+	}
+}
+
 func TestConcurrentProcessAndInstall(t *testing.T) {
 	s := NewSwitch("s")
 	s.Install(PrioDefault, MatchAll(), Forward(0))
