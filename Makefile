@@ -111,9 +111,13 @@ policy-gate:
 # city_churn workload (the §6.1 event stream on a sharded plant) for 3 s.
 # It fails unless every op succeeded and the run's own correctness check
 # held, which sweeps the cross-shard invariants (Dispatcher.CheckInvariants),
-# and unless the fullest hardware switch (rule_table_max) holds at most 240
+# unless the fullest hardware switch (rule_table_max) holds at most 240
 # rules: each shard owns one contiguous run of station blocks, so its
-# location prefixes aggregate (219 expected).
+# location prefixes aggregate (219 expected), and unless the live heap per
+# subscriber (bytes_per_subscriber) is at most 545 B, so memory cannot creep
+# up change by change inside each step's 5 % bound. At this 3 s run it read
+# 514-519 B with the IMSI index in each controller's UE table and 518-524 B
+# with the record's slot in the subscriber table (six runs each).
 city-gate:
 	@out=$$(bash bench/run.sh --workload city_churn --seed 1 --seconds 3 --trace 0 | tail -n 1); \
 	for want in '"correct":true,' '"failed":0,'; do \
@@ -124,7 +128,12 @@ city-gate:
 	if ! awk -v r="$$rules" 'BEGIN { exit !(r <= 240) }'; then \
 		echo "FAIL: city-gate: rule_table_max $$rules exceeds 240"; exit 1; \
 	fi; \
-	echo "city-gate: city_churn failed=0 correct=true rule_table_max=$$rules (<= 240)"
+	bps=$$(printf '%s\n' "$$out" | sed -n 's/.*"bytes_per_subscriber":{"value":\([0-9.e+]*\).*/\1/p'); \
+	if [ -z "$$bps" ]; then echo "FAIL: city-gate: the result line has no bytes_per_subscriber"; echo "$$out"; exit 1; fi; \
+	if ! awk -v b="$$bps" 'BEGIN { exit !(b <= 545) }'; then \
+		echo "FAIL: city-gate: bytes_per_subscriber $$bps exceeds 545"; exit 1; \
+	fi; \
+	echo "city-gate: city_churn failed=0 correct=true rule_table_max=$$rules (<= 240) bytes_per_subscriber=$$bps (<= 545)"
 
 # bench-smoke runs every Go benchmark for 500 iterations, so one that
 # cannot get that far (a fixture that exhausts a tag space, say) fails the

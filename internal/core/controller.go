@@ -100,9 +100,10 @@ type ControllerConfig struct {
 //
 // lock ordering: ueMu, ruleMu — ruleMu may be acquired while holding ueMu,
 // never the reverse; Subscribers.mu is a leaf below both (a record is
-// created and removed together with its holder mark in the table, under
-// ueMu). The fastest path of all, a repeat RequestPath, takes no lock: it
-// reads the station's row of the path table.
+// created and removed together with its holder mark and slot in the table,
+// under ueMu, and every IMSI lookup reads them there). The fastest path of
+// all, a repeat RequestPath, takes no lock: it reads the station's row of
+// the path table.
 type Controller struct {
 	ueMu   sync.RWMutex // UE/location state and UE ID allocation
 	ruleMu sync.Mutex   // rule tables: Planner, Installer, paths
@@ -118,16 +119,15 @@ type Controller struct {
 	mbTypes map[string]topo.MBType
 	owned   map[packet.BSID]bool // guarded by ueMu; nil = unrestricted
 
-	// subs is where registrations and permanent addresses live (it locks
-	// itself); inst is this controller's number among those admitting from
-	// it, the holder mark of every record in ues.
-	subs *Subscribers
-	inst uint16
 	// ues is the struct-of-arrays UE directory (DESIGN.md §14): one
-	// fixed-size slab record per attached UE, reached through open-addressed
-	// IMSI and LocIP indices. attrs interns the attribute sets (and their
-	// compiled classifier templates) the records reference by handle.
-	ues   ueTable  // guarded by ueMu
+	// fixed-size slab record per attached UE. An IMSI reaches its record
+	// through the subscriber table (ues.subs, which locks itself and also
+	// keeps registrations and permanent addresses): it names the holder —
+	// ues.inst, this controller's number among those admitting from it —
+	// and the slot. A LocIP reaches it through ues.loc. attrs interns the
+	// attribute sets (and their compiled classifier templates) the records
+	// reference by handle.
+	ues   ueTable  // guarded by ueMu; ues.subs and ues.inst are fixed
 	attrs attrPool // guarded by ueMu
 	// reservations holds, per still-reserved old LocIP, the live shortcut
 	// state for in-flight flows of a moved UE (§5.1); retargeted on every
@@ -231,8 +231,7 @@ func NewController(t *topo.Topology, cfg ControllerConfig) (*Controller, error) 
 		gateway:      cfg.Gateway,
 		mbTypes:      cfg.MBTypes,
 		owned:        owned,
-		subs:         subs,
-		inst:         subs.join(),
+		ues:          newUETable(subs),
 		attrs:        newAttrPool(),
 		reservations: make(map[packet.Addr]*reservation),
 		paths:        newPathTable(t),
@@ -248,11 +247,19 @@ func (c *Controller) Plan() packet.Plan { return c.plan }
 func (c *Controller) Gateway() topo.NodeID { return c.gateway }
 
 // PermPool exposes the permanent-address block.
-func (c *Controller) PermPool() packet.Prefix { return c.subs.Pool }
+func (c *Controller) PermPool() packet.Prefix {
+	c.ueMu.RLock()
+	defer c.ueMu.RUnlock()
+	return c.ues.subs.Pool
+}
 
 // Instance is the controller's number (from 1) among those admitting from
 // its subscriber table: Subscribers.Holder of the UEs whose records it holds.
-func (c *Controller) Instance() int { return int(c.inst) }
+func (c *Controller) Instance() int {
+	c.ueMu.RLock()
+	defer c.ueMu.RUnlock()
+	return int(c.ues.inst)
+}
 
 // ueViewLocked materialises the public UE view of one slab record.
 //
@@ -266,7 +273,9 @@ func (c *Controller) ueViewLocked(r *ueRecord) UE {
 // Re-registering replaces the subscriber's attributes; an attached UE keeps
 // the ones it was admitted under until it next attaches from detached.
 func (c *Controller) RegisterSubscriber(imsi string, attr policy.Attributes) error {
-	return c.subs.Register(imsi, attr)
+	c.ueMu.RLock()
+	defer c.ueMu.RUnlock()
+	return c.ues.subs.Register(imsi, attr)
 }
 
 // ensureBSLocked grows the per-station allocator arrays to cover bs.
@@ -353,17 +362,17 @@ func (c *Controller) Attach(imsi string, bs packet.BSID) (UE, []Classifier, erro
 		if err != nil {
 			return UE{}, nil, err
 		}
-		c.ues.locIdx.delete(r.locIP)
+		delete(c.ues.loc, r.locIP)
 		c.freeUEIDLocked(r.bs, r.ueid)
 		r.bs, r.ueid, r.locIP = bs, id, loc
-		c.ues.locIdx.insert(loc, slot)
+		c.ues.loc[loc] = slot
 	} else {
-		attr, perm, err := c.subs.admit(imsi, c.inst)
+		attr, perm, err := c.ues.subs.admit(imsi, c.ues.inst, c.ues.nextSlot())
 		if err != nil {
 			return UE{}, nil, err
 		}
 		if r, err = c.newRecordLocked(imsi, attr, perm, bs); err != nil {
-			c.subs.release(imsi, c.inst)
+			c.ues.subs.release(imsi, c.ues.inst)
 			return UE{}, nil, err
 		}
 	}
@@ -372,7 +381,8 @@ func (c *Controller) Attach(imsi string, bs packet.BSID) (UE, []Classifier, erro
 }
 
 // newRecordLocked allocates a LocIP at bs and, once that succeeded, the
-// record of a UE whose holder mark the caller has already set.
+// record of a UE whose holder mark the caller has already set, naming
+// ues.nextSlot().
 //
 // caller holds ueMu
 func (c *Controller) newRecordLocked(imsi string, attr policy.Attributes, perm packet.Addr, bs packet.BSID) (*ueRecord, error) {
@@ -382,7 +392,7 @@ func (c *Controller) newRecordLocked(imsi string, attr policy.Attributes, perm p
 	}
 	r, slot := c.ues.alloc(imsi, c.attrs.acquire(attr, c.Policy), perm)
 	r.bs, r.ueid, r.locIP = bs, id, loc
-	c.ues.locIdx.insert(loc, slot)
+	c.ues.loc[loc] = slot
 	return r, nil
 }
 
@@ -571,7 +581,7 @@ func (c *Controller) LookupUE(imsi string) (UE, bool) {
 func (c *Controller) ResolveLocIP(perm packet.Addr) (packet.Addr, error) {
 	c.ueMu.RLock()
 	defer c.ueMu.RUnlock()
-	imsi, ok := c.subs.ByPerm(perm)
+	imsi, ok := c.ues.subs.ByPerm(perm)
 	if !ok {
 		return 0, fmt.Errorf("core: no UE with permanent address %s", perm)
 	}
@@ -588,7 +598,7 @@ func (c *Controller) ResolveLocIP(perm packet.Addr) (packet.Addr, error) {
 func (c *Controller) LookupByLocIP(loc packet.Addr) (UE, bool) {
 	c.ueMu.RLock()
 	defer c.ueMu.RUnlock()
-	slot, ok := c.ues.locIdx.lookup(loc)
+	slot, ok := c.ues.loc[loc]
 	if !ok {
 		return UE{}, false
 	}
@@ -632,7 +642,7 @@ func (c *Controller) removeUE(imsi string, park bool) (MigratedUE, error) {
 // caller holds ueMu; caller holds ruleMu
 func (c *Controller) removeUELocked(r *ueRecord, slot uint32, park bool) MigratedUE {
 	m := MigratedUE{IMSI: r.imsi, Attr: c.attrs.attrOf(r.attr), PermIP: r.permIP, OldBS: r.bs, OldLocIP: r.locIP}
-	c.ues.locIdx.delete(r.locIP)
+	delete(c.ues.loc, r.locIP)
 	c.freeUEIDLocked(r.bs, r.ueid)
 	for loc := r.rsv; loc != 0; {
 		rsv := c.reservations[loc]
@@ -642,7 +652,7 @@ func (c *Controller) removeUELocked(r *ueRecord, slot uint32, park bool) Migrate
 		}
 		// Handoff left the reserved address indexed to this UE's slot; the
 		// entry would dangle once the record below is cleared.
-		c.ues.locIdx.delete(loc)
+		delete(c.ues.loc, loc)
 		if park {
 			rsv.imsi, rsv.shortcuts, rsv.next = "", nil, 0
 		} else {
@@ -653,7 +663,7 @@ func (c *Controller) removeUELocked(r *ueRecord, slot uint32, park bool) Migrate
 		}
 		loc = next
 	}
-	c.subs.release(m.IMSI, c.inst)
+	c.ues.subs.release(m.IMSI, c.ues.inst)
 	c.attrs.release(r.attr)
 	c.ues.freeRec(slot)
 	return m
@@ -668,7 +678,9 @@ type AgentLocationReport struct {
 
 // RecoverLocations rebuilds the UE-location state from live agents' reports
 // (§5.2: "a replica can correctly rebuild the UE location state by querying
-// local agents"). Existing location state is discarded first.
+// local agents"). Existing location state is discarded first. Each station's
+// UE IDs below the highest reported one that no report names go back on its
+// free list.
 func (c *Controller) RecoverLocations(reports []AgentLocationReport) error {
 	c.ueMu.Lock()
 	defer c.ueMu.Unlock()
@@ -685,6 +697,7 @@ func (c *Controller) RecoverLocations(reports []AgentLocationReport) error {
 	for i := range c.freeUEIDs {
 		c.freeUEIDs[i] = c.freeUEIDs[i][:0]
 	}
+	held := make(map[packet.BSID][]packet.UEID)
 	for _, rep := range reports {
 		if !c.ownsLocked(rep.BS) {
 			continue // another shard's station; its owner rebuilds it
@@ -693,9 +706,33 @@ func (c *Controller) RecoverLocations(reports []AgentLocationReport) error {
 			if err := c.importUELocked(rep.BS, u); err != nil {
 				return err
 			}
+			held[rep.BS] = append(held[rep.BS], u.UEID)
 		}
 	}
+	for bs, ids := range held {
+		c.freeUnheldUEIDsLocked(bs, 0, ids)
+	}
 	return nil
+}
+
+// freeUnheldUEIDsLocked puts on bs's free list every UE ID above from, up to
+// the station's high-water mark, that held does not name — highest first,
+// so the lowest is handed out next. Imports raise the mark to the highest ID
+// they bring; without this the IDs they skip would never be allocated again.
+// It sorts held.
+//
+// caller holds ueMu
+func (c *Controller) freeUnheldUEIDsLocked(bs packet.BSID, from packet.UEID, held []packet.UEID) {
+	slices.Sort(held)
+	i := len(held) - 1
+	for id := c.nextUEID[bs]; id > from; id-- {
+		for i >= 0 && held[i] > id {
+			i--
+		}
+		if i < 0 || held[i] != id {
+			c.freeUEIDs[bs] = append(c.freeUEIDs[bs], id)
+		}
+	}
 }
 
 // importUELocked installs one reported UE at bs verbatim, keeping its UEID,
@@ -703,15 +740,18 @@ func (c *Controller) RecoverLocations(reports []AgentLocationReport) error {
 //
 // caller holds ueMu
 func (c *Controller) importUELocked(bs packet.BSID, u UE) error {
-	if err := c.subs.bind(u.IMSI, u.PermIP, c.inst); err != nil {
-		return err
-	}
 	r, slot, ok := c.ues.get(u.IMSI)
 	if !ok {
-		r, slot = c.ues.alloc(u.IMSI, c.attrs.acquire(u.Attr, c.Policy), u.PermIP)
+		slot = c.ues.nextSlot()
+	}
+	if err := c.ues.subs.bind(u.IMSI, u.PermIP, c.ues.inst, slot); err != nil {
+		return err
+	}
+	if !ok {
+		r, _ = c.ues.alloc(u.IMSI, c.attrs.acquire(u.Attr, c.Policy), u.PermIP)
 	}
 	r.bs, r.ueid, r.locIP = bs, u.UEID, u.LocIP
-	c.ues.locIdx.insert(u.LocIP, slot)
+	c.ues.loc[u.LocIP] = slot
 	c.ensureBSLocked(bs)
 	if u.UEID > c.nextUEID[bs] {
 		c.nextUEID[bs] = u.UEID

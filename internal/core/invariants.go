@@ -88,7 +88,7 @@ func (c *Controller) CheckInvariants() (InvariantReport, error) {
 		if !c.ownsLocked(bs) {
 			return rep, fmt.Errorf("core: reservation %s at unowned station %d", loc, bs)
 		}
-		slot, held := c.ues.locIdx.lookup(loc)
+		slot, held := c.ues.loc[loc]
 		if rsv.imsi == "" {
 			if held || len(rsv.shortcuts) != 0 {
 				return rep, fmt.Errorf("core: parked reservation %s still has an index entry or %d shortcuts", loc, len(rsv.shortcuts))
@@ -104,11 +104,11 @@ func (c *Controller) CheckInvariants() (InvariantReport, error) {
 	}
 
 	// UE directory coherence, plus the struct-of-arrays layout's own
-	// integrity: every record reachable through its IMSI index entry, held
-	// here according to the subscriber table, every address index entry
-	// pointing at the slot that owns the address, and the attribute-pool
-	// reference counts exactly matching a full scan.
-	heldHere, invErr := c.subs.audit(c.inst)
+	// integrity: every record held here at its own slot according to the
+	// subscriber table, every address map entry pointing at the slot that
+	// owns the address, and the attribute-pool reference counts exactly
+	// matching a full scan.
+	heldHere, invErr := c.ues.subs.audit(c.ues.inst)
 	if invErr != nil {
 		return rep, invErr
 	}
@@ -116,12 +116,13 @@ func (c *Controller) CheckInvariants() (InvariantReport, error) {
 	c.ues.forEach(func(slot uint32, r *ueRecord) bool {
 		rep.Attached++
 		attrRefs[r.attr]++
-		if _, gotSlot, ok := c.ues.get(r.imsi); !ok || gotSlot != slot {
-			invErr = fmt.Errorf("core: record %q at slot %d not reachable through the IMSI index", r.imsi, slot)
+		sub, ok := heldHere[r.imsi]
+		if !ok || sub.perm != r.permIP {
+			invErr = fmt.Errorf("core: UE %q has a record with permanent address %s; the subscriber table says %s, held here = %v", r.imsi, r.permIP, sub.perm, ok)
 			return false
 		}
-		if perm, ok := heldHere[r.imsi]; !ok || perm != r.permIP {
-			invErr = fmt.Errorf("core: UE %q has a record with permanent address %s; the subscriber table says %s, held here = %v", r.imsi, r.permIP, perm, ok)
+		if sub.slot != slot {
+			invErr = fmt.Errorf("core: record %q at slot %d, which the subscriber table gives as slot %d", r.imsi, slot, sub.slot)
 			return false
 		}
 		delete(heldHere, r.imsi)
@@ -129,7 +130,7 @@ func (c *Controller) CheckInvariants() (InvariantReport, error) {
 			invErr = fmt.Errorf("core: UE %q has a record but no location", r.imsi)
 			return false
 		}
-		if got, ok := c.ues.locIdx.lookup(r.locIP); !ok || got != slot {
+		if got, ok := c.ues.loc[r.locIP]; !ok || got != slot {
 			invErr = fmt.Errorf("core: UE %q location %s not indexed back to it", r.imsi, r.locIP)
 			return false
 		}
@@ -171,7 +172,7 @@ func (c *Controller) CheckInvariants() (InvariantReport, error) {
 	}
 
 	for imsi := range heldHere {
-		return rep, fmt.Errorf("core: the subscriber table names this controller (instance %d) holder of UE %q, which has no record here", c.inst, imsi)
+		return rep, fmt.Errorf("core: the subscriber table names this controller (instance %d) holder of UE %q, which has no record here", c.ues.inst, imsi)
 	}
 
 	// Slot accounting: every allocated slot is live or free, never both.
@@ -182,25 +183,18 @@ func (c *Controller) CheckInvariants() (InvariantReport, error) {
 		return rep, fmt.Errorf("core: slot leak: %d live + %d free != %d allocated", c.ues.live, len(c.ues.free), c.ues.next)
 	}
 
-	// Reverse index checks: no index entry points at a slot that does not
-	// own its address.
-	c.ues.locIdx.forEach(func(loc packet.Addr, slot uint32) bool {
-		r := c.ues.rec(slot)
-		if r.attr == 0 {
-			invErr = fmt.Errorf("core: location index %s names slot %d with no UE record", loc, slot)
-			return false
+	// Address map checks: no entry points at a slot that does not own its
+	// address.
+	for loc, slot := range c.ues.loc {
+		if slot >= c.ues.next || c.ues.rec(slot).attr == 0 {
+			return rep, fmt.Errorf("core: location index %s names slot %d with no UE record", loc, slot)
 		}
-		if r.locIP != loc {
+		if r := c.ues.rec(slot); r.locIP != loc {
 			rsv, reserved := c.reservations[loc]
 			if !reserved || rsv.imsi != r.imsi {
-				invErr = fmt.Errorf("core: location index %s -> %q is neither current nor reserved", loc, r.imsi)
-				return false
+				return rep, fmt.Errorf("core: location index %s -> %q is neither current nor reserved", loc, r.imsi)
 			}
 		}
-		return true
-	})
-	if invErr != nil {
-		return rep, invErr
 	}
 
 	// Attribute-pool refcounts: the scan above counted every handle reference

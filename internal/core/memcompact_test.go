@@ -10,12 +10,29 @@ import (
 
 	"repro/internal/packet"
 	"repro/internal/policy"
+	"repro/internal/store"
 )
 
 // These tests pin the compacted state layer (DESIGN.md §14): the
-// struct-of-arrays UE table, the open-addressed indices, the refcounted
-// attribute pool, and the allocation behaviour of the steady-state
-// attach -> handoff -> detach cycle.
+// struct-of-arrays UE table and the subscriber records that say where its
+// records are, the refcounted attribute pool, and the allocation behaviour
+// of the steady-state attach -> handoff -> detach cycle.
+
+// newBareTable builds an empty UE table over a subscriber table of its own.
+func newBareTable() *ueTable {
+	tbl := newUETable(NewSubscribers(store.New(0), packet.Prefix{}))
+	return &tbl
+}
+
+// putRecord adds imsi's record the way an import does: the subscriber table
+// binds perm and names this table the holder, at the slot alloc then fills.
+func putRecord(t *testing.T, tbl *ueTable, imsi string, perm packet.Addr) (*ueRecord, uint32) {
+	t.Helper()
+	if err := tbl.subs.bind(imsi, perm, tbl.inst, tbl.nextSlot()); err != nil {
+		t.Fatal(err)
+	}
+	return tbl.alloc(imsi, 1, perm)
+}
 
 // TestQuickUETableSlotAliasing drives random register/drop churn through
 // the UE table against a reference map and checks the slot-aliasing
@@ -25,7 +42,7 @@ import (
 func TestQuickUETableSlotAliasing(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		var tbl ueTable
+		tbl := newBareTable()
 		live := map[string]uint32{}     // imsi -> slot the table returned
 		loc := map[packet.Addr]string{} // locIP -> imsi
 		nextAddr := packet.Addr(1)
@@ -35,21 +52,23 @@ func TestQuickUETableSlotAliasing(t *testing.T) {
 			universe[i] = fmt.Sprintf("imsi-%03d-%d", i, seed&0xff)
 		}
 		for op := 0; op < 600; op++ {
-			imsi := universe[rng.Intn(len(universe))]
+			i := rng.Intn(len(universe))
+			imsi := universe[i]
 			if slot, ok := live[imsi]; ok {
-				// Drop: delete the address entries first, as the controller
-				// does, then free the slot.
+				// Drop: delete the address entry and the holder mark first,
+				// as the controller does, then free the slot.
 				r := tbl.rec(slot)
-				tbl.locIdx.delete(r.locIP)
+				delete(tbl.loc, r.locIP)
 				delete(loc, r.locIP)
+				tbl.subs.release(imsi, tbl.inst)
 				tbl.freeRec(slot)
 				delete(live, imsi)
 				continue
 			}
-			r, slot := tbl.alloc(imsi, 1, nextAddr+1)
+			r, slot := putRecord(t, tbl, imsi, packet.Addr(1000+i))
 			r.locIP = nextAddr
 			nextAddr += 2
-			tbl.locIdx.insert(r.locIP, slot)
+			tbl.loc[r.locIP] = slot
 			live[imsi] = slot
 			loc[r.locIP] = imsi
 		}
@@ -66,11 +85,11 @@ func TestQuickUETableSlotAliasing(t *testing.T) {
 					seed, imsi, slot, r.imsi, wantSlot)
 			}
 		}
-		// The address index agrees with the model.
+		// The address map agrees with the model.
 		for a, imsi := range loc {
-			slot, ok := tbl.locIdx.lookup(a)
+			slot, ok := tbl.loc[a]
 			if !ok || tbl.rec(slot).imsi != imsi {
-				t.Fatalf("seed %d: locIdx[%v] lost or aliased", seed, a)
+				t.Fatalf("seed %d: loc[%v] lost or aliased", seed, a)
 			}
 		}
 		// Accounting: live + free == high water; forEach visits exactly the
@@ -93,46 +112,6 @@ func TestQuickUETableSlotAliasing(t *testing.T) {
 		return true
 	}
 	cfg := &quick.Config{MaxCount: 20, Rand: rand.New(rand.NewSource(1))}
-	if err := quick.Check(prop, cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestQuickAddrIdxMatchesMap churns an open-addressed address index with a
-// deliberately tiny key universe — maximum collision, tombstone, and
-// grow-rehash pressure — and checks it against a plain map after every
-// operation batch.
-func TestQuickAddrIdxMatchesMap(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		var idx addrIdx
-		model := map[packet.Addr]uint32{}
-		for op := 0; op < 800; op++ {
-			a := packet.Addr(1 + rng.Intn(48))
-			switch {
-			case rng.Intn(3) == 0:
-				idx.delete(a)
-				delete(model, a)
-			default:
-				slot := uint32(rng.Intn(1 << 20))
-				idx.insert(a, slot)
-				model[a] = slot
-			}
-		}
-		for a := packet.Addr(1); a <= 48; a++ {
-			slot, ok := idx.lookup(a)
-			want, inModel := model[a]
-			if ok != inModel || (ok && slot != want) {
-				t.Fatalf("seed %d: lookup(%v) = (%d, %v), model (%d, %v)",
-					seed, a, slot, ok, want, inModel)
-			}
-		}
-		if idx.live != len(model) {
-			t.Fatalf("seed %d: live=%d, model=%d", seed, idx.live, len(model))
-		}
-		return true
-	}
-	cfg := &quick.Config{MaxCount: 25, Rand: rand.New(rand.NewSource(2))}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -329,8 +308,8 @@ func TestMemCompactionChurnRace(t *testing.T) {
 // struct: mem.slab_bytes and every per-subscriber figure derived from it
 // would otherwise drift silently when a field is added or removed.
 func TestRecSizeMatchesRecord(t *testing.T) {
-	var tbl ueTable
-	tbl.alloc("imsi", 1, 1)
+	tbl := newBareTable()
+	putRecord(t, tbl, "imsi", 1)
 	if got, want := tbl.slabBytes(), uint64(ueSlabSize)*uint64(unsafe.Sizeof(ueRecord{})); got != want {
 		t.Fatalf("slabBytes charges one slab at %d bytes, its records occupy %d", got, want)
 	}
@@ -341,17 +320,17 @@ func TestRecSizeMatchesRecord(t *testing.T) {
 // in the attribute pool.
 func TestInternPoolSteadyStateZeroAllocs(t *testing.T) {
 	// UE table: a hit on a warmed table allocates nothing.
-	var tbl ueTable
+	tbl := newBareTable()
 	for i := 0; i < 100; i++ {
-		r, slot := tbl.alloc(fmt.Sprintf("imsi-%03d", i), 1, packet.Addr(1000+i))
+		r, slot := putRecord(t, tbl, fmt.Sprintf("imsi-%03d", i), packet.Addr(1000+i))
 		r.locIP = packet.Addr(1 + i)
-		tbl.locIdx.insert(r.locIP, slot)
+		tbl.loc[r.locIP] = slot
 	}
 	if allocs := testing.AllocsPerRun(1000, func() {
 		if _, _, ok := tbl.get("imsi-042"); !ok {
 			t.Fatal("warmed IMSI missing")
 		}
-		if _, ok := tbl.locIdx.lookup(43); !ok {
+		if _, ok := tbl.loc[43]; !ok {
 			t.Fatal("warmed LocIP missing")
 		}
 	}); allocs != 0 {

@@ -16,7 +16,7 @@ type MemStats struct {
 	SlotsAllocated int    `json:"slots_allocated"` // slab high-water mark
 	FreeSlots      int    `json:"free_slots"`      // slab free-list depth
 	SlabBytes      uint64 `json:"slab_bytes"`      // record-slab footprint
-	IndexBytes     uint64 `json:"index_bytes"`     // IMSI/LocIP open-addressed indices, subscriber-table maps
+	IndexBytes     uint64 `json:"index_bytes"`     // LocIP map and slot free list, subscriber-table maps (estimated)
 	IMSIBytes      uint64 `json:"imsi_bytes"`      // retained IMSI string bytes
 	FreeUEIDs      int    `json:"free_ueids"`      // per-station UE ID free-list depth (all stations)
 	Reservations   int    `json:"reservations"`    // still-reserved old LocIPs
@@ -87,8 +87,8 @@ func (c *Controller) MemStats() MemStats {
 		Paths:          c.paths.len(),
 	}
 	// A table shared between shards is the dispatcher's to add, once.
-	if c.subs.Store == c.Store {
-		ms.Add(c.subs.MemStats())
+	if c.ues.subs.Store == c.Store {
+		ms.Add(c.ues.subs.MemStats())
 	}
 	for _, free := range c.freeUEIDs {
 		ms.FreeUEIDs += len(free)

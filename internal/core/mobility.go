@@ -323,7 +323,7 @@ func (c *Controller) HandoffCtx(sc obs.SpanContext, imsi string, newBS packet.BS
 	// The old LocIP stays indexed to this UE's slot (reserved) for old
 	// flows; only the new address is added.
 	r.bs, r.ueid, r.locIP = newBS, id, loc
-	c.ues.locIdx.insert(loc, slot)
+	c.ues.loc[loc] = slot
 	c.handoffs.Add(1)
 
 	res := HandoffResult{UE: c.ueViewLocked(r), OldBS: oldBS, OldLocIP: oldLoc,
@@ -425,7 +425,7 @@ func (c *Controller) ReleaseOldLocIP(oldLoc packet.Addr, shortcuts []*Shortcut) 
 	}
 	// A reservation that is not parked is indexed to its UE's slot, whose
 	// list it is on.
-	slot, held := c.ues.locIdx.lookup(oldLoc)
+	slot, held := c.ues.loc[oldLoc]
 	if held {
 		c.unreserveLocked(c.ues.rec(slot), oldLoc)
 	}
@@ -433,7 +433,7 @@ func (c *Controller) ReleaseOldLocIP(oldLoc packet.Addr, shortcuts []*Shortcut) 
 	if bs, id, ok := c.plan.Split(oldLoc); ok {
 		if !held || c.ues.rec(slot).locIP != oldLoc {
 			c.freeUEIDLocked(bs, id)
-			c.ues.locIdx.delete(oldLoc)
+			delete(c.ues.loc, oldLoc)
 		}
 	}
 }

@@ -88,12 +88,12 @@ func (c *Controller) AdoptUE(m MigratedUE, bs packet.BSID) (UE, []Classifier, er
 	if _, _, ok := c.ues.get(m.IMSI); ok {
 		return UE{}, nil, fmt.Errorf("core: UE %q already present", m.IMSI)
 	}
-	if err := c.subs.bind(m.IMSI, m.PermIP, c.inst); err != nil {
+	if err := c.ues.subs.bind(m.IMSI, m.PermIP, c.ues.inst, c.ues.nextSlot()); err != nil {
 		return UE{}, nil, err
 	}
 	r, err := c.newRecordLocked(m.IMSI, m.Attr, m.PermIP, bs)
 	if err != nil {
-		c.subs.release(m.IMSI, c.inst)
+		c.ues.subs.release(m.IMSI, c.ues.inst)
 		return UE{}, nil, err
 	}
 	c.handoffs.Add(1)
@@ -102,7 +102,8 @@ func (c *Controller) AdoptUE(m MigratedUE, bs packet.BSID) (UE, []Classifier, er
 
 // AbsorbStation extends the controller's ownership to bs and imports the
 // given UE records verbatim (preserving each UE's reported UEID and LocIP,
-// exactly as RecoverLocations does) — the shard-failover path: a dead
+// and freeing the IDs below the highest that none of them holds, exactly as
+// RecoverLocations does) — the shard-failover path: a dead
 // shard's stations move to its neighbours, which rebuild the location
 // state from live agents' reports. A newly absorbed station has no paths here
 // yet, so its first path requests install against this controller's own
@@ -116,10 +117,15 @@ func (c *Controller) AbsorbStation(bs packet.BSID, ues []UE) error {
 	if c.owned != nil {
 		c.owned[bs] = true
 	}
+	c.ensureBSLocked(bs)
+	from := c.nextUEID[bs]
+	held := make([]packet.UEID, 0, len(ues))
 	for _, u := range ues {
 		if err := c.importUELocked(bs, u); err != nil {
 			return err
 		}
+		held = append(held, u.UEID)
 	}
+	c.freeUnheldUEIDsLocked(bs, from, held)
 	return nil
 }

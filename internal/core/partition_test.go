@@ -328,8 +328,9 @@ func TestReleaseAllDetachesUnreportedUEs(t *testing.T) {
 	}
 }
 
-// TestCheckInvariantsCatchesHolderDisagreement plants both ways the
-// subscriber table's holder mark and a controller's records can part.
+// TestCheckInvariantsCatchesHolderDisagreement plants the ways the
+// subscriber table's holder mark and slot and a controller's records can
+// part.
 func TestCheckInvariantsCatchesHolderDisagreement(t *testing.T) {
 	c := shardedController(t, nil, []packet.BSID{0, 1}, 0, 2)
 	for _, imsi := range []string{"here", "idle"} {
@@ -340,20 +341,27 @@ func TestCheckInvariantsCatchesHolderDisagreement(t *testing.T) {
 	if _, _, err := c.Attach("here", 0); err != nil {
 		t.Fatal(err)
 	}
-	c.subs.release("here", c.inst)
+	subs, inst := c.ues.subs, c.ues.inst
+	subs.release("here", inst)
 	if _, err := c.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "held here = false") {
 		t.Fatalf("record whose holder mark is gone: err = %v", err)
 	}
-	if _, _, err := c.subs.admit("here", c.inst); err != nil {
+	if _, _, err := subs.admit("here", inst, 5); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.subs.admit("idle", c.inst); err != nil {
+	if _, err := c.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "gives as slot 5") {
+		t.Fatalf("holder mark naming another slot: err = %v", err)
+	}
+	if _, _, err := subs.admit("here", inst, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := subs.admit("idle", inst, 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.CheckInvariants(); err == nil || !strings.Contains(err.Error(), `holder of UE "idle", which has no record here`) {
 		t.Fatalf("holder mark with no record: err = %v", err)
 	}
-	c.subs.release("idle", c.inst)
+	subs.release("idle", inst)
 	if _, err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}

@@ -14,12 +14,15 @@ import (
 // permanent pool is bound to a subscriber.
 var ErrPermPoolExhausted = errors.New("permanent address pool exhausted")
 
-// subRec is what the table knows about one IMSI, kept pointer-free and at 8
-// bytes: the map holds one per registration.
+// subRec is what the table knows about one IMSI, kept pointer-free and at 12
+// bytes: the map holds one per registration. holder and slot together say
+// where the UE's location record lives; nothing else in the controller
+// records it.
 type subRec struct {
 	perm   packet.Addr // permanent address; 0 until the first attach binds one
 	set    uint16      // index into sets; 0 = not registered (known only through bind)
 	holder uint16      // controller instance holding the location record; 0 = detached
+	slot   uint32      // the record's slot in the holder's UE table; 0 while detached
 }
 
 // Subscribers is the subscriber database (the HSS equivalent): the
@@ -28,10 +31,11 @@ type subRec struct {
 // permanent address — drawn from the one pool at first attach and never
 // released, so it survives detach, re-attach on any instance and the death
 // of the instance that served it — and, in memory only, which instance holds
-// its location record. A single controller builds its own over its store, the
-// shard dispatcher one for all its shards; each registration is written
-// through once as "sub/<imsi>", while address bindings and holder marks are
-// kept in memory only. Its lock is a leaf above the store's.
+// its location record and at which slot of that instance's UE table. A single
+// controller builds its own over its store, the shard dispatcher one for all
+// its shards; each registration is written through once as "sub/<imsi>",
+// while address bindings and holder marks are kept in memory only. Its lock
+// is a leaf above the store's.
 type Subscribers struct {
 	Store *store.Store  // where registrations are written through to
 	Pool  packet.Prefix // the block permanent addresses are drawn from; fixed at construction
@@ -119,7 +123,7 @@ func (s *Subscribers) ReleaseAll(inst int) int {
 	n := 0
 	for imsi, rec := range s.byIMSI {
 		if int(rec.holder) == inst {
-			rec.holder = 0
+			rec.holder, rec.slot = 0, 0
 			s.byIMSI[imsi] = rec
 			n++
 		}
@@ -139,13 +143,14 @@ func (s *Subscribers) ByPerm(perm packet.Addr) (string, bool) {
 func (s *Subscribers) Len() int { return s.MemStats().Subscribers }
 
 // MemStats reports the table's share of a snapshot. IndexBytes estimates the
-// two Go maps: 25 B a slot (16 B string, 8 B record or 4 B address padded to
-// 8, control byte), 2 in 3 occupied.
+// two Go maps, 2 in 3 slots occupied: 33 B a record slot (16 B string, 12 B
+// record padded to 16, control byte) and 25 B an address slot (4 B address
+// padded to 8, 16 B string, control byte).
 func (s *Subscribers) MemStats() MemStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	slots := uint64(len(s.byIMSI) + len(s.imsiOf))
-	return MemStats{Subscribers: s.registered, IndexBytes: slots * 25 * 3 / 2, IMSIBytes: s.imsiBytes}
+	slotBytes := uint64(len(s.byIMSI))*33 + uint64(len(s.imsiOf))*25
+	return MemStats{Subscribers: s.registered, IndexBytes: slotBytes * 3 / 2, IMSIBytes: s.imsiBytes}
 }
 
 // join numbers a controller that will admit from the table, from 1.
@@ -156,10 +161,20 @@ func (s *Subscribers) join() uint16 {
 	return s.instances
 }
 
-// admit makes inst the holder of a registered subscriber's location record
-// and returns what a new record needs: the attributes as registered now, and
-// the permanent address, drawn from the pool if this is the first attach.
-func (s *Subscribers) admit(imsi string, inst uint16) (policy.Attributes, packet.Addr, error) {
+// locate reports which controller instance holds the UE's location record
+// and at which slot of its UE table; holder 0 means it is detached.
+func (s *Subscribers) locate(imsi string) (holder uint16, slot uint32) {
+	s.mu.RLock()
+	rec := s.byIMSI[imsi]
+	s.mu.RUnlock()
+	return rec.holder, rec.slot
+}
+
+// admit makes inst the holder of a registered subscriber's location record,
+// to be filled at slot, and returns what the record needs: the attributes as
+// registered now, and the permanent address, drawn from the pool if this is
+// the first attach.
+func (s *Subscribers) admit(imsi string, inst uint16, slot uint32) (policy.Attributes, packet.Addr, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rec := s.byIMSI[imsi]
@@ -174,16 +189,16 @@ func (s *Subscribers) admit(imsi string, inst uint16) (policy.Attributes, packet
 		rec.perm = s.Pool.Addr | packet.Addr(s.next)
 		s.imsiOf[rec.perm] = imsi
 	}
-	rec.holder = inst
+	rec.holder, rec.slot = inst, slot
 	s.byIMSI[imsi] = rec
 	return s.sets[rec.set], rec.perm, nil
 }
 
-// bind makes inst the holder of a UE imported with its address (a migrated
-// record or an agent's report), registered here or not. An address the
-// table already bound wins over a differing import, and the pool never
+// bind makes inst the holder, at slot, of a UE imported with its address (a
+// migrated record or an agent's report), registered here or not. An address
+// the table already bound wins over a differing import, and the pool never
 // draws an imported address again.
-func (s *Subscribers) bind(imsi string, perm packet.Addr, inst uint16) error {
+func (s *Subscribers) bind(imsi string, perm packet.Addr, inst uint16, slot uint32) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rec, known := s.byIMSI[imsi]
@@ -196,7 +211,7 @@ func (s *Subscribers) bind(imsi string, perm packet.Addr, inst uint16) error {
 	if host := uint32(perm &^ s.Pool.Addr); s.Pool.Contains(perm) && host > s.next {
 		s.next = host
 	}
-	rec.perm, rec.holder = perm, inst
+	rec.perm, rec.holder, rec.slot = perm, inst, slot
 	s.byIMSI[imsi] = rec
 	s.imsiOf[perm] = imsi
 	return nil
@@ -208,19 +223,19 @@ func (s *Subscribers) release(imsi string, inst uint16) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if rec := s.byIMSI[imsi]; rec.holder == inst {
-		rec.holder = 0
+		rec.holder, rec.slot = 0, 0
 		s.byIMSI[imsi] = rec
 	}
 }
 
 // audit checks that every bound address is indexed back to its IMSI and
 // nothing else is, and lists the subscribers whose location record inst is
-// marked as holding, with their addresses (CheckInvariants compares them to
-// its records).
-func (s *Subscribers) audit(inst uint16) (map[string]packet.Addr, error) {
+// marked as holding, with their records (CheckInvariants compares the
+// addresses and slots to its own records).
+func (s *Subscribers) audit(inst uint16) (map[string]subRec, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	held := make(map[string]packet.Addr)
+	held := make(map[string]subRec)
 	bound := 0
 	for imsi, rec := range s.byIMSI {
 		if rec.perm != 0 {
@@ -230,7 +245,7 @@ func (s *Subscribers) audit(inst uint16) (map[string]packet.Addr, error) {
 			}
 		}
 		if rec.holder == inst {
-			held[imsi] = rec.perm
+			held[imsi] = rec
 		}
 	}
 	if bound != len(s.imsiOf) {

@@ -328,9 +328,6 @@ func NewEngine(net *Net, workers int) *Engine {
 	return e
 }
 
-// Workers reports the worker count.
-func (e *Engine) Workers() int { return len(e.qs) }
-
 // Net returns the engine's compiled topology view.
 func (e *Engine) Net() *Net { return e.net }
 

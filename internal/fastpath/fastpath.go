@@ -595,9 +595,6 @@ func prefixMask(length int) uint32 {
 	return ^uint32(0) << (32 - length)
 }
 
-// Switch returns the switch the snapshot was compiled from.
-func (s *Snapshot) Switch() *switchsim.Switch { return s.src }
-
 // NumRules reports compiled TCAM entries (microflows excluded).
 func (s *Snapshot) NumRules() int { return len(s.tcam) }
 

@@ -24,9 +24,6 @@ func NewFIB(sw *switchsim.Switch) *FIB {
 	return &FIB{sw: sw}
 }
 
-// Switch returns the wrapped switch.
-func (f *FIB) Switch() *switchsim.Switch { return f.sw }
-
 // instrument attaches telemetry; see Net/Engine instrumentation.
 func (f *FIB) instrument(o *fpObs) { f.o = o }
 
