@@ -19,6 +19,17 @@ import (
 	"repro/internal/topo"
 )
 
+const (
+	// blackoutProbeEvery runs the continuity probe (every admitted UE
+	// classified and forwarded against LKG state) every N outage ticks.
+	blackoutProbeEvery = 10
+	// blackoutChurnEvery mutates the controller mid-blackout every N
+	// outage ticks: one allow clause's paths are withdrawn and
+	// re-requested, so reconnecting agents have real divergence to
+	// reconcile.
+	blackoutChurnEvery = 500
+)
+
 // BlackoutConfig parameterises one control-plane blackout run: a fleet of
 // pushed-snapshot agents (no synchronous controller RPC anywhere in the
 // packet-in path) admits live traffic, the control channel to every agent
@@ -36,14 +47,6 @@ type BlackoutConfig struct {
 	// OutageTicks is the blackout length in sim-kernel ticks (1ms each;
 	// default 2000). The CI smoke runs 30000 — 30 sim-seconds dark.
 	OutageTicks int
-	// ProbeEvery runs the continuity probe (every admitted UE classified
-	// and forwarded against LKG state) every N outage ticks (default 10).
-	ProbeEvery int
-	// ChurnEvery mutates the controller mid-blackout every N outage ticks
-	// (default 500): one allow clause's paths are withdrawn and
-	// re-requested, so reconnecting agents have real divergence to
-	// reconcile.
-	ChurnEvery int
 
 	// Trace receives one line per notable event; two same-seed runs write
 	// identical bytes. Nil discards.
@@ -66,12 +69,6 @@ func (cfg BlackoutConfig) withDefaults() BlackoutConfig {
 	}
 	if cfg.OutageTicks <= 0 {
 		cfg.OutageTicks = 2000
-	}
-	if cfg.ProbeEvery <= 0 {
-		cfg.ProbeEvery = 10
-	}
-	if cfg.ChurnEvery <= 0 {
-		cfg.ChurnEvery = 500
 	}
 	return cfg
 }
@@ -308,10 +305,10 @@ func (e *blackoutEngine) blackout() {
 		}
 		tickNo++
 		e.res.OutageTicks++
-		if tickNo%e.cfg.ProbeEvery == 0 {
+		if tickNo%blackoutProbeEvery == 0 {
 			e.probe(tickNo)
 		}
-		if tickNo%e.cfg.ChurnEvery == 0 {
+		if tickNo%blackoutChurnEvery == 0 {
 			e.churn()
 		}
 		return e.err == nil && tickNo < e.cfg.OutageTicks
@@ -351,7 +348,7 @@ func (e *blackoutEngine) probe(tickNo int) {
 	}
 	// One rotating UE also opens a brand-new flow, admitted purely from
 	// the snapshot: the controller is unreachable, and it must not matter.
-	ue := e.ues[(tickNo/e.cfg.ProbeEvery)%len(e.ues)]
+	ue := e.ues[(tickNo/blackoutProbeEvery)%len(e.ues)]
 	ag := e.agents[ue.BS]
 	// Each sport gets its own server: a UE can hold only
 	// 2^EphemeralBits-1 live flows to one (agent.ErrPortsExhausted).

@@ -52,6 +52,16 @@ type Mix struct {
 	PolicyChurn      int // withdraw one policy clause's paths everywhere
 }
 
+const (
+	// retryTimeout is the client's retransmission timeout. It is
+	// wall-clock: the sim kernel drives the schedule, but the wire
+	// underneath is a real net.Pipe.
+	retryTimeout = 50 * time.Millisecond
+	// checkEvery runs the invariant checker every N events in addition to
+	// the run after every injected fault.
+	checkEvery = 40
+)
+
 // Config parameterises one chaos run. Only Seed has no default.
 type Config struct {
 	Seed   int64
@@ -64,13 +74,6 @@ type Config struct {
 	// WireFaultRate is the probability a first-sent control frame is
 	// faulted (default 0.25; negative disables wire faults).
 	WireFaultRate float64
-	// RetryTimeout is the client's retransmission timeout (default 50ms).
-	// It is wall-clock: the sim kernel drives the schedule, but the wire
-	// underneath is a real net.Pipe.
-	RetryTimeout time.Duration
-	// CheckEvery runs the invariant checker every N events in addition to
-	// the run after every injected fault (default 40).
-	CheckEvery int
 
 	Mix Mix
 
@@ -104,12 +107,6 @@ func (cfg Config) withDefaults() Config {
 		cfg.WireFaultRate = 0.25
 	} else if cfg.WireFaultRate < 0 {
 		cfg.WireFaultRate = 0
-	}
-	if cfg.RetryTimeout <= 0 {
-		cfg.RetryTimeout = 50 * time.Millisecond
-	}
-	if cfg.CheckEvery <= 0 {
-		cfg.CheckEvery = 40
 	}
 	if cfg.Mix == (Mix{}) {
 		cfg.Mix = Mix{Workload: 12, SwitchFault: 2, ShardKill: 1, AgentRestart: 2, DetachMidHandoff: 2, PolicyChurn: 1}
@@ -263,7 +260,7 @@ func (e *engine) connect() {
 	e.seen = make(map[uint32]bool) // request ids restart with the connection
 	e.wireMu.Unlock()
 	e.cl = e.Dial(func(c net.Conn) net.Conn { return ctrlproto.NewFaultyConn(c, e.decide) })
-	e.cl.Timeout = e.cfg.RetryTimeout
+	e.cl.Timeout = retryTimeout
 	e.cl.Attempts = retryAttempts
 }
 
@@ -423,7 +420,7 @@ func (e *engine) workload() {
 	default:
 		e.directPath()
 	}
-	if e.res.Events%e.cfg.CheckEvery == 0 {
+	if e.res.Events%checkEvery == 0 {
 		e.check("periodic")
 	}
 }

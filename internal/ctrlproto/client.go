@@ -35,6 +35,8 @@ type Client struct {
 	// that ordering is the pusher's publish barrier. Nil drops pushes. Set
 	// it before issuing requests; it is read without synchronisation.
 	OnSnapshot func(SnapshotNotify) error
+
+	undecodable *obs.Counter // snapshot pushes that failed to decode; set by Instrument
 }
 
 // NewClient wraps an established connection and starts its read loop.
@@ -79,6 +81,7 @@ func (cl *Client) handle(f frame) {
 		// refuses it and keeps its LKG state); the wire carries no verdict.
 		var n SnapshotNotify
 		if err := json.Unmarshal(f.payload, &n); err != nil {
+			cl.undecodable.Inc()
 			return
 		}
 		if cl.OnSnapshot != nil {

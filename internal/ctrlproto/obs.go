@@ -28,13 +28,18 @@ func (s *Server) Instrument(reg *obs.Registry) {
 
 // Instrument registers the client's wire telemetry on reg: the number of
 // same-reqID retransmissions its retry policy has sent (a lossy-wire
-// health signal). Get-or-create registration makes re-instrumenting a
-// reconnected client a no-op.
+// health signal) and of snapshot pushes it could not decode, which never
+// reach OnSnapshot and so never the agent's own rejection count.
+// Get-or-create registration makes re-instrumenting a reconnected client a
+// no-op. Call it before the client announces its station, so no push can
+// race it.
 func (cl *Client) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
 	cl.c.retrans = reg.Counter("wire.retransmits")
 	reg.Doc("wire.retransmits", "Same-reqID retransmissions sent by the retry policy")
+	cl.undecodable = reg.Counter("wire.snapshot.undecodable")
+	reg.Doc("wire.snapshot.undecodable", "Snapshot pushes the client dropped because they did not decode")
 	cl.c.rttSpan = reg.SpanName("wire.rtt")
 }

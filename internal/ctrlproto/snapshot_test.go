@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/packet"
 )
 
@@ -172,5 +173,43 @@ func TestPushSnapshotAllConnectionsDead(t *testing.T) {
 	n, err := srv.PushSnapshot(SnapshotNotify{Version: 1, View: core.AgentView{BS: 7}})
 	if n != 0 || !errors.Is(err, io.ErrClosedPipe) {
 		t.Fatalf("PushSnapshot = (%d, %v), want (0, %v)", n, err, io.ErrClosedPipe)
+	}
+}
+
+// TestUndecodableSnapshotIsCounted: a pushed snapshot the client cannot
+// decode never reaches OnSnapshot, so the agent cannot count it; the
+// client's wire.snapshot.undecodable counter does, and the next valid push
+// is delivered as usual.
+func TestUndecodableSnapshotIsCounted(t *testing.T) {
+	sa, ca := net.Pipe()
+	cl := NewClient(ca)
+	t.Cleanup(func() { _ = cl.Close(); _ = sa.Close() })
+	reg := obs.New()
+	cl.Instrument(reg)
+	var calls atomic.Int32
+	handled := make(chan uint64, 2)
+	cl.OnSnapshot = func(n SnapshotNotify) error {
+		calls.Add(1)
+		handled <- n.Version
+		return nil
+	}
+
+	if err := writeFrame(sa, frame{typ: MsgSnapshot, payload: []byte(`{"Version":`)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFrame(sa, frame{typ: MsgSnapshot, payload: marshalJSON(SnapshotNotify{Version: 2})}); err != nil {
+		t.Fatal(err)
+	}
+	// Frames are handled in order: once the valid push is in, so is the
+	// garbage before it.
+	if v := <-handled; v != 2 {
+		t.Fatalf("OnSnapshot saw version %d, want 2", v)
+	}
+	_ = cl.Close()
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("OnSnapshot ran %d times, want once", n)
+	}
+	if n := reg.Counter("wire.snapshot.undecodable").Value(); n != 1 {
+		t.Fatalf("wire.snapshot.undecodable = %d, want 1", n)
 	}
 }

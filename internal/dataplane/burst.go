@@ -41,27 +41,21 @@ func (n *Network) fastConfig() fastpath.NetConfig {
 	}
 }
 
-// EnableFastPath compiles the fast-path topology view and starts a
-// burst-forwarding engine with the given worker count. Call Instrument
-// first to attach telemetry. A prior engine is stopped and replaced.
+// EnableFastPath compiles the fast-path topology view and returns a handle
+// on it; it starts no goroutine. Call Instrument first to attach
+// telemetry. A prior view is replaced. workers is unused: bursts walk in
+// the sender's goroutine (NewBurstSender).
 func (n *Network) EnableFastPath(workers int) *fastpath.Engine {
-	if n.fast != nil {
-		n.fast.Close()
-	}
-	n.fast = fastpath.NewEngine(fastpath.NewNet(n.fastConfig()), workers)
+	n.fast = fastpath.NewEngine(fastpath.NewNet(n.fastConfig()))
 	return n.fast
 }
 
-// FastEngine returns the running engine, nil before EnableFastPath.
+// FastEngine returns the compiled view's handle, nil before EnableFastPath.
 func (n *Network) FastEngine() *fastpath.Engine { return n.fast }
 
-// DisableFastPath stops the engine's workers.
-func (n *Network) DisableFastPath() {
-	if n.fast != nil {
-		n.fast.Close()
-		n.fast = nil
-	}
-}
+// DisableFastPath drops the compiled view: walks go back to the
+// interpreted switch tables.
+func (n *Network) DisableFastPath() { n.fast = nil }
 
 // BurstOutcome is one packet's end-to-end outcome from a burst send.
 type BurstOutcome struct {
@@ -90,8 +84,7 @@ type BurstSender struct {
 
 // NewBurstSender returns an injection handle; EnableFastPath must have
 // run. Each concurrent sending goroutine needs its own handle. Sends walk
-// the fast path synchronously in the caller's goroutine (no engine-queue
-// handoff); the engine's worker queues serve asynchronous Submit traffic.
+// the fast path in the caller's goroutine.
 func (n *Network) NewBurstSender() (*BurstSender, error) {
 	if n.fast == nil {
 		return nil, fmt.Errorf("dataplane: fast path not enabled")

@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -198,10 +199,23 @@ func TestBurstSlowPathFallback(t *testing.T) {
 	}
 }
 
+// TestEnableFastPathStartsNoGoroutine: the fast path is a compiled view
+// that senders walk in their own goroutines, so enabling it, at any
+// requested worker count, runs nothing in the background.
+func TestEnableFastPathStartsNoGoroutine(t *testing.T) {
+	net := newPlainNet(t)
+	before := runtime.NumGoroutine()
+	net.EnableFastPath(4)
+	defer net.DisableFastPath()
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("EnableFastPath(4) left %d goroutines running, %d before", after, before)
+	}
+}
+
 // TestBurstSeesSyncedRules checks control-plane invalidation through the
 // data plane: rules installed after EnableFastPath (attach + first-packet
-// punt, then Sync) are visible to later bursts without restarting the
-// engine.
+// punt, then Sync) are visible to later bursts without enabling the fast
+// path again.
 func TestBurstSeesSyncedRules(t *testing.T) {
 	net := newPlainNet(t)
 	net.EnableFastPath(1)

@@ -2,8 +2,6 @@ package fastpath
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/packet"
@@ -133,16 +131,13 @@ type Result struct {
 	Hops int32
 }
 
-// Job is one burst handed to the engine: pkts entering at Origin on
-// InPort. The worker fills Res (len(Res) must equal len(Pkts)) and then
-// calls Done, if set. The caller must not touch Pkts or Res between
-// Submit and Done.
-type Job struct {
-	Origin int
-	InPort int
-	Pkts   []*packet.Packet
-	Res    []Result
-	Done   func(*Job)
+// job is one burst in flight: pkts entering at origin on inPort, with
+// one Result per packet (len(res) equals len(pkts)).
+type job struct {
+	origin int
+	inPort int
+	pkts   []*packet.Packet
+	res    []Result
 }
 
 // group is a set of burst packets that share (node, inPort) mid-walk.
@@ -178,16 +173,16 @@ func (sc *scratch) put(s []int32) {
 // walkBurst drives one job's packets through the topology, burst-wise:
 // the whole group traverses a switch with one snapshot acquisition, then
 // continuing packets regroup by next (node, inPort) and the frontier
-// repeats. Hop counts accrue per packet in Res.
-func (n *Net) walkBurst(sc *scratch, j *Job) {
-	n.o.walked(len(j.Pkts))
+// repeats. Hop counts accrue per packet in res.
+func (n *Net) walkBurst(sc *scratch, j *job) {
+	n.o.walked(len(j.pkts))
 	//lint:ignore hotpath warm-up growth of the free list (see scratch.get); the compiler reports the inlined make here
 	first := sc.get()
-	for i := range j.Pkts {
-		j.Res[i] = Result{}
+	for i := range j.pkts {
+		j.res[i] = Result{}
 		first = append(first, int32(i))
 	}
-	sc.queue = append(sc.queue[:0], group{node: int32(j.Origin), inPort: int32(j.InPort), idx: first})
+	sc.queue = append(sc.queue[:0], group{node: int32(j.origin), inPort: int32(j.inPort), idx: first})
 
 	for len(sc.queue) > 0 {
 		g := sc.queue[0]
@@ -198,7 +193,7 @@ func (n *Net) walkBurst(sc *scratch, j *Job) {
 }
 
 // stepGroup runs one group through one switch and enqueues the survivors.
-func (n *Net) stepGroup(sc *scratch, j *Job, g group) {
+func (n *Net) stepGroup(sc *scratch, j *job, g group) {
 	fib := n.fibs[g.node]
 	snap := fib.Acquire()
 	//lint:ignore hotpath accumulator grows only when a recompiled snapshot gains slots (see tally.ensure)
@@ -206,8 +201,8 @@ func (n *Net) stepGroup(sc *scratch, j *Job, g group) {
 	t := &sc.t
 	links := n.links[g.node]
 	for _, i := range g.idx {
-		p := j.Pkts[i]
-		r := &j.Res[i]
+		p := j.pkts[i]
+		r := &j.res[i]
 		r.Hops++
 		r.Last = g.node
 		if r.Hops > n.maxHops {
@@ -255,7 +250,7 @@ func (n *Net) stepGroup(sc *scratch, j *Job, g group) {
 
 // forward appends packet i to the pending group for (node, inPort),
 // creating it if this is the first packet heading there this round.
-func (n *Net) forward(sc *scratch, j *Job, i, node int32, inPort int) {
+func (n *Net) forward(sc *scratch, j *job, i, node int32, inPort int) {
 	for k := range sc.queue {
 		if sc.queue[k].node == node && sc.queue[k].inPort == int32(inPort) {
 			sc.queue[k].idx = append(sc.queue[k].idx, i)
@@ -267,19 +262,18 @@ func (n *Net) forward(sc *scratch, j *Job, i, node int32, inPort int) {
 	sc.queue = append(sc.queue, group{node: node, inPort: int32(inPort), idx: append(idx, i)})
 }
 
-// Walker is a caller-owned synchronous walk handle: Walk runs the burst
-// in the calling goroutine against the walker's private scratch, so a
-// synchronous sender pays no cross-goroutine handoff (the engine queues
-// cost two scheduler switches per burst, which dominates once everything
-// else is amortised). Any number of goroutines may walk the same Net
-// concurrently; each needs its own Walker.
+// Walker is a caller-owned walk handle: Walk runs the burst in the
+// calling goroutine against the walker's private scratch, so steady-state
+// walks allocate nothing and share no mutable state with other walkers.
+// Any number of goroutines may walk the same Net concurrently; each needs
+// its own Walker.
 type Walker struct {
 	n  *Net
 	sc scratch
-	j  Job
+	j  job
 }
 
-// NewWalker returns a synchronous walk handle on the topology.
+// NewWalker returns a walk handle on the topology.
 func (n *Net) NewWalker() *Walker { return &Walker{n: n} }
 
 // Walk runs one burst entering at origin on inPort in the calling
@@ -288,72 +282,19 @@ func (n *Net) NewWalker() *Walker { return &Walker{n: n} }
 //
 // hotpath: no alloc, no lock
 func (w *Walker) Walk(origin, inPort int, pkts []*packet.Packet, res []Result) []Result {
-	w.j = Job{Origin: origin, InPort: inPort, Pkts: pkts, Res: res}
+	w.j = job{origin: origin, inPort: inPort, pkts: pkts, res: res}
 	w.n.walkBurst(&w.sc, &w.j)
 	return res
 }
 
-// Engine drives N workers over per-worker burst queues. Each worker owns
-// its scratch and touches only lock-free FIB snapshots, so steady-state
-// forwarding shares no locks between workers or with the control plane.
+// Engine is a handle on a compiled Net. It runs nothing of its own: bursts
+// walk through a Walker and single packets through FIB.Step.
 type Engine struct {
 	net *Net
-	qs  []chan *Job
-	wg  sync.WaitGroup
-	rr  atomic.Uint32
 }
 
-// NewEngine starts workers goroutines, each consuming its own bounded
-// burst queue. Close drains and stops them.
-func NewEngine(net *Net, workers int) *Engine {
-	if workers <= 0 {
-		workers = 1
-	}
-	e := &Engine{net: net, qs: make([]chan *Job, workers)}
-	for w := range e.qs {
-		q := make(chan *Job, 64)
-		e.qs[w] = q
-		e.wg.Add(1)
-		go func() {
-			defer e.wg.Done()
-			var sc scratch
-			for j := range q {
-				net.walkBurst(&sc, j)
-				if j.Done != nil {
-					j.Done(j)
-				}
-			}
-		}()
-	}
-	return e
-}
+// NewEngine wraps net.
+func NewEngine(net *Net) *Engine { return &Engine{net: net} }
 
 // Net returns the engine's compiled topology view.
 func (e *Engine) Net() *Net { return e.net }
-
-// Submit enqueues a job round-robin across the worker queues.
-func (e *Engine) Submit(j *Job) {
-	w := int(e.rr.Add(1)-1) % len(e.qs)
-	e.qs[w] <- j
-}
-
-// Forward is the synchronous convenience: it submits one burst and waits
-// for the worker to finish it. res must have len(pkts) entries; the same
-// slice is returned filled.
-func (e *Engine) Forward(origin, inPort int, pkts []*packet.Packet, res []Result) []Result {
-	var wg sync.WaitGroup
-	wg.Add(1)
-	j := Job{Origin: origin, InPort: inPort, Pkts: pkts, Res: res,
-		Done: func(*Job) { wg.Done() }}
-	e.Submit(&j)
-	wg.Wait()
-	return j.Res
-}
-
-// Close stops the workers after the queued jobs drain.
-func (e *Engine) Close() {
-	for _, q := range e.qs {
-		close(q)
-	}
-	e.wg.Wait()
-}

@@ -2,19 +2,19 @@
 // compiled snapshot of a switchsim.Switch's three tables (microflow exact
 // match, prioritised TCAM, table-miss default) published behind an
 // atomic.Pointer and swapped whenever the switch's rule tables mutate,
-// plus a multi-worker engine that drives packet bursts through a whole
-// topology with zero shared locks in steady state, and a single-packet
-// step (FIB.Step) over the same snapshots for walks that cannot batch.
+// plus two ways to walk them: a Walker drives packet bursts through a
+// whole topology with zero shared locks in steady state, and a
+// single-packet step (FIB.Step) serves walks that cannot batch.
 //
-// The design follows production burst-oriented routers (per-worker
-// pipelines over immutable per-worker FIB views) and the control/data
-// decoupling the paper's architecture assumes: data-plane workers
-// classify from local snapshots; the control plane publishes new tables
-// by bumping the switch's generation, never by taking a lock the workers
-// share. The differential guarantee — enforced by property tests, a fuzz
-// target and the -race swap stress — is that every burst verdict equals
-// the verdict of the single-packet switchsim.Process walk over the same
-// tables, including the header rewrites applied to the packet.
+// The design follows production burst-oriented routers (per-walker
+// pipelines over immutable FIB views) and the control/data decoupling the
+// paper's architecture assumes: data-plane walkers classify from local
+// snapshots; the control plane publishes new tables by bumping the
+// switch's generation, never by taking a lock the walkers share. The
+// differential guarantee — enforced by property tests, a fuzz target and
+// the -race swap stress — is that every compiled walk equals the
+// single-packet switchsim.Process walk over the same tables, including
+// the header rewrites applied to the packet.
 package fastpath
 
 import (
@@ -622,8 +622,8 @@ func (s *Snapshot) exec(r *rule, slot int32, p *packet.Packet, t *tally) Verdict
 // TCAM in priority order with at most four resubmits, then the table-miss
 // action. Rewrites are applied to p in place. The tallies accrue in t;
 // bursts flush them to the switch once per burst, FIB.Step once per
-// packet. It is the one compiled match loop: bursts, engine walks and
-// single steps all run it.
+// packet. It is the one compiled match loop: burst walks and single
+// steps both run it.
 func (s *Snapshot) lookup(p *packet.Packet, inPort int, t *tally) Verdict {
 	t.stats.Packets++
 

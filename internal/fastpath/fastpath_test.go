@@ -132,10 +132,29 @@ func headerEq(a, b *packet.Packet) bool {
 		a.Proto == b.Proto && a.DSCP == b.DSCP
 }
 
+// wantDisp is the disposition a walk through a one-switch Net with no
+// links and no tunnels ends in, for a packet Process gives verdict v: a
+// forwarding port has nowhere to lead, so it falls to the slow path.
+func wantDisp(v switchsim.Verdict) Disp {
+	switch {
+	case v.ToController:
+		return DispPunted
+	case v.Drop:
+		return DispDropped
+	case v.Output == switchsim.PortUE:
+		return DispDelivered
+	case v.Output == switchsim.PortExit:
+		return DispExited
+	default:
+		return DispSlow
+	}
+}
+
 // checkEquivalence builds a random switch and burst from rng and fails t
-// if any verdict or resulting header differs from the sequential Process
-// path over an identical switch, for the burst and for the same packets
-// stepped one by one through FIB.Step on a third identical switch.
+// if a burst walked through the switch, or the same packets stepped one by
+// one through FIB.Step on a second identical switch, differs from the
+// sequential Process path over a third: the walk in disposition and
+// header, the step in verdict and header, and both in traffic accounting.
 func checkEquivalence(t *testing.T, rng *rand.Rand) {
 	t.Helper()
 	specs := genSpecs(rng, 1+rng.Intn(24))
@@ -169,27 +188,29 @@ func checkEquivalence(t *testing.T, rng *rand.Rand) {
 	}
 	inPort := rng.Intn(4)
 
-	got := NewFIB(fast).NewProc().ProcessBurst(burst, inPort)
+	walk := NewNet(NetConfig{Switches: []*switchsim.Switch{fast}, Links: [][]Link{nil}}).NewWalker()
+	got := walk.Walk(0, inPort, burst, make([]Result, len(burst)))
 	stepFIB := NewFIB(step)
 	for i := range burst {
 		want := ref.Process(seq[i], inPort)
+		if w := (Result{Disp: wantDisp(want), Hops: 1}); got[i] != w {
+			t.Fatalf("packet %d: walk %s at node %d after %d hops, want %s at 0 after 1 (Process out=%d drop=%v punt=%v)",
+				i, got[i].Disp, got[i].Last, got[i].Hops, w.Disp, want.Output, want.Drop, want.ToController)
+		}
+		if !headerEq(burst[i], seq[i]) {
+			t.Fatalf("packet %d: walk header %v != Process header %v", i, burst[i], seq[i])
+		}
 		var wantID switchsim.RuleID
 		if want.Rule != nil {
 			wantID = want.Rule.ID
 		}
-		for _, c := range []struct {
-			name string
-			v    Verdict
-			p    *packet.Packet
-		}{{"burst", got[i], burst[i]}, {"step", stepFIB.Step(single[i], inPort), single[i]}} {
-			g := c.v
-			if g.Rule != wantID || g.Output != want.Output || g.Drop != want.Drop || g.ToController != want.ToController {
-				t.Fatalf("packet %d: %s verdict (rule=%d out=%d drop=%v punt=%v) != Process (rule=%d out=%d drop=%v punt=%v)",
-					i, c.name, g.Rule, g.Output, g.Drop, g.ToController, wantID, want.Output, want.Drop, want.ToController)
-			}
-			if !headerEq(c.p, seq[i]) {
-				t.Fatalf("packet %d: %s header %v != Process header %v", i, c.name, c.p, seq[i])
-			}
+		g := stepFIB.Step(single[i], inPort)
+		if g.Rule != wantID || g.Output != want.Output || g.Drop != want.Drop || g.ToController != want.ToController {
+			t.Fatalf("packet %d: step verdict (rule=%d out=%d drop=%v punt=%v) != Process (rule=%d out=%d drop=%v punt=%v)",
+				i, g.Rule, g.Output, g.Drop, g.ToController, wantID, want.Output, want.Drop, want.ToController)
+		}
+		if !headerEq(single[i], seq[i]) {
+			t.Fatalf("packet %d: step header %v != Process header %v", i, single[i], seq[i])
 		}
 	}
 
@@ -198,7 +219,7 @@ func checkEquivalence(t *testing.T, rng *rand.Rand) {
 	for _, c := range []struct {
 		name string
 		sw   *switchsim.Switch
-	}{{"burst", fast}, {"step", step}} {
+	}{{"walk", fast}, {"step", step}} {
 		if fp, rp := atomic.LoadUint64(&c.sw.Processed), atomic.LoadUint64(&ref.Processed); fp != rp {
 			t.Fatalf("Processed: %s %d != sequential %d", c.name, fp, rp)
 		}
@@ -226,8 +247,9 @@ func checkEquivalence(t *testing.T, rng *rand.Rand) {
 }
 
 // TestBurstEquivalenceQuick is the property test: for arbitrary tables
-// and bursts, ProcessBurst ≡ packet-by-packet FIB.Step ≡ sequential
-// Process — verdicts, header rewrites, and traffic accounting.
+// and bursts, a Walker's burst ≡ packet-by-packet FIB.Step ≡ sequential
+// Process — dispositions and verdicts, header rewrites, and traffic
+// accounting.
 func TestBurstEquivalenceQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		checkEquivalence(t, rand.New(rand.NewSource(seed)))
@@ -333,16 +355,17 @@ func TestStepServesTheCurrentTable(t *testing.T) {
 	}
 }
 
-// TestSnapshotSwapRace stresses concurrent burst workers against a
+// TestSnapshotSwapRace stresses concurrent burst walkers against a
 // control-plane mutator; run under -race it proves the steady state
 // shares no locks and the swap protocol is sound. Verdicts during churn
-// only need to be self-consistent; after the mutator stops, a final burst
+// only need to be self-consistent; after the mutator stops, a final step
 // must match the sequential path exactly.
 func TestSnapshotSwapRace(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	specs := genSpecs(rng, 16)
 	sw := buildSwitch(specs, switchsim.Action{Output: -1})
-	fib := NewFIB(sw)
+	net := NewNet(NetConfig{Switches: []*switchsim.Switch{sw}, Links: [][]Link{nil}})
+	fib := net.FIB(0)
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -351,13 +374,14 @@ func TestSnapshotSwapRace(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(seed))
-			proc := fib.NewProc()
+			w := net.NewWalker()
 			burst := make([]*packet.Packet, 32)
+			res := make([]Result, len(burst))
 			for !stop.Load() {
 				for i := range burst {
 					burst[i] = genPacket(r)
 				}
-				proc.ProcessBurst(burst, r.Intn(4))
+				w.Walk(0, r.Intn(4), burst, res)
 			}
 		}(int64(w))
 	}
@@ -385,26 +409,26 @@ func TestSnapshotSwapRace(t *testing.T) {
 	}()
 	wg.Wait()
 
-	// Post-churn: the next Acquire sees the final generation and the burst
-	// path agrees with Process again.
+	// Post-churn: the next Acquire sees the final generation and the
+	// compiled path agrees with Process again.
 	snap := fib.Acquire()
 	if snap.Gen != sw.Generation() {
 		t.Fatalf("post-churn snapshot gen %d != switch gen %d", snap.Gen, sw.Generation())
 	}
 	p1, p2 := genPacket(rng), genPacket(rng)
 	*p2 = *p1
-	v := fib.NewProc().ProcessBurst([]*packet.Packet{p1}, 0)[0]
+	v := fib.Step(p1, 0)
 	want := sw.Process(p2, 0)
 	if v.Output != want.Output || v.Drop != want.Drop || v.ToController != want.ToController {
-		t.Fatalf("post-churn divergence: burst %+v vs process out=%d drop=%v punt=%v",
+		t.Fatalf("post-churn divergence: step %+v vs process out=%d drop=%v punt=%v",
 			v, want.Output, want.Drop, want.ToController)
 	}
 }
 
-// TestEngineWalk drives bursts through a 3-node line (access - core -
+// TestWalkerWalk drives bursts through a 3-node line (access - core -
 // gateway) and checks dispositions, hop counts, tunnel forwarding, and
 // the slow-path classifications.
-func TestEngineWalk(t *testing.T) {
+func TestWalkerWalk(t *testing.T) {
 	// Topology: node 0 (access) -port0-> node 1 (core) -port1-> node 2
 	// (gateway). Reverse links exist but carry no rules.
 	sws := []*switchsim.Switch{
@@ -440,14 +464,11 @@ func TestEngineWalk(t *testing.T) {
 		Tunnels:  map[packet.BSID]int32{7: 0},
 		Obs:      reg,
 	})
-	eng := NewEngine(net, 2)
-	defer eng.Close()
-
 	mk := func(dst packet.Addr) *packet.Packet {
 		return &packet.Packet{Src: 10, Dst: dst, SrcPort: 1000, DstPort: 80, Proto: packet.ProtoTCP, TTL: 64}
 	}
 	pkts := []*packet.Packet{mk(99), mk(10), mk(20), mk(30), mk(50)}
-	res := eng.Forward(0, switchsim.PortUE, pkts, make([]Result, len(pkts)))
+	res := net.NewWalker().Walk(0, switchsim.PortUE, pkts, make([]Result, len(pkts)))
 
 	want := []struct {
 		disp Disp
@@ -469,9 +490,7 @@ func TestEngineWalk(t *testing.T) {
 
 	// SlowExit reroutes exits to the slow path.
 	slow := NewNet(NetConfig{Switches: sws, Links: links, Tunnels: map[packet.BSID]int32{7: 0}, SlowExit: true})
-	e2 := NewEngine(slow, 1)
-	defer e2.Close()
-	r2 := e2.Forward(0, switchsim.PortUE, []*packet.Packet{mk(99)}, make([]Result, 1))
+	r2 := slow.NewWalker().Walk(0, switchsim.PortUE, []*packet.Packet{mk(99)}, make([]Result, 1))
 	if r2[0].Disp != DispSlow {
 		t.Fatalf("SlowExit: got %s, want %s", r2[0].Disp, DispSlow)
 	}
@@ -484,9 +503,7 @@ func TestEngineWalk(t *testing.T) {
 		Switches: loop,
 		Links:    [][]Link{{{Next: 1, InPort: 0}}, {{Next: 0, InPort: 0}}},
 	})
-	e3 := NewEngine(ln, 1)
-	defer e3.Close()
-	r3 := e3.Forward(0, 0, []*packet.Packet{mk(1)}, make([]Result, 1))
+	r3 := ln.NewWalker().Walk(0, 0, []*packet.Packet{mk(1)}, make([]Result, 1))
 	if r3[0].Disp != DispLoop {
 		t.Fatalf("loop: got %s, want %s", r3[0].Disp, DispLoop)
 	}
@@ -500,38 +517,36 @@ func TestEngineWalk(t *testing.T) {
 	}
 }
 
-// TestEngineConcurrentSubmit pushes many async jobs across workers and
-// checks every one completes with consistent results.
-func TestEngineConcurrentSubmit(t *testing.T) {
+// TestConcurrentWalkers walks many bursts from concurrent walkers on
+// one Net and checks every packet is delivered and counted once.
+func TestConcurrentWalkers(t *testing.T) {
 	sw := switchsim.NewSwitch("s")
 	sw.Install(1, switchsim.MatchAll(), switchsim.Forward(switchsim.PortUE))
 	net := NewNet(NetConfig{Switches: []*switchsim.Switch{sw}, Links: [][]Link{{}}})
-	eng := NewEngine(net, 4)
-	defer eng.Close()
 
-	const jobs = 64
-	var done sync.WaitGroup
-	done.Add(jobs)
-	for j := 0; j < jobs; j++ {
-		pkts := make([]*packet.Packet, 8)
-		for i := range pkts {
-			pkts[i] = &packet.Packet{Src: packet.Addr(j), Dst: 1, SrcPort: uint16(i), DstPort: 80, Proto: packet.ProtoTCP}
-		}
-		eng.Submit(&Job{
-			Origin: 0, InPort: switchsim.PortUE,
-			Pkts: pkts, Res: make([]Result, len(pkts)),
-			Done: func(jb *Job) {
-				for i := range jb.Res {
-					if jb.Res[i].Disp != DispDelivered {
-						t.Errorf("job packet %d: %s, want delivered", i, jb.Res[i].Disp)
+	const walkers, bursts = 4, 16
+	var wg sync.WaitGroup
+	for w := 0; w < walkers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			walker := net.NewWalker()
+			for b := 0; b < bursts; b++ {
+				pkts := make([]*packet.Packet, 8)
+				for i := range pkts {
+					pkts[i] = &packet.Packet{Src: packet.Addr(w*bursts + b), Dst: 1, SrcPort: uint16(i), DstPort: 80, Proto: packet.ProtoTCP}
+				}
+				res := walker.Walk(0, switchsim.PortUE, pkts, make([]Result, len(pkts)))
+				for i := range res {
+					if res[i].Disp != DispDelivered {
+						t.Errorf("walker %d burst %d packet %d: %s, want delivered", w, b, i, res[i].Disp)
 					}
 				}
-				done.Done()
-			},
-		})
+			}
+		}()
 	}
-	done.Wait()
-	if got := atomic.LoadUint64(&sw.Processed); got != jobs*8 {
-		t.Fatalf("switch processed %d packets, want %d", got, jobs*8)
+	wg.Wait()
+	if got := atomic.LoadUint64(&sw.Processed); got != walkers*bursts*8 {
+		t.Fatalf("switch processed %d packets, want %d", got, walkers*bursts*8)
 	}
 }

@@ -14,7 +14,7 @@ type fpObs struct {
 	staleHit *obs.Counter   // stale snapshots detected (generation moved)
 	bursts   *obs.Counter   // bursts processed (per-switch acquisitions)
 	burstSz  *obs.Histogram // burst sizes in packets
-	pkts     *obs.Counter   // packets entering engine walks
+	pkts     *obs.Counter   // packets entering burst walks
 	slow     *obs.Counter   // packets handed to the slow path
 	looped   *obs.Counter   // packets exceeding the hop budget
 }

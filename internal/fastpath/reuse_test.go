@@ -397,14 +397,15 @@ func FuzzSnapshotReuse(f *testing.F) {
 }
 
 // TestMicroflowChurnUnderBursts walks bursts through a switch from four
-// workers while another goroutine installs and removes microflows, so the
+// walkers while another goroutine installs and removes microflows, so the
 // index is patched, grown and shrunk while acquirers race to recompile,
 // often from the same snapshot; run it under -race. After the churn the
 // snapshot gives Process's verdict and rewrites on every packet.
 func TestMicroflowChurnUnderBursts(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	sw := buildSwitch(genSpecs(rng, 8), switchsim.Action{Output: -1})
-	fib := NewFIB(sw)
+	net := NewNet(NetConfig{Switches: []*switchsim.Switch{sw}, Links: [][]Link{nil}})
+	fib := net.FIB(0)
 	pkts := make([]*packet.Packet, 256)
 	for i := range pkts {
 		pkts[i] = genPacket(rng)
@@ -417,15 +418,16 @@ func TestMicroflowChurnUnderBursts(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(seed))
-			proc := fib.NewProc()
+			w := net.NewWalker()
 			backing := make([]packet.Packet, 32)
 			burst := make([]*packet.Packet, len(backing))
+			res := make([]Result, len(burst))
 			for !stop.Load() {
 				for i := range burst {
 					backing[i] = *pkts[r.Intn(len(pkts))]
 					burst[i] = &backing[i]
 				}
-				proc.ProcessBurst(burst, r.Intn(4))
+				w.Walk(0, r.Intn(4), burst, res)
 			}
 		}(int64(w))
 	}

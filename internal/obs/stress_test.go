@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
@@ -117,4 +118,53 @@ func TestRegistryStress(t *testing.T) {
 
 func errorf(format string, args ...any) error {
 	return fmt.Errorf(format, args...)
+}
+
+// TestTraceSincePollerSeesEveryEvent tails the ring with TraceJSONSince
+// while another goroutine emits, passing back each returned cursor. The
+// ring never wraps, so every event must be read exactly once: a cursor
+// taken apart from the events it covers skips whatever was emitted in
+// between.
+func TestTraceSincePollerSeesEveryEvent(t *testing.T) {
+	const events = 3000 // below defaultTraceCap: nothing is evicted
+	for round := 0; round < 20; round++ {
+		r := New()
+		ev := r.EventType("poll.ev", "i")
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := 0; i < events; i++ {
+				ev.Emit(int64(i))
+			}
+		}()
+		seen := make([]int, events)
+		var cursor uint64
+		poll := func() {
+			var page struct {
+				Next   uint64
+				Events []struct{ Seq uint64 }
+			}
+			if err := json.Unmarshal(r.TraceJSONSince(cursor), &page); err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range page.Events {
+				seen[e.Seq]++
+			}
+			cursor = page.Next
+		}
+		for emitting := true; emitting; {
+			select {
+			case <-done:
+				emitting = false
+			default:
+			}
+			poll()
+		}
+		poll()
+		for seq, n := range seen {
+			if n != 1 {
+				t.Fatalf("round %d: event %d read %d times, want once", round, seq, n)
+			}
+		}
+	}
 }

@@ -125,8 +125,9 @@ func (t *Tracer) emit(e *EventType, now int64, args []int64) {
 	t.mu.Unlock()
 }
 
-// snapshot copies the retained events in emission order.
-func (t *Tracer) snapshot() []event {
+// snapshot copies the retained events in emission order, with the count
+// of events ever emitted as of that copy (the next event's seq).
+func (t *Tracer) snapshot() ([]event, uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make([]event, 0, len(t.ring))
@@ -143,7 +144,7 @@ func (t *Tracer) snapshot() []event {
 		}
 		out = append(out, ev)
 	}
-	return out
+	return out, t.seq
 }
 
 // WriteTrace dumps the retained events as a JSON array, oldest first.
@@ -164,7 +165,7 @@ func (r *Registry) TraceJSON() []byte {
 	var buf bytes.Buffer
 	buf.WriteString("[\n")
 	if r != nil {
-		events := r.st.tracer.snapshot()
+		events, _ := r.st.tracer.snapshot()
 		for i, ev := range events {
 			buf.WriteString("  ")
 			appendEvent(&buf, ev)
@@ -216,8 +217,10 @@ func (r *Registry) TraceJSONSince(since uint64) []byte {
 		buf.WriteString("0,\n\"events\":[\n]}\n")
 		return buf.Bytes()
 	}
-	events := r.st.tracer.snapshot()
-	next := r.TraceLen()
+	// The cursor comes from the same locked copy as the events: read
+	// apart, an event emitted in between would be in neither this dump nor
+	// the next.
+	events, next := r.st.tracer.snapshot()
 	buf.WriteString(strconv.FormatUint(next, 10))
 	buf.WriteString(",\n\"events\":[\n")
 	kept := events[:0]

@@ -22,17 +22,22 @@ import (
 	"repro/internal/topo"
 )
 
+// The schedule's event rates, per simulated second, and probe period.
+const (
+	attachRatePerSec  = 2    // Poisson rate of attach events
+	flowRatePerSec    = 0.5  // new-flow rate per attached UE
+	handoffRatePerSec = 0.1  // handoff rate per attached UE
+	detachRatePerSec  = 0.02 // detach rate per attached UE
+
+	probeEvery = sim.Time(500 * time.Millisecond) // re-exercise a random existing flow
+)
+
 // Params shape the schedule.
 type Params struct {
 	Seed     int64
 	Duration sim.Time // simulated time to run (default 60s)
 
-	UEs               int      // subscriber population (default 40)
-	AttachRatePerSec  float64  // Poisson rate of attach events (default 2)
-	FlowRatePerSec    float64  // new-flow rate per attached UE (default 0.5)
-	HandoffRatePerSec float64  // handoff rate per attached UE (default 0.1)
-	DetachRatePerSec  float64  // detach rate per attached UE (default 0.02)
-	ProbeEvery        sim.Time // re-exercise a random existing flow (default 500ms)
+	UEs int // subscriber population (default 40)
 
 	// Trace, when set, receives one line per simulated event (attach, flow,
 	// handoff, detach, probe) stamped with its virtual time. The schedule is
@@ -48,21 +53,6 @@ func (p Params) withDefaults() Params {
 	}
 	if p.UEs == 0 {
 		p.UEs = 40
-	}
-	if p.AttachRatePerSec == 0 {
-		p.AttachRatePerSec = 2
-	}
-	if p.FlowRatePerSec == 0 {
-		p.FlowRatePerSec = 0.5
-	}
-	if p.HandoffRatePerSec == 0 {
-		p.HandoffRatePerSec = 0.1
-	}
-	if p.DetachRatePerSec == 0 {
-		p.DetachRatePerSec = 0.02
-	}
-	if p.ProbeEvery == 0 {
-		p.ProbeEvery = sim.Time(500 * time.Millisecond)
 	}
 	return p
 }
@@ -171,10 +161,10 @@ func (r *Runner) fail(err error) {
 // Run executes the schedule and returns the stats.
 func (r *Runner) Run() (Stats, error) {
 	r.kernel.After(0, r.attachTick)
-	r.kernel.After(r.expo(r.Params.FlowRatePerSec), r.flowTick)
-	r.kernel.After(r.expo(r.Params.HandoffRatePerSec), r.handoffTick)
-	r.kernel.After(r.expo(r.Params.DetachRatePerSec), r.detachTick)
-	r.kernel.After(r.Params.ProbeEvery, r.probeTick)
+	r.kernel.After(r.expo(flowRatePerSec), r.flowTick)
+	r.kernel.After(r.expo(handoffRatePerSec), r.handoffTick)
+	r.kernel.After(r.expo(detachRatePerSec), r.detachTick)
+	r.kernel.After(probeEvery, r.probeTick)
 	r.kernel.RunUntil(r.Params.Duration)
 	if r.failed != nil {
 		return r.stats, r.failed
@@ -194,7 +184,7 @@ func (r *Runner) reschedule(rate float64, fn func()) {
 }
 
 func (r *Runner) attachTick() {
-	defer r.reschedule(r.Params.AttachRatePerSec, r.attachTick)
+	defer r.reschedule(attachRatePerSec, r.attachTick)
 	// Pick a detached subscriber.
 	for try := 0; try < 8; try++ {
 		imsi := r.imsi(r.rng.Intn(r.Params.UEs))
@@ -223,7 +213,7 @@ func (r *Runner) randomAttached() (string, packet.BSID, bool) {
 }
 
 func (r *Runner) flowTick() {
-	defer r.reschedule(r.Params.FlowRatePerSec*float64(len(r.attached)+1), r.flowTick)
+	defer r.reschedule(flowRatePerSec*float64(len(r.attached)+1), r.flowTick)
 	imsi, bs, ok := r.randomAttached()
 	if !ok {
 		return
@@ -256,7 +246,7 @@ func (r *Runner) flowTick() {
 }
 
 func (r *Runner) handoffTick() {
-	defer r.reschedule(r.Params.HandoffRatePerSec*float64(len(r.attached)+1), r.handoffTick)
+	defer r.reschedule(handoffRatePerSec*float64(len(r.attached)+1), r.handoffTick)
 	imsi, bs, ok := r.randomAttached()
 	if !ok || len(r.stations) < 2 {
 		return
@@ -275,7 +265,7 @@ func (r *Runner) handoffTick() {
 }
 
 func (r *Runner) detachTick() {
-	defer r.reschedule(r.Params.DetachRatePerSec*float64(len(r.attached)+1), r.detachTick)
+	defer r.reschedule(detachRatePerSec*float64(len(r.attached)+1), r.detachTick)
 	imsi, _, ok := r.randomAttached()
 	if !ok {
 		return
@@ -316,7 +306,7 @@ func trimHops(h []dataplane.Hop) []dataplane.Hop {
 func (r *Runner) probeTick() {
 	defer func() {
 		if r.failed == nil {
-			r.kernel.After(r.Params.ProbeEvery, r.probeTick)
+			r.kernel.After(probeEvery, r.probeTick)
 		}
 	}()
 	if len(r.conns) == 0 {
