@@ -34,7 +34,8 @@ type InvariantReport struct {
 //
 //   - UE directory coherence: records and the LocIP index agree, every
 //     record is attached, every LocIP splits to its UE's (station, UE ID),
-//     every attached station is owned.
+//     every attached station is owned, and a UE's reservations hold
+//     shortcuts only for paths of clauses its classifiers allow.
 //   - Subscriber table agreement: the table names this controller the holder
 //     of exactly the UEs it has records for, each record carries the address
 //     the table binds to its IMSI, and the table's reverse index agrees.
@@ -150,9 +151,13 @@ func (c *Controller) CheckInvariants() (InvariantReport, error) {
 		liveIDs[stationID{bs, id}] = r.locIP
 		// The UE's reservation list: ascending, and every entry a
 		// reservation naming this UE. With the count below, the lists hold
-		// exactly the reservations that name a UE.
+		// exactly the reservations that name a UE. Each reservation's
+		// shortcuts serve only clauses the UE's classifiers allow: the
+		// delivery tag names the path at the origin station.
+		entries := c.attrs.compiled(r.attr)
 		for loc, prev := r.rsv, packet.Addr(0); loc != 0; prev, loc = loc, c.reservations[loc].next {
-			if rsv, ok := c.reservations[loc]; !ok || rsv.imsi != r.imsi {
+			rsv, ok := c.reservations[loc]
+			if !ok || rsv.imsi != r.imsi {
 				invErr = fmt.Errorf("core: UE %q lists reservation %s, which is not one of its own", r.imsi, loc)
 				return false
 			}
@@ -161,6 +166,16 @@ func (c *Controller) CheckInvariants() (InvariantReport, error) {
 				return false
 			}
 			listed--
+			originBS, _, _ := c.plan.Split(loc)
+			row := c.paths.station(originBS)
+			for i := range rsv.shortcuts {
+				for clause, rec := range row {
+					if rec != nil && rec.AccessTag() == rsv.shortcuts[i].Delivery && !allows(entries, clause) {
+						invErr = fmt.Errorf("core: UE %q holds a shortcut for %s on clause %d, which its classifiers do not allow", r.imsi, loc, clause)
+						return false
+					}
+				}
+			}
 		}
 		return true
 	})

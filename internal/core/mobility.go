@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/packet"
+	"repro/internal/policy"
 	"repro/internal/topo"
 )
 
@@ -121,9 +122,10 @@ type shortcutCut struct {
 }
 
 // Sizes of the block one retarget cuts its shortcuts from: a reservation
-// gets one shortcut per path at its origin (five on the generated plants),
-// each route a handful of hops. A retarget needing more shortcuts or route
-// hops makes separate arrays instead.
+// gets one shortcut per path at its origin of a clause the UE's classifiers
+// allow (at most five on the generated plants), each route a handful of
+// hops. A retarget needing more shortcuts or route hops makes separate
+// arrays instead.
 const (
 	blockShortcuts = 8
 	blockHops      = 8 * blockShortcuts
@@ -181,8 +183,10 @@ func (c *Controller) retireLocked(loc packet.Addr, rsv *reservation) {
 
 // retargetReservationsLocked points every reserved LocIP of a UE at its
 // newest station, in ascending LocIP order: old shortcuts come down, fresh
-// ones (from each cached path's branch point at the LocIP's origin station,
-// in clause order) go in. The new access switch's chain is built once, and
+// ones (from the branch point of each path at the LocIP's origin station
+// whose clause the UE's classifiers allow, in clause order) go in. The UE's
+// flows can carry no other clause's tags, so a path of any other clause
+// gets no shortcut. The new access switch's chain is built once, and
 // the shortcuts of every reservation, their routes and the handles returned
 // are cut from one block. It touches both the reservation table and the
 // rule tables, so it runs under both locks (acquired in order by Handoff).
@@ -193,6 +197,7 @@ func (c *Controller) retargetReservationsLocked(r *ueRecord, newAccess topo.Node
 	parent := c.Installer.tree(c.gateway)
 	hs.chain = c.T.AppendAncestorChain(hs.chain[:0], newAccess, parent)
 	hs.routes, hs.cuts = hs.routes[:0], hs.cuts[:0]
+	entries := c.attrs.compiled(r.attr)
 	for loc := r.rsv; loc != 0; {
 		rsv := c.reservations[loc]
 		for i := range rsv.shortcuts {
@@ -201,8 +206,8 @@ func (c *Controller) retargetReservationsLocked(r *ueRecord, newAccess topo.Node
 		rsv.shortcuts = nil
 		originBS, _, ok := c.plan.Split(loc)
 		if ok && hs.chain != nil {
-			for _, rec := range c.paths.station(originBS) {
-				if rec != nil {
+			for clause, rec := range c.paths.station(originBS) {
+				if rec != nil && allows(entries, clause) {
 					c.cutShortcutLocked(loc, rsv, rec, parent)
 				}
 			}
@@ -242,6 +247,17 @@ func (c *Controller) retargetReservationsLocked(r *ueRecord, newAccess topo.Node
 	return handles
 }
 
+// allows reports whether a UE's compiled classifiers send any of its flows
+// on clause.
+func allows(entries []policy.ClassifierEntry, clause int) bool {
+	for _, e := range entries {
+		if e.Clause == clause && e.Action.Allow {
+			return true
+		}
+	}
+	return false
+}
+
 // cutShortcutLocked plans the shortcut that takes loc's downstream traffic
 // on rec from its branch point to the access switch at the head of the
 // scratch chain, appending its route to the scratch routes. A path with no
@@ -279,10 +295,10 @@ type HandoffResult struct {
 //   - a fresh (UE ID, LocIP) is allocated at the new station; the old LocIP
 //     stays reserved (not reassigned) until ReleaseOldLocIP, so in-flight
 //     downstream packets stay unambiguous;
-//   - for every policy path cached at the old station, a temporary shortcut
-//     redirects old-LocIP traffic from the path's branch point (after its
-//     last middlebox) to the new station — preserving the middlebox
-//     sequence, i.e. policy consistency;
+//   - for every policy path cached at the old station whose clause the UE's
+//     classifiers allow, a temporary shortcut redirects old-LocIP traffic
+//     from the path's branch point (after its last middlebox) to the new
+//     station — preserving the middlebox sequence, i.e. policy consistency;
 //   - classifiers for the new station are returned for the new local agent.
 //
 // Copying the old station's microflows and wiring the inter-station tunnel

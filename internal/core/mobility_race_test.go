@@ -197,11 +197,12 @@ func TestReleaseAfterExtractDoesNotDoubleFree(t *testing.T) {
 // TestShortcutsComeBackInClauseOrder pins the order retargeting installs
 // and reports a handoff's shortcuts in: the origin station's paths by
 // ascending clause — the same on every controller, where ranging over the
-// path map gave each run its own.
+// path map gave each run its own. The UE's classifiers allow four clauses,
+// so four of the origin's paths get shortcuts.
 func TestShortcutsComeBackInClauseOrder(t *testing.T) {
 	for run := 0; run < 20; run++ {
 		c, _ := testController(t)
-		if err := c.RegisterSubscriber("imsi-ord", policy.Attributes{Provider: "A"}); err != nil {
+		if err := c.RegisterSubscriber("imsi-ord", policy.Attributes{Provider: "A", Plan: "silver", DeviceType: "m2m-fleet"}); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, err := c.Attach("imsi-ord", 0); err != nil {
@@ -225,6 +226,80 @@ func TestShortcutsComeBackInClauseOrder(t *testing.T) {
 				t.Fatalf("run %d: shortcut %d serves clause %d, shortcut %d clause %d; want ascending", run, i-1, prev, i, cur)
 			}
 		}
+	}
+}
+
+// TestHandoffCutsShortcutsOnlyForAllowedClauses pins that a handoff cuts
+// shortcuts only for the origin's paths of clauses the UE's classifiers
+// allow: its flows can carry no other clause's tags. Every (station,
+// clause) path is warmed, so cutting one per origin path would give each
+// UE five.
+func TestHandoffCutsShortcutsOnlyForAllowedClauses(t *testing.T) {
+	for _, tc := range []struct {
+		attr policy.Attributes
+		want int
+	}{
+		{policy.Attributes{Provider: "A"}, 2}, // voip, default-A
+		{policy.Attributes{Provider: "A", Plan: "silver", DeviceType: "m2m-fleet"}, 4},
+		{policy.Attributes{Provider: "B"}, 1}, // roaming-B
+	} {
+		c, _ := testController(t)
+		if err := c.RegisterSubscriber("imsi-cut", tc.attr); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := c.Attach("imsi-cut", 0); err != nil {
+			t.Fatal(err)
+		}
+		warmAll(t, c, []packet.BSID{0, 1, 2, 3})
+		res, err := c.Handoff("imsi-cut", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Shortcuts) != tc.want {
+			t.Errorf("%+v: handoff cut %d shortcuts, want %d", tc.attr, len(res.Shortcuts), tc.want)
+		}
+		allowed := make(map[packet.Tag]bool)
+		for _, e := range c.Policy.Compile(tc.attr) {
+			if rec := c.paths.get(pathKey{0, e.Clause}); e.Action.Allow && rec != nil {
+				allowed[rec.AccessTag()] = true
+			}
+		}
+		for _, sc := range res.Shortcuts {
+			if !allowed[sc.Delivery] {
+				t.Errorf("%+v: shortcut delivers tag %d, which no allowed clause's path at station 0 carries", tc.attr, sc.Delivery)
+			}
+		}
+		mustCheck(t, c)
+	}
+}
+
+// TestCheckInvariantsCatchesAForeignShortcut plants, on a handed-off UE's
+// reservation, a shortcut for a clause its classifiers do not allow; the
+// invariant checker must refuse it and name the clause.
+func TestCheckInvariantsCatchesAForeignShortcut(t *testing.T) {
+	c, _ := testController(t)
+	if err := c.RegisterSubscriber("imsi-foreign", policy.Attributes{Provider: "A"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.Attach("imsi-foreign", 0); err != nil {
+		t.Fatal(err)
+	}
+	warmAll(t, c, []packet.BSID{0, 1})
+	res, err := c.Handoff("imsi-foreign", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustCheck(t, c)
+	roaming, ok := c.Policy.Match(policy.Attributes{Provider: "B"}, policy.AppWeb)
+	if !ok {
+		t.Fatal("no clause serves Provider B")
+	}
+	rsv := c.reservations[res.OldLocIP]
+	rsv.shortcuts = append(slices.Clone(rsv.shortcuts), Shortcut{Loc: res.OldLocIP,
+		Delivery: c.paths.get(pathKey{0, roaming}).AccessTag()})
+	_, err = c.CheckInvariants()
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("clause %d,", roaming)) {
+		t.Fatalf("CheckInvariants = %v; want it to name foreign clause %d", err, roaming)
 	}
 }
 

@@ -2,6 +2,7 @@ package ctrlproto
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -53,6 +54,54 @@ func parsePathReply(b []byte) (PathReply, error) {
 		return PathReply{}, errSize("path reply payload", len(b))
 	}
 	return PathReply{Tag: packet.Tag(binary.BigEndian.Uint32(b))}, nil
+}
+
+// errorCodes is the closed table of sentinel errors a MsgError reply can
+// name: its code byte is the index of the first one the error wraps, 0 when
+// it wraps none. shard.ErrShardDown cannot be listed: shard's in-package
+// tests import ctrlproto, so ctrlproto cannot import shard.
+var errorCodes = [...]error{
+	1: core.ErrNotAttached,
+	2: core.ErrNotOwned,
+	3: core.ErrPermPoolExhausted,
+}
+
+// errorCode is the code of the sentinel err wraps, 0 for none.
+//
+// hotpath: cold
+func errorCode(err error) uint8 {
+	for code, sentinel := range errorCodes {
+		if errors.Is(err, sentinel) {
+			return uint8(code)
+		}
+	}
+	return 0
+}
+
+// remoteError is a MsgError payload and the requester's view of it: the
+// peer's error text, plus the code of the sentinel it wrapped. A code the
+// table does not list reads as a plain remote error.
+type remoteError struct {
+	code uint8
+	text string
+}
+
+func (e remoteError) Error() string { return "ctrlproto: remote error: " + e.text }
+
+// Is reports whether target is the sentinel the peer's code names.
+func (e remoteError) Is(target error) bool {
+	return int(e.code) < len(errorCodes) && errorCodes[e.code] == target
+}
+
+func (e remoteError) appendTo(dst []byte) []byte {
+	return append(append(dst, e.code), e.text...)
+}
+
+func parseRemoteError(b []byte) (remoteError, error) {
+	if len(b) == 0 {
+		return remoteError{}, errSize("error payload", 0)
+	}
+	return remoteError{code: b[0], text: string(b[1:])}, nil
 }
 
 // errSize reports a frame or payload whose length the protocol rejects.

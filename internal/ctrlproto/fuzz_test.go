@@ -121,6 +121,7 @@ var wireCodecs = []wireCodec{
 	codecOf("location report", parseLocationReport, func(r core.AgentLocationReport, dst []byte) []byte {
 		return appendLocationReport(dst, r)
 	}),
+	codecOf("remote error", parseRemoteError, remoteError.appendTo),
 }
 
 // FuzzWireCodec feeds arbitrary bytes to the message decoders. A decoder
@@ -129,14 +130,20 @@ var wireCodecs = []wireCodec{
 // every message it accepts must round-trip: re-encoding and re-decoding it
 // yields the same value and the same bytes. The corpus under
 // testdata/fuzz/FuzzWireCodec holds one valid encoding of each message and
-// a few malformed ones; the seed added here is a handoff result with more
-// shortcuts than decodeShortcuts' block holds, so the fallback is covered.
+// a few malformed ones; the seeds added here are a handoff result with more
+// shortcuts than decodeShortcuts' block holds, so the fallback is covered,
+// and one error reply per code of the sentinel table.
 func FuzzWireCodec(f *testing.F) {
 	for i, c := range wireCodecs {
-		if c.name == "handoff result" {
+		switch c.name {
+		case "handoff result":
 			res := newConstPlane().res
 			res.Shortcuts = shortcutsOf(blockShortcuts + 1)
 			f.Add(append([]byte{byte(i)}, appendHandoffResult(nil, res)...))
+		case "remote error":
+			for code := range errorCodes {
+				f.Add(remoteError{code: uint8(code), text: "refused"}.appendTo([]byte{byte(i)}))
+			}
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -19,7 +19,10 @@
 // pay nothing: the header is absent and the flag bit is zero.
 //
 // Payloads are hand-packed binary (codec.go), except MsgSnapshot's, which
-// is JSON: snapshots are cold and large. A warmed path request allocates
+// is JSON: snapshots are cold and large. A MsgError payload is one code
+// byte, naming the sentinel error the refusal wrapped (0 for none), then
+// the error's text, so errors.Is holds across the wire for the sentinels
+// codec.go lists. A warmed path request allocates
 // nothing on either end of the wire: the caller's rendezvous with its
 // reply is a pooled call, each connection reads every frame into one
 // reused buffer, and the write buffer is double-buffered.
@@ -477,7 +480,7 @@ func (c *conn) finish(r *call) (*call, error) {
 		return nil, r.err
 	}
 	if r.typ == MsgError {
-		err := remoteError(r.buf)
+		err := decodeRemoteError(r.buf)
 		c.release(r)
 		return nil, err
 	}
@@ -497,13 +500,17 @@ func (c *conn) timedOut(id uint32, r *call, attempts int) (*call, error) {
 	return nil, fmt.Errorf("%w after %d attempts", ErrTimeout, attempts)
 }
 
-// remoteError is the requester's view of a MsgError reply.
+// decodeRemoteError is the requester's view of a MsgError reply.
 //
 // hotpath: cold
 //
 //go:noinline
-func remoteError(msg []byte) error {
-	return fmt.Errorf("ctrlproto: remote error: %s", msg)
+func decodeRemoteError(msg []byte) error {
+	e, err := parseRemoteError(msg)
+	if err != nil {
+		return err
+	}
+	return e
 }
 
 // reply enqueues a response frame without flushing: the read loop that
@@ -516,11 +523,11 @@ func (c *conn) reply(req frame, typ MsgType, payload []byte) error {
 		trace: req.trace, span: req.span, payload: payload})
 }
 
-// replyError answers req with the error's text.
+// replyError answers req with the error's code and text.
 //
 // hotpath: cold
 func (c *conn) replyError(req frame, err error) error {
-	return c.reply(req, MsgError, []byte(err.Error()))
+	return c.reply(req, MsgError, remoteError{code: errorCode(err), text: err.Error()}.appendTo(nil))
 }
 
 // frameBuffered reports whether br already holds a complete, well-formed

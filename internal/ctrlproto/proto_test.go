@@ -2,7 +2,10 @@ package ctrlproto
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -155,6 +158,69 @@ func TestClientServerErrors(t *testing.T) {
 	// The connection survives errors.
 	if _, err := cl.Echo([]byte("still alive")); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refusingPlane refuses every attach and handoff with err.
+type refusingPlane struct {
+	*constPlane
+	err error
+}
+
+func (p refusingPlane) Attach(string, packet.BSID) (core.UE, []core.Classifier, error) {
+	return core.UE{}, nil, p.err
+}
+
+func (p refusingPlane) Handoff(string, packet.BSID) (core.HandoffResult, error) {
+	return core.HandoffResult{}, p.err
+}
+
+// wireSentinels are the refusals a requester tells apart with errors.Is.
+var wireSentinels = []error{core.ErrNotAttached, core.ErrNotOwned, core.ErrPermPoolExhausted}
+
+// TestRefusalsKeepTheirIdentityOnTheWire pins that an attach or handoff
+// refused with one of core's sentinels is still that sentinel, and no
+// other, to errors.Is on the far side of the wire, over net.Pipe and TCP.
+func TestRefusalsKeepTheirIdentityOnTheWire(t *testing.T) {
+	for _, tr := range []struct {
+		name string
+		pair func(*testing.T, *Server) *Client
+	}{{"pipe", pipePair}, {"tcp", tcpPair}} {
+		for _, sentinel := range wireSentinels {
+			refusal := fmt.Errorf("core: UE %q: %w", "x", sentinel)
+			cl := tr.pair(t, NewServer(refusingPlane{newConstPlane(), refusal}))
+			_, _, aerr := cl.Attach("x", 1)
+			_, herr := cl.Handoff("x", 2)
+			for op, err := range map[string]error{"attach": aerr, "handoff": herr} {
+				if err == nil || !strings.Contains(err.Error(), refusal.Error()) {
+					t.Fatalf("%s %s: err = %v, want the text of %q", tr.name, op, err, refusal)
+				}
+				for _, s := range wireSentinels {
+					if got := errors.Is(err, s); got != (s == sentinel) {
+						t.Errorf("%s %s refused with %q: errors.Is(err, %q) = %v", tr.name, op, sentinel, s, got)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestUnknownErrorCodeIsPlain pins that a code the sentinel table does not
+// list decodes as a plain remote error carrying the peer's text.
+func TestUnknownErrorCodeIsPlain(t *testing.T) {
+	for _, code := range []uint8{0, uint8(len(errorCodes)), 255} {
+		err := decodeRemoteError(append([]byte{code}, "refused"...))
+		if err == nil || err.Error() != "ctrlproto: remote error: refused" {
+			t.Fatalf("code %d: err = %v", code, err)
+		}
+		for _, s := range wireSentinels {
+			if errors.Is(err, s) {
+				t.Errorf("code %d decodes as %q", code, s)
+			}
+		}
+	}
+	if err := decodeRemoteError(nil); err == nil {
+		t.Fatal("an empty error payload decoded")
 	}
 }
 

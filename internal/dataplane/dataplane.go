@@ -57,9 +57,10 @@ type Network struct {
 	synced   []uint64         // per node: the FIB version its TCAM holds; see Sync
 	edits    []switchsim.Edit // Sync's splice scratch
 
-	fast *fastpath.Engine // burst fast path; see EnableFastPath (burst.go)
-	obs  *dpObs           // burst telemetry; see Instrument (obs.go)
-	reg  *obs.Registry    // registry handed to the fast path on enable
+	fast  *fastpath.Engine // burst fast path; see EnableFastPath (burst.go)
+	obs   *dpObs           // burst telemetry; see Instrument (obs.go)
+	spans dpSpans          // handoff and Sync spans; see Instrument (obs.go)
+	reg   *obs.Registry    // registry handed to the fast path on enable
 
 	// Congestion scales the modelled queueing delay per hop (0 = idle
 	// network: only propagation and processing latency accrue). The walk's
@@ -154,34 +155,59 @@ const unsynced = ^uint64(0)
 // on skipped switches, and on spliced ones for every rule the splice did
 // not remove. A rebuilt switch's rules are new rules, counting from zero.
 // On error the failing switch keeps the table it had.
+//
+// A sampled Sync is a dataplane.sync span with one dataplane.sync.splice
+// child per switch it tried to splice, one dataplane.sync.replace per
+// switch it rebuilt and a dataplane.sync.compile for the fast path's
+// recompile.
 func (n *Network) Sync() error {
+	return n.sync(n.spans.sync.Root())
+}
+
+// sync is Sync inside sp, an open dataplane.sync span it ends.
+func (n *Network) sync(sp obs.Span) error {
+	defer sp.End()
+	sc := sp.Context()
 	for i, sw := range n.Switches {
 		fib := n.Ctrl.Installer.FIB(topo.NodeID(i))
 		v := fib.Version()
 		if v == n.synced[i] {
 			continue
 		}
+		ssp := n.spans.splice.Start(sc)
 		spliced, err := n.splice(sw, fib, n.synced[i])
+		ssp.End()
 		if err != nil {
 			return err
 		}
 		if spliced {
 			n.obs.synced(true)
-		} else {
-			rules, err := n.materialise(fib)
-			if err != nil {
-				return err
-			}
-			sw.ReplaceTCAM(rules)
-			n.obs.synced(false)
+		} else if err := n.replace(sc, sw, fib); err != nil {
+			return err
 		}
 		n.synced[i] = v
 	}
 	if n.fast != nil {
 		// Recompile stale fast-path snapshots now, so the control-plane
 		// change is paid for here rather than on the next burst.
+		csp := n.spans.compile.Start(sc)
 		n.fast.Net().Warm()
+		csp.End()
 	}
+	return nil
+}
+
+// replace rebuilds sw's whole table from fib, in a dataplane.sync.replace
+// span under sc.
+func (n *Network) replace(sc obs.SpanContext, sw *switchsim.Switch, fib *core.FIB) error {
+	sp := n.spans.replace.Start(sc)
+	defer sp.End()
+	rules, err := n.materialise(fib)
+	if err != nil {
+		return err
+	}
+	sw.ReplaceTCAM(rules)
+	n.obs.synced(false)
 	return nil
 }
 
@@ -606,25 +632,32 @@ func (n *Network) BindPublicIP(imsi string, public packet.Addr, clause int) erro
 // Handoff performs the complete handoff choreography: controller move,
 // new-agent admission, microflow migration with tunnelling, and TCAM
 // resync. It returns the controller's result (for later ReleaseOldLocIP).
+// A sampled handoff is a dataplane.handoff span whose children are the
+// controller's core.handoff, the agents' dataplane.handoff.agents and the
+// resync's dataplane.sync.
 func (n *Network) Handoff(imsi string, newBS packet.BSID) (core.HandoffResult, error) {
-	res, err := n.move(imsi, newBS)
+	sp := n.spans.handoff.Root()
+	defer sp.End()
+	res, err := n.move(sp.Context(), imsi, newBS)
 	if err != nil {
 		return res, err
 	}
-	return res, n.Sync()
+	return res, n.sync(n.spans.sync.Start(sp.Context()))
 }
 
-// move is Handoff without the resync.
-func (n *Network) move(imsi string, newBS packet.BSID) (core.HandoffResult, error) {
+// move is Handoff without the resync, its spans children of sc.
+func (n *Network) move(sc obs.SpanContext, imsi string, newBS packet.BSID) (core.HandoffResult, error) {
 	ue, ok := n.Ctrl.LookupUE(imsi)
 	if !ok {
 		return core.HandoffResult{}, fmt.Errorf("dataplane: unknown UE %q", imsi)
 	}
 	oldAgent := n.Agents[ue.BS]
-	res, err := n.Ctrl.Handoff(imsi, newBS)
+	res, err := n.Ctrl.HandoffCtx(sc, imsi, newBS)
 	if err != nil {
 		return res, err
 	}
+	sp := n.spans.agents.Start(sc)
+	defer sp.End()
 	newAgent := n.Agents[newBS]
 	if err := newAgent.AdmitUE(res.UE, res.Classifiers); err != nil {
 		return res, err

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mbox"
+	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/policy"
 	"repro/internal/topo"
@@ -69,9 +70,16 @@ func netOn(t testing.TB, tp *topo.Topology, gw topo.NodeID, natPool packet.Prefi
 // zero plan is packet.DefaultPlan).
 func netOnPlan(t testing.TB, tp *topo.Topology, gw topo.NodeID, natPool packet.Prefix, plan packet.Plan) *Network {
 	t.Helper()
+	return netOnObs(t, tp, gw, natPool, plan, nil)
+}
+
+// netOnObs is netOnPlan with the controller recording into reg.
+func netOnObs(t testing.TB, tp *topo.Topology, gw topo.NodeID, natPool packet.Prefix, plan packet.Plan, reg *obs.Registry) *Network {
+	t.Helper()
 	ctrl, err := core.NewController(tp, core.ControllerConfig{
 		Gateway: gw,
 		Plan:    plan,
+		Obs:     reg,
 		Policy:  policy.ExampleCarrierPolicy(),
 		MBTypes: map[string]topo.MBType{
 			policy.MBFirewall:   0,
@@ -82,9 +90,9 @@ func netOnPlan(t testing.TB, tp *topo.Topology, gw topo.NodeID, natPool packet.P
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := mbox.NewRegistry(ctrl.Plan(), packet.NewPrefix(packet.AddrFrom4(198, 51, 100, 0), 24))
+	boxes := mbox.NewRegistry(ctrl.Plan(), packet.NewPrefix(packet.AddrFrom4(198, 51, 100, 0), 24))
 	net, err := New(ctrl, Config{
-		Registry: reg,
+		Registry: boxes,
 		MBFuncs: map[topo.MBType]string{
 			0: "firewall", 1: "transcoder", 2: "echo-cancel",
 		},

@@ -56,11 +56,30 @@ func (o *dpObs) synced(spliced bool) {
 	}
 }
 
-// Instrument registers the data plane's burst telemetry and every
-// switch's pipeline counters on reg. Call it before EnableFastPath so the
-// fast path inherits the same registry.
+// dpSpans names the spans a handoff and a Sync record. The zero value,
+// all nil, records nothing: a nil *obs.SpanName opens only unsampled spans.
+type dpSpans struct {
+	handoff *obs.SpanName // a whole Network.Handoff
+	agents  *obs.SpanName // the agents' part of a handoff: AdmitUE and MigrateFlows
+	sync    *obs.SpanName // a whole Sync
+	splice  *obs.SpanName // one switch's splice, tried by Sync
+	replace *obs.SpanName // one switch's table rebuilt by Sync
+	compile *obs.SpanName // the fast path's recompile at the end of a Sync
+}
+
+// Instrument registers the data plane's burst telemetry, its handoff and
+// Sync spans and every switch's pipeline counters on reg. Call it before
+// EnableFastPath so the fast path inherits the same registry.
 func (n *Network) Instrument(reg *obs.Registry) {
 	n.obs = newDPObs(reg)
+	n.spans = dpSpans{
+		handoff: reg.SpanName("dataplane.handoff"),
+		agents:  reg.SpanName("dataplane.handoff.agents"),
+		sync:    reg.SpanName("dataplane.sync"),
+		splice:  reg.SpanName("dataplane.sync.splice"),
+		replace: reg.SpanName("dataplane.sync.replace"),
+		compile: reg.SpanName("dataplane.sync.compile"),
+	}
 	n.reg = reg
 	for _, sw := range n.Switches {
 		sw.Instrument(reg)

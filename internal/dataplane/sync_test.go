@@ -238,14 +238,14 @@ func (c *churn) step() (op string, ok bool) {
 		} else {
 			op = fmt.Sprintf("handoff %s %d->%d->%d, one sync", ue.IMSI, ue.BS, a, b)
 		}
-		hr, err := n.move(ue.IMSI, a)
+		hr, err := n.move(obs.SpanContext{}, ue.IMSI, a)
 		must(err)
 		if release {
 			n.Ctrl.ReleaseOldLocIP(hr.OldLocIP, hr.Shortcuts)
 			break
 		}
 		c.pending = append(c.pending, hr)
-		hr, err = n.move(ue.IMSI, b)
+		hr, err = n.move(obs.SpanContext{}, ue.IMSI, b)
 		must(err)
 		c.pending = append(c.pending, hr)
 	case 11: // more changes than a FIB lists, before one Sync
@@ -269,7 +269,7 @@ func (c *churn) step() (op string, ok bool) {
 // rules than a FIB lists (core.MaxFIBChanges), with no Sync in between.
 func bounce(n *Network, imsi string, home, away packet.BSID) error {
 	for i := 0; i < core.MaxFIBChanges; i++ {
-		hr, err := n.move(imsi, away)
+		hr, err := n.move(obs.SpanContext{}, imsi, away)
 		if err != nil {
 			return err
 		}
@@ -696,7 +696,7 @@ func TestHandoffSyncIsADelta(t *testing.T) {
 	// A handoff installs shortcuts for the paths cached at the station it
 	// leaves; each UE's flow cached one at its own.
 	handoff := func(imsi string) func() error {
-		return func() (err error) { hr, err = net.move(imsi, far); return err }
+		return func() (err error) { hr, err = net.move(obs.SpanContext{}, imsi, far); return err }
 	}
 	release := func() error { net.Ctrl.ReleaseOldLocIP(hr.OldLocIP, hr.Shortcuts); return nil }
 	isDelta("handoff", handoff("ue0"))
@@ -705,10 +705,10 @@ func TestHandoffSyncIsADelta(t *testing.T) {
 	// each is a rule removed and its replacement added.
 	var first core.HandoffResult
 	isDelta("two handoffs", func() (err error) {
-		if first, err = net.move("ue5", far); err != nil {
+		if first, err = net.move(obs.SpanContext{}, "ue5", far); err != nil {
 			return err
 		}
-		hr, err = net.move("ue5", 1)
+		hr, err = net.move(obs.SpanContext{}, "ue5", 1)
 		return err
 	})
 	isDelta("two releases", func() error {
@@ -961,8 +961,9 @@ func BenchmarkSyncNoChange(b *testing.B) {
 }
 
 // BenchmarkSyncAfterHandoff times the Sync that follows a controller
-// handoff (shortcuts for every path cached at the old station); the handoff
-// itself, the release and the release's Sync run off the clock.
+// handoff (shortcuts for the paths at the old station of the clauses the
+// UE's classifiers allow); the handoff itself, the release and the
+// release's Sync run off the clock.
 func BenchmarkSyncAfterHandoff(b *testing.B) {
 	net := syncBenchNet(b)
 	_ = net.Ctrl.RegisterSubscriber("m", policy.Attributes{Provider: "A"})

@@ -38,6 +38,10 @@ type Stream struct {
 	active []int
 	sec    int
 	ev     SecondEvents
+
+	// Departure rates depend on a station's active count alone, bearer
+	// rates also on the second's load.
+	departures, bearers poissonMemo
 }
 
 // NewStream builds a stream over the default-filled parameters, seeded by
@@ -104,9 +108,10 @@ func (s *Stream) Next() *SecondEvents {
 	}
 
 	pDep := 1 / s.p.MeanSessionSeconds
+	s.bearers.reset()
 	for bs := 0; bs < s.p.Stations; bs++ {
 		if a := s.active[bs]; a > 0 {
-			dep := poisson(s.rng, float64(a)*pDep)
+			dep := s.departures.draw(s.rng, a, float64(a)*pDep)
 			if dep > a {
 				dep = a
 			}
@@ -115,7 +120,8 @@ func (s *Stream) Next() *SecondEvents {
 				ev.Departures = append(ev.Departures, bs)
 			}
 		}
-		ev.Bearers[bs] = poisson(s.rng, float64(s.active[bs])*s.p.BearersPerUESec*load)
+		a := s.active[bs]
+		ev.Bearers[bs] = s.bearers.draw(s.rng, a, float64(a)*s.p.BearersPerUESec*load)
 	}
 
 	s.sec++

@@ -123,7 +123,12 @@ func poisson(rng *rand.Rand, lambda float64) int {
 		}
 		return int(v + 0.5)
 	}
-	l := math.Exp(-lambda)
+	return knuth(rng, math.Exp(-lambda))
+}
+
+// knuth draws a Poisson variate of mean -ln(l) as Knuth does: the number of
+// uniforms whose running product stays above l.
+func knuth(rng *rand.Rand, l float64) int {
 	k, p := 0, 1.0
 	for {
 		p *= rng.Float64()
@@ -132,6 +137,35 @@ func poisson(rng *rand.Rand, lambda float64) int {
 		}
 		k++
 	}
+}
+
+// poissonMemo draws Poisson variates whose rate is a function of a small
+// count (a station's active UEs) until the next reset, computing each
+// count's exponential once: most stations share their count with another.
+// It draws exactly what poisson draws.
+type poissonMemo struct {
+	gen   uint32    // resets so far
+	stamp []uint32  // stamp[a] == gen+1: l[a] is current
+	l     []float64 // l[a] = exp(-lambda) for count a
+}
+
+// reset forgets every cached exponential: the rate function changed.
+func (m *poissonMemo) reset() { m.gen++ }
+
+// draw is poisson(rng, lambda), where lambda is the rate function's value
+// at count a.
+func (m *poissonMemo) draw(rng *rand.Rand, a int, lambda float64) int {
+	if lambda <= 0 || lambda > 64 {
+		return poisson(rng, lambda)
+	}
+	if a >= len(m.l) {
+		m.l = append(m.l, make([]float64, a+1-len(m.l))...)
+		m.stamp = append(m.stamp, make([]uint32, a+1-len(m.stamp))...)
+	}
+	if m.stamp[a] != m.gen+1 {
+		m.stamp[a], m.l[a] = m.gen+1, math.Exp(-lambda)
+	}
+	return knuth(rng, m.l[a])
 }
 
 // stationWeights builds normalised lognormal popularity weights: mildly
@@ -151,9 +185,12 @@ func stationWeights(n int, sigma float64, rng *rand.Rand) []float64 {
 }
 
 // sampler draws station indices proportionally to weights via the alias-free
-// cumulative method with binary search.
+// cumulative method with binary search. A guide table narrows the search to
+// the few entries around the draw; it finds what a search of the whole
+// table finds.
 type sampler struct {
-	cum []float64
+	cum   []float64
+	guide []int // guide[i]: the first index whose cumulative weight reaches i/len(cum)
 }
 
 func newSampler(w []float64) *sampler {
@@ -164,12 +201,26 @@ func newSampler(w []float64) *sampler {
 		cum[i] = acc
 	}
 	cum[len(cum)-1] = 1
-	return &sampler{cum: cum}
+	guide := make([]int, len(cum)+1)
+	j := 0
+	for i := range guide {
+		for t := float64(i) / float64(len(cum)); cum[j] < t; {
+			j++
+		}
+		guide[i] = j
+	}
+	return &sampler{cum: cum, guide: guide}
 }
 
-func (s *sampler) draw(rng *rand.Rand) int {
-	x := rng.Float64()
-	lo, hi := 0, len(s.cum)-1
+func (s *sampler) draw(rng *rand.Rand) int { return s.pick(rng.Float64()) }
+
+// pick returns the first index whose cumulative weight reaches x, for x in
+// [0, 1). The answer lies between the guide entries one bucket either side
+// of x's: rounding in x*n or i/n moves a boundary by far less than that.
+func (s *sampler) pick(x float64) int {
+	n := len(s.cum)
+	i := min(int(x*float64(n)), n-1)
+	lo, hi := s.guide[max(i-1, 0)], s.guide[min(i+2, n)]
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if s.cum[mid] < x {

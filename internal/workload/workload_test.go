@@ -128,6 +128,65 @@ func TestSamplerMatchesWeights(t *testing.T) {
 	}
 }
 
+// TestSamplerGuideFindsWhatAFullSearchFinds checks the guided pick against
+// a binary search of the whole cumulative table, at random points and at
+// every bucket boundary and its neighbouring floats.
+func TestSamplerGuideFindsWhatAFullSearchFinds(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{1, 2, 3, 7, 384, 1500} {
+		s := newSampler(stationWeights(n, 0.35, rng))
+		full := func(x float64) int {
+			lo, hi := 0, len(s.cum)-1
+			for lo < hi {
+				if mid := (lo + hi) / 2; s.cum[mid] < x {
+					lo = mid + 1
+				} else {
+					hi = mid
+				}
+			}
+			return lo
+		}
+		xs := []float64{0, math.Nextafter(1, 0)}
+		for i := 0; i < 20000; i++ {
+			xs = append(xs, rng.Float64())
+		}
+		for i := 0; i <= n; i++ {
+			b := float64(i) / float64(n)
+			xs = append(xs, math.Nextafter(b, 0), b, math.Nextafter(b, 1))
+		}
+		for _, c := range s.cum {
+			xs = append(xs, math.Nextafter(c, 0), c, math.Nextafter(c, 1))
+		}
+		for _, x := range xs {
+			if x < 0 || x >= 1 {
+				continue
+			}
+			if got, want := s.pick(x), full(x); got != want {
+				t.Fatalf("n=%d: pick(%v) = %d, a full search finds %d", n, x, got, want)
+			}
+		}
+	}
+}
+
+// TestPoissonMemoDrawsWhatPoissonDraws checks that the memoised draws take
+// the same variates from the same random stream as poisson, across resets
+// and rates on both sides of the normal approximation.
+func TestPoissonMemoDrawsWhatPoissonDraws(t *testing.T) {
+	a, b := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
+	var m poissonMemo
+	for round := 0; round < 50; round++ {
+		m.reset()
+		scale := 0.05 + float64(round)*0.1
+		for i := 0; i < 400; i++ {
+			count := i % 97
+			lambda := float64(count) * scale
+			if got, want := m.draw(a, count, lambda), poisson(b, lambda); got != want {
+				t.Fatalf("round %d, count %d: memo drew %d, poisson %d", round, count, got, want)
+			}
+		}
+	}
+}
+
 func TestSkewProducesHotStations(t *testing.T) {
 	r := Generate(quickParams(9))
 	med := r.ActiveUEsPerBS.Quantile(0.5)
