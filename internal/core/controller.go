@@ -88,8 +88,8 @@ type ControllerConfig struct {
 // State is split into two lock domains so readers and independent writers
 // do not contend (the throughput benchmarks measure exactly this):
 //
-//   - ueMu guards the UE/location tables and the UE ID allocators; lookups
-//     take only the read lock.
+//   - ueMu guards the UE table and the station table, which is both the
+//     LocIP index and the UE ID allocator; lookups take only the read lock.
 //   - ruleMu guards the rule tables: Planner, Installer, writes to the
 //     installed-path table, and topology up/down flags — everything
 //     Algorithm 1 and prefix aggregation touch. The Installer itself is
@@ -105,7 +105,7 @@ type ControllerConfig struct {
 // all, a repeat RequestPath, takes no lock: it reads the station's row of
 // the path table.
 type Controller struct {
-	ueMu   sync.RWMutex // UE/location state and UE ID allocation
+	ueMu   sync.RWMutex // UE table, station table (LocIPs, UE IDs, ownership)
 	ruleMu sync.Mutex   // rule tables: Planner, Installer, paths
 
 	T         *topo.Topology
@@ -117,26 +117,23 @@ type Controller struct {
 	plan    packet.Plan
 	gateway topo.NodeID
 	mbTypes map[string]topo.MBType
-	owned   map[packet.BSID]bool // guarded by ueMu; nil = unrestricted
 
 	// ues is the struct-of-arrays UE directory (DESIGN.md §14): one
 	// fixed-size slab record per attached UE. An IMSI reaches its record
 	// through the subscriber table (ues.subs, which locks itself and also
 	// keeps registrations and permanent addresses): it names the holder —
 	// ues.inst, this controller's number among those admitting from it —
-	// and the slot. A LocIP reaches it through ues.loc. attrs interns the
+	// and the slot. A LocIP reaches it through stations, which also hands
+	// out UE IDs and says which stations are owned. attrs interns the
 	// attribute sets (and their compiled classifier templates) the records
 	// reference by handle.
-	ues   ueTable  // guarded by ueMu; ues.subs and ues.inst are fixed
-	attrs attrPool // guarded by ueMu
+	ues      ueTable      // guarded by ueMu; ues.subs and ues.inst are fixed
+	stations stationTable // guarded by ueMu
+	attrs    attrPool     // guarded by ueMu
 	// reservations holds, per still-reserved old LocIP, the live shortcut
 	// state for in-flight flows of a moved UE (§5.1); retargeted on every
 	// subsequent handoff, removed by ReleaseOldLocIP's soft timeout.
 	reservations map[packet.Addr]*reservation // guarded by ueMu
-	// Per-station UE ID allocators, indexed by BSID and grown on demand
-	// (ensureBSLocked) — dense arrays, not maps: station IDs are small.
-	nextUEID  []packet.UEID   // guarded by ueMu
-	freeUEIDs [][]packet.UEID // guarded by ueMu
 	// rsvFree recycles reservation records a release or removal retired.
 	rsvFree []*reservation // guarded by ueMu
 	// paths is the one record of the installed policy paths: writers hold
@@ -211,15 +208,9 @@ func NewController(t *topo.Topology, cfg ControllerConfig) (*Controller, error) 
 	// Location routing is base infrastructure (Fig. 3(a)): build it now so
 	// location-routed traffic works before the first policy path.
 	inst.EnableLocationRouting(cfg.Gateway)
-	var owned map[packet.BSID]bool
-	if cfg.Stations != nil {
-		owned = make(map[packet.BSID]bool, len(cfg.Stations))
-		for _, bs := range cfg.Stations {
-			if _, ok := t.Station(bs); !ok {
-				return nil, fmt.Errorf("core: restricted to unknown base station %d", bs)
-			}
-			owned[bs] = true
-		}
+	stations, err := newStationTable(t, cfg.Stations)
+	if err != nil {
+		return nil, err
 	}
 	c := &Controller{
 		T:            t,
@@ -230,8 +221,8 @@ func NewController(t *topo.Topology, cfg ControllerConfig) (*Controller, error) 
 		plan:         cfg.Plan,
 		gateway:      cfg.Gateway,
 		mbTypes:      cfg.MBTypes,
-		owned:        owned,
 		ues:          newUETable(subs),
+		stations:     stations,
 		attrs:        newAttrPool(),
 		reservations: make(map[packet.Addr]*reservation),
 		paths:        newPathTable(t),
@@ -278,53 +269,27 @@ func (c *Controller) RegisterSubscriber(imsi string, attr policy.Attributes) err
 	return c.ues.subs.Register(imsi, attr)
 }
 
-// ensureBSLocked grows the per-station allocator arrays to cover bs.
+// allocLocIPLocked hands bs's next UE ID — the top of its free stack, else
+// the one above its mark — to the record at slot and returns it with the
+// LocIP it makes. bs is an owned station.
 //
 // caller holds ueMu
-func (c *Controller) ensureBSLocked(bs packet.BSID) {
-	if int(bs) < len(c.nextUEID) {
-		return
-	}
-	n := len(c.nextUEID) * 2
-	if n <= int(bs) {
-		n = int(bs) + 1
-	}
-	next := make([]packet.UEID, n)
-	copy(next, c.nextUEID)
-	c.nextUEID = next
-	free := make([][]packet.UEID, n)
-	copy(free, c.freeUEIDs)
-	c.freeUEIDs = free
-}
-
-// freeUEIDLocked returns one (station, UE ID) to the free list.
-//
-// caller holds ueMu
-func (c *Controller) freeUEIDLocked(bs packet.BSID, id packet.UEID) {
-	c.ensureBSLocked(bs)
-	c.freeUEIDs[bs] = append(c.freeUEIDs[bs], id)
-}
-
-// allocLocIP assigns a fresh (UEID, LocIP) at a base station.
-//
-// caller holds ueMu
-func (c *Controller) allocLocIP(bs packet.BSID) (packet.UEID, packet.Addr, error) {
-	c.ensureBSLocked(bs)
+func (c *Controller) allocLocIPLocked(bs packet.BSID, slot uint32) (packet.UEID, packet.Addr, error) {
+	row := &c.stations[bs]
 	var id packet.UEID
-	if free := c.freeUEIDs[bs]; len(free) > 0 {
-		id = free[len(free)-1]
-		c.freeUEIDs[bs] = free[:len(free)-1]
+	if n := len(row.free); n > 0 {
+		id, row.free = row.free[n-1], row.free[:n-1]
+	} else if id = packet.UEID(len(row.ids)) + 1; id <= c.plan.MaxUE() {
+		row.ids = append(row.ids, 0)
 	} else {
-		id = c.nextUEID[bs] + 1
-		if id > c.plan.MaxUE() {
-			return 0, 0, fmt.Errorf("core: base station %d out of UE IDs", bs)
-		}
-		c.nextUEID[bs] = id
+		return 0, 0, fmt.Errorf("core: base station %d out of UE IDs", bs)
 	}
 	loc, err := c.plan.LocIP(bs, id)
 	if err != nil {
+		c.stations.release(bs, id)
 		return 0, 0, err
 	}
+	row.ids[id-1] = slot + 1
 	return id, loc, nil
 }
 
@@ -358,14 +323,12 @@ func (c *Controller) Attach(imsi string, bs packet.BSID) (UE, []Classifier, erro
 		return c.ueViewLocked(r), c.classifiersLocked(r), nil
 	}
 	if known {
-		id, loc, err := c.allocLocIP(bs)
+		id, loc, err := c.allocLocIPLocked(bs, slot)
 		if err != nil {
 			return UE{}, nil, err
 		}
-		delete(c.ues.loc, r.locIP)
-		c.freeUEIDLocked(r.bs, r.ueid)
+		c.stations.release(r.bs, r.ueid)
 		r.bs, r.ueid, r.locIP = bs, id, loc
-		c.ues.loc[loc] = slot
 	} else {
 		attr, perm, err := c.ues.subs.admit(imsi, c.ues.inst, c.ues.nextSlot())
 		if err != nil {
@@ -386,13 +349,12 @@ func (c *Controller) Attach(imsi string, bs packet.BSID) (UE, []Classifier, erro
 //
 // caller holds ueMu
 func (c *Controller) newRecordLocked(imsi string, attr policy.Attributes, perm packet.Addr, bs packet.BSID) (*ueRecord, error) {
-	id, loc, err := c.allocLocIP(bs)
+	id, loc, err := c.allocLocIPLocked(bs, c.ues.nextSlot())
 	if err != nil {
 		return nil, err
 	}
-	r, slot := c.ues.alloc(imsi, c.attrs.acquire(attr, c.Policy), perm)
+	r, _ := c.ues.alloc(imsi, c.attrs.acquire(attr, c.Policy), perm)
 	r.bs, r.ueid, r.locIP = bs, id, loc
-	c.ues.loc[loc] = slot
 	return r, nil
 }
 
@@ -598,7 +560,8 @@ func (c *Controller) ResolveLocIP(perm packet.Addr) (packet.Addr, error) {
 func (c *Controller) LookupByLocIP(loc packet.Addr) (UE, bool) {
 	c.ueMu.RLock()
 	defer c.ueMu.RUnlock()
-	slot, ok := c.ues.loc[loc]
+	bs, id, _ := c.plan.Split(loc)
+	slot, ok := c.stations.slot(bs, id)
 	if !ok {
 		return UE{}, false
 	}
@@ -642,24 +605,22 @@ func (c *Controller) removeUE(imsi string, park bool) (MigratedUE, error) {
 // caller holds ueMu; caller holds ruleMu
 func (c *Controller) removeUELocked(r *ueRecord, slot uint32, park bool) MigratedUE {
 	m := MigratedUE{IMSI: r.imsi, Attr: c.attrs.attrOf(r.attr), PermIP: r.permIP, OldBS: r.bs, OldLocIP: r.locIP}
-	delete(c.ues.loc, r.locIP)
-	c.freeUEIDLocked(r.bs, r.ueid)
+	c.stations.release(r.bs, r.ueid)
 	for loc := r.rsv; loc != 0; {
 		rsv := c.reservations[loc]
 		next := rsv.next
 		for i := range rsv.shortcuts {
 			c.Installer.RemoveShortcut(&rsv.shortcuts[i])
 		}
-		// Handoff left the reserved address indexed to this UE's slot; the
-		// entry would dangle once the record below is cleared.
-		delete(c.ues.loc, loc)
+		// Handoff left the reserved address's UE ID naming this UE's slot;
+		// the entry would dangle once the record below is cleared.
+		bs, id, _ := c.plan.Split(loc)
 		if park {
 			rsv.imsi, rsv.shortcuts, rsv.next = "", nil, 0
+			c.stations[bs].ids[id-1] = idParked
 		} else {
 			c.retireLocked(loc, rsv)
-			if bs, id, ok := c.plan.Split(loc); ok {
-				c.freeUEIDLocked(bs, id)
-			}
+			c.stations.release(bs, id)
 		}
 		loc = next
 	}
@@ -678,83 +639,86 @@ type AgentLocationReport struct {
 
 // RecoverLocations rebuilds the UE-location state from live agents' reports
 // (§5.2: "a replica can correctly rebuild the UE location state by querying
-// local agents"). Existing location state is discarded first. Each station's
-// UE IDs below the highest reported one that no report names go back on its
-// free list.
+// local agents"). The reports for owned stations are checked first
+// (checkReportsLocked), and one the controller cannot file verbatim refuses
+// the call with the state unchanged. Otherwise existing location state is
+// discarded and the reported UEs imported.
 func (c *Controller) RecoverLocations(reports []AgentLocationReport) error {
 	c.ueMu.Lock()
 	defer c.ueMu.Unlock()
+	// Another shard's stations are for their owner to rebuild.
+	reports = slices.DeleteFunc(slices.Clone(reports), func(r AgentLocationReport) bool { return !c.ownsLocked(r.BS) })
+	if err := c.checkReportsLocked(reports); err != nil {
+		return err
+	}
 	c.ruleMu.Lock()
 	c.ues.forEach(func(slot uint32, r *ueRecord) bool {
 		c.removeUELocked(r, slot, false)
 		return true
 	})
-	clear(c.reservations) // what is left was parked: no shortcuts, no index entries
+	clear(c.reservations) // what is left was parked: no shortcuts, no list
 	c.ruleMu.Unlock()
-	for i := range c.nextUEID {
-		c.nextUEID[i] = 0
+	for i := range c.stations {
+		c.stations[i].ids, c.stations[i].free = c.stations[i].ids[:0], c.stations[i].free[:0]
 	}
-	for i := range c.freeUEIDs {
-		c.freeUEIDs[i] = c.freeUEIDs[i][:0]
-	}
-	held := make(map[packet.BSID][]packet.UEID)
+	return c.importLocked(reports)
+}
+
+// checkReportsLocked refuses reports an import could not file verbatim: a
+// UE whose LocIP is not the one its station and UE ID make (so the UE ID,
+// which indexes the station table, is in 1..MaxUE), or an IMSI or LocIP
+// named twice.
+//
+// caller holds ueMu
+func (c *Controller) checkReportsLocked(reports []AgentLocationReport) error {
+	imsis, locs := make(map[string]bool), make(map[packet.Addr]bool)
 	for _, rep := range reports {
-		if !c.ownsLocked(rep.BS) {
-			continue // another shard's station; its owner rebuilds it
-		}
 		for _, u := range rep.UEs {
-			if err := c.importUELocked(rep.BS, u); err != nil {
-				return err
+			if loc, err := c.plan.LocIP(rep.BS, u.UEID); err != nil || loc != u.LocIP {
+				return fmt.Errorf("core: report for station %d: UE %q at %s, which is not UE ID %d's LocIP there", rep.BS, u.IMSI, u.LocIP, u.UEID)
 			}
-			held[rep.BS] = append(held[rep.BS], u.UEID)
+			if imsis[u.IMSI] || locs[u.LocIP] {
+				return fmt.Errorf("core: reports name UE %q or its LocIP %s twice", u.IMSI, u.LocIP)
+			}
+			imsis[u.IMSI], locs[u.LocIP] = true, true
 		}
-	}
-	for bs, ids := range held {
-		c.freeUnheldUEIDsLocked(bs, 0, ids)
 	}
 	return nil
 }
 
-// freeUnheldUEIDsLocked puts on bs's free list every UE ID above from, up to
-// the station's high-water mark, that held does not name — highest first,
-// so the lowest is handed out next. Imports raise the mark to the highest ID
-// they bring; without this the IDs they skip would never be allocated again.
-// It sorts held.
+// importLocked files every UE of checked reports, each above its station's
+// mark, verbatim: a new record keeping its UE ID, LocIP and permanent IP
+// (which the subscriber table binds, or confirms). The IDs it skips as it
+// raises a mark are stacked, highest first, so the lowest goes out next.
 //
 // caller holds ueMu
-func (c *Controller) freeUnheldUEIDsLocked(bs packet.BSID, from packet.UEID, held []packet.UEID) {
-	slices.Sort(held)
-	i := len(held) - 1
-	for id := c.nextUEID[bs]; id > from; id-- {
-		for i >= 0 && held[i] > id {
-			i--
+func (c *Controller) importLocked(reports []AgentLocationReport) error {
+	marks := make([]int, len(c.stations))
+	for i, r := range c.stations {
+		marks[i] = len(r.ids)
+	}
+	for _, rep := range reports {
+		for _, u := range rep.UEs {
+			slot := c.ues.nextSlot()
+			if err := c.ues.subs.bind(u.IMSI, u.PermIP, c.ues.inst, slot); err != nil {
+				return err
+			}
+			r, _ := c.ues.alloc(u.IMSI, c.attrs.acquire(u.Attr, c.Policy), u.PermIP)
+			r.bs, r.ueid, r.locIP = rep.BS, u.UEID, u.LocIP
+			row := &c.stations[rep.BS]
+			if int(u.UEID) > len(row.ids) {
+				row.ids = append(row.ids, make([]uint32, int(u.UEID)-len(row.ids))...)
+			}
+			row.ids[u.UEID-1] = slot + 1
 		}
-		if i < 0 || held[i] != id {
-			c.freeUEIDs[bs] = append(c.freeUEIDs[bs], id)
+	}
+	for i, mark := range marks {
+		r := &c.stations[i]
+		for id := len(r.ids); id > mark; id-- {
+			if r.ids[id-1] == 0 {
+				r.free = append(r.free, packet.UEID(id))
+			}
 		}
-	}
-}
-
-// importUELocked installs one reported UE at bs verbatim, keeping its UEID,
-// LocIP and permanent IP (which the subscriber table binds, or confirms).
-//
-// caller holds ueMu
-func (c *Controller) importUELocked(bs packet.BSID, u UE) error {
-	r, slot, ok := c.ues.get(u.IMSI)
-	if !ok {
-		slot = c.ues.nextSlot()
-	}
-	if err := c.ues.subs.bind(u.IMSI, u.PermIP, c.ues.inst, slot); err != nil {
-		return err
-	}
-	if !ok {
-		r, _ = c.ues.alloc(u.IMSI, c.attrs.acquire(u.Attr, c.Policy), u.PermIP)
-	}
-	r.bs, r.ueid, r.locIP = bs, u.UEID, u.LocIP
-	c.ues.loc[u.LocIP] = slot
-	c.ensureBSLocked(bs)
-	if u.UEID > c.nextUEID[bs] {
-		c.nextUEID[bs] = u.UEID
 	}
 	return nil
 }

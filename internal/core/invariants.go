@@ -32,16 +32,16 @@ type InvariantReport struct {
 // CheckInvariants verifies the controller's cross-cutting consistency
 // properties and returns a report of what it covered. The checks:
 //
-//   - UE directory coherence: records and the LocIP index agree, every
+//   - UE directory coherence: records and the station table agree, every
 //     record is attached, every LocIP splits to its UE's (station, UE ID),
 //     every attached station is owned, and a UE's reservations hold
 //     shortcuts only for paths of clauses its classifiers allow.
 //   - Subscriber table agreement: the table names this controller the holder
 //     of exactly the UEs it has records for, each record carries the address
 //     the table binds to its IMSI, and the table's reverse index agrees.
-//   - Allocator safety: no UE ID is simultaneously free and live (attached
-//     or reserved), and the free lists hold no duplicates — the invariant
-//     that breaks first if an address is ever double-freed.
+//   - Allocator safety: every UE ID below a station's mark is free and on
+//     its free stack exactly once, or held by a record or a reservation —
+//     the invariant that breaks first if an address is ever double-freed.
 //   - Rule accounting: per-switch table sizes sum to the installer's net
 //     rule counter.
 //   - Store agreement: the path/ documents are exactly the installed paths,
@@ -71,44 +71,30 @@ func (c *Controller) CheckInvariants() (InvariantReport, error) {
 		Reservations: len(c.reservations),
 	}
 
-	// Reservations: each is a parseable address at an owned station, indexed
-	// to its UE's record — or, parked by that UE's Detach, owned by no UE,
-	// with no index entry and no shortcuts. liveIDs marks (station, id) pairs
-	// that must not appear in the free lists.
-	type stationID struct {
-		bs packet.BSID
-		id packet.UEID
-	}
-	liveIDs := make(map[stationID]packet.Addr)
+	// Reservations: each is a LocIP whose UE ID names its UE's record — or,
+	// parked by that UE's Detach, owned by no UE, its UE ID marked parked
+	// and no shortcuts left.
 	listed := 0 // reservations that name a UE, each of which its list must hold
 	for loc, rsv := range c.reservations {
-		bs, id, ok := c.plan.Split(loc)
-		if !ok {
-			return rep, fmt.Errorf("core: reserved address %s is not a LocIP", loc)
-		}
-		if !c.ownsLocked(bs) {
-			return rep, fmt.Errorf("core: reservation %s at unowned station %d", loc, bs)
-		}
-		slot, held := c.ues.loc[loc]
+		bs, id, _ := c.plan.Split(loc)
+		e := c.stations.entry(bs, id)
 		if rsv.imsi == "" {
-			if held || len(rsv.shortcuts) != 0 {
-				return rep, fmt.Errorf("core: parked reservation %s still has an index entry or %d shortcuts", loc, len(rsv.shortcuts))
+			if e != idParked || len(rsv.shortcuts) != 0 {
+				return rep, fmt.Errorf("core: parked reservation %s has UE ID entry %d and %d shortcuts", loc, e, len(rsv.shortcuts))
 			}
-		} else if _, ueSlot, ok := c.ues.get(rsv.imsi); !ok {
+		} else if r, ueSlot, ok := c.ues.get(rsv.imsi); !ok {
 			return rep, fmt.Errorf("core: reservation %s names unknown UE %q", loc, rsv.imsi)
-		} else if !held || slot != ueSlot {
-			return rep, fmt.Errorf("core: reserved address %s not indexed to its UE %q", loc, rsv.imsi)
+		} else if e != ueSlot+1 || r.locIP == loc {
+			return rep, fmt.Errorf("core: reserved address %s not indexed to its UE %q, or its current location", loc, rsv.imsi)
 		} else {
 			listed++
 		}
-		liveIDs[stationID{bs, id}] = loc
 	}
 
 	// UE directory coherence, plus the struct-of-arrays layout's own
 	// integrity: every record held here at its own slot according to the
-	// subscriber table, every address map entry pointing at the slot that
-	// owns the address, and the attribute-pool reference counts exactly
-	// matching a full scan.
+	// subscriber table, its UE ID naming that slot, and the attribute-pool
+	// reference counts exactly matching a full scan.
 	heldHere, invErr := c.ues.subs.audit(c.ues.inst)
 	if invErr != nil {
 		return rep, invErr
@@ -127,28 +113,15 @@ func (c *Controller) CheckInvariants() (InvariantReport, error) {
 			return false
 		}
 		delete(heldHere, r.imsi)
-		if r.locIP == 0 {
-			invErr = fmt.Errorf("core: UE %q has a record but no location", r.imsi)
-			return false
-		}
-		if got, ok := c.ues.loc[r.locIP]; !ok || got != slot {
-			invErr = fmt.Errorf("core: UE %q location %s not indexed back to it", r.imsi, r.locIP)
-			return false
-		}
 		bs, id, ok := c.plan.Split(r.locIP)
 		if !ok || bs != r.bs || id != r.ueid {
 			invErr = fmt.Errorf("core: UE %q location %s does not embed (bs %d, id %d)", r.imsi, r.locIP, r.bs, r.ueid)
 			return false
 		}
-		if !c.ownsLocked(r.bs) {
-			invErr = fmt.Errorf("core: UE %q attached at unowned station %d", r.imsi, r.bs)
+		if e := c.stations.entry(bs, id); e != slot+1 {
+			invErr = fmt.Errorf("core: UE %q location %s not indexed back to it: UE ID %d at station %d names entry %d, not slot %d", r.imsi, r.locIP, id, bs, e, slot)
 			return false
 		}
-		if prev, dup := liveIDs[stationID{bs, id}]; dup {
-			invErr = fmt.Errorf("core: UE ID %d at station %d serves both %s and %s", id, bs, prev, r.locIP)
-			return false
-		}
-		liveIDs[stationID{bs, id}] = r.locIP
 		// The UE's reservation list: ascending, and every entry a
 		// reservation naming this UE. With the count below, the lists hold
 		// exactly the reservations that name a UE. Each reservation's
@@ -198,20 +171,6 @@ func (c *Controller) CheckInvariants() (InvariantReport, error) {
 		return rep, fmt.Errorf("core: slot leak: %d live + %d free != %d allocated", c.ues.live, len(c.ues.free), c.ues.next)
 	}
 
-	// Address map checks: no entry points at a slot that does not own its
-	// address.
-	for loc, slot := range c.ues.loc {
-		if slot >= c.ues.next || c.ues.rec(slot).attr == 0 {
-			return rep, fmt.Errorf("core: location index %s names slot %d with no UE record", loc, slot)
-		}
-		if r := c.ues.rec(slot); r.locIP != loc {
-			rsv, reserved := c.reservations[loc]
-			if !reserved || rsv.imsi != r.imsi {
-				return rep, fmt.Errorf("core: location index %s -> %q is neither current nor reserved", loc, r.imsi)
-			}
-		}
-	}
-
 	// Attribute-pool refcounts: the scan above counted every handle reference
 	// the records hold; the pool must agree exactly — an entry reclaimed
 	// too early or leaked shows up here.
@@ -229,23 +188,34 @@ func (c *Controller) CheckInvariants() (InvariantReport, error) {
 		return rep, fmt.Errorf("core: attribute pool has %d live entries, records reference %d", got, len(attrRefs))
 	}
 
-	// Allocator safety: free lists hold no duplicates, nothing live, and
-	// nothing beyond the high-water mark.
-	for bsi, free := range c.freeUEIDs {
-		bs := packet.BSID(bsi)
-		seen := make(map[packet.UEID]bool, len(free))
-		for _, id := range free {
-			if seen[id] {
-				return rep, fmt.Errorf("core: UE ID %d at station %d double-freed", id, bs)
+	// The station table, one walk: below each station's mark a UE ID is
+	// free and on the free stack exactly once, or held at an owned station —
+	// and as many are held as the records and reservations checked above
+	// hold, each its own.
+	held := 0
+	for bsi := range c.stations {
+		bs, row := packet.BSID(bsi), &c.stations[bsi]
+		if !row.owned && len(row.ids) != 0 {
+			return rep, fmt.Errorf("core: unowned station %d has UE IDs up to %d", bs, len(row.ids))
+		}
+		stacked := make([]bool, len(row.ids))
+		for _, id := range row.free {
+			if id == 0 || int(id) > len(row.ids) || stacked[id-1] || row.ids[id-1] != 0 {
+				return rep, fmt.Errorf("core: UE ID %d at station %d is on the free stack but outside 1..%d, on it twice, or in use", id, bs, len(row.ids))
 			}
-			seen[id] = true
-			if id == 0 || id > c.nextUEID[bs] {
-				return rep, fmt.Errorf("core: free UE ID %d at station %d outside allocated range 1..%d", id, bs, c.nextUEID[bs])
+			stacked[id-1] = true
+		}
+		for i, e := range row.ids {
+			if e == 0 && !stacked[i] {
+				return rep, fmt.Errorf("core: UE ID %d at station %d is free but missing from the free stack", i+1, bs)
 			}
-			if loc, live := liveIDs[stationID{bs, id}]; live {
-				return rep, fmt.Errorf("core: UE ID %d at station %d is both free and live (%s)", id, bs, loc)
+			if e != 0 {
+				held++
 			}
 		}
+	}
+	if held != rep.Attached+len(c.reservations) {
+		return rep, fmt.Errorf("core: the station table holds %d UE IDs; %d records and %d reservations hold one each", held, rep.Attached, len(c.reservations))
 	}
 
 	// Rule accounting.

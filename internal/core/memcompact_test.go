@@ -43,9 +43,7 @@ func TestQuickUETableSlotAliasing(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tbl := newBareTable()
-		live := map[string]uint32{}     // imsi -> slot the table returned
-		loc := map[packet.Addr]string{} // locIP -> imsi
-		nextAddr := packet.Addr(1)
+		live := map[string]uint32{} // imsi -> slot the table returned
 
 		universe := make([]string, 40)
 		for i := range universe {
@@ -55,22 +53,15 @@ func TestQuickUETableSlotAliasing(t *testing.T) {
 			i := rng.Intn(len(universe))
 			imsi := universe[i]
 			if slot, ok := live[imsi]; ok {
-				// Drop: delete the address entry and the holder mark first,
-				// as the controller does, then free the slot.
-				r := tbl.rec(slot)
-				delete(tbl.loc, r.locIP)
-				delete(loc, r.locIP)
+				// Drop: remove the holder mark first, as the controller
+				// does, then free the slot.
 				tbl.subs.release(imsi, tbl.inst)
 				tbl.freeRec(slot)
 				delete(live, imsi)
 				continue
 			}
-			r, slot := putRecord(t, tbl, imsi, packet.Addr(1000+i))
-			r.locIP = nextAddr
-			nextAddr += 2
-			tbl.loc[r.locIP] = slot
+			_, slot := putRecord(t, tbl, imsi, packet.Addr(1000+i))
 			live[imsi] = slot
-			loc[r.locIP] = imsi
 		}
 
 		// Every live IMSI resolves to its own record; every dead one misses.
@@ -83,13 +74,6 @@ func TestQuickUETableSlotAliasing(t *testing.T) {
 			if ok && (r.imsi != imsi || slot != wantSlot) {
 				t.Fatalf("seed %d: get(%q) aliased to slot %d (imsi %q), want slot %d",
 					seed, imsi, slot, r.imsi, wantSlot)
-			}
-		}
-		// The address map agrees with the model.
-		for a, imsi := range loc {
-			slot, ok := tbl.loc[a]
-			if !ok || tbl.rec(slot).imsi != imsi {
-				t.Fatalf("seed %d: loc[%v] lost or aliased", seed, a)
 			}
 		}
 		// Accounting: live + free == high water; forEach visits exactly the
@@ -304,14 +288,18 @@ func TestMemCompactionChurnRace(t *testing.T) {
 	}
 }
 
-// TestRecSizeMatchesRecord pins slabBytes' literal record size to the
-// struct: mem.slab_bytes and every per-subscriber figure derived from it
-// would otherwise drift silently when a field is added or removed.
+// TestRecSizeMatchesRecord pins slabBytes' literal record size, and the
+// station table's row size, to the structs: mem.slab_bytes, index_bytes and
+// every per-subscriber figure derived from them would otherwise drift
+// silently when a field is added or removed.
 func TestRecSizeMatchesRecord(t *testing.T) {
 	tbl := newBareTable()
 	putRecord(t, tbl, "imsi", 1)
 	if got, want := tbl.slabBytes(), uint64(ueSlabSize)*uint64(unsafe.Sizeof(ueRecord{})); got != want {
 		t.Fatalf("slabBytes charges one slab at %d bytes, its records occupy %d", got, want)
+	}
+	if got := unsafe.Sizeof(stationRow{}); got != stationRowSize {
+		t.Fatalf("MemStats charges a station row %d bytes, it occupies %d", stationRowSize, got)
 	}
 }
 
@@ -319,19 +307,20 @@ func TestRecSizeMatchesRecord(t *testing.T) {
 // literal zero heap allocations: a warmed UE-table lookup and an intern hit
 // in the attribute pool.
 func TestInternPoolSteadyStateZeroAllocs(t *testing.T) {
-	// UE table: a hit on a warmed table allocates nothing.
+	// UE table and station table: a hit on a warmed table allocates
+	// nothing.
 	tbl := newBareTable()
+	ids := make(stationTable, 1)
 	for i := 0; i < 100; i++ {
-		r, slot := putRecord(t, tbl, fmt.Sprintf("imsi-%03d", i), packet.Addr(1000+i))
-		r.locIP = packet.Addr(1 + i)
-		tbl.loc[r.locIP] = slot
+		_, slot := putRecord(t, tbl, fmt.Sprintf("imsi-%03d", i), packet.Addr(1000+i))
+		ids[0].ids = append(ids[0].ids, slot+1) // UE ID i+1
 	}
 	if allocs := testing.AllocsPerRun(1000, func() {
 		if _, _, ok := tbl.get("imsi-042"); !ok {
 			t.Fatal("warmed IMSI missing")
 		}
-		if _, ok := tbl.loc[43]; !ok {
-			t.Fatal("warmed LocIP missing")
+		if _, ok := ids.slot(0, 43); !ok {
+			t.Fatal("warmed UE ID missing")
 		}
 	}); allocs != 0 {
 		t.Fatalf("UE-table lookup allocates %.1f/op, want 0", allocs)

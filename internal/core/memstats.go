@@ -16,9 +16,9 @@ type MemStats struct {
 	SlotsAllocated int    `json:"slots_allocated"` // slab high-water mark
 	FreeSlots      int    `json:"free_slots"`      // slab free-list depth
 	SlabBytes      uint64 `json:"slab_bytes"`      // record-slab footprint
-	IndexBytes     uint64 `json:"index_bytes"`     // LocIP map and slot free list, subscriber-table maps (estimated)
+	IndexBytes     uint64 `json:"index_bytes"`     // station table and slot free list (capacity), subscriber-table maps (estimated)
 	IMSIBytes      uint64 `json:"imsi_bytes"`      // retained IMSI string bytes
-	FreeUEIDs      int    `json:"free_ueids"`      // per-station UE ID free-list depth (all stations)
+	FreeUEIDs      int    `json:"free_ueids"`      // per-station UE ID free-stack depth (all stations)
 	Reservations   int    `json:"reservations"`    // still-reserved old LocIPs
 	// Attribute intern pool.
 	InternedAttrs int    `json:"interned_attrs"` // distinct attribute sets
@@ -76,7 +76,7 @@ func (c *Controller) MemStats() MemStats {
 		SlotsAllocated: int(c.ues.next),
 		FreeSlots:      len(c.ues.free),
 		SlabBytes:      c.ues.slabBytes(),
-		IndexBytes:     c.ues.indexBytes(),
+		IndexBytes:     uint64(cap(c.ues.free)*4 + len(c.stations)*stationRowSize),
 		IMSIBytes:      c.ues.imsiBytes,
 		Attached:       c.ues.live,
 		Reservations:   len(c.reservations),
@@ -90,8 +90,9 @@ func (c *Controller) MemStats() MemStats {
 	if c.ues.subs.Store == c.Store {
 		ms.Add(c.ues.subs.MemStats())
 	}
-	for _, free := range c.freeUEIDs {
-		ms.FreeUEIDs += len(free)
+	for _, r := range c.stations {
+		ms.FreeUEIDs += len(r.free)
+		ms.IndexBytes += uint64(cap(r.ids)+cap(r.free)) * 4
 	}
 	c.obs.publishMem(ms)
 	return ms

@@ -332,14 +332,13 @@ func (c *Controller) HandoffCtx(sc obs.SpanContext, imsi string, newBS packet.BS
 	}
 	oldBS, oldLoc := r.bs, r.locIP
 
-	id, loc, err := c.allocLocIP(newBS)
+	// The old UE ID keeps naming this UE's slot (reserved) for old flows;
+	// only the new one is added.
+	id, loc, err := c.allocLocIPLocked(newBS, slot)
 	if err != nil {
 		return HandoffResult{}, err
 	}
-	// The old LocIP stays indexed to this UE's slot (reserved) for old
-	// flows; only the new address is added.
 	r.bs, r.ueid, r.locIP = newBS, id, loc
-	c.ues.loc[loc] = slot
 	c.handoffs.Add(1)
 
 	res := HandoffResult{UE: c.ueViewLocked(r), OldBS: oldBS, OldLocIP: oldLoc,
@@ -439,17 +438,12 @@ func (c *Controller) ReleaseOldLocIP(oldLoc packet.Addr, shortcuts []*Shortcut) 
 		// the same (station, UE ID) — the same LocIP — to two devices.
 		return
 	}
-	// A reservation that is not parked is indexed to its UE's slot, whose
-	// list it is on.
-	slot, held := c.ues.loc[oldLoc]
-	if held {
+	// A reservation that is not parked names its UE's slot, whose list it
+	// is on.
+	bs, id, _ := c.plan.Split(oldLoc)
+	if slot, held := c.stations.slot(bs, id); held {
 		c.unreserveLocked(c.ues.rec(slot), oldLoc)
 	}
 	c.retireLocked(oldLoc, rsv)
-	if bs, id, ok := c.plan.Split(oldLoc); ok {
-		if !held || c.ues.rec(slot).locIP != oldLoc {
-			c.freeUEIDLocked(bs, id)
-			delete(c.ues.loc, oldLoc)
-		}
-	}
+	c.stations.release(bs, id)
 }

@@ -20,11 +20,17 @@ import (
 // dispatcher uses it to detect misrouted requests after a ring change.
 var ErrNotOwned = errors.New("base station not owned by this controller")
 
+// ErrShardDown marks a request that reached a controller shard after its
+// failure was declared; the shard dispatcher retries it once, on a fresh
+// ring, so callers see it only inside the failover window.
+var ErrShardDown = errors.New("shard: controller shard is down")
+
 // ownsLocked reports whether the controller serves bs.
 //
 // caller holds ueMu
 func (c *Controller) ownsLocked(bs packet.BSID) bool {
-	return c.owned == nil || c.owned[bs]
+	r := c.stations.row(bs)
+	return r != nil && r.owned
 }
 
 // Owns reports whether the controller serves bs.
@@ -34,16 +40,15 @@ func (c *Controller) Owns(bs packet.BSID) bool {
 	return c.ownsLocked(bs)
 }
 
-// Stations lists the controller's owned base stations; nil means all.
+// Stations lists the controller's owned base stations in ascending order.
 func (c *Controller) Stations() []packet.BSID {
 	c.ueMu.RLock()
 	defer c.ueMu.RUnlock()
-	if c.owned == nil {
-		return nil
-	}
-	out := make([]packet.BSID, 0, len(c.owned))
-	for bs := range c.owned {
-		out = append(out, bs)
+	var out []packet.BSID
+	for bs, r := range c.stations {
+		if r.owned {
+			out = append(out, packet.BSID(bs))
+		}
 	}
 	return out
 }
@@ -101,31 +106,28 @@ func (c *Controller) AdoptUE(m MigratedUE, bs packet.BSID) (UE, []Classifier, er
 }
 
 // AbsorbStation extends the controller's ownership to bs and imports the
-// given UE records verbatim (preserving each UE's reported UEID and LocIP,
-// and freeing the IDs below the highest that none of them holds, exactly as
-// RecoverLocations does) — the shard-failover path: a dead
-// shard's stations move to its neighbours, which rebuild the location
-// state from live agents' reports. A newly absorbed station has no paths here
-// yet, so its first path requests install against this controller's own
-// rule table and tag sub-space.
+// given UE records verbatim, as RecoverLocations does — the shard-failover
+// path: a dead shard's stations move to its neighbours, which rebuild the
+// location state from live agents' reports. A record RecoverLocations would
+// refuse, a UE this controller holds, or a UE ID it has handed out at bs
+// before refuses the call with the state unchanged. A newly absorbed station
+// has no paths here yet, so its first path requests install against this
+// controller's own rule table and tag sub-space.
 func (c *Controller) AbsorbStation(bs packet.BSID, ues []UE) error {
 	c.ueMu.Lock()
 	defer c.ueMu.Unlock()
-	if _, ok := c.T.Station(bs); !ok {
+	if _, ok := c.T.Station(bs); !ok || c.stations.row(bs) == nil {
 		return fmt.Errorf("core: unknown base station %d", bs)
 	}
-	if c.owned != nil {
-		c.owned[bs] = true
+	reports := []AgentLocationReport{{BS: bs, UEs: ues}}
+	if err := c.checkReportsLocked(reports); err != nil {
+		return err
 	}
-	c.ensureBSLocked(bs)
-	from := c.nextUEID[bs]
-	held := make([]packet.UEID, 0, len(ues))
 	for _, u := range ues {
-		if err := c.importUELocked(bs, u); err != nil {
-			return err
+		if _, _, ok := c.ues.get(u.IMSI); ok || int(u.UEID) <= len(c.stations[bs].ids) {
+			return fmt.Errorf("core: absorbing station %d: UE %q is here, or its UE ID %d was handed out here", bs, u.IMSI, u.UEID)
 		}
-		held = append(held, u.UEID)
 	}
-	c.freeUnheldUEIDsLocked(bs, from, held)
-	return nil
+	c.stations[bs].owned = true
+	return c.importLocked(reports)
 }

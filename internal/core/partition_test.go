@@ -366,3 +366,44 @@ func TestCheckInvariantsCatchesHolderDisagreement(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCheckInvariantsCatchesStationTableDefects plants the ways the station
+// table's UE IDs and the records can part: each is reported by name, and
+// the table checks clean once it is mended.
+func TestCheckInvariantsCatchesStationTableDefects(t *testing.T) {
+	c := shardedController(t, nil, []packet.BSID{0, 1}, 0, 2)
+	for _, imsi := range []string{"a", "b", "c"} { // UE IDs 1-3 at station 0, slots 0-2
+		if err := c.RegisterSubscriber(imsi, policy.Attributes{Provider: "A"}); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := c.Attach(imsi, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Detach("c"); err != nil { // UE ID 3 on the free stack
+		t.Fatal(err)
+	}
+	row := &c.stations[0]
+	for _, d := range []struct {
+		name, want  string
+		plant, mend func()
+	}{
+		{"a record whose UE ID names another slot", `"a" location 10.0.0.1 not indexed back to it`,
+			func() { row.ids[0] = 2 }, func() { row.ids[0] = 1 }},
+		{"an ID in use on the free stack", "UE ID 2 at station 0 is on the free stack but outside 1..3, on it twice, or in use",
+			func() { row.free = append(row.free, 2) }, func() { row.free = row.free[:1] }},
+		{"a free ID missing from the free stack", "UE ID 3 at station 0 is free but missing from the free stack",
+			func() { row.free = row.free[:0] }, func() { row.free = append(row.free, 3) }},
+		{"an ID held by no record or reservation", "the station table holds 3 UE IDs; 2 records and 0 reservations",
+			func() { row.ids[2], row.free = 1, row.free[:0] }, func() { row.ids[2], row.free = 0, append(row.free, 3) }},
+	} {
+		d.plant()
+		if _, err := c.CheckInvariants(); err == nil || !strings.Contains(err.Error(), d.want) {
+			t.Fatalf("%s: err = %v, want %q", d.name, err, d.want)
+		}
+		d.mend()
+		if _, err := c.CheckInvariants(); err != nil {
+			t.Fatalf("%s, mended: %v", d.name, err)
+		}
+	}
+}

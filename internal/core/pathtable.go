@@ -31,11 +31,7 @@ type pathRow []*InstalledPath
 
 // newPathTable sizes a table for every station of t.
 func newPathTable(t *topo.Topology) pathTable {
-	n := 0
-	for _, st := range t.Stations {
-		n = max(n, int(st.ID)+1)
-	}
-	return pathTable{rows: make([]atomic.Pointer[pathRow], n)}
+	return pathTable{rows: make([]atomic.Pointer[pathRow], stationSpan(t))}
 }
 
 // covers reports whether bs has a row in the table.

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/packet"
+	"repro/internal/policy"
 	"repro/internal/routing"
 	"repro/internal/topo"
 )
@@ -69,5 +71,43 @@ func BenchmarkInstallPath(b *testing.B) {
 		if _, err := in.InstallPath(routes[i%len(routes)]); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkAttachDetach measures one attach and detach of a UE at a
+// station that already holds n resident UEs, on each of the four stations
+// in turn: a LocIP allocated and freed, its record filed and freed. 4 000
+// residents plus the cycling UE still fit the default plan's 4 095 UE IDs
+// per station.
+func BenchmarkAttachDetach(b *testing.B) {
+	for _, n := range []int{64, 512, 4000} {
+		b.Run(fmt.Sprintf("resident=%d", n), func(b *testing.B) {
+			c, _ := testController(b)
+			attr := policy.Attributes{Provider: "A", Plan: "silver"}
+			for bs := packet.BSID(0); bs < 4; bs++ {
+				for i := 0; i < n; i++ {
+					imsi := fmt.Sprintf("resident-%d-%d", bs, i)
+					if err := c.RegisterSubscriber(imsi, attr); err != nil {
+						b.Fatal(err)
+					}
+					if _, _, err := c.Attach(imsi, bs); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			if err := c.RegisterSubscriber("cycling", attr); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := c.Attach("cycling", packet.BSID(i%4)); err != nil {
+					b.Fatal(err)
+				}
+				if err := c.Detach("cycling"); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -89,6 +90,94 @@ func TestRecoveryFreesUnreportedUEIDs(t *testing.T) {
 	}
 	subs.ReleaseAll(a.Instance())
 	check("AbsorbStation", b, 1)
+}
+
+// refusedUnchanged runs an import that must be refused and checks that it
+// left the controller as it found it.
+func refusedUnchanged(t *testing.T, name string, c *Controller, imp func() error) {
+	t.Helper()
+	ues, stations, mem := c.UEs(), c.Stations(), c.MemStats()
+	if err := imp(); err == nil {
+		t.Fatalf("%s: accepted", name)
+	}
+	if got := c.UEs(); !slices.Equal(got, ues) {
+		t.Fatalf("%s: refused, but the UEs are now %+v, were %+v", name, got, ues)
+	}
+	if got := c.Stations(); !slices.Equal(got, stations) {
+		t.Fatalf("%s: refused, but the owned stations are now %v, were %v", name, got, stations)
+	}
+	if got := c.MemStats(); got != mem {
+		t.Fatalf("%s: refused, but the tables are now %+v, were %+v", name, got, mem)
+	}
+	if _, err := c.CheckInvariants(); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+}
+
+// importFixture attaches "u" at station 1 and "v" at station 0 of a
+// controller restricted to stations 0 and 1, and gives a second controller
+// over the same subscriber table, owning stations 2 and 3, for absorbs.
+func importFixture(t *testing.T) (a, b *Controller, u, v UE) {
+	subs := NewSubscribers(store.New(1), packet.Prefix{})
+	a = shardedController(t, subs, []packet.BSID{0, 1}, 0, 2)
+	b = shardedController(t, subs, []packet.BSID{2, 3}, 1, 2)
+	for _, imsi := range []string{"u", "v"} {
+		if err := a.RegisterSubscriber(imsi, policy.Attributes{Provider: "A"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var err error
+	if u, _, err = a.Attach("u", 1); err != nil {
+		t.Fatal(err)
+	}
+	if v, _, err = a.Attach("v", 0); err != nil {
+		t.Fatal(err)
+	}
+	return a, b, u, v
+}
+
+// TestRecoveryRefusesAnIMSIReportedTwice: reports naming one IMSI at two
+// stations cannot both be filed; the import must refuse them before it
+// changes anything, instead of leaving the first LocIP resolving to a UE
+// that has moved on and its UE ID never freed.
+func TestRecoveryRefusesAnIMSIReportedTwice(t *testing.T) {
+	a, b, u, v := importFixture(t)
+	twin := u
+	twin.BS, twin.UEID = 0, 2
+	twin.LocIP, _ = a.Plan().LocIP(0, 2)
+	refusedUnchanged(t, "RecoverLocations", a, func() error {
+		return a.RecoverLocations([]AgentLocationReport{{BS: 0, UEs: []UE{v, twin}}, {BS: 1, UEs: []UE{u}}})
+	})
+	twin.BS, twin.UEID = 1, 2
+	twin.LocIP, _ = a.Plan().LocIP(1, 2)
+	refusedUnchanged(t, "AbsorbStation", b, func() error { return b.AbsorbStation(1, []UE{u, twin}) })
+}
+
+// TestRecoveryRefusesAMisnumberedUE: a reported UE whose LocIP is not the
+// one its station and UE ID make, or whose UE ID is outside 1..MaxUE, is
+// refused before anything changes — the station table is indexed by the
+// UE ID.
+func TestRecoveryRefusesAMisnumberedUE(t *testing.T) {
+	a, b, u, v := importFixture(t)
+	prefix, err := a.Plan().BSPrefix(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	past := a.Plan().MaxUE() + 1
+	for _, bad := range []struct {
+		name string
+		ue   func(UE) UE
+	}{
+		{"UE ID 7 at UE ID 1's LocIP", func(u UE) UE { u.UEID = 7; return u }},
+		{"zero UE ID", func(u UE) UE { u.UEID = 0; return u }},
+		{"zero LocIP", func(u UE) UE { u.LocIP = 0; return u }},
+		{"UE ID past MaxUE", func(u UE) UE { u.UEID, u.LocIP = past, prefix.Addr+packet.Addr(past); return u }},
+	} {
+		refusedUnchanged(t, bad.name+" (RecoverLocations)", a, func() error {
+			return a.RecoverLocations([]AgentLocationReport{{BS: 0, UEs: []UE{v}}, {BS: 1, UEs: []UE{bad.ue(u)}}})
+		})
+		refusedUnchanged(t, bad.name+" (AbsorbStation)", b, func() error { return b.AbsorbStation(1, []UE{bad.ue(u)}) })
+	}
 }
 
 // TestStaleSlotNeverResolves: a UE held by instance A at slot 1 is released

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/packet"
+	"repro/internal/topo"
 )
 
 // This file is the struct-of-arrays UE table (DESIGN.md §14): one 40-byte
@@ -11,18 +14,17 @@ import (
 // in the table while it is attached here; what outlives the attachment —
 // registration, permanent address — lives in Subscribers, and so does where
 // the record is: the subscriber record names its holder and the holder's
-// slot, so the table keeps no IMSI index of its own.
+// slot, so the table keeps no IMSI index of its own; a LocIP's station row
+// in the station table below names it.
 //
 //	slabs: [][]ueRecord — chunked, so records never move (pointers into a
 //	       slab are stable for the record's lifetime) and growth never
 //	       copies the population.
-//	loc:   LocIP -> slot. LocIPs embed (station, UE ID), so this is the
-//	       UEID->slot index; reserved old LocIPs of in-flight handoffs
-//	       alias extra keys onto their UE's slot.
 //	free:  slot free list — a UE leaving (Detach, ExtractUE) returns its
 //	       slot for reuse.
 //
-// The table is not internally synchronised; the Controller guards it with ueMu.
+// Neither table is internally synchronised; the Controller guards both
+// with ueMu.
 
 // ueRecord is one fixed-size slot. Attributes live in the attrPool; the
 // record stores a 32-bit handle, and permIP is the record's copy of the
@@ -57,14 +59,13 @@ type ueTable struct {
 	free  []uint32
 	next  uint32 // high-water slot count
 	live  int    // slots in use
-	loc   map[packet.Addr]uint32
 
 	imsiBytes uint64 // retained IMSI string bytes, maintained incrementally
 }
 
 // newUETable builds an empty table that joins subs as a new holder.
 func newUETable(subs *Subscribers) ueTable {
-	return ueTable{subs: subs, inst: subs.join(), loc: make(map[packet.Addr]uint32)}
+	return ueTable{subs: subs, inst: subs.join()}
 }
 
 // rec returns the record at slot. The pointer is stable for the record's
@@ -113,8 +114,8 @@ func (t *ueTable) alloc(imsi string, attr attrHandle, perm packet.Addr) (*ueReco
 	return r, slot
 }
 
-// freeRec returns the slot to the free list. The caller has already removed
-// any loc entries and the holder mark.
+// freeRec returns the slot to the free list. The caller has already freed
+// its UE IDs and removed the holder mark.
 func (t *ueTable) freeRec(slot uint32) {
 	r := t.rec(slot)
 	t.imsiBytes -= uint64(len(r.imsi))
@@ -142,9 +143,79 @@ func (t *ueTable) slabBytes() uint64 {
 	return uint64(len(t.slabs)) * ueSlabSize * recSize
 }
 
-// indexBytes estimates the LocIP map the way Subscribers.MemStats does its
-// maps — 9 B a slot (4 B address, 4 B slot, control byte), 2 in 3 occupied —
-// plus the slot free list.
-func (t *ueTable) indexBytes() uint64 {
-	return uint64(len(t.loc))*9*3/2 + uint64(len(t.free))*4
+// stationTable is the controller's LocIP index and UE ID allocator in one:
+// a LocIP embeds (station, UE ID) (§4.1), so the table has one row per base
+// station, sized once from the topology (as the path table is), and a
+// LocIP resolves by plan.Split and two index operations. In a row, ids[id-1]
+// is 0 while UE ID id is free, slot+1 while it is the current or a
+// still-reserved old LocIP of the record at slot, and idParked while a
+// Detach has parked its reservation; len(ids) is the station's high-water
+// mark. free stacks the free IDs below the mark: the last one freed is
+// handed out next, and after an import the lowest.
+type stationTable []stationRow
+
+type stationRow struct {
+	owned bool
+	free  []packet.UEID
+	ids   []uint32
+}
+
+const (
+	idParked       = ^uint32(0)
+	stationRowSize = 56 // unsafe.Sizeof(stationRow{}) on 64-bit (TestRecSizeMatchesRecord)
+)
+
+// newStationTable sizes a table for every station of t, owning those named
+// in owned, or every one when owned is nil.
+func newStationTable(t *topo.Topology, owned []packet.BSID) (stationTable, error) {
+	s := make(stationTable, stationSpan(t))
+	for i := range s {
+		s[i].owned = owned == nil
+	}
+	for _, bs := range owned {
+		if _, ok := t.Station(bs); !ok {
+			return nil, fmt.Errorf("core: restricted to unknown base station %d", bs)
+		}
+		s[bs].owned = true
+	}
+	return s, nil
+}
+
+// stationSpan is one more than the highest station ID of t.
+func stationSpan(t *topo.Topology) int {
+	n := 0
+	for _, st := range t.Stations {
+		n = max(n, int(st.ID)+1)
+	}
+	return n
+}
+
+// row returns bs's row; nil for a station outside the table.
+func (s stationTable) row(bs packet.BSID) *stationRow {
+	if int(bs) < len(s) {
+		return &s[bs]
+	}
+	return nil
+}
+
+// entry returns ids[id-1] of bs's row: 0 for an ID outside the table.
+func (s stationTable) entry(bs packet.BSID, id packet.UEID) uint32 {
+	if r := s.row(bs); r != nil && id != 0 && int(id) <= len(r.ids) {
+		return r.ids[id-1]
+	}
+	return 0
+}
+
+// slot resolves (bs, id) to the record whose current or reserved LocIP
+// embeds it.
+func (s stationTable) slot(bs packet.BSID, id packet.UEID) (uint32, bool) {
+	e := s.entry(bs, id)
+	return e - 1, e != 0 && e != idParked
+}
+
+// release pushes (bs, id) onto the station's free stack.
+func (s stationTable) release(bs packet.BSID, id packet.UEID) {
+	r := &s[bs]
+	r.ids[id-1] = 0
+	r.free = append(r.free, id)
 }

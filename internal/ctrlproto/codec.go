@@ -58,12 +58,12 @@ func parsePathReply(b []byte) (PathReply, error) {
 
 // errorCodes is the closed table of sentinel errors a MsgError reply can
 // name: its code byte is the index of the first one the error wraps, 0 when
-// it wraps none. shard.ErrShardDown cannot be listed: shard's in-package
-// tests import ctrlproto, so ctrlproto cannot import shard.
+// it wraps none.
 var errorCodes = [...]error{
 	1: core.ErrNotAttached,
 	2: core.ErrNotOwned,
 	3: core.ErrPermPoolExhausted,
+	4: core.ErrShardDown,
 }
 
 // errorCode is the code of the sentinel err wraps, 0 for none.

@@ -252,7 +252,7 @@ func (d *Dispatcher) requestPath(sc obs.SpanContext, bs packet.BSID, clause int)
 			return 0, err
 		}
 		tag, err := s.requestPath(sc, bs, clause)
-		if attempt == 0 && errors.Is(err, ErrShardDown) {
+		if attempt == 0 && errors.Is(err, core.ErrShardDown) {
 			continue
 		}
 		return tag, err
@@ -270,7 +270,7 @@ func (d *Dispatcher) AgentView(bs packet.BSID) (core.AgentView, error) {
 			return core.AgentView{}, err
 		}
 		view, err := s.agentView(bs)
-		if attempt == 0 && errors.Is(err, ErrShardDown) {
+		if attempt == 0 && errors.Is(err, core.ErrShardDown) {
 			continue
 		}
 		return view, err
@@ -286,7 +286,7 @@ func (d *Dispatcher) stripe(imsi string) *ueStripe {
 // subscriber table's holder mark (shard id + 1, the order New built the
 // controllers in); nil when the UE is detached. Only a failover in progress
 // leaves a mark naming a dead shard, whose operations refuse with
-// ErrShardDown. A caller about to act on the answer holds the UE's stripe.
+// core.ErrShardDown. A caller about to act on the answer holds the UE's stripe.
 func (d *Dispatcher) holder(imsi string) *Shard {
 	if h := d.subs.Holder(imsi); h != 0 {
 		return d.shards[h-1]
@@ -401,7 +401,7 @@ func (d *Dispatcher) RecoverLocations(reports []core.AgentLocationReport) error 
 }
 
 // Close stops every shard: it waits for the operations still inside and
-// refuses later ones with ErrShardDown.
+// refuses later ones with core.ErrShardDown.
 func (d *Dispatcher) Close() {
 	for _, s := range d.shards {
 		s.close()

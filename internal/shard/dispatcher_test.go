@@ -424,7 +424,7 @@ func TestCloseTwiceReturns(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("second Close did not return")
 	}
-	if _, err := d.RequestPath(0, allowClauses(t, d)[0]); !errors.Is(err, ErrShardDown) {
-		t.Fatalf("request after Close: %v, want ErrShardDown", err)
+	if _, err := d.RequestPath(0, allowClauses(t, d)[0]); !errors.Is(err, core.ErrShardDown) {
+		t.Fatalf("request after Close: %v, want core.ErrShardDown", err)
 	}
 }

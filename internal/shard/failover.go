@@ -36,9 +36,9 @@ func (r FailoverReport) String() string {
 //     bound, UE-keyed operations on it fail with core.ErrNotAttached, and
 //     its next Attach, on any shard, restores it under the same address.
 //
-// Requests racing the failover see ErrShardDown once and retry against
+// Requests racing the failover see core.ErrShardDown once and retry against
 // the fresh ring (see Dispatcher.RequestPath); a UE-keyed request for a UE
-// the dead shard held sees ErrShardDown until FailShard returns.
+// the dead shard held sees core.ErrShardDown until FailShard returns.
 func (d *Dispatcher) FailShard(id int, reports []core.AgentLocationReport) (FailoverReport, error) {
 	d.failMu.Lock()
 	defer d.failMu.Unlock()
@@ -56,7 +56,7 @@ func (d *Dispatcher) FailShard(id int, reports []core.AgentLocationReport) (Fail
 	}
 	// Publish the new ring first so no new request routes to the victim,
 	// then declare it dead: callers waiting at its bound leave with
-	// ErrShardDown, and the operations already inside are waited out, so no
+	// core.ErrShardDown, and the operations already inside are waited out, so no
 	// holder mark naming it changes after this.
 	d.ring.Store(newRing)
 	victim.close()

@@ -163,7 +163,7 @@ func TestFailShardRefusesLastShard(t *testing.T) {
 }
 
 // TestRequestPathRetriesAcrossFailover checks the documented retry: a
-// request that catches ErrShardDown rides the fresh ring to a survivor.
+// request that catches core.ErrShardDown rides the fresh ring to a survivor.
 func TestRequestPathRetriesAcrossFailover(t *testing.T) {
 	d, g := newTestDispatcher(t, 2)
 	clauses := allowClauses(t, d)
@@ -185,10 +185,10 @@ func TestRequestPathRetriesAcrossFailover(t *testing.T) {
 	if _, err := d.FailShard(victim, nil); err != nil {
 		t.Fatal(err)
 	}
-	// The dead shard answers ErrShardDown directly; the dispatcher's retry
+	// The dead shard answers core.ErrShardDown directly; the dispatcher's retry
 	// hides it from the caller.
-	if _, err := d.Shard(victim).requestPath(obs.SpanContext{}, bs, clauses[0]); !errors.Is(err, ErrShardDown) {
-		t.Fatalf("dead shard answered %v, want ErrShardDown", err)
+	if _, err := d.Shard(victim).requestPath(obs.SpanContext{}, bs, clauses[0]); !errors.Is(err, core.ErrShardDown) {
+		t.Fatalf("dead shard answered %v, want core.ErrShardDown", err)
 	}
 	if tag, err := d.RequestPath(bs, clauses[0]); err != nil || tag == 0 {
 		t.Fatalf("RequestPath through failover = %d, %v", tag, err)
@@ -197,7 +197,7 @@ func TestRequestPathRetriesAcrossFailover(t *testing.T) {
 
 // TestFailShardWithCallersInFlight fails a shard while 16 goroutines are
 // inside it or waiting at its bound (2): every call made on the victim
-// returns a tag or ErrShardDown, every call made through the dispatcher
+// returns a tag or core.ErrShardDown, every call made through the dispatcher
 // rides its one retry to a survivor, and nobody is left waiting. Half of the
 // dispatcher's callers attach fresh subscribers at the victim's station, and
 // no agent reports: every attach that reported success is either held by a
@@ -253,7 +253,7 @@ func TestFailShardWithCallersInFlight(t *testing.T) {
 					// it absorb the station; the window closes with FailShard.
 					err = nil
 				}
-				if err != nil && !errors.Is(err, ErrShardDown) {
+				if err != nil && !errors.Is(err, core.ErrShardDown) {
 					t.Errorf("caller %d: %v", i, err)
 				}
 				if n == 0 {
@@ -299,8 +299,8 @@ func TestFailShardWithCallersInFlight(t *testing.T) {
 		t.Errorf("%d holder marks still name the dead shard", n)
 	}
 
-	if _, err := d.Shard(victim).requestPath(obs.SpanContext{}, bs, clauses[0]); !errors.Is(err, ErrShardDown) {
-		t.Fatalf("dead shard answered %v, want ErrShardDown", err)
+	if _, err := d.Shard(victim).requestPath(obs.SpanContext{}, bs, clauses[0]); !errors.Is(err, core.ErrShardDown) {
+		t.Fatalf("dead shard answered %v, want core.ErrShardDown", err)
 	}
 	if tag, err := d.RequestPath(bs, clauses[0]); err != nil || tag == 0 {
 		t.Fatalf("RequestPath after failover = %d, %v", tag, err)
@@ -366,7 +366,7 @@ func TestPermanentAddressSurvivesItsShard(t *testing.T) {
 // each, and one of them fails a shard mid-flood with no agent reports.
 // Every error is a policy answer (a handoff to the station the UE is at,
 // or to a UE the failover lost) or, while the failover is in progress,
-// the dead-shard window (ErrShardDown, or core.ErrNotOwned from a new
+// the dead-shard window (core.ErrShardDown, or core.ErrNotOwned from a new
 // owner yet to absorb the station). Afterwards the control plane is
 // consistent, and a fresh attach at the moved station and a cross-shard
 // handoff back both complete.
@@ -417,7 +417,7 @@ func TestFloodThroughAFailover(t *testing.T) {
 				switch {
 				case err == nil, errors.Is(err, core.ErrNotAttached),
 					strings.Contains(err.Error(), "already at base station"):
-				case !after && (errors.Is(err, ErrShardDown) || errors.Is(err, core.ErrNotOwned)):
+				case !after && (errors.Is(err, core.ErrShardDown) || errors.Is(err, core.ErrNotOwned)):
 				default:
 					t.Errorf("caller %d, op %d (failed over: %v): %v", i, n, after, err)
 				}

@@ -10,11 +10,6 @@ import (
 	"repro/internal/packet"
 )
 
-// ErrShardDown marks a request that reached a shard after its failure was
-// declared; the dispatcher retries against a fresh ring snapshot once, so
-// callers only see this during the failover window itself.
-var ErrShardDown = errors.New("shard: controller shard is down")
-
 // Nothing returns these three; the benchmark still names them, and they go
 // with ROADMAP item 7.
 var (
@@ -72,14 +67,14 @@ func (s *Shard) Down() bool { return s.dead.Load() }
 // a slot and must leave with the operation's result.
 func (s *Shard) enter() error {
 	if s.dead.Load() {
-		return ErrShardDown
+		return core.ErrShardDown
 	}
 	s.obs.depth.Add(1)
 	s.slots <- struct{}{}
 	if s.dead.Load() {
 		<-s.slots
 		s.obs.depth.Add(-1)
-		return ErrShardDown
+		return core.ErrShardDown
 	}
 	return nil
 }
@@ -176,10 +171,10 @@ func (s *Shard) agentView(bs packet.BSID) (core.AgentView, error) {
 	return view, s.leave(err)
 }
 
-// close stops the shard: later callers are refused with ErrShardDown, and
+// close stops the shard: later callers are refused with core.ErrShardDown, and
 // taking every slot waits out the operations still inside. Handing them back
 // lets a caller blocked at the bound take one, see the shard dead and leave
-// with ErrShardDown instead of waiting forever. Only the first call acts.
+// with core.ErrShardDown instead of waiting forever. Only the first call acts.
 func (s *Shard) close() {
 	s.closed.Do(func() {
 		s.dead.Store(true)

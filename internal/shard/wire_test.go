@@ -1,9 +1,11 @@
 package shard
 
 import (
+	"errors"
 	"net"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/ctrlproto"
 	"repro/internal/policy"
 )
@@ -51,5 +53,31 @@ func TestDispatcherServesWireProtocol(t *testing.T) {
 	loc, err := cl.ResolveLocIP(ue.PermIP)
 	if err != nil || loc != hr.UE.LocIP {
 		t.Fatalf("ResolveLocIP over the wire = %s, %v; want %s", loc, err, hr.UE.LocIP)
+	}
+}
+
+// TestShardDownSurvivesTheWire: a request a closed dispatcher refuses
+// reaches an agent across TCP still carrying core.ErrShardDown, so the
+// agent can tell a failover window from any other refusal.
+func TestShardDownSurvivesTheWire(t *testing.T) {
+	d, _ := newTestDispatcher(t, 2)
+	clause := allowClauses(t, d)[0]
+	d.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- ctrlproto.NewServer(d).Serve(ln) }()
+	cl, err := ctrlproto.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = cl.RequestPath(0, clause)
+	_ = cl.Close()
+	_ = ln.Close()
+	<-served
+	if !errors.Is(err, core.ErrShardDown) {
+		t.Fatalf("request to a closed dispatcher over TCP: %v, want core.ErrShardDown", err)
 	}
 }
