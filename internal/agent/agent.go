@@ -282,10 +282,7 @@ func (a *Agent) HandlePacketIn(p *packet.Packet) (allowed bool, err error) {
 		// the packet arrives there.
 		return a.handleM2M(su, p)
 	}
-	tag := cl.Tag
-	if tag == 0 {
-		tag = snap.tags[cl.Clause]
-	}
+	tag := snap.tagFor(cl)
 	if tag != 0 {
 		a.stats.cacheHits.Add(1)
 		a.obs.cacheHits.Inc()
@@ -372,13 +369,11 @@ func (a *Agent) handleM2M(su *snapUE, p *packet.Packet) (bool, error) {
 // success it installs the delivery microflow and the reverse rule so
 // replies retrace the same header transformation.
 func (a *Agent) HandleArrival(p *packet.Packet) (delivered bool, err error) {
-	snap := a.lkg()
-	su, ok := snap.byLoc[p.Dst]
+	perm, ok := a.lkg().byLoc[p.Dst]
 	if !ok {
 		return false, fmt.Errorf("agent: no UE with LocIP %s at bs%d", p.Dst, a.BS)
 	}
-	internal := a.plan.Carrier.Contains(p.Src) ||
-		(a.PermPool.Len > 0 && a.PermPool.Contains(p.Src))
+	internal := a.plan.Carrier.Contains(p.Src) || a.isLocalPerm(p.Src)
 	if !internal {
 		tag, _ := a.plan.SplitPort(p.DstPort)
 		a.mu.Lock()
@@ -393,7 +388,6 @@ func (a *Agent) HandleArrival(p *packet.Packet) (delivered bool, err error) {
 	a.stats.packetIns.Add(1)
 	a.obs.packetIns.Inc()
 	key := p.Flow()
-	perm := su.ue.PermIP
 	tag, svc := a.plan.SplitPort(p.DstPort)
 	deliver := switchsim.Action{Output: switchsim.PortUE, SetDst: &perm}
 	if tag != 0 {

@@ -3,6 +3,7 @@ package agent
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/packet"
@@ -37,17 +38,19 @@ var ErrPortsExhausted = errors.New("agent: every ephemeral port toward the desti
 type Snapshot struct {
 	version uint64
 	epoch   uint64
-	ues     map[packet.Addr]*snapUE
-	byLoc   map[packet.Addr]*snapUE // incl. reserved old-LocIP aliases (§5.1)
-	tags    map[int]packet.Tag      // admitted policy paths: clause -> tag
+	ues     map[packet.Addr]*snapUE     // by permanent address
+	byLoc   map[packet.Addr]packet.Addr // LocIP, incl. reserved old ones (§5.1) -> permanent address
+	tags    map[int]packet.Tag          // admitted policy paths: clause -> tag
 }
 
 // snapUE is one UE's share of a Snapshot. Instances are shared across
 // snapshot generations and never mutated after construction; an update
-// replaces the whole record.
+// replaces the whole record. locs lists the LocIPs byLoc has given the UE,
+// current and reserved; one may since have gone to another UE.
 type snapUE struct {
 	ue          core.UE
 	classifiers map[policy.AppType]core.Classifier
+	locs        []packet.Addr
 }
 
 // Version reports the snapshot's publication version.
@@ -74,22 +77,25 @@ func (s *Snapshot) UE(perm packet.Addr) (core.UE, bool) {
 	return su.ue, true
 }
 
+// tagFor resolves the forwarding tag an allowing classifier grants under
+// this snapshot: its own pinned tag, else the station's admitted tag for its
+// clause; 0 when the clause has none yet.
+func (s *Snapshot) tagFor(cl core.Classifier) packet.Tag {
+	if cl.Tag != 0 {
+		return cl.Tag
+	}
+	return s.tags[cl.Clause]
+}
+
 // pathFor resolves the forwarding tag a clause grants one UE under this
-// snapshot: the classifier's own pinned tag first, then the station-wide
-// admitted-tag table. ok is false when the clause no longer admits traffic
-// for the UE (classifier withdrawn or denied) or no tag is admitted.
+// snapshot. ok is false when the clause no longer admits traffic for the UE
+// (classifier withdrawn or denied) or no tag is admitted.
 func (s *Snapshot) pathFor(su *snapUE, clause int) (packet.Tag, policy.QoS, bool) {
 	for _, cl := range su.classifiers {
-		if cl.Clause != clause || !cl.Allow {
-			continue
+		if cl.Clause == clause && cl.Allow {
+			tag := s.tagFor(cl)
+			return tag, cl.QoS, tag != 0
 		}
-		if cl.Tag != 0 {
-			return cl.Tag, cl.QoS, true
-		}
-		if t, ok := s.tags[clause]; ok && t != 0 {
-			return t, cl.QoS, true
-		}
-		return 0, cl.QoS, false
 	}
 	return 0, 0, false
 }
@@ -114,7 +120,7 @@ func NewSnapshot(version uint64, view core.AgentView) *Snapshot {
 type snapshotDraft struct {
 	epoch uint64
 	ues   map[packet.Addr]*snapUE
-	byLoc map[packet.Addr]*snapUE
+	byLoc map[packet.Addr]packet.Addr
 	tags  map[int]packet.Tag
 }
 
@@ -122,7 +128,7 @@ func newDraft(epoch uint64) *snapshotDraft {
 	return &snapshotDraft{
 		epoch: epoch,
 		ues:   make(map[packet.Addr]*snapUE),
-		byLoc: make(map[packet.Addr]*snapUE),
+		byLoc: make(map[packet.Addr]packet.Addr),
 		tags:  make(map[int]packet.Tag),
 	}
 }
@@ -133,7 +139,7 @@ func draftOf(s *Snapshot) *snapshotDraft {
 	d := &snapshotDraft{
 		epoch: s.epoch,
 		ues:   make(map[packet.Addr]*snapUE, len(s.ues)+1),
-		byLoc: make(map[packet.Addr]*snapUE, len(s.byLoc)+1),
+		byLoc: make(map[packet.Addr]packet.Addr, len(s.byLoc)+1),
 		tags:  make(map[int]packet.Tag, len(s.tags)+1),
 	}
 	for k, v := range s.ues {
@@ -161,53 +167,59 @@ func (d *snapshotDraft) seal(version uint64) *Snapshot {
 	}
 }
 
-// putUE installs (or replaces) one UE record, repointing every location
-// alias that referenced the UE's previous record so reserved old LocIPs
-// keep resolving to fresh state.
+// putUE installs (or replaces) one UE record and gives it its LocIP. The
+// LocIPs its previous record held keep naming it: byLoc names the UE, not
+// the record, so they resolve to the fresh state.
 func (d *snapshotDraft) putUE(ue core.UE, classifiers []core.Classifier) {
 	cls := make(map[policy.AppType]core.Classifier, len(classifiers))
 	for _, c := range classifiers {
 		cls[c.App] = c
 	}
-	su := &snapUE{ue: ue, classifiers: cls}
-	d.ues[ue.PermIP] = su
-	for loc, old := range d.byLoc {
-		if old.ue.PermIP == ue.PermIP {
-			d.byLoc[loc] = su
-		}
+	var locs []packet.Addr
+	if old, ok := d.ues[ue.PermIP]; ok {
+		locs = old.locs
 	}
-	d.byLoc[ue.LocIP] = su
+	d.ues[ue.PermIP] = &snapUE{ue: ue, classifiers: cls, locs: withLoc(locs, ue.LocIP)}
+	d.byLoc[ue.LocIP] = ue.PermIP
 }
 
-// removeUE drops one UE record and every location alias pointing at it.
+// removeUE drops one UE record and each of its LocIPs that still names it.
 func (d *snapshotDraft) removeUE(perm packet.Addr) {
-	delete(d.ues, perm)
-	for loc, su := range d.byLoc {
-		if su.ue.PermIP == perm {
-			delete(d.byLoc, loc)
+	if su, ok := d.ues[perm]; ok {
+		for _, loc := range su.locs {
+			if d.byLoc[loc] == perm {
+				delete(d.byLoc, loc)
+			}
 		}
+	}
+	delete(d.ues, perm)
+}
+
+// alias gives an existing UE an extra LocIP (a §5.1 reserved old address).
+func (d *snapshotDraft) alias(loc packet.Addr, perm packet.Addr) {
+	if su, ok := d.ues[perm]; ok {
+		d.ues[perm] = &snapUE{ue: su.ue, classifiers: su.classifiers, locs: withLoc(su.locs, loc)}
+		d.byLoc[loc] = perm
 	}
 }
 
-// alias maps an extra LocIP (a §5.1 reserved old address) to an existing
-// UE record. It reports whether the UE exists.
-func (d *snapshotDraft) alias(loc packet.Addr, perm packet.Addr) bool {
-	su, ok := d.ues[perm]
-	if !ok {
-		return false
+// withLoc returns locs with loc listed, copying rather than appending in
+// place: earlier snapshots share the slice.
+func withLoc(locs []packet.Addr, loc packet.Addr) []packet.Addr {
+	if slices.Contains(locs, loc) {
+		return locs
 	}
-	d.byLoc[loc] = su
-	return true
+	return append(slices.Clip(locs), loc)
 }
 
 // mergeClassifiers replaces a UE's classifiers for the listed apps. A
 // classifier arriving with Tag 0 is an explicit invalidation: any admitted
 // station-wide tag for its clause is withdrawn, so the next flow re-asks
 // the controller (the Table 2 hit-ratio semantics).
-func (d *snapshotDraft) mergeClassifiers(perm packet.Addr, classifiers []core.Classifier) bool {
+func (d *snapshotDraft) mergeClassifiers(perm packet.Addr, classifiers []core.Classifier) {
 	su, ok := d.ues[perm]
 	if !ok {
-		return false
+		return
 	}
 	cls := make(map[policy.AppType]core.Classifier, len(su.classifiers)+len(classifiers))
 	for k, v := range su.classifiers {
@@ -219,14 +231,7 @@ func (d *snapshotDraft) mergeClassifiers(perm packet.Addr, classifiers []core.Cl
 			delete(d.tags, c.Clause)
 		}
 	}
-	next := &snapUE{ue: su.ue, classifiers: cls}
-	d.ues[perm] = next
-	for loc, old := range d.byLoc {
-		if old.ue.PermIP == perm {
-			d.byLoc[loc] = next
-		}
-	}
-	return true
+	d.ues[perm] = &snapUE{ue: su.ue, classifiers: cls, locs: su.locs}
 }
 
 // ReconcileReport accounts for what a newly published snapshot did to the
@@ -402,10 +407,7 @@ func (a *Agent) Classify(p *packet.Packet) Verdict {
 	if !ok || !cl.Allow {
 		return Verdict{Known: true}
 	}
-	tag := cl.Tag
-	if tag == 0 {
-		tag = snap.tags[cl.Clause]
-	}
+	tag := snap.tagFor(cl)
 	if tag == 0 && !(a.plan.Carrier.Contains(p.Dst) || a.isLocalPerm(p.Dst)) {
 		return Verdict{Known: true, Allowed: true, Pending: true}
 	}

@@ -2,6 +2,7 @@ package agent
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -324,5 +325,149 @@ func TestInstrumentedCountersMatchStats(t *testing.T) {
 	}
 	if got := reg.Gauge("agent.snapshot.version").Value(); uint64(got) != ag.Version() {
 		t.Errorf("version gauge = %d, want %d", got, ag.Version())
+	}
+}
+
+// arrive hands ag a mobile-to-mobile packet for loc and reports the
+// permanent address its delivery microflow restores: the UE the snapshot
+// gives loc to. ok is false when no UE has loc.
+func arrive(t *testing.T, ag *Agent, loc packet.Addr) (perm packet.Addr, ok bool) {
+	t.Helper()
+	p := &packet.Packet{Src: packet.AddrFrom4(10, 0, 99, 1), Dst: loc,
+		SrcPort: 5000, DstPort: 80, Proto: packet.ProtoTCP}
+	if delivered, err := ag.HandleArrival(p); err != nil || !delivered {
+		return 0, false
+	}
+	r, found := ag.Access.Microflow(p.Flow())
+	if !found || r.Action.SetDst == nil {
+		t.Fatalf("arrival at %s delivered without a restoring microflow", loc)
+	}
+	return *r.Action.SetDst, true
+}
+
+// TestLocIPsFollowLaterUpdates: a UE handed in keeps its reserved old LocIP
+// (§5.1) through later classifier merges and record replacements, and every
+// LocIP it has been given resolves to it, whose record is the latest one.
+func TestLocIPsFollowLaterUpdates(t *testing.T) {
+	ag := newAgent(t, newFakeController())
+	old := testUE(t, 0, 7).LocIP // its address at the station it left
+	ue := testUE(t, 1, 7)
+	if err := ag.AdmitUE(ue, webClassifiers(0)); err != nil {
+		t.Fatal(err)
+	}
+	ag.derive(func(d *snapshotDraft) { d.alias(old, ue.PermIP) }) // as MigrateFlows does
+	if err := ag.UpdateClassifiers(ue.PermIP, webClassifiers(9)); err != nil {
+		t.Fatal(err)
+	}
+	fresh := ue
+	fresh.Attr.Plan = "gold"
+	if err := ag.AdmitUE(fresh, webClassifiers(4)); err != nil {
+		t.Fatal(err)
+	}
+	moved := fresh
+	moved.UEID, moved.LocIP = 8, testUE(t, 1, 8).LocIP
+	locs := []packet.Addr{old, ue.LocIP}
+	for step, rec := range []core.UE{fresh, moved} {
+		if step == 1 {
+			if err := ag.AdmitUE(moved, webClassifiers(4)); err != nil {
+				t.Fatal(err)
+			}
+			locs = append(locs, moved.LocIP)
+		}
+		for _, loc := range locs {
+			perm, ok := arrive(t, ag, loc)
+			if !ok || perm != ue.PermIP {
+				t.Fatalf("step %d: %s resolves to %s (%v), want %s", step, loc, perm, ok, ue.PermIP)
+			}
+			if got, _ := ag.lkg().UE(perm); got != rec {
+				t.Fatalf("step %d: %s resolves to record %+v, want %+v", step, loc, got, rec)
+			}
+		}
+		if v := ag.Classify(upPkt(ue, 40000)); v.Tag != 4 {
+			t.Fatalf("step %d: verdict %+v, want the fresh classifier's tag 4", step, v)
+		}
+	}
+}
+
+// TestRemoveKeepsALocIPGivenToAnotherUE: removing a UE drops the LocIPs
+// that still name it and leaves one the snapshot has since given to
+// another UE.
+func TestRemoveKeepsALocIPGivenToAnotherUE(t *testing.T) {
+	ag := newAgent(t, newFakeController())
+	a := testUE(t, 1, 1)
+	if err := ag.AdmitUE(a, nil); err != nil {
+		t.Fatal(err)
+	}
+	rsv := testUE(t, 0, 3).LocIP
+	ag.derive(func(d *snapshotDraft) { d.alias(rsv, a.PermIP) })
+	renumbered := a
+	renumbered.UEID, renumbered.LocIP = 2, testUE(t, 1, 2).LocIP
+	if err := ag.AdmitUE(renumbered, nil); err != nil {
+		t.Fatal(err)
+	}
+	b := testUE(t, 1, 5)
+	b.UEID, b.LocIP = a.UEID, a.LocIP // a's first UE ID, handed out again
+	if err := ag.AdmitUE(b, nil); err != nil {
+		t.Fatal(err)
+	}
+	ag.derive(func(d *snapshotDraft) { d.removeUE(a.PermIP) })
+	if perm, ok := arrive(t, ag, a.LocIP); !ok || perm != b.PermIP {
+		t.Fatalf("%s resolves to %s (%v) after the removal, want %s", a.LocIP, perm, ok, b.PermIP)
+	}
+	for _, loc := range []packet.Addr{rsv, renumbered.LocIP} {
+		if perm, ok := arrive(t, ag, loc); ok {
+			t.Fatalf("%s still resolves, to %s, after its UE was removed", loc, perm)
+		}
+	}
+	if n := ag.NumUEs(); n != 1 {
+		t.Fatalf("%d UEs after the removal, want 1", n)
+	}
+}
+
+// TestPublishedSnapshotResolvesCurrentLocIPs: a pushed snapshot gives each
+// UE's current LocIP to that UE.
+func TestPublishedSnapshotResolvesCurrentLocIPs(t *testing.T) {
+	ag := newAgent(t, nil)
+	ues := []core.UE{testUE(t, 1, 1), testUE(t, 1, 2), testUE(t, 1, 3)}
+	if _, err := ag.Publish(NewSnapshot(1, view(ues))); err != nil {
+		t.Fatal(err)
+	}
+	for _, ue := range ues {
+		if perm, ok := arrive(t, ag, ue.LocIP); !ok || perm != ue.PermIP {
+			t.Fatalf("%s resolves to %s (%v), want %s", ue.LocIP, perm, ok, ue.PermIP)
+		}
+	}
+	if _, ok := arrive(t, ag, testUE(t, 1, 4).LocIP); ok {
+		t.Fatal("an unassigned LocIP resolves")
+	}
+}
+
+// BenchmarkAdmitUE measures one AdmitUE (a successor snapshot derived and
+// swapped in) at a station whose snapshot holds n resident UEs. The agent
+// does not check how a LocIP is numbered, so the residents take consecutive
+// carrier addresses; 4 096 of them would not fit one station's UE IDs.
+func BenchmarkAdmitUE(b *testing.B) {
+	for _, n := range []int{64, 512, 4096} {
+		b.Run(fmt.Sprintf("resident=%d", n), func(b *testing.B) {
+			ag := New(1, switchsim.NewSwitch("as-bench"), plan, nil)
+			ue := func(i int) core.UE {
+				return core.UE{IMSI: fmt.Sprintf("imsi-%d", i), BS: 1, UEID: packet.UEID(i + 1),
+					PermIP: packet.AddrFrom4(100, 64, 0, 0) + packet.Addr(i+1),
+					LocIP:  packet.AddrFrom4(10, 1, 0, 0) + packet.Addr(i+1)}
+			}
+			for i := range n {
+				if err := ag.AdmitUE(ue(i), webClassifiers(0)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			cycling := ue(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				if err := ag.AdmitUE(cycling, webClassifiers(0)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -51,16 +51,19 @@ func (c *Controller) AgentView(bs packet.BSID) (AgentView, error) {
 		return AgentView{}, fmt.Errorf("core: agent view of base station %d: %w", bs, ErrNotOwned)
 	}
 	view := AgentView{BS: bs, Epoch: c.epoch.Load()}
-	c.ues.forEach(func(_ uint32, r *ueRecord) bool {
-		if r.bs != bs {
-			return true
+	// The station's row names every record with a LocIP here; an entry that
+	// is a §5.1 reservation names a record whose current LocIP is elsewhere.
+	for i, e := range c.stations[bs].ids {
+		if e == 0 || e == idParked {
+			continue
 		}
-		view.UEs = append(view.UEs, AgentViewUE{
-			UE:          c.ueViewLocked(r),
-			Classifiers: c.classifiersLocked(r),
-		})
-		return true
-	})
+		if r := c.ues.rec(e - 1); r.bs == bs && r.ueid == packet.UEID(i+1) {
+			view.UEs = append(view.UEs, AgentViewUE{
+				UE:          c.ueViewLocked(r),
+				Classifiers: c.classifiersLocked(r),
+			})
+		}
+	}
 	sort.Slice(view.UEs, func(i, j int) bool {
 		return view.UEs[i].UE.IMSI < view.UEs[j].UE.IMSI
 	})

@@ -666,21 +666,25 @@ func (c *Controller) RecoverLocations(reports []AgentLocationReport) error {
 
 // checkReportsLocked refuses reports an import could not file verbatim: a
 // UE whose LocIP is not the one its station and UE ID make (so the UE ID,
-// which indexes the station table, is in 1..MaxUE), or an IMSI or LocIP
-// named twice.
+// which indexes the station table, is in 1..MaxUE), an IMSI, LocIP or
+// permanent address named twice, or a permanent address the subscriber
+// table would not bind to its IMSI.
 //
 // caller holds ueMu
 func (c *Controller) checkReportsLocked(reports []AgentLocationReport) error {
-	imsis, locs := make(map[string]bool), make(map[packet.Addr]bool)
+	imsis, locs, perms := make(map[string]bool), make(map[packet.Addr]bool), make(map[packet.Addr]bool)
 	for _, rep := range reports {
 		for _, u := range rep.UEs {
 			if loc, err := c.plan.LocIP(rep.BS, u.UEID); err != nil || loc != u.LocIP {
 				return fmt.Errorf("core: report for station %d: UE %q at %s, which is not UE ID %d's LocIP there", rep.BS, u.IMSI, u.LocIP, u.UEID)
 			}
-			if imsis[u.IMSI] || locs[u.LocIP] {
-				return fmt.Errorf("core: reports name UE %q or its LocIP %s twice", u.IMSI, u.LocIP)
+			if imsis[u.IMSI] || locs[u.LocIP] || perms[u.PermIP] {
+				return fmt.Errorf("core: reports name UE %q, its LocIP %s or its permanent address %s twice", u.IMSI, u.LocIP, u.PermIP)
 			}
-			imsis[u.IMSI], locs[u.LocIP] = true, true
+			imsis[u.IMSI], locs[u.LocIP], perms[u.PermIP] = true, true, true
+			if err := c.ues.subs.checkBind(u.IMSI, u.PermIP); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

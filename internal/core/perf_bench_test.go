@@ -111,3 +111,38 @@ func BenchmarkAttachDetach(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkAgentView measures the view of station 0, which holds 10 UEs,
+// while each of the other three stations holds n: the view reads station
+// 0's row of the station table, so its cost does not follow n.
+func BenchmarkAgentView(b *testing.B) {
+	for _, n := range []int{100, 3000} {
+		b.Run(fmt.Sprintf("others=%d", n), func(b *testing.B) {
+			c, _ := testController(b)
+			attr := policy.Attributes{Provider: "A", Plan: "silver"}
+			for bs := packet.BSID(0); bs < 4; bs++ {
+				count := n
+				if bs == 0 {
+					count = 10
+				}
+				for i := 0; i < count; i++ {
+					imsi := fmt.Sprintf("resident-%d-%d", bs, i)
+					if err := c.RegisterSubscriber(imsi, attr); err != nil {
+						b.Fatal(err)
+					}
+					if _, _, err := c.Attach(imsi, bs); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v, err := c.AgentView(0)
+				if err != nil || len(v.UEs) != 10 {
+					b.Fatalf("view of station 0: %d UEs, %v", len(v.UEs), err)
+				}
+			}
+		})
+	}
+}

@@ -201,10 +201,10 @@ func (s *Subscribers) admit(imsi string, inst uint16, slot uint32) (policy.Attri
 func (s *Subscribers) bind(imsi string, perm packet.Addr, inst uint16, slot uint32) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rec, known := s.byIMSI[imsi]
-	if other, bound := s.imsiOf[perm]; (bound && other != imsi) || (rec.perm != 0 && rec.perm != perm) {
-		return fmt.Errorf("core: UE %q imported with permanent address %s; the table binds that address to %q and that UE to %s", imsi, perm, other, rec.perm)
+	if err := s.bindConflictLocked(imsi, perm); err != nil {
+		return err
 	}
+	rec, known := s.byIMSI[imsi]
 	if !known {
 		s.imsiBytes += uint64(len(imsi))
 	}
@@ -214,6 +214,26 @@ func (s *Subscribers) bind(imsi string, perm packet.Addr, inst uint16, slot uint
 	rec.perm, rec.holder, rec.slot = perm, inst, slot
 	s.byIMSI[imsi] = rec
 	s.imsiOf[perm] = imsi
+	return nil
+}
+
+// checkBind reports whether bind would refuse imsi with perm, changing
+// nothing: a recovery checks every report before it discards any state.
+func (s *Subscribers) checkBind(imsi string, perm packet.Addr) error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.bindConflictLocked(imsi, perm)
+}
+
+// bindConflictLocked refuses an import of imsi with perm when the table
+// binds perm to another IMSI or imsi to another address.
+//
+// caller holds mu
+func (s *Subscribers) bindConflictLocked(imsi string, perm packet.Addr) error {
+	rec := s.byIMSI[imsi]
+	if other, bound := s.imsiOf[perm]; (bound && other != imsi) || (rec.perm != 0 && rec.perm != perm) {
+		return fmt.Errorf("core: UE %q imported with permanent address %s; the table binds that address to %q and that UE to %s", imsi, perm, other, rec.perm)
+	}
 	return nil
 }
 

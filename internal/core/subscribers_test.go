@@ -153,6 +153,38 @@ func TestRecoveryRefusesAnIMSIReportedTwice(t *testing.T) {
 	refusedUnchanged(t, "AbsorbStation", b, func() error { return b.AbsorbStation(1, []UE{u, twin}) })
 }
 
+// TestRecoveryRefusesAForeignPermanentAddress: a reported UE whose permanent
+// address the subscriber table binds to another IMSI, or two reported UEs
+// with one permanent address, cannot be filed; the import must refuse them
+// before it discards the location state, not fail halfway through binding.
+func TestRecoveryRefusesAForeignPermanentAddress(t *testing.T) {
+	a, b, u, v := importFixture(t)
+	stolen := u
+	stolen.PermIP = v.PermIP
+	refusedUnchanged(t, "bound elsewhere (RecoverLocations)", a, func() error {
+		return a.RecoverLocations([]AgentLocationReport{{BS: 1, UEs: []UE{stolen}}})
+	})
+	refusedUnchanged(t, "bound elsewhere (AbsorbStation)", b, func() error { return b.AbsorbStation(1, []UE{stolen}) })
+
+	shared := packet.AddrFrom4(100, 64, 0, 200) // bound to nobody yet
+	twins := make([]UE, 2)
+	for i, imsi := range []string{"w", "x"} {
+		id := packet.UEID(i + 2)
+		loc, err := a.Plan().LocIP(1, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twins[i] = UE{IMSI: imsi, PermIP: shared, BS: 1, UEID: id, LocIP: loc}
+	}
+	refusedUnchanged(t, "reported twice (RecoverLocations)", a, func() error {
+		return a.RecoverLocations([]AgentLocationReport{{BS: 0, UEs: []UE{v}}, {BS: 1, UEs: append([]UE{u}, twins...)}})
+	})
+	refusedUnchanged(t, "reported twice (AbsorbStation)", b, func() error { return b.AbsorbStation(1, twins) })
+	if got := len(a.UEs()); got != 2 {
+		t.Fatalf("%d UEs after the refusals, want 2", got)
+	}
+}
+
 // TestRecoveryRefusesAMisnumberedUE: a reported UE whose LocIP is not the
 // one its station and UE ID make, or whose UE ID is outside 1..MaxUE, is
 // refused before anything changes — the station table is indexed by the

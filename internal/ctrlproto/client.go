@@ -2,7 +2,6 @@ package ctrlproto
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"net"
 	"time"
 
@@ -79,8 +78,8 @@ func (cl *Client) handle(f frame) {
 		// A notification, not a request: no response frame. A stale or
 		// invalid snapshot is the receiver's local decision (the agent
 		// refuses it and keeps its LKG state); the wire carries no verdict.
-		var n SnapshotNotify
-		if err := json.Unmarshal(f.payload, &n); err != nil {
+		n, err := parseSnapshotNotify(f.payload)
+		if err != nil {
 			cl.undecodable.Inc()
 			return
 		}

@@ -11,15 +11,15 @@ import (
 	"repro/internal/topo"
 )
 
-// Payload codecs. Every message but MsgSnapshot is hand-packed with
-// core's codec helpers: fixed four-byte big-endian fields for addresses,
-// stations, tags, node ids and clause numbers (32 bits, as in
-// PathRequest), uvarint counts and string lengths. Encoders append to a caller-owned buffer (a
-// stack array or the read loop's reply scratch), so encoding allocates
-// nothing once the buffer has grown. Decoders check every count against the
-// bytes left before sizing a slice from it, and a decoded message puts all
-// its strings in one backing array and each slice-typed field set in one
-// more.
+// Payload codecs. Every message is hand-packed with core's codec helpers:
+// fixed four-byte big-endian fields for addresses, stations, tags, node ids
+// and clause numbers (32 bits, as in PathRequest), uvarint counts, string
+// lengths and versions. Encoders append to a caller-owned buffer (a stack
+// array or the read loop's reply scratch), so encoding allocates nothing
+// once the buffer has grown. Decoders check every count against the bytes
+// left before sizing a slice from it, and a decoded message puts all its
+// strings in one backing array and each slice-typed field set in one more
+// (a snapshot push, which is cold, one per UE's classifiers).
 
 // PathRequest is the hot-path message: 8 bytes.
 type PathRequest struct {
@@ -206,6 +206,47 @@ func parseLocationReport(b []byte) (core.AgentLocationReport, error) {
 		}
 	}
 	return r, finishDecode(&d, "location report")
+}
+
+// appendSnapshotNotify encodes a pushed snapshot: its version, the view's
+// station and epoch, the view's UEs each followed by its classifiers, then
+// the station's tag grants.
+func appendSnapshotNotify(dst []byte, n SnapshotNotify) []byte {
+	dst = binary.AppendUvarint(dst, n.Version)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(n.View.BS))
+	dst = binary.AppendUvarint(dst, n.View.Epoch)
+	dst = binary.AppendUvarint(dst, uint64(len(n.View.UEs)))
+	for _, u := range n.View.UEs {
+		dst = appendUE(dst, u.UE)
+		dst = appendClassifiers(dst, u.Classifiers)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(n.View.Tags)))
+	for _, g := range n.View.Tags {
+		dst = binary.BigEndian.AppendUint32(dst, uint32(g.Clause))
+		dst = binary.BigEndian.AppendUint32(dst, uint32(g.Tag))
+	}
+	return dst
+}
+
+func parseSnapshotNotify(b []byte) (SnapshotNotify, error) {
+	d := core.NewDecoder(b)
+	var n SnapshotNotify
+	n.Version = d.Uvarint()
+	n.View.BS = packet.BSID(d.Uint32())
+	n.View.Epoch = d.Uvarint()
+	if k := d.Count(ueMinBytes + 1); k > 0 {
+		n.View.UEs = make([]core.AgentViewUE, k)
+		for i := range n.View.UEs {
+			n.View.UEs[i] = core.AgentViewUE{UE: decodeUE(&d), Classifiers: decodeClassifiers(&d)}
+		}
+	}
+	if k := d.Count(8); k > 0 {
+		n.View.Tags = make([]core.TagGrant, k)
+		for i := range n.View.Tags {
+			n.View.Tags[i] = core.TagGrant{Clause: int(int32(d.Uint32())), Tag: packet.Tag(d.Uint32())}
+		}
+	}
+	return n, finishDecode(&d, "snapshot notify")
 }
 
 // finishDecode closes a message decode: the first failure, or leftover bytes,

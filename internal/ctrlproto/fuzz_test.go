@@ -122,6 +122,9 @@ var wireCodecs = []wireCodec{
 		return appendLocationReport(dst, r)
 	}),
 	codecOf("remote error", parseRemoteError, remoteError.appendTo),
+	codecOf("snapshot notify", parseSnapshotNotify, func(n SnapshotNotify, dst []byte) []byte {
+		return appendSnapshotNotify(dst, n)
+	}),
 }
 
 // FuzzWireCodec feeds arbitrary bytes to the message decoders. A decoder

@@ -18,8 +18,7 @@
 // of the channel. Untraced frames — the 1023-in-1024 steady state —
 // pay nothing: the header is absent and the flag bit is zero.
 //
-// Payloads are hand-packed binary (codec.go), except MsgSnapshot's, which
-// is JSON: snapshots are cold and large. A MsgError payload is one code
+// Payloads are hand-packed binary (codec.go). A MsgError payload is one code
 // byte, naming the sentinel error the refusal wrapped (0 for none), then
 // the error's text, so errors.Is holds across the wire for the sentinels
 // codec.go lists. A warmed path request allocates
@@ -34,7 +33,6 @@ package ctrlproto
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -205,15 +203,15 @@ func readBody(r io.Reader, n uint32, buf []byte) (frame, error) {
 func newBuf(n int) []byte { return make([]byte, n) }
 
 // SnapshotNotify is the controller-initiated push of one station's
-// versioned agent view (JSON payload: snapshots are cold and large, and the
-// point is that packet-ins never wait for them). It is a notification, not
-// a request: the agent swaps the snapshot in (or refuses a stale version)
-// locally and never replies — a pusher wanting a publish barrier follows
-// the push with an Echo on the same connection, which the receiving read
-// loop processes strictly after the snapshot frame.
+// versioned agent view (cold and large: the point is that packet-ins never
+// wait for it). It is a notification, not a request: the agent swaps the
+// snapshot in (or refuses a stale version) locally and never replies — a
+// pusher wanting a publish barrier follows the push with an Echo on the
+// same connection, which the receiving read loop processes strictly after
+// the snapshot frame.
 type SnapshotNotify struct {
-	Version uint64         `json:"version"`
-	View    core.AgentView `json:"view"`
+	Version uint64
+	View    core.AgentView
 }
 
 // call is one request's rendezvous with its reply. Whoever unregisters it
@@ -636,12 +634,4 @@ func (c *conn) fail(err error) {
 func (c *conn) Close() error {
 	c.fail(errClosed)
 	return nil
-}
-
-func marshalJSON(v any) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		panic(fmt.Sprintf("ctrlproto: marshal %T: %v", v, err)) // static types: cannot fail
-	}
-	return b
 }

@@ -309,12 +309,13 @@ func TestLargeFramesAreNotRetained(t *testing.T) {
 	if err := cl.Hello(5); err != nil {
 		t.Fatal(err)
 	}
+	const ues = 8000
 	view := core.AgentView{BS: 5}
-	for i := 0; i < 3000; i++ {
+	for i := 0; i < ues; i++ {
 		view.UEs = append(view.UEs, core.AgentViewUE{UE: core.UE{IMSI: fmt.Sprintf("00101%010d", i), BS: 5, UEID: packet.UEID(i)}})
 	}
 	push := SnapshotNotify{Version: 9, View: view}
-	if n := len(marshalJSON(push)); n < 256<<10 {
+	if n := len(appendSnapshotNotify(nil, push)); n < 256<<10 {
 		t.Fatalf("snapshot encodes to %d bytes, want at least 256 KiB", n)
 	}
 	if _, err := cl.Echo([]byte("before")); err != nil {
@@ -331,8 +332,8 @@ func TestLargeFramesAreNotRetained(t *testing.T) {
 		t.Fatalf("echo after the large frames = %q, %v", after, err)
 	}
 	// The echo replies are the barrier: the push was handled before them.
-	if len(got) != 1 || got[0].Version != 9 || len(got[0].View.UEs) != 3000 ||
-		got[0].View.UEs[2999].UE.IMSI != view.UEs[2999].UE.IMSI {
+	if len(got) != 1 || got[0].Version != 9 || len(got[0].View.UEs) != ues ||
+		got[0].View.UEs[ues-1].UE.IMSI != view.UEs[ues-1].UE.IMSI {
 		t.Fatalf("snapshot decoded as %d notifications", len(got))
 	}
 	if c := cap(cl.c.body); c > maxRetained {

@@ -251,7 +251,7 @@ func (s *Server) servePath(c *conn, f frame, sc obs.SpanContext) {
 // error is returned only when no connection took the frame and at least
 // one refused it.
 func (s *Server) PushSnapshot(n SnapshotNotify) (int, error) {
-	f := frame{typ: MsgSnapshot, payload: marshalJSON(n)}
+	f := frame{typ: MsgSnapshot, payload: appendSnapshotNotify(nil, n)}
 	pushed := 0
 	var firstErr error
 	for _, c := range s.stationConns(n.View.BS) {

@@ -194,10 +194,12 @@ func TestUndecodableSnapshotIsCounted(t *testing.T) {
 		return nil
 	}
 
-	if err := writeFrame(sa, frame{typ: MsgSnapshot, payload: []byte(`{"Version":`)}); err != nil {
+	view := core.AgentView{BS: 7, UEs: []core.AgentViewUE{{UE: core.UE{IMSI: "001010000000001", BS: 7, UEID: 1}}}}
+	whole := appendSnapshotNotify(nil, SnapshotNotify{Version: 1, View: view})
+	if err := writeFrame(sa, frame{typ: MsgSnapshot, payload: whole[:len(whole)-1]}); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFrame(sa, frame{typ: MsgSnapshot, payload: marshalJSON(SnapshotNotify{Version: 2})}); err != nil {
+	if err := writeFrame(sa, frame{typ: MsgSnapshot, payload: appendSnapshotNotify(nil, SnapshotNotify{Version: 2, View: view})}); err != nil {
 		t.Fatal(err)
 	}
 	// Frames are handled in order: once the valid push is in, so is the
