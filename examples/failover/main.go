@@ -105,7 +105,9 @@ func main() {
 
 	// --- Local agent failure ------------------------------------------------
 	fmt.Println("\n*** local agent at station 0 restarts ***")
-	nw.Agents[0].Restart()
+	// A restart keeps the validated LKG snapshot, as persisted config
+	// would, and the access switch keeps the microflows, which are the
+	// agent's whole record of its flows.
 	fmt.Printf("agent state after restart: %d UEs cached\n", nw.Agents[0].NumUEs())
 	// The agent's state is read-only (§5.2): the controller simply pushes
 	// it again for each of the station's UEs.

@@ -3,6 +3,7 @@
 // classifies new flows against an immutable, versioned snapshot of per-UE
 // classifiers and admitted policy tags — last-known-good state the data
 // plane keeps using through controller outages — installs microflow rules,
+// whose cookies make the access switch the one record of each UE's flows,
 // and only contacts the controller when a flow needs a policy path the
 // snapshot does not carry yet (and even that falls away in the
 // pushed-snapshot deployment shape, where the controller publishes fresh
@@ -38,75 +39,11 @@ type LocResolver interface {
 	ResolveLocIP(perm packet.Addr) (packet.Addr, error)
 }
 
-// flowState records one active upstream microflow for a UE, with the
-// policy coordinates reconciliation needs to replay or tear it down when a
-// newer snapshot changes the clause's tag.
-type flowState struct {
-	orig      packet.FlowKey // as sent by the UE (permanent IP)
-	rewritten packet.FlowKey // as it travels the core (LocIP + tag port)
-	clause    int
-	tag       packet.Tag // 0 for M2M location-routed flows
-	qos       policy.QoS
-}
-
-// ueFlows is the mutable per-UE flow book: soft state owned by this agent
-// (unlike classifiers, which live in the immutable snapshot) and dropped on
-// Restart — the microflows themselves survive in the switch.
-type ueFlows struct {
-	flows map[packet.FlowKey]flowState // keyed by orig
-	// wire counts the book's flows per rewritten five-tuple, for
-	// ephemeralPort. It is built once a value ephemeralPort picks could be
-	// held: when nextEph wraps, or when a handoff brings in flows another
-	// book numbered. Until then every value it picks is new to the book.
-	// Kept from a book's first flow instead, the map cost 3 % more
-	// bytes_per_subscriber on forward_plain and 2.5 % on e2e_mobility
-	// (EXPERIMENTS.md, "Microflow ledger").
-	wire    map[packet.FlowKey]int
-	nextEph uint16
-}
-
-// put files f, replacing the book's flow with the same original key.
-func (uf *ueFlows) put(f flowState) {
-	if old, ok := uf.flows[f.orig]; ok {
-		uf.drop(old)
-	}
-	uf.flows[f.orig] = f
-	if uf.wire != nil {
-		uf.wire[f.rewritten]++
-	}
-}
-
-// drop removes f from the book.
-func (uf *ueFlows) drop(f flowState) {
-	delete(uf.flows, f.orig)
-	if uf.wire == nil {
-		return
-	}
-	if n := uf.wire[f.rewritten]; n > 1 {
-		uf.wire[f.rewritten] = n - 1
-	} else {
-		delete(uf.wire, f.rewritten)
-	}
-}
-
-// indexWire builds the wire counts, if they are not kept yet.
-func (uf *ueFlows) indexWire() {
-	if uf.wire != nil {
-		return
-	}
-	uf.wire = make(map[packet.FlowKey]int, len(uf.flows))
-	for _, f := range uf.flows {
-		uf.wire[f.rewritten]++
-	}
-}
-
 // Stats count the agent's control-plane activity; Table 2's benchmark
-// reads them. All fields are monotonic and survive Restart, keeping them
-// coherent with the obs registry mirrors (which are registered
-// get-or-create and also keep counting across restarts).
+// reads them. All fields are monotonic, like their obs registry mirrors.
 type Stats struct {
 	PacketIns  uint64 // table-miss packets handled
-	CacheHits  uint64 // flows admitted from the LKG snapshot alone
+	CacheHits  uint64 // flows admitted with no controller round trip
 	CacheMiss  uint64 // flows that required a controller round trip
 	Denied     uint64
 	Microflows uint64
@@ -156,8 +93,8 @@ type Agent struct {
 	snap atomic.Pointer[Snapshot]
 
 	mu      sync.Mutex
-	flows   map[packet.Addr]*ueFlows // guarded by mu; keyed by permanent IP
-	inbound map[inboundKey]struct{}  // guarded by mu; §7 public-IP bindings this station accepts
+	nextEph uint16                  // guarded by mu; the station's last ephemeral value, see ephemeralPort
+	inbound map[inboundKey]struct{} // guarded by mu; §7 public-IP bindings this station accepts
 
 	stats counters
 	obs   agentObs // lock-free mirrors; set by Instrument
@@ -178,7 +115,6 @@ func New(bs packet.BSID, access *switchsim.Switch, plan packet.Plan, ctrl Contro
 		Access:  access,
 		plan:    plan,
 		ctrl:    ctrl,
-		flows:   make(map[packet.Addr]*ueFlows),
 		inbound: make(map[inboundKey]struct{}),
 	}
 	a.snap.Store(newDraft(0).seal(0)) // version 0: nothing published yet
@@ -248,7 +184,7 @@ func classifyApp(p *packet.Packet) policy.AppType {
 func (a *Agent) deny(p *packet.Packet) {
 	a.stats.denied.Add(1)
 	a.obs.denied.Inc()
-	a.Access.InstallMicroflow(p.Flow(), switchsim.DropAction())
+	a.Access.InstallMicroflow(p.Flow(), switchsim.DropAction(), switchsim.Cookie{})
 }
 
 // HandlePacketIn processes one table-miss packet from the access switch —
@@ -280,7 +216,7 @@ func (a *Agent) HandlePacketIn(p *packet.Packet) (allowed bool, err error) {
 		// its LocIP and route directly by location — no tag, no gateway
 		// detour. The reply direction is set up by the peer's agent when
 		// the packet arrives there.
-		return a.handleM2M(su, p)
+		return a.handleM2M(su, cl.Clause, p)
 	}
 	tag := snap.tagFor(cl)
 	if tag != 0 {
@@ -312,7 +248,7 @@ func (a *Agent) HandlePacketIn(p *packet.Packet) (allowed bool, err error) {
 func (a *Agent) installFlow(su *snapUE, orig packet.FlowKey, tag packet.Tag, clause int, qos policy.QoS) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.installMicroflows(su, a.flowsFor(su.ue.PermIP), orig, tag, clause, qos)
+	return a.installMicroflows(su, orig, tag, clause, qos)
 }
 
 // isLocalPerm reports whether the destination sits in the deployment's
@@ -323,40 +259,36 @@ func (a *Agent) isLocalPerm(dst packet.Addr) bool {
 	return a.PermPool.Len > 0 && a.PermPool.Contains(dst)
 }
 
-// handleM2M installs the microflows for a carrier-internal destination.
-func (a *Agent) handleM2M(su *snapUE, p *packet.Packet) (bool, error) {
+// handleM2M installs the microflows for a carrier-internal destination. A
+// permanent address is resolved to its LocIP by a controller round trip; a
+// LocIP needs none.
+func (a *Agent) handleM2M(su *snapUE, clause int, p *packet.Packet) (bool, error) {
 	r, ok := a.ctrl.(LocResolver)
 	if !ok {
 		a.deny(p)
 		return false, nil
 	}
 	dstLoc := p.Dst
-	if !a.plan.Carrier.Contains(dstLoc) {
+	if a.plan.Carrier.Contains(dstLoc) {
+		a.stats.cacheHits.Add(1)
+		a.obs.cacheHits.Inc()
+	} else {
+		a.stats.cacheMiss.Add(1)
+		a.obs.cacheMiss.Inc()
 		loc, err := r.ResolveLocIP(p.Dst)
 		if err != nil {
-			a.deny(p)
-			return false, nil
+			return false, fmt.Errorf("agent: controller could not resolve %s: %w", p.Dst, err)
 		}
 		dstLoc = loc
 	}
-	a.stats.cacheMiss.Add(1) // the resolution is a controller round trip
-	a.obs.cacheMiss.Inc()
-	orig := p.Flow()
-	srcLoc := su.ue.LocIP
 	// Tag 0: pure location routing (Type 3 rules) carries the flow to the
 	// peer's station directly.
-	up := switchsim.Action{Resubmit: true, Output: -1, SetSrc: &srcLoc, SetDst: &dstLoc}
-	a.Access.InstallMicroflow(orig, up)
-	rewritten := packet.FlowKey{Src: srcLoc, Dst: dstLoc, SrcPort: orig.SrcPort,
-		DstPort: orig.DstPort, Proto: orig.Proto}
-	perm := su.ue.PermIP
-	down := switchsim.Action{Output: switchsim.PortUE, SetDst: &perm}
-	a.Access.InstallMicroflow(rewritten.Reverse(), down)
+	up := switchsim.Action{Resubmit: true, Output: -1, Set: switchsim.SetSrc | switchsim.SetDst,
+		Src: su.ue.LocIP, Dst: dstLoc}
+	down := switchsim.Action{Output: switchsim.PortUE, Set: switchsim.SetDst, Dst: su.ue.PermIP}
 	a.mu.Lock()
-	a.flowsFor(perm).put(flowState{orig: orig, rewritten: rewritten})
-	a.mu.Unlock()
-	a.stats.microflows.Add(2)
-	a.obs.microflows.Add(2)
+	defer a.mu.Unlock()
+	a.installPair(p.Flow(), up, down, cookie(su, clause))
 	return true, nil
 }
 
@@ -389,24 +321,23 @@ func (a *Agent) HandleArrival(p *packet.Packet) (delivered bool, err error) {
 	a.obs.packetIns.Inc()
 	key := p.Flow()
 	tag, svc := a.plan.SplitPort(p.DstPort)
-	deliver := switchsim.Action{Output: switchsim.PortUE, SetDst: &perm}
+	deliver := switchsim.Action{Output: switchsim.PortUE, Set: switchsim.SetDst, Dst: perm}
 	if tag != 0 {
 		// Inbound-tagged flows (public IP bindings) carry the service port
 		// in the ephemeral bits; restore it for the UE.
-		svcPort := svc
-		deliver.SetDstPort = &svcPort
+		deliver.Set |= switchsim.SetDstPort
+		deliver.DstPort = svc
 	}
-	a.Access.InstallMicroflow(key, deliver)
+	a.Access.InstallMicroflow(key, deliver, switchsim.Cookie{})
 	// Replies from the UE: restore the wire form so they retrace the same
 	// (tagged) path back out.
-	locIP := p.Dst
-	tagged := p.DstPort
 	replyKey := packet.FlowKey{Src: perm, Dst: p.Src, SrcPort: svc, DstPort: p.SrcPort, Proto: p.Proto}
 	if tag == 0 {
 		replyKey.SrcPort = p.DstPort
 	}
-	reply := switchsim.Action{Resubmit: true, Output: -1, SetSrc: &locIP, SetSrcPort: &tagged}
-	a.Access.InstallMicroflow(replyKey, reply)
+	reply := switchsim.Action{Resubmit: true, Output: -1, Set: switchsim.SetSrc | switchsim.SetSrcPort,
+		Src: p.Dst, SrcPort: p.DstPort}
+	a.Access.InstallMicroflow(replyKey, reply, switchsim.Cookie{})
 	a.stats.microflows.Add(2)
 	a.obs.microflows.Add(2)
 	return true, nil
@@ -427,84 +358,76 @@ func dscpFor(q policy.QoS) uint8 {
 	}
 }
 
-// flowsFor returns (creating if needed) the mutable flow book for a UE.
-//
-// caller holds mu
-func (a *Agent) flowsFor(perm packet.Addr) *ueFlows {
-	uf, ok := a.flows[perm]
-	if !ok {
-		uf = &ueFlows{flows: make(map[packet.FlowKey]flowState)}
-		a.flows[perm] = uf
-	}
-	return uf
+// cookie marks the microflows of a flow su sends under clause as theirs.
+func cookie(su *snapUE, clause int) switchsim.Cookie {
+	return switchsim.Cookie{Owner: su.ue.PermIP, Clause: int32(clause)}
 }
 
-// installMicroflows writes the pair of exact-match rules for one flow and
-// records it in the UE's flow book for later reconciliation.
+// upstream reports whether m carries the packets its owner sends: those
+// are keyed by the UE's permanent address, the downstream ones by a LocIP.
+func upstream(m switchsim.Microflow) bool { return m.Key.Src == m.Cookie.Owner }
+
+// installPair writes one flow's two microflows: up for the UE's packets,
+// keyed orig, and down for the replies to the wire five-tuple up gives them.
+// A flow installed again gives up the wire five-tuple it had.
 //
 // caller holds mu
-func (a *Agent) installMicroflows(su *snapUE, uf *ueFlows, orig packet.FlowKey, tag packet.Tag, clause int, qos policy.QoS) error {
+func (a *Agent) installPair(orig packet.FlowKey, up, down switchsim.Action, c switchsim.Cookie) {
+	if r, ok := a.Access.Microflow(orig); ok && r.Cookie.Owner == c.Owner {
+		a.Access.RemoveMicroflow(r.Action.Rewritten(orig).Reverse())
+	}
+	a.Access.InstallMicroflow(orig, up, c)
+	a.Access.InstallMicroflow(up.Rewritten(orig).Reverse(), down, c)
+	a.stats.microflows.Add(2)
+	a.obs.microflows.Add(2)
+}
+
+// installMicroflows writes the pair of exact-match rules for one tagged
+// flow, owned by its UE and clause: the switch's entries are the agent's
+// record of the flow.
+//
+// caller holds mu
+func (a *Agent) installMicroflows(su *snapUE, orig packet.FlowKey, tag packet.Tag, clause int, qos policy.QoS) error {
 	if tag > a.plan.MaxTag() {
 		return fmt.Errorf("agent: tag %d does not fit the %d-bit tag field", tag, a.plan.TagBits)
 	}
-	old, booked := uf.flows[orig]
-	if booked {
-		uf.drop(old) // a re-installed flow gives up its old wire tuple
-	}
-	sport, err := a.ephemeralPort(uf, su.ue.LocIP, orig, tag)
+	sport, err := a.ephemeralPort(su.ue.LocIP, orig, tag)
 	if err != nil {
-		if booked {
-			uf.put(old) // refused: the flow keeps the microflows it has
-		}
-		return err
+		return err // refused: a flow installed before keeps the microflows it has
 	}
-	loc := su.ue.LocIP
-
 	// Upstream: rewrite source to (LocIP, tag|eph), mark the QoS class, and
 	// resubmit so the controller-installed rules forward it (§4.1, Fig. 4).
-	up := switchsim.Action{Resubmit: true, Output: -1, SetSrc: &loc, SetSrcPort: &sport}
+	up := switchsim.Action{Resubmit: true, Output: -1, Set: switchsim.SetSrc | switchsim.SetSrcPort,
+		Src: su.ue.LocIP, SrcPort: sport}
 	if d := dscpFor(qos); d != 0 {
-		dscp := d
-		up.SetDSCP = &dscp
+		up.Set |= switchsim.SetDSCP
+		up.DSCP = d
 	}
-	a.Access.InstallMicroflow(orig, up)
-
 	// Downstream: the reverse of the rewritten flow; restore the permanent
 	// address and deliver to the UE.
-	rewritten := packet.FlowKey{Src: loc, Dst: orig.Dst, SrcPort: sport, DstPort: orig.DstPort, Proto: orig.Proto}
-	perm := su.ue.PermIP
-	origPort := orig.SrcPort
-	down := switchsim.Action{Output: switchsim.PortUE, SetDst: &perm, SetDstPort: &origPort}
-	a.Access.InstallMicroflow(rewritten.Reverse(), down)
-
-	uf.put(flowState{orig: orig, rewritten: rewritten, clause: clause, tag: tag, qos: qos})
-	a.stats.microflows.Add(2)
-	a.obs.microflows.Add(2)
+	down := switchsim.Action{Output: switchsim.PortUE, Set: switchsim.SetDst | switchsim.SetDstPort,
+		Dst: su.ue.PermIP, DstPort: orig.SrcPort}
+	a.installPair(orig, up, down, cookie(su, clause))
 	return nil
 }
 
-// ephemeralPort picks a new flow's wire source port: its tag and the next
-// ephemeral value, wrapping like real port allocation, that leaves the
-// rewritten five-tuple (loc, port to orig's destination) to no live flow
-// in the UE's book. Switch entries the book no longer lists do not hold a
-// value. With every value held the flow is refused with ErrPortsExhausted
-// and counted.
+// ephemeralPort picks a new flow's wire source port: its tag and the
+// station's next ephemeral value, wrapping like real port allocation, that
+// leaves the rewritten five-tuple (loc, port to orig's destination) to no
+// live flow: the switch holds no entry for its replies. With every value
+// held the flow is refused with ErrPortsExhausted and counted.
 //
 // caller holds mu
-func (a *Agent) ephemeralPort(uf *ueFlows, loc packet.Addr, orig packet.FlowKey, tag packet.Tag) (uint16, error) {
+func (a *Agent) ephemeralPort(loc packet.Addr, orig packet.FlowKey, tag packet.Tag) (uint16, error) {
 	values := 1<<a.plan.EphemeralBits() - 1 // 1..values; 0 is never used
 	for range values {
-		if int(uf.nextEph) >= values {
-			uf.nextEph = 0
-			uf.indexWire() // the values come round again
-		}
-		uf.nextEph++
-		sport, err := a.plan.EmbedPort(tag, uf.nextEph)
+		a.nextEph = a.nextEph%uint16(values) + 1
+		sport, err := a.plan.EmbedPort(tag, a.nextEph)
 		if err != nil {
 			return 0, err
 		}
-		w := packet.FlowKey{Src: loc, Dst: orig.Dst, SrcPort: sport, DstPort: orig.DstPort, Proto: orig.Proto}
-		if uf.wire[w] == 0 {
+		reply := packet.FlowKey{Src: orig.Dst, Dst: loc, SrcPort: orig.DstPort, DstPort: sport, Proto: orig.Proto}
+		if _, held := a.Access.Microflow(reply); !held {
 			return sport, nil
 		}
 	}
@@ -513,17 +436,14 @@ func (a *Agent) ephemeralPort(uf *ueFlows, loc packet.Addr, orig packet.FlowKey,
 	return 0, fmt.Errorf("agent: flow %s at bs%d: %w", orig, a.BS, ErrPortsExhausted)
 }
 
-// ActiveFlows lists a UE's live upstream flow keys (original form).
+// ActiveFlows lists a UE's live upstream flow keys (original form), read
+// from the access switch's entries its cookie owns.
 func (a *Agent) ActiveFlows(permIP packet.Addr) []packet.FlowKey {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	uf, ok := a.flows[permIP]
-	if !ok {
-		return nil
-	}
-	out := make([]packet.FlowKey, 0, len(uf.flows))
-	for k := range uf.flows {
-		out = append(out, k)
+	var out []packet.FlowKey
+	for _, m := range a.Access.Owned(nil, permIP) {
+		if upstream(m) {
+			out = append(out, m.Key)
+		}
 	}
 	return out
 }
@@ -541,29 +461,22 @@ func (a *Agent) MigrateFlows(newAgent *Agent, newUE core.UE, oldLocIP packet.Add
 	if _, ok := newAgent.lkg().ues[newUE.PermIP]; !ok {
 		return fmt.Errorf("agent: new agent has not admitted UE %s", newUE.IMSI)
 	}
-	// The UE leaves this agent's snapshot; its flow book moves out under mu.
+	// The UE leaves this agent's snapshot; its microflows move out under mu.
 	a.derive(func(d *snapshotDraft) { d.removeUE(newUE.PermIP) })
 	a.mu.Lock()
-	uf := a.flows[newUE.PermIP]
-	delete(a.flows, newUE.PermIP)
-	var flows []flowState
-	if uf != nil {
-		flows = make([]flowState, 0, len(uf.flows))
-		for _, f := range uf.flows {
-			flows = append(flows, f)
+	flows := a.Access.Owned(nil, newUE.PermIP)
+	tunnel := switchsim.Action{Output: switchsim.PortTunnelBase + int(newUE.BS)}
+	for _, m := range flows {
+		if upstream(m) {
+			// The upstream rule at the old switch is obsolete (the UE is gone).
+			a.Access.RemoveMicroflow(m.Key)
+		} else {
+			// Downstream packets for the old flow now tunnel to the new
+			// station unmodified: the copied microflow there restores the
+			// permanent address on delivery. The tunnel entry is owned by
+			// no UE.
+			a.Access.InstallMicroflow(m.Key, tunnel, switchsim.Cookie{})
 		}
-	}
-	tunnel := switchsim.PortTunnelBase + int(newUE.BS)
-	for _, f := range flows {
-		// Downstream packets for the old flow now tunnel to the new station
-		// unmodified: the copied microflow there restores the permanent
-		// address on delivery.
-		down := f.rewritten.Reverse()
-		if _, ok := a.Access.Microflow(down); ok {
-			a.Access.InstallMicroflow(down, switchsim.Action{Output: tunnel})
-		}
-		// The upstream rule at the old switch is obsolete (the UE is gone).
-		a.Access.RemoveMicroflow(f.orig)
 	}
 	a.mu.Unlock()
 
@@ -577,31 +490,19 @@ func (a *Agent) MigrateFlows(newAgent *Agent, newUE core.UE, oldLocIP packet.Add
 	newAgent.derive(func(d *snapshotDraft) { d.alias(oldLocIP, newUE.PermIP) })
 	newAgent.mu.Lock()
 	defer newAgent.mu.Unlock()
-	nuf := newAgent.flowsFor(newUE.PermIP)
-	if len(flows) > 0 {
-		nuf.indexWire() // the flows carry values another book picked
-	}
-	for _, f := range flows {
-		loc := f.rewritten.Src
-		sport := f.rewritten.SrcPort
-		originBS, _, ok := newAgent.plan.Split(loc)
-		if !ok {
-			return fmt.Errorf("agent: flow source %s outside the carrier block", loc)
+	for _, m := range flows {
+		act := m.Action
+		if upstream(m) {
+			originBS, _, ok := newAgent.plan.Split(act.Src)
+			if !ok {
+				return fmt.Errorf("agent: flow source %s outside the carrier block", act.Src)
+			}
+			act.Resubmit, act.Output = false, switchsim.PortTunnelBase+int(originBS)
 		}
-		up := switchsim.Action{
-			Output:     switchsim.PortTunnelBase + int(originBS),
-			SetSrc:     &loc,
-			SetSrcPort: &sport,
-		}
-		newAgent.Access.InstallMicroflow(f.orig, up)
-		perm := newUE.PermIP
-		origPort := f.orig.SrcPort
-		down := switchsim.Action{Output: switchsim.PortUE, SetDst: &perm, SetDstPort: &origPort}
-		newAgent.Access.InstallMicroflow(f.rewritten.Reverse(), down)
-		nuf.put(f)
-		newAgent.stats.microflows.Add(2)
-		newAgent.obs.microflows.Add(2)
+		newAgent.Access.InstallMicroflow(m.Key, act, m.Cookie)
 	}
+	newAgent.stats.microflows.Add(uint64(len(flows)))
+	newAgent.obs.microflows.Add(uint64(len(flows)))
 	return nil
 }
 
@@ -613,21 +514,6 @@ func (a *Agent) LocationReport() core.AgentLocationReport {
 		rep.UEs = append(rep.UEs, su.ue)
 	}
 	return rep
-}
-
-// Restart simulates a local-agent process failure (§5.2). The LKG snapshot
-// — validated, versioned, published state — survives, exactly as a
-// persisted config would: the agent keeps classifying and keeps its
-// version floor, so a stale snapshot replayed after the restart is still
-// refused. The counters survive too, staying coherent with their obs
-// registry mirrors (which are per-series and never reset). What is lost is
-// the soft state: the per-UE flow books. Microflows in the switch survive
-// (the switch did not fail), so established flows keep forwarding while
-// the controller re-pushes anything it wants changed.
-func (a *Agent) Restart() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.flows = make(map[packet.Addr]*ueFlows)
 }
 
 // NumUEs reports the attached-UE count (Fig. 6(b)'s per-station quantity).

@@ -3,6 +3,7 @@ package agent
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -217,39 +218,56 @@ func TestLocationReport(t *testing.T) {
 	}
 }
 
-func TestRestartKeepsLKGAndCounters(t *testing.T) {
+// TestRestartedAgentReconcilesTheSwitch models an agent restart as a fresh
+// agent over the same access switch, with the LKG snapshot re-published
+// (§5.2: the switch did not fail). The restarted agent reads the flows it
+// did not install from the switch, and when a later view drops UE a, the
+// reconcile tears a's microflows down, so a's next packet is punted
+// rather than forwarded under a LocIP the station may give another UE.
+func TestRestartedAgentReconcilesTheSwitch(t *testing.T) {
 	ag := newAgent(t, newFakeController())
-	ue := testUE(t, 1, 1)
-	_ = ag.AdmitUE(ue, webClassifiers(7))
-	if _, err := ag.HandlePacketIn(upPkt(ue, 40000)); err != nil {
+	a, b := testUE(t, 1, 1), testUE(t, 1, 2)
+	for _, ue := range []core.UE{a, b} {
+		if err := ag.AdmitUE(ue, webClassifiers(7)); err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := ag.HandlePacketIn(upPkt(ue, 40000)); !ok || err != nil {
+			t.Fatalf("flow of %s: allowed=%v err=%v", ue.IMSI, ok, err)
+		}
+	}
+	sent := upPkt(a, 40000)
+	ag.Access.Process(sent, switchsim.PortUE)
+	aUp, aDown := upPkt(a, 40000).Flow(), sent.Flow().Reverse()
+
+	re := New(ag.BS, ag.Access, plan, newFakeController())
+	rep, err := re.Publish(ag.lkg())
+	if err != nil {
 		t.Fatal(err)
 	}
-	before := ag.Stats()
-	ver := ag.Version()
-	ag.Restart()
-	// The validated, versioned LKG snapshot survives a process restart
-	// (like persisted config would), so the agent keeps classifying and
-	// keeps its version floor; the counters stay coherent with it.
-	if ag.NumUEs() != 1 {
-		t.Fatalf("NumUEs = %d after restart, want 1 (LKG snapshot survives)", ag.NumUEs())
+	if rep != (ReconcileReport{Kept: 2}) || re.Version() != ag.Version() || re.NumUEs() != 2 {
+		t.Fatalf("re-published LKG: report %+v, version %d (want %d), %d UEs", rep, re.Version(), ag.Version(), re.NumUEs())
 	}
-	if got := ag.Version(); got != ver {
-		t.Fatalf("version = %d after restart, want %d", got, ver)
+	if got := re.ActiveFlows(a.PermIP); !slices.Equal(got, []packet.FlowKey{aUp}) {
+		t.Fatalf("restarted agent reads a's flows as %v, want [%s]", got, aUp)
 	}
-	if got := ag.Stats(); got != before {
-		t.Fatalf("stats changed across restart: %+v != %+v", got, before)
+
+	rep, err = re.Publish(NewSnapshot(re.Version()+1, view([]core.UE{b}, core.TagGrant{Clause: 5, Tag: 7})))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The flow book is soft state and is dropped...
-	if got := len(ag.ActiveFlows(ue.PermIP)); got != 0 {
-		t.Fatalf("active flows = %d after restart, want 0", got)
+	if rep.TornDown < 1 || rep.UEsDropped != 1 || rep.Kept != 1 {
+		t.Fatalf("view without a: report %+v, want a torn down and dropped, b kept", rep)
 	}
-	// ...but microflows survive in the switch (it did not fail).
-	if ag.Access.NumMicroflows() == 0 {
-		t.Fatal("switch state should survive an agent restart")
+	for _, k := range []packet.FlowKey{aUp, aDown} {
+		if _, ok := re.Access.Microflow(k); ok {
+			t.Fatalf("a's microflow %s survived a's removal", k)
+		}
 	}
-	// And the agent still classifies new flows purely from the snapshot.
-	if allowed, err := ag.HandlePacketIn(upPkt(ue, 40001)); err != nil || !allowed {
-		t.Fatalf("post-restart packet-in: allowed=%v err=%v", allowed, err)
+	if v := re.Access.Process(upPkt(a, 40000), switchsim.PortUE); !v.ToController {
+		t.Fatalf("a's next packet: %+v, want punted", v)
+	}
+	if ok, err := re.HandlePacketIn(upPkt(b, 40001)); !ok || err != nil {
+		t.Fatalf("b's new flow after the restart: allowed=%v err=%v", ok, err)
 	}
 }
 
@@ -303,9 +321,9 @@ func TestTagTooWideRejected(t *testing.T) {
 // TestEphemeralValuesRunOut fills every ephemeral value a 12-bit tag plan
 // leaves (4 bits: 15) with live flows from one UE to one server. The next
 // flow there is refused with ErrPortsExhausted, counted, and installs
-// nothing; one to another server is admitted. After a Restart drops the
-// flow books, the switch entries left behind hold no value, so the same
-// flow is admitted.
+// nothing; one to another server is admitted. An agent restarted over the
+// same switch finds the values still held by the entries there, so the
+// same flow is refused again.
 func TestEphemeralValuesRunOut(t *testing.T) {
 	wide := plan
 	wide.TagBits = 12
@@ -333,13 +351,15 @@ func TestEphemeralValuesRunOut(t *testing.T) {
 	if ok, err := ag.HandlePacketIn(other); !ok || err != nil {
 		t.Fatalf("a flow to another server: allowed=%v err=%v", ok, err)
 	}
-	ag.Restart()
-	if ok, err := ag.HandlePacketIn(upPkt(ue, uint16(42000+values))); !ok || err != nil {
-		t.Fatalf("after a restart: allowed=%v err=%v", ok, err)
+	re := New(1, ag.Access, wide, newFakeController())
+	if _, err := re.Publish(ag.lkg()); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := re.HandlePacketIn(upPkt(ue, uint16(42000+values))); ok || !errors.Is(err, ErrPortsExhausted) {
+		t.Fatalf("after a restart: allowed=%v err=%v, want ErrPortsExhausted", ok, err)
 	}
 
-	// A booked flow punted again when no value is left keeps its book
-	// entry and its microflows. It came in by a handoff, so its wire tuple
+	// A flow punted again when no value is left keeps its microflows. It came in by a handoff, so its wire tuple
 	// carries the old station's address and frees no value here.
 	home := New(2, switchsim.NewSwitch("as-home"), wide, newFakeController())
 	away, moved := testUE(t, 2, 2), testUE(t, 1, 2)
@@ -366,14 +386,14 @@ func TestEphemeralValuesRunOut(t *testing.T) {
 		t.Fatalf("a booked flow punted again with every value held: allowed=%v err=%v, want ErrPortsExhausted", ok, err)
 	}
 	if !slices.Contains(ag.ActiveFlows(moved.PermIP), booked.Flow()) || ag.Access.NumMicroflows() != before {
-		t.Fatalf("the refused flow left the book (%d flows listed) or changed the switch (%d microflows, %d before)",
+		t.Fatalf("the refused flow is gone (%d flows listed) or changed the switch (%d microflows, %d before)",
 			len(ag.ActiveFlows(moved.PermIP)), ag.Access.NumMicroflows(), before)
 	}
 }
 
 // TestInheritedFlowsHoldTheirValues hands a UE away and back to the same
 // station under the same LocIP. The flow it opened there before comes back
-// in the flow book with the ephemeral value it was given, and a new flow to
+// with the ephemeral value it was given, and a new flow to
 // the same server must not pick that value again.
 func TestInheritedFlowsHoldTheirValues(t *testing.T) {
 	home := New(1, switchsim.NewSwitch("as-home"), plan, newFakeController())
@@ -405,5 +425,182 @@ func TestInheritedFlowsHoldTheirValues(t *testing.T) {
 	home.Access.Process(second, switchsim.PortUE)
 	if first.Flow() == second.Flow() {
 		t.Fatalf("the inherited flow and the new one both go on the wire as %s", first.Flow())
+	}
+}
+
+// resolver is a fakeController that also resolves permanent addresses (a
+// LocResolver), refusing while failing is set.
+type resolver struct {
+	*fakeController
+	loc     packet.Addr
+	failing bool
+	asked   int
+}
+
+var errUnresolved = errors.New("controller unavailable")
+
+func (r *resolver) ResolveLocIP(packet.Addr) (packet.Addr, error) {
+	r.asked++
+	if r.failing {
+		return 0, errUnresolved
+	}
+	return r.loc, nil
+}
+
+// m2mAgent builds an agent with one web UE, a resolver for peers in the
+// 100.64.0.0/16 permanent pool, and the packet it sends to dst.
+func m2mAgent(t *testing.T, dst packet.Addr) (*Agent, *resolver, *packet.Packet) {
+	t.Helper()
+	peerLoc, err := plan.LocIP(2, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := &resolver{fakeController: newFakeController(), loc: peerLoc}
+	ag := New(1, switchsim.NewSwitch("as-test"), plan, res)
+	ag.PermPool = packet.NewPrefix(packet.AddrFrom4(100, 64, 0, 0), 16)
+	ue := testUE(t, 1, 1)
+	if err := ag.AdmitUE(ue, webClassifiers(7)); err != nil {
+		t.Fatal(err)
+	}
+	p := upPkt(ue, 40000)
+	p.Dst = dst
+	return ag, res, p
+}
+
+// TestFailedResolutionInstallsNothing: a mobile-to-mobile flow whose peer
+// the controller cannot resolve is refused with the resolver's error, like
+// a refused path request. It pins no drop microflow and counts no denial,
+// so once the controller answers, the flow's next packet is punted again
+// and admitted.
+func TestFailedResolutionInstallsNothing(t *testing.T) {
+	ag, res, p := m2mAgent(t, packet.AddrFrom4(100, 64, 0, 200))
+	res.failing = true
+	q := *p
+	if ok, err := ag.HandlePacketIn(&q); ok || !errors.Is(err, errUnresolved) {
+		t.Fatalf("unresolvable peer: allowed=%v err=%v, want the resolver's error", ok, err)
+	}
+	if st := ag.Stats(); st.Denied != 0 || st.CacheMiss != 1 || ag.Access.NumMicroflows() != 0 {
+		t.Fatalf("after the failed resolution: %d denied, %d misses, %d microflows; want 0, 1, 0",
+			st.Denied, st.CacheMiss, ag.Access.NumMicroflows())
+	}
+	res.failing = false
+	q = *p
+	if v := ag.Access.Process(&q, switchsim.PortUE); !v.ToController {
+		t.Fatalf("the flow's next packet: %+v, want punted", v)
+	}
+	q = *p
+	if ok, err := ag.HandlePacketIn(&q); !ok || err != nil {
+		t.Fatalf("after the controller recovers: allowed=%v err=%v", ok, err)
+	}
+	q = *p
+	if v := ag.Access.Process(&q, switchsim.PortUE); v.Drop || q.Dst != res.loc {
+		t.Fatalf("the admitted flow: %+v to %s, want forwarded to %s", v, q.Dst, res.loc)
+	}
+}
+
+// TestLocIPAddressedM2MIsACacheHit: a flow already addressed to a LocIP is
+// routed by location with no controller round trip, so it counts as a hit;
+// only a permanent address the controller resolves counts as a miss.
+func TestLocIPAddressedM2MIsACacheHit(t *testing.T) {
+	peerLoc, _ := plan.LocIP(2, 9)
+	ag, res, p := m2mAgent(t, peerLoc)
+	if ok, err := ag.HandlePacketIn(p); !ok || err != nil {
+		t.Fatalf("LocIP-addressed flow: allowed=%v err=%v", ok, err)
+	}
+	if st := ag.Stats(); st.CacheHits != 1 || st.CacheMiss != 0 || res.asked != 0 {
+		t.Fatalf("LocIP-addressed flow: %d hits, %d misses, %d resolutions; want 1, 0, 0", st.CacheHits, st.CacheMiss, res.asked)
+	}
+	q := upPkt(testUE(t, 1, 1), 40001)
+	q.Dst = packet.AddrFrom4(100, 64, 0, 200)
+	if ok, err := ag.HandlePacketIn(q); !ok || err != nil {
+		t.Fatalf("permanent-addressed flow: allowed=%v err=%v", ok, err)
+	}
+	if st := ag.Stats(); st.CacheHits != 1 || st.CacheMiss != 1 || res.asked != 1 {
+		t.Fatalf("then a permanent-addressed flow: %d hits, %d misses, %d resolutions; want 1, 1, 1", st.CacheHits, st.CacheMiss, res.asked)
+	}
+}
+
+// TestFlowIsRecordedOnce measures the live heap, after two GCs, that one
+// agent and its access switch keep per UE for one web flow each: the two
+// microflow entries with their cookies and the owner index, and nothing in
+// the agent. The UEs are in the snapshot before the count starts. It read
+// 1 037 B per UE while the agent kept a flow book beside the entries.
+func TestFlowIsRecordedOnce(t *testing.T) {
+	const n = 4000
+	ag := newAgent(t, newFakeController())
+	var v core.AgentView
+	ues := make([]core.UE, n)
+	for i := range ues {
+		loc, err := plan.LocIP(1, packet.UEID(i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ues[i] = core.UE{IMSI: fmt.Sprintf("imsi-%d", i), PermIP: packet.AddrFrom4(100, 64, 0, 0) + packet.Addr(i+1),
+			BS: 1, UEID: packet.UEID(i + 1), LocIP: loc}
+	}
+	v = view(ues, core.TagGrant{Clause: 5, Tag: 7})
+	if _, err := ag.Publish(NewSnapshot(1, v)); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, ue := range ues {
+		if ok, err := ag.HandlePacketIn(upPkt(ue, 40000)); !ok || err != nil {
+			t.Fatalf("flow of %s: allowed=%v err=%v", ue.IMSI, ok, err)
+		}
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(ag)
+	if got := ag.Access.NumMicroflows(); got != 2*n {
+		t.Fatalf("%d microflows for %d flows", got, n)
+	}
+	per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
+	t.Logf("retained per UE with one web flow: %.1f B (agent and access switch)", per)
+	if per > 400 {
+		t.Fatalf("agent and switch retain %.1f B per UE for one flow, want at most 400", per)
+	}
+}
+
+// TestMigratedFlowsKeepTheirRewrites hands a UE with a video flow (DSCP
+// marked) and a mobile-to-mobile flow to a permanent address over to
+// another station. At the new station both upstream entries tunnel to the
+// origin station with every rewrite they had there: the old LocIP and
+// tagged port, the QoS mark, and the peer's LocIP in place of its
+// permanent address.
+func TestMigratedFlowsKeepTheirRewrites(t *testing.T) {
+	peer := packet.AddrFrom4(100, 64, 0, 200)
+	home, res, m2m := m2mAgent(t, peer)
+	ue, moved := testUE(t, 1, 1), testUE(t, 2, 1)
+	video := []core.Classifier{{App: policy.AppWeb, Clause: 5, Tag: 7, Allow: true, QoS: policy.QoSVideo}}
+	if err := home.AdmitUE(ue, video); err != nil {
+		t.Fatal(err)
+	}
+	web := upPkt(ue, 40001)
+	for _, p := range []*packet.Packet{m2m, web} {
+		q := *p
+		if ok, err := home.HandlePacketIn(&q); !ok || err != nil {
+			t.Fatalf("flow to %s: allowed=%v err=%v", p.Dst, ok, err)
+		}
+	}
+	away := New(2, switchsim.NewSwitch("as-away"), plan, newFakeController())
+	if err := away.AdmitUE(moved, video); err != nil {
+		t.Fatal(err)
+	}
+	if err := home.MigrateFlows(away, moved, ue.LocIP); err != nil {
+		t.Fatal(err)
+	}
+	tunnel := switchsim.PortTunnelBase + 1
+	q := *web
+	if v := away.Access.Process(&q, switchsim.PortUE); v.Output != tunnel || q.Src != ue.LocIP || q.DSCP != dscpFor(policy.QoSVideo) {
+		t.Fatalf("migrated video flow: out %d from %s with DSCP %d, want out %d from %s with DSCP %d",
+			v.Output, q.Src, q.DSCP, tunnel, ue.LocIP, dscpFor(policy.QoSVideo))
+	}
+	q = *m2m
+	if v := away.Access.Process(&q, switchsim.PortUE); v.Output != tunnel || q.Src != ue.LocIP || q.Dst != res.loc {
+		t.Fatalf("migrated M2M flow: out %d %s -> %s, want out %d %s -> %s", v.Output, q.Src, q.Dst, tunnel, ue.LocIP, res.loc)
 	}
 }

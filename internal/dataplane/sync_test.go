@@ -408,7 +408,7 @@ func (c *churn) checkWalkers(w *fastpath.Walker, when string) (paths, reserved i
 			if dir == core.Down {
 				end, fastEnd = Delivered, fastpath.DispDelivered
 				holder = n.Switches[want[len(want)-1].Switch]
-				holder.InstallMicroflow(arrives, switchsim.Action{Output: switchsim.PortUE})
+				holder.InstallMicroflow(arrives, switchsim.Action{Output: switchsim.PortUE}, switchsim.Cookie{})
 			}
 			fp := *pkt
 			got, err := n.walk(from, port, pkt)

@@ -87,7 +87,7 @@ func TestWalkStepsTheSnapshot(t *testing.T) {
 	// A microflow that drops the flow at its access switch, with no Sync.
 	st, _ := fastNet.T.Station(0)
 	for _, net := range []*Network{fastNet, refNet} {
-		net.Switches[st.Access].InstallMicroflow(webPacket(ue, 40000).Flow(), switchsim.DropAction())
+		net.Switches[st.Access].InstallMicroflow(webPacket(ue, 40000).Flow(), switchsim.DropAction(), switchsim.Cookie{})
 	}
 	before := compiles.Value()
 	compare("after an unsynced microflow", DroppedAt)

@@ -64,8 +64,8 @@ func (m *cmatch) covers(p *packet.Packet, inPort int) bool {
 	return m.proto == 0 || m.proto == p.Proto
 }
 
-// caction is a compiled action: rewrite flags flattened from the pointer
-// fields of switchsim.Action, the tag rewrites pre-shifted, and the
+// caction is a compiled action: rewrite flags flattened from the set mask
+// of switchsim.Action, the tag rewrites pre-shifted, and the
 // rule-verdict drop bit precomputed.
 type caction struct {
 	output       int
@@ -92,29 +92,29 @@ func compileAction(a switchsim.Action) caction {
 		toController: a.ToController,
 		resubmit:     a.Resubmit,
 	}
-	if a.SetSrc != nil {
-		c.hasSrc, c.src = true, *a.SetSrc
+	if a.Set&switchsim.SetSrc != 0 {
+		c.hasSrc, c.src = true, a.Src
 	}
-	if a.SetDst != nil {
-		c.hasDst, c.dst = true, *a.SetDst
+	if a.Set&switchsim.SetDst != 0 {
+		c.hasDst, c.dst = true, a.Dst
 	}
-	if a.SetSrcPort != nil {
-		c.hasSPort, c.sport = true, *a.SetSrcPort
+	if a.Set&switchsim.SetSrcPort != 0 {
+		c.hasSPort, c.sport = true, a.SrcPort
 	}
-	if a.SetDstPort != nil {
-		c.hasDPort, c.dport = true, *a.SetDstPort
+	if a.Set&switchsim.SetDstPort != 0 {
+		c.hasDPort, c.dport = true, a.DstPort
 	}
-	if a.SetSrcTag != nil || a.SetDstTag != nil {
+	if a.Set&(switchsim.SetSrcTag|switchsim.SetDstTag) != 0 {
 		c.ephMask = uint16(1)<<a.TagEphBits - 1
 	}
-	if a.SetSrcTag != nil {
-		c.hasSTag, c.stag = true, uint16(*a.SetSrcTag)<<a.TagEphBits
+	if a.Set&switchsim.SetSrcTag != 0 {
+		c.hasSTag, c.stag = true, uint16(a.SrcTag)<<a.TagEphBits
 	}
-	if a.SetDstTag != nil {
-		c.hasDTag, c.dtag = true, uint16(*a.SetDstTag)<<a.TagEphBits
+	if a.Set&switchsim.SetDstTag != 0 {
+		c.hasDTag, c.dtag = true, uint16(a.DstTag)<<a.TagEphBits
 	}
-	if a.SetDSCP != nil {
-		c.hasDSCP, c.dscp = true, *a.SetDSCP
+	if a.Set&switchsim.SetDSCP != 0 {
+		c.hasDSCP, c.dscp = true, a.DSCP
 	}
 	return c
 }
@@ -575,7 +575,7 @@ func compileRule(r *switchsim.Rule) rule {
 // install time, so the compiled port bounds are the effective ones.
 func compileMatch(m switchsim.Match) cmatch {
 	return cmatch{
-		inPort: m.InPort,
+		inPort: int(m.InPort),
 		srcVal: uint32(m.Src.Addr), srcMask: prefixMask(m.Src.Len),
 		dstVal: uint32(m.Dst.Addr), dstMask: prefixMask(m.Dst.Len),
 		sLo: m.SrcPortLo, sHi: m.SrcPortHi,

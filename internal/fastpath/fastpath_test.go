@@ -38,34 +38,34 @@ func genAction(r *rand.Rand) switchsim.Action {
 		a.Output = []int{switchsim.PortUE, switchsim.PortExit, switchsim.PortTunnelBase + r.Intn(3)}[r.Intn(3)]
 	}
 	if r.Intn(3) == 0 {
-		v := packet.Addr(r.Uint32() % 64)
-		a.SetSrc = &v
+		a.Set |= switchsim.SetSrc
+		a.Src = packet.Addr(r.Uint32() % 64)
 	}
 	if r.Intn(3) == 0 {
-		v := packet.Addr(r.Uint32() % 64)
-		a.SetDst = &v
+		a.Set |= switchsim.SetDst
+		a.Dst = packet.Addr(r.Uint32() % 64)
 	}
 	if r.Intn(4) == 0 {
-		v := uint16(r.Intn(1 << 12))
-		a.SetSrcPort = &v
+		a.Set |= switchsim.SetSrcPort
+		a.SrcPort = uint16(r.Intn(1 << 12))
 	}
 	if r.Intn(4) == 0 {
-		v := uint16(r.Intn(1 << 12))
-		a.SetDstPort = &v
+		a.Set |= switchsim.SetDstPort
+		a.DstPort = uint16(r.Intn(1 << 12))
 	}
 	if r.Intn(4) == 0 {
-		v := packet.Tag(r.Intn(15) + 1)
-		a.SetSrcTag = &v
+		a.Set |= switchsim.SetSrcTag
+		a.SrcTag = packet.Tag(r.Intn(15) + 1)
 		a.TagEphBits = 10
 	}
 	if r.Intn(4) == 0 {
-		v := packet.Tag(r.Intn(15) + 1)
-		a.SetDstTag = &v
+		a.Set |= switchsim.SetDstTag
+		a.DstTag = packet.Tag(r.Intn(15) + 1)
 		a.TagEphBits = 10
 	}
 	if r.Intn(5) == 0 {
-		v := uint8(r.Intn(64))
-		a.SetDSCP = &v
+		a.Set |= switchsim.SetDSCP
+		a.DSCP = uint8(r.Intn(64))
 	}
 	return a
 }
@@ -75,7 +75,7 @@ func genAction(r *rand.Rand) switchsim.Action {
 func genMatch(r *rand.Rand) switchsim.Match {
 	m := switchsim.MatchAll()
 	if r.Intn(2) == 0 {
-		m.InPort = r.Intn(4)
+		m.InPort = int32(r.Intn(4))
 	}
 	if r.Intn(2) == 0 {
 		m.Src = packet.Prefix{Addr: packet.Addr(r.Uint32() % 64), Len: []int{8, 16, 24, 32}[r.Intn(4)]}
@@ -183,7 +183,7 @@ func checkEquivalence(t *testing.T, rng *rand.Rand) {
 		a := genAction(rng)
 		flows = append(flows, burst[i].Flow())
 		for _, sw := range []*switchsim.Switch{fast, step, ref} {
-			sw.InstallMicroflow(burst[i].Flow(), a)
+			sw.InstallMicroflow(burst[i].Flow(), a, switchsim.Cookie{})
 		}
 	}
 	inPort := rng.Intn(4)
@@ -299,7 +299,7 @@ func TestSnapshotGeneration(t *testing.T) {
 
 	mutations := []func(){
 		func() { sw.Remove(id) },
-		func() { sw.InstallMicroflow(packet.FlowKey{Src: 1}, switchsim.Forward(2)) },
+		func() { sw.InstallMicroflow(packet.FlowKey{Src: 1}, switchsim.Forward(2), switchsim.Cookie{}) },
 		func() { sw.RemoveMicroflow(packet.FlowKey{Src: 1}) },
 		func() { sw.Install(5, switchsim.MatchAll(), switchsim.DropAction()) },
 		func() { sw.ReplaceTCAM(nil) },
@@ -339,7 +339,7 @@ func TestStepServesTheCurrentTable(t *testing.T) {
 	if v := fib.Step(p, 0); v.Output != 1 {
 		t.Fatalf("step output %d, want 1", v.Output)
 	}
-	sw.InstallMicroflow(p.Flow(), switchsim.Forward(2))
+	sw.InstallMicroflow(p.Flow(), switchsim.Forward(2), switchsim.Cookie{})
 	if v := fib.Step(p, 0); v.Output != 2 {
 		t.Fatalf("step after InstallMicroflow output %d, want the new microflow's 2", v.Output)
 	}
@@ -400,7 +400,7 @@ func TestSnapshotSwapRace(t *testing.T) {
 					ids = ids[:len(ids)-1]
 				}
 			case 2:
-				sw.InstallMicroflow(genPacket(r).Flow(), genAction(r))
+				sw.InstallMicroflow(genPacket(r).Flow(), genAction(r), switchsim.Cookie{})
 			case 3:
 				sw.Install(r.Intn(900), genMatch(r), genAction(r))
 			}

@@ -23,7 +23,7 @@ func mutate(rng *rand.Rand, sw *switchsim.Switch, flows []packet.FlowKey) {
 			sw.Remove(rules[rng.Intn(len(rules))].ID)
 		}
 	case 2:
-		sw.InstallMicroflow(flows[rng.Intn(len(flows))], genAction(rng))
+		sw.InstallMicroflow(flows[rng.Intn(len(flows))], genAction(rng), switchsim.Cookie{})
 	case 3:
 		sw.RemoveMicroflow(flows[rng.Intn(len(flows))])
 	case 4:
@@ -121,7 +121,7 @@ func checkReuse(t *testing.T, rng *rand.Rand, large bool) reuseCounts {
 	installed := 0
 	for round := 0; installed < 220; round++ {
 		for k := 1 + rng.Intn(40); k > 0 && installed < len(c.flows); k-- {
-			c.sw.InstallMicroflow(c.flows[installed], genAction(rng))
+			c.sw.InstallMicroflow(c.flows[installed], genAction(rng), switchsim.Cookie{})
 			installed++
 		}
 		for k := rng.Intn(4); k > 0; k-- {
@@ -138,7 +138,7 @@ func checkReuse(t *testing.T, rng *rand.Rand, large bool) reuseCounts {
 	// removal of an absent flow changes nothing, so it does not count.
 	for changes := 0; changes <= switchsim.MaxMicroChanges; {
 		if f := c.flows[rng.Intn(installed)]; rng.Intn(3) != 0 {
-			c.sw.InstallMicroflow(f, genAction(rng))
+			c.sw.InstallMicroflow(f, genAction(rng), switchsim.Cookie{})
 			changes++
 		} else if c.sw.RemoveMicroflow(f) {
 			changes++
@@ -208,7 +208,7 @@ func (c *reuseCheck) wrapAndRemove() {
 			}
 		}
 		for _, k := range keys {
-			c.sw.InstallMicroflow(k, genAction(c.rng))
+			c.sw.InstallMicroflow(k, genAction(c.rng), switchsim.Cookie{})
 		}
 		c.pkts = append(c.pkts, &packet.Packet{Src: keys[0].Src, Dst: keys[0].Dst, SrcPort: keys[0].SrcPort, DstPort: keys[0].DstPort, Proto: keys[0].Proto, TTL: 64})
 		c.round(-2)
@@ -439,7 +439,7 @@ func TestMicroflowChurnUnderBursts(t *testing.T) {
 			if k := pkts[r.Intn(len(pkts))].Flow(); r.Intn(3) == 0 {
 				sw.RemoveMicroflow(k)
 			} else {
-				sw.InstallMicroflow(k, genAction(r))
+				sw.InstallMicroflow(k, genAction(r), switchsim.Cookie{})
 			}
 		}
 		stop.Store(true)

@@ -28,7 +28,7 @@ func FuzzMatch(f *testing.F) {
 		arrive uint8,
 	) {
 		m := Match{
-			InPort:    inPort,
+			InPort:    int32(inPort),
 			Src:       packet.NewPrefix(packet.Addr(srcAddr), int(srcLen%33)),
 			Dst:       packet.NewPrefix(packet.Addr(dstAddr), int(dstLen%33)),
 			SrcPortLo: spLo, SrcPortHi: spHi,

@@ -35,9 +35,9 @@ const (
 // range, and zero-length prefixes match every address; set InPort to AnyPort
 // (not 0, which is a real port) to wildcard the ingress port.
 type Match struct {
-	InPort    int // AnyPort matches any ingress port
 	Src       packet.Prefix
 	Dst       packet.Prefix
+	InPort    int32 // AnyPort matches any ingress port; 32 bits keep a Match at 48 bytes
 	SrcPortLo uint16
 	SrcPortHi uint16 // 0 means "no upper bound set"; see normalise
 	DstPortLo uint16
@@ -65,7 +65,7 @@ func (m Match) normalised() Match {
 // Covers reports whether the match accepts the packet arriving on inPort.
 func (m Match) Covers(p *packet.Packet, inPort int) bool {
 	m = m.normalised()
-	if m.InPort != AnyPort && m.InPort != inPort {
+	if m.InPort != AnyPort && int(m.InPort) != inPort {
 		return false
 	}
 	if !m.Src.Contains(p.Src) || !m.Dst.Contains(p.Dst) {
@@ -139,22 +139,39 @@ type Action struct {
 	// controller-installed forwarding rules pick the egress port.
 	Resubmit bool
 
-	SetSrc     *packet.Addr
-	SetDst     *packet.Addr
-	SetSrcPort *uint16
-	SetDstPort *uint16
+	// Set lists the header rewrites the action applies; a value field
+	// below is read only when its bit is set.
+	Set     Rewrites
+	Src     packet.Addr
+	Dst     packet.Addr
+	SrcPort uint16
+	DstPort uint16
 
 	// Tag-field rewrites replace only the top TagEphBits-complement bits of
 	// a port — the §3.2 swap rule, which must preserve the ephemeral bits
 	// that distinguish a UE's flows.
-	SetSrcTag  *packet.Tag
-	SetDstTag  *packet.Tag
-	TagEphBits int // low bits preserved by tag rewrites
+	SrcTag     packet.Tag
+	DstTag     packet.Tag
+	TagEphBits uint8 // low bits preserved by tag rewrites
 
-	// SetDSCP marks the packet's QoS class (the access edge applies the
+	// DSCP marks the packet's QoS class (the access edge applies the
 	// clause's quality-of-service specification, §2.2).
-	SetDSCP *uint8
+	DSCP uint8
 }
+
+// Rewrites is a set of Action header rewrites.
+type Rewrites uint8
+
+// The header rewrites an Action can apply, each from its value field.
+const (
+	SetSrc Rewrites = 1 << iota
+	SetDst
+	SetSrcPort
+	SetDstPort
+	SetSrcTag
+	SetDstTag
+	SetDSCP
+)
 
 // Forward builds a plain output action.
 func Forward(port int) Action { return Action{Output: port} }
@@ -167,50 +184,57 @@ func Punt() Action { return Action{Output: -1, ToController: true} }
 
 // apply mutates the packet's headers per the rewrite fields.
 func (a Action) apply(p *packet.Packet) {
-	if a.SetSrc != nil {
-		p.Src = *a.SetSrc
+	if a.Set&SetSrc != 0 {
+		p.Src = a.Src
 	}
-	if a.SetDst != nil {
-		p.Dst = *a.SetDst
+	if a.Set&SetDst != 0 {
+		p.Dst = a.Dst
 	}
-	if a.SetSrcPort != nil {
-		p.SrcPort = *a.SetSrcPort
+	if a.Set&SetSrcPort != 0 {
+		p.SrcPort = a.SrcPort
 	}
-	if a.SetDstPort != nil {
-		p.DstPort = *a.SetDstPort
+	if a.Set&SetDstPort != 0 {
+		p.DstPort = a.DstPort
 	}
-	if a.SetSrcTag != nil {
+	if a.Set&SetSrcTag != 0 {
 		mask := uint16(1)<<a.TagEphBits - 1
-		p.SrcPort = uint16(*a.SetSrcTag)<<a.TagEphBits | p.SrcPort&mask
+		p.SrcPort = uint16(a.SrcTag)<<a.TagEphBits | p.SrcPort&mask
 	}
-	if a.SetDstTag != nil {
+	if a.Set&SetDstTag != 0 {
 		mask := uint16(1)<<a.TagEphBits - 1
-		p.DstPort = uint16(*a.SetDstTag)<<a.TagEphBits | p.DstPort&mask
+		p.DstPort = uint16(a.DstTag)<<a.TagEphBits | p.DstPort&mask
 	}
-	if a.SetDSCP != nil {
-		p.DSCP = *a.SetDSCP
+	if a.Set&SetDSCP != 0 {
+		p.DSCP = a.DSCP
 	}
+}
+
+// Rewritten returns key as the action's rewrites leave it.
+func (a Action) Rewritten(key packet.FlowKey) packet.FlowKey {
+	p := packet.Packet{Src: key.Src, Dst: key.Dst, SrcPort: key.SrcPort, DstPort: key.DstPort, Proto: key.Proto}
+	a.apply(&p)
+	return p.Flow()
 }
 
 func (a Action) String() string {
 	var parts []string
-	if a.SetSrc != nil {
-		parts = append(parts, "src<-"+a.SetSrc.String())
+	if a.Set&SetSrc != 0 {
+		parts = append(parts, "src<-"+a.Src.String())
 	}
-	if a.SetDst != nil {
-		parts = append(parts, "dst<-"+a.SetDst.String())
+	if a.Set&SetDst != 0 {
+		parts = append(parts, "dst<-"+a.Dst.String())
 	}
-	if a.SetSrcPort != nil {
-		parts = append(parts, fmt.Sprintf("sport<-%d", *a.SetSrcPort))
+	if a.Set&SetSrcPort != 0 {
+		parts = append(parts, fmt.Sprintf("sport<-%d", a.SrcPort))
 	}
-	if a.SetDstPort != nil {
-		parts = append(parts, fmt.Sprintf("dport<-%d", *a.SetDstPort))
+	if a.Set&SetDstPort != 0 {
+		parts = append(parts, fmt.Sprintf("dport<-%d", a.DstPort))
 	}
-	if a.SetSrcTag != nil {
-		parts = append(parts, fmt.Sprintf("stag<-%d", *a.SetSrcTag))
+	if a.Set&SetSrcTag != 0 {
+		parts = append(parts, fmt.Sprintf("stag<-%d", a.SrcTag))
 	}
-	if a.SetDstTag != nil {
-		parts = append(parts, fmt.Sprintf("dtag<-%d", *a.SetDstTag))
+	if a.Set&SetDstTag != 0 {
+		parts = append(parts, fmt.Sprintf("dtag<-%d", a.DstTag))
 	}
 	switch {
 	case a.Drop:

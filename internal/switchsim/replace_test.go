@@ -50,7 +50,7 @@ func TestReplaceTCAMOrderIgnoresInputOrder(t *testing.T) {
 func TestReplaceTCAMSwapsWholeTable(t *testing.T) {
 	s := NewSwitch("s")
 	key := packet.FlowKey{Src: 1, Dst: 2, SrcPort: 3, DstPort: 4, Proto: packet.ProtoTCP}
-	s.InstallMicroflow(key, Forward(9))
+	s.InstallMicroflow(key, Forward(9), Cookie{})
 	old := s.Install(PrioTag, MatchAll(), Forward(1))
 	s.Process(pkt(5, 6, 7, 8), 0)
 

@@ -13,7 +13,7 @@ import (
 // keep meeting rules the table already holds.
 func spliceKey(rng *rand.Rand) (int, Match) {
 	prio := []int{PrioTagPrefix, PrioTagPrefix + 24, PrioPort, PrioMobility + 32}[rng.Intn(4)]
-	m := Match{InPort: []int{AnyPort, 0, 1}[rng.Intn(3)],
+	m := Match{InPort: []int32{AnyPort, 0, 1}[rng.Intn(3)],
 		Dst: packet.NewPrefix(packet.AddrFrom4(10, 0, byte(rng.Intn(8)), 0), 24)}
 	return prio, m.normalised()
 }

@@ -24,6 +24,8 @@ type Rule struct {
 	Priority int
 	Match    Match
 	Action   Action
+	// Cookie names a microflow entry's owner; TCAM rules carry none.
+	Cookie Cookie
 
 	// Packets and Bytes are traffic counters, mutated with atomic adds
 	// (see Account) so both the locked Process path and lock-free
@@ -52,7 +54,7 @@ func (r *Rule) AccountN(pkts, bytes uint64) {
 // caller holds mu
 func (r *Rule) snapshot() Rule {
 	return Rule{
-		ID: r.ID, Priority: r.Priority, Match: r.Match, Action: r.Action,
+		ID: r.ID, Priority: r.Priority, Match: r.Match, Action: r.Action, Cookie: r.Cookie,
 		Packets: atomic.LoadUint64(&r.Packets),
 		Bytes:   atomic.LoadUint64(&r.Bytes),
 	}
@@ -97,7 +99,11 @@ type Switch struct {
 	mu      sync.RWMutex
 	ordered []*Rule                  // guarded by mu; priority desc, see Install and ReplaceTCAM
 	micro   map[packet.FlowKey]*Rule // guarded by mu
-	nextID  RuleID                   // guarded by mu
+	// owned lists the microflow keys of each cookie owner, in install
+	// order: every entry of micro whose cookie names an owner, once.
+	// guarded by mu
+	owned  map[packet.Addr][]packet.FlowKey
+	nextID RuleID // guarded by mu
 	// inOrder is true while ordered is what ReplaceTCAM and Splice made
 	// it, in their order; Install and Remove clear it. guarded by mu
 	inOrder bool
@@ -282,6 +288,7 @@ func NewSwitch(name string) *Switch {
 	return &Switch{
 		Name:      name,
 		micro:     make(map[packet.FlowKey]*Rule),
+		owned:     make(map[packet.Addr][]packet.FlowKey),
 		TableMiss: Action{Output: -1, Drop: true},
 	}
 }
@@ -324,15 +331,29 @@ func (s *Switch) indexLocked(id RuleID) int {
 	return slices.IndexFunc(s.ordered, func(r *Rule) bool { return r.ID == id })
 }
 
-// InstallMicroflow adds (or replaces) an exact-match microflow entry.
-// Access switches use these for the per-flow classification rules the local
-// agent installs (§4.1: "one rule for each microflow at the access switch").
-func (s *Switch) InstallMicroflow(key packet.FlowKey, a Action) {
+// Cookie names the owner of a microflow entry, as an OpenFlow cookie
+// does: the UE whose flow it carries, by permanent address, and the
+// policy clause that admitted the flow. The zero Cookie is owned by no UE.
+type Cookie struct {
+	Owner  packet.Addr
+	Clause int32
+}
+
+// InstallMicroflow adds (or replaces) an exact-match microflow entry owned
+// as c names. Access switches use these for the per-flow classification
+// rules the local agent installs (§4.1: "one rule for each microflow at
+// the access switch").
+func (s *Switch) InstallMicroflow(key packet.FlowKey, a Action, c Cookie) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.nextID++
-	r := &Rule{ID: s.nextID, Priority: PrioMicroflow, Action: a}
+	r := &Rule{ID: s.nextID, Priority: PrioMicroflow, Action: a, Cookie: c}
+	var was packet.Addr
+	if old, ok := s.micro[key]; ok {
+		was = old.Cookie.Owner
+	}
 	s.micro[key] = r
+	s.own(key, was, c.Owner)
 	s.microChanged(key, r)
 }
 
@@ -340,12 +361,69 @@ func (s *Switch) InstallMicroflow(key packet.FlowKey, a Action) {
 func (s *Switch) RemoveMicroflow(key packet.FlowKey) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.micro[key]; !ok {
+	r, ok := s.micro[key]
+	if !ok {
 		return false
 	}
 	delete(s.micro, key)
+	s.own(key, r.Cookie.Owner, 0)
 	s.microChanged(key, nil)
 	return true
+}
+
+// own moves key in the owner index from owner was to owner now; the zero
+// address is no owner.
+//
+// caller holds mu
+func (s *Switch) own(key packet.FlowKey, was, now packet.Addr) {
+	if was == now {
+		return
+	}
+	if was != 0 {
+		keys := s.owned[was]
+		i := slices.Index(keys, key)
+		if keys = slices.Delete(keys, i, i+1); len(keys) == 0 {
+			delete(s.owned, was)
+		} else {
+			s.owned[was] = keys
+		}
+	}
+	if now != 0 {
+		s.owned[now] = append(s.owned[now], key)
+	}
+}
+
+// Microflow is one microflow entry as Owned lists it.
+type Microflow struct {
+	Key    packet.FlowKey
+	Action Action
+	Cookie Cookie
+}
+
+// Owned appends to dst the microflow entries whose cookie names owner, in
+// the order the owner got them (an entry re-installed for the same owner
+// keeps its place).
+func (s *Switch) Owned(dst []Microflow, owner packet.Addr) []Microflow {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, k := range s.owned[owner] {
+		r := s.micro[k]
+		dst = append(dst, Microflow{Key: k, Action: r.Action, Cookie: r.Cookie})
+	}
+	return dst
+}
+
+// Owners appends to dst, ascending, every owner some microflow entry's
+// cookie names.
+func (s *Switch) Owners(dst []packet.Addr) []packet.Addr {
+	s.mu.RLock()
+	n := len(dst)
+	for o := range s.owned {
+		dst = append(dst, o)
+	}
+	s.mu.RUnlock()
+	slices.Sort(dst[n:])
+	return dst
 }
 
 // Microflow returns the microflow rule for key, if present.

@@ -1,6 +1,8 @@
 package switchsim
 
 import (
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -104,7 +106,7 @@ func TestRewriteActions(t *testing.T) {
 	s := NewSwitch("as")
 	newSrc := packet.AddrFrom4(10, 0, 16, 10)
 	newSport := uint16(0x1234)
-	s.Install(PrioMicroflow, MatchAll(), Action{Output: 3, SetSrc: &newSrc, SetSrcPort: &newSport})
+	s.Install(PrioMicroflow, MatchAll(), Action{Output: 3, Set: SetSrc | SetSrcPort, Src: newSrc, SrcPort: newSport})
 	p := pkt(packet.AddrFrom4(192, 168, 0, 5), 2, 555, 80)
 	v := s.Process(p, 0)
 	if v.Output != 3 {
@@ -119,7 +121,7 @@ func TestMicroflowBeatsTCAM(t *testing.T) {
 	s := NewSwitch("as")
 	s.Install(PrioTagPrefix, MatchAll(), Forward(1))
 	key := pkt(5, 6, 7, 8).Flow()
-	s.InstallMicroflow(key, Forward(9))
+	s.InstallMicroflow(key, Forward(9), Cookie{})
 	if v := s.Process(pkt(5, 6, 7, 8), 0); v.Output != 9 {
 		t.Fatalf("microflow should win: %+v", v)
 	}
@@ -208,7 +210,7 @@ func TestViewIsTheFastPathsContract(t *testing.T) {
 	low := s.Install(PrioPrefix, MatchAll(), Forward(1))
 	high := s.Install(PrioMobility, MatchAll(), Forward(2))
 	key := pkt(5, 6, 7, 8).Flow()
-	s.InstallMicroflow(key, Forward(9))
+	s.InstallMicroflow(key, Forward(9), Cookie{})
 
 	v := s.View()
 	if v.Gen != s.Generation() || !v.Miss.ToController {
@@ -244,15 +246,15 @@ func TestViewIsTheFastPathsContract(t *testing.T) {
 func TestViewChangedListsMicroflowEdits(t *testing.T) {
 	s := NewSwitch("s")
 	k1, k2 := pkt(1, 2, 3, 4).Flow(), pkt(5, 6, 7, 8).Flow()
-	s.InstallMicroflow(k1, Forward(1))
+	s.InstallMicroflow(k1, Forward(1), Cookie{})
 	set := s.Generation()
-	s.InstallMicroflow(k2, Forward(2))
+	s.InstallMicroflow(k2, Forward(2), Cookie{})
 	if v := s.ViewChanged(set, 0); v.Micro == nil || len(v.MicroChanges) != 0 {
 		t.Fatalf("the first view listed %d edits of a set-up that kept no log", len(v.MicroChanges))
 	}
 
 	v0 := s.View()
-	s.InstallMicroflow(k1, Forward(3))
+	s.InstallMicroflow(k1, Forward(3), Cookie{})
 	s.Install(PrioTag, MatchAll(), Forward(4)) // a TCAM change is not a microflow edit
 	s.RemoveMicroflow(k2)
 	v1 := s.ViewChanged(v0.MicroGen, v0.TCAMGen)
@@ -272,7 +274,7 @@ func TestViewChangedListsMicroflowEdits(t *testing.T) {
 	}
 
 	for i := 0; i < MaxMicroChanges; i++ {
-		s.InstallMicroflow(k2, Forward(i))
+		s.InstallMicroflow(k2, Forward(i), Cookie{})
 	}
 	if v := s.ViewChanged(v1.MicroGen, v1.TCAMGen); len(v.MicroChanges) != MaxMicroChanges {
 		t.Fatalf("%d edits at the bound came as %d edits", MaxMicroChanges, len(v.MicroChanges))
@@ -280,7 +282,7 @@ func TestViewChangedListsMicroflowEdits(t *testing.T) {
 	last := s.View()
 	for i := 0; i <= MaxMicroChanges; i++ {
 		s.RemoveMicroflow(k1)
-		s.InstallMicroflow(k1, Forward(i))
+		s.InstallMicroflow(k1, Forward(i), Cookie{})
 	}
 	if v := s.ViewChanged(last.MicroGen, last.TCAMGen); v.Micro == nil || len(v.MicroChanges) != 0 {
 		t.Fatalf("%d edits past the bound came as %d edits, not the whole table", 2*(MaxMicroChanges+1), len(v.MicroChanges))
@@ -320,13 +322,88 @@ func TestVerdictStrings(t *testing.T) {
 		t.Fatal("match strings")
 	}
 	a := Forward(3)
-	src := packet.AddrFrom4(1, 2, 3, 4)
-	a.SetSrc = &src
+	a.Set, a.Src = SetSrc, packet.AddrFrom4(1, 2, 3, 4)
 	if a.String() == "" || DropAction().String() == "" || Punt().String() == "" {
 		t.Fatal("action strings")
 	}
 	r := Rule{ID: 1, Priority: 2, Match: MatchAll(), Action: Forward(1)}
 	if r.String() == "" {
 		t.Fatal("rule string")
+	}
+}
+
+// TestOwnerIndexFollowsTheTable drives random installs, overwrites and
+// removals over a few keys and owners against a model: after every step
+// Owned lists exactly the entries whose cookie names the owner, in the
+// order each became that owner's, with the entry's action and cookie, and
+// Owners lists, ascending, the owners with any.
+func TestOwnerIndexFollowsTheTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	s := NewSwitch("as")
+	owners := []packet.Addr{0, 30, 10, 20}
+	keys := make([]packet.FlowKey, 6)
+	for i := range keys {
+		keys[i] = pkt(packet.Addr(i+1), 99, uint16(i), 80).Flow()
+	}
+	type entry struct {
+		act Action
+		c   Cookie
+	}
+	table := map[packet.FlowKey]entry{}
+	order := map[packet.Addr][]packet.FlowKey{}
+	for step := 0; step < 2000; step++ {
+		k := keys[rng.Intn(len(keys))]
+		old, had := table[k]
+		var now entry // the zero entry is owned by no one
+		if rng.Intn(3) == 0 {
+			if s.RemoveMicroflow(k) != had {
+				t.Fatalf("step %d: removing %s reported %v", step, k, !had)
+			}
+			delete(table, k)
+		} else {
+			now = entry{Action{Output: rng.Intn(4), Set: SetDst, Dst: packet.Addr(rng.Intn(9))},
+				Cookie{Owner: owners[rng.Intn(len(owners))], Clause: int32(rng.Intn(3))}}
+			s.InstallMicroflow(k, now.act, now.c)
+			table[k] = now
+		}
+		if !had || old.c.Owner != now.c.Owner {
+			if had {
+				order[old.c.Owner] = slices.DeleteFunc(order[old.c.Owner], func(o packet.FlowKey) bool { return o == k })
+			}
+			if _, live := table[k]; live {
+				order[now.c.Owner] = append(order[now.c.Owner], k)
+			}
+		}
+
+		var want []packet.Addr
+		for _, o := range owners[1:] {
+			var listed []Microflow
+			for _, k := range order[o] {
+				listed = append(listed, Microflow{Key: k, Action: table[k].act, Cookie: table[k].c})
+			}
+			if got := s.Owned(nil, o); !slices.Equal(got, listed) {
+				t.Fatalf("step %d: owner %s lists %v, want %v", step, o, got, listed)
+			}
+			if len(listed) > 0 {
+				want = append(want, o)
+			}
+		}
+		slices.Sort(want)
+		if got := s.Owners(nil); !slices.Equal(got, want) {
+			t.Fatalf("step %d: owners %v, want %v", step, got, want)
+		}
+	}
+}
+
+// TestRewrittenAppliesTheAction: an action's rewritten flow key is the key
+// of a packet it processed.
+func TestRewrittenAppliesTheAction(t *testing.T) {
+	a := Action{Output: -1, Resubmit: true, Set: SetSrc | SetSrcPort | SetDstTag | SetDSCP,
+		Src: packet.AddrFrom4(10, 0, 16, 1), SrcPort: 0x1c05, DstTag: 3, TagEphBits: 10, DSCP: 46}
+	p := pkt(packet.AddrFrom4(100, 64, 0, 1), packet.AddrFrom4(1, 1, 1, 1), 40000, 0x0407)
+	k := p.Flow()
+	a.apply(p)
+	if got := a.Rewritten(k); got != p.Flow() {
+		t.Fatalf("Rewritten(%s) = %s, want %s", k, got, p.Flow())
 	}
 }
