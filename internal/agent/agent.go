@@ -12,6 +12,7 @@ package agent
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -151,18 +152,24 @@ func (a *Agent) Stats() Stats {
 
 // AdmitUE folds a UE's record and classifiers into the LKG snapshot (the
 // controller pushes these on attach and handoff) by deriving and swapping
-// in a successor snapshot.
+// in a successor snapshot. A classifier's tag is the station's grant for
+// its clause when the message was cut, kept once per station: a non-zero
+// one sets the grant and zero leaves it alone.
 func (a *Agent) AdmitUE(ue core.UE, classifiers []core.Classifier) error {
 	if ue.BS != a.BS {
 		return fmt.Errorf("agent: UE %s is attached to bs%d, not bs%d", ue.IMSI, ue.BS, a.BS)
 	}
-	a.derive(func(d *snapshotDraft) { d.putUE(ue, classifiers) })
+	a.derive(func(d *snapshotDraft) {
+		d.putUE(ue, classifiers)
+		d.grant(classifiers)
+	})
 	return nil
 }
 
 // UpdateClassifiers refreshes a UE's classifiers in the LKG snapshot. A
-// classifier carrying Tag 0 explicitly invalidates the station's admitted
-// tag for its clause, forcing the next flow back to the controller.
+// classifier's tag sets the station's grant for its clause, as in AdmitUE,
+// except that Tag 0 explicitly withdraws the grant, forcing the next flow
+// back to the controller.
 func (a *Agent) UpdateClassifiers(permIP packet.Addr, classifiers []core.Classifier) error {
 	if _, ok := a.lkg().ues[permIP]; !ok {
 		return fmt.Errorf("agent: no UE with permanent IP %s", permIP)
@@ -179,18 +186,24 @@ func classifyApp(p *packet.Packet) policy.AppType {
 	return policy.AppFromPort(p.DstPort)
 }
 
-// deny counts a policy denial and pins a drop microflow for the flow so
-// later packets die in the switch instead of punting again.
+const deniedClause = -1 // the cookie clause of a denial's drop entry
+
+// deny counts a policy denial and installs a drop microflow for the flow so
+// later packets die in the switch instead of punting again. The entry is
+// the UE's: the next Publish or the UE's removal lifts it.
 func (a *Agent) deny(p *packet.Packet) {
 	a.stats.denied.Add(1)
 	a.obs.denied.Inc()
-	a.Access.InstallMicroflow(p.Flow(), switchsim.DropAction(), switchsim.Cookie{})
+	a.Access.InstallMicroflow(p.Flow(), switchsim.DropAction(), switchsim.Cookie{Owner: p.Src, Clause: deniedClause})
 }
+
+// isDenial reports whether m is a denial's drop entry.
+func isDenial(m switchsim.Microflow) bool { return m.Cookie.Clause == deniedClause }
 
 // HandlePacketIn processes one table-miss packet from the access switch —
 // the first packet of a new upstream flow. The whole decision reads one
-// atomically loaded LKG snapshot: classify, resolve the clause's tag
-// (classifier pin, then the snapshot's admitted-tag table), and install the
+// atomically loaded LKG snapshot: classify, read the clause's tag from the
+// station's grants (kept once per station, never per UE), and install the
 // two microflow rules (upstream rewrite+resubmit, downstream
 // restore+deliver). Only a clause absent from the snapshot falls back to a
 // synchronous controller request — and only when the agent has a resolver;
@@ -205,20 +218,20 @@ func (a *Agent) HandlePacketIn(p *packet.Packet) (allowed bool, err error) {
 	if !ok {
 		return false, fmt.Errorf("agent: packet from unknown UE %s", p.Src)
 	}
-	app := classifyApp(p)
-	cl, ok := su.classifiers[app]
-	if !ok || !cl.Allow {
+	cl := su.classifiers.of(classifyApp(p))
+	if !cl.allow {
 		a.deny(p)
 		return false, nil
 	}
+	clause := int(cl.clause)
 	if a.plan.Carrier.Contains(p.Dst) || a.isLocalPerm(p.Dst) {
 		// Mobile-to-mobile (§7): translate the peer's permanent address to
 		// its LocIP and route directly by location — no tag, no gateway
 		// detour. The reply direction is set up by the peer's agent when
 		// the packet arrives there.
-		return a.handleM2M(su, cl.Clause, p)
+		return a.handleM2M(su, clause, p)
 	}
-	tag := snap.tagFor(cl)
+	tag := snap.tags[clause]
 	if tag != 0 {
 		a.stats.cacheHits.Add(1)
 		a.obs.cacheHits.Inc()
@@ -227,18 +240,18 @@ func (a *Agent) HandlePacketIn(p *packet.Packet) (allowed bool, err error) {
 		a.stats.cacheMiss.Add(1)
 		a.obs.cacheMiss.Inc()
 		if a.ctrl == nil {
-			return false, fmt.Errorf("agent: clause %d at bs%d: %w", cl.Clause, a.BS, ErrNoPath)
+			return false, fmt.Errorf("agent: clause %d at bs%d: %w", clause, a.BS, ErrNoPath)
 		}
-		t, err := a.ctrl.RequestPath(a.BS, cl.Clause)
+		t, err := a.ctrl.RequestPath(a.BS, clause)
 		if err != nil {
-			return false, fmt.Errorf("agent: controller refused path for clause %d: %w", cl.Clause, err)
+			return false, fmt.Errorf("agent: controller refused path for clause %d: %w", clause, err)
 		}
 		tag = t
 		// Record the admitted tag in the snapshot so later flows (and
 		// restarts) hit it without another round trip.
-		a.derive(func(d *snapshotDraft) { d.tags[cl.Clause] = t })
+		a.derive(func(d *snapshotDraft) { d.tags[clause] = t })
 	}
-	if err := a.installFlow(su, p.Flow(), tag, cl.Clause, cl.QoS); err != nil {
+	if err := a.installFlow(su, p.Flow(), tag, clause, cl.qos); err != nil {
 		return false, err
 	}
 	return true, nil
@@ -260,19 +273,19 @@ func (a *Agent) isLocalPerm(dst packet.Addr) bool {
 }
 
 // handleM2M installs the microflows for a carrier-internal destination. A
-// permanent address is resolved to its LocIP by a controller round trip; a
-// LocIP needs none.
+// permanent address is resolved to its LocIP by a controller round trip,
+// and is denied when the agent has no resolver; a LocIP needs neither.
 func (a *Agent) handleM2M(su *snapUE, clause int, p *packet.Packet) (bool, error) {
-	r, ok := a.ctrl.(LocResolver)
-	if !ok {
-		a.deny(p)
-		return false, nil
-	}
 	dstLoc := p.Dst
 	if a.plan.Carrier.Contains(dstLoc) {
 		a.stats.cacheHits.Add(1)
 		a.obs.cacheHits.Inc()
 	} else {
+		r, ok := a.ctrl.(LocResolver)
+		if !ok {
+			a.deny(p)
+			return false, nil
+		}
 		a.stats.cacheMiss.Add(1)
 		a.obs.cacheMiss.Inc()
 		loc, err := r.ResolveLocIP(p.Dst)
@@ -437,11 +450,11 @@ func (a *Agent) ephemeralPort(loc packet.Addr, orig packet.FlowKey, tag packet.T
 }
 
 // ActiveFlows lists a UE's live upstream flow keys (original form), read
-// from the access switch's entries its cookie owns.
+// from the access switch's entries its cookie owns, denials aside.
 func (a *Agent) ActiveFlows(permIP packet.Addr) []packet.FlowKey {
 	var out []packet.FlowKey
 	for _, m := range a.Access.Owned(nil, permIP) {
-		if upstream(m) {
+		if upstream(m) && !isDenial(m) {
 			out = append(out, m.Key)
 		}
 	}
@@ -468,7 +481,7 @@ func (a *Agent) MigrateFlows(newAgent *Agent, newUE core.UE, oldLocIP packet.Add
 	tunnel := switchsim.Action{Output: switchsim.PortTunnelBase + int(newUE.BS)}
 	for _, m := range flows {
 		if upstream(m) {
-			// The upstream rule at the old switch is obsolete (the UE is gone).
+			// The upstream rule or denial at the old switch is obsolete.
 			a.Access.RemoveMicroflow(m.Key)
 		} else {
 			// Downstream packets for the old flow now tunnel to the new
@@ -479,6 +492,7 @@ func (a *Agent) MigrateFlows(newAgent *Agent, newUE core.UE, oldLocIP packet.Add
 		}
 	}
 	a.mu.Unlock()
+	flows = slices.DeleteFunc(flows, isDenial) // a denial is not carried over
 
 	// The new agent inherits the UE (with its new LocIP for new flows) and
 	// re-installs the old flows' microflows: upstream packets keep the old

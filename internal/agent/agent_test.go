@@ -604,3 +604,60 @@ func TestMigratedFlowsKeepTheirRewrites(t *testing.T) {
 		t.Fatalf("migrated M2M flow: out %d %s -> %s, want out %d %s -> %s", v.Output, q.Src, q.Dst, tunnel, ue.LocIP, res.loc)
 	}
 }
+
+// TestPublishLiftsADenial: SSH is denied and its drop entry installed,
+// owned by the UE and no flow of its. A published view that allows SSH
+// lifts the entry, so the flow's next packet is punted and admitted.
+func TestPublishLiftsADenial(t *testing.T) {
+	ag := newAgent(t, newFakeController())
+	ue := testUE(t, 1, 3)
+	if err := ag.AdmitUE(ue, webClassifiers(7)); err != nil {
+		t.Fatal(err)
+	}
+	ssh := upPkt(ue, 40000)
+	ssh.DstPort = 22
+	if ok, err := ag.HandlePacketIn(ssh); ok || err != nil {
+		t.Fatalf("ssh: allowed=%v err=%v, want denied", ok, err)
+	}
+	if n := len(ag.ActiveFlows(ue.PermIP)); n != 0 {
+		t.Fatalf("the denial counts as %d active flows", n)
+	}
+	allowSSH := core.AgentView{BS: 1, Tags: []core.TagGrant{{Clause: 5, Tag: 7}},
+		UEs: []core.AgentViewUE{{UE: ue, Classifiers: []core.Classifier{
+			{App: policy.AppWeb, Clause: 5, Allow: true},
+			{App: policy.AppSSH, Clause: 5, Allow: true},
+		}}}}
+	rep, err := ag.Publish(NewSnapshot(ag.Version()+1, allowSSH))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep != (ReconcileReport{}) {
+		t.Fatalf("reconcile report %+v, want nothing counted for a lifted denial", rep)
+	}
+	q := *ssh
+	if v := ag.Access.Process(&q, switchsim.PortUE); !v.ToController {
+		t.Fatalf("ssh's next packet after the view allowing it: %+v, want punted", v)
+	}
+	if ok, err := ag.HandlePacketIn(ssh); !ok || err != nil {
+		t.Fatalf("ssh after the view allowing it: allowed=%v err=%v", ok, err)
+	}
+}
+
+// TestLocIPAddressedM2MNeedsNoResolver: an agent with no controller client
+// (pushed-snapshot mode) routes a flow addressed to a LocIP by location;
+// only a permanent address needs a resolver.
+func TestLocIPAddressedM2MNeedsNoResolver(t *testing.T) {
+	ag := newAgent(t, nil)
+	ue := testUE(t, 1, 1)
+	if err := ag.AdmitUE(ue, webClassifiers(7)); err != nil {
+		t.Fatal(err)
+	}
+	p := upPkt(ue, 40000)
+	p.Dst, _ = plan.LocIP(2, 9)
+	if ok, err := ag.HandlePacketIn(p); !ok || err != nil {
+		t.Fatalf("LocIP-addressed flow with no client: allowed=%v err=%v", ok, err)
+	}
+	if st := ag.Stats(); st.Denied != 0 || st.CacheHits != 1 {
+		t.Fatalf("%d denied, %d hits; want 0 and 1", st.Denied, st.CacheHits)
+	}
+}

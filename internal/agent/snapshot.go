@@ -28,14 +28,15 @@ var ErrNoPath = errors.New("agent: no admitted policy path in snapshot")
 var ErrPortsExhausted = errors.New("agent: every ephemeral port toward the destination is in use")
 
 // Snapshot is the agent's versioned classifier state: per-UE classifiers,
-// the station's admitted (clause -> tag) grants, and the controller's
-// tag-plan epoch. It is immutable after publish — readers pick it up
-// through one atomic pointer load and classify against that one consistent
-// view, so a packet-in never observes half of an update. New states are
-// whole replacement snapshots built by NewSnapshot (controller pushes) or
-// derived copy-on-write from the current one (local admits), then swapped
-// in by version: this is the last-known-good state the data plane keeps
-// forwarding on through controller and shard blackouts.
+// the station's admitted (clause -> tag) grants, the agent's one record of
+// a clause's tag, and the controller's tag-plan epoch. It is immutable
+// after publish — readers pick it up through one atomic pointer load and
+// classify against that one consistent view, so a packet-in never observes
+// half of an update. New states are whole replacement snapshots built by
+// NewSnapshot (controller pushes) or derived copy-on-write from the current
+// one (local admits), then swapped in by version: this is the
+// last-known-good state the data plane keeps forwarding on through
+// controller and shard blackouts.
 type Snapshot struct {
 	version uint64
 	epoch   uint64
@@ -50,8 +51,38 @@ type Snapshot struct {
 // current and reserved; one may since have gone to another UE.
 type snapUE struct {
 	ue          core.UE
-	classifiers map[policy.AppType]core.Classifier
+	classifiers appClasses
 	locs        []packet.Addr
+}
+
+// appClass is a UE's classifier for one app: the clause that decides its
+// flows and the QoS an admitted flow is marked with. Its tag is the
+// station's grant. An absent classifier is the zero value, which denies,
+// as a denying one does.
+type appClass struct {
+	clause int32
+	allow  bool
+	qos    policy.QoS
+}
+
+// appClasses is a UE's classifiers indexed by app.
+type appClasses [policy.AppOther + 1]appClass
+
+// of reports the classifier for app; an app past the end has none.
+func (c *appClasses) of(app policy.AppType) appClass {
+	if int(app) < len(c) {
+		return c[app]
+	}
+	return appClass{}
+}
+
+// set records classifiers over c, dropping an app past c's end.
+func (c *appClasses) set(classifiers []core.Classifier) {
+	for _, cl := range classifiers {
+		if int(cl.App) < len(c) {
+			c[cl.App] = appClass{clause: int32(cl.Clause), allow: cl.Allow, qos: cl.QoS}
+		}
+	}
 }
 
 // Version reports the snapshot's publication version.
@@ -78,24 +109,14 @@ func (s *Snapshot) UE(perm packet.Addr) (core.UE, bool) {
 	return su.ue, true
 }
 
-// tagFor resolves the forwarding tag an allowing classifier grants under
-// this snapshot: its own pinned tag, else the station's admitted tag for its
-// clause; 0 when the clause has none yet.
-func (s *Snapshot) tagFor(cl core.Classifier) packet.Tag {
-	if cl.Tag != 0 {
-		return cl.Tag
-	}
-	return s.tags[cl.Clause]
-}
-
 // pathFor resolves the forwarding tag a clause grants one UE under this
 // snapshot. ok is false when the clause no longer admits traffic for the UE
 // (classifier withdrawn or denied) or no tag is admitted.
 func (s *Snapshot) pathFor(su *snapUE, clause int) (packet.Tag, policy.QoS, bool) {
 	for _, cl := range su.classifiers {
-		if cl.Clause == clause && cl.Allow {
-			tag := s.tagFor(cl)
-			return tag, cl.QoS, tag != 0
+		if cl.allow && int(cl.clause) == clause {
+			tag := s.tags[clause]
+			return tag, cl.qos, tag != 0
 		}
 	}
 	return 0, 0, false
@@ -107,7 +128,7 @@ func (s *Snapshot) pathFor(su *snapUE, clause int) (packet.Tag, policy.QoS, bool
 func NewSnapshot(version uint64, view core.AgentView) *Snapshot {
 	d := newDraft(view.Epoch)
 	for _, v := range view.UEs {
-		d.putUE(v.UE, v.Classifiers)
+		d.putUE(v.UE, v.Classifiers) // their tags are view.Tags' grants
 	}
 	for _, g := range view.Tags {
 		d.tags[g.Clause] = g.Tag
@@ -170,18 +191,26 @@ func (d *snapshotDraft) seal(version uint64) *Snapshot {
 
 // putUE installs (or replaces) one UE record and gives it its LocIP. The
 // LocIPs its previous record held keep naming it: byLoc names the UE, not
-// the record, so they resolve to the fresh state.
+// the record, so they resolve to the fresh state. The classifiers' tags
+// are left to the caller.
 func (d *snapshotDraft) putUE(ue core.UE, classifiers []core.Classifier) {
-	cls := make(map[policy.AppType]core.Classifier, len(classifiers))
-	for _, c := range classifiers {
-		cls[c.App] = c
-	}
 	var locs []packet.Addr
 	if old, ok := d.ues[ue.PermIP]; ok {
 		locs = old.locs
 	}
-	d.ues[ue.PermIP] = &snapUE{ue: ue, classifiers: cls, locs: withLoc(locs, ue.LocIP)}
+	su := &snapUE{ue: ue, locs: withLoc(locs, ue.LocIP)}
+	su.classifiers.set(classifiers)
+	d.ues[ue.PermIP] = su
 	d.byLoc[ue.LocIP] = ue.PermIP
+}
+
+// grant sets the station's grants to the non-zero tags classifiers carry.
+func (d *snapshotDraft) grant(classifiers []core.Classifier) {
+	for _, c := range classifiers {
+		if c.Tag != 0 {
+			d.tags[c.Clause] = c.Tag
+		}
+	}
 }
 
 // removeUE drops one UE record and each of its LocIPs that still names it.
@@ -213,26 +242,22 @@ func withLoc(locs []packet.Addr, loc packet.Addr) []packet.Addr {
 	return append(slices.Clip(locs), loc)
 }
 
-// mergeClassifiers replaces a UE's classifiers for the listed apps. A
-// classifier arriving with Tag 0 is an explicit invalidation: any admitted
-// station-wide tag for its clause is withdrawn, so the next flow re-asks
-// the controller (the Table 2 hit-ratio semantics).
+// mergeClassifiers replaces a UE's classifiers for the listed apps and
+// sets their grants. A classifier arriving with Tag 0 is an explicit
+// invalidation: the station's grant for its clause is withdrawn, so the
+// next flow re-asks the controller (the Table 2 hit-ratio semantics).
 func (d *snapshotDraft) mergeClassifiers(perm packet.Addr, classifiers []core.Classifier) {
 	su, ok := d.ues[perm]
 	if !ok {
 		return
 	}
-	cls := make(map[policy.AppType]core.Classifier, len(su.classifiers)+len(classifiers))
-	for k, v := range su.classifiers {
-		cls[k] = v
-	}
+	next := *su
+	next.classifiers.set(classifiers)
+	d.ues[perm] = &next
 	for _, c := range classifiers {
-		cls[c.App] = c
-		if c.Tag == 0 {
-			delete(d.tags, c.Clause)
-		}
+		delete(d.tags, c.Clause)
 	}
-	d.ues[perm] = &snapUE{ue: su.ue, classifiers: cls, locs: su.locs}
+	d.grant(classifiers)
 }
 
 // ReconcileReport accounts for what a newly published snapshot did to the
@@ -331,8 +356,10 @@ func (a *Agent) derive(mutate func(d *snapshotDraft)) *Snapshot {
 // the freshly published snapshot. Stale admits are replayed (reinstalled
 // under the snapshot's tag) or torn down (path or UE withdrawn) — never
 // silently dropped; every disposition is counted here and on the obs
-// registry. The switch, not the agent, holds the flows, so a restarted
-// agent reconciles what its predecessor installed.
+// registry. A denial's drop entry goes too, uncounted, so the flow's next
+// packet is classified again under the new state. The switch, not the
+// agent, holds the flows, so a restarted agent reconciles what its
+// predecessor installed.
 func (a *Agent) reconcile() ReconcileReport {
 	snap := a.lkg()
 	a.mu.Lock()
@@ -347,7 +374,7 @@ func (a *Agent) reconcile() ReconcileReport {
 			// microflows must not keep forwarding.
 			for _, m := range flows {
 				a.Access.RemoveMicroflow(m.Key)
-				if upstream(m) {
+				if upstream(m) && !isDenial(m) {
 					rep.TornDown++
 				}
 			}
@@ -355,8 +382,15 @@ func (a *Agent) reconcile() ReconcileReport {
 			continue
 		}
 		for _, m := range flows {
-			if !upstream(m) || m.Action.Set&switchsim.SetSrcPort == 0 {
-				continue // M2M and location-routed flows carry no tag to reconcile
+			if isDenial(m) {
+				a.Access.RemoveMicroflow(m.Key)
+				continue
+			}
+			// M2M and location-routed flows carry no tag to reconcile. A
+			// migrated flow does not resubmit: MigrateFlows tunnels it to its
+			// origin station, and it rides that station's path, not this one's.
+			if !upstream(m) || m.Action.Set&switchsim.SetSrcPort == 0 || !m.Action.Resubmit {
+				continue
 			}
 			clause := int(m.Cookie.Clause)
 			old, _ := a.plan.SplitPort(m.Action.SrcPort)
@@ -406,11 +440,11 @@ func (a *Agent) Classify(p *packet.Packet) Verdict {
 	if !ok {
 		return Verdict{}
 	}
-	cl, ok := su.classifiers[classifyApp(p)]
-	if !ok || !cl.Allow {
+	cl := su.classifiers.of(classifyApp(p))
+	if !cl.allow {
 		return Verdict{Known: true}
 	}
-	tag := snap.tagFor(cl)
+	tag := snap.tags[int(cl.clause)]
 	if tag == 0 && !(a.plan.Carrier.Contains(p.Dst) || a.isLocalPerm(p.Dst)) {
 		return Verdict{Known: true, Allowed: true, Pending: true}
 	}

@@ -3,6 +3,8 @@ package agent
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/packet"
+	"repro/internal/policy"
 	"repro/internal/switchsim"
 )
 
@@ -462,5 +465,67 @@ func BenchmarkAdmitUE(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestClauseTagIsKeptOncePerStation measures the live heap, after two GCs,
+// that a snapshot of 4 000 UEs with a six-app classifier set retains per
+// UE: published from a view, and built by AdmitUE one UE at a time. A
+// UE's record holds its classifiers inline, with no map and no tag: the
+// tag is the station's grant. With a classifier map per UE, whose entries
+// pinned their tags, the two read 560 and 440 B.
+func TestClauseTagIsKeptOncePerStation(t *testing.T) {
+	for i := range reflect.TypeFor[snapUE]().NumField() {
+		if f := reflect.TypeFor[snapUE]().Field(i); f.Type.Kind() == reflect.Map {
+			t.Fatalf("snapUE.%s is a map", f.Name)
+		}
+	}
+	const n = 4000
+	ues := make([]core.UE, n)
+	for i := range ues {
+		loc, err := plan.LocIP(1, packet.UEID(i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ues[i] = core.UE{IMSI: fmt.Sprintf("imsi-%d", i), PermIP: packet.AddrFrom4(100, 64, 0, 0) + packet.Addr(i+1),
+			BS: 1, UEID: packet.UEID(i + 1), LocIP: loc}
+	}
+	var six []core.Classifier
+	for i, app := range policy.AllApps {
+		six = append(six, core.Classifier{App: app, Clause: i, Tag: packet.Tag(i + 1), Allow: true})
+	}
+	v := core.AgentView{BS: 1}
+	for i, c := range six {
+		v.Tags = append(v.Tags, core.TagGrant{Clause: i, Tag: c.Tag})
+	}
+	for _, ue := range ues {
+		v.UEs = append(v.UEs, core.AgentViewUE{UE: ue, Classifiers: six})
+	}
+	retained := func(build func() any) float64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		x := build()
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(x)
+		return float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
+	}
+	published := retained(func() any { return NewSnapshot(1, v) })
+	admitted := retained(func() any {
+		ag := newAgent(t, nil)
+		for _, ue := range ues {
+			if err := ag.AdmitUE(ue, six); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return ag
+	})
+	runtime.KeepAlive(v)
+	t.Logf("retained per UE with six apps: %.1f B published, %.1f B admitted", published, admitted)
+	if published > 300 || admitted > 170 {
+		t.Fatalf("a snapshot retains %.1f B per UE published and %.1f B admitted, want at most 300 and 170", published, admitted)
 	}
 }

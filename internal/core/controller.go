@@ -34,12 +34,14 @@ type UE struct {
 var ErrNotAttached = errors.New("not attached")
 
 // Classifier is one per-UE packet classifier the controller ships to a local
-// agent (§4.2): flows of App get Tag; Tag 0 means no policy path exists yet
-// and the agent must come back (the "send-to-controller" action).
+// agent (§4.2): flows of App fall under Clause. Tag is the station's grant
+// for Clause when the message was cut, and the agent keeps it once per
+// station, not per UE; Tag 0 means no policy path exists yet and the agent
+// must come back (the "send-to-controller" action).
 type Classifier struct {
 	App    policy.AppType
 	Clause int
-	Tag    packet.Tag // the access-side tag to embed; 0 = ask the controller
+	Tag    packet.Tag
 	Allow  bool
 	QoS    policy.QoS
 }

@@ -674,24 +674,23 @@ func (n *Network) Attach(imsi string, bs packet.BSID) (core.UE, error) {
 	return ue, n.Agents[bs].AdmitUE(ue, cls)
 }
 
-// RefreshClassifiers re-pushes every attached UE's compiled classifiers to
-// its agent — used after policy changes or failure recomputation, when
-// cached tags have gone stale. A retired tag is never issued again (the
-// controller's tag sequence survives rebuilds), so it cannot alias a new
-// path; but packets still carrying one are not dropped yet: the rules
-// that ignore the tag carry them on, past their middleboxes (ROADMAP
-// item 1).
+// RefreshClassifiers publishes each station's current AgentView to its
+// agent — used after policy changes or failure recomputation, when the
+// stations' grants have gone stale. Each agent's reconcile replays its live
+// flows onto its station's current tags and tears down those whose clause
+// lost its path, so an old flow's next packet takes the re-planned path. A
+// retired tag is never issued again (the controller's tag sequence survives
+// rebuilds), so it cannot alias a new path; but a packet sent with one
+// before the refresh is not dropped yet: the rules that ignore the tag
+// carry it on, past its middleboxes (ROADMAP item 1(a)).
 func (n *Network) RefreshClassifiers() error {
 	for bs, ag := range n.Agents {
-		rep := ag.LocationReport()
-		for _, ue := range rep.UEs {
-			u2, cls, err := n.Ctrl.Attach(ue.IMSI, bs)
-			if err != nil {
-				return err
-			}
-			if err := ag.AdmitUE(u2, cls); err != nil {
-				return err
-			}
+		view, err := n.Ctrl.AgentView(bs)
+		if err != nil {
+			return err
+		}
+		if _, err := ag.Publish(agent.NewSnapshot(ag.Version()+1, view)); err != nil {
+			return err
 		}
 	}
 	return n.Sync()

@@ -1,6 +1,8 @@
 package dataplane
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/packet"
@@ -153,5 +155,81 @@ func TestFailureDropsUnreachableStations(t *testing.T) {
 	// Station 0 keeps working.
 	if res, err := net.SendUpstream(0, webPacket(ueY, 40001)); err != nil || res.Disposition != ExitedNet {
 		t.Fatalf("y post-failure: %v %v", res.Disposition, err)
+	}
+}
+
+// TestReplanReachesLiveFlows opens one Provider-A web flow at each of
+// genNet's 160 stations, re-plans the controller's paths and refreshes the
+// agents. The refresh publishes each station's view, whose reconcile
+// replays a flow onto its station's new tag or tears it down so that its
+// next packet is admitted afresh. Either way every old flow's next
+// upstream packet must cross a middlebox again, after a failed core switch
+// and after the web clause's paths are removed. A packet that still carries
+// a retired tag between the re-plan and the refresh is forwarded past its
+// middleboxes; that is ROADMAP item 1(a) and is not checked here.
+func TestReplanReachesLiveFlows(t *testing.T) {
+	web, _ := policy.ExampleCarrierPolicy().Match(policy.Attributes{Provider: "A"}, policy.AppWeb)
+	replans := []struct {
+		name   string
+		replan func(net *Network, core topo.NodeID) error
+	}{
+		{"core switch failed", func(net *Network, core topo.NodeID) error {
+			_, err := net.Ctrl.FailSwitch(core)
+			return err
+		}},
+		{"web clause removed", func(net *Network, _ topo.NodeID) error {
+			return net.Ctrl.RemovePolicyPaths(web)
+		}},
+	}
+	for _, rp := range replans {
+		t.Run(rp.name, func(t *testing.T) {
+			net := genNet(t)
+			// Each station's flow as its UE sends it, and core switch 3.
+			flows := make([]packet.Packet, len(net.T.Stations))
+			const victim = topo.NodeID(3)
+			onVictim := 0
+			for i, st := range net.T.Stations {
+				imsi := fmt.Sprintf("ue-%d", i)
+				if err := net.Ctrl.RegisterSubscriber(imsi, policy.Attributes{Provider: "A"}); err != nil {
+					t.Fatal(err)
+				}
+				ue, err := net.Attach(imsi, st.ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := net.SendUpstream(st.ID, webPacket(ue, 40000))
+				if err != nil || res.Disposition != ExitedNet || len(res.Middleboxes()) == 0 {
+					t.Fatalf("station %d: the opening %s crossing %v (%v)", st.ID, res.Disposition, res.Middleboxes(), err)
+				}
+				flows[i] = *webPacket(ue, 40000)
+				if slices.ContainsFunc(res.Hops, func(h Hop) bool { return h.Node == victim }) {
+					onVictim++
+				}
+			}
+			if net.T.Nodes[victim].Kind != topo.Core || onVictim == 0 {
+				t.Fatalf("node %d is a %v carrying %d flows, want a core switch carrying some", victim, net.T.Nodes[victim].Kind, onVictim)
+			}
+			if err := rp.replan(net, victim); err != nil {
+				t.Fatal(err)
+			}
+			if err := net.RefreshClassifiers(); err != nil {
+				t.Fatal(err)
+			}
+			crossed := 0
+			for i, st := range net.T.Stations {
+				res, err := net.SendUpstream(st.ID, &flows[i])
+				if err != nil {
+					t.Fatalf("station %d: %v", st.ID, err)
+				}
+				if res.Disposition == ExitedNet && len(res.Middleboxes()) > 0 {
+					crossed++
+				}
+			}
+			t.Logf("%d flows, %d of them on core switch %d; after the refresh %d cross a middlebox",
+				len(flows), onVictim, victim, crossed)
+			if crossed != len(flows) {
+				t.Fatalf("%d of %d old flows cross a middlebox after the re-plan and refresh", crossed, len(flows))
+			}
+		})
 	}
 }

@@ -7,9 +7,11 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/agent"
 	"repro/internal/core"
 	"repro/internal/packet"
 	"repro/internal/policy"
+	"repro/internal/switchsim"
 	"repro/internal/topo"
 )
 
@@ -353,5 +355,46 @@ func TestEveryHandoffKeepsItsMiddleboxes(t *testing.T) {
 		triples, bypasses, misdelivered, unchecked, tables, other)
 	if first != nil {
 		t.Fatalf("%d of %d triples broke §5.1; first: %v", bypasses+misdelivered+unchecked+tables+other, triples, first)
+	}
+}
+
+// TestPublishMidHandoffKeepsMigratedFlows hands a UE with a live web flow
+// from station 7 to 33 on genNet, then publishes station 33's view before
+// the flow's next packets. The view grants station 33's own tags, but the
+// migrated upstream entry rides its origin station's path: it must keep
+// its tunnel action, old LocIP and tag, and the flow must still cross the
+// middlebox instances it opened through (§5.1).
+func TestPublishMidHandoffKeepsMigratedFlows(t *testing.T) {
+	net := genNet(t)
+	if err := net.Ctrl.RegisterSubscriber("m", policy.Attributes{Provider: "A"}); err != nil {
+		t.Fatal(err)
+	}
+	ue, err := net.Attach("m", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := mustOpen(t, net, 7, webPacket(ue, 40000))
+	if _, err := net.Handoff("m", 33); err != nil {
+		t.Fatal(err)
+	}
+	ag := net.Agents[33]
+	view, err := net.Ctrl.AgentView(33)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := ag.Publish(agent.NewSnapshot(ag.Version()+1, view))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, ok := ag.Access.Microflow(c.orig.Flow())
+	if !ok {
+		t.Fatalf("the publish (%+v) tore the migrated entry down", rep)
+	}
+	if a := r.Action; a.Resubmit || a.Output != switchsim.PortTunnelBase+7 || a.Src != c.wire.Src || a.SrcPort != c.wire.SrcPort {
+		t.Fatalf("after the publish (%+v) the migrated entry is %+v, want a tunnel to station 7 from %s:%d",
+			rep, a, c.wire.Src, c.wire.SrcPort)
+	}
+	if _, err := c.probe(net, 33, 8); err != nil {
+		t.Fatal(err)
 	}
 }
