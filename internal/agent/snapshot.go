@@ -129,6 +129,9 @@ func NewSnapshot(version uint64, view core.AgentView) *Snapshot {
 	d := newDraft(view.Epoch)
 	for _, v := range view.UEs {
 		d.putUE(v.UE, v.Classifiers) // their tags are view.Tags' grants
+		for _, loc := range v.Reserved {
+			d.alias(loc, v.UE.PermIP)
+		}
 	}
 	for _, g := range view.Tags {
 		d.tags[g.Clause] = g.Tag

@@ -341,6 +341,28 @@ func arrive(t *testing.T, ag *Agent, loc packet.Addr) (perm packet.Addr, ok bool
 	return r.Action.Dst, true
 }
 
+// TestPublishedSnapshotAliasesReservedLocIPs: a view's reserved old LocIPs
+// (§5.1) resolve to their UE in the published snapshot, and a later view
+// that no longer lists one drops it.
+func TestPublishedSnapshotAliasesReservedLocIPs(t *testing.T) {
+	ag := newAgent(t, newFakeController())
+	ue, old := testUE(t, 1, 7), testUE(t, 0, 7).LocIP
+	v := view([]core.UE{ue})
+	v.UEs[0].Reserved = []packet.Addr{old}
+	if _, err := ag.Publish(NewSnapshot(1, v)); err != nil {
+		t.Fatal(err)
+	}
+	if perm, ok := arrive(t, ag, old); !ok || perm != ue.PermIP {
+		t.Fatalf("reserved %s resolves to %s (%v), want %s", old, perm, ok, ue.PermIP)
+	}
+	if _, err := ag.Publish(NewSnapshot(2, view([]core.UE{ue}))); err != nil {
+		t.Fatal(err)
+	}
+	if perm, ok := arrive(t, ag, old); ok {
+		t.Fatalf("released %s still resolves to %s", old, perm)
+	}
+}
+
 // TestLocIPsFollowLaterUpdates: a UE handed in keeps its reserved old LocIP
 // (§5.1) through later classifier merges and record replacements, and every
 // LocIP it has been given resolves to it, whose record is the latest one.

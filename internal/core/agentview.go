@@ -9,11 +9,12 @@ import (
 
 // AgentView is the controller's exportable image of one base station's
 // agent state: every UE currently attached there with its compiled
-// classifiers, plus the station's admitted (clause -> tag) grants from the
-// path table. It is the payload a dispatcher pushes to the station's local
-// agent as an immutable snapshot (agent.NewSnapshot), replacing the
-// synchronous per-flow classifier fetch: the agent keeps classifying on
-// the last pushed view through any controller outage.
+// classifiers and its reserved old LocIPs, plus the station's admitted
+// (clause -> tag) grants from the path table. It is the payload a
+// dispatcher pushes to the station's local agent as an immutable snapshot
+// (agent.NewSnapshot), replacing the synchronous per-flow classifier fetch:
+// the agent keeps classifying on the last pushed view through any
+// controller outage.
 type AgentView struct {
 	BS packet.BSID
 	// Epoch is the controller's tag-plan epoch at export time: it advances
@@ -24,10 +25,13 @@ type AgentView struct {
 	Tags  []TagGrant
 }
 
-// AgentViewUE pairs one attached UE with its compiled service policy.
+// AgentViewUE pairs one attached UE with its compiled service policy and
+// the old LocIPs its unfinished handoffs still reserve (§5.1), ascending:
+// the station's agent keeps delivering to them until their release.
 type AgentViewUE struct {
 	UE          UE
 	Classifiers []Classifier
+	Reserved    []packet.Addr
 }
 
 // TagGrant records one admitted policy path at the view's station.
@@ -58,10 +62,11 @@ func (c *Controller) AgentView(bs packet.BSID) (AgentView, error) {
 			continue
 		}
 		if r := c.ues.rec(e - 1); r.bs == bs && r.ueid == packet.UEID(i+1) {
-			view.UEs = append(view.UEs, AgentViewUE{
-				UE:          c.ueViewLocked(r),
-				Classifiers: c.classifiersLocked(r),
-			})
+			v := AgentViewUE{UE: c.ueViewLocked(r), Classifiers: c.classifiersLocked(r)}
+			for loc := r.rsv; loc != 0; loc = c.reservations[loc].next {
+				v.Reserved = append(v.Reserved, loc)
+			}
+			view.UEs = append(view.UEs, v)
 		}
 	}
 	sort.Slice(view.UEs, func(i, j int) bool {

@@ -126,17 +126,17 @@ type Controller struct {
 	// keeps registrations and permanent addresses): it names the holder —
 	// ues.inst, this controller's number among those admitting from it —
 	// and the slot. A LocIP reaches it through stations, which also hands
-	// out UE IDs and says which stations are owned. attrs interns the
-	// attribute sets (and their compiled classifier templates) the records
-	// reference by handle.
+	// out UE IDs and says which stations are owned. sets holds, by the
+	// subscriber table's set index a record keeps, the attribute sets this
+	// controller has admitted UEs under, each compiled once.
 	ues      ueTable      // guarded by ueMu; ues.subs and ues.inst are fixed
 	stations stationTable // guarded by ueMu
-	attrs    attrPool     // guarded by ueMu
+	sets     []attrSet    // guarded by ueMu
 	// reservations holds, per still-reserved old LocIP, the live shortcut
 	// state for in-flight flows of a moved UE (§5.1); retargeted on every
 	// subsequent handoff, removed by ReleaseOldLocIP's soft timeout.
 	reservations map[packet.Addr]*reservation // guarded by ueMu
-	// rsvFree recycles reservation records a release or removal retired.
+	// rsvFree recycles reservation records a release retired.
 	rsvFree []*reservation // guarded by ueMu
 	// paths is the one record of the installed policy paths: writers hold
 	// ruleMu, readers of one station's row need no lock (pathtable.go).
@@ -225,7 +225,6 @@ func NewController(t *topo.Topology, cfg ControllerConfig) (*Controller, error) 
 		mbTypes:      cfg.MBTypes,
 		ues:          newUETable(subs),
 		stations:     stations,
-		attrs:        newAttrPool(),
 		reservations: make(map[packet.Addr]*reservation),
 		paths:        newPathTable(t),
 		obs:          newCoreObs(cfg.Obs),
@@ -258,7 +257,7 @@ func (c *Controller) Instance() int {
 //
 // caller holds ueMu
 func (c *Controller) ueViewLocked(r *ueRecord) UE {
-	return UE{IMSI: r.imsi, Attr: c.attrs.attrOf(r.attr), PermIP: r.permIP,
+	return UE{IMSI: r.imsi, Attr: c.sets[r.set].attr, PermIP: r.permIP,
 		BS: r.bs, UEID: r.ueid, LocIP: r.locIP}
 }
 
@@ -332,11 +331,11 @@ func (c *Controller) Attach(imsi string, bs packet.BSID) (UE, []Classifier, erro
 		c.stations.release(r.bs, r.ueid)
 		r.bs, r.ueid, r.locIP = bs, id, loc
 	} else {
-		attr, perm, err := c.ues.subs.admit(imsi, c.ues.inst, c.ues.nextSlot())
+		set, perm, err := c.ues.subs.admit(imsi, c.ues.inst, c.ues.nextSlot())
 		if err != nil {
 			return UE{}, nil, err
 		}
-		if r, err = c.newRecordLocked(imsi, attr, perm, bs); err != nil {
+		if r, err = c.newRecordLocked(imsi, set, perm, bs); err != nil {
 			c.ues.subs.release(imsi, c.ues.inst)
 			return UE{}, nil, err
 		}
@@ -346,29 +345,53 @@ func (c *Controller) Attach(imsi string, bs packet.BSID) (UE, []Classifier, erro
 }
 
 // newRecordLocked allocates a LocIP at bs and, once that succeeded, the
-// record of a UE whose holder mark the caller has already set, naming
-// ues.nextSlot().
+// record of a UE admitted under attribute set set whose holder mark the
+// caller has already set, naming ues.nextSlot().
 //
 // caller holds ueMu
-func (c *Controller) newRecordLocked(imsi string, attr policy.Attributes, perm packet.Addr, bs packet.BSID) (*ueRecord, error) {
+func (c *Controller) newRecordLocked(imsi string, set uint16, perm packet.Addr, bs packet.BSID) (*ueRecord, error) {
 	id, loc, err := c.allocLocIPLocked(bs, c.ues.nextSlot())
 	if err != nil {
 		return nil, err
 	}
-	r, _ := c.ues.alloc(imsi, c.attrs.acquire(attr, c.Policy), perm)
+	r := c.allocRecordLocked(imsi, set, perm)
 	r.bs, r.ueid, r.locIP = bs, id, loc
 	return r, nil
 }
 
+// attrSet is one subscriber attribute set a record here was admitted under,
+// with its classifier template: policy.Compile is a pure function of the
+// attributes, so it runs once per set rather than once per attach.
+type attrSet struct {
+	attr     policy.Attributes
+	compiled []policy.ClassifierEntry
+	ok       bool // filled; the entry of a set no record here used is zero
+}
+
+// allocRecordLocked takes the next slot for a UE admitted under set,
+// compiling the set the first time this controller admits a UE under it.
+//
+// caller holds ueMu
+func (c *Controller) allocRecordLocked(imsi string, set uint16, perm packet.Addr) *ueRecord {
+	if n := int(set) + 1; n > len(c.sets) {
+		c.sets = append(c.sets, make([]attrSet, n-len(c.sets))...)
+	}
+	if e := &c.sets[set]; !e.ok {
+		e.attr, _ = c.ues.subs.attrsOf(set)
+		e.compiled, e.ok = c.Policy.Compile(e.attr), true
+	}
+	r, _ := c.ues.alloc(imsi, set, perm)
+	return r
+}
+
 // classifiersLocked assembles the service policy for one UE from its
-// interned classifier template (compiled once per distinct attribute set,
-// not once per attach), resolving tags for clauses whose policy paths
-// already exist at the UE's base station (read from the station's row of
-// the path table — no rule-table lock needed).
+// attribute set's classifier template, resolving tags for clauses whose
+// policy paths already exist at the UE's base station (read from the
+// station's row of the path table — no rule-table lock needed).
 //
 // caller holds ueMu
 func (c *Controller) classifiersLocked(r *ueRecord) []Classifier {
-	entries := c.attrs.compiled(r.attr)
+	entries := c.sets[r.set].compiled
 	row := c.paths.station(r.bs)
 	out := make([]Classifier, 0, len(entries))
 	for _, e := range entries {
@@ -579,13 +602,13 @@ func (c *Controller) LookupByLocIP(loc packet.Addr) (UE, bool) {
 // shortcut pointing into a station with no microflows can combine with
 // location rules into a forwarding loop for the dead address.
 func (c *Controller) Detach(imsi string) error {
-	_, err := c.removeUE(imsi, true)
+	_, err := c.removeUE(imsi)
 	return err
 }
 
 // removeUE is the one way a UE's record leaves the controller (Detach, and
 // ExtractUE for a migration); it returns the frozen record.
-func (c *Controller) removeUE(imsi string, park bool) (MigratedUE, error) {
+func (c *Controller) removeUE(imsi string) (MigratedUE, error) {
 	c.ueMu.Lock()
 	defer c.ueMu.Unlock()
 	c.ruleMu.Lock()
@@ -594,40 +617,30 @@ func (c *Controller) removeUE(imsi string, park bool) (MigratedUE, error) {
 	if !ok {
 		return MigratedUE{}, fmt.Errorf("core: UE %q is %w", imsi, ErrNotAttached)
 	}
-	return c.removeUELocked(r, slot, park), nil
+	return c.removeUELocked(r, slot), nil
 }
 
 // removeUELocked frees a record: its LocIP and UE ID return to the
-// allocator, its slot to the free list, its holder mark and attribute
-// reference go, and the shortcuts of its reserved old LocIPs come down. With
-// park the reserved addresses wait, owned by no UE, for their
-// ReleaseOldLocIP; without, they are freed here, in ascending order, and a
-// later release finds nothing.
+// allocator, its slot to the free list, its holder mark goes, and its
+// reserved old LocIPs are parked: their shortcuts come down, and each
+// address, owned by no UE, waits for its own ReleaseOldLocIP.
 //
 // caller holds ueMu; caller holds ruleMu
-func (c *Controller) removeUELocked(r *ueRecord, slot uint32, park bool) MigratedUE {
-	m := MigratedUE{IMSI: r.imsi, Attr: c.attrs.attrOf(r.attr), PermIP: r.permIP, OldBS: r.bs, OldLocIP: r.locIP}
+func (c *Controller) removeUELocked(r *ueRecord, slot uint32) MigratedUE {
+	m := MigratedUE{IMSI: r.imsi, Attr: c.sets[r.set].attr, PermIP: r.permIP, OldBS: r.bs, OldLocIP: r.locIP}
 	c.stations.release(r.bs, r.ueid)
 	for loc := r.rsv; loc != 0; {
 		rsv := c.reservations[loc]
-		next := rsv.next
 		for i := range rsv.shortcuts {
 			c.Installer.RemoveShortcut(&rsv.shortcuts[i])
 		}
 		// Handoff left the reserved address's UE ID naming this UE's slot;
 		// the entry would dangle once the record below is cleared.
 		bs, id, _ := c.plan.Split(loc)
-		if park {
-			rsv.imsi, rsv.shortcuts, rsv.next = "", nil, 0
-			c.stations[bs].ids[id-1] = idParked
-		} else {
-			c.retireLocked(loc, rsv)
-			c.stations.release(bs, id)
-		}
-		loc = next
+		c.stations[bs].ids[id-1] = idParked
+		loc, *rsv = rsv.next, reservation{}
 	}
 	c.ues.subs.release(m.IMSI, c.ues.inst)
-	c.attrs.release(r.attr)
 	c.ues.freeRec(slot)
 	return m
 }
@@ -655,10 +668,10 @@ func (c *Controller) RecoverLocations(reports []AgentLocationReport) error {
 	}
 	c.ruleMu.Lock()
 	c.ues.forEach(func(slot uint32, r *ueRecord) bool {
-		c.removeUELocked(r, slot, false)
+		c.removeUELocked(r, slot)
 		return true
 	})
-	clear(c.reservations) // what is left was parked: no shortcuts, no list
+	clear(c.reservations) // every one is parked now: no shortcuts, no list
 	c.ruleMu.Unlock()
 	for i := range c.stations {
 		c.stations[i].ids, c.stations[i].free = c.stations[i].ids[:0], c.stations[i].free[:0]
@@ -706,10 +719,11 @@ func (c *Controller) importLocked(reports []AgentLocationReport) error {
 	for _, rep := range reports {
 		for _, u := range rep.UEs {
 			slot := c.ues.nextSlot()
-			if err := c.ues.subs.bind(u.IMSI, u.PermIP, c.ues.inst, slot); err != nil {
+			set, err := c.ues.subs.bind(u.IMSI, u.PermIP, u.Attr, c.ues.inst, slot)
+			if err != nil {
 				return err
 			}
-			r, _ := c.ues.alloc(u.IMSI, c.attrs.acquire(u.Attr, c.Policy), u.PermIP)
+			r := c.allocRecordLocked(u.IMSI, set, u.PermIP)
 			r.bs, r.ueid, r.locIP = rep.BS, u.UEID, u.LocIP
 			row := &c.stations[rep.BS]
 			if int(u.UEID) > len(row.ids) {

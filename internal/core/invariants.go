@@ -34,8 +34,10 @@ type InvariantReport struct {
 //
 //   - UE directory coherence: records and the station table agree, every
 //     record is attached, every LocIP splits to its UE's (station, UE ID),
-//     every attached station is owned, and a UE's reservations hold
-//     shortcuts only for paths of clauses its classifiers allow.
+//     every attached station is owned, every record's attribute set is one
+//     this controller compiled from the subscriber table's set at that
+//     index, and a UE's reservations hold shortcuts only for paths of
+//     clauses its classifiers allow.
 //   - Subscriber table agreement: the table names this controller the holder
 //     of exactly the UEs it has records for, each record carries the address
 //     the table binds to its IMSI, and the table's reverse index agrees.
@@ -91,18 +93,28 @@ func (c *Controller) CheckInvariants() (InvariantReport, error) {
 		}
 	}
 
+	// The attribute sets: each one this controller compiled is the set the
+	// subscriber table holds at its index.
+	for set, e := range c.sets {
+		if attr, ok := c.ues.subs.attrsOf(uint16(set)); e.ok && (!ok || attr != e.attr) {
+			return rep, fmt.Errorf("core: attribute set %d was compiled from %+v; the subscriber table holds %+v (known = %v)", set, e.attr, attr, ok)
+		}
+	}
+
 	// UE directory coherence, plus the struct-of-arrays layout's own
 	// integrity: every record held here at its own slot according to the
-	// subscriber table, its UE ID naming that slot, and the attribute-pool
-	// reference counts exactly matching a full scan.
+	// subscriber table, its UE ID naming that slot, and its attribute set
+	// one compiled here.
 	heldHere, invErr := c.ues.subs.audit(c.ues.inst)
 	if invErr != nil {
 		return rep, invErr
 	}
-	attrRefs := make(map[attrHandle]uint32)
 	c.ues.forEach(func(slot uint32, r *ueRecord) bool {
 		rep.Attached++
-		attrRefs[r.attr]++
+		if int(r.set) >= len(c.sets) || !c.sets[r.set].ok {
+			invErr = fmt.Errorf("core: UE %q is admitted under attribute set %d, which this controller never compiled", r.imsi, r.set)
+			return false
+		}
 		sub, ok := heldHere[r.imsi]
 		if !ok || sub.perm != r.permIP {
 			invErr = fmt.Errorf("core: UE %q has a record with permanent address %s; the subscriber table says %s, held here = %v", r.imsi, r.permIP, sub.perm, ok)
@@ -127,7 +139,7 @@ func (c *Controller) CheckInvariants() (InvariantReport, error) {
 		// exactly the reservations that name a UE. Each reservation's
 		// shortcuts serve only clauses the UE's classifiers allow: the
 		// delivery tag names the path at the origin station.
-		entries := c.attrs.compiled(r.attr)
+		entries := c.sets[r.set].compiled
 		for loc, prev := r.rsv, packet.Addr(0); loc != 0; prev, loc = loc, c.reservations[loc].next {
 			rsv, ok := c.reservations[loc]
 			if !ok || rsv.imsi != r.imsi {
@@ -169,23 +181,6 @@ func (c *Controller) CheckInvariants() (InvariantReport, error) {
 	}
 	if c.ues.live+len(c.ues.free) != int(c.ues.next) {
 		return rep, fmt.Errorf("core: slot leak: %d live + %d free != %d allocated", c.ues.live, len(c.ues.free), c.ues.next)
-	}
-
-	// Attribute-pool refcounts: the scan above counted every handle reference
-	// the records hold; the pool must agree exactly — an entry reclaimed
-	// too early or leaked shows up here.
-	var scanRefs uint64
-	for h, n := range attrRefs {
-		if got := c.attrs.refs(h); got != n {
-			return rep, fmt.Errorf("core: interned attribute entry %d has %d refs, records hold %d", h, got, n)
-		}
-		scanRefs += uint64(n)
-	}
-	if got := c.attrs.totalRefs(); got != scanRefs {
-		return rep, fmt.Errorf("core: attribute pool holds %d refs, records hold %d", got, scanRefs)
-	}
-	if got := c.attrs.liveEntries(); got != len(attrRefs) {
-		return rep, fmt.Errorf("core: attribute pool has %d live entries, records reference %d", got, len(attrRefs))
 	}
 
 	// The station table, one walk: below each station's mark a UE ID is

@@ -13,8 +13,8 @@ import (
 
 // locModel is the reference a controller's LocIP allocation must match:
 // which UE each LocIP in use names — its current one or a reserved old one;
-// "" for one its UE's Detach parked — each UE's current LocIP, and per
-// station the high-water mark and a LIFO stack of free UE IDs.
+// "" for one its UE's Detach or ExtractUE parked — each UE's current LocIP,
+// and per station the high-water mark and a LIFO stack of free UE IDs.
 type locModel struct {
 	plan  packet.Plan
 	owner map[packet.Addr]string
@@ -60,17 +60,13 @@ func (m *locModel) reserved(imsi string) []packet.Addr {
 	return out
 }
 
-// remove drops imsi's current LocIP, then parks or releases its reserved
-// ones in ascending order: Detach and ExtractUE.
-func (m *locModel) remove(imsi string, park bool) {
+// remove drops imsi's current LocIP and parks its reserved ones, each until
+// its own release: Detach and ExtractUE alike.
+func (m *locModel) remove(imsi string) {
 	m.release(m.cur[imsi])
 	delete(m.cur, imsi)
 	for _, loc := range m.reserved(imsi) {
-		if park {
-			m.owner[loc] = ""
-		} else {
-			m.release(loc)
-		}
+		m.owner[loc] = ""
 	}
 }
 
@@ -166,7 +162,7 @@ func TestQuickLocIPAllocationMatchesModel(t *testing.T) {
 				if err := c.Detach(imsi); err != nil {
 					t.Fatalf("step %d: %s: %v", step, what, err)
 				}
-				m.remove(imsi, true)
+				m.remove(imsi)
 			case kind == 5 && attached:
 				what = fmt.Sprintf("move %s to %d by extract and adopt", imsi, bs)
 				mig, err := c.ExtractUE(imsi)
@@ -177,7 +173,7 @@ func TestQuickLocIPAllocationMatchesModel(t *testing.T) {
 				if err != nil {
 					t.Fatalf("step %d: %s: %v", step, what, err)
 				}
-				m.remove(imsi, false)
+				m.remove(imsi)
 				got, want = ue.LocIP, m.place(imsi, bs)
 			case kind == 6:
 				what = fmt.Sprintf("recover from subset %#x", pick)

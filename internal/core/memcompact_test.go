@@ -15,8 +15,8 @@ import (
 
 // These tests pin the compacted state layer (DESIGN.md §14): the
 // struct-of-arrays UE table and the subscriber records that say where its
-// records are, the refcounted attribute pool, and the allocation behaviour
-// of the steady-state attach -> handoff -> detach cycle.
+// records are, and the allocation behaviour of the steady-state
+// attach -> handoff -> detach cycle.
 
 // newBareTable builds an empty UE table over a subscriber table of its own.
 func newBareTable() *ueTable {
@@ -28,10 +28,11 @@ func newBareTable() *ueTable {
 // binds perm and names this table the holder, at the slot alloc then fills.
 func putRecord(t *testing.T, tbl *ueTable, imsi string, perm packet.Addr) (*ueRecord, uint32) {
 	t.Helper()
-	if err := tbl.subs.bind(imsi, perm, tbl.inst, tbl.nextSlot()); err != nil {
+	set, err := tbl.subs.bind(imsi, perm, policy.Attributes{}, tbl.inst, tbl.nextSlot())
+	if err != nil {
 		t.Fatal(err)
 	}
-	return tbl.alloc(imsi, 1, perm)
+	return tbl.alloc(imsi, set, perm)
 }
 
 // TestQuickUETableSlotAliasing drives random register/drop churn through
@@ -101,96 +102,11 @@ func TestQuickUETableSlotAliasing(t *testing.T) {
 	}
 }
 
-// TestQuickAttrPoolRefcountZero checks the intern pool's refcount-zero
-// property: an entry's reference count tracks the outstanding acquires
-// exactly, the entry is reclaimed exactly when the last holder releases,
-// and a reclaimed handle slot can be reused without aliasing old holders.
-func TestQuickAttrPoolRefcountZero(t *testing.T) {
-	pol := policy.ExampleCarrierPolicy()
-	universe := []policy.Attributes{
-		{Provider: "A", Plan: "silver"},
-		{Provider: "A", Plan: "gold"},
-		{Provider: "B", Plan: "silver", DeviceType: "phone"},
-		{Provider: "B", Roaming: true},
-		{Provider: "C", DeviceType: "m2m-meter"},
-		{Provider: "C", Plan: "gold", Roaming: true},
-	}
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		pool := newAttrPool()
-		type holder struct {
-			attr policy.Attributes
-			h    attrHandle
-		}
-		var held []holder
-		count := map[policy.Attributes]int{}
-		for op := 0; op < 500; op++ {
-			if len(held) > 0 && rng.Intn(2) == 0 {
-				i := rng.Intn(len(held))
-				hd := held[i]
-				held[i] = held[len(held)-1]
-				held = held[:len(held)-1]
-				pool.release(hd.h)
-				count[hd.attr]--
-				if got := int(pool.refs(hd.h)); count[hd.attr] > 0 && got != count[hd.attr] {
-					t.Fatalf("seed %d: refs=%d after release, model=%d", seed, got, count[hd.attr])
-				}
-				continue
-			}
-			attr := universe[rng.Intn(len(universe))]
-			h := pool.acquire(attr, pol)
-			held = append(held, holder{attr, h})
-			count[attr]++
-			if pool.attrOf(h) != attr {
-				t.Fatalf("seed %d: handle %d resolves to %+v, want %+v", seed, h, pool.attrOf(h), attr)
-			}
-			if int(pool.refs(h)) != count[attr] {
-				t.Fatalf("seed %d: refs=%d, model=%d", seed, pool.refs(h), count[attr])
-			}
-			// Interning: every holder of the same attributes has the same
-			// handle and shares one compiled template.
-			for _, other := range held {
-				if other.attr == attr && other.h != h {
-					t.Fatalf("seed %d: %+v interned twice (handles %d, %d)", seed, attr, other.h, h)
-				}
-			}
-		}
-		distinct := 0
-		for _, n := range count {
-			if n > 0 {
-				distinct++
-			}
-		}
-		if pool.liveEntries() != distinct {
-			t.Fatalf("seed %d: liveEntries=%d, model=%d", seed, pool.liveEntries(), distinct)
-		}
-		// Release everything: the pool must drain to zero, and reclaimed
-		// slots must serve a fresh intern correctly.
-		for _, hd := range held {
-			pool.release(hd.h)
-		}
-		if pool.liveEntries() != 0 || pool.totalRefs() != 0 {
-			t.Fatalf("seed %d: pool not drained: %d entries, %d refs",
-				seed, pool.liveEntries(), pool.totalRefs())
-		}
-		h := pool.acquire(universe[0], pol)
-		if pool.attrOf(h) != universe[0] || len(pool.compiled(h)) == 0 {
-			t.Fatalf("seed %d: reused slot serves wrong entry", seed)
-		}
-		pool.release(h)
-		return true
-	}
-	cfg := &quick.Config{MaxCount: 20, Rand: rand.New(rand.NewSource(3))}
-	if err := quick.Check(prop, cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestMemCompactionChurnRace runs disjoint attach -> handoff -> detach
 // churn from several goroutines while readers hammer the lookup paths and
 // MemStats scans the slabs, then audits the invariants. Under -race (make
-// verify) this covers every pairing of the table and the attribute pool
-// with the controller's three lock domains.
+// verify) this covers every pairing of the table and the attribute sets
+// with the controller's lock domains.
 func TestMemCompactionChurnRace(t *testing.T) {
 	c, _ := testController(t)
 	const workers, perWorker = 3, 4
@@ -303,9 +219,8 @@ func TestRecSizeMatchesRecord(t *testing.T) {
 	}
 }
 
-// TestInternPoolSteadyStateZeroAllocs pins the compaction fast paths to
-// literal zero heap allocations: a warmed UE-table lookup and an intern hit
-// in the attribute pool.
+// TestInternPoolSteadyStateZeroAllocs pins the compaction fast path to
+// literal zero heap allocations: a warmed UE-table and station-table lookup.
 func TestInternPoolSteadyStateZeroAllocs(t *testing.T) {
 	// UE table and station table: a hit on a warmed table allocates
 	// nothing.
@@ -325,30 +240,15 @@ func TestInternPoolSteadyStateZeroAllocs(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("UE-table lookup allocates %.1f/op, want 0", allocs)
 	}
-
-	// Attribute pool: an intern hit (the steady-state attach path — the
-	// city workload sees >99%% hits) allocates nothing.
-	pol := policy.ExampleCarrierPolicy()
-	pool := newAttrPool()
-	attr := policy.Attributes{Provider: "A", Plan: "silver"}
-	base := pool.acquire(attr, pol)
-	if allocs := testing.AllocsPerRun(1000, func() {
-		h := pool.acquire(attr, pol)
-		pool.release(h)
-	}); allocs != 0 {
-		t.Fatalf("attrPool intern hit allocates %.1f/op, want 0", allocs)
-	}
-	pool.release(base)
 }
 
 // TestChurnCycleAllocBudget pins the whole steady-state
-// attach -> handoff -> detach cycle to its measured allocation count (7)
+// attach -> handoff -> detach cycle to its measured allocation count (2)
 // plus two. Literal zero is out of reach — the two classifier slices the
-// cycle hands back, the reservation record the handoff keeps, and the
-// classifier template each attach recompiles (the detach released its only
-// holder) allocate by design — but the budget catches any regression to
-// per-UE map/string churn, which cost dozens of allocations per cycle in
-// the pre-compaction layout. No path is cached at the home station, so the
+// cycle hands back allocate by design; the attribute set compiles once, at
+// the first attach — but the budget catches any regression to per-UE
+// map/string churn, which cost dozens of allocations per cycle in the
+// pre-compaction layout. No path is cached at the home station, so the
 // handoff cuts no shortcuts; TestHandoffLocalAllocBudget in internal/shard
 // prices those.
 func TestChurnCycleAllocBudget(t *testing.T) {
@@ -369,11 +269,11 @@ func TestChurnCycleAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Warm the slab, indices, attribute pool, paths, and UEID free lists.
+	// Warm the slab, indices, attribute sets, paths, and UEID free lists.
 	for i := 0; i < 50; i++ {
 		cycle()
 	}
-	const budget = 9
+	const budget = 4
 	if allocs := testing.AllocsPerRun(200, cycle); allocs > budget {
 		t.Fatalf("steady-state attach/handoff/detach cycle allocates %.1f/op, budget %d", allocs, budget)
 	}

@@ -1,11 +1,12 @@
 package core
 
 // This file surfaces the compacted memory layout (DESIGN.md §14) as a
-// first-class measured quantity: MemStats walks the UE table and the
-// attribute pool under the usual lock order and reports counts and byte
-// footprints. The bench CLI embeds a MemStats snapshot in every BENCH_*.json
-// report; with an obs registry configured, each snapshot also updates the
-// core.mem.* gauges so live introspection sees the same numbers.
+// first-class measured quantity: MemStats walks the UE table, the station
+// table and the attribute sets this controller compiled under the usual
+// lock order and reports counts and byte footprints. The bench CLI embeds a
+// MemStats snapshot in every BENCH_*.json report; with an obs registry
+// configured, each snapshot also updates the core.mem.* gauges so live
+// introspection sees the same numbers.
 
 // MemStats is a point-in-time snapshot of the controller's state-layer
 // memory accounting.
@@ -20,11 +21,8 @@ type MemStats struct {
 	IMSIBytes      uint64 `json:"imsi_bytes"`      // retained IMSI string bytes
 	FreeUEIDs      int    `json:"free_ueids"`      // per-station UE ID free-stack depth (all stations)
 	Reservations   int    `json:"reservations"`    // still-reserved old LocIPs
-	// Attribute intern pool.
-	InternedAttrs int    `json:"interned_attrs"` // distinct attribute sets
-	AttrRefs      uint64 `json:"attr_refs"`      // live references from records
-	AttrHits      uint64 `json:"attr_hits"`      // acquire() intern hits
-	AttrMisses    uint64 `json:"attr_misses"`    // acquire() compiles (distinct sets seen)
+	// Attribute sets.
+	InternedAttrs int `json:"interned_attrs"` // sets this controller compiled
 	// Path table.
 	Paths int `json:"paths"` // installed policy paths
 }
@@ -42,9 +40,6 @@ func (m *MemStats) Add(o MemStats) {
 	m.FreeUEIDs += o.FreeUEIDs
 	m.Reservations += o.Reservations
 	m.InternedAttrs += o.InternedAttrs
-	m.AttrRefs += o.AttrRefs
-	m.AttrHits += o.AttrHits
-	m.AttrMisses += o.AttrMisses
 	m.Paths += o.Paths
 }
 
@@ -52,14 +47,6 @@ func (m *MemStats) Add(o MemStats) {
 // IMSI strings.
 func (m MemStats) TableBytes() uint64 {
 	return m.SlabBytes + m.IndexBytes + m.IMSIBytes
-}
-
-// AttrHitRate is the intern pool's acquire hit rate in [0, 1].
-func (m MemStats) AttrHitRate() float64 {
-	if m.AttrHits+m.AttrMisses == 0 {
-		return 0
-	}
-	return float64(m.AttrHits) / float64(m.AttrHits+m.AttrMisses)
 }
 
 // MemStats snapshots the controller's memory accounting. It takes both lock
@@ -80,11 +67,12 @@ func (c *Controller) MemStats() MemStats {
 		IMSIBytes:      c.ues.imsiBytes,
 		Attached:       c.ues.live,
 		Reservations:   len(c.reservations),
-		InternedAttrs:  c.attrs.liveEntries(),
-		AttrRefs:       c.attrs.totalRefs(),
-		AttrHits:       c.attrs.hits,
-		AttrMisses:     c.attrs.misses,
 		Paths:          c.paths.len(),
+	}
+	for _, e := range c.sets {
+		if e.ok {
+			ms.InternedAttrs++
+		}
 	}
 	// A table shared between shards is the dispatcher's to add, once.
 	if c.ues.subs.Store == c.Store {
@@ -108,5 +96,4 @@ func (o *coreObs) publishMem(ms MemStats) {
 	o.memSlabBytes.Set(int64(ms.SlabBytes + ms.IndexBytes + ms.IMSIBytes))
 	o.memFreeSlots.Set(int64(ms.FreeSlots))
 	o.memAttrs.Set(int64(ms.InternedAttrs))
-	o.memAttrHitPct.Set(int64(ms.AttrHitRate() * 100))
 }

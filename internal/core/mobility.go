@@ -96,7 +96,7 @@ func (in *Installer) RemoveShortcut(sc *Shortcut) int {
 // handles a HandoffResult gave out never change. Retired records are
 // recycled (Controller.rsvFree).
 type reservation struct {
-	imsi      string // the UE whose record reserved it; "" once that UE detached
+	imsi      string // the UE whose record reserved it; "" once parked (that UE's record left)
 	shortcuts []Shortcut
 	next      packet.Addr // the UE's next reserved LocIP; 0 ends the list
 }
@@ -160,27 +160,6 @@ func (c *Controller) reserveLocked(r *ueRecord, oldLoc packet.Addr) {
 	c.reservations[oldLoc] = rsv
 }
 
-// unreserveLocked takes loc off r's list.
-//
-// caller holds ueMu
-func (c *Controller) unreserveLocked(r *ueRecord, loc packet.Addr) {
-	for link := &r.rsv; *link != 0; link = &c.reservations[*link].next {
-		if *link == loc {
-			*link = c.reservations[loc].next
-			return
-		}
-	}
-}
-
-// retireLocked forgets the reservation of loc and recycles its record.
-//
-// caller holds ueMu
-func (c *Controller) retireLocked(loc packet.Addr, rsv *reservation) {
-	delete(c.reservations, loc)
-	*rsv = reservation{}
-	c.rsvFree = append(c.rsvFree, rsv)
-}
-
 // retargetReservationsLocked points every reserved LocIP of a UE at its
 // newest station, in ascending LocIP order: old shortcuts come down, fresh
 // ones (from the branch point of each path at the LocIP's origin station
@@ -197,7 +176,7 @@ func (c *Controller) retargetReservationsLocked(r *ueRecord, newAccess topo.Node
 	parent := c.Installer.tree(c.gateway)
 	hs.chain = c.T.AppendAncestorChain(hs.chain[:0], newAccess, parent)
 	hs.routes, hs.cuts = hs.routes[:0], hs.cuts[:0]
-	entries := c.attrs.compiled(r.attr)
+	entries := c.sets[r.set].compiled
 	for loc := r.rsv; loc != 0; {
 		rsv := c.reservations[loc]
 		for i := range rsv.shortcuts {
@@ -412,38 +391,39 @@ func (c *Controller) descendRoute(dst []topo.NodeID, from topo.NodeID, chain, pa
 }
 
 // ReleaseOldLocIP ends a handoff transition (the soft-timeout expiry): the
-// address's shortcuts come down and it returns to the allocation pool. The
-// shortcuts argument is accepted for symmetry with HandoffResult but the
-// controller's own reservation tracking is authoritative (shortcuts may
-// have been retargeted by later handoffs).
-func (c *Controller) ReleaseOldLocIP(oldLoc packet.Addr, shortcuts []*Shortcut) {
+// shortcuts the address's reservation lists come down and the address
+// returns to the allocation pool. An address no reservation holds (already
+// released, or cleared by a recovery) is left alone: freeing it again would
+// hand the same (station, UE ID) — the same LocIP — to two devices. The
+// shortcuts argument is ignored; the reservation is the one record of what
+// the handoff installed, retargeted by every later handoff of its UE.
+func (c *Controller) ReleaseOldLocIP(oldLoc packet.Addr, _ []*Shortcut) {
 	c.ueMu.Lock()
 	defer c.ueMu.Unlock()
-	c.ruleMu.Lock()
 	rsv, reserved := c.reservations[oldLoc]
-	if reserved {
-		for i := range rsv.shortcuts {
-			c.Installer.RemoveShortcut(&rsv.shortcuts[i])
-		}
-	} else {
-		for _, sc := range shortcuts {
-			c.Installer.RemoveShortcut(sc)
-		}
-	}
-	c.ruleMu.Unlock()
 	c.obs.evRelease.Emit(int64(oldLoc), boolInt(reserved))
 	if !reserved {
-		// Already released, or the UE migrated away (ExtractUE tears down
-		// reservations and frees their IDs itself). Freeing again would hand
-		// the same (station, UE ID) — the same LocIP — to two devices.
 		return
 	}
-	// A reservation that is not parked names its UE's slot, whose list it
-	// is on.
+	c.ruleMu.Lock()
+	for i := range rsv.shortcuts {
+		c.Installer.RemoveShortcut(&rsv.shortcuts[i])
+	}
+	c.ruleMu.Unlock()
+	// A reservation that is not parked names its UE's slot; it leaves that
+	// UE's list.
 	bs, id, _ := c.plan.Split(oldLoc)
 	if slot, held := c.stations.slot(bs, id); held {
-		c.unreserveLocked(c.ues.rec(slot), oldLoc)
+		link := &c.ues.rec(slot).rsv
+		for *link != 0 && *link != oldLoc {
+			link = &c.reservations[*link].next
+		}
+		if *link != 0 {
+			*link = rsv.next
+		}
 	}
-	c.retireLocked(oldLoc, rsv)
+	delete(c.reservations, oldLoc)
+	*rsv = reservation{}
+	c.rsvFree = append(c.rsvFree, rsv)
 	c.stations.release(bs, id)
 }

@@ -27,11 +27,10 @@ type coreObs struct {
 
 	// Memory-layout gauges (DESIGN.md §14), refreshed by each
 	// Controller.MemStats call.
-	memAttached   *obs.Gauge
-	memSlabBytes  *obs.Gauge
-	memFreeSlots  *obs.Gauge
-	memAttrs      *obs.Gauge
-	memAttrHitPct *obs.Gauge
+	memAttached  *obs.Gauge
+	memSlabBytes *obs.Gauge
+	memFreeSlots *obs.Gauge
+	memAttrs     *obs.Gauge
 
 	// Trace events: path install, tag publish/evict, handoff phases. An
 	// evict reports the served tags a rebuild did not carry over
@@ -87,16 +86,15 @@ func newCoreObs(reg *obs.Registry) coreObs {
 		rulesSaved: reg.Counter("core.rules.saved"),
 		ruleWait: reg.Histogram("core.lock.rule_wait_ns",
 			1000, 10000, 100000, 1000000, 10000000),
-		memAttached:   reg.Gauge("core.mem.attached"),
-		memSlabBytes:  reg.Gauge("core.mem.table_bytes"),
-		memFreeSlots:  reg.Gauge("core.mem.free_slots"),
-		memAttrs:      reg.Gauge("core.mem.interned_attrs"),
-		memAttrHitPct: reg.Gauge("core.mem.attr_hit_pct"),
-		evInstall:     reg.EventType("core.path.install", "bs", "clause", "tag", "rules"),
-		evTagPub:      reg.EventType("core.tag.publish", "bs", "clause", "tag"),
-		evTagEvict:    reg.EventType("core.tag.evict", "bs", "dropped"),
-		evHandoff:     reg.EventType("core.handoff.move", "old_bs", "new_bs", "shortcuts"),
-		evRelease:     reg.EventType("core.handoff.release", "loc", "reserved"),
+		memAttached:  reg.Gauge("core.mem.attached"),
+		memSlabBytes: reg.Gauge("core.mem.table_bytes"),
+		memFreeSlots: reg.Gauge("core.mem.free_slots"),
+		memAttrs:     reg.Gauge("core.mem.interned_attrs"),
+		evInstall:    reg.EventType("core.path.install", "bs", "clause", "tag", "rules"),
+		evTagPub:     reg.EventType("core.tag.publish", "bs", "clause", "tag"),
+		evTagEvict:   reg.EventType("core.tag.evict", "bs", "dropped"),
+		evHandoff:    reg.EventType("core.handoff.move", "old_bs", "new_bs", "shortcuts"),
+		evRelease:    reg.EventType("core.handoff.release", "loc", "reserved"),
 
 		spPath:        reg.SpanName("core.path"),
 		spPathRule:    reg.SpanName("core.lock.rule"),

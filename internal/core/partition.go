@@ -65,13 +65,15 @@ type MigratedUE struct {
 }
 
 // ExtractUE freezes and removes a UE's record for migration to another
-// controller (phase one of a cross-shard handoff): Detach's removal, except
-// that old-LocIP reservations are freed with the record rather than parked —
-// their shortcut state lives in this controller's switches only, and the
-// UE's old flows re-resolve on the target. No path or tag changes: the
-// departure station keeps serving its other UEs from the same path table.
+// controller (phase one of a cross-shard handoff): Detach's removal. The
+// shortcuts of its reserved old LocIPs come down — they live in this
+// controller's switches only, and the UE's old flows re-resolve on the
+// target — and each address stays parked here until its own
+// ReleaseOldLocIP, so a late release never frees an address another UE has
+// since been given. No path or tag changes: the departure station keeps
+// serving its other UEs from the same path table.
 func (c *Controller) ExtractUE(imsi string) (MigratedUE, error) {
-	return c.removeUE(imsi, false)
+	return c.removeUE(imsi)
 }
 
 // AdoptUE installs a migrated UE at a base station this controller owns
@@ -93,10 +95,11 @@ func (c *Controller) AdoptUE(m MigratedUE, bs packet.BSID) (UE, []Classifier, er
 	if _, _, ok := c.ues.get(m.IMSI); ok {
 		return UE{}, nil, fmt.Errorf("core: UE %q already present", m.IMSI)
 	}
-	if err := c.ues.subs.bind(m.IMSI, m.PermIP, c.ues.inst, c.ues.nextSlot()); err != nil {
+	set, err := c.ues.subs.bind(m.IMSI, m.PermIP, m.Attr, c.ues.inst, c.ues.nextSlot())
+	if err != nil {
 		return UE{}, nil, err
 	}
-	r, err := c.newRecordLocked(m.IMSI, m.Attr, m.PermIP, bs)
+	r, err := c.newRecordLocked(m.IMSI, set, m.PermIP, bs)
 	if err != nil {
 		c.ues.subs.release(m.IMSI, c.ues.inst)
 		return UE{}, nil, err

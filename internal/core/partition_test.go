@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -396,6 +397,173 @@ func TestCheckInvariantsCatchesStationTableDefects(t *testing.T) {
 			func() { row.free = row.free[:0] }, func() { row.free = append(row.free, 3) }},
 		{"an ID held by no record or reservation", "the station table holds 3 UE IDs; 2 records and 0 reservations",
 			func() { row.ids[2], row.free = 1, row.free[:0] }, func() { row.ids[2], row.free = 0, append(row.free, 3) }},
+	} {
+		d.plant()
+		if _, err := c.CheckInvariants(); err == nil || !strings.Contains(err.Error(), d.want) {
+			t.Fatalf("%s: err = %v, want %q", d.name, err, d.want)
+		}
+		d.mend()
+		if _, err := c.CheckInvariants(); err != nil {
+			t.Fatalf("%s, mended: %v", d.name, err)
+		}
+	}
+}
+
+// appClause is what a classifier decides for one app, its tag aside.
+type appClause struct {
+	app    policy.AppType
+	clause int
+	allow  bool
+}
+
+// clausesOf lists what a UE's classifiers decide.
+func clausesOf(cls []Classifier) []appClause {
+	var out []appClause
+	for _, c := range cls {
+		out = append(out, appClause{c.App, c.Clause, c.Allow})
+	}
+	return out
+}
+
+// compiledClauses lists what attr's compiled classifiers decide.
+func compiledClauses(pol *policy.Policy, attr policy.Attributes) []appClause {
+	var out []appClause
+	for _, e := range pol.Compile(attr) {
+		out = append(out, appClause{e.App, e.Clause, e.Action.Allow})
+	}
+	return out
+}
+
+// TestRecordKeepsItsAdmissionSet: re-registering an attached subscriber
+// leaves its record on the attribute set it was admitted under — its
+// UE.Attr and its classifiers — through a re-attach at its station, a
+// handoff, a re-attach at another station and an agent view; only the next
+// admission, from detached, takes the new set.
+func TestRecordKeepsItsAdmissionSet(t *testing.T) {
+	c, _ := testController(t)
+	first, second := policy.Attributes{Provider: "A", Plan: "silver"}, policy.Attributes{Provider: "B", Roaming: true}
+	if slices.Equal(compiledClauses(c.Policy, first), compiledClauses(c.Policy, second)) {
+		t.Fatal("the two attribute sets compile alike; the test would prove nothing")
+	}
+	if err := c.RegisterSubscriber("u", first); err != nil {
+		t.Fatal(err)
+	}
+	check := func(step string, ue UE, cls []Classifier, attr policy.Attributes) {
+		t.Helper()
+		if ue.Attr != attr || !slices.Equal(clausesOf(cls), compiledClauses(c.Policy, attr)) {
+			t.Fatalf("%s: UE carries %+v and classifiers %v; want %+v and %v", step, ue.Attr, clausesOf(cls), attr, compiledClauses(c.Policy, attr))
+		}
+	}
+	ue, cls, err := c.Attach("u", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("attach", ue, cls, first)
+	if err := c.RegisterSubscriber("u", second); err != nil {
+		t.Fatal(err)
+	}
+	ue, cls, err = c.Attach("u", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("re-attach at the same station", ue, cls, first)
+	hr, err := c.Handoff("u", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("handoff", hr.UE, hr.Classifiers, first)
+	if ue, cls, err = c.Attach("u", 2); err != nil {
+		t.Fatal(err)
+	}
+	check("re-attach at another station", ue, cls, first)
+	view, err := c.AgentView(2)
+	if err != nil || len(view.UEs) != 1 {
+		t.Fatalf("agent view of station 2: %d UEs, %v", len(view.UEs), err)
+	}
+	check("agent view", view.UEs[0].UE, view.UEs[0].Classifiers, first)
+	if _, err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Detach("u"); err != nil {
+		t.Fatal(err)
+	}
+	if ue, cls, err = c.Attach("u", 0); err != nil {
+		t.Fatal(err)
+	}
+	check("attach from detached", ue, cls, second)
+	if got := c.MemStats().InternedAttrs; got != 2 {
+		t.Fatalf("the controller compiled %d attribute sets, want 2", got)
+	}
+}
+
+// TestCrossShardMoveKeepsTheSetIndex: controllers sharing one subscriber
+// table agree on set indexes, so a UE moved between them keeps the one it
+// was admitted under, though its subscriber was re-registered meanwhile, and
+// the receiver compiles just that set.
+func TestCrossShardMoveKeepsTheSetIndex(t *testing.T) {
+	subs := NewSubscribers(store.New(1), packet.Prefix{})
+	a := shardedController(t, subs, []packet.BSID{0, 1}, 0, 2)
+	b := shardedController(t, subs, []packet.BSID{2, 3}, 1, 2)
+	for imsi, attr := range map[string]policy.Attributes{"other": {Provider: "B"}, "mover": {Provider: "A", Plan: "gold"}} {
+		if err := subs.Register(imsi, attr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := a.Attach("mover", 0); err != nil {
+		t.Fatal(err)
+	}
+	r, _, _ := a.ues.get("mover")
+	set := r.set
+	if err := subs.Register("mover", policy.Attributes{Provider: "C"}); err != nil {
+		t.Fatal(err)
+	}
+	m, err := a.ExtractUE("mover")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := b.AdoptUE(m, 2); err != nil {
+		t.Fatal(err)
+	}
+	if r, _, ok := b.ues.get("mover"); !ok || r.set != set {
+		t.Fatalf("the adopted record's set is %d (held %v), the source admitted it under %d", r.set, ok, set)
+	}
+	if got := b.MemStats().InternedAttrs; got != 1 {
+		t.Fatalf("the receiver compiled %d attribute sets, want 1", got)
+	}
+	for _, c := range []*Controller{a, b} {
+		if _, err := c.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCheckInvariantsCatchesAnUncompiledSet plants the ways a record's
+// attribute set and the controller's compiled sets can part: a record on a
+// set this controller never compiled, or on an index past every set, and a
+// compiled set that is not the subscriber table's at its index.
+func TestCheckInvariantsCatchesAnUncompiledSet(t *testing.T) {
+	c := shardedController(t, nil, []packet.BSID{0, 1}, 0, 2)
+	attached, idle := policy.Attributes{Provider: "A"}, policy.Attributes{Provider: "B"}
+	if err := c.RegisterSubscriber("a", attached); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RegisterSubscriber("b", idle); err != nil { // set 2, never admitted here
+		t.Fatal(err)
+	}
+	if _, _, err := c.Attach("a", 0); err != nil {
+		t.Fatal(err)
+	}
+	r, _, _ := c.ues.get("a")
+	for _, d := range []struct {
+		name, want  string
+		plant, mend func()
+	}{
+		{"a record on a set not compiled here", `"a" is admitted under attribute set 2, which this controller never compiled`,
+			func() { r.set = 2 }, func() { r.set = 1 }},
+		{"a record past every set", `"a" is admitted under attribute set 9, which this controller never compiled`,
+			func() { r.set = 9 }, func() { r.set = 1 }},
+		{"a compiled set the table does not hold", "attribute set 1 was compiled from",
+			func() { c.sets[1].attr = idle }, func() { c.sets[1].attr = attached }},
 	} {
 		d.plant()
 		if _, err := c.CheckInvariants(); err == nil || !strings.Contains(err.Error(), d.want) {

@@ -41,7 +41,8 @@ type Subscribers struct {
 	Pool  packet.Prefix // the block permanent addresses are drawn from; fixed at construction
 	mu    sync.RWMutex
 	// Subscribers share a handful of distinct attribute sets, so a record
-	// indexes its set; sets only grows (by the sets ever seen).
+	// here and a UE record at its holder index the set; sets only grows (by
+	// the sets ever registered or imported).
 	byIMSI     map[string]subRec            // guarded by mu
 	imsiOf     map[packet.Addr]string       // guarded by mu; the reverse of subRec.perm
 	sets       []policy.Attributes          // guarded by mu; sets[0] stands for "not registered"
@@ -68,14 +69,9 @@ func NewSubscribers(st *store.Store, pool packet.Prefix) *Subscribers {
 func (s *Subscribers) Register(imsi string, attr policy.Attributes) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	set, ok := s.setIdx[attr]
-	if !ok {
-		if len(s.sets) > int(^uint16(0)) {
-			return fmt.Errorf("core: subscriber table holds %d distinct attribute sets, its limit", len(s.sets)-1)
-		}
-		set = uint16(len(s.sets))
-		s.sets = append(s.sets, attr)
-		s.setIdx[attr] = set
+	set, err := s.internLocked(attr)
+	if err != nil {
+		return err
 	}
 	rec, known := s.byIMSI[imsi]
 	if !known {
@@ -87,8 +83,36 @@ func (s *Subscribers) Register(imsi string, attr policy.Attributes) error {
 	rec.set = set
 	s.byIMSI[imsi] = rec
 	s.encBuf = AppendSubscriberRecord(s.encBuf[:0], attr)
-	_, err := s.Store.Put("sub/"+imsi, s.encBuf)
+	_, err = s.Store.Put("sub/"+imsi, s.encBuf)
 	return err
+}
+
+// internLocked returns attr's set index, adding the set the first time it
+// is seen. The index is the one handle a UE record keeps on its attributes.
+//
+// caller holds mu
+func (s *Subscribers) internLocked(attr policy.Attributes) (uint16, error) {
+	if set, ok := s.setIdx[attr]; ok {
+		return set, nil
+	}
+	if len(s.sets) > int(^uint16(0)) {
+		return 0, fmt.Errorf("core: subscriber table holds %d distinct attribute sets, its limit", len(s.sets)-1)
+	}
+	set := uint16(len(s.sets))
+	s.sets = append(s.sets, attr)
+	s.setIdx[attr] = set
+	return set, nil
+}
+
+// attrsOf returns the attributes of set; ok is false for an index the table
+// never handed out.
+func (s *Subscribers) attrsOf(set uint16) (attr policy.Attributes, ok bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if set == 0 || int(set) >= len(s.sets) {
+		return policy.Attributes{}, false
+	}
+	return s.sets[set], true
 }
 
 // Holder reports which controller instance (Controller.Instance) holds the
@@ -171,19 +195,19 @@ func (s *Subscribers) locate(imsi string) (holder uint16, slot uint32) {
 }
 
 // admit makes inst the holder of a registered subscriber's location record,
-// to be filled at slot, and returns what the record needs: the attributes as
-// registered now, and the permanent address, drawn from the pool if this is
-// the first attach.
-func (s *Subscribers) admit(imsi string, inst uint16, slot uint32) (policy.Attributes, packet.Addr, error) {
+// to be filled at slot, and returns what the record needs: the index of the
+// attribute set registered now, and the permanent address, drawn from the
+// pool if this is the first attach.
+func (s *Subscribers) admit(imsi string, inst uint16, slot uint32) (uint16, packet.Addr, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rec := s.byIMSI[imsi]
 	if rec.set == 0 {
-		return policy.Attributes{}, 0, fmt.Errorf("core: unknown subscriber %q", imsi)
+		return 0, 0, fmt.Errorf("core: unknown subscriber %q", imsi)
 	}
 	if rec.perm == 0 {
 		if s.next >= 1<<(32-s.Pool.Len)-1 {
-			return policy.Attributes{}, 0, fmt.Errorf("core: attach of %q: %w", imsi, ErrPermPoolExhausted)
+			return 0, 0, fmt.Errorf("core: attach of %q: %w", imsi, ErrPermPoolExhausted)
 		}
 		s.next++
 		rec.perm = s.Pool.Addr | packet.Addr(s.next)
@@ -191,18 +215,24 @@ func (s *Subscribers) admit(imsi string, inst uint16, slot uint32) (policy.Attri
 	}
 	rec.holder, rec.slot = inst, slot
 	s.byIMSI[imsi] = rec
-	return s.sets[rec.set], rec.perm, nil
+	return rec.set, rec.perm, nil
 }
 
-// bind makes inst the holder, at slot, of a UE imported with its address (a
-// migrated record or an agent's report), registered here or not. An address
-// the table already bound wins over a differing import, and the pool never
-// draws an imported address again.
-func (s *Subscribers) bind(imsi string, perm packet.Addr, inst uint16, slot uint32) error {
+// bind makes inst the holder, at slot, of a UE imported with its address and
+// attributes (a migrated record or an agent's report), registered here or
+// not, and returns the index of the imported set, which it interns without
+// registering the subscriber under it. An address the table already bound
+// wins over a differing import, and the pool never draws an imported
+// address again.
+func (s *Subscribers) bind(imsi string, perm packet.Addr, attr policy.Attributes, inst uint16, slot uint32) (uint16, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.bindConflictLocked(imsi, perm); err != nil {
-		return err
+		return 0, err
+	}
+	set, err := s.internLocked(attr)
+	if err != nil {
+		return 0, err
 	}
 	rec, known := s.byIMSI[imsi]
 	if !known {
@@ -214,7 +244,7 @@ func (s *Subscribers) bind(imsi string, perm packet.Addr, inst uint16, slot uint
 	rec.perm, rec.holder, rec.slot = perm, inst, slot
 	s.byIMSI[imsi] = rec
 	s.imsiOf[perm] = imsi
-	return nil
+	return set, nil
 }
 
 // checkBind reports whether bind would refuse imsi with perm, changing

@@ -26,15 +26,15 @@ import (
 // Neither table is internally synchronised; the Controller guards both
 // with ueMu.
 
-// ueRecord is one fixed-size slot. Attributes live in the attrPool; the
-// record stores a 32-bit handle, and permIP is the record's copy of the
-// address Subscribers binds to the IMSI. rsv heads the UE's list of
-// reserved old LocIPs (0 when it has none; see reservation). A live record
-// always holds a handle and a location (attr != 0, locIP != 0); a free slot
-// is zeroed.
+// ueRecord is one fixed-size slot. set indexes the subscriber table's
+// attribute set the UE was admitted under (the controller compiles each set
+// once), and permIP is the record's copy of the address Subscribers binds to
+// the IMSI. rsv heads the UE's list of reserved old LocIPs (0 when it has
+// none; see reservation). A live record always holds a set and a location
+// (set != 0, locIP != 0); a free slot is zeroed.
 type ueRecord struct {
 	imsi   string
-	attr   attrHandle
+	set    uint16
 	permIP packet.Addr
 	locIP  packet.Addr
 	bs     packet.BSID
@@ -93,9 +93,9 @@ func (t *ueTable) nextSlot() uint32 {
 	return t.next
 }
 
-// alloc takes nextSlot() for a UE admitted under attr with permanent
-// address perm.
-func (t *ueTable) alloc(imsi string, attr attrHandle, perm packet.Addr) (*ueRecord, uint32) {
+// alloc takes nextSlot() for a UE admitted under attribute set set with
+// permanent address perm.
+func (t *ueTable) alloc(imsi string, set uint16, perm packet.Addr) (*ueRecord, uint32) {
 	var slot uint32
 	if n := len(t.free); n > 0 {
 		slot = t.free[n-1]
@@ -108,7 +108,7 @@ func (t *ueTable) alloc(imsi string, attr attrHandle, perm packet.Addr) (*ueReco
 		}
 	}
 	r := t.rec(slot)
-	*r = ueRecord{imsi: imsi, attr: attr, permIP: perm}
+	*r = ueRecord{imsi: imsi, set: set, permIP: perm}
 	t.imsiBytes += uint64(len(imsi))
 	t.live++
 	return r, slot
@@ -128,7 +128,7 @@ func (t *ueTable) freeRec(slot uint32) {
 func (t *ueTable) forEach(fn func(slot uint32, r *ueRecord) bool) {
 	for slot := uint32(0); slot < t.next; slot++ {
 		r := t.rec(slot)
-		if r.attr == 0 {
+		if r.set == 0 {
 			continue
 		}
 		if !fn(slot, r) {
@@ -148,10 +148,11 @@ func (t *ueTable) slabBytes() uint64 {
 // station, sized once from the topology (as the path table is), and a
 // LocIP resolves by plan.Split and two index operations. In a row, ids[id-1]
 // is 0 while UE ID id is free, slot+1 while it is the current or a
-// still-reserved old LocIP of the record at slot, and idParked while a
-// Detach has parked its reservation; len(ids) is the station's high-water
-// mark. free stacks the free IDs below the mark: the last one freed is
-// handed out next, and after an import the lowest.
+// still-reserved old LocIP of the record at slot, and idParked while its
+// reservation is parked (its UE detached or moved to another controller);
+// len(ids) is the station's high-water mark. free stacks the free IDs below
+// the mark: the last one freed is handed out next, and after an import the
+// lowest.
 type stationTable []stationRow
 
 type stationRow struct {

@@ -209,8 +209,8 @@ func parseLocationReport(b []byte) (core.AgentLocationReport, error) {
 }
 
 // appendSnapshotNotify encodes a pushed snapshot: its version, the view's
-// station and epoch, the view's UEs each followed by its classifiers, then
-// the station's tag grants.
+// station and epoch, the view's UEs each followed by its classifiers and its
+// reserved LocIPs, then the station's tag grants.
 func appendSnapshotNotify(dst []byte, n SnapshotNotify) []byte {
 	dst = binary.AppendUvarint(dst, n.Version)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(n.View.BS))
@@ -219,6 +219,10 @@ func appendSnapshotNotify(dst []byte, n SnapshotNotify) []byte {
 	for _, u := range n.View.UEs {
 		dst = appendUE(dst, u.UE)
 		dst = appendClassifiers(dst, u.Classifiers)
+		dst = binary.AppendUvarint(dst, uint64(len(u.Reserved)))
+		for _, loc := range u.Reserved {
+			dst = binary.BigEndian.AppendUint32(dst, uint32(loc))
+		}
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(n.View.Tags)))
 	for _, g := range n.View.Tags {
@@ -234,10 +238,17 @@ func parseSnapshotNotify(b []byte) (SnapshotNotify, error) {
 	n.Version = d.Uvarint()
 	n.View.BS = packet.BSID(d.Uint32())
 	n.View.Epoch = d.Uvarint()
-	if k := d.Count(ueMinBytes + 1); k > 0 {
+	if k := d.Count(ueMinBytes + 2); k > 0 {
 		n.View.UEs = make([]core.AgentViewUE, k)
 		for i := range n.View.UEs {
-			n.View.UEs[i] = core.AgentViewUE{UE: decodeUE(&d), Classifiers: decodeClassifiers(&d)}
+			u := &n.View.UEs[i]
+			u.UE, u.Classifiers = decodeUE(&d), decodeClassifiers(&d)
+			if r := d.Count(4); r > 0 {
+				u.Reserved = make([]packet.Addr, r)
+				for j := range u.Reserved {
+					u.Reserved[j] = packet.Addr(d.Uint32())
+				}
+			}
 		}
 	}
 	if k := d.Count(8); k > 0 {

@@ -398,3 +398,41 @@ func TestPublishMidHandoffKeepsMigratedFlows(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPublishKeepsReservedLocIPs: station 33's published view lists a UE
+// handed in from station 7 with its reserved old LocIP, so a publish between
+// the handoff and the release keeps delivering to that address (§5.1), and
+// the publish after the release drops it.
+func TestPublishKeepsReservedLocIPs(t *testing.T) {
+	net := genNet(t)
+	if err := net.Ctrl.RegisterSubscriber("r", policy.Attributes{Provider: "A"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := net.Attach("r", 7); err != nil {
+		t.Fatal(err)
+	}
+	hr, err := net.Handoff("r", 33)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ag := net.Agents[33]
+	arrive := func() (bool, error) {
+		t.Helper()
+		view, err := net.Ctrl.AgentView(33)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ag.Publish(agent.NewSnapshot(ag.Version()+1, view)); err != nil {
+			t.Fatal(err)
+		}
+		return ag.HandleArrival(&packet.Packet{Src: packet.AddrFrom4(10, 0, 99, 1), Dst: hr.OldLocIP,
+			SrcPort: 5000, DstPort: 80, Proto: packet.ProtoTCP})
+	}
+	if delivered, err := arrive(); !delivered || err != nil {
+		t.Fatalf("after a publish, an arrival for the reserved %s: delivered %v, %v", hr.OldLocIP, delivered, err)
+	}
+	net.Ctrl.ReleaseOldLocIP(hr.OldLocIP, hr.Shortcuts)
+	if delivered, err := arrive(); delivered || err == nil {
+		t.Fatalf("after the release and a publish, %s still resolves at station 33 (delivered %v)", hr.OldLocIP, delivered)
+	}
+}

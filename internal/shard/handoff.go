@@ -13,8 +13,9 @@ import (
 // Across a shard boundary it is a two-phase migration:
 //
 //  1. freeze-on-source: the source shard extracts the UE's record, tearing
-//     down its location state and old-LocIP reservations (the shortcut
-//     state lives in the source shard's switches only);
+//     down its location state and its old-LocIP reservations' shortcuts
+//     (they live in the source shard's switches only); each reserved
+//     address stays parked on the source until its own release;
 //  2. install-on-target: the target shard adopts the record, allocating a
 //     LocIP from its own sub-pool and compiling classifiers against its
 //     own path table — the UE's policy paths resolve again immediately,
@@ -72,9 +73,9 @@ func (d *Dispatcher) handoff(sc obs.SpanContext, imsi string, newBS packet.BSID)
 		UE:       ue,
 		OldBS:    mig.OldBS,
 		OldLocIP: mig.OldLocIP,
-		// Classifiers come from the target shard; no Shortcuts: the old
-		// LocIP's state was torn down with the source extraction, so old
-		// flows re-resolve through the new classifiers instead of riding a
+		// Classifiers come from the target shard; no Shortcuts: the source
+		// extraction took the old LocIPs' shortcuts down, so old flows
+		// re-resolve through the new classifiers instead of riding a
 		// temporary shortcut (a cross-shard soft handoff would need
 		// cross-shard FIB writes, which shards by design never do).
 		Classifiers: cls,

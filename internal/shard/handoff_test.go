@@ -221,3 +221,56 @@ func TestFailedMoveKeepsTheUE(t *testing.T) {
 		}
 	}
 }
+
+// TestLateReleaseOfAMovedUEFreesOnlyItsOwnAddress: a UE that hands off
+// within shard 0 and then moves to shard 1 leaves its reserved old LocIP
+// parked on shard 0, so the release that fires later frees that address
+// alone. Another UE given the same station's next address, and the handoff
+// reservation it makes there, outlive that release; a third UE attaching at
+// the station is never handed the second one's reserved LocIP.
+func TestLateReleaseOfAMovedUEFreesOnlyItsOwnAddress(t *testing.T) {
+	d, _ := newTestDispatcher(t, 2)
+	home, away := d.Shard(0), d.Shard(1)
+	st := home.Ctrl.Stations()
+	s0, s1, far := st[0], st[1], away.Ctrl.Stations()[0]
+	for _, imsi := range []string{"a", "b", "c"} {
+		if err := d.RegisterSubscriber(imsi, policy.Attributes{Provider: "A"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := d.Attach("a", s0); err != nil {
+		t.Fatal(err)
+	}
+	hrA, err := d.Handoff("a", s1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Handoff("a", far); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := d.Attach("b", s0); err != nil {
+		t.Fatal(err)
+	}
+	hrB, err := d.Handoff("b", s1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := home.Ctrl.MemStats().Reservations
+	home.Ctrl.ReleaseOldLocIP(hrA.OldLocIP, hrA.Shortcuts)
+	if after := home.Ctrl.MemStats().Reservations; after != 1 {
+		t.Errorf("a's late release of %s took shard 0's reservations from %d to %d; b's alone should remain", hrA.OldLocIP, before, after)
+	}
+	if ue, ok := home.Ctrl.LookupByLocIP(hrB.OldLocIP); !ok || ue.IMSI != "b" {
+		t.Errorf("after a's release, b's reserved %s resolves to %q (%v), want b", hrB.OldLocIP, ue.IMSI, ok)
+	}
+	ue, _, err := d.Attach("c", s0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ue.LocIP == hrB.OldLocIP {
+		t.Errorf("c was handed %s, which b's handoff still reserves", ue.LocIP)
+	}
+	if _, err := home.Ctrl.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
