@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/fastpath"
 	"repro/internal/packet"
 	"repro/internal/switchsim"
@@ -151,7 +152,7 @@ func (s *BurstSender) Send(bs packet.BSID, pkts []*packet.Packet, out []BurstOut
 				return out, err
 			}
 			o.Disposition, o.Last = wr.Disposition, wr.Last
-			o.Hops, o.Slow = len(wr.Hops), true
+			o.Hops, o.Slow = traversals(wr.Hops), true
 		}
 	}
 	if delivered > 0 {
@@ -164,4 +165,18 @@ func (s *BurstSender) Send(bs packet.BSID, pkts []*packet.Packet, out []BurstOut
 		atomic.AddUint64(&n.Dropped, dropped)
 	}
 	return out, nil
+}
+
+// traversals counts the switch entries among a walk's hops, leaving out its
+// middlebox events: the fast path's count of the same walk. A switch a
+// packet re-enters from its middlebox counts again, as the fast path steps
+// it again.
+func traversals(hops []Hop) int {
+	k := 0
+	for _, h := range hops {
+		if h.MB == core.NoMB {
+			k++
+		}
+	}
+	return k
 }

@@ -199,6 +199,61 @@ func TestBurstSlowPathFallback(t *testing.T) {
 	}
 }
 
+// TestReplayHopsCountSwitches: a packet the burst replays on the slow path
+// reports its switch traversals in BurstOutcome.Hops, as the fast path
+// counts a walk, and not the walk's hop events. A silver web flow from
+// station 0 crosses the firewall at cs1: the box is one event more than
+// the five switch entries (as0, cs2, cs1, cs1 again, the gateway), which
+// the twin network's switch counters count.
+func TestReplayHopsCountSwitches(t *testing.T) {
+	fastNet, _ := newNet(t, packet.Prefix{})
+	refNet, _ := newNet(t, packet.Prefix{})
+	var ue core.UE
+	for _, n := range []*Network{fastNet, refNet} {
+		if err := n.Ctrl.RegisterSubscriber("s", policy.Attributes{Provider: "A", Plan: "silver"}); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if ue, err = n.Attach("s", 0); err != nil {
+			t.Fatal(err)
+		}
+		if res, err := n.SendUpstream(0, webPacket(ue, 40000)); err != nil || res.Disposition != ExitedNet {
+			t.Fatalf("opening: %s (%v)", res.Disposition, err)
+		}
+	}
+	processed := func() (sum uint64) {
+		for _, sw := range refNet.Switches {
+			sum += atomic.LoadUint64(&sw.Processed)
+		}
+		return sum
+	}
+	before := processed()
+	wr, err := refNet.SendUpstream(0, webPacket(ue, 40000))
+	if err != nil || wr.Disposition != ExitedNet {
+		t.Fatalf("sequential send: %s (%v)", wr.Disposition, err)
+	}
+	traversals := int(processed() - before)
+	if boxes := mbNames(refNet, wr.Hops); len(boxes) != 1 || boxes[0] != "firewall" || traversals != 5 || len(wr.Hops) != 6 {
+		t.Fatalf("sequential send: %d events, %d switch traversals, middleboxes %v; want 6, 5 and [firewall]",
+			len(wr.Hops), traversals, boxes)
+	}
+
+	fastNet.EnableFastPath(1)
+	defer fastNet.DisableFastPath()
+	sender, err := fastNet.NewBurstSender()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := sender.Send(0, []*packet.Packet{webPacket(ue, 40000)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o := out[0]; !o.Slow || o.Disposition != ExitedNet || o.Hops != traversals {
+		t.Fatalf("burst replay: %s after %d hops (slow=%v), want exited after the %d switch traversals",
+			o.Disposition, o.Hops, o.Slow, traversals)
+	}
+}
+
 // TestEnableFastPathStartsNoGoroutine: the fast path is a compiled view
 // that senders walk in their own goroutines, so enabling it, at any
 // requested worker count, runs nothing in the background.

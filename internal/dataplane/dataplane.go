@@ -56,6 +56,8 @@ type Network struct {
 	bindings []publicBinding  // §7 public-IP classifiers, part of the gateway's table
 	synced   []uint64         // per node: the FIB version its TCAM holds; see Sync
 	edits    []switchsim.Edit // Sync's splice scratch
+	hops     []Hop            // the hop buffer every walk records into; see WalkResult.Hops
+	mbPkt    packet.Packet    // the copy a middlebox processes; see processBox
 
 	fast  *fastpath.Engine // burst fast path; see EnableFastPath (burst.go)
 	obs   *dpObs           // burst telemetry; see Instrument (obs.go)
@@ -387,6 +389,11 @@ func (d Disposition) String() string {
 
 // WalkResult reports one packet's journey.
 type WalkResult struct {
+	// Hops lists the walk's events in order. It is the Network's hop
+	// buffer, so a walk allocates nothing for it: the slice is valid only
+	// until the Network's next send (SendUpstream, SendDownstream or a
+	// BurstSender's slow-path replay), which overwrites it. A caller that
+	// keeps the hops longer copies them (slices.Clone).
 	Hops        []Hop
 	Disposition Disposition
 	Last        topo.NodeID
@@ -435,13 +442,6 @@ func (n *Network) direction(p *packet.Packet) mbox.Direction {
 	return mbox.Upstream
 }
 
-// walkHops is the capacity a walk's Hops starts with (64 B), so a
-// middlebox-free walk allocates it once: on the benchmark's 81-switch
-// plant those walks cross at most 7 switches. A middlebox adds two events
-// (the box, then its switch again); those walks, up to 15 events there,
-// grow it once.
-const walkHops = 8
-
 // process runs p through node's switch. With the fast path on it steps
 // the switch's compiled snapshot (recompiled first if stale); otherwise
 // it interprets the switch's tables under their lock.
@@ -453,39 +453,53 @@ func (n *Network) process(node topo.NodeID, inPort int, p *packet.Packet) fastpa
 	return fastpath.Verdict{Output: v.Output, Drop: v.Drop, ToController: v.ToController}
 }
 
-// walk processes a packet starting at node with the given ingress port.
-func (n *Network) walk(node topo.NodeID, inPort int, p *packet.Packet) (WalkResult, error) {
-	res := WalkResult{Packet: p, Hops: make([]Hop, 0, walkHops)}
-	cur := node
-	for hops := 0; hops < fastpath.HopBudget(len(n.T.Nodes)); hops++ {
-		res.Hops = append(res.Hops, Hop{Node: cur, MB: core.NoMB})
+// walk processes a packet starting at node with the given ingress port. It
+// records the hops in the Network's hop buffer after its first keep
+// entries: 0 starts a fresh record, and an arrival punt's resumed leg keeps
+// the leg before it.
+func (n *Network) walk(node topo.NodeID, inPort int, p *packet.Packet, keep int) (WalkResult, error) {
+	res := WalkResult{Packet: p}
+	hops, err := n.walkFrom(&res, n.hops[:keep], node, inPort)
+	n.hops = hops // the buffer keeps what it grew to
+	res.Hops = hops
+	return res, err
+}
+
+// walkFrom is walk's hop loop: it moves res.Packet switch by switch from
+// cur, appending each event to hops, and fills in res's outcome. The hops
+// stay apart from res until walk stores them, so that storing the buffer
+// in the Network does not take the caller's packet to the heap with it.
+func (n *Network) walkFrom(res *WalkResult, hops []Hop, cur topo.NodeID, inPort int) ([]Hop, error) {
+	p := res.Packet
+	for range fastpath.HopBudget(len(n.T.Nodes)) {
+		hops = append(hops, Hop{Node: cur, MB: core.NoMB})
 		v := n.process(cur, inPort, p)
 		switch {
 		case v.ToController:
 			res.Disposition, res.Last = PuntedAgent, cur
-			return res, nil
+			return hops, nil
 		case v.Drop:
 			atomic.AddUint64(&n.Dropped, 1)
 			res.Disposition, res.Last = DroppedAt, cur
-			return res, nil
+			return hops, nil
 		case v.Output == switchsim.PortUE:
 			atomic.AddUint64(&n.Delivered, 1)
 			res.Disposition, res.Last = Delivered, cur
-			return res, nil
+			return hops, nil
 		case v.Output == switchsim.PortExit:
 			if n.GatewayNAT != nil && !n.GatewayNAT.Process(p, mbox.Upstream) {
 				atomic.AddUint64(&n.Dropped, 1)
 				res.Disposition, res.Last = DroppedAt, cur
-				return res, nil
+				return hops, nil
 			}
 			atomic.AddUint64(&n.Exited, 1)
 			res.Disposition, res.Last = ExitedNet, cur
-			return res, nil
+			return hops, nil
 		case v.Output >= switchsim.PortTunnelBase:
 			bs := packet.BSID(v.Output - switchsim.PortTunnelBase)
 			st, ok := n.T.Station(bs)
 			if !ok {
-				return res, fmt.Errorf("dataplane: tunnel to unknown station %d", bs)
+				return hops, fmt.Errorf("dataplane: tunnel to unknown station %d", bs)
 			}
 			cur = st.Access
 			inPort = switchsim.PortTunnelBase // tunnel ingress pseudo port
@@ -494,15 +508,14 @@ func (n *Network) walk(node topo.NodeID, inPort int, p *packet.Packet) (WalkResu
 			// Middlebox attachment port.
 			inst, ok := n.mbAtPort(cur, v.Output)
 			if !ok {
-				return res, fmt.Errorf("dataplane: switch %d has no port %d", cur, v.Output)
+				return hops, fmt.Errorf("dataplane: switch %d has no port %d", cur, v.Output)
 			}
-			box := n.Boxes[inst]
-			res.Hops = append(res.Hops, Hop{Node: cur, MB: inst})
+			hops = append(hops, Hop{Node: cur, MB: inst})
 			res.Latency += mbProcessing
-			if !box.Process(p, n.direction(p)) {
+			if !n.processBox(n.Boxes[inst], p) {
 				atomic.AddUint64(&n.Dropped, 1)
 				res.Disposition, res.Last = DroppedAt, cur
-				return res, nil
+				return hops, nil
 			}
 			inPort = v.Output // returns on the same port
 			continue
@@ -513,7 +526,19 @@ func (n *Network) walk(node topo.NodeID, inPort int, p *packet.Packet) (WalkResu
 			res.Latency += hopPropagation + n.queueDelay(p.DSCP)
 		}
 	}
-	return res, fmt.Errorf("dataplane: packet exceeded hop budget (forwarding loop?)")
+	return hops, fmt.Errorf("dataplane: packet exceeded hop budget (forwarding loop?)")
+}
+
+// processBox runs p through box in the direction its addresses give. The
+// box processes the Network's scratch copy of p, copied back: p is the
+// caller's packet, and one handed to an interface method escapes to the
+// heap. Like the hop buffer, the copy relies on the slow path being
+// single-threaded (BurstSender), and no box keeps the packet past Process.
+func (n *Network) processBox(box mbox.Middlebox, p *packet.Packet) bool {
+	n.mbPkt = *p
+	ok := box.Process(&n.mbPkt, n.direction(p))
+	*p = n.mbPkt
+	return ok
 }
 
 // mbAtPort names the middlebox behind one of node's attachment ports, which
@@ -537,7 +562,7 @@ func (n *Network) SendUpstream(bs packet.BSID, p *packet.Packet) (WalkResult, er
 	if !ok {
 		return WalkResult{}, fmt.Errorf("dataplane: unknown base station %d", bs)
 	}
-	res, err := n.walk(st.Access, switchsim.PortUE, p)
+	res, err := n.walk(st.Access, switchsim.PortUE, p, 0)
 	if err != nil || res.Disposition != PuntedAgent {
 		return res, err
 	}
@@ -554,7 +579,7 @@ func (n *Network) SendUpstream(bs packet.BSID, p *packet.Packet) (WalkResult, er
 	if err := n.Sync(); err != nil { // new paths may have been installed
 		return res, err
 	}
-	res, err = n.walk(st.Access, switchsim.PortUE, p)
+	res, err = n.walk(st.Access, switchsim.PortUE, p, 0)
 	if err != nil {
 		return res, err
 	}
@@ -579,11 +604,10 @@ func (n *Network) resolveArrivalPunts(res WalkResult, p *packet.Packet) (WalkRes
 			res.Disposition = DroppedAt
 			return res, nil
 		}
-		next, err := n.walk(res.Last, switchsim.PortTunnelBase, p)
+		next, err := n.walk(res.Last, switchsim.PortTunnelBase, p, len(res.Hops))
 		if err != nil {
 			return next, err
 		}
-		next.Hops = append(res.Hops, next.Hops...)
 		res = next
 	}
 	return res, nil
@@ -598,7 +622,7 @@ func (n *Network) SendDownstream(p *packet.Packet) (WalkResult, error) {
 		atomic.AddUint64(&n.Dropped, 1)
 		return WalkResult{Disposition: DroppedAt, Last: n.Ctrl.Gateway(), Packet: p}, nil
 	}
-	res, err := n.walk(n.Ctrl.Gateway(), switchsim.PortExit, p)
+	res, err := n.walk(n.Ctrl.Gateway(), switchsim.PortExit, p, 0)
 	if err != nil {
 		return res, err
 	}

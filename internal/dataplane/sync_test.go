@@ -411,7 +411,7 @@ func (c *churn) checkWalkers(w *fastpath.Walker, when string) (paths, reserved i
 				holder.InstallMicroflow(arrives, switchsim.Action{Output: switchsim.PortUE}, switchsim.Cookie{})
 			}
 			fp := *pkt
-			got, err := n.walk(from, port, pkt)
+			got, err := n.walk(from, port, pkt, 0)
 			if err != nil {
 				t.Fatalf("%s: %v (first hops %v)", what, err, got.Hops[:min(24, len(got.Hops))])
 			}

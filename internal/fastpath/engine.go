@@ -147,11 +147,12 @@ type group struct {
 	idx    []int32
 }
 
-// scratch is one worker's reusable walk state: the pending-group queue
-// and a free list of index slices, so steady-state walks allocate
-// nothing.
+// scratch is one worker's reusable walk state: the group queue, walked
+// from head so it keeps its capacity from burst to burst, and a free list
+// of index slices, so steady-state walks allocate nothing.
 type scratch struct {
-	queue []group
+	queue []group // queue[head:] is pending; queue[:head] was stepped this burst
+	head  int
 	free  [][]int32
 	t     tally
 }
@@ -184,9 +185,9 @@ func (n *Net) walkBurst(sc *scratch, j *job) {
 	}
 	sc.queue = append(sc.queue[:0], group{node: int32(j.origin), inPort: int32(j.inPort), idx: first})
 
-	for len(sc.queue) > 0 {
-		g := sc.queue[0]
-		sc.queue = sc.queue[1:]
+	for sc.head = 0; sc.head < len(sc.queue); {
+		g := sc.queue[sc.head]
+		sc.head++
 		n.stepGroup(sc, j, g)
 		sc.put(g.idx)
 	}
@@ -249,9 +250,9 @@ func (n *Net) stepGroup(sc *scratch, j *job, g group) {
 }
 
 // forward appends packet i to the pending group for (node, inPort),
-// creating it if this is the first packet heading there this round.
+// creating it if no pending group heads there yet.
 func (n *Net) forward(sc *scratch, j *job, i, node int32, inPort int) {
-	for k := range sc.queue {
+	for k := sc.head; k < len(sc.queue); k++ {
 		if sc.queue[k].node == node && sc.queue[k].inPort == int32(inPort) {
 			sc.queue[k].idx = append(sc.queue[k].idx, i)
 			return
