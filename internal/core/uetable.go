@@ -42,10 +42,11 @@ type ueRecord struct {
 	rsv    packet.Addr
 }
 
-// ueSlabShift sizes one slab at 8192 records (320 KiB): big enough that a
-// 1M-UE table is ~128 slab allocations, small enough that tests with ten
-// UEs do not pay megabytes.
-const ueSlabShift = 13
+// ueSlabShift sizes one slab at 1024 records (40 KiB): a 1M-UE table is
+// 977 slab allocations, and a controller with a few hundred UEs attached
+// (a shard of a small plant, a test) pays 40 KiB, not the 320 KiB of an
+// 8192-record slab.
+const ueSlabShift = 10
 const ueSlabSize = 1 << ueSlabShift
 
 // ueTable is the struct-of-arrays UE directory of one controller.

@@ -28,10 +28,12 @@ import (
 const anyPort = switchsim.AnyPort
 
 // Verdict is the outcome of one packet's pipeline walk through a compiled
-// snapshot. It carries the matched rule's ID instead of a pointer so burst
-// results stay flat and allocation-free; Rule is 0 on a table miss.
+// snapshot. Like switchsim.Verdict it names the entry whose action decided
+// it: a TCAM rule by its ID (Rule), a microflow entry that did not resubmit
+// by its live pointer (Flow); both are zero on a table miss.
 type Verdict struct {
 	Rule         switchsim.RuleID
+	Flow         *switchsim.Flow
 	Output       int // egress port, -1 if none
 	Drop         bool
 	ToController bool
@@ -254,13 +256,13 @@ func inBlock(block []flowPage, n int) flowTable {
 // microIndex compiles a whole microflow table; it also reports the rules
 // it compiled. An empty table (core and gateway switches hold no
 // microflows) allocates nothing.
-func microIndex(micro map[packet.FlowKey]*switchsim.Rule) (flowTable, int) {
+func microIndex(micro map[packet.FlowKey]*switchsim.Flow) (flowTable, int) {
 	if len(micro) == 0 {
 		return flowTable{}, 0
 	}
 	p := flowPatch{t: newFlowTable(len(micro))}
-	for key, r := range micro {
-		p.add(flowKeyWords(key), compileRule(r))
+	for key, f := range micro {
+		p.add(flowKeyWords(key), compileFlow(f))
 	}
 	return p.t, len(micro)
 }
@@ -277,11 +279,11 @@ func (t flowTable) patched(changes []switchsim.MicroChange) (flowTable, int) {
 	p.t.pages = slices.Clone(t.pages)
 	compiled := 0
 	for _, c := range changes {
-		if c.Rule == nil {
+		if c.Flow == nil {
 			p.del(flowKeyWords(c.Key))
 			continue
 		}
-		p.put(flowKeyWords(c.Key), compileRule(c.Rule))
+		p.put(flowKeyWords(c.Key), compileFlow(c.Flow))
 		compiled++
 	}
 	if 4*p.t.loose > len(p.t.pages) {
@@ -390,21 +392,24 @@ func (p *flowPatch) del(k flowKey) {
 	p.t.n--
 }
 
-// rule is what executing a compiled rule takes: its ID, its action, and
-// the live switchsim rule it was compiled from (for traffic-counter
-// attribution). It does not know its slot in the snapshot's flat rule
-// numbering (TCAM first, then the microflow index's slots), so a later
-// snapshot can share it wherever it lands there.
+// rule is what executing a compiled entry takes: its action, the live
+// counters of the switch entry it was compiled from (for traffic
+// attribution, and for a TCAM rule its identity: see compile), and, for a
+// microflow, the live entry a verdict names. It does not know its slot in
+// the snapshot's flat rule numbering (TCAM first, then the microflow
+// index's slots), so a later snapshot can share it wherever it lands
+// there.
 type rule struct {
-	id   switchsim.RuleID
 	act  caction
-	live *switchsim.Rule
+	live *switchsim.Counters
+	flow *switchsim.Flow // nil for a TCAM rule
 }
 
-// crule is one compiled TCAM rule: a rule and its match. A microflow needs
-// no compiled match; its key is its match.
+// crule is one compiled TCAM rule: a rule, its ID and its match. A
+// microflow needs no compiled match; its key is its match.
 type crule struct {
-	m cmatch
+	m  cmatch
+	id switchsim.RuleID
 	rule
 }
 
@@ -418,7 +423,7 @@ type ruleAcc struct {
 // atomic counter update per touched rule) and the fastpath telemetry.
 // Batching here is what keeps the hot path free of per-packet atomics.
 // A direct tally (FIB.Step's, one packet) has no per-rule accumulator: a
-// hit goes straight to the live rule's counters, and only stats remain to
+// hit goes straight to the live entry's counters, and only stats remain to
 // flush.
 type tally struct {
 	stats   switchsim.BurstStats
@@ -455,7 +460,7 @@ func (t *tally) account(r *rule, slot int32, payload int) {
 // Snapshot is the compiled state of one switch's tables at a single
 // generation; it is immutable after publish. All lookups are read-only;
 // the only mutation a lookup performs outside its own packet is the
-// atomic traffic counter on the live rules.
+// atomic traffic counters of the live entries.
 type Snapshot struct {
 	// Gen is the switch generation the snapshot was compiled at. A FIB
 	// serves the snapshot only while the switch still reports the same
@@ -490,9 +495,9 @@ func Compile(sw *switchsim.Switch) *Snapshot {
 // not changed since prev is shared with it. A moved microflow table the
 // switch hands over as its changes since prev patches prev's index, and
 // one it hands over whole is indexed afresh. A TCAM rule prev compiled is
-// copied rather than compiled again: its live rule pointer identifies it,
-// a rule installed since has an ID above prev.lastID, and the rules still
-// installed keep their order.
+// copied rather than compiled again: the address of its live counters
+// identifies it, a rule installed since has an ID above prev.lastID, and
+// the rules still installed keep their order.
 //
 // hotpath: cold
 func compile(sw *switchsim.Switch, prev *Snapshot) (*Snapshot, int) {
@@ -524,16 +529,16 @@ func compile(sw *switchsim.Switch, prev *Snapshot) (*Snapshot, int) {
 		old := prev.tcam
 		for _, r := range v.Ordered {
 			if r.ID <= prev.lastID {
-				for len(old) > 0 && old[0].live != r {
+				for len(old) > 0 && old[0].live != &r.Counters {
 					old = old[1:] // removed since prev
 				}
 			}
-			if len(old) > 0 && old[0].live == r {
+			if len(old) > 0 && old[0].live == &r.Counters {
 				s.tcam = append(s.tcam, old[0])
 				old = old[1:]
 				continue
 			}
-			s.tcam = append(s.tcam, crule{m: compileMatch(r.Match), rule: compileRule(r)})
+			s.tcam = append(s.tcam, crule{m: compileMatch(r.Match), id: r.ID, rule: rule{act: compileAction(r.Action), live: &r.Counters}})
 			compiled++
 			s.lastID = max(s.lastID, r.ID)
 		}
@@ -553,7 +558,7 @@ func (s *Snapshot) ruleAt(slot int32) *rule {
 	return s.micro.rule(uint32(int(slot) - len(s.tcam)))
 }
 
-// flush drains a burst's tallies: per-rule traffic to the live rules'
+// flush drains a burst's tallies: per-rule traffic to the live entries'
 // atomic counters, pipeline stats to the switch, and resets t for reuse.
 func (s *Snapshot) flush(t *tally) {
 	for _, slot := range t.touched {
@@ -566,9 +571,9 @@ func (s *Snapshot) flush(t *tally) {
 	t.stats = switchsim.BurstStats{}
 }
 
-// compileRule flattens one live rule's action.
-func compileRule(r *switchsim.Rule) rule {
-	return rule{id: r.ID, act: compileAction(r.Action), live: r}
+// compileFlow flattens one live microflow entry's action.
+func compileFlow(f *switchsim.Flow) rule {
+	return rule{act: compileAction(f.Action), live: &f.Counters, flow: f}
 }
 
 // compileMatch flattens a TCAM rule's match. The match was normalised at
@@ -601,15 +606,16 @@ func (s *Snapshot) NumRules() int { return len(s.tcam) }
 // NumMicroflows reports compiled exact-match entries.
 func (s *Snapshot) NumMicroflows() int { return s.micro.n }
 
-// exec applies one compiled rule, in flat slot slot, to the packet and
+// exec applies one compiled entry, in flat slot slot, to the packet and
 // builds its verdict, attributing traffic to the tally (flushed to the
-// live rules' atomic counters once per burst, or at once for a direct
-// tally).
-func (s *Snapshot) exec(r *rule, slot int32, p *packet.Packet, t *tally) Verdict {
+// live entries' atomic counters once per burst, or at once for a direct
+// tally). id names a TCAM rule; it is 0 for a microflow.
+func (s *Snapshot) exec(r *rule, id switchsim.RuleID, slot int32, p *packet.Packet, t *tally) Verdict {
 	t.account(r, slot, len(p.Payload))
 	r.act.apply(p)
 	return Verdict{
-		Rule:         r.id,
+		Rule:         id,
+		Flow:         r.flow,
 		Output:       r.act.output,
 		Drop:         r.act.drop,
 		ToController: r.act.toController,
@@ -635,7 +641,7 @@ func (s *Snapshot) lookup(p *packet.Packet, inPort int, t *tally) Verdict {
 		t.stats.MicroMiss++
 	} else if i, ok := s.micro.find(flowWords(p)); ok {
 		t.stats.MicroHit++
-		v = s.exec(s.micro.rule(i), int32(len(s.tcam))+int32(i), p, t)
+		v = s.exec(s.micro.rule(i), 0, int32(len(s.tcam))+int32(i), p, t)
 		matched = true
 	} else {
 		t.stats.MicroMiss++
@@ -648,7 +654,7 @@ func (s *Snapshot) lookup(p *packet.Packet, inPort int, t *tally) Verdict {
 		for i := range s.tcam {
 			if s.tcam[i].m.covers(p, inPort) {
 				t.stats.TCAMHit++
-				v = s.exec(&s.tcam[i].rule, int32(i), p, t)
+				v = s.exec(&s.tcam[i].rule, s.tcam[i].id, int32(i), p, t)
 				matched = true
 				break
 			}

@@ -192,6 +192,7 @@ func checkEquivalence(t *testing.T, rng *rand.Rand) {
 	got := walk.Walk(0, inPort, burst, make([]Result, len(burst)))
 	stepFIB := NewFIB(step)
 	for i := range burst {
+		key := single[i].Flow()
 		want := ref.Process(seq[i], inPort)
 		if w := (Result{Disp: wantDisp(want), Hops: 1}); got[i] != w {
 			t.Fatalf("packet %d: walk %s at node %d after %d hops, want %s at 0 after 1 (Process out=%d drop=%v punt=%v)",
@@ -204,10 +205,19 @@ func checkEquivalence(t *testing.T, rng *rand.Rand) {
 		if want.Rule != nil {
 			wantID = want.Rule.ID
 		}
+		// A microflow verdict names the entry of the packet's own five-tuple,
+		// on each switch its own.
+		var wantFlow *switchsim.Flow
+		if want.Flow != nil {
+			if rf, _ := ref.Microflow(key); want.Flow != rf {
+				t.Fatalf("packet %d: Process named microflow %p, the packet's entry is %p", i, want.Flow, rf)
+			}
+			wantFlow, _ = step.Microflow(key)
+		}
 		g := stepFIB.Step(single[i], inPort)
-		if g.Rule != wantID || g.Output != want.Output || g.Drop != want.Drop || g.ToController != want.ToController {
-			t.Fatalf("packet %d: step verdict (rule=%d out=%d drop=%v punt=%v) != Process (rule=%d out=%d drop=%v punt=%v)",
-				i, g.Rule, g.Output, g.Drop, g.ToController, wantID, want.Output, want.Drop, want.ToController)
+		if g.Rule != wantID || g.Flow != wantFlow || g.Output != want.Output || g.Drop != want.Drop || g.ToController != want.ToController {
+			t.Fatalf("packet %d: step verdict (rule=%d flow=%p out=%d drop=%v punt=%v) != Process (rule=%d flow=%p out=%d drop=%v punt=%v)",
+				i, g.Rule, g.Flow, g.Output, g.Drop, g.ToController, wantID, wantFlow, want.Output, want.Drop, want.ToController)
 		}
 		if !headerEq(single[i], seq[i]) {
 			t.Fatalf("packet %d: step header %v != Process header %v", i, single[i], seq[i])

@@ -59,7 +59,7 @@ func (f *FIB) Acquire() *Snapshot {
 // Step runs one packet arriving on inPort through the switch's current
 // snapshot: the single-packet form of a burst walk's switch step, with
 // the same verdict and header rewrites as switchsim.Process. It needs no
-// handle: a hit is accounted straight to the live rule and the pipeline
+// handle: a hit is accounted straight to the live entry and the pipeline
 // stats to the switch, so nothing is left to flush. A stale snapshot is
 // recompiled first, exactly as for a burst.
 //

@@ -46,9 +46,10 @@ func mutate(rng *rand.Rand, sw *switchsim.Switch, flows []packet.FlowKey) {
 	}
 }
 
-// attribution maps each live rule a tally charged to what it was charged.
-func attribution(s *Snapshot, t *tally) map[*switchsim.Rule]ruleAcc {
-	out := make(map[*switchsim.Rule]ruleAcc, len(t.touched))
+// attribution maps the live counters of each entry a tally charged to
+// what it was charged.
+func attribution(s *Snapshot, t *tally) map[*switchsim.Counters]ruleAcc {
+	out := make(map[*switchsim.Counters]ruleAcc, len(t.touched))
 	for _, slot := range t.touched {
 		out[s.ruleAt(slot).live] = t.acc[slot]
 	}

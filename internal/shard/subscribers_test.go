@@ -64,7 +64,7 @@ func TestSubscriberRecordedOnceAtAnyWidth(t *testing.T) {
 		if records != attached || ms.Attached != attached {
 			t.Fatalf("%d shards: %d UE records (fleet snapshot %d), want %d", width, records, ms.Attached, attached)
 		}
-		// A live shard's slab grows 8192 records at a time, so at this
+		// A live shard's slab grows 1024 records at a time, so at this
 		// population the raw footprint carries one mostly-empty slab per
 		// shard; the comparison charges slabs at the records in use.
 		used := ms.TableBytes() - slabs + uint64(records)*recSize
@@ -74,7 +74,7 @@ func TestSubscriberRecordedOnceAtAnyWidth(t *testing.T) {
 			t.Fatalf("%d shards: table footprint %d B, not within 10%% of the 1-shard %d B", width, used, base)
 		}
 		t.Logf("shards=%d subscribers=%d sub/keys=%d TableBytes/sub=%.1f (raw %.1f, %d slabs)",
-			width, ms.Subscribers, subKeys(d), float64(used)/n, float64(ms.TableBytes())/n, slabs/(8192*recSize))
+			width, ms.Subscribers, subKeys(d), float64(used)/n, float64(ms.TableBytes())/n, slabs/(1024*recSize))
 		if _, err := d.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}

@@ -56,7 +56,7 @@ func TestReplaceTCAMSwapsWholeTable(t *testing.T) {
 
 	gen := s.Generation()
 	s.ReplaceTCAM([]Rule{
-		{Priority: PrioPrefix, Match: Match{InPort: AnyPort}, Action: Forward(2), Packets: 99, Bytes: 99},
+		{Priority: PrioPrefix, Match: Match{InPort: AnyPort}, Action: Forward(2), Counters: Counters{Packets: 99, Bytes: 99}},
 		{Priority: PrioTag, Match: Match{InPort: AnyPort}, Action: Forward(3)},
 	})
 	if got := s.Generation(); got != gen+1 {

@@ -24,51 +24,55 @@ type Rule struct {
 	Priority int
 	Match    Match
 	Action   Action
-	// Cookie names a microflow entry's owner; TCAM rules carry none.
-	Cookie Cookie
+	Counters
+}
 
-	// Packets and Bytes are traffic counters, mutated with atomic adds
-	// (see Account) so both the locked Process path and lock-free
-	// fast-path snapshots can attribute traffic to the same live rule.
+// Counters are one entry's traffic counters, mutated with atomic adds (see
+// Account) so both the locked Process path and lock-free fast-path
+// snapshots can attribute traffic to the same live entry.
+type Counters struct {
 	Packets uint64
 	Bytes   uint64
 }
 
-// Account attributes one packet of payloadBytes payload to the rule's
-// traffic counters. The adds are atomic so compiled fast-path snapshots
-// (internal/fastpath) can account without holding the switch lock.
-func (r *Rule) Account(payloadBytes int) {
-	atomic.AddUint64(&r.Packets, 1)
-	atomic.AddUint64(&r.Bytes, uint64(payloadBytes)+24)
+// Account attributes one packet of payloadBytes payload to the counters.
+// The adds are atomic so compiled fast-path snapshots (internal/fastpath)
+// can account without holding the switch lock.
+func (c *Counters) Account(payloadBytes int) {
+	atomic.AddUint64(&c.Packets, 1)
+	atomic.AddUint64(&c.Bytes, uint64(payloadBytes)+24)
 }
 
-// AccountN attributes a batch of packets to the rule's traffic counters in
-// one pair of atomic adds; the fast path tallies per burst and flushes here.
-func (r *Rule) AccountN(pkts, bytes uint64) {
-	atomic.AddUint64(&r.Packets, pkts)
-	atomic.AddUint64(&r.Bytes, bytes)
+// AccountN attributes a batch of packets to the counters in one pair of
+// atomic adds; the fast path tallies per burst and flushes here.
+func (c *Counters) AccountN(pkts, bytes uint64) {
+	atomic.AddUint64(&c.Packets, pkts)
+	atomic.AddUint64(&c.Bytes, bytes)
+}
+
+// load reads the counters atomically.
+func (c *Counters) load() Counters {
+	return Counters{Packets: atomic.LoadUint64(&c.Packets), Bytes: atomic.LoadUint64(&c.Bytes)}
 }
 
 // snapshot copies the rule with atomically read counters.
 //
 // caller holds mu
 func (r *Rule) snapshot() Rule {
-	return Rule{
-		ID: r.ID, Priority: r.Priority, Match: r.Match, Action: r.Action, Cookie: r.Cookie,
-		Packets: atomic.LoadUint64(&r.Packets),
-		Bytes:   atomic.LoadUint64(&r.Bytes),
-	}
+	return Rule{ID: r.ID, Priority: r.Priority, Match: r.Match, Action: r.Action, Counters: r.Counters.load()}
 }
 
 func (r *Rule) String() string {
 	return fmt.Sprintf("#%d prio=%d %s -> %s", r.ID, r.Priority, r.Match, r.Action)
 }
 
-// Priority bands for SoftCell's rule types (§7): microflow and mobility
-// entries override tag+prefix entries, which override tag-only, which
-// override prefix-only, with a default band at the bottom. Bands are 100
-// apart so longest-prefix-match within a band is expressed by adding the
-// prefix length (0..32) to the band's base priority, as TCAM compilers do.
+// Priority bands for SoftCell's TCAM rule types (§7): mobility entries
+// override tag+prefix entries, which override tag-only, which override
+// prefix-only, with a default band at the bottom. Bands are 100 apart so
+// longest-prefix-match within a band is expressed by adding the prefix
+// length (0..32) to the band's base priority, as TCAM compilers do.
+// Microflow entries need no band: the exact-match table is looked up
+// before the TCAM.
 const (
 	PrioDefault   = 0
 	PrioPrefix    = 100 // Type 3: location (LPM) rules
@@ -79,13 +83,15 @@ const (
 	PrioMBTag     = 600 // middlebox-return tag rules
 	PrioMobility  = 700 // per-UE mobility overrides
 	PrioBinding   = 800 // gateway public-IP classifiers (§7)
-	PrioMicroflow = 900 // exact-match microflows at access switches
 )
 
-// Verdict is the outcome of processing one packet.
+// Verdict is the outcome of processing one packet. It names the entry whose
+// action decided it: Rule for a TCAM rule, Flow for a microflow entry that
+// did not resubmit; both are nil on a table miss.
 type Verdict struct {
-	Rule         *Rule // matching rule; nil when table-miss
-	Output       int   // egress port, -1 if none
+	Rule         *Rule
+	Flow         *Flow
+	Output       int // egress port, -1 if none
 	Drop         bool
 	ToController bool
 	resubmit     bool
@@ -98,7 +104,7 @@ type Switch struct {
 
 	mu      sync.RWMutex
 	ordered []*Rule                  // guarded by mu; priority desc, see Install and ReplaceTCAM
-	micro   map[packet.FlowKey]*Rule // guarded by mu
+	micro   map[packet.FlowKey]*Flow // guarded by mu
 	// owned lists the microflow keys of each cookie owner, in install
 	// order: every entry of micro whose cookie names an owner, once.
 	// guarded by mu
@@ -166,18 +172,18 @@ func (s *Switch) tcamChanged() {
 const MaxMicroChanges = 128
 
 // MicroChange is one microflow-table change: at generation Gen the entry
-// for Key became Rule, or with Rule nil was removed.
+// for Key became Flow, or with Flow nil was removed.
 type MicroChange struct {
 	Gen  uint64
 	Key  packet.FlowKey
-	Rule *Rule
+	Flow *Flow
 }
 
-// microChanged records one microflow-table mutation: key's entry became r,
-// or with r nil was removed.
+// microChanged records one microflow-table mutation: key's entry became f,
+// or with f nil was removed.
 //
 // caller holds mu
-func (s *Switch) microChanged(key packet.FlowKey, r *Rule) {
+func (s *Switch) microChanged(key packet.FlowKey, f *Flow) {
 	s.microGen = atomic.AddUint64(&s.gen, 1)
 	if !s.logging {
 		return
@@ -186,7 +192,7 @@ func (s *Switch) microChanged(key packet.FlowKey, r *Rule) {
 		s.microLog, s.logFrom = nil, s.microGen
 		return
 	}
-	s.microLog = append(s.microLog, MicroChange{Gen: s.microGen, Key: key, Rule: r})
+	s.microLog = append(s.microLog, MicroChange{Gen: s.microGen, Key: key, Flow: f})
 }
 
 // BurstStats aggregates one burst's pipeline tallies so compiled fast
@@ -224,17 +230,17 @@ func (s *Switch) AccountBurst(b BurstStats) {
 // compilers: the generation it was taken at, the generations of each
 // table's latest change, the microflow entries (whole, or as the edits
 // since the caller's copy), the TCAM rules in match order, and the
-// table-miss action. The rule pointers are the live rules — treat them as
-// read-only except for the atomic traffic counters behind Rule.Account. A
-// rule keeps its pointer for as long as it is installed, so equal pointers
-// in two views are the same rule, unchanged.
+// table-miss action. The rule and flow pointers are the live entries — treat
+// them as read-only except for the atomic traffic counters behind
+// Counters.Account. An entry keeps its pointer for as long as it is
+// installed, so equal pointers in two views are the same entry, unchanged.
 type TableView struct {
 	Gen      uint64
 	MicroGen uint64
 	TCAMGen  uint64
 	// Micro is the whole microflow table. It is left out (nil) when the
 	// caller's copy is current, and when MicroChanges carries the edits.
-	Micro map[packet.FlowKey]*Rule
+	Micro map[packet.FlowKey]*Flow
 	// MicroChanges, when non-empty, lists oldest first the microflow
 	// changes after the caller's generation: applied in order to the
 	// caller's copy they give the table at MicroGen. The slice is the
@@ -244,19 +250,17 @@ type TableView struct {
 	Miss         Action
 }
 
-// View snapshots the tables under one lock.
-func (s *Switch) View() TableView { return s.ViewChanged(^uint64(0), ^uint64(0)) }
-
-// ViewChanged is View for a caller that already holds the microflow table
-// as of generation microGen and the TCAM as of tcamGen: a table whose
-// latest change is that generation is left out. A moved microflow table
-// comes as the changes since microGen when the switch's log still holds
-// them all (MicroChanges), and as a whole copy when it does not: the first
-// call, a microGen older than the log or not of this switch, or a log
-// that passed MaxMicroChanges since. Log entries up to microGen are taken
-// as consumed and dropped, so at steady state the log holds only the
-// changes since the last compile. Compare the view's generations, not its
-// fields, to tell a left-out table: a copied empty table is empty too.
+// ViewChanged exports the tables under one lock for a caller that already
+// holds the microflow table as of generation microGen and the TCAM as of
+// tcamGen (^uint64(0) for none): a table whose latest change is that
+// generation is left out. A moved microflow table comes as the changes
+// since microGen when the switch's log still holds them all
+// (MicroChanges), and as a whole copy when it does not: the first call, a
+// microGen older than the log or not of this switch, or a log that passed
+// MaxMicroChanges since. Log entries up to microGen are taken as consumed
+// and dropped, so at steady state the log holds only the changes since the
+// last compile. Compare the view's generations, not its fields, to tell a
+// left-out table: a copied empty table is empty too.
 func (s *Switch) ViewChanged(microGen, tcamGen uint64) TableView {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -269,9 +273,9 @@ func (s *Switch) ViewChanged(microGen, tcamGen uint64) TableView {
 		s.microLog, s.logFrom = s.microLog[i:], microGen
 		v.MicroChanges = s.microLog
 	} else if s.microGen != microGen {
-		v.Micro = make(map[packet.FlowKey]*Rule, len(s.micro))
-		for k, r := range s.micro {
-			v.Micro[k] = r
+		v.Micro = make(map[packet.FlowKey]*Flow, len(s.micro))
+		for k, f := range s.micro {
+			v.Micro[k] = f
 		}
 	}
 	if !s.logging {
@@ -287,7 +291,7 @@ func (s *Switch) ViewChanged(microGen, tcamGen uint64) TableView {
 func NewSwitch(name string) *Switch {
 	return &Switch{
 		Name:      name,
-		micro:     make(map[packet.FlowKey]*Rule),
+		micro:     make(map[packet.FlowKey]*Flow),
 		owned:     make(map[packet.Addr][]packet.FlowKey),
 		TableMiss: Action{Output: -1, Drop: true},
 	}
@@ -339,6 +343,17 @@ type Cookie struct {
 	Clause int32
 }
 
+// Flow is one microflow entry: what the switch does with the packets of
+// one five-tuple, who owns the entry, and its traffic. The five-tuple is
+// the entry's key and its match, so the entry keeps neither a Match nor a
+// priority (the microflow table is looked up before the TCAM), and no ID:
+// its pointer names it for as long as it is installed.
+type Flow struct {
+	Action Action
+	Cookie Cookie
+	Counters
+}
+
 // InstallMicroflow adds (or replaces) an exact-match microflow entry owned
 // as c names. Access switches use these for the per-flow classification
 // rules the local agent installs (§4.1: "one rule for each microflow at
@@ -346,27 +361,26 @@ type Cookie struct {
 func (s *Switch) InstallMicroflow(key packet.FlowKey, a Action, c Cookie) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.nextID++
-	r := &Rule{ID: s.nextID, Priority: PrioMicroflow, Action: a, Cookie: c}
+	f := &Flow{Action: a, Cookie: c}
 	var was packet.Addr
 	if old, ok := s.micro[key]; ok {
 		was = old.Cookie.Owner
 	}
-	s.micro[key] = r
+	s.micro[key] = f
 	s.own(key, was, c.Owner)
-	s.microChanged(key, r)
+	s.microChanged(key, f)
 }
 
 // RemoveMicroflow deletes an exact-match entry.
 func (s *Switch) RemoveMicroflow(key packet.FlowKey) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r, ok := s.micro[key]
+	f, ok := s.micro[key]
 	if !ok {
 		return false
 	}
 	delete(s.micro, key)
-	s.own(key, r.Cookie.Owner, 0)
+	s.own(key, f.Cookie.Owner, 0)
 	s.microChanged(key, nil)
 	return true
 }
@@ -407,8 +421,8 @@ func (s *Switch) Owned(dst []Microflow, owner packet.Addr) []Microflow {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for _, k := range s.owned[owner] {
-		r := s.micro[k]
-		dst = append(dst, Microflow{Key: k, Action: r.Action, Cookie: r.Cookie})
+		f := s.micro[k]
+		dst = append(dst, Microflow{Key: k, Action: f.Action, Cookie: f.Cookie})
 	}
 	return dst
 }
@@ -426,12 +440,13 @@ func (s *Switch) Owners(dst []packet.Addr) []packet.Addr {
 	return dst
 }
 
-// Microflow returns the microflow rule for key, if present.
-func (s *Switch) Microflow(key packet.FlowKey) (*Rule, bool) {
+// Microflow returns the live microflow entry for key, if present. Read its
+// counters with atomic loads; its other fields never change.
+func (s *Switch) Microflow(key packet.FlowKey) (*Flow, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	r, ok := s.micro[key]
-	return r, ok
+	f, ok := s.micro[key]
+	return f, ok
 }
 
 // Process runs one packet through the pipeline: microflow exact match
@@ -451,9 +466,10 @@ func (s *Switch) Process(p *packet.Packet, inPort int) Verdict {
 
 	var v Verdict
 	matched := false
-	if r, ok := s.micro[p.Flow()]; ok {
+	if f, ok := s.micro[p.Flow()]; ok {
 		s.obs.microHit.Inc()
-		v = s.execute(r, p)
+		v = execute(&f.Action, &f.Counters, p)
+		v.Flow = f
 		matched = true
 	} else {
 		s.obs.microMiss.Inc()
@@ -466,7 +482,8 @@ func (s *Switch) Process(p *packet.Packet, inPort int) Verdict {
 		for _, r := range s.ordered {
 			if r.Match.Covers(p, inPort) {
 				s.obs.tcamHit.Inc()
-				v = s.execute(r, p)
+				v = execute(&r.Action, &r.Counters, p)
+				v.Rule = r
 				matched = true
 				break
 			}
@@ -500,15 +517,16 @@ func (s *Switch) finish(v Verdict) Verdict {
 	return v
 }
 
-func (s *Switch) execute(r *Rule, p *packet.Packet) Verdict {
-	r.Account(len(p.Payload))
-	r.Action.apply(p)
+// execute applies one entry's action to the packet, accounts it to the
+// entry's counters, and builds the verdict; the caller names the entry.
+func execute(a *Action, c *Counters, p *packet.Packet) Verdict {
+	c.Account(len(p.Payload))
+	a.apply(p)
 	return Verdict{
-		Rule:         r,
-		Output:       r.Action.Output,
-		Drop:         r.Action.Drop || (!r.Action.ToController && !r.Action.Resubmit && r.Action.Output < 0),
-		ToController: r.Action.ToController,
-		resubmit:     r.Action.Resubmit,
+		Output:       a.Output,
+		Drop:         a.Drop || (!a.ToController && !a.Resubmit && a.Output < 0),
+		ToController: a.ToController,
+		resubmit:     a.Resubmit,
 	}
 }
 
@@ -536,17 +554,6 @@ func (s *Switch) Rules() []Rule {
 		out[i] = r.snapshot()
 	}
 	return out
-}
-
-// Rule returns a snapshot of one rule by ID.
-func (s *Switch) Rule(id RuleID) (Rule, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	i := s.indexLocked(id)
-	if i < 0 {
-		return Rule{}, false
-	}
-	return s.ordered[i].snapshot(), true
 }
 
 // ReplaceTCAM makes rules the switch's whole TCAM in one step: Process,

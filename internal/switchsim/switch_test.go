@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/packet"
 )
@@ -106,7 +107,7 @@ func TestRewriteActions(t *testing.T) {
 	s := NewSwitch("as")
 	newSrc := packet.AddrFrom4(10, 0, 16, 10)
 	newSport := uint16(0x1234)
-	s.Install(PrioMicroflow, MatchAll(), Action{Output: 3, Set: SetSrc | SetSrcPort, Src: newSrc, SrcPort: newSport})
+	s.Install(PrioMobility, MatchAll(), Action{Output: 3, Set: SetSrc | SetSrcPort, Src: newSrc, SrcPort: newSport})
 	p := pkt(packet.AddrFrom4(192, 168, 0, 5), 2, 555, 80)
 	v := s.Process(p, 0)
 	if v.Output != 3 {
@@ -136,6 +137,47 @@ func TestMicroflowBeatsTCAM(t *testing.T) {
 	}
 	if s.RemoveMicroflow(key) {
 		t.Fatal("second remove should fail")
+	}
+}
+
+// TestMicroflowHitNamesItsFlow checks that a microflow hit's verdict names
+// the live entry and accounts to its counters, that a resubmitting entry
+// hands the verdict to the TCAM rule it reaches, and that a hit allocates
+// nothing.
+func TestMicroflowHitNamesItsFlow(t *testing.T) {
+	s := NewSwitch("as")
+	tcam := s.Install(PrioTagPrefix, MatchAll(), Forward(1))
+	direct, resub := pkt(5, 6, 7, 8).Flow(), pkt(5, 6, 7, 9).Flow()
+	s.InstallMicroflow(direct, Forward(9), Cookie{Owner: 5, Clause: 2})
+	s.InstallMicroflow(resub, Action{Output: -1, Resubmit: true, Set: SetDSCP, DSCP: 46}, Cookie{Owner: 5})
+	f, _ := s.Microflow(direct)
+
+	p := pkt(5, 6, 7, 8)
+	p.Payload = []byte("xyz")
+	if v := s.Process(p, 0); v.Flow != f || v.Rule != nil || v.Output != 9 {
+		t.Fatalf("direct hit: verdict %+v, want flow %p and no rule", v, f)
+	}
+	if c := f.Counters.load(); c.Packets != 1 || c.Bytes != 3+24 {
+		t.Fatalf("flow counters %+v after one 3-byte packet", c)
+	}
+	q := pkt(5, 6, 7, 9)
+	if v := s.Process(q, 0); v.Flow != nil || v.Rule == nil || v.Rule.ID != tcam || v.Output != 1 || q.DSCP != 46 {
+		t.Fatalf("resubmitting hit: verdict %+v, DSCP %d; want rule %d deciding, DSCP 46", v, q.DSCP, tcam)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		*p = packet.Packet{Src: 5, Dst: 6, SrcPort: 7, DstPort: 8, Proto: packet.ProtoTCP}
+		s.Process(p, 0)
+	}); allocs != 0 {
+		t.Fatalf("a microflow hit allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestFlowIsSixtyFourBytes pins a microflow entry's size: its action (40 B),
+// cookie (8 B) and counters (16 B). The entry keeps no Match, priority or
+// ID, which made it a 128 B Rule.
+func TestFlowIsSixtyFourBytes(t *testing.T) {
+	if got := unsafe.Sizeof(Flow{}); got != 64 {
+		t.Fatalf("a microflow entry is %d B, want 64", got)
 	}
 }
 
@@ -262,7 +304,7 @@ func TestViewChangedListsMicroflowEdits(t *testing.T) {
 	if v1.Micro != nil || len(v1.MicroChanges) != 2 || v1.Ordered == nil {
 		t.Fatalf("two microflow edits since the caller's view came as %d entries and %d edits", len(v1.Micro), len(v1.MicroChanges))
 	}
-	if c := v1.MicroChanges; c[0].Key != k1 || c[0].Rule != live || c[1].Key != k2 || c[1].Rule != nil ||
+	if c := v1.MicroChanges; c[0].Key != k1 || c[0].Flow != live || c[1].Key != k2 || c[1].Flow != nil ||
 		c[0].Gen <= v0.MicroGen || c[1].Gen != v1.MicroGen {
 		t.Fatalf("edits %+v, want k1 re-installed as %p then k2 removed at %d", c, live, v1.MicroGen)
 	}
