@@ -26,7 +26,7 @@ fmt:
 # lint runs the softcell-lint invariant checkers (DESIGN.md §9): lock
 # discipline and ordering, hot-path alloc/lock freedom (cross-checked
 # against compiler escape analysis), atomic publication, determinism,
-# layering, wire-safety, dropped errors. The machine-readable report
+# layering, dead exports, dropped errors. The machine-readable report
 # (including suppressed findings and every //lint:ignore) lands in
 # results/lint.json.
 lint:

@@ -1,6 +1,6 @@
 // softcell-lint loads and type-checks every package in the repository and
 // runs the repo-specific invariant analyzers (lockcheck, lockorder,
-// hotpath, atomicpub, determinism, layering, wiresafe, errdrop, obscheck)
+// hotpath, atomicpub, determinism, layering, deadexport, errdrop, obscheck)
 // over them. It prints one diagnostic per line as "file:line: [rule]
 // message" and exits non-zero when anything is found, so `make verify`
 // can gate on it. Built on the standard library only; works offline.
@@ -11,7 +11,7 @@
 //
 // The package argument is accepted for familiarity ("./..."), but the tool
 // always analyzes the whole module containing the working directory: the
-// invariants are whole-program properties (wire reachability, layering).
+// invariants are whole-program properties (layering, dead exports).
 //
 // -escape runs `go build -gcflags=-m ./...` and feeds the compiler's
 // escape-analysis output to the hotpath analyzer, which cross-checks it

@@ -118,7 +118,7 @@ func New(bs packet.BSID, access *switchsim.Switch, plan packet.Plan, ctrl Contro
 		ctrl:    ctrl,
 		inbound: make(map[inboundKey]struct{}),
 	}
-	a.snap.Store(newDraft(0).seal(0)) // version 0: nothing published yet
+	a.snap.Store(newDraft().seal(0)) // version 0: nothing published yet
 	return a
 }
 
@@ -186,7 +186,10 @@ func classifyApp(p *packet.Packet) policy.AppType {
 	return policy.AppFromPort(p.DstPort)
 }
 
-const deniedClause = -1 // the cookie clause of a denial's drop entry
+const (
+	deniedClause  = -1 // the cookie clause of a denial's drop entry
+	arrivalClause = -2 // the cookie clause of HandleArrival's two entries
+)
 
 // deny counts a policy denial and installs a drop microflow for the flow so
 // later packets die in the switch instead of punting again. The entry is
@@ -341,7 +344,10 @@ func (a *Agent) HandleArrival(p *packet.Packet) (delivered bool, err error) {
 		deliver.Set |= switchsim.SetDstPort
 		deliver.DstPort = svc
 	}
-	a.Access.InstallMicroflow(key, deliver, switchsim.Cookie{})
+	// Both entries belong to the destination UE, under no clause: a publish
+	// that drops the UE tears them down, and reconcile never re-tags them.
+	owned := switchsim.Cookie{Owner: perm, Clause: arrivalClause}
+	a.Access.InstallMicroflow(key, deliver, owned)
 	// Replies from the UE: restore the wire form so they retrace the same
 	// (tagged) path back out.
 	replyKey := packet.FlowKey{Src: perm, Dst: p.Src, SrcPort: svc, DstPort: p.SrcPort, Proto: p.Proto}
@@ -350,7 +356,7 @@ func (a *Agent) HandleArrival(p *packet.Packet) (delivered bool, err error) {
 	}
 	reply := switchsim.Action{Resubmit: true, Output: -1, Set: switchsim.SetSrc | switchsim.SetSrcPort,
 		Src: p.Dst, SrcPort: p.DstPort}
-	a.Access.InstallMicroflow(replyKey, reply, switchsim.Cookie{})
+	a.Access.InstallMicroflow(replyKey, reply, owned)
 	a.stats.microflows.Add(2)
 	a.obs.microflows.Add(2)
 	return true, nil
@@ -447,18 +453,6 @@ func (a *Agent) ephemeralPort(loc packet.Addr, orig packet.FlowKey, tag packet.T
 	a.stats.portsExhausted.Add(1)
 	a.obs.portsExhausted.Inc()
 	return 0, fmt.Errorf("agent: flow %s at bs%d: %w", orig, a.BS, ErrPortsExhausted)
-}
-
-// ActiveFlows lists a UE's live upstream flow keys (original form), read
-// from the access switch's entries its cookie owns, denials aside.
-func (a *Agent) ActiveFlows(permIP packet.Addr) []packet.FlowKey {
-	var out []packet.FlowKey
-	for _, m := range a.Access.Owned(nil, permIP) {
-		if upstream(m) && !isDenial(m) {
-			out = append(out, m.Key)
-		}
-	}
-	return out
 }
 
 // MigrateFlows implements the access side of a handoff (§5.1): the old

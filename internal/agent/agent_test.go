@@ -247,7 +247,7 @@ func TestRestartedAgentReconcilesTheSwitch(t *testing.T) {
 	if rep != (ReconcileReport{Kept: 2}) || re.Version() != ag.Version() || re.NumUEs() != 2 {
 		t.Fatalf("re-published LKG: report %+v, version %d (want %d), %d UEs", rep, re.Version(), ag.Version(), re.NumUEs())
 	}
-	if got := re.ActiveFlows(a.PermIP); !slices.Equal(got, []packet.FlowKey{aUp}) {
+	if got := re.activeFlows(a.PermIP); !slices.Equal(got, []packet.FlowKey{aUp}) {
 		t.Fatalf("restarted agent reads a's flows as %v, want [%s]", got, aUp)
 	}
 
@@ -280,10 +280,10 @@ func TestActiveFlows(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := len(ag.ActiveFlows(ue.PermIP)); got != 4 {
+	if got := len(ag.activeFlows(ue.PermIP)); got != 4 {
 		t.Fatalf("active flows = %d", got)
 	}
-	if ag.ActiveFlows(packet.AddrFrom4(9, 9, 9, 9)) != nil {
+	if ag.activeFlows(packet.AddrFrom4(9, 9, 9, 9)) != nil {
 		t.Fatal("unknown UE should report no flows")
 	}
 }
@@ -385,9 +385,9 @@ func TestEphemeralValuesRunOut(t *testing.T) {
 	if ok, err := ag.HandlePacketIn(booked); ok || !errors.Is(err, ErrPortsExhausted) {
 		t.Fatalf("a booked flow punted again with every value held: allowed=%v err=%v, want ErrPortsExhausted", ok, err)
 	}
-	if !slices.Contains(ag.ActiveFlows(moved.PermIP), booked.Flow()) || ag.Access.NumMicroflows() != before {
+	if !slices.Contains(ag.activeFlows(moved.PermIP), booked.Flow()) || ag.Access.NumMicroflows() != before {
 		t.Fatalf("the refused flow is gone (%d flows listed) or changed the switch (%d microflows, %d before)",
-			len(ag.ActiveFlows(moved.PermIP)), ag.Access.NumMicroflows(), before)
+			len(ag.activeFlows(moved.PermIP)), ag.Access.NumMicroflows(), before)
 	}
 }
 
@@ -621,7 +621,7 @@ func TestPublishLiftsADenial(t *testing.T) {
 	if ok, err := ag.HandlePacketIn(ssh); ok || err != nil {
 		t.Fatalf("ssh: allowed=%v err=%v, want denied", ok, err)
 	}
-	if n := len(ag.ActiveFlows(ue.PermIP)); n != 0 {
+	if n := len(ag.activeFlows(ue.PermIP)); n != 0 {
 		t.Fatalf("the denial counts as %d active flows", n)
 	}
 	allowSSH := core.AgentView{BS: 1, Tags: []core.TagGrant{{Clause: 5, Tag: 7}},
@@ -662,4 +662,16 @@ func TestLocIPAddressedM2MNeedsNoResolver(t *testing.T) {
 	if st := ag.Stats(); st.Denied != 0 || st.CacheHits != 1 {
 		t.Fatalf("%d denied, %d hits; want 0 and 1", st.Denied, st.CacheHits)
 	}
+}
+
+// activeFlows lists a UE's live upstream flow keys (original form), read
+// from the access switch's entries its cookie owns, denials aside.
+func (a *Agent) activeFlows(permIP packet.Addr) []packet.FlowKey {
+	var out []packet.FlowKey
+	for _, m := range a.Access.Owned(nil, permIP) {
+		if upstream(m) && !isDenial(m) {
+			out = append(out, m.Key)
+		}
+	}
+	return out
 }

@@ -27,19 +27,17 @@ var ErrNoPath = errors.New("agent: no admitted policy path in snapshot")
 // one more would put two flows on one wire five-tuple.
 var ErrPortsExhausted = errors.New("agent: every ephemeral port toward the destination is in use")
 
-// Snapshot is the agent's versioned classifier state: per-UE classifiers,
-// the station's admitted (clause -> tag) grants, the agent's one record of
-// a clause's tag, and the controller's tag-plan epoch. It is immutable
-// after publish — readers pick it up through one atomic pointer load and
-// classify against that one consistent view, so a packet-in never observes
-// half of an update. New states are whole replacement snapshots built by
-// NewSnapshot (controller pushes) or derived copy-on-write from the current
-// one (local admits), then swapped in by version: this is the
-// last-known-good state the data plane keeps forwarding on through
-// controller and shard blackouts.
+// Snapshot is the agent's versioned classifier state: per-UE classifiers
+// and the station's admitted (clause -> tag) grants, the agent's one
+// record of a clause's tag. It is immutable after publish — readers pick
+// it up through one atomic pointer load and classify against that one
+// consistent view, so a packet-in never observes half of an update. New
+// states are whole replacement snapshots built by NewSnapshot (controller
+// pushes) or derived copy-on-write from the current one (local admits),
+// then swapped in by version: this is the last-known-good state the data
+// plane keeps forwarding on through controller and shard blackouts.
 type Snapshot struct {
 	version uint64
-	epoch   uint64
 	ues     map[packet.Addr]*snapUE     // by permanent address
 	byLoc   map[packet.Addr]packet.Addr // LocIP, incl. reserved old ones (§5.1) -> permanent address
 	tags    map[int]packet.Tag          // admitted policy paths: clause -> tag
@@ -85,21 +83,6 @@ func (c *appClasses) set(classifiers []core.Classifier) {
 	}
 }
 
-// Version reports the snapshot's publication version.
-func (s *Snapshot) Version() uint64 { return s.version }
-
-// Epoch reports the controller tag-plan epoch the snapshot was cut from.
-func (s *Snapshot) Epoch() uint64 { return s.epoch }
-
-// NumUEs reports how many UEs the snapshot carries.
-func (s *Snapshot) NumUEs() int { return len(s.ues) }
-
-// Tag reports the admitted tag for a policy clause, if any.
-func (s *Snapshot) Tag(clause int) (packet.Tag, bool) {
-	t, ok := s.tags[clause]
-	return t, ok
-}
-
 // UE reports the snapshot's record for a permanent address.
 func (s *Snapshot) UE(perm packet.Addr) (core.UE, bool) {
 	su, ok := s.ues[perm]
@@ -126,7 +109,7 @@ func (s *Snapshot) pathFor(su *snapUE, clause int) (packet.Tag, policy.QoS, bool
 // station view. version is assigned by the pusher and must exceed the
 // receiving agent's current version to take effect (see Publish).
 func NewSnapshot(version uint64, view core.AgentView) *Snapshot {
-	d := newDraft(view.Epoch)
+	d := newDraft()
 	for _, v := range view.UEs {
 		d.putUE(v.UE, v.Classifiers) // their tags are view.Tags' grants
 		for _, loc := range v.Reserved {
@@ -143,15 +126,13 @@ func NewSnapshot(version uint64, view core.AgentView) *Snapshot {
 // in before it is sealed and published. Drafts shallow-copy the previous
 // generation's maps; snapUE values are shared until replaced whole.
 type snapshotDraft struct {
-	epoch uint64
 	ues   map[packet.Addr]*snapUE
 	byLoc map[packet.Addr]packet.Addr
 	tags  map[int]packet.Tag
 }
 
-func newDraft(epoch uint64) *snapshotDraft {
+func newDraft() *snapshotDraft {
 	return &snapshotDraft{
-		epoch: epoch,
 		ues:   make(map[packet.Addr]*snapUE),
 		byLoc: make(map[packet.Addr]packet.Addr),
 		tags:  make(map[int]packet.Tag),
@@ -162,7 +143,6 @@ func newDraft(epoch uint64) *snapshotDraft {
 // snapUE records themselves are shared, not copied).
 func draftOf(s *Snapshot) *snapshotDraft {
 	d := &snapshotDraft{
-		epoch: s.epoch,
 		ues:   make(map[packet.Addr]*snapUE, len(s.ues)+1),
 		byLoc: make(map[packet.Addr]packet.Addr, len(s.byLoc)+1),
 		tags:  make(map[int]packet.Tag, len(s.tags)+1),
@@ -185,7 +165,6 @@ func draftOf(s *Snapshot) *snapshotDraft {
 func (d *snapshotDraft) seal(version uint64) *Snapshot {
 	return &Snapshot{
 		version: version,
-		epoch:   d.epoch,
 		ues:     d.ues,
 		byLoc:   d.byLoc,
 		tags:    d.tags,
@@ -393,6 +372,11 @@ func (a *Agent) reconcile() ReconcileReport {
 			// migrated flow does not resubmit: MigrateFlows tunnels it to its
 			// origin station, and it rides that station's path, not this one's.
 			if !upstream(m) || m.Action.Set&switchsim.SetSrcPort == 0 || !m.Action.Resubmit {
+				continue
+			}
+			// An arrival's reply restores the sender's wire form, its tag
+			// included: it is no path of this UE's to re-tag.
+			if m.Cookie.Clause == arrivalClause {
 				continue
 			}
 			clause := int(m.Cookie.Clause)

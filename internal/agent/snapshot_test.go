@@ -40,7 +40,7 @@ func admitWithFlow(t *testing.T) (*Agent, core.UE) {
 	if _, err := ag.HandlePacketIn(upPkt(ue, 40000)); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := ag.lkg().Tag(5); got != 1 {
+	if got, _ := ag.lkg().tags[5]; got != 1 {
 		t.Fatalf("admitted tag = %d, want 1", got)
 	}
 	return ag, ue
@@ -97,7 +97,7 @@ func TestReconcileEdges(t *testing.T) {
 			if rep != tc.want {
 				t.Fatalf("reconcile report = %+v, want %+v", rep, tc.want)
 			}
-			if got := len(ag.ActiveFlows(ue.PermIP)); got != tc.flows {
+			if got := len(ag.activeFlows(ue.PermIP)); got != tc.flows {
 				t.Fatalf("tracked flows = %d, want %d", got, tc.flows)
 			}
 			if tc.flows > 0 {
@@ -132,7 +132,7 @@ func TestOutOfOrderPublishRejected(t *testing.T) {
 			t.Fatalf("publish v%d: err = %v, want ErrStaleSnapshot", stale, err)
 		}
 	}
-	if got, _ := ag.lkg().Tag(5); got != 2 {
+	if got, _ := ag.lkg().tags[5]; got != 2 {
 		t.Fatalf("stale publish changed state: tag = %d, want 2", got)
 	}
 	if ag.Version() != base+5 {
@@ -268,12 +268,12 @@ func TestConcurrentPublishClassify(t *testing.T) {
 			var last uint64
 			for i := 0; i < 2000; i++ {
 				s := ag.lkg() // one atomic load: the whole read side
-				if s.Version() < last {
+				if s.version < last {
 					errs <- "version went backwards"
 					return
 				}
-				last = s.Version()
-				if tag, ok := s.Tag(5); ok && tag != tagOf(s.Version()) {
+				last = s.version
+				if tag, ok := s.tags[5]; ok && tag != tagOf(s.version) {
 					errs <- "tag does not match snapshot version: torn read"
 					return
 				}

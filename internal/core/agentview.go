@@ -40,9 +40,6 @@ type TagGrant struct {
 	Tag    packet.Tag
 }
 
-// Epoch reports the controller's current tag-plan epoch.
-func (c *Controller) Epoch() uint64 { return c.epoch.Load() }
-
 // AgentView assembles the pushable snapshot of one owned station: its
 // attached UEs (sorted by IMSI) with classifiers resolved against the
 // station's current row of the path table, and the station's tag grants

@@ -375,9 +375,6 @@ func (c canonCtx) canonicalUp(u topo.NodeID, next NextHop) bool {
 	return next.Node >= 0 && next.Node == c.parent[u]
 }
 
-// Plan exposes the installer's address plan.
-func (in *Installer) Plan() packet.Plan { return in.plan }
-
 // FIB exposes the forwarding table of one switch.
 func (in *Installer) FIB(n topo.NodeID) *FIB { return in.fibs[n] }
 

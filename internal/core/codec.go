@@ -63,6 +63,8 @@ func AppendSubscriberRecord(dst []byte, a policy.Attributes) []byte {
 }
 
 // DecodeSubscriberRecord decodes a "sub/<imsi>" store value.
+//
+//lint:ignore deadexport the one reader of a format the store persists; no recovery reads sub/ back yet
 func DecodeSubscriberRecord(blob []byte) (policy.Attributes, error) {
 	d := NewDecoder(blob)
 	if v := d.Byte(); v != recordVersion {

@@ -579,20 +579,6 @@ func (c *Controller) ResolveLocIP(perm packet.Addr) (packet.Addr, error) {
 	return r.locIP, nil
 }
 
-// LookupByLocIP resolves a UE by its current location-dependent address
-// (or by a still-reserved old one — the UE's current record is returned
-// either way).
-func (c *Controller) LookupByLocIP(loc packet.Addr) (UE, bool) {
-	c.ueMu.RLock()
-	defer c.ueMu.RUnlock()
-	bs, id, _ := c.plan.Split(loc)
-	slot, ok := c.stations.slot(bs, id)
-	if !ok {
-		return UE{}, false
-	}
-	return c.ueViewLocked(c.ues.rec(slot)), true
-}
-
 // Detach removes a UE's location record; its permanent IP stays bound to
 // the IMSI in the subscriber table, as in real cores. Reserved old LocIPs
 // from unfinished handoffs stay out of the allocator until their soft

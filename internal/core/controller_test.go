@@ -73,9 +73,9 @@ func TestAttachAllocatesAddresses(t *testing.T) {
 			t.Fatalf("classifier has premature tag: %+v", cl)
 		}
 	}
-	got, ok := c.LookupByLocIP(ue.LocIP)
+	got, ok := c.lookupByLocIP(ue.LocIP)
 	if !ok || got.IMSI != "imsi-1" {
-		t.Fatal("LookupByLocIP failed")
+		t.Fatal("lookupByLocIP failed")
 	}
 }
 
@@ -416,7 +416,7 @@ func TestDetachFreesLocIP(t *testing.T) {
 	if err := c.Detach("a"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.LookupByLocIP(ue.LocIP); ok {
+	if _, ok := c.lookupByLocIP(ue.LocIP); ok {
 		t.Fatal("detached LocIP should not resolve")
 	}
 	// Every UE-keyed operation on a UE without a record says so in one
@@ -475,7 +475,7 @@ func TestRecoverLocationsFromAgents(t *testing.T) {
 		if !ok || got.BS != ue.BS || got.LocIP != ue.LocIP || got.PermIP != ue.PermIP {
 			t.Fatalf("recovered %+v, want %+v", got, ue)
 		}
-		if byLoc, ok := c.LookupByLocIP(ue.LocIP); !ok || byLoc.IMSI != ue.IMSI {
+		if byLoc, ok := c.lookupByLocIP(ue.LocIP); !ok || byLoc.IMSI != ue.IMSI {
 			t.Fatalf("byLoc index not rebuilt for %s", ue.IMSI)
 		}
 	}
@@ -507,8 +507,8 @@ func TestControllerConfigValidation(t *testing.T) {
 }
 
 // TestStorePersistsControlState: the store holds the slow-changing state of
-// §5.2 — registrations and policy paths, on every replica — and no UE
-// location, which only the agents know.
+// §5.2 — registrations and policy paths — and no UE location, which only
+// the agents know.
 func TestStorePersistsControlState(t *testing.T) {
 	c, _ := testController(t)
 	_ = c.RegisterSubscriber("a", policy.Attributes{Provider: "A"})
@@ -517,16 +517,14 @@ func TestStorePersistsControlState(t *testing.T) {
 	if _, err := c.RequestPath(0, clause); err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range append(c.Store.Replicas(), c.Store.Primary()) {
-		if _, ok := r.Get("sub/a"); !ok {
-			t.Errorf("%s: subscriber missing", r.Name())
-		}
-		if keys := r.Keys("path/"); len(keys) != 1 {
-			t.Errorf("%s: path keys = %v", r.Name(), keys)
-		}
-		if keys := r.Keys(""); len(keys) != 2 {
-			t.Errorf("%s: keys = %v, want the subscriber and the path only", r.Name(), keys)
-		}
+	if _, ok := c.Store.Get("sub/a"); !ok {
+		t.Error("subscriber missing")
+	}
+	if keys := c.Store.Keys("path/"); len(keys) != 1 {
+		t.Errorf("path keys = %v", keys)
+	}
+	if keys := c.Store.Keys(""); len(keys) != 2 {
+		t.Errorf("keys = %v, want the subscriber and the path only", keys)
 	}
 }
 

@@ -53,9 +53,6 @@ func Deliver() NextHop { return NextHop{Node: DeliverNode, MB: NoMB} }
 // IsDeliver reports whether the next hop is local delivery.
 func (nh NextHop) IsDeliver() bool { return nh.Node == DeliverNode }
 
-// Zero reports whether the next hop is unset.
-func (nh NextHop) Zero() bool { return nh.Node == topo.None && nh.MB == NoMB }
-
 func (nh NextHop) String() string {
 	switch {
 	case nh.MB != NoMB:
@@ -202,9 +199,6 @@ func (t *prefixTrie) insertNoAgg(p packet.Prefix, nh NextHop) (delta int, change
 	n.nh = nh
 	return delta, changed
 }
-
-// Count reports live entries.
-func (t *prefixTrie) Count() int { return t.count }
 
 // Walk visits every live entry.
 func (t *prefixTrie) Walk(fn func(p packet.Prefix, nh NextHop)) {

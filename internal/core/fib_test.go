@@ -29,8 +29,8 @@ func TestTrieInsertLookup(t *testing.T) {
 	if _, ok := tr.Lookup(pfx(packet.AddrFrom4(10, 2, 0, 0), 16)); ok {
 		t.Fatal("uninstalled prefix should miss")
 	}
-	if tr.Count() != 2 {
-		t.Fatalf("count = %d", tr.Count())
+	if tr.count != 2 {
+		t.Fatalf("count = %d", tr.count)
 	}
 }
 
@@ -52,8 +52,8 @@ func TestTrieSiblingAggregation(t *testing.T) {
 	a := pfx(packet.AddrFrom4(10, 0, 0, 0), 17)
 	b := pfx(packet.AddrFrom4(10, 0, 128, 0), 17)
 	tr.Insert(a, ToNode(7))
-	if tr.Count() != 1 {
-		t.Fatalf("count = %d", tr.Count())
+	if tr.count != 1 {
+		t.Fatalf("count = %d", tr.count)
 	}
 	if !tr.CanAggregate(b, ToNode(7)) {
 		t.Fatal("sibling with same next hop should aggregate")
@@ -62,8 +62,8 @@ func TestTrieSiblingAggregation(t *testing.T) {
 		t.Fatal("different next hop should not aggregate")
 	}
 	tr.Insert(b, ToNode(7))
-	if tr.Count() != 1 {
-		t.Fatalf("after merge count = %d, want 1", tr.Count())
+	if tr.count != 1 {
+		t.Fatalf("after merge count = %d, want 1", tr.count)
 	}
 	if nh, ok := tr.Exact(pfx(packet.AddrFrom4(10, 0, 0, 0), 16)); !ok || nh.Node != 7 {
 		t.Fatalf("merged /16 missing: %v %v", nh, ok)
@@ -83,8 +83,8 @@ func TestTrieCascadingMerge(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		tr.Insert(pfx(base|packet.Addr(i)<<14, 18), ToNode(3))
 	}
-	if tr.Count() != 1 {
-		t.Fatalf("count = %d, want 1", tr.Count())
+	if tr.count != 1 {
+		t.Fatalf("count = %d, want 1", tr.count)
 	}
 }
 
@@ -265,12 +265,6 @@ func TestFIBRecentTags(t *testing.T) {
 }
 
 func TestNextHopHelpers(t *testing.T) {
-	if !(NextHop{Node: topo.None, MB: NoMB}).Zero() {
-		t.Fatal("zero detection")
-	}
-	if ToNode(3).Zero() || ToMB(2).Zero() {
-		t.Fatal("non-zero detection")
-	}
 	if ToNode(3).String() != "sw3" || ToMB(2).String() != "mb#2" {
 		t.Fatal("strings")
 	}

@@ -295,6 +295,8 @@ func (c *Controller) CheckInvariants() (InvariantReport, error) {
 
 // Paths lists the installed policy paths in ascending (station, clause)
 // order. Records never change once filed, so callers may keep them.
+//
+//lint:ignore deadexport the data plane's Sync differential test walks every installed path and has no other source for the records
 func (c *Controller) Paths() []*InstalledPath {
 	c.ruleMu.Lock()
 	defer c.ruleMu.Unlock()

@@ -94,7 +94,7 @@ func (m *locModel) recover(reported map[string]packet.Addr) {
 // ExtractUE then AdoptUE, RecoverLocations from a random subset of the
 // attached UEs — against locModel. After every op each LocIP handed out
 // must be the model's, and every LocIP up to past the model's marks must
-// resolve through LookupByLocIP to the UE the model names, or to none.
+// resolve through lookupByLocIP to the UE the model names, or to none.
 func TestQuickLocIPAllocationMatchesModel(t *testing.T) {
 	imsis := []string{"q0", "q1", "q2", "q3", "q4"}
 	prop := func(ops []uint16) bool {
@@ -203,7 +203,7 @@ func TestQuickLocIPAllocationMatchesModel(t *testing.T) {
 			for bs := packet.BSID(0); bs < 3; bs++ {
 				for id := packet.UEID(1); id <= m.mark[bs]+2; id++ {
 					loc, _ := m.plan.LocIP(bs, id)
-					ue, ok := c.LookupByLocIP(loc)
+					ue, ok := c.lookupByLocIP(loc)
 					who := m.owner[loc]
 					if ok != (who != "") || ok && (ue.IMSI != who || ue.LocIP != m.cur[who]) {
 						t.Fatalf("step %d: after %s, LocIP %s resolves to %q at %s (%v); the model names %q at %s",
@@ -218,4 +218,18 @@ func TestQuickLocIPAllocationMatchesModel(t *testing.T) {
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// lookupByLocIP resolves a UE by its current location-dependent address
+// (or by a still-reserved old one — the UE's current record is returned
+// either way).
+func (c *Controller) lookupByLocIP(loc packet.Addr) (UE, bool) {
+	c.ueMu.RLock()
+	defer c.ueMu.RUnlock()
+	bs, id, _ := c.plan.Split(loc)
+	slot, ok := c.stations.slot(bs, id)
+	if !ok {
+		return UE{}, false
+	}
+	return c.ueViewLocked(c.ues.rec(slot)), true
 }

@@ -33,13 +33,6 @@ func (c *Controller) ownsLocked(bs packet.BSID) bool {
 	return r != nil && r.owned
 }
 
-// Owns reports whether the controller serves bs.
-func (c *Controller) Owns(bs packet.BSID) bool {
-	c.ueMu.RLock()
-	defer c.ueMu.RUnlock()
-	return c.ownsLocked(bs)
-}
-
 // Stations lists the controller's owned base stations in ascending order.
 func (c *Controller) Stations() []packet.BSID {
 	c.ueMu.RLock()

@@ -185,7 +185,7 @@ func assertStationServedFromTable(t *testing.T, c *Controller, bs packet.BSID, i
 			t.Fatalf("attach at station %d: clause %d unresolved although its path is installed", bs, cl.Clause)
 		}
 	}
-	miss, cacheMiss, epoch := c.Stats().PathMiss, c.obs.cacheMiss.Value(), c.Epoch()
+	miss, cacheMiss, epoch := c.Stats().PathMiss, c.obs.cacheMiss.Value(), c.epoch.Load()
 	tag, err := c.RequestPath(bs, clauses[0])
 	if err != nil {
 		t.Fatal(err)
@@ -193,9 +193,9 @@ func assertStationServedFromTable(t *testing.T, c *Controller, bs packet.BSID, i
 	if want := c.paths.get(pathKey{bs, clauses[0]}).AccessTag(); tag != want {
 		t.Fatalf("station %d served tag %d, installed path says %d", bs, tag, want)
 	}
-	if c.Stats().PathMiss != miss || c.obs.cacheMiss.Value() != cacheMiss || c.Epoch() != epoch {
+	if c.Stats().PathMiss != miss || c.obs.cacheMiss.Value() != cacheMiss || c.epoch.Load() != epoch {
 		t.Fatalf("station %d request after migration: PathMiss %d->%d, cache misses %d->%d, epoch %d->%d; want all unchanged",
-			bs, miss, c.Stats().PathMiss, cacheMiss, c.obs.cacheMiss.Value(), epoch, c.Epoch())
+			bs, miss, c.Stats().PathMiss, cacheMiss, c.obs.cacheMiss.Value(), epoch, c.epoch.Load())
 	}
 }
 

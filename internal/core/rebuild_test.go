@@ -154,9 +154,9 @@ func TestControllerRemovePolicyPaths(t *testing.T) {
 	}
 	mustCheck(t, c)
 	// Removing a clause with no paths is a no-op.
-	epoch := c.Epoch()
-	if err := c.RemovePolicyPaths(9999); err != nil || c.Epoch() != epoch {
-		t.Fatalf("no-op removal: %v, epoch %d -> %d", err, epoch, c.Epoch())
+	epoch := c.epoch.Load()
+	if err := c.RemovePolicyPaths(9999); err != nil || c.epoch.Load() != epoch {
+		t.Fatalf("no-op removal: %v, epoch %d -> %d", err, epoch, c.epoch.Load())
 	}
 }
 

@@ -2,6 +2,8 @@ package ctrlproto
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
 	"reflect"
 	"testing"
 
@@ -92,16 +94,21 @@ func FuzzReadFrame(f *testing.F) {
 }
 
 // wireCodec is one hand-packed message's decoder and encoder, typed away so
-// the fuzz target can drive them all.
+// the fuzz target and the round-trip property can drive them all. msg is the
+// message type whose request or reply payload it is, typ its Go type.
 type wireCodec struct {
+	msg    MsgType
 	name   string
+	typ    reflect.Type
 	decode func([]byte) (any, error)
 	encode func(any) []byte
 }
 
-func codecOf[M any](name string, dec func([]byte) (M, error), enc func(M, []byte) []byte) wireCodec {
+func codecOf[M any](msg MsgType, name string, dec func([]byte) (M, error), enc func(M, []byte) []byte) wireCodec {
 	return wireCodec{
+		msg:    msg,
 		name:   name,
+		typ:    reflect.TypeOf((*M)(nil)).Elem(),
 		decode: func(b []byte) (any, error) { m, err := dec(b); return m, err },
 		encode: func(v any) []byte { return enc(v.(M), nil) },
 	}
@@ -110,19 +117,19 @@ func codecOf[M any](name string, dec func([]byte) (M, error), enc func(M, []byte
 // wireCodecs lists every hand-packed payload; the first byte of a fuzz
 // input picks one.
 var wireCodecs = []wireCodec{
-	codecOf("path request", parsePathRequest, PathRequest.appendTo),
-	codecOf("path reply", parsePathReply, PathReply.appendTo),
-	codecOf("attach request", parseAttachRequest, AttachRequest.appendTo),
-	codecOf("handoff request", parseHandoffRequest, HandoffRequest.appendTo),
-	codecOf("attach reply", parseAttachReply, AttachReply.appendTo),
-	codecOf("handoff result", parseHandoffResult, func(r core.HandoffResult, dst []byte) []byte {
+	codecOf(MsgPathRequest, "path request", parsePathRequest, PathRequest.appendTo),
+	codecOf(MsgPathRequest, "path reply", parsePathReply, PathReply.appendTo),
+	codecOf(MsgAttach, "attach request", parseAttachRequest, AttachRequest.appendTo),
+	codecOf(MsgHandoff, "handoff request", parseHandoffRequest, HandoffRequest.appendTo),
+	codecOf(MsgAttach, "attach reply", parseAttachReply, AttachReply.appendTo),
+	codecOf(MsgHandoff, "handoff result", parseHandoffResult, func(r core.HandoffResult, dst []byte) []byte {
 		return appendHandoffResult(dst, r)
 	}),
-	codecOf("location report", parseLocationReport, func(r core.AgentLocationReport, dst []byte) []byte {
+	codecOf(MsgLocationQuery, "location report", parseLocationReport, func(r core.AgentLocationReport, dst []byte) []byte {
 		return appendLocationReport(dst, r)
 	}),
-	codecOf("remote error", parseRemoteError, remoteError.appendTo),
-	codecOf("snapshot notify", parseSnapshotNotify, func(n SnapshotNotify, dst []byte) []byte {
+	codecOf(MsgError, "remote error", parseRemoteError, remoteError.appendTo),
+	codecOf(MsgSnapshot, "snapshot notify", parseSnapshotNotify, func(n SnapshotNotify, dst []byte) []byte {
 		return appendSnapshotNotify(dst, n)
 	}),
 }
@@ -195,4 +202,24 @@ func longestSlice(v reflect.Value) int {
 		}
 	}
 	return n
+}
+
+// writeFrame serialises and writes one frame.
+func writeFrame(w io.Writer, f frame) error {
+	buf, err := appendFrame(nil, f)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(buf)
+	return err
+}
+
+// readFrame reads one frame from an arbitrary reader into a fresh body.
+// The read loop uses conn.readFrame instead.
+func readFrame(r io.Reader) (frame, error) {
+	var lenBuf [4]byte
+	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+		return frame{}, err
+	}
+	return readBody(r, binary.BigEndian.Uint32(lenBuf[:]), nil)
 }

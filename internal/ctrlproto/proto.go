@@ -140,26 +140,6 @@ func appendFrame(buf []byte, f frame) ([]byte, error) {
 	return append(buf, f.payload...), nil
 }
 
-// writeFrame serialises and writes one frame.
-func writeFrame(w io.Writer, f frame) error {
-	buf, err := appendFrame(nil, f)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
-}
-
-// readFrame reads one frame from an arbitrary reader into a fresh body
-// (tests, fuzzing). The read loop uses conn.readFrame instead.
-func readFrame(r io.Reader) (frame, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return frame{}, err
-	}
-	return readBody(r, binary.BigEndian.Uint32(lenBuf[:]), nil)
-}
-
 // readBody reads the n-byte frame body into buf — or into a fresh array
 // when buf is too small — and parses it. The payload aliases that array.
 func readBody(r io.Reader, n uint32, buf []byte) (frame, error) {

@@ -562,9 +562,19 @@ func (n *Network) SendUpstream(bs packet.BSID, p *packet.Packet) (WalkResult, er
 	if !ok {
 		return WalkResult{}, fmt.Errorf("dataplane: unknown base station %d", bs)
 	}
+	orig := p.Flow()
 	res, err := n.walk(st.Access, switchsim.PortUE, p, 0)
 	if err != nil || res.Disposition != PuntedAgent {
 		return res, err
+	}
+	if res.Last != st.Access {
+		// A punt at another station is that station's to resolve only for
+		// an established flow, whose arrival entries went with their UE. A
+		// first packet addressed to a peer's LocIP rides location routing
+		// unclassified, so its own agent applies the UE's policy first.
+		if _, ok := n.Switches[st.Access].Microflow(orig); ok {
+			return n.resolveArrivalPunts(res, p)
+		}
 	}
 	ag := n.Agents[bs]
 	allowed, err := ag.HandlePacketIn(p)
@@ -634,6 +644,8 @@ func (n *Network) SendDownstream(p *packet.Packet) (WalkResult, error) {
 // the public destination to the UE's LocIP plus the policy tag of the given
 // clause, then ordinary forwarding applies. Inbound service ports must fit
 // the plan's ephemeral field (the tag rides the high bits).
+//
+//lint:ignore deadexport §7's entry point for traffic initiated from the Internet; only its tests drive it so far
 func (n *Network) BindPublicIP(imsi string, public packet.Addr, clause int) error {
 	ue, ok := n.Ctrl.LookupUE(imsi)
 	if !ok || ue.LocIP == 0 {
@@ -696,28 +708,6 @@ func (n *Network) Attach(imsi string, bs packet.BSID) (core.UE, error) {
 		return ue, err
 	}
 	return ue, n.Agents[bs].AdmitUE(ue, cls)
-}
-
-// RefreshClassifiers publishes each station's current AgentView to its
-// agent — used after policy changes or failure recomputation, when the
-// stations' grants have gone stale. Each agent's reconcile replays its live
-// flows onto its station's current tags and tears down those whose clause
-// lost its path, so an old flow's next packet takes the re-planned path. A
-// retired tag is never issued again (the controller's tag sequence survives
-// rebuilds), so it cannot alias a new path; but a packet sent with one
-// before the refresh is not dropped yet: the rules that ignore the tag
-// carry it on, past its middleboxes (ROADMAP item 1(a)).
-func (n *Network) RefreshClassifiers() error {
-	for bs, ag := range n.Agents {
-		view, err := n.Ctrl.AgentView(bs)
-		if err != nil {
-			return err
-		}
-		if _, err := ag.Publish(agent.NewSnapshot(ag.Version()+1, view)); err != nil {
-			return err
-		}
-	}
-	return n.Sync()
 }
 
 // MiddleboxStats sums consistency violations across all instances — the

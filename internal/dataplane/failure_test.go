@@ -55,9 +55,7 @@ func TestSwitchFailureRecomputation(t *testing.T) {
 	if rep.Recomputed == 0 {
 		t.Fatalf("no paths recomputed: %+v", rep)
 	}
-	if err := net.RefreshClassifiers(); err != nil {
-		t.Fatal(err)
-	}
+	publishAll(t, net)
 
 	// A new flow routes around the failure.
 	p2 := webPacket(ue, 40001)
@@ -110,9 +108,7 @@ func TestSwitchRecoveryReoptimises(t *testing.T) {
 	if _, err := net.Ctrl.RecoverSwitch(victim); err != nil {
 		t.Fatal(err)
 	}
-	if err := net.RefreshClassifiers(); err != nil {
-		t.Fatal(err)
-	}
+	publishAll(t, net)
 	if res, err := net.SendUpstream(3, webPacket(ue, 40002)); err != nil || res.Disposition != ExitedNet {
 		t.Fatalf("post-recovery flow: %v %v", res.Disposition, err)
 	}
@@ -149,9 +145,7 @@ func TestFailureDropsUnreachableStations(t *testing.T) {
 	if rep.Unreachable == 0 {
 		t.Fatalf("expected unreachable paths: %+v", rep)
 	}
-	if err := net.RefreshClassifiers(); err != nil {
-		t.Fatal(err)
-	}
+	publishAll(t, net)
 	// Station 0 keeps working.
 	if res, err := net.SendUpstream(0, webPacket(ueY, 40001)); err != nil || res.Disposition != ExitedNet {
 		t.Fatalf("y post-failure: %v %v", res.Disposition, err)
@@ -212,9 +206,7 @@ func TestReplanReachesLiveFlows(t *testing.T) {
 			if err := rp.replan(net, victim); err != nil {
 				t.Fatal(err)
 			}
-			if err := net.RefreshClassifiers(); err != nil {
-				t.Fatal(err)
-			}
+			publishAll(t, net)
 			crossed := 0
 			for i, st := range net.T.Stations {
 				res, err := net.SendUpstream(st.ID, &flows[i])

@@ -3,6 +3,7 @@ package dataplane
 import (
 	"testing"
 
+	"repro/internal/agent"
 	"repro/internal/packet"
 	"repro/internal/policy"
 )
@@ -159,14 +160,26 @@ func TestM2MDeniedByPolicy(t *testing.T) {
 	_ = net.Ctrl.RegisterSubscriber("b", policy.Attributes{Provider: "A"})
 	ueC, _ := net.Attach("c", 0)
 	ueB, _ := net.Attach("b", 1)
-	p := &packet.Packet{Src: ueC.PermIP, Dst: ueB.PermIP,
-		SrcPort: 50000, DstPort: 7000, Proto: packet.ProtoUDP, TTL: 64}
-	res, err := net.SendUpstream(0, p)
-	if err != nil {
+	if err := net.Sync(); err != nil { // location routes in place
 		t.Fatal(err)
 	}
-	if res.Disposition != DroppedAt {
-		t.Fatalf("foreign M2M should drop, got %s", res.Disposition)
+	// Addressed by the peer's permanent IP or by its LocIP: the latter rides
+	// location routing to B's station unclassified, and must still be
+	// judged by C's own agent rather than delivered there.
+	for _, dst := range []packet.Addr{ueB.PermIP, ueB.LocIP} {
+		p := &packet.Packet{Src: ueC.PermIP, Dst: dst,
+			SrcPort: 50000, DstPort: 7000, Proto: packet.ProtoUDP, TTL: 64}
+		res, err := net.SendUpstream(0, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Disposition != DroppedAt {
+			t.Fatalf("foreign M2M to %s should drop, got %s at %d", dst, res.Disposition, res.Last)
+		}
+	}
+	st1, _ := net.T.Station(1)
+	if n := net.Switches[st1.Access].NumMicroflows(); n != 0 {
+		t.Fatalf("B's station holds %d microflows for a denied sender", n)
 	}
 }
 
@@ -178,6 +191,9 @@ func TestMobileToMobileByLocIP(t *testing.T) {
 	_ = net.Ctrl.RegisterSubscriber("b", policy.Attributes{Provider: "A"})
 	ueA, _ := net.Attach("a", 1)
 	ueB, _ := net.Attach("b", 2)
+	if err := net.Sync(); err != nil { // location routes in place
+		t.Fatal(err)
+	}
 	p := &packet.Packet{
 		Src: ueA.PermIP, Dst: ueB.LocIP,
 		SrcPort: 51000, DstPort: 7000, Proto: packet.ProtoUDP, TTL: 64,
@@ -188,6 +204,138 @@ func TestMobileToMobileByLocIP(t *testing.T) {
 	}
 	if res.Disposition != Delivered || p.Dst != ueB.PermIP {
 		t.Fatalf("LocIP-addressed m2m: %s, dst %s", res.Disposition, p.Dst)
+	}
+	// The first packet was classified at A's own station: it holds the
+	// flow's pair, so the packet left carrying A's LocIP, not its
+	// permanent address.
+	st1, _ := net.T.Station(1)
+	orig := packet.FlowKey{Src: ueA.PermIP, Dst: ueB.LocIP, SrcPort: 51000, DstPort: 7000, Proto: packet.ProtoUDP}
+	if _, ok := net.Switches[st1.Access].Microflow(orig); !ok {
+		t.Fatal("source station holds no microflow for the LocIP-addressed flow")
+	}
+	if !net.Ctrl.Plan().Carrier.Contains(p.Src) {
+		t.Fatalf("delivered src = %s, want a LocIP", p.Src)
+	}
+}
+
+// publishStation pushes bs's current AgentView to its agent and syncs.
+func publishStation(t *testing.T, net *Network, bs packet.BSID) agent.ReconcileReport {
+	t.Helper()
+	view, err := net.Ctrl.AgentView(bs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ag := net.Agents[bs]
+	rep, err := ag.Publish(agent.NewSnapshot(ag.Version()+1, view))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := net.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// publishAll pushes every station's current AgentView to its agent, as
+// after a re-plan: each agent's reconcile replays its live flows onto the
+// station's current tags and tears down those whose clause lost its path.
+func publishAll(t *testing.T, net *Network) {
+	t.Helper()
+	for bs := range net.Agents {
+		publishStation(t, net, bs)
+	}
+}
+
+// TestDetachedUEsArrivalFlowsGoWithIt: the two microflows HandleArrival
+// installs for a mobile-to-mobile flow belong to the destination UE, so
+// the publish that drops a detached UE tears them down, and the UE that
+// next gets its LocIP is never handed the old flow rewritten to the
+// detached UE's permanent address.
+func TestDetachedUEsArrivalFlowsGoWithIt(t *testing.T) {
+	net, _ := newNet(t, packet.Prefix{})
+	for _, imsi := range []string{"a", "b", "c"} {
+		if err := net.Ctrl.RegisterSubscriber(imsi, policy.Attributes{Provider: "A"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ueA, _ := net.Attach("a", 1)
+	ueB, _ := net.Attach("b", 2)
+	send := func() *packet.Packet {
+		p := &packet.Packet{Src: ueA.PermIP, Dst: ueB.LocIP,
+			SrcPort: 51000, DstPort: 7000, Proto: packet.ProtoUDP, TTL: 64}
+		if res, err := net.SendUpstream(1, p); err != nil || res.Disposition != Delivered {
+			t.Fatalf("m2m to %s: %v %v", ueB.LocIP, res.Disposition, err)
+		}
+		return p
+	}
+	if p := send(); p.Dst != ueB.PermIP {
+		t.Fatalf("delivered to %s, want b's %s", p.Dst, ueB.PermIP)
+	}
+	access := net.Agents[2].Access
+	if n := access.NumMicroflows(); n != 2 {
+		t.Fatalf("b's station holds %d microflows after the arrival, want 2", n)
+	}
+	if err := net.Ctrl.Detach("b"); err != nil {
+		t.Fatal(err)
+	}
+	rep := publishStation(t, net, 2)
+	if n := access.NumMicroflows(); n != 0 || rep.TornDown != 1 || rep.UEsDropped != 1 {
+		t.Fatalf("after b's detach: %d microflows left, report %+v; want none, 1 flow torn down", n, rep)
+	}
+	ueC, err := net.Attach("c", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ueC.LocIP != ueB.LocIP {
+		t.Fatalf("c got %s, not detached b's %s: the reuse this test needs did not happen", ueC.LocIP, ueB.LocIP)
+	}
+	if err := net.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if p := send(); p.Dst != ueC.PermIP {
+		t.Fatalf("a's next packet to %s delivered to %s, want c's %s (b's is %s)", ueC.LocIP, p.Dst, ueC.PermIP, ueB.PermIP)
+	}
+}
+
+// TestM2MDestinationHandoffKeepsTheFlow: a mobile-to-mobile flow's
+// destination hands off; its arrival entries move with it, so the old
+// flow's next packet, still addressed to the old LocIP, is delivered to
+// the UE at its new station, and its reply goes back out.
+func TestM2MDestinationHandoffKeepsTheFlow(t *testing.T) {
+	net, _ := newNet(t, packet.Prefix{})
+	for _, imsi := range []string{"a", "b"} {
+		if err := net.Ctrl.RegisterSubscriber(imsi, policy.Attributes{Provider: "A"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ueA, _ := net.Attach("a", 1)
+	ueB, _ := net.Attach("b", 2)
+	send := func() (WalkResult, *packet.Packet) {
+		p := &packet.Packet{Src: ueA.PermIP, Dst: ueB.LocIP,
+			SrcPort: 51000, DstPort: 7000, Proto: packet.ProtoUDP, TTL: 64}
+		res, err := net.SendUpstream(1, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, p
+	}
+	if res, p := send(); res.Disposition != Delivered || p.Dst != ueB.PermIP {
+		t.Fatalf("before the handoff: %s, dst %s", res.Disposition, p.Dst)
+	}
+	if _, err := net.Handoff("b", 3); err != nil {
+		t.Fatal(err)
+	}
+	res, p := send()
+	if res.Disposition != Delivered || p.Dst != ueB.PermIP {
+		t.Fatalf("after b's handoff: %s at %d, dst %s; want delivered to %s", res.Disposition, res.Last, p.Dst, ueB.PermIP)
+	}
+	if res.Last != net.T.Stations[3].Access {
+		t.Fatalf("delivered at switch %d, want b's new access switch %d", res.Last, net.T.Stations[3].Access)
+	}
+	reply := &packet.Packet{Src: ueB.PermIP, Dst: ueA.LocIP,
+		SrcPort: 7000, DstPort: 51000, Proto: packet.ProtoUDP, TTL: 64}
+	if rres, err := net.SendUpstream(3, reply); err != nil || rres.Disposition != Delivered || reply.Dst != ueA.PermIP {
+		t.Fatalf("b's reply from its new station: %v %v, dst %s", rres.Disposition, err, reply.Dst)
 	}
 }
 

@@ -319,10 +319,22 @@ func (c *churn) classes() []walked {
 		}
 		out = append(out, walked{rec, bs.Addr, []topo.NodeID{rec.Route.Access()}})
 	}
+	holder := make(map[packet.Addr]core.UE) // reserved old LocIP -> its UE
+	for _, bs := range n.Ctrl.Stations() {
+		view, err := n.Ctrl.AgentView(bs)
+		if err != nil {
+			c.t.Fatal(err)
+		}
+		for _, u := range view.UEs {
+			for _, loc := range u.Reserved {
+				holder[loc] = u.UE
+			}
+		}
+	}
 	for _, hr := range c.pending {
-		ue, ok := n.Ctrl.LookupByLocIP(hr.OldLocIP)
-		if !ok || ue.LocIP == hr.OldLocIP {
-			continue // released since (by a detach-and-reuse of the address, say)
+		ue, ok := holder[hr.OldLocIP]
+		if !ok {
+			continue // released since (by a detach, say)
 		}
 		for _, rec := range paths {
 			if rec.Origin != hr.OldBS {

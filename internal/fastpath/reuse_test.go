@@ -132,7 +132,7 @@ func checkReuse(t *testing.T, rng *rand.Rand, large bool) reuseCounts {
 		c.round(round)
 	}
 	if c.prev.micro.mask < 255 {
-		t.Fatalf("%d microflows in a %d-slot index; the table never grew to 256 slots", c.prev.NumMicroflows(), c.prev.micro.mask+1)
+		t.Fatalf("%d microflows in a %d-slot index; the table never grew to 256 slots", c.prev.micro.n, c.prev.micro.mask+1)
 	}
 
 	// More changes than the log holds: the next compile starts over. A
@@ -283,9 +283,9 @@ func (c *reuseCheck) round(round int) {
 // charged to.
 func (c *reuseCheck) agree(round int, name string, s, fresh *Snapshot) {
 	t := c.t
-	if s.Gen != fresh.Gen || s.NumRules() != fresh.NumRules() || s.NumMicroflows() != fresh.NumMicroflows() {
+	if s.Gen != fresh.Gen || len(s.tcam) != len(fresh.tcam) || s.micro.n != fresh.micro.n {
 		t.Fatalf("round %d: %s snapshot gen %d, %d rules, %d microflows; fresh gen %d, %d, %d", round, name,
-			s.Gen, s.NumRules(), s.NumMicroflows(), fresh.Gen, fresh.NumRules(), fresh.NumMicroflows())
+			s.Gen, len(s.tcam), s.micro.n, fresh.Gen, len(fresh.tcam), fresh.micro.n)
 	}
 	var tr, tf tally
 	tr.ensure(s.slots())
@@ -448,8 +448,8 @@ func TestMicroflowChurnUnderBursts(t *testing.T) {
 	wg.Wait()
 
 	snap := fib.Acquire()
-	if snap.Gen != sw.Generation() || snap.NumMicroflows() != sw.NumMicroflows() {
-		t.Fatalf("post-churn snapshot gen %d with %d microflows, switch gen %d with %d", snap.Gen, snap.NumMicroflows(), sw.Generation(), sw.NumMicroflows())
+	if snap.Gen != sw.Generation() || snap.micro.n != sw.NumMicroflows() {
+		t.Fatalf("post-churn snapshot gen %d with %d microflows, switch gen %d with %d", snap.Gen, snap.micro.n, sw.Generation(), sw.NumMicroflows())
 	}
 	checkIndex(t, 0, snap)
 	for i, p := range pkts {

@@ -175,3 +175,13 @@ func calleeLabel(pkg *Package, call *ast.CallExpr) string {
 	}
 	return "call"
 }
+
+// typeName renders a named type as "pkgpath.Name" for allowlist matching
+// and messages.
+func typeName(n *types.Named) string {
+	obj := n.Obj()
+	if obj.Pkg() == nil {
+		return obj.Name()
+	}
+	return obj.Pkg().Path() + "." + obj.Name()
+}

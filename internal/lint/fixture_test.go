@@ -63,7 +63,7 @@ func collectWants(t *testing.T, prog *Program) []*wantSpec {
 // diagnostics and want comments.
 func checkFixture(t *testing.T, prog *Program, rules *Rules, analyzers []*Analyzer) []Diagnostic {
 	t.Helper()
-	diags := Run(prog, rules, analyzers)
+	diags, _ := RunReport(prog, rules, analyzers)
 	wants := collectWants(t, prog)
 	for _, d := range diags {
 		matched := false
@@ -113,16 +113,13 @@ func TestLayeringFixture(t *testing.T) {
 	checkFixture(t, prog, rules, []*Analyzer{Layering})
 }
 
-func TestWireSafeFixture(t *testing.T) {
-	prog := loadFixture(t, "wire")
-	rules := &Rules{
-		WireRootPkgs:     []string{"fixture/wire"},
-		WireRootSuffixes: []string{"Request", "Reply", "Report"},
-		WireRoots:        []string{"fixture/wire.SideChannel"},
-		WireIfaceAllow:   []string{"fixture/wire.Classifier"},
-		WireTypeAllow:    []string{"fixture/wire.Blob"},
-	}
-	checkFixture(t, prog, rules, []*Analyzer{WireSafe})
+// TestDeadExportFixture: an export only a _test.go file calls is reported,
+// one a main package calls is not, heap.Interface's methods are exempt, and
+// the //lint:ignore on lib.Kept suppresses its finding (were it unused, it
+// would itself be reported).
+func TestDeadExportFixture(t *testing.T) {
+	prog := loadFixture(t, "deadexp/tool")
+	checkFixture(t, prog, &Rules{LayerScope: "fixture/deadexp/"}, []*Analyzer{DeadExport})
 }
 
 func TestObsCheckFixture(t *testing.T) {
@@ -163,7 +160,7 @@ func TestIgnoreExactness(t *testing.T) {
 // a malformed directive are both findings under the pseudo-rule "lint".
 func TestIgnoreDirectives(t *testing.T) {
 	prog := loadFixture(t, "ignores")
-	diags := Run(prog, &Rules{}, []*Analyzer{ErrDrop})
+	diags, _ := RunReport(prog, &Rules{}, []*Analyzer{ErrDrop})
 	if len(diags) != 2 {
 		t.Fatalf("got %d diagnostics, want 2: %v", len(diags), diags)
 	}
@@ -187,7 +184,7 @@ func TestIgnoreDirectives(t *testing.T) {
 // TestAnalyzersComplete pins the production analyzer set.
 func TestAnalyzersComplete(t *testing.T) {
 	want := []string{"lockcheck", "lockorder", "hotpath", "atomicpub",
-		"determinism", "layering", "wiresafe", "errdrop", "obscheck"}
+		"determinism", "layering", "deadexport", "errdrop", "obscheck"}
 	got := Analyzers()
 	if len(got) != len(want) {
 		t.Fatalf("Analyzers() returned %d analyzers, want %d", len(got), len(want))
@@ -226,7 +223,7 @@ func TestRepoIsClean(t *testing.T) {
 		t.Fatalf("go build -gcflags=-m: %v\n%s", err, out)
 	}
 	rules.Escapes = ParseEscapes(root, out)
-	diags := Run(prog, rules, Analyzers())
+	diags, _ := RunReport(prog, rules, Analyzers())
 	for _, d := range diags {
 		t.Errorf("%s", d)
 	}

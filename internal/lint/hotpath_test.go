@@ -138,7 +138,7 @@ func TestEscapeCrossCheck(t *testing.T) {
 		{File: abs, Line: marks["crash"], Msg: `"hotesc: " + msg escapes to heap`},
 		{File: abs, Line: marks["cool"], Msg: "make([]int, 3) escapes to heap"},
 	}}
-	diags := Run(prog, rules, []*Analyzer{HotPath})
+	diags, _ := RunReport(prog, rules, []*Analyzer{HotPath})
 	if len(diags) != 1 {
 		t.Fatalf("got %d diagnostics, want 1 (warm only): %v", len(diags), diags)
 	}

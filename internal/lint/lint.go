@@ -3,8 +3,8 @@
 // importer), that loads and type-checks the whole repository and runs a set
 // of repo-specific analyzers over it. The analyzers machine-check the
 // invariants the concurrent control plane depends on — lock discipline,
-// simulator determinism, package layering, wire-format encodability, and
-// no silently dropped errors. See DESIGN.md "Static invariants".
+// simulator determinism, package layering, no exported API that only tests
+// call, and no silently dropped errors. See DESIGN.md "Static invariants".
 //
 // Diagnostics print as "file:line: [rule] message"; a finding can be
 // suppressed with a same- or preceding-line comment
@@ -17,7 +17,6 @@ package lint
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"sort"
 	"strings"
@@ -48,7 +47,7 @@ type Analyzer struct {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		LockCheck, LockOrder, HotPath, AtomicPub,
-		Determinism, Layering, WireSafe, ErrDrop, ObsCheck,
+		Determinism, Layering, DeadExport, ErrDrop, ObsCheck,
 	}
 }
 
@@ -121,17 +120,12 @@ func collectIgnores(prog *Program, known map[string]bool, report func(Diagnostic
 	return out
 }
 
-// Run executes the analyzers over the program and returns the surviving
-// diagnostics sorted by position. Ignored findings are dropped; unused or
-// malformed ignore directives are themselves reported.
-func Run(prog *Program, rules *Rules, analyzers []*Analyzer) []Diagnostic {
-	diags, _ := RunReport(prog, rules, analyzers)
-	return diags
-}
-
-// RunReport is Run plus a machine-readable report of everything that
-// happened: every finding (including the suppressed ones, marked as such)
-// and every ignore directive with its usage status.
+// RunReport executes the analyzers over the program and returns the
+// surviving diagnostics sorted by position — ignored findings dropped,
+// unused or malformed ignore directives reported — plus a machine-readable
+// report of everything that happened: every finding (including the
+// suppressed ones, marked as such) and every ignore directive with its
+// usage status.
 func RunReport(prog *Program, rules *Rules, analyzers []*Analyzer) ([]Diagnostic, *Report) {
 	var diags []Diagnostic
 	ignores := collectIgnores(prog, knownRuleNames(analyzers), func(d Diagnostic) { diags = append(diags, d) })
@@ -224,9 +218,4 @@ func matchPkg(entries []string, path string) bool {
 		}
 	}
 	return false
-}
-
-// funcDocHas reports whether a function's doc comment contains the phrase.
-func funcDocHas(fn *ast.FuncDecl, phrase string) bool {
-	return fn.Doc != nil && strings.Contains(fn.Doc.Text(), phrase)
 }

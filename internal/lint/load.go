@@ -26,13 +26,9 @@ type Package struct {
 
 // Program is the full set of loaded packages plus the shared FileSet.
 type Program struct {
-	Fset   *token.FileSet
-	Pkgs   []*Package // sorted by import path
-	byPath map[string]*Package
+	Fset *token.FileSet
+	Pkgs []*Package // sorted by import path
 }
-
-// Lookup resolves a loaded package by import path.
-func (p *Program) Lookup(path string) *Package { return p.byPath[path] }
 
 // Loader parses and type-checks packages using only the standard library:
 // module-local import paths resolve against the module root, everything
@@ -206,10 +202,9 @@ func (l *Loader) LoadAll() (*Program, error) {
 
 // Program assembles every package loaded so far into a Program.
 func (l *Loader) Program() *Program {
-	prog := &Program{Fset: l.fset, byPath: make(map[string]*Package, len(l.pkgs))}
+	prog := &Program{Fset: l.fset}
 	for _, p := range l.pkgs {
 		prog.Pkgs = append(prog.Pkgs, p)
-		prog.byPath[p.Path] = p
 	}
 	sort.Slice(prog.Pkgs, func(i, j int) bool { return prog.Pkgs[i].Path < prog.Pkgs[j].Path })
 	return prog

@@ -21,18 +21,6 @@ type Rules struct {
 	// Construct restricts who may call specific constructors.
 	Construct []ConstructRule
 
-	// WireRootPkgs are scanned for message roots: every exported struct
-	// whose name carries one of WireRootSuffixes. WireRoots adds explicit
-	// "pkgpath.Type" roots outside those packages. WireIfaceAllow lists
-	// interface types with a registered concrete set (encodable by
-	// convention); WireTypeAllow lists named types accepted as encodable
-	// even though their fields are unexported (custom marshalers).
-	WireRootPkgs     []string
-	WireRootSuffixes []string
-	WireRoots        []string
-	WireIfaceAllow   []string
-	WireTypeAllow    []string
-
 	// ObsPkg is the telemetry registry package whose registration calls
 	// obscheck audits (empty disables the analyzer).
 	ObsPkg string
@@ -197,11 +185,8 @@ func DefaultRules() *Rules {
 					"repro/internal/dataplane", "repro/internal/plant"},
 			},
 		},
-		ObsPkg:           "repro/internal/obs",
-		WireRootPkgs:     []string{"repro/internal/ctrlproto"},
-		WireRootSuffixes: []string{"Request", "Reply", "Report", "Notify"},
-		WireRoots:        []string{"repro/internal/core.AgentLocationReport"},
-		ErrAllowNames:    []string{"Close"},
+		ObsPkg:        "repro/internal/obs",
+		ErrAllowNames: []string{"Close"},
 		ErrAllowFuncs: []string{
 			"fmt.Print", "fmt.Printf", "fmt.Println",
 			"fmt.Fprint", "fmt.Fprintf", "fmt.Fprintln",

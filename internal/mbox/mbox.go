@@ -109,13 +109,6 @@ func (ct *connTable) snapshot() Stats {
 	return ct.stats
 }
 
-// numConns reports live connection entries.
-func (ct *connTable) numConns() int {
-	ct.mu.Lock()
-	defer ct.mu.Unlock()
-	return len(ct.conns)
-}
-
 // base carries the identity shared by all boxes.
 type base struct {
 	fn   string
@@ -126,7 +119,6 @@ type base struct {
 func (b *base) Func() string                { return b.fn }
 func (b *base) Instance() topo.MBInstanceID { return b.inst }
 func (b *base) Stats() Stats                { return b.ct.snapshot() }
-func (b *base) NumConnections() int         { return b.ct.numConns() }
 func (b *base) String() string              { return fmt.Sprintf("%s#%d", b.fn, b.inst) }
 
 // Firewall admits connections initiated from inside (upstream first packet)
@@ -261,13 +253,6 @@ func (i *IDS) Process(p *packet.Packet, dir Direction) bool {
 	return true
 }
 
-// UEFlows reports the live flow count the IDS attributes to a LocIP.
-func (i *IDS) UEFlows(ue packet.Addr) int {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.perUE[ue]
-}
-
 // NAT translates between internal LocIPs and a public pool so Internet
 // servers cannot correlate a UE's address with its location (§4.1). Every
 // *flow* gets a fresh public (address, port) binding.
@@ -345,13 +330,6 @@ func (n *NAT) Process(p *packet.Packet, dir Direction) bool {
 	return true
 }
 
-// Bindings reports the number of live NAT entries.
-func (n *NAT) Bindings() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.out)
-}
-
 // Factory builds a middlebox instance for a function name.
 type Factory func(inst topo.MBInstanceID) Middlebox
 
@@ -391,15 +369,4 @@ func (r *Registry) Build(fn string, inst topo.MBInstanceID) (Middlebox, error) {
 		return nil, fmt.Errorf("mbox: unknown middlebox function %q", fn)
 	}
 	return f(inst), nil
-}
-
-// Functions lists the registered function names (unordered).
-func (r *Registry) Functions() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.factories))
-	for fn := range r.factories {
-		out = append(out, fn)
-	}
-	return out
 }

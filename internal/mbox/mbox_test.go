@@ -98,8 +98,8 @@ func TestEchoCancellerTracksState(t *testing.T) {
 	if ec.Stats().Connections != 1 {
 		t.Fatalf("Connections = %d", ec.Stats().Connections)
 	}
-	if ec.NumConnections() != 1 {
-		t.Fatalf("NumConnections = %d", ec.NumConnections())
+	if len(ec.ct.conns) != 1 {
+		t.Fatalf("NumConnections = %d", len(ec.ct.conns))
 	}
 }
 
@@ -112,8 +112,8 @@ func TestIDSCountsPerUE(t *testing.T) {
 			t.Fatalf("flow %d should pass", i)
 		}
 	}
-	if ids.UEFlows(ue) != 3 {
-		t.Fatalf("UEFlows = %d", ids.UEFlows(ue))
+	if ids.perUE[ue] != 3 {
+		t.Fatalf("UEFlows = %d", ids.perUE[ue])
 	}
 	// Fourth flow trips the limit and the UE is blocked.
 	if ids.Process(upPkt(ue, 5004), Upstream) {
@@ -166,8 +166,8 @@ func TestNATRoundTrip(t *testing.T) {
 	if reply.Dst != ue || reply.DstPort != 6000 {
 		t.Fatalf("destination not restored: %s", reply.Flow())
 	}
-	if nat.Bindings() != 1 {
-		t.Fatalf("Bindings = %d", nat.Bindings())
+	if len(nat.out) != 1 {
+		t.Fatalf("Bindings = %d", len(nat.out))
 	}
 }
 
@@ -217,8 +217,8 @@ func TestRegistryBuild(t *testing.T) {
 	if _, err := r.Build("nonsense", 1); err == nil {
 		t.Fatal("unknown function should fail")
 	}
-	if len(r.Functions()) != 5 {
-		t.Fatalf("Functions = %v", r.Functions())
+	if len(r.factories) != 5 {
+		t.Fatalf("%d functions registered, want 5", len(r.factories))
 	}
 	// Custom registration overrides.
 	r.Register("firewall", func(i topo.MBInstanceID) Middlebox { return NewEchoCanceller(i) })
@@ -245,5 +245,53 @@ func TestConcurrentMiddleboxAccess(t *testing.T) {
 	wg.Wait()
 	if fw.Stats().Connections != 800 {
 		t.Fatalf("Connections = %d", fw.Stats().Connections)
+	}
+}
+
+// TestNATMovesToTheNextAddressWhenPortsWrap: once a pool address has
+// handed out its last port, the next flow's binding takes the next pool
+// address from port 1024, and both flows' replies are restored.
+func TestNATMovesToTheNextAddressWhenPortsWrap(t *testing.T) {
+	pool := packet.NewPrefix(packet.AddrFrom4(198, 51, 100, 0), 30)
+	nat := NewNAT(5, pool)
+	nat.nextPort = 0xFFFF
+	ue, _ := plan.LocIP(1, 10)
+	a, b := upPkt(ue, 6000), upPkt(ue, 6001)
+	nat.Process(a, Upstream)
+	nat.Process(b, Upstream)
+	if a.Src != pool.Addr || a.SrcPort != 0xFFFF {
+		t.Fatalf("first binding %s:%d, want %s:65535", a.Src, a.SrcPort, pool.Addr)
+	}
+	if b.Src != pool.Addr+1 || b.SrcPort != 1024 {
+		t.Fatalf("binding after the wrap %s:%d, want %s:1024", b.Src, b.SrcPort, pool.Addr+1)
+	}
+	for _, up := range []*packet.Packet{a, b} {
+		down := downPkt(up.Src, up.SrcPort)
+		if !nat.Process(down, Downstream) || down.Dst != ue {
+			t.Fatalf("reply to %s:%d restored to %s, want %s", up.Src, up.SrcPort, down.Dst, ue)
+		}
+	}
+}
+
+// TestIDSPassesTrafficOutsideTheCarrier: a packet with no carrier address
+// on the UE side is no UE's flow; the IDS passes it and counts nothing.
+func TestIDSPassesTrafficOutsideTheCarrier(t *testing.T) {
+	ids := NewIDS(4, plan)
+	ids.FlowLimit = 0
+	if !ids.Process(upPkt(packet.AddrFrom4(192, 0, 2, 1), 5000), Upstream) {
+		t.Fatal("a packet from outside the carrier block should pass")
+	}
+	if len(ids.perUE) != 0 || ids.Alerts != 0 {
+		t.Fatalf("counted %d UEs, %d alerts", len(ids.perUE), ids.Alerts)
+	}
+}
+
+// TestDirectionAndBoxNames pins how directions and boxes render in traces.
+func TestDirectionAndBoxNames(t *testing.T) {
+	if Upstream.String() != "up" || Downstream.String() != "down" {
+		t.Fatalf("directions render as %s, %s", Upstream, Downstream)
+	}
+	if s := NewFirewall(3).String(); s != "firewall#3" {
+		t.Fatalf("firewall renders as %q", s)
 	}
 }

@@ -24,19 +24,10 @@ func (c *CDF) Add(v float64) {
 	c.sorted = false
 }
 
-// AddN appends v n times (useful for per-second counters).
-func (c *CDF) AddN(v float64, n int) {
-	for i := 0; i < n; i++ {
-		c.Add(v)
-	}
-}
-
-// Len reports the number of samples.
-func (c *CDF) Len() int { return len(c.samples) }
-
-// Samples returns a sorted copy of every observation. It exists so callers
-// can serialise a distribution byte-exactly — the determinism regression
-// tests compare two same-seed runs through it.
+// Samples returns a sorted copy of every observation, so a distribution
+// can be serialised byte-exactly.
+//
+//lint:ignore deadexport the workload generator's determinism test compares two same-seed runs sample by sample through it
 func (c *CDF) Samples() []float64 {
 	c.sort()
 	out := make([]float64, len(c.samples))
@@ -74,34 +65,6 @@ func (c *CDF) Quantile(q float64) float64 {
 	return c.samples[lo]*(1-frac) + c.samples[hi]*frac
 }
 
-// Fraction returns the empirical P(X <= v).
-func (c *CDF) Fraction(v float64) float64 {
-	if len(c.samples) == 0 {
-		return math.NaN()
-	}
-	c.sort()
-	n := sort.SearchFloat64s(c.samples, math.Nextafter(v, math.Inf(1)))
-	return float64(n) / float64(len(c.samples))
-}
-
-// Max returns the largest sample (NaN if empty).
-func (c *CDF) Max() float64 { return c.Quantile(1) }
-
-// Min returns the smallest sample (NaN if empty).
-func (c *CDF) Min() float64 { return c.Quantile(0) }
-
-// Mean returns the arithmetic mean (NaN if empty).
-func (c *CDF) Mean() float64 {
-	if len(c.samples) == 0 {
-		return math.NaN()
-	}
-	var sum float64
-	for _, v := range c.samples {
-		sum += v
-	}
-	return sum / float64(len(c.samples))
-}
-
 // Points returns n evenly spaced (value, cumulative-fraction) pairs suitable
 // for plotting the CDF curve, plus the exact endpoints.
 func (c *CDF) Points(n int) []Point {
@@ -132,9 +95,6 @@ func (s *IntSummary) Add(v int) { s.values = append(s.values, v) }
 
 // Merge folds another summary's observations into s.
 func (s *IntSummary) Merge(o IntSummary) { s.values = append(s.values, o.values...) }
-
-// Len reports the number of observations.
-func (s *IntSummary) Len() int { return len(s.values) }
 
 // Max returns the largest observation, or 0 when empty.
 func (s *IntSummary) Max() int {

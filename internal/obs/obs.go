@@ -27,7 +27,6 @@ package obs
 
 import (
 	"encoding/json"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -462,26 +461,4 @@ func (s Snapshot) JSON() []byte {
 		panic("obs: snapshot marshal: " + err.Error())
 	}
 	return append(b, '\n')
-}
-
-// Names returns every registered metric name, sorted — handy for tests
-// and for the Prometheus exporter's stable output order.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.st.mu.Lock()
-	names := make([]string, 0, len(r.st.counters)+len(r.st.gauges)+len(r.st.hists))
-	for name := range r.st.counters {
-		names = append(names, name)
-	}
-	for name := range r.st.gauges {
-		names = append(names, name)
-	}
-	for name := range r.st.hists {
-		names = append(names, name)
-	}
-	r.st.mu.Unlock()
-	sort.Strings(names)
-	return names
 }

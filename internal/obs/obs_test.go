@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -264,4 +265,37 @@ func TestNamesSorted(t *testing.T) {
 			t.Fatalf("Names = %v, want %v", got, want)
 		}
 	}
+}
+
+// Names returns every registered metric name, sorted.
+func (r *Registry) Names() []string {
+	if r == nil {
+		return nil
+	}
+	r.st.mu.Lock()
+	names := make([]string, 0, len(r.st.counters)+len(r.st.gauges)+len(r.st.hists))
+	for name := range r.st.counters {
+		names = append(names, name)
+	}
+	for name := range r.st.gauges {
+		names = append(names, name)
+	}
+	for name := range r.st.hists {
+		names = append(names, name)
+	}
+	r.st.mu.Unlock()
+	sort.Strings(names)
+	return names
+}
+
+// TraceLen reports how many events have ever been emitted (not just
+// retained) — the stress test asserts it is monotone and exact.
+func (r *Registry) TraceLen() uint64 {
+	if r == nil {
+		return 0
+	}
+	t := r.st.tracer
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.seq
 }

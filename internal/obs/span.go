@@ -68,14 +68,6 @@ type SpanName struct {
 	idx  int32
 }
 
-// Name returns the registered (prefixed) span name.
-func (n *SpanName) Name() string {
-	if n == nil {
-		return ""
-	}
-	return n.name
-}
-
 // Span is one in-flight timed section. The zero Span is "not sampled":
 // Context returns the zero SpanContext and End is a no-op, so callers
 // never branch on sampling themselves.
@@ -240,27 +232,6 @@ func (t *spanTable) record(s Span, end int64) {
 	slot.start.Store(s.start)
 	slot.end.Store(end)
 	slot.ver.Store(v + 2)
-}
-
-// SpanCount reports how many spans have ever been recorded (including
-// ones since overwritten) — the stress test asserts it is monotone.
-func (r *Registry) SpanCount() uint64 {
-	if r == nil {
-		return 0
-	}
-	var n uint64
-	for i := range r.st.spans.stripes {
-		n += r.st.spans.stripes[i].cursor.Load()
-	}
-	return n - r.SpanDropped()
-}
-
-// SpanDropped reports spans lost to slot-claim contention.
-func (r *Registry) SpanDropped() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.st.spans.dropped.Load()
 }
 
 // SpanRecord is one completed span as read back from the rings.

@@ -25,14 +25,6 @@ type EventType struct {
 	keys []string
 }
 
-// Name returns the registered (prefixed) event name.
-func (e *EventType) Name() string {
-	if e == nil {
-		return ""
-	}
-	return e.name
-}
-
 // Emit records one event, binding args to the type's keys in order
 // (missing trailing args read as absent in the dump). Extra args panic:
 // that is a programming error at the call site. Emit copies args into a
@@ -239,18 +231,6 @@ func (r *Registry) TraceJSONSince(since uint64) []byte {
 	}
 	buf.WriteString("]}\n")
 	return buf.Bytes()
-}
-
-// TraceLen reports how many events have ever been emitted (not just
-// retained) — the stress test asserts it is monotone and exact.
-func (r *Registry) TraceLen() uint64 {
-	if r == nil {
-		return 0
-	}
-	t := r.st.tracer
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.seq
 }
 
 func equalKeys(a, b []string) bool {

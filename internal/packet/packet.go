@@ -110,9 +110,6 @@ func (p Prefix) String() string {
 // with many more tags than one UE's port space can hold at once.
 type Tag uint32
 
-// NoTag is the absent-tag sentinel.
-const NoTag Tag = 0
-
 // Packet is a simulated data-plane packet. Header fields mirror an
 // IPv4+TCP/UDP header; App labels the application type for policy matching
 // (in a real deployment this comes from DPI at the access edge).
@@ -170,21 +167,6 @@ func (k FlowKey) less(o FlowKey) bool {
 		return k.SrcPort < o.SrcPort
 	}
 	return k.DstPort < o.DstPort
-}
-
-// FastHash is a cheap, well-mixed hash of the flow key, symmetric across
-// directions so both halves of a connection land in the same bucket.
-func (k FlowKey) FastHash() uint64 {
-	c := k.Canonical()
-	h := uint64(c.Src)<<32 | uint64(c.Dst)
-	h ^= uint64(c.SrcPort)<<16 | uint64(c.DstPort) | uint64(c.Proto)<<40
-	// fmix64 from MurmurHash3.
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
 }
 
 func (k FlowKey) String() string {

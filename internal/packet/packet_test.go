@@ -220,3 +220,18 @@ func TestProtoString(t *testing.T) {
 		t.Fatalf("unknown proto: %s", Proto(9))
 	}
 }
+
+// FastHash is a cheap, well-mixed hash of the flow key, symmetric across
+// directions so both halves of a connection land in the same bucket.
+func (k FlowKey) FastHash() uint64 {
+	c := k.Canonical()
+	h := uint64(c.Src)<<32 | uint64(c.Dst)
+	h ^= uint64(c.SrcPort)<<16 | uint64(c.DstPort) | uint64(c.Proto)<<40
+	// fmix64 from MurmurHash3.
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
+}

@@ -34,7 +34,8 @@ func TestSameSpecSamePlant(t *testing.T) {
 	for _, shards := range []int{0, 3} {
 		a := mustPlant(t, Spec{Topo: smallTopo, Shards: shards})
 		b := mustPlant(t, Spec{Topo: smallTopo, Shards: shards})
-		if len(a.Stations) != smallTopo.NumBaseStations() || len(a.Clauses) == 0 {
+		// K=2 with four stations per cluster: 8 stations.
+		if len(a.Stations) != 8 || len(a.Clauses) == 0 {
 			t.Fatalf("shards=%d: %d stations, %d clauses", shards, len(a.Stations), len(a.Clauses))
 		}
 		if !reflect.DeepEqual(a.Stations, b.Stations) || !reflect.DeepEqual(a.Clauses, b.Clauses) || a.Plan != b.Plan {

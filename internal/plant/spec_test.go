@@ -23,7 +23,7 @@ func TestExplicitTopologySpecMatchesExample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := plant.New(plant.Spec{Topology: ex.T, Gateway: ex.T.Gateways()[0], Policy: policy.ExampleCarrierPolicy()})
+	p, err := plant.New(plant.Spec{Topology: ex.T, Gateway: ex.Ctrl.Gateway(), Policy: policy.ExampleCarrierPolicy()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,21 +113,6 @@ func (a andPred) String() string { return join(a, " && ") }
 // And matches when all sub-predicates match.
 func And(ps ...Predicate) Predicate { return andPred(ps) }
 
-type orPred []Predicate
-
-func (o orPred) Eval(at Attributes, ap AppType) bool {
-	for _, p := range o {
-		if p.Eval(at, ap) {
-			return true
-		}
-	}
-	return false
-}
-func (o orPred) String() string { return "(" + join(o, " || ") + ")" }
-
-// Or matches when any sub-predicate matches.
-func Or(ps ...Predicate) Predicate { return orPred(ps) }
-
 type notPred struct{ p Predicate }
 
 func (n notPred) Eval(at Attributes, ap AppType) bool { return !n.p.Eval(at, ap) }
@@ -208,30 +193,6 @@ func (a appPred) String() string { return "app=" + a.app.String() }
 
 // App matches the flow's application type.
 func App(a AppType) Predicate { return appPred{a} }
-
-type boolPred struct {
-	name string
-	get  func(Attributes) bool
-	want bool
-}
-
-func (b boolPred) Eval(at Attributes, _ AppType) bool { return b.get(at) == b.want }
-func (b boolPred) String() string                     { return fmt.Sprintf("%s=%v", b.name, b.want) }
-
-// Roaming matches the roaming flag.
-func Roaming(want bool) Predicate {
-	return boolPred{"roaming", func(a Attributes) bool { return a.Roaming }, want}
-}
-
-// OverCap matches the usage-cap flag.
-func OverCap(want bool) Predicate {
-	return boolPred{"overcap", func(a Attributes) bool { return a.OverCap }, want}
-}
-
-// Parental matches the parental-controls flag.
-func Parental(want bool) Predicate {
-	return boolPred{"parental", func(a Attributes) bool { return a.Parental }, want}
-}
 
 // QoS is a coarse quality-of-service class; higher is more urgent.
 type QoS uint8
@@ -375,7 +336,6 @@ const (
 	MBEchoCancel = "echo-cancel"
 	MBIDS        = "ids"
 	MBNAT        = "nat"
-	MBCache      = "web-cache"
 )
 
 // ExampleCarrierPolicy reproduces Table 1 of the paper: carrier A's policy

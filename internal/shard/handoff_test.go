@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -260,8 +261,18 @@ func TestLateReleaseOfAMovedUEFreesOnlyItsOwnAddress(t *testing.T) {
 	if after := home.Ctrl.MemStats().Reservations; after != 1 {
 		t.Errorf("a's late release of %s took shard 0's reservations from %d to %d; b's alone should remain", hrA.OldLocIP, before, after)
 	}
-	if ue, ok := home.Ctrl.LookupByLocIP(hrB.OldLocIP); !ok || ue.IMSI != "b" {
-		t.Errorf("after a's release, b's reserved %s resolves to %q (%v), want b", hrB.OldLocIP, ue.IMSI, ok)
+	view, err := home.Ctrl.AgentView(s1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := ""
+	for _, u := range view.UEs {
+		if slices.Contains(u.Reserved, hrB.OldLocIP) {
+			held = u.UE.IMSI
+		}
+	}
+	if held != "b" {
+		t.Errorf("after a's release, b's reserved %s is held by %q, want b", hrB.OldLocIP, held)
 	}
 	ue, _, err := d.Attach("c", s0)
 	if err != nil {

@@ -73,10 +73,11 @@ func countsOf(d *shard.Dispatcher, reg *obs.Registry) []shardCounts {
 	snap := reg.Snapshot()
 	out := make([]shardCounts, len(d.Shards()))
 	for i, s := range d.Shards() {
+		view, _ := s.Ctrl.AgentView(s.Ctrl.Stations()[0])
 		out[i] = shardCounts{
 			memoMiss: snap.Counters[fmt.Sprintf("shard.%d.core.tagcache.miss", i)],
 			pathMiss: s.Ctrl.Stats().PathMiss,
-			epoch:    s.Ctrl.Epoch(),
+			epoch:    view.Epoch,
 		}
 	}
 	return out

@@ -109,11 +109,6 @@ func NewRing(blocks []packet.BSID, shards ...int) *Ring {
 	return r
 }
 
-// Shards lists the live shard ids, sorted.
-func (r *Ring) Shards() []int {
-	return append([]int(nil), r.shards...)
-}
-
 // Len reports the number of live shards.
 func (r *Ring) Len() int { return len(r.shards) }
 

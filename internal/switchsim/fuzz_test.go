@@ -47,7 +47,7 @@ func FuzzMatch(f *testing.F) {
 		}
 		in := int(arrive % 8)
 
-		if !MatchAll().Covers(p, in) {
+		if !matchAll.Covers(p, in) {
 			t.Fatalf("MatchAll does not cover %+v on port %d", p, in)
 		}
 		got := m.Covers(p, in)

@@ -45,11 +45,6 @@ type Match struct {
 	Proto     packet.Proto // 0 matches any protocol
 }
 
-// MatchAll returns a predicate matching every packet on every port.
-func MatchAll() Match {
-	return Match{InPort: AnyPort, SrcPortHi: 0xFFFF, DstPortHi: 0xFFFF}
-}
-
 // normalised returns the match with zero-valued port bounds widened to the
 // full range, so that the zero Match value behaves as match-all.
 func (m Match) normalised() Match {
@@ -172,9 +167,6 @@ const (
 	SetDstTag
 	SetDSCP
 )
-
-// Forward builds a plain output action.
-func Forward(port int) Action { return Action{Output: port} }
 
 // DropAction builds a drop action.
 func DropAction() Action { return Action{Output: -1, Drop: true} }

@@ -19,7 +19,7 @@ func tableFor(n int) []Rule {
 			Priority: PrioPrefix + 8*(i%4),
 			Match: Match{InPort: AnyPort,
 				Dst: packet.NewPrefix(packet.AddrFrom4(10, byte(i), 0, 0), 16)},
-			Action: Forward(i),
+			Action: Action{Output: i},
 		})
 	}
 	return rules
@@ -50,14 +50,14 @@ func TestReplaceTCAMOrderIgnoresInputOrder(t *testing.T) {
 func TestReplaceTCAMSwapsWholeTable(t *testing.T) {
 	s := NewSwitch("s")
 	key := packet.FlowKey{Src: 1, Dst: 2, SrcPort: 3, DstPort: 4, Proto: packet.ProtoTCP}
-	s.InstallMicroflow(key, Forward(9), Cookie{})
-	old := s.Install(PrioTag, MatchAll(), Forward(1))
+	s.InstallMicroflow(key, Action{Output: 9}, Cookie{})
+	old := s.Install(PrioTag, matchAll, Action{Output: 1})
 	s.Process(pkt(5, 6, 7, 8), 0)
 
 	gen := s.Generation()
 	s.ReplaceTCAM([]Rule{
-		{Priority: PrioPrefix, Match: Match{InPort: AnyPort}, Action: Forward(2), Counters: Counters{Packets: 99, Bytes: 99}},
-		{Priority: PrioTag, Match: Match{InPort: AnyPort}, Action: Forward(3)},
+		{Priority: PrioPrefix, Match: Match{InPort: AnyPort}, Action: Action{Output: 2}, Counters: Counters{Packets: 99, Bytes: 99}},
+		{Priority: PrioTag, Match: Match{InPort: AnyPort}, Action: Action{Output: 3}},
 	})
 	if got := s.Generation(); got != gen+1 {
 		t.Fatalf("generation moved %d -> %d, want one step", gen, got)
@@ -75,7 +75,7 @@ func TestReplaceTCAMSwapsWholeTable(t *testing.T) {
 	if rules[0].Action.Output != 3 || rules[1].Action.Output != 2 {
 		t.Fatalf("match order wrong: %v", rules)
 	}
-	if rules[0].Match != MatchAll() {
+	if rules[0].Match != matchAll {
 		t.Fatalf("match not normalised: %v", rules[0].Match)
 	}
 	if rules[1].Packets != 0 || rules[1].Bytes != 0 {
@@ -90,7 +90,7 @@ func TestReplaceTCAMSwapsWholeTable(t *testing.T) {
 
 	// A later Install at an occupied priority still wins, and Remove still
 	// finds rules that arrived in a batch.
-	s.Install(PrioTag, MatchAll(), Forward(4))
+	s.Install(PrioTag, matchAll, Action{Output: 4})
 	if v := s.Process(pkt(5, 6, 7, 8), 0); v.Output != 4 {
 		t.Fatalf("newer rule lost to a replaced one: output %d", v.Output)
 	}
@@ -107,8 +107,8 @@ func TestReplaceTCAMSwapsWholeTable(t *testing.T) {
 func TestReplaceTCAMEqualRulesKeepSliceOrder(t *testing.T) {
 	s := NewSwitch("s")
 	s.ReplaceTCAM([]Rule{
-		{Priority: PrioBinding, Match: MatchAll(), Action: Forward(1)},
-		{Priority: PrioBinding, Match: MatchAll(), Action: Forward(2)},
+		{Priority: PrioBinding, Match: matchAll, Action: Action{Output: 1}},
+		{Priority: PrioBinding, Match: matchAll, Action: Action{Output: 2}},
 	})
 	if v := s.Process(pkt(1, 2, 3, 4), 0); v.Output != 1 {
 		t.Fatalf("output %d, want the first of two equal rules", v.Output)

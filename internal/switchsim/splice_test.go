@@ -28,13 +28,13 @@ func spliceTable(rng *rand.Rand) []Rule {
 		prio, m := spliceKey(rng)
 		if k := (Rule{Priority: prio, Match: m}); !seen[k] {
 			seen[k] = true
-			rules = append(rules, Rule{Priority: prio, Match: m, Action: Forward(rng.Intn(8))})
+			rules = append(rules, Rule{Priority: prio, Match: m, Action: Action{Output: rng.Intn(8)}})
 		}
 	}
 	bound := Match{InPort: AnyPort, Dst: packet.NewPrefix(packet.AddrFrom4(192, 0, 2, 1), 32)}
 	return append(rules,
-		Rule{Priority: PrioBinding, Match: bound, Action: Forward(1)},
-		Rule{Priority: PrioBinding, Match: bound, Action: Forward(2)})
+		Rule{Priority: PrioBinding, Match: bound, Action: Action{Output: 1}},
+		Rule{Priority: PrioBinding, Match: bound, Action: Action{Output: 2}})
 }
 
 // spliceEdits draws up to max edits that each apply to the table as the
@@ -50,7 +50,7 @@ func spliceEdits(rng *rand.Rand, s *Switch, max int) ([]Edit, map[Rule]bool) {
 	for i := rng.Intn(max + 1); i > 0; i-- {
 		prio, m := spliceKey(rng)
 		k := Rule{Priority: prio, Match: m}
-		edits = append(edits, Edit{Remove: present[k], Rule: Rule{Priority: prio, Match: m, Action: Forward(rng.Intn(8))}})
+		edits = append(edits, Edit{Remove: present[k], Rule: Rule{Priority: prio, Match: m, Action: Action{Output: rng.Intn(8)}}})
 		present[k] = !present[k]
 		named[k] = true
 	}
@@ -165,7 +165,7 @@ func TestSpliceFailsWhole(t *testing.T) {
 			edits = append(edits, Edit{Rule: Rule{Priority: PrioBinding,
 				Match: Match{InPort: AnyPort, Dst: packet.NewPrefix(packet.AddrFrom4(192, 0, 2, 1), 32)}}})
 		case 2: // Install put a rule out of ReplaceTCAM's order
-			s.Install(prio, m, Forward(9))
+			s.Install(prio, m, Action{Output: 9})
 		}
 		before, gen := s.Rules(), s.Generation()
 		if s.Splice(edits) {

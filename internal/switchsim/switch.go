@@ -546,6 +546,8 @@ func (s *Switch) NumMicroflows() int {
 }
 
 // Rules returns a snapshot of the TCAM in match order.
+//
+//lint:ignore deadexport the data plane's and fast path's differential tests compare whole TCAMs through it; ViewChanged would move the switch's change log
 func (s *Switch) Rules() []Rule {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

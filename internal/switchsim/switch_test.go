@@ -18,7 +18,7 @@ func pkt(src, dst packet.Addr, sp, dp uint16) *packet.Packet {
 func TestMatchAllCoversEverything(t *testing.T) {
 	f := func(src, dst uint32, sp, dp uint16, inPort uint8) bool {
 		p := pkt(packet.Addr(src), packet.Addr(dst), sp, dp)
-		return MatchAll().Covers(p, int(inPort))
+		return matchAll.Covers(p, int(inPort))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -70,8 +70,8 @@ func TestMatchFields(t *testing.T) {
 
 func TestPriorityOrdering(t *testing.T) {
 	s := NewSwitch("s")
-	s.Install(PrioPrefix, Match{InPort: AnyPort, Dst: packet.NewPrefix(packet.AddrFrom4(10, 0, 0, 0), 8)}, Forward(1))
-	s.Install(PrioTagPrefix, Match{InPort: AnyPort, Dst: packet.NewPrefix(packet.AddrFrom4(10, 1, 0, 0), 16)}, Forward(2))
+	s.Install(PrioPrefix, Match{InPort: AnyPort, Dst: packet.NewPrefix(packet.AddrFrom4(10, 0, 0, 0), 8)}, Action{Output: 1})
+	s.Install(PrioTagPrefix, Match{InPort: AnyPort, Dst: packet.NewPrefix(packet.AddrFrom4(10, 1, 0, 0), 16)}, Action{Output: 2})
 	p := pkt(1, packet.AddrFrom4(10, 1, 2, 3), 5, 6)
 	v := s.Process(p, 0)
 	if v.Output != 2 {
@@ -107,7 +107,7 @@ func TestRewriteActions(t *testing.T) {
 	s := NewSwitch("as")
 	newSrc := packet.AddrFrom4(10, 0, 16, 10)
 	newSport := uint16(0x1234)
-	s.Install(PrioMobility, MatchAll(), Action{Output: 3, Set: SetSrc | SetSrcPort, Src: newSrc, SrcPort: newSport})
+	s.Install(PrioMobility, matchAll, Action{Output: 3, Set: SetSrc | SetSrcPort, Src: newSrc, SrcPort: newSport})
 	p := pkt(packet.AddrFrom4(192, 168, 0, 5), 2, 555, 80)
 	v := s.Process(p, 0)
 	if v.Output != 3 {
@@ -120,9 +120,9 @@ func TestRewriteActions(t *testing.T) {
 
 func TestMicroflowBeatsTCAM(t *testing.T) {
 	s := NewSwitch("as")
-	s.Install(PrioTagPrefix, MatchAll(), Forward(1))
+	s.Install(PrioTagPrefix, matchAll, Action{Output: 1})
 	key := pkt(5, 6, 7, 8).Flow()
-	s.InstallMicroflow(key, Forward(9), Cookie{})
+	s.InstallMicroflow(key, Action{Output: 9}, Cookie{})
 	if v := s.Process(pkt(5, 6, 7, 8), 0); v.Output != 9 {
 		t.Fatalf("microflow should win: %+v", v)
 	}
@@ -146,9 +146,9 @@ func TestMicroflowBeatsTCAM(t *testing.T) {
 // nothing.
 func TestMicroflowHitNamesItsFlow(t *testing.T) {
 	s := NewSwitch("as")
-	tcam := s.Install(PrioTagPrefix, MatchAll(), Forward(1))
+	tcam := s.Install(PrioTagPrefix, matchAll, Action{Output: 1})
 	direct, resub := pkt(5, 6, 7, 8).Flow(), pkt(5, 6, 7, 9).Flow()
-	s.InstallMicroflow(direct, Forward(9), Cookie{Owner: 5, Clause: 2})
+	s.InstallMicroflow(direct, Action{Output: 9}, Cookie{Owner: 5, Clause: 2})
 	s.InstallMicroflow(resub, Action{Output: -1, Resubmit: true, Set: SetDSCP, DSCP: 46}, Cookie{Owner: 5})
 	f, _ := s.Microflow(direct)
 
@@ -183,7 +183,7 @@ func TestFlowIsSixtyFourBytes(t *testing.T) {
 
 func TestRemoveRule(t *testing.T) {
 	s := NewSwitch("s")
-	id := s.Install(PrioTag, MatchAll(), Forward(1))
+	id := s.Install(PrioTag, matchAll, Action{Output: 1})
 	if s.NumRules() != 1 {
 		t.Fatal("install failed")
 	}
@@ -200,8 +200,8 @@ func TestRemoveRule(t *testing.T) {
 
 func TestNewerRuleWinsAtSamePriority(t *testing.T) {
 	s := NewSwitch("s")
-	s.Install(PrioTag, MatchAll(), Forward(1))
-	s.Install(PrioTag, MatchAll(), Forward(2))
+	s.Install(PrioTag, matchAll, Action{Output: 1})
+	s.Install(PrioTag, matchAll, Action{Output: 2})
 	if v := s.Process(pkt(1, 2, 3, 4), 0); v.Output != 2 {
 		t.Fatalf("newest same-priority rule should win, got %d", v.Output)
 	}
@@ -209,7 +209,7 @@ func TestNewerRuleWinsAtSamePriority(t *testing.T) {
 
 func TestCounters(t *testing.T) {
 	s := NewSwitch("s")
-	id := s.Install(PrioTag, MatchAll(), Forward(1))
+	id := s.Install(PrioTag, matchAll, Action{Output: 1})
 	p := pkt(1, 2, 3, 4)
 	p.Payload = []byte("xyz")
 	for i := 0; i < 5; i++ {
@@ -229,9 +229,9 @@ func TestCounters(t *testing.T) {
 
 func TestRulesSnapshotOrdered(t *testing.T) {
 	s := NewSwitch("s")
-	s.Install(PrioPrefix, MatchAll(), Forward(1))
-	s.Install(PrioMobility, MatchAll(), Forward(2))
-	s.Install(PrioTag, MatchAll(), Forward(3))
+	s.Install(PrioPrefix, matchAll, Action{Output: 1})
+	s.Install(PrioMobility, matchAll, Action{Output: 2})
+	s.Install(PrioTag, matchAll, Action{Output: 3})
 	rules := s.Rules()
 	if len(rules) != 3 {
 		t.Fatalf("len = %d", len(rules))
@@ -249,10 +249,10 @@ func TestRulesSnapshotOrdered(t *testing.T) {
 func TestViewIsTheFastPathsContract(t *testing.T) {
 	s := NewSwitch("s")
 	s.TableMiss = Punt()
-	low := s.Install(PrioPrefix, MatchAll(), Forward(1))
-	high := s.Install(PrioMobility, MatchAll(), Forward(2))
+	low := s.Install(PrioPrefix, matchAll, Action{Output: 1})
+	high := s.Install(PrioMobility, matchAll, Action{Output: 2})
 	key := pkt(5, 6, 7, 8).Flow()
-	s.InstallMicroflow(key, Forward(9), Cookie{})
+	s.InstallMicroflow(key, Action{Output: 9}, Cookie{})
 
 	v := s.View()
 	if v.Gen != s.Generation() || !v.Miss.ToController {
@@ -264,7 +264,7 @@ func TestViewIsTheFastPathsContract(t *testing.T) {
 	if live, ok := s.Microflow(key); !ok || v.Micro[key] != live || len(v.Micro) != 1 {
 		t.Fatalf("view microflows %v, switch holds %v", v.Micro, live)
 	}
-	s.Install(PrioTag, MatchAll(), Forward(3))
+	s.Install(PrioTag, matchAll, Action{Output: 3})
 	s.RemoveMicroflow(key)
 	if len(v.Ordered) != 2 || len(v.Micro) != 1 || v.Gen == s.Generation() {
 		t.Fatalf("a later mutation reached the view (%d rules, %d microflows) or left the generation at %d", len(v.Ordered), len(v.Micro), v.Gen)
@@ -288,16 +288,16 @@ func TestViewIsTheFastPathsContract(t *testing.T) {
 func TestViewChangedListsMicroflowEdits(t *testing.T) {
 	s := NewSwitch("s")
 	k1, k2 := pkt(1, 2, 3, 4).Flow(), pkt(5, 6, 7, 8).Flow()
-	s.InstallMicroflow(k1, Forward(1), Cookie{})
+	s.InstallMicroflow(k1, Action{Output: 1}, Cookie{})
 	set := s.Generation()
-	s.InstallMicroflow(k2, Forward(2), Cookie{})
+	s.InstallMicroflow(k2, Action{Output: 2}, Cookie{})
 	if v := s.ViewChanged(set, 0); v.Micro == nil || len(v.MicroChanges) != 0 {
 		t.Fatalf("the first view listed %d edits of a set-up that kept no log", len(v.MicroChanges))
 	}
 
 	v0 := s.View()
-	s.InstallMicroflow(k1, Forward(3), Cookie{})
-	s.Install(PrioTag, MatchAll(), Forward(4)) // a TCAM change is not a microflow edit
+	s.InstallMicroflow(k1, Action{Output: 3}, Cookie{})
+	s.Install(PrioTag, matchAll, Action{Output: 4}) // a TCAM change is not a microflow edit
 	s.RemoveMicroflow(k2)
 	v1 := s.ViewChanged(v0.MicroGen, v0.TCAMGen)
 	live, _ := s.Microflow(k1)
@@ -316,7 +316,7 @@ func TestViewChangedListsMicroflowEdits(t *testing.T) {
 	}
 
 	for i := 0; i < MaxMicroChanges; i++ {
-		s.InstallMicroflow(k2, Forward(i), Cookie{})
+		s.InstallMicroflow(k2, Action{Output: i}, Cookie{})
 	}
 	if v := s.ViewChanged(v1.MicroGen, v1.TCAMGen); len(v.MicroChanges) != MaxMicroChanges {
 		t.Fatalf("%d edits at the bound came as %d edits", MaxMicroChanges, len(v.MicroChanges))
@@ -324,7 +324,7 @@ func TestViewChangedListsMicroflowEdits(t *testing.T) {
 	last := s.View()
 	for i := 0; i <= MaxMicroChanges; i++ {
 		s.RemoveMicroflow(k1)
-		s.InstallMicroflow(k1, Forward(i), Cookie{})
+		s.InstallMicroflow(k1, Action{Output: i}, Cookie{})
 	}
 	if v := s.ViewChanged(last.MicroGen, last.TCAMGen); v.Micro == nil || len(v.MicroChanges) != 0 {
 		t.Fatalf("%d edits past the bound came as %d edits, not the whole table", 2*(MaxMicroChanges+1), len(v.MicroChanges))
@@ -333,7 +333,7 @@ func TestViewChangedListsMicroflowEdits(t *testing.T) {
 
 func TestConcurrentProcessAndInstall(t *testing.T) {
 	s := NewSwitch("s")
-	s.Install(PrioDefault, MatchAll(), Forward(0))
+	s.Install(PrioDefault, matchAll, Action{Output: 0})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -342,7 +342,7 @@ func TestConcurrentProcessAndInstall(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				switch i % 3 {
 				case 0:
-					id := s.Install(PrioTag, MatchAll(), Forward(i))
+					id := s.Install(PrioTag, matchAll, Action{Output: i})
 					s.Remove(id)
 				case 1:
 					s.Process(pkt(packet.Addr(g), packet.Addr(i), 1, 2), 0)
@@ -360,15 +360,15 @@ func TestVerdictStrings(t *testing.T) {
 	// Exercise String methods for coverage of the debug surface.
 	m := Match{InPort: 1, Src: packet.NewPrefix(packet.AddrFrom4(10, 0, 0, 0), 8),
 		SrcPortLo: 5, SrcPortHi: 6, Proto: packet.ProtoTCP}
-	if m.String() == "" || MatchAll().String() != "any" {
+	if m.String() == "" || matchAll.String() != "any" {
 		t.Fatal("match strings")
 	}
-	a := Forward(3)
+	a := Action{Output: 3}
 	a.Set, a.Src = SetSrc, packet.AddrFrom4(1, 2, 3, 4)
 	if a.String() == "" || DropAction().String() == "" || Punt().String() == "" {
 		t.Fatal("action strings")
 	}
-	r := Rule{ID: 1, Priority: 2, Match: MatchAll(), Action: Forward(1)}
+	r := Rule{ID: 1, Priority: 2, Match: matchAll, Action: Action{Output: 1}}
 	if r.String() == "" {
 		t.Fatal("rule string")
 	}

@@ -13,3 +13,6 @@ func (s *Switch) Rule(id RuleID) (Rule, bool) {
 	}
 	return s.ordered[i].snapshot(), true
 }
+
+// matchAll matches every packet on every port.
+var matchAll = Match{InPort: AnyPort, SrcPortHi: 0xFFFF, DstPortHi: 0xFFFF}

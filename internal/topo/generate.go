@@ -41,11 +41,6 @@ func (p GenParams) Validate() error {
 	return nil
 }
 
-// NumBaseStations returns the base-station count the parameters produce.
-func (p GenParams) NumBaseStations() int {
-	return p.ClusterSize * p.K * p.K / 2 * p.K / 2
-}
-
 // Generated bundles the topology with the generator's layer bookkeeping.
 type Generated struct {
 	*Topology

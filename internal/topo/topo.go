@@ -88,10 +88,8 @@ type Topology struct {
 	Nodes     []Node
 	Stations  []BaseStation
 	MBoxes    []MBInstance
-	gateways  []NodeID
 	mbByType  map[MBType][]MBInstanceID
 	stationAt map[packet.BSID]int
-	linkCount int
 	down      map[NodeID]bool
 }
 
@@ -107,9 +105,6 @@ func New() *Topology {
 func (t *Topology) AddNode(kind Kind, name string) NodeID {
 	id := NodeID(len(t.Nodes))
 	t.Nodes = append(t.Nodes, Node{ID: id, Kind: kind, Name: name})
-	if kind == Gateway {
-		t.gateways = append(t.gateways, id)
-	}
 	return id
 }
 
@@ -149,14 +144,10 @@ func (t *Topology) Connect(a, b NodeID) error {
 	}
 	t.Nodes[a].Neighbors = append(t.Nodes[a].Neighbors, b)
 	t.Nodes[b].Neighbors = append(t.Nodes[b].Neighbors, a)
-	t.linkCount++
 	return nil
 }
 
 func (t *Topology) valid(n NodeID) bool { return n >= 0 && int(n) < len(t.Nodes) }
-
-// Links reports the number of bidirectional links.
-func (t *Topology) Links() int { return t.linkCount }
 
 // AttachMiddlebox deploys an instance of typ on switch sw.
 func (t *Topology) AttachMiddlebox(typ MBType, sw NodeID) (MBInstanceID, error) {
@@ -196,9 +187,6 @@ func (t *Topology) Station(id packet.BSID) (BaseStation, bool) {
 	}
 	return t.Stations[i], true
 }
-
-// Gateways lists the Internet-facing switches.
-func (t *Topology) Gateways() []NodeID { return t.gateways }
 
 // BFS computes hop distances from src to every node. Unreachable nodes get
 // distance -1. The returned slice is indexed by NodeID.
@@ -254,26 +242,6 @@ func (t *Topology) WalkToward(src NodeID, dist []int32) []NodeID {
 		path = append(path, u)
 	}
 	return path
-}
-
-// ShortestPath returns one deterministic shortest path from a to b
-// (inclusive), or nil when disconnected.
-func (t *Topology) ShortestPath(a, b NodeID) []NodeID {
-	return t.WalkToward(a, t.BFS(b))
-}
-
-// Connected reports whether every node is reachable from node 0.
-func (t *Topology) Connected() bool {
-	if len(t.Nodes) == 0 {
-		return true
-	}
-	dist := t.BFS(0)
-	for _, d := range dist {
-		if d < 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // SPTree returns a deterministic shortest-path-tree parent array rooted at

@@ -46,8 +46,8 @@ func TestConnectErrors(t *testing.T) {
 	if err := tp.Connect(b, a); err == nil {
 		t.Error("duplicate link should fail")
 	}
-	if tp.Links() != 1 {
-		t.Errorf("Links = %d, want 1", tp.Links())
+	if n := len(tp.Nodes[a].Neighbors); n != 1 {
+		t.Errorf("a has %d neighbors, want 1", n)
 	}
 }
 
@@ -77,10 +77,20 @@ func TestBFSAndShortestPath(t *testing.T) {
 			t.Errorf("dist[%d] = %d, want %d", i, dist[i], want)
 		}
 	}
-	path := tp.ShortestPath(0, 4)
+	path := tp.WalkToward(0, tp.BFS(4))
 	if len(path) != 5 || path[0] != 0 || path[4] != 4 {
 		t.Fatalf("path = %v", path)
 	}
+}
+
+// connected reports whether every node is reachable from node 0.
+func connected(t *Topology) bool {
+	for _, d := range t.BFS(0) {
+		if d < 0 {
+			return false
+		}
+	}
+	return true
 }
 
 func TestBFSUnreachable(t *testing.T) {
@@ -91,10 +101,10 @@ func TestBFSUnreachable(t *testing.T) {
 	if dist[1] != -1 {
 		t.Errorf("unreachable dist = %d", dist[1])
 	}
-	if tp.ShortestPath(0, 1) != nil {
+	if tp.WalkToward(0, tp.BFS(1)) != nil {
 		t.Error("path to island should be nil")
 	}
-	if tp.Connected() {
+	if connected(tp) {
 		t.Error("should not be connected")
 	}
 }
@@ -171,9 +181,6 @@ func TestGenerateCounts(t *testing.T) {
 		if len(g.Stations) != wantBS {
 			t.Errorf("k=%d: stations = %d, want %d", k, len(g.Stations), wantBS)
 		}
-		if p.NumBaseStations() != wantBS {
-			t.Errorf("k=%d: NumBaseStations = %d, want %d", k, p.NumBaseStations(), wantBS)
-		}
 		// Nodes: k² core + 1 gateway + k·k agg + one access switch per BS.
 		wantNodes := k*k + 1 + k*k + wantBS
 		if len(g.Nodes) != wantNodes {
@@ -184,22 +191,31 @@ func TestGenerateCounts(t *testing.T) {
 		if len(g.MBoxes) != wantMB {
 			t.Errorf("k=%d: middleboxes = %d, want %d", k, len(g.MBoxes), wantMB)
 		}
-		if !g.Connected() {
+		if !connected(g.Topology) {
 			t.Errorf("k=%d: topology not connected", k)
 		}
-		if len(g.Gateways()) != 1 || g.Gateways()[0] != g.GatewayID {
-			t.Errorf("k=%d: gateways = %v", k, g.Gateways())
+		var gateways []NodeID
+		for _, n := range g.Nodes {
+			if n.Kind == Gateway {
+				gateways = append(gateways, n.ID)
+			}
+		}
+		if len(gateways) != 1 || gateways[0] != g.GatewayID {
+			t.Errorf("k=%d: gateways = %v", k, gateways)
 		}
 	}
 }
 
 func TestGeneratePaperSizes(t *testing.T) {
 	// The paper: k=8 → 1280 base stations, k=20 → 20000.
-	if n := (GenParams{K: 8, ClusterSize: 10}).NumBaseStations(); n != 1280 {
-		t.Errorf("k=8 → %d, want 1280", n)
-	}
-	if n := (GenParams{K: 20, ClusterSize: 10}).NumBaseStations(); n != 20000 {
-		t.Errorf("k=20 → %d, want 20000", n)
+	for k, want := range map[int]int{8: 1280, 20: 20000} {
+		g, err := Generate(GenParams{K: k, ClusterSize: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(g.Stations); n != want {
+			t.Errorf("k=%d → %d, want %d", k, n, want)
+		}
 	}
 }
 
@@ -369,5 +385,50 @@ func TestSPTreeCoversGenerated(t *testing.T) {
 		if dist[p] != dist[i]-1 {
 			t.Fatalf("parent of %d not one hop closer", i)
 		}
+	}
+}
+
+// TestDownNodeIsRoutedAround: a failed switch is invisible to BFS and to
+// both walks, a BFS from it reaches nothing, and recovering it restores
+// the node.
+func TestDownNodeIsRoutedAround(t *testing.T) {
+	tp := New()
+	for i := 0; i < 4; i++ {
+		tp.AddNode(Core, "c")
+	}
+	for _, l := range [][2]NodeID{{0, 1}, {1, 3}, {0, 2}, {2, 3}} {
+		if err := tp.Connect(l[0], l[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tp.SetNodeDown(1, true); err != nil || !tp.Down(1) {
+		t.Fatalf("SetNodeDown(1): %v, Down = %v", err, tp.Down(1))
+	}
+	if tp.SetNodeDown(99, true) == nil {
+		t.Error("an unknown node cannot go down")
+	}
+	dist := tp.BFS(3)
+	if dist[1] != -1 || dist[0] != 2 {
+		t.Fatalf("dist with node 1 down = %v", dist)
+	}
+	for name, path := range map[string][]NodeID{
+		"WalkToward":       tp.WalkToward(0, dist),
+		"WalkTowardSpread": tp.WalkTowardSpread(0, dist, 7),
+	} {
+		if !slices.Equal(path, []NodeID{0, 2, 3}) {
+			t.Errorf("%s = %v, want [0 2 3]", name, path)
+		}
+	}
+	if d := tp.BFS(1); d[0] != -1 || d[1] != -1 {
+		t.Errorf("a BFS from a down node reached %v", d)
+	}
+	if tp.WalkTowardSpread(1, dist, 7) != nil {
+		t.Error("a spread walk from an unreachable node should be nil")
+	}
+	if err := tp.SetNodeDown(1, false); err != nil || tp.Down(1) || tp.BFS(3)[1] != 1 {
+		t.Fatalf("recovering node 1: %v, Down = %v", err, tp.Down(1))
+	}
+	if Access.String() != "access" || Gateway.String() != "gateway" || Kind(9).String() != "kind(9)" {
+		t.Errorf("kinds render as %s, %s, %s", Access, Gateway, Kind(9))
 	}
 }

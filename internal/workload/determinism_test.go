@@ -25,8 +25,9 @@ func serialise(res *Result) []byte {
 		{"active-ues", &res.ActiveUEsPerBS},
 		{"bearers", &res.BearersPerBSSec},
 	} {
-		fmt.Fprintf(&b, "%s n=%d:", c.name, c.cdf.Len())
-		for _, v := range c.cdf.Samples() {
+		samples := c.cdf.Samples()
+		fmt.Fprintf(&b, "%s n=%d:", c.name, len(samples))
+		for _, v := range samples {
 			fmt.Fprintf(&b, " %016x", math.Float64bits(v))
 		}
 		b.WriteByte('\n')

@@ -30,17 +30,17 @@ func TestGenerateSeedsDiffer(t *testing.T) {
 
 func TestDistributionsPopulated(t *testing.T) {
 	r := Generate(quickParams(7))
-	if r.ArrivalsPerSec.Len() != 1200 {
-		t.Fatalf("arrival samples = %d", r.ArrivalsPerSec.Len())
+	if len(r.ArrivalsPerSec.Samples()) != 1200 {
+		t.Fatalf("arrival samples = %d", len(r.ArrivalsPerSec.Samples()))
 	}
-	if r.HandoffsPerSec.Len() != 1200 {
-		t.Fatalf("handoff samples = %d", r.HandoffsPerSec.Len())
+	if len(r.HandoffsPerSec.Samples()) != 1200 {
+		t.Fatalf("handoff samples = %d", len(r.HandoffsPerSec.Samples()))
 	}
-	if r.BearersPerBSSec.Len() != 1200*300 {
-		t.Fatalf("bearer samples = %d", r.BearersPerBSSec.Len())
+	if len(r.BearersPerBSSec.Samples()) != 1200*300 {
+		t.Fatalf("bearer samples = %d", len(r.BearersPerBSSec.Samples()))
 	}
-	if r.ActiveUEsPerBS.Len() != 20*300 {
-		t.Fatalf("active samples = %d", r.ActiveUEsPerBS.Len())
+	if len(r.ActiveUEsPerBS.Samples()) != 20*300 {
+		t.Fatalf("active samples = %d", len(r.ActiveUEsPerBS.Samples()))
 	}
 	if r.TotalArrivals == 0 || r.TotalBearers == 0 {
 		t.Fatal("no activity generated")
@@ -208,7 +208,7 @@ func TestPaperScaleCalibration(t *testing.T) {
 	if arr < 30 || arr > 400 {
 		t.Errorf("arrivals p99.999 = %v, out of plausible band", arr)
 	}
-	act := r.ActiveUEsPerBS.Max()
+	act := r.ActiveUEsPerBS.Quantile(1)
 	if act < 100 || act > 1500 {
 		t.Errorf("active max = %v, out of plausible band", act)
 	}
