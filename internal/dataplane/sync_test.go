@@ -939,30 +939,33 @@ func TestBurstsForwardWhileOthersHandOff(t *testing.T) {
 // clause) path installed and the fast path on — the warmed state the
 // network workloads of bench/ run their control ops against, on a larger
 // topology.
-func syncBenchNet(b *testing.B) *Network {
-	net := genNet(b)
+func syncBenchNet(tb testing.TB, reg *obs.Registry) *Network {
+	net := genNet(tb)
+	if reg != nil {
+		net.Instrument(reg)
+	}
 	for bs := range net.T.Stations {
 		for clause := 0; clause < net.Ctrl.Policy.Len(); clause++ {
 			if cl, _ := net.Ctrl.Policy.Clause(clause); !cl.Action.Allow {
 				continue
 			}
 			if _, err := net.Ctrl.RequestPath(packet.BSID(bs), clause); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
 	}
 	if err := net.Sync(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	net.EnableFastPath(1)
-	b.Cleanup(net.DisableFastPath)
+	tb.Cleanup(net.DisableFastPath)
 	return net
 }
 
 // BenchmarkSyncNoChange is the Sync a punt pays on a warmed plant: every
 // FIB version already materialised.
 func BenchmarkSyncNoChange(b *testing.B) {
-	net := syncBenchNet(b)
+	net := syncBenchNet(b, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -977,7 +980,7 @@ func BenchmarkSyncNoChange(b *testing.B) {
 // UE's classifiers allow); the handoff itself, the release and the
 // release's Sync run off the clock.
 func BenchmarkSyncAfterHandoff(b *testing.B) {
-	net := syncBenchNet(b)
+	net := syncBenchNet(b, nil)
 	_ = net.Ctrl.RegisterSubscriber("m", policy.Attributes{Provider: "A"})
 	if _, err := net.Attach("m", 0); err != nil {
 		b.Fatal(err)

@@ -42,9 +42,10 @@ type Verdict struct {
 
 // cmatch is a compiled TCAM predicate: the normalised match flattened to
 // mask-and-compare fields, so a cover test is straight-line integer code
-// with no normalisation and no method dispatch per packet.
+// with no normalisation and no method dispatch per packet. Its 32-bit
+// in-port keeps it at 32 B.
 type cmatch struct {
-	inPort          int
+	inPort          int32
 	srcVal, srcMask uint32
 	dstVal, dstMask uint32
 	sLo, sHi        uint16
@@ -54,7 +55,7 @@ type cmatch struct {
 
 // covers reports whether the compiled match accepts p arriving on inPort.
 func (m *cmatch) covers(p *packet.Packet, inPort int) bool {
-	if m.inPort != anyPort && m.inPort != inPort {
+	if m.inPort != anyPort && int(m.inPort) != inPort {
 		return false
 	}
 	if uint32(p.Src)&m.srcMask != m.srcVal || uint32(p.Dst)&m.dstMask != m.dstVal {
@@ -162,25 +163,27 @@ const keyUsed = 1 << 63
 
 // flowPage is a fixed-size run of slots, the unit a patch copies. It keeps
 // the slots' keys apart from their compiled microflows, so a probe reads
-// only keys.
+// only keys, and a slot holds a pointer to its compiled microflow, so a
+// page is 384 B and a copy moves no rule.
 type flowPage struct {
 	keys  [pageSize]flowKey
-	rules [pageSize]rule
+	rules [pageSize]*rule
 }
 
 // flowTable is an open-addressed microflow index specialised for the
 // five-tuple. The generic map's hashing was the single largest line in the
 // burst profile; packing the key into two words and linearly probing a
 // power-of-two table with one multiply-mix hash is severalfold cheaper per
-// lookup. Each slot holds its compiled microflow. The slots live in pages
-// behind a slice of page pointers, and a table is immutable after publish:
-// a recompile patches a copy (flowPatch) that copies the page pointers and
+// lookup. Each slot points at its compiled microflow, which is immutable
+// and shared by every table that holds it. The slots live in pages behind
+// a slice of page pointers, and a table is immutable after publish: a
+// recompile patches a copy (flowPatch) that copies the page pointers and
 // only the pages it writes, sharing every other page with the table it
 // replaces. Removal shifts the rest of the probe chain back, so the index
 // has no tombstones, and an insert that would take the load factor past
-// half rebuilds it from its own entries at double size. Once patches have
-// replaced more than a quarter of its pages, the table is laid out again
-// in one block (patched).
+// half rebuilds it from its own entries at double size. A patch that would
+// leave more than a quarter of the pages replaced is laid out in one block
+// first (patched).
 type flowTable struct {
 	pages []*flowPage
 	mask  uint32
@@ -197,9 +200,9 @@ func (t *flowTable) key(i uint32) *flowKey {
 	return &t.pages[i>>pageBits].keys[i&pageMask]
 }
 
-// rule returns slot i's compiled microflow.
+// rule returns slot i's compiled microflow, nil for an empty slot.
 func (t *flowTable) rule(i uint32) *rule {
-	return &t.pages[i>>pageBits].rules[i&pageMask]
+	return t.pages[i>>pageBits].rules[i&pageMask]
 }
 
 // flowWords packs a packet's five-tuple into the index's key.
@@ -253,55 +256,76 @@ func inBlock(block []flowPage, n int) flowTable {
 	return flowTable{pages: pages, mask: uint32(len(block)*pageSize - 1), n: n, block: block}
 }
 
-// microIndex compiles a whole microflow table; it also reports the rules
-// it compiled. An empty table (core and gateway switches hold no
-// microflows) allocates nothing.
+// microIndex compiles a whole microflow table into one block of rules; it
+// also reports the rules it compiled. An empty table (core and gateway
+// switches hold no microflows) allocates nothing.
 func microIndex(micro map[packet.FlowKey]*switchsim.Flow) (flowTable, int) {
 	if len(micro) == 0 {
 		return flowTable{}, 0
 	}
 	p := flowPatch{t: newFlowTable(len(micro))}
+	rules := make([]rule, 0, len(micro))
 	for key, f := range micro {
-		p.add(flowKeyWords(key), compileFlow(f))
+		rules = append(rules, compileFlow(f))
+		p.add(flowKeyWords(key), &rules[len(rules)-1])
 	}
 	return p.t, len(micro)
 }
 
-// patched returns the table with changes applied in order, sharing every
-// page no change writes; it also reports the rules it compiled. Once more
-// than a quarter of its pages are loose, it is laid out again in one
-// block: pages strewn over the heap slowed forwarding by a tenth
-// (EXPERIMENTS.md, "Microflow ledger"). A relayout copies the table once
-// per at least a quarter as many page copies, so a change's amortised
-// cost stays proportional to its edits.
-func (t flowTable) patched(changes []switchsim.MicroChange) (flowTable, int) {
+// patched returns the table with the microflow changes among changes
+// applied in order, sharing every page no change writes; edits counts those
+// changes and inserts the ones that install an entry. It also reports the
+// rules it compiled and the pages it copied. A patch that could leave more
+// than a quarter of the pages loose (one per edit), and whose inserts
+// cannot double the table, lays the table out again in one block first,
+// copying each page once, and then writes the block in place: pages strewn
+// over the heap slowed forwarding by a tenth (EXPERIMENTS.md, "Microflow
+// ledger"). A relayout copies the table once per at least a quarter as
+// many page copies, so a change's amortised cost stays proportional to its
+// edits.
+func (t flowTable) patched(changes []switchsim.Change, edits, inserts int) (flowTable, int, int) {
 	p := flowPatch{t: t, base: t.pages}
-	p.t.pages = slices.Clone(t.pages)
-	compiled := 0
+	grows := 2*(t.n+inserts) > len(t.pages)*pageSize // lays the table out afresh anyway, maybe
+	if !grows && 4*(t.loose+edits) > len(t.pages) {
+		p.t, p.base = t.laidOut(), nil
+		p.copied = len(t.pages)
+	} else {
+		p.t.pages = slices.Clone(t.pages)
+	}
+	rules := make([]rule, 0, inserts)
 	for _, c := range changes {
-		if c.Flow == nil {
+		switch {
+		case c.TCAM:
+		case c.Flow == nil:
 			p.del(flowKeyWords(c.Key))
-			continue
+		default:
+			rules = append(rules, compileFlow(c.Flow))
+			p.put(flowKeyWords(c.Key), &rules[len(rules)-1])
 		}
-		p.put(flowKeyWords(c.Key), compileFlow(c.Flow))
-		compiled++
 	}
-	if 4*p.t.loose > len(p.t.pages) {
-		block := make([]flowPage, len(p.t.pages))
-		for i, pg := range p.t.pages {
-			block[i] = *pg
-		}
-		p.t = inBlock(block, p.t.n)
+	if 4*p.t.loose > len(p.t.pages) { // a removal's backward shift wrote more pages than it had edits
+		p.copied += len(p.t.pages)
+		p.t = p.t.laidOut()
 	}
-	return p.t, compiled
+	return p.t, len(rules), p.copied
+}
+
+// laidOut returns a copy of the table with its pages in one new block.
+func (t flowTable) laidOut() flowTable {
+	block := make([]flowPage, len(t.pages))
+	for i, pg := range t.pages {
+		block[i] = *pg
+	}
+	return inBlock(block, t.n)
 }
 
 // flowPatch edits t, a copy of a published table whose page pointers are
 // t's own but whose pages are still base's where they are equal: such a
-// page is copied before its first write.
+// page is copied before its first write. copied counts those copies.
 type flowPatch struct {
-	t    flowTable
-	base []*flowPage
+	t      flowTable
+	base   []*flowPage
+	copied int
 }
 
 // page returns the page holding slot i ready for writing, copying it out
@@ -315,6 +339,7 @@ func (p *flowPatch) page(i uint32) *flowPage {
 		}
 		cp := *p.t.pages[pg]
 		p.t.pages[pg] = &cp
+		p.copied++
 	}
 	return p.t.pages[pg]
 }
@@ -323,7 +348,7 @@ func (p *flowPatch) page(i uint32) *flowPage {
 // half full first rebuilds it from its own entries at double size (one
 // page when empty). put constructs flowTable state before the enclosing
 // snapshot publishes.
-func (p *flowPatch) put(k flowKey, r rule) {
+func (p *flowPatch) put(k flowKey, r *rule) {
 	if p.t.n > 0 {
 		if i, ok := p.t.find(k); ok {
 			p.page(i).rules[i&pageMask] = r
@@ -347,7 +372,7 @@ func (p *flowPatch) put(k flowKey, r rule) {
 // add puts a key the table does not hold in the first empty slot of its
 // probe chain. add constructs flowTable state before the enclosing
 // snapshot publishes.
-func (p *flowPatch) add(k flowKey, r rule) {
+func (p *flowPatch) add(k flowKey, r *rule) {
 	i := flowHash(k) & p.t.mask
 	for p.t.key(i).lo != 0 {
 		i = (i + 1) & p.t.mask
@@ -358,7 +383,7 @@ func (p *flowPatch) add(k flowKey, r rule) {
 
 // move writes slot i. move constructs flowTable state before the
 // enclosing snapshot publishes.
-func (p *flowPatch) move(i uint32, k flowKey, r rule) {
+func (p *flowPatch) move(i uint32, k flowKey, r *rule) {
 	pg := p.page(i)
 	pg.keys[i&pageMask], pg.rules[i&pageMask] = k, r
 }
@@ -384,33 +409,40 @@ func (p *flowPatch) del(k flowKey) {
 		home := flowHash(e) & p.t.mask
 		// e may fill the hole unless its home is in (hole, j], cyclically.
 		if (j-home)&p.t.mask >= (j-hole)&p.t.mask {
-			p.move(hole, e, *p.t.rule(j))
+			p.move(hole, e, p.t.rule(j))
 			hole = j
 		}
 	}
-	p.move(hole, flowKey{}, rule{})
+	p.move(hole, flowKey{}, nil)
 	p.t.n--
 }
 
 // rule is what executing a compiled entry takes: its action, the live
 // counters of the switch entry it was compiled from (for traffic
-// attribution, and for a TCAM rule its identity: see compile), and, for a
-// microflow, the live entry a verdict names. It does not know its slot in
-// the snapshot's flat rule numbering (TCAM first, then the microflow
-// index's slots), so a later snapshot can share it wherever it lands
-// there.
+// attribution), and, for a microflow, the live entry a verdict names. It
+// does not know its slot in the snapshot's flat rule numbering (TCAM
+// first, then the microflow index's slots), so a later snapshot can share
+// it wherever it lands there.
 type rule struct {
 	act  caction
 	live *switchsim.Counters
 	flow *switchsim.Flow // nil for a TCAM rule
 }
 
-// crule is one compiled TCAM rule: a rule, its ID and its match. A
+// crule is one compiled TCAM rule as a snapshot's TCAM holds it: its match
+// inline, for the scan, and the rest behind a pointer, so a recompile that
+// copies the TCAM moves 40 B a rule and shares what the pointer names. A
 // microflow needs no compiled match; its key is its match.
 type crule struct {
-	m  cmatch
-	id switchsim.RuleID
+	m cmatch
+	r *tcamRule
+}
+
+// tcamRule is a compiled TCAM rule's rule and ID, immutable and shared by
+// every snapshot that holds the rule.
+type tcamRule struct {
 	rule
+	id switchsim.RuleID
 }
 
 // ruleAcc accumulates one burst's traffic against one compiled rule.
@@ -465,13 +497,9 @@ type Snapshot struct {
 	// Gen is the switch generation the snapshot was compiled at. A FIB
 	// serves the snapshot only while the switch still reports the same
 	// generation; any table mutation since makes it stale, detected rather
-	// than silently served.
+	// than silently served. A recompile hands it to the switch to be given
+	// the changes since.
 	Gen uint64
-	// microGen and tcamGen are the switch generations at each table's
-	// latest change (switchsim.TableView); lastID is the largest TCAM rule
-	// ID compiled. A recompile reads them to reuse what did not change.
-	microGen, tcamGen uint64
-	lastID            switchsim.RuleID
 
 	micro flowTable // flow five-tuple -> compiled microflow
 	tcam  []crule   // priority-sorted (same order as the switch)
@@ -490,60 +518,106 @@ func Compile(sw *switchsim.Switch) *Snapshot {
 	return s
 }
 
+// work is what one compile did: the rules it compiled, and what it copied
+// of the snapshot before it — compiled TCAM rules and microflow index
+// pages.
+type work struct {
+	compiled, tcamCopied, pagesCopied int
+}
+
 // compile is Compile reusing prev, an earlier snapshot of the same switch
-// (or nil); it also reports how many rules it compiled. A table that has
-// not changed since prev is shared with it. A moved microflow table the
-// switch hands over as its changes since prev patches prev's index, and
-// one it hands over whole is indexed afresh. A TCAM rule prev compiled is
-// copied rather than compiled again: the address of its live counters
-// identifies it, a rule installed since has an ID above prev.lastID, and
-// the rules still installed keep their order.
+// (or nil); it also reports its work. A table that has not changed since
+// prev is shared with it. A moved table the switch hands over as its
+// changes since prev is prev's with the changes applied, and one it hands
+// over whole is compiled afresh.
 //
 // hotpath: cold
-func compile(sw *switchsim.Switch, prev *Snapshot) (*Snapshot, int) {
-	if prev == nil {
-		prev = &Snapshot{microGen: ^uint64(0), tcamGen: ^uint64(0)}
+func compile(sw *switchsim.Switch, prev *Snapshot) (*Snapshot, work) {
+	gen := ^uint64(0)
+	if prev != nil {
+		gen = prev.Gen
+	} else {
+		prev = &Snapshot{}
 	}
-	v := sw.ViewChanged(prev.microGen, prev.tcamGen)
+	v := sw.ViewChanged(gen)
 	s := &Snapshot{
 		Gen:      v.Gen,
-		microGen: v.MicroGen,
-		tcamGen:  v.TCAMGen,
-		lastID:   prev.lastID,
 		micro:    prev.micro,
 		tcam:     prev.tcam,
 		miss:     compileAction(v.Miss),
 		missDrop: v.Miss.Drop || (!v.Miss.ToController && v.Miss.Output < 0),
 		src:      sw,
 	}
-	compiled := 0
-	switch {
-	case v.MicroGen == prev.microGen:
-	case len(v.MicroChanges) > 0:
-		s.micro, compiled = prev.micro.patched(v.MicroChanges)
-	default:
-		s.micro, compiled = microIndex(v.Micro)
-	}
-	if v.TCAMGen != prev.tcamGen {
-		s.tcam = make([]crule, 0, len(v.Ordered))
-		old := prev.tcam
-		for _, r := range v.Ordered {
-			if r.ID <= prev.lastID {
-				for len(old) > 0 && old[0].live != &r.Counters {
-					old = old[1:] // removed since prev
-				}
+	var w work
+	microInserts, micro, tcamInserts, tcam := 0, 0, 0, 0
+	for i := range v.Changes {
+		c := &v.Changes[i]
+		switch {
+		case !c.TCAM:
+			micro++
+			if c.Flow != nil {
+				microInserts++
 			}
-			if len(old) > 0 && old[0].live == &r.Counters {
-				s.tcam = append(s.tcam, old[0])
-				old = old[1:]
-				continue
+		case v.Ordered == nil:
+			tcam++
+			if c.Rule != nil {
+				tcamInserts++
 			}
-			s.tcam = append(s.tcam, crule{m: compileMatch(r.Match), id: r.ID, rule: rule{act: compileAction(r.Action), live: &r.Counters}})
-			compiled++
-			s.lastID = max(s.lastID, r.ID)
 		}
 	}
-	return s, compiled
+	switch {
+	case v.Micro != nil:
+		s.micro, w.compiled = microIndex(v.Micro)
+	case micro > 0:
+		s.micro, w.compiled, w.pagesCopied = prev.micro.patched(v.Changes, micro, microInserts)
+	}
+	switch {
+	case v.Ordered != nil:
+		s.tcam = make([]crule, len(v.Ordered))
+		rules := make([]tcamRule, len(v.Ordered))
+		for i, r := range v.Ordered {
+			s.tcam[i] = compileRule(r, &rules[i])
+		}
+		w.compiled += len(v.Ordered)
+	case tcam > 0:
+		s.tcam = replayed(prev.tcam, v.Changes, tcamInserts, &w)
+	}
+	return s, w
+}
+
+// replayed returns prev's TCAM with the TCAM changes among changes
+// replayed in order, by position, into one new slice; inserts counts the
+// changes that insert a rule. A run of rules between two changes in
+// ascending position is copied in bulk; a change behind an earlier one
+// shifts the slice built so far.
+func replayed(prev []crule, changes []switchsim.Change, inserts int, w *work) []crule {
+	out := make([]crule, 0, len(prev)+inserts)
+	rules := make([]tcamRule, inserts)
+	src := 0 // the table as replayed so far is out, then prev[src:]
+	for i := range changes {
+		c := &changes[i]
+		if !c.TCAM {
+			continue
+		}
+		at := int(c.At)
+		if k := at - len(out); k > 0 {
+			out = append(out, prev[src:src+k]...)
+			src += k
+			w.tcamCopied += k
+		}
+		switch {
+		case c.Rule == nil && at < len(out):
+			out = slices.Delete(out, at, at+1)
+		case c.Rule == nil:
+			src++
+		default:
+			out = slices.Insert(out, at, compileRule(c.Rule, &rules[0]))
+			rules = rules[1:]
+			w.compiled++
+		}
+	}
+	w.tcamCopied += len(prev) - src
+	return append(out, prev[src:]...)
 }
 
 // slots reports the snapshot's flat rule-slot count: the TCAM's rules,
@@ -553,7 +627,7 @@ func (s *Snapshot) slots() int { return len(s.tcam) + len(s.micro.pages)*pageSiz
 // ruleAt returns the compiled rule in a flat slot.
 func (s *Snapshot) ruleAt(slot int32) *rule {
 	if int(slot) < len(s.tcam) {
-		return &s.tcam[slot].rule
+		return &s.tcam[slot].r.rule
 	}
 	return s.micro.rule(uint32(int(slot) - len(s.tcam)))
 }
@@ -576,11 +650,17 @@ func compileFlow(f *switchsim.Flow) rule {
 	return rule{act: compileAction(f.Action), live: &f.Counters, flow: f}
 }
 
+// compileRule flattens one live TCAM rule, its action and ID into dst.
+func compileRule(r *switchsim.Rule, dst *tcamRule) crule {
+	*dst = tcamRule{rule: rule{act: compileAction(r.Action), live: &r.Counters}, id: r.ID}
+	return crule{m: compileMatch(r.Match), r: dst}
+}
+
 // compileMatch flattens a TCAM rule's match. The match was normalised at
 // install time, so the compiled port bounds are the effective ones.
 func compileMatch(m switchsim.Match) cmatch {
 	return cmatch{
-		inPort: int(m.InPort),
+		inPort: m.InPort,
 		srcVal: uint32(m.Src.Addr), srcMask: prefixMask(m.Src.Len),
 		dstVal: uint32(m.Dst.Addr), dstMask: prefixMask(m.Dst.Len),
 		sLo: m.SrcPortLo, sHi: m.SrcPortHi,
@@ -648,7 +728,8 @@ func (s *Snapshot) lookup(p *packet.Packet, inPort int, t *tally) Verdict {
 		for i := range s.tcam {
 			if s.tcam[i].m.covers(p, inPort) {
 				t.stats.TCAMHit++
-				v = s.exec(&s.tcam[i].rule, s.tcam[i].id, int32(i), p, t)
+				r := s.tcam[i].r
+				v = s.exec(&r.rule, r.id, int32(i), p, t)
 				matched = true
 				break
 			}

@@ -10,7 +10,9 @@ import (
 // is an atomic add or a fixed-bucket histogram observe — 0 allocs.
 type fpObs struct {
 	compile  *obs.Counter   // snapshots compiled
-	rules    *obs.Counter   // rules compiled (compileRule calls)
+	rules    *obs.Counter   // rules compiled
+	tcamCopy *obs.Counter   // compiled TCAM rules copied from the snapshot before
+	pageCopy *obs.Counter   // microflow index pages copied from the snapshot before
 	staleHit *obs.Counter   // stale snapshots detected (generation moved)
 	bursts   *obs.Counter   // bursts processed (per-switch acquisitions)
 	burstSz  *obs.Histogram // burst sizes in packets
@@ -27,6 +29,8 @@ func newFPObs(reg *obs.Registry) *fpObs {
 	return &fpObs{
 		compile:  reg.Counter("fastpath.snapshot.compile"),
 		rules:    reg.Counter("fastpath.rules.compiled"),
+		tcamCopy: reg.Counter("fastpath.rules.copied"),
+		pageCopy: reg.Counter("fastpath.pages.copied"),
 		staleHit: reg.Counter("fastpath.snapshot.stale"),
 		bursts:   reg.Counter("fastpath.bursts"),
 		burstSz:  reg.Histogram("fastpath.burst.size", 1, 2, 4, 8, 16, 32, 64, 128, 256),
@@ -36,11 +40,13 @@ func newFPObs(reg *obs.Registry) *fpObs {
 	}
 }
 
-// compiled counts one snapshot compile that compiled rules rules.
-func (o *fpObs) compiled(rules int) {
+// compiled counts one snapshot compile and its work.
+func (o *fpObs) compiled(w work) {
 	if o != nil {
 		o.compile.Inc()
-		o.rules.Add(uint64(rules))
+		o.rules.Add(uint64(w.compiled))
+		o.tcamCopy.Add(uint64(w.tcamCopied))
+		o.pageCopy.Add(uint64(w.pagesCopied))
 	}
 }
 

@@ -8,14 +8,16 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/switchsim"
 )
 
 // mutate applies one random change to sw's tables: a TCAM Install, Remove,
-// ReplaceTCAM or Splice, or a microflow install or removal among flows.
-func mutate(rng *rand.Rand, sw *switchsim.Switch, flows []packet.FlowKey) {
-	switch rng.Intn(6) {
+// ReplaceTCAM, Splice or empty Splice, or a microflow install or removal
+// among flows. It reports whether it replaced the whole TCAM.
+func mutate(rng *rand.Rand, sw *switchsim.Switch, flows []packet.FlowKey) (replaced bool) {
+	switch rng.Intn(7) {
 	case 0:
 		sw.Install(rng.Intn(900), genMatch(rng), genAction(rng))
 	case 1:
@@ -32,6 +34,7 @@ func mutate(rng *rand.Rand, sw *switchsim.Switch, flows []packet.FlowKey) {
 			rules = append(rules, switchsim.Rule{Priority: s.prio, Match: s.m, Action: s.a})
 		}
 		sw.ReplaceTCAM(rules)
+		return true
 	case 5:
 		var edits []switchsim.Edit
 		for _, r := range sw.Rules() {
@@ -42,8 +45,12 @@ func mutate(rng *rand.Rand, sw *switchsim.Switch, flows []packet.FlowKey) {
 		for i := rng.Intn(4); i > 0; i-- {
 			edits = append(edits, switchsim.Edit{Rule: switchsim.Rule{Priority: rng.Intn(900), Match: genMatch(rng), Action: genAction(rng)}})
 		}
+		rng.Shuffle(len(edits), func(i, j int) { edits[i], edits[j] = edits[j], edits[i] })
 		sw.Splice(edits) // refused after an Install or Remove; then nothing moved
+	case 6:
+		sw.Splice(nil) // moves the generation and changes nothing
 	}
+	return false
 }
 
 // attribution maps the live counters of each entry a tally charged to
@@ -63,6 +70,9 @@ type reuseCounts struct {
 	// patchedMicro counts recompiles that patched the previous index:
 	// their own page pointers, some of the pages still the previous ones.
 	patchedMicro int
+	// replayedTCAM counts recompiles that replayed TCAM edits on a copy of
+	// the previous compiled TCAM.
+	replayedTCAM int
 }
 
 // reuseCheck is one checkReuse run: the switch, the packets every
@@ -72,24 +82,28 @@ type reuseCheck struct {
 	rng    *rand.Rand
 	sw     *switchsim.Switch
 	fib    *FIB
+	copied *obs.Counter // the FIB's fastpath.rules.copied
 	pkts   []*packet.Packet
 	flows  []packet.FlowKey
 	prev   *Snapshot
 	older  []*Snapshot  // every snapshot the FIB published, oldest first
 	seen   [][]slotCopy // each older snapshot's microflow index when published
 	counts reuseCounts
+	// replaced is set when a ReplaceTCAM ran since the FIB's snapshot.
+	replaced bool
 }
 
 // checkReuse drives a random switch through random interleavings of
 // microflow and TCAM mutations. After each round the FIB's snapshot —
-// recompiled from the one before it, reusing what did not change — must
-// agree with a fresh Compile on every packet: verdict, header rewrites,
-// pipeline tallies and the live rule each packet is charged to. So must a
-// second consumer that compiles from an older snapshot, one the switch's
-// change log may no longer reach. The large mode grows the microflow index
-// past 200 flows, past a page and through several doublings, removes
-// flows whose probe chains wrap the end of the index, and makes more
-// changes than the log holds between two compiles.
+// recompiled from the one before it by replaying the switch's change log on
+// it — must equal a fresh Compile rule for rule and agree with it on every
+// packet: verdict, header rewrites, pipeline tallies and the live rule each
+// packet is charged to. So must a second consumer that compiles from an
+// older snapshot, one the switch's change log may no longer reach. The
+// large mode grows the microflow index past 200 flows, past a page and
+// through several doublings, removes flows whose probe chains wrap the end
+// of the index, and makes more changes to both tables than the log holds
+// between two compiles.
 func checkReuse(t *testing.T, rng *rand.Rand, large bool) reuseCounts {
 	t.Helper()
 	c := &reuseCheck{t: t, rng: rng, sw: buildSwitch(genSpecs(rng, rng.Intn(16)), genAction(rng))}
@@ -101,13 +115,17 @@ func checkReuse(t *testing.T, rng *rand.Rand, large bool) reuseCounts {
 		}
 	}
 	c.fib = NewFIB(c.sw)
+	reg := obs.New()
+	c.fib.instrument(newFPObs(reg))
+	c.copied = reg.Counter("fastpath.rules.copied")
 	c.prev = c.fib.Acquire()
 	c.older, c.seen = []*Snapshot{c.prev}, [][]slotCopy{slotsOf(c.prev)}
 	if !large {
 		for round := 0; round < 24; round++ {
 			for k := rng.Intn(3); k >= 0; k-- {
-				mutate(rng, c.sw, c.flows)
+				c.replaced = mutate(rng, c.sw, c.flows) || c.replaced
 			}
+			c.wantDelta(round)
 			c.round(round)
 		}
 		c.unchanged()
@@ -126,7 +144,7 @@ func checkReuse(t *testing.T, rng *rand.Rand, large bool) reuseCounts {
 			installed++
 		}
 		for k := rng.Intn(4); k > 0; k-- {
-			mutate(rng, c.sw, c.flows[:installed])
+			c.replaced = mutate(rng, c.sw, c.flows[:installed]) || c.replaced
 		}
 		c.wantDelta(round)
 		c.round(round)
@@ -135,18 +153,30 @@ func checkReuse(t *testing.T, rng *rand.Rand, large bool) reuseCounts {
 		t.Fatalf("%d microflows in a %d-slot index; the table never grew to 256 slots", c.prev.micro.n, c.prev.micro.mask+1)
 	}
 
-	// More changes than the log holds: the next compile starts over. A
-	// removal of an absent flow changes nothing, so it does not count.
-	for changes := 0; changes <= switchsim.MaxMicroChanges; {
-		if f := c.flows[rng.Intn(installed)]; rng.Intn(3) != 0 {
+	// More changes than the log holds, to both tables: the next compile
+	// starts over. A removal of an absent flow or rule changes nothing, so
+	// it does not count.
+	for changes := 0; changes <= switchsim.MaxChanges; {
+		f := c.flows[rng.Intn(installed)]
+		switch rng.Intn(4) {
+		case 0:
 			c.sw.InstallMicroflow(f, genAction(rng), switchsim.Cookie{})
 			changes++
-		} else if c.sw.RemoveMicroflow(f) {
+		case 1:
+			if c.sw.RemoveMicroflow(f) {
+				changes++
+			}
+		case 2:
+			c.sw.Install(rng.Intn(900), genMatch(rng), genAction(rng))
 			changes++
+		default:
+			if rules := c.sw.Rules(); len(rules) > 0 && c.sw.Remove(rules[rng.Intn(len(rules))].ID) {
+				changes++
+			}
 		}
 	}
-	if v := c.sw.ViewChanged(c.prev.microGen, c.prev.tcamGen); len(v.MicroChanges) != 0 || v.Micro == nil {
-		t.Fatalf("%d changes past a %d-entry log were listed (%d) instead of the whole table", switchsim.MaxMicroChanges+1, switchsim.MaxMicroChanges, len(v.MicroChanges))
+	if v := c.sw.ViewChanged(c.prev.Gen); len(v.Changes) != 0 || v.Micro == nil || v.Ordered == nil {
+		t.Fatalf("%d changes past a %d-entry log were listed (%d) instead of the whole tables", switchsim.MaxChanges+1, switchsim.MaxChanges, len(v.Changes))
 	}
 	c.round(-1)
 
@@ -155,9 +185,11 @@ func checkReuse(t *testing.T, rng *rand.Rand, large bool) reuseCounts {
 	return c.counts
 }
 
-// slotCopy is one microflow index slot, copied out.
+// slotCopy is one microflow index slot, copied out: its key, its compiled
+// microflow and what that held.
 type slotCopy struct {
 	k flowKey
+	p *rule
 	r rule
 }
 
@@ -165,7 +197,11 @@ type slotCopy struct {
 func slotsOf(s *Snapshot) []slotCopy {
 	out := make([]slotCopy, 0, len(s.micro.pages)*pageSize)
 	for i := uint32(0); i < uint32(len(s.micro.pages)*pageSize); i++ {
-		out = append(out, slotCopy{*s.micro.key(i), *s.micro.rule(i)})
+		sc := slotCopy{k: *s.micro.key(i), p: s.micro.rule(i)}
+		if sc.p != nil {
+			sc.r = *sc.p
+		}
+		out = append(out, sc)
 	}
 	return out
 }
@@ -180,12 +216,14 @@ func (c *reuseCheck) unchanged() {
 	}
 }
 
-// wantDelta asserts that the switch lists the microflow changes since the
-// FIB's snapshot instead of copying the table.
+// wantDelta asserts that the switch lists the changes since the FIB's
+// snapshot instead of copying a table: both tables come as edits, the TCAM
+// whole only after a ReplaceTCAM.
 func (c *reuseCheck) wantDelta(round int) {
-	v := c.sw.ViewChanged(c.prev.microGen, c.prev.tcamGen)
-	if v.MicroGen != c.prev.microGen && (v.Micro != nil || len(v.MicroChanges) == 0) {
-		c.t.Fatalf("round %d: microflow changes since the last compile came as a copy (%d entries), not as edits", round, len(v.Micro))
+	v := c.sw.ViewChanged(c.prev.Gen)
+	if v.Micro != nil || (v.Ordered != nil) != c.replaced {
+		c.t.Fatalf("round %d: the changes since the last compile came as %d microflows and %d rules (TCAM replaced: %v), not as %d edits",
+			round, len(v.Micro), len(v.Ordered), c.replaced, len(v.Changes))
 	}
 }
 
@@ -247,6 +285,7 @@ func (c *reuseCheck) round(round int) {
 	if first {
 		second, _ = compile(c.sw, older)
 	}
+	copied := c.copied.Value()
 	reused := c.fib.Acquire()
 	if !first {
 		second, _ = compile(c.sw, older)
@@ -255,6 +294,10 @@ func (c *reuseCheck) round(round int) {
 	c.agree(round, "reused", reused, fresh)
 	c.agree(round, "from an older snapshot", second, fresh)
 	checkIndex(t, round, reused)
+	if c.copied.Value() != copied && !c.replaced {
+		c.counts.replayedTCAM++
+	}
+	c.replaced = false
 
 	prev := c.prev
 	if len(prev.tcam) > 0 && len(reused.tcam) > 0 && &prev.tcam[0] == &reused.tcam[0] {
@@ -286,6 +329,20 @@ func (c *reuseCheck) agree(round int, name string, s, fresh *Snapshot) {
 	if s.Gen != fresh.Gen || len(s.tcam) != len(fresh.tcam) || s.micro.n != fresh.micro.n {
 		t.Fatalf("round %d: %s snapshot gen %d, %d rules, %d microflows; fresh gen %d, %d, %d", round, name,
 			s.Gen, len(s.tcam), s.micro.n, fresh.Gen, len(fresh.tcam), fresh.micro.n)
+	}
+	for i := range fresh.tcam {
+		if r, f := &s.tcam[i], &fresh.tcam[i]; r.m != f.m || *r.r != *f.r {
+			t.Fatalf("round %d: %s snapshot's TCAM rule %d is #%d %+v %+v, fresh #%d %+v %+v", round, name, i, r.r.id, r.m, *r.r, f.r.id, f.m, *f.r)
+		}
+	}
+	for i := uint32(0); i < uint32(len(fresh.micro.pages)*pageSize); i++ {
+		k := *fresh.micro.key(i)
+		if k.lo == 0 {
+			continue
+		}
+		if j, ok := s.micro.find(k); !ok || *s.micro.rule(j) != *fresh.micro.rule(i) {
+			t.Fatalf("round %d: %s snapshot's microflow %x is %+v (held: %v), fresh %+v", round, name, k, s.micro.rule(j), ok, *fresh.micro.rule(i))
+		}
 	}
 	var tr, tf tally
 	tr.ensure(s.slots())
@@ -348,7 +405,7 @@ func checkIndex(t *testing.T, round int, s *Snapshot) {
 			continue
 		}
 		n++
-		if tb.rule(i).live == nil {
+		if r := tb.rule(i); r == nil || r.live == nil {
 			t.Fatalf("round %d: slot %d holds a key and no rule", round, i)
 		}
 		for j := flowHash(e) & tb.mask; j != i; j = (j + 1) & tb.mask {
@@ -364,8 +421,8 @@ func checkIndex(t *testing.T, round int, s *Snapshot) {
 
 // TestSnapshotReuseQuick is the property test of the reusing recompile:
 // for arbitrary tables and mutation sequences it is indistinguishable from
-// a fresh Compile, and the runs do share both tables and patch the
-// microflow index.
+// a fresh Compile, and the runs do share both tables, patch the microflow
+// index and replay TCAM edits.
 func TestSnapshotReuseQuick(t *testing.T) {
 	var sum reuseCounts
 	f := func(seed int64) bool {
@@ -373,14 +430,15 @@ func TestSnapshotReuseQuick(t *testing.T) {
 		sum.sharedTCAM += c.sharedTCAM
 		sum.sharedMicro += c.sharedMicro
 		sum.patchedMicro += c.patchedMicro
+		sum.replayedTCAM += c.replayedTCAM
 		return !t.Failed()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
-	if sum.sharedTCAM == 0 || sum.sharedMicro == 0 || sum.patchedMicro == 0 {
-		t.Fatalf("%d recompiles shared the compiled TCAM, %d the microflow index and %d patched it; the test exercised too little reuse",
-			sum.sharedTCAM, sum.sharedMicro, sum.patchedMicro)
+	if sum.sharedTCAM == 0 || sum.sharedMicro == 0 || sum.patchedMicro == 0 || sum.replayedTCAM == 0 {
+		t.Fatalf("%d recompiles shared the compiled TCAM, %d the microflow index, %d patched it and %d replayed TCAM edits; the test exercised too little reuse",
+			sum.sharedTCAM, sum.sharedMicro, sum.patchedMicro, sum.replayedTCAM)
 	}
 }
 

@@ -8,8 +8,9 @@ import (
 
 // DebugHandler serves a registry for live introspection:
 //
-//	/metrics        Prometheus text exposition of the current snapshot
-//	/debug/snapshot the Snapshot as JSON
+//	/metrics        Prometheus text exposition of the current snapshot,
+//	                plus obs.spans.dropped (see served)
+//	/debug/snapshot the same snapshot as JSON
 //	/debug/events   the retained trace ring as JSON, oldest first;
 //	                ?since=<seq> tails incrementally and wraps the
 //	                events with the next poll cursor
@@ -25,7 +26,7 @@ func DebugHandler(r *Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := WritePrometheus(w, r.Snapshot()); err != nil {
+		if err := WritePrometheus(w, r.served()); err != nil {
 			// The snapshot rendered; the write failed because the client
 			// went away — nothing to clean up.
 			return
@@ -33,7 +34,7 @@ func DebugHandler(r *Registry) http.Handler {
 	})
 	mux.HandleFunc("/debug/snapshot", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		if _, err := w.Write(r.Snapshot().JSON()); err != nil {
+		if _, err := w.Write(r.served().JSON()); err != nil {
 			return
 		}
 	})
@@ -87,4 +88,24 @@ func DebugHandler(r *Registry) http.Handler {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
+}
+
+// spansDropped names the count of sampled spans the rings lost to slot
+// contention, as the debug endpoints report it.
+const spansDropped = "obs.spans.dropped"
+
+// served is the snapshot the debug endpoints serve: the registry's metrics
+// and the count of sampled spans lost to slot contention, so a traced run
+// cannot lose spans silently.
+func (r *Registry) served() Snapshot {
+	s := r.Snapshot()
+	if r == nil {
+		return s
+	}
+	s.Counters[spansDropped] = r.st.spans.dropped.Load()
+	if s.Help == nil {
+		s.Help = make(map[string]string, 1)
+	}
+	s.Help[spansDropped] = "Sampled spans lost to span-ring slot contention"
+	return s
 }

@@ -51,6 +51,39 @@ func TestDebugMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestDebugMetricsReportDroppedSpans forces a span drop — a recorder finds
+// the ring slot its cursor claims mid-write — and reads the count on
+// /metrics and /debug/snapshot.
+func TestDebugMetricsReportDroppedSpans(t *testing.T) {
+	r, srv := debugServer(t)
+	if body, _ := get(t, srv.URL+"/metrics"); !strings.Contains(body, "\nobs_spans_dropped 0\n") {
+		t.Fatalf("/metrics lacks obs_spans_dropped 0 before any drop:\n%s", body)
+	}
+	r.SetSpanSampling(1)
+	name := r.SpanName("debug.dropped")
+	for i := range r.st.spans.stripes {
+		r.st.spans.stripes[i].ring[0].ver.Store(1) // a write in progress
+	}
+	name.Root().End()
+	if r.st.spans.dropped.Load() != 1 {
+		t.Fatalf("%d spans dropped, want the 1 whose slot was mid-write", r.st.spans.dropped.Load())
+	}
+	body, _ := get(t, srv.URL+"/metrics")
+	for _, line := range []string{"# TYPE obs_spans_dropped counter\n", "\nobs_spans_dropped 1\n"} {
+		if !strings.Contains(body, line) {
+			t.Fatalf("/metrics missing %q:\n%s", line, body)
+		}
+	}
+	var snap Snapshot
+	body, _ = get(t, srv.URL+"/debug/snapshot")
+	if err := json.Unmarshal([]byte(body), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.Counters["obs.spans.dropped"] != 1 {
+		t.Fatalf("/debug/snapshot counts %d dropped spans, want 1", snap.Counters["obs.spans.dropped"])
+	}
+}
+
 func TestDebugSnapshotEndpoint(t *testing.T) {
 	_, srv := debugServer(t)
 	body, ctype := get(t, srv.URL+"/debug/snapshot")

@@ -24,8 +24,7 @@ type Event struct {
 	At Time
 	Fn func()
 
-	seq   uint64 // tie-break so equal-time events run FIFO
-	index int    // heap bookkeeping; -1 once popped or cancelled
+	seq uint64 // tie-break so equal-time events run FIFO
 }
 
 type eventQueue []*Event
@@ -37,22 +36,13 @@ func (q eventQueue) Less(i, j int) bool {
 	}
 	return q[i].seq < q[j].seq
 }
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
+func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*Event)) }
 func (q *eventQueue) Pop() any {
 	old := *q
 	n := len(old)
 	e := old[n-1]
 	old[n-1] = nil
-	e.index = -1
 	*q = old[:n-1]
 	return e
 }

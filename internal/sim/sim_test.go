@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -49,14 +50,15 @@ func TestKernelSchedulePastRejected(t *testing.T) {
 	}
 }
 
-// Cancel removes a scheduled event. Cancelling an already-fired or
-// already-cancelled event is a no-op that returns false.
+// Cancel removes a scheduled event, found by a scan of the queue.
+// Cancelling an already-fired or already-cancelled event is a no-op that
+// returns false.
 func (k *Kernel) Cancel(e *Event) bool {
-	if e == nil || e.index < 0 {
+	i := slices.Index(k.queue, e)
+	if e == nil || i < 0 {
 		return false
 	}
-	heap.Remove(&k.queue, e.index)
-	e.index = -2
+	heap.Remove(&k.queue, i)
 	return true
 }
 
@@ -70,8 +72,8 @@ func TestKernelCancel(t *testing.T) {
 	if k.Cancel(e) {
 		t.Fatal("second cancel should be a no-op")
 	}
-	if e.index != -2 {
-		t.Fatal("event should report cancelled")
+	if slices.Contains(k.queue, e) {
+		t.Fatal("cancelled event still queued")
 	}
 	k.Run()
 	if fired {

@@ -118,21 +118,24 @@ type Switch struct {
 	// microflow), ReplaceTCAM and Splice bumps it. Writes happen under mu;
 	// reads go through Generation's atomic load, so fast-path snapshot
 	// caches detect staleness without touching the lock. microGen and
-	// tcamGen are the generations of each table's latest change, so a
-	// recompile can tell which table moved (see ViewChanged).
+	// tcamGen are the generations of each table's latest change, so a view
+	// can leave out a table that did not move (see ViewChanged).
 	gen      uint64
 	microGen uint64 // guarded by mu
 	tcamGen  uint64 // guarded by mu
 
-	// microLog lists the microflow changes after generation logFrom,
-	// oldest first, so a compile holding the table as of a generation in
-	// [logFrom, microGen] is handed its edits, not a copy (see
-	// ViewChanged). Recording starts at the first ViewChanged (logging),
-	// so plant set-up before any compile keeps no log. The log grows only
-	// at its end and drops consumed entries only from its front, so a
-	// slice of it already handed out stays valid. guarded by mu
-	microLog []MicroChange
+	// log lists the changes to both tables after generation logFrom,
+	// oldest first, so a compile holding the tables as of a generation in
+	// [logFrom, gen] is handed its edits, not a copy (see ViewChanged).
+	// Recording starts at the first ViewChanged (logging), so plant set-up
+	// before any compile keeps no log. The log grows only at its end and
+	// drops consumed entries only from its front, so a slice of it already
+	// handed out stays valid. A ReplaceTCAM is not logged: tcamFrom is its
+	// generation, and a compile older than it is handed the whole TCAM.
+	// guarded by mu
+	log      []Change
 	logFrom  uint64 // guarded by mu
+	tcamFrom uint64 // guarded by mu
 	logging  bool   // guarded by mu
 
 	// TableMiss is the verdict for packets no rule covers. The default
@@ -159,24 +162,55 @@ func (s *Switch) Generation() uint64 {
 	return atomic.LoadUint64(&s.gen)
 }
 
-// tcamChanged records one TCAM mutation.
-//
-// caller holds mu
-func (s *Switch) tcamChanged() {
-	s.tcamGen = atomic.AddUint64(&s.gen, 1)
-}
+// MaxChanges bounds a switch's change log. A change past the bound empties
+// the log, and a compile then behind it copies the whole tables (see
+// ViewChanged).
+const MaxChanges = 128
 
-// MaxMicroChanges bounds a switch's microflow change log. A change past
-// the bound empties the log, and a compile then behind it copies the whole
-// table (see ViewChanged).
-const MaxMicroChanges = 128
-
-// MicroChange is one microflow-table change: at generation Gen the entry
-// for Key became Flow, or with Flow nil was removed.
-type MicroChange struct {
+// Change is one table change, logged at generation Gen. A microflow change
+// (TCAM unset) says that the entry for Key became Flow, or with Flow nil was
+// removed. A TCAM change says that Rule went into the TCAM at position At,
+// or with Rule nil that the rule at At came out; a position counts in the
+// table as the changes before it left it, so replaying the changes in order
+// on a copy of the table gives the table after them.
+type Change struct {
 	Gen  uint64
 	Key  packet.FlowKey
+	At   int32
+	TCAM bool
 	Flow *Flow
+	Rule *Rule
+}
+
+// logged appends c to the change log once a compile has asked for one.
+//
+// caller holds mu
+func (s *Switch) logged(c Change) {
+	if !s.logging {
+		return
+	}
+	switch {
+	case len(s.log) == MaxChanges:
+		s.log, s.logFrom = nil, c.Gen
+		return
+	case len(s.log) == cap(s.log):
+		// Consumed entries leave the front, so the block ahead shrinks:
+		// grow it by a run of entries at once.
+		s.log = append(make([]Change, 0, max(logBlock, 2*len(s.log))), s.log...)
+	}
+	s.log = append(s.log, c)
+}
+
+// logBlock is the fewest entries a change log allocates room for at once.
+const logBlock = 16
+
+// tcamChanged records one TCAM mutation: r went in at position at, or with
+// r nil the rule at at came out.
+//
+// caller holds mu
+func (s *Switch) tcamChanged(at int, r *Rule) {
+	s.tcamGen = atomic.AddUint64(&s.gen, 1)
+	s.logged(Change{Gen: s.tcamGen, At: int32(at), TCAM: true, Rule: r})
 }
 
 // microChanged records one microflow-table mutation: key's entry became f,
@@ -185,14 +219,7 @@ type MicroChange struct {
 // caller holds mu
 func (s *Switch) microChanged(key packet.FlowKey, f *Flow) {
 	s.microGen = atomic.AddUint64(&s.gen, 1)
-	if !s.logging {
-		return
-	}
-	if len(s.microLog) == MaxMicroChanges {
-		s.microLog, s.logFrom = nil, s.microGen
-		return
-	}
-	s.microLog = append(s.microLog, MicroChange{Gen: s.microGen, Key: key, Flow: f})
+	s.logged(Change{Gen: s.microGen, Key: key, Flow: f})
 }
 
 // BurstStats aggregates one burst's pipeline tallies so compiled fast
@@ -227,62 +254,64 @@ func (s *Switch) AccountBurst(b BurstStats) {
 }
 
 // TableView is a consistent export of the switch's tables for fast-path
-// compilers: the generation it was taken at, the generations of each
-// table's latest change, the microflow entries (whole, or as the edits
-// since the caller's copy), the TCAM rules in match order, and the
-// table-miss action. The rule and flow pointers are the live entries — treat
-// them as read-only except for the atomic traffic counters behind
-// Counters.Account. An entry keeps its pointer for as long as it is
-// installed, so equal pointers in two views are the same entry, unchanged.
+// compilers: the generation it was taken at, each table whole or the changes
+// to it since the caller's copy, and the table-miss action. The rule and
+// flow pointers are the live entries — treat them as read-only except for
+// the atomic traffic counters behind Counters.Account. An entry keeps its
+// pointer for as long as it is installed, so equal pointers in two views are
+// the same entry, unchanged.
 type TableView struct {
-	Gen      uint64
-	MicroGen uint64
-	TCAMGen  uint64
-	// Micro is the whole microflow table. It is left out (nil) when the
-	// caller's copy is current, and when MicroChanges carries the edits.
-	Micro map[packet.FlowKey]*Flow
-	// MicroChanges, when non-empty, lists oldest first the microflow
-	// changes after the caller's generation: applied in order to the
-	// caller's copy they give the table at MicroGen. The slice is the
-	// switch's own log; read it, never write it.
-	MicroChanges []MicroChange
-	Ordered      []*Rule // left out (nil) by ViewChanged at TCAMGen
-	Miss         Action
+	Gen uint64
+	// Micro is the whole microflow table, and Ordered the whole TCAM in
+	// match order. A table handed whole is never nil (an empty one is
+	// empty); a nil one was left out, and Changes carries whatever moved
+	// in it since the caller's copy.
+	Micro   map[packet.FlowKey]*Flow
+	Ordered []*Rule
+	// Changes lists oldest first the changes after the caller's
+	// generation: applied in order to the caller's copy of each table left
+	// out, they give the table at Gen. Changes to a table handed whole are
+	// listed too, and are to be skipped. The slice is the switch's own log;
+	// read it, never write it.
+	Changes []Change
+	Miss    Action
 }
 
 // ViewChanged exports the tables under one lock for a caller that already
-// holds the microflow table as of generation microGen and the TCAM as of
-// tcamGen (^uint64(0) for none): a table whose latest change is that
-// generation is left out. A moved microflow table comes as the changes
-// since microGen when the switch's log still holds them all
-// (MicroChanges), and as a whole copy when it does not: the first call, a
-// microGen older than the log or not of this switch, or a log that passed
-// MaxMicroChanges since. Log entries up to microGen are taken as consumed
+// holds them as of generation gen (^uint64(0) for none). A table that has
+// not changed since gen is left out. A moved table comes as the changes
+// since gen when the switch's log still holds them all, and whole when it
+// does not: the first call, a gen older than the log or not of this switch,
+// or a log that passed MaxChanges since; the TCAM also comes whole when a
+// ReplaceTCAM ran since gen. Log entries up to gen are taken as consumed
 // and dropped, so at steady state the log holds only the changes since the
-// last compile. Compare the view's generations, not its fields, to tell a
-// left-out table: a copied empty table is empty too.
-func (s *Switch) ViewChanged(microGen, tcamGen uint64) TableView {
+// last compile.
+func (s *Switch) ViewChanged(gen uint64) TableView {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v := TableView{Gen: s.Generation(), MicroGen: s.microGen, TCAMGen: s.tcamGen, Miss: s.TableMiss}
-	if s.logging && s.logFrom <= microGen && microGen <= s.microGen {
+	v := TableView{Gen: s.Generation(), Miss: s.TableMiss}
+	known := gen <= v.Gen
+	logged := known && s.logging && s.logFrom <= gen
+	if logged {
 		i := 0
-		for i < len(s.microLog) && s.microLog[i].Gen <= microGen {
+		for i < len(s.log) && s.log[i].Gen <= gen {
 			i++
 		}
-		s.microLog, s.logFrom = s.microLog[i:], microGen
-		v.MicroChanges = s.microLog
-	} else if s.microGen != microGen {
+		s.log, s.logFrom = s.log[i:], gen
+		v.Changes = s.log
+	}
+	if !s.logging {
+		s.logging, s.logFrom = true, v.Gen
+	}
+	if !logged && (!known || s.microGen > gen) {
 		v.Micro = make(map[packet.FlowKey]*Flow, len(s.micro))
 		for k, f := range s.micro {
 			v.Micro[k] = f
 		}
 	}
-	if !s.logging {
-		s.logging, s.logFrom = true, s.microGen
-	}
-	if s.tcamGen != tcamGen {
-		v.Ordered = append([]*Rule(nil), s.ordered...)
+	if (!logged || s.tcamFrom > gen) && (!known || s.tcamGen > gen) {
+		v.Ordered = make([]*Rule, len(s.ordered))
+		copy(v.Ordered, s.ordered)
 	}
 	return v
 }
@@ -302,12 +331,12 @@ func NewSwitch(name string) *Switch {
 func (s *Switch) Install(prio int, m Match, a Action) RuleID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.tcamChanged()
 	s.inOrder = false
 	s.nextID++
 	r := &Rule{ID: s.nextID, Priority: prio, Match: m.normalised(), Action: a}
 	i := sort.Search(len(s.ordered), func(i int) bool { return s.ordered[i].Priority <= prio })
 	s.ordered = slices.Insert(s.ordered, i, r)
+	s.tcamChanged(i, r)
 	return r.ID
 }
 
@@ -319,9 +348,9 @@ func (s *Switch) Remove(id RuleID) bool {
 	if i < 0 {
 		return false
 	}
-	s.tcamChanged()
 	s.inOrder = false
 	s.ordered = slices.Delete(s.ordered, i, i+1)
+	s.tcamChanged(i, nil)
 	return true
 }
 
@@ -583,7 +612,8 @@ func (s *Switch) ReplaceTCAM(rules []Rule) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.tcamChanged()
+	s.tcamGen = atomic.AddUint64(&s.gen, 1)
+	s.tcamFrom = s.tcamGen
 	for i, r := range ordered {
 		r.ID = s.nextID + RuleID(i) + 1
 	}
@@ -645,18 +675,20 @@ func (s *Switch) Splice(edits []Edit) bool {
 		}
 	}
 
-	s.tcamChanged()
+	s.tcamGen = atomic.AddUint64(&s.gen, 1)
 	added := make([]Rule, 0, inserts)
 	for i := range edits {
 		e := &edits[i]
 		at, _ := slices.BinarySearchFunc(s.ordered, &e.Rule, matchOrder)
 		if e.Remove {
 			s.ordered = slices.Delete(s.ordered, at, at+1)
+			s.logged(Change{Gen: s.tcamGen, At: int32(at), TCAM: true})
 			continue
 		}
 		s.nextID++
 		added = append(added, Rule{ID: s.nextID, Priority: e.Rule.Priority, Match: e.Rule.Match, Action: e.Rule.Action})
 		s.ordered = slices.Insert(s.ordered, at, &added[len(added)-1])
+		s.logged(Change{Gen: s.tcamGen, At: int32(at), TCAM: true, Rule: &added[len(added)-1]})
 	}
 	return true
 }

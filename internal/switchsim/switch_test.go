@@ -181,6 +181,15 @@ func TestFlowIsSixtyFourBytes(t *testing.T) {
 	}
 }
 
+// TestSwitchFitsItsSizeClass pins a switch at or under 288 B, an
+// allocator size class: one change log for both tables keeps it there, and
+// a second log would push every switch into the next class.
+func TestSwitchFitsItsSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(Switch{}); got > 288 {
+		t.Fatalf("a switch is %d B, past its 288 B size class", got)
+	}
+}
+
 func TestRemoveRule(t *testing.T) {
 	s := NewSwitch("s")
 	id := s.Install(PrioTag, matchAll, Action{Output: 1})
@@ -280,54 +289,78 @@ func TestViewIsTheFastPathsContract(t *testing.T) {
 	}
 }
 
-// TestViewChangedListsMicroflowEdits covers the microflow change log: no
-// log before the first view, the edits since a caller's generation in
-// order once there is one, consumed edits dropped, and a whole copy for a
+// TestViewChangedListsMicroflowEdits covers the change log: no log before
+// the first view, the edits to both tables since a caller's generation in
+// order once there is one (TCAM edits by position), consumed edits
+// dropped, the TCAM whole after a ReplaceTCAM, and both tables whole for a
 // caller the log does not reach — older than it, or behind more than
-// MaxMicroChanges edits.
+// MaxChanges edits.
 func TestViewChangedListsMicroflowEdits(t *testing.T) {
 	s := NewSwitch("s")
 	k1, k2 := pkt(1, 2, 3, 4).Flow(), pkt(5, 6, 7, 8).Flow()
 	s.InstallMicroflow(k1, Action{Output: 1}, Cookie{})
 	set := s.Generation()
 	s.InstallMicroflow(k2, Action{Output: 2}, Cookie{})
-	if v := s.ViewChanged(set, 0); v.Micro == nil || len(v.MicroChanges) != 0 {
-		t.Fatalf("the first view listed %d edits of a set-up that kept no log", len(v.MicroChanges))
+	if v := s.ViewChanged(set); v.Micro == nil || v.Ordered != nil || len(v.Changes) != 0 {
+		t.Fatalf("the first view listed %d edits of a set-up that kept no log", len(v.Changes))
 	}
 
 	v0 := s.View()
 	s.InstallMicroflow(k1, Action{Output: 3}, Cookie{})
-	s.Install(PrioTag, matchAll, Action{Output: 4}) // a TCAM change is not a microflow edit
+	low := s.Install(PrioPrefix, matchAll, Action{Output: 4})
+	s.Install(PrioTag, matchAll, Action{Output: 5})
 	s.RemoveMicroflow(k2)
-	v1 := s.ViewChanged(v0.MicroGen, v0.TCAMGen)
+	s.Remove(low)
+	v1 := s.ViewChanged(v0.Gen)
 	live, _ := s.Microflow(k1)
-	if v1.Micro != nil || len(v1.MicroChanges) != 2 || v1.Ordered == nil {
-		t.Fatalf("two microflow edits since the caller's view came as %d entries and %d edits", len(v1.Micro), len(v1.MicroChanges))
+	if v1.Micro != nil || v1.Ordered != nil || len(v1.Changes) != 5 {
+		t.Fatalf("five edits since the caller's view came as %d entries, %d rules and %d edits", len(v1.Micro), len(v1.Ordered), len(v1.Changes))
 	}
-	if c := v1.MicroChanges; c[0].Key != k1 || c[0].Flow != live || c[1].Key != k2 || c[1].Flow != nil ||
-		c[0].Gen <= v0.MicroGen || c[1].Gen != v1.MicroGen {
-		t.Fatalf("edits %+v, want k1 re-installed as %p then k2 removed at %d", c, live, v1.MicroGen)
+	c := v1.Changes
+	if c[0].TCAM || c[0].Key != k1 || c[0].Flow != live || c[3].TCAM || c[3].Key != k2 || c[3].Flow != nil ||
+		c[0].Gen <= v0.Gen || c[4].Gen != v1.Gen {
+		t.Fatalf("edits %+v, want k1 re-installed as %p and k2 removed", c, live)
 	}
-	if v := s.ViewChanged(v1.MicroGen, v1.TCAMGen); v.Micro != nil || len(v.MicroChanges) != 0 || v.Ordered != nil {
+	if !c[1].TCAM || c[1].At != 0 || c[1].Rule == nil || c[1].Rule.ID != low ||
+		!c[2].TCAM || c[2].At != 0 || c[2].Rule == nil || !c[4].TCAM || c[4].At != 1 || c[4].Rule != nil {
+		t.Fatalf("TCAM edits %+v %+v %+v, want #%d in at 0, the tag rule in at 0, position 1 out", c[1], c[2], c[4], low)
+	}
+	if v := s.ViewChanged(v1.Gen); v.Micro != nil || len(v.Changes) != 0 || v.Ordered != nil {
 		t.Fatal("a current caller was handed a table")
 	}
-	if v := s.ViewChanged(v0.MicroGen, v0.TCAMGen); v.Micro == nil || len(v.Micro) != 1 || len(v.MicroChanges) != 0 {
-		t.Fatalf("a caller behind consumed edits got %d edits, not the whole table", len(v.MicroChanges))
+	if v := s.ViewChanged(v0.Gen); len(v.Micro) != 1 || len(v.Ordered) != 1 || len(v.Changes) != 0 {
+		t.Fatalf("a caller behind consumed edits got %d edits, not the whole tables", len(v.Changes))
 	}
 
-	for i := 0; i < MaxMicroChanges; i++ {
+	s.InstallMicroflow(k2, Action{Output: 6}, Cookie{})
+	s.ReplaceTCAM([]Rule{{Priority: PrioTag, Match: matchAll, Action: Action{Output: 7}}})
+	s.InstallMicroflow(k2, Action{Output: 8}, Cookie{})
+	if v := s.ViewChanged(v1.Gen); v.Micro != nil || len(v.Ordered) != 1 || len(v.Changes) != 2 {
+		t.Fatalf("a ReplaceTCAM between two microflow edits came as %d entries, %d rules and %d edits; want the TCAM whole and the 2 edits", len(v.Micro), len(v.Ordered), len(v.Changes))
+	}
+	v2 := s.View()
+	if v := s.ViewChanged(v2.Gen); v.Micro != nil || v.Ordered != nil || len(v.Changes) != 0 {
+		t.Fatal("a caller current since the ReplaceTCAM was handed a table")
+	}
+
+	for i := 0; i < MaxChanges; i++ {
 		s.InstallMicroflow(k2, Action{Output: i}, Cookie{})
 	}
-	if v := s.ViewChanged(v1.MicroGen, v1.TCAMGen); len(v.MicroChanges) != MaxMicroChanges {
-		t.Fatalf("%d edits at the bound came as %d edits", MaxMicroChanges, len(v.MicroChanges))
+	if v := s.ViewChanged(v2.Gen); len(v.Changes) != MaxChanges || v.Micro != nil || v.Ordered != nil {
+		t.Fatalf("%d edits at the bound came as %d edits", MaxChanges, len(v.Changes))
 	}
 	last := s.View()
-	for i := 0; i <= MaxMicroChanges; i++ {
+	for i := 0; i <= MaxChanges; i++ {
 		s.RemoveMicroflow(k1)
 		s.InstallMicroflow(k1, Action{Output: i}, Cookie{})
 	}
-	if v := s.ViewChanged(last.MicroGen, last.TCAMGen); v.Micro == nil || len(v.MicroChanges) != 0 {
-		t.Fatalf("%d edits past the bound came as %d edits, not the whole table", 2*(MaxMicroChanges+1), len(v.MicroChanges))
+	if v := s.ViewChanged(last.Gen); v.Micro == nil || v.Ordered != nil || len(v.Changes) != 0 {
+		t.Fatalf("%d edits past the bound came as %d edits, not the whole table", 2*(MaxChanges+1), len(v.Changes))
+	}
+	last = s.View()
+	s.Splice(nil)
+	if v := s.ViewChanged(last.Gen); v.Gen == last.Gen || v.Micro != nil || v.Ordered != nil || len(v.Changes) != 0 {
+		t.Fatalf("an empty splice came as %d entries, %d rules and %d edits", len(v.Micro), len(v.Ordered), len(v.Changes))
 	}
 }
 

@@ -1,7 +1,7 @@
 package switchsim
 
 // View exports the whole tables under one lock.
-func (s *Switch) View() TableView { return s.ViewChanged(^uint64(0), ^uint64(0)) }
+func (s *Switch) View() TableView { return s.ViewChanged(^uint64(0)) }
 
 // Rule returns a snapshot of one TCAM rule by ID.
 func (s *Switch) Rule(id RuleID) (Rule, bool) {
