@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet fmt lint fuzz verify bench-check policy-gate bench-smoke bench city-gate blackout-smoke profile clean chaos cover span-alloc-gate sync-alloc-gate flowsetup-alloc-gate handoff-alloc-gate loc
+.PHONY: all build test race vet fmt lint fuzz verify bench-check policy-gate bench-smoke bench city-gate blackout-smoke profile clean chaos cover span-alloc-gate sync-alloc-gate flowsetup-alloc-gate handoff-alloc-gate admit-gate loc
 
 all: verify
 
@@ -43,6 +43,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzMatch$$' -fuzztime $(FUZZTIME) ./internal/switchsim
 	$(GO) test -run '^$$' -fuzz '^FuzzBurstEquivalence$$' -fuzztime $(FUZZTIME) ./internal/fastpath
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotReuse$$' -fuzztime $(FUZZTIME) ./internal/fastpath
+	$(GO) test -run '^$$' -fuzz '^FuzzIndex$$' -fuzztime $(FUZZTIME) ./internal/cowindex
 
 # chaos runs a long seeded fault-injection soak (DESIGN.md §11). The
 # fixed-seed smoke run is part of tier-1 (`go test -race ./internal/chaos`
@@ -54,14 +55,16 @@ chaos:
 # cover enforces the checked-in statement-coverage floor for the packages
 # whose invariants the chaos harness and the data plane's sync lean on, for
 # the plant builder every harness stands on, for the control channel and
-# the local agent at its far end, for the §5.2 store, for the topology and
+# the local agent at its far end, for the copy-on-write index its snapshot
+# and the fast path's microflows live in and the dirty sets Sync and Warm
+# drain, for the §5.2 store, for the topology and
 # planner whose canonical descend every location rule and shortcut route
 # follows, and for the packet codecs, policy compiler and middleboxes every
 # forwarded packet passes through.
 # Raise the baseline in results/coverage_baseline.txt when coverage grows;
 # verify fails if a change drops below it.
 cover:
-	@for pkg in internal/agent internal/core internal/ctrlproto internal/dataplane internal/fastpath internal/mbox internal/obs internal/packet internal/plant internal/policy internal/routing internal/shard internal/store internal/switchsim internal/topo; do \
+	@for pkg in internal/agent internal/core internal/cowindex internal/ctrlproto internal/dirty internal/dataplane internal/fastpath internal/mbox internal/obs internal/packet internal/plant internal/policy internal/routing internal/shard internal/store internal/switchsim internal/topo; do \
 		pct=$$($(GO) test -cover ./$$pkg | awk '{for (i=1;i<=NF;i++) if ($$i == "coverage:") {sub(/%/,"",$$(i+1)); print $$(i+1)}}'); \
 		base=$$(awk -v p="repro/$$pkg" '$$1 == p {print $$2}' results/coverage_baseline.txt); \
 		if [ -z "$$pct" ] || [ -z "$$base" ]; then echo "cover: no coverage or baseline for $$pkg"; exit 1; fi; \
@@ -85,6 +88,7 @@ verify:
 	$(MAKE) sync-alloc-gate
 	$(MAKE) flowsetup-alloc-gate
 	$(MAKE) handoff-alloc-gate
+	$(MAKE) admit-gate
 	$(MAKE) bench-smoke
 	$(MAKE) city-gate
 	$(MAKE) blackout-smoke
@@ -176,38 +180,73 @@ sync-alloc-gate:
 	if [ "$$allocs" -gt 30 ]; then echo "FAIL: the Sync after a handoff makes $$allocs allocs/op (limit 30)"; exit 1; fi; \
 	echo "sync-alloc-gate: the Sync after a handoff allocates $$bytes B/op (limit 14000) in $$allocs allocs/op (limit 30)"
 
-# flowsetup-alloc-gate pins that a flow set-up's cost does not grow with
-# the flows already resident: the Sync after the agent installs a new
-# flow's two microflows patches the access switch's compiled microflow
-# index (384 B pages of keys and rule pointers) instead of recompiling the
-# whole table, so BenchmarkFlowSetup at 512 resident microflows must stay
-# at or under 3 000 B/op (2.45-2.72 kB measured from 300 iterations up, so
-# a margin of about a fifth; 12.3 kB with 1 152 B pages holding their
-# rules inline, 135 kB while every set-up recompiled the whole index).
+# flowsetup-alloc-gate pins that a flow's cost does not grow with the flows
+# already resident: the Syncs after the agent installs a new flow's two
+# microflows and after they are removed patch the access switch's compiled
+# microflow index (384 B pages of keys and rule pointers, on the shared
+# cowindex, whose block-laid tables list their pages flat as the fast
+# path's own index did) instead of recompiling the whole table, so
+# BenchmarkFlowSetup, which times the set-up and tear-down pair, must stay
+# at or under 9 000 B/op at 512 resident microflows (7.23-7.43 kB
+# measured, 7.34-7.51 kB on the fast path's own index, so a margin of
+# about a fifth). Before it timed the tear-down too, the bound was
+# 3 000 B/op on the set-up alone
+# (2.45-2.72 kB, or 5.0 kB when the set-up's patch landed the index's
+# amortised relayout; 12.3 kB with 1 152 B pages holding their rules
+# inline, 135 kB while every set-up recompiled the whole index).
 flowsetup-alloc-gate:
 	@out=$$($(GO) test -run '^$$' -bench '^BenchmarkFlowSetup$$' -benchmem ./internal/dataplane); \
 	echo "$$out"; \
 	bytes=$$(echo "$$out" | awk '/BenchmarkFlowSetup\/microflows=512/ {for (i=1;i<=NF;i++) if ($$i == "B/op") print $$(i-1)}'); \
 	if [ -z "$$bytes" ]; then echo "flowsetup-alloc-gate: benchmark produced no B/op figure at 512 microflows"; exit 1; fi; \
-	if [ "$$bytes" -gt 3000 ]; then echo "FAIL: a flow set-up at 512 resident microflows allocates $$bytes B/op (limit 3000)"; exit 1; fi; \
-	echo "flowsetup-alloc-gate: a flow set-up at 512 resident microflows allocates $$bytes B/op (limit 3000)"
+	if [ "$$bytes" -gt 9000 ]; then echo "FAIL: a flow set-up and tear-down at 512 resident microflows allocate $$bytes B/op (limit 9000)"; exit 1; fi; \
+	echo "flowsetup-alloc-gate: a flow set-up and tear-down at 512 resident microflows allocate $$bytes B/op (limit 9000)"
 
 # handoff-alloc-gate pins what one whole Network.Handoff of a UE with
 # established flows allocates on the warmed generated plant: the controller
 # move, the agents' admission and flow migration, and the Sync whose
 # recompiles replay each touched switch's change log instead of copying
-# its tables. BenchmarkHandoff must stay at or under 40 000 B/op and 110
-# allocs/op (34.3 kB and 100 allocs measured, so a margin of about a sixth
-# and a tenth; 87.1 kB and 111 allocs before the change log).
+# its tables. BenchmarkHandoff must stay at or under 36 500 B/op and 78
+# allocs/op (30.3 kB and 74 allocs measured, so a margin of about a sixth
+# and a twentieth: a small station's index lists its pages flat, and a
+# derive copies that list; 33.4 kB and 71 allocs under 38 800 B / 78
+# allocs with the fast path's own index and the agent's pages inline in
+# its snapshot, 34.3 kB and 100 allocs while each agent derive cloned its
+# snapshot's maps, 87.1 kB and 111 allocs before the change log).
 handoff-alloc-gate:
 	@out=$$($(GO) test -run '^$$' -bench '^BenchmarkHandoff$$' -benchmem ./internal/dataplane); \
 	echo "$$out"; \
 	bytes=$$(echo "$$out" | awk '/BenchmarkHandoff/ {for (i=1;i<=NF;i++) if ($$i == "B/op") print $$(i-1)}'); \
 	allocs=$$(echo "$$out" | awk '/BenchmarkHandoff/ {for (i=1;i<=NF;i++) if ($$i == "allocs/op") print $$(i-1)}'); \
 	if [ -z "$$bytes" ] || [ -z "$$allocs" ]; then echo "handoff-alloc-gate: benchmark produced no B/op or allocs/op figure"; exit 1; fi; \
-	if [ "$$bytes" -gt 40000 ]; then echo "FAIL: a handoff allocates $$bytes B/op (limit 40000)"; exit 1; fi; \
-	if [ "$$allocs" -gt 110 ]; then echo "FAIL: a handoff makes $$allocs allocs/op (limit 110)"; exit 1; fi; \
-	echo "handoff-alloc-gate: a handoff allocates $$bytes B/op (limit 40000) in $$allocs allocs/op (limit 110)"
+	if [ "$$bytes" -gt 36500 ]; then echo "FAIL: a handoff allocates $$bytes B/op (limit 36500)"; exit 1; fi; \
+	if [ "$$allocs" -gt 78 ]; then echo "FAIL: a handoff makes $$allocs allocs/op (limit 78)"; exit 1; fi; \
+	echo "handoff-alloc-gate: a handoff allocates $$bytes B/op (limit 36500) in $$allocs allocs/op (limit 78)"
+
+# admit-gate pins that an attach's agent admission costs what it changes,
+# not what the station holds: AdmitUE derives a successor snapshot that
+# copies only the index pages (and directory nodes) it writes, so
+# BenchmarkAdmitUE must make at most 10 allocs/op at 64, 512 and 4 096
+# residents (8, 8 and 9 measured), and allocate at 4 096 residents at most
+# 1.5 times its B/op at 64 (1 120 and 968 B measured, 1.16 times; 224 kB
+# and 3.9 kB, 57 times, while each derive cloned the snapshot's maps). The
+# times print beside them: 0.40-0.74 us from 64 to 4 096 residents, 4.4 to
+# 330 us before on the same host.
+admit-gate:
+	@out=$$($(GO) test -run '^$$' -bench '^BenchmarkAdmitUE$$' -benchmem ./internal/agent); \
+	echo "$$out"; \
+	field() { echo "$$out" | awk -v s="resident=$$1-" -v u="$$2" 'index($$1, s) {for (i=1;i<=NF;i++) if ($$i == u) print $$(i-1)}'; }; \
+	for n in 64 512 4096; do \
+		allocs=$$(field $$n allocs/op); \
+		if [ -z "$$allocs" ]; then echo "admit-gate: benchmark produced no allocs/op figure at $$n residents"; exit 1; fi; \
+		if [ "$$allocs" -gt 10 ]; then echo "FAIL: AdmitUE at $$n residents makes $$allocs allocs/op (limit 10)"; exit 1; fi; \
+	done; \
+	small=$$(field 64 B/op); big=$$(field 4096 B/op); \
+	if [ -z "$$small" ] || [ -z "$$big" ]; then echo "admit-gate: benchmark produced no B/op figure"; exit 1; fi; \
+	if ! awk -v s="$$small" -v b="$$big" 'BEGIN { exit !(b <= 1.5 * s) }'; then \
+		echo "FAIL: AdmitUE allocates $$big B/op at 4096 residents, more than 1.5 times its $$small B/op at 64"; exit 1; \
+	fi; \
+	echo "admit-gate: AdmitUE allocates $$small B/op at 64 residents and $$big B/op at 4096 (limit 1.5 times), at most 10 allocs/op at every size; ns/op $$(field 64 ns/op) / $$(field 512 ns/op) / $$(field 4096 ns/op)"
 
 # blackout-smoke is the agent-survivability gate (DESIGN.md §15): the
 # control plane goes dark for 30 sim-seconds under live traffic, and the

@@ -118,7 +118,7 @@ func New(bs packet.BSID, access *switchsim.Switch, plan packet.Plan, ctrl Contro
 		ctrl:    ctrl,
 		inbound: make(map[inboundKey]struct{}),
 	}
-	a.snap.Store(newDraft().seal(0)) // version 0: nothing published yet
+	a.snap.Store(&emptySnapshot) // version 0: nothing published yet
 	return a
 }
 
@@ -159,10 +159,13 @@ func (a *Agent) AdmitUE(ue core.UE, classifiers []core.Classifier) error {
 	if ue.BS != a.BS {
 		return fmt.Errorf("agent: UE %s is attached to bs%d, not bs%d", ue.IMSI, ue.BS, a.BS)
 	}
-	a.derive(func(d *snapshotDraft) {
+	if !a.derive(func(d *snapshotDraft) {
 		d.putUE(ue, classifiers)
 		d.grant(classifiers)
-	})
+	}) {
+		return fmt.Errorf("agent: UE %s: permanent address %s or LocIP %s is another UE's address of the other kind at bs%d",
+			ue.IMSI, ue.PermIP, ue.LocIP, a.BS)
+	}
 	return nil
 }
 
@@ -171,7 +174,7 @@ func (a *Agent) AdmitUE(ue core.UE, classifiers []core.Classifier) error {
 // except that Tag 0 explicitly withdraws the grant, forcing the next flow
 // back to the controller.
 func (a *Agent) UpdateClassifiers(permIP packet.Addr, classifiers []core.Classifier) error {
-	if _, ok := a.lkg().ues[permIP]; !ok {
+	if _, ok := a.lkg().ue(permIP); !ok {
 		return fmt.Errorf("agent: no UE with permanent IP %s", permIP)
 	}
 	a.derive(func(d *snapshotDraft) { d.mergeClassifiers(permIP, classifiers) })
@@ -217,7 +220,7 @@ func (a *Agent) HandlePacketIn(p *packet.Packet) (allowed bool, err error) {
 	snap := a.lkg()
 	a.stats.packetIns.Add(1)
 	a.obs.packetIns.Inc()
-	su, ok := snap.ues[p.Src]
+	su, ok := snap.ue(p.Src)
 	if !ok {
 		return false, fmt.Errorf("agent: packet from unknown UE %s", p.Src)
 	}
@@ -234,7 +237,7 @@ func (a *Agent) HandlePacketIn(p *packet.Packet) (allowed bool, err error) {
 		// the packet arrives there.
 		return a.handleM2M(su, clause, p)
 	}
-	tag := snap.tags[clause]
+	tag := snap.tag(clause)
 	if tag != 0 {
 		a.stats.cacheHits.Add(1)
 		a.obs.cacheHits.Inc()
@@ -252,7 +255,7 @@ func (a *Agent) HandlePacketIn(p *packet.Packet) (allowed bool, err error) {
 		tag = t
 		// Record the admitted tag in the snapshot so later flows (and
 		// restarts) hit it without another round trip.
-		a.derive(func(d *snapshotDraft) { d.tags[clause] = t })
+		a.derive(func(d *snapshotDraft) { d.setTag(clause, t) })
 	}
 	if err := a.installFlow(su, p.Flow(), tag, clause, cl.qos); err != nil {
 		return false, err
@@ -317,10 +320,11 @@ func (a *Agent) handleM2M(su *snapUE, clause int, p *packet.Packet) (bool, error
 // success it installs the delivery microflow and the reverse rule so
 // replies retrace the same header transformation.
 func (a *Agent) HandleArrival(p *packet.Packet) (delivered bool, err error) {
-	perm, ok := a.lkg().byLoc[p.Dst]
+	su, ok := a.lkg().byLoc(p.Dst)
 	if !ok {
 		return false, fmt.Errorf("agent: no UE with LocIP %s at bs%d", p.Dst, a.BS)
 	}
+	perm := su.ue.PermIP
 	internal := a.plan.Carrier.Contains(p.Src) || a.isLocalPerm(p.Src)
 	if !internal {
 		tag, _ := a.plan.SplitPort(p.DstPort)
@@ -462,11 +466,16 @@ func (a *Agent) ephemeralPort(loc packet.Addr, orig packet.FlowKey, tag packet.T
 // hands over the UE state. newUE is the controller's post-handoff record;
 // the new agent must already have admitted it (AdmitUE).
 func (a *Agent) MigrateFlows(newAgent *Agent, newUE core.UE, oldLocIP packet.Addr) error {
-	if _, ok := a.lkg().ues[newUE.PermIP]; !ok {
+	if _, ok := a.lkg().ue(newUE.PermIP); !ok {
 		return fmt.Errorf("agent: no state for UE %s", newUE.IMSI)
 	}
-	if _, ok := newAgent.lkg().ues[newUE.PermIP]; !ok {
+	if _, ok := newAgent.lkg().ue(newUE.PermIP); !ok {
 		return fmt.Errorf("agent: new agent has not admitted UE %s", newUE.IMSI)
+	}
+	// Refuse the alias below before anything moves, so a refusal leaves
+	// the UE and its flows where they were.
+	if _, ok := newAgent.lkg().ue(oldLocIP); ok {
+		return fmt.Errorf("agent: old LocIP %s of UE %s is a permanent address at bs%d", oldLocIP, newUE.IMSI, newAgent.BS)
 	}
 	// The UE leaves this agent's snapshot; its microflows move out under mu.
 	a.derive(func(d *snapshotDraft) { d.removeUE(newUE.PermIP) })
@@ -495,7 +504,9 @@ func (a *Agent) MigrateFlows(newAgent *Agent, newUE core.UE, oldLocIP packet.Add
 	// path's upstream rules take over — so they traverse the old middlebox
 	// sequence (§5.1). The reserved old address aliases into the new
 	// agent's snapshot.
-	newAgent.derive(func(d *snapshotDraft) { d.alias(oldLocIP, newUE.PermIP) })
+	if !newAgent.derive(func(d *snapshotDraft) { d.alias(oldLocIP, newUE.PermIP) }) {
+		return fmt.Errorf("agent: old LocIP %s of UE %s is a permanent address at bs%d", oldLocIP, newUE.IMSI, newAgent.BS)
+	}
 	newAgent.mu.Lock()
 	defer newAgent.mu.Unlock()
 	for _, m := range flows {
@@ -518,13 +529,14 @@ func (a *Agent) MigrateFlows(newAgent *Agent, newUE core.UE, oldLocIP packet.Add
 func (a *Agent) LocationReport() core.AgentLocationReport {
 	snap := a.lkg()
 	rep := core.AgentLocationReport{BS: a.BS}
-	for _, su := range snap.ues {
+	snap.eachUE(func(su *snapUE) bool {
 		rep.UEs = append(rep.UEs, su.ue)
-	}
+		return true
+	})
 	return rep
 }
 
 // NumUEs reports the attached-UE count (Fig. 6(b)'s per-station quantity).
 func (a *Agent) NumUEs() int {
-	return len(a.lkg().ues)
+	return a.lkg().ues
 }

@@ -184,6 +184,56 @@ func TestAdmitWrongStation(t *testing.T) {
 	}
 }
 
+// TestAdmitRefusesAddressClash: the snapshot keys permanent addresses and
+// LocIPs in one index, so a UE whose LocIP is another UE's permanent
+// address, or whose permanent address is another UE's LocIP, is refused
+// and the other UE keeps its record.
+func TestAdmitRefusesAddressClash(t *testing.T) {
+	ag := newAgent(t, newFakeController())
+	a := testUE(t, 1, 1)
+	if err := ag.AdmitUE(a, nil); err != nil {
+		t.Fatal(err)
+	}
+	perm, loc := testUE(t, 1, 2), testUE(t, 1, 2)
+	perm.PermIP, loc.LocIP = a.LocIP, a.PermIP
+	for _, ue := range []core.UE{perm, loc} {
+		if err := ag.AdmitUE(ue, nil); err == nil {
+			t.Fatalf("UE with permanent address %s and LocIP %s admitted beside %+v", ue.PermIP, ue.LocIP, a)
+		}
+	}
+	if got, ok := ag.lkg().UE(a.PermIP); !ok || got != a || ag.NumUEs() != 1 {
+		t.Fatalf("after the refusals the snapshot holds %d UEs, %+v (%v) for %s", ag.NumUEs(), got, ok, a.PermIP)
+	}
+}
+
+// TestMigrateRefusesAClashBeforeMoving: a migration whose old LocIP is a
+// permanent address at the new station is refused before the old station
+// lets go of the UE or its flows.
+func TestMigrateRefusesAClashBeforeMoving(t *testing.T) {
+	home := New(1, switchsim.NewSwitch("as-home"), plan, newFakeController())
+	away := New(2, switchsim.NewSwitch("as-away"), plan, newFakeController())
+	ue, moved, squatter := testUE(t, 1, 1), testUE(t, 2, 1), testUE(t, 2, 2)
+	squatter.PermIP = ue.LocIP
+	if err := home.AdmitUE(ue, webClassifiers(7)); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := home.HandlePacketIn(upPkt(ue, 42000)); !ok || err != nil {
+		t.Fatalf("first flow: allowed=%v err=%v", ok, err)
+	}
+	for _, u := range []core.UE{moved, squatter} {
+		if err := away.AdmitUE(u, webClassifiers(7)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flows := home.Access.NumMicroflows()
+	if err := home.MigrateFlows(away, moved, ue.LocIP); err == nil {
+		t.Fatal("a migration whose old LocIP is a permanent address at the new station went through")
+	}
+	if _, ok := home.lkg().UE(ue.PermIP); !ok || home.Access.NumMicroflows() != flows || away.Access.NumMicroflows() != 0 {
+		t.Fatalf("after the refusal: UE held at home %v, %d of %d microflows at home, %d away", ok, home.Access.NumMicroflows(), flows, away.Access.NumMicroflows())
+	}
+}
+
 func TestUpdateClassifiers(t *testing.T) {
 	ag := newAgent(t, newFakeController())
 	ue := testUE(t, 1, 3)

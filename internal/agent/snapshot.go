@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"repro/internal/core"
+	"repro/internal/cowindex"
 	"repro/internal/packet"
 	"repro/internal/policy"
 	"repro/internal/switchsim"
@@ -36,21 +37,77 @@ var ErrPortsExhausted = errors.New("agent: every ephemeral port toward the desti
 // pushes) or derived copy-on-write from the current one (local admits),
 // then swapped in by version: this is the last-known-good state the data
 // plane keeps forwarding on through controller and shard blackouts.
+//
+// One paged copy-on-write index holds every UE record under each address
+// that names it: its permanent address and each LocIP, current and
+// reserved (§5.1). The two never collide, since the permanent pool lies
+// outside the carrier block; a snapshot in which they would is refused. A
+// derived snapshot copies only the index pages its change writes. The
+// grants are a slice sorted by clause, found by binary search and shared
+// until one changes: a station holds one per clause of the policy at most,
+// and a grant changes far less often than an attach writes the index.
 type Snapshot struct {
 	version uint64
-	ues     map[packet.Addr]*snapUE     // by permanent address
-	byLoc   map[packet.Addr]packet.Addr // LocIP, incl. reserved old ones (§5.1) -> permanent address
-	tags    map[int]packet.Tag          // admitted policy paths: clause -> tag
+	ues     int                                  // UE records: the entries keyed by their permanent address
+	addrs   cowindex.Index[packet.Addr, *snapUE] // permanent address or LocIP -> UE record
+	tags    []grant                              // admitted policy paths, by clause
+	// clashed marks a snapshot built with one address given both as a
+	// permanent address and as a LocIP; it is never published.
+	clashed bool
+}
+
+// grant is one admitted policy path: a clause and the station's tag for it.
+type grant struct {
+	clause int32
+	tag    packet.Tag
+}
+
+// grantIndex returns the position of clause's grant among the sorted
+// grants, or the position it would take, and whether it is there.
+func grantIndex(tags []grant, clause int) (int, bool) {
+	lo, hi := 0, len(tags)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if int(tags[m].clause) < clause {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(tags) && int(tags[lo].clause) == clause
 }
 
 // snapUE is one UE's share of a Snapshot. Instances are shared across
 // snapshot generations and never mutated after construction; an update
-// replaces the whole record. locs lists the LocIPs byLoc has given the UE,
-// current and reserved; one may since have gone to another UE.
+// replaces the whole record. locs lists the LocIPs the index has given the
+// UE, current and reserved; one may since have gone to another UE. They
+// are held in inline when they fit, so a record never points into
+// another's.
 type snapUE struct {
 	ue          core.UE
 	classifiers appClasses
 	locs        []packet.Addr
+	inline      [2]packet.Addr
+}
+
+// newSnapUE builds a record listing locs and loc.
+func newSnapUE(ue core.UE, classifiers appClasses, locs []packet.Addr, loc packet.Addr) *snapUE {
+	su := &snapUE{ue: ue, classifiers: classifiers}
+	n := len(locs)
+	listed := slices.Contains(locs, loc)
+	if !listed {
+		n++
+	}
+	if n <= len(su.inline) {
+		su.locs = su.inline[:0:n]
+	} else {
+		su.locs = make([]packet.Addr, 0, n)
+	}
+	su.locs = append(su.locs, locs...)
+	if !listed {
+		su.locs = append(su.locs, loc)
+	}
+	return su
 }
 
 // appClass is a UE's classifier for one app: the clause that decides its
@@ -83,9 +140,40 @@ func (c *appClasses) set(classifiers []core.Classifier) {
 	}
 }
 
+// ue returns the record of the UE whose permanent address is perm.
+func (s *Snapshot) ue(perm packet.Addr) (*snapUE, bool) {
+	if su, ok := s.addrs.Get(perm); ok && su.ue.PermIP == perm {
+		return su, true
+	}
+	return nil, false
+}
+
+// byLoc returns the record of the UE loc, a LocIP, names.
+func (s *Snapshot) byLoc(loc packet.Addr) (*snapUE, bool) {
+	if su, ok := s.addrs.Get(loc); ok && su.ue.PermIP != loc {
+		return su, true
+	}
+	return nil, false
+}
+
+// tag reports the station's grant for clause, 0 when it has none.
+func (s *Snapshot) tag(clause int) packet.Tag {
+	if i, ok := grantIndex(s.tags, clause); ok {
+		return s.tags[i].tag
+	}
+	return 0
+}
+
+// eachUE calls f with every UE record, in index order.
+func (s *Snapshot) eachUE(f func(su *snapUE) bool) {
+	s.addrs.Range(func(k packet.Addr, su *snapUE) bool {
+		return k != su.ue.PermIP || f(su)
+	})
+}
+
 // UE reports the snapshot's record for a permanent address.
 func (s *Snapshot) UE(perm packet.Addr) (core.UE, bool) {
-	su, ok := s.ues[perm]
+	su, ok := s.ue(perm)
 	if !ok {
 		return core.UE{}, false
 	}
@@ -98,7 +186,7 @@ func (s *Snapshot) UE(perm packet.Addr) (core.UE, bool) {
 func (s *Snapshot) pathFor(su *snapUE, clause int) (packet.Tag, policy.QoS, bool) {
 	for _, cl := range su.classifiers {
 		if cl.allow && int(cl.clause) == clause {
-			tag := s.tags[clause]
+			tag := s.tag(clause)
 			return tag, cl.qos, tag != 0
 		}
 	}
@@ -107,9 +195,10 @@ func (s *Snapshot) pathFor(su *snapUE, clause int) (packet.Tag, policy.QoS, bool
 
 // NewSnapshot builds a publishable snapshot from a controller's exported
 // station view. version is assigned by the pusher and must exceed the
-// receiving agent's current version to take effect (see Publish).
+// receiving agent's current version to take effect (see Publish). A grant
+// of tag 0 is kept as given, for validation to refuse.
 func NewSnapshot(version uint64, view core.AgentView) *Snapshot {
-	d := newDraft()
+	d := draftOf(&emptySnapshot)
 	for _, v := range view.UEs {
 		d.putUE(v.UE, v.Classifiers) // their tags are view.Tags' grants
 		for _, loc := range v.Reserved {
@@ -117,111 +206,151 @@ func NewSnapshot(version uint64, view core.AgentView) *Snapshot {
 		}
 	}
 	for _, g := range view.Tags {
-		d.tags[g.Clause] = g.Tag
+		d.putGrant(g.Clause, g.Tag)
 	}
 	return d.seal(version)
 }
 
+// emptySnapshot is version 0, the state before anything is published.
+var emptySnapshot Snapshot
+
 // snapshotDraft is the private mutable form a successor snapshot is built
-// in before it is sealed and published. Drafts shallow-copy the previous
-// generation's maps; snapUE values are shared until replaced whole.
+// in before it is sealed and published: a copy of its predecessor (base)
+// that shares base's index pages and grants until it writes them.
 type snapshotDraft struct {
-	ues   map[packet.Addr]*snapUE
-	byLoc map[packet.Addr]packet.Addr
-	tags  map[int]packet.Tag
+	Snapshot
+	base    *Snapshot
+	ownTags bool // tags is the draft's own copy
 }
 
-func newDraft() *snapshotDraft {
-	return &snapshotDraft{
-		ues:   make(map[packet.Addr]*snapUE),
-		byLoc: make(map[packet.Addr]packet.Addr),
-		tags:  make(map[int]packet.Tag),
-	}
-}
-
-// draftOf copies a snapshot's maps into a fresh draft (copy-on-write: the
-// snapUE records themselves are shared, not copied).
+// draftOf starts a successor of s.
 func draftOf(s *Snapshot) *snapshotDraft {
-	d := &snapshotDraft{
-		ues:   make(map[packet.Addr]*snapUE, len(s.ues)+1),
-		byLoc: make(map[packet.Addr]packet.Addr, len(s.byLoc)+1),
-		tags:  make(map[int]packet.Tag, len(s.tags)+1),
-	}
-	for k, v := range s.ues {
-		d.ues[k] = v
-	}
-	for k, v := range s.byLoc {
-		d.byLoc[k] = v
-	}
-	for k, v := range s.tags {
-		d.tags[k] = v
-	}
-	return d
+	return &snapshotDraft{Snapshot: *s, base: s}
 }
 
-// seal freezes the draft into a publishable snapshot.
+// seal freezes the draft into a publishable snapshot. The draft is not
+// used after.
 //
 // seal constructs Snapshot.
 func (d *snapshotDraft) seal(version uint64) *Snapshot {
-	return &Snapshot{
-		version: version,
-		ues:     d.ues,
-		byLoc:   d.byLoc,
-		tags:    d.tags,
+	d.version, d.base = version, nil
+	return &d.Snapshot
+}
+
+// set points addr at su. An address that was a permanent address and
+// becomes a LocIP, or the other way round, marks the draft clashed.
+//
+// set constructs Snapshot.
+func (d *snapshotDraft) set(addr packet.Addr, su *snapUE) {
+	if old, ok := d.addrs.Put(&d.base.addrs, addr, su); ok && (old.ue.PermIP == addr) != (su.ue.PermIP == addr) {
+		d.clashed = true
 	}
 }
 
+// rebind makes su, the successor of old (nil for a new UE), the record its
+// permanent address and every LocIP still naming old resolve to.
+//
+// rebind constructs Snapshot.
+func (d *snapshotDraft) rebind(old, su *snapUE) {
+	if old == nil {
+		d.ues++
+	} else {
+		for _, loc := range old.locs {
+			if cur, ok := d.addrs.Get(loc); ok && cur == old {
+				d.set(loc, su)
+			}
+		}
+	}
+	d.set(su.ue.PermIP, su)
+}
+
 // putUE installs (or replaces) one UE record and gives it its LocIP. The
-// LocIPs its previous record held keep naming it: byLoc names the UE, not
-// the record, so they resolve to the fresh state. The classifiers' tags
-// are left to the caller.
+// LocIPs its previous record held keep naming it, now its fresh state. The
+// classifiers' tags are left to the caller.
 func (d *snapshotDraft) putUE(ue core.UE, classifiers []core.Classifier) {
+	var classes appClasses
+	classes.set(classifiers)
+	old, _ := d.ue(ue.PermIP)
 	var locs []packet.Addr
-	if old, ok := d.ues[ue.PermIP]; ok {
+	if old != nil {
 		locs = old.locs
 	}
-	su := &snapUE{ue: ue, locs: withLoc(locs, ue.LocIP)}
-	su.classifiers.set(classifiers)
-	d.ues[ue.PermIP] = su
-	d.byLoc[ue.LocIP] = ue.PermIP
+	su := newSnapUE(ue, classes, locs, ue.LocIP)
+	d.rebind(old, su)
+	d.set(ue.LocIP, su)
+}
+
+// setTag makes tag clause's grant (0 withdraws it), copying the grants
+// only when that changes them.
+//
+// setTag constructs Snapshot.
+func (d *snapshotDraft) setTag(clause int, tag packet.Tag) {
+	i, held := grantIndex(d.tags, clause)
+	switch {
+	case held && d.tags[i].tag == tag, !held && tag == 0:
+	case tag == 0:
+		d.ownGrants()
+		d.tags = slices.Delete(d.tags, i, i+1)
+	default:
+		d.putGrant(clause, tag)
+	}
+}
+
+// putGrant makes tag clause's grant, a tag of 0 included.
+//
+// putGrant constructs Snapshot.
+func (d *snapshotDraft) putGrant(clause int, tag packet.Tag) {
+	d.ownGrants()
+	if i, held := grantIndex(d.tags, clause); held {
+		d.tags[i].tag = tag
+	} else {
+		d.tags = slices.Insert(d.tags, i, grant{int32(clause), tag})
+	}
+}
+
+// ownGrants gives the draft a copy of the grants of its own to write.
+//
+// ownGrants constructs Snapshot.
+func (d *snapshotDraft) ownGrants() {
+	if !d.ownTags {
+		d.tags, d.ownTags = slices.Clone(d.tags), true
+	}
 }
 
 // grant sets the station's grants to the non-zero tags classifiers carry.
 func (d *snapshotDraft) grant(classifiers []core.Classifier) {
 	for _, c := range classifiers {
 		if c.Tag != 0 {
-			d.tags[c.Clause] = c.Tag
+			d.setTag(c.Clause, c.Tag)
 		}
 	}
 }
 
-// removeUE drops one UE record and each of its LocIPs that still names it.
+// removeUE drops one UE record and each of its addresses that still names
+// it.
+//
+// removeUE constructs Snapshot.
 func (d *snapshotDraft) removeUE(perm packet.Addr) {
-	if su, ok := d.ues[perm]; ok {
-		for _, loc := range su.locs {
-			if d.byLoc[loc] == perm {
-				delete(d.byLoc, loc)
-			}
+	su, ok := d.ue(perm)
+	if !ok {
+		return
+	}
+	for _, loc := range su.locs {
+		if cur, ok := d.addrs.Get(loc); ok && cur == su {
+			d.addrs.Delete(&d.base.addrs, loc)
 		}
 	}
-	delete(d.ues, perm)
+	d.addrs.Delete(&d.base.addrs, perm)
+	d.ues--
 }
 
 // alias gives an existing UE an extra LocIP (a §5.1 reserved old address).
 func (d *snapshotDraft) alias(loc packet.Addr, perm packet.Addr) {
-	if su, ok := d.ues[perm]; ok {
-		d.ues[perm] = &snapUE{ue: su.ue, classifiers: su.classifiers, locs: withLoc(su.locs, loc)}
-		d.byLoc[loc] = perm
+	if su, ok := d.ue(perm); ok {
+		next := newSnapUE(su.ue, su.classifiers, su.locs, loc)
+		d.rebind(su, next)
+		d.set(loc, next)
 	}
-}
-
-// withLoc returns locs with loc listed, copying rather than appending in
-// place: earlier snapshots share the slice.
-func withLoc(locs []packet.Addr, loc packet.Addr) []packet.Addr {
-	if slices.Contains(locs, loc) {
-		return locs
-	}
-	return append(slices.Clip(locs), loc)
 }
 
 // mergeClassifiers replaces a UE's classifiers for the listed apps and
@@ -229,17 +358,22 @@ func withLoc(locs []packet.Addr, loc packet.Addr) []packet.Addr {
 // invalidation: the station's grant for its clause is withdrawn, so the
 // next flow re-asks the controller (the Table 2 hit-ratio semantics).
 func (d *snapshotDraft) mergeClassifiers(perm packet.Addr, classifiers []core.Classifier) {
-	su, ok := d.ues[perm]
+	su, ok := d.ue(perm)
 	if !ok {
 		return
 	}
-	next := *su
-	next.classifiers.set(classifiers)
-	d.ues[perm] = &next
+	classes := su.classifiers
+	classes.set(classifiers)
+	d.rebind(su, newSnapUE(su.ue, classes, su.locs, su.ue.LocIP))
 	for _, c := range classifiers {
-		delete(d.tags, c.Clause)
+		var tag packet.Tag // the clause's last non-zero tag, 0 for none
+		for _, o := range classifiers {
+			if o.Clause == c.Clause && o.Tag != 0 {
+				tag = o.Tag
+			}
+		}
+		d.setTag(c.Clause, tag)
 	}
-	d.grant(classifiers)
 }
 
 // ReconcileReport accounts for what a newly published snapshot did to the
@@ -263,21 +397,26 @@ func (a *Agent) Version() uint64 { return a.lkg().version }
 // that misattributes UEs or carries un-embeddable tags is refused whole,
 // before it can become anyone's LKG state.
 func (a *Agent) validateSnapshot(s *Snapshot) error {
-	for perm, su := range s.ues {
-		if su.ue.BS != a.BS {
-			return fmt.Errorf("agent: snapshot v%d places UE %s at bs%d, not bs%d",
-				s.version, su.ue.IMSI, su.ue.BS, a.BS)
-		}
-		if su.ue.PermIP != perm {
-			return fmt.Errorf("agent: snapshot v%d keys UE %s under %s", s.version, su.ue.IMSI, perm)
-		}
-		if su.ue.LocIP == 0 {
-			return fmt.Errorf("agent: snapshot v%d carries UE %s with no LocIP", s.version, su.ue.IMSI)
-		}
+	if s.clashed {
+		return fmt.Errorf("agent: snapshot v%d gives one address as a permanent address and as a LocIP", s.version)
 	}
-	for clause, tag := range s.tags {
-		if tag == 0 || tag > a.plan.MaxTag() {
-			return fmt.Errorf("agent: snapshot v%d grants clause %d unusable tag %d", s.version, clause, tag)
+	var err error
+	s.eachUE(func(su *snapUE) bool {
+		switch {
+		case su.ue.BS != a.BS:
+			err = fmt.Errorf("agent: snapshot v%d places UE %s at bs%d, not bs%d",
+				s.version, su.ue.IMSI, su.ue.BS, a.BS)
+		case su.ue.LocIP == 0:
+			err = fmt.Errorf("agent: snapshot v%d carries UE %s with no LocIP", s.version, su.ue.IMSI)
+		}
+		return err == nil
+	})
+	if err != nil {
+		return err
+	}
+	for _, g := range s.tags {
+		if g.tag == 0 || g.tag > a.plan.MaxTag() {
+			return fmt.Errorf("agent: snapshot v%d grants clause %d unusable tag %d", s.version, g.clause, g.tag)
 		}
 	}
 	return nil
@@ -318,18 +457,23 @@ func (a *Agent) Publish(s *Snapshot) (ReconcileReport, error) {
 	return a.reconcile(), nil
 }
 
-// derive publishes a local successor of the current LKG snapshot: copy the
-// maps into a draft, apply mutate, seal at version+1, and swap — retrying
-// from the fresh state if a concurrent publication won the pointer.
-func (a *Agent) derive(mutate func(d *snapshotDraft)) *Snapshot {
+// derive publishes a local successor of the current LKG snapshot: start a
+// draft of it, apply mutate (which copies only the index pages it writes),
+// seal at version+1, and swap — retrying from the fresh state if a
+// concurrent publication won the pointer. A draft mutate left clashed is
+// dropped, and derive reports false.
+func (a *Agent) derive(mutate func(d *snapshotDraft)) bool {
 	for {
 		cur := a.snap.Load()
 		d := draftOf(cur)
 		mutate(d)
+		if d.clashed {
+			return false
+		}
 		next := d.seal(cur.version + 1)
 		if a.snap.CompareAndSwap(cur, next) {
 			a.obs.version.Set(int64(next.version))
-			return next
+			return true
 		}
 	}
 }
@@ -350,7 +494,7 @@ func (a *Agent) reconcile() ReconcileReport {
 	var flows []switchsim.Microflow
 	for _, perm := range a.Access.Owners(nil) {
 		flows = a.Access.Owned(flows[:0], perm)
-		su, ok := snap.ues[perm]
+		su, ok := snap.ue(perm)
 		if !ok {
 			// Tombstoned UE: the snapshot no longer carries it, so its
 			// microflows must not keep forwarding.
@@ -423,7 +567,7 @@ type Verdict struct {
 // hotpath: no alloc, no lock
 func (a *Agent) Classify(p *packet.Packet) Verdict {
 	snap := a.lkg()
-	su, ok := snap.ues[p.Src]
+	su, ok := snap.ue(p.Src)
 	if !ok {
 		return Verdict{}
 	}
@@ -431,7 +575,7 @@ func (a *Agent) Classify(p *packet.Packet) Verdict {
 	if !cl.allow {
 		return Verdict{Known: true}
 	}
-	tag := snap.tags[int(cl.clause)]
+	tag := snap.tag(int(cl.clause))
 	if tag == 0 && !(a.plan.Carrier.Contains(p.Dst) || a.isLocalPerm(p.Dst)) {
 		return Verdict{Known: true, Allowed: true, Pending: true}
 	}

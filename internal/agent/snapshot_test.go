@@ -40,7 +40,7 @@ func admitWithFlow(t *testing.T) (*Agent, core.UE) {
 	if _, err := ag.HandlePacketIn(upPkt(ue, 40000)); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := ag.lkg().tags[5]; got != 1 {
+	if got := ag.lkg().tag(5); got != 1 {
 		t.Fatalf("admitted tag = %d, want 1", got)
 	}
 	return ag, ue
@@ -132,7 +132,7 @@ func TestOutOfOrderPublishRejected(t *testing.T) {
 			t.Fatalf("publish v%d: err = %v, want ErrStaleSnapshot", stale, err)
 		}
 	}
-	if got, _ := ag.lkg().tags[5]; got != 2 {
+	if got := ag.lkg().tag(5); got != 2 {
 		t.Fatalf("stale publish changed state: tag = %d, want 2", got)
 	}
 	if ag.Version() != base+5 {
@@ -150,8 +150,11 @@ func TestPublishValidation(t *testing.T) {
 	ag, ue := admitWithFlow(t)
 	ver := ag.Version()
 	foreign := testUE(t, 2, 7) // attached to bs2
+	clash := testUE(t, 1, 2)
+	clash.PermIP = ue.LocIP // a permanent address that is another UE's LocIP
 	bad := []core.AgentView{
 		view([]core.UE{foreign}),
+		view([]core.UE{ue, clash}),
 		view([]core.UE{ue}, core.TagGrant{Clause: 5, Tag: 0}),
 		view([]core.UE{ue}, core.TagGrant{Clause: 5, Tag: plan.MaxTag() + 1}),
 	}
@@ -273,7 +276,7 @@ func TestConcurrentPublishClassify(t *testing.T) {
 					return
 				}
 				last = s.version
-				if tag, ok := s.tags[5]; ok && tag != tagOf(s.version) {
+				if tag := s.tag(5); tag != 0 && tag != tagOf(s.version) {
 					errs <- "tag does not match snapshot version: torn read"
 					return
 				}
@@ -488,6 +491,44 @@ func BenchmarkAdmitUE(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkGrants measures, at a station holding a grant for each of 300
+// clauses, one Classify of a flow whose clause is the last granted and one
+// grant change: a classifier update that moves that clause to the other of
+// two tags, a snapshot derived and swapped in.
+func BenchmarkGrants(b *testing.B) {
+	const clauses = 300
+	ag := New(1, switchsim.NewSwitch("as-bench"), plan, nil)
+	ue := core.UE{IMSI: "imsi-1", BS: 1, UEID: 1, PermIP: packet.AddrFrom4(100, 64, 0, 1), LocIP: packet.AddrFrom4(10, 1, 0, 1)}
+	web := func(tag packet.Tag) []core.Classifier {
+		return []core.Classifier{{App: policy.AppWeb, Clause: clauses - 1, Tag: tag, Allow: true}}
+	}
+	v := core.AgentView{BS: 1, UEs: []core.AgentViewUE{{UE: ue, Classifiers: web(0)}}}
+	for c := range clauses {
+		v.Tags = append(v.Tags, core.TagGrant{Clause: c, Tag: packet.Tag(c)%plan.MaxTag() + 1})
+	}
+	if _, err := ag.Publish(NewSnapshot(1, v)); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("classify", func(b *testing.B) {
+		p := upPkt(ue, 40000)
+		b.ReportAllocs()
+		for range b.N {
+			if !ag.Classify(p).Allowed {
+				b.Fatal("the flow is not admitted")
+			}
+		}
+	})
+	b.Run("change", func(b *testing.B) {
+		tags := [2][]core.Classifier{web(1), web(2)}
+		b.ReportAllocs()
+		for i := range b.N {
+			if err := ag.UpdateClassifiers(ue.PermIP, tags[i%2]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // TestClauseTagIsKeptOncePerStation measures the live heap, after two GCs,

@@ -16,13 +16,9 @@ import (
 // the agent keeps classifying on the last pushed view through any
 // controller outage.
 type AgentView struct {
-	BS packet.BSID
-	// Epoch is the controller's tag-plan epoch at export time: it advances
-	// on every path install and wholesale rebuild, so two views with
-	// equal epochs were cut from the same plan.
-	Epoch uint64
-	UEs   []AgentViewUE
-	Tags  []TagGrant
+	BS   packet.BSID
+	UEs  []AgentViewUE
+	Tags []TagGrant
 }
 
 // AgentViewUE pairs one attached UE with its compiled service policy and
@@ -51,7 +47,7 @@ func (c *Controller) AgentView(bs packet.BSID) (AgentView, error) {
 	if !c.ownsLocked(bs) {
 		return AgentView{}, fmt.Errorf("core: agent view of base station %d: %w", bs, ErrNotOwned)
 	}
-	view := AgentView{BS: bs, Epoch: c.epoch.Load()}
+	view := AgentView{BS: bs}
 	// The station's row names every record with a LocIP here; an entry that
 	// is a §5.1 reservation names a record whose current LocIP is elsewhere.
 	for i, e := range c.stations[bs].ids {

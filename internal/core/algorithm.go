@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/dirty"
 	"repro/internal/packet"
 	"repro/internal/routing"
 	"repro/internal/topo"
@@ -171,6 +172,7 @@ type Installer struct {
 
 	plan    packet.Plan
 	fibs    []*FIB
+	changed *dirty.Set // the switches whose FIB version moved; nil before the first Changed
 	nextTag packet.Tag
 	nextID  PathID
 
@@ -240,6 +242,22 @@ func NewInstaller(t *topo.Topology, opts InstallerOptions) (*Installer, error) {
 	in.scratch.installUse = make(map[topo.NodeID]NextHop)
 	in.scratch.candSeen = make(map[packet.Tag]bool)
 	return in, nil
+}
+
+// Changed returns the set of switches, by node, whose FIB version moved
+// since the set was last drained: the data plane syncing its tables from
+// this controller, the set's one reader, visits these and no other. The
+// first call starts the set with every switch in it, so a controller no
+// data plane reads keeps none, and a rebuild's fresh Installer starts a
+// set of its own.
+func (in *Installer) Changed() *dirty.Set {
+	if in.changed == nil {
+		in.changed = dirty.New(len(in.fibs))
+		for _, f := range in.fibs {
+			f.changed = in.changed
+		}
+	}
+	return in.changed
 }
 
 // tree returns (building lazily) the canonical tree rooted at the gateway,

@@ -142,10 +142,13 @@ type Controller struct {
 	// ruleMu, readers of one station's row need no lock (pathtable.go).
 	paths pathTable
 
-	// epoch counts tag-plan mutations (an install, a rebuild). AgentView
-	// stamps exports with it so agents can tell two snapshots cut from the
-	// same plan apart from a real change.
-	epoch atomic.Uint64
+	// slowSeq is the slow-path sequence used to sample ruleMu waits,
+	// written only by path installs. It sits here, ahead of the counters,
+	// so the counters and telemetry handles every request touches keep
+	// the cache lines they were measured on: shifted 8 B earlier, they
+	// cost wire_storm up to 7 % of its ops_per_s (EXPERIMENTS.md, "Agent
+	// derive ledger").
+	slowSeq atomic.Uint64
 
 	// Stats counters; snapshot through Stats().
 	attaches atomic.Uint64
@@ -153,10 +156,8 @@ type Controller struct {
 	pathAsks atomic.Uint64
 	pathMiss atomic.Uint64 // asks that had to install a new path
 
-	// Runtime telemetry handles (nil-safe no-ops when unconfigured) and
-	// the slow-path sequence used to sample ruleMu waits.
-	obs     coreObs
-	slowSeq atomic.Uint64
+	// Runtime telemetry handles (nil-safe no-ops when unconfigured).
+	obs coreObs
 
 	// hs holds the buffers a handoff reuses. It sits last so the fields
 	// every RequestPath touches keep their cache lines: the path table,
@@ -503,7 +504,6 @@ func (c *Controller) resolvePathLocked(bs packet.BSID, clause int) (packet.Tag, 
 		c.obs.rulesSaved.Add(uint64(saved))
 	}
 	c.paths.put(key, rec)
-	c.epoch.Add(1)
 	c.obs.evTagPub.Emit(int64(bs), int64(clause), int64(rec.AccessTag()))
 	c.obs.evInstall.Emit(int64(bs), int64(clause), int64(rec.AccessTag()), int64(added))
 	c.pathMiss.Add(1)

@@ -83,11 +83,10 @@ type plannedPath struct {
 // again and one still embedded in a microflow or an agent cache cannot
 // alias a new path (its packets are not dropped yet: rules that ignore the
 // tag carry them on, past their middleboxes — ROADMAP item 1) — and every
-// FIB's version, so a data plane sees every switch change. The path
-// table, the tag-plan epoch and the store's path/ documents follow: a path
-// not reinstalled is withdrawn, and a reinstalled one's document names its
-// new ID. It returns how many routes failed to install; their paths are
-// withdrawn too.
+// FIB's version, so a data plane sees every switch change. The path table
+// and the store's path/ documents follow: a path not reinstalled is
+// withdrawn, and a reinstalled one's document names its new ID. It returns
+// how many routes failed to install; their paths are withdrawn too.
 //
 // caller holds ruleMu
 func (c *Controller) reinstallLocked(routes []plannedPath) (failed int, err error) {
@@ -113,7 +112,6 @@ func (c *Controller) reinstallLocked(routes []plannedPath) (failed int, err erro
 	old := c.paths.all()
 	c.Installer = inst
 	c.paths.reset(installed)
-	c.epoch.Add(1)
 	// Report how many served tags did not carry over (bs -1 = all
 	// stations).
 	dropped := 0

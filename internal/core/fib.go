@@ -8,6 +8,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/dirty"
 	"repro/internal/packet"
 	"repro/internal/topo"
 )
@@ -355,6 +356,9 @@ type FIB struct {
 	// log lists what Export gained and lost; see ChangesSince. It is nil,
 	// and nothing is listed, until ChangesSince is first called.
 	log *changeLog
+	// changed is the owning Installer's set of switches whose version
+	// moved (see Installer.Changed); nil until the set is first asked for.
+	changed *dirty.Set
 
 	// rules holds the Type 1 (tag+prefix) and Type 2 (tag-only) rules.
 	rules map[ctxKey]*tagState
@@ -464,6 +468,7 @@ func (f *FIB) ChangesSince(v uint64) (changes []FIBChange, ok bool) {
 // A list at its bound drops its older half.
 func (f *FIB) moved(cs ...FIBChange) {
 	f.version++
+	f.changed.Mark(int(f.Node))
 	l := f.log
 	switch {
 	case l == nil:

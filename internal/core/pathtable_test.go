@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/packet"
@@ -165,7 +166,7 @@ func TestPathDocumentsFollowFailureRecompute(t *testing.T) {
 // re-absorb) must leave untouched at bs: the controller still checks out,
 // the station's pushed view lists every installed clause, a UE attaching
 // there gets resolved tags, and the next path request is a table hit — no
-// install, no cache miss, no new tag-plan epoch.
+// install, no cache miss, no rule changed on any switch.
 func assertStationServedFromTable(t *testing.T, c *Controller, bs packet.BSID, imsi string, clauses []int) {
 	t.Helper()
 	mustCheck(t, c)
@@ -185,7 +186,7 @@ func assertStationServedFromTable(t *testing.T, c *Controller, bs packet.BSID, i
 			t.Fatalf("attach at station %d: clause %d unresolved although its path is installed", bs, cl.Clause)
 		}
 	}
-	miss, cacheMiss, epoch := c.Stats().PathMiss, c.obs.cacheMiss.Value(), c.epoch.Load()
+	miss, cacheMiss, versions := c.Stats().PathMiss, c.obs.cacheMiss.Value(), fibVersions(c)
 	tag, err := c.RequestPath(bs, clauses[0])
 	if err != nil {
 		t.Fatal(err)
@@ -193,9 +194,9 @@ func assertStationServedFromTable(t *testing.T, c *Controller, bs packet.BSID, i
 	if want := c.paths.get(pathKey{bs, clauses[0]}).AccessTag(); tag != want {
 		t.Fatalf("station %d served tag %d, installed path says %d", bs, tag, want)
 	}
-	if c.Stats().PathMiss != miss || c.obs.cacheMiss.Value() != cacheMiss || c.epoch.Load() != epoch {
-		t.Fatalf("station %d request after migration: PathMiss %d->%d, cache misses %d->%d, epoch %d->%d; want all unchanged",
-			bs, miss, c.Stats().PathMiss, cacheMiss, c.obs.cacheMiss.Value(), epoch, c.epoch.Load())
+	if c.Stats().PathMiss != miss || c.obs.cacheMiss.Value() != cacheMiss || !slices.Equal(fibVersions(c), versions) {
+		t.Fatalf("station %d request after migration: PathMiss %d->%d, cache misses %d->%d, FIB versions %v->%v; want all unchanged",
+			bs, miss, c.Stats().PathMiss, cacheMiss, c.obs.cacheMiss.Value(), versions, fibVersions(c))
 	}
 }
 

@@ -153,11 +153,21 @@ func TestControllerRemovePolicyPaths(t *testing.T) {
 		t.Fatalf("store path keys = %v", c.Store.Keys("path/"))
 	}
 	mustCheck(t, c)
-	// Removing a clause with no paths is a no-op.
-	epoch := c.epoch.Load()
-	if err := c.RemovePolicyPaths(9999); err != nil || c.epoch.Load() != epoch {
-		t.Fatalf("no-op removal: %v, epoch %d -> %d", err, epoch, c.epoch.Load())
+	// Removing a clause with no paths is a no-op: no rebuild, no rule.
+	in, versions := c.Installer, fibVersions(c)
+	if err := c.RemovePolicyPaths(9999); err != nil || c.Installer != in || !slices.Equal(fibVersions(c), versions) {
+		t.Fatalf("no-op removal: %v, installer replaced %v, FIB versions %v -> %v",
+			err, c.Installer != in, versions, fibVersions(c))
 	}
+}
+
+// fibVersions lists every switch's FIB version, by node.
+func fibVersions(c *Controller) []uint64 {
+	vs := make([]uint64, len(c.T.Nodes))
+	for i := range vs {
+		vs[i] = c.Installer.FIB(topo.NodeID(i)).Version()
+	}
+	return vs
 }
 
 // TestFIBVersionsSurviveRebuilds: a rebuild (path removal, failure
@@ -168,16 +178,9 @@ func TestControllerRemovePolicyPaths(t *testing.T) {
 func TestFIBVersionsSurviveRebuilds(t *testing.T) {
 	c, n := testController(t)
 	warmAll(t, c, []packet.BSID{0, 1, 2, 3})
-	versions := func() []uint64 {
-		vs := make([]uint64, len(c.T.Nodes))
-		for i := range vs {
-			vs[i] = c.Installer.FIB(topo.NodeID(i)).Version()
-		}
-		return vs
-	}
 	mustAdvance := func(what string, before []uint64) []uint64 {
 		t.Helper()
-		after := versions()
+		after := fibVersions(c)
 		for i := range after {
 			if after[i] <= before[i] {
 				t.Fatalf("%s: switch %d version %d -> %d", what, i, before[i], after[i])
@@ -185,7 +188,7 @@ func TestFIBVersionsSurviveRebuilds(t *testing.T) {
 		}
 		return after
 	}
-	v := versions()
+	v := fibVersions(c)
 	web, _ := c.Policy.Match(policy.Attributes{Provider: "A"}, policy.AppWeb)
 	if err := c.RemovePolicyPaths(web); err != nil {
 		t.Fatal(err)
@@ -278,5 +281,49 @@ func TestShortcutOutlivesPathRebuild(t *testing.T) {
 		if got != want[i] {
 			t.Errorf("switch %d has FIB shape %+v, want %+v", i, got, want[i])
 		}
+	}
+}
+
+// takeChanged drains the Installer's Changed set.
+func takeChanged(in *Installer) []topo.NodeID {
+	var out []topo.NodeID
+	in.Changed().Drain(func(i int) bool {
+		out = append(out, topo.NodeID(i))
+		return true
+	})
+	return out
+}
+
+// TestChangedListsTheSwitchesThatMoved: an Installer's Changed set starts
+// with every switch; after that a drain lists, once each, exactly the
+// switches whose FIB version moved, and a rebuild's fresh Installer lists
+// every switch again.
+func TestChangedListsTheSwitchesThatMoved(t *testing.T) {
+	c, _ := testController(t)
+	all := len(c.T.Nodes)
+	if got := takeChanged(c.Installer); len(got) != all {
+		t.Fatalf("first list has %d switches, want all %d", len(got), all)
+	}
+	if got := takeChanged(c.Installer); len(got) != 0 {
+		t.Fatalf("nothing changed, yet %d switches listed", len(got))
+	}
+	before := fibVersions(c)
+	warmAll(t, c, []packet.BSID{0, 1})
+	var moved []topo.NodeID
+	for i, v := range fibVersions(c) {
+		if v != before[i] {
+			moved = append(moved, topo.NodeID(i))
+		}
+	}
+	got := takeChanged(c.Installer)
+	if len(moved) == 0 || !slices.Equal(got, moved) {
+		t.Fatalf("listed %v, the switches that moved are %v", got, moved)
+	}
+	web, _ := c.Policy.Match(policy.Attributes{Provider: "A"}, policy.AppWeb)
+	if err := c.RemovePolicyPaths(web); err != nil {
+		t.Fatal(err)
+	}
+	if got := takeChanged(c.Installer); len(got) != all {
+		t.Fatalf("a rebuild's Installer lists %d switches, want all %d", len(got), all)
 	}
 }

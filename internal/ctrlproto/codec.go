@@ -209,12 +209,11 @@ func parseLocationReport(b []byte) (core.AgentLocationReport, error) {
 }
 
 // appendSnapshotNotify encodes a pushed snapshot: its version, the view's
-// station and epoch, the view's UEs each followed by its classifiers and its
+// station, the view's UEs each followed by its classifiers and its
 // reserved LocIPs, then the station's tag grants.
 func appendSnapshotNotify(dst []byte, n SnapshotNotify) []byte {
 	dst = binary.AppendUvarint(dst, n.Version)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(n.View.BS))
-	dst = binary.AppendUvarint(dst, n.View.Epoch)
 	dst = binary.AppendUvarint(dst, uint64(len(n.View.UEs)))
 	for _, u := range n.View.UEs {
 		dst = appendUE(dst, u.UE)
@@ -237,7 +236,6 @@ func parseSnapshotNotify(b []byte) (SnapshotNotify, error) {
 	var n SnapshotNotify
 	n.Version = d.Uvarint()
 	n.View.BS = packet.BSID(d.Uint32())
-	n.View.Epoch = d.Uvarint()
 	if k := d.Count(ueMinBytes + 2); k > 0 {
 		n.View.UEs = make([]core.AgentViewUE, k)
 		for i := range n.View.UEs {

@@ -42,7 +42,7 @@ func TestPushSnapshotDeliversInOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	view := core.AgentView{BS: 3, Epoch: 1, Tags: []core.TagGrant{{Clause: 5, Tag: 2}}}
+	view := core.AgentView{BS: 3, Tags: []core.TagGrant{{Clause: 5, Tag: 2}}}
 	for v := uint64(1); v <= 3; v++ {
 		n, err := srv.PushSnapshot(SnapshotNotify{Version: v, View: view})
 		if err != nil {

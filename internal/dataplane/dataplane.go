@@ -166,34 +166,47 @@ func (n *Network) Sync() error {
 	return n.sync(n.spans.sync.Root())
 }
 
-// sync is Sync inside sp, an open dataplane.sync span it ends.
+// sync is Sync inside sp, an open dataplane.sync span it ends. It examines
+// only the switches whose FIB version moved since the last Sync (the
+// Installer's Changed set) and, through the fast path's Warm, whose tables
+// changed: a Sync with nothing to do examines no switch. A switch it fails
+// on stays in the set, with those after it, for the next Sync.
 func (n *Network) sync(sp obs.Span) error {
 	defer sp.End()
 	sc := sp.Context()
-	for i, sw := range n.Switches {
-		fib := n.Ctrl.Installer.FIB(topo.NodeID(i))
+	var err error
+	n.Ctrl.Installer.Changed().Drain(func(i int) bool {
+		sw, fib := n.Switches[i], n.Ctrl.Installer.FIB(topo.NodeID(i))
+		n.obs.examined(1)
 		v := fib.Version()
 		if v == n.synced[i] {
-			continue
+			return true
 		}
 		ssp := n.spans.splice.Start(sc)
-		spliced, err := n.splice(sw, fib, n.synced[i])
+		spliced, serr := n.splice(sw, fib, n.synced[i])
 		ssp.End()
-		if err != nil {
-			return err
-		}
-		if spliced {
+		switch {
+		case serr != nil:
+		case spliced:
 			n.obs.synced(true)
-		} else if err := n.replace(sc, sw, fib); err != nil {
-			return err
+		default:
+			serr = n.replace(sc, sw, fib)
+		}
+		if serr != nil {
+			err = serr
+			return false
 		}
 		n.synced[i] = v
+		return true
+	})
+	if err != nil {
+		return err
 	}
 	if n.fast != nil {
 		// Recompile stale fast-path snapshots now, so the control-plane
 		// change is paid for here rather than on the next burst.
 		csp := n.spans.compile.Start(sc)
-		n.fast.Net().Warm()
+		n.obs.examined(n.fast.Net().Warm())
 		csp.End()
 	}
 	return nil
@@ -660,6 +673,7 @@ func (n *Network) BindPublicIP(imsi string, public packet.Addr, clause int) erro
 	}
 	n.bindings = append(n.bindings, publicBinding{public: public, loc: ue.LocIP, tag: tag})
 	n.synced[n.Ctrl.Gateway()] = unsynced // the binding is the gateway's alone
+	n.Ctrl.Installer.Changed().Mark(int(n.Ctrl.Gateway()))
 	n.Agents[ue.BS].AllowInbound(ue.LocIP, tag)
 	return n.Sync()
 }

@@ -78,7 +78,7 @@ func (w compileWork) minus(o compileWork) compileWork {
 // same-seed plants do the same work.
 func TestHandoffCompileWork(t *testing.T) {
 	want := [2]compileWork{
-		{snapshots: 8, rules: 21, tcamCopied: 141, pagesCopied: 16},
+		{snapshots: 8, rules: 21, tcamCopied: 141, pagesCopied: 12},
 		{snapshots: 6, rules: 0, tcamCopied: 142, pagesCopied: 0},
 	}
 	var runs [2][2]compileWork // per plant: the handoff, then the release

@@ -14,6 +14,9 @@ type dpObs struct {
 	slow    *obs.Counter   // packets replayed on the stateful slow path
 	delta   *obs.Counter   // switches Sync updated by a splice
 	rebuild *obs.Counter   // switches Sync rebuilt whole
+	// looked counts the switches Sync examined: a FIB version compared
+	// and a fast-path snapshot checked each count one.
+	looked *obs.Counter
 }
 
 // newDPObs registers the data plane's series on reg; nil reg returns nil.
@@ -28,6 +31,8 @@ func newDPObs(reg *obs.Registry) *dpObs {
 		slow:    reg.Counter("dataplane.slowpath"),
 		delta:   reg.Counter("dataplane.sync.delta"),
 		rebuild: reg.Counter("dataplane.sync.rebuild"),
+
+		looked: reg.Counter("dataplane.sync.examined"),
 	}
 }
 
@@ -53,6 +58,13 @@ func (o *dpObs) synced(spliced bool) {
 		o.delta.Inc()
 	default:
 		o.rebuild.Inc()
+	}
+}
+
+// examined counts k switches Sync looked at.
+func (o *dpObs) examined(k int) {
+	if o != nil {
+		o.looked.Add(uint64(k))
 	}
 }
 

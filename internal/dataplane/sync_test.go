@@ -544,6 +544,39 @@ func TestSyncNoChangeIsFree(t *testing.T) {
 	}
 }
 
+// TestSyncExaminesOnlyChangedSwitches: on a warmed plant a Sync with
+// nothing to do examines no switch, and the Sync of a flow set-up on a
+// warmed path examines one, the access switch the agent installed the
+// flow's microflows in: its FIB did not move, so only the fast path looks
+// at it.
+func TestSyncExaminesOnlyChangedSwitches(t *testing.T) {
+	reg := obs.New()
+	net := syncBenchNet(t, reg)
+	_ = net.Ctrl.RegisterSubscriber("m", policy.Attributes{Provider: "A"})
+	ue, err := net.Attach("m", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := net.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	examined := func() uint64 { return reg.Snapshot().Counters["dataplane.sync.examined"] }
+	before := examined()
+	if err := net.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := examined() - before; got != 0 {
+		t.Fatalf("a Sync with nothing to do examined %d switches", got)
+	}
+	before = examined()
+	if res, err := net.SendUpstream(3, webPacket(ue, 40000)); err != nil || res.Disposition != ExitedNet {
+		t.Fatalf("flow set-up: %v %v", res.Disposition, err)
+	}
+	if got := examined() - before; got != 1 {
+		t.Fatalf("a flow set-up's Sync examined %d switches, want 1", got)
+	}
+}
+
 // TestSyncKeepsCountersOfUntouchedSwitches: a control op rebuilds only the
 // switches whose FIB it changed; everywhere else the rules — and the
 // traffic they have counted — stay as they are. A handoff's splice keeps

@@ -3,6 +3,7 @@ package fastpath
 import (
 	"fmt"
 
+	"repro/internal/dirty"
 	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/switchsim"
@@ -46,6 +47,7 @@ type NetConfig struct {
 // is lock-free.
 type Net struct {
 	fibs     []*FIB
+	changed  *dirty.Set // the switches whose tables changed since the last Warm
 	links    [][]Link
 	tunnels  map[packet.BSID]int32
 	slowExit bool
@@ -70,9 +72,11 @@ func NewNet(cfg NetConfig) *Net {
 		o:        newFPObs(cfg.Obs),
 	}
 	n.fibs = make([]*FIB, len(cfg.Switches))
+	n.changed = dirty.New(len(cfg.Switches))
 	for i, sw := range cfg.Switches {
 		n.fibs[i] = NewFIB(sw)
 		n.fibs[i].instrument(n.o)
+		sw.Watch(n.changed, i)
 	}
 	return n
 }
@@ -80,12 +84,20 @@ func NewNet(cfg NetConfig) *Net {
 // FIB returns node i's forwarding table.
 func (n *Net) FIB(i int) *FIB { return n.fibs[i] }
 
-// Warm recompiles every stale snapshot now, so the next burst pays no
-// compile cost. Control-plane sync points call it after table rebuilds.
-func (n *Net) Warm() {
-	for _, f := range n.fibs {
-		f.Acquire()
-	}
+// Warm recompiles now the snapshot of every switch whose tables changed
+// since the last Warm (at first, of every switch), so the next burst pays
+// no compile cost, and reports how many switches it examined: it does not
+// look at the others. Control-plane sync points call it after table
+// changes. A switch that changes later is still never served stale: its
+// next Acquire recompiles it.
+func (n *Net) Warm() int {
+	examined := 0
+	n.changed.Drain(func(i int) bool {
+		examined++
+		n.fibs[i].Acquire()
+		return true
+	})
+	return examined
 }
 
 // Disp classifies how one packet's fast-path walk ended.

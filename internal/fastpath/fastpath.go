@@ -20,6 +20,7 @@ package fastpath
 import (
 	"slices"
 
+	"repro/internal/cowindex"
 	"repro/internal/packet"
 	"repro/internal/switchsim"
 )
@@ -147,62 +148,23 @@ func (c *caction) apply(p *packet.Packet) {
 	}
 }
 
-// The microflow index's slots live in pages of pageSize.
-const (
-	pageBits = 4
-	pageSize = 1 << pageBits
-	pageMask = pageSize - 1
-)
-
-// flowKey is a five-tuple packed into the index's two key words. The
-// packing never sets lo's top bit; keyUsed sets it, so the zero flowKey
-// marks an empty slot.
+// flowKey is a five-tuple packed into the microflow index's two key words.
+// The packing never sets lo's top bit; keyUsed sets it, so the zero
+// flowKey, which the index takes for an empty slot, is no flow's key.
+// Packing the key into two words and hashing it with one multiply-mix is
+// severalfold cheaper per lookup than the generic map's hashing, which
+// was the single largest line in the burst profile.
 type flowKey struct{ hi, lo uint64 }
 
 const keyUsed = 1 << 63
 
-// flowPage is a fixed-size run of slots, the unit a patch copies. It keeps
-// the slots' keys apart from their compiled microflows, so a probe reads
-// only keys, and a slot holds a pointer to its compiled microflow, so a
-// page is 384 B and a copy moves no rule.
-type flowPage struct {
-	keys  [pageSize]flowKey
-	rules [pageSize]*rule
-}
-
-// flowTable is an open-addressed microflow index specialised for the
-// five-tuple. The generic map's hashing was the single largest line in the
-// burst profile; packing the key into two words and linearly probing a
-// power-of-two table with one multiply-mix hash is severalfold cheaper per
-// lookup. Each slot points at its compiled microflow, which is immutable
-// and shared by every table that holds it. The slots live in pages behind
-// a slice of page pointers, and a table is immutable after publish: a
-// recompile patches a copy (flowPatch) that copies the page pointers and
-// only the pages it writes, sharing every other page with the table it
-// replaces. Removal shifts the rest of the probe chain back, so the index
-// has no tombstones, and an insert that would take the load factor past
-// half rebuilds it from its own entries at double size. A patch that would
-// leave more than a quarter of the pages replaced is laid out in one block
-// first (patched).
-type flowTable struct {
-	pages []*flowPage
-	mask  uint32
-	n     int
-	// block holds the pages as the table was last laid out, in one
-	// allocation; loose counts the pages patches have replaced since by
-	// copies of their own.
-	block []flowPage
-	loose int
-}
-
-// key returns slot i's key.
-func (t *flowTable) key(i uint32) *flowKey {
-	return &t.pages[i>>pageBits].keys[i&pageMask]
-}
-
-// rule returns slot i's compiled microflow, nil for an empty slot.
-func (t *flowTable) rule(i uint32) *rule {
-	return t.pages[i>>pageBits].rules[i&pageMask]
+// Hash mixes a key into a probe start.
+func (k flowKey) Hash() uint32 {
+	x := k.hi ^ k.lo*0x9e3779b97f4a7c15
+	x ^= x >> 32
+	x *= 0xd6e8feb86659fd93
+	x ^= x >> 32
+	return uint32(x)
 }
 
 // flowWords packs a packet's five-tuple into the index's key.
@@ -217,204 +179,72 @@ func flowKeyWords(k packet.FlowKey) flowKey {
 		uint64(k.SrcPort)<<24 | uint64(k.DstPort)<<8 | uint64(k.Proto) | keyUsed}
 }
 
-// flowHash mixes a key into a probe start.
-func flowHash(k flowKey) uint32 {
-	x := k.hi ^ k.lo*0x9e3779b97f4a7c15
-	x ^= x >> 32
-	x *= 0xd6e8feb86659fd93
-	x ^= x >> 32
-	return uint32(x)
-}
+// microflows is the microflow index: a flow's packed five-tuple to its
+// compiled microflow, which is immutable and shared by every index that
+// holds it, so a page copy moves no rule. It is immutable after publish: a
+// recompile writes a copy that copies only the pages it writes (see
+// patched).
+type microflows = cowindex.Index[flowKey, *rule]
 
-// find probes for a key and returns its slot, or with ok false the empty
-// slot that ends its probe chain; the probe terminates because the load
-// factor leaves empty slots. The table must have pages (n > 0).
-func (t *flowTable) find(k flowKey) (i uint32, ok bool) {
-	for i = flowHash(k) & t.mask; ; i = (i + 1) & t.mask {
-		if e := t.pages[i>>pageBits].keys[i&pageMask]; e == k || e.lo == 0 {
-			return i, e.lo != 0
-		}
-	}
-}
-
-// newFlowTable returns an empty table sized for n flows at a load factor
-// of at most half.
-func newFlowTable(n int) flowTable {
-	size := pageSize
-	for size < 2*n {
-		size <<= 1
-	}
-	return inBlock(make([]flowPage, size/pageSize), 0)
-}
-
-// inBlock returns a table of n entries laid out in block.
-func inBlock(block []flowPage, n int) flowTable {
-	pages := make([]*flowPage, len(block))
-	for i := range block {
-		pages[i] = &block[i]
-	}
-	return flowTable{pages: pages, mask: uint32(len(block)*pageSize - 1), n: n, block: block}
-}
+// microLoad is the microflow index's load bound, in entries per 8 slots.
+// Every packet at an access switch probes the index and many miss it, and
+// a miss probes to the end of its chain: at half load it costs about a
+// third of what it does at the default 7/8 (CHANGES.md).
+const microLoad = 4
 
 // microIndex compiles a whole microflow table into one block of rules; it
 // also reports the rules it compiled. An empty table (core and gateway
 // switches hold no microflows) allocates nothing.
-func microIndex(micro map[packet.FlowKey]*switchsim.Flow) (flowTable, int) {
-	if len(micro) == 0 {
-		return flowTable{}, 0
-	}
-	p := flowPatch{t: newFlowTable(len(micro))}
+func microIndex(micro map[packet.FlowKey]*switchsim.Flow) (microflows, int) {
+	t := cowindex.New[flowKey, *rule](microLoad, len(micro))
 	rules := make([]rule, 0, len(micro))
 	for key, f := range micro {
 		rules = append(rules, compileFlow(f))
-		p.add(flowKeyWords(key), &rules[len(rules)-1])
+		t.Put(nil, flowKeyWords(key), &rules[len(rules)-1])
 	}
-	return p.t, len(micro)
+	return t, len(micro)
 }
 
-// patched returns the table with the microflow changes among changes
-// applied in order, sharing every page no change writes; edits counts those
-// changes and inserts the ones that install an entry. It also reports the
-// rules it compiled and the pages it copied. A patch that could leave more
-// than a quarter of the pages loose (one per edit), and whose inserts
-// cannot double the table, lays the table out again in one block first,
-// copying each page once, and then writes the block in place: pages strewn
-// over the heap slowed forwarding by a tenth (EXPERIMENTS.md, "Microflow
-// ledger"). A relayout copies the table once per at least a quarter as
-// many page copies, so a change's amortised cost stays proportional to its
-// edits.
-func (t flowTable) patched(changes []switchsim.Change, edits, inserts int) (flowTable, int, int) {
-	p := flowPatch{t: t, base: t.pages}
-	grows := 2*(t.n+inserts) > len(t.pages)*pageSize // lays the table out afresh anyway, maybe
-	if !grows && 4*(t.loose+edits) > len(t.pages) {
-		p.t, p.base = t.laidOut(), nil
-		p.copied = len(t.pages)
-	} else {
-		p.t.pages = slices.Clone(t.pages)
+// patched returns t with the microflow changes among changes applied in
+// order, sharing every page no change writes; edits counts those changes
+// and inserts the ones that install an entry. It also reports the rules it
+// compiled and the pages it copied. A patch that could leave more than a
+// quarter of the pages loose (one per edit), and whose inserts cannot grow
+// the index, lays the index out again in one block first, copying each
+// page once, and then writes the block in place: pages strewn over the
+// heap slowed forwarding by a tenth (EXPERIMENTS.md, "Microflow ledger").
+// A relayout copies the index once per at least a quarter as many page
+// copies, so a change's amortised cost stays proportional to its edits.
+// An empty index is replaced by a fresh one sized for the inserts, so the
+// index is always laid out in a block (cowindex.New), and grows into one.
+func patched(t microflows, changes []switchsim.Change, edits, inserts int) (microflows, int, int) {
+	p, base, copied := t, &t, 0
+	switch {
+	case t.Len() == 0:
+		p, base = cowindex.New[flowKey, *rule](microLoad, inserts), nil
+	case !t.WouldGrow(inserts) && 4*(t.Loose()+edits) > t.Pages():
+		p, base, copied = t.LaidOut(), nil, t.Pages()
 	}
 	rules := make([]rule, 0, inserts)
 	for _, c := range changes {
+		loose := p.Loose()
 		switch {
 		case c.TCAM:
 		case c.Flow == nil:
-			p.del(flowKeyWords(c.Key))
+			p.Delete(base, flowKeyWords(c.Key))
 		default:
 			rules = append(rules, compileFlow(c.Flow))
-			p.put(flowKeyWords(c.Key), &rules[len(rules)-1])
+			p.Put(base, flowKeyWords(c.Key), &rules[len(rules)-1])
+		}
+		if d := p.Loose() - loose; d > 0 { // a growth lays the index out afresh, copying nothing of base
+			copied += d
 		}
 	}
-	if 4*p.t.loose > len(p.t.pages) { // a removal's backward shift wrote more pages than it had edits
-		p.copied += len(p.t.pages)
-		p.t = p.t.laidOut()
+	if 4*p.Loose() > p.Pages() { // a removal's backward shift wrote more pages than it had edits
+		copied += p.Pages()
+		p = p.LaidOut()
 	}
-	return p.t, len(rules), p.copied
-}
-
-// laidOut returns a copy of the table with its pages in one new block.
-func (t flowTable) laidOut() flowTable {
-	block := make([]flowPage, len(t.pages))
-	for i, pg := range t.pages {
-		block[i] = *pg
-	}
-	return inBlock(block, t.n)
-}
-
-// flowPatch edits t, a copy of a published table whose page pointers are
-// t's own but whose pages are still base's where they are equal: such a
-// page is copied before its first write. copied counts those copies.
-type flowPatch struct {
-	t      flowTable
-	base   []*flowPage
-	copied int
-}
-
-// page returns the page holding slot i ready for writing, copying it out
-// of base first if it is still shared; page constructs flowTable state
-// before the enclosing snapshot publishes.
-func (p *flowPatch) page(i uint32) *flowPage {
-	pg := i >> pageBits
-	if int(pg) < len(p.base) && p.t.pages[pg] == p.base[pg] {
-		if p.t.pages[pg] == &p.t.block[pg] {
-			p.t.loose++
-		}
-		cp := *p.t.pages[pg]
-		p.t.pages[pg] = &cp
-		p.copied++
-	}
-	return p.t.pages[pg]
-}
-
-// put makes r the entry for k. A new key that would take the table past
-// half full first rebuilds it from its own entries at double size (one
-// page when empty). put constructs flowTable state before the enclosing
-// snapshot publishes.
-func (p *flowPatch) put(k flowKey, r *rule) {
-	if p.t.n > 0 {
-		if i, ok := p.t.find(k); ok {
-			p.page(i).rules[i&pageMask] = r
-			return
-		}
-	}
-	if 2*(p.t.n+1) > len(p.t.pages)*pageSize {
-		old := p.t
-		p.t, p.base = newFlowTable(len(old.pages)*pageSize), nil
-		for _, pg := range old.pages {
-			for j, k := range pg.keys {
-				if k.lo != 0 {
-					p.add(k, pg.rules[j])
-				}
-			}
-		}
-	}
-	p.add(k, r)
-}
-
-// add puts a key the table does not hold in the first empty slot of its
-// probe chain. add constructs flowTable state before the enclosing
-// snapshot publishes.
-func (p *flowPatch) add(k flowKey, r *rule) {
-	i := flowHash(k) & p.t.mask
-	for p.t.key(i).lo != 0 {
-		i = (i + 1) & p.t.mask
-	}
-	p.move(i, k, r)
-	p.t.n++
-}
-
-// move writes slot i. move constructs flowTable state before the
-// enclosing snapshot publishes.
-func (p *flowPatch) move(i uint32, k flowKey, r *rule) {
-	pg := p.page(i)
-	pg.keys[i&pageMask], pg.rules[i&pageMask] = k, r
-}
-
-// del removes k's entry, if any, by backward-shift deletion: each later
-// entry of the probe chain whose home slot does not lie cyclically after
-// the hole moves into it, so every remaining key stays reachable from its
-// home slot with no tombstone left behind.
-// del constructs flowTable state before the enclosing snapshot publishes.
-func (p *flowPatch) del(k flowKey) {
-	if p.t.n == 0 {
-		return
-	}
-	hole, ok := p.t.find(k)
-	if !ok {
-		return
-	}
-	for j := (hole + 1) & p.t.mask; ; j = (j + 1) & p.t.mask {
-		e := *p.t.key(j)
-		if e.lo == 0 {
-			break
-		}
-		home := flowHash(e) & p.t.mask
-		// e may fill the hole unless its home is in (hole, j], cyclically.
-		if (j-home)&p.t.mask >= (j-hole)&p.t.mask {
-			p.move(hole, e, p.t.rule(j))
-			hole = j
-		}
-	}
-	p.move(hole, flowKey{}, nil)
-	p.t.n--
+	return p, len(rules), copied
 }
 
 // rule is what executing a compiled entry takes: its action, the live
@@ -501,8 +331,8 @@ type Snapshot struct {
 	// the changes since.
 	Gen uint64
 
-	micro flowTable // flow five-tuple -> compiled microflow
-	tcam  []crule   // priority-sorted (same order as the switch)
+	micro microflows // flow five-tuple -> compiled microflow
+	tcam  []crule    // priority-sorted (same order as the switch)
 	miss  caction
 	// missDrop is the table-miss verdict's drop bit; the miss formula
 	// ignores Resubmit, unlike rule verdicts, so it is compiled apart.
@@ -569,7 +399,7 @@ func compile(sw *switchsim.Switch, prev *Snapshot) (*Snapshot, work) {
 	case v.Micro != nil:
 		s.micro, w.compiled = microIndex(v.Micro)
 	case micro > 0:
-		s.micro, w.compiled, w.pagesCopied = prev.micro.patched(v.Changes, micro, microInserts)
+		s.micro, w.compiled, w.pagesCopied = patched(prev.micro, v.Changes, micro, microInserts)
 	}
 	switch {
 	case v.Ordered != nil:
@@ -622,14 +452,14 @@ func replayed(prev []crule, changes []switchsim.Change, inserts int, w *work) []
 
 // slots reports the snapshot's flat rule-slot count: the TCAM's rules,
 // then the microflow index's slots.
-func (s *Snapshot) slots() int { return len(s.tcam) + len(s.micro.pages)*pageSize }
+func (s *Snapshot) slots() int { return len(s.tcam) + s.micro.Slots() }
 
 // ruleAt returns the compiled rule in a flat slot.
 func (s *Snapshot) ruleAt(slot int32) *rule {
 	if int(slot) < len(s.tcam) {
 		return &s.tcam[slot].r.rule
 	}
-	return s.micro.rule(uint32(int(slot) - len(s.tcam)))
+	return s.micro.At(int(slot) - len(s.tcam))
 }
 
 // flush drains a burst's tallies: per-rule traffic to the live entries'
@@ -711,11 +541,11 @@ func (s *Snapshot) lookup(p *packet.Packet, inPort int, t *tally) Verdict {
 	matched := false
 	// The empty-table guard skips the five-tuple hash entirely on core
 	// and gateway switches, which never hold microflows.
-	if s.micro.n == 0 {
+	if s.micro.Len() == 0 {
 		t.stats.MicroMiss++
-	} else if i, ok := s.micro.find(flowWords(p)); ok {
+	} else if i, r, ok := s.micro.Find(flowWords(p)); ok {
 		t.stats.MicroHit++
-		v = s.exec(s.micro.rule(i), 0, int32(len(s.tcam))+int32(i), p, t)
+		v = s.exec(r, 0, int32(len(s.tcam))+int32(i), p, t)
 		matched = true
 	} else {
 		t.stats.MicroMiss++

@@ -2,6 +2,7 @@ package fastpath
 
 import (
 	"math/rand"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -558,5 +559,32 @@ func TestConcurrentWalkers(t *testing.T) {
 	wg.Wait()
 	if got := atomic.LoadUint64(&sw.Processed); got != walkers*bursts*8 {
 		t.Fatalf("switch processed %d packets, want %d", got, walkers*bursts*8)
+	}
+}
+
+// TestWarmExaminesOnlyChangedSwitches: the first Warm compiles every
+// switch's snapshot, a Warm with no table changed since examines none, and
+// after a change to one switch it examines that one and leaves its
+// snapshot current.
+func TestWarmExaminesOnlyChangedSwitches(t *testing.T) {
+	sws := make([]*switchsim.Switch, 3)
+	for i := range sws {
+		sws[i] = switchsim.NewSwitch("s" + strconv.Itoa(i))
+	}
+	net := NewNet(NetConfig{Switches: sws, Links: make([][]Link, len(sws))})
+	if n := net.Warm(); n != len(sws) {
+		t.Fatalf("first Warm examined %d switches, want %d", n, len(sws))
+	}
+	if n := net.Warm(); n != 0 {
+		t.Fatalf("a Warm with nothing changed examined %d switches", n)
+	}
+	sws[1].InstallMicroflow(packet.FlowKey{Src: 1, Dst: 2, Proto: packet.ProtoTCP}, switchsim.Action{Output: 1}, switchsim.Cookie{})
+	if n := net.Warm(); n != 1 {
+		t.Fatalf("a Warm after one switch changed examined %d switches, want 1", n)
+	}
+	for i, sw := range sws {
+		if s := net.FIB(i).snap.Load(); s == nil || s.Gen != sw.Generation() {
+			t.Fatalf("switch %d's snapshot is not current after Warm", i)
+		}
 	}
 }

@@ -67,8 +67,8 @@ func attribution(s *Snapshot, t *tally) map[*switchsim.Counters]ruleAcc {
 type reuseCounts struct {
 	sharedTCAM  int // shared the previous snapshot's compiled TCAM
 	sharedMicro int // shared its whole microflow index
-	// patchedMicro counts recompiles that patched the previous index:
-	// their own page pointers, some of the pages still the previous ones.
+	// patchedMicro counts recompiles that patched the previous index,
+	// copying some of its pages and sharing the rest.
 	patchedMicro int
 	// replayedTCAM counts recompiles that replayed TCAM edits on a copy of
 	// the previous compiled TCAM.
@@ -83,6 +83,7 @@ type reuseCheck struct {
 	sw     *switchsim.Switch
 	fib    *FIB
 	copied *obs.Counter // the FIB's fastpath.rules.copied
+	pages  *obs.Counter // the FIB's fastpath.pages.copied
 	pkts   []*packet.Packet
 	flows  []packet.FlowKey
 	prev   *Snapshot
@@ -118,6 +119,7 @@ func checkReuse(t *testing.T, rng *rand.Rand, large bool) reuseCounts {
 	reg := obs.New()
 	c.fib.instrument(newFPObs(reg))
 	c.copied = reg.Counter("fastpath.rules.copied")
+	c.pages = reg.Counter("fastpath.pages.copied")
 	c.prev = c.fib.Acquire()
 	c.older, c.seen = []*Snapshot{c.prev}, [][]slotCopy{slotsOf(c.prev)}
 	if !large {
@@ -149,8 +151,8 @@ func checkReuse(t *testing.T, rng *rand.Rand, large bool) reuseCounts {
 		c.wantDelta(round)
 		c.round(round)
 	}
-	if c.prev.micro.mask < 255 {
-		t.Fatalf("%d microflows in a %d-slot index; the table never grew to 256 slots", c.prev.micro.n, c.prev.micro.mask+1)
+	if c.prev.micro.Slots() < 256 {
+		t.Fatalf("%d microflows in a %d-slot index; the table never grew to 256 slots", c.prev.micro.Len(), c.prev.micro.Slots())
 	}
 
 	// More changes than the log holds, to both tables: the next compile
@@ -185,24 +187,24 @@ func checkReuse(t *testing.T, rng *rand.Rand, large bool) reuseCounts {
 	return c.counts
 }
 
-// slotCopy is one microflow index slot, copied out: its key, its compiled
-// microflow and what that held.
+// slotCopy is one microflow index entry, copied out: its key, its slot,
+// its compiled microflow and what that held.
 type slotCopy struct {
-	k flowKey
-	p *rule
-	r rule
+	k    flowKey
+	slot int
+	p    *rule
+	r    rule
 }
 
-// slotsOf copies out a snapshot's microflow index, slot by slot.
+// slotsOf copies out a snapshot's microflow index, entry by entry in slot
+// order.
 func slotsOf(s *Snapshot) []slotCopy {
-	out := make([]slotCopy, 0, len(s.micro.pages)*pageSize)
-	for i := uint32(0); i < uint32(len(s.micro.pages)*pageSize); i++ {
-		sc := slotCopy{k: *s.micro.key(i), p: s.micro.rule(i)}
-		if sc.p != nil {
-			sc.r = *sc.p
-		}
-		out = append(out, sc)
-	}
+	out := make([]slotCopy, 0, s.micro.Len())
+	s.micro.Range(func(k flowKey, r *rule) bool {
+		slot, _, _ := s.micro.Find(k)
+		out = append(out, slotCopy{k: k, slot: slot, p: r, r: *r})
+		return true
+	})
 	return out
 }
 
@@ -236,12 +238,13 @@ func (c *reuseCheck) wrapAndRemove() {
 		if attempt == 4 {
 			t.Fatal("no wrapped probe chain after 4 attempts")
 		}
-		mask := c.prev.micro.mask
+		size := c.prev.micro.Slots()
+		last := size - 1
 		var keys []packet.FlowKey
 		for len(keys) < 3 {
 			k := genPacket(c.rng).Flow()
-			if w := flowKeyWords(k); flowHash(w)&mask == mask && c.prev.micro.n > 0 {
-				if _, held := c.prev.micro.find(w); !held {
+			if w := flowKeyWords(k); int(uint64(w.Hash())*uint64(size)>>32) == last && c.prev.micro.Len() > 0 {
+				if _, _, held := c.prev.micro.Find(w); !held {
 					keys = append(keys, k)
 				}
 			}
@@ -251,8 +254,8 @@ func (c *reuseCheck) wrapAndRemove() {
 		}
 		c.pkts = append(c.pkts, &packet.Packet{Src: keys[0].Src, Dst: keys[0].Dst, SrcPort: keys[0].SrcPort, DstPort: keys[0].DstPort, Proto: keys[0].Proto, TTL: 64})
 		c.round(-2)
-		if c.prev.micro.mask != mask {
-			for _, k := range keys { // the install doubled the index: again at the new size
+		if c.prev.micro.Slots() != size {
+			for _, k := range keys { // the install grew the index: again at the new size
 				c.sw.RemoveMicroflow(k)
 			}
 			c.round(-2)
@@ -260,12 +263,12 @@ func (c *reuseCheck) wrapAndRemove() {
 		}
 		wrapped := 0
 		for _, k := range keys {
-			if i, _ := c.prev.micro.find(flowKeyWords(k)); i < mask {
+			if i, _, _ := c.prev.micro.Find(flowKeyWords(k)); i < last {
 				wrapped++
 			}
 		}
 		if wrapped < 2 {
-			t.Fatalf("%d of 3 keys homed at slot %d sit past the end of the index", wrapped, mask)
+			t.Fatalf("%d of 3 keys homed at slot %d sit past the end of the index", wrapped, last)
 		}
 		for _, k := range keys {
 			c.sw.RemoveMicroflow(k)
@@ -285,7 +288,7 @@ func (c *reuseCheck) round(round int) {
 	if first {
 		second, _ = compile(c.sw, older)
 	}
-	copied := c.copied.Value()
+	copied, pages := c.copied.Value(), c.pages.Value()
 	reused := c.fib.Acquire()
 	if !first {
 		second, _ = compile(c.sw, older)
@@ -303,17 +306,12 @@ func (c *reuseCheck) round(round int) {
 	if len(prev.tcam) > 0 && len(reused.tcam) > 0 && &prev.tcam[0] == &reused.tcam[0] {
 		c.counts.sharedTCAM++
 	}
-	if len(prev.micro.pages) > 0 && len(reused.micro.pages) > 0 {
-		switch {
-		case &prev.micro.pages[0] == &reused.micro.pages[0]:
+	if prev.micro.Len() > 0 && reused.micro.Len() > 0 {
+		switch pages := int(c.pages.Value() - pages); {
+		case pages == 0 && slices.Equal(slotsOf(prev), slotsOf(reused)):
 			c.counts.sharedMicro++
-		case len(prev.micro.pages) == len(reused.micro.pages):
-			for i := range prev.micro.pages {
-				if prev.micro.pages[i] == reused.micro.pages[i] {
-					c.counts.patchedMicro++
-					break
-				}
-			}
+		case pages > 0 && pages < reused.micro.Pages():
+			c.counts.patchedMicro++
 		}
 	}
 	c.prev = reused
@@ -326,24 +324,21 @@ func (c *reuseCheck) round(round int) {
 // charged to.
 func (c *reuseCheck) agree(round int, name string, s, fresh *Snapshot) {
 	t := c.t
-	if s.Gen != fresh.Gen || len(s.tcam) != len(fresh.tcam) || s.micro.n != fresh.micro.n {
+	if s.Gen != fresh.Gen || len(s.tcam) != len(fresh.tcam) || s.micro.Len() != fresh.micro.Len() {
 		t.Fatalf("round %d: %s snapshot gen %d, %d rules, %d microflows; fresh gen %d, %d, %d", round, name,
-			s.Gen, len(s.tcam), s.micro.n, fresh.Gen, len(fresh.tcam), fresh.micro.n)
+			s.Gen, len(s.tcam), s.micro.Len(), fresh.Gen, len(fresh.tcam), fresh.micro.Len())
 	}
 	for i := range fresh.tcam {
 		if r, f := &s.tcam[i], &fresh.tcam[i]; r.m != f.m || *r.r != *f.r {
 			t.Fatalf("round %d: %s snapshot's TCAM rule %d is #%d %+v %+v, fresh #%d %+v %+v", round, name, i, r.r.id, r.m, *r.r, f.r.id, f.m, *f.r)
 		}
 	}
-	for i := uint32(0); i < uint32(len(fresh.micro.pages)*pageSize); i++ {
-		k := *fresh.micro.key(i)
-		if k.lo == 0 {
-			continue
+	fresh.micro.Range(func(k flowKey, want *rule) bool {
+		if _, r, ok := s.micro.Find(k); !ok || *r != *want {
+			t.Fatalf("round %d: %s snapshot's microflow %x is %+v (held: %v), fresh %+v", round, name, k, r, ok, *want)
 		}
-		if j, ok := s.micro.find(k); !ok || *s.micro.rule(j) != *fresh.micro.rule(i) {
-			t.Fatalf("round %d: %s snapshot's microflow %x is %+v (held: %v), fresh %+v", round, name, k, s.micro.rule(j), ok, *fresh.micro.rule(i))
-		}
-	}
+		return true
+	})
 	var tr, tf tally
 	tr.ensure(s.slots())
 	tf.ensure(fresh.slots())
@@ -369,53 +364,29 @@ func (c *reuseCheck) agree(round int, name string, s, fresh *Snapshot) {
 	}
 }
 
-// checkIndex checks a microflow index's shape: whole pages, a power-of-two
-// size at most half full, at most a quarter of its pages outside its block
-// and loose counting them, n the entries it holds, and every entry
-// reachable from its home slot with no empty slot on the way.
+// checkIndex checks a microflow index's shape: at most half full, at most
+// a quarter of its pages copied since it was last laid out, and each entry
+// a compiled microflow found in its own slot. The index's own tests check
+// its probe chains.
 func checkIndex(t *testing.T, round int, s *Snapshot) {
 	t.Helper()
 	tb := &s.micro
-	size := uint32(len(tb.pages)) * pageSize
-	if size == 0 {
-		if tb.n != 0 {
-			t.Fatalf("round %d: an index with no pages holds %d entries", round, tb.n)
-		}
-		return
+	if 8*tb.Len() > microLoad*tb.Slots() {
+		t.Fatalf("round %d: %d entries in %d slots, past %d per 8", round, tb.Len(), tb.Slots(), microLoad)
 	}
-	if tb.mask != size-1 || size&(size-1) != 0 || 2*tb.n > int(size) {
-		t.Fatalf("round %d: %d entries in %d slots with mask %#x", round, tb.n, size, tb.mask)
-	}
-	if len(tb.block) != len(tb.pages) {
-		t.Fatalf("round %d: %d pages laid out in a block of %d", round, len(tb.pages), len(tb.block))
-	}
-	loose := 0
-	for i, pg := range tb.pages {
-		if pg != &tb.block[i] {
-			loose++
-		}
-	}
-	if loose != tb.loose || 4*loose > len(tb.pages) {
-		t.Fatalf("round %d: %d of %d pages are loose and %d counted; past a quarter the index is laid out again", round, loose, len(tb.pages), tb.loose)
+	if 4*tb.Loose() > tb.Pages() {
+		t.Fatalf("round %d: %d of %d pages are loose; past a quarter the index is laid out again", round, tb.Loose(), tb.Pages())
 	}
 	n := 0
-	for i := uint32(0); i < size; i++ {
-		e := *tb.key(i)
-		if e.lo == 0 {
-			continue
-		}
+	tb.Range(func(k flowKey, r *rule) bool {
 		n++
-		if r := tb.rule(i); r == nil || r.live == nil {
-			t.Fatalf("round %d: slot %d holds a key and no rule", round, i)
+		if i, _, ok := tb.Find(k); !ok || tb.At(i) != r || r == nil || r.live == nil {
+			t.Fatalf("round %d: the entry for %x is not a compiled microflow in its slot", round, k)
 		}
-		for j := flowHash(e) & tb.mask; j != i; j = (j + 1) & tb.mask {
-			if tb.key(j).lo == 0 {
-				t.Fatalf("round %d: the entry in slot %d is cut off from its home by the empty slot %d", round, i, j)
-			}
-		}
-	}
-	if n != tb.n {
-		t.Fatalf("round %d: the index holds %d entries and counts %d", round, n, tb.n)
+		return true
+	})
+	if n != tb.Len() {
+		t.Fatalf("round %d: the index holds %d entries and counts %d", round, n, tb.Len())
 	}
 }
 
@@ -506,8 +477,8 @@ func TestMicroflowChurnUnderBursts(t *testing.T) {
 	wg.Wait()
 
 	snap := fib.Acquire()
-	if snap.Gen != sw.Generation() || snap.micro.n != sw.NumMicroflows() {
-		t.Fatalf("post-churn snapshot gen %d with %d microflows, switch gen %d with %d", snap.Gen, snap.micro.n, sw.Generation(), sw.NumMicroflows())
+	if snap.Gen != sw.Generation() || snap.micro.Len() != sw.NumMicroflows() {
+		t.Fatalf("post-churn snapshot gen %d with %d microflows, switch gen %d with %d", snap.Gen, snap.micro.Len(), sw.Generation(), sw.NumMicroflows())
 	}
 	checkIndex(t, 0, snap)
 	for i, p := range pkts {

@@ -13,9 +13,9 @@ import (
 // counts as a caller, the commands, examples and the benchmark module
 // included; a use inside the function's own body does not. A method some
 // interface can call — the program's own, an imported package's (such as
-// container/heap's or go/types'), error, or the ones errors.Is and As
-// assert — is exempt, since a call through the interface names the
-// interface's method instead.
+// container/heap's or go/types'), error, the ones errors.Is and As assert,
+// or a type constraint's — is exempt, since a call through the interface
+// names the interface's method instead.
 var DeadExport = &Analyzer{
 	Name: "deadexport",
 	Doc:  "exported functions and methods must have a caller outside tests",
@@ -61,13 +61,13 @@ func runDeadExport(prog *Program, rules *Rules, report Reporter) {
 }
 
 // interfaceMethods is the set of methods an interface can call: for every
-// named type of the program whose pointer implements an interface that
-// names one of its methods, that method, its own or promoted from an
-// embedded field.
+// named type of the program whose pointer implements an interface (or
+// satisfies a type constraint) that names one of its methods, that method,
+// its own or promoted from an embedded field.
 func interfaceMethods(prog *Program) map[*types.Func]bool {
 	byMethod := make(map[string][]*types.Interface)
 	add := func(t types.Type) {
-		if it, ok := t.Underlying().(*types.Interface); ok && it.IsMethodSet() {
+		if it, ok := t.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
 			for i := 0; i < it.NumMethods(); i++ {
 				byMethod[it.Method(i).Name()] = append(byMethod[it.Method(i).Name()], it)
 			}
@@ -111,7 +111,7 @@ func interfaceMethods(prog *Program) map[*types.Func]bool {
 			for i := 0; i < mset.Len(); i++ {
 				fn := mset.At(i).Obj().(*types.Func)
 				for _, it := range byMethod[fn.Name()] {
-					if types.Implements(ptr, it) {
+					if it.IsMethodSet() && types.Implements(ptr, it) || !it.IsMethodSet() && types.Satisfies(ptr, it) {
 						out[fn.Origin()] = true
 						break
 					}

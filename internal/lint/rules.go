@@ -75,18 +75,22 @@ func DefaultRules() *Rules {
 		// means widening the architecture on purpose, in this table.
 		LayerScope: "repro/internal/",
 		Layer: map[string][]string{
-			"repro/internal/packet":  {},
-			"repro/internal/metrics": {},
-			"repro/internal/policy":  {},
-			"repro/internal/store":   {},
-			"repro/internal/sim":     {},
-			"repro/internal/obs":     {},
-			"repro/internal/lint":    {},
-			"repro/internal/topo":    {"repro/internal/packet"},
+			"repro/internal/packet":   {},
+			"repro/internal/metrics":  {},
+			"repro/internal/policy":   {},
+			"repro/internal/store":    {},
+			"repro/internal/sim":      {},
+			"repro/internal/obs":      {},
+			"repro/internal/lint":     {},
+			"repro/internal/cowindex": {},
+			"repro/internal/dirty":    {},
+			"repro/internal/topo":     {"repro/internal/packet"},
 			"repro/internal/switchsim": {
-				"repro/internal/obs", "repro/internal/packet",
+				"repro/internal/dirty", "repro/internal/obs",
+				"repro/internal/packet",
 			},
 			"repro/internal/fastpath": {
+				"repro/internal/cowindex", "repro/internal/dirty",
 				"repro/internal/obs", "repro/internal/packet",
 				"repro/internal/switchsim",
 			},
@@ -100,13 +104,13 @@ func DefaultRules() *Rules {
 				"repro/internal/metrics",
 			},
 			"repro/internal/core": {
-				"repro/internal/metrics", "repro/internal/obs",
+				"repro/internal/dirty", "repro/internal/metrics", "repro/internal/obs",
 				"repro/internal/packet", "repro/internal/policy",
 				"repro/internal/routing", "repro/internal/store",
 				"repro/internal/topo",
 			},
 			"repro/internal/agent": {
-				"repro/internal/core", "repro/internal/obs",
+				"repro/internal/core", "repro/internal/cowindex", "repro/internal/obs",
 				"repro/internal/packet", "repro/internal/policy",
 				"repro/internal/switchsim",
 			},

@@ -40,6 +40,26 @@ func (q *Queue) Pop() any {
 // Peek is a Queue method no interface names and nothing calls.
 func (q Queue) Peek() int { return q[0] } // want `\[deadexport\] lib\.Queue\.Peek has no caller outside tests`
 
+// Keyed is a type constraint: generic code calls Hash through it, so a
+// type that satisfies it has its Hash kept.
+type Keyed interface {
+	comparable
+	Hash() uint32
+}
+
+// ID satisfies Keyed.
+type ID uint32
+
+func (i ID) Hash() uint32 { return uint32(i) * 3 }
+
+// Sum hashes keys through the constraint.
+func Sum[K Keyed](keys ...K) (h uint32) {
+	for _, k := range keys {
+		h += k.Hash()
+	}
+	return h
+}
+
 // Kept has no caller, and says why it stays.
 //
 //lint:ignore deadexport the fixture's suppressed finding

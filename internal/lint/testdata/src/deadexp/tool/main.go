@@ -7,4 +7,4 @@ import (
 	"fixture/deadexp/lib"
 )
 
-func main() { fmt.Println(lib.UsedByMain()) }
+func main() { fmt.Println(lib.UsedByMain(), lib.Sum(lib.ID(1), lib.ID(2))) }

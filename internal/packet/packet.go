@@ -38,6 +38,10 @@ func AddrFrom4(a, b, c, d byte) Addr {
 	return Addr(uint32(a)<<24 | uint32(b)<<16 | uint32(c)<<8 | uint32(d))
 }
 
+// Hash spreads an address over 32 bits by a multiplicative hash, for a
+// table that takes a key's slot from the hash's high bits.
+func (a Addr) Hash() uint32 { return uint32(uint64(a) * 0x9e3779b97f4a7c15 >> 32) }
+
 func (a Addr) String() string {
 	return fmt.Sprintf("%d.%d.%d.%d", byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
 }

@@ -13,6 +13,22 @@ func TestAddrString(t *testing.T) {
 	}
 }
 
+// TestAddrHashSpreadsConsecutiveAddresses: a station's LocIPs are
+// consecutive, and a table that takes a key's slot from the hash's top
+// bits must still spread them: 1 024 consecutive addresses fill each of
+// the 16 top-nibble buckets with between half and twice their share.
+func TestAddrHashSpreadsConsecutiveAddresses(t *testing.T) {
+	var buckets [16]int
+	for a := AddrFrom4(10, 1, 0, 0); a < AddrFrom4(10, 1, 4, 0); a++ {
+		buckets[a.Hash()>>28]++
+	}
+	for b, n := range buckets {
+		if n < 32 || n > 128 {
+			t.Fatalf("bucket %d holds %d of 1 024 consecutive addresses, want 32 to 128: %v", b, n, buckets)
+		}
+	}
+}
+
 func TestPrefixContains(t *testing.T) {
 	p := NewPrefix(AddrFrom4(10, 1, 0, 0), 16)
 	if !p.Contains(AddrFrom4(10, 1, 200, 3)) {

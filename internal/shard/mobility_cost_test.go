@@ -64,20 +64,21 @@ func register(tb testing.TB, d *shard.Dispatcher, n int) []string {
 }
 
 // shardCounts is the state of one shard that only a path install, a policy
-// withdrawal or a failure recomputation may move.
+// withdrawal or a failure recomputation may move: a rebuild replaces the
+// shard controller's Installer.
 type shardCounts struct {
-	memoMiss, pathMiss, epoch uint64
+	memoMiss, pathMiss uint64
+	installer          *core.Installer
 }
 
 func countsOf(d *shard.Dispatcher, reg *obs.Registry) []shardCounts {
 	snap := reg.Snapshot()
 	out := make([]shardCounts, len(d.Shards()))
 	for i, s := range d.Shards() {
-		view, _ := s.Ctrl.AgentView(s.Ctrl.Stations()[0])
 		out[i] = shardCounts{
-			memoMiss: snap.Counters[fmt.Sprintf("shard.%d.core.tagcache.miss", i)],
-			pathMiss: s.Ctrl.Stats().PathMiss,
-			epoch:    view.Epoch,
+			memoMiss:  snap.Counters[fmt.Sprintf("shard.%d.core.tagcache.miss", i)],
+			pathMiss:  s.Ctrl.Stats().PathMiss,
+			installer: s.Ctrl.Installer,
 		}
 	}
 	return out
@@ -230,8 +231,8 @@ func TestChurnNeverLeavesTheMemo(t *testing.T) {
 	t.Logf("%d events, %d local and %d cross-shard handoffs", events, local, cross)
 	for i, after := range countsOf(p.Disp, reg) {
 		if after != before[i] {
-			t.Errorf("shard %d: memo misses %d -> %d, installs %d -> %d, epoch %d -> %d; want all unchanged",
-				i, before[i].memoMiss, after.memoMiss, before[i].pathMiss, after.pathMiss, before[i].epoch, after.epoch)
+			t.Errorf("shard %d: memo misses %d -> %d, installs %d -> %d, installer replaced %v; want all unchanged",
+				i, before[i].memoMiss, after.memoMiss, before[i].pathMiss, after.pathMiss, before[i].installer != after.installer)
 		}
 	}
 	// Runs every shard's own CheckInvariants, then the cross-shard checks.

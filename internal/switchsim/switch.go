@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/dirty"
 	"repro/internal/packet"
 )
 
@@ -113,6 +114,7 @@ type Switch struct {
 	// inOrder is true while ordered is what ReplaceTCAM and Splice made
 	// it, in their order; Install and Remove clear it. guarded by mu
 	inOrder bool
+	watchAt int32 // guarded by mu; see watch
 
 	// gen counts table mutations: every Install/Remove (TCAM or
 	// microflow), ReplaceTCAM and Splice bumps it. Writes happen under mu;
@@ -123,6 +125,9 @@ type Switch struct {
 	gen      uint64
 	microGen uint64 // guarded by mu
 	tcamGen  uint64 // guarded by mu
+	// watch, when set, is marked at every generation step, as switch
+	// watchAt (see Watch). guarded by mu
+	watch *dirty.Set
 
 	// log lists the changes to both tables after generation logFrom,
 	// oldest first, so a compile holding the tables as of a generation in
@@ -160,6 +165,25 @@ type Switch struct {
 // must be recompiled rather than silently served.
 func (s *Switch) Generation() uint64 {
 	return atomic.LoadUint64(&s.gen)
+}
+
+// step advances the generation, marks the switch in its watcher's set and
+// returns the new generation.
+//
+// caller holds mu
+func (s *Switch) step() uint64 {
+	g := atomic.AddUint64(&s.gen, 1)
+	s.watch.Mark(int(s.watchAt))
+	return g
+}
+
+// Watch makes the switch mark itself in c, as switch i, after every change
+// of its tables, so that the reader draining c visits the switches that
+// changed. A later Watch replaces c.
+func (s *Switch) Watch(c *dirty.Set, i int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.watch, s.watchAt = c, int32(i)
 }
 
 // MaxChanges bounds a switch's change log. A change past the bound empties
@@ -209,7 +233,7 @@ const logBlock = 16
 //
 // caller holds mu
 func (s *Switch) tcamChanged(at int, r *Rule) {
-	s.tcamGen = atomic.AddUint64(&s.gen, 1)
+	s.tcamGen = s.step()
 	s.logged(Change{Gen: s.tcamGen, At: int32(at), TCAM: true, Rule: r})
 }
 
@@ -218,7 +242,7 @@ func (s *Switch) tcamChanged(at int, r *Rule) {
 //
 // caller holds mu
 func (s *Switch) microChanged(key packet.FlowKey, f *Flow) {
-	s.microGen = atomic.AddUint64(&s.gen, 1)
+	s.microGen = s.step()
 	s.logged(Change{Gen: s.microGen, Key: key, Flow: f})
 }
 
@@ -612,7 +636,7 @@ func (s *Switch) ReplaceTCAM(rules []Rule) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.tcamGen = atomic.AddUint64(&s.gen, 1)
+	s.tcamGen = s.step()
 	s.tcamFrom = s.tcamGen
 	for i, r := range ordered {
 		r.ID = s.nextID + RuleID(i) + 1
@@ -675,7 +699,7 @@ func (s *Switch) Splice(edits []Edit) bool {
 		}
 	}
 
-	s.tcamGen = atomic.AddUint64(&s.gen, 1)
+	s.tcamGen = s.step()
 	added := make([]Rule, 0, inserts)
 	for i := range edits {
 		e := &edits[i]

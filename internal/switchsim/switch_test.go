@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"unsafe"
 
+	"repro/internal/dirty"
 	"repro/internal/packet"
 )
 
@@ -480,5 +481,65 @@ func TestRewrittenAppliesTheAction(t *testing.T) {
 	a.apply(p)
 	if got := a.Rewritten(k); got != p.Flow() {
 		t.Fatalf("Rewritten(%s) = %s, want %s", k, got, p.Flow())
+	}
+}
+
+// TestWatchSeesEveryChange: switches changing on their own goroutines
+// while another drains the set they are watched by are each drained after
+// their last change, which a drain sees by reading the switch's generation
+// once it has taken the switch out of the set, and no drain names a switch
+// that did not change.
+func TestWatchSeesEveryChange(t *testing.T) {
+	const n = 70 // past one word of the set
+	c := dirty.New(n)
+	c.Drain(func(int) bool { return true }) // dirty.New marks every switch
+	sws := make([]*Switch, n)
+	for i := range sws {
+		sws[i] = NewSwitch("s")
+		sws[i].Watch(c, i)
+	}
+	seen := make([]uint64, n) // per switch: the newest generation a drain read
+	drain := func() {
+		c.Drain(func(i int) bool {
+			if i%3 == 0 {
+				t.Errorf("switch %d drained, though it never changed", i)
+			}
+			seen[i] = max(seen[i], sws[i].Generation())
+			return true
+		})
+	}
+	var wg sync.WaitGroup
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				drain()
+			}
+		}
+	}()
+	for i, sw := range sws {
+		if i%3 == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range 50 {
+				sw.InstallMicroflow(packet.FlowKey{Src: packet.Addr(k + 1), Proto: packet.ProtoTCP}, Action{Output: 1}, Cookie{})
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-done
+	drain()
+	for i, sw := range sws {
+		if seen[i] != sw.Generation() {
+			t.Fatalf("switch %d: drains read generation %d, it is at %d", i, seen[i], sw.Generation())
+		}
 	}
 }
