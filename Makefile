@@ -164,64 +164,67 @@ span-alloc-gate:
 # snapshots' TCAMs, replaying each switch's change log on the compiled TCAM
 # before (40 B a rule copied, the rules that stayed shared), and a handoff
 # cuts shortcuts only for the clauses the UE's classifiers allow, so
-# BenchmarkSyncAfterHandoff must stay at or under 14 000 B/op and 30
-# allocs/op (12.1 kB and 28 allocs measured, so a margin of about a sixth
-# and 2 allocs; 24.9 kB while each recompile copied the whole TCAM's rule
-# pointers and re-appended its 104 B compiled rules, 31.7 kB and 35 allocs
-# while every path at the old station got a shortcut, 74.5 kB while every
-# changed switch was rebuilt and recompiled whole).
+# BenchmarkSyncAfterHandoff must stay at or under 13 700 B/op and 30
+# allocs/op (11.9 kB and 28 allocs measured, so a margin of about a sixth
+# and 2 allocs; 12.1 kB while microflow edits shared the change log, 24.9
+# kB while each recompile copied the whole TCAM's rule pointers and
+# re-appended its 104 B compiled rules, 31.7 kB and 35 allocs while every
+# path at the old station got a shortcut, 74.5 kB while every changed
+# switch was rebuilt and recompiled whole).
 sync-alloc-gate:
 	@out=$$($(GO) test -run '^$$' -bench '^BenchmarkSyncAfterHandoff$$' -benchmem ./internal/dataplane); \
 	echo "$$out"; \
 	bytes=$$(echo "$$out" | awk '/BenchmarkSyncAfterHandoff/ {for (i=1;i<=NF;i++) if ($$i == "B/op") print $$(i-1)}'); \
 	allocs=$$(echo "$$out" | awk '/BenchmarkSyncAfterHandoff/ {for (i=1;i<=NF;i++) if ($$i == "allocs/op") print $$(i-1)}'); \
 	if [ -z "$$bytes" ] || [ -z "$$allocs" ]; then echo "sync-alloc-gate: benchmark produced no B/op or allocs/op figure"; exit 1; fi; \
-	if [ "$$bytes" -gt 14000 ]; then echo "FAIL: the Sync after a handoff allocates $$bytes B/op (limit 14000)"; exit 1; fi; \
+	if [ "$$bytes" -gt 13700 ]; then echo "FAIL: the Sync after a handoff allocates $$bytes B/op (limit 13700)"; exit 1; fi; \
 	if [ "$$allocs" -gt 30 ]; then echo "FAIL: the Sync after a handoff makes $$allocs allocs/op (limit 30)"; exit 1; fi; \
-	echo "sync-alloc-gate: the Sync after a handoff allocates $$bytes B/op (limit 14000) in $$allocs allocs/op (limit 30)"
+	echo "sync-alloc-gate: the Sync after a handoff allocates $$bytes B/op (limit 13700) in $$allocs allocs/op (limit 30)"
 
 # flowsetup-alloc-gate pins that a flow's cost does not grow with the flows
-# already resident: the Syncs after the agent installs a new flow's two
-# microflows and after they are removed patch the access switch's compiled
-# microflow index (384 B pages of keys and rule pointers, on the shared
-# cowindex, whose block-laid tables list their pages flat as the fast
-# path's own index did) instead of recompiling the whole table, so
-# BenchmarkFlowSetup, which times the set-up and tear-down pair, must stay
-# at or under 9 000 B/op at 512 resident microflows (7.23-7.43 kB
-# measured, 7.34-7.51 kB on the fast path's own index, so a margin of
-# about a fifth). Before it timed the tear-down too, the bound was
-# 3 000 B/op on the set-up alone
-# (2.45-2.72 kB, or 5.0 kB when the set-up's patch landed the index's
-# amortised relayout; 12.3 kB with 1 152 B pages holding their rules
-# inline, 135 kB while every set-up recompiled the whole index).
+# already resident: the access switch writes a new flow's two microflows,
+# and their removal, into its copy-on-write index, copying only the 384 B
+# pages a published snapshot still shares (or laying the index out again
+# once a quarter of its pages are copies), and the Syncs after take the
+# index as it is, so BenchmarkFlowSetup, which times the set-up and
+# tear-down pair, must stay at or under 7 500 B/op at 512 resident
+# microflows (6 020 B measured, so a margin of about a quarter; 7.23-7.43
+# kB under a 9 000 B bound while the fast path patched its own compiled
+# copy of the index; before the benchmark timed the tear-down too, the
+# bound was 3 000 B/op on the set-up alone (2.45-2.72 kB, or 5.0 kB when
+# the set-up's patch landed the index's amortised relayout; 12.3 kB with
+# 1 152 B pages holding their rules inline, 135 kB while every set-up
+# recompiled the whole index)).
 flowsetup-alloc-gate:
 	@out=$$($(GO) test -run '^$$' -bench '^BenchmarkFlowSetup$$' -benchmem ./internal/dataplane); \
 	echo "$$out"; \
 	bytes=$$(echo "$$out" | awk '/BenchmarkFlowSetup\/microflows=512/ {for (i=1;i<=NF;i++) if ($$i == "B/op") print $$(i-1)}'); \
 	if [ -z "$$bytes" ]; then echo "flowsetup-alloc-gate: benchmark produced no B/op figure at 512 microflows"; exit 1; fi; \
-	if [ "$$bytes" -gt 9000 ]; then echo "FAIL: a flow set-up and tear-down at 512 resident microflows allocate $$bytes B/op (limit 9000)"; exit 1; fi; \
-	echo "flowsetup-alloc-gate: a flow set-up and tear-down at 512 resident microflows allocate $$bytes B/op (limit 9000)"
+	if [ "$$bytes" -gt 7500 ]; then echo "FAIL: a flow set-up and tear-down at 512 resident microflows allocate $$bytes B/op (limit 7500)"; exit 1; fi; \
+	echo "flowsetup-alloc-gate: a flow set-up and tear-down at 512 resident microflows allocate $$bytes B/op (limit 7500)"
 
 # handoff-alloc-gate pins what one whole Network.Handoff of a UE with
 # established flows allocates on the warmed generated plant: the controller
 # move, the agents' admission and flow migration, and the Sync whose
 # recompiles replay each touched switch's change log instead of copying
-# its tables. BenchmarkHandoff must stay at or under 36 500 B/op and 78
-# allocs/op (30.3 kB and 74 allocs measured, so a margin of about a sixth
-# and a twentieth: a small station's index lists its pages flat, and a
-# derive copies that list; 33.4 kB and 71 allocs under 38 800 B / 78
-# allocs with the fast path's own index and the agent's pages inline in
-# its snapshot, 34.3 kB and 100 allocs while each agent derive cloned its
-# snapshot's maps, 87.1 kB and 111 allocs before the change log).
+# its tables. BenchmarkHandoff must stay at or under 31 000 B/op and 78
+# allocs/op (25.6 kB and 76 allocs measured, so a margin of about a fifth
+# and 2 allocs: the access switches copy the index pages the migration
+# writes instead of the fast path compiling the flows into its own copy,
+# 30.3 kB and 74 allocs under 36 500 B; 33.4 kB and 71 allocs under 38 800
+# B / 78 allocs with the fast path's own index and the agent's pages
+# inline in its snapshot, 34.3 kB and 100 allocs while each agent derive
+# cloned its snapshot's maps, 87.1 kB and 111 allocs before the change
+# log).
 handoff-alloc-gate:
 	@out=$$($(GO) test -run '^$$' -bench '^BenchmarkHandoff$$' -benchmem ./internal/dataplane); \
 	echo "$$out"; \
 	bytes=$$(echo "$$out" | awk '/BenchmarkHandoff/ {for (i=1;i<=NF;i++) if ($$i == "B/op") print $$(i-1)}'); \
 	allocs=$$(echo "$$out" | awk '/BenchmarkHandoff/ {for (i=1;i<=NF;i++) if ($$i == "allocs/op") print $$(i-1)}'); \
 	if [ -z "$$bytes" ] || [ -z "$$allocs" ]; then echo "handoff-alloc-gate: benchmark produced no B/op or allocs/op figure"; exit 1; fi; \
-	if [ "$$bytes" -gt 36500 ]; then echo "FAIL: a handoff allocates $$bytes B/op (limit 36500)"; exit 1; fi; \
+	if [ "$$bytes" -gt 31000 ]; then echo "FAIL: a handoff allocates $$bytes B/op (limit 31000)"; exit 1; fi; \
 	if [ "$$allocs" -gt 78 ]; then echo "FAIL: a handoff makes $$allocs allocs/op (limit 78)"; exit 1; fi; \
-	echo "handoff-alloc-gate: a handoff allocates $$bytes B/op (limit 36500) in $$allocs allocs/op (limit 78)"
+	echo "handoff-alloc-gate: a handoff allocates $$bytes B/op (limit 31000) in $$allocs allocs/op (limit 78)"
 
 # admit-gate pins that an attach's agent admission costs what it changes,
 # not what the station holds: AdmitUE derives a successor snapshot that

@@ -1,8 +1,8 @@
 // Package cowindex is a paged copy-on-write hash index: the structure a
 // table that is immutable after publish keeps its keyed entries in, so that
 // its successor costs what it changes and not what it holds. The agent's
-// snapshot keeps its UE records and grants in one, and the fast path its
-// compiled microflows.
+// snapshot keeps its UE records and grants in one, and an access switch
+// its microflows (internal/switchsim).
 //
 // The index is open-addressed with linear probing over fixed-size pages of
 // pageSize slots. A page keeps its keys apart from its values, so a probe

@@ -139,10 +139,11 @@ func check(load int, ops []op) error {
 
 // TestIndexMatchesAMap is the differential property: any sequence of puts,
 // deletes, seals and relayouts reads the same through the index as through
-// a map, at the default load bound and at the fast path's half, and a
-// sealed index reads the same however its successors are written.
+// a map, at the default load bound, at the switch microflow table's ¾ and
+// at ½, and a sealed index reads the same however its successors are
+// written.
 func TestIndexMatchesAMap(t *testing.T) {
-	for _, load := range []int{7, 4} {
+	for _, load := range []int{7, 6, 4} {
 		cfg := &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(int64(load))),
 			Values: func(args []reflect.Value, r *rand.Rand) {
 				ops := make([]op, r.Intn(1200))
@@ -326,7 +327,7 @@ func FuzzIndex(f *testing.F) {
 			ops = append(ops, op{Del: data[0]%4 == 1, Seal: data[0]%4 == 2, Lay: data[0] == 3,
 				Key: uint16(data[1])<<8 | uint16(data[2]), Val: uint32(data[3])})
 		}
-		for _, load := range []int{7, 4} {
+		for _, load := range []int{7, 6, 4} {
 			if err := check(load, ops); err != nil {
 				t.Fatalf("load %d/8: %v", load, err)
 			}

@@ -150,7 +150,7 @@ const unsynced = ^uint64(0)
 // one; the fast path then recompiles exactly the snapshots whose generation
 // moved, reusing what they compiled of the rules that stayed. That includes
 // the access switches whose agents installed or removed microflows since:
-// their compiled microflow index is patched with just those changes.
+// their snapshots take the switch's microflow table as it is.
 //
 // Sync itself never touches a microflow table. A rule's traffic counters
 // (Packets, Bytes) keep counting for as long as the rule stays installed:

@@ -67,11 +67,12 @@ func flowSetupNet(tb testing.TB, resident int, reg *obs.Registry) (*Network, cor
 	return net, ues[0]
 }
 
-// TestFlowSetupCompilesTwoRules pins what one new flow costs the fast
-// path: its two microflows are compiled into the access switch's snapshot
-// and nothing else is compiled, however many microflows the switch holds.
-// Two same-seed plants compile the same number of rules.
-func TestFlowSetupCompilesTwoRules(t *testing.T) {
+// TestFlowSetupCompilesNoRules pins what one new flow costs the fast path:
+// the access switch's snapshot takes the switch's microflow table as the
+// switch sealed it, so its two microflows compile no rule, however many
+// microflows the switch holds, and a hit on the snapshot names the entry
+// the switch holds. Two same-seed plants compile the same number of rules.
+func TestFlowSetupCompilesNoRules(t *testing.T) {
 	for _, resident := range []int{128, 512} {
 		var runs [2][2]uint64 // rules compiled warming the plant, then for one flow
 		for run := range runs {
@@ -79,13 +80,23 @@ func TestFlowSetupCompilesTwoRules(t *testing.T) {
 			net, ue := flowSetupNet(t, resident, reg)
 			rules := reg.Counter("fastpath.rules.compiled")
 			warm := rules.Value()
-			if res, err := net.SendUpstream(flowBS, webPacket(ue, 40000)); err != nil || res.Disposition != ExitedNet {
+			p := webPacket(ue, 40000)
+			if res, err := net.SendUpstream(flowBS, p); err != nil || res.Disposition != ExitedNet {
 				t.Fatalf("new flow: %v %v", res.Disposition, err)
 			}
 			runs[run] = [2]uint64{warm, rules.Value() - warm}
+
+			// The reply's entry at the access switch delivers it to the UE.
+			w := p.Flow().Reverse()
+			reply := &packet.Packet{Src: w.Src, Dst: w.Dst, SrcPort: w.SrcPort, DstPort: w.DstPort, Proto: w.Proto, TTL: 64}
+			live, ok := accessOf(t, net, flowBS).Microflow(w)
+			st, _ := net.T.Station(flowBS)
+			if v := net.FastEngine().Net().FIB(int(st.Access)).Step(reply, 0); !ok || v.Flow != live {
+				t.Fatalf("%d resident microflows: the snapshot's hit names entry %p, the switch holds %p", resident, v.Flow, live)
+			}
 		}
-		if runs[0][1] != 2 {
-			t.Fatalf("%d resident microflows: one new flow compiled %d rules, want its 2 microflows", resident, runs[0][1])
+		if runs[0][1] != 0 {
+			t.Fatalf("%d resident microflows: one new flow compiled %d rules, want none", resident, runs[0][1])
 		}
 		if runs[0] != runs[1] {
 			t.Fatalf("%d resident microflows: two same-seed plants compiled %v and %v rules", resident, runs[0], runs[1])

@@ -48,9 +48,10 @@ func handoffNet(tb testing.TB, reg *obs.Registry) (net *Network, far packet.BSID
 	return net, far
 }
 
-// compileWork is what the fast path's recompiles did over some span: the
-// snapshots compiled, the rules compiled, and what was copied of earlier
-// snapshots (compiled TCAM rules and microflow index pages).
+// compileWork is what a span's table updates did: the fast path's
+// snapshots compiled, rules compiled and compiled TCAM rules copied from
+// earlier snapshots, and the microflow index pages the access switches
+// copied.
 type compileWork struct {
 	snapshots, rules, tcamCopied, pagesCopied uint64
 }
@@ -61,7 +62,7 @@ func readWork(reg *obs.Registry) compileWork {
 		snapshots:   reg.Counter("fastpath.snapshot.compile").Value(),
 		rules:       reg.Counter("fastpath.rules.compiled").Value(),
 		tcamCopied:  reg.Counter("fastpath.rules.copied").Value(),
-		pagesCopied: reg.Counter("fastpath.pages.copied").Value(),
+		pagesCopied: reg.Counter("switchsim.micro.pages.copied").Value(),
 	}
 }
 
@@ -72,13 +73,13 @@ func (w compileWork) minus(o compileWork) compileWork {
 // TestHandoffCompileWork pins what the fast path recompiles and copies for
 // one Network.Handoff (its Sync included) of a UE with established flows,
 // and for the release's Sync after it: a recompile replays the switches'
-// change logs on the snapshots before, so it copies the compiled TCAM
-// rules of the switches a splice touched and the microflow pages of the
-// two access switches, and compiles only the rules that changed. Two
-// same-seed plants do the same work.
+// TCAM change logs on the snapshots before, so it copies the compiled TCAM
+// rules of the switches a splice touched and compiles only the rules that
+// changed, and the two access switches copy the index pages the migrated
+// microflows are written to. Two same-seed plants do the same work.
 func TestHandoffCompileWork(t *testing.T) {
 	want := [2]compileWork{
-		{snapshots: 8, rules: 21, tcamCopied: 141, pagesCopied: 12},
+		{snapshots: 8, rules: 9, tcamCopied: 141, pagesCopied: 17},
 		{snapshots: 6, rules: 0, tcamCopied: 142, pagesCopied: 0},
 	}
 	var runs [2][2]compileWork // per plant: the handoff, then the release

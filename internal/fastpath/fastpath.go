@@ -1,6 +1,7 @@
-// Package fastpath is the burst-mode forwarding fast path: an immutable,
-// compiled snapshot of a switchsim.Switch's three tables (microflow exact
-// match, prioritised TCAM, table-miss default) published behind an
+// Package fastpath is the burst-mode forwarding fast path: an immutable
+// snapshot of a switchsim.Switch's three tables (the microflow exact-match
+// table, the switch's own copy-on-write index as it sealed it; the
+// prioritised TCAM, compiled; the table-miss default) published behind an
 // atomic.Pointer and swapped whenever the switch's rule tables mutate,
 // plus two ways to walk them: a Walker drives packet bursts through a
 // whole topology with zero shared locks in steady state, and a
@@ -20,7 +21,6 @@ package fastpath
 import (
 	"slices"
 
-	"repro/internal/cowindex"
 	"repro/internal/packet"
 	"repro/internal/switchsim"
 )
@@ -88,11 +88,16 @@ type caction struct {
 	dscp               uint8
 }
 
+// drops reports whether a rule verdict of action a drops the packet.
+func drops(a *switchsim.Action) bool {
+	return a.Drop || (!a.ToController && !a.Resubmit && a.Output < 0)
+}
+
 // compileAction flattens a switchsim.Action.
 func compileAction(a switchsim.Action) caction {
 	c := caction{
 		output:       a.Output,
-		drop:         a.Drop || (!a.ToController && !a.Resubmit && a.Output < 0),
+		drop:         drops(&a),
 		toController: a.ToController,
 		resubmit:     a.Resubmit,
 	}
@@ -123,7 +128,7 @@ func compileAction(a switchsim.Action) caction {
 	return c
 }
 
-// apply mutates the packet's headers exactly as switchsim.Action.apply.
+// apply mutates the packet's headers exactly as switchsim.Action.Apply.
 func (c *caction) apply(p *packet.Packet) {
 	if c.hasSrc {
 		p.Src = c.src
@@ -148,131 +153,21 @@ func (c *caction) apply(p *packet.Packet) {
 	}
 }
 
-// flowKey is a five-tuple packed into the microflow index's two key words.
-// The packing never sets lo's top bit; keyUsed sets it, so the zero
-// flowKey, which the index takes for an empty slot, is no flow's key.
-// Packing the key into two words and hashing it with one multiply-mix is
-// severalfold cheaper per lookup than the generic map's hashing, which
-// was the single largest line in the burst profile.
-type flowKey struct{ hi, lo uint64 }
-
-const keyUsed = 1 << 63
-
-// Hash mixes a key into a probe start.
-func (k flowKey) Hash() uint32 {
-	x := k.hi ^ k.lo*0x9e3779b97f4a7c15
-	x ^= x >> 32
-	x *= 0xd6e8feb86659fd93
-	x ^= x >> 32
-	return uint32(x)
-}
-
-// flowWords packs a packet's five-tuple into the index's key.
-func flowWords(p *packet.Packet) flowKey {
-	return flowKey{uint64(p.Src)<<32 | uint64(p.Dst),
-		uint64(p.SrcPort)<<24 | uint64(p.DstPort)<<8 | uint64(p.Proto) | keyUsed}
-}
-
-// flowKeyWords packs a switchsim flow key the same way.
-func flowKeyWords(k packet.FlowKey) flowKey {
-	return flowKey{uint64(k.Src)<<32 | uint64(k.Dst),
-		uint64(k.SrcPort)<<24 | uint64(k.DstPort)<<8 | uint64(k.Proto) | keyUsed}
-}
-
-// microflows is the microflow index: a flow's packed five-tuple to its
-// compiled microflow, which is immutable and shared by every index that
-// holds it, so a page copy moves no rule. It is immutable after publish: a
-// recompile writes a copy that copies only the pages it writes (see
-// patched).
-type microflows = cowindex.Index[flowKey, *rule]
-
-// microLoad is the microflow index's load bound, in entries per 8 slots.
-// Every packet at an access switch probes the index and many miss it, and
-// a miss probes to the end of its chain: at half load it costs about a
-// third of what it does at the default 7/8 (CHANGES.md).
-const microLoad = 4
-
-// microIndex compiles a whole microflow table into one block of rules; it
-// also reports the rules it compiled. An empty table (core and gateway
-// switches hold no microflows) allocates nothing.
-func microIndex(micro map[packet.FlowKey]*switchsim.Flow) (microflows, int) {
-	t := cowindex.New[flowKey, *rule](microLoad, len(micro))
-	rules := make([]rule, 0, len(micro))
-	for key, f := range micro {
-		rules = append(rules, compileFlow(f))
-		t.Put(nil, flowKeyWords(key), &rules[len(rules)-1])
-	}
-	return t, len(micro)
-}
-
-// patched returns t with the microflow changes among changes applied in
-// order, sharing every page no change writes; edits counts those changes
-// and inserts the ones that install an entry. It also reports the rules it
-// compiled and the pages it copied. A patch that could leave more than a
-// quarter of the pages loose (one per edit), and whose inserts cannot grow
-// the index, lays the index out again in one block first, copying each
-// page once, and then writes the block in place: pages strewn over the
-// heap slowed forwarding by a tenth (EXPERIMENTS.md, "Microflow ledger").
-// A relayout copies the index once per at least a quarter as many page
-// copies, so a change's amortised cost stays proportional to its edits.
-// An empty index is replaced by a fresh one sized for the inserts, so the
-// index is always laid out in a block (cowindex.New), and grows into one.
-func patched(t microflows, changes []switchsim.Change, edits, inserts int) (microflows, int, int) {
-	p, base, copied := t, &t, 0
-	switch {
-	case t.Len() == 0:
-		p, base = cowindex.New[flowKey, *rule](microLoad, inserts), nil
-	case !t.WouldGrow(inserts) && 4*(t.Loose()+edits) > t.Pages():
-		p, base, copied = t.LaidOut(), nil, t.Pages()
-	}
-	rules := make([]rule, 0, inserts)
-	for _, c := range changes {
-		loose := p.Loose()
-		switch {
-		case c.TCAM:
-		case c.Flow == nil:
-			p.Delete(base, flowKeyWords(c.Key))
-		default:
-			rules = append(rules, compileFlow(c.Flow))
-			p.Put(base, flowKeyWords(c.Key), &rules[len(rules)-1])
-		}
-		if d := p.Loose() - loose; d > 0 { // a growth lays the index out afresh, copying nothing of base
-			copied += d
-		}
-	}
-	if 4*p.Loose() > p.Pages() { // a removal's backward shift wrote more pages than it had edits
-		copied += p.Pages()
-		p = p.LaidOut()
-	}
-	return p, len(rules), copied
-}
-
-// rule is what executing a compiled entry takes: its action, the live
-// counters of the switch entry it was compiled from (for traffic
-// attribution), and, for a microflow, the live entry a verdict names. It
-// does not know its slot in the snapshot's flat rule numbering (TCAM
-// first, then the microflow index's slots), so a later snapshot can share
-// it wherever it lands there.
-type rule struct {
-	act  caction
-	live *switchsim.Counters
-	flow *switchsim.Flow // nil for a TCAM rule
-}
-
 // crule is one compiled TCAM rule as a snapshot's TCAM holds it: its match
 // inline, for the scan, and the rest behind a pointer, so a recompile that
-// copies the TCAM moves 40 B a rule and shares what the pointer names. A
-// microflow needs no compiled match; its key is its match.
+// copies the TCAM moves 40 B a rule and shares what the pointer names.
 type crule struct {
 	m cmatch
 	r *tcamRule
 }
 
-// tcamRule is a compiled TCAM rule's rule and ID, immutable and shared by
-// every snapshot that holds the rule.
+// tcamRule is a compiled TCAM rule's action, ID and live counters,
+// immutable and shared by every snapshot that holds the rule wherever it
+// lands in the snapshot's flat slot numbering (TCAM, then microflows).
 type tcamRule struct {
-	rule
-	id switchsim.RuleID
+	act  caction
+	live *switchsim.Counters
+	id   switchsim.RuleID
 }
 
 // ruleAcc accumulates one burst's traffic against one compiled rule.
@@ -304,11 +199,11 @@ func (t *tally) ensure(n int) {
 	t.acc = t.acc[:n]
 }
 
-// account attributes one packet of payload bytes to a compiled rule in
-// the given flat slot.
-func (t *tally) account(r *rule, slot int32, payload int) {
+// account attributes one packet of payload bytes to the entry in the
+// given flat slot, whose live counters are c.
+func (t *tally) account(c *switchsim.Counters, slot int32, payload int) {
 	if t.direct {
-		r.live.Account(payload)
+		c.Account(payload)
 		return
 	}
 	a := &t.acc[slot]
@@ -319,10 +214,10 @@ func (t *tally) account(r *rule, slot int32, payload int) {
 	a.bytes += uint64(payload) + 24
 }
 
-// Snapshot is the compiled state of one switch's tables at a single
-// generation; it is immutable after publish. All lookups are read-only;
-// the only mutation a lookup performs outside its own packet is the
-// atomic traffic counters of the live entries.
+// Snapshot is one switch's tables at a single generation, immutable after
+// publish: the switch's sealed microflow table and its compiled TCAM. A
+// lookup mutates nothing outside its packet but the live entries' atomic
+// traffic counters.
 type Snapshot struct {
 	// Gen is the switch generation the snapshot was compiled at. A FIB
 	// serves the snapshot only while the switch still reports the same
@@ -331,8 +226,8 @@ type Snapshot struct {
 	// the changes since.
 	Gen uint64
 
-	micro microflows // flow five-tuple -> compiled microflow
-	tcam  []crule    // priority-sorted (same order as the switch)
+	micro switchsim.Microflows // the switch's own, sealed at Gen
+	tcam  []crule              // priority-sorted (same order as the switch)
 	miss  caction
 	// missDrop is the table-miss verdict's drop bit; the miss formula
 	// ignores Resubmit, unlike rule verdicts, so it is compiled apart.
@@ -348,18 +243,17 @@ func Compile(sw *switchsim.Switch) *Snapshot {
 	return s
 }
 
-// work is what one compile did: the rules it compiled, and what it copied
-// of the snapshot before it — compiled TCAM rules and microflow index
-// pages.
+// work is what one compile did: the rules it compiled, and the compiled
+// TCAM rules it copied of the snapshot before it.
 type work struct {
-	compiled, tcamCopied, pagesCopied int
+	compiled, tcamCopied int
 }
 
 // compile is Compile reusing prev, an earlier snapshot of the same switch
-// (or nil); it also reports its work. A table that has not changed since
-// prev is shared with it. A moved table the switch hands over as its
-// changes since prev is prev's with the changes applied, and one it hands
-// over whole is compiled afresh.
+// (or nil); it also reports its work. It takes the switch's sealed
+// microflow table as it is, shares prev's TCAM when it did not change,
+// replays the changes the switch lists on it, or compiles a TCAM handed
+// whole afresh.
 //
 // hotpath: cold
 func compile(sw *switchsim.Switch, prev *Snapshot) (*Snapshot, work) {
@@ -372,35 +266,13 @@ func compile(sw *switchsim.Switch, prev *Snapshot) (*Snapshot, work) {
 	v := sw.ViewChanged(gen)
 	s := &Snapshot{
 		Gen:      v.Gen,
-		micro:    prev.micro,
+		micro:    v.Flows,
 		tcam:     prev.tcam,
 		miss:     compileAction(v.Miss),
 		missDrop: v.Miss.Drop || (!v.Miss.ToController && v.Miss.Output < 0),
 		src:      sw,
 	}
 	var w work
-	microInserts, micro, tcamInserts, tcam := 0, 0, 0, 0
-	for i := range v.Changes {
-		c := &v.Changes[i]
-		switch {
-		case !c.TCAM:
-			micro++
-			if c.Flow != nil {
-				microInserts++
-			}
-		case v.Ordered == nil:
-			tcam++
-			if c.Rule != nil {
-				tcamInserts++
-			}
-		}
-	}
-	switch {
-	case v.Micro != nil:
-		s.micro, w.compiled = microIndex(v.Micro)
-	case micro > 0:
-		s.micro, w.compiled, w.pagesCopied = patched(prev.micro, v.Changes, micro, microInserts)
-	}
 	switch {
 	case v.Ordered != nil:
 		s.tcam = make([]crule, len(v.Ordered))
@@ -408,27 +280,29 @@ func compile(sw *switchsim.Switch, prev *Snapshot) (*Snapshot, work) {
 		for i, r := range v.Ordered {
 			s.tcam[i] = compileRule(r, &rules[i])
 		}
-		w.compiled += len(v.Ordered)
-	case tcam > 0:
-		s.tcam = replayed(prev.tcam, v.Changes, tcamInserts, &w)
+		w.compiled = len(v.Ordered)
+	case len(v.Changes) > 0:
+		s.tcam = replayed(prev.tcam, v.Changes, &w)
 	}
 	return s, w
 }
 
-// replayed returns prev's TCAM with the TCAM changes among changes
-// replayed in order, by position, into one new slice; inserts counts the
-// changes that insert a rule. A run of rules between two changes in
+// replayed returns prev's TCAM with changes replayed in order, by
+// position, into one new slice. A run of rules between two changes in
 // ascending position is copied in bulk; a change behind an earlier one
 // shifts the slice built so far.
-func replayed(prev []crule, changes []switchsim.Change, inserts int, w *work) []crule {
+func replayed(prev []crule, changes []switchsim.Change, w *work) []crule {
+	inserts := 0
+	for i := range changes {
+		if changes[i].Rule != nil {
+			inserts++
+		}
+	}
 	out := make([]crule, 0, len(prev)+inserts)
 	rules := make([]tcamRule, inserts)
 	src := 0 // the table as replayed so far is out, then prev[src:]
 	for i := range changes {
 		c := &changes[i]
-		if !c.TCAM {
-			continue
-		}
 		at := int(c.At)
 		if k := at - len(out); k > 0 {
 			out = append(out, prev[src:src+k]...)
@@ -451,15 +325,15 @@ func replayed(prev []crule, changes []switchsim.Change, inserts int, w *work) []
 }
 
 // slots reports the snapshot's flat rule-slot count: the TCAM's rules,
-// then the microflow index's slots.
+// then the microflow table's slots.
 func (s *Snapshot) slots() int { return len(s.tcam) + s.micro.Slots() }
 
-// ruleAt returns the compiled rule in a flat slot.
-func (s *Snapshot) ruleAt(slot int32) *rule {
+// countersAt returns the live counters of the entry in a flat slot.
+func (s *Snapshot) countersAt(slot int32) *switchsim.Counters {
 	if int(slot) < len(s.tcam) {
-		return &s.tcam[slot].r.rule
+		return s.tcam[slot].r.live
 	}
-	return s.micro.At(int(slot) - len(s.tcam))
+	return &s.micro.At(int(slot) - len(s.tcam)).Counters
 }
 
 // flush drains a burst's tallies: per-rule traffic to the live entries'
@@ -467,7 +341,7 @@ func (s *Snapshot) ruleAt(slot int32) *rule {
 func (s *Snapshot) flush(t *tally) {
 	for _, slot := range t.touched {
 		a := &t.acc[slot]
-		s.ruleAt(slot).live.AccountN(a.pkts, a.bytes)
+		s.countersAt(slot).AccountN(a.pkts, a.bytes)
 		*a = ruleAcc{}
 	}
 	t.touched = t.touched[:0]
@@ -475,14 +349,9 @@ func (s *Snapshot) flush(t *tally) {
 	t.stats = switchsim.BurstStats{}
 }
 
-// compileFlow flattens one live microflow entry's action.
-func compileFlow(f *switchsim.Flow) rule {
-	return rule{act: compileAction(f.Action), live: &f.Counters, flow: f}
-}
-
 // compileRule flattens one live TCAM rule, its action and ID into dst.
 func compileRule(r *switchsim.Rule, dst *tcamRule) crule {
-	*dst = tcamRule{rule: rule{act: compileAction(r.Action), live: &r.Counters}, id: r.ID}
+	*dst = tcamRule{act: compileAction(r.Action), live: &r.Counters, id: r.ID}
 	return crule{m: compileMatch(r.Match), r: dst}
 }
 
@@ -510,23 +379,6 @@ func prefixMask(length int) uint32 {
 	return ^uint32(0) << (32 - length)
 }
 
-// exec applies one compiled entry, in flat slot slot, to the packet and
-// builds its verdict, attributing traffic to the tally (flushed to the
-// live entries' atomic counters once per burst, or at once for a direct
-// tally). id names a TCAM rule; it is 0 for a microflow.
-func (s *Snapshot) exec(r *rule, id switchsim.RuleID, slot int32, p *packet.Packet, t *tally) Verdict {
-	t.account(r, slot, len(p.Payload))
-	r.act.apply(p)
-	return Verdict{
-		Rule:         id,
-		Flow:         r.flow,
-		Output:       r.act.output,
-		Drop:         r.act.drop,
-		ToController: r.act.toController,
-		resubmit:     r.act.resubmit,
-	}
-}
-
 // lookup runs one packet through the compiled pipeline, mirroring
 // switchsim.Process step for step: microflow exact match first, then the
 // TCAM in priority order with at most four resubmits, then the table-miss
@@ -543,9 +395,12 @@ func (s *Snapshot) lookup(p *packet.Packet, inPort int, t *tally) Verdict {
 	// and gateway switches, which never hold microflows.
 	if s.micro.Len() == 0 {
 		t.stats.MicroMiss++
-	} else if i, r, ok := s.micro.Find(flowWords(p)); ok {
+	} else if i, f, ok := s.micro.Lookup(p); ok {
 		t.stats.MicroHit++
-		v = s.exec(r, 0, int32(len(s.tcam))+int32(i), p, t)
+		t.account(&f.Counters, int32(len(s.tcam)+i), len(p.Payload))
+		a := &f.Action
+		a.Apply(p)
+		v = Verdict{Flow: f, Output: a.Output, Drop: drops(a), ToController: a.ToController, resubmit: a.Resubmit}
 		matched = true
 	} else {
 		t.stats.MicroMiss++
@@ -559,7 +414,9 @@ func (s *Snapshot) lookup(p *packet.Packet, inPort int, t *tally) Verdict {
 			if s.tcam[i].m.covers(p, inPort) {
 				t.stats.TCAMHit++
 				r := s.tcam[i].r
-				v = s.exec(&r.rule, r.id, int32(i), p, t)
+				t.account(r.live, int32(i), len(p.Payload))
+				r.act.apply(p)
+				v = Verdict{Rule: r.id, Output: r.act.output, Drop: r.act.drop, ToController: r.act.toController, resubmit: r.act.resubmit}
 				matched = true
 				break
 			}

@@ -12,7 +12,6 @@ type fpObs struct {
 	compile  *obs.Counter   // snapshots compiled
 	rules    *obs.Counter   // rules compiled
 	tcamCopy *obs.Counter   // compiled TCAM rules copied from the snapshot before
-	pageCopy *obs.Counter   // microflow index pages copied from the snapshot before
 	staleHit *obs.Counter   // stale snapshots detected (generation moved)
 	bursts   *obs.Counter   // bursts processed (per-switch acquisitions)
 	burstSz  *obs.Histogram // burst sizes in packets
@@ -30,7 +29,6 @@ func newFPObs(reg *obs.Registry) *fpObs {
 		compile:  reg.Counter("fastpath.snapshot.compile"),
 		rules:    reg.Counter("fastpath.rules.compiled"),
 		tcamCopy: reg.Counter("fastpath.rules.copied"),
-		pageCopy: reg.Counter("fastpath.pages.copied"),
 		staleHit: reg.Counter("fastpath.snapshot.stale"),
 		bursts:   reg.Counter("fastpath.bursts"),
 		burstSz:  reg.Histogram("fastpath.burst.size", 1, 2, 4, 8, 16, 32, 64, 128, 256),
@@ -46,7 +44,6 @@ func (o *fpObs) compiled(w work) {
 		o.compile.Inc()
 		o.rules.Add(uint64(w.compiled))
 		o.tcamCopy.Add(uint64(w.tcamCopied))
-		o.pageCopy.Add(uint64(w.pagesCopied))
 	}
 }
 

@@ -58,18 +58,14 @@ func mutate(rng *rand.Rand, sw *switchsim.Switch, flows []packet.FlowKey) (repla
 func attribution(s *Snapshot, t *tally) map[*switchsim.Counters]ruleAcc {
 	out := make(map[*switchsim.Counters]ruleAcc, len(t.touched))
 	for _, slot := range t.touched {
-		out[s.ruleAt(slot).live] = t.acc[slot]
+		out[s.countersAt(slot)] = t.acc[slot]
 	}
 	return out
 }
 
 // reuseCounts tallies what checkReuse's recompiles reused.
 type reuseCounts struct {
-	sharedTCAM  int // shared the previous snapshot's compiled TCAM
-	sharedMicro int // shared its whole microflow index
-	// patchedMicro counts recompiles that patched the previous index,
-	// copying some of its pages and sharing the rest.
-	patchedMicro int
+	sharedTCAM int // shared the previous snapshot's compiled TCAM
 	// replayedTCAM counts recompiles that replayed TCAM edits on a copy of
 	// the previous compiled TCAM.
 	replayedTCAM int
@@ -83,12 +79,11 @@ type reuseCheck struct {
 	sw     *switchsim.Switch
 	fib    *FIB
 	copied *obs.Counter // the FIB's fastpath.rules.copied
-	pages  *obs.Counter // the FIB's fastpath.pages.copied
 	pkts   []*packet.Packet
 	flows  []packet.FlowKey
 	prev   *Snapshot
-	older  []*Snapshot  // every snapshot the FIB published, oldest first
-	seen   [][]slotCopy // each older snapshot's microflow index when published
+	older  []*Snapshot         // every snapshot the FIB published, oldest first
+	seen   [][]*switchsim.Flow // each older snapshot's microflow table, slot by slot, when published
 	counts reuseCounts
 	// replaced is set when a ReplaceTCAM ran since the FIB's snapshot.
 	replaced bool
@@ -96,15 +91,15 @@ type reuseCheck struct {
 
 // checkReuse drives a random switch through random interleavings of
 // microflow and TCAM mutations. After each round the FIB's snapshot —
-// recompiled from the one before it by replaying the switch's change log on
-// it — must equal a fresh Compile rule for rule and agree with it on every
-// packet: verdict, header rewrites, pipeline tallies and the live rule each
-// packet is charged to. So must a second consumer that compiles from an
-// older snapshot, one the switch's change log may no longer reach. The
-// large mode grows the microflow index past 200 flows, past a page and
-// through several doublings, removes flows whose probe chains wrap the end
-// of the index, and makes more changes to both tables than the log holds
-// between two compiles.
+// recompiled from the one before it by replaying the switch's TCAM change
+// log on it, its microflow table the switch's own as sealed — must equal a
+// fresh Compile rule for rule and agree with it on every packet: verdict,
+// header rewrites, pipeline tallies and the live entry each packet is
+// charged to. So must a second consumer that compiles from an older
+// snapshot, one the switch's change log may no longer reach, and no
+// published snapshot's microflow table may change. The large mode grows
+// the microflow table past 200 flows and through several growths, and
+// makes more TCAM changes than the log holds between two compiles.
 func checkReuse(t *testing.T, rng *rand.Rand, large bool) reuseCounts {
 	t.Helper()
 	c := &reuseCheck{t: t, rng: rng, sw: buildSwitch(genSpecs(rng, rng.Intn(16)), genAction(rng))}
@@ -119,9 +114,8 @@ func checkReuse(t *testing.T, rng *rand.Rand, large bool) reuseCounts {
 	reg := obs.New()
 	c.fib.instrument(newFPObs(reg))
 	c.copied = reg.Counter("fastpath.rules.copied")
-	c.pages = reg.Counter("fastpath.pages.copied")
 	c.prev = c.fib.Acquire()
-	c.older, c.seen = []*Snapshot{c.prev}, [][]slotCopy{slotsOf(c.prev)}
+	c.older, c.seen = []*Snapshot{c.prev}, [][]*switchsim.Flow{slotsOf(c.prev)}
 	if !large {
 		for round := 0; round < 24; round++ {
 			for k := rng.Intn(3); k >= 0; k-- {
@@ -155,19 +149,16 @@ func checkReuse(t *testing.T, rng *rand.Rand, large bool) reuseCounts {
 		t.Fatalf("%d microflows in a %d-slot index; the table never grew to 256 slots", c.prev.micro.Len(), c.prev.micro.Slots())
 	}
 
-	// More changes than the log holds, to both tables: the next compile
-	// starts over. A removal of an absent flow or rule changes nothing, so
-	// it does not count.
+	// More TCAM changes than the log holds, among microflow changes: the
+	// next compile takes the TCAM whole. A removal of an absent rule
+	// changes nothing, so it does not count.
 	for changes := 0; changes <= switchsim.MaxChanges; {
 		f := c.flows[rng.Intn(installed)]
 		switch rng.Intn(4) {
 		case 0:
 			c.sw.InstallMicroflow(f, genAction(rng), switchsim.Cookie{})
-			changes++
 		case 1:
-			if c.sw.RemoveMicroflow(f) {
-				changes++
-			}
+			c.sw.RemoveMicroflow(f)
 		case 2:
 			c.sw.Install(rng.Intn(900), genMatch(rng), genAction(rng))
 			changes++
@@ -177,39 +168,25 @@ func checkReuse(t *testing.T, rng *rand.Rand, large bool) reuseCounts {
 			}
 		}
 	}
-	if v := c.sw.ViewChanged(c.prev.Gen); len(v.Changes) != 0 || v.Micro == nil || v.Ordered == nil {
-		t.Fatalf("%d changes past a %d-entry log were listed (%d) instead of the whole tables", switchsim.MaxChanges+1, switchsim.MaxChanges, len(v.Changes))
+	if v := c.sw.ViewChanged(c.prev.Gen); len(v.Changes) != 0 || v.Ordered == nil {
+		t.Fatalf("%d changes past a %d-entry log were listed (%d) instead of the whole TCAM", switchsim.MaxChanges+1, switchsim.MaxChanges, len(v.Changes))
 	}
 	c.round(-1)
-
-	c.wrapAndRemove()
 	c.unchanged()
 	return c.counts
 }
 
-// slotCopy is one microflow index entry, copied out: its key, its slot,
-// its compiled microflow and what that held.
-type slotCopy struct {
-	k    flowKey
-	slot int
-	p    *rule
-	r    rule
-}
-
-// slotsOf copies out a snapshot's microflow index, entry by entry in slot
-// order.
-func slotsOf(s *Snapshot) []slotCopy {
-	out := make([]slotCopy, 0, s.micro.Len())
-	s.micro.Range(func(k flowKey, r *rule) bool {
-		slot, _, _ := s.micro.Find(k)
-		out = append(out, slotCopy{k: k, slot: slot, p: r, r: *r})
-		return true
-	})
+// slotsOf copies out a snapshot's microflow table, slot by slot.
+func slotsOf(s *Snapshot) []*switchsim.Flow {
+	out := make([]*switchsim.Flow, s.micro.Slots())
+	for slot := range out {
+		out[slot] = s.micro.At(slot)
+	}
 	return out
 }
 
-// unchanged fails the test if a later recompile wrote to a published
-// snapshot's microflow index: patches must copy a shared page first.
+// unchanged fails the test if a later write reached a published
+// snapshot's microflow table: the switch must copy a shared page first.
 func (c *reuseCheck) unchanged() {
 	for i, s := range c.older {
 		if !slices.Equal(slotsOf(s), c.seen[i]) {
@@ -218,77 +195,27 @@ func (c *reuseCheck) unchanged() {
 	}
 }
 
-// wantDelta asserts that the switch lists the changes since the FIB's
-// snapshot instead of copying a table: both tables come as edits, the TCAM
-// whole only after a ReplaceTCAM.
+// wantDelta asserts that the switch lists the TCAM changes since the FIB's
+// snapshot instead of copying the TCAM, which comes whole only after a
+// ReplaceTCAM.
 func (c *reuseCheck) wantDelta(round int) {
 	v := c.sw.ViewChanged(c.prev.Gen)
-	if v.Micro != nil || (v.Ordered != nil) != c.replaced {
-		c.t.Fatalf("round %d: the changes since the last compile came as %d microflows and %d rules (TCAM replaced: %v), not as %d edits",
-			round, len(v.Micro), len(v.Ordered), c.replaced, len(v.Changes))
-	}
-}
-
-// wrapAndRemove installs keys whose home is the index's last slot, so
-// their probe chain wraps to its start, then removes them one by one: each
-// removal shifts the wrapped rest of the chain back across the end.
-func (c *reuseCheck) wrapAndRemove() {
-	t := c.t
-	for attempt := 0; ; attempt++ {
-		if attempt == 4 {
-			t.Fatal("no wrapped probe chain after 4 attempts")
-		}
-		size := c.prev.micro.Slots()
-		last := size - 1
-		var keys []packet.FlowKey
-		for len(keys) < 3 {
-			k := genPacket(c.rng).Flow()
-			if w := flowKeyWords(k); int(uint64(w.Hash())*uint64(size)>>32) == last && c.prev.micro.Len() > 0 {
-				if _, _, held := c.prev.micro.Find(w); !held {
-					keys = append(keys, k)
-				}
-			}
-		}
-		for _, k := range keys {
-			c.sw.InstallMicroflow(k, genAction(c.rng), switchsim.Cookie{})
-		}
-		c.pkts = append(c.pkts, &packet.Packet{Src: keys[0].Src, Dst: keys[0].Dst, SrcPort: keys[0].SrcPort, DstPort: keys[0].DstPort, Proto: keys[0].Proto, TTL: 64})
-		c.round(-2)
-		if c.prev.micro.Slots() != size {
-			for _, k := range keys { // the install grew the index: again at the new size
-				c.sw.RemoveMicroflow(k)
-			}
-			c.round(-2)
-			continue
-		}
-		wrapped := 0
-		for _, k := range keys {
-			if i, _, _ := c.prev.micro.Find(flowKeyWords(k)); i < last {
-				wrapped++
-			}
-		}
-		if wrapped < 2 {
-			t.Fatalf("%d of 3 keys homed at slot %d sit past the end of the index", wrapped, last)
-		}
-		for _, k := range keys {
-			c.sw.RemoveMicroflow(k)
-			c.round(-3)
-		}
-		return
+	if (v.Ordered != nil) != c.replaced {
+		c.t.Fatalf("round %d: the changes since the last compile came as %d rules (TCAM replaced: %v), not as %d edits",
+			round, len(v.Ordered), c.replaced, len(v.Changes))
 	}
 }
 
 // round publishes the FIB's next snapshot and checks it, and a compile
 // from a randomly chosen older snapshot, against a fresh Compile.
 func (c *reuseCheck) round(round int) {
-	t := c.t
 	older := c.older[c.rng.Intn(len(c.older))]
 	var second *Snapshot
 	first := c.rng.Intn(2) == 0 // the second consumer compiles before the FIB does
 	if first {
 		second, _ = compile(c.sw, older)
 	}
-	copied, pages := c.copied.Value(), c.pages.Value()
+	copied := c.copied.Value()
 	reused := c.fib.Acquire()
 	if !first {
 		second, _ = compile(c.sw, older)
@@ -296,7 +223,6 @@ func (c *reuseCheck) round(round int) {
 	fresh := Compile(c.sw)
 	c.agree(round, "reused", reused, fresh)
 	c.agree(round, "from an older snapshot", second, fresh)
-	checkIndex(t, round, reused)
 	if c.copied.Value() != copied && !c.replaced {
 		c.counts.replayedTCAM++
 	}
@@ -305,14 +231,6 @@ func (c *reuseCheck) round(round int) {
 	prev := c.prev
 	if len(prev.tcam) > 0 && len(reused.tcam) > 0 && &prev.tcam[0] == &reused.tcam[0] {
 		c.counts.sharedTCAM++
-	}
-	if prev.micro.Len() > 0 && reused.micro.Len() > 0 {
-		switch pages := int(c.pages.Value() - pages); {
-		case pages == 0 && slices.Equal(slotsOf(prev), slotsOf(reused)):
-			c.counts.sharedMicro++
-		case pages > 0 && pages < reused.micro.Pages():
-			c.counts.patchedMicro++
-		}
 	}
 	c.prev = reused
 	c.older, c.seen = append(c.older, reused), append(c.seen, slotsOf(reused))
@@ -333,12 +251,9 @@ func (c *reuseCheck) agree(round int, name string, s, fresh *Snapshot) {
 			t.Fatalf("round %d: %s snapshot's TCAM rule %d is #%d %+v %+v, fresh #%d %+v %+v", round, name, i, r.r.id, r.m, *r.r, f.r.id, f.m, *f.r)
 		}
 	}
-	fresh.micro.Range(func(k flowKey, want *rule) bool {
-		if _, r, ok := s.micro.Find(k); !ok || *r != *want {
-			t.Fatalf("round %d: %s snapshot's microflow %x is %+v (held: %v), fresh %+v", round, name, k, r, ok, *want)
-		}
-		return true
-	})
+	if !slices.Equal(slotsOf(s), slotsOf(fresh)) {
+		t.Fatalf("round %d: the %s snapshot's microflow table is not the one a fresh Compile takes", round, name)
+	}
 	var tr, tf tally
 	tr.ensure(s.slots())
 	tf.ensure(fresh.slots())
@@ -364,52 +279,24 @@ func (c *reuseCheck) agree(round int, name string, s, fresh *Snapshot) {
 	}
 }
 
-// checkIndex checks a microflow index's shape: at most half full, at most
-// a quarter of its pages copied since it was last laid out, and each entry
-// a compiled microflow found in its own slot. The index's own tests check
-// its probe chains.
-func checkIndex(t *testing.T, round int, s *Snapshot) {
-	t.Helper()
-	tb := &s.micro
-	if 8*tb.Len() > microLoad*tb.Slots() {
-		t.Fatalf("round %d: %d entries in %d slots, past %d per 8", round, tb.Len(), tb.Slots(), microLoad)
-	}
-	if 4*tb.Loose() > tb.Pages() {
-		t.Fatalf("round %d: %d of %d pages are loose; past a quarter the index is laid out again", round, tb.Loose(), tb.Pages())
-	}
-	n := 0
-	tb.Range(func(k flowKey, r *rule) bool {
-		n++
-		if i, _, ok := tb.Find(k); !ok || tb.At(i) != r || r == nil || r.live == nil {
-			t.Fatalf("round %d: the entry for %x is not a compiled microflow in its slot", round, k)
-		}
-		return true
-	})
-	if n != tb.Len() {
-		t.Fatalf("round %d: the index holds %d entries and counts %d", round, n, tb.Len())
-	}
-}
-
 // TestSnapshotReuseQuick is the property test of the reusing recompile:
 // for arbitrary tables and mutation sequences it is indistinguishable from
-// a fresh Compile, and the runs do share both tables, patch the microflow
-// index and replay TCAM edits.
+// a fresh Compile, and the runs do share the compiled TCAM and replay TCAM
+// edits.
 func TestSnapshotReuseQuick(t *testing.T) {
 	var sum reuseCounts
 	f := func(seed int64) bool {
 		c := checkReuse(t, rand.New(rand.NewSource(seed)), seed%4 == 0)
 		sum.sharedTCAM += c.sharedTCAM
-		sum.sharedMicro += c.sharedMicro
-		sum.patchedMicro += c.patchedMicro
 		sum.replayedTCAM += c.replayedTCAM
 		return !t.Failed()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
-	if sum.sharedTCAM == 0 || sum.sharedMicro == 0 || sum.patchedMicro == 0 || sum.replayedTCAM == 0 {
-		t.Fatalf("%d recompiles shared the compiled TCAM, %d the microflow index, %d patched it and %d replayed TCAM edits; the test exercised too little reuse",
-			sum.sharedTCAM, sum.sharedMicro, sum.patchedMicro, sum.replayedTCAM)
+	if sum.sharedTCAM == 0 || sum.replayedTCAM == 0 {
+		t.Fatalf("%d recompiles shared the compiled TCAM and %d replayed TCAM edits; the test exercised too little reuse",
+			sum.sharedTCAM, sum.replayedTCAM)
 	}
 }
 
@@ -428,9 +315,9 @@ func FuzzSnapshotReuse(f *testing.F) {
 
 // TestMicroflowChurnUnderBursts walks bursts through a switch from four
 // walkers while another goroutine installs and removes microflows, so the
-// index is patched, grown and shrunk while acquirers race to recompile,
-// often from the same snapshot; run it under -race. After the churn the
-// snapshot gives Process's verdict and rewrites on every packet.
+// switch writes, grows and lays out its table while acquirers race to
+// recompile, often from the same snapshot; run it under -race. After the
+// churn the snapshot gives Process's verdict and rewrites on every packet.
 func TestMicroflowChurnUnderBursts(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	sw := buildSwitch(genSpecs(rng, 8), switchsim.Action{Output: -1})
@@ -480,7 +367,6 @@ func TestMicroflowChurnUnderBursts(t *testing.T) {
 	if snap.Gen != sw.Generation() || snap.micro.Len() != sw.NumMicroflows() {
 		t.Fatalf("post-churn snapshot gen %d with %d microflows, switch gen %d with %d", snap.Gen, snap.micro.Len(), sw.Generation(), sw.NumMicroflows())
 	}
-	checkIndex(t, 0, snap)
 	for i, p := range pkts {
 		a, b := *p, *p
 		v, want := fib.Step(&a, i%4), sw.Process(&b, i%4)

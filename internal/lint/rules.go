@@ -86,13 +86,12 @@ func DefaultRules() *Rules {
 			"repro/internal/dirty":    {},
 			"repro/internal/topo":     {"repro/internal/packet"},
 			"repro/internal/switchsim": {
-				"repro/internal/dirty", "repro/internal/obs",
-				"repro/internal/packet",
-			},
-			"repro/internal/fastpath": {
 				"repro/internal/cowindex", "repro/internal/dirty",
 				"repro/internal/obs", "repro/internal/packet",
-				"repro/internal/switchsim",
+			},
+			"repro/internal/fastpath": {
+				"repro/internal/dirty", "repro/internal/obs",
+				"repro/internal/packet", "repro/internal/switchsim",
 			},
 			"repro/internal/mbox": {
 				"repro/internal/packet", "repro/internal/topo",

@@ -3,7 +3,9 @@
 // prefixes and port ranges), an exact-match microflow table for access
 // switches, header-rewrite actions, per-rule counters, and atomic batch
 // updates. Gateway and core switches use only the TCAM table; access
-// switches additionally hold microflow rules installed by the local agent.
+// switches additionally hold microflow rules installed by the local agent,
+// in one copy-on-write index that fast-path snapshots read as the switch
+// sealed it (ViewChanged), so no second copy of a microflow exists.
 package switchsim
 
 import (
@@ -174,8 +176,8 @@ func DropAction() Action { return Action{Output: -1, Drop: true} }
 // Punt builds a send-to-controller action.
 func Punt() Action { return Action{Output: -1, ToController: true} }
 
-// apply mutates the packet's headers per the rewrite fields.
-func (a Action) apply(p *packet.Packet) {
+// Apply mutates the packet's headers per the rewrite fields.
+func (a *Action) Apply(p *packet.Packet) {
 	if a.Set&SetSrc != 0 {
 		p.Src = a.Src
 	}
@@ -204,7 +206,7 @@ func (a Action) apply(p *packet.Packet) {
 // Rewritten returns key as the action's rewrites leave it.
 func (a Action) Rewritten(key packet.FlowKey) packet.FlowKey {
 	p := packet.Packet{Src: key.Src, Dst: key.Dst, SrcPort: key.SrcPort, DstPort: key.DstPort, Proto: key.Proto}
-	a.apply(&p)
+	a.Apply(&p)
 	return p.Flow()
 }
 

@@ -15,6 +15,9 @@ type swObs struct {
 	miss      *obs.Counter // table misses (table-miss action applied)
 	punt      *obs.Counter // final verdict: to controller/agent
 	drop      *obs.Counter // final verdict: dropped
+	// pageCopy counts the microflow index's block pages writes replaced
+	// by copies, and the pages a relayout copied (see microTable.seal).
+	pageCopy *obs.Counter
 }
 
 // Instrument registers the switch's telemetry on reg. Call it before
@@ -33,5 +36,6 @@ func (s *Switch) Instrument(reg *obs.Registry) {
 		miss:      reg.Counter("switchsim.tcam.miss"),
 		punt:      reg.Counter("switchsim.punt"),
 		drop:      reg.Counter("switchsim.drop"),
+		pageCopy:  reg.Counter("switchsim.micro.pages.copied"),
 	}
 }

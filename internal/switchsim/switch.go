@@ -104,13 +104,9 @@ type Switch struct {
 	Name string
 
 	mu      sync.RWMutex
-	ordered []*Rule                  // guarded by mu; priority desc, see Install and ReplaceTCAM
-	micro   map[packet.FlowKey]*Flow // guarded by mu
-	// owned lists the microflow keys of each cookie owner, in install
-	// order: every entry of micro whose cookie names an owner, once.
-	// guarded by mu
-	owned  map[packet.Addr][]packet.FlowKey
-	nextID RuleID // guarded by mu
+	ordered []*Rule     // guarded by mu; priority desc, see Install and ReplaceTCAM
+	micro   *microTable // guarded by mu; nil until an InstallMicroflow
+	nextID  RuleID      // guarded by mu
 	// inOrder is true while ordered is what ReplaceTCAM and Splice made
 	// it, in their order; Install and Remove clear it. guarded by mu
 	inOrder bool
@@ -119,22 +115,18 @@ type Switch struct {
 	// gen counts table mutations: every Install/Remove (TCAM or
 	// microflow), ReplaceTCAM and Splice bumps it. Writes happen under mu;
 	// reads go through Generation's atomic load, so fast-path snapshot
-	// caches detect staleness without touching the lock. microGen and
-	// tcamGen are the generations of each table's latest change, so a view
-	// can leave out a table that did not move (see ViewChanged).
-	gen      uint64
-	microGen uint64 // guarded by mu
-	tcamGen  uint64 // guarded by mu
+	// caches detect staleness without touching the lock.
+	gen uint64
 	// watch, when set, is marked at every generation step, as switch
 	// watchAt (see Watch). guarded by mu
 	watch *dirty.Set
 
-	// log lists the changes to both tables after generation logFrom,
-	// oldest first, so a compile holding the tables as of a generation in
-	// [logFrom, gen] is handed its edits, not a copy (see ViewChanged).
-	// Recording starts at the first ViewChanged (logging), so plant set-up
-	// before any compile keeps no log. The log grows only at its end and
-	// drops consumed entries only from its front, so a slice of it already
+	// log lists the TCAM changes after generation logFrom, oldest first,
+	// so a compile holding the TCAM as of a generation in [logFrom, gen]
+	// is handed its edits, not a copy (see ViewChanged). Recording starts
+	// at the first ViewChanged (logging), so plant set-up before any
+	// compile keeps no log. The log grows only at its end and drops
+	// consumed entries only from its front, so a slice of it already
 	// handed out stays valid. A ReplaceTCAM is not logged: tcamFrom is its
 	// generation, and a compile older than it is handed the whole TCAM.
 	// guarded by mu
@@ -187,22 +179,17 @@ func (s *Switch) Watch(c *dirty.Set, i int) {
 }
 
 // MaxChanges bounds a switch's change log. A change past the bound empties
-// the log, and a compile then behind it copies the whole tables (see
+// the log, and a compile then behind it copies the whole TCAM (see
 // ViewChanged).
 const MaxChanges = 128
 
-// Change is one table change, logged at generation Gen. A microflow change
-// (TCAM unset) says that the entry for Key became Flow, or with Flow nil was
-// removed. A TCAM change says that Rule went into the TCAM at position At,
-// or with Rule nil that the rule at At came out; a position counts in the
-// table as the changes before it left it, so replaying the changes in order
-// on a copy of the table gives the table after them.
+// Change is one TCAM change, logged at generation Gen: Rule went into the
+// TCAM at position At, or with Rule nil the rule at At came out. A position
+// counts in the table as the changes before it left it, so replaying the
+// changes in order on a copy of the table gives the table after them.
 type Change struct {
 	Gen  uint64
-	Key  packet.FlowKey
 	At   int32
-	TCAM bool
-	Flow *Flow
 	Rule *Rule
 }
 
@@ -233,17 +220,7 @@ const logBlock = 16
 //
 // caller holds mu
 func (s *Switch) tcamChanged(at int, r *Rule) {
-	s.tcamGen = s.step()
-	s.logged(Change{Gen: s.tcamGen, At: int32(at), TCAM: true, Rule: r})
-}
-
-// microChanged records one microflow-table mutation: key's entry became f,
-// or with f nil was removed.
-//
-// caller holds mu
-func (s *Switch) microChanged(key packet.FlowKey, f *Flow) {
-	s.microGen = s.step()
-	s.logged(Change{Gen: s.microGen, Key: key, Flow: f})
+	s.logged(Change{Gen: s.step(), At: int32(at), Rule: r})
 }
 
 // BurstStats aggregates one burst's pipeline tallies so compiled fast
@@ -278,44 +255,35 @@ func (s *Switch) AccountBurst(b BurstStats) {
 }
 
 // TableView is a consistent export of the switch's tables for fast-path
-// compilers: the generation it was taken at, each table whole or the changes
-// to it since the caller's copy, and the table-miss action. The rule and
-// flow pointers are the live entries — treat them as read-only except for
-// the atomic traffic counters behind Counters.Account. An entry keeps its
-// pointer for as long as it is installed, so equal pointers in two views are
+// compilers at generation Gen. The rule and flow pointers are the live
+// entries — read-only but for the atomic traffic counters; an entry keeps
+// its pointer while it is installed, so equal pointers in two views are
 // the same entry, unchanged.
 type TableView struct {
-	Gen uint64
-	// Micro is the whole microflow table, and Ordered the whole TCAM in
-	// match order. A table handed whole is never nil (an empty one is
-	// empty); a nil one was left out, and Changes carries whatever moved
-	// in it since the caller's copy.
-	Micro   map[packet.FlowKey]*Flow
+	Gen   uint64
+	Flows Microflows
+	// Ordered is the whole TCAM in match order, never nil when handed; nil
+	// means Changes, applied in order to the caller's copy, give the TCAM
+	// at Gen. Changes is the switch's own log: read it, never write it.
 	Ordered []*Rule
-	// Changes lists oldest first the changes after the caller's
-	// generation: applied in order to the caller's copy of each table left
-	// out, they give the table at Gen. Changes to a table handed whole are
-	// listed too, and are to be skipped. The slice is the switch's own log;
-	// read it, never write it.
 	Changes []Change
 	Miss    Action
 }
 
 // ViewChanged exports the tables under one lock for a caller that already
-// holds them as of generation gen (^uint64(0) for none). A table that has
-// not changed since gen is left out. A moved table comes as the changes
-// since gen when the switch's log still holds them all, and whole when it
-// does not: the first call, a gen older than the log or not of this switch,
-// or a log that passed MaxChanges since; the TCAM also comes whole when a
-// ReplaceTCAM ran since gen. Log entries up to gen are taken as consumed
-// and dropped, so at steady state the log holds only the changes since the
+// holds them as of generation gen (^uint64(0) for none). It seals the
+// microflow table and hands it over whole, which costs nothing. The TCAM
+// comes as the changes since gen when the switch's log still holds them
+// all, and whole when it does not: the first call, a gen older than the
+// log or not of this switch, a log that passed MaxChanges since, or a
+// ReplaceTCAM since gen. Log entries up to gen are taken as consumed and
+// dropped, so at steady state the log holds only the changes since the
 // last compile.
 func (s *Switch) ViewChanged(gen uint64) TableView {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	v := TableView{Gen: s.Generation(), Miss: s.TableMiss}
-	known := gen <= v.Gen
-	logged := known && s.logging && s.logFrom <= gen
+	logged := gen <= v.Gen && s.logging && s.logFrom <= gen
 	if logged {
 		i := 0
 		for i < len(s.log) && s.log[i].Gen <= gen {
@@ -327,13 +295,10 @@ func (s *Switch) ViewChanged(gen uint64) TableView {
 	if !s.logging {
 		s.logging, s.logFrom = true, v.Gen
 	}
-	if !logged && (!known || s.microGen > gen) {
-		v.Micro = make(map[packet.FlowKey]*Flow, len(s.micro))
-		for k, f := range s.micro {
-			v.Micro[k] = f
-		}
+	if s.micro != nil {
+		v.Flows = s.micro.seal(&s.obs)
 	}
-	if (!logged || s.tcamFrom > gen) && (!known || s.tcamGen > gen) {
+	if !logged || s.tcamFrom > gen {
 		v.Ordered = make([]*Rule, len(s.ordered))
 		copy(v.Ordered, s.ordered)
 	}
@@ -344,8 +309,6 @@ func (s *Switch) ViewChanged(gen uint64) TableView {
 func NewSwitch(name string) *Switch {
 	return &Switch{
 		Name:      name,
-		micro:     make(map[packet.FlowKey]*Flow),
-		owned:     make(map[packet.Addr][]packet.FlowKey),
 		TableMiss: Action{Output: -1, Drop: true},
 	}
 }
@@ -414,50 +377,23 @@ type Flow struct {
 func (s *Switch) InstallMicroflow(key packet.FlowKey, a Action, c Cookie) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f := &Flow{Action: a, Cookie: c}
-	var was packet.Addr
-	if old, ok := s.micro[key]; ok {
-		was = old.Cookie.Owner
+	if s.micro == nil {
+		s.micro = newMicroTable()
 	}
-	s.micro[key] = f
-	s.own(key, was, c.Owner)
-	s.microChanged(key, f)
+	s.micro.write(key, &Flow{Action: a, Cookie: c}, &s.obs)
+	s.step()
 }
 
 // RemoveMicroflow deletes an exact-match entry.
 func (s *Switch) RemoveMicroflow(key packet.FlowKey) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f, ok := s.micro[key]
-	if !ok {
+	if _, ok := s.micro.flow(key); !ok {
 		return false
 	}
-	delete(s.micro, key)
-	s.own(key, f.Cookie.Owner, 0)
-	s.microChanged(key, nil)
+	s.micro.write(key, nil, &s.obs)
+	s.step()
 	return true
-}
-
-// own moves key in the owner index from owner was to owner now; the zero
-// address is no owner.
-//
-// caller holds mu
-func (s *Switch) own(key packet.FlowKey, was, now packet.Addr) {
-	if was == now {
-		return
-	}
-	if was != 0 {
-		keys := s.owned[was]
-		i := slices.Index(keys, key)
-		if keys = slices.Delete(keys, i, i+1); len(keys) == 0 {
-			delete(s.owned, was)
-		} else {
-			s.owned[was] = keys
-		}
-	}
-	if now != 0 {
-		s.owned[now] = append(s.owned[now], key)
-	}
 }
 
 // Microflow is one microflow entry as Owned lists it.
@@ -473,8 +409,11 @@ type Microflow struct {
 func (s *Switch) Owned(dst []Microflow, owner packet.Addr) []Microflow {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	for _, k := range s.owned[owner] {
-		f := s.micro[k]
+	if s.micro == nil {
+		return dst
+	}
+	for _, k := range s.micro.owned[owner] {
+		f, _ := s.micro.flow(k)
 		dst = append(dst, Microflow{Key: k, Action: f.Action, Cookie: f.Cookie})
 	}
 	return dst
@@ -485,8 +424,10 @@ func (s *Switch) Owned(dst []Microflow, owner packet.Addr) []Microflow {
 func (s *Switch) Owners(dst []packet.Addr) []packet.Addr {
 	s.mu.RLock()
 	n := len(dst)
-	for o := range s.owned {
-		dst = append(dst, o)
+	if s.micro != nil {
+		for o := range s.micro.owned {
+			dst = append(dst, o)
+		}
 	}
 	s.mu.RUnlock()
 	slices.Sort(dst[n:])
@@ -498,8 +439,7 @@ func (s *Switch) Owners(dst []packet.Addr) []packet.Addr {
 func (s *Switch) Microflow(key packet.FlowKey) (*Flow, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	f, ok := s.micro[key]
-	return f, ok
+	return s.micro.flow(key)
 }
 
 // Process runs one packet through the pipeline: microflow exact match
@@ -519,7 +459,7 @@ func (s *Switch) Process(p *packet.Packet, inPort int) Verdict {
 
 	var v Verdict
 	matched := false
-	if f, ok := s.micro[p.Flow()]; ok {
+	if f, ok := s.micro.flow(p.Flow()); ok {
 		s.obs.microHit.Inc()
 		v = execute(&f.Action, &f.Counters, p)
 		v.Flow = f
@@ -552,7 +492,7 @@ func (s *Switch) Process(p *packet.Packet, inPort int) Verdict {
 	s.obs.miss.Inc()
 	v = Verdict{Output: -1}
 	a := s.TableMiss
-	a.apply(p)
+	a.Apply(p)
 	v.Drop = a.Drop || (!a.ToController && a.Output < 0)
 	v.ToController = a.ToController
 	v.Output = a.Output
@@ -574,7 +514,7 @@ func (s *Switch) finish(v Verdict) Verdict {
 // entry's counters, and builds the verdict; the caller names the entry.
 func execute(a *Action, c *Counters, p *packet.Packet) Verdict {
 	c.Account(len(p.Payload))
-	a.apply(p)
+	a.Apply(p)
 	return Verdict{
 		Output:       a.Output,
 		Drop:         a.Drop || (!a.ToController && !a.Resubmit && a.Output < 0),
@@ -595,7 +535,10 @@ func (s *Switch) NumRules() int {
 func (s *Switch) NumMicroflows() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.micro)
+	if s.micro == nil {
+		return 0
+	}
+	return s.micro.live.Len()
 }
 
 // Rules returns a snapshot of the TCAM in match order.
@@ -636,8 +579,7 @@ func (s *Switch) ReplaceTCAM(rules []Rule) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.tcamGen = s.step()
-	s.tcamFrom = s.tcamGen
+	s.tcamFrom = s.step()
 	for i, r := range ordered {
 		r.ID = s.nextID + RuleID(i) + 1
 	}
@@ -699,20 +641,20 @@ func (s *Switch) Splice(edits []Edit) bool {
 		}
 	}
 
-	s.tcamGen = s.step()
+	g := s.step()
 	added := make([]Rule, 0, inserts)
 	for i := range edits {
 		e := &edits[i]
 		at, _ := slices.BinarySearchFunc(s.ordered, &e.Rule, matchOrder)
 		if e.Remove {
 			s.ordered = slices.Delete(s.ordered, at, at+1)
-			s.logged(Change{Gen: s.tcamGen, At: int32(at), TCAM: true})
+			s.logged(Change{Gen: g, At: int32(at)})
 			continue
 		}
 		s.nextID++
 		added = append(added, Rule{ID: s.nextID, Priority: e.Rule.Priority, Match: e.Rule.Match, Action: e.Rule.Action})
 		s.ordered = slices.Insert(s.ordered, at, &added[len(added)-1])
-		s.logged(Change{Gen: s.tcamGen, At: int32(at), TCAM: true, Rule: &added[len(added)-1]})
+		s.logged(Change{Gen: g, At: int32(at), Rule: &added[len(added)-1]})
 	}
 	return true
 }

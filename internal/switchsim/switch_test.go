@@ -183,8 +183,9 @@ func TestFlowIsSixtyFourBytes(t *testing.T) {
 }
 
 // TestSwitchFitsItsSizeClass pins a switch at or under 288 B, an
-// allocator size class: one change log for both tables keeps it there, and
-// a second log would push every switch into the next class.
+// allocator size class (it is 272 B): the microflow table's two indexes sit
+// behind one pointer that only access switches fill, and inline they would
+// push every switch into a larger class.
 func TestSwitchFitsItsSizeClass(t *testing.T) {
 	if got := unsafe.Sizeof(Switch{}); got > 288 {
 		t.Fatalf("a switch is %d B, past its 288 B size class", got)
@@ -271,13 +272,14 @@ func TestViewIsTheFastPathsContract(t *testing.T) {
 	if len(v.Ordered) != 2 || v.Ordered[0].ID != high || v.Ordered[1].ID != low {
 		t.Fatalf("view rules out of match order: %+v", v.Ordered)
 	}
-	if live, ok := s.Microflow(key); !ok || v.Micro[key] != live || len(v.Micro) != 1 {
-		t.Fatalf("view microflows %v, switch holds %v", v.Micro, live)
+	live, _ := s.Microflow(key)
+	if _, f, ok := v.Flows.Lookup(pkt(5, 6, 7, 8)); !ok || f != live || v.Flows.Len() != 1 {
+		t.Fatalf("view microflow %p of %d, switch holds %p", f, v.Flows.Len(), live)
 	}
 	s.Install(PrioTag, matchAll, Action{Output: 3})
 	s.RemoveMicroflow(key)
-	if len(v.Ordered) != 2 || len(v.Micro) != 1 || v.Gen == s.Generation() {
-		t.Fatalf("a later mutation reached the view (%d rules, %d microflows) or left the generation at %d", len(v.Ordered), len(v.Micro), v.Gen)
+	if _, f, _ := v.Flows.Lookup(pkt(5, 6, 7, 8)); len(v.Ordered) != 2 || f != live || v.Flows.Len() != 1 || v.Gen == s.Generation() {
+		t.Fatalf("a later mutation reached the view (%d rules, %d microflows) or left the generation at %d", len(v.Ordered), v.Flows.Len(), v.Gen)
 	}
 
 	v.Ordered[0].AccountN(3, 100)
@@ -290,21 +292,23 @@ func TestViewIsTheFastPathsContract(t *testing.T) {
 	}
 }
 
-// TestViewChangedListsMicroflowEdits covers the change log: no log before
-// the first view, the edits to both tables since a caller's generation in
-// order once there is one (TCAM edits by position), consumed edits
-// dropped, the TCAM whole after a ReplaceTCAM, and both tables whole for a
-// caller the log does not reach — older than it, or behind more than
-// MaxChanges edits.
-func TestViewChangedListsMicroflowEdits(t *testing.T) {
+// TestViewChangedListsTCAMEdits covers the change log: no log before the
+// first view, the TCAM edits since a caller's generation in order, by
+// position, once there is one, consumed edits dropped, no microflow edit
+// logged (the view hands the microflow table sealed), the TCAM whole after a
+// ReplaceTCAM, and whole for a caller the log does not reach — older than
+// it, or behind more than MaxChanges edits.
+func TestViewChangedListsTCAMEdits(t *testing.T) {
 	s := NewSwitch("s")
 	k1, k2 := pkt(1, 2, 3, 4).Flow(), pkt(5, 6, 7, 8).Flow()
 	s.InstallMicroflow(k1, Action{Output: 1}, Cookie{})
-	set := s.Generation()
 	s.InstallMicroflow(k2, Action{Output: 2}, Cookie{})
-	if v := s.ViewChanged(set); v.Micro == nil || v.Ordered != nil || len(v.Changes) != 0 {
-		t.Fatalf("the first view listed %d edits of a set-up that kept no log", len(v.Changes))
+	set := s.Generation()
+	s.Install(PrioDefault, matchAll, Action{Output: 9})
+	if v := s.ViewChanged(set); v.Ordered == nil || len(v.Changes) != 0 || v.Flows.Len() != 2 {
+		t.Fatalf("the first view listed %d edits of a set-up that kept no log, and %d microflows", len(v.Changes), v.Flows.Len())
 	}
+	s.ReplaceTCAM(nil)
 
 	v0 := s.View()
 	s.InstallMicroflow(k1, Action{Output: 3}, Cookie{})
@@ -313,55 +317,52 @@ func TestViewChangedListsMicroflowEdits(t *testing.T) {
 	s.RemoveMicroflow(k2)
 	s.Remove(low)
 	v1 := s.ViewChanged(v0.Gen)
-	live, _ := s.Microflow(k1)
-	if v1.Micro != nil || v1.Ordered != nil || len(v1.Changes) != 5 {
-		t.Fatalf("five edits since the caller's view came as %d entries, %d rules and %d edits", len(v1.Micro), len(v1.Ordered), len(v1.Changes))
+	if v1.Ordered != nil || len(v1.Changes) != 3 || v1.Flows.Len() != 1 {
+		t.Fatalf("five edits since the caller's view came as %d rules, %d edits and %d microflows", len(v1.Ordered), len(v1.Changes), v1.Flows.Len())
 	}
 	c := v1.Changes
-	if c[0].TCAM || c[0].Key != k1 || c[0].Flow != live || c[3].TCAM || c[3].Key != k2 || c[3].Flow != nil ||
-		c[0].Gen <= v0.Gen || c[4].Gen != v1.Gen {
-		t.Fatalf("edits %+v, want k1 re-installed as %p and k2 removed", c, live)
+	if c[0].At != 0 || c[0].Rule == nil || c[0].Rule.ID != low || c[0].Gen <= v0.Gen ||
+		c[1].At != 0 || c[1].Rule == nil || c[2].At != 1 || c[2].Rule != nil || c[2].Gen != v1.Gen {
+		t.Fatalf("TCAM edits %+v, want #%d in at 0, the tag rule in at 0, position 1 out", c, low)
 	}
-	if !c[1].TCAM || c[1].At != 0 || c[1].Rule == nil || c[1].Rule.ID != low ||
-		!c[2].TCAM || c[2].At != 0 || c[2].Rule == nil || !c[4].TCAM || c[4].At != 1 || c[4].Rule != nil {
-		t.Fatalf("TCAM edits %+v %+v %+v, want #%d in at 0, the tag rule in at 0, position 1 out", c[1], c[2], c[4], low)
+	if v := s.ViewChanged(v1.Gen); len(v.Changes) != 0 || v.Ordered != nil {
+		t.Fatal("a current caller was handed the TCAM")
 	}
-	if v := s.ViewChanged(v1.Gen); v.Micro != nil || len(v.Changes) != 0 || v.Ordered != nil {
-		t.Fatal("a current caller was handed a table")
-	}
-	if v := s.ViewChanged(v0.Gen); len(v.Micro) != 1 || len(v.Ordered) != 1 || len(v.Changes) != 0 {
-		t.Fatalf("a caller behind consumed edits got %d edits, not the whole tables", len(v.Changes))
+	if v := s.ViewChanged(v0.Gen); len(v.Ordered) != 1 || len(v.Changes) != 0 {
+		t.Fatalf("a caller behind consumed edits got %d edits, not the whole TCAM", len(v.Changes))
 	}
 
-	s.InstallMicroflow(k2, Action{Output: 6}, Cookie{})
+	s.Install(PrioMobility, matchAll, Action{Output: 6})
 	s.ReplaceTCAM([]Rule{{Priority: PrioTag, Match: matchAll, Action: Action{Output: 7}}})
-	s.InstallMicroflow(k2, Action{Output: 8}, Cookie{})
-	if v := s.ViewChanged(v1.Gen); v.Micro != nil || len(v.Ordered) != 1 || len(v.Changes) != 2 {
-		t.Fatalf("a ReplaceTCAM between two microflow edits came as %d entries, %d rules and %d edits; want the TCAM whole and the 2 edits", len(v.Micro), len(v.Ordered), len(v.Changes))
+	s.Install(PrioMobility, matchAll, Action{Output: 8})
+	if v := s.ViewChanged(v1.Gen); len(v.Ordered) != 2 || len(v.Changes) != 2 {
+		t.Fatalf("a ReplaceTCAM between two edits came as %d rules and %d edits; want the TCAM whole and the 2 edits", len(v.Ordered), len(v.Changes))
 	}
 	v2 := s.View()
-	if v := s.ViewChanged(v2.Gen); v.Micro != nil || v.Ordered != nil || len(v.Changes) != 0 {
-		t.Fatal("a caller current since the ReplaceTCAM was handed a table")
+	s.InstallMicroflow(k2, Action{Output: 6}, Cookie{})
+	if v := s.ViewChanged(v2.Gen); v.Gen == v2.Gen || v.Ordered != nil || len(v.Changes) != 0 || v.Flows.Len() != 2 {
+		t.Fatalf("a microflow install came as %d rules, %d edits and %d microflows at generation %d", len(v.Ordered), len(v.Changes), v.Flows.Len(), v.Gen)
 	}
 
+	v2 = s.View()
 	for i := 0; i < MaxChanges; i++ {
-		s.InstallMicroflow(k2, Action{Output: i}, Cookie{})
+		s.Install(PrioTag, matchAll, Action{Output: i})
 	}
-	if v := s.ViewChanged(v2.Gen); len(v.Changes) != MaxChanges || v.Micro != nil || v.Ordered != nil {
+	if v := s.ViewChanged(v2.Gen); len(v.Changes) != MaxChanges || v.Ordered != nil {
 		t.Fatalf("%d edits at the bound came as %d edits", MaxChanges, len(v.Changes))
 	}
 	last := s.View()
 	for i := 0; i <= MaxChanges; i++ {
-		s.RemoveMicroflow(k1)
-		s.InstallMicroflow(k1, Action{Output: i}, Cookie{})
+		s.Remove(s.Install(PrioTag, matchAll, Action{Output: i}))
 	}
-	if v := s.ViewChanged(last.Gen); v.Micro == nil || v.Ordered != nil || len(v.Changes) != 0 {
-		t.Fatalf("%d edits past the bound came as %d edits, not the whole table", 2*(MaxChanges+1), len(v.Changes))
+	if v := s.ViewChanged(last.Gen); v.Ordered == nil || len(v.Changes) != 0 {
+		t.Fatalf("%d edits past the bound came as %d edits, not the whole TCAM", 2*(MaxChanges+1), len(v.Changes))
 	}
+	s.ReplaceTCAM(nil)
 	last = s.View()
 	s.Splice(nil)
-	if v := s.ViewChanged(last.Gen); v.Gen == last.Gen || v.Micro != nil || v.Ordered != nil || len(v.Changes) != 0 {
-		t.Fatalf("an empty splice came as %d entries, %d rules and %d edits", len(v.Micro), len(v.Ordered), len(v.Changes))
+	if v := s.ViewChanged(last.Gen); v.Gen == last.Gen || v.Ordered != nil || len(v.Changes) != 0 {
+		t.Fatalf("an empty splice came as %d rules and %d edits", len(v.Ordered), len(v.Changes))
 	}
 }
 
@@ -478,7 +479,7 @@ func TestRewrittenAppliesTheAction(t *testing.T) {
 		Src: packet.AddrFrom4(10, 0, 16, 1), SrcPort: 0x1c05, DstTag: 3, TagEphBits: 10, DSCP: 46}
 	p := pkt(packet.AddrFrom4(100, 64, 0, 1), packet.AddrFrom4(1, 1, 1, 1), 40000, 0x0407)
 	k := p.Flow()
-	a.apply(p)
+	a.Apply(p)
 	if got := a.Rewritten(k); got != p.Flow() {
 		t.Fatalf("Rewritten(%s) = %s, want %s", k, got, p.Flow())
 	}
