@@ -160,26 +160,27 @@ span-alloc-gate:
 	echo "span-alloc-gate: not-sampled span path is allocation free"
 
 # sync-alloc-gate pins what the Sync after a handoff allocates: it splices
-# the shortcuts into the switches they touch and recompiles only their
-# snapshots' TCAMs, replaying each switch's change log on the compiled TCAM
-# before (40 B a rule copied, the rules that stayed shared), and a handoff
-# cuts shortcuts only for the clauses the UE's classifiers allow, so
-# BenchmarkSyncAfterHandoff must stay at or under 13 700 B/op and 30
-# allocs/op (11.9 kB and 28 allocs measured, so a margin of about a sixth
-# and 2 allocs; 12.1 kB while microflow edits shared the change log, 24.9
-# kB while each recompile copied the whole TCAM's rule pointers and
-# re-appended its 104 B compiled rules, 31.7 kB and 35 allocs while every
-# path at the old station got a shortcut, 74.5 kB while every changed
-# switch was rebuilt and recompiled whole).
+# the shortcuts into the switches they touch, each splice writing the
+# switch's TCAM into one new slice of 40 B entries (the snapshot before
+# keeps the sealed one), and the recompiles take each switch's sealed
+# tables as they are; a handoff cuts shortcuts only for the clauses the
+# UE's classifiers allow. So BenchmarkSyncAfterHandoff must stay at or
+# under 12 800 B/op and 23 allocs/op (11.0 kB and 21 allocs measured, so a
+# margin of about a sixth and 2 allocs; 11.9 kB and 28 allocs under 13 700
+# B / 30 allocs while recompiles replayed a TCAM change log on the fast
+# path's own compiled copy, 24.9 kB while each recompile copied the whole
+# TCAM, 31.7 kB and 35 allocs while every path at the old station got a
+# shortcut, 74.5 kB while every changed switch was rebuilt and recompiled
+# whole).
 sync-alloc-gate:
 	@out=$$($(GO) test -run '^$$' -bench '^BenchmarkSyncAfterHandoff$$' -benchmem ./internal/dataplane); \
 	echo "$$out"; \
 	bytes=$$(echo "$$out" | awk '/BenchmarkSyncAfterHandoff/ {for (i=1;i<=NF;i++) if ($$i == "B/op") print $$(i-1)}'); \
 	allocs=$$(echo "$$out" | awk '/BenchmarkSyncAfterHandoff/ {for (i=1;i<=NF;i++) if ($$i == "allocs/op") print $$(i-1)}'); \
 	if [ -z "$$bytes" ] || [ -z "$$allocs" ]; then echo "sync-alloc-gate: benchmark produced no B/op or allocs/op figure"; exit 1; fi; \
-	if [ "$$bytes" -gt 13700 ]; then echo "FAIL: the Sync after a handoff allocates $$bytes B/op (limit 13700)"; exit 1; fi; \
-	if [ "$$allocs" -gt 30 ]; then echo "FAIL: the Sync after a handoff makes $$allocs allocs/op (limit 30)"; exit 1; fi; \
-	echo "sync-alloc-gate: the Sync after a handoff allocates $$bytes B/op (limit 13700) in $$allocs allocs/op (limit 30)"
+	if [ "$$bytes" -gt 12800 ]; then echo "FAIL: the Sync after a handoff allocates $$bytes B/op (limit 12800)"; exit 1; fi; \
+	if [ "$$allocs" -gt 23 ]; then echo "FAIL: the Sync after a handoff makes $$allocs allocs/op (limit 23)"; exit 1; fi; \
+	echo "sync-alloc-gate: the Sync after a handoff allocates $$bytes B/op (limit 12800) in $$allocs allocs/op (limit 23)"
 
 # flowsetup-alloc-gate pins that a flow's cost does not grow with the flows
 # already resident: the access switch writes a new flow's two microflows,
@@ -205,26 +206,26 @@ flowsetup-alloc-gate:
 
 # handoff-alloc-gate pins what one whole Network.Handoff of a UE with
 # established flows allocates on the warmed generated plant: the controller
-# move, the agents' admission and flow migration, and the Sync whose
-# recompiles replay each touched switch's change log instead of copying
-# its tables. BenchmarkHandoff must stay at or under 31 000 B/op and 78
-# allocs/op (25.6 kB and 76 allocs measured, so a margin of about a fifth
-# and 2 allocs: the access switches copy the index pages the migration
-# writes instead of the fast path compiling the flows into its own copy,
-# 30.3 kB and 74 allocs under 36 500 B; 33.4 kB and 71 allocs under 38 800
-# B / 78 allocs with the fast path's own index and the agent's pages
-# inline in its snapshot, 34.3 kB and 100 allocs while each agent derive
-# cloned its snapshot's maps, 87.1 kB and 111 allocs before the change
-# log).
+# move, the agents' admission and flow migration (one microflow write per
+# access switch), and the Sync whose splices copy each touched switch's
+# TCAM once and whose recompiles take the sealed tables as they are.
+# BenchmarkHandoff must stay at or under 28 400 B/op and 70 allocs/op
+# (23.7 kB and 68 allocs measured, so a margin of about a fifth and 2
+# allocs; 25.6 kB and 76 allocs under 31 000 B / 78 allocs while the fast
+# path replayed a TCAM change log on its own compiled copy and the agents
+# moved flows one write at a time, 30.3 kB and 74 allocs while the fast
+# path compiled the flows into its own index, 34.3 kB and 100 allocs while
+# each agent derive cloned its snapshot's maps, 87.1 kB and 111 allocs
+# before the change log).
 handoff-alloc-gate:
 	@out=$$($(GO) test -run '^$$' -bench '^BenchmarkHandoff$$' -benchmem ./internal/dataplane); \
 	echo "$$out"; \
 	bytes=$$(echo "$$out" | awk '/BenchmarkHandoff/ {for (i=1;i<=NF;i++) if ($$i == "B/op") print $$(i-1)}'); \
 	allocs=$$(echo "$$out" | awk '/BenchmarkHandoff/ {for (i=1;i<=NF;i++) if ($$i == "allocs/op") print $$(i-1)}'); \
 	if [ -z "$$bytes" ] || [ -z "$$allocs" ]; then echo "handoff-alloc-gate: benchmark produced no B/op or allocs/op figure"; exit 1; fi; \
-	if [ "$$bytes" -gt 31000 ]; then echo "FAIL: a handoff allocates $$bytes B/op (limit 31000)"; exit 1; fi; \
-	if [ "$$allocs" -gt 78 ]; then echo "FAIL: a handoff makes $$allocs allocs/op (limit 78)"; exit 1; fi; \
-	echo "handoff-alloc-gate: a handoff allocates $$bytes B/op (limit 31000) in $$allocs allocs/op (limit 78)"
+	if [ "$$bytes" -gt 28400 ]; then echo "FAIL: a handoff allocates $$bytes B/op (limit 28400)"; exit 1; fi; \
+	if [ "$$allocs" -gt 70 ]; then echo "FAIL: a handoff makes $$allocs allocs/op (limit 70)"; exit 1; fi; \
+	echo "handoff-alloc-gate: a handoff allocates $$bytes B/op (limit 28400) in $$allocs allocs/op (limit 70)"
 
 # admit-gate pins that an attach's agent admission costs what it changes,
 # not what the station holds: AdmitUE derives a successor snapshot that

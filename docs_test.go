@@ -1,25 +1,28 @@
 package softcell_test
 
 import (
+	"bytes"
 	"io/fs"
 	"os"
 	"path"
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
 
 // citedPath matches a file path a document cites in backticks: a name
 // ending in .go, .md, .txt, .json or .sh, optionally followed by a :line.
-var citedPath = regexp.MustCompile("`([A-Za-z0-9_./*-]+\\.(?:go|md|txt|json|sh))(?::[0-9]+)?`")
+var citedPath = regexp.MustCompile("`([A-Za-z0-9_./*-]+\\.(?:go|md|txt|json|sh))(?::([0-9]+))?`")
 
-// treeFiles lists the files under root, slash-separated and relative to
-// it, leaving out hidden directories and the benchmark's build directory.
-func treeFiles(t *testing.T, root string) []string {
+// treeFiles maps each file under root, slash-separated and relative to it,
+// to its line count, leaving out hidden directories and so the
+// benchmark's build directory.
+func treeFiles(t *testing.T, root string) map[string]int {
 	t.Helper()
-	var files []string
+	files := map[string]int{}
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -32,7 +35,15 @@ func treeFiles(t *testing.T, root string) []string {
 			if err != nil {
 				return err
 			}
-			files = append(files, filepath.ToSlash(rel))
+			b, err := os.ReadFile(p)
+			if err != nil {
+				return err
+			}
+			lines := bytes.Count(b, []byte("\n"))
+			if len(b) > 0 && b[len(b)-1] != '\n' {
+				lines++
+			}
+			files[filepath.ToSlash(rel)] = lines
 		}
 		return nil
 	})
@@ -42,38 +53,48 @@ func treeFiles(t *testing.T, root string) []string {
 	return files
 }
 
-// unresolved returns the paths text cites that name no file of files, or
-// more than one. A cited path resolves to the file it names from the root,
-// or else to the one file whose path ends in it; a glob (BENCH_*.json)
-// resolves to any number of files but none. A name starting with "_" is a
-// suffix, not a file (`_test.go`), and is left alone.
-func unresolved(files []string, text []byte) []string {
+// unresolved returns the citations in text that name no file of files, or
+// more than one, or a line past the end of the one file they name; files
+// maps each path to its line count. A cited path resolves to the file it
+// names from the root, or else to the one file whose path ends in it; a
+// glob (BENCH_*.json) resolves to any number of files but none. A name
+// starting with "_" is a suffix, not a file (`_test.go`), and is left
+// alone.
+func unresolved(files map[string]int, text []byte) []string {
 	var bad []string
 	for _, m := range citedPath.FindAllSubmatch(text, -1) {
 		cited := string(m[1])
-		if strings.HasPrefix(path.Base(cited), "_") || slices.Contains(files, cited) {
+		if strings.HasPrefix(path.Base(cited), "_") {
 			continue
 		}
-		n := 0
-		for _, f := range files {
-			for tail := f; tail != ""; {
-				if ok, _ := path.Match(cited, tail); ok {
-					n++
-					break
+		var named []string
+		if _, ok := files[cited]; ok {
+			named = []string{cited}
+		} else {
+			for f := range files {
+				for tail := f; tail != ""; {
+					if ok, _ := path.Match(cited, tail); ok {
+						named = append(named, f)
+						break
+					}
+					_, tail, _ = strings.Cut(tail, "/")
 				}
-				_, tail, _ = strings.Cut(tail, "/")
 			}
 		}
-		if n == 0 || (n > 1 && !strings.Contains(cited, "*")) {
+		switch line, _ := strconv.Atoi(string(m[2])); {
+		case len(named) == 0 || (len(named) > 1 && !strings.Contains(cited, "*")):
 			bad = append(bad, cited)
+		case len(named) == 1 && line > files[named[0]]:
+			bad = append(bad, string(m[0][1:len(m[0])-1]))
 		}
 	}
 	return bad
 }
 
 // TestDocsCiteFilesThatExist resolves every file path DESIGN.md and
-// README.md cite in backticks to a file of the tree, so a renamed or
-// deleted file cannot leave a document pointing nowhere.
+// README.md cite in backticks to a file of the tree, and every cited line
+// to a line of that file, so a renamed, deleted or shortened file cannot
+// leave a document pointing nowhere.
 func TestDocsCiteFilesThatExist(t *testing.T) {
 	files := treeFiles(t, ".")
 	for _, doc := range []string{"DESIGN.md", "README.md"} {
@@ -88,15 +109,15 @@ func TestDocsCiteFilesThatExist(t *testing.T) {
 }
 
 // TestUnresolvedNamesPlantedPaths checks the check: planted missing paths,
-// an ambiguous suffix and a glob matching nothing are reported, and a path
-// from the root, a unique suffix (with a line or without), a glob and a
-// bare suffix are not.
+// an ambiguous suffix, a glob matching nothing and a line past the end of
+// its file are reported, and a path from the root, a unique suffix (with a
+// line within the file or without), a glob and a bare suffix are not.
 func TestUnresolvedNamesPlantedPaths(t *testing.T) {
-	files := []string{"bench_test.go", "bench/bench_test.go", "internal/switchsim/switch.go",
-		"internal/agent/obs.go", "internal/core/obs.go", "results/BENCH_a.json", "results/BENCH_b.json"}
+	files := map[string]int{"bench_test.go": 40, "bench/bench_test.go": 40, "internal/switchsim/switch.go": 108,
+		"internal/agent/obs.go": 60, "internal/core/obs.go": 60, "results/BENCH_a.json": 9, "results/BENCH_b.json": 9}
 	text := []byte("`bench_test.go` `switchsim/switch.go:108` `switch.go` `results/BENCH_*.json` `_test.go` " +
-		"`internal/switchsim/gone.go` `x/bench_test.go` `obs.go` `bench/README.md` `results/FIG_*.txt`")
-	want := []string{"internal/switchsim/gone.go", "x/bench_test.go", "obs.go", "bench/README.md", "results/FIG_*.txt"}
+		"`internal/switchsim/gone.go` `x/bench_test.go` `obs.go` `bench/README.md` `results/FIG_*.txt` `switch.go:109`")
+	want := []string{"internal/switchsim/gone.go", "x/bench_test.go", "obs.go", "bench/README.md", "results/FIG_*.txt", "switch.go:109"}
 	if got := unresolved(files, text); !slices.Equal(got, want) {
 		t.Fatalf("unresolved reported %v, want %v", got, want)
 	}

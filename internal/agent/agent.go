@@ -482,18 +482,21 @@ func (a *Agent) MigrateFlows(newAgent *Agent, newUE core.UE, oldLocIP packet.Add
 	a.mu.Lock()
 	flows := a.Access.Owned(nil, newUE.PermIP)
 	tunnel := switchsim.Action{Output: switchsim.PortTunnelBase + int(newUE.BS)}
+	var gone []packet.FlowKey
+	var tunnels []switchsim.Microflow
 	for _, m := range flows {
 		if upstream(m) {
 			// The upstream rule or denial at the old switch is obsolete.
-			a.Access.RemoveMicroflow(m.Key)
+			gone = append(gone, m.Key)
 		} else {
 			// Downstream packets for the old flow now tunnel to the new
 			// station unmodified: the copied microflow there restores the
 			// permanent address on delivery. The tunnel entry is owned by
 			// no UE.
-			a.Access.InstallMicroflow(m.Key, tunnel, switchsim.Cookie{})
+			tunnels = append(tunnels, switchsim.Microflow{Key: m.Key, Action: tunnel})
 		}
 	}
+	a.Access.WriteMicroflows(gone, tunnels)
 	a.mu.Unlock()
 	flows = slices.DeleteFunc(flows, isDenial) // a denial is not carried over
 
@@ -509,17 +512,16 @@ func (a *Agent) MigrateFlows(newAgent *Agent, newUE core.UE, oldLocIP packet.Add
 	}
 	newAgent.mu.Lock()
 	defer newAgent.mu.Unlock()
-	for _, m := range flows {
-		act := m.Action
-		if upstream(m) {
+	for i := range flows {
+		if act := &flows[i].Action; upstream(flows[i]) {
 			originBS, _, ok := newAgent.plan.Split(act.Src)
 			if !ok {
 				return fmt.Errorf("agent: flow source %s outside the carrier block", act.Src)
 			}
 			act.Resubmit, act.Output = false, switchsim.PortTunnelBase+int(originBS)
 		}
-		newAgent.Access.InstallMicroflow(m.Key, act, m.Cookie)
 	}
+	newAgent.Access.WriteMicroflows(nil, flows)
 	newAgent.stats.microflows.Add(uint64(len(flows)))
 	newAgent.obs.microflows.Add(uint64(len(flows)))
 	return nil

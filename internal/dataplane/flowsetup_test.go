@@ -68,23 +68,24 @@ func flowSetupNet(tb testing.TB, resident int, reg *obs.Registry) (*Network, cor
 }
 
 // TestFlowSetupCompilesNoRules pins what one new flow costs the fast path:
-// the access switch's snapshot takes the switch's microflow table as the
-// switch sealed it, so its two microflows compile no rule, however many
-// microflows the switch holds, and a hit on the snapshot names the entry
-// the switch holds. Two same-seed plants compile the same number of rules.
+// the access switch's snapshot takes the switch's tables as the switch
+// sealed them, so its two microflows compile nothing and copy no TCAM
+// entry, however many microflows the switch holds, and a hit on the
+// snapshot names the entry the switch holds. Two same-seed plants copy the
+// same number of TCAM entries.
 func TestFlowSetupCompilesNoRules(t *testing.T) {
 	for _, resident := range []int{128, 512} {
-		var runs [2][2]uint64 // rules compiled warming the plant, then for one flow
+		var runs [2][2]uint64 // TCAM entries copied warming the plant, then for one flow
 		for run := range runs {
 			reg := obs.New()
 			net, ue := flowSetupNet(t, resident, reg)
-			rules := reg.Counter("fastpath.rules.compiled")
-			warm := rules.Value()
+			copied := reg.Counter("switchsim.tcam.rules.copied")
+			warm := copied.Value()
 			p := webPacket(ue, 40000)
 			if res, err := net.SendUpstream(flowBS, p); err != nil || res.Disposition != ExitedNet {
 				t.Fatalf("new flow: %v %v", res.Disposition, err)
 			}
-			runs[run] = [2]uint64{warm, rules.Value() - warm}
+			runs[run] = [2]uint64{warm, copied.Value() - warm}
 
 			// The reply's entry at the access switch delivers it to the UE.
 			w := p.Flow().Reverse()
@@ -96,12 +97,12 @@ func TestFlowSetupCompilesNoRules(t *testing.T) {
 			}
 		}
 		if runs[0][1] != 0 {
-			t.Fatalf("%d resident microflows: one new flow compiled %d rules, want none", resident, runs[0][1])
+			t.Fatalf("%d resident microflows: one new flow copied %d TCAM entries, want none", resident, runs[0][1])
 		}
 		if runs[0] != runs[1] {
-			t.Fatalf("%d resident microflows: two same-seed plants compiled %v and %v rules", resident, runs[0], runs[1])
+			t.Fatalf("%d resident microflows: two same-seed plants copied %v and %v TCAM entries", resident, runs[0], runs[1])
 		}
-		t.Logf("%d resident microflows: %d rules compiled warming the plant, %d for one new flow", resident, runs[0][0], runs[0][1])
+		t.Logf("%d resident microflows: %d TCAM entries copied warming the plant, %d for one new flow", resident, runs[0][0], runs[0][1])
 	}
 }
 

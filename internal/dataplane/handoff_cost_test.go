@@ -49,38 +49,37 @@ func handoffNet(tb testing.TB, reg *obs.Registry) (net *Network, far packet.BSID
 }
 
 // compileWork is what a span's table updates did: the fast path's
-// snapshots compiled, rules compiled and compiled TCAM rules copied from
-// earlier snapshots, and the microflow index pages the access switches
+// snapshots compiled, the TCAM entries the switches copied on their first
+// write after a seal, and the microflow index pages the access switches
 // copied.
 type compileWork struct {
-	snapshots, rules, tcamCopied, pagesCopied uint64
+	snapshots, tcamCopied, pagesCopied uint64
 }
 
 // readWork reads reg's compile counters.
 func readWork(reg *obs.Registry) compileWork {
 	return compileWork{
 		snapshots:   reg.Counter("fastpath.snapshot.compile").Value(),
-		rules:       reg.Counter("fastpath.rules.compiled").Value(),
-		tcamCopied:  reg.Counter("fastpath.rules.copied").Value(),
+		tcamCopied:  reg.Counter("switchsim.tcam.rules.copied").Value(),
 		pagesCopied: reg.Counter("switchsim.micro.pages.copied").Value(),
 	}
 }
 
 func (w compileWork) minus(o compileWork) compileWork {
-	return compileWork{w.snapshots - o.snapshots, w.rules - o.rules, w.tcamCopied - o.tcamCopied, w.pagesCopied - o.pagesCopied}
+	return compileWork{w.snapshots - o.snapshots, w.tcamCopied - o.tcamCopied, w.pagesCopied - o.pagesCopied}
 }
 
-// TestHandoffCompileWork pins what the fast path recompiles and copies for
-// one Network.Handoff (its Sync included) of a UE with established flows,
-// and for the release's Sync after it: a recompile replays the switches'
-// TCAM change logs on the snapshots before, so it copies the compiled TCAM
-// rules of the switches a splice touched and compiles only the rules that
-// changed, and the two access switches copy the index pages the migrated
-// microflows are written to. Two same-seed plants do the same work.
+// TestHandoffCompileWork pins what the switches copy and the fast path
+// recompiles for one Network.Handoff (its Sync included) of a UE with
+// established flows, and for the release's Sync after it: a recompile
+// takes each switch's sealed tables as they are, a splice copies the TCAM
+// of the switch it touches once, and the two access switches copy the
+// index pages the migrated microflows are written to. Two same-seed plants
+// do the same work.
 func TestHandoffCompileWork(t *testing.T) {
 	want := [2]compileWork{
-		{snapshots: 8, rules: 9, tcamCopied: 141, pagesCopied: 17},
-		{snapshots: 6, rules: 0, tcamCopied: 142, pagesCopied: 0},
+		{snapshots: 8, tcamCopied: 141, pagesCopied: 16},
+		{snapshots: 6, tcamCopied: 141, pagesCopied: 0},
 	}
 	var runs [2][2]compileWork // per plant: the handoff, then the release
 	for run := range runs {

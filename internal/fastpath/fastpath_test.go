@@ -304,8 +304,8 @@ func TestSnapshotGeneration(t *testing.T) {
 	if s2 == s1 || s2.Gen <= s1.Gen {
 		t.Fatalf("Install must invalidate: gen %d -> %d, same=%v", s1.Gen, s2.Gen, s2 == s1)
 	}
-	if len(s2.tcam) != 1 {
-		t.Fatalf("recompiled snapshot has %d rules, want 1", len(s2.tcam))
+	if s2.tcam.Len() != 1 {
+		t.Fatalf("recompiled snapshot has %d rules, want 1", s2.tcam.Len())
 	}
 
 	mutations := []func(){
@@ -513,10 +513,11 @@ func TestWalkerWalk(t *testing.T) {
 	ln := NewNet(NetConfig{
 		Switches: loop,
 		Links:    [][]Link{{{Next: 1, InPort: 0}}, {{Next: 0, InPort: 0}}},
+		Obs:      reg,
 	})
 	r3 := ln.NewWalker().Walk(0, 0, []*packet.Packet{mk(1)}, make([]Result, 1))
-	if r3[0].Disp != DispLoop {
-		t.Fatalf("loop: got %s, want %s", r3[0].Disp, DispLoop)
+	if r3[0].Disp != DispLoop || reg.Counter("fastpath.looped").Value() != 1 {
+		t.Fatalf("loop: got %s, want %s, and %d packets counted looping", r3[0].Disp, DispLoop, reg.Counter("fastpath.looped").Value())
 	}
 
 	// Telemetry flowed: packets walked and bursts observed.
@@ -525,6 +526,21 @@ func TestWalkerWalk(t *testing.T) {
 	}
 	if reg.Counter("fastpath.bursts").Value() == 0 {
 		t.Fatal("fastpath.bursts counter never moved")
+	}
+}
+
+// TestDispNames checks that each disposition prints a name of its own,
+// and one out of range its number.
+func TestDispNames(t *testing.T) {
+	seen := map[string]Disp{}
+	for d := DispDelivered; d <= DispLoop; d++ {
+		if o, dup := seen[d.String()]; dup || d.String() == "disp("+strconv.Itoa(int(d))+")" {
+			t.Fatalf("disposition %d prints %q, as %d does or as an unknown one", d, d.String(), o)
+		}
+		seen[d.String()] = d
+	}
+	if got := Disp(42).String(); got != "disp(42)" {
+		t.Fatalf("an unknown disposition prints %q", got)
 	}
 }
 

@@ -42,8 +42,8 @@ func (f *FIB) Acquire() *Snapshot {
 	if cur != nil {
 		f.o.stale()
 	}
-	ns, w := compile(f.sw, cur)
-	f.o.compiled(w)
+	ns := Compile(f.sw)
+	f.o.compiled()
 	for {
 		cur = f.snap.Load()
 		if cur != nil && cur.Gen >= ns.Gen {

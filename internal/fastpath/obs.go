@@ -10,8 +10,6 @@ import (
 // is an atomic add or a fixed-bucket histogram observe — 0 allocs.
 type fpObs struct {
 	compile  *obs.Counter   // snapshots compiled
-	rules    *obs.Counter   // rules compiled
-	tcamCopy *obs.Counter   // compiled TCAM rules copied from the snapshot before
 	staleHit *obs.Counter   // stale snapshots detected (generation moved)
 	bursts   *obs.Counter   // bursts processed (per-switch acquisitions)
 	burstSz  *obs.Histogram // burst sizes in packets
@@ -27,8 +25,6 @@ func newFPObs(reg *obs.Registry) *fpObs {
 	}
 	return &fpObs{
 		compile:  reg.Counter("fastpath.snapshot.compile"),
-		rules:    reg.Counter("fastpath.rules.compiled"),
-		tcamCopy: reg.Counter("fastpath.rules.copied"),
 		staleHit: reg.Counter("fastpath.snapshot.stale"),
 		bursts:   reg.Counter("fastpath.bursts"),
 		burstSz:  reg.Histogram("fastpath.burst.size", 1, 2, 4, 8, 16, 32, 64, 128, 256),
@@ -38,12 +34,10 @@ func newFPObs(reg *obs.Registry) *fpObs {
 	}
 }
 
-// compiled counts one snapshot compile and its work.
-func (o *fpObs) compiled(w work) {
+// compiled counts one snapshot compile.
+func (o *fpObs) compiled() {
 	if o != nil {
 		o.compile.Inc()
-		o.rules.Add(uint64(w.compiled))
-		o.tcamCopy.Add(uint64(w.tcamCopied))
 	}
 }
 

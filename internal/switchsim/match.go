@@ -3,9 +3,9 @@
 // prefixes and port ranges), an exact-match microflow table for access
 // switches, header-rewrite actions, per-rule counters, and atomic batch
 // updates. Gateway and core switches use only the TCAM table; access
-// switches additionally hold microflow rules installed by the local agent,
-// in one copy-on-write index that fast-path snapshots read as the switch
-// sealed it (ViewChanged), so no second copy of a microflow exists.
+// switches additionally hold microflow rules installed by the local agent.
+// Both tables are copy-on-write: fast-path snapshots read them as the
+// switch sealed them (View), so no second copy of a rule exists.
 package switchsim
 
 import (

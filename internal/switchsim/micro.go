@@ -39,7 +39,7 @@ type flowIndex = cowindex.Index[flowKey, *Flow]
 // large table probes further (EXPERIMENTS.md, "Microflow table ledger").
 const microLoad = 6
 
-// Microflows is a microflow table as ViewChanged hands it out: sealed, so
+// Microflows is a microflow table as View hands it out: sealed, so
 // a fast-path snapshot reads its live entries with no lock.
 type Microflows struct{ index flowIndex }
 
@@ -60,12 +60,12 @@ func (m *Microflows) Slots() int { return m.index.Slots() }
 func (m *Microflows) At(slot int) *Flow { return m.index.At(slot) }
 
 // microTable is an access switch's microflow table. live, which Process
-// reads and the installs write, succeeds sealed, the index ViewChanged last
+// reads and WriteMicroflows writes, succeeds sealed, the index View last
 // handed out: a write copies a page live shares with sealed before writing
 // it, so no handed-out index ever changes. No index goes out with more than
 // a quarter of its block's pages copies (pages strewn over the heap slowed
-// forwarding by a tenth; EXPERIMENTS.md, "Microflow ledger"): a write that
-// could pass that mark lays live out in a new block first, and the seal
+// forwarding by a tenth; EXPERIMENTS.md, "Microflow ledger"): a write whose
+// entries could pass that mark lays live out in a new block first, and the seal
 // catches a removal whose shift wrote two pages. A relayout comes once per
 // a quarter of the pages copied, so a write costs what it writes, amortised.
 type microTable struct {
@@ -87,25 +87,45 @@ func (t *microTable) flow(key packet.FlowKey) (*Flow, bool) {
 	return t.live.Get(keyOf(key))
 }
 
-// write makes f key's entry, or with f nil removes key's entry, in the
-// index and the owner index. o counts the pages copied.
-func (t *microTable) write(key packet.FlowKey, f *Flow, o *swObs) {
-	if t.shared && 4*(t.live.Loose()+1) > t.live.Pages() {
+// write takes remove's keys' entries out, then puts set's in, in the
+// index and the owner index, and reports the entries it took out or put
+// in. One check first lays live out anew when the writes could leave more
+// than a quarter of its block's pages copies. o counts the pages copied.
+func (t *microTable) write(remove []packet.FlowKey, set []Microflow, o *swObs) int {
+	if t.shared && 4*(t.live.Loose()+len(remove)+len(set)) > t.live.Pages() {
 		t.layOut(o)
 	}
+	n := len(set)
+	for _, key := range remove {
+		if t.put(key, nil, o) {
+			n++
+		}
+	}
+	for _, m := range set {
+		t.put(m.Key, &Flow{Action: m.Action, Cookie: m.Cookie}, o)
+	}
+	return n
+}
+
+// put makes f key's entry, or with f nil takes key's entry out, and
+// reports whether key had an entry.
+func (t *microTable) put(key packet.FlowKey, f *Flow, o *swObs) bool {
 	k, loose := keyOf(key), t.live.Loose()
+	old, had := t.live.Get(k)
 	var was, now packet.Addr
-	if old, ok := t.live.Get(k); ok {
+	if had {
 		was = old.Cookie.Owner
 	}
-	if f != nil {
+	switch {
+	case f != nil:
 		t.live.Put(&t.sealed, k, f)
 		now = f.Cookie.Owner
-	} else {
+	case had:
 		t.live.Delete(&t.sealed, k)
 	}
 	o.pageCopy.Add(uint64(max(t.live.Loose()-loose, 0))) // a growth copies no page, and resets Loose
 	t.own(key, was, now)
+	return had
 }
 
 func (t *microTable) layOut(o *swObs) {

@@ -18,6 +18,9 @@ type swObs struct {
 	// pageCopy counts the microflow index's block pages writes replaced
 	// by copies, and the pages a relayout copied (see microTable.seal).
 	pageCopy *obs.Counter
+	// tcamCopy counts the TCAM entries the first write after a seal
+	// copied (see edit).
+	tcamCopy *obs.Counter
 }
 
 // Instrument registers the switch's telemetry on reg. Call it before
@@ -37,5 +40,6 @@ func (s *Switch) Instrument(reg *obs.Registry) {
 		punt:      reg.Counter("switchsim.punt"),
 		drop:      reg.Counter("switchsim.drop"),
 		pageCopy:  reg.Counter("switchsim.micro.pages.copied"),
+		tcamCopy:  reg.Counter("switchsim.tcam.rules.copied"),
 	}
 }

@@ -2,6 +2,7 @@ package switchsim
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,13 +12,14 @@ import (
 	"repro/internal/packet"
 )
 
-// sealCounts tallies what checkSeals exercised.
+// sealCounts tallies what checkSeals exercised: seals, seals after a
+// growth and after a relayout, microflow pages and TCAM entries copied.
 type sealCounts struct {
-	seals, grown, relaid, copied int
+	seals, grown, relaid, copied, tcamCopied int
 }
 
-// sealed is one table ViewChanged handed out and the model's entries at
-// its seal.
+// sealed is one microflow table View handed out and the model's entries
+// at its seal.
 type sealed struct {
 	m    Microflows
 	want map[packet.FlowKey]*Flow
@@ -47,6 +49,32 @@ func (sl *sealed) matches(t *testing.T, what string) {
 	}
 }
 
+// sealedTCAM is one TCAM View handed out and its entries at the seal.
+type sealedTCAM struct {
+	tcam TCAM
+	want []entry
+}
+
+// writeTCAM makes one random TCAM write: an Install, a Remove, a Splice
+// (refused unless ReplaceTCAM or a splice wrote the table last) or a
+// ReplaceTCAM.
+func writeTCAM(rng *rand.Rand, s *Switch) {
+	switch rng.Intn(4) {
+	case 0:
+		prio, m := spliceKey(rng)
+		s.Install(prio, m, Action{Output: rng.Intn(4)})
+	case 1:
+		if rules := s.Rules(); len(rules) > 0 {
+			s.Remove(rules[rng.Intn(len(rules))].ID)
+		}
+	case 2:
+		edits, _ := spliceEdits(rng, s, 4)
+		s.Splice(edits)
+	default:
+		s.ReplaceTCAM(spliceTable(rng))
+	}
+}
+
 // sealKeys draws a pool of flow keys large enough to grow a microflow
 // index through several sizes.
 func sealKeys(rng *rand.Rand) []packet.FlowKey {
@@ -58,20 +86,24 @@ func sealKeys(rng *rand.Rand) []packet.FlowKey {
 }
 
 // checkSeals drives random installs, re-installs and removals of
-// microflows over keys on the empty switch s, with ViewChanged seals in
-// between, against a map model. Every sealed table holds the model's
-// entries at its seal, and still does after every later write, growth and
-// relayout; each sealed table keeps its load bound and at most a quarter
-// of its block pages loose, and Process's verdict is the model's entry.
-// publish, when set, is handed every sealed table as it is sealed.
-func checkSeals(t *testing.T, rng *rand.Rand, s *Switch, keys []packet.FlowKey, publish func(Microflows)) sealCounts {
+// microflows over keys on the empty switch s, and random TCAM writes
+// (writeTCAM), with View seals in between, against a map model. Every
+// sealed microflow table holds the model's entries at its seal, and still
+// does after every later write, growth and relayout; each keeps its load
+// bound and at most a quarter of its block pages loose, and Process's
+// verdict is the model's entry. Every sealed TCAM is the switch's rules at
+// its seal, each entry's match compiled from its rule's, and keeps those
+// entries after every later write. publish, when set, is handed every
+// view as it is sealed.
+func checkSeals(t *testing.T, rng *rand.Rand, s *Switch, keys []packet.FlowKey, publish func(TableView)) sealCounts {
 	t.Helper()
 	model := map[packet.FlowKey]*Flow{}
 	var seals []sealed
+	var tcams []sealedTCAM
 	var c sealCounts
 	for step := 0; step < 1500; step++ {
 		k := keys[rng.Intn(len(keys))]
-		switch r := rng.Intn(20); {
+		switch r := rng.Intn(24); {
 		case r < 11:
 			s.InstallMicroflow(k, Action{Output: rng.Intn(4)}, Cookie{Owner: packet.Addr(rng.Intn(3))})
 			model[k], _ = s.Microflow(k)
@@ -80,6 +112,8 @@ func checkSeals(t *testing.T, rng *rand.Rand, s *Switch, keys []packet.FlowKey, 
 				t.Fatalf("step %d: removing %s reported %v", step, k, !had)
 			}
 			delete(model, k)
+		case r >= 20:
+			writeTCAM(rng, s)
 		default:
 			loose := 0
 			if s.micro != nil {
@@ -100,8 +134,18 @@ func checkSeals(t *testing.T, rng *rand.Rand, s *Switch, keys []packet.FlowKey, 
 			}
 			seals = append(seals, sealed{v.Flows, want})
 			seals[len(seals)-1].matches(t, "at its seal")
+			rules := s.Rules()
+			for i, e := range v.TCAM.entries {
+				if e.rule.ID != rules[i].ID || e.m != compileMatch(e.rule.Match) {
+					t.Fatalf("step %d: sealed TCAM entry %d is rule #%d matching %+v, the switch's is #%d", step, i, e.rule.ID, e.m, rules[i].ID)
+				}
+			}
+			if v.TCAM.Len() != len(rules) {
+				t.Fatalf("step %d: a sealed TCAM holds %d rules, the switch %d", step, v.TCAM.Len(), len(rules))
+			}
+			tcams = append(tcams, sealedTCAM{v.TCAM, slices.Clone(v.TCAM.entries)})
 			if publish != nil {
-				publish(v.Flows)
+				publish(v)
 			}
 		}
 		p := &packet.Packet{Src: k.Src, Dst: k.Dst, SrcPort: k.SrcPort, DstPort: k.DstPort, Proto: k.Proto}
@@ -112,15 +156,21 @@ func checkSeals(t *testing.T, rng *rand.Rand, s *Switch, keys []packet.FlowKey, 
 	for i := range seals {
 		seals[i].matches(t, "after the run")
 	}
+	for i, tc := range tcams {
+		if !slices.Equal(tc.tcam.entries, tc.want) {
+			t.Fatalf("sealed TCAM %d of %d changed after its seal", i, len(tcams))
+		}
+	}
 	c.seals = len(seals)
 	c.copied = int(s.obs.pageCopy.Value())
+	c.tcamCopied = int(s.obs.tcamCopy.Value())
 	return c
 }
 
-// TestSealedTablesNeverChange is the property test of the microflow
-// table's copy-on-write: for arbitrary write sequences, no table the switch
-// handed out ever changes, and the runs do grow the index, lay it out
-// again and copy pages.
+// TestSealedTablesNeverChange is the property test of the switch's
+// copy-on-write tables: for arbitrary write sequences, no microflow table
+// or TCAM the switch handed out ever changes, and the runs do grow the
+// microflow index, lay it out again, copy its pages and copy sealed TCAMs.
 func TestSealedTablesNeverChange(t *testing.T) {
 	var sum sealCounts
 	f := func(seed int64) bool {
@@ -132,38 +182,47 @@ func TestSealedTablesNeverChange(t *testing.T) {
 		sum.grown += c.grown
 		sum.relaid += c.relaid
 		sum.copied += c.copied
+		sum.tcamCopied += c.tcamCopied
 		return !t.Failed()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
-	if sum.grown == 0 || sum.relaid == 0 || sum.copied == 0 {
-		t.Fatalf("%d seals, %d after a growth, %d after a relayout, %d pages copied: the test exercised too little", sum.seals, sum.grown, sum.relaid, sum.copied)
+	if sum.grown == 0 || sum.relaid == 0 || sum.copied == 0 || sum.tcamCopied == 0 {
+		t.Fatalf("%+v: the test exercised too little", sum)
 	}
-	t.Logf("%d seals, %d after a growth, %d after a relayout, %d pages copied", sum.seals, sum.grown, sum.relaid, sum.copied)
+	t.Logf("%d seals, %d after a growth, %d after a relayout, %d pages copied, %d TCAM entries copied", sum.seals, sum.grown, sum.relaid, sum.copied, sum.tcamCopied)
 }
 
 // TestSealedTablesUnderReaders runs the same check while two goroutines
 // read the switch: one sends the keys' packets through Process, and one
-// reads every entry of the latest sealed table with no lock, as a
-// fast-path snapshot does. Run it under -race: a write to a page a sealed
-// table shares is a race.
+// reads every entry of the latest sealed tables with no lock and scans the
+// TCAM, as a fast-path snapshot does. Run it under -race: a write to a
+// page or a TCAM a sealed table shares is a race.
 func TestSealedTablesUnderReaders(t *testing.T) {
 	for seed := range int64(4) {
 		rng := rand.New(rand.NewSource(seed))
 		s, keys := NewSwitch("as"), sealKeys(rng)
-		var latest atomic.Pointer[Microflows]
+		var latest atomic.Pointer[TableView]
 		var stop atomic.Bool
 		var wg sync.WaitGroup
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				if m := latest.Load(); m != nil {
-					for slot := range m.Slots() {
-						if f := m.At(slot); f != nil && f.Action.Output > 4 {
+				if v := latest.Load(); v != nil {
+					for slot := range v.Flows.Slots() {
+						if f := v.Flows.At(slot); f != nil && f.Action.Output > 4 {
 							t.Errorf("a sealed entry's output is %d", f.Action.Output)
 						}
+					}
+					for i := range v.TCAM.Len() {
+						if r := v.TCAM.At(i); r.Action.Output > 8 {
+							t.Errorf("a sealed rule's output is %d", r.Action.Output)
+						}
+					}
+					for _, k := range keys {
+						v.TCAM.Lookup(&packet.Packet{Src: k.Src, Dst: k.Dst, SrcPort: k.SrcPort, DstPort: k.DstPort, Proto: k.Proto}, 0)
 					}
 				}
 			}
@@ -175,7 +234,7 @@ func TestSealedTablesUnderReaders(t *testing.T) {
 				s.Process(&packet.Packet{Src: k.Src, Dst: k.Dst, SrcPort: k.SrcPort, DstPort: k.DstPort, Proto: k.Proto}, 0)
 			}
 		}()
-		checkSeals(t, rng, s, keys, func(m Microflows) { latest.Store(&m) })
+		checkSeals(t, rng, s, keys, func(v TableView) { latest.Store(&v) })
 		stop.Store(true)
 		wg.Wait()
 	}

@@ -103,37 +103,26 @@ type Verdict struct {
 type Switch struct {
 	Name string
 
-	mu      sync.RWMutex
-	ordered []*Rule     // guarded by mu; priority desc, see Install and ReplaceTCAM
-	micro   *microTable // guarded by mu; nil until an InstallMicroflow
-	nextID  RuleID      // guarded by mu
-	// inOrder is true while ordered is what ReplaceTCAM and Splice made
-	// it, in their order; Install and Remove clear it. guarded by mu
+	mu     sync.RWMutex
+	tcam   []entry     // guarded by mu; priority desc, see Install and ReplaceTCAM
+	micro  *microTable // guarded by mu; nil until a microflow write
+	nextID RuleID      // guarded by mu
+	// inOrder is true while tcam is what ReplaceTCAM and Splice made it,
+	// in their order; Install and Remove clear it. guarded by mu
 	inOrder bool
+	// sealed is true while tcam is the table View last handed out, which
+	// the next write copies (see edit). guarded by mu
+	sealed  bool
 	watchAt int32 // guarded by mu; see watch
 
-	// gen counts table mutations: every Install/Remove (TCAM or
-	// microflow), ReplaceTCAM and Splice bumps it. Writes happen under mu;
+	// gen counts table mutations: every Install, Remove, ReplaceTCAM,
+	// Splice and microflow write bumps it. Writes happen under mu;
 	// reads go through Generation's atomic load, so fast-path snapshot
 	// caches detect staleness without touching the lock.
 	gen uint64
 	// watch, when set, is marked at every generation step, as switch
 	// watchAt (see Watch). guarded by mu
 	watch *dirty.Set
-
-	// log lists the TCAM changes after generation logFrom, oldest first,
-	// so a compile holding the TCAM as of a generation in [logFrom, gen]
-	// is handed its edits, not a copy (see ViewChanged). Recording starts
-	// at the first ViewChanged (logging), so plant set-up before any
-	// compile keeps no log. The log grows only at its end and drops
-	// consumed entries only from its front, so a slice of it already
-	// handed out stays valid. A ReplaceTCAM is not logged: tcamFrom is its
-	// generation, and a compile older than it is handed the whole TCAM.
-	// guarded by mu
-	log      []Change
-	logFrom  uint64 // guarded by mu
-	tcamFrom uint64 // guarded by mu
-	logging  bool   // guarded by mu
 
 	// TableMiss is the verdict for packets no rule covers. The default
 	// zero value drops; gateway/core switches usually leave it, access
@@ -178,51 +167,6 @@ func (s *Switch) Watch(c *dirty.Set, i int) {
 	s.watch, s.watchAt = c, int32(i)
 }
 
-// MaxChanges bounds a switch's change log. A change past the bound empties
-// the log, and a compile then behind it copies the whole TCAM (see
-// ViewChanged).
-const MaxChanges = 128
-
-// Change is one TCAM change, logged at generation Gen: Rule went into the
-// TCAM at position At, or with Rule nil the rule at At came out. A position
-// counts in the table as the changes before it left it, so replaying the
-// changes in order on a copy of the table gives the table after them.
-type Change struct {
-	Gen  uint64
-	At   int32
-	Rule *Rule
-}
-
-// logged appends c to the change log once a compile has asked for one.
-//
-// caller holds mu
-func (s *Switch) logged(c Change) {
-	if !s.logging {
-		return
-	}
-	switch {
-	case len(s.log) == MaxChanges:
-		s.log, s.logFrom = nil, c.Gen
-		return
-	case len(s.log) == cap(s.log):
-		// Consumed entries leave the front, so the block ahead shrinks:
-		// grow it by a run of entries at once.
-		s.log = append(make([]Change, 0, max(logBlock, 2*len(s.log))), s.log...)
-	}
-	s.log = append(s.log, c)
-}
-
-// logBlock is the fewest entries a change log allocates room for at once.
-const logBlock = 16
-
-// tcamChanged records one TCAM mutation: r went in at position at, or with
-// r nil the rule at at came out.
-//
-// caller holds mu
-func (s *Switch) tcamChanged(at int, r *Rule) {
-	s.logged(Change{Gen: s.step(), At: int32(at), Rule: r})
-}
-
 // BurstStats aggregates one burst's pipeline tallies so compiled fast
 // paths can flush switch accounting once per burst instead of per packet.
 type BurstStats struct {
@@ -261,46 +205,22 @@ func (s *Switch) AccountBurst(b BurstStats) {
 // the same entry, unchanged.
 type TableView struct {
 	Gen   uint64
+	TCAM  TCAM
 	Flows Microflows
-	// Ordered is the whole TCAM in match order, never nil when handed; nil
-	// means Changes, applied in order to the caller's copy, give the TCAM
-	// at Gen. Changes is the switch's own log: read it, never write it.
-	Ordered []*Rule
-	Changes []Change
-	Miss    Action
+	Miss  Action
 }
 
-// ViewChanged exports the tables under one lock for a caller that already
-// holds them as of generation gen (^uint64(0) for none). It seals the
-// microflow table and hands it over whole, which costs nothing. The TCAM
-// comes as the changes since gen when the switch's log still holds them
-// all, and whole when it does not: the first call, a gen older than the
-// log or not of this switch, a log that passed MaxChanges since, or a
-// ReplaceTCAM since gen. Log entries up to gen are taken as consumed and
-// dropped, so at steady state the log holds only the changes since the
-// last compile.
-func (s *Switch) ViewChanged(gen uint64) TableView {
+// View exports the tables under one lock. It seals the TCAM and the
+// microflow table and hands both over as they are, which costs nothing:
+// the writes after copy what they touch first, so a handed-out table
+// never changes.
+func (s *Switch) View() TableView {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v := TableView{Gen: s.Generation(), Miss: s.TableMiss}
-	logged := gen <= v.Gen && s.logging && s.logFrom <= gen
-	if logged {
-		i := 0
-		for i < len(s.log) && s.log[i].Gen <= gen {
-			i++
-		}
-		s.log, s.logFrom = s.log[i:], gen
-		v.Changes = s.log
-	}
-	if !s.logging {
-		s.logging, s.logFrom = true, v.Gen
-	}
+	s.sealed = true
+	v := TableView{Gen: s.Generation(), TCAM: TCAM{s.tcam}, Miss: s.TableMiss}
 	if s.micro != nil {
 		v.Flows = s.micro.seal(&s.obs)
-	}
-	if !logged || s.tcamFrom > gen {
-		v.Ordered = make([]*Rule, len(s.ordered))
-		copy(v.Ordered, s.ordered)
 	}
 	return v
 }
@@ -321,9 +241,8 @@ func (s *Switch) Install(prio int, m Match, a Action) RuleID {
 	s.inOrder = false
 	s.nextID++
 	r := &Rule{ID: s.nextID, Priority: prio, Match: m.normalised(), Action: a}
-	i := sort.Search(len(s.ordered), func(i int) bool { return s.ordered[i].Priority <= prio })
-	s.ordered = slices.Insert(s.ordered, i, r)
-	s.tcamChanged(i, r)
+	s.edit(sort.Search(len(s.tcam), func(i int) bool { return s.tcam[i].rule.Priority <= prio }), r)
+	s.step()
 	return r.ID
 }
 
@@ -336,8 +255,8 @@ func (s *Switch) Remove(id RuleID) bool {
 		return false
 	}
 	s.inOrder = false
-	s.ordered = slices.Delete(s.ordered, i, i+1)
-	s.tcamChanged(i, nil)
+	s.edit(i, nil)
+	s.step()
 	return true
 }
 
@@ -348,7 +267,7 @@ func (s *Switch) Remove(id RuleID) bool {
 //
 // caller holds mu
 func (s *Switch) indexLocked(id RuleID) int {
-	return slices.IndexFunc(s.ordered, func(r *Rule) bool { return r.ID == id })
+	return slices.IndexFunc(s.tcam, func(e entry) bool { return e.rule.ID == id })
 }
 
 // Cookie names the owner of a microflow entry, as an OpenFlow cookie
@@ -370,37 +289,43 @@ type Flow struct {
 	Counters
 }
 
-// InstallMicroflow adds (or replaces) an exact-match microflow entry owned
-// as c names. Access switches use these for the per-flow classification
-// rules the local agent installs (§4.1: "one rule for each microflow at
-// the access switch").
-func (s *Switch) InstallMicroflow(key packet.FlowKey, a Action, c Cookie) {
+// Microflow is one microflow entry as Owned lists it and WriteMicroflows
+// writes it.
+type Microflow struct {
+	Key    packet.FlowKey
+	Action Action
+	Cookie Cookie
+}
+
+// WriteMicroflows takes the exact-match entries of remove's keys out, then
+// puts set's entries in (replacing any of the same key), as one write: one
+// lock, one generation step, and reports the entries it took out or put
+// in. Access switches hold the per-flow classification rules the local
+// agent installs (§4.1: "one rule for each microflow at the access
+// switch"); a handoff moves a UE's flows in one write per switch.
+func (s *Switch) WriteMicroflows(remove []packet.FlowKey, set []Microflow) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.micro == nil {
 		s.micro = newMicroTable()
 	}
-	s.micro.write(key, &Flow{Action: a, Cookie: c}, &s.obs)
-	s.step()
-}
-
-// RemoveMicroflow deletes an exact-match entry.
-func (s *Switch) RemoveMicroflow(key packet.FlowKey) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.micro.flow(key); !ok {
-		return false
+	n := s.micro.write(remove, set, &s.obs)
+	if n > 0 {
+		s.step()
 	}
-	s.micro.write(key, nil, &s.obs)
-	s.step()
-	return true
+	return n
 }
 
-// Microflow is one microflow entry as Owned lists it.
-type Microflow struct {
-	Key    packet.FlowKey
-	Action Action
-	Cookie Cookie
+// InstallMicroflow adds (or replaces) one exact-match entry owned as c
+// names.
+func (s *Switch) InstallMicroflow(key packet.FlowKey, a Action, c Cookie) {
+	s.WriteMicroflows(nil, []Microflow{{Key: key, Action: a, Cookie: c}})
+}
+
+// RemoveMicroflow takes one exact-match entry out and reports whether it
+// was there.
+func (s *Switch) RemoveMicroflow(key packet.FlowKey) bool {
+	return s.WriteMicroflows([]packet.FlowKey{key}, nil) == 1
 }
 
 // Owned appends to dst the microflow entries whose cookie names owner, in
@@ -472,8 +397,8 @@ func (s *Switch) Process(p *packet.Packet, inPort int) Verdict {
 			return s.finish(v)
 		}
 		matched = false
-		for _, r := range s.ordered {
-			if r.Match.Covers(p, inPort) {
+		for _, e := range s.tcam {
+			if r := e.rule; r.Match.Covers(p, inPort) {
 				s.obs.tcamHit.Inc()
 				v = execute(&r.Action, &r.Counters, p)
 				v.Rule = r
@@ -528,7 +453,7 @@ func execute(a *Action, c *Counters, p *packet.Packet) Verdict {
 func (s *Switch) NumRules() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.ordered)
+	return len(s.tcam)
 }
 
 // NumMicroflows reports exact-match entries.
@@ -543,13 +468,13 @@ func (s *Switch) NumMicroflows() int {
 
 // Rules returns a snapshot of the TCAM in match order.
 //
-//lint:ignore deadexport the data plane's and fast path's differential tests compare whole TCAMs through it; ViewChanged would move the switch's change log
+//lint:ignore deadexport the data plane's and fast path's differential tests compare whole TCAMs through it; View would seal the TCAM, so a test's next write would copy it
 func (s *Switch) Rules() []Rule {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]Rule, len(s.ordered))
-	for i, r := range s.ordered {
-		out[i] = r.snapshot()
+	out := make([]Rule, len(s.tcam))
+	for i, e := range s.tcam {
+		out[i] = e.rule.snapshot()
 	}
 	return out
 }
@@ -576,16 +501,19 @@ func (s *Switch) ReplaceTCAM(rules []Rule) {
 		ordered[i] = r
 	}
 	slices.SortStableFunc(ordered, matchOrder)
+	tcam := make([]entry, len(ordered))
+	for i, r := range ordered {
+		tcam[i] = entryOf(r)
+	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.tcamFrom = s.step()
-	for i, r := range ordered {
-		r.ID = s.nextID + RuleID(i) + 1
+	s.step()
+	for i, e := range tcam {
+		e.rule.ID = s.nextID + RuleID(i) + 1
 	}
-	s.nextID += RuleID(len(ordered))
-	s.ordered = ordered
-	s.inOrder = true
+	s.nextID += RuleID(len(tcam))
+	s.tcam, s.sealed, s.inOrder = tcam, false, true
 }
 
 // matchOrder is ReplaceTCAM's order: priority descending, then the match.
@@ -594,6 +522,14 @@ func matchOrder(a, b *Rule) int {
 		return cmp.Compare(b.Priority, a.Priority)
 	}
 	return a.Match.compare(b.Match)
+}
+
+// find returns where r's priority and match sit, or would, in the TCAM
+// ReplaceTCAM built, and whether they are present.
+//
+// caller holds mu
+func (s *Switch) find(r *Rule) (int, bool) {
+	return slices.BinarySearchFunc(s.tcam, r, func(e entry, r *Rule) int { return matchOrder(e.rule, r) })
 }
 
 // Edit is one step of a Splice: Rule goes into the TCAM, or with Remove
@@ -608,9 +544,10 @@ type Edit struct {
 // the one ReplaceTCAM would build from the edited rule set, while the rules
 // no edit names keep their IDs and counters. As for ReplaceTCAM, readers
 // see the table before or after all the edits and the generation moves
-// once. Only the Priority, Match and Action of each edit's rule are read
-// (its Match is normalised in place); inserted rules get new IDs and zero
-// counters.
+// once. Only the Priority, Match and Action of each edit's rule are read;
+// inserted rules get new IDs and zero counters. Splice works on edits in
+// place: it normalises their matches, writes the inserted rules' IDs into
+// them and sorts them.
 //
 // Splice changes nothing and reports false when it cannot give that table:
 // Install or Remove edited the TCAM since ReplaceTCAM, a removed rule is
@@ -630,7 +567,7 @@ func (s *Switch) Splice(edits []Edit) bool {
 	}
 	for i := range edits {
 		e := &edits[i]
-		_, present := slices.BinarySearchFunc(s.ordered, &e.Rule, matchOrder)
+		_, present := s.find(&e.Rule)
 		for j := range edits[:i] { // the latest earlier edit of the same rule decides
 			if matchOrder(&edits[j].Rule, &e.Rule) == 0 {
 				present = !edits[j].Remove
@@ -641,20 +578,39 @@ func (s *Switch) Splice(edits []Edit) bool {
 		}
 	}
 
-	g := s.step()
-	added := make([]Rule, 0, inserts)
+	s.step()
+	if len(edits) == 0 {
+		return true
+	}
 	for i := range edits {
-		e := &edits[i]
-		at, _ := slices.BinarySearchFunc(s.ordered, &e.Rule, matchOrder)
-		if e.Remove {
-			s.ordered = slices.Delete(s.ordered, at, at+1)
-			s.logged(Change{Gen: g, At: int32(at)})
+		if !edits[i].Remove {
+			s.nextID++
+			edits[i].Rule.ID = s.nextID
+		}
+	}
+	// Each rule's last edit decides it: in match order, the edits merge
+	// with the table into a new one in one pass.
+	slices.SortStableFunc(edits, func(a, b Edit) int { return matchOrder(&a.Rule, &b.Rule) })
+	added := make([]Rule, 0, inserts)
+	tcam := make([]entry, 0, len(s.tcam)+inserts)
+	from := 0
+	for i := range edits {
+		e := &edits[i].Rule
+		if i+1 < len(edits) && matchOrder(&edits[i+1].Rule, e) == 0 {
 			continue
 		}
-		s.nextID++
-		added = append(added, Rule{ID: s.nextID, Priority: e.Rule.Priority, Match: e.Rule.Match, Action: e.Rule.Action})
-		s.ordered = slices.Insert(s.ordered, at, &added[len(added)-1])
-		s.logged(Change{Gen: g, At: int32(at), Rule: &added[len(added)-1]})
+		at, present := s.find(e)
+		tcam = append(tcam, s.tcam[from:at]...)
+		if from = at; present {
+			from++
+		}
+		if !edits[i].Remove {
+			added = append(added, Rule{ID: e.ID, Priority: e.Priority, Match: e.Match, Action: e.Action})
+			tcam = append(tcam, entryOf(&added[len(added)-1]))
+		}
 	}
+	tcam = append(tcam, s.tcam[from:]...)
+	s.obs.tcamCopy.Add(uint64(len(tcam) - len(added)))
+	s.tcam, s.sealed = tcam, false
 	return true
 }

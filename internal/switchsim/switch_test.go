@@ -182,13 +182,35 @@ func TestFlowIsSixtyFourBytes(t *testing.T) {
 	}
 }
 
-// TestSwitchFitsItsSizeClass pins a switch at or under 288 B, an
-// allocator size class (it is 272 B): the microflow table's two indexes sit
-// behind one pointer that only access switches fill, and inline they would
-// push every switch into a larger class.
+// TestSwitchFitsItsSizeClass pins a switch at or under 240 B, an
+// allocator size class (it is 232 B): the microflow table's two indexes
+// sit behind one pointer that only access switches fill, and inline they
+// would push every switch into a larger class.
 func TestSwitchFitsItsSizeClass(t *testing.T) {
-	if got := unsafe.Sizeof(Switch{}); got > 288 {
-		t.Fatalf("a switch is %d B, past its 288 B size class", got)
+	if got := unsafe.Sizeof(Switch{}); got > 240 {
+		t.Fatalf("a switch is %d B, past its 240 B size class", got)
+	}
+}
+
+// TestViewSharesTheTCAM checks that the switch keeps one copy of its
+// TCAM: a view, and so a fast-path snapshot, holds the switch's own
+// backing array, and two views with no write between hold the same one.
+// The first write after the seal moves the switch to a copy and leaves
+// the view's array as it was.
+func TestViewSharesTheTCAM(t *testing.T) {
+	s := NewSwitch("s")
+	s.ReplaceTCAM(tableFor(8))
+	v, w := s.View(), s.View()
+	if &v.TCAM.entries[0] != &s.tcam[0] || &w.TCAM.entries[0] != &s.tcam[0] {
+		t.Fatal("a view holds a copy of the TCAM, not the switch's own array")
+	}
+	was := slices.Clone(v.TCAM.entries)
+	s.Remove(s.tcam[0].rule.ID)
+	if &v.TCAM.entries[0] == &s.tcam[0] || !slices.Equal(v.TCAM.entries, was) {
+		t.Fatal("a write after the seal wrote the sealed array")
+	}
+	if x := s.View(); &x.TCAM.entries[0] != &s.tcam[0] || x.TCAM.Len() != 7 {
+		t.Fatal("the next view is not the switch's array after the write")
 	}
 }
 
@@ -269,8 +291,8 @@ func TestViewIsTheFastPathsContract(t *testing.T) {
 	if v.Gen != s.Generation() || !v.Miss.ToController {
 		t.Fatalf("view at generation %d with miss %v, switch at %d punting", v.Gen, v.Miss, s.Generation())
 	}
-	if len(v.Ordered) != 2 || v.Ordered[0].ID != high || v.Ordered[1].ID != low {
-		t.Fatalf("view rules out of match order: %+v", v.Ordered)
+	if v.TCAM.Len() != 2 || v.TCAM.At(0).ID != high || v.TCAM.At(1).ID != low {
+		t.Fatalf("view rules out of match order: %+v", v.TCAM.entries)
 	}
 	live, _ := s.Microflow(key)
 	if _, f, ok := v.Flows.Lookup(pkt(5, 6, 7, 8)); !ok || f != live || v.Flows.Len() != 1 {
@@ -278,91 +300,17 @@ func TestViewIsTheFastPathsContract(t *testing.T) {
 	}
 	s.Install(PrioTag, matchAll, Action{Output: 3})
 	s.RemoveMicroflow(key)
-	if _, f, _ := v.Flows.Lookup(pkt(5, 6, 7, 8)); len(v.Ordered) != 2 || f != live || v.Flows.Len() != 1 || v.Gen == s.Generation() {
-		t.Fatalf("a later mutation reached the view (%d rules, %d microflows) or left the generation at %d", len(v.Ordered), v.Flows.Len(), v.Gen)
+	if _, f, _ := v.Flows.Lookup(pkt(5, 6, 7, 8)); v.TCAM.Len() != 2 || f != live || v.Flows.Len() != 1 || v.Gen == s.Generation() {
+		t.Fatalf("a later mutation reached the view (%d rules, %d microflows) or left the generation at %d", v.TCAM.Len(), v.Flows.Len(), v.Gen)
 	}
 
-	v.Ordered[0].AccountN(3, 100)
+	v.TCAM.At(0).AccountN(3, 100)
 	if r, _ := s.Rule(high); r.Packets != 3 || r.Bytes != 100 {
 		t.Fatalf("rule counters %d packets %d bytes after AccountN(3, 100)", r.Packets, r.Bytes)
 	}
 	s.AccountBurst(BurstStats{Packets: 5, Miss: 2})
 	if s.Processed != 5 || s.Misses != 2 {
 		t.Fatalf("switch counters %d processed %d misses after a burst of 5 with 2 misses", s.Processed, s.Misses)
-	}
-}
-
-// TestViewChangedListsTCAMEdits covers the change log: no log before the
-// first view, the TCAM edits since a caller's generation in order, by
-// position, once there is one, consumed edits dropped, no microflow edit
-// logged (the view hands the microflow table sealed), the TCAM whole after a
-// ReplaceTCAM, and whole for a caller the log does not reach — older than
-// it, or behind more than MaxChanges edits.
-func TestViewChangedListsTCAMEdits(t *testing.T) {
-	s := NewSwitch("s")
-	k1, k2 := pkt(1, 2, 3, 4).Flow(), pkt(5, 6, 7, 8).Flow()
-	s.InstallMicroflow(k1, Action{Output: 1}, Cookie{})
-	s.InstallMicroflow(k2, Action{Output: 2}, Cookie{})
-	set := s.Generation()
-	s.Install(PrioDefault, matchAll, Action{Output: 9})
-	if v := s.ViewChanged(set); v.Ordered == nil || len(v.Changes) != 0 || v.Flows.Len() != 2 {
-		t.Fatalf("the first view listed %d edits of a set-up that kept no log, and %d microflows", len(v.Changes), v.Flows.Len())
-	}
-	s.ReplaceTCAM(nil)
-
-	v0 := s.View()
-	s.InstallMicroflow(k1, Action{Output: 3}, Cookie{})
-	low := s.Install(PrioPrefix, matchAll, Action{Output: 4})
-	s.Install(PrioTag, matchAll, Action{Output: 5})
-	s.RemoveMicroflow(k2)
-	s.Remove(low)
-	v1 := s.ViewChanged(v0.Gen)
-	if v1.Ordered != nil || len(v1.Changes) != 3 || v1.Flows.Len() != 1 {
-		t.Fatalf("five edits since the caller's view came as %d rules, %d edits and %d microflows", len(v1.Ordered), len(v1.Changes), v1.Flows.Len())
-	}
-	c := v1.Changes
-	if c[0].At != 0 || c[0].Rule == nil || c[0].Rule.ID != low || c[0].Gen <= v0.Gen ||
-		c[1].At != 0 || c[1].Rule == nil || c[2].At != 1 || c[2].Rule != nil || c[2].Gen != v1.Gen {
-		t.Fatalf("TCAM edits %+v, want #%d in at 0, the tag rule in at 0, position 1 out", c, low)
-	}
-	if v := s.ViewChanged(v1.Gen); len(v.Changes) != 0 || v.Ordered != nil {
-		t.Fatal("a current caller was handed the TCAM")
-	}
-	if v := s.ViewChanged(v0.Gen); len(v.Ordered) != 1 || len(v.Changes) != 0 {
-		t.Fatalf("a caller behind consumed edits got %d edits, not the whole TCAM", len(v.Changes))
-	}
-
-	s.Install(PrioMobility, matchAll, Action{Output: 6})
-	s.ReplaceTCAM([]Rule{{Priority: PrioTag, Match: matchAll, Action: Action{Output: 7}}})
-	s.Install(PrioMobility, matchAll, Action{Output: 8})
-	if v := s.ViewChanged(v1.Gen); len(v.Ordered) != 2 || len(v.Changes) != 2 {
-		t.Fatalf("a ReplaceTCAM between two edits came as %d rules and %d edits; want the TCAM whole and the 2 edits", len(v.Ordered), len(v.Changes))
-	}
-	v2 := s.View()
-	s.InstallMicroflow(k2, Action{Output: 6}, Cookie{})
-	if v := s.ViewChanged(v2.Gen); v.Gen == v2.Gen || v.Ordered != nil || len(v.Changes) != 0 || v.Flows.Len() != 2 {
-		t.Fatalf("a microflow install came as %d rules, %d edits and %d microflows at generation %d", len(v.Ordered), len(v.Changes), v.Flows.Len(), v.Gen)
-	}
-
-	v2 = s.View()
-	for i := 0; i < MaxChanges; i++ {
-		s.Install(PrioTag, matchAll, Action{Output: i})
-	}
-	if v := s.ViewChanged(v2.Gen); len(v.Changes) != MaxChanges || v.Ordered != nil {
-		t.Fatalf("%d edits at the bound came as %d edits", MaxChanges, len(v.Changes))
-	}
-	last := s.View()
-	for i := 0; i <= MaxChanges; i++ {
-		s.Remove(s.Install(PrioTag, matchAll, Action{Output: i}))
-	}
-	if v := s.ViewChanged(last.Gen); v.Ordered == nil || len(v.Changes) != 0 {
-		t.Fatalf("%d edits past the bound came as %d edits, not the whole TCAM", 2*(MaxChanges+1), len(v.Changes))
-	}
-	s.ReplaceTCAM(nil)
-	last = s.View()
-	s.Splice(nil)
-	if v := s.ViewChanged(last.Gen); v.Gen == last.Gen || v.Ordered != nil || len(v.Changes) != 0 {
-		t.Fatalf("an empty splice came as %d rules and %d edits", len(v.Ordered), len(v.Changes))
 	}
 }
 

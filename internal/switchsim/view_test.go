@@ -1,8 +1,5 @@
 package switchsim
 
-// View exports the whole tables under one lock.
-func (s *Switch) View() TableView { return s.ViewChanged(^uint64(0)) }
-
 // Rule returns a snapshot of one TCAM rule by ID.
 func (s *Switch) Rule(id RuleID) (Rule, bool) {
 	s.mu.RLock()
@@ -11,7 +8,7 @@ func (s *Switch) Rule(id RuleID) (Rule, bool) {
 	if i < 0 {
 		return Rule{}, false
 	}
-	return s.ordered[i].snapshot(), true
+	return s.tcam[i].rule.snapshot(), true
 }
 
 // matchAll matches every packet on every port.
