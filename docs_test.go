@@ -14,8 +14,9 @@ import (
 )
 
 // citedPath matches a file path a document cites in backticks: a name
-// ending in .go, .md, .txt, .json or .sh, optionally followed by a :line.
-var citedPath = regexp.MustCompile("`([A-Za-z0-9_./*-]+\\.(?:go|md|txt|json|sh))(?::([0-9]+))?`")
+// ending in .go, .md, .txt, .json or .sh, optionally followed by a :line
+// or a :first–last range of lines.
+var citedPath = regexp.MustCompile("`([A-Za-z0-9_./*-]+\\.(?:go|md|txt|json|sh))(?::([0-9]+)(?:[–-]([0-9]+))?)?`")
 
 // treeFiles maps each file under root, slash-separated and relative to it,
 // to its line count, leaving out hidden directories and so the
@@ -54,7 +55,8 @@ func treeFiles(t *testing.T, root string) map[string]int {
 }
 
 // unresolved returns the citations in text that name no file of files, or
-// more than one, or a line past the end of the one file they name; files
+// more than one, or a line (a range's last line) past the end of the one
+// file they name; files
 // maps each path to its line count. A cited path resolves to the file it
 // names from the root, or else to the one file whose path ends in it; a
 // glob (BENCH_*.json) resolves to any number of files but none. A name
@@ -81,7 +83,11 @@ func unresolved(files map[string]int, text []byte) []string {
 				}
 			}
 		}
-		switch line, _ := strconv.Atoi(string(m[2])); {
+		last := m[2]
+		if len(m[3]) > 0 {
+			last = m[3]
+		}
+		switch line, _ := strconv.Atoi(string(last)); {
 		case len(named) == 0 || (len(named) > 1 && !strings.Contains(cited, "*")):
 			bad = append(bad, cited)
 		case len(named) == 1 && line > files[named[0]]:
@@ -91,13 +97,13 @@ func unresolved(files map[string]int, text []byte) []string {
 	return bad
 }
 
-// TestDocsCiteFilesThatExist resolves every file path DESIGN.md and
-// README.md cite in backticks to a file of the tree, and every cited line
-// to a line of that file, so a renamed, deleted or shortened file cannot
-// leave a document pointing nowhere.
+// TestDocsCiteFilesThatExist resolves every file path DESIGN.md, README.md
+// and ROADMAP.md cite in backticks to a file of the tree, and every cited
+// line or range to lines of that file, so a renamed, deleted or shortened
+// file cannot leave a document pointing nowhere.
 func TestDocsCiteFilesThatExist(t *testing.T) {
 	files := treeFiles(t, ".")
-	for _, doc := range []string{"DESIGN.md", "README.md"} {
+	for _, doc := range []string{"DESIGN.md", "README.md", "ROADMAP.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
@@ -111,7 +117,8 @@ func TestDocsCiteFilesThatExist(t *testing.T) {
 // TestUnresolvedNamesPlantedPaths checks the check: planted missing paths,
 // an ambiguous suffix, a glob matching nothing and a line past the end of
 // its file are reported, and a path from the root, a unique suffix (with a
-// line within the file or without), a glob and a bare suffix are not.
+// line within the file or without), a glob and a bare suffix are not. A
+// ROADMAP-style range is checked by its last line.
 func TestUnresolvedNamesPlantedPaths(t *testing.T) {
 	files := map[string]int{"bench_test.go": 40, "bench/bench_test.go": 40, "internal/switchsim/switch.go": 108,
 		"internal/agent/obs.go": 60, "internal/core/obs.go": 60, "results/BENCH_a.json": 9, "results/BENCH_b.json": 9}
@@ -120,5 +127,9 @@ func TestUnresolvedNamesPlantedPaths(t *testing.T) {
 	want := []string{"internal/switchsim/gone.go", "x/bench_test.go", "obs.go", "bench/README.md", "results/FIG_*.txt", "switch.go:109"}
 	if got := unresolved(files, text); !slices.Equal(got, want) {
 		t.Fatalf("unresolved reported %v, want %v", got, want)
+	}
+	roadmap := []byte("the writes (`switchsim/switch.go:100–108`, `agent/obs.go:16-18`) and the seal (`switch.go:100–109`, `obs.go:1–2`)")
+	if got, want := unresolved(files, roadmap), []string{"switch.go:100–109", "obs.go"}; !slices.Equal(got, want) {
+		t.Fatalf("unresolved reported %v in the planted ROADMAP text, want %v", got, want)
 	}
 }

@@ -317,8 +317,8 @@ func (a *Agent) handleM2M(su *snapUE, clause int, p *packet.Packet) (bool, error
 // (carrier or permanent-pool addresses) are mobile-to-mobile and always
 // deliverable; external sources must match a registered inbound binding —
 // anything else (including spoofed-tag probes, §4.1) is refused. On
-// success it installs the delivery microflow and the reverse rule so
-// replies retrace the same header transformation.
+// success it installs the delivery microflow and the reverse rule, in one
+// switch write, so replies retrace the same header transformation.
 func (a *Agent) HandleArrival(p *packet.Packet) (delivered bool, err error) {
 	su, ok := a.lkg().byLoc(p.Dst)
 	if !ok {
@@ -351,7 +351,6 @@ func (a *Agent) HandleArrival(p *packet.Packet) (delivered bool, err error) {
 	// Both entries belong to the destination UE, under no clause: a publish
 	// that drops the UE tears them down, and reconcile never re-tags them.
 	owned := switchsim.Cookie{Owner: perm, Clause: arrivalClause}
-	a.Access.InstallMicroflow(key, deliver, owned)
 	// Replies from the UE: restore the wire form so they retrace the same
 	// (tagged) path back out.
 	replyKey := packet.FlowKey{Src: perm, Dst: p.Src, SrcPort: svc, DstPort: p.SrcPort, Proto: p.Proto}
@@ -360,7 +359,10 @@ func (a *Agent) HandleArrival(p *packet.Packet) (delivered bool, err error) {
 	}
 	reply := switchsim.Action{Resubmit: true, Output: -1, Set: switchsim.SetSrc | switchsim.SetSrcPort,
 		Src: p.Dst, SrcPort: p.DstPort}
-	a.Access.InstallMicroflow(replyKey, reply, owned)
+	a.Access.WriteMicroflows(nil, []switchsim.Microflow{
+		{Key: key, Action: deliver, Cookie: owned},
+		{Key: replyKey, Action: reply, Cookie: owned},
+	})
 	a.stats.microflows.Add(2)
 	a.obs.microflows.Add(2)
 	return true, nil
@@ -390,17 +392,21 @@ func cookie(su *snapUE, clause int) switchsim.Cookie {
 // are keyed by the UE's permanent address, the downstream ones by a LocIP.
 func upstream(m switchsim.Microflow) bool { return m.Key.Src == m.Cookie.Owner }
 
-// installPair writes one flow's two microflows: up for the UE's packets,
-// keyed orig, and down for the replies to the wire five-tuple up gives them.
-// A flow installed again gives up the wire five-tuple it had.
+// installPair writes one flow's two microflows in one switch write: up for
+// the UE's packets, keyed orig, and down for the replies to the wire
+// five-tuple up gives them. A flow installed again gives up the wire
+// five-tuple it had.
 //
 // caller holds mu
 func (a *Agent) installPair(orig packet.FlowKey, up, down switchsim.Action, c switchsim.Cookie) {
+	var gone []packet.FlowKey
 	if r, ok := a.Access.Microflow(orig); ok && r.Cookie.Owner == c.Owner {
-		a.Access.RemoveMicroflow(r.Action.Rewritten(orig).Reverse())
+		gone = []packet.FlowKey{r.Action.Rewritten(orig).Reverse()}
 	}
-	a.Access.InstallMicroflow(orig, up, c)
-	a.Access.InstallMicroflow(up.Rewritten(orig).Reverse(), down, c)
+	a.Access.WriteMicroflows(gone, []switchsim.Microflow{
+		{Key: orig, Action: up, Cookie: c},
+		{Key: up.Rewritten(orig).Reverse(), Action: down, Cookie: c},
+	})
 	a.stats.microflows.Add(2)
 	a.obs.microflows.Add(2)
 }

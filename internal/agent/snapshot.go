@@ -483,15 +483,25 @@ func (a *Agent) derive(mutate func(d *snapshotDraft)) bool {
 // under the snapshot's tag) or torn down (path or UE withdrawn) — never
 // silently dropped; every disposition is counted here and on the obs
 // registry. A denial's drop entry goes too, uncounted, so the flow's next
-// packet is classified again under the new state. The switch, not the
+// packet is classified again under the new state. Every entry that goes,
+// goes in one switch write, before the replays. The switch, not the
 // agent, holds the flows, so a restarted agent reconciles what its
 // predecessor installed.
 func (a *Agent) reconcile() ReconcileReport {
 	snap := a.lkg()
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	type replay struct {
+		su     *snapUE
+		orig   packet.FlowKey
+		tag    packet.Tag
+		clause int
+		qos    policy.QoS
+	}
 	var rep ReconcileReport
 	var flows []switchsim.Microflow
+	var gone []packet.FlowKey
+	var replays []replay
 	for _, perm := range a.Access.Owners(nil) {
 		flows = a.Access.Owned(flows[:0], perm)
 		su, ok := snap.ue(perm)
@@ -499,7 +509,7 @@ func (a *Agent) reconcile() ReconcileReport {
 			// Tombstoned UE: the snapshot no longer carries it, so its
 			// microflows must not keep forwarding.
 			for _, m := range flows {
-				a.Access.RemoveMicroflow(m.Key)
+				gone = append(gone, m.Key)
 				if upstream(m) && !isDenial(m) {
 					rep.TornDown++
 				}
@@ -509,7 +519,7 @@ func (a *Agent) reconcile() ReconcileReport {
 		}
 		for _, m := range flows {
 			if isDenial(m) {
-				a.Access.RemoveMicroflow(m.Key)
+				gone = append(gone, m.Key)
 				continue
 			}
 			// M2M and location-routed flows carry no tag to reconcile. A
@@ -530,16 +540,22 @@ func (a *Agent) reconcile() ReconcileReport {
 				rep.Kept++
 				continue
 			}
-			a.Access.RemoveMicroflow(m.Key)
-			a.Access.RemoveMicroflow(m.Action.Rewritten(m.Key).Reverse())
-			switch {
-			case !ok:
+			gone = append(gone, m.Key, m.Action.Rewritten(m.Key).Reverse())
+			if ok {
+				replays = append(replays, replay{su, m.Key, tag, clause, qos})
+			} else {
 				rep.TornDown++
-			case a.installMicroflows(su, m.Key, tag, clause, qos) != nil:
-				rep.TornDown++ // unembeddable replacement tag: counted, not hidden
-			default:
-				rep.Replayed++
 			}
+		}
+	}
+	if len(gone) > 0 {
+		a.Access.WriteMicroflows(gone, nil)
+	}
+	for _, r := range replays {
+		if a.installMicroflows(r.su, r.orig, r.tag, r.clause, r.qos) != nil {
+			rep.TornDown++ // unembeddable replacement tag: counted, not hidden
+		} else {
+			rep.Replayed++
 		}
 	}
 	a.stats.replayed.Add(uint64(rep.Replayed))

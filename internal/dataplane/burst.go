@@ -11,7 +11,7 @@ import (
 	"repro/internal/topo"
 )
 
-// fastConfig compiles the topology into the fast path's view: one link
+// fastConfig describes the topology to the fast path: one link
 // table per node (egress port -> neighbour and its return port) and the
 // mobility-tunnel targets. Middlebox attachment ports sit beyond each
 // link table, so packets heading there fall to the slow path; a gateway
@@ -42,19 +42,19 @@ func (n *Network) fastConfig() fastpath.NetConfig {
 	}
 }
 
-// EnableFastPath compiles the fast-path topology view and returns a handle
+// EnableFastPath assembles the fast path's topology and returns a handle
 // on it; it starts no goroutine. Call Instrument first to attach
-// telemetry. A prior view is replaced. workers is unused: bursts walk in
+// telemetry. A prior one is replaced. workers is unused: bursts walk in
 // the sender's goroutine (NewBurstSender).
 func (n *Network) EnableFastPath(workers int) *fastpath.Engine {
 	n.fast = fastpath.NewEngine(fastpath.NewNet(n.fastConfig()))
 	return n.fast
 }
 
-// FastEngine returns the compiled view's handle, nil before EnableFastPath.
+// FastEngine returns the fast path's handle, nil before EnableFastPath.
 func (n *Network) FastEngine() *fastpath.Engine { return n.fast }
 
-// DisableFastPath drops the compiled view: walks go back to the
+// DisableFastPath drops the fast path: walks go back to the
 // interpreted switch tables.
 func (n *Network) DisableFastPath() { n.fast = nil }
 

@@ -221,12 +221,9 @@ func TestReplayHopsCountSwitches(t *testing.T) {
 			t.Fatalf("opening: %s (%v)", res.Disposition, err)
 		}
 	}
-	processed := func() (sum uint64) {
-		for _, sw := range refNet.Switches {
-			sum += atomic.LoadUint64(&sw.Processed)
-		}
-		return sum
-	}
+	reg := obs.New()
+	refNet.Instrument(reg)
+	processed := reg.Counter("switchsim.packets").Value
 	before := processed()
 	wr, err := refNet.SendUpstream(0, webPacket(ue, 40000))
 	if err != nil || wr.Disposition != ExitedNet {

@@ -5,8 +5,8 @@
 // optional gateway NAT (§4.1). It walks packets hop by hop exactly as the
 // hardware would, which is what the integration and mobility tests observe.
 // Once EnableFastPath has run, every hop of a single-packet walk steps the
-// switch's compiled fastpath snapshot (fastpath.FIB.Step); before that, it
-// runs switchsim.Process, the reference pipeline the snapshots are tested
+// switch's sealed view (fastpath.Net.Step); before that, it runs
+// switchsim.Process, the reference pipeline the fast path is tested
 // against. Both give the same verdicts, rewrites and counters.
 package dataplane
 
@@ -146,11 +146,10 @@ const unsynced = ^uint64(0)
 // those in one switchsim.Splice; any other changed switch gets its whole
 // table — FIB rules plus, on the gateway, the §7 public-IP bindings — in
 // one switchsim.ReplaceTCAM. Either way concurrent Process calls and
-// fast-path compiles see the old table or the new one and never a partial
-// one; the fast path then recompiles exactly the snapshots whose generation
-// moved, reusing what they compiled of the rules that stayed. That includes
-// the access switches whose agents installed or removed microflows since:
-// their snapshots take the switch's microflow table as it is.
+// fast-path walks see the old table or the new one and never a partial
+// one; the fast path then has exactly the switches whose generation moved
+// seal their views, the access switches whose agents wrote microflows
+// since among them.
 //
 // Sync itself never touches a microflow table. A rule's traffic counters
 // (Packets, Bytes) keep counting for as long as the rule stays installed:
@@ -160,8 +159,7 @@ const unsynced = ^uint64(0)
 //
 // A sampled Sync is a dataplane.sync span with one dataplane.sync.splice
 // child per switch it tried to splice, one dataplane.sync.replace per
-// switch it rebuilt and a dataplane.sync.compile for the fast path's
-// recompile.
+// switch it rebuilt and a dataplane.sync.compile for the fast path's Warm.
 func (n *Network) Sync() error {
 	return n.sync(n.spans.sync.Root())
 }
@@ -203,7 +201,7 @@ func (n *Network) sync(sp obs.Span) error {
 		return err
 	}
 	if n.fast != nil {
-		// Recompile stale fast-path snapshots now, so the control-plane
+		// Seal the changed switches' views now, so the control-plane
 		// change is paid for here rather than on the next burst.
 		csp := n.spans.compile.Start(sc)
 		n.obs.examined(n.fast.Net().Warm())
@@ -456,14 +454,13 @@ func (n *Network) direction(p *packet.Packet) mbox.Direction {
 }
 
 // process runs p through node's switch. With the fast path on it steps
-// the switch's compiled snapshot (recompiled first if stale); otherwise
-// it interprets the switch's tables under their lock.
-func (n *Network) process(node topo.NodeID, inPort int, p *packet.Packet) fastpath.Verdict {
+// the switch's view (sealed first if stale); otherwise it interprets the
+// switch's tables under their lock.
+func (n *Network) process(node topo.NodeID, inPort int, p *packet.Packet) switchsim.Verdict {
 	if n.fast != nil {
-		return n.fast.Net().FIB(int(node)).Step(p, inPort)
+		return n.fast.Net().Step(int(node), p, inPort)
 	}
-	v := n.Switches[node].Process(p, inPort)
-	return fastpath.Verdict{Output: v.Output, Drop: v.Drop, ToController: v.ToController}
+	return n.Switches[node].Process(p, inPort)
 }
 
 // walk processes a packet starting at node with the given ingress port. It

@@ -68,11 +68,10 @@ func flowSetupNet(tb testing.TB, resident int, reg *obs.Registry) (*Network, cor
 }
 
 // TestFlowSetupCompilesNoRules pins what one new flow costs the fast path:
-// the access switch's snapshot takes the switch's tables as the switch
-// sealed them, so its two microflows compile nothing and copy no TCAM
-// entry, however many microflows the switch holds, and a hit on the
-// snapshot names the entry the switch holds. Two same-seed plants copy the
-// same number of TCAM entries.
+// the access switch's view is its tables as it sealed them, so its two
+// microflows compile nothing and copy no TCAM entry, however many
+// microflows the switch holds, and a hit on the view names the entry the
+// switch holds. Two same-seed plants copy the same number of TCAM entries.
 func TestFlowSetupCompilesNoRules(t *testing.T) {
 	for _, resident := range []int{128, 512} {
 		var runs [2][2]uint64 // TCAM entries copied warming the plant, then for one flow
@@ -92,8 +91,8 @@ func TestFlowSetupCompilesNoRules(t *testing.T) {
 			reply := &packet.Packet{Src: w.Src, Dst: w.Dst, SrcPort: w.SrcPort, DstPort: w.DstPort, Proto: w.Proto, TTL: 64}
 			live, ok := accessOf(t, net, flowBS).Microflow(w)
 			st, _ := net.T.Station(flowBS)
-			if v := net.FastEngine().Net().FIB(int(st.Access)).Step(reply, 0); !ok || v.Flow != live {
-				t.Fatalf("%d resident microflows: the snapshot's hit names entry %p, the switch holds %p", resident, v.Flow, live)
+			if v := net.FastEngine().Net().Step(int(st.Access), reply, 0); !ok || v.Flow != live {
+				t.Fatalf("%d resident microflows: the view's hit names entry %p, the switch holds %p", resident, v.Flow, live)
 			}
 		}
 		if runs[0][1] != 0 {
@@ -103,6 +102,44 @@ func TestFlowSetupCompilesNoRules(t *testing.T) {
 			t.Fatalf("%d resident microflows: two same-seed plants copied %v and %v TCAM entries", resident, runs[0], runs[1])
 		}
 		t.Logf("%d resident microflows: %d TCAM entries copied warming the plant, %d for one new flow", resident, runs[0][0], runs[0][1])
+	}
+}
+
+// TestFlowSetupWritesEachAccessSwitchOnce pins how often one flow set-up
+// writes an access switch: once. The agent puts a flow's two microflows in
+// one switch write, so the generation of the sender's access switch steps
+// once; a mobile-to-mobile flow also steps the receiver's once, where its
+// agent puts the arrival pair in.
+func TestFlowSetupWritesEachAccessSwitchOnce(t *testing.T) {
+	const peerBS = 3
+	net, ue := flowSetupNet(t, 128, nil)
+	if err := net.Ctrl.RegisterSubscriber("peer", policy.Attributes{Provider: "A"}); err != nil {
+		t.Fatal(err)
+	}
+	peer, err := net.Attach("peer", peerBS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	from, to := accessOf(t, net, flowBS), accessOf(t, net, peerBS)
+	for _, c := range []struct {
+		name string
+		p    *packet.Packet
+		want Disposition
+	}{
+		{"web flow", webPacket(ue, 40000), ExitedNet},
+		{"mobile-to-mobile flow", &packet.Packet{Src: ue.PermIP, Dst: peer.PermIP, SrcPort: 50000, DstPort: 7000, Proto: packet.ProtoUDP, TTL: 64}, Delivered},
+	} {
+		g0, g1 := from.Generation(), to.Generation()
+		if res, err := net.SendUpstream(flowBS, c.p); err != nil || res.Disposition != c.want {
+			t.Fatalf("%s: %v %v", c.name, res.Disposition, err)
+		}
+		wantTo := uint64(0)
+		if c.want == Delivered {
+			wantTo = 1
+		}
+		if d0, d1 := from.Generation()-g0, to.Generation()-g1; d0 != 1 || d1 != wantTo {
+			t.Fatalf("%s stepped the sender's access switch %d times and the receiver's %d, want 1 and %d", c.name, d0, d1, wantTo)
+		}
 	}
 }
 
@@ -156,12 +193,12 @@ func TestEphemeralValuesNeverAlias(t *testing.T) {
 
 // BenchmarkFlowSetup times one new flow's set-up and tear-down at an
 // access switch holding 128 and 512 resident microflows: its SendUpstream
-// (punt, agent admit, the two microflow installs, the Sync that recompiles
-// the access switch's snapshot, and the walk out), then the removal of its
-// two microflows, which ends the flow for the agent too, and the Sync that
-// recompiles the snapshot again, so the resident count stays put. Timing
-// both patches makes the figure independent of which one lands the
-// compiled index's amortised relayout. make flowsetup-alloc-gate bounds
+// (punt, agent admit, the microflow pair's write, the Sync that seals the
+// access switch's view, and the walk out), then the removal of its two
+// microflows, which ends the flow for the agent too, and the Sync that
+// seals the view again, so the resident count stays put. Timing both
+// patches makes the figure independent of which one lands the index's
+// amortised relayout. make flowsetup-alloc-gate bounds
 // its B/op at 512 resident microflows.
 func BenchmarkFlowSetup(b *testing.B) {
 	for _, resident := range []int{128, 512} {

@@ -48,38 +48,36 @@ func handoffNet(tb testing.TB, reg *obs.Registry) (net *Network, far packet.BSID
 	return net, far
 }
 
-// compileWork is what a span's table updates did: the fast path's
-// snapshots compiled, the TCAM entries the switches copied on their first
-// write after a seal, and the microflow index pages the access switches
-// copied.
+// compileWork is what a span's table updates did: the views the switches
+// sealed, the TCAM entries they copied on their first write after a seal,
+// and the microflow index pages the access switches copied.
 type compileWork struct {
-	snapshots, tcamCopied, pagesCopied uint64
+	seals, tcamCopied, pagesCopied uint64
 }
 
-// readWork reads reg's compile counters.
+// readWork reads reg's seal and copy counters.
 func readWork(reg *obs.Registry) compileWork {
 	return compileWork{
-		snapshots:   reg.Counter("fastpath.snapshot.compile").Value(),
+		seals:       reg.Counter("switchsim.view.sealed").Value(),
 		tcamCopied:  reg.Counter("switchsim.tcam.rules.copied").Value(),
 		pagesCopied: reg.Counter("switchsim.micro.pages.copied").Value(),
 	}
 }
 
 func (w compileWork) minus(o compileWork) compileWork {
-	return compileWork{w.snapshots - o.snapshots, w.tcamCopied - o.tcamCopied, w.pagesCopied - o.pagesCopied}
+	return compileWork{w.seals - o.seals, w.tcamCopied - o.tcamCopied, w.pagesCopied - o.pagesCopied}
 }
 
-// TestHandoffCompileWork pins what the switches copy and the fast path
-// recompiles for one Network.Handoff (its Sync included) of a UE with
-// established flows, and for the release's Sync after it: a recompile
-// takes each switch's sealed tables as they are, a splice copies the TCAM
-// of the switch it touches once, and the two access switches copy the
-// index pages the migrated microflows are written to. Two same-seed plants
-// do the same work.
+// TestHandoffCompileWork pins what the switches seal and copy for one
+// Network.Handoff (its Sync included) of a UE with established flows, and
+// for the release's Sync after it: a seal copies nothing, a splice copies
+// the TCAM of the switch it touches once, and the two access switches copy
+// the index pages the migrated microflows are written to. Two same-seed
+// plants do the same work.
 func TestHandoffCompileWork(t *testing.T) {
 	want := [2]compileWork{
-		{snapshots: 8, tcamCopied: 141, pagesCopied: 16},
-		{snapshots: 6, tcamCopied: 141, pagesCopied: 0},
+		{seals: 8, tcamCopied: 141, pagesCopied: 16},
+		{seals: 6, tcamCopied: 141, pagesCopied: 0},
 	}
 	var runs [2][2]compileWork // per plant: the handoff, then the release
 	for run := range runs {
@@ -108,8 +106,8 @@ func TestHandoffCompileWork(t *testing.T) {
 
 // BenchmarkHandoff times one whole Network.Handoff — the controller's
 // move, the new agent's admission, the migration of the UE's established
-// flows and the Sync that splices the shortcuts and recompiles the touched
-// snapshots — on the warmed generated plant, alternating between two
+// flows and the Sync that splices the shortcuts and seals the touched
+// switches' views — on the warmed generated plant, alternating between two
 // stations. The release and its Sync run off the clock. make
 // handoff-alloc-gate bounds its B/op and allocs/op.
 func BenchmarkHandoff(b *testing.B) {

@@ -15,7 +15,7 @@ type dpObs struct {
 	delta   *obs.Counter   // switches Sync updated by a splice
 	rebuild *obs.Counter   // switches Sync rebuilt whole
 	// looked counts the switches Sync examined: a FIB version compared
-	// and a fast-path snapshot checked each count one.
+	// and a switch's view sealed by the fast path's Warm each count one.
 	looked *obs.Counter
 }
 
@@ -76,7 +76,7 @@ type dpSpans struct {
 	sync    *obs.SpanName // a whole Sync
 	splice  *obs.SpanName // one switch's splice, tried by Sync
 	replace *obs.SpanName // one switch's table rebuilt by Sync
-	compile *obs.SpanName // the fast path's recompile at the end of a Sync
+	compile *obs.SpanName // the fast path's Warm at the end of a Sync
 }
 
 // Instrument registers the data plane's burst telemetry, its handoff and

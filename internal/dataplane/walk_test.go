@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -36,22 +35,38 @@ func primedFlow(t testing.TB, net *Network) (core.UE, packet.Packet) {
 		Proto: packet.ProtoTCP, TTL: 64}
 }
 
-// TestWalkStepsTheSnapshot: with the fast path on, the single-packet walk
-// steps each switch's compiled snapshot and ends exactly as the
-// interpreter does on a twin network: same disposition, hops, final header
-// and switch accounting. A table change with no Sync is seen by the very
-// next walk, at the cost of one recompile of the changed switch.
-func TestWalkStepsTheSnapshot(t *testing.T) {
+// pipelineCounters are the series a switch counts every packet's pipeline
+// outcome in, whether Process or the fast path ran it.
+var pipelineCounters = []string{"switchsim.packets", "switchsim.micro.hit", "switchsim.micro.miss",
+	"switchsim.tcam.hit", "switchsim.tcam.miss", "switchsim.punt", "switchsim.drop"}
+
+// TestWalkStepsTheView: with the fast path on, the single-packet walk
+// steps each switch's sealed view and ends exactly as the interpreter does
+// on a twin network: same disposition, hops, final header and switch
+// accounting. A table change with no Sync is seen by the very next walk,
+// at the cost of one seal of the changed switch.
+func TestWalkStepsTheView(t *testing.T) {
 	fastNet, refNet := newPlainLine(t, 2, 3), newPlainLine(t, 2, 3)
 	ue, reply := primedFlow(t, fastNet)
 	if ue2, _ := primedFlow(t, refNet); ue2 != ue {
 		t.Fatalf("twin networks diverged: %+v vs %+v", ue, ue2)
 	}
-	reg := obs.New()
-	fastNet.Instrument(reg)
+	// Each switch of both networks counts on a registry of its own.
+	var regs [2][]*obs.Registry
+	for k, net := range []*Network{fastNet, refNet} {
+		for _, sw := range net.Switches {
+			regs[k] = append(regs[k], obs.New())
+			sw.Instrument(regs[k][len(regs[k])-1])
+		}
+	}
 	fastNet.EnableFastPath(1)
 	defer fastNet.DisableFastPath()
-	compiles := reg.Counter("fastpath.snapshot.compile")
+	seals := func() (n uint64) {
+		for _, reg := range regs[0] {
+			n += reg.Counter("switchsim.view.sealed").Value()
+		}
+		return n
+	}
 
 	compare := func(label string, want Disposition) {
 		t.Helper()
@@ -73,7 +88,7 @@ func TestWalkStepsTheSnapshot(t *testing.T) {
 			f, r := got[0], got[1]
 			if f.Disposition != r.Disposition || f.Last != r.Last || !slices.Equal(f.Hops, r.Hops) ||
 				f.Packet.Flow() != r.Packet.Flow() || f.Packet.DSCP != r.Packet.DSCP {
-				t.Fatalf("%s (down=%v): snapshot walk %s at %d %v %v != interpreter %s at %d %v %v", label, down,
+				t.Fatalf("%s (down=%v): fast walk %s at %d %v %v != interpreter %s at %d %v %v", label, down,
 					f.Disposition, f.Last, f.Hops, f.Packet, r.Disposition, r.Last, r.Hops, r.Packet)
 			}
 			if !down && f.Disposition != want {
@@ -82,8 +97,8 @@ func TestWalkStepsTheSnapshot(t *testing.T) {
 		}
 	}
 	compare("established flow", ExitedNet)
-	if c := compiles.Value(); c != uint64(len(fastNet.Switches)-1) {
-		t.Fatalf("fastpath.snapshot.compile = %d after the first walks, want one per switch walked (%d)",
+	if c := seals(); c != uint64(len(fastNet.Switches)-1) {
+		t.Fatalf("switchsim.view.sealed = %d after the first walks, want one per switch walked (%d)",
 			c, len(fastNet.Switches)-1)
 	}
 
@@ -92,24 +107,22 @@ func TestWalkStepsTheSnapshot(t *testing.T) {
 	for _, net := range []*Network{fastNet, refNet} {
 		net.Switches[st.Access].InstallMicroflow(webPacket(ue, 40000).Flow(), switchsim.DropAction(), switchsim.Cookie{})
 	}
-	before := compiles.Value()
+	before := seals()
 	compare("after an unsynced microflow", DroppedAt)
-	if c := compiles.Value() - before; c != 1 {
-		t.Fatalf("the unsynced change cost %d recompiles, want 1 (the access switch's)", c)
+	if c := seals() - before; c != 1 {
+		t.Fatalf("the unsynced change cost %d seals, want 1 (the access switch's)", c)
 	}
 
 	for i := range fastNet.Switches {
-		f, r := fastNet.Switches[i], refNet.Switches[i]
-		if fp, rp := atomic.LoadUint64(&f.Processed), atomic.LoadUint64(&r.Processed); fp != rp {
-			t.Fatalf("switch %d Processed: snapshot walks %d != interpreter %d", i, fp, rp)
+		for _, name := range pipelineCounters {
+			if f, r := regs[0][i].Counter(name).Value(), regs[1][i].Counter(name).Value(); f != r {
+				t.Fatalf("switch %d %s: fast walks %d != interpreter %d", i, name, f, r)
+			}
 		}
-		if fm, rm := atomic.LoadUint64(&f.Misses), atomic.LoadUint64(&r.Misses); fm != rm {
-			t.Fatalf("switch %d Misses: snapshot walks %d != interpreter %d", i, fm, rm)
-		}
-		fr, rr := f.Rules(), r.Rules()
+		fr, rr := fastNet.Switches[i].Rules(), refNet.Switches[i].Rules()
 		for j := range fr {
 			if fr[j].Packets != rr[j].Packets || fr[j].Bytes != rr[j].Bytes {
-				t.Fatalf("switch %d rule %d: snapshot walks %d/%dB != interpreter %d/%dB",
+				t.Fatalf("switch %d rule %d: fast walks %d/%dB != interpreter %d/%dB",
 					i, j, fr[j].Packets, fr[j].Bytes, rr[j].Packets, rr[j].Bytes)
 			}
 		}

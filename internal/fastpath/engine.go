@@ -41,12 +41,11 @@ type NetConfig struct {
 	Obs *obs.Registry
 }
 
-// Net is the compiled, immutable view of a whole topology: one FIB per
-// switch plus the link tables. It is safe for any number of concurrent
-// walkers; the only mutable state is the per-FIB snapshot pointer, which
-// is lock-free.
+// Net is a whole topology for the fast path: the switches, whose views it
+// walks, and the link tables. It is safe for any number of concurrent
+// walkers; it holds no mutable state but the set Warm drains.
 type Net struct {
-	fibs     []*FIB
+	sws      []*switchsim.Switch
 	changed  *dirty.Set // the switches whose tables changed since the last Warm
 	links    [][]Link
 	tunnels  map[packet.BSID]int32
@@ -61,43 +60,52 @@ type Net struct {
 // it, so both give up on the same packets.
 func HopBudget(nodes int) int { return 4*nodes + 32 }
 
-// NewNet compiles the topology view. Snapshots are compiled lazily on
-// first acquisition, so construction is cheap.
+// NewNet assembles the topology. The switches seal their views on first
+// use, so construction is cheap.
 func NewNet(cfg NetConfig) *Net {
 	n := &Net{
+		sws:      cfg.Switches,
 		links:    cfg.Links,
 		tunnels:  cfg.Tunnels,
 		slowExit: cfg.SlowExit,
 		maxHops:  int32(HopBudget(len(cfg.Switches))),
 		o:        newFPObs(cfg.Obs),
 	}
-	n.fibs = make([]*FIB, len(cfg.Switches))
 	n.changed = dirty.New(len(cfg.Switches))
 	for i, sw := range cfg.Switches {
-		n.fibs[i] = NewFIB(sw)
-		n.fibs[i].instrument(n.o)
 		sw.Watch(n.changed, i)
 	}
 	return n
 }
 
-// FIB returns node i's forwarding table.
-func (n *Net) FIB(i int) *FIB { return n.fibs[i] }
-
-// Warm recompiles now the snapshot of every switch whose tables changed
-// since the last Warm (at first, of every switch), so the next burst pays
-// no compile cost, and reports how many switches it examined: it does not
-// look at the others. Control-plane sync points call it after table
-// changes. A switch that changes later is still never served stale: its
-// next Acquire recompiles it.
+// Warm seals now the view of every switch whose tables changed since the
+// last Warm (at first, of every switch), so the next burst pays no seal,
+// and reports how many switches it examined: it does not look at the
+// others. Control-plane sync points call it after table changes. A switch
+// that changes later is still never served stale: its next View seals it.
 func (n *Net) Warm() int {
 	examined := 0
 	n.changed.Drain(func(i int) bool {
 		examined++
-		n.fibs[i].Acquire()
+		n.sws[i].View()
 		return true
 	})
 	return examined
+}
+
+// Step runs one packet arriving on inPort through node's current view:
+// the single-packet form of a burst walk's switch step, with the same
+// verdict and header rewrites as switchsim.Process. A hit is accounted
+// straight to the live entry and the pipeline stats to the switch, so
+// nothing is left to flush.
+//
+// hotpath: no alloc, no lock
+func (n *Net) Step(node int, p *packet.Packet, inPort int) switchsim.Verdict {
+	sw := n.sws[node]
+	t := tally{direct: true}
+	v := lookup(sw.View(), p, inPort, &t)
+	sw.AccountBurst(t.stats)
+	return v
 }
 
 // Disp classifies how one packet's fast-path walk ended.
@@ -184,7 +192,7 @@ func (sc *scratch) put(s []int32) {
 }
 
 // walkBurst drives one job's packets through the topology, burst-wise:
-// the whole group traverses a switch with one snapshot acquisition, then
+// the whole group traverses a switch with one load of its view, then
 // continuing packets regroup by next (node, inPort) and the frontier
 // repeats. Hop counts accrue per packet in res.
 func (n *Net) walkBurst(sc *scratch, j *job) {
@@ -207,10 +215,10 @@ func (n *Net) walkBurst(sc *scratch, j *job) {
 
 // stepGroup runs one group through one switch and enqueues the survivors.
 func (n *Net) stepGroup(sc *scratch, j *job, g group) {
-	fib := n.fibs[g.node]
-	snap := fib.Acquire()
-	//lint:ignore hotpath accumulator grows only when a recompiled snapshot gains slots (see tally.ensure)
-	sc.t.ensure(snap.slots())
+	sw := n.sws[g.node]
+	view := sw.View()
+	//lint:ignore hotpath accumulator grows only when a newly sealed view gains slots (see tally.ensure)
+	sc.t.ensure(slots(view))
 	t := &sc.t
 	links := n.links[g.node]
 	for _, i := range g.idx {
@@ -223,7 +231,7 @@ func (n *Net) stepGroup(sc *scratch, j *job, g group) {
 			n.o.loop()
 			continue
 		}
-		v := snap.lookup(p, int(g.inPort), t)
+		v := lookup(view, p, int(g.inPort), t)
 		switch {
 		case v.ToController:
 			r.Disp = DispPunted
@@ -257,7 +265,7 @@ func (n *Net) stepGroup(sc *scratch, j *job, g group) {
 			n.o.slowPath()
 		}
 	}
-	snap.flush(&sc.t)
+	flush(sw, view, &sc.t)
 	n.o.burst(len(g.idx))
 }
 
@@ -300,8 +308,8 @@ func (w *Walker) Walk(origin, inPort int, pkts []*packet.Packet, res []Result) [
 	return res
 }
 
-// Engine is a handle on a compiled Net. It runs nothing of its own: bursts
-// walk through a Walker and single packets through FIB.Step.
+// Engine is a handle on a Net. It runs nothing of its own: bursts walk
+// through a Walker and single packets through Net.Step.
 type Engine struct {
 	net *Net
 }
@@ -309,5 +317,5 @@ type Engine struct {
 // NewEngine wraps net.
 func NewEngine(net *Net) *Engine { return &Engine{net: net} }
 
-// Net returns the engine's compiled topology view.
+// Net returns the engine's topology.
 func (e *Engine) Net() *Net { return e.net }

@@ -127,6 +127,26 @@ func genPacket(r *rand.Rand) *packet.Packet {
 	}
 }
 
+// pipelineCounters are the series a switch counts every packet's pipeline
+// outcome in, whether Process or the fast path ran it.
+var pipelineCounters = []string{"switchsim.packets", "switchsim.micro.hit", "switchsim.micro.miss",
+	"switchsim.tcam.hit", "switchsim.tcam.miss", "switchsim.punt", "switchsim.drop"}
+
+// instrumented instruments sw on a registry of its own and returns it.
+func instrumented(sw *switchsim.Switch) *obs.Registry {
+	reg := obs.New()
+	sw.Instrument(reg)
+	return reg
+}
+
+// ruleID is the ID of the rule a verdict names, 0 for none.
+func ruleID(v switchsim.Verdict) switchsim.RuleID {
+	if v.Rule == nil {
+		return 0
+	}
+	return v.Rule.ID
+}
+
 func headerEq(a, b *packet.Packet) bool {
 	return a.Src == b.Src && a.Dst == b.Dst &&
 		a.SrcPort == b.SrcPort && a.DstPort == b.DstPort &&
@@ -153,7 +173,7 @@ func wantDisp(v switchsim.Verdict) Disp {
 
 // checkEquivalence builds a random switch and burst from rng and fails t
 // if a burst walked through the switch, or the same packets stepped one by
-// one through FIB.Step on a second identical switch, differs from the
+// one through Net.Step on a second identical switch, differs from the
 // sequential Process path over a third: the walk in disposition and
 // header, the step in verdict and header, and both in traffic accounting.
 func checkEquivalence(t *testing.T, rng *rand.Rand) {
@@ -169,6 +189,7 @@ func checkEquivalence(t *testing.T, rng *rand.Rand) {
 	fast := buildSwitch(specs, miss)
 	step := buildSwitch(specs, miss)
 	ref := buildSwitch(specs, miss)
+	regs := map[*switchsim.Switch]*obs.Registry{fast: instrumented(fast), step: instrumented(step), ref: instrumented(ref)}
 
 	burst := make([]*packet.Packet, 1+rng.Intn(64))
 	single := make([]*packet.Packet, len(burst))
@@ -191,7 +212,7 @@ func checkEquivalence(t *testing.T, rng *rand.Rand) {
 
 	walk := NewNet(NetConfig{Switches: []*switchsim.Switch{fast}, Links: [][]Link{nil}}).NewWalker()
 	got := walk.Walk(0, inPort, burst, make([]Result, len(burst)))
-	stepFIB := NewFIB(step)
+	stepNet := NewNet(NetConfig{Switches: []*switchsim.Switch{step}, Links: [][]Link{nil}})
 	for i := range burst {
 		key := single[i].Flow()
 		want := ref.Process(seq[i], inPort)
@@ -202,10 +223,7 @@ func checkEquivalence(t *testing.T, rng *rand.Rand) {
 		if !headerEq(burst[i], seq[i]) {
 			t.Fatalf("packet %d: walk header %v != Process header %v", i, burst[i], seq[i])
 		}
-		var wantID switchsim.RuleID
-		if want.Rule != nil {
-			wantID = want.Rule.ID
-		}
+		wantID := ruleID(want)
 		// A microflow verdict names the entry of the packet's own five-tuple,
 		// on each switch its own.
 		var wantFlow *switchsim.Flow
@@ -215,27 +233,26 @@ func checkEquivalence(t *testing.T, rng *rand.Rand) {
 			}
 			wantFlow, _ = step.Microflow(key)
 		}
-		g := stepFIB.Step(single[i], inPort)
-		if g.Rule != wantID || g.Flow != wantFlow || g.Output != want.Output || g.Drop != want.Drop || g.ToController != want.ToController {
+		g := stepNet.Step(0, single[i], inPort)
+		if ruleID(g) != wantID || g.Flow != wantFlow || g.Output != want.Output || g.Drop != want.Drop || g.ToController != want.ToController {
 			t.Fatalf("packet %d: step verdict (rule=%d flow=%p out=%d drop=%v punt=%v) != Process (rule=%d flow=%p out=%d drop=%v punt=%v)",
-				i, g.Rule, g.Flow, g.Output, g.Drop, g.ToController, wantID, wantFlow, want.Output, want.Drop, want.ToController)
+				i, ruleID(g), g.Flow, g.Output, g.Drop, g.ToController, wantID, wantFlow, want.Output, want.Drop, want.ToController)
 		}
 		if !headerEq(single[i], seq[i]) {
 			t.Fatalf("packet %d: step header %v != Process header %v", i, single[i], seq[i])
 		}
 	}
 
-	// The pipelines must account identically too: switch totals and
-	// per-rule traffic counters.
+	// The pipelines must account identically too: the switch's pipeline
+	// counters and per-rule traffic counters.
 	for _, c := range []struct {
 		name string
 		sw   *switchsim.Switch
 	}{{"walk", fast}, {"step", step}} {
-		if fp, rp := atomic.LoadUint64(&c.sw.Processed), atomic.LoadUint64(&ref.Processed); fp != rp {
-			t.Fatalf("Processed: %s %d != sequential %d", c.name, fp, rp)
-		}
-		if fm, rm := atomic.LoadUint64(&c.sw.Misses), atomic.LoadUint64(&ref.Misses); fm != rm {
-			t.Fatalf("Misses: %s %d != sequential %d", c.name, fm, rm)
+		for _, name := range pipelineCounters {
+			if got, want := regs[c.sw].Counter(name).Value(), regs[ref].Counter(name).Value(); got != want {
+				t.Fatalf("%s: %s %d != sequential %d", name, c.name, got, want)
+			}
 		}
 		fr, rr := c.sw.Rules(), ref.Rules()
 		for i := range fr {
@@ -258,7 +275,7 @@ func checkEquivalence(t *testing.T, rng *rand.Rand) {
 }
 
 // TestBurstEquivalenceQuick is the property test: for arbitrary tables
-// and bursts, a Walker's burst ≡ packet-by-packet FIB.Step ≡ sequential
+// and bursts, a Walker's burst ≡ packet-by-packet Net.Step ≡ sequential
 // Process — dispositions and verdicts, header rewrites, and traffic
 // accounting.
 func TestBurstEquivalenceQuick(t *testing.T) {
@@ -284,28 +301,27 @@ func FuzzBurstEquivalence(f *testing.F) {
 	})
 }
 
-// TestSnapshotGeneration checks staleness detection: a snapshot is served
-// only while the switch's generation matches, and every mutation kind
-// bumps the generation.
-func TestSnapshotGeneration(t *testing.T) {
+// TestViewGeneration checks staleness detection: a view is served only
+// while the switch's generation matches, every mutation kind moves the
+// generation, and a failed removal moves nothing.
+func TestViewGeneration(t *testing.T) {
 	sw := switchsim.NewSwitch("gen")
-	fib := NewFIB(sw)
 
-	s1 := fib.Acquire()
-	if s1.Gen != sw.Generation() {
-		t.Fatalf("snapshot gen %d != switch gen %d", s1.Gen, sw.Generation())
+	v1 := sw.View()
+	if v1.Gen != sw.Generation() {
+		t.Fatalf("view gen %d != switch gen %d", v1.Gen, sw.Generation())
 	}
-	if fib.Acquire() != s1 {
-		t.Fatal("unchanged switch must serve the cached snapshot")
+	if sw.View() != v1 {
+		t.Fatal("an unchanged switch must serve the view it sealed")
 	}
 
 	id := sw.Install(10, switchsim.Match{InPort: switchsim.AnyPort}, switchsim.Action{Output: 1})
-	s2 := fib.Acquire()
-	if s2 == s1 || s2.Gen <= s1.Gen {
-		t.Fatalf("Install must invalidate: gen %d -> %d, same=%v", s1.Gen, s2.Gen, s2 == s1)
+	v2 := sw.View()
+	if v2 == v1 || v2.Gen <= v1.Gen {
+		t.Fatalf("Install must invalidate: gen %d -> %d, same=%v", v1.Gen, v2.Gen, v2 == v1)
 	}
-	if s2.tcam.Len() != 1 {
-		t.Fatalf("recompiled snapshot has %d rules, want 1", s2.tcam.Len())
+	if v2.TCAM.Len() != 1 {
+		t.Fatalf("the new view has %d rules, want 1", v2.TCAM.Len())
 	}
 
 	mutations := []func(){
@@ -316,59 +332,56 @@ func TestSnapshotGeneration(t *testing.T) {
 		func() { sw.ReplaceTCAM(nil) },
 	}
 	for i, mut := range mutations {
-		before := fib.Acquire()
+		before := sw.View()
 		mut()
-		after := fib.Acquire()
-		if after.Gen <= before.Gen {
+		if after := sw.View(); after.Gen <= before.Gen {
 			t.Fatalf("mutation %d did not bump the generation (%d -> %d)", i, before.Gen, after.Gen)
 		}
 	}
 
-	// No-op mutations must not invalidate.
-	before := fib.Acquire()
+	before := sw.View()
 	if sw.Remove(id) {
 		t.Fatal("double remove reported success")
 	}
 	if sw.RemoveMicroflow(packet.FlowKey{Src: 9}) {
 		t.Fatal("removing an absent microflow reported success")
 	}
-	if fib.Acquire() != before {
-		t.Fatal("failed removals must not invalidate the snapshot")
+	if sw.View() != before {
+		t.Fatal("failed removals must not invalidate the view")
 	}
 }
 
 // TestStepServesTheCurrentTable: a single step after a table mutation
-// sees the new table (the snapshot is recompiled, never served stale), and
-// a step on a current snapshot allocates nothing.
+// sees the new table (the view is sealed anew, never served stale), and
+// a step on a current view allocates nothing.
 func TestStepServesTheCurrentTable(t *testing.T) {
-	reg := obs.New()
 	sw := switchsim.NewSwitch("step")
+	reg := instrumented(sw)
 	sw.Install(10, switchsim.Match{InPort: switchsim.AnyPort}, switchsim.Action{Output: 1})
-	n := NewNet(NetConfig{Switches: []*switchsim.Switch{sw}, Links: [][]Link{nil}, Obs: reg})
-	fib := n.FIB(0)
+	n := NewNet(NetConfig{Switches: []*switchsim.Switch{sw}, Links: [][]Link{nil}})
 	p := &packet.Packet{Src: 1, Dst: 2, SrcPort: 3, DstPort: 4, Proto: packet.ProtoTCP}
-	if v := fib.Step(p, 0); v.Output != 1 {
+	if v := n.Step(0, p, 0); v.Output != 1 {
 		t.Fatalf("step output %d, want 1", v.Output)
 	}
 	sw.InstallMicroflow(p.Flow(), switchsim.Action{Output: 2}, switchsim.Cookie{})
-	if v := fib.Step(p, 0); v.Output != 2 {
+	if v := n.Step(0, p, 0); v.Output != 2 {
 		t.Fatalf("step after InstallMicroflow output %d, want the new microflow's 2", v.Output)
 	}
-	if c := reg.Counter("fastpath.snapshot.compile").Value(); c != 2 {
-		t.Fatalf("fastpath.snapshot.compile = %d, want 2 (one per generation)", c)
+	if c := reg.Counter("switchsim.view.sealed").Value(); c != 2 {
+		t.Fatalf("switchsim.view.sealed = %d, want 2 (one per generation)", c)
 	}
-	if a := testing.AllocsPerRun(100, func() { fib.Step(p, 0) }); a != 0 {
+	if a := testing.AllocsPerRun(100, func() { n.Step(0, p, 0) }); a != 0 {
 		t.Fatalf("Step allocates %.1f objects per packet, want 0", a)
 	}
 	// Two steps above, plus AllocsPerRun's warm-up call and its 100 runs.
-	if got := atomic.LoadUint64(&sw.Processed); got != 103 {
-		t.Fatalf("Processed = %d, want 103", got)
+	if got := reg.Counter("switchsim.packets").Value(); got != 103 {
+		t.Fatalf("switchsim.packets = %d, want 103", got)
 	}
 }
 
 // TestSnapshotSwapRace stresses concurrent burst walkers against a
 // control-plane mutator; run under -race it proves the steady state
-// shares no locks and the swap protocol is sound. Verdicts during churn
+// shares no locks and the seal protocol is sound. Verdicts during churn
 // only need to be self-consistent; after the mutator stops, a final step
 // must match the sequential path exactly.
 func TestSnapshotSwapRace(t *testing.T) {
@@ -376,7 +389,6 @@ func TestSnapshotSwapRace(t *testing.T) {
 	specs := genSpecs(rng, 16)
 	sw := buildSwitch(specs, switchsim.Action{Output: -1})
 	net := NewNet(NetConfig{Switches: []*switchsim.Switch{sw}, Links: [][]Link{nil}})
-	fib := net.FIB(0)
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -420,15 +432,14 @@ func TestSnapshotSwapRace(t *testing.T) {
 	}()
 	wg.Wait()
 
-	// Post-churn: the next Acquire sees the final generation and the
-	// compiled path agrees with Process again.
-	snap := fib.Acquire()
-	if snap.Gen != sw.Generation() {
-		t.Fatalf("post-churn snapshot gen %d != switch gen %d", snap.Gen, sw.Generation())
+	// Post-churn: the next View is at the final generation and the fast
+	// path agrees with Process again.
+	if v := sw.View(); v.Gen != sw.Generation() {
+		t.Fatalf("post-churn view gen %d != switch gen %d", v.Gen, sw.Generation())
 	}
 	p1, p2 := genPacket(rng), genPacket(rng)
 	*p2 = *p1
-	v := fib.Step(p1, 0)
+	v := net.Step(0, p1, 0)
 	want := sw.Process(p2, 0)
 	if v.Output != want.Output || v.Drop != want.Drop || v.ToController != want.ToController {
 		t.Fatalf("post-churn divergence: step %+v vs process out=%d drop=%v punt=%v",
@@ -548,6 +559,7 @@ func TestDispNames(t *testing.T) {
 // one Net and checks every packet is delivered and counted once.
 func TestConcurrentWalkers(t *testing.T) {
 	sw := switchsim.NewSwitch("s")
+	reg := instrumented(sw)
 	sw.Install(1, switchsim.Match{InPort: switchsim.AnyPort}, switchsim.Action{Output: switchsim.PortUE})
 	net := NewNet(NetConfig{Switches: []*switchsim.Switch{sw}, Links: [][]Link{{}}})
 
@@ -573,23 +585,26 @@ func TestConcurrentWalkers(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := atomic.LoadUint64(&sw.Processed); got != walkers*bursts*8 {
+	if got := reg.Counter("switchsim.packets").Value(); got != walkers*bursts*8 {
 		t.Fatalf("switch processed %d packets, want %d", got, walkers*bursts*8)
 	}
 }
 
-// TestWarmExaminesOnlyChangedSwitches: the first Warm compiles every
-// switch's snapshot, a Warm with no table changed since examines none, and
-// after a change to one switch it examines that one and leaves its
-// snapshot current.
+// TestWarmExaminesOnlyChangedSwitches: the first Warm seals every
+// switch's view, a Warm with no table changed since examines none, and
+// after a change to one switch it examines that one and leaves its view
+// current, so the next View seals nothing.
 func TestWarmExaminesOnlyChangedSwitches(t *testing.T) {
+	reg := obs.New()
 	sws := make([]*switchsim.Switch, 3)
 	for i := range sws {
 		sws[i] = switchsim.NewSwitch("s" + strconv.Itoa(i))
+		sws[i].Instrument(reg)
 	}
+	sealed := reg.Counter("switchsim.view.sealed")
 	net := NewNet(NetConfig{Switches: sws, Links: make([][]Link, len(sws))})
-	if n := net.Warm(); n != len(sws) {
-		t.Fatalf("first Warm examined %d switches, want %d", n, len(sws))
+	if n := net.Warm(); n != len(sws) || sealed.Value() != uint64(len(sws)) {
+		t.Fatalf("first Warm examined %d switches and sealed %d views, want %d", n, sealed.Value(), len(sws))
 	}
 	if n := net.Warm(); n != 0 {
 		t.Fatalf("a Warm with nothing changed examined %d switches", n)
@@ -599,8 +614,8 @@ func TestWarmExaminesOnlyChangedSwitches(t *testing.T) {
 		t.Fatalf("a Warm after one switch changed examined %d switches, want 1", n)
 	}
 	for i, sw := range sws {
-		if s := net.FIB(i).snap.Load(); s == nil || s.Gen != sw.Generation() {
-			t.Fatalf("switch %d's snapshot is not current after Warm", i)
+		if v := sw.View(); v.Gen != sw.Generation() || sealed.Value() != uint64(len(sws)+1) {
+			t.Fatalf("switch %d's view is not current after Warm (%d views sealed)", i, sealed.Value())
 		}
 	}
 }

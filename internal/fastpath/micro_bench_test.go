@@ -24,28 +24,28 @@ func microPlant(n int) (sw *switchsim.Switch, hits, misses []packet.Packet) {
 	return sw, hits, misses
 }
 
-// BenchmarkMicroflowLookup times one packet's compiled lookup at an access
+// BenchmarkMicroflowLookup times one packet's fast-path lookup at an access
 // switch holding 64, 1 024 and 16 384 microflows, for a packet that hits
 // its microflow and for one that misses into the TCAM. It is the per-packet
 // cost of the microflow index's probe.
 func BenchmarkMicroflowLookup(b *testing.B) {
 	for _, n := range []int{64, 1024, 16384} {
 		sw, hits, misses := microPlant(n)
-		s := Compile(sw)
+		v := sw.View()
 		for _, c := range []struct {
 			name string
 			pkts []packet.Packet
 		}{{"hit", hits}, {"miss", misses}} {
 			b.Run(fmt.Sprintf("%s/flows=%d", c.name, n), func(b *testing.B) {
 				var t tally
-				t.ensure(s.slots())
+				t.ensure(slots(v))
 				t.direct = true
 				p := new(packet.Packet)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					*p = c.pkts[i%len(c.pkts)]
-					s.lookup(p, 0, &t)
+					lookup(v, p, 0, &t)
 				}
 			})
 		}

@@ -4,18 +4,16 @@ import (
 	"repro/internal/obs"
 )
 
-// fpObs is the fast path's telemetry: snapshot lifecycle (compiles and
-// stale detections), burst shape, and walk outcomes. A nil *fpObs is a
-// no-op, so uninstrumented nets run at zero cost; every hot-path update
-// is an atomic add or a fixed-bucket histogram observe — 0 allocs.
+// fpObs is the fast path's telemetry: burst shape and walk outcomes. A nil
+// *fpObs is a no-op, so uninstrumented nets run at zero cost; every
+// hot-path update is an atomic add or a fixed-bucket histogram observe —
+// 0 allocs.
 type fpObs struct {
-	compile  *obs.Counter   // snapshots compiled
-	staleHit *obs.Counter   // stale snapshots detected (generation moved)
-	bursts   *obs.Counter   // bursts processed (per-switch acquisitions)
-	burstSz  *obs.Histogram // burst sizes in packets
-	pkts     *obs.Counter   // packets entering burst walks
-	slow     *obs.Counter   // packets handed to the slow path
-	looped   *obs.Counter   // packets exceeding the hop budget
+	bursts  *obs.Counter   // bursts processed (per-switch view loads)
+	burstSz *obs.Histogram // burst sizes in packets
+	pkts    *obs.Counter   // packets entering burst walks
+	slow    *obs.Counter   // packets handed to the slow path
+	looped  *obs.Counter   // packets exceeding the hop budget
 }
 
 // newFPObs registers the fast path's series on reg; nil reg returns nil.
@@ -24,26 +22,11 @@ func newFPObs(reg *obs.Registry) *fpObs {
 		return nil
 	}
 	return &fpObs{
-		compile:  reg.Counter("fastpath.snapshot.compile"),
-		staleHit: reg.Counter("fastpath.snapshot.stale"),
-		bursts:   reg.Counter("fastpath.bursts"),
-		burstSz:  reg.Histogram("fastpath.burst.size", 1, 2, 4, 8, 16, 32, 64, 128, 256),
-		pkts:     reg.Counter("fastpath.packets"),
-		slow:     reg.Counter("fastpath.slowpath"),
-		looped:   reg.Counter("fastpath.looped"),
-	}
-}
-
-// compiled counts one snapshot compile.
-func (o *fpObs) compiled() {
-	if o != nil {
-		o.compile.Inc()
-	}
-}
-
-func (o *fpObs) stale() {
-	if o != nil {
-		o.staleHit.Inc()
+		bursts:  reg.Counter("fastpath.bursts"),
+		burstSz: reg.Histogram("fastpath.burst.size", 1, 2, 4, 8, 16, 32, 64, 128, 256),
+		pkts:    reg.Counter("fastpath.packets"),
+		slow:    reg.Counter("fastpath.slowpath"),
+		looped:  reg.Counter("fastpath.looped"),
 	}
 }
 

@@ -51,46 +51,44 @@ func mutate(rng *rand.Rand, sw *switchsim.Switch, flows []packet.FlowKey) {
 	}
 }
 
-// reuseCheck is one checkReuse run: the switch, the packets every
-// snapshot is checked on, and the microflow keys the mutations draw from.
+// reuseCheck is one checkReuse run: the switch, the packets every view
+// is checked on, and the microflow keys the mutations draw from.
 type reuseCheck struct {
 	t      *testing.T
 	rng    *rand.Rand
 	sw     *switchsim.Switch
-	fib    *FIB
 	copied *obs.Counter // the switch's switchsim.tcam.rules.copied
 	pkts   []*packet.Packet
 	flows  []packet.FlowKey
-	older  []*Snapshot // every snapshot the FIB published, oldest first
-	seen   []tables    // each older snapshot's tables, when published
+	older  []*switchsim.TableView // every view the switch sealed, oldest first
+	seen   []tables               // each older view's tables, when sealed
 }
 
-// tables is a snapshot's tables entry by entry: the TCAM's rules in
-// match order and the microflow table slot by slot.
+// tables is a view's tables entry by entry: the TCAM's rules in match
+// order and the microflow table slot by slot.
 type tables struct {
 	rules []*switchsim.Rule
 	flows []*switchsim.Flow
 }
 
-func tablesOf(s *Snapshot) tables {
-	tb := tables{make([]*switchsim.Rule, s.tcam.Len()), make([]*switchsim.Flow, s.micro.Slots())}
+func tablesOf(v *switchsim.TableView) tables {
+	tb := tables{make([]*switchsim.Rule, v.TCAM.Len()), make([]*switchsim.Flow, v.Flows.Slots())}
 	for i := range tb.rules {
-		tb.rules[i] = s.tcam.At(i)
+		tb.rules[i] = v.TCAM.At(i)
 	}
 	for slot := range tb.flows {
-		tb.flows[slot] = s.micro.At(slot)
+		tb.flows[slot] = v.Flows.At(slot)
 	}
 	return tb
 }
 
 // checkReuse drives a random switch through random interleavings of
 // microflow and TCAM mutations, and reports the TCAM entries the switch
-// copied. After each round the FIB's snapshot, the switch's own tables as
-// it sealed them, must hold the switch's rules in match order and give
-// what Process gives on every packet: verdict, header rewrites and the
-// entry named. No published snapshot's TCAM or microflow table may change
-// afterwards. The large mode grows the microflow table past 200 flows and
-// through several growths.
+// copied. After each round the switch's view, its own tables as it sealed
+// them, must hold the switch's rules in match order and give what Process
+// gives on every packet: verdict, header rewrites and the entry named. No
+// view's TCAM or microflow table may change afterwards. The large mode
+// grows the microflow table past 200 flows and through several growths.
 func checkReuse(t *testing.T, rng *rand.Rand, large bool) uint64 {
 	t.Helper()
 	c := &reuseCheck{t: t, rng: rng, sw: buildSwitch(genSpecs(rng, rng.Intn(16)), genAction(rng))}
@@ -104,8 +102,7 @@ func checkReuse(t *testing.T, rng *rand.Rand, large bool) uint64 {
 			c.flows = append(c.flows, c.pkts[i].Flow())
 		}
 	}
-	c.fib = NewFIB(c.sw)
-	c.publish(c.fib.Acquire())
+	c.publish(c.sw.View())
 	if !large {
 		for round := 0; round < 24; round++ {
 			for k := rng.Intn(3); k >= 0; k-- {
@@ -133,63 +130,59 @@ func checkReuse(t *testing.T, rng *rand.Rand, large bool) uint64 {
 		}
 		c.round(round)
 	}
-	if last := c.older[len(c.older)-1]; last.micro.Slots() < 256 {
-		t.Fatalf("%d microflows in a %d-slot index; the table never grew to 256 slots", last.micro.Len(), last.micro.Slots())
+	if last := c.older[len(c.older)-1]; last.Flows.Slots() < 256 {
+		t.Fatalf("%d microflows in a %d-slot index; the table never grew to 256 slots", last.Flows.Len(), last.Flows.Slots())
 	}
 	c.unchanged()
 	return c.copied.Value()
 }
 
-func (c *reuseCheck) publish(s *Snapshot) {
-	c.older, c.seen = append(c.older, s), append(c.seen, tablesOf(s))
+func (c *reuseCheck) publish(v *switchsim.TableView) {
+	c.older, c.seen = append(c.older, v), append(c.seen, tablesOf(v))
 }
 
-// unchanged fails the test if a later write reached a published
-// snapshot's tables: the switch must copy what a snapshot shares first.
+// unchanged fails the test if a later write reached a sealed view's
+// tables: the switch must copy what a view shares first.
 func (c *reuseCheck) unchanged() {
-	for i, s := range c.older {
-		if tb := tablesOf(s); !slices.Equal(tb.rules, c.seen[i].rules) || !slices.Equal(tb.flows, c.seen[i].flows) {
-			c.t.Fatalf("snapshot %d of %d changed after it was published", i, len(c.older))
+	for i, v := range c.older {
+		if tb := tablesOf(v); !slices.Equal(tb.rules, c.seen[i].rules) || !slices.Equal(tb.flows, c.seen[i].flows) {
+			c.t.Fatalf("view %d of %d changed after it was sealed", i, len(c.older))
 		}
 	}
 }
 
-// round publishes the FIB's next snapshot and checks it against the
-// switch and Process.
+// round takes the switch's next view and checks it against the switch
+// and Process.
 func (c *reuseCheck) round(round int) {
-	t, s := c.t, c.fib.Acquire()
-	c.publish(s)
+	t, v := c.t, c.sw.View()
+	c.publish(v)
 	rules := c.sw.Rules()
-	if s.Gen != c.sw.Generation() || s.tcam.Len() != len(rules) || s.micro.Len() != c.sw.NumMicroflows() {
-		t.Fatalf("round %d: snapshot gen %d, %d rules, %d microflows; switch gen %d, %d, %d", round,
-			s.Gen, s.tcam.Len(), s.micro.Len(), c.sw.Generation(), len(rules), c.sw.NumMicroflows())
+	if v.Gen != c.sw.Generation() || v.TCAM.Len() != len(rules) || v.Flows.Len() != c.sw.NumMicroflows() {
+		t.Fatalf("round %d: view gen %d, %d rules, %d microflows; switch gen %d, %d, %d", round,
+			v.Gen, v.TCAM.Len(), v.Flows.Len(), c.sw.Generation(), len(rules), c.sw.NumMicroflows())
 	}
 	for i := range rules {
-		if r := s.tcam.At(i); r.ID != rules[i].ID {
-			t.Fatalf("round %d: the snapshot's TCAM rule %d is #%d, the switch's #%d", round, i, r.ID, rules[i].ID)
+		if r := v.TCAM.At(i); r.ID != rules[i].ID {
+			t.Fatalf("round %d: the view's TCAM rule %d is #%d, the switch's #%d", round, i, r.ID, rules[i].ID)
 		}
 	}
 	var tl tally
-	tl.ensure(s.slots())
+	tl.ensure(slots(v))
 	for i, p := range c.pkts {
 		inPort := c.rng.Intn(4)
 		a, b := *p, *p
-		v, want := s.lookup(&a, inPort, &tl), c.sw.Process(&b, inPort)
-		var wantID switchsim.RuleID
-		if want.Rule != nil {
-			wantID = want.Rule.ID
-		}
-		if v.Rule != wantID || v.Flow != want.Flow || v.Output != want.Output || v.Drop != want.Drop ||
-			v.ToController != want.ToController || !headerEq(&a, &b) {
-			t.Fatalf("round %d packet %d: snapshot %+v %v, Process %+v %v", round, i, v, &a, want, &b)
+		got, want := lookup(v, &a, inPort, &tl), c.sw.Process(&b, inPort)
+		if got.Rule != want.Rule || got.Flow != want.Flow || got.Output != want.Output || got.Drop != want.Drop ||
+			got.ToController != want.ToController || !headerEq(&a, &b) {
+			t.Fatalf("round %d packet %d: view %+v %v, Process %+v %v", round, i, got, &a, want, &b)
 		}
 	}
 }
 
-// TestSnapshotReuseQuick is the property test of the recompile: for
-// arbitrary tables and mutation sequences a snapshot is the switch's
-// tables at its generation and stays so, and the runs do make the switch
-// copy a sealed TCAM.
+// TestSnapshotReuseQuick is the property test of the copy-on-write
+// views: for arbitrary tables and mutation sequences a view is the
+// switch's tables at its generation and stays so, and the runs do make
+// the switch copy a sealed TCAM.
 func TestSnapshotReuseQuick(t *testing.T) {
 	var copied uint64
 	f := func(seed int64) bool {
@@ -220,13 +213,12 @@ func FuzzSnapshotReuse(f *testing.F) {
 // TestMicroflowChurnUnderBursts walks bursts through a switch from four
 // walkers while another goroutine installs and removes microflows, so the
 // switch writes, grows and lays out its table while acquirers race to
-// recompile, often from the same snapshot; run it under -race. After the
-// churn the snapshot gives Process's verdict and rewrites on every packet.
+// seal, often the same view; run it under -race. After the churn the view
+// gives Process's verdict and rewrites on every packet.
 func TestMicroflowChurnUnderBursts(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	sw := buildSwitch(genSpecs(rng, 8), switchsim.Action{Output: -1})
 	net := NewNet(NetConfig{Switches: []*switchsim.Switch{sw}, Links: [][]Link{nil}})
-	fib := net.FIB(0)
 	pkts := make([]*packet.Packet, 256)
 	for i := range pkts {
 		pkts[i] = genPacket(rng)
@@ -267,15 +259,14 @@ func TestMicroflowChurnUnderBursts(t *testing.T) {
 	}()
 	wg.Wait()
 
-	snap := fib.Acquire()
-	if snap.Gen != sw.Generation() || snap.micro.Len() != sw.NumMicroflows() {
-		t.Fatalf("post-churn snapshot gen %d with %d microflows, switch gen %d with %d", snap.Gen, snap.micro.Len(), sw.Generation(), sw.NumMicroflows())
+	if v := sw.View(); v.Gen != sw.Generation() || v.Flows.Len() != sw.NumMicroflows() {
+		t.Fatalf("post-churn view gen %d with %d microflows, switch gen %d with %d", v.Gen, v.Flows.Len(), sw.Generation(), sw.NumMicroflows())
 	}
 	for i, p := range pkts {
 		a, b := *p, *p
-		v, want := fib.Step(&a, i%4), sw.Process(&b, i%4)
-		if v.Output != want.Output || v.Drop != want.Drop || v.ToController != want.ToController || !headerEq(&a, &b) {
-			t.Fatalf("packet %d after the churn: snapshot %+v %v, Process out=%d drop=%v punt=%v %v", i, v, &a, want.Output, want.Drop, want.ToController, &b)
+		v, want := net.Step(0, &a, i%4), sw.Process(&b, i%4)
+		if v != want || !headerEq(&a, &b) {
+			t.Fatalf("packet %d after the churn: view %+v %v, Process %+v %v", i, v, &a, want, &b)
 		}
 	}
 }

@@ -114,7 +114,7 @@ func TestWalkerWalkAllocatesNothing(t *testing.T) {
 			}
 		}
 	}
-	sweep() // the warm-up: snapshots compile, scratch grows
+	sweep() // the warm-up: views seal, scratch grows
 	allocs := testing.AllocsPerRun(20, sweep) / float64(len(bursts))
 	t.Logf("%d bursts of %d packets per sweep: %.3f allocs per burst", len(bursts), burstSize, allocs)
 	if allocs != 0 {

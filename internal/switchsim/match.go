@@ -4,8 +4,9 @@
 // switches, header-rewrite actions, per-rule counters, and atomic batch
 // updates. Gateway and core switches use only the TCAM table; access
 // switches additionally hold microflow rules installed by the local agent.
-// Both tables are copy-on-write: fast-path snapshots read them as the
-// switch sealed them (View), so no second copy of a rule exists.
+// Both tables are copy-on-write: View seals them into one immutable view
+// per generation, which the fast path reads, so no second copy of a rule
+// exists.
 package switchsim
 
 import (

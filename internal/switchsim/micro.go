@@ -39,8 +39,8 @@ type flowIndex = cowindex.Index[flowKey, *Flow]
 // large table probes further (EXPERIMENTS.md, "Microflow table ledger").
 const microLoad = 6
 
-// Microflows is a microflow table as View hands it out: sealed, so
-// a fast-path snapshot reads its live entries with no lock.
+// Microflows is a microflow table as View hands it out: sealed, so the
+// fast path reads its live entries with no lock.
 type Microflows struct{ index flowIndex }
 
 // Lookup returns the entry for p's five-tuple and its slot, numbered from

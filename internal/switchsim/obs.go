@@ -21,6 +21,9 @@ type swObs struct {
 	// tcamCopy counts the TCAM entries the first write after a seal
 	// copied (see edit).
 	tcamCopy *obs.Counter
+	// sealedViews counts the views View sealed: one per generation a
+	// reader asked for.
+	sealedViews *obs.Counter
 }
 
 // Instrument registers the switch's telemetry on reg. Call it before
@@ -32,14 +35,15 @@ func (s *Switch) Instrument(reg *obs.Registry) {
 		return
 	}
 	s.obs = swObs{
-		packets:   reg.Counter("switchsim.packets"),
-		microHit:  reg.Counter("switchsim.micro.hit"),
-		microMiss: reg.Counter("switchsim.micro.miss"),
-		tcamHit:   reg.Counter("switchsim.tcam.hit"),
-		miss:      reg.Counter("switchsim.tcam.miss"),
-		punt:      reg.Counter("switchsim.punt"),
-		drop:      reg.Counter("switchsim.drop"),
-		pageCopy:  reg.Counter("switchsim.micro.pages.copied"),
-		tcamCopy:  reg.Counter("switchsim.tcam.rules.copied"),
+		packets:     reg.Counter("switchsim.packets"),
+		microHit:    reg.Counter("switchsim.micro.hit"),
+		microMiss:   reg.Counter("switchsim.micro.miss"),
+		tcamHit:     reg.Counter("switchsim.tcam.hit"),
+		miss:        reg.Counter("switchsim.tcam.miss"),
+		punt:        reg.Counter("switchsim.punt"),
+		drop:        reg.Counter("switchsim.drop"),
+		pageCopy:    reg.Counter("switchsim.micro.pages.copied"),
+		tcamCopy:    reg.Counter("switchsim.tcam.rules.copied"),
+		sealedViews: reg.Counter("switchsim.view.sealed"),
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/packet"
 )
 
@@ -120,6 +121,8 @@ func TestReplaceTCAMEqualRulesKeepSliceOrder(t *testing.T) {
 // foreign output means a reader saw the swap half done.
 func TestReplaceTCAMAtomicUnderProcess(t *testing.T) {
 	s := NewSwitch("s")
+	reg := obs.New()
+	s.Instrument(reg)
 	s.ReplaceTCAM(tableFor(64))
 	var stop atomic.Bool
 	var processed atomic.Uint64
@@ -145,7 +148,7 @@ func TestReplaceTCAMAtomicUnderProcess(t *testing.T) {
 	}
 	stop.Store(true)
 	wg.Wait()
-	if s.Misses != 0 {
-		t.Fatalf("%d table misses during replacement", s.Misses)
+	if n := reg.Counter("switchsim.tcam.miss").Value(); n != 0 {
+		t.Fatalf("%d table misses during replacement", n)
 	}
 }

@@ -95,7 +95,7 @@ func sealKeys(rng *rand.Rand) []packet.FlowKey {
 // its seal, each entry's match compiled from its rule's, and keeps those
 // entries after every later write. publish, when set, is handed every
 // view as it is sealed.
-func checkSeals(t *testing.T, rng *rand.Rand, s *Switch, keys []packet.FlowKey, publish func(TableView)) sealCounts {
+func checkSeals(t *testing.T, rng *rand.Rand, s *Switch, keys []packet.FlowKey, publish func(*TableView)) sealCounts {
 	t.Helper()
 	model := map[packet.FlowKey]*Flow{}
 	var seals []sealed
@@ -197,12 +197,15 @@ func TestSealedTablesNeverChange(t *testing.T) {
 // TestSealedTablesUnderReaders runs the same check while two goroutines
 // read the switch: one sends the keys' packets through Process, and one
 // reads every entry of the latest sealed tables with no lock and scans the
-// TCAM, as a fast-path snapshot does. Run it under -race: a write to a
-// page or a TCAM a sealed table shares is a race.
+// TCAM, as the fast path does. Run it under -race: a write to a page or a
+// TCAM a sealed table shares is a race. Then it races readers on View
+// after single writes (racingViews).
 func TestSealedTablesUnderReaders(t *testing.T) {
 	for seed := range int64(4) {
 		rng := rand.New(rand.NewSource(seed))
 		s, keys := NewSwitch("as"), sealKeys(rng)
+		reg := obs.New()
+		s.Instrument(reg)
 		var latest atomic.Pointer[TableView]
 		var stop atomic.Bool
 		var wg sync.WaitGroup
@@ -234,8 +237,47 @@ func TestSealedTablesUnderReaders(t *testing.T) {
 				s.Process(&packet.Packet{Src: k.Src, Dst: k.Dst, SrcPort: k.SrcPort, DstPort: k.DstPort, Proto: k.Proto}, 0)
 			}
 		}()
-		checkSeals(t, rng, s, keys, func(v TableView) { latest.Store(&v) })
+		checkSeals(t, rng, s, keys, latest.Store)
 		stop.Store(true)
 		wg.Wait()
+		racingViews(t, rng, s, keys, reg.Counter("switchsim.view.sealed"))
+	}
+}
+
+// racingViews makes single writes to s, each followed by four goroutines
+// calling View at once. They must all get the same view, at the
+// generation the write left, and the switch must seal it once: sealed
+// rises by exactly 1 per write.
+func racingViews(t *testing.T, rng *rand.Rand, s *Switch, keys []packet.FlowKey, sealed *obs.Counter) {
+	t.Helper()
+	const readers = 4
+	for round := range 50 {
+		if round%2 == 0 {
+			s.InstallMicroflow(keys[rng.Intn(len(keys))], Action{Output: round}, Cookie{})
+		} else {
+			s.Install(rng.Intn(900), matchAll, Action{Output: rng.Intn(4)})
+		}
+		gen, before := s.Generation(), sealed.Value()
+		var got [readers]*TableView
+		var start, done sync.WaitGroup
+		start.Add(1)
+		for i := range got {
+			done.Add(1)
+			go func() {
+				defer done.Done()
+				start.Wait()
+				got[i] = s.View()
+			}()
+		}
+		start.Done()
+		done.Wait()
+		for i, v := range got {
+			if v != got[0] || v.Gen != gen {
+				t.Fatalf("round %d: reader %d got the view at generation %d (%p), reader 0 %p, after a write to %d", round, i, v.Gen, v, got[0], gen)
+			}
+		}
+		if n := sealed.Value() - before; n != 1 {
+			t.Fatalf("round %d: %d readers racing after one write sealed %d views, want 1", round, readers, n)
+		}
 	}
 }

@@ -29,16 +29,16 @@ type Rule struct {
 }
 
 // Counters are one entry's traffic counters, mutated with atomic adds (see
-// Account) so both the locked Process path and lock-free fast-path
-// snapshots can attribute traffic to the same live entry.
+// Account) so both the locked Process path and the lock-free fast path
+// can attribute traffic to the same live entry.
 type Counters struct {
 	Packets uint64
 	Bytes   uint64
 }
 
 // Account attributes one packet of payloadBytes payload to the counters.
-// The adds are atomic so compiled fast-path snapshots (internal/fastpath)
-// can account without holding the switch lock.
+// The adds are atomic so the fast path (internal/fastpath) can account
+// without holding the switch lock.
 func (c *Counters) Account(payloadBytes int) {
 	atomic.AddUint64(&c.Packets, 1)
 	atomic.AddUint64(&c.Bytes, uint64(payloadBytes)+24)
@@ -86,7 +86,8 @@ const (
 	PrioBinding   = 800 // gateway public-IP classifiers (§7)
 )
 
-// Verdict is the outcome of processing one packet. It names the entry whose
+// Verdict is the outcome of one packet's walk through a switch, by Process
+// or by the fast path over its View. It names the entry whose
 // action decided it: Rule for a TCAM rule, Flow for a microflow entry that
 // did not resubmit; both are nil on a table miss.
 type Verdict struct {
@@ -117,33 +118,29 @@ type Switch struct {
 
 	// gen counts table mutations: every Install, Remove, ReplaceTCAM,
 	// Splice and microflow write bumps it. Writes happen under mu;
-	// reads go through Generation's atomic load, so fast-path snapshot
-	// caches detect staleness without touching the lock.
+	// reads go through Generation's atomic load, so View tells its sealed
+	// view current without touching the lock.
 	gen uint64
+	// view is the tables as View last sealed them; see View.
+	view atomic.Pointer[TableView]
 	// watch, when set, is marked at every generation step, as switch
 	// watchAt (see Watch). guarded by mu
 	watch *dirty.Set
 
 	// TableMiss is the verdict for packets no rule covers. The default
 	// zero value drops; gateway/core switches usually leave it, access
-	// switches punt to the local agent. Set it before traffic starts; it is
-	// deliberately not guarded (agent.New assigns it during wiring).
+	// switches punt to the local agent. Set it before traffic starts and
+	// before the first View, which seals it; it is deliberately not
+	// guarded (agent.New assigns it during wiring).
 	TableMiss Action
-
-	// Stats, mutated with atomic adds (Process runs under a read lock,
-	// and fast-path snapshots account bursts with no lock at all).
-	Processed uint64
-	Misses    uint64
 
 	// obs is the optional telemetry handle set; see Instrument. All
 	// handles are nil (no-op) until then.
 	obs swObs
 }
 
-// Generation reports the table-mutation counter. A compiled snapshot taken
-// at generation g is exactly the current tables iff Generation() == g; a
-// mismatch means a TCAM or microflow mutation ran since and the snapshot
-// must be recompiled rather than silently served.
+// Generation reports the table-mutation counter. A view sealed at
+// generation g is exactly the current tables iff Generation() == g.
 func (s *Switch) Generation() uint64 {
 	return atomic.LoadUint64(&s.gen)
 }
@@ -167,8 +164,8 @@ func (s *Switch) Watch(c *dirty.Set, i int) {
 	s.watch, s.watchAt = c, int32(i)
 }
 
-// BurstStats aggregates one burst's pipeline tallies so compiled fast
-// paths can flush switch accounting once per burst instead of per packet.
+// BurstStats aggregates one burst's pipeline tallies so the fast path can
+// flush switch accounting once per burst instead of per packet.
 type BurstStats struct {
 	Packets   uint64 // packets entering the pipeline
 	MicroHit  uint64 // microflow exact-match hits
@@ -179,16 +176,11 @@ type BurstStats struct {
 	Drop      uint64 // final verdict: dropped
 }
 
-// AccountBurst adds a burst's tallies to the switch counters and telemetry.
-// The switch's Processed/Misses counts and obs series therefore read the
-// same whether packets took the locked Process path or a compiled
-// fast-path burst. Zero tallies cost nothing (no atomic add), so a
+// AccountBurst adds a burst's tallies to the switch's telemetry, which
+// therefore reads the same whether packets took the locked Process path or
+// a fast-path burst. Zero tallies cost nothing (no atomic add), so a
 // one-packet flush pays only for the outcomes that packet had.
 func (s *Switch) AccountBurst(b BurstStats) {
-	atomic.AddUint64(&s.Processed, b.Packets)
-	if b.Miss != 0 {
-		atomic.AddUint64(&s.Misses, b.Miss)
-	}
 	s.obs.packets.Add(b.Packets)
 	s.obs.microHit.Add(b.MicroHit)
 	s.obs.microMiss.Add(b.MicroMiss)
@@ -198,11 +190,12 @@ func (s *Switch) AccountBurst(b BurstStats) {
 	s.obs.drop.Add(b.Drop)
 }
 
-// TableView is a consistent export of the switch's tables for fast-path
-// compilers at generation Gen. The rule and flow pointers are the live
-// entries — read-only but for the atomic traffic counters; an entry keeps
-// its pointer while it is installed, so equal pointers in two views are
-// the same entry, unchanged.
+// TableView is the switch's tables at generation Gen, immutable after
+// publish: the TCAM and microflow table as the switch sealed them, and
+// the table-miss action. The rule and flow pointers are the live entries,
+// read-only but for the atomic traffic counters; an entry keeps its
+// pointer while it is installed, so equal pointers in two views are the
+// same entry, unchanged.
 type TableView struct {
 	Gen   uint64
 	TCAM  TCAM
@@ -210,18 +203,36 @@ type TableView struct {
 	Miss  Action
 }
 
-// View exports the tables under one lock. It seals the TCAM and the
-// microflow table and hands both over as they are, which costs nothing:
-// the writes after copy what they touch first, so a handed-out table
-// never changes.
-func (s *Switch) View() TableView {
+// View returns the switch's current tables: the view it last sealed,
+// with one atomic load, while its generation has not moved, and otherwise
+// a view sealed now, which every later caller shares until the next write.
+//
+// hotpath: no alloc, no lock
+func (s *Switch) View() *TableView {
+	if v := s.view.Load(); v != nil && v.Gen == s.Generation() {
+		return v
+	}
+	return s.seal()
+}
+
+// seal seals the tables under the lock and publishes them as the view,
+// unless a racing caller did so first. Sealing costs no copy: the writes
+// after copy what they touch first, so a sealed table never changes.
+//
+// hotpath: cold
+func (s *Switch) seal() *TableView {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if v := s.view.Load(); v != nil && v.Gen == s.Generation() {
+		return v
+	}
 	s.sealed = true
-	v := TableView{Gen: s.Generation(), TCAM: TCAM{s.tcam}, Miss: s.TableMiss}
+	v := &TableView{Gen: s.Generation(), TCAM: TCAM{s.tcam}, Miss: s.TableMiss}
 	if s.micro != nil {
 		v.Flows = s.micro.seal(&s.obs)
 	}
+	s.view.Store(v)
+	s.obs.sealedViews.Inc()
 	return v
 }
 
@@ -379,7 +390,6 @@ func (s *Switch) Microflow(key packet.FlowKey) (*Flow, bool) {
 func (s *Switch) Process(p *packet.Packet, inPort int) Verdict {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	atomic.AddUint64(&s.Processed, 1)
 	s.obs.packets.Inc()
 
 	var v Verdict
@@ -413,15 +423,10 @@ func (s *Switch) Process(p *packet.Packet, inPort int) Verdict {
 	if matched {
 		return s.finish(v)
 	}
-	atomic.AddUint64(&s.Misses, 1)
 	s.obs.miss.Inc()
-	v = Verdict{Output: -1}
 	a := s.TableMiss
 	a.Apply(p)
-	v.Drop = a.Drop || (!a.ToController && a.Output < 0)
-	v.ToController = a.ToController
-	v.Output = a.Output
-	return s.finish(v)
+	return s.finish(a.Verdict(true))
 }
 
 // finish counts the packet's final outcome.
@@ -440,11 +445,20 @@ func (s *Switch) finish(v Verdict) Verdict {
 func execute(a *Action, c *Counters, p *packet.Packet) Verdict {
 	c.Account(len(p.Payload))
 	a.Apply(p)
+	return a.Verdict(false)
+}
+
+// Verdict is the verdict of a packet whose last entry's action is a,
+// naming no entry. A rule's resubmit hands the packet back to the TCAM,
+// so it drops nothing for want of an output; the table-miss action (miss
+// set) ends the walk, so it never resubmits.
+func (a *Action) Verdict(miss bool) Verdict {
+	resubmit := a.Resubmit && !miss
 	return Verdict{
 		Output:       a.Output,
-		Drop:         a.Drop || (!a.ToController && !a.Resubmit && a.Output < 0),
+		Drop:         a.Drop || (!a.ToController && !resubmit && a.Output < 0),
 		ToController: a.ToController,
-		resubmit:     a.Resubmit,
+		resubmit:     resubmit,
 	}
 }
 
@@ -479,8 +493,8 @@ func (s *Switch) Rules() []Rule {
 	return out
 }
 
-// ReplaceTCAM makes rules the switch's whole TCAM in one step: Process,
-// View and fast-path compiles see either the old table or the new one,
+// ReplaceTCAM makes rules the switch's whole TCAM in one step: Process
+// and View see either the old table or the new one,
 // never an empty or half-filled table in between, and the generation moves
 // once. The microflow table is untouched — the dataplane uses this to
 // re-materialise controller state without disturbing agent-installed flows.

@@ -9,6 +9,7 @@ import (
 	"unsafe"
 
 	"repro/internal/dirty"
+	"repro/internal/obs"
 	"repro/internal/packet"
 )
 
@@ -86,12 +87,14 @@ func TestPriorityOrdering(t *testing.T) {
 
 func TestTableMissDefaultDrop(t *testing.T) {
 	s := NewSwitch("s")
+	reg := obs.New()
+	s.Instrument(reg)
 	v := s.Process(pkt(1, 2, 3, 4), 0)
 	if !v.Drop || v.Rule != nil {
 		t.Fatalf("miss should drop: %+v", v)
 	}
-	if s.Misses != 1 {
-		t.Fatalf("Misses = %d", s.Misses)
+	if n := reg.Counter("switchsim.tcam.miss").Value(); n != 1 {
+		t.Fatalf("switchsim.tcam.miss = %d", n)
 	}
 }
 
@@ -242,6 +245,8 @@ func TestNewerRuleWinsAtSamePriority(t *testing.T) {
 
 func TestCounters(t *testing.T) {
 	s := NewSwitch("s")
+	reg := obs.New()
+	s.Instrument(reg)
 	id := s.Install(PrioTag, matchAll, Action{Output: 1})
 	p := pkt(1, 2, 3, 4)
 	p.Payload = []byte("xyz")
@@ -255,8 +260,8 @@ func TestCounters(t *testing.T) {
 	if r.Bytes != 5*(3+24) {
 		t.Fatalf("Bytes = %d", r.Bytes)
 	}
-	if s.Processed != 5 {
-		t.Fatalf("Processed = %d", s.Processed)
+	if n := reg.Counter("switchsim.packets").Value(); n != 5 {
+		t.Fatalf("switchsim.packets = %d", n)
 	}
 }
 
@@ -281,6 +286,8 @@ func TestRulesSnapshotOrdered(t *testing.T) {
 // AccountBurst lands in the counters Process would have moved.
 func TestViewIsTheFastPathsContract(t *testing.T) {
 	s := NewSwitch("s")
+	reg := obs.New()
+	s.Instrument(reg)
 	s.TableMiss = Punt()
 	low := s.Install(PrioPrefix, matchAll, Action{Output: 1})
 	high := s.Install(PrioMobility, matchAll, Action{Output: 2})
@@ -309,8 +316,8 @@ func TestViewIsTheFastPathsContract(t *testing.T) {
 		t.Fatalf("rule counters %d packets %d bytes after AccountN(3, 100)", r.Packets, r.Bytes)
 	}
 	s.AccountBurst(BurstStats{Packets: 5, Miss: 2})
-	if s.Processed != 5 || s.Misses != 2 {
-		t.Fatalf("switch counters %d processed %d misses after a burst of 5 with 2 misses", s.Processed, s.Misses)
+	if p, m := reg.Counter("switchsim.packets").Value(), reg.Counter("switchsim.tcam.miss").Value(); p != 5 || m != 2 {
+		t.Fatalf("switch counters %d packets %d misses after a burst of 5 with 2 misses", p, m)
 	}
 }
 

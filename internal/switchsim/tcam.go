@@ -66,8 +66,8 @@ type entry struct {
 
 func entryOf(r *Rule) entry { return entry{compileMatch(r.Match), r} }
 
-// TCAM is a switch's rule table as View hands it out: sealed, so a
-// fast-path snapshot scans it with no lock. The switch copies the table
+// TCAM is a switch's rule table as View hands it out: sealed, so the
+// fast path scans it with no lock. The switch copies the table
 // before its first write after a seal, so no handed-out TCAM ever changes.
 type TCAM struct{ entries []entry }
 
