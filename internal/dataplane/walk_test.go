@@ -40,12 +40,12 @@ func primedFlow(t testing.TB, net *Network) (core.UE, packet.Packet) {
 var pipelineCounters = []string{"switchsim.packets", "switchsim.micro.hit", "switchsim.micro.miss",
 	"switchsim.tcam.hit", "switchsim.tcam.miss", "switchsim.punt", "switchsim.drop"}
 
-// TestWalkStepsTheView: with the fast path on, the single-packet walk
+// TestWalkStepsTheSnapshot: with the fast path on, the single-packet walk
 // steps each switch's sealed view and ends exactly as the interpreter does
 // on a twin network: same disposition, hops, final header and switch
 // accounting. A table change with no Sync is seen by the very next walk,
 // at the cost of one seal of the changed switch.
-func TestWalkStepsTheView(t *testing.T) {
+func TestWalkStepsTheSnapshot(t *testing.T) {
 	fastNet, refNet := newPlainLine(t, 2, 3), newPlainLine(t, 2, 3)
 	ue, reply := primedFlow(t, fastNet)
 	if ue2, _ := primedFlow(t, refNet); ue2 != ue {

@@ -301,10 +301,11 @@ func FuzzBurstEquivalence(f *testing.F) {
 	})
 }
 
-// TestViewGeneration checks staleness detection: a view is served only
-// while the switch's generation matches, every mutation kind moves the
-// generation, and a failed removal moves nothing.
-func TestViewGeneration(t *testing.T) {
+// TestSnapshotGeneration checks staleness detection: a sealed view (the
+// switch's snapshot of its tables) is served only while the switch's
+// generation matches, every mutation kind moves the generation, and a
+// failed removal moves nothing.
+func TestSnapshotGeneration(t *testing.T) {
 	sw := switchsim.NewSwitch("gen")
 
 	v1 := sw.View()
